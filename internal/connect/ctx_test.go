@@ -3,6 +3,7 @@ package connect
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
 	"chaseci/internal/parallel"
@@ -29,9 +30,16 @@ func TestLabelCtxMatchesLabel(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		prev := parallel.SetWorkers(workers)
 		want := Label(v, Conn26, 2)
+		// Progress fires concurrently from the slab workers, in no
+		// particular order: keep the furthest point reported.
+		var mu sync.Mutex
 		var lastDone, lastTotal int
 		got, err := LabelCtx(context.Background(), v, Conn26, 2, func(done, total int) {
-			lastDone, lastTotal = done, total
+			mu.Lock()
+			if done > lastDone {
+				lastDone, lastTotal = done, total
+			}
+			mu.Unlock()
 		})
 		parallel.SetWorkers(prev)
 		if err != nil {

@@ -106,12 +106,18 @@ func voxels(d, h, w int) (int, bool) {
 // dataset codec and the Job API's inline mask_bits result field.
 func PackBits(data []float32) []byte {
 	out := make([]byte, (len(data)+7)/8)
+	packBitsInto(out, data)
+	return out
+}
+
+// packBitsInto sets data's non-zero elements as bits in out, which must be
+// zero and hold (len(data)+7)/8 bytes.
+func packBitsInto(out []byte, data []float32) {
 	for i, v := range data {
 		if v != 0 {
 			out[i/8] |= 1 << (i % 8)
 		}
 	}
-	return out
 }
 
 // UnpackBits expands n LSB-first packed bits into a 0/1 float32 field.
@@ -164,8 +170,12 @@ func EncodeMask(d, h, w int, data []float32) ([]byte, error) {
 	if !ok || len(data) != n {
 		return nil, fmt.Errorf("%w: mask %dx%dx%d with %d values", ErrBadEncoding, d, h, w, len(data))
 	}
+	// Pack straight into the header allocation's spare capacity (zeroed by
+	// make): one allocation for the whole encoding.
 	b := encodeHeader(KindMask, d, h, w, (n+7)/8)
-	return append(b, PackBits(data)...), nil
+	b = b[:cap(b)]
+	packBitsInto(b[HeaderSize:], data)
+	return b, nil
 }
 
 // EncodeCheckpoint encodes an opaque checkpoint byte string. The byte
@@ -179,8 +189,13 @@ func EncodeCheckpoint(payload []byte) ([]byte, error) {
 	return append(b, payload...), nil
 }
 
-// Blob is a decoded dataset. Data/Raw are shared with the manager's resolve
-// cache — treat them as read-only and CloneData before mutating.
+// Blob is a decoded dataset. Data and Raw belong to the manager's resolve
+// cache and are shared by every job resolving the same id, concurrently:
+// they are read-only, for as long as anyone holds the Blob. A consumer that
+// needs a transformed copy writes it somewhere else (ffn's NormalizeInto, a
+// threshold into a borrowed buffer); nobody may hand Data to a free list
+// (ffn.ReleaseVolume, tensor.PutFloats) — the cache owns it and the GC
+// reclaims it after eviction.
 type Blob struct {
 	Kind    Kind
 	D, H, W int
@@ -192,8 +207,8 @@ type Blob struct {
 // Voxels returns the element count.
 func (b *Blob) Voxels() int { return b.D * b.H * b.W }
 
-// CloneData returns a private copy of the payload, for callers (like the
-// FFN's in-place Normalize) that mutate it.
+// CloneData returns a private copy of the payload, for a caller that must
+// mutate it in place. The job handlers do not: they borrow Data read-only.
 func (b *Blob) CloneData() []float32 {
 	return append([]float32(nil), b.Data...)
 }
@@ -559,7 +574,7 @@ func (m *Manager) GetBytes(id string) ([]byte, error) {
 }
 
 // Resolve returns the decoded dataset, serving repeat resolves from the LRU
-// cache. The returned Blob is shared — read-only (see Blob.CloneData).
+// cache. The returned Blob is shared and read-only (see Blob).
 func (m *Manager) Resolve(id string) (*Blob, error) {
 	if !ValidID(id) {
 		return nil, fmt.Errorf("%w: %q", ErrBadID, id)

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -70,6 +71,34 @@ func TestMaskRoundTripAndCompression(t *testing.T) {
 		if blob.Data[i] != data[i] {
 			t.Fatalf("voxel %d: got %v want %v", i, blob.Data[i], data[i])
 		}
+	}
+}
+
+// TestEncodeMaskSingleAlloc: the mask is packed straight into the header
+// allocation — one allocation for the whole encoding, and the same bytes as
+// header + PackBits.
+func TestEncodeMaskSingleAlloc(t *testing.T) {
+	d, h, w := 5, 9, 11 // 495 voxels: a partial last byte
+	data := make([]float32, d*h*w)
+	for i := range data {
+		if i%3 == 0 || i%7 == 0 {
+			data[i] = float32(i)
+		}
+	}
+	enc, err := EncodeMask(d, h, w, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(encodeHeader(KindMask, d, h, w, 0), PackBits(data)...)
+	if !bytes.Equal(enc, want) {
+		t.Fatal("EncodeMask bytes differ from header + PackBits")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := EncodeMask(d, h, w, data); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Fatalf("EncodeMask allocs/op = %v, want 1", allocs)
 	}
 }
 

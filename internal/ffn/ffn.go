@@ -13,7 +13,6 @@ package ffn
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"chaseci/internal/sim"
 	"chaseci/internal/tensor"
@@ -108,10 +107,8 @@ type Network struct {
 	wOut *tensor.Tensor // (1, F, 1, 1, 1)
 	bOut []float32
 
-	ts     *trainScratch   // lazily built per-network training buffers
-	bsMu   sync.Mutex      // guards bsFree
-	bsFree []*batchScratch // bounded LIFO of idle batched-flood scratches
-	qn     *quantNet       // lazily built quantized weights (nil after training)
+	ts *trainScratch // lazily built per-network training buffers
+	qn *quantNet     // lazily built quantized weights (nil after training)
 }
 
 // NewNetwork initializes a model with He-initialized weights from seed.
@@ -169,18 +166,22 @@ type fwdCache struct {
 }
 
 // newCache preallocates every activation tensor for this architecture.
-func (n *Network) newCache() *fwdCache {
+func (n *Network) newCache() *fwdCache { return n.newCacheFrom(tensor.New) }
+
+// newCacheFrom builds the cache with alloc, which need not zero: forwardInto
+// overwrites every element of every tensor.
+func (n *Network) newCacheFrom(alloc func(shape ...int) *tensor.Tensor) *fwdCache {
 	f := n.cfg.Features
 	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
 	c := &fwdCache{
-		preIn: tensor.New(f, d, h, w),
-		actIn: tensor.New(f, d, h, w),
+		preIn: alloc(f, d, h, w),
+		actIn: alloc(f, d, h, w),
 	}
 	for range n.mods {
-		c.modPre1 = append(c.modPre1, tensor.New(f, d, h, w))
-		c.modAct1 = append(c.modAct1, tensor.New(f, d, h, w))
-		c.modPre2 = append(c.modPre2, tensor.New(f, d, h, w))
-		c.modOut = append(c.modOut, tensor.New(f, d, h, w))
+		c.modPre1 = append(c.modPre1, alloc(f, d, h, w))
+		c.modAct1 = append(c.modAct1, alloc(f, d, h, w))
+		c.modPre2 = append(c.modPre2, alloc(f, d, h, w))
+		c.modOut = append(c.modOut, alloc(f, d, h, w))
 	}
 	return c
 }
@@ -393,8 +394,13 @@ func (n *Network) TrainStep(opt *tensor.SGD, image, label *tensor.Tensor) float6
 func (n *Network) SeedPOM() *tensor.Tensor {
 	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
 	pom := tensor.New(1, d, h, w)
-	pom.Fill(logit(n.cfg.PadProb))
-	center := (d/2*h+h/2)*w + w/2
-	pom.Data[center] = logit(n.cfg.SeedProb)
+	n.fillSeedPOM(pom.Data)
 	return pom
+}
+
+// fillSeedPOM overwrites one FOV-sized slice with the seed POM.
+func (n *Network) fillSeedPOM(pom []float32) {
+	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
+	fill(pom, logit(n.cfg.PadProb))
+	pom[(d/2*h+h/2)*w+w/2] = logit(n.cfg.SeedProb)
 }

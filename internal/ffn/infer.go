@@ -31,12 +31,41 @@ func (v *Volume) Set(z, y, x int, val float32) { v.Data[(z*v.H+y)*v.W+x] = val }
 // Size returns the voxel count.
 func (v *Volume) Size() int { return v.D * v.H * v.W }
 
+// BorrowVolume returns a volume whose backing array comes from the shared
+// float free list (tensor.GetFloats), contents unspecified: the caller
+// overwrites every voxel.
+func BorrowVolume(d, h, w int) *Volume {
+	return &Volume{D: d, H: h, W: w, Data: tensor.GetFloats(d * h * w)}
+}
+
+// ReleaseVolume gives a volume's backing array to the free list and
+// detaches it, so a use after release fails loudly. It is optional: a
+// volume that is never released is ordinary garbage. The caller must own v
+// outright — a BorrowVolume or NewVolume result, or a SegmentCtx mask — and
+// never a view (Split) or a borrowed source such as a dataset blob.
+func ReleaseVolume(v *Volume) {
+	if v == nil {
+		return
+	}
+	tensor.PutFloats(v.Data)
+	v.Data = nil
+}
+
 // Normalize scales the volume to zero mean, unit variance in place and
 // returns it (standard FFN input conditioning).
-func (v *Volume) Normalize() *Volume {
+func (v *Volume) Normalize() *Volume { return v.NormalizeInto(v) }
+
+// NormalizeInto writes the zero-mean, unit-variance scaling of v into dst
+// (same geometry) and returns dst, leaving v untouched — how a handler
+// conditions a source it only borrows. The arithmetic per element is
+// Normalize's, so the two are bit-identical.
+func (v *Volume) NormalizeInto(dst *Volume) *Volume {
+	if len(dst.Data) != len(v.Data) {
+		panic("ffn: NormalizeInto size mismatch")
+	}
 	n := float64(len(v.Data))
 	if n == 0 {
-		return v
+		return dst
 	}
 	var sum, sumsq float64
 	for _, x := range v.Data {
@@ -49,10 +78,10 @@ func (v *Volume) Normalize() *Volume {
 	if variance > 1e-12 {
 		std = math.Sqrt(variance)
 	}
-	for i := range v.Data {
-		v.Data[i] = float32((float64(v.Data[i]) - mean) / std)
+	for i, x := range v.Data {
+		dst.Data[i] = float32((float64(x) - mean) / std)
 	}
-	return v
+	return dst
 }
 
 // extractFOV copies the FOV centered at (cz, cy, cx) from a volume into a
@@ -96,7 +125,9 @@ type InferenceStats struct {
 
 // inferScratch holds one flood-fill worker's reusable buffers: the FOV
 // image extract, the packed 2-channel input, the activation cache, and the
-// output logits. One scratch serves one goroutine.
+// output logits. One scratch serves one goroutine. Its tensors are borrowed
+// from the shared free list and returned by release, so they outlive the
+// Network a job built them for.
 type inferScratch struct {
 	cache *fwdCache
 	pom   *tensor.Tensor
@@ -107,13 +138,24 @@ type inferScratch struct {
 
 func (n *Network) newInferScratch() *inferScratch {
 	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
-	return &inferScratch{
-		cache: n.newCache(),
-		pom:   n.SeedPOM(),
-		img:   tensor.New(1, d, h, w),
-		in:    tensor.New(2, d, h, w),
-		out:   tensor.New(1, d, h, w),
+	s := &inferScratch{
+		cache: n.newCacheFrom(tensor.Borrow),
+		pom:   tensor.Borrow(1, d, h, w),
+		img:   tensor.Borrow(1, d, h, w),
+		in:    tensor.Borrow(2, d, h, w),
+		out:   tensor.Borrow(1, d, h, w),
 	}
+	n.fillSeedPOM(s.pom.Data)
+	return s
+}
+
+func (s *inferScratch) release() {
+	c := s.cache
+	tensor.Release(c.preIn, c.actIn, s.pom, s.img, s.in, s.out)
+	tensor.Release(c.modPre1...)
+	tensor.Release(c.modAct1...)
+	tensor.Release(c.modPre2...)
+	tensor.Release(c.modOut...)
 }
 
 // applyFOV runs one network application on the FOV centered at (cz, cy, cx),
@@ -185,6 +227,36 @@ func (n *Network) Segment(image *Volume, seeds [][3]int, maxSteps int) (*Volume,
 	return mask, stats
 }
 
+// visitedSet is the flood's claimed-center set, one bit per voxel. The
+// sharded floods claim through the atomic or; the serial flood, alone on
+// its set, uses the plain one.
+type visitedSet []uint32
+
+// borrowVisited borrows a cleared set for n voxels from the free list.
+func borrowVisited(n int) visitedSet {
+	v := visitedSet(tensor.GetWords((n + 31) / 32))
+	clear(v)
+	return v
+}
+
+func (v visitedSet) release() { tensor.PutWords(v) }
+
+// claim marks key and reports whether this call was the one to mark it.
+func (v visitedSet) claim(key int) bool {
+	bit := uint32(1) << (key & 31)
+	if v[key>>5]&bit != 0 {
+		return false
+	}
+	v[key>>5] |= bit
+	return true
+}
+
+// claimAtomic is claim for floods that share the set across goroutines.
+func (v visitedSet) claimAtomic(key int) bool {
+	bit := uint32(1) << (key & 31)
+	return atomic.OrUint32(&v[key>>5], bit)&bit == 0
+}
+
 // floodProgress counts network applications across all flood workers and
 // fires the user callback every progressEvery applications. A nil
 // *floodProgress disables both, costing the flood loops nothing.
@@ -216,6 +288,11 @@ func (p *floodProgress) bump() {
 // applications; under the sharded flood it fires concurrently from multiple
 // workers, so the callback must be safe for concurrent use. With a
 // background context the mask and statistics are identical to Segment's.
+//
+// image is only read. The whole-volume working arrays (visited bitset,
+// canvas, per-shard canvases) come from the shared free list, and the
+// returned mask is the canvas thresholded in place: a caller done with it
+// may ReleaseVolume it, one that is not simply keeps it.
 func (n *Network) SegmentCtx(ctx context.Context, image *Volume, seeds [][3]int, maxSteps int, progress func(steps int)) (*Volume, InferenceStats, error) {
 	cfg := n.cfg
 	stats := InferenceStats{VoxelsTotal: image.Size()}
@@ -226,12 +303,12 @@ func (n *Network) SegmentCtx(ctx context.Context, image *Volume, seeds [][3]int,
 	}
 
 	// Accept in-bounds, deduplicated seeds; claimed doubles as the visited
-	// set for the flood (1 = already claimed by some flood).
-	claimed := make([]int32, image.Size())
+	// set for the flood (set = already claimed by some flood).
+	claimed := borrowVisited(image.Size())
+	defer claimed.release()
 	var accepted []fovPos
 	for _, s := range seeds {
-		if cfg.fovInBounds(image, s[0], s[1], s[2]) && claimed[keyOf(s[0], s[1], s[2])] == 0 {
-			claimed[keyOf(s[0], s[1], s[2])] = 1
+		if cfg.fovInBounds(image, s[0], s[1], s[2]) && claimed.claim(keyOf(s[0], s[1], s[2])) {
 			accepted = append(accepted, fovPos{s[0], s[1], s[2]})
 			stats.SeedsUsed++
 		}
@@ -247,10 +324,10 @@ func (n *Network) SegmentCtx(ctx context.Context, image *Volume, seeds [][3]int,
 		n.quantized()
 	}
 
-	canvas := NewVolume(image.D, image.H, image.W)
-	for i := range canvas.Data {
-		canvas.Data[i] = padLogit
-	}
+	// The canvas is borrowed, and becomes the returned mask: the caller may
+	// hand it back with ReleaseVolume.
+	canvas := BorrowVolume(image.D, image.H, image.W)
+	fill(canvas.Data, padLogit)
 	for _, s := range accepted {
 		canvas.Data[keyOf(s.z, s.y, s.x)] = seedLogit
 	}
@@ -269,15 +346,14 @@ func (n *Network) SegmentCtx(ctx context.Context, image *Volume, seeds [][3]int,
 		}
 	} else {
 		// Worker-private canvases, max-reduced in shard order afterwards
-		// (order is irrelevant for max, but keep it fixed anyway).
+		// (order is irrelevant for max, but keep it fixed anyway) and
+		// returned to the free list as soon as they are folded in.
 		canvases := make([][]float32, len(shards))
 		shardStats := make([]InferenceStats, len(shards))
 		parallel.For(len(shards), func(s0, s1 int) {
 			for k := s0; k < s1; k++ {
-				wc := make([]float32, image.Size())
-				for i := range wc {
-					wc[i] = padLogit
-				}
+				wc := tensor.GetFloats(image.Size())
+				fill(wc, padLogit)
 				canvases[k] = wc
 				if batch > 1 {
 					n.floodShardBatch(ctx, image, accepted[shards[k][0]:shards[k][1]], claimed, wc, moveLogit, &shardStats[k], prog)
@@ -286,12 +362,13 @@ func (n *Network) SegmentCtx(ctx context.Context, image *Volume, seeds [][3]int,
 				}
 			}
 		})
-		for k := range canvases {
-			for i, v := range canvases[k] {
+		for k, wc := range canvases {
+			for i, v := range wc {
 				if v > canvas.Data[i] {
 					canvas.Data[i] = v
 				}
 			}
+			tensor.PutFloats(wc)
 			stats.Steps += shardStats[k].Steps
 			stats.Moves += shardStats[k].Moves
 		}
@@ -304,17 +381,25 @@ func (n *Network) SegmentCtx(ctx context.Context, image *Volume, seeds [][3]int,
 		progress(int(prog.steps.Load()))
 	}
 
-	// Threshold the canvas into a binary mask. On cancellation this reports
-	// the partial flood: whatever cores were merged before the stop.
+	// Threshold the canvas in place into the binary mask. On cancellation
+	// this reports the partial flood: whatever cores were merged before the
+	// stop.
 	segLogit := logit(cfg.SegmentProb)
-	mask := NewVolume(image.D, image.H, image.W)
 	for i, v := range canvas.Data {
 		if v >= segLogit {
-			mask.Data[i] = 1
+			canvas.Data[i] = 1
 			stats.MaskVoxels++
+		} else {
+			canvas.Data[i] = 0
 		}
 	}
-	return mask, stats, ctx.Err()
+	return canvas, stats, ctx.Err()
+}
+
+func fill(b []float32, v float32) {
+	for i := range b {
+		b[i] = v
+	}
 }
 
 // moveOffsets returns the six move-target displacements (center +/-
@@ -331,7 +416,7 @@ func (cfg *Config) moveOffsets() [6][3]int {
 // floodSerial is the single-goroutine flood: a multi-source BFS over FOV
 // centers with an optional step budget and cooperative cancellation checked
 // before every application.
-func (n *Network) floodSerial(ctx context.Context, image *Volume, seeds []fovPos, claimed []int32, canvas []float32, moveLogit float32, maxSteps int, stats *InferenceStats, prog *floodProgress) {
+func (n *Network) floodSerial(ctx context.Context, image *Volume, seeds []fovPos, claimed visitedSet, canvas []float32, moveLogit float32, maxSteps int, stats *InferenceStats, prog *floodProgress) {
 	cfg := n.cfg
 	ap := n.newFOVApplier()
 	defer ap.release()
@@ -364,10 +449,9 @@ func (n *Network) floodSerial(ctx context.Context, image *Volume, seeds []fovPos
 				continue
 			}
 			key := (nz*image.H+ny)*image.W + nx
-			if claimed[key] != 0 {
+			if !claimed.claim(key) {
 				continue
 			}
-			claimed[key] = 1
 			queue = append(queue, fovPos{nz, ny, nx})
 			stats.Moves++
 		}
@@ -375,9 +459,9 @@ func (n *Network) floodSerial(ctx context.Context, image *Volume, seeds []fovPos
 }
 
 // floodShard floods one worker's seed shard, claiming centers through the
-// shared atomic visited array and merging into a worker-private canvas.
+// shared atomic visited bitset and merging into a worker-private canvas.
 // Cancellation is checked before every application, as in floodSerial.
-func (n *Network) floodShard(ctx context.Context, image *Volume, seeds []fovPos, claimed []int32, canvas []float32, moveLogit float32, stats *InferenceStats, prog *floodProgress) {
+func (n *Network) floodShard(ctx context.Context, image *Volume, seeds []fovPos, claimed visitedSet, canvas []float32, moveLogit float32, stats *InferenceStats, prog *floodProgress) {
 	cfg := n.cfg
 	ap := n.newFOVApplier()
 	defer ap.release()
@@ -407,7 +491,7 @@ func (n *Network) floodShard(ctx context.Context, image *Volume, seeds []fovPos,
 				continue
 			}
 			key := (nz*image.H+ny)*image.W + nx
-			if !atomic.CompareAndSwapInt32(&claimed[key], 0, 1) {
+			if !claimed.claimAtomic(key) {
 				continue
 			}
 			queue = append(queue, fovPos{nz, ny, nx})

@@ -2,7 +2,6 @@ package ffn
 
 import (
 	"context"
-	"sync/atomic"
 
 	"chaseci/internal/tensor"
 )
@@ -40,68 +39,46 @@ func (c *Config) effectiveFloodBatch() int {
 }
 
 // batchScratch holds one flood worker's reusable batched buffers: the
-// packed (B,2,D,H,W) input (POM channels prefilled once — they are the
-// constant seed POM), ping-pong activation tensors, the module hidden
-// buffer, and the output logits. Scratches recycle through the Network's
-// pool, so steady-state batched floods allocate nothing per batch.
+// packed (B,2,D,H,W) input, ping-pong activation tensors, the module hidden
+// buffer, and the output logits. The tensors are borrowed from the shared
+// free list and returned when the flood ends, so a steady stream of jobs —
+// each with its own Network — allocates none of them.
 type batchScratch struct {
 	in     *tensor.Tensor // (B, 2, D, H, W) packed image+POM
 	x0, x1 *tensor.Tensor // (B, F, D, H, W) activations (ping-pong)
 	hid    *tensor.Tensor // (B, F, D, H, W) module hidden
 	out    *tensor.Tensor // (B, 1, D, H, W) output logits
 	pos    []fovPos       // live batch positions
+
+	// The five tensors' headers and shapes live in the scratch itself, so
+	// borrowing one costs a flood worker two small allocations, not twelve.
+	hdr  [5]tensor.Tensor
+	dims [5][5]int
 }
 
-func (n *Network) newBatchScratch() *batchScratch {
+// getBatchScratch borrows a scratch for one flood worker. The buffers
+// arrive dirty: the forward pass overwrites every activation it reads, the
+// flood writes each live slot's image channel, and the POM channel of every
+// slot — the constant seed POM — is filled here, once per flood.
+func (n *Network) getBatchScratch() *batchScratch {
 	B := n.cfg.effectiveFloodBatch()
 	f := n.cfg.Features
 	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
-	s := &batchScratch{
-		in:  tensor.New(B, 2, d, h, w),
-		x0:  tensor.New(B, f, d, h, w),
-		x1:  tensor.New(B, f, d, h, w),
-		hid: tensor.New(B, f, d, h, w),
-		out: tensor.New(B, 1, d, h, w),
-		pos: make([]fovPos, 0, B),
-	}
-	// The POM channel of every slot is the constant seed POM: fill once.
-	pom := n.SeedPOM()
 	fovN := d * h * w
+	s := &batchScratch{pos: make([]fovPos, 0, B)}
+	for i, channels := range [5]int{2, f, f, f, 1} {
+		s.dims[i] = [5]int{B, channels, d, h, w}
+		s.hdr[i] = tensor.Tensor{Shape: s.dims[i][:], Data: tensor.GetFloats(B * channels * fovN)}
+	}
+	s.in, s.x0, s.x1, s.hid, s.out = &s.hdr[0], &s.hdr[1], &s.hdr[2], &s.hdr[3], &s.hdr[4]
 	for b := 0; b < B; b++ {
-		copy(s.in.Data[(2*b+1)*fovN:(2*b+2)*fovN], pom.Data)
+		n.fillSeedPOM(s.in.Data[(2*b+1)*fovN : (2*b+2)*fovN])
 	}
 	return s
 }
 
-// maxIdleBatchScratch bounds the network's idle scratch list: enough for a
-// fully fanned-out flood (one scratch per worker, and worker counts beyond
-// the machine add nothing), without pinning unbounded memory after a burst.
-const maxIdleBatchScratch = 64
-
-// getBatchScratch borrows a scratch from the network's free list. The list
-// is a mutex-guarded LIFO rather than a sync.Pool: scratches must survive
-// between floods deterministically (the runtime may drop pool entries at
-// any GC, and the race detector drops them eagerly), and a flood borrows at
-// most once per worker, so the lock is nowhere near any hot path.
-func (n *Network) getBatchScratch() *batchScratch {
-	n.bsMu.Lock()
-	if k := len(n.bsFree); k > 0 {
-		s := n.bsFree[k-1]
-		n.bsFree[k-1] = nil
-		n.bsFree = n.bsFree[:k-1]
-		n.bsMu.Unlock()
-		return s
-	}
-	n.bsMu.Unlock()
-	return n.newBatchScratch()
-}
-
 func (n *Network) putBatchScratch(s *batchScratch) {
-	n.bsMu.Lock()
-	if len(n.bsFree) < maxIdleBatchScratch {
-		n.bsFree = append(n.bsFree, s)
-	}
-	n.bsMu.Unlock()
+	tensor.Release(s.in, s.x0, s.x1, s.hid, s.out)
 }
 
 // forwardBatchInto runs the inference-only forward pass over the first k
@@ -121,12 +98,12 @@ func (n *Network) forwardBatchInto(s *batchScratch, k int) {
 }
 
 // floodShardBatch floods one worker's seed shard in batches of up to B FOV
-// positions, claiming centers through the shared atomic visited array and
+// positions, claiming centers through the shared atomic visited bitset and
 // max-merging output cores into canvas (worker-private under the sharded
 // flood, the shared canvas when single-shard). Cancellation is checked
 // before every batch, so a cancelled context stops the run within one batch
 // per worker.
-func (n *Network) floodShardBatch(ctx context.Context, image *Volume, seeds []fovPos, claimed []int32, canvas []float32, moveLogit float32, stats *InferenceStats, prog *floodProgress) {
+func (n *Network) floodShardBatch(ctx context.Context, image *Volume, seeds []fovPos, claimed visitedSet, canvas []float32, moveLogit float32, stats *InferenceStats, prog *floodProgress) {
 	cfg := n.cfg
 	s := n.getBatchScratch()
 	defer n.putBatchScratch(s)
@@ -170,7 +147,7 @@ func (n *Network) floodShardBatch(ctx context.Context, image *Volume, seeds []fo
 					continue
 				}
 				key := (nz*image.H+ny)*image.W + nx
-				if !atomic.CompareAndSwapInt32(&claimed[key], 0, 1) {
+				if !claimed.claimAtomic(key) {
 					continue
 				}
 				queue = append(queue, fovPos{nz, ny, nx})

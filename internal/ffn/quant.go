@@ -76,9 +76,9 @@ func (n *Network) forwardBatchQInto(s *batchScratch, k int) {
 }
 
 // fovApplier abstracts one-FOV network application over the active
-// precision: the f32 path uses the per-worker inferScratch, the int8 path
-// drives the first slot of a pooled batchScratch through the quantized
-// batched forward. One applier serves one goroutine.
+// precision: the f32 path uses an inferScratch, the int8 path drives the
+// first slot of a batchScratch through the quantized batched forward. Both
+// are borrowed from the shared free list. One applier serves one goroutine.
 type fovApplier struct {
 	n  *Network
 	s  *inferScratch // f32 path
@@ -108,10 +108,11 @@ func (a *fovApplier) apply(image *Volume, p fovPos) []float32 {
 	return a.n.applyFOV(a.s, image, p.z, p.y, p.x).Data
 }
 
-// release returns pooled resources (the int8 path's batch scratch).
+// release returns the applier's scratch to the free list.
 func (a *fovApplier) release() {
 	if a.bs != nil {
 		a.n.putBatchScratch(a.bs)
-		a.bs = nil
+	} else {
+		a.s.release()
 	}
 }

@@ -196,13 +196,16 @@ func IVTVolume(gen *Generator, levels []float64, startStep, steps int) *Field3D 
 // synthesized and integrated under ctx, and a cancelled context returns
 // (nil, ctx.Err()). progress (may be nil) is called with
 // (stepsDone, steps) after each completed time step. Each step integrates
-// directly into the volume's slab — no per-step field or copy.
+// directly into the volume's slab — no per-step field or copy — from one
+// atmosphere State that every step re-synthesizes in place.
 func IVTVolumeCtx(ctx context.Context, gen *Generator, levels []float64, startStep, steps int, progress func(done, total int)) (*Field3D, error) {
 	g := gen.Grid
 	vol := NewField3D(Grid{NLon: g.NLon, NLat: g.NLat, NLev: steps})
 	hw := g.NLon * g.NLat
+	var st State
 	for t := 0; t < steps; t++ {
-		if err := ivtIntoCtx(ctx, vol.Data[t*hw:(t+1)*hw], gen.State(startStep+t), levels); err != nil {
+		gen.StateInto(&st, startStep+t)
+		if err := ivtIntoCtx(ctx, vol.Data[t*hw:(t+1)*hw], &st, levels); err != nil {
 			return nil, err
 		}
 		if progress != nil {

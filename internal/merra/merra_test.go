@@ -75,6 +75,47 @@ func TestGeneratorDeterministic(t *testing.T) {
 	}
 }
 
+// TestStateIntoOverDirtyStateMatchesFresh: StateInto overwrites every
+// element of Q, U and V, so reusing one State across steps (IVTVolumeCtx)
+// yields the bytes a fresh State would.
+func TestStateIntoOverDirtyStateMatchesFresh(t *testing.T) {
+	for _, seed := range []uint64{1, 7, 1977} {
+		gen := NewGenerator(testGrid, seed)
+		var st State
+		for _, step := range []int{0, 13, 57} {
+			if st.Q != nil {
+				for _, f := range []*Field3D{st.Q, st.U, st.V} {
+					for i := range f.Data {
+						f.Data[i] = float32(math.NaN())
+					}
+				}
+			}
+			q := st.Q
+			gen.StateInto(&st, step)
+			if q != nil && st.Q != q {
+				t.Fatal("StateInto reallocated fields already on the generator grid")
+			}
+			fresh := gen.State(step)
+			if st.Step != fresh.Step {
+				t.Fatalf("step %d, want %d", st.Step, fresh.Step)
+			}
+			for name, pair := range map[string][2]*Field3D{"Q": {st.Q, fresh.Q}, "U": {st.U, fresh.U}, "V": {st.V, fresh.V}} {
+				for i, v := range pair[1].Data {
+					if math.Float32bits(pair[0].Data[i]) != math.Float32bits(v) {
+						t.Fatalf("seed %d step %d: %s[%d] = %v over a dirty state, %v fresh", seed, step, name, i, pair[0].Data[i], v)
+					}
+				}
+			}
+		}
+	}
+	// A State on another grid is replaced, not written out of bounds.
+	st := NewGenerator(Grid{NLon: 8, NLat: 6, NLev: 2}, 1).State(0)
+	NewGenerator(testGrid, 1).StateInto(st, 0)
+	if st.Q.Grid != testGrid || len(st.V.Data) != testGrid.Size() {
+		t.Fatalf("StateInto kept a %v field for a %v generator", st.Q.Grid, testGrid)
+	}
+}
+
 func TestGeneratorPhysicalPlausibility(t *testing.T) {
 	st := NewGenerator(testGrid, 1).State(10)
 	for i, q := range st.Q.Data {

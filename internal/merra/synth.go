@@ -78,8 +78,21 @@ type State struct {
 // State synthesizes the atmosphere at a time step. The same (grid, seed,
 // step) always yields identical bytes.
 func (g *Generator) State(step int) *State {
+	st := &State{}
+	g.StateInto(st, step)
+	return st
+}
+
+// StateInto synthesizes the atmosphere at a time step into st, reusing its
+// fields when they are on the generator's grid (allocating them otherwise).
+// Every element of Q, U and V is overwritten, so the result is byte-identical
+// to a fresh State whatever st held before.
+func (g *Generator) StateInto(st *State, step int) {
 	gr := g.Grid
-	st := &State{Step: step, Q: NewField3D(gr), U: NewField3D(gr), V: NewField3D(gr)}
+	if st.Q == nil || st.Q.Grid != gr || st.U == nil || st.U.Grid != gr || st.V == nil || st.V.Grid != gr {
+		st.Q, st.U, st.V = NewField3D(gr), NewField3D(gr), NewField3D(gr)
+	}
+	st.Step = step
 	rng := sim.NewRNG(g.Seed ^ (uint64(step) * 0x9e3779b97f4a7c15))
 
 	cyc := step % trackCycle
@@ -150,7 +163,6 @@ func (g *Generator) State(step int) *State {
 	for idx := range st.Q.Data {
 		st.Q.Data[idx] *= float32(1 + 0.05*(rng.Float64()-0.5))
 	}
-	return st
 }
 
 // wrapDelta returns dx wrapped into [-period/2, period/2).

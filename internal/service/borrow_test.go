@@ -1,0 +1,249 @@
+package service
+
+import (
+	"encoding/json"
+	"fmt"
+	"math/bits"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"chaseci/internal/api"
+	"chaseci/internal/dataset"
+)
+
+// The job path borrows its sources read-only: a ref's decoded blob straight
+// from the dataset cache, inline data straight from the request. These tests
+// enforce the rule the copies used to stand in for.
+
+// contentID is the content address the data would be stored under: the
+// fingerprint these tests compare before and after a job.
+func contentID(t *testing.T, kind dataset.Kind, d, h, w int, data []float32) string {
+	t.Helper()
+	encode := dataset.EncodeVolume
+	if kind == dataset.KindMask {
+		encode = dataset.EncodeMask
+	}
+	enc, err := encode(d, h, w, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dataset.ID(enc)
+}
+
+// runJob submits req, waits for success and returns the raw result.
+func runJob(t *testing.T, r *Runner, req *api.JobRequest) json.RawMessage {
+	t.Helper()
+	st, err := r.Submit(req, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitState(t, r, st.ID, terminal)
+	if final.State != api.StateSucceeded {
+		t.Fatalf("%s job: %s (%s)", req.Kind, final.State, final.Error)
+	}
+	raw, _, _ := r.Result(st.ID)
+	return raw
+}
+
+// TestJobsLeaveResolvedBlobsUntouched: a cached blob still hashes to its
+// own content address after segment (with pretraining), label, train and train_dist
+// jobs over it, after a label job over a pipeline's stored mask, and after
+// eight concurrent segment jobs on the one ref — which must also agree with
+// each other bit for bit.
+func TestJobsLeaveResolvedBlobsUntouched(t *testing.T) {
+	r, _ := newTestRunner(t, DefaultRegistry(), 4)
+	d, h, w, data := testIVTField(6)
+	info, err := r.Datasets().PutVolume(d, h, w, data, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := r.Datasets().Resolve(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(after string) {
+		t.Helper()
+		again, err := r.Datasets().Resolve(info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != blob {
+			t.Fatalf("after %s: the cache no longer serves the same blob", after)
+		}
+		if contentID(t, blob.Kind, blob.D, blob.H, blob.W, blob.Data) != info.ID {
+			t.Fatalf("after %s: the cached blob's data changed", after)
+		}
+	}
+
+	src := api.VolumeSource{Ref: info.ID}
+	net := &api.NetConfig{FOV: [3]int{3, 7, 7}, Features: 4, MoveProb: 0.6}
+	segment := &api.JobRequest{Kind: api.KindSegment, ResultMode: api.ResultModeRef, Segment: &api.SegmentSpec{
+		Source: src, Threshold: 120, Net: net, SeedStride: [3]int{1, 4, 4}, TrainSteps: 4, ReturnMask: true,
+	}}
+	jobs := []*api.JobRequest{
+		segment,
+		{Kind: api.KindLabel, Label: &api.LabelSpec{Source: src, Threshold: 120}},
+		{Kind: api.KindTrain, Train: &api.TrainSpec{Source: src, Threshold: 120, Steps: 6, Net: net, HoldoutSteps: 2}},
+		{Kind: api.KindTrainDist, TrainDist: &api.TrainDistSpec{
+			Source: src, Threshold: 120, Workers: 2, Rounds: 2, BatchPerRound: 4, Net: net, NetSeed: 7, SampleSeed: 7,
+		}},
+	}
+	for _, req := range jobs {
+		runJob(t, r, req)
+		check(string(req.Kind))
+	}
+
+	// A mask blob is borrowed the same way: label a pipeline's stored mask.
+	preq := pipelineRequest(0, false)
+	preq.ResultMode = api.ResultModeRef
+	var pres api.PipelineResult
+	if err := json.Unmarshal(runJob(t, r, preq), &pres); err != nil {
+		t.Fatal(err)
+	}
+	maskRef := pres.PerSlab[0].MaskRef
+	mask, err := r.Datasets().Resolve(maskRef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runJob(t, r, &api.JobRequest{Kind: api.KindLabel, Label: &api.LabelSpec{Source: api.VolumeSource{Ref: maskRef}, Threshold: 0.5}})
+	if contentID(t, mask.Kind, mask.D, mask.H, mask.W, mask.Data) != maskRef {
+		t.Fatal("label job changed the pipeline mask blob it borrowed")
+	}
+
+	results := make([]string, 8)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			st, err := r.Submit(segment, "")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if final := waitState(t, r, st.ID, terminal); final.State != api.StateSucceeded {
+				t.Errorf("concurrent segment %d: %s (%s)", i, final.State, final.Error)
+				return
+			}
+			raw, _, _ := r.Result(st.ID)
+			results[i] = string(raw)
+		}(i)
+	}
+	wg.Wait()
+	for i, res := range results {
+		if res != results[0] {
+			t.Fatalf("concurrent segment %d over one ref diverges:\n%s\nvs\n%s", i, res, results[0])
+		}
+	}
+	check("8 concurrent segment jobs")
+	assertNoLeaks(t, r)
+}
+
+// TestRetriedInlineSegmentSeesPristineData: an inline job's source is the
+// request's own Data, which the retry loop hands to every attempt. A first
+// attempt that runs the whole handler and then fails transiently must leave
+// it untouched, so the retry returns what an undisturbed run returns.
+func TestRetriedInlineSegmentSeesPristineData(t *testing.T) {
+	d, h, w, data := testIVTField(4)
+	request := func() *api.JobRequest {
+		return &api.JobRequest{Kind: api.KindSegment, Segment: &api.SegmentSpec{
+			Source:     api.VolumeSource{D: d, H: h, W: w, Data: data},
+			Threshold:  120,
+			Net:        &api.NetConfig{FOV: [3]int{3, 7, 7}, Features: 6, MoveProb: 0.6},
+			SeedStride: [3]int{1, 4, 4},
+			TrainSteps: 3,
+			ReturnMask: true,
+		}}
+	}
+	plain, _ := newTestRunner(t, DefaultRegistry(), 1)
+	want := runJob(t, plain, request())
+
+	var attempts atomic.Int32
+	reg := DefaultRegistry()
+	reg.Register(api.KindSegment, func(jc *JobContext) (any, error) {
+		res, err := SegmentHandler(jc)
+		if attempts.Add(1) == 1 && err == nil {
+			return nil, fmt.Errorf("result store briefly unavailable: %w", ErrTransient)
+		}
+		return res, err
+	})
+	r, _ := newTestRunner(t, reg, 1)
+	tightRetries(r, 3)
+	before := contentID(t, dataset.KindVolume, d, h, w, data)
+	got := runJob(t, r, request())
+	if attempts.Load() != 2 {
+		t.Fatalf("handler ran %d times, want 2", attempts.Load())
+	}
+	if contentID(t, dataset.KindVolume, d, h, w, data) != before {
+		t.Fatal("the handler wrote the request's inline data")
+	}
+	if string(got) != string(want) {
+		t.Fatalf("retried result diverges from an undisturbed run:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestCancelledSegmentKeepsPackedPartialMask: a cancelled flood's mask is
+// packed into the result before the mask buffer is recycled — one set bit
+// per counted voxel, never the NaN a released buffer holds.
+func TestCancelledSegmentKeepsPackedPartialMask(t *testing.T) {
+	r, _ := newTestRunner(t, DefaultRegistry(), 1)
+	req := bigSegmentRequest()
+	req.ResultMode = api.ResultModeRef
+	req.Segment.ReturnMask = true
+	st, err := r.Submit(req, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, r, st.ID, func(s api.JobStatus) bool { return s.Stage == "segment" && s.Done > 0 })
+	r.Cancel(st.ID)
+	if final := waitState(t, r, st.ID, terminal); final.State != api.StateCancelled {
+		t.Fatalf("state = %s, want cancelled", final.State)
+	}
+	raw, _, _ := r.Result(st.ID)
+	var res api.SegmentResult
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.MaskRef != "" || len(res.MaskBits) != (res.VoxelsTotal+7)/8 {
+		t.Fatalf("cancelled ref-mode job: mask_ref %q, %d packed bytes for %d voxels", res.MaskRef, len(res.MaskBits), res.VoxelsTotal)
+	}
+	set := 0
+	for _, b := range res.MaskBits {
+		set += bits.OnesCount8(b)
+	}
+	if res.Steps == 0 || set != res.MaskVoxels {
+		t.Fatalf("partial mask has %d set bits, stats count %d voxels over %d steps", set, res.MaskVoxels, res.Steps)
+	}
+}
+
+// TestRefSegmentJobAllocBound pins the job path's allocation diet in plain
+// `go test`: in steady state a one-step segment job over a cached 64^3
+// volume — 1 MB decoded — allocates well under one volume. Before the
+// source was borrowed and the flood's arrays pooled it allocated 4.4 MB.
+func TestRefSegmentJobAllocBound(t *testing.T) {
+	r, _ := newTestRunner(t, DefaultRegistry(), 2)
+	d, h, w, data := bench64Volume()
+	info, err := r.Datasets().PutVolume(d, h, w, data, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &api.JobRequest{Kind: api.KindSegment, ResultMode: api.ResultModeRef,
+		Segment: benchSegmentSpec(api.VolumeSource{Ref: info.ID})}
+	for i := 0; i < 4; i++ {
+		runJob(t, r, req)
+	}
+	const jobs = 32
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < jobs; i++ {
+		runJob(t, r, req)
+	}
+	runtime.ReadMemStats(&m1)
+	perJob := (m1.TotalAlloc - m0.TotalAlloc) / jobs
+	t.Logf("steady-state ref segment job: %d KB allocated", perJob/1024)
+	if perJob > 512<<10 {
+		t.Fatalf("ref segment job allocates %d KB in steady state, want <= 512 KB", perJob/1024)
+	}
+}

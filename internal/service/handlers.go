@@ -41,10 +41,14 @@ func synthIVTVolume(ctx context.Context, jc *JobContext, sy *api.SynthSpec, stag
 		func(done, total int) { jc.Progress(int64(done), int64(total), stage) })
 }
 
-// sourceVolume materializes a job's input volume: a resolve of its dataset
-// ref, a copy of the inline data, or the synthetic IVT volume (time-major,
-// like ffn.Volume). Every form yields a private buffer the handler may
-// mutate (Normalize works in place).
+// sourceVolume materializes a job's input volume: the dataset cache's
+// decoded blob for a ref, the request's own Data inline, or the synthetic
+// IVT volume (time-major, like ffn.Volume). Nothing is copied, and the
+// result is read-only: a ref's blob is shared by every job resolving it,
+// concurrently, and inline data must be pristine for a retried attempt. A
+// handler that needs a transformed volume writes it into a buffer of its
+// own (normalizedVolume, thresholdVolume) and releases that buffer — never
+// the source — when done.
 func sourceVolume(ctx context.Context, jc *JobContext, src *api.VolumeSource) (*ffn.Volume, error) {
 	if src.Ref != "" {
 		jc.Progress(0, 1, "resolve")
@@ -53,7 +57,7 @@ func sourceVolume(ctx context.Context, jc *JobContext, src *api.VolumeSource) (*
 			return nil, err
 		}
 		jc.Progress(1, 1, "resolve")
-		return &ffn.Volume{D: blob.D, H: blob.H, W: blob.W, Data: blob.CloneData()}, nil
+		return &ffn.Volume{D: blob.D, H: blob.H, W: blob.W, Data: blob.Data}, nil
 	}
 	if src.Synth != nil {
 		vol, err := synthIVTVolume(ctx, jc, src.Synth, "synthesize")
@@ -62,17 +66,25 @@ func sourceVolume(ctx context.Context, jc *JobContext, src *api.VolumeSource) (*
 		}
 		return &ffn.Volume{D: src.Synth.Steps, H: src.Synth.NLat, W: src.Synth.NLon, Data: vol.Data}, nil
 	}
-	v := ffn.NewVolume(src.D, src.H, src.W)
-	copy(v.Data, src.Data)
-	return v, nil
+	return &ffn.Volume{D: src.D, H: src.H, W: src.W, Data: src.Data}, nil
 }
 
-// thresholdVolume builds the binary mask raw >= threshold.
+// normalizedVolume conditions raw into a buffer borrowed from the free
+// list; the caller releases it with ffn.ReleaseVolume.
+func normalizedVolume(raw *ffn.Volume) *ffn.Volume {
+	return raw.NormalizeInto(ffn.BorrowVolume(raw.D, raw.H, raw.W))
+}
+
+// thresholdVolume builds the binary mask raw >= threshold in a buffer
+// borrowed from the free list; the caller releases it with
+// ffn.ReleaseVolume.
 func thresholdVolume(raw *ffn.Volume, threshold float32) *ffn.Volume {
-	out := ffn.NewVolume(raw.D, raw.H, raw.W)
+	out := ffn.BorrowVolume(raw.D, raw.H, raw.W)
 	for i, v := range raw.Data {
 		if v >= threshold {
 			out.Data[i] = 1
+		} else {
+			out.Data[i] = 0
 		}
 	}
 	return out
@@ -130,6 +142,7 @@ func SegmentHandler(jc *JobContext) (any, error) {
 	var labels *ffn.Volume
 	if spec.TrainSteps > 0 {
 		labels = thresholdVolume(raw, spec.Threshold)
+		defer ffn.ReleaseVolume(labels)
 	}
 	seeds := spec.Seeds
 	if len(seeds) == 0 {
@@ -139,7 +152,8 @@ func SegmentHandler(jc *JobContext) (any, error) {
 		}
 		seeds = ffn.GridSeeds(raw, cfg.FOV, stride, spec.Threshold)
 	}
-	image := raw.Normalize()
+	image := normalizedVolume(raw)
+	defer ffn.ReleaseVolume(image)
 
 	res := api.SegmentResult{}
 	if spec.TrainSteps > 0 {
@@ -162,6 +176,8 @@ func SegmentHandler(jc *JobContext) (any, error) {
 	jc.Progress(0, 0, "segment")
 	mask, stats, segErr := net.SegmentCtx(jc.Ctx(), image, seeds, spec.MaxSteps,
 		func(steps int) { jc.Progress(int64(steps), 0, "segment") })
+	// The mask is packed (stored or inlined) below and then recycled.
+	defer ffn.ReleaseVolume(mask)
 	res.Steps = stats.Steps
 	res.Moves = stats.Moves
 	res.SeedsUsed = stats.SeedsUsed
@@ -191,7 +207,10 @@ func LabelHandler(jc *JobContext) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The labelling reads the thresholded field only until LabelCtx
+	// returns; the Result carries its own label array.
 	bin := thresholdVolume(raw, spec.Threshold)
+	defer ffn.ReleaseVolume(bin)
 	vol := connect.FromMask(bin.D, bin.H, bin.W, bin.Data)
 	conn := connect.Conn26
 	if spec.Connectivity == 6 {
@@ -286,6 +305,7 @@ func TrainHandler(jc *JobContext) (any, error) {
 		return nil, err
 	}
 	labels := thresholdVolume(raw, spec.Threshold)
+	defer ffn.ReleaseVolume(labels)
 	cfg := netConfig(spec.Net)
 
 	holdout := spec.HoldoutSteps
@@ -300,7 +320,8 @@ func TrainHandler(jc *JobContext) (any, error) {
 		_, _, testRaw, _ := ffn.Split(raw, labels, raw.D-holdout)
 		testSeeds = ffn.GridSeeds(testRaw, cfg.FOV, [3]int{1, 4, 4}, spec.Threshold)
 	}
-	image := raw.Normalize()
+	image := normalizedVolume(raw)
+	defer ffn.ReleaseVolume(image)
 	trainImg, trainLbl := image, labels
 	var testImg, testLbl *ffn.Volume
 	if holdout > 0 {
@@ -336,6 +357,7 @@ func TrainHandler(jc *JobContext) (any, error) {
 
 	jc.Progress(0, 0, "validate")
 	mask, _, segErr := net.SegmentCtx(jc.Ctx(), testImg, testSeeds, 0, nil)
+	defer ffn.ReleaseVolume(mask)
 	if segErr != nil {
 		// An aborted flood must never score as a legitimate (if terrible)
 		// model — fail the candidate instead of reporting a zero mask.

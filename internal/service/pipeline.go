@@ -218,6 +218,7 @@ func PipelineHandler(jc *JobContext) (any, error) {
 				return nil, err
 			}
 			stats := connect.Summarize(result)
+			ffn.ReleaseVolume(sl.mask) // packed by the segment stage, labelled here: done
 			sl.mask = nil
 			sl.res.Objects = stats.Objects
 			sl.res.ObjectVoxels = stats.TotalVoxels

@@ -475,6 +475,11 @@ func (r *Runner) releaseJobRefs(j *job) {
 // a queued job, and wakes the worker pool. owner is the authenticated
 // identity recorded on the job; when its pending bound (or the global one)
 // is full the submit sheds with an error unwrapping to ErrOverloaded.
+//
+// The returned status is a snapshot taken at return, after the pool was
+// woken: a worker may already have picked the job up, so the ack can read
+// queued or running (or, for a job that short, terminal). Callers that need
+// "accepted" check the error and the id, not State == queued.
 func (r *Runner) Submit(req *api.JobRequest, owner string) (api.JobStatus, error) {
 	if r.baseCtx.Err() != nil {
 		return api.JobStatus{}, ErrClosed
@@ -652,14 +657,17 @@ func (r *Runner) List() []api.JobStatus {
 }
 
 // Result returns a job's result payload (nil until one is recorded) and
-// its current status, falling back to the store for evicted jobs.
+// its current status, falling back to the store for evicted jobs. The
+// status is read first: a worker records the result before it publishes the
+// terminal state, so a terminal status never comes with a missing result.
 func (r *Runner) Result(id string) (json.RawMessage, api.JobStatus, bool) {
 	j := r.lookupJob(id)
 	if j != nil {
+		st := r.statusOf(j)
 		j.mu.Lock()
 		raw := j.result
 		j.mu.Unlock()
-		return raw, r.statusOf(j), true
+		return raw, st, true
 	}
 	st, ok := r.Lookup(id)
 	if !ok {

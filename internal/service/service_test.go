@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -75,14 +76,26 @@ func newTestRunner(t *testing.T, reg *Registry, workers int) (*Runner, *queue.St
 }
 
 func TestSubmitRunsSegmentJob(t *testing.T) {
-	r, store := newTestRunner(t, DefaultRegistry(), 2)
+	// Submit's ack is a snapshot taken after the pool was woken, so it may
+	// already read running. The gate keeps the handler from finishing until
+	// the ack is checked, which makes "not yet terminal" deterministic.
+	reg := DefaultRegistry()
+	gate := make(chan struct{})
+	open := sync.OnceFunc(func() { close(gate) })
+	reg.Register(api.KindSegment, func(jc *JobContext) (any, error) {
+		<-gate
+		return SegmentHandler(jc)
+	})
+	r, store := newTestRunner(t, reg, 2)
+	t.Cleanup(open) // runs before the runner's Close, which waits for the handler
 	st, err := r.Submit(tinySegmentRequest(), "tester@ucsd.edu")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != api.StateQueued || st.Owner != "tester@ucsd.edu" {
+	if (st.State != api.StateQueued && st.State != api.StateRunning) || st.Owner != "tester@ucsd.edu" {
 		t.Fatalf("submit status = %+v", st)
 	}
+	open()
 	final := waitState(t, r, st.ID, terminal)
 	if final.State != api.StateSucceeded {
 		t.Fatalf("state = %s (%s)", final.State, final.Error)

@@ -46,7 +46,9 @@ func TrainDistHandler(jc *JobContext) (any, error) {
 		return nil, err
 	}
 	labels := thresholdVolume(raw, spec.Threshold)
-	image := raw.Normalize()
+	defer ffn.ReleaseVolume(labels)
+	image := normalizedVolume(raw)
+	defer ffn.ReleaseVolume(image)
 
 	var t *ffn.DistTrainer
 	res := api.TrainDistResult{}

@@ -165,11 +165,12 @@ func Conv3DBackwardInto(gradIn, gradW *Tensor, gradB []float32, in, weight, grad
 	} else if shards := parallel.Ranges(cout); len(shards) == 1 {
 		t.runShard(0, cout, gradIn.Data)
 	} else {
-		s := GetScratch()
 		t.shards = shards
 		t.partials = t.partials[:0]
 		for range shards {
-			t.partials = append(t.partials, s.Floats(len(gradIn.Data)))
+			p := GetFloats(len(gradIn.Data))
+			clear(p)
+			t.partials = append(t.partials, p)
 		}
 		parallel.Invoke(len(shards), t)
 		// Deterministic reduction in shard (ascending oc) order.
@@ -177,9 +178,8 @@ func Conv3DBackwardInto(gradIn, gradW *Tensor, gradB []float32, in, weight, grad
 			for i, v := range p {
 				gradIn.Data[i] += v
 			}
-			s.Put(p)
+			PutFloats(p)
 		}
-		s.Release()
 	}
 	t.in, t.w, t.gradOut, t.gradW, t.gradB = nil, nil, nil, nil, nil
 	t.shards = nil

@@ -291,12 +291,11 @@ func convBatchDispatch(out, in, weight *Tensor, bias []float32, res []float32, e
 	t.cin, t.d, t.h, t.wd = cin, d, h, w
 	t.kd, t.kh, t.kw = kd, kh, kw
 	t.pd, t.ph, t.pw = kd/2, kh/2, kw/2
-	var sc *Scratch
 	if spanActive(kd, kh, kw) {
 		// Span path: stage the live batch into a zero-padded scratch copy so
 		// the vector kernel runs border-free (see conv_span.go).
-		sc = GetScratch()
-		t.pad = sc.Floats(spanPadLen(batch*cin, d, h, w))
+		t.pad = GetFloats(spanPadLen(batch*cin, d, h, w))
+		clear(t.pad)
 		fillPadded(t.pad, in.Data, batch*cin, d, h, w)
 		t.span = true
 	}
@@ -306,9 +305,8 @@ func convBatchDispatch(out, in, weight *Tensor, bias []float32, res []float32, e
 		grain = (convGrainFlops + unitWork - 1) / unitWork
 	}
 	parallel.InvokeGrain(batch*cout*d, grain, t)
-	if sc != nil {
-		sc.Put(t.pad)
-		sc.Release()
+	if t.span {
+		PutFloats(t.pad)
 		t.pad, t.span = nil, false
 	}
 	t.out, t.in, t.w, t.bias, t.res = nil, nil, nil, nil, nil

@@ -229,18 +229,3 @@ func TestConv3DIntoReusesBuffer(t *testing.T) {
 		t.Fatalf("Conv3DInto steady-state allocs/op = %v, want 0", allocs)
 	}
 }
-
-func TestScratchReuse(t *testing.T) {
-	s := GetScratch()
-	a := s.Floats(64)
-	a[0] = 42
-	s.Put(a)
-	b := s.Floats(64)
-	if b[0] != 0 {
-		t.Fatal("Scratch.Floats must return zeroed buffers")
-	}
-	if &a[0] != &b[0] {
-		t.Fatal("Scratch.Floats should reuse a Put buffer of the same length")
-	}
-	s.Release()
-}
