@@ -356,7 +356,7 @@ func benchCases() []benchCase {
 			}
 		}},
 		{"status_poll", func(b *testing.B) {
-			r := service.NewRunner(service.DefaultRegistry(), queue.NewStore(), 1)
+			r := service.NewRunnerConfigured(service.DefaultRegistry(), queue.NewStore(), service.RunnerConfig{Workers: 1})
 			defer r.Close()
 			st, err := r.Submit(&api.JobRequest{Kind: api.KindWorkflow, Workflow: &api.WorkflowSpec{
 				Name:  "poll",
@@ -434,7 +434,7 @@ func reportServe(b *testing.B, rep *loadtest.Report, violations float64) {
 // the payload is the latency-quantile metrics, and the violations metric
 // pins "nothing failed, everything accepted completed".
 func benchServeSustained(b *testing.B) {
-	runner := service.NewRunner(service.DefaultRegistry(), queue.NewStore(), 4)
+	runner := service.NewRunnerConfigured(service.DefaultRegistry(), queue.NewStore(), service.RunnerConfig{Workers: 4})
 	defer runner.Close()
 	srv := httptest.NewServer(service.NewGateway(runner, service.GatewayOptions{
 		Providers:    map[string]string{"ucsd.edu": "UCSD", "sdsc.edu": "SDSC"},
@@ -686,7 +686,7 @@ func benchSchedRequeue(b *testing.B) {
 // (the volume uploaded once, untimed). The wire-bytes/op metric is the
 // ratio BENCH_PR4.json tracks; the bar is >= 5x fewer for ref.
 func benchSubmit(b *testing.B, byRef bool) {
-	runner := service.NewRunner(service.DefaultRegistry(), queue.NewStore(), 2)
+	runner := service.NewRunnerConfigured(service.DefaultRegistry(), queue.NewStore(), service.RunnerConfig{Workers: 2})
 	defer runner.Close()
 	gw := service.NewGateway(runner, service.GatewayOptions{AllowAnonymous: true, TokenSeed: 1})
 	srv := httptest.NewServer(gw)
@@ -763,7 +763,7 @@ func benchSubmit(b *testing.B, byRef bool) {
 // 1-worker run of the same spec. loss-tail pins that the measured workload
 // actually learns; comm-mbytes is the modeled ring all-reduce traffic.
 func benchTrainDist4w(b *testing.B) {
-	r := service.NewRunner(service.DefaultRegistry(), queue.NewStore(), 4)
+	r := service.NewRunnerConfigured(service.DefaultRegistry(), queue.NewStore(), service.RunnerConfig{Workers: 4})
 	defer r.Close()
 	req := &api.JobRequest{
 		Kind: api.KindTrainDist,
@@ -802,7 +802,7 @@ func benchTrainDist4w(b *testing.B) {
 // queue per iteration (no early stop, so the workload is fixed); the
 // EXPERIMENTS sweep-throughput row is 8 candidates divided by ns/op.
 func benchSweepGrid8(b *testing.B) {
-	r := service.NewRunner(service.DefaultRegistry(), queue.NewStore(), 4)
+	r := service.NewRunnerConfigured(service.DefaultRegistry(), queue.NewStore(), service.RunnerConfig{Workers: 4})
 	defer r.Close()
 	req := &api.JobRequest{
 		Kind: api.KindSweep,
@@ -846,7 +846,7 @@ func benchSweepGrid8(b *testing.B) {
 // in-process runner and reports its segmentation step count so the
 // overlapped/sequential entries are verifiably the same workload.
 func benchPipeline(b *testing.B, req *api.JobRequest) {
-	r := service.NewRunner(service.DefaultRegistry(), queue.NewStore(), 4)
+	r := service.NewRunnerConfigured(service.DefaultRegistry(), queue.NewStore(), service.RunnerConfig{Workers: 4})
 	defer r.Close()
 	var segSteps float64
 	b.ResetTimer()

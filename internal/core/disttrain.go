@@ -13,7 +13,6 @@ import (
 	"chaseci/internal/merra"
 	"chaseci/internal/queue"
 	"chaseci/internal/service"
-	"chaseci/internal/tensor"
 )
 
 // DistTrainConfig drives the Section III-E2 extension as running code: a
@@ -134,7 +133,7 @@ func (e *Ecosystem) RunDistributedTraining(cfg DistTrainConfig) (*DistTrainResul
 
 	// One training code path: the train_dist job kind does the real SGD.
 	src, th := sceneSource(cfg.Scene)
-	runner := service.NewRunner(service.DefaultRegistry(), queue.NewStore(), 1)
+	runner := service.NewRunnerConfigured(service.DefaultRegistry(), queue.NewStore(), service.RunnerConfig{Workers: 1})
 	defer runner.Close()
 	st, err := runner.Submit(&api.JobRequest{
 		Kind: api.KindTrainDist,
@@ -225,52 +224,17 @@ func sceneSource(rc *RealComputeConfig) (api.VolumeSource, float32) {
 	}, th
 }
 
-// buildScene renders the shared training data for a RealComputeConfig.
+// buildScene renders the shared training data for a RealComputeConfig: the
+// scene's volume normalized, and its labels thresholded from the raw field.
 func buildScene(rc *RealComputeConfig) (*ffn.Volume, *ffn.Volume) {
-	gen := merra.NewGenerator(rc.Grid, rc.Seed)
-	levels := merra.PressureLevels(rc.Grid.NLev)
-	vol := merra.IVTVolume(gen, levels, 20, rc.TimeSteps)
-	flat := merra.Field2D{NLon: len(vol.Data), NLat: 1, Data: vol.Data}
-	th := flat.Quantile(rc.Quantile)
-	img := &ffn.Volume{D: rc.TimeSteps, H: rc.Grid.NLat, W: rc.Grid.NLon,
-		Data: append([]float32(nil), vol.Data...)}
-	img.Normalize()
-	lbl := ffn.NewVolume(rc.TimeSteps, rc.Grid.NLat, rc.Grid.NLon)
-	for i, v := range vol.Data {
+	src, th := sceneSource(rc)
+	img := &ffn.Volume{D: src.D, H: src.H, W: src.W, Data: src.Data}
+	lbl := ffn.NewVolume(src.D, src.H, src.W)
+	for i, v := range img.Data {
 		if v >= th {
 			lbl.Data[i] = 1
 		}
 	}
+	img.Normalize()
 	return img, lbl
-}
-
-// trainingCenters lists in-bounds FOV centers split by label polarity.
-func trainingCenters(lbl *ffn.Volume, fov [3]int) (pos, neg [][3]int) {
-	for z := fov[0] / 2; z+fov[0]/2 < lbl.D; z++ {
-		for y := fov[1] / 2; y+fov[1]/2 < lbl.H; y++ {
-			for x := fov[2] / 2; x+fov[2]/2 < lbl.W; x++ {
-				if lbl.At(z, y, x) > 0.5 {
-					pos = append(pos, [3]int{z, y, x})
-				} else {
-					neg = append(neg, [3]int{z, y, x})
-				}
-			}
-		}
-	}
-	return pos, neg
-}
-
-// extractVolumeFOV copies a FOV around center c into a (1,D,H,W) tensor.
-func extractVolumeFOV(v *ffn.Volume, fov [3]int, c [3]int) *tensor.Tensor {
-	out := tensor.New(1, fov[0], fov[1], fov[2])
-	i := 0
-	for z := c[0] - fov[0]/2; z <= c[0]+fov[0]/2; z++ {
-		for y := c[1] - fov[1]/2; y <= c[1]+fov[1]/2; y++ {
-			for x := c[2] - fov[2]/2; x <= c[2]+fov[2]/2; x++ {
-				out.Data[i] = v.At(z, y, x)
-				i++
-			}
-		}
-	}
-	return out
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"chaseci/internal/ffn"
-	"chaseci/internal/tensor"
 )
 
 func TestDistributedTrainingConverges(t *testing.T) {
@@ -85,47 +84,5 @@ func TestDistributedTrainingValidation(t *testing.T) {
 	cfg.Workers = 0
 	if _, err := eco.RunDistributedTraining(cfg); err == nil {
 		t.Fatal("zero workers accepted")
-	}
-}
-
-func TestAverageGradsMatchesSerialTrainStep(t *testing.T) {
-	// One worker, batch 1: ComputeGrads + ApplyGrads must equal TrainStep.
-	mk := func() *ffn.Network {
-		cfg := ffn.DefaultConfig()
-		cfg.FOV = [3]int{3, 7, 7}
-		cfg.Features = 6
-		cfg.MoveStep = [3]int{1, 2, 2}
-		n, err := ffn.NewNetwork(cfg, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	a, b := mk(), mk()
-	img, lbl := buildScene(DefaultRealCompute())
-	fov := [3]int{3, 7, 7}
-	c := [3]int{1, 8, 8}
-	fi := extractVolumeFOV(img, fov, c)
-	fl := extractVolumeFOV(lbl, fov, c)
-
-	optA := tensor.NewSGD(0.03, 0.9)
-	optB := tensor.NewSGD(0.03, 0.9)
-	lossA := a.TrainStep(optA, fi, fl)
-	lossB, g := b.ComputeGrads(fi, fl)
-	avg, err := ffn.AverageGrads([]*ffn.ParamGrads{g})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.ApplyGrads(optB, avg)
-	if lossA != lossB {
-		t.Fatalf("losses differ: %v vs %v", lossA, lossB)
-	}
-	// After identical updates, both predict identically.
-	pa := a.Apply(fi, a.SeedPOM())
-	pb := b.Apply(fi, b.SeedPOM())
-	for i := range pa.Data {
-		if pa.Data[i] != pb.Data[i] {
-			t.Fatal("distributed single-worker update diverged from serial TrainStep")
-		}
 	}
 }

@@ -114,7 +114,7 @@ func (e *Ecosystem) RunHyperparameterSweep(cfg SweepConfig) (*SweepResult, error
 		e.Queue.LPush(sweepQueueKey, h.Encode())
 	}
 
-	runner := service.NewRunner(service.DefaultRegistry(), queue.NewStore(), cfg.Workers)
+	runner := service.NewRunnerConfigured(service.DefaultRegistry(), queue.NewStore(), service.RunnerConfig{Workers: cfg.Workers})
 	defer runner.Close()
 
 	mount := e.Storage.MountBucket("hp-sweep")

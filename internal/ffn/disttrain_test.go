@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"chaseci/internal/tensor"
 )
 
 // distScene builds a labelled scene plus a fresh trainer at the given
@@ -213,5 +215,41 @@ func TestEvaluateCtxPropagatesSegmentError(t *testing.T) {
 	}
 	if res.Params != h || res.TrainLoss <= 0 {
 		t.Fatalf("evaluation result = %+v", res)
+	}
+}
+
+// TestAverageGradsMatchesSerialTrainStep: one worker, batch 1 —
+// ComputeGrads + AverageGrads + ApplyGrads must equal TrainStep bit for bit.
+func TestAverageGradsMatchesSerialTrainStep(t *testing.T) {
+	mk := func() *Network {
+		n, err := NewNetwork(smallConfig(), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	a, b := mk(), mk()
+	img, lbl := buildARScene(t, 6)
+	fov := smallConfig().FOV
+	fi := extractFOV(img, fov, 1, 8, 8)
+	fl := extractFOV(lbl, fov, 1, 8, 8)
+
+	lossA := a.TrainStep(tensor.NewSGD(0.03, 0.9), fi, fl)
+	lossB, g := b.ComputeGrads(fi, fl)
+	avg, err := AverageGrads([]*ParamGrads{g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.ApplyGrads(tensor.NewSGD(0.03, 0.9), avg)
+	if lossA != lossB {
+		t.Fatalf("losses differ: %v vs %v", lossA, lossB)
+	}
+	// After identical updates, both predict identically.
+	pa := a.Apply(fi, a.SeedPOM())
+	pb := b.Apply(fi, b.SeedPOM())
+	for i := range pa.Data {
+		if pa.Data[i] != pb.Data[i] {
+			t.Fatal("distributed single-worker update diverged from serial TrainStep")
+		}
 	}
 }

@@ -33,7 +33,7 @@ func tinyWorkflowBody(t *testing.T) []byte {
 
 func newGateway(t *testing.T, opts service.GatewayOptions) (*service.Runner, *httptest.Server) {
 	t.Helper()
-	runner := service.NewRunner(service.DefaultRegistry(), queue.NewStore(), 4)
+	runner := service.NewRunnerConfigured(service.DefaultRegistry(), queue.NewStore(), service.RunnerConfig{Workers: 4})
 	t.Cleanup(runner.Close)
 	if opts.Providers == nil {
 		opts.Providers = map[string]string{"ucsd.edu": "UCSD", "sdsc.edu": "SDSC"}

@@ -144,26 +144,3 @@ func (a *admission) shedCount() int64 {
 	defer a.mu.Unlock()
 	return a.shed
 }
-
-// maxTenantSeries caps per-tenant metric label cardinality: beyond this
-// many distinct tenants, further ones aggregate into tenant="other" so a
-// million-identity tenant space cannot grow the metrics registry without
-// bound.
-const maxTenantSeries = 64
-
-// tenantLabel normalizes the metrics label for an owner, folding the
-// cardinality tail into "other". mclk held (the tenantSeen map is part of
-// the metrics state).
-func (r *Runner) tenantLabelLocked(owner string) string {
-	if owner == "" {
-		owner = anonOwner
-	}
-	if r.tenantSeen[owner] {
-		return owner
-	}
-	if len(r.tenantSeen) >= maxTenantSeries {
-		return "other"
-	}
-	r.tenantSeen[owner] = true
-	return owner
-}

@@ -260,6 +260,10 @@ func TestEvictedStoreFallbackWindow(t *testing.T) {
 		ids = append(ids, st.ID)
 		waitTerminalAnywhere(t, r, st.ID)
 	}
+	// execute publishes the terminal state before it persists and prunes;
+	// Close returns once the worker has left execute, and leaves Lookup and
+	// the store readable.
+	r.Close()
 
 	r.evictMu.Lock()
 	evictLen := r.evicted.len()

@@ -1,18 +1,14 @@
 package service
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"time"
 
 	"chaseci/internal/api"
 	"chaseci/internal/queue"
 	"chaseci/internal/sched"
 )
 
-// Cluster mode: instead of one global pending queue drained by an anonymous
-// pool, each fabric node runs its own worker pool over a node-scoped
+// Cluster mode: each fabric node runs its own worker pool over a node-scoped
 // weighted-fair queue, and the sched.Scheduler decides which queue a job
 // lands on by data gravity. Node loss drains the node's pool and requeues
 // its jobs through placement against the surviving replicas.
@@ -20,117 +16,57 @@ import (
 // NodePendingKey is the store list previous runner generations used as a
 // node's dispatch queue; the current generation dispatches from in-memory
 // fair queues but still drains these lists at startup (orphan semantics,
-// see drainOrphans).
+// see drainOrphanList).
 func NodePendingKey(node string) string { return "jobs:pending:" + node }
 
-// nodePool is one node's worker pool. Its context is a child of the
-// runner's, so Close stops every pool; DrainNode stops just this one. fq is
-// the node's weighted-fair pending queue, so tenant fairness holds per
-// node just as it does on the single-node runner.
-type nodePool struct {
-	node string
-	fq   *fairQueue
-	wake chan struct{}
-	ctx  context.Context
-	stop context.CancelFunc
-}
-
-// NewClusterRunner builds a Runner that places jobs on the fabric instead of
-// a global queue. workersPerNode <= 0 defaults to 2. The fabric's dataset
-// manager becomes the runner's data plane, so submitted refs and OSD
-// replica placement live in the same store the scheduler scores against.
-func NewClusterRunner(reg *Registry, store *queue.Store, workersPerNode int, fab *sched.Fabric) *Runner {
-	return NewClusterRunnerConfigured(reg, store, fab, RunnerConfig{Workers: workersPerNode})
-}
-
-// NewClusterRunnerConfigured is NewClusterRunner with explicit sharding,
-// admission, and fairness configuration (cfg.Workers is the per-node pool
-// size; cfg.Datasets is ignored — the fabric's data plane always wins).
+// NewClusterRunnerConfigured builds and starts a Runner that places jobs on
+// the fabric's nodes, each with its own pool of cfg.Workers goroutines. The
+// fabric's dataset manager becomes the runner's data plane (cfg.Datasets is
+// ignored), so submitted refs and OSD replica placement live in the same
+// store the scheduler scores against.
 func NewClusterRunnerConfigured(reg *Registry, store *queue.Store, fab *sched.Fabric, cfg RunnerConfig) *Runner {
-	workersPerNode := cfg.Workers
-	if workersPerNode <= 0 {
-		workersPerNode = 2
-	}
-	r := newRunnerCore(reg, store, fab.Datasets, cfg)
-	r.workers = 0 // no global pool; per-node pools below
+	r := newRunner(reg, store, fab.Datasets, cfg, 2)
 	r.sched = sched.New(fab)
-	r.poolWorkers = workersPerNode
+	r.disp = clusterDispatch{r}
 	r.pools = make(map[string]*nodePool)
 	r.drains = make(map[string]bool)
-	r.wake = make(chan struct{}, 1)
 	r.sched.OnBind(r.onBind)
 	r.sched.OnDrain(r.onDrain)
 	r.sched.OnRestore(r.onRestore)
-	r.drainOrphans()
+	r.drainOrphanList(PendingKey)
 	for _, node := range fab.NodeNames() {
-		r.drainNodeOrphans(node)
-		r.pools[node] = r.startPool(node)
+		r.drainOrphanList(NodePendingKey(node))
+		r.pools[node] = r.startPool()
 	}
 	return r
 }
 
-// drainNodeOrphans applies drainOrphans' logic to one node-scoped list.
-func (r *Runner) drainNodeOrphans(node string) {
-	for {
-		id, ok := r.store.RPop(NodePendingKey(node))
-		if !ok {
-			return
-		}
-		rec, ok := r.store.Get(JobKey(id))
-		if !ok {
-			continue
-		}
-		var st api.JobStatus
-		if json.Unmarshal([]byte(rec), &st) != nil || st.State.Terminal() {
-			continue
-		}
-		st.State = api.StateFailed
-		st.Error = "orphaned: runner restarted before execution"
-		st.FinishedAt = time.Now().UnixNano()
-		if raw, err := json.Marshal(st); err == nil {
-			r.store.Set(JobKey(id), string(raw))
-		}
+// clusterDispatch is the cluster dispatcher: placement by the scheduler,
+// delivery by bindJob. The state it works on (sched, pools, drains, under
+// r.mu) stays on the Runner, where the scheduler's callbacks below use it.
+type clusterDispatch struct{ r *Runner }
+
+// admit places the job while Submit holds the shard lock: Place never
+// dispatches callbacks on this path, and the lock serializes against Close's
+// closed flip so a placed job is always visible to Close's scan. A nil
+// placement with no error means parked — the scheduler's OnBind callback
+// delivers the job to a node pool once capacity frees up.
+func (d clusterDispatch) admit(j *job) (*api.Placement, error) {
+	j.wl = d.r.workloadFor(j)
+	return d.r.sched.Place(j.wl)
+}
+
+func (d clusterDispatch) kick(j *job, pl *api.Placement) {
+	if pl != nil {
+		d.r.bindJob(j, pl)
 	}
 }
 
-// startPool launches a node's workers. r.mu may be held by the caller; the
-// workers themselves never take it outside execute's helpers.
-func (r *Runner) startPool(node string) *nodePool {
-	ctx, stop := context.WithCancel(r.baseCtx)
-	p := &nodePool{
-		node: node,
-		fq:   newFairQueue(r.adm.weight),
-		wake: make(chan struct{}, r.poolWorkers),
-		ctx:  ctx,
-		stop: stop,
-	}
-	r.wg.Add(r.poolWorkers)
-	for i := 0; i < r.poolWorkers; i++ {
-		go r.poolLoop(p)
-	}
-	return p
-}
-
-func (r *Runner) poolLoop(p *nodePool) {
-	defer r.wg.Done()
-	for {
-		for {
-			id, ok := p.fq.Pop()
-			if !ok {
-				break
-			}
-			r.execute(id)
-			if p.ctx.Err() != nil {
-				return
-			}
-		}
-		select {
-		case <-p.ctx.Done():
-			return
-		case <-p.wake:
-		}
-	}
-}
+func (d clusterDispatch) release(id string)               { d.r.sched.Release(id) }
+func (d clusterDispatch) drained(id string) bool          { return d.r.takeDrain(id) }
+func (d clusterDispatch) steal() (string, bool)           { return "", false } // node queues belong to their pools
+func (d clusterDispatch) liveClaims() map[string][]string { return d.r.sched.LiveClaims() }
+func (d clusterDispatch) metricsText() string             { return d.r.sched.MetricsText() }
 
 // workloadFor builds the scheduler's view of a job: its pinned refs, an
 // input-size estimate for the energy model, and the caller's constraints.
@@ -203,10 +139,7 @@ func (r *Runner) bindJob(j *job, pl *api.Placement) {
 		}
 		return
 	}
-	select {
-	case pool.wake <- struct{}{}:
-	default:
-	}
+	pool.wakeOne()
 }
 
 // takeDrain consumes the job's drain marker (set when its node was lost).
@@ -260,16 +193,7 @@ func (r *Runner) rePlace(j *job) {
 		pl, err = r.sched.Place(j.wl)
 	}
 	if err != nil {
-		if j.state.CompareAndSwap(codeQueued, codeFailed) {
-			msg := fmt.Sprintf("placement lost after node failure: %v", err)
-			j.errMsg.Store(&msg)
-			j.finished.Store(time.Now().UnixNano())
-			r.releaseJobRefs(j)
-			r.pendingAdd(j, -1)
-			r.count("jobs_failed", j.kind)
-			r.persist(j)
-			r.sched.Release(j.id)
-		}
+		r.endUnrun(j, codeFailed, fmt.Sprintf("placement lost after node failure: %v", err))
 		return
 	}
 	if pl == nil {
@@ -302,28 +226,20 @@ func (r *Runner) onDrain(node string, ids []string) {
 		r.drains[id] = true
 	}
 	r.mu.Unlock()
-	// Cancel funcs live in the job shards; collect them outside r.mu (the
-	// two mutexes are never held together) and fire them lock-free.
-	var cancels []context.CancelFunc
+	// Outside r.mu: the job lookup takes a shard mutex, and the two are
+	// never held together.
 	for _, id := range ids {
-		sh := r.shardFor(id)
-		sh.mu.Lock()
-		if c := sh.cancels[id]; c != nil {
-			cancels = append(cancels, c)
+		if j := r.lookupJob(id); j != nil {
+			if cancel := j.cancel.Load(); cancel != nil {
+				(*cancel)()
+			}
 		}
-		sh.mu.Unlock()
-	}
-	for _, c := range cancels {
-		c()
 	}
 	if pool == nil {
 		return
 	}
 	pool.stop()
-	select {
-	case pool.wake <- struct{}{}:
-	default:
-	}
+	pool.wakeOne()
 	// Sweep the dead node's pending queue. Jobs a pool worker popped before
 	// the stop requeue themselves through execute's drain check; everything
 	// still queued is reclaimed here.
@@ -346,33 +262,7 @@ func (r *Runner) onRestore(node string) {
 		return
 	}
 	if _, live := r.pools[node]; !live {
-		r.pools[node] = r.startPool(node)
-	}
-}
-
-// closeClusterJobs cancels every still-queued job (on node queues or
-// parked) during Close, after all pools have exited.
-func (r *Runner) closeClusterJobs() {
-	var snapshot []*job
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for _, j := range sh.jobs {
-			snapshot = append(snapshot, j)
-		}
-		sh.mu.Unlock()
-	}
-	for _, j := range snapshot {
-		if !j.state.CompareAndSwap(codeQueued, codeCancelled) {
-			continue
-		}
-		msg := ErrClosed.Error()
-		j.errMsg.Store(&msg)
-		j.finished.Store(time.Now().UnixNano())
-		r.releaseJobRefs(j)
-		r.pendingAdd(j, -1)
-		r.persist(j)
-		r.sched.Release(j.id)
+		r.pools[node] = r.startPool()
 	}
 }
 

@@ -47,7 +47,7 @@ func twoNodeFabric(t *testing.T) *sched.Fabric {
 // newClusterFixture is newGWFixture over a cluster runner.
 func newClusterFixture(t *testing.T, reg *Registry, fab *sched.Fabric) *gwFixture {
 	t.Helper()
-	runner := NewClusterRunner(reg, queue.NewStore(), 2, fab)
+	runner := NewClusterRunnerConfigured(reg, queue.NewStore(), fab, RunnerConfig{Workers: 2})
 	t.Cleanup(runner.Close)
 	gw := NewGateway(runner, GatewayOptions{AllowAnonymous: true, PollInterval: 2 * time.Millisecond})
 	srv := httptest.NewServer(gw)
@@ -80,7 +80,7 @@ func refSegmentRequest(ref string) *api.JobRequest {
 // returns its result JSON — the bit-exactness reference.
 func baselineSegment(t *testing.T, enc []byte) json.RawMessage {
 	t.Helper()
-	r := NewRunner(DefaultRegistry(), queue.NewStore(), 2)
+	r := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 2})
 	defer r.Close()
 	info, err := r.Datasets().Put(enc, "anonymous")
 	if err != nil {
@@ -356,7 +356,7 @@ func TestQueueDepthGauge(t *testing.T) {
 			return nil, jc.Ctx().Err()
 		}
 	})
-	r := NewRunner(reg, queue.NewStore(), 1)
+	r := NewRunnerConfigured(reg, queue.NewStore(), RunnerConfig{Workers: 1})
 	defer r.Close()
 	req := &api.JobRequest{Kind: api.KindLabel, Label: &api.LabelSpec{
 		Source: api.VolumeSource{D: 2, H: 2, W: 2, Data: make([]float32, 8)}, Threshold: 0.5,

@@ -330,7 +330,7 @@ func TestGatewayRefSubmitBitExactVsInline(t *testing.T) {
 // label job can consume directly — the derived field never crosses the
 // gateway.
 func TestIVTRefChainsIntoLabel(t *testing.T) {
-	r := NewRunner(DefaultRegistry(), queue.NewStore(), 2)
+	r := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 2})
 	defer r.Close()
 	synth := api.SynthSpec{NLon: 36, NLat: 24, NLev: 6, Steps: 3, Seed: 11}
 
@@ -395,7 +395,7 @@ func TestIVTRefChainsIntoLabel(t *testing.T) {
 // (resolvable, voxel counts matching); inline-mode jobs release every
 // intermediate dataset on completion.
 func TestPipelineRefLifecycle(t *testing.T) {
-	r := NewRunner(DefaultRegistry(), queue.NewStore(), 2)
+	r := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 2})
 	defer r.Close()
 	req := pipelineRequest(2, true)
 
@@ -550,7 +550,7 @@ func submitAndMeasure(b testing.TB, srv string, runner *Runner, req *api.JobRequ
 // submit as JSON text and the mask rides the result. The wire-bytes metric
 // is the quantity BenchmarkJobSubmitRef divides.
 func BenchmarkJobSubmitInline(b *testing.B) {
-	runner := NewRunner(DefaultRegistry(), queue.NewStore(), 2)
+	runner := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 2})
 	defer runner.Close()
 	srv := httptest.NewServer(NewGateway(runner, GatewayOptions{AllowAnonymous: true, TokenSeed: 1}))
 	defer srv.Close()
@@ -569,7 +569,7 @@ func BenchmarkJobSubmitInline(b *testing.B) {
 // mask ref out. The acceptance bar is >= 5x fewer gateway bytes than
 // inline for the same 64^3 job; in practice it is orders of magnitude.
 func BenchmarkJobSubmitRef(b *testing.B) {
-	runner := NewRunner(DefaultRegistry(), queue.NewStore(), 2)
+	runner := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 2})
 	defer runner.Close()
 	srv := httptest.NewServer(NewGateway(runner, GatewayOptions{AllowAnonymous: true, TokenSeed: 1}))
 	defer srv.Close()
@@ -599,7 +599,7 @@ func BenchmarkJobSubmitRef(b *testing.B) {
 // test`: for a 64^3 volume, submitting by ref moves >= 5x fewer bytes
 // through the HTTP gateway than submitting inline, with identical results.
 func TestRefSubmitWireBytesRatio(t *testing.T) {
-	runner := NewRunner(DefaultRegistry(), queue.NewStore(), 2)
+	runner := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 2})
 	defer runner.Close()
 	srv := httptest.NewServer(NewGateway(runner, GatewayOptions{AllowAnonymous: true, TokenSeed: 1}))
 	defer srv.Close()
@@ -695,7 +695,7 @@ func TestSubmitPinsSourceRefs(t *testing.T) {
 		<-release
 		return LabelHandler(jc)
 	})
-	r := NewRunner(reg, queue.NewStore(), 1)
+	r := NewRunnerConfigured(reg, queue.NewStore(), RunnerConfig{Workers: 1})
 	defer r.Close()
 
 	d, h, w, data := testIVTField(1)

@@ -13,8 +13,8 @@ import (
 // queue therefore cannot starve a light tenant — the light tenant's few
 // jobs dequeue at their fair share no matter how deep the flood is.
 //
-// The Runner's single-node dispatch uses one fairQueue; every cluster-mode
-// node pool carries its own, so fairness holds per node queue too.
+// Every worker pool carries its own fairQueue (one on a single-node runner,
+// one per node on a cluster runner), so fairness holds per node queue too.
 type fairQueue struct {
 	mu sync.Mutex
 	// weight resolves a tenant's share (>= 1); nil means every tenant

@@ -10,12 +10,14 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"chaseci/internal/api"
 	"chaseci/internal/auth"
 	"chaseci/internal/dataset"
 	"chaseci/internal/sched"
+	"chaseci/internal/sim"
 )
 
 // GatewayOptions configures the HTTP face of the service.
@@ -59,7 +61,7 @@ type GatewayOptions struct {
 //	GET  /v1/datasets/{id}    raw CDS1 bytes
 //	GET  /v1/kinds            [kind, ...]
 //	GET  /healthz             liveness + job count
-//	GET  /metricz             text metrics (internal/metrics counters)
+//	GET  /metricz             text metrics: one `name{label="v"} value` line per series
 //
 // The reused internal/auth federation runs on a virtual clock; the gateway
 // pins that clock to wall-elapsed time under a mutex, so token expiry
@@ -81,6 +83,28 @@ type Gateway struct {
 	aclk *wallClock
 	fed  *auth.Federation
 }
+
+// wallClock drives a sim.Clock to wall-elapsed time under a mutex, so the
+// single-threaded virtual-time auth federation behaves correctly inside
+// the concurrent gateway: Lock() advances the clock to "now" and must be
+// held around every touch of the federation.
+type wallClock struct {
+	mu    sync.Mutex
+	clock *sim.Clock
+	epoch time.Time
+}
+
+func newWallClock() *wallClock {
+	return &wallClock{clock: sim.NewClock(), epoch: time.Now()}
+}
+
+// Lock acquires the mutex and advances the clock to wall-elapsed time.
+func (w *wallClock) Lock() {
+	w.mu.Lock()
+	w.clock.RunUntil(time.Since(w.epoch))
+}
+
+func (w *wallClock) Unlock() { w.mu.Unlock() }
 
 // NewGateway builds a Gateway over runner.
 func NewGateway(runner *Runner, opts GatewayOptions) *Gateway {

@@ -104,7 +104,7 @@ func TestGatewayShedsWith429(t *testing.T) {
 // limit: after the burst is spent the gateway answers 429 with Retry-After
 // before even reading the body, and counts the refusal per tenant.
 func TestGatewayRateLimit429(t *testing.T) {
-	runner := NewRunner(DefaultRegistry(), queue.NewStore(), 2)
+	runner := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 2})
 	t.Cleanup(runner.Close)
 	srv := httptest.NewServer(NewGateway(runner, GatewayOptions{
 		AllowAnonymous: true,

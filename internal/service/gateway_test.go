@@ -26,7 +26,7 @@ type gwFixture struct {
 
 func newGWFixture(t *testing.T, anon bool) *gwFixture {
 	t.Helper()
-	runner := NewRunner(DefaultRegistry(), queue.NewStore(), 2)
+	runner := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 2})
 	t.Cleanup(runner.Close)
 	gw := NewGateway(runner, GatewayOptions{
 		Providers:      map[string]string{"ucsd.edu": "UCSD", "sdsc.edu": "SDSC"},
@@ -450,7 +450,7 @@ func TestGatewayEventsStream(t *testing.T) {
 // tiny segment job over real HTTP (satellite requirement: the measured
 // end-to-end path should be dominated by the kernel, not the gateway).
 func BenchmarkJobSubmit(b *testing.B) {
-	runner := NewRunner(DefaultRegistry(), queue.NewStore(), 2)
+	runner := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 2})
 	defer runner.Close()
 	gw := NewGateway(runner, GatewayOptions{AllowAnonymous: true, PollInterval: time.Millisecond, TokenSeed: 1})
 	srv := httptest.NewServer(gw)
@@ -493,7 +493,7 @@ func BenchmarkJobSubmit(b *testing.B) {
 func BenchmarkSubmitOverheadInProcess(b *testing.B) {
 	reg := NewRegistry()
 	reg.Register(api.KindWorkflow, func(jc *JobContext) (any, error) { return struct{}{}, nil })
-	runner := NewRunner(reg, queue.NewStore(), 1)
+	runner := NewRunnerConfigured(reg, queue.NewStore(), RunnerConfig{Workers: 1})
 	defer runner.Close()
 	req := blockingWorkflowRequest()
 	b.ReportAllocs()
@@ -516,7 +516,7 @@ func BenchmarkSubmitOverheadInProcess(b *testing.B) {
 // BenchmarkStatusPoll pins the satellite's alloc target: 0 allocs/op on
 // the in-process status-poll path.
 func BenchmarkStatusPoll(b *testing.B) {
-	runner := NewRunner(DefaultRegistry(), queue.NewStore(), 1)
+	runner := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 1})
 	defer runner.Close()
 	st, err := runner.Submit(tinySegmentRequest(), "bench")
 	if err != nil {

@@ -145,16 +145,11 @@ func (r *Runner) runWithRetry(h Handler, jc *JobContext) (any, error) {
 // quiescing; scenario invariants call it at the end of every script.
 func (r *Runner) LeakCheck() error {
 	var live []string
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for id, j := range sh.jobs {
-			if !stateNames[j.state.Load()].Terminal() {
-				live = append(live, id)
-			}
+	r.eachJob(func(j *job) {
+		if !stateNames[j.state.Load()].Terminal() {
+			live = append(live, j.id)
 		}
-		sh.mu.Unlock()
-	}
+	})
 	if len(live) > 0 {
 		sort.Strings(live)
 		return fmt.Errorf("service: leak check before quiescence: %d non-terminal jobs: %s",
@@ -168,15 +163,13 @@ func (r *Runner) LeakCheck() error {
 		sort.Strings(ids)
 		return fmt.Errorf("service: leaked dataset pins: %s", strings.Join(ids, ", "))
 	}
-	if r.sched != nil {
-		if claims := r.sched.LiveClaims(); len(claims) > 0 {
-			parts := make([]string, 0, len(claims))
-			for node, ids := range claims {
-				parts = append(parts, fmt.Sprintf("%s:%v", node, ids))
-			}
-			sort.Strings(parts)
-			return fmt.Errorf("service: leaked node claims: %s", strings.Join(parts, ", "))
+	if claims := r.disp.liveClaims(); len(claims) > 0 {
+		parts := make([]string, 0, len(claims))
+		for node, ids := range claims {
+			parts = append(parts, fmt.Sprintf("%s:%v", node, ids))
 		}
+		sort.Strings(parts)
+		return fmt.Errorf("service: leaked node claims: %s", strings.Join(parts, ", "))
 	}
 	if n := r.streams.Load(); n != 0 {
 		return fmt.Errorf("service: %d event stream(s) still open after quiescence", n)

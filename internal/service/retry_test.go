@@ -196,7 +196,7 @@ func TestPlacementFailsTerminalWhenAllReplicasLost(t *testing.T) {
 		return nil, jc.Ctx().Err()
 	})
 	fab := threeNodeFabric(t)
-	r := NewClusterRunner(reg, queue.NewStore(), 2, fab)
+	r := NewClusterRunnerConfigured(reg, queue.NewStore(), fab, RunnerConfig{Workers: 2})
 	defer r.Close()
 	tightRetries(r, 2)
 
@@ -242,7 +242,7 @@ func TestPlacementRetryBudgetExhausted(t *testing.T) {
 		return nil, jc.Ctx().Err()
 	})
 	fab := twoNodeFabric(t)
-	r := NewClusterRunner(reg, queue.NewStore(), 2, fab)
+	r := NewClusterRunnerConfigured(reg, queue.NewStore(), fab, RunnerConfig{Workers: 2})
 	defer r.Close()
 
 	d, h, w, data := clusterSegmentVolume()

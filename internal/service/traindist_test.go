@@ -302,7 +302,7 @@ func TestSweepEarlyStopHalvesBudgets(t *testing.T) {
 // TestSweepSingleWorkerNoDeadlock: a sweep occupying the only pool worker
 // must help-drain its own children instead of deadlocking on them.
 func TestSweepSingleWorkerNoDeadlock(t *testing.T) {
-	runner := NewRunner(DefaultRegistry(), queue.NewStore(), 1)
+	runner := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 1})
 	defer runner.Close()
 	st, err := runner.Submit(&api.JobRequest{
 		Kind: api.KindSweep,
