@@ -5,19 +5,23 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"chaseci/internal/tensor"
 )
 
 // Training checkpoints for the train_dist job kind: the full state a
 // data-parallel run needs to continue bit-exactly — model weights (the
-// FFNMODL format), optimizer momentum buffers, the sampling seed and batch
+// FFNMODL format), optimizer momentum, the sampling seed and batch
 // geometry, the next round index, and the loss history so far. Sampling is
 // stateless per round (each round derives its RNG from SampleSeed and the
 // round index), so no RNG state needs to survive the round boundary: a run
 // resumed from round R replays rounds R..N exactly as the uninterrupted run
 // would have.
+//
+// Layout, little-endian: magic, uint32 model length, the model, ckptState,
+// the losses (float64 each), then the momentum buffer — one float32 per
+// parameter in the model's own order. As with the model, the fixed-size
+// fields determine the exact length of everything that follows.
 
 var ckptMagic = [8]byte{'F', 'F', 'N', 'C', 'K', 'P', 'T', 1}
 
@@ -40,130 +44,70 @@ type Checkpoint struct {
 	Losses []float64
 }
 
-// walkVelocities visits the optimizer momentum buffer of every parameter in
-// the network's canonical order (wIn, bIn, per-module w1/b1/w2/b2, wOut,
-// bOut) — the same walk applySGD and Save use.
-func walkVelocities(n *Network, opt *tensor.SGD, visit func(data []float32) error) error {
-	if err := visit(opt.VelocityFor(n.wIn).Data); err != nil {
-		return err
-	}
-	if err := visit(opt.VelocityBiasFor(&n.bIn)); err != nil {
-		return err
-	}
-	for _, m := range n.mods {
-		for _, v := range [][]float32{
-			opt.VelocityFor(m.w1).Data, opt.VelocityBiasFor(&m.b1),
-			opt.VelocityFor(m.w2).Data, opt.VelocityBiasFor(&m.b2),
-		} {
-			if err := visit(v); err != nil {
-				return err
-			}
-		}
-	}
-	if err := visit(opt.VelocityFor(n.wOut).Data); err != nil {
-		return err
-	}
-	return visit(opt.VelocityBiasFor(&n.bOut))
+// ckptState is the fixed-size block between the model and the losses.
+type ckptState struct {
+	LR, Momentum          float32
+	SampleSeed            uint64
+	Batch, Round, NLosses uint32
 }
 
-// Encode serializes the checkpoint to w.
-func (c *Checkpoint) Encode(w io.Writer) error {
-	if _, err := w.Write(ckptMagic[:]); err != nil {
-		return err
-	}
-	model := c.Net.SaveBytes()
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(model))); err != nil {
-		return err
-	}
-	if _, err := w.Write(model); err != nil {
-		return err
-	}
-	hdr := []any{
-		c.Opt.LR, c.Opt.Momentum,
-		c.SampleSeed,
-		uint32(c.BatchPerRound), uint32(c.Round), uint32(len(c.Losses)),
-	}
-	for _, v := range hdr {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(w, binary.LittleEndian, c.Losses); err != nil {
-		return err
-	}
-	return walkVelocities(c.Net, c.Opt, func(data []float32) error {
-		return binary.Write(w, binary.LittleEndian, data)
-	})
-}
+var ckptStateLen = binary.Size(ckptState{})
 
 // EncodeBytes returns the serialized checkpoint.
 func (c *Checkpoint) EncodeBytes() []byte {
+	model := c.Net.SaveBytes()
 	var buf bytes.Buffer
-	if err := c.Encode(&buf); err != nil {
-		panic(err) // bytes.Buffer cannot fail
-	}
+	// Fixed-size values into a bytes.Buffer: binary.Write cannot fail.
+	put := func(v any) { binary.Write(&buf, binary.LittleEndian, v) }
+	put(ckptMagic)
+	put(uint32(len(model)))
+	buf.Write(model)
+	put(ckptState{
+		LR: c.Opt.LR, Momentum: c.Opt.Momentum, SampleSeed: c.SampleSeed,
+		Batch: uint32(c.BatchPerRound), Round: uint32(c.Round), NLosses: uint32(len(c.Losses)),
+	})
+	put(c.Losses)
+	put(c.Opt.Velocity(len(c.Net.params)))
 	return buf.Bytes()
 }
 
 // DecodeCheckpoint reconstructs a checkpoint (network, optimizer with
-// momentum state, loss history) from serialized bytes.
+// momentum state, loss history) from serialized bytes. Every length is
+// checked against the bytes actually present before anything is allocated.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	r := bytes.NewReader(data)
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
+	if len(data) < len(ckptMagic)+4 || [8]byte(data[:8]) != ckptMagic {
 		return nil, ErrBadCheckpoint
 	}
-	if magic != ckptMagic {
-		return nil, ErrBadCheckpoint
-	}
-	var modelLen uint32
-	if err := binary.Read(r, binary.LittleEndian, &modelLen); err != nil {
-		return nil, fmt.Errorf("%w: truncated model length", ErrBadCheckpoint)
-	}
-	if int(modelLen) > r.Len() {
+	modelLen := binary.LittleEndian.Uint32(data[8:])
+	rest := data[12:]
+	if int(modelLen) > len(rest) {
 		return nil, fmt.Errorf("%w: model length %d exceeds payload", ErrBadCheckpoint, modelLen)
 	}
-	model := make([]byte, modelLen)
-	if _, err := io.ReadFull(r, model); err != nil {
-		return nil, err
-	}
-	net, err := LoadBytes(model)
+	net, err := LoadBytes(rest[:modelLen])
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint model: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
 	}
-	var (
-		lr, momentum float32
-		sampleSeed   uint64
-		batch, round uint32
-		nLosses      uint32
-	)
-	for _, v := range []any{&lr, &momentum, &sampleSeed, &batch, &round, &nLosses} {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return nil, fmt.Errorf("%w: truncated header", ErrBadCheckpoint)
-		}
+	rest = rest[modelLen:]
+	if len(rest) < ckptStateLen {
+		return nil, fmt.Errorf("%w: truncated header", ErrBadCheckpoint)
 	}
-	if int(nLosses)*8 > r.Len() {
-		return nil, fmt.Errorf("%w: loss count %d exceeds payload", ErrBadCheckpoint, nLosses)
+	var st ckptState
+	binary.Decode(rest[:ckptStateLen], binary.LittleEndian, &st) // length checked above
+	rest = rest[ckptStateLen:]
+	lossBytes := 8 * int(st.NLosses)
+	if len(rest) != lossBytes+4*len(net.params) {
+		return nil, fmt.Errorf("%w: %d bytes after the header, want %d losses and %d velocities",
+			ErrBadCheckpoint, len(rest), st.NLosses, len(net.params))
 	}
-	losses := make([]float64, nLosses)
-	if err := binary.Read(r, binary.LittleEndian, losses); err != nil {
-		return nil, err
-	}
-	opt := tensor.NewSGD(lr, momentum)
-	err = walkVelocities(net, opt, func(dst []float32) error {
-		return binary.Read(r, binary.LittleEndian, dst)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated velocities", ErrBadCheckpoint)
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, r.Len())
-	}
+	losses := make([]float64, st.NLosses)
+	opt := tensor.NewSGD(st.LR, st.Momentum)
+	binary.Decode(rest[:lossBytes], binary.LittleEndian, losses)
+	binary.Decode(rest[lossBytes:], binary.LittleEndian, opt.Velocity(len(net.params)))
 	return &Checkpoint{
 		Net: net, Opt: opt,
-		SampleSeed:    sampleSeed,
-		BatchPerRound: int(batch),
-		Round:         int(round),
+		SampleSeed:    st.SampleSeed,
+		BatchPerRound: int(st.Batch),
+		Round:         int(st.Round),
 		Losses:        losses,
 	}, nil
 }

@@ -10,15 +10,20 @@ import (
 	"chaseci/internal/tensor"
 )
 
+// Data-parallel training for the Section III-E2 extension ("Tensorflow does
+// support distributed training and we want to take advantage of this").
+//
 // DistTrainer runs synchronous data-parallel SGD with a worker-count-
 // invariant sampling scheme. Every round draws one global batch of FOV
 // centers from an RNG derived only from (SampleSeed, round index); the
-// examples are sharded across W worker goroutines that compute gradients
-// concurrently against the shared network (ComputeGrads is read-only), and
-// the all-reduce averages the per-sample gradients in global sample order.
-// The resulting loss sequence is therefore bit-identical at any worker
-// count, under elastic worker changes between rounds, and across a
-// checkpoint/restore boundary.
+// examples are sharded across W worker goroutines, each with its own
+// scratch, that run the same forward+backward pass TrainStep runs against
+// the shared (read-only) network, sample i writing row i of one batch x P
+// gradient matrix. The all-reduce sums the rows in global sample order and
+// scales by 1/batch, and one optimizer step applies the mean to the flat
+// parameter vector. The resulting loss sequence is therefore bit-identical
+// at any worker count, under elastic worker changes between rounds, and
+// across a checkpoint/restore boundary; at batch 1 a round is TrainStep.
 type DistTrainer struct {
 	Net *Network
 	Opt *tensor.SGD
@@ -26,13 +31,21 @@ type DistTrainer struct {
 	PositiveBias float64
 
 	img, lbl *Volume
-	pos, neg [][3]int
+	centers  fovCenters
 
 	sampleSeed uint64
 	batch      int
 	workers    int
 	round      int
 	losses     []float64
+
+	// Reused across rounds: the round's centers and per-sample losses, the
+	// gradient matrix (row i is sample i's gradient) and one scratch per
+	// worker goroutine.
+	batchCenters [][3]int
+	sampleLoss   []float64
+	grads        []float32
+	scratch      []*trainScratch
 }
 
 // ErrNoWorkers indicates a non-positive worker count.
@@ -58,15 +71,18 @@ func newDistTrainer(net *Network, opt *tensor.SGD, img, lbl *Volume, sampleSeed 
 	if batchPerRound < 1 {
 		return nil, fmt.Errorf("ffn: batch per round %d, want >= 1", batchPerRound)
 	}
-	pos, neg := collectCenters(lbl, net.cfg.FOV)
-	if len(pos) == 0 && len(neg) == 0 {
-		return nil, ErrNoExamples
+	centers, err := collectCenters(lbl, net.cfg.FOV)
+	if err != nil {
+		return nil, err
 	}
 	return &DistTrainer{
 		Net: net, Opt: opt, PositiveBias: 0.5,
-		img: img, lbl: lbl, pos: pos, neg: neg,
+		img: img, lbl: lbl, centers: centers,
 		sampleSeed: sampleSeed, batch: batchPerRound, workers: workers,
 		round: round, losses: losses,
+		batchCenters: make([][3]int, batchPerRound),
+		sampleLoss:   make([]float64, batchPerRound),
+		grads:        make([]float32, batchPerRound*len(net.params)),
 	}, nil
 }
 
@@ -113,22 +129,15 @@ func (t *DistTrainer) Round(ctx context.Context) (float64, error) {
 		return 0, err
 	}
 	rng := t.roundRNG(t.round)
-	centers := make([][3]int, t.batch)
-	for i := range centers {
-		usePos := len(t.pos) > 0 && (len(t.neg) == 0 || rng.Float64() < t.PositiveBias)
-		if usePos {
-			centers[i] = t.pos[rng.Intn(len(t.pos))]
-		} else {
-			centers[i] = t.neg[rng.Intn(len(t.neg))]
-		}
+	for i := range t.batchCenters {
+		t.batchCenters[i] = t.centers.draw(rng, t.PositiveBias)
 	}
 
-	w := t.workers
-	if w > t.batch {
-		w = t.batch
+	w := min(t.workers, t.batch)
+	for len(t.scratch) < w {
+		t.scratch = append(t.scratch, t.Net.newTrainScratch())
 	}
-	grads := make([]*ParamGrads, t.batch)
-	sampleLoss := make([]float64, t.batch)
+	p := len(t.Net.params)
 	fov := t.Net.cfg.FOV
 	var wg sync.WaitGroup
 	for wi := 0; wi < w; wi++ {
@@ -136,33 +145,34 @@ func (t *DistTrainer) Round(ctx context.Context) (float64, error) {
 		lo := wi * t.batch / w
 		hi := (wi + 1) * t.batch / w
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(ts *trainScratch, lo, hi int) {
 			defer wg.Done()
-			img := tensor.New(1, fov[0], fov[1], fov[2])
-			lab := tensor.New(1, fov[0], fov[1], fov[2])
 			for i := lo; i < hi; i++ {
-				c := centers[i]
-				extractFOVInto(img, t.img, fov, c[0], c[1], c[2])
-				extractFOVInto(lab, t.lbl, fov, c[0], c[1], c[2])
-				sampleLoss[i], grads[i] = t.Net.ComputeGrads(img, lab)
+				ts.extract(t.img, t.lbl, fov, t.batchCenters[i])
+				t.sampleLoss[i] = t.Net.exampleGrad(ts, ts.img, ts.lab, t.grads[i*p:(i+1)*p])
 			}
-		}(lo, hi)
+		}(t.scratch[wi], lo, hi)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
 
-	// The all-reduce: average in global sample order, so the result does not
-	// depend on which worker produced which gradient.
-	avg, err := AverageGrads(grads)
-	if err != nil {
-		return 0, err
+	// The all-reduce: sum the rows into row 0 in global sample order, then
+	// scale, so the mean does not depend on which worker wrote which row.
+	mean := t.grads[:p]
+	for i := 1; i < t.batch; i++ {
+		for j, g := range t.grads[i*p : (i+1)*p] {
+			mean[j] += g
+		}
 	}
-	t.Net.ApplyGrads(t.Opt, avg)
-	t.Net.qn = nil // weights changed; quantized cache is stale
+	scale := float32(1) / float32(t.batch)
+	for j := range mean {
+		mean[j] *= scale
+	}
+	t.Net.step(t.Opt, mean)
 	loss := 0.0
-	for _, l := range sampleLoss {
+	for _, l := range t.sampleLoss {
 		loss += l
 	}
 	loss /= float64(t.batch)

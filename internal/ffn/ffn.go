@@ -8,6 +8,15 @@
 // flooding outward from a seed until the object is covered. Training and
 // inference are real (pure Go, laptop-scale volumes); cluster-scale timing is
 // projected via internal/gpusim.
+//
+// A network's parameters are one flat []float32 in a canonical order
+// (paramViews), with the conv weights and biases as views into it; a
+// gradient, the optimizer's momentum and the serialized model are the same
+// vector shape, so saving, checkpointing, the all-reduce and the optimizer
+// step are each one pass over a slice. There is one gradient path: every
+// trainer — TrainStep, Trainer, DistTrainer — runs exampleGrad (forwardInto
+// then backwardInto over a reusable trainScratch, writing one gradient row)
+// and then step.
 package ffn
 
 import (
@@ -97,18 +106,73 @@ type module struct {
 	b1, b2 []float32
 }
 
-// Network is the FFN model.
-type Network struct {
-	cfg Config
-
+// paramViews are the conv weights and biases of one architecture as views
+// into a flat vector. The canonical order — wIn, bIn, then w1, b1, w2, b2
+// per module, then wOut, bOut — is the order of the serialized model, of the
+// optimizer's momentum buffer and of every gradient row; bind is the only
+// place it is written down.
+type paramViews struct {
 	wIn  *tensor.Tensor // (F, 2, 3, 3, 3): image + POM channels in
 	bIn  []float32
 	mods []*module
 	wOut *tensor.Tensor // (1, F, 1, 1, 1)
 	bOut []float32
+}
 
-	ts *trainScratch // lazily built per-network training buffers
-	qn *quantNet     // lazily built quantized weights (nil after training)
+// paramCount returns the length of the flat parameter vector.
+func (c *Config) paramCount() int {
+	f := c.Features
+	return 2*27*f + f + c.Modules*2*(27*f*f+f) + f + 1
+}
+
+// newParamViews builds the views for cfg, bound to nothing yet.
+func newParamViews(cfg Config) paramViews {
+	f := cfg.Features
+	view := func(shape ...int) *tensor.Tensor { return &tensor.Tensor{Shape: shape} }
+	v := paramViews{wIn: view(f, 2, 3, 3, 3), wOut: view(1, f, 1, 1, 1)}
+	for m := 0; m < cfg.Modules; m++ {
+		v.mods = append(v.mods, &module{w1: view(f, f, 3, 3, 3), w2: view(f, f, 3, 3, 3)})
+	}
+	return v
+}
+
+// bind points every view at its span of flat (len paramCount), without
+// allocating.
+func (v *paramViews) bind(flat []float32) {
+	f := v.wIn.Shape[0]
+	next := func(n int) []float32 {
+		span := flat[:n:n]
+		flat = flat[n:]
+		return span
+	}
+	v.wIn.Data, v.bIn = next(v.wIn.Size()), next(f)
+	for _, m := range v.mods {
+		m.w1.Data, m.b1 = next(m.w1.Size()), next(f)
+		m.w2.Data, m.b2 = next(m.w2.Size()), next(f)
+	}
+	v.wOut.Data, v.bOut = next(v.wOut.Size()), next(1)
+	if len(flat) != 0 {
+		panic(fmt.Sprintf("ffn: %d scalars left over binding a parameter vector", len(flat)))
+	}
+}
+
+// Network is the FFN model. Its parameters are one flat vector in canonical
+// order; the embedded views are what the conv kernels read.
+type Network struct {
+	cfg    Config
+	params []float32
+	paramViews
+
+	ts   *trainScratch // TrainStep's lazily built buffers...
+	grad []float32     // ...and its gradient row
+	qn   *quantNet     // lazily built quantized weights (nil after training)
+}
+
+// newNetwork allocates a zero-weight model for a validated cfg.
+func newNetwork(cfg Config) *Network {
+	n := &Network{cfg: cfg, params: make([]float32, cfg.paramCount()), paramViews: newParamViews(cfg)}
+	n.bind(n.params)
+	return n
 }
 
 // NewNetwork initializes a model with He-initialized weights from seed.
@@ -118,23 +182,12 @@ func NewNetwork(cfg Config, seed uint64) (*Network, error) {
 	}
 	rng := sim.NewRNG(seed)
 	f := cfg.Features
-	n := &Network{
-		cfg:  cfg,
-		wIn:  tensor.New(f, 2, 3, 3, 3),
-		bIn:  make([]float32, f),
-		wOut: tensor.New(1, f, 1, 1, 1),
-		bOut: make([]float32, 1),
-	}
+	n := newNetwork(cfg)
 	n.wIn.Randomize(rng, 2*27)
 	n.wOut.Randomize(rng, f)
-	for m := 0; m < cfg.Modules; m++ {
-		mod := &module{
-			w1: tensor.New(f, f, 3, 3, 3), b1: make([]float32, f),
-			w2: tensor.New(f, f, 3, 3, 3), b2: make([]float32, f),
-		}
-		mod.w1.Randomize(rng, f*27)
-		mod.w2.Randomize(rng, f*27)
-		n.mods = append(n.mods, mod)
+	for _, m := range n.mods {
+		m.w1.Randomize(rng, f*27)
+		m.w2.Randomize(rng, f*27)
 	}
 	return n, nil
 }
@@ -143,16 +196,14 @@ func NewNetwork(cfg Config, seed uint64) (*Network, error) {
 func (n *Network) Config() Config { return n.cfg }
 
 // ParamCount returns the total number of trainable scalars.
-func (n *Network) ParamCount() int {
-	total := n.wIn.Size() + len(n.bIn) + n.wOut.Size() + len(n.bOut)
-	for _, m := range n.mods {
-		total += m.w1.Size() + len(m.b1) + m.w2.Size() + len(m.b2)
-	}
-	return total
-}
+func (n *Network) ParamCount() int { return len(n.params) }
+
+// GradBytes returns the wire size of one gradient exchange (float32 per
+// parameter), the quantity each all-reduce moves per worker pair.
+func (n *Network) GradBytes() float64 { return float64(len(n.params)) * 4 }
 
 // fwdCache stores activations needed for backprop. Caches are reusable:
-// every tensor except input is preallocated by newCache and overwritten by
+// every tensor except input is preallocated by newCacheFrom and overwritten by
 // each forwardInto call, so steady-state training and inference allocate
 // nothing on the forward path.
 type fwdCache struct {
@@ -165,11 +216,9 @@ type fwdCache struct {
 	modOut  []*tensor.Tensor // post residual + ReLU
 }
 
-// newCache preallocates every activation tensor for this architecture.
-func (n *Network) newCache() *fwdCache { return n.newCacheFrom(tensor.New) }
-
-// newCacheFrom builds the cache with alloc, which need not zero: forwardInto
-// overwrites every element of every tensor.
+// newCacheFrom preallocates every activation tensor for this architecture
+// with alloc, which need not zero: forwardInto overwrites every element of
+// every tensor.
 func (n *Network) newCacheFrom(alloc func(shape ...int) *tensor.Tensor) *fwdCache {
 	f := n.cfg.Features
 	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
@@ -204,150 +253,61 @@ func (n *Network) forwardInto(cache *fwdCache, in, delta *tensor.Tensor) {
 	tensor.Conv3DInto(delta, cur, n.wOut, n.bOut)
 }
 
-// forward is the allocating wrapper around forwardInto for callers that
-// keep the cache (ComputeGrads) or need a fresh output tensor (Apply).
-func (n *Network) forward(in *tensor.Tensor) (*tensor.Tensor, *fwdCache) {
-	cache := n.newCache()
-	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
-	delta := tensor.New(1, d, h, w)
-	n.forwardInto(cache, in, delta)
-	return delta, cache
-}
-
-// Apply runs one inference step: given image and POM logits over a FOV, it
-// returns the network's predicted object logits for the FOV. The POM channel
-// conditions the prediction (telling the network where the seed/current
-// object is); the output is absolute logits rather than an additive update,
-// which keeps repeated applications over overlapping FOVs from saturating.
-func (n *Network) Apply(image, pom *tensor.Tensor) *tensor.Tensor {
-	in := packInput(image, pom)
-	out, _ := n.forward(in)
-	return out
-}
-
-// packInput stacks (1,D,H,W) image and POM into a (2,D,H,W) tensor.
-func packInput(image, pom *tensor.Tensor) *tensor.Tensor {
-	d, h, w := image.Shape[1], image.Shape[2], image.Shape[3]
-	in := tensor.New(2, d, h, w)
-	packInputInto(in, image, pom)
-	return in
-}
-
 // packInputInto stacks image and POM into the caller's (2,D,H,W) tensor.
 func packInputInto(in, image, pom *tensor.Tensor) {
 	copy(in.Data[:image.Size()], image.Data)
 	copy(in.Data[image.Size():], pom.Data)
 }
 
-// grads mirrors the parameter structure.
-type grads struct {
-	wIn  *tensor.Tensor
-	bIn  []float32
-	mods []*module
-	wOut *tensor.Tensor
-	bOut []float32
-}
-
-// backward computes parameter gradients given the cache and dLoss/dDelta.
-func (n *Network) backward(cache *fwdCache, gradDelta *tensor.Tensor) *grads {
-	g := &grads{}
-	last := cache.actIn
-	if len(cache.modOut) > 0 {
-		last = cache.modOut[len(cache.modOut)-1]
-	}
-	gradCur, gWOut, gBOut := tensor.Conv3DBackward(last, n.wOut, gradDelta)
-	g.wOut, g.bOut = gWOut, gBOut
-
-	for i := len(n.mods) - 1; i >= 0; i-- {
-		m := n.mods[i]
-		prev := cache.actIn
-		if i > 0 {
-			prev = cache.modOut[i-1]
-		}
-		// Through the output ReLU of the module.
-		gradSum := tensor.ReLUBackward(cache.modPre2[i], gradCur)
-		// Residual: gradient flows both into conv2 branch and skip path.
-		gradAct1, gW2, gB2 := tensor.Conv3DBackward(cache.modAct1[i], m.w2, gradSum)
-		gradPre1 := tensor.ReLUBackward(cache.modPre1[i], gradAct1)
-		gradPrev, gW1, gB1 := tensor.Conv3DBackward(prev, m.w1, gradPre1)
-		gradPrev.AddInPlace(gradSum) // skip connection
-		g.mods = append([]*module{{w1: gW1, b1: gB1, w2: gW2, b2: gB2}}, g.mods...)
-		gradCur = gradPrev
-	}
-	gradPreIn := tensor.ReLUBackward(cache.preIn, gradCur)
-	_, gWIn, gBIn := tensor.Conv3DBackward(cache.input, n.wIn, gradPreIn)
-	g.wIn, g.bIn = gWIn, gBIn
-	return g
-}
-
-// applySGD steps every parameter with the optimizer.
-func (n *Network) applySGD(opt *tensor.SGD, g *grads) {
-	opt.Step(n.wIn, g.wIn)
-	opt.StepBias(&n.bIn, g.bIn)
-	for i, m := range n.mods {
-		opt.Step(m.w1, g.mods[i].w1)
-		opt.StepBias(&m.b1, g.mods[i].b1)
-		opt.Step(m.w2, g.mods[i].w2)
-		opt.StepBias(&m.b2, g.mods[i].b2)
-	}
-	opt.Step(n.wOut, g.wOut)
-	opt.StepBias(&n.bOut, g.bOut)
-}
-
-// trainScratch holds every buffer one SGD step needs, so steady-state
-// training allocates nothing. It lives on the Network (training already
-// mutates the weights, so a Network must not be trained concurrently).
+// trainScratch holds every buffer one forward+backward pass needs besides
+// the weights, so steady-state training allocates nothing. One scratch
+// serves one goroutine, and the network is only read through it.
 type trainScratch struct {
 	cache      *fwdCache
 	pom        *tensor.Tensor // constant seed POM
+	img, lab   *tensor.Tensor // (1,D,H,W) FOV extracts, for callers sampling a volume
 	in         *tensor.Tensor // packed (2,D,H,W) input
 	delta      *tensor.Tensor // (1,D,H,W) output logits
 	gradLogits *tensor.Tensor
-	g          *grads // parameter gradients, reused each step
+	g          paramViews // gradient views, bound to the row being written
 	// Backward temporaries, all (F,D,H,W) except gradInput (2,D,H,W).
 	gradCur, gradPrev, gradSum, gradAct1 *tensor.Tensor
 	gradInput                            *tensor.Tensor
 }
 
-func (n *Network) trainScratchBufs() *trainScratch {
-	if n.ts != nil {
-		return n.ts
-	}
+func (n *Network) newTrainScratch() *trainScratch {
 	f := n.cfg.Features
 	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
-	ts := &trainScratch{
-		cache:      n.newCache(),
+	return &trainScratch{
+		cache:      n.newCacheFrom(tensor.New),
 		pom:        n.SeedPOM(),
+		img:        tensor.New(1, d, h, w),
+		lab:        tensor.New(1, d, h, w),
 		in:         tensor.New(2, d, h, w),
 		delta:      tensor.New(1, d, h, w),
 		gradLogits: tensor.New(1, d, h, w),
+		g:          newParamViews(n.cfg),
 		gradCur:    tensor.New(f, d, h, w),
 		gradPrev:   tensor.New(f, d, h, w),
 		gradSum:    tensor.New(f, d, h, w),
 		gradAct1:   tensor.New(f, d, h, w),
 		gradInput:  tensor.New(2, d, h, w),
 	}
-	g := &grads{
-		wIn:  tensor.New(f, 2, 3, 3, 3),
-		bIn:  make([]float32, f),
-		wOut: tensor.New(1, f, 1, 1, 1),
-		bOut: make([]float32, 1),
-	}
-	for range n.mods {
-		g.mods = append(g.mods, &module{
-			w1: tensor.New(f, f, 3, 3, 3), b1: make([]float32, f),
-			w2: tensor.New(f, f, 3, 3, 3), b2: make([]float32, f),
-		})
-	}
-	ts.g = g
-	n.ts = ts
-	return ts
 }
 
-// backwardInto computes parameter gradients into ts.g using only the
-// scratch temporaries (no allocation).
-func (n *Network) backwardInto(ts *trainScratch, gradDelta *tensor.Tensor) {
-	cache, g := ts.cache, ts.g
+// extract copies the example centered at c out of a labelled volume into
+// the scratch's FOV tensors.
+func (ts *trainScratch) extract(image, labels *Volume, fov [3]int, c [3]int) {
+	extractFOVInto(ts.img, image, fov, c[0], c[1], c[2])
+	extractFOVInto(ts.lab, labels, fov, c[0], c[1], c[2])
+}
+
+// backwardInto computes the parameter gradients of the pass cached in ts
+// into row (len ParamCount, canonical order, overwritten), using only the
+// scratch temporaries.
+func (n *Network) backwardInto(ts *trainScratch, gradDelta *tensor.Tensor, row []float32) {
+	ts.g.bind(row)
+	cache, g := ts.cache, &ts.g
 	last := cache.actIn
 	if len(cache.modOut) > 0 {
 		last = cache.modOut[len(cache.modOut)-1]
@@ -373,19 +333,39 @@ func (n *Network) backwardInto(ts *trainScratch, gradDelta *tensor.Tensor) {
 	tensor.Conv3DBackwardInto(ts.gradInput, g.wIn, g.bIn, cache.input, n.wIn, ts.gradCur)
 }
 
-// TrainStep runs one optimization step on a single FOV example: image and
-// label are (1,D,H,W) FOV tensors; the POM starts from the seed state. It
-// returns the BCE loss before the update. All intermediate buffers are
-// reused across calls, so steady-state steps allocate nothing.
-func (n *Network) TrainStep(opt *tensor.SGD, image, label *tensor.Tensor) float64 {
-	ts := n.trainScratchBufs()
+// exampleGrad runs forward+backward on one FOV example — image and label
+// are (1,D,H,W) FOV tensors, the POM starts from the seed state — writing
+// the parameter gradient into row and returning the BCE loss. It only reads
+// the weights, so workers with their own scratch may call it concurrently.
+func (n *Network) exampleGrad(ts *trainScratch, image, label *tensor.Tensor, row []float32) float64 {
 	packInputInto(ts.in, image, ts.pom)
 	n.forwardInto(ts.cache, ts.in, ts.delta)
 	loss := tensor.LogitBCEInto(ts.gradLogits, ts.delta, label, nil)
-	n.backwardInto(ts, ts.gradLogits)
-	n.applySGD(opt, ts.g)
-	n.qn = nil // weights changed; quantized cache is stale
+	n.backwardInto(ts, ts.gradLogits, row)
 	return loss
+}
+
+// step applies one optimizer update to the whole parameter vector.
+func (n *Network) step(opt *tensor.SGD, grad []float32) {
+	opt.Step(n.params, grad)
+	n.qn = nil // weights changed; quantized cache is stale
+}
+
+// TrainStep runs one optimization step on a single FOV example and returns
+// the BCE loss before the update. The scratch and the gradient row live on
+// the Network and are reused across calls, so steady-state steps allocate
+// nothing (and a Network must not be trained concurrently).
+func (n *Network) TrainStep(opt *tensor.SGD, image, label *tensor.Tensor) float64 {
+	loss := n.exampleGrad(n.trainBufs(), image, label, n.grad)
+	n.step(opt, n.grad)
+	return loss
+}
+
+func (n *Network) trainBufs() *trainScratch {
+	if n.ts == nil {
+		n.ts, n.grad = n.newTrainScratch(), make([]float32, len(n.params))
+	}
+	return n.ts
 }
 
 // SeedPOM builds the initial POM for a FOV: PadProb everywhere, SeedProb at

@@ -1,7 +1,10 @@
 package ffn
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"chaseci/internal/merra"
@@ -37,6 +40,16 @@ func TestNewNetworkValidation(t *testing.T) {
 	}
 }
 
+// apply runs one inference step: given image and POM logits over a FOV, it
+// returns the network's predicted object logits for the FOV.
+func apply(n *Network, image, pom *tensor.Tensor) *tensor.Tensor {
+	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
+	in, out := tensor.New(2, d, h, w), tensor.New(1, d, h, w)
+	packInputInto(in, image, pom)
+	n.forwardInto(n.newCacheFrom(tensor.New), in, out)
+	return out
+}
+
 func TestNetworkDeterministicInit(t *testing.T) {
 	a, _ := NewNetwork(smallConfig(), 42)
 	b, _ := NewNetwork(smallConfig(), 42)
@@ -62,7 +75,7 @@ func TestApplyShapes(t *testing.T) {
 	n, _ := NewNetwork(smallConfig(), 1)
 	img := tensor.New(1, 3, 7, 7)
 	pom := n.SeedPOM()
-	out := n.Apply(img, pom)
+	out := apply(n, img, pom)
 	if !tensor.SameShape(out, pom) {
 		t.Fatalf("Apply output shape %v, want %v", out.Shape, pom.Shape)
 	}
@@ -243,8 +256,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	for i := range img.Data {
 		img.Data[i] = float32(i%5) - 2
 	}
-	a := n.Apply(img, n.SeedPOM())
-	b := back.Apply(img, back.SeedPOM())
+	a := apply(n, img, n.SeedPOM())
+	b := apply(back, img, back.SeedPOM())
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatal("loaded model predicts differently")
@@ -256,6 +269,42 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := LoadBytes([]byte("definitely not a model")); err != ErrBadModel {
 		t.Fatalf("err = %v, want ErrBadModel", err)
 	}
+	n, _ := NewNetwork(smallConfig(), 13)
+	data := n.SaveBytes()
+	for _, bad := range [][]byte{data[:len(data)-3], append(data[:len(data):len(data)], 0)} {
+		if _, err := LoadBytes(bad); !errors.Is(err, ErrBadModel) {
+			t.Fatalf("%d-byte model (want %d): err = %v, want ErrBadModel", len(bad), len(data), err)
+		}
+	}
+	// A header that promises 2^30 features must be refused from its length
+	// alone: allocating what it asks for is an unrecoverable out-of-memory.
+	hostile := hugeModelHeader()
+	var err error
+	if got := allocatedBy(func() { _, err = LoadBytes(hostile) }); got > 4096 {
+		t.Fatalf("LoadBytes allocated %d bytes for a %d-byte input", got, len(hostile))
+	}
+	if !errors.Is(err, ErrBadModel) {
+		t.Fatalf("hostile header: err = %v, want ErrBadModel", err)
+	}
+}
+
+// hugeModelHeader is a well-formed 56-byte model header, and nothing else,
+// whose Features field is 1<<30.
+func hugeModelHeader() []byte {
+	n, _ := NewNetwork(smallConfig(), 1)
+	h := n.SaveBytes()[:modelHeaderLen:modelHeaderLen]
+	binary.LittleEndian.PutUint32(h[20:], 1<<30) // magic(8) + FOV(12), then Features
+	return h
+}
+
+// allocatedBy returns the heap bytes f allocates (other goroutines' too, so
+// callers compare against a bound with slack).
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 func TestTrainOnVolumeNoExamples(t *testing.T) {

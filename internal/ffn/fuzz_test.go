@@ -1,0 +1,69 @@
+package ffn
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+)
+
+// Native fuzz targets for the two decoders fed by untrusted bytes (a
+// checkpoint dataset is an opaque upload). Invariants: no panic; a refusal
+// is the decoder's own sentinel; nothing allocated beyond what the input's
+// own length accounts for; and decode -> encode -> decode is the identity.
+// The checked-in corpus under testdata/fuzz holds a valid model, a valid
+// checkpoint, the 56-byte header that asks for 2^30 features, and a
+// checkpoint with a truncated velocity block.
+
+// fuzzAllocSlack covers the fixed-size pieces of a decoded network (views,
+// headers, error text) plus whatever the fuzz worker's other goroutines
+// allocate meanwhile; the decoded payloads themselves are bounded by the
+// input length.
+const fuzzAllocSlack = 1 << 20
+
+func FuzzLoadModel(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var n *Network
+		var err error
+		if got := allocatedBy(func() { n, err = LoadBytes(data) }); got > uint64(len(data))+fuzzAllocSlack {
+			t.Fatalf("LoadBytes allocated %d bytes for a %d-byte input", got, len(data))
+		}
+		if err != nil {
+			if !errors.Is(err, ErrBadModel) {
+				t.Fatalf("LoadBytes: %v, want ErrBadModel", err)
+			}
+			return
+		}
+		enc := n.SaveBytes()
+		again, err := LoadBytes(enc)
+		if err != nil {
+			t.Fatalf("re-decode of an accepted model: %v", err)
+		}
+		if !bytes.Equal(again.SaveBytes(), enc) {
+			t.Fatal("decode -> encode -> decode is not the identity")
+		}
+	})
+}
+
+func FuzzDecodeCheckpoint(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ck *Checkpoint
+		var err error
+		if got := allocatedBy(func() { ck, err = DecodeCheckpoint(data) }); got > uint64(len(data))+fuzzAllocSlack {
+			t.Fatalf("DecodeCheckpoint allocated %d bytes for a %d-byte input", got, len(data))
+		}
+		if err != nil {
+			if !errors.Is(err, ErrBadCheckpoint) {
+				t.Fatalf("DecodeCheckpoint: %v, want ErrBadCheckpoint", err)
+			}
+			return
+		}
+		enc := ck.EncodeBytes()
+		again, err := DecodeCheckpoint(enc)
+		if err != nil {
+			t.Fatalf("re-decode of an accepted checkpoint: %v", err)
+		}
+		if !bytes.Equal(again.EncodeBytes(), enc) {
+			t.Fatal("decode -> encode -> decode is not the identity")
+		}
+	})
+}

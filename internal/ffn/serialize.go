@@ -5,118 +5,79 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 )
 
 // Model serialization: after step 2 the paper saves "the trained FFN model
 // ... in the Ceph Object Store, including all parameters and configurations
-// needed to do inference on new NASA data". This file provides that byte
-// format.
+// needed to do inference on new NASA data". The byte format is a fixed
+// little-endian header (modelHeader) followed by the flat parameter vector,
+// float32 each, in canonical order — nothing else, so the header alone
+// fixes the exact length of a well-formed model.
 
 var modelMagic = [8]byte{'F', 'F', 'N', 'M', 'O', 'D', 'L', 1}
 
 // ErrBadModel indicates the bytes are not a serialized FFN model.
 var ErrBadModel = errors.New("ffn: not a serialized model")
 
-// Save serializes the network (config + every weight) to w.
-func (n *Network) Save(w io.Writer) error {
-	if _, err := w.Write(modelMagic[:]); err != nil {
-		return err
-	}
-	cfg := []int32{
-		int32(n.cfg.FOV[0]), int32(n.cfg.FOV[1]), int32(n.cfg.FOV[2]),
-		int32(n.cfg.Features), int32(n.cfg.Modules),
-		int32(n.cfg.MoveStep[0]), int32(n.cfg.MoveStep[1]), int32(n.cfg.MoveStep[2]),
-	}
-	if err := binary.Write(w, binary.LittleEndian, cfg); err != nil {
-		return err
-	}
-	probs := []float32{n.cfg.MoveProb, n.cfg.SegmentProb, n.cfg.PadProb, n.cfg.SeedProb}
-	if err := binary.Write(w, binary.LittleEndian, probs); err != nil {
-		return err
-	}
-	write := func(data []float32) error {
-		return binary.Write(w, binary.LittleEndian, data)
-	}
-	if err := write(n.wIn.Data); err != nil {
-		return err
-	}
-	if err := write(n.bIn); err != nil {
-		return err
-	}
-	for _, m := range n.mods {
-		for _, d := range [][]float32{m.w1.Data, m.b1, m.w2.Data, m.b2} {
-			if err := write(d); err != nil {
-				return err
-			}
-		}
-	}
-	if err := write(n.wOut.Data); err != nil {
-		return err
-	}
-	return write(n.bOut)
+// modelHeader is the serialized form of the Config fields a model carries.
+type modelHeader struct {
+	Magic                                    [8]byte
+	FOV                                      [3]int32
+	Features, Modules                        int32
+	MoveStep                                 [3]int32
+	MoveProb, SegmentProb, PadProb, SeedProb float32
 }
 
-// SaveBytes returns the serialized model.
+var modelHeaderLen = binary.Size(modelHeader{})
+
+func int32x3(v [3]int) [3]int32 { return [3]int32{int32(v[0]), int32(v[1]), int32(v[2])} }
+func intx3(v [3]int32) [3]int   { return [3]int{int(v[0]), int(v[1]), int(v[2])} }
+
+// SaveBytes returns the serialized model (config + every weight).
 func (n *Network) SaveBytes() []byte {
+	c := n.cfg
 	var buf bytes.Buffer
-	if err := n.Save(&buf); err != nil {
-		panic(err) // bytes.Buffer cannot fail
-	}
+	buf.Grow(modelHeaderLen + 4*len(n.params))
+	// Fixed-size values into a bytes.Buffer: binary.Write cannot fail.
+	binary.Write(&buf, binary.LittleEndian, modelHeader{
+		Magic: modelMagic,
+		FOV:   int32x3(c.FOV), Features: int32(c.Features), Modules: int32(c.Modules),
+		MoveStep: int32x3(c.MoveStep),
+		MoveProb: c.MoveProb, SegmentProb: c.SegmentProb, PadProb: c.PadProb, SeedProb: c.SeedProb,
+	})
+	binary.Write(&buf, binary.LittleEndian, n.params)
 	return buf.Bytes()
 }
 
-// Load reconstructs a network from r.
-func Load(r io.Reader) (*Network, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, err
-	}
-	if magic != modelMagic {
+// LoadBytes reconstructs a network from serialized bytes. The header is
+// untrusted: nothing is allocated until the payload is known to be exactly
+// the parameter vector the header's geometry implies.
+func LoadBytes(data []byte) (*Network, error) {
+	if len(data) < modelHeaderLen {
 		return nil, ErrBadModel
 	}
-	cfgInts := make([]int32, 8)
-	if err := binary.Read(r, binary.LittleEndian, cfgInts); err != nil {
-		return nil, err
-	}
-	probs := make([]float32, 4)
-	if err := binary.Read(r, binary.LittleEndian, probs); err != nil {
-		return nil, err
+	var h modelHeader
+	binary.Decode(data[:modelHeaderLen], binary.LittleEndian, &h) // length checked above
+	if h.Magic != modelMagic {
+		return nil, ErrBadModel
 	}
 	cfg := Config{
-		FOV:      [3]int{int(cfgInts[0]), int(cfgInts[1]), int(cfgInts[2])},
-		Features: int(cfgInts[3]), Modules: int(cfgInts[4]),
-		MoveStep: [3]int{int(cfgInts[5]), int(cfgInts[6]), int(cfgInts[7])},
-		MoveProb: probs[0], SegmentProb: probs[1], PadProb: probs[2], SeedProb: probs[3],
+		FOV: intx3(h.FOV), Features: int(h.Features), Modules: int(h.Modules),
+		MoveStep: intx3(h.MoveStep),
+		MoveProb: h.MoveProb, SegmentProb: h.SegmentProb, PadProb: h.PadProb, SeedProb: h.SeedProb,
 	}
-	n, err := NewNetwork(cfg, 0)
-	if err != nil {
-		return nil, fmt.Errorf("ffn: bad config in model: %w", err)
+	if err := cfg.validate(); err != nil {
+		return nil, fmt.Errorf("%w: bad config: %v", ErrBadModel, err)
 	}
-	read := func(data []float32) error {
-		return binary.Read(r, binary.LittleEndian, data)
+	payload := data[modelHeaderLen:]
+	// A model has more than 27·F²·Modules scalars; checking that bound by
+	// division first keeps paramCount from overflowing on a hostile header.
+	f, limit := cfg.Features, len(payload)/4
+	if f > limit/f || cfg.Modules > limit/(27*f*f) || len(payload) != 4*cfg.paramCount() {
+		return nil, fmt.Errorf("%w: %d payload bytes do not match a %d-feature, %d-module network",
+			ErrBadModel, len(payload), cfg.Features, cfg.Modules)
 	}
-	if err := read(n.wIn.Data); err != nil {
-		return nil, err
-	}
-	if err := read(n.bIn); err != nil {
-		return nil, err
-	}
-	for _, m := range n.mods {
-		for _, d := range [][]float32{m.w1.Data, m.b1, m.w2.Data, m.b2} {
-			if err := read(d); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := read(n.wOut.Data); err != nil {
-		return nil, err
-	}
-	if err := read(n.bOut); err != nil {
-		return nil, err
-	}
+	n := newNetwork(cfg)
+	binary.Decode(payload, binary.LittleEndian, n.params) // length checked above
 	return n, nil
 }
-
-// LoadBytes reconstructs a network from serialized bytes.
-func LoadBytes(data []byte) (*Network, error) { return Load(bytes.NewReader(data)) }

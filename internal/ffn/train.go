@@ -10,7 +10,9 @@ import (
 
 // Trainer drives FFN optimization on a labelled volume, sampling FOV
 // examples centered on object voxels (positive-biased sampling, as FFN
-// training does) and applying SGD steps.
+// training does) and applying SGD steps. It is DistTrainer at batch 1 in
+// everything but the sampling stream: Trainer draws every center from one
+// sequential RNG, DistTrainer re-derives its RNG each round.
 type Trainer struct {
 	Net *Network
 	Opt *tensor.SGD
@@ -44,34 +46,21 @@ func (t *Trainer) TrainOnVolume(image, labels *Volume, steps int) ([]float64, er
 // TrainOnVolumeCtx is the context-aware TrainOnVolume: cancellation is
 // checked before every optimizer step, and a cancelled context returns the
 // losses of the steps already taken together with ctx.Err(). progress (may
-// be nil) is called with the completed step count after each step. With a
-// background context the loss sequence is identical to TrainOnVolume's
-// (the RNG draw order is unchanged).
+// be nil) is called with the completed step count after each step.
 func (t *Trainer) TrainOnVolumeCtx(ctx context.Context, image, labels *Volume, steps int, progress func(step int)) ([]float64, error) {
-	pos, neg := collectCenters(labels, t.Net.cfg.FOV)
-	if len(pos) == 0 && len(neg) == 0 {
-		return nil, ErrNoExamples
+	fov := t.Net.cfg.FOV
+	centers, err := collectCenters(labels, fov)
+	if err != nil {
+		return nil, err
 	}
 	losses := make([]float64, 0, steps)
-	fov := t.Net.cfg.FOV
-	// FOV extracts are reused across steps: TrainStep copies them into its
-	// own packed input before touching the network, so mutation is safe.
-	img := tensor.New(1, fov[0], fov[1], fov[2])
-	lab := tensor.New(1, fov[0], fov[1], fov[2])
+	ts := t.Net.trainBufs()
 	for s := 0; s < steps; s++ {
 		if err := ctx.Err(); err != nil {
 			return losses, err
 		}
-		var c [3]int
-		usePos := len(pos) > 0 && (len(neg) == 0 || t.rng.Float64() < t.PositiveBias)
-		if usePos {
-			c = pos[t.rng.Intn(len(pos))]
-		} else {
-			c = neg[t.rng.Intn(len(neg))]
-		}
-		extractFOVInto(img, image, fov, c[0], c[1], c[2])
-		extractFOVInto(lab, labels, fov, c[0], c[1], c[2])
-		losses = append(losses, t.Net.TrainStep(t.Opt, img, lab))
+		ts.extract(image, labels, fov, centers.draw(t.rng, t.PositiveBias))
+		losses = append(losses, t.Net.TrainStep(t.Opt, ts.img, ts.lab))
 		if progress != nil {
 			progress(s + 1)
 		}
@@ -79,20 +68,36 @@ func (t *Trainer) TrainOnVolumeCtx(ctx context.Context, image, labels *Volume, s
 	return losses, nil
 }
 
-// collectCenters lists in-bounds FOV centers, split by label polarity.
-func collectCenters(labels *Volume, fov [3]int) (pos, neg [][3]int) {
+// fovCenters lists the in-bounds FOV centers of a label volume, split by
+// label polarity.
+type fovCenters struct{ pos, neg [][3]int }
+
+func collectCenters(labels *Volume, fov [3]int) (fovCenters, error) {
+	var c fovCenters
 	for z := fov[0] / 2; z+fov[0]/2 < labels.D; z++ {
 		for y := fov[1] / 2; y+fov[1]/2 < labels.H; y++ {
 			for x := fov[2] / 2; x+fov[2]/2 < labels.W; x++ {
 				if labels.At(z, y, x) > 0.5 {
-					pos = append(pos, [3]int{z, y, x})
+					c.pos = append(c.pos, [3]int{z, y, x})
 				} else {
-					neg = append(neg, [3]int{z, y, x})
+					c.neg = append(c.neg, [3]int{z, y, x})
 				}
 			}
 		}
 	}
-	return pos, neg
+	if len(c.pos) == 0 && len(c.neg) == 0 {
+		return c, ErrNoExamples
+	}
+	return c, nil
+}
+
+// draw samples one center: positive with probability positiveBias while
+// both polarities exist.
+func (c *fovCenters) draw(rng *sim.RNG, positiveBias float64) [3]int {
+	if len(c.pos) > 0 && (len(c.neg) == 0 || rng.Float64() < positiveBias) {
+		return c.pos[rng.Intn(len(c.pos))]
+	}
+	return c.neg[rng.Intn(len(c.neg))]
 }
 
 // MeanTail returns the mean of the final frac (0..1] of xs — a convergence

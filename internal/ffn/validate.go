@@ -1,7 +1,6 @@
 package ffn
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 )
@@ -11,8 +10,9 @@ import (
 // from the test data volume for all validation metrics") and plans a Redis
 // queue of "model training/testing validation split methodologies and
 // parameter sets to be used in multi-model validation". This file provides
-// the split, the parameter sets, and the evaluation; core wires them to the
-// cluster and queue.
+// the split and the parameter sets; the evaluation itself is a train job
+// with holdout_steps (service.TrainHandler), which sweep jobs and core's
+// queue-driven sweep both submit.
 
 // Split divides a volume along the time axis: the first trainSteps slices
 // train, the rest test. It panics if the split leaves either side empty,
@@ -95,50 +95,4 @@ func (r ValidationResult) Better(o ValidationResult) bool {
 		return r.F1 > o.F1
 	}
 	return r.IoU > o.IoU
-}
-
-// Evaluate trains a fresh model with h on the training split and scores it
-// on the held-out split: the unit of work each sweep pod executes.
-func Evaluate(h Hyperparams, trainImg, trainLbl, testImg, testLbl *Volume, seed uint64) (ValidationResult, error) {
-	return EvaluateCtx(context.Background(), h, trainImg, trainLbl, testImg, testLbl, seed)
-}
-
-// EvaluateCtx is Evaluate with cancellation. A failed or cancelled held-out
-// segmentation fails the candidate: an all-zero mask from an aborted flood
-// must never score as a legitimate (if terrible) model.
-func EvaluateCtx(ctx context.Context, h Hyperparams, trainImg, trainLbl, testImg, testLbl *Volume, seed uint64) (ValidationResult, error) {
-	cfg := DefaultConfig()
-	cfg.FOV = [3]int{3, 7, 7}
-	cfg.Features = h.Features
-	if h.Modules > 0 {
-		cfg.Modules = h.Modules
-	}
-	cfg.MoveStep = [3]int{1, 2, 2}
-	net, err := NewNetwork(cfg, seed)
-	if err != nil {
-		return ValidationResult{}, err
-	}
-	tr := NewTrainer(net, h.LR, h.Momentum, seed^0xabcd)
-	losses, err := tr.TrainOnVolumeCtx(ctx, trainImg, trainLbl, h.TrainSteps, nil)
-	if err != nil {
-		return ValidationResult{}, err
-	}
-	seeds := GridSeeds(testImg, cfg.FOV, [3]int{1, 4, 4}, 1.0)
-	mask, _, err := net.SegmentCtx(ctx, testImg, seeds, 0, nil)
-	if err != nil {
-		return ValidationResult{}, fmt.Errorf("ffn: held-out segmentation: %w", err)
-	}
-	prec, rec := PrecisionRecall(mask, testLbl)
-	f1 := 0.0
-	if prec+rec > 0 {
-		f1 = 2 * prec * rec / (prec + rec)
-	}
-	return ValidationResult{
-		Params:    h,
-		TrainLoss: MeanTail(losses, 0.2),
-		Precision: prec,
-		Recall:    rec,
-		F1:        f1,
-		IoU:       IoU(mask, testLbl),
-	}, nil
 }

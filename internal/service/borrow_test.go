@@ -247,3 +247,32 @@ func TestRefSegmentJobAllocBound(t *testing.T) {
 		t.Fatalf("ref segment job allocates %d KB in steady state, want <= 512 KB", perJob/1024)
 	}
 }
+
+// TestTrainDistJobAllocBound is the train_dist twin: in steady state a
+// 12-round, batch-16 job with two periodic checkpoints (the bench/ workload's
+// shape) allocates about 1.1 MB — the synthesized source, one batch x P
+// gradient matrix, a scratch per worker and the three checkpoints. When every
+// sample's backward pass built its own activation cache and gradient
+// tensors, and the all-reduce cloned them, it allocated 21 MB.
+func TestTrainDistJobAllocBound(t *testing.T) {
+	r, _ := newTestRunner(t, DefaultRegistry(), 2)
+	req := distRequest(2, 12)
+	req.TrainDist.BatchPerRound = 16
+	req.TrainDist.Net.Features = 6
+	req.TrainDist.CheckpointEvery = 4
+	for i := 0; i < 2; i++ {
+		runJob(t, r, req)
+	}
+	const jobs = 8
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < jobs; i++ {
+		runJob(t, r, req)
+	}
+	runtime.ReadMemStats(&m1)
+	perJob := (m1.TotalAlloc - m0.TotalAlloc) / jobs
+	t.Logf("steady-state train_dist job: %d KB allocated", perJob/1024)
+	if perJob > 3<<20 {
+		t.Fatalf("train_dist job allocates %d KB in steady state, want <= 3072 KB", perJob/1024)
+	}
+}

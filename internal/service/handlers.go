@@ -90,6 +90,61 @@ func thresholdVolume(raw *ffn.Volume, threshold float32) *ffn.Volume {
 	return out
 }
 
+// trainingSet is the conditioning every training path starts from: the raw
+// source, its binary labels (raw >= threshold) and the normalized image.
+// Labels and image live in borrowed buffers that release returns; raw is
+// read-only (see sourceVolume).
+type trainingSet struct {
+	raw, labels, image *ffn.Volume
+}
+
+// openTrainingSet materializes src. labelled is false only for a segment
+// job that skips pretraining and so never reads the labels.
+func openTrainingSet(jc *JobContext, src *api.VolumeSource, threshold float32, labelled bool) (trainingSet, error) {
+	raw, err := sourceVolume(jc.Ctx(), jc, src)
+	if err != nil {
+		return trainingSet{}, err
+	}
+	set := trainingSet{raw: raw}
+	if labelled {
+		set.labels = thresholdVolume(raw, threshold)
+	}
+	set.image = normalizedVolume(raw)
+	return set, nil
+}
+
+func (s *trainingSet) release() {
+	ffn.ReleaseVolume(s.labels)
+	ffn.ReleaseVolume(s.image)
+}
+
+// optimizerDefaults resolves a spec's zero learning rate and momentum.
+func optimizerDefaults(lr, momentum float32) (float32, float32) {
+	if lr == 0 {
+		lr = 0.05
+	}
+	if momentum == 0 {
+		momentum = 0.9
+	}
+	return lr, momentum
+}
+
+// lossSummary condenses a loss curve into the mean of its first and of its
+// last fifth — the head/tail pair every training result reports.
+func lossSummary(losses []float64) (head, tail float64) {
+	return ffn.MeanTail(losses[:(len(losses)+4)/5], 1), ffn.MeanTail(losses, 0.2)
+}
+
+// runTrainer drives the sequential trainer for steps optimizer steps under
+// the job's context, reporting progress as stage "train". A cancelled run
+// returns the losses of the steps taken alongside the error.
+func runTrainer(jc *JobContext, net *ffn.Network, lr, momentum float32, sampleSeed uint64, image, labels *ffn.Volume, steps int) ([]float64, error) {
+	lr, momentum = optimizerDefaults(lr, momentum)
+	jc.Progress(0, int64(steps), "train")
+	return ffn.NewTrainer(net, lr, momentum, sampleSeed).TrainOnVolumeCtx(jc.Ctx(), image, labels, steps,
+		func(step int) { jc.Progress(int64(step), int64(steps), "train") })
+}
+
 // netConfig maps an optional api.NetConfig onto ffn defaults.
 func netConfig(nc *api.NetConfig) ffn.Config {
 	cfg := ffn.DefaultConfig()
@@ -128,44 +183,31 @@ func netConfig(nc *api.NetConfig) ffn.Config {
 // flood still returns the partial mask statistics alongside ctx.Err().
 func SegmentHandler(jc *JobContext) (any, error) {
 	spec := jc.Request().Segment
-	raw, err := sourceVolume(jc.Ctx(), jc, &spec.Source)
+	set, err := openTrainingSet(jc, &spec.Source, spec.Threshold, spec.TrainSteps > 0)
 	if err != nil {
 		return nil, err
 	}
+	defer set.release()
 	cfg := netConfig(spec.Net)
 	net, err := ffn.NewNetwork(cfg, spec.NetSeed)
 	if err != nil {
 		return nil, err
 	}
-
-	// Labels and seeds come from the raw field, before normalization.
-	var labels *ffn.Volume
-	if spec.TrainSteps > 0 {
-		labels = thresholdVolume(raw, spec.Threshold)
-		defer ffn.ReleaseVolume(labels)
-	}
+	// Seeds, like labels, come from the raw field, before normalization.
 	seeds := spec.Seeds
 	if len(seeds) == 0 {
 		stride := spec.SeedStride
 		if stride == [3]int{} {
 			stride = cfg.FOV
 		}
-		seeds = ffn.GridSeeds(raw, cfg.FOV, stride, spec.Threshold)
+		seeds = ffn.GridSeeds(set.raw, cfg.FOV, stride, spec.Threshold)
 	}
-	image := normalizedVolume(raw)
-	defer ffn.ReleaseVolume(image)
 
 	res := api.SegmentResult{}
 	if spec.TrainSteps > 0 {
-		jc.Progress(0, int64(spec.TrainSteps), "train")
-		tr := ffn.NewTrainer(net, 0.05, 0.9, spec.NetSeed+1)
-		losses, err := tr.TrainOnVolumeCtx(jc.Ctx(), image, labels, spec.TrainSteps,
-			func(step int) { jc.Progress(int64(step), int64(spec.TrainSteps), "train") })
+		losses, err := runTrainer(jc, net, 0, 0, spec.NetSeed+1, set.image, set.labels, spec.TrainSteps)
 		res.TrainSteps = len(losses)
-		if len(losses) > 0 {
-			res.TrainLossHead = ffn.MeanTail(losses[:(len(losses)+4)/5], 1)
-			res.TrainLossTail = ffn.MeanTail(losses, 0.2)
-		}
+		res.TrainLossHead, res.TrainLossTail = lossSummary(losses)
 		if err != nil {
 			// Cancelled (or failed) mid-training: keep the partial
 			// training stats in the result, matching the flood phase.
@@ -174,7 +216,7 @@ func SegmentHandler(jc *JobContext) (any, error) {
 	}
 
 	jc.Progress(0, 0, "segment")
-	mask, stats, segErr := net.SegmentCtx(jc.Ctx(), image, seeds, spec.MaxSteps,
+	mask, stats, segErr := net.SegmentCtx(jc.Ctx(), set.image, seeds, spec.MaxSteps,
 		func(steps int) { jc.Progress(int64(steps), 0, "segment") })
 	// The mask is packed (stored or inlined) below and then recycled.
 	defer ffn.ReleaseVolume(mask)
@@ -300,57 +342,39 @@ func IVTHandler(jc *JobContext) (any, error) {
 // evaluation unit sweep jobs fan out over.
 func TrainHandler(jc *JobContext) (any, error) {
 	spec := jc.Request().Train
-	raw, err := sourceVolume(jc.Ctx(), jc, &spec.Source)
+	set, err := openTrainingSet(jc, &spec.Source, spec.Threshold, true)
 	if err != nil {
 		return nil, err
 	}
-	labels := thresholdVolume(raw, spec.Threshold)
-	defer ffn.ReleaseVolume(labels)
+	defer set.release()
 	cfg := netConfig(spec.Net)
 
 	holdout := spec.HoldoutSteps
+	trainImg, trainLbl := set.image, set.labels
+	var testImg, testLbl *ffn.Volume
 	var testSeeds [][3]int
 	if holdout > 0 {
-		if holdout >= raw.D {
+		if holdout >= set.raw.D {
 			return nil, fmt.Errorf("%w: holdout of %d steps leaves no training data in a %d-step volume",
-				api.ErrInvalid, holdout, raw.D)
+				api.ErrInvalid, holdout, set.raw.D)
 		}
 		// Seeds come from the raw held-out slab, before normalization (the
 		// same convention SegmentHandler uses for its seed threshold).
-		_, _, testRaw, _ := ffn.Split(raw, labels, raw.D-holdout)
+		_, _, testRaw, _ := ffn.Split(set.raw, set.labels, set.raw.D-holdout)
 		testSeeds = ffn.GridSeeds(testRaw, cfg.FOV, [3]int{1, 4, 4}, spec.Threshold)
-	}
-	image := normalizedVolume(raw)
-	defer ffn.ReleaseVolume(image)
-	trainImg, trainLbl := image, labels
-	var testImg, testLbl *ffn.Volume
-	if holdout > 0 {
-		trainImg, trainLbl, testImg, testLbl = ffn.Split(image, labels, raw.D-holdout)
+		trainImg, trainLbl, testImg, testLbl = ffn.Split(set.image, set.labels, set.raw.D-holdout)
 	}
 
 	net, err := ffn.NewNetwork(cfg, spec.NetSeed)
 	if err != nil {
 		return nil, err
 	}
-	lr, momentum := spec.LR, spec.Momentum
-	if lr == 0 {
-		lr = 0.05
-	}
-	if momentum == 0 {
-		momentum = 0.9
-	}
-	tr := ffn.NewTrainer(net, lr, momentum, spec.SampleSeed)
-	jc.Progress(0, int64(spec.Steps), "train")
-	losses, trainErr := tr.TrainOnVolumeCtx(jc.Ctx(), trainImg, trainLbl, spec.Steps,
-		func(step int) { jc.Progress(int64(step), int64(spec.Steps), "train") })
+	losses, trainErr := runTrainer(jc, net, spec.LR, spec.Momentum, spec.SampleSeed, trainImg, trainLbl, spec.Steps)
 	if len(losses) == 0 {
 		return nil, trainErr
 	}
-	res := api.TrainResult{
-		Steps:    len(losses),
-		LossHead: ffn.MeanTail(losses[:(len(losses)+4)/5], 1),
-		LossTail: ffn.MeanTail(losses, 0.2),
-	}
+	res := api.TrainResult{Steps: len(losses)}
+	res.LossHead, res.LossTail = lossSummary(losses)
 	if trainErr != nil || holdout == 0 {
 		return res, trainErr
 	}

@@ -78,7 +78,8 @@ func sweepDepth(jc *JobContext, src *api.VolumeSource) (int, error) {
 
 // sweepChild builds candidate i's train job. The network seed is shared
 // across candidates (so architectures differ only where the grid says they
-// do) and the sampling seed is derived the same way ffn.Evaluate derives it.
+// do) and the sampling seed is derived from it the way core's queue-driven
+// sweep derives it (seed ^ 0xabcd).
 func sweepChild(spec *api.SweepSpec, name string, i int, h ffn.Hyperparams, steps, holdout int) *api.JobRequest {
 	return &api.JobRequest{
 		Kind: api.KindTrain,

@@ -41,14 +41,11 @@ func putCheckpoint(jc *JobContext, refs *pipeRefs, t *ffn.DistTrainer) (string, 
 // identical re-run re-creates the same content-addressed refs.
 func TrainDistHandler(jc *JobContext) (any, error) {
 	spec := jc.Request().TrainDist
-	raw, err := sourceVolume(jc.Ctx(), jc, &spec.Source)
+	set, err := openTrainingSet(jc, &spec.Source, spec.Threshold, true)
 	if err != nil {
 		return nil, err
 	}
-	labels := thresholdVolume(raw, spec.Threshold)
-	defer ffn.ReleaseVolume(labels)
-	image := normalizedVolume(raw)
-	defer ffn.ReleaseVolume(image)
+	defer set.release()
 
 	var t *ffn.DistTrainer
 	res := api.TrainDistResult{}
@@ -66,24 +63,18 @@ func TrainDistHandler(jc *JobContext) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		t, err = ffn.ResumeDistTrainer(ck, image, labels, spec.Workers)
+		t, err = ffn.ResumeDistTrainer(ck, set.image, set.labels, spec.Workers)
 		if err != nil {
 			return nil, err
 		}
 		res.ResumedFrom = spec.ResumeFrom
 	} else {
-		lr, momentum := spec.LR, spec.Momentum
-		if lr == 0 {
-			lr = 0.05
-		}
-		if momentum == 0 {
-			momentum = 0.9
-		}
+		lr, momentum := optimizerDefaults(spec.LR, spec.Momentum)
 		net, err := ffn.NewNetwork(netConfig(spec.Net), spec.NetSeed)
 		if err != nil {
 			return nil, err
 		}
-		t, err = ffn.NewDistTrainer(net, lr, momentum, image, labels,
+		t, err = ffn.NewDistTrainer(net, lr, momentum, set.image, set.labels,
 			spec.SampleSeed, spec.BatchPerRound, spec.Workers)
 		if err != nil {
 			return nil, err
@@ -146,10 +137,6 @@ func TrainDistHandler(jc *JobContext) (any, error) {
 func fillLosses(res *api.TrainDistResult, t *ffn.DistTrainer) {
 	res.Workers = t.Workers()
 	res.Rounds = t.RoundIndex()
-	losses := t.Losses()
-	res.Losses = append([]float64(nil), losses...)
-	if len(losses) > 0 {
-		res.LossHead = ffn.MeanTail(losses[:(len(losses)+4)/5], 1)
-		res.LossTail = ffn.MeanTail(losses, 0.2)
-	}
+	res.Losses = append([]float64(nil), t.Losses()...)
+	res.LossHead, res.LossTail = lossSummary(res.Losses)
 }

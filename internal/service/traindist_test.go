@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 
 	"chaseci/internal/api"
 	"chaseci/internal/dataset"
+	"chaseci/internal/ffn"
 	"chaseci/internal/queue"
 )
 
@@ -346,5 +348,56 @@ func awaitTestJob(r *Runner, id string) (json.RawMessage, api.JobStatus, error) 
 		if st.State.Terminal() {
 			return raw, st, nil
 		}
+	}
+}
+
+// cancelledFrom is a context that reports cancellation from the moment the
+// job enters the named stage — a cancel that lands, deterministically,
+// inside that stage's first cancellation check.
+type cancelledFrom struct {
+	context.Context
+	job   *job
+	stage string
+}
+
+func (c cancelledFrom) Err() error {
+	if *c.job.stage.Load() == c.stage {
+		return context.Canceled
+	}
+	return c.Context.Err()
+}
+
+// TestTrainHoldoutCancelledFloodFailsCandidate: a train job with
+// holdout_steps — the unit a sweep fans out — whose context is cancelled
+// during the held-out flood must not succeed with the aborted flood's
+// partial mask scored as a legitimate (if terrible) model.
+func TestTrainHoldoutCancelledFloodFailsCandidate(t *testing.T) {
+	reg := DefaultRegistry()
+	reg.Register(api.KindTrain, func(jc *JobContext) (any, error) {
+		inner := *jc
+		inner.ctx = cancelledFrom{Context: jc.ctx, job: jc.job, stage: "validate"}
+		return TrainHandler(&inner)
+	})
+	r, _ := newTestRunner(t, reg, 1)
+	spec := &api.SweepSpec{Source: distRequest(1, 1).TrainDist.Source, Threshold: 130, Seed: 5}
+	h := ffn.Hyperparams{LR: 0.03, Momentum: 0.9, Features: 4, Modules: 1}
+	st, err := r.Submit(sweepChild(spec, "sweep", 0, h, 20, 2), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitState(t, r, st.ID, terminal)
+	if final.State != api.StateCancelled || !strings.Contains(final.Error, "held-out segmentation") {
+		t.Fatalf("state = %s (%q), want cancelled in the held-out segmentation", final.State, final.Error)
+	}
+	raw, _, _ := r.Result(st.ID)
+	var res api.TrainResult
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Steps != 20 || res.LossTail <= 0 {
+		t.Fatalf("training before the flood did not run to completion: %+v", res)
+	}
+	if res.HoldoutSteps != 0 || res.Precision != 0 || res.Recall != 0 || res.F1 != 0 || res.IoU != 0 {
+		t.Fatalf("aborted flood was scored: %+v", res)
 	}
 }

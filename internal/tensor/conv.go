@@ -8,9 +8,8 @@ import (
 )
 
 // 3-D convolution kernels. The Into variants write into caller-provided
-// tensors and allocate nothing in steady state; Conv3D / Conv3DBackward are
-// thin allocating wrappers kept for convenience and for callers that do not
-// manage scratch.
+// tensors and allocate nothing in steady state; Conv3D is a thin allocating
+// wrapper the tests use as the reference.
 //
 // The forward kernel is the batched engine in conv_batch.go: every output
 // element receives its tap contributions in the scalar kernel's
@@ -187,16 +186,4 @@ func Conv3DBackwardInto(gradIn, gradW *Tensor, gradB []float32, in, weight, grad
 		t.partials[i] = nil
 	}
 	convBwdPool.Put(t)
-}
-
-// Conv3DBackward computes gradients of a Conv3D call: given the forward
-// input, weights, and the gradient of the loss w.r.t. the output, it returns
-// gradients w.r.t. input, weights, and bias.
-func Conv3DBackward(in, weight, gradOut *Tensor) (gradIn, gradW *Tensor, gradB []float32) {
-	cin, d, h, w, cout, kd, kh, kw := convCheck(in, weight)
-	gradIn = New(cin, d, h, w)
-	gradW = New(cout, cin, kd, kh, kw)
-	gradB = make([]float32, cout)
-	Conv3DBackwardInto(gradIn, gradW, gradB, in, weight, gradOut)
-	return gradIn, gradW, gradB
 }

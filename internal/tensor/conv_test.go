@@ -182,7 +182,8 @@ func TestConv3DBackwardIntoMatchesScalar(t *testing.T) {
 			t.Run(fmt.Sprintf("%+v/workers=%d", tc, workers), func(t *testing.T) {
 				prev := parallel.SetWorkers(workers)
 				defer parallel.SetWorkers(prev)
-				gradIn, gradW, gradB := Conv3DBackward(in, weight, gradOut)
+				gradIn, gradW, gradB := New(in.Shape...), New(weight.Shape...), make([]float32, tc.cout)
+				Conv3DBackwardInto(gradIn, gradW, gradB, in, weight, gradOut)
 				for i := range wantW.Data {
 					if gradW.Data[i] != wantW.Data[i] {
 						t.Fatalf("gradW[%d]: got %v, want %v (not bit-exact)", i, gradW.Data[i], wantW.Data[i])

@@ -115,17 +115,6 @@ func vIdx(shape []int, c, z, y, x int) int {
 	return ((c*shape[1]+z)*shape[2]+y)*shape[3] + x
 }
 
-// ReLU applies max(0, x) elementwise, returning a new tensor.
-func ReLU(in *Tensor) *Tensor {
-	out := in.Clone()
-	for i, v := range out.Data {
-		if v < 0 {
-			out.Data[i] = 0
-		}
-	}
-	return out
-}
-
 // ReLUInto writes max(0, x) of in into dst (dst may alias in).
 func ReLUInto(dst, in *Tensor) {
 	for i, v := range in.Data {
@@ -134,17 +123,6 @@ func ReLUInto(dst, in *Tensor) {
 		}
 		dst.Data[i] = v
 	}
-}
-
-// ReLUBackward masks gradOut where the forward input was non-positive.
-func ReLUBackward(in, gradOut *Tensor) *Tensor {
-	out := gradOut.Clone()
-	for i := range out.Data {
-		if in.Data[i] <= 0 {
-			out.Data[i] = 0
-		}
-	}
-	return out
 }
 
 // ReLUBackwardInto writes gradOut masked by the forward input's sign into
@@ -158,31 +136,15 @@ func ReLUBackwardInto(dst, in, gradOut *Tensor) {
 	}
 }
 
-// Sigmoid applies the logistic function elementwise.
-func Sigmoid(in *Tensor) *Tensor {
-	out := in.Clone()
-	for i, v := range out.Data {
-		out.Data[i] = float32(1 / (1 + math.Exp(-float64(v))))
-	}
-	return out
-}
-
 // SigmoidValue is the scalar logistic function.
 func SigmoidValue(x float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(x))))
 }
 
-// LogitBCE computes mean binary cross-entropy between logits and {0,1}
-// labels, plus the gradient w.r.t. the logits (the numerically stable
-// sigmoid+BCE fusion). mask, if non-nil, weights each element (0 excludes).
-func LogitBCE(logits, labels, mask *Tensor) (loss float64, grad *Tensor) {
-	grad = New(logits.Shape...)
-	loss = LogitBCEInto(grad, logits, labels, mask)
-	return loss, grad
-}
-
-// LogitBCEInto is LogitBCE writing the gradient into a caller-provided
-// tensor (overwritten) and returning the loss.
+// LogitBCEInto computes mean binary cross-entropy between logits and {0,1}
+// labels, returning the loss and overwriting grad with the gradient w.r.t.
+// the logits (the numerically stable sigmoid+BCE fusion). mask, if non-nil,
+// weights each element (0 excludes).
 func LogitBCEInto(grad, logits, labels, mask *Tensor) (loss float64) {
 	if !SameShape(logits, labels) {
 		panic("tensor: LogitBCE shape mismatch")
@@ -211,70 +173,38 @@ func LogitBCEInto(grad, logits, labels, mask *Tensor) (loss float64) {
 	return loss
 }
 
-// SGD is stochastic gradient descent with classical momentum.
+// SGD is stochastic gradient descent with classical momentum over one flat
+// parameter vector: the momentum buffer is a single slice the same length,
+// in the same order.
 type SGD struct {
 	LR       float32
 	Momentum float32
 
-	velocity map[*Tensor]*Tensor
-	velBias  map[*[]float32][]float32
+	velocity []float32
 }
 
 // NewSGD creates an optimizer.
 func NewSGD(lr, momentum float32) *SGD {
-	return &SGD{
-		LR: lr, Momentum: momentum,
-		velocity: make(map[*Tensor]*Tensor),
-		velBias:  make(map[*[]float32][]float32),
+	return &SGD{LR: lr, Momentum: momentum}
+}
+
+// Step applies one update to params given their gradients.
+func (o *SGD) Step(params, grads []float32) {
+	v := o.Velocity(len(params))
+	for i := range params {
+		v[i] = o.Momentum*v[i] - o.LR*grads[i]
+		params[i] += v[i]
 	}
 }
 
-// Step applies one update to param given its gradient.
-func (o *SGD) Step(param, grad *Tensor) {
-	v, ok := o.velocity[param]
-	if !ok {
-		v = New(param.Shape...)
-		o.velocity[param] = v
+// Velocity returns the momentum buffer for an n-parameter model, creating a
+// zero one on first use — what a checkpoint saves and restores.
+func (o *SGD) Velocity(n int) []float32 {
+	if o.velocity == nil {
+		o.velocity = make([]float32, n)
 	}
-	for i := range param.Data {
-		v.Data[i] = o.Momentum*v.Data[i] - o.LR*grad.Data[i]
-		param.Data[i] += v.Data[i]
+	if len(o.velocity) != n {
+		panic(fmt.Sprintf("tensor: SGD holds momentum for %d parameters, asked for %d", len(o.velocity), n))
 	}
-}
-
-// StepBias updates a bias vector.
-func (o *SGD) StepBias(param *[]float32, grad []float32) {
-	v, ok := o.velBias[param]
-	if !ok {
-		v = make([]float32, len(*param))
-		o.velBias[param] = v
-	}
-	p := *param
-	for i := range p {
-		v[i] = o.Momentum*v[i] - o.LR*grad[i]
-		p[i] += v[i]
-	}
-}
-
-// VelocityFor returns param's momentum buffer, creating a zero one on first
-// use — the hook checkpoint serialization uses to walk optimizer state in
-// the network's canonical parameter order.
-func (o *SGD) VelocityFor(param *Tensor) *Tensor {
-	v, ok := o.velocity[param]
-	if !ok {
-		v = New(param.Shape...)
-		o.velocity[param] = v
-	}
-	return v
-}
-
-// VelocityBiasFor returns a bias vector's momentum buffer, creating a zero
-// one on first use.
-func (o *SGD) VelocityBiasFor(param *[]float32) []float32 {
-	v, ok := o.velBias[param]
-	if !ok {
-		v = make([]float32, len(*param))
-		o.velBias[param] = v
-	}
-	return v
+	return o.velocity
 }

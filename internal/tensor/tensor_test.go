@@ -158,7 +158,8 @@ func TestConv3DBackwardMatchesNumericalGradient(t *testing.T) {
 	for i := range seed.Data {
 		seed.Data[i] = float32(rng.NormFloat64())
 	}
-	gradIn, gradW, gradB := Conv3DBackward(in, w, seed)
+	gradIn, gradW, gradB := New(in.Shape...), New(w.Shape...), make([]float32, 2)
+	Conv3DBackwardInto(gradIn, gradW, gradB, in, w, seed)
 
 	check := func(name string, analytic float32, numeric float64) {
 		if math.Abs(float64(analytic)-numeric) > 1e-2*(1+math.Abs(numeric)) {
@@ -181,7 +182,8 @@ func TestConv3DBackwardMatchesNumericalGradient(t *testing.T) {
 
 func TestReLUForwardBackward(t *testing.T) {
 	in := FromData([]float32{-1, 0, 2, -3}, 1, 1, 1, 4)
-	out := ReLU(in)
+	out := New(in.Shape...)
+	ReLUInto(out, in)
 	want := []float32{0, 0, 2, 0}
 	for i := range want {
 		if out.Data[i] != want[i] {
@@ -189,7 +191,8 @@ func TestReLUForwardBackward(t *testing.T) {
 		}
 	}
 	g := FromData([]float32{1, 1, 1, 1}, 1, 1, 1, 4)
-	gb := ReLUBackward(in, g)
+	gb := New(g.Shape...)
+	ReLUBackwardInto(gb, in, g)
 	wantG := []float32{0, 0, 1, 0}
 	for i := range wantG {
 		if gb.Data[i] != wantG[i] {
@@ -199,17 +202,17 @@ func TestReLUForwardBackward(t *testing.T) {
 }
 
 func TestSigmoidRange(t *testing.T) {
-	in := FromData([]float32{-100, 0, 100}, 3)
-	out := Sigmoid(in)
-	if out.Data[0] > 1e-6 || math.Abs(float64(out.Data[1]-0.5)) > 1e-6 || out.Data[2] < 1-1e-6 {
-		t.Fatalf("sigmoid = %v", out.Data)
+	lo, mid, hi := SigmoidValue(-100), SigmoidValue(0), SigmoidValue(100)
+	if lo > 1e-6 || math.Abs(float64(mid-0.5)) > 1e-6 || hi < 1-1e-6 {
+		t.Fatalf("sigmoid = %v %v %v", lo, mid, hi)
 	}
 }
 
 func TestLogitBCEPerfectPrediction(t *testing.T) {
 	logits := FromData([]float32{20, -20}, 2)
 	labels := FromData([]float32{1, 0}, 2)
-	loss, grad := LogitBCE(logits, labels, nil)
+	grad := New(2)
+	loss := LogitBCEInto(grad, logits, labels, nil)
 	if loss > 1e-6 {
 		t.Fatalf("loss = %v, want ~0", loss)
 	}
@@ -223,7 +226,8 @@ func TestLogitBCEPerfectPrediction(t *testing.T) {
 func TestLogitBCEGradientDirection(t *testing.T) {
 	logits := FromData([]float32{0, 0}, 2)
 	labels := FromData([]float32{1, 0}, 2)
-	loss, grad := LogitBCE(logits, labels, nil)
+	grad := New(2)
+	loss := LogitBCEInto(grad, logits, labels, nil)
 	if math.Abs(loss-math.Log(2)) > 1e-6 {
 		t.Fatalf("loss at 0 logits = %v, want ln2", loss)
 	}
@@ -236,7 +240,8 @@ func TestLogitBCEMaskExcludes(t *testing.T) {
 	logits := FromData([]float32{5, -5}, 2)
 	labels := FromData([]float32{0, 0}, 2) // first is badly wrong
 	mask := FromData([]float32{0, 1}, 2)   // but excluded
-	loss, grad := LogitBCE(logits, labels, mask)
+	grad := New(2)
+	loss := LogitBCEInto(grad, logits, labels, mask)
 	if loss > 0.01 {
 		t.Fatalf("masked loss = %v, want tiny", loss)
 	}
@@ -250,25 +255,11 @@ func TestSGDConvergesOnQuadratic(t *testing.T) {
 	p := FromData([]float32{5, -3, 2}, 3)
 	opt := NewSGD(0.1, 0.9)
 	for i := 0; i < 200; i++ {
-		opt.Step(p, p.Clone())
+		opt.Step(p.Data, p.Clone().Data)
 	}
 	for _, v := range p.Data {
 		if math.Abs(float64(v)) > 1e-3 {
 			t.Fatalf("SGD did not converge: %v", p.Data)
-		}
-	}
-}
-
-func TestSGDBias(t *testing.T) {
-	b := []float32{4, -4}
-	opt := NewSGD(0.1, 0.9)
-	for i := 0; i < 200; i++ {
-		g := append([]float32(nil), b...)
-		opt.StepBias(&b, g)
-	}
-	for _, v := range b {
-		if math.Abs(float64(v)) > 1e-3 {
-			t.Fatalf("bias SGD did not converge: %v", b)
 		}
 	}
 }
@@ -299,8 +290,9 @@ func TestPropertyReLUIdempotent(t *testing.T) {
 			data[i] = float32(v)
 		}
 		in := FromData(data, len(data))
-		once := ReLU(in)
-		twice := ReLU(once)
+		once, twice := New(len(data)), New(len(data))
+		ReLUInto(once, in)
+		ReLUInto(twice, once)
 		for i := range once.Data {
 			if once.Data[i] != twice.Data[i] || once.Data[i] < 0 {
 				return false
