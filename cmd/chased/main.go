@@ -148,9 +148,8 @@ func serve(args []string) {
 		providers = fs.String("providers", "ucsd.edu=UCSD,sdsc.edu=SDSC,example.edu=Example",
 			"comma-separated domain=name identity providers")
 		ttl = fs.Duration("ttl", 12*time.Hour, "bearer token lifetime")
-		// Serving-hardening knobs: registry sharding, admission bounds,
-		// weighted-fair tenant shares, and the per-tenant submit rate limit.
-		shards           = fs.Int("shards", 0, "job registry lock stripes, rounded up to a power of two (0 = default)")
+		// Serving-hardening knobs: admission bounds, weighted-fair tenant
+		// shares, and the per-tenant submit rate limit.
 		maxPending       = fs.Int("max-pending", 0, "global pending-job bound; submits past it shed with 429 (0 = default, -1 = unlimited)")
 		maxPendingTenant = fs.Int("max-pending-tenant", 0, "per-tenant pending-job bound (0 = default, -1 = unlimited)")
 		tenantWeights    = fs.String("tenant-weights", "", "comma-separated tenant=weight fair-dispatch shares (unlisted tenants weigh 1)")
@@ -183,7 +182,6 @@ func serve(args []string) {
 
 	cfg := service.RunnerConfig{
 		Workers:             *workers,
-		Shards:              *shards,
 		MaxPending:          *maxPending,
 		MaxPendingPerTenant: *maxPendingTenant,
 		TenantWeights:       weights,

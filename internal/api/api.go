@@ -607,7 +607,8 @@ func (s *TrainSpec) validate() error {
 const (
 	// maxDistWorkers bounds the data-parallel width of one train_dist job.
 	maxDistWorkers = 64
-	// maxBatchPerRound bounds the global per-round example count.
+	// maxBatchPerRound bounds the global per-round example count. It equals
+	// ffn.maxCheckpointBatch, the bound a resumed run's checkpoint is held to.
 	maxBatchPerRound = 4096
 	// maxSweepCandidates bounds the hyperparameter grid one sweep expands.
 	maxSweepCandidates = 64

@@ -128,6 +128,33 @@ func TestFloodBatchScratchAllocFree(t *testing.T) {
 	}
 }
 
+// TestSegmentAllocBound pins the whole batched flood around that loop —
+// seed shards, queues, visited set and the returned mask — on the 6x24x36 IVT
+// scene with a warm free list.
+func TestSegmentAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; alloc pins run in the non-race job")
+	}
+	img, _ := buildARScene(t, 6)
+	cfg := DefaultConfig()
+	cfg.FOV = [3]int{3, 7, 7}
+	cfg.Features = 6
+	cfg.MoveStep = [3]int{1, 2, 2}
+	cfg.FloodBatch = 8
+	net, err := NewNetwork(cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := GridSeeds(img, cfg.FOV, [3]int{1, 4, 4}, 1.0)
+	net.Segment(img, seeds, 0)
+	allocs := testing.AllocsPerRun(10, func() { net.Segment(img, seeds, 0) })
+	t.Logf("Segment: %.0f allocs", allocs)
+	const bound = 24 // measured 14-15
+	if allocs > bound {
+		t.Fatalf("Segment allocates %.0f objects per flood, want <= %d", allocs, bound)
+	}
+}
+
 // TestSegmentReusesBatchScratch verifies repeated Segment calls recycle the
 // batched scratch through the network's free list instead of rebuilding it.
 // The free list is a mutex-guarded LIFO, not a sync.Pool, so reuse is

@@ -53,6 +53,12 @@ type ckptState struct {
 
 var ckptStateLen = binary.Size(ckptState{})
 
+// maxCheckpointBatch bounds a checkpoint's Batch field, which sizes the
+// batch x P gradient matrix a resumed run allocates. It equals
+// api.maxBatchPerRound, so every checkpoint the service writes stays
+// resumable.
+const maxCheckpointBatch = 4096
+
 // EncodeBytes returns the serialized checkpoint.
 func (c *Checkpoint) EncodeBytes() []byte {
 	model := c.Net.SaveBytes()
@@ -94,6 +100,9 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	var st ckptState
 	binary.Decode(rest[:ckptStateLen], binary.LittleEndian, &st) // length checked above
 	rest = rest[ckptStateLen:]
+	if st.Batch < 1 || st.Batch > maxCheckpointBatch {
+		return nil, fmt.Errorf("%w: batch per round %d outside [1,%d]", ErrBadCheckpoint, st.Batch, maxCheckpointBatch)
+	}
 	lossBytes := 8 * int(st.NLosses)
 	if len(rest) != lossBytes+4*len(net.params) {
 		return nil, fmt.Errorf("%w: %d bytes after the header, want %d losses and %d velocities",

@@ -153,6 +153,24 @@ func TestDecodeCheckpointRejectsGarbage(t *testing.T) {
 	if !errors.Is(err, ErrBadCheckpoint) || !errors.Is(err, ErrBadModel) {
 		t.Fatalf("hostile model header: err = %v, want ErrBadCheckpoint wrapping ErrBadModel", err)
 	}
+	// A valid checkpoint whose Batch field alone is 2^31: resuming it would
+	// size the batch x P gradient matrix from that field and die with
+	// "runtime: out of memory", which no recover catches.
+	if _, err := DecodeCheckpoint(withBatch(raw, 1<<31)); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("2^31 batch per round: err = %v, want ErrBadCheckpoint", err)
+	}
+	if _, err := DecodeCheckpoint(withBatch(raw, maxCheckpointBatch)); err != nil {
+		t.Fatalf("batch per round at the bound: %v", err)
+	}
+}
+
+// withBatch returns a copy of a serialized checkpoint with its Batch field
+// (after LR, Momentum and SampleSeed in ckptState) overwritten.
+func withBatch(raw []byte, batch uint32) []byte {
+	out := append([]byte(nil), raw...)
+	modelLen := binary.LittleEndian.Uint32(out[len(ckptMagic):])
+	binary.LittleEndian.PutUint32(out[len(ckptMagic)+4+int(modelLen)+16:], batch)
+	return out
 }
 
 // TestDistTrainerResumeBitExact is the checkpoint -> restore -> continue

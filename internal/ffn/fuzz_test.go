@@ -11,8 +11,10 @@ import (
 // is the decoder's own sentinel; nothing allocated beyond what the input's
 // own length accounts for; and decode -> encode -> decode is the identity.
 // The checked-in corpus under testdata/fuzz holds a valid model, a valid
-// checkpoint, the 56-byte header that asks for 2^30 features, and a
-// checkpoint with a truncated velocity block.
+// checkpoint, the 56-byte header that asks for 2^30 features, a checkpoint
+// with a truncated velocity block, and a valid checkpoint whose Batch field
+// is 2^31. A checkpoint that decodes must also resume within the largest
+// batch x P gradient matrix the decoder's bound on Batch admits.
 
 // fuzzAllocSlack covers the fixed-size pieces of a decoded network (views,
 // headers, error text) plus whatever the fuzz worker's other goroutines
@@ -64,6 +66,17 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		}
 		if !bytes.Equal(again.EncodeBytes(), enc) {
 			t.Fatal("decode -> encode -> decode is not the identity")
+		}
+		// A resumed run sizes its centre, loss and gradient buffers from the
+		// checkpoint's batch: batch x (P+8) four-byte words. The volume is
+		// big enough for the corpus' FOVs; a larger FOV is ErrNoExamples.
+		vol := NewVolume(5, 9, 9)
+		limit := uint64(maxCheckpointBatch*(len(ck.Net.params)+8)*4) + uint64(len(data)) + fuzzAllocSlack
+		if got := allocatedBy(func() { _, err = ResumeDistTrainer(ck, vol, vol, 1) }); got > limit {
+			t.Fatalf("ResumeDistTrainer allocated %d bytes for batch %d x %d params", got, ck.BatchPerRound, len(ck.Net.params))
+		}
+		if err != nil && !errors.Is(err, ErrNoExamples) {
+			t.Fatalf("resume of an accepted checkpoint: %v", err)
 		}
 	})
 }

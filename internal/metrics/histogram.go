@@ -6,11 +6,10 @@ import (
 )
 
 // Histogram is a thread-safe log-bucketed histogram with quantile
-// estimation — the latency-recording primitive the sustained-load harness
-// (internal/loadtest) and serving benchmarks use. Unlike the Registry's
-// Counter/Gauge series (single-threaded, full history), a Histogram takes
-// concurrent Observe calls and keeps only bucket counts, so recording a
-// million latencies costs a few hundred words.
+// estimation — the latency-recording primitive the bench/ program's probes
+// use. Unlike the Registry's Counter/Gauge series (single-threaded, full
+// history), a Histogram takes concurrent Observe calls and keeps only bucket
+// counts, so recording a million latencies costs a few hundred words.
 //
 // Buckets are geometric: bucketsPerDecade buckets per 10x between lo and
 // hi, plus an underflow and an overflow bucket, so relative quantile error

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -286,6 +287,87 @@ func TestKillNodeDrainsAndRequeuesReplicaLocal(t *testing.T) {
 			t.Fatalf("a0 should be ready with OSD up: %+v", st)
 		}
 	}
+}
+
+// twoSiteFabric is the fabric the allocation pins below score against: two
+// sites, one node with an OSD at each, and one volume replicated on both.
+func twoSiteFabric(t *testing.T) (*Fabric, string) {
+	t.Helper()
+	f := NewFabric(FabricConfig{Replicas: 2})
+	f.AddSite("ucsd")
+	f.AddSite("sdsu")
+	f.AddLink("ucsd", "sdsu", netsim.Gbps(40), 2*time.Millisecond)
+	for i, site := range []string{"ucsd", "sdsu"} {
+		err := f.AddNode(NodeSpec{
+			Name: fmt.Sprintf("fiona-%d", i), Site: site, Capacity: cluster.FIONA8Capacity(),
+			Model: gpusim.Powered1080Ti(), OSD: "osd-" + site,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f, putVolume(t, f, 1)
+}
+
+// TestPlaceAndRequeueAllocBounds pins what one scheduling decision costs:
+// a data-gravity placement of a 64^3 ref-mode segment job (resolve replicas,
+// score both nodes, claim, release) measured 19 allocations, and a full
+// node-loss cycle (kill the bound node and its OSD, re-place on the surviving
+// replica holder, restore) measured 1,566. Every decision must stay
+// replica-local and a requeue must never land on the dead node.
+func TestPlaceAndRequeueAllocBounds(t *testing.T) {
+	job := func(ref string) *Workload {
+		return &Workload{JobID: "pin", Kind: api.KindSegment, Owner: "pin", Refs: []string{ref}, Voxels: 64 * 64 * 64}
+	}
+	t.Run("place", func(t *testing.T) {
+		f, ref := twoSiteFabric(t)
+		s, w := New(f), job(ref)
+		allocs := testing.AllocsPerRun(100, func() {
+			pl, err := s.Place(w)
+			if err != nil || pl == nil {
+				t.Fatalf("place: %v %v", pl, err)
+			}
+			if pl.Locality != api.LocalityReplicaLocal {
+				t.Fatalf("placed %s on %s, want replica-local", pl.Locality, pl.Node)
+			}
+			s.Release(w.JobID)
+		})
+		t.Logf("Place+Release: %.0f allocs", allocs)
+		const bound = 36
+		if allocs > bound {
+			t.Fatalf("Place+Release allocates %.0f objects, want <= %d", allocs, bound)
+		}
+	})
+	t.Run("requeue", func(t *testing.T) {
+		f, ref := twoSiteFabric(t)
+		s, w := New(f), job(ref)
+		s.OnDrain(func(string, []string) {}) // the service layer's requeue is the Place below
+		pl, err := s.Place(w)
+		if err != nil || pl == nil {
+			t.Fatalf("place: %v %v", pl, err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			victim := pl.Node
+			if err := s.KillNode(victim); err != nil {
+				t.Fatal(err)
+			}
+			pl, err = s.Place(w)
+			if err != nil || pl == nil {
+				t.Fatalf("requeue place: %v %v", pl, err)
+			}
+			if pl.Node == victim || pl.Locality != api.LocalityReplicaLocal {
+				t.Fatalf("requeued %s onto %s after killing %s", pl.Locality, pl.Node, victim)
+			}
+			if err := s.RestoreNode(victim); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("kill + re-place + restore: %.0f allocs", allocs)
+		const bound = 3000
+		if allocs > bound {
+			t.Fatalf("kill + re-place + restore allocates %.0f objects, want <= %d", allocs, bound)
+		}
+	})
 }
 
 func TestNodesInventoryAndMetrics(t *testing.T) {

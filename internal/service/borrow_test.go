@@ -218,61 +218,74 @@ func TestCancelledSegmentKeepsPackedPartialMask(t *testing.T) {
 	}
 }
 
-// TestRefSegmentJobAllocBound pins the job path's allocation diet in plain
-// `go test`: in steady state a one-step segment job over a cached 64^3
-// volume — 1 MB decoded — allocates well under one volume. Before the
-// source was borrowed and the flood's arrays pooled it allocated 4.4 MB.
-func TestRefSegmentJobAllocBound(t *testing.T) {
-	r, _ := newTestRunner(t, DefaultRegistry(), 2)
-	d, h, w, data := bench64Volume()
-	info, err := r.Datasets().PutVolume(d, h, w, data, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := &api.JobRequest{Kind: api.KindSegment, ResultMode: api.ResultModeRef,
-		Segment: benchSegmentSpec(api.VolumeSource{Ref: info.ID})}
-	for i := 0; i < 4; i++ {
-		runJob(t, r, req)
-	}
-	const jobs = 32
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < jobs; i++ {
-		runJob(t, r, req)
-	}
-	runtime.ReadMemStats(&m1)
-	perJob := (m1.TotalAlloc - m0.TotalAlloc) / jobs
-	t.Logf("steady-state ref segment job: %d KB allocated", perJob/1024)
-	if perJob > 512<<10 {
-		t.Fatalf("ref segment job allocates %d KB in steady state, want <= 512 KB", perJob/1024)
-	}
-}
-
-// TestTrainDistJobAllocBound is the train_dist twin: in steady state a
-// 12-round, batch-16 job with two periodic checkpoints (the bench/ workload's
-// shape) allocates about 1.1 MB — the synthesized source, one batch x P
-// gradient matrix, a scratch per worker and the three checkpoints. When every
-// sample's backward pass built its own activation cache and gradient
-// tensors, and the all-reduce cloned them, it allocated 21 MB.
-func TestTrainDistJobAllocBound(t *testing.T) {
-	r, _ := newTestRunner(t, DefaultRegistry(), 2)
-	req := distRequest(2, 12)
-	req.TrainDist.BatchPerRound = 16
-	req.TrainDist.Net.Features = 6
-	req.TrainDist.CheckpointEvery = 4
-	for i := 0; i < 2; i++ {
-		runJob(t, r, req)
-	}
-	const jobs = 8
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < jobs; i++ {
-		runJob(t, r, req)
-	}
-	runtime.ReadMemStats(&m1)
-	perJob := (m1.TotalAlloc - m0.TotalAlloc) / jobs
-	t.Logf("steady-state train_dist job: %d KB allocated", perJob/1024)
-	if perJob > 3<<20 {
-		t.Fatalf("train_dist job allocates %d KB in steady state, want <= 3072 KB", perJob/1024)
+// TestJobAllocBounds pins the job path's allocation diet in plain `go test`:
+// what one job of each shape allocates in steady state, submit to result
+// (measured figure in each case's comment).
+func TestJobAllocBounds(t *testing.T) {
+	sweep := &api.JobRequest{Kind: api.KindSweep, Sweep: &api.SweepSpec{
+		Source:        api.VolumeSource{Synth: &api.SynthSpec{NLon: 36, NLat: 24, NLev: 4, Steps: 6, Seed: 11}},
+		Threshold:     130,
+		TrainFraction: 0.67,
+		LRs:           []float32{0.01, 0.03},
+		Momentums:     []float32{0.9},
+		Features:      []int{4, 6},
+		Modules:       []int{1, 2},
+		TrainSteps:    []int{30},
+		Parallel:      4,
+		Seed:          5,
+	}}
+	dist := distRequest(2, 12)
+	dist.TrainDist.BatchPerRound = 16
+	dist.TrainDist.Net.Features = 6
+	dist.TrainDist.CheckpointEvery = 4
+	for _, tc := range []struct {
+		name              string
+		workers           int
+		request           func(t *testing.T, r *Runner) *api.JobRequest
+		warm, jobs, maxKB int
+	}{
+		// A one-step segment job over a cached 64^3 volume — 1 MB decoded —
+		// allocates well under one volume (75 KB). Before the source was
+		// borrowed and the flood's arrays pooled it allocated 4.4 MB.
+		{"ref_segment", 2, func(t *testing.T, r *Runner) *api.JobRequest {
+			d, h, w, data := bench64Volume()
+			info, err := r.Datasets().PutVolume(d, h, w, data, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return &api.JobRequest{Kind: api.KindSegment, ResultMode: api.ResultModeRef,
+				Segment: benchSegmentSpec(api.VolumeSource{Ref: info.ID})}
+		}, 4, 32, 512},
+		// A 12-round, batch-16 job with two periodic checkpoints (the bench/
+		// workload's shape): the synthesized source, one batch x P gradient
+		// matrix, a scratch per worker and the three checkpoints (1.1 MB).
+		// When every sample's backward pass built its own activation cache
+		// and gradient tensors, and the all-reduce cloned them, it was 21 MB.
+		{"train_dist", 2, func(*testing.T, *Runner) *api.JobRequest { return dist }, 2, 8, 3072},
+		// The streamed 72x48x12 pipeline in both modes (4.8 MB: the IVT volume
+		// and per-slab masks and label maps), and the 8-candidate sweep fanned
+		// through the fair queue with no early stop (1.9 MB).
+		{"pipeline_overlapped", 4, func(*testing.T, *Runner) *api.JobRequest { return benchPipelineRequest(false) }, 1, 4, 8192},
+		{"pipeline_sequential", 4, func(*testing.T, *Runner) *api.JobRequest { return benchPipelineRequest(true) }, 1, 4, 8192},
+		{"sweep_grid8", 4, func(*testing.T, *Runner) *api.JobRequest { return sweep }, 1, 4, 3584},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, _ := newTestRunner(t, DefaultRegistry(), tc.workers)
+			req := tc.request(t, r)
+			for i := 0; i < tc.warm; i++ {
+				runJob(t, r, req)
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < tc.jobs; i++ {
+				runJob(t, r, req)
+			}
+			runtime.ReadMemStats(&m1)
+			perJob := int(m1.TotalAlloc-m0.TotalAlloc) / tc.jobs / 1024
+			t.Logf("steady-state %s job: %d KB allocated", tc.name, perJob)
+			if perJob > tc.maxKB {
+				t.Fatalf("%s job allocates %d KB in steady state, want <= %d KB", tc.name, perJob, tc.maxKB)
+			}
+		})
 	}
 }

@@ -2,10 +2,13 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -97,6 +100,101 @@ func TestGatewayShedsWith429(t *testing.T) {
 	}
 	if text := f.runner.MetricsText(); !strings.Contains(text, "jobs_shed") {
 		t.Fatalf("metrics missing jobs_shed after shedding:\n%s", text)
+	}
+}
+
+// TestConcurrentOverloadConserves floods the parked deployment from many
+// connections at once: eight clients for each of four logged-in tenants,
+// fifty submits each. Every reply is an accept or a shed with Retry-After,
+// the pending queue never passes its bound while they race, and once the
+// worker is released every accepted job completes — nothing is lost between
+// the gateway's counts, the runner's and the clients'.
+func TestConcurrentOverloadConserves(t *testing.T) {
+	const maxPending, clientsPerTenant, submitsPerClient = 16, 8, 50
+	f, release := newOverloadFixture(t, RunnerConfig{MaxPendingPerTenant: 8, MaxPending: maxPending}, GatewayOptions{
+		Providers: map[string]string{"ucsd.edu": "UCSD", "sdsc.edu": "SDSC"},
+		TokenTTL:  time.Hour,
+		TokenSeed: 1,
+	})
+	body, err := json.Marshal(blockingWorkflowRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tokens []string
+	for _, user := range []string{"a@ucsd.edu", "b@ucsd.edu", "c@sdsc.edu", "d@sdsc.edu"} {
+		var login map[string]string
+		if resp := f.do("POST", "/v1/login", map[string]string{"user": user}, &login); resp.StatusCode != http.StatusOK {
+			t.Fatalf("login %s: status %d", user, resp.StatusCode)
+		}
+		tokens = append(tokens, login["token"])
+	}
+
+	var (
+		mu       sync.Mutex
+		accepted []string
+		shed     int64
+		wg       sync.WaitGroup
+	)
+	for c := 0; c < clientsPerTenant*len(tokens); c++ {
+		wg.Add(1)
+		go func(token string) {
+			defer wg.Done()
+			for i := 0; i < submitsPerClient; i++ {
+				req, err := http.NewRequest("POST", f.srv.URL+"/v1/jobs", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				req.Header.Set("Authorization", "Bearer "+token)
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var sub api.SubmitResponse
+				err = json.NewDecoder(resp.Body).Decode(&sub)
+				resp.Body.Close()
+				switch {
+				case resp.StatusCode == http.StatusAccepted && err == nil && sub.ID != "":
+					mu.Lock()
+					accepted = append(accepted, sub.ID)
+					mu.Unlock()
+				case resp.StatusCode == http.StatusTooManyRequests && resp.Header.Get("Retry-After") != "":
+					mu.Lock()
+					shed++
+					mu.Unlock()
+				default:
+					t.Errorf("submit: status %d, Retry-After %q, decode error %v", resp.StatusCode, resp.Header.Get("Retry-After"), err)
+				}
+				if got := f.runner.PendingTotal(); got > maxPending {
+					t.Errorf("PendingTotal = %d mid-flood, want <= %d", got, maxPending)
+				}
+			}
+		}(tokens[c%len(tokens)])
+	}
+	wg.Wait()
+	sent := clientsPerTenant * len(tokens) * submitsPerClient
+	if len(accepted) == 0 || shed == 0 || len(accepted)+int(shed) != sent {
+		t.Fatalf("accepted %d + shed %d of %d sent", len(accepted), shed, sent)
+	}
+	// The fixture sets no rate limit, so admission is the only source of 429s.
+	if got := f.runner.ShedCount(); got != shed {
+		t.Fatalf("ShedCount = %d, clients saw %d sheds", got, shed)
+	}
+
+	close(release)
+	for _, id := range accepted {
+		if st := waitState(t, f.runner, id, terminal); st.State != api.StateSucceeded {
+			t.Fatalf("accepted job %s: %s (%s)", id, st.State, st.Error)
+		}
+	}
+	assertNoLeaks(t, f.runner)
+	f.runner.Close() // a job's counter trails its terminal state; Close waits for the worker
+	m := metricLines(t, f.runner)
+	submitted := m[`jobs_submitted{kind="workflow"}`]
+	ended := m[`jobs_succeeded{kind="workflow"}`] + m[`jobs_failed{kind="workflow"}`] + m[`jobs_cancelled{kind="workflow"}`]
+	if submitted != float64(len(accepted)+1) || submitted != ended { // +1: the blocker
+		t.Fatalf("jobs_submitted = %v, ended = %v, accepted %d + the blocker", submitted, ended, len(accepted))
 	}
 }
 

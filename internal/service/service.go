@@ -225,10 +225,6 @@ type RunnerConfig struct {
 	// and results resolves against (nil = a private local store; cluster
 	// runners always use the fabric's).
 	Datasets *dataset.Manager
-	// Shards is the registry stripe count, rounded up to a power of two
-	// (<= 0 defaults to defaultShards). Shards=1 reproduces the old
-	// single-mutex registry — the contention benchmark's baseline.
-	Shards int
 	// MaxPendingPerTenant / MaxPending bound the pending queues; submits
 	// beyond a bound shed with ErrOverloaded (0 = defaults, < 0 =
 	// unlimited).
@@ -267,15 +263,14 @@ type Runner struct {
 	// retries is the transient-error retry loop's policy + jitter stream.
 	retries *retryState
 
-	// Sharded job registry (shards.go): jobs and cancel funcs are striped
-	// by job-id hash; njobs tracks the in-memory total, retain the cap.
-	shards    []regShard
-	shardMask uint32
-	njobs     atomic.Int64
-	retain    atomic.Int64
-	pruneMu   sync.Mutex
-	evictMu   sync.Mutex
-	evicted   evictFIFO // ids evicted from memory whose store records remain
+	// Sharded job registry (shards.go): jobs are striped by job-id hash;
+	// njobs tracks the in-memory total, retain the cap.
+	shards  [regShards]regShard
+	njobs   atomic.Int64
+	retain  atomic.Int64
+	pruneMu sync.Mutex
+	evictMu sync.Mutex
+	evicted evictFIFO // ids evicted from memory whose store records remain
 
 	// Admission control; every pool's fair queue takes its weights.
 	adm     *admission
@@ -317,15 +312,12 @@ func NewRunnerConfigured(reg *Registry, store *queue.Store, cfg RunnerConfig) *R
 // context. The caller installs the dispatcher and starts its pools.
 func newRunner(reg *Registry, store *queue.Store, ds *dataset.Manager, cfg RunnerConfig, defaultWorkers int) *Runner {
 	baseCtx, stop := context.WithCancel(context.Background())
-	shards := newShards(cfg.Shards)
 	r := &Runner{
-		reg:       reg,
-		store:     store,
-		workers:   cfg.Workers,
-		datasets:  ds,
-		retries:   newRetryState(),
-		shards:    shards,
-		shardMask: uint32(len(shards) - 1),
+		reg:      reg,
+		store:    store,
+		workers:  cfg.Workers,
+		datasets: ds,
+		retries:  newRetryState(),
 		adm: newAdmission(
 			cfg.bound(cfg.MaxPendingPerTenant, defaultMaxPendingPerTenant),
 			cfg.bound(cfg.MaxPending, defaultMaxPending),
@@ -337,6 +329,9 @@ func newRunner(reg *Registry, store *queue.Store, ds *dataset.Manager, cfg Runne
 	}
 	if r.workers <= 0 {
 		r.workers = defaultWorkers
+	}
+	for i := range r.shards {
+		r.shards[i].jobs = make(map[string]*job)
 	}
 	r.retain.Store(maxRetainedJobs)
 	return r

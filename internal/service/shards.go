@@ -5,10 +5,13 @@ import (
 	"sync"
 )
 
-// The job registry is lock-striped: jobs live in defaultShards shards keyed
-// by an FNV-1a hash of the job id, so status polls, submits, and terminal
-// transitions on different jobs never contend on one mutex. The count must be a power of two (the hash is masked).
-const defaultShards = 32
+// The job registry is lock-striped: jobs live in regShards shards keyed by an
+// FNV-1a hash of the job id, so status polls, submits, and terminal
+// transitions on different jobs never contend on one mutex. A power of two:
+// the hash is masked. Not configurable — on two cores the stripes beat a
+// single mutex end to end (EXPERIMENTS.md, PR 17) and no caller ever set
+// another count.
+const regShards = 32
 
 // regShard is one stripe of the registry. closed is flipped per shard by
 // Close under the shard mutex, so every Submit either observes it (and
@@ -20,22 +23,6 @@ type regShard struct {
 	closed bool
 }
 
-func newShards(n int) []regShard {
-	if n <= 0 {
-		n = defaultShards
-	}
-	// Round up to a power of two so shardFor can mask instead of mod.
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	shards := make([]regShard, p)
-	for i := range shards {
-		shards[i].jobs = make(map[string]*job)
-	}
-	return shards
-}
-
 // shardFor picks the shard owning id. Inline FNV-1a over the id bytes:
 // no allocation, so the status-poll fast path stays at 0 allocs/op.
 func (r *Runner) shardFor(id string) *regShard {
@@ -43,7 +30,7 @@ func (r *Runner) shardFor(id string) *regShard {
 	for i := 0; i < len(id); i++ {
 		h = (h ^ uint32(id[i])) * 16777619
 	}
-	return &r.shards[h&r.shardMask]
+	return &r.shards[h&(regShards-1)]
 }
 
 // lookupJob resolves id in its shard.
