@@ -376,14 +376,11 @@ type NetConfig struct {
 	MoveStep    [3]int  `json:"move_step,omitempty"`
 	MoveProb    float32 `json:"move_prob,omitempty"`
 	SegmentProb float32 `json:"segment_prob,omitempty"`
-	// FloodBatch is the flood-fill inference batch size (0 = kernel
-	// default; 1 = per-FOV). Results are bit-exact at every batch size.
-	FloodBatch int `json:"flood_batch,omitempty"`
 	// Precision selects the inference arithmetic: "" or "f32" is the
 	// reference float32 path; "int8" runs quantized inference (int8
 	// weights, uint8 activations, int32 accumulation). int8 masks are
-	// bit-identical at every batch size and worker count but differ from
-	// f32 within documented error bounds. Training always runs f32.
+	// bit-identical at every worker count but differ from f32 within
+	// documented error bounds. Training always runs f32.
 	Precision string `json:"precision,omitempty"`
 }
 
@@ -391,12 +388,11 @@ type NetConfig struct {
 // buffers dwarf the volume cap (maxFOV^3 voxels x maxFeatures channels is
 // ~70 MB f32 per activation tensor at the extremes).
 const (
-	maxFOV        = 65
-	maxFeatures   = 256
-	maxModules    = 16
-	maxFloodBatch = 256
+	maxFOV      = 65
+	maxFeatures = 256
+	maxModules  = 16
 	// maxScratchElems bounds one batched-scratch activation tensor
-	// (FloodBatch x Features x FOV voxels): 64M float32 = 256 MB, the
+	// (flood batch x Features x FOV voxels): 64M float32 = 256 MB, the
 	// same ceiling maxVoxels puts on request volumes.
 	maxScratchElems = 64 << 20
 )
@@ -418,44 +414,42 @@ func (n *NetConfig) validate(field string) error {
 	if n.Modules < 0 || n.Modules > maxModules {
 		return invalidf("%s: modules must be in [0,%d]", field, maxModules)
 	}
-	for _, d := range n.MoveStep {
-		if d < 0 || d > maxFOV {
-			return invalidf("%s: move_step must be in [0,%d], got %v", field, maxFOV, n.MoveStep)
-		}
-	}
 	if n.MoveProb < 0 || n.MoveProb >= 1 || n.SegmentProb < 0 || n.SegmentProb >= 1 {
 		return invalidf("%s: probabilities must be in [0,1)", field)
-	}
-	if n.FloodBatch < 0 || n.FloodBatch > maxFloodBatch {
-		return invalidf("%s: flood_batch must be in [0,%d]", field, maxFloodBatch)
 	}
 	switch n.Precision {
 	case "", "f32", "int8":
 	default:
 		return invalidf("%s: precision must be \"f32\" or \"int8\", got %q", field, n.Precision)
 	}
-	// Combined batched-scratch budget: the flood scratch holds a few
-	// (FloodBatch, Features, D, H, W) activation tensors, so the three
-	// individually-capped knobs must also be bounded together — otherwise
-	// a request at every individual extreme could demand hundreds of GB.
-	// Zero-valued knobs assume the kernel defaults; a service-level test
-	// pins these literals against ffn.DefaultConfig so they cannot drift.
-	fov, feat, batch := n.FOV, n.Features, n.FloodBatch
+	// The checks below combine fields; zero-valued ones assume the kernel
+	// defaults, and a service-level test pins these literals against
+	// ffn.DefaultConfig so they cannot drift.
+	fov, feat, step := n.FOV, n.Features, n.MoveStep
 	if fov == [3]int{} {
 		fov = [3]int{5, 9, 9} // ffn.DefaultConfig().FOV
 	}
 	if feat == 0 {
 		feat = 8 // ffn.DefaultConfig().Features
 	}
-	if batch == 0 {
-		batch = 8 // ffn.DefaultFloodBatch
+	if step == [3]int{} {
+		step = [3]int{1, 3, 3} // ffn.DefaultConfig().MoveStep
 	}
-	// Division-based like volumeVoxels, so the product can never overflow:
-	// fovVol <= maxFOV^3 and feat*batch <= maxFeatures*maxFloodBatch both
-	// fit comfortably even in 32-bit int.
-	fovVol := fov[0] * fov[1] * fov[2]
-	if fovVol > maxScratchElems/(feat*batch) {
-		return invalidf("%s: fov x features x flood_batch implies a batched scratch over the %d-element limit",
+	// A flood move reads the logit FOV at center +/- step, so a step over
+	// half the FOV indexes outside it.
+	for i, d := range step {
+		if d < 0 || d > fov[i]/2 {
+			return invalidf("%s: move_step %v must be within [0, fov/2] of fov %v", field, step, fov)
+		}
+	}
+	// Combined batched-scratch budget: the flood scratch holds a few
+	// (batch, Features, D, H, W) activation tensors, so the two
+	// individually-capped knobs must also be bounded together — otherwise
+	// a request at both extremes could demand over 10 GB. Division-based
+	// like volumeVoxels, so the product can never overflow.
+	const batch = 8 // ffn.DefaultFloodBatch
+	if fov[0]*fov[1]*fov[2] > maxScratchElems/(feat*batch) {
+		return invalidf("%s: fov x features implies a batched scratch over the %d-element limit",
 			field, maxScratchElems)
 	}
 	return nil

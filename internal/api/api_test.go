@@ -43,17 +43,16 @@ func validRequests() map[Kind]*JobRequest {
 	}
 }
 
-// TestNetConfigScratchBudget requires the combined fov x features x
-// flood_batch budget to hold even when every individual knob is within its
-// own cap — a request at all three extremes would otherwise demand
-// hundreds of GB of batched flood scratch.
+// TestNetConfigScratchBudget requires the combined fov x features budget to
+// hold even when each knob is within its own cap — a request at both
+// extremes would otherwise demand over 10 GB of batched flood scratch.
 func TestNetConfigScratchBudget(t *testing.T) {
 	mk := func(nc *NetConfig) *JobRequest {
 		return &JobRequest{Kind: KindSegment, Segment: &SegmentSpec{
 			Source: tinyVolume(), Seeds: [][3]int{{1, 1, 1}}, MaxSteps: 1, Net: nc,
 		}}
 	}
-	extreme := &NetConfig{FOV: [3]int{65, 65, 65}, Features: 256, FloodBatch: 256}
+	extreme := &NetConfig{FOV: [3]int{65, 65, 65}, Features: 256}
 	err := mk(extreme).Validate()
 	if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "batched scratch") {
 		t.Fatalf("all-extremes net config passed validation: %v", err)
@@ -62,10 +61,37 @@ func TestNetConfigScratchBudget(t *testing.T) {
 	for _, nc := range []*NetConfig{
 		{FOV: [3]int{65, 65, 65}},
 		{Features: 256},
-		{FloodBatch: 256},
 	} {
 		if err := mk(nc).Validate(); err != nil {
 			t.Fatalf("single-extreme net config %+v rejected: %v", nc, err)
+		}
+	}
+}
+
+// TestNetConfigMoveStepWithinFOV: a move_step component above fov/2 indexes
+// outside the logit FOV on the first flood move, so it is refused at
+// submit — both fields resolved against the kernel defaults (fov 5x9x9,
+// move_step 1x3x3).
+func TestNetConfigMoveStepWithinFOV(t *testing.T) {
+	for _, c := range []struct {
+		nc NetConfig
+		ok bool
+	}{
+		{NetConfig{MoveStep: [3]int{3, 3, 3}}, false}, // depth: 5/2 = 2
+		{NetConfig{MoveStep: [3]int{1, 3, 5}}, false}, // in the buffer, in the next row
+		{NetConfig{FOV: [3]int{3, 5, 5}}, false},      // default step 1x3x3 no longer fits
+		{NetConfig{MoveStep: [3]int{1, -1, 1}}, false},
+		{NetConfig{MoveStep: [3]int{2, 4, 4}}, true}, // exactly fov/2
+		{NetConfig{FOV: [3]int{3, 5, 5}, MoveStep: [3]int{1, 2, 2}}, true},
+		{NetConfig{FOV: [3]int{3, 7, 7}}, true},
+		{NetConfig{FOV: [3]int{1, 7, 7}, MoveStep: [3]int{0, 3, 3}}, true}, // a flat FOV never moves in depth
+	} {
+		err := c.nc.validate("net")
+		if c.ok && err != nil {
+			t.Errorf("%+v rejected: %v", c.nc, err)
+		}
+		if !c.ok && (!errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "move_step")) {
+			t.Errorf("%+v: err = %v, want ErrInvalid naming move_step", c.nc, err)
 		}
 	}
 }
@@ -91,7 +117,7 @@ func TestPipelineSpecRejections(t *testing.T) {
 		{"negative min voxels", mk(func(s *PipelineSpec) { s.MinVoxels = -1 }), "min_voxels"},
 		{"partial stride", mk(func(s *PipelineSpec) { s.SeedStride = [3]int{1, 0, 2} }), "seed_stride"},
 		{"oversized buffer", mk(func(s *PipelineSpec) { s.Buffer = maxStreamBuffer + 1 }), "buffer"},
-		{"bad net batch", mk(func(s *PipelineSpec) { s.Net = &NetConfig{FloodBatch: -1} }), "flood_batch"},
+		{"bad net move step", mk(func(s *PipelineSpec) { s.Net = &NetConfig{MoveStep: [3]int{3, 3, 3}} }), "move_step"},
 	}
 	for _, c := range cases {
 		err := c.req.Validate()

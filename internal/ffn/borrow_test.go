@@ -136,7 +136,7 @@ func TestSegmentCtxSteadyStateAllocs(t *testing.T) {
 // TestReleasedMaskIsRecycledAsCanvas: the mask SegmentCtx returns is its
 // canvas, and releasing it feeds the next flood's canvas.
 func TestReleasedMaskIsRecycledAsCanvas(t *testing.T) {
-	net, img, seeds := batchScene(t, 8)
+	net, img, seeds := batchScene(t, PrecisionF32)
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
 	mask, want := net.Segment(img, seeds, 0)

@@ -47,11 +47,6 @@ type Config struct {
 	// the seed voxel is clamped to SeedProb (paper: 0.05 / 0.95).
 	PadProb  float32
 	SeedProb float32
-	// FloodBatch is how many ready FOV positions a flood worker pushes
-	// through the batched forward path per dispatch (0 = default 8; 1 =
-	// per-FOV applications). Masks and statistics are bit-exact at every
-	// batch size.
-	FloodBatch int
 	// Precision selects the Segment inference arithmetic: "" or "f32" is
 	// the reference float32 path; "int8" runs quantized inference (see
 	// quant.go). Training always stays f32.
@@ -84,8 +79,12 @@ func (c *Config) validate() error {
 	if c.MoveProb <= 0 || c.MoveProb >= 1 || c.SegmentProb <= 0 || c.SegmentProb >= 1 {
 		return fmt.Errorf("ffn: probabilities must be in (0,1)")
 	}
-	if c.FloodBatch < 0 {
-		return fmt.Errorf("ffn: FloodBatch must be non-negative, got %d", c.FloodBatch)
+	// A move reads the logit FOV at center +/- step: a step over half the
+	// FOV indexes outside it.
+	for i, s := range c.MoveStep {
+		if s < 0 || s > c.FOV[i]/2 {
+			return fmt.Errorf("ffn: MoveStep %v must be within [0, FOV/2] of FOV %v", c.MoveStep, c.FOV)
+		}
 	}
 	switch c.Precision {
 	case "", PrecisionF32, PrecisionInt8:
@@ -203,9 +202,9 @@ func (n *Network) ParamCount() int { return len(n.params) }
 func (n *Network) GradBytes() float64 { return float64(len(n.params)) * 4 }
 
 // fwdCache stores activations needed for backprop. Caches are reusable:
-// every tensor except input is preallocated by newCacheFrom and overwritten by
-// each forwardInto call, so steady-state training and inference allocate
-// nothing on the forward path.
+// every tensor except input is preallocated by newCache and overwritten by
+// each forwardInto call, so steady-state training allocates nothing on the
+// forward path.
 type fwdCache struct {
 	input   *tensor.Tensor // (2, D, H, W); set by forwardInto, caller-owned
 	preIn   *tensor.Tensor // pre-ReLU of input conv
@@ -216,21 +215,19 @@ type fwdCache struct {
 	modOut  []*tensor.Tensor // post residual + ReLU
 }
 
-// newCacheFrom preallocates every activation tensor for this architecture
-// with alloc, which need not zero: forwardInto overwrites every element of
-// every tensor.
-func (n *Network) newCacheFrom(alloc func(shape ...int) *tensor.Tensor) *fwdCache {
+// newCache preallocates every activation tensor for this architecture.
+func (n *Network) newCache() *fwdCache {
 	f := n.cfg.Features
 	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
 	c := &fwdCache{
-		preIn: alloc(f, d, h, w),
-		actIn: alloc(f, d, h, w),
+		preIn: tensor.New(f, d, h, w),
+		actIn: tensor.New(f, d, h, w),
 	}
 	for range n.mods {
-		c.modPre1 = append(c.modPre1, alloc(f, d, h, w))
-		c.modAct1 = append(c.modAct1, alloc(f, d, h, w))
-		c.modPre2 = append(c.modPre2, alloc(f, d, h, w))
-		c.modOut = append(c.modOut, alloc(f, d, h, w))
+		c.modPre1 = append(c.modPre1, tensor.New(f, d, h, w))
+		c.modAct1 = append(c.modAct1, tensor.New(f, d, h, w))
+		c.modPre2 = append(c.modPre2, tensor.New(f, d, h, w))
+		c.modOut = append(c.modOut, tensor.New(f, d, h, w))
 	}
 	return c
 }
@@ -279,7 +276,7 @@ func (n *Network) newTrainScratch() *trainScratch {
 	f := n.cfg.Features
 	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
 	return &trainScratch{
-		cache:      n.newCacheFrom(tensor.New),
+		cache:      n.newCache(),
 		pom:        n.SeedPOM(),
 		img:        tensor.New(1, d, h, w),
 		lab:        tensor.New(1, d, h, w),

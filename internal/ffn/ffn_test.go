@@ -35,6 +35,14 @@ func TestNewNetworkValidation(t *testing.T) {
 	if _, err := NewNetwork(bad, 1); err == nil {
 		t.Fatal("MoveProb > 1 accepted")
 	}
+	// A move reads the logit FOV at center +/- step: past FOV/2 is outside it.
+	for _, step := range [][3]int{{2, 2, 2}, {1, 4, 2}, {1, 2, -1}} {
+		bad = smallConfig()
+		bad.MoveStep = step
+		if _, err := NewNetwork(bad, 1); err == nil {
+			t.Fatalf("MoveStep %v accepted for FOV %v", step, bad.FOV)
+		}
+	}
 	if _, err := NewNetwork(smallConfig(), 1); err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +54,7 @@ func apply(n *Network, image, pom *tensor.Tensor) *tensor.Tensor {
 	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
 	in, out := tensor.New(2, d, h, w), tensor.New(1, d, h, w)
 	packInputInto(in, image, pom)
-	n.forwardInto(n.newCacheFrom(tensor.New), in, out)
+	n.forwardInto(n.newCache(), in, out)
 	return out
 }
 
@@ -285,6 +293,12 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if !errors.Is(err, ErrBadModel) {
 		t.Fatalf("hostile header: err = %v, want ErrBadModel", err)
+	}
+	// A stored MoveStep above FOV/2 would index outside the logit FOV on the
+	// first flood.
+	binary.LittleEndian.PutUint32(data[28+8:], 3+1) // magic(8) + FOV(12) + Features, Modules(8), then MoveStep; [2] = 7/2 + 1
+	if _, err := LoadBytes(data); !errors.Is(err, ErrBadModel) {
+		t.Fatalf("MoveStep over FOV/2: err = %v, want ErrBadModel", err)
 	}
 }
 

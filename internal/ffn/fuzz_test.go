@@ -11,9 +11,9 @@ import (
 // is the decoder's own sentinel; nothing allocated beyond what the input's
 // own length accounts for; and decode -> encode -> decode is the identity.
 // The checked-in corpus under testdata/fuzz holds a valid model, a valid
-// checkpoint, the 56-byte header that asks for 2^30 features, a checkpoint
-// with a truncated velocity block, and a valid checkpoint whose Batch field
-// is 2^31. A checkpoint that decodes must also resume within the largest
+// checkpoint, the 56-byte header that asks for 2^30 features, a model and a
+// checkpoint whose MoveStep exceeds FOV/2, a checkpoint with a truncated
+// velocity block, and a valid checkpoint whose Batch field is 2^31. A checkpoint that decodes must also resume within the largest
 // batch x P gradient matrix the decoder's bound on Batch admits.
 
 // fuzzAllocSlack covers the fixed-size pieces of a decoded network (views,

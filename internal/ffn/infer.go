@@ -84,16 +84,9 @@ func (v *Volume) NormalizeInto(dst *Volume) *Volume {
 	return dst
 }
 
-// extractFOV copies the FOV centered at (cz, cy, cx) from a volume into a
-// (1,D,H,W) tensor. The center must be in-bounds for the full FOV.
-func extractFOV(v *Volume, fov [3]int, cz, cy, cx int) *tensor.Tensor {
-	out := tensor.New(1, fov[0], fov[1], fov[2])
-	extractFOVInto(out, v, fov, cz, cy, cx)
-	return out
-}
-
 // extractFOVInto copies the FOV centered at (cz, cy, cx) into the caller's
-// (1,D,H,W) tensor, allocating nothing.
+// (1,D,H,W) tensor, allocating nothing. The center must be in-bounds for the
+// full FOV.
 func extractFOVInto(out *tensor.Tensor, v *Volume, fov [3]int, cz, cy, cx int) {
 	extractFOVIntoSlice(out.Data, v, fov, cz, cy, cx)
 }
@@ -121,55 +114,6 @@ type InferenceStats struct {
 	MaskVoxels  int // voxels above SegmentProb in the final mask
 	SeedsUsed   int
 	VoxelsTotal int
-}
-
-// inferScratch holds one flood-fill worker's reusable buffers: the FOV
-// image extract, the packed 2-channel input, the activation cache, and the
-// output logits. One scratch serves one goroutine. Its tensors are borrowed
-// from the shared free list and returned by release, so they outlive the
-// Network a job built them for.
-type inferScratch struct {
-	cache *fwdCache
-	pom   *tensor.Tensor
-	img   *tensor.Tensor // (1,D,H,W) FOV extract
-	in    *tensor.Tensor // (2,D,H,W) packed input
-	out   *tensor.Tensor // (1,D,H,W) output logits
-}
-
-func (n *Network) newInferScratch() *inferScratch {
-	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
-	s := &inferScratch{
-		cache: n.newCacheFrom(tensor.Borrow),
-		pom:   tensor.Borrow(1, d, h, w),
-		img:   tensor.Borrow(1, d, h, w),
-		in:    tensor.Borrow(2, d, h, w),
-		out:   tensor.Borrow(1, d, h, w),
-	}
-	n.fillSeedPOM(s.pom.Data)
-	return s
-}
-
-func (s *inferScratch) release() {
-	c := s.cache
-	tensor.Release(c.preIn, c.actIn, s.pom, s.img, s.in, s.out)
-	tensor.Release(c.modPre1...)
-	tensor.Release(c.modAct1...)
-	tensor.Release(c.modPre2...)
-	tensor.Release(c.modOut...)
-}
-
-// applyFOV runs one network application on the FOV centered at (cz, cy, cx),
-// reusing the scratch buffers. The returned tensor is s.out. Each
-// application is conditioned on a fresh seed POM (pad probability
-// everywhere, seed probability at the center) so the network sees exactly
-// the input distribution it was trained on; the canvas serves as the
-// aggregation buffer across FOVs. This is the single-step simplification of
-// FFN's recurrent POM, documented in DESIGN.md.
-func (n *Network) applyFOV(s *inferScratch, image *Volume, cz, cy, cx int) *tensor.Tensor {
-	extractFOVInto(s.img, image, n.cfg.FOV, cz, cy, cx)
-	packInputInto(s.in, s.img, s.pom)
-	n.forwardInto(s.cache, s.in, s.out)
-	return s.out
 }
 
 // mergeCore max-merges the core of an output FOV centered at p into canvas.
@@ -212,24 +156,24 @@ func (cfg *Config) fovInBounds(v *Volume, z, y, x int) bool {
 // network applications (0 means no bound). The result is a binary mask
 // volume and run statistics.
 //
-// With maxSteps == 0 and more than one worker (parallel.Workers()), seeds
-// are sharded across workers: floods claim FOV centers through a shared
-// atomic visited array (each center is expanded exactly once, as in the
-// serial multi-source BFS) and merge into worker-private canvases that are
-// max-reduced afterwards. Workers drain ready centers in batches of
-// Config.FloodBatch through the batched forward path (weights stream once
-// per batch, activations fused into the conv writes). Because each
-// application's output depends only on the image and the center — never on
-// the canvas — the mask and statistics are identical to the serial per-FOV
-// path at every batch size and worker count.
+// Every call runs the one batched flood loop (flood). A budget keeps it on
+// one goroutine, applying the oldest queued centers first, so which
+// applications spend the budget does not depend on the worker count.
+// Without a budget and with more than one worker (parallel.Workers()),
+// seeds are sharded across workers: floods claim FOV centers through a
+// shared atomic visited set (each center is expanded exactly once) and
+// merge into worker-private canvases that are max-reduced afterwards.
+// Because each application's output depends only on the image and the
+// center — never on the canvas — the mask and statistics are identical at
+// every worker count.
 func (n *Network) Segment(image *Volume, seeds [][3]int, maxSteps int) (*Volume, InferenceStats) {
 	mask, stats, _ := n.SegmentCtx(context.Background(), image, seeds, maxSteps, nil)
 	return mask, stats
 }
 
 // visitedSet is the flood's claimed-center set, one bit per voxel. The
-// sharded floods claim through the atomic or; the serial flood, alone on
-// its set, uses the plain one.
+// flood claims through the atomic or; seed acceptance, alone on the set
+// before any fan-out, uses the plain one.
 type visitedSet []uint32
 
 // borrowVisited borrows a cleared set for n voxels from the free list.
@@ -251,7 +195,8 @@ func (v visitedSet) claim(key int) bool {
 	return true
 }
 
-// claimAtomic is claim for floods that share the set across goroutines.
+// claimAtomic is claim for the flood, which may share the set across
+// goroutines.
 func (v visitedSet) claimAtomic(key int) bool {
 	bit := uint32(1) << (key & 31)
 	return atomic.OrUint32(&v[key>>5], bit)&bit == 0
@@ -259,7 +204,7 @@ func (v visitedSet) claimAtomic(key int) bool {
 
 // floodProgress counts network applications across all flood workers and
 // fires the user callback every progressEvery applications. A nil
-// *floodProgress disables both, costing the flood loops nothing.
+// *floodProgress disables both, costing the flood loop nothing.
 type floodProgress struct {
 	steps atomic.Int64
 	fn    func(steps int)
@@ -278,10 +223,9 @@ func (p *floodProgress) bump() {
 	}
 }
 
-// SegmentCtx is the context-aware Segment: cancellation is checked before
-// every network application in the serial flood and before every batch in
-// the batched flood, so a cancelled context stops the run within one FOV
-// batch (FloodBatch applications) per worker.
+// SegmentCtx is the context-aware Segment: cancellation is checked once per
+// batch on every path, so a cancelled context stops the run within one FOV
+// batch (DefaultFloodBatch applications) per worker.
 // On cancellation the partial canvas is still thresholded and returned with
 // the statistics accumulated so far and ctx.Err(). progress (may be nil) is
 // called with the running application count every progressEvery
@@ -333,17 +277,8 @@ func (n *Network) SegmentCtx(ctx context.Context, image *Volume, seeds [][3]int,
 	}
 
 	shards := parallel.Ranges(len(accepted))
-	batch := cfg.effectiveFloodBatch()
-	if maxSteps > 0 {
-		// The bounded-step flood stays per-FOV FIFO, so which applications
-		// spend the budget is unchanged by the batch setting.
-		n.floodSerial(ctx, image, accepted, claimed, canvas.Data, moveLogit, maxSteps, &stats, prog)
-	} else if len(shards) <= 1 {
-		if batch > 1 {
-			n.floodShardBatch(ctx, image, accepted, claimed, canvas.Data, moveLogit, &stats, prog)
-		} else {
-			n.floodSerial(ctx, image, accepted, claimed, canvas.Data, moveLogit, 0, &stats, prog)
-		}
+	if maxSteps > 0 || len(shards) <= 1 {
+		n.flood(ctx, image, accepted, claimed, canvas.Data, moveLogit, maxSteps, &stats, prog)
 	} else {
 		// Worker-private canvases, max-reduced in shard order afterwards
 		// (order is irrelevant for max, but keep it fixed anyway) and
@@ -355,11 +290,7 @@ func (n *Network) SegmentCtx(ctx context.Context, image *Volume, seeds [][3]int,
 				wc := tensor.GetFloats(image.Size())
 				fill(wc, padLogit)
 				canvases[k] = wc
-				if batch > 1 {
-					n.floodShardBatch(ctx, image, accepted[shards[k][0]:shards[k][1]], claimed, wc, moveLogit, &shardStats[k], prog)
-				} else {
-					n.floodShard(ctx, image, accepted[shards[k][0]:shards[k][1]], claimed, wc, moveLogit, &shardStats[k], prog)
-				}
+				n.flood(ctx, image, accepted[shards[k][0]:shards[k][1]], claimed, wc, moveLogit, 0, &shardStats[k], prog)
 			}
 		})
 		for k, wc := range canvases {
@@ -410,93 +341,6 @@ func (cfg *Config) moveOffsets() [6][3]int {
 		{-cfg.MoveStep[0], 0, 0}, {cfg.MoveStep[0], 0, 0},
 		{0, -cfg.MoveStep[1], 0}, {0, cfg.MoveStep[1], 0},
 		{0, 0, -cfg.MoveStep[2]}, {0, 0, cfg.MoveStep[2]},
-	}
-}
-
-// floodSerial is the single-goroutine flood: a multi-source BFS over FOV
-// centers with an optional step budget and cooperative cancellation checked
-// before every application.
-func (n *Network) floodSerial(ctx context.Context, image *Volume, seeds []fovPos, claimed visitedSet, canvas []float32, moveLogit float32, maxSteps int, stats *InferenceStats, prog *floodProgress) {
-	cfg := n.cfg
-	ap := n.newFOVApplier()
-	defer ap.release()
-	offsets := cfg.moveOffsets()
-	queue := append([]fovPos(nil), seeds...)
-	for len(queue) > 0 {
-		if maxSteps > 0 && stats.Steps >= maxSteps {
-			break
-		}
-		if ctx.Err() != nil {
-			return
-		}
-		p := queue[0]
-		queue = queue[1:]
-		out := ap.apply(image, p)
-		mergeCore(canvas, image.H, image.W, cfg.FOV, out, p.z, p.y, p.x)
-		stats.Steps++
-		prog.bump()
-
-		for _, off := range offsets {
-			fz := cfg.FOV[0]/2 + off[0]
-			fy := cfg.FOV[1]/2 + off[1]
-			fx := cfg.FOV[2]/2 + off[2]
-			v := out[(fz*cfg.FOV[1]+fy)*cfg.FOV[2]+fx]
-			if v < moveLogit {
-				continue
-			}
-			nz, ny, nx := p.z+off[0], p.y+off[1], p.x+off[2]
-			if !cfg.fovInBounds(image, nz, ny, nx) {
-				continue
-			}
-			key := (nz*image.H+ny)*image.W + nx
-			if !claimed.claim(key) {
-				continue
-			}
-			queue = append(queue, fovPos{nz, ny, nx})
-			stats.Moves++
-		}
-	}
-}
-
-// floodShard floods one worker's seed shard, claiming centers through the
-// shared atomic visited bitset and merging into a worker-private canvas.
-// Cancellation is checked before every application, as in floodSerial.
-func (n *Network) floodShard(ctx context.Context, image *Volume, seeds []fovPos, claimed visitedSet, canvas []float32, moveLogit float32, stats *InferenceStats, prog *floodProgress) {
-	cfg := n.cfg
-	ap := n.newFOVApplier()
-	defer ap.release()
-	offsets := cfg.moveOffsets()
-	queue := append([]fovPos(nil), seeds...)
-	for len(queue) > 0 {
-		if ctx.Err() != nil {
-			return
-		}
-		p := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		out := ap.apply(image, p)
-		mergeCore(canvas, image.H, image.W, cfg.FOV, out, p.z, p.y, p.x)
-		stats.Steps++
-		prog.bump()
-
-		for _, off := range offsets {
-			fz := cfg.FOV[0]/2 + off[0]
-			fy := cfg.FOV[1]/2 + off[1]
-			fx := cfg.FOV[2]/2 + off[2]
-			v := out[(fz*cfg.FOV[1]+fy)*cfg.FOV[2]+fx]
-			if v < moveLogit {
-				continue
-			}
-			nz, ny, nx := p.z+off[0], p.y+off[1], p.x+off[2]
-			if !cfg.fovInBounds(image, nz, ny, nx) {
-				continue
-			}
-			key := (nz*image.H+ny)*image.W + nx
-			if !claimed.claimAtomic(key) {
-				continue
-			}
-			queue = append(queue, fovPos{nz, ny, nx})
-			stats.Moves++
-		}
 	}
 }
 

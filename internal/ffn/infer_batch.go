@@ -6,37 +6,21 @@ import (
 	"chaseci/internal/tensor"
 )
 
-// Batched flood-fill inference. Instead of running one network application
-// per ready FOV center, a flood worker drains up to FloodBatch positions
-// from its queue and pushes them through the batched forward path in one
-// dispatch: the shared weights are streamed from memory once per batch
-// rather than once per application, and the fused conv epilogues
-// (tensor.Conv3DBatchReLUInto / Conv3DBatchResReLUInto) fold each layer's
-// activation and residual into the conv output write. Because every
-// application's output depends only on the image and the center — never on
-// the canvas or on other in-flight applications — batching any subset of
-// ready positions produces bit-exact masks and statistics at every batch
-// size and worker count (the claimed set stays the multi-source closure,
-// and the canvas merge is an order-independent element-wise max).
+// Batched flood-fill inference. A flood worker drains up to
+// DefaultFloodBatch ready FOV centers from its queue and pushes them through
+// the batched forward path in one dispatch: the shared weights are streamed
+// from memory once per batch rather than once per application, and the
+// fused conv epilogues (tensor.Conv3DBatchReLUInto / Conv3DBatchResReLUInto)
+// fold each layer's activation and residual into the conv output write.
+// Because every application's output depends only on the image and the
+// center — never on the canvas or on other in-flight applications —
+// batching any subset of ready positions produces bit-exact masks and
+// statistics (the claimed set stays the multi-source closure, and the canvas
+// merge is an order-independent element-wise max).
 
-// DefaultFloodBatch is the FOV batch size used when Config.FloodBatch is 0.
+// DefaultFloodBatch is how many ready FOV positions a flood worker pushes
+// through the batched forward path per dispatch.
 const DefaultFloodBatch = 8
-
-// MaxFloodBatch caps the batch (and therefore the batched scratch size).
-// The api schema layer enforces the same cap at validation time.
-const MaxFloodBatch = 256
-
-// effectiveFloodBatch resolves the configured batch size.
-func (c *Config) effectiveFloodBatch() int {
-	b := c.FloodBatch
-	if b <= 0 {
-		b = DefaultFloodBatch
-	}
-	if b > MaxFloodBatch {
-		b = MaxFloodBatch
-	}
-	return b
-}
 
 // batchScratch holds one flood worker's reusable batched buffers: the
 // packed (B,2,D,H,W) input, ping-pong activation tensors, the module hidden
@@ -61,7 +45,7 @@ type batchScratch struct {
 // flood writes each live slot's image channel, and the POM channel of every
 // slot — the constant seed POM — is filled here, once per flood.
 func (n *Network) getBatchScratch() *batchScratch {
-	B := n.cfg.effectiveFloodBatch()
+	const B = DefaultFloodBatch
 	f := n.cfg.Features
 	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
 	fovN := d * h * w
@@ -97,31 +81,39 @@ func (n *Network) forwardBatchInto(s *batchScratch, k int) {
 	tensor.Conv3DBatchInto(s.out, cur, n.wOut, n.bOut, k)
 }
 
-// floodShardBatch floods one worker's seed shard in batches of up to B FOV
-// positions, claiming centers through the shared atomic visited bitset and
-// max-merging output cores into canvas (worker-private under the sharded
-// flood, the shared canvas when single-shard). Cancellation is checked
-// before every batch, so a cancelled context stops the run within one batch
-// per worker.
-func (n *Network) floodShardBatch(ctx context.Context, image *Volume, seeds []fovPos, claimed visitedSet, canvas []float32, moveLogit float32, stats *InferenceStats, prog *floodProgress) {
+// flood is the flood-fill loop under every Segment call: it floods seeds in
+// batches of up to DefaultFloodBatch FOV positions, claiming centers through
+// the (possibly shared) atomic visited set and max-merging output cores into
+// canvas — worker-private under the sharded flood, the result canvas
+// otherwise. Each application is conditioned on a fresh seed POM (the
+// scratch's constant POM channel), the input distribution the network was
+// trained on; the canvas is only the aggregation buffer across FOVs — the
+// single-step simplification of FFN's recurrent POM.
+//
+// With budget > 0 at most budget applications run, and each batch is the
+// oldest queued centers, expanded in queue order: the claim sequence, and so
+// which applications spend the budget, is that of a one-at-a-time FIFO.
+// Without a budget the result is order-independent and the batch comes off
+// the back of the queue, which keeps the queue short. Cancellation is
+// checked before every batch.
+func (n *Network) flood(ctx context.Context, image *Volume, seeds []fovPos, claimed visitedSet, canvas []float32, moveLogit float32, budget int, stats *InferenceStats, prog *floodProgress) {
 	cfg := n.cfg
 	s := n.getBatchScratch()
 	defer n.putBatchScratch(s)
-	B := cap(s.pos)
 	fov := cfg.FOV
 	fovN := fov[0] * fov[1] * fov[2]
 	offsets := cfg.moveOffsets()
 	queue := append([]fovPos(nil), seeds...)
-	for len(queue) > 0 {
-		if ctx.Err() != nil {
-			return
+	for len(queue) > 0 && (budget <= 0 || stats.Steps < budget) && ctx.Err() == nil {
+		k := min(DefaultFloodBatch, len(queue))
+		if budget > 0 {
+			k = min(k, budget-stats.Steps)
+			s.pos = append(s.pos[:0], queue[:k]...)
+			queue = queue[k:]
+		} else {
+			s.pos = append(s.pos[:0], queue[len(queue)-k:]...)
+			queue = queue[:len(queue)-k]
 		}
-		k := B
-		if len(queue) < k {
-			k = len(queue)
-		}
-		s.pos = append(s.pos[:0], queue[len(queue)-k:]...)
-		queue = queue[:len(queue)-k]
 		for i, p := range s.pos {
 			extractFOVIntoSlice(s.in.Data[2*i*fovN:][:fovN], image, fov, p.z, p.y, p.x)
 		}

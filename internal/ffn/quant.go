@@ -4,15 +4,15 @@ import (
 	"chaseci/internal/tensor"
 )
 
-// Int8 quantized inference. Config.Precision == PrecisionInt8 routes every
-// Segment flood path (serial FIFO, sharded LIFO, batched) through
-// tensor's quantized conv kernels: 3x3x3 weights are quantized once per
-// weight state (per-output-channel symmetric int8), activations are
-// quantized dynamically per FOV slot, and the 1x1x1 logit head stays f32.
-// Because activation quantization is per slot, the int8 mask is
-// bit-identical at every batch size and worker count, exactly like the f32
-// path. Accuracy versus f32 is error-bounded rather than exact: quant_test.go
-// pins the max-abs logit error and the mask disagreement rate.
+// Int8 quantized inference. Config.Precision == PrecisionInt8 routes the
+// Segment flood through tensor's quantized conv kernels: 3x3x3 weights are
+// quantized once per weight state (per-output-channel symmetric int8),
+// activations are quantized dynamically per FOV slot, and the 1x1x1 logit
+// head stays f32. Because activation quantization is per slot, an
+// application's int8 output does not depend on what shares its batch, so
+// the int8 mask is bit-identical at every worker count, exactly like the
+// f32 path. Accuracy versus f32 is error-bounded rather than exact:
+// quant_test.go pins the max-abs logit error and the mask disagreement rate.
 
 // Precision selects the inference arithmetic for Segment.
 type Precision string
@@ -60,8 +60,8 @@ func (n *Network) quantized() *quantNet {
 // forwardBatchQInto is the int8 counterpart of forwardBatchInto: quantized
 // conv+ReLU for the input layer and module hidden, quantized
 // conv+residual+ReLU for the module tail, and the f32 1x1x1 logit head.
-// Results land in s.out; per-slot activation quantization makes them
-// bit-identical per slot at every batch size and worker count.
+// Results land in s.out; per-slot activation quantization makes a slot's
+// result independent of the rest of the batch.
 func (n *Network) forwardBatchQInto(s *batchScratch, k int) {
 	qn := n.quantized()
 	tensor.Conv3DBatchQReLUInto(s.x0, s.in, qn.wIn, n.bIn, k)
@@ -73,46 +73,4 @@ func (n *Network) forwardBatchQInto(s *batchScratch, k int) {
 		cur, nxt = nxt, cur
 	}
 	tensor.Conv3DBatchInto(s.out, cur, n.wOut, n.bOut, k)
-}
-
-// fovApplier abstracts one-FOV network application over the active
-// precision: the f32 path uses an inferScratch, the int8 path drives the
-// first slot of a batchScratch through the quantized batched forward. Both
-// are borrowed from the shared free list. One applier serves one goroutine.
-type fovApplier struct {
-	n  *Network
-	s  *inferScratch // f32 path
-	bs *batchScratch // int8 path (slot 0)
-}
-
-func (n *Network) newFOVApplier() *fovApplier {
-	a := &fovApplier{n: n}
-	if n.int8Inference() {
-		a.bs = n.getBatchScratch()
-	} else {
-		a.s = n.newInferScratch()
-	}
-	return a
-}
-
-// apply runs the network on the FOV centered at p and returns the logit
-// FOV, valid until the next apply call.
-func (a *fovApplier) apply(image *Volume, p fovPos) []float32 {
-	if a.bs != nil {
-		fov := a.n.cfg.FOV
-		fovN := fov[0] * fov[1] * fov[2]
-		extractFOVIntoSlice(a.bs.in.Data[:fovN], image, fov, p.z, p.y, p.x)
-		a.n.forwardBatchQInto(a.bs, 1)
-		return a.bs.out.Data[:fovN]
-	}
-	return a.n.applyFOV(a.s, image, p.z, p.y, p.x).Data
-}
-
-// release returns the applier's scratch to the free list.
-func (a *fovApplier) release() {
-	if a.bs != nil {
-		a.n.putBatchScratch(a.bs)
-	} else {
-		a.s.release()
-	}
 }

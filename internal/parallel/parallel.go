@@ -10,7 +10,7 @@
 //     on scheduling, so kernels that are bit-exact per element stay bit-exact
 //     at every worker count, and kernels that reduce per-chunk partials can
 //     do so in a fixed chunk order.
-//  2. Zero steady-state allocation: dispatch reuses pooled WaitGroups and
+//  2. Zero steady-state allocation: dispatch reuses pooled join states and
 //     sends plain structs on pre-created channels, so an Invoke with a
 //     caller-pooled Task allocates nothing once warm. This is what lets
 //     tensor.Conv3DInto report 0 allocs/op under -benchmem.
@@ -56,11 +56,32 @@ func SetWorkers(n int) int {
 	return int(workerOverride.Swap(int32(n)))
 }
 
+// join is one Invoke's rendezvous with its dispatched chunks: the count of
+// chunks still running, and the first panic raised on a lane.
+type join struct {
+	wg       sync.WaitGroup
+	panicked atomic.Pointer[any]
+}
+
 // job is one dispatched chunk.
 type job struct {
 	t          Task
 	start, end int
-	wg         *sync.WaitGroup
+	join       *join
+}
+
+// run executes the chunk on a lane. A panic there has no caller to unwind
+// to — it would end the process — so it is parked in the join for Invoke
+// to re-raise on the goroutine that asked for the work.
+func (j job) run() {
+	defer func() {
+		if p := recover(); p != nil {
+			v := p // the heap copy is made only when there is a panic
+			j.join.panicked.CompareAndSwap(nil, &v)
+		}
+		j.join.wg.Done()
+	}()
+	j.t.Run(j.start, j.end)
 }
 
 var (
@@ -79,8 +100,7 @@ func ensureLanes(k int) []chan job {
 		lanes = append(lanes, c)
 		go func() {
 			for j := range c {
-				j.t.Run(j.start, j.end)
-				j.wg.Done()
+				j.run()
 			}
 		}()
 	}
@@ -89,10 +109,11 @@ func ensureLanes(k int) []chan job {
 	return ls
 }
 
-var wgPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
+var joinPool = sync.Pool{New: func() any { return new(join) }}
 
 // Invoke fans t out over [0, n) in at most Workers() contiguous chunks.
-// Chunk 0 always runs on the calling goroutine.
+// Chunk 0 always runs on the calling goroutine, and a panic in any other
+// chunk is re-raised there once every chunk has ended.
 func Invoke(n int, t Task) { InvokeGrain(n, 1, t) }
 
 // InvokeGrain is Invoke with a minimum chunk size: no chunk is smaller than
@@ -115,22 +136,26 @@ func InvokeGrain(n, grain int, t Task) {
 		return
 	}
 	ls := ensureLanes(w - 1)
-	wg := wgPool.Get().(*sync.WaitGroup)
+	jn := joinPool.Get().(*join)
 	for c := 1; c < w; c++ {
 		s, e := c*n/w, (c+1)*n/w
-		wg.Add(1)
+		jn.wg.Add(1)
 		select {
-		case ls[c-1] <- job{t, s, e, wg}:
+		case ls[c-1] <- job{t, s, e, jn}:
 		default:
 			// Lane busy (concurrent or nested Invoke): run inline rather
 			// than block, which keeps nested fan-out deadlock-free.
 			t.Run(s, e)
-			wg.Done()
+			jn.wg.Done()
 		}
 	}
 	t.Run(0, n/w)
-	wg.Wait()
-	wgPool.Put(wg)
+	jn.wg.Wait()
+	p := jn.panicked.Swap(nil)
+	joinPool.Put(jn)
+	if p != nil {
+		panic(*p)
+	}
 }
 
 // funcTask adapts a closure to Task for the convenience wrappers. The

@@ -1,6 +1,8 @@
 package parallel
 
 import (
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -94,6 +96,48 @@ func TestConcurrentInvokes(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// goroutineID is the id in the current goroutine's stack header.
+func goroutineID() string {
+	var b [64]byte
+	return strings.Fields(string(b[:runtime.Stack(b[:], false)]))[1]
+}
+
+// TestLanePanicReraisedOnCaller: a chunk that panics on a lane goroutine
+// must not end the process; Invoke re-raises the value on its caller after
+// every other chunk has run, and the lanes keep serving.
+func TestLanePanicReraisedOnCaller(t *testing.T) {
+	prev := SetWorkers(4)
+	defer SetWorkers(prev)
+	caller := goroutineID()
+	var ran atomic.Int32
+	attempt := func() (got any) {
+		defer func() { got = recover() }()
+		ran.Store(0)
+		For(4, func(s, e int) {
+			ran.Add(1)
+			if s == 3 && goroutineID() != caller {
+				panic("chunk 3")
+			}
+		})
+		return nil
+	}
+	// A chunk whose lane is busy (or not yet receiving) runs inline on the
+	// caller; try until chunk 3 lands on a lane.
+	var got any
+	for got == nil {
+		got = attempt()
+		runtime.Gosched()
+	}
+	if got != "chunk 3" || ran.Load() != 4 {
+		t.Fatalf("recovered %v after %d of 4 chunks, want \"chunk 3\" after all 4", got, ran.Load())
+	}
+	var total atomic.Int64
+	For(1000, func(s, e int) { total.Add(int64(e - s)) })
+	if total.Load() != 1000 {
+		t.Fatalf("after a lane panic, For covered %d of 1000 indices", total.Load())
+	}
 }
 
 func TestSetWorkersRestore(t *testing.T) {

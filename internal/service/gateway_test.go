@@ -335,6 +335,23 @@ func TestGatewayValidationAndRouting(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, "segment spec") {
 		t.Fatalf("status %d, err %q", resp.StatusCode, apiErr.Error)
 	}
+	// A move_step over fov/2 would index outside the logit FOV mid-flood, on
+	// a goroutine no handler recover covers -> 400 at submit, for every kind
+	// that floods; the requests after this one show the gateway still serves.
+	overstep := &api.NetConfig{MoveStep: [3]int{3, 3, 3}}
+	seg := tinySegmentRequest()
+	seg.Segment.Net = overstep
+	synth := api.SynthSpec{NLon: 8, NLat: 6, NLev: 3, Steps: 6}
+	for _, req := range []*api.JobRequest{
+		seg,
+		{Kind: api.KindPipeline, Pipeline: &api.PipelineSpec{Synth: synth, SlabSteps: 3, Threshold: 1, Net: overstep}},
+		{Kind: api.KindTrain, Train: &api.TrainSpec{Source: api.VolumeSource{Synth: &synth}, Threshold: 1, Steps: 2, HoldoutSteps: 2, Net: overstep}},
+	} {
+		resp := f.do("POST", "/v1/jobs", req, &apiErr)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, "move_step") {
+			t.Fatalf("%s with move_step over fov/2: status %d, err %q", req.Kind, resp.StatusCode, apiErr.Error)
+		}
+	}
 	// Unknown JSON field -> 400 (DisallowUnknownFields catches typos).
 	req, _ := http.NewRequest("POST", f.srv.URL+"/v1/jobs", strings.NewReader(`{"kind":"segment","segmnt":{}}`))
 	raw, err := http.DefaultClient.Do(req)

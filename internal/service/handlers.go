@@ -169,9 +169,6 @@ func netConfig(nc *api.NetConfig) ffn.Config {
 	if nc.SegmentProb > 0 {
 		cfg.SegmentProb = nc.SegmentProb
 	}
-	if nc.FloodBatch > 0 {
-		cfg.FloodBatch = nc.FloodBatch
-	}
 	if nc.Precision != "" {
 		cfg.Precision = ffn.Precision(nc.Precision)
 	}

@@ -212,23 +212,20 @@ func TestPipelineCancelMidStream(t *testing.T) {
 
 // TestAPIScratchAssumptionsMatchKernelDefaults pins the kernel defaults the
 // pure-schema api package assumes in NetConfig.validate's batched-scratch
-// budget (api must not import ffn, so the agreement is enforced here, where
+// budget and move_step bound (api must not import ffn, so the agreement is enforced here, where
 // both packages are visible). If this fails, update the literals in
 // api.NetConfig.validate alongside the kernel change.
 func TestAPIScratchAssumptionsMatchKernelDefaults(t *testing.T) {
 	cfg := ffn.DefaultConfig()
-	if cfg.FOV != [3]int{5, 9, 9} || cfg.Features != 8 || ffn.DefaultFloodBatch != 8 {
-		t.Fatalf("ffn defaults (FOV %v, Features %d, FloodBatch %d) drifted from the values api.NetConfig.validate assumes",
-			cfg.FOV, cfg.Features, ffn.DefaultFloodBatch)
-	}
-	if ffn.MaxFloodBatch != 256 {
-		t.Fatalf("ffn.MaxFloodBatch = %d, but api caps flood_batch at 256", ffn.MaxFloodBatch)
+	if cfg.FOV != [3]int{5, 9, 9} || cfg.Features != 8 || cfg.MoveStep != [3]int{1, 3, 3} || ffn.DefaultFloodBatch != 8 {
+		t.Fatalf("ffn defaults (FOV %v, Features %d, MoveStep %v, flood batch %d) drifted from the values api.NetConfig.validate assumes",
+			cfg.FOV, cfg.Features, cfg.MoveStep, ffn.DefaultFloodBatch)
 	}
 	// And the budget itself must reject the all-extremes corner.
 	bad := &api.JobRequest{Kind: api.KindSegment, Segment: &api.SegmentSpec{
 		Source: api.VolumeSource{D: 2, H: 2, W: 2, Data: make([]float32, 8)},
 		Seeds:  [][3]int{{1, 1, 1}}, MaxSteps: 1,
-		Net: &api.NetConfig{FOV: [3]int{65, 65, 65}, Features: 256, FloodBatch: 256},
+		Net: &api.NetConfig{FOV: [3]int{65, 65, 65}, Features: 256},
 	}}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("all-extremes net config passed validation")

@@ -3,12 +3,14 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"chaseci/internal/api"
+	"chaseci/internal/parallel"
 	"chaseci/internal/queue"
 )
 
@@ -212,19 +214,56 @@ func blockingWorkflowRequest() *api.JobRequest {
 	}
 }
 
+// goroutineID is the id in the current goroutine's stack header.
+func goroutineID() string {
+	var b [64]byte
+	return strings.Fields(string(b[:runtime.Stack(b[:], false)]))[1]
+}
+
+// TestHandlerPanicBecomesFailure: a panic in a handler — on its own
+// goroutine or on a parallel lane under a kernel it called — fails that job
+// under the retry budget, and the runner serves the next one.
 func TestHandlerPanicBecomesFailure(t *testing.T) {
-	reg := NewRegistry()
-	reg.Register(api.KindWorkflow, func(jc *JobContext) (any, error) {
-		panic("kaboom")
-	})
-	r, _ := newTestRunner(t, reg, 1)
-	st, err := r.Submit(blockingWorkflowRequest(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitState(t, r, st.ID, terminal)
-	if final.State != api.StateFailed || !strings.Contains(final.Error, "kaboom") {
-		t.Fatalf("status = %+v", final)
+	prev := parallel.SetWorkers(2)
+	defer parallel.SetWorkers(prev)
+	for name, boom := range map[string]func(){
+		"handler goroutine": func() { panic("kaboom") },
+		"parallel lane": func() {
+			// A chunk the lane is too busy to take runs inline; try until
+			// one lands on the lane.
+			for caller := goroutineID(); ; runtime.Gosched() {
+				parallel.For(2, func(s, e int) {
+					if goroutineID() != caller {
+						panic("kaboom")
+					}
+				})
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			reg := NewRegistry()
+			reg.Register(api.KindWorkflow, func(jc *JobContext) (any, error) {
+				if jc.Request().Name == "boom" {
+					boom()
+				}
+				return "fine", nil
+			})
+			r, _ := newTestRunner(t, reg, 1)
+			for _, want := range []api.State{api.StateFailed, api.StateSucceeded} {
+				req := blockingWorkflowRequest()
+				if want == api.StateFailed {
+					req.Name = "boom"
+				}
+				st, err := r.Submit(req, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				final := waitState(t, r, st.ID, terminal)
+				if final.State != want || strings.Contains(final.Error, "kaboom") != (want == api.StateFailed) {
+					t.Fatalf("status = %+v, want %s", final, want)
+				}
+			}
+		})
 	}
 }
 

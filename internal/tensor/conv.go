@@ -41,7 +41,7 @@ func Conv3DInto(out, in, weight *Tensor, bias []float32) {
 	if out.Shape[0] != cout || out.Shape[1] != d || out.Shape[2] != h || out.Shape[3] != w {
 		panic(fmt.Sprintf("tensor: Conv3DInto out shape %v, want (%d,%d,%d,%d)", out.Shape, cout, d, h, w))
 	}
-	hdr := batch1Pool.Get().(*struct{ o, i, r Tensor })
+	hdr := batch1Pool.Get().(*struct{ o, i Tensor })
 	convBatchDispatch(asBatch1(&hdr.o, out), asBatch1(&hdr.i, in), weight, bias, nil, epNone, 0)
 	hdr.o.Data, hdr.i.Data = nil, nil
 	batch1Pool.Put(hdr)

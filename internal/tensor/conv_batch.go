@@ -356,27 +356,8 @@ func asBatch1(hdr, t *Tensor) *Tensor {
 }
 
 var batch1Pool = sync.Pool{New: func() any {
-	return &struct{ o, i, r Tensor }{
+	return &struct{ o, i Tensor }{
 		o: Tensor{Shape: make([]int, 0, 5)},
 		i: Tensor{Shape: make([]int, 0, 5)},
-		r: Tensor{Shape: make([]int, 0, 5)},
 	}
 }}
-
-// Conv3DReLUInto is the single-input fused conv+ReLU: out, in are 4-d
-// (C, D, H, W) tensors. Bit-exact with Conv3DInto followed by ReLUInto.
-func Conv3DReLUInto(out, in, weight *Tensor, bias []float32) {
-	h := batch1Pool.Get().(*struct{ o, i, r Tensor })
-	Conv3DBatchReLUInto(asBatch1(&h.o, out), asBatch1(&h.i, in), weight, bias, 0)
-	h.o.Data, h.i.Data = nil, nil
-	batch1Pool.Put(h)
-}
-
-// Conv3DResReLUInto is the single-input fused conv+residual+ReLU:
-// out = max(0, conv(in) + res) over 4-d (C, D, H, W) tensors.
-func Conv3DResReLUInto(out, in, weight *Tensor, bias []float32, res *Tensor) {
-	h := batch1Pool.Get().(*struct{ o, i, r Tensor })
-	Conv3DBatchResReLUInto(asBatch1(&h.o, out), asBatch1(&h.i, in), weight, bias, asBatch1(&h.r, res), 0)
-	h.o.Data, h.i.Data, h.r.Data = nil, nil, nil
-	batch1Pool.Put(h)
-}

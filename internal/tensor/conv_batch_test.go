@@ -110,31 +110,34 @@ func TestConv3DBatchIntoPartialBatch(t *testing.T) {
 	}
 }
 
-// TestConv3DReLUIntoMatchesUnfused pins the 4-d fused wrappers.
+// TestConv3DReLUIntoMatchesUnfused pins the fused epilogues, one item at a
+// time, against the unfused public sequence Conv3DInto, AddInPlace, ReLUInto.
 func TestConv3DReLUIntoMatchesUnfused(t *testing.T) {
 	rng := sim.NewRNG(29)
-	in := randTensor(rng, 3, 4, 8, 9)
+	in := randTensor(rng, 1, 3, 4, 8, 9)
 	weight := randTensor(rng, 5, 3, 3, 3, 3)
-	res := randTensor(rng, 5, 4, 8, 9)
+	res := randTensor(rng, 1, 5, 4, 8, 9)
 	bias := make([]float32, 5)
 	for i := range bias {
 		bias[i] = float32(rng.NormFloat64())
 	}
+	in4 := &Tensor{Shape: in.Shape[1:], Data: in.Data}
+	res4 := &Tensor{Shape: res.Shape[1:], Data: res.Data}
 	want := New(5, 4, 8, 9)
-	Conv3DInto(want, in, weight, bias)
+	Conv3DInto(want, in4, weight, bias)
 	ReLUInto(want, want)
-	got := New(5, 4, 8, 9)
-	Conv3DReLUInto(got, in, weight, bias)
+	got := New(1, 5, 4, 8, 9)
+	Conv3DBatchReLUInto(got, in, weight, bias, 1)
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {
 			t.Fatalf("fused relu element %d: got %v, want %v", i, got.Data[i], want.Data[i])
 		}
 	}
 
-	Conv3DInto(want, in, weight, bias)
-	want.AddInPlace(res)
+	Conv3DInto(want, in4, weight, bias)
+	want.AddInPlace(res4)
 	ReLUInto(want, want)
-	Conv3DResReLUInto(got, in, weight, bias, res)
+	Conv3DBatchResReLUInto(got, in, weight, bias, res, 1)
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {
 			t.Fatalf("fused res-relu element %d: got %v, want %v", i, got.Data[i], want.Data[i])

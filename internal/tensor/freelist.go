@@ -104,18 +104,8 @@ func PutWords(w []uint32) {
 	PutFloats(unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(w))), len(w)))
 }
 
-// Borrow returns a tensor of the given shape whose backing array comes from
-// the free list, contents unspecified.
-func Borrow(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: GetFloats(n)}
-}
-
-// Release returns Borrowed tensors' backing arrays to the free list and
-// detaches them, so a use after release fails loudly.
+// Release returns the tensors' backing arrays — GetFloats buffers — to the
+// free list and detaches them, so a use after release fails loudly.
 func Release(ts ...*Tensor) {
 	for _, t := range ts {
 		PutFloats(t.Data)

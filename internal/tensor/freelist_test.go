@@ -105,17 +105,14 @@ func TestFreeListWordsShareTheFloatStock(t *testing.T) {
 
 func TestBorrowReleaseDetachesTensor(t *testing.T) {
 	resetFreeList(t)
-	x := Borrow(2, 3, 4)
-	if x.Size() != 24 || len(x.Data) != 24 {
-		t.Fatalf("Borrow(2,3,4): shape %v, %d elements", x.Shape, len(x.Data))
-	}
+	x := &Tensor{Shape: []int{2, 3, 4}, Data: GetFloats(24)}
 	p := &x.Data[0]
 	Release(x)
 	if x.Data != nil {
 		t.Fatal("Release must detach the backing array")
 	}
-	if y := Borrow(24); &y.Data[0] != p {
-		t.Fatal("Borrow did not reuse the released backing array")
+	if y := GetFloats(24); &y[0] != p {
+		t.Fatal("GetFloats did not reuse the released backing array")
 	}
 }
 
