@@ -7,22 +7,34 @@
 // scratch Go implementation using union-find, serving both as the accuracy
 // reference for the FFN and as the single-CPU baseline in the scaling
 // benches.
+//
+// The scan is bit-native: a binary volume is one bit per voxel, LSB-first —
+// the dataset codec's mask payload — and the one raster loop (labelSlab)
+// tests bits. A stored mask is labelled straight from its packed bytes
+// (FromBits); a float32 mask (FromMask, NewVolume) is packed at the start of
+// the Label call, 1/32 of its size, and never read again. The label array
+// and the union-find tables, the only buffers sized by the volume, are
+// borrowed from the tensor free list.
 package connect
 
 import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"chaseci/internal/parallel"
+	"chaseci/internal/tensor"
 )
 
 // Volume is a binary (T, H, W) mask: time-major, matching ffn.Volume layout.
+// It holds either float32 voxels in Data (set means > 0.5) or, from
+// FromBits, a packed bitset and no Data.
 type Volume struct {
 	T, H, W int
 	Data    []float32
+
+	bits []byte // FromBits only: 1 bit per voxel, LSB-first, read-only
 }
 
 // NewVolume allocates a zero volume.
@@ -31,10 +43,34 @@ func NewVolume(t, h, w int) *Volume {
 }
 
 // At reports whether voxel (t, y, x) is set.
-func (v *Volume) At(t, y, x int) bool { return v.Data[(t*v.H+y)*v.W+x] > 0.5 }
+func (v *Volume) At(t, y, x int) bool {
+	i := (t*v.H+y)*v.W + x
+	if v.bits != nil {
+		return bitSet(v.bits, i)
+	}
+	return v.Data[i] > 0.5
+}
 
-// Set marks voxel (t, y, x).
+// Set marks voxel (t, y, x) of a float volume (a FromBits volume is a
+// read-only view and has no Data to mark).
 func (v *Volume) Set(t, y, x int) { v.Data[(t*v.H+y)*v.W+x] = 1 }
+
+func bitSet(bits []byte, i int) bool { return bits[i>>3]&(1<<(i&7)) != 0 }
+
+// packed returns the volume as the bitset the scan reads: FromBits' own
+// bytes, or Data's > 0.5 voxels packed into a fresh one.
+func (v *Volume) packed() []byte {
+	if v.bits != nil {
+		return v.bits
+	}
+	bits := make([]byte, (len(v.Data)+7)/8)
+	for i, x := range v.Data {
+		if x > 0.5 {
+			bits[i>>3] |= 1 << (i & 7)
+		}
+	}
+	return bits
+}
 
 // Connectivity selects the neighborhood used to join voxels.
 type Connectivity int
@@ -79,6 +115,15 @@ type Result struct {
 	T, H, W int
 }
 
+// Release gives Labels — the one buffer of a Result sized by the volume — to
+// the tensor free list and detaches it, so a use after release fails loudly.
+// Objects stay valid. It is optional: a Result that is never released is
+// ordinary garbage.
+func (r *Result) Release() {
+	tensor.PutInt32s(r.Labels)
+	r.Labels = nil
+}
+
 // LabelAt returns the object ID at (t, y, x), 0 for background.
 func (r *Result) LabelAt(t, y, x int) int32 { return r.Labels[(t*r.H+y)*r.W+x] }
 
@@ -95,31 +140,6 @@ func newUnionFind(n int) *unionFind {
 		uf.size[i] = 1
 	}
 	return uf
-}
-
-// labelBufs pools Label's large per-call working arrays (union-find state
-// and the root compaction table) so repeated labelling of same-sized
-// volumes stops hitting the allocator.
-type labelBufs struct {
-	parent, size, rootSlot []int32
-}
-
-var labelBufPool = sync.Pool{New: func() any { return new(labelBufs) }}
-
-func getLabelBufs(n int) *labelBufs {
-	b := labelBufPool.Get().(*labelBufs)
-	if cap(b.parent) < n {
-		b.parent = make([]int32, n)
-		b.size = make([]int32, n)
-		b.rootSlot = make([]int32, n)
-	}
-	b.parent, b.size, b.rootSlot = b.parent[:n], b.size[:n], b.rootSlot[:n]
-	// parent/size are initialized lazily as labels are allocated; only the
-	// compaction table needs clearing.
-	for i := range b.rootSlot {
-		b.rootSlot[i] = 0
-	}
-	return b
 }
 
 func (uf *unionFind) find(x int32) int32 {
@@ -176,9 +196,10 @@ func neighborOffsets(conn Connectivity) [][3]int {
 // which is what makes the slab pass safe to run in parallel. Neighbor pairs
 // reaching back into t0-1 are left to the caller's boundary stitch. Returns
 // one past the last label allocated.
-func labelSlab(ctx context.Context, v *Volume, uf *unionFind, labels []int32, conn Connectivity, t0, t1 int, nextLabel int32, tick func()) int32 {
-	H, W := v.H, v.W
-	data := v.Data
+//
+// labels arrives dirty (borrowed): the scan writes every voxel of the slab,
+// zero for an unset one, and only ever reads labels it has already written.
+func labelSlab(ctx context.Context, bits []byte, H, W int, uf *unionFind, labels []int32, conn Connectivity, t0, t1 int, nextLabel int32, tick func()) int32 {
 	for t := t0; t < t1; t++ {
 		// Cooperative cancellation, checked once per time step: the caller
 		// discards everything when the context is cancelled, so the slab
@@ -189,7 +210,6 @@ func labelSlab(ctx context.Context, v *Volume, uf *unionFind, labels []int32, co
 		withPrevT := t > t0 // t-1 pairs at the slab start are stitched later
 		for y := 0; y < H; y++ {
 			rowBase := (t*H + y) * W
-			cur := data[rowBase:][:W]
 			curLbl := labels[rowBase:][:W]
 			// Backward neighbor rows: (t, y-1), and for Conn26 also
 			// (t-1, y-1), (t-1, y), (t-1, y+1). For Conn6 the only
@@ -215,7 +235,8 @@ func labelSlab(ctx context.Context, v *Volume, uf *unionFind, labels []int32, co
 				}
 			}
 			for x := 0; x < W; x++ {
-				if cur[x] <= 0.5 {
+				if !bitSet(bits, rowBase+x) {
+					curLbl[x] = 0
 					continue
 				}
 				var lbl int32
@@ -320,8 +341,12 @@ func Label(v *Volume, conn Connectivity, minVoxels int) *Result {
 func LabelCtx(ctx context.Context, v *Volume, conn Connectivity, minVoxels int, progress func(done, total int)) (*Result, error) {
 	n := v.T * v.H * v.W
 	neighborOffsets(conn) // validates conn
-	res := &Result{Labels: make([]int32, n), T: v.T, H: v.H, W: v.W}
-	labels := res.Labels // provisional label ids until the final remap
+	bits := v.packed()
+	// Borrowed dirty: pass 1 writes every voxel's label, set or not.
+	labels := tensor.GetInt32s(n) // provisional label ids until the final remap
+	res := &Result{Labels: labels, T: v.T, H: v.H, W: v.W}
+	// cancelled gives the half-assigned labels back.
+	cancelled := func(err error) (*Result, error) { res.Release(); return nil, err }
 
 	var tick func()
 	if progress != nil {
@@ -341,16 +366,23 @@ func LabelCtx(ctx context.Context, v *Volume, conn Connectivity, minVoxels int, 
 	for k, s := range slabs {
 		starts[k+1] = starts[k] + int32(s[1]-s[0])*int32(v.H)*perRow
 	}
-	bufs := getLabelBufs(int(starts[len(slabs)]))
-	defer labelBufPool.Put(bufs)
-	uf := &unionFind{parent: bufs.parent, size: bufs.size}
+	// Union-find state and the root compaction table, one entry per label
+	// id. parent/size are initialized lazily as labels are allocated, so
+	// only the compaction table needs clearing.
+	ids := int(starts[len(slabs)])
+	uf := &unionFind{parent: tensor.GetInt32s(ids), size: tensor.GetInt32s(ids)}
+	rootSlot := tensor.GetInt32s(ids) // 0 = unseen, else slot+1
+	clear(rootSlot)
+	defer tensor.PutInt32s(uf.parent)
+	defer tensor.PutInt32s(uf.size)
+	defer tensor.PutInt32s(rootSlot)
 	parallel.For(len(slabs), func(s0, s1 int) {
 		for k := s0; k < s1; k++ {
-			labelSlab(ctx, v, uf, labels, conn, slabs[k][0], slabs[k][1], starts[k], tick)
+			labelSlab(ctx, bits, v.H, v.W, uf, labels, conn, slabs[k][0], slabs[k][1], starts[k], tick)
 		}
 	})
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return cancelled(err)
 	}
 
 	// Pass 2: serial boundary stitch — unite labels across each slab's
@@ -359,7 +391,7 @@ func LabelCtx(ctx context.Context, v *Volume, conn Connectivity, minVoxels int, 
 	H, W := v.H, v.W
 	for _, slab := range slabs[1:] {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return cancelled(err)
 		}
 		t := slab[0]
 		for y := 0; y < H; y++ {
@@ -416,11 +448,10 @@ func LabelCtx(ctx context.Context, v *Volume, conn Connectivity, minVoxels int, 
 	// voxel encountered — deterministic regardless of union order and
 	// worker count) and accumulate per-object statistics. Labels
 	// temporarily hold slot ids.
-	rootSlot := bufs.rootSlot // 0 = unseen, else slot+1
 	var accs []labelAcc
 	for t := 0; t < v.T; t++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return cancelled(err)
 		}
 		for y := 0; y < v.H; y++ {
 			rowBase := (t*v.H + y) * v.W
@@ -470,8 +501,10 @@ func LabelCtx(ctx context.Context, v *Volume, conn Connectivity, minVoxels int, 
 		}
 	}
 
-	// Deterministic ordering: by genesis, then size desc, then bbox.
-	order := make([]int32, len(accs))
+	// Deterministic ordering: by genesis, then size desc, then bbox. Every
+	// component took at least one label id, so the union-find tables — dead
+	// past the stats pass — have room for the order and the slot -> ID map.
+	order := uf.size[:len(accs)]
 	for i := range order {
 		order[i] = int32(i)
 	}
@@ -487,7 +520,8 @@ func LabelCtx(ctx context.Context, v *Volume, conn Connectivity, minVoxels int, 
 	})
 
 	// Assign final IDs (0 drops the object) and build Object records.
-	slotID := make([]int32, len(accs)+1)
+	slotID := rootSlot[:len(accs)+1]
+	clear(slotID)
 	nextID := int32(1)
 	for _, slot := range order {
 		a := &accs[slot]
@@ -553,12 +587,23 @@ func max(a, b int) int {
 }
 
 // FromMask adapts any float32 time-major mask (e.g. an ffn.Volume or a
-// thresholded merra volume) into a connect.Volume without copying.
+// thresholded merra volume) into a connect.Volume without copying; voxels
+// > 0.5 are set.
 func FromMask(t, h, w int, data []float32) *Volume {
 	if len(data) != t*h*w {
 		panic("connect: FromMask dimension mismatch")
 	}
 	return &Volume{T: t, H: h, W: w, Data: data}
+}
+
+// FromBits views a packed time-major mask — 1 bit per voxel, LSB-first, the
+// dataset codec's mask payload — as a connect.Volume without copying or
+// expanding it. bits is only read.
+func FromBits(t, h, w int, bits []byte) *Volume {
+	if len(bits) != (t*h*w+7)/8 {
+		panic("connect: FromBits dimension mismatch")
+	}
+	return &Volume{T: t, H: h, W: w, bits: bits}
 }
 
 // Stats summarizes a labelling for reports.

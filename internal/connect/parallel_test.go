@@ -226,3 +226,48 @@ func TestLabelSolidAndEmpty(t *testing.T) {
 		parallel.SetWorkers(prev)
 	}
 }
+
+// TestLabelFromBitsMatchesFromMask: a packed mask labelled where it lies
+// (FromBits) gives the labels and objects of the same mask as floats
+// (FromMask), and both give the serial reference's, at every connectivity
+// and worker count, for solid, empty and random volumes. Every result is
+// released before the next labelling, so — the package runs poisoned — each
+// call borrows a label array and union-find tables full of NaN bits and a
+// voxel the scan left unwritten would surface as label 0x7fc00000.
+func TestLabelFromBitsMatchesFromMask(t *testing.T) {
+	const T, H, W = 6, 11, 13 // 858 voxels: the packed form ends mid-byte
+	solid := NewVolume(T, H, W)
+	for i := range solid.Data {
+		solid.Data[i] = 1
+	}
+	volumes := map[string]*Volume{
+		"solid":  solid,
+		"empty":  NewVolume(T, H, W),
+		"sparse": randomMask(5, T, H, W, 0.08),
+		"dense":  randomMask(6, T, H, W, 0.45),
+	}
+	for name, v := range volumes {
+		packed := FromBits(T, H, W, v.packed())
+		for i := range v.Data {
+			if x, y, tt := i%W, i/W%H, i/(W*H); packed.At(tt, y, x) != v.At(tt, y, x) {
+				t.Fatalf("%s: packed voxel %d reads %v, float voxel %v", name, i, packed.At(tt, y, x), v.At(tt, y, x))
+			}
+		}
+		for _, conn := range []Connectivity{Conn6, Conn26} {
+			want := labelSerialReference(v, conn, 2)
+			for _, workers := range []int{1, 2, 8} {
+				t.Run(fmt.Sprintf("%s/conn=%d/workers=%d", name, conn, workers), func(t *testing.T) {
+					defer parallel.SetWorkers(parallel.SetWorkers(workers))
+					for _, in := range []*Volume{packed, FromMask(T, H, W, v.Data), packed} {
+						got := Label(in, conn, 2)
+						requireSameResult(t, got, want)
+						got.Release()
+						if got.Labels != nil || len(got.Objects) != len(want.Objects) {
+							t.Fatal("Release must detach Labels and keep Objects")
+						}
+					}
+				})
+			}
+		}
+	}
+}

@@ -18,6 +18,16 @@
 // A dataset's ID is the lowercase hex SHA-256 of its full encoding, so IDs
 // are self-verifying: the gateway recomputes the hash on upload and a
 // corrupt or mislabeled blob can never resolve.
+//
+// Nothing is materialised twice. The store keeps the encoding it was handed,
+// and a resolved Blob is a view of those same bytes: a volume's Data is the
+// payload reinterpreted as []float32 (the payload is little-endian float32,
+// which is what a little-endian host holds in memory), a mask's Bits and a
+// checkpoint's Raw are the payload itself. The only copy is the fallback a
+// volume takes when the host is big-endian or the payload does not start on
+// a 4-byte boundary — chosen by the data, never by a setting. The price of
+// the view is one rule: nobody writes through a Blob, because the bytes
+// behind it are the content address (see Blob).
 package dataset
 
 import (
@@ -30,6 +40,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"chaseci/internal/objstore"
 	"chaseci/internal/sim"
@@ -140,6 +151,23 @@ func UnpackBits(bits []byte, n int) ([]float32, error) {
 	return out, nil
 }
 
+// hostLittleEndian reports whether a float32 in memory is already its
+// 4-byte little-endian encoding — the condition for viewing instead of
+// converting.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// floatsView reinterprets a non-empty little-endian float32 payload as
+// []float32 without copying. It returns nil when that is not a plain
+// reinterpretation: a big-endian host, or a payload off the 4-byte boundary
+// a float32 load needs.
+func floatsView(payload []byte) []float32 {
+	p := unsafe.Pointer(unsafe.SliceData(payload))
+	if !hostLittleEndian || uintptr(p)%4 != 0 {
+		return nil
+	}
+	return unsafe.Slice((*float32)(p), len(payload)/4)
+}
+
 func encodeHeader(kind Kind, d, h, w, payload int) []byte {
 	b := make([]byte, HeaderSize, HeaderSize+payload)
 	copy(b, magic[:])
@@ -157,6 +185,10 @@ func EncodeVolume(d, h, w int, data []float32) ([]byte, error) {
 		return nil, fmt.Errorf("%w: volume %dx%dx%d with %d values", ErrBadEncoding, d, h, w, len(data))
 	}
 	b := encodeHeader(KindVolume, d, h, w, 4*n)
+	if hostLittleEndian {
+		// The floats in memory are the payload: one bulk copy.
+		return append(b, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(data))), 4*n)...), nil
+	}
 	for _, v := range data {
 		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
 	}
@@ -189,28 +221,55 @@ func EncodeCheckpoint(payload []byte) ([]byte, error) {
 	return append(b, payload...), nil
 }
 
-// Blob is a decoded dataset. Data and Raw belong to the manager's resolve
-// cache and are shared by every job resolving the same id, concurrently:
-// they are read-only, for as long as anyone holds the Blob. A consumer that
-// needs a transformed copy writes it somewhere else (ffn's NormalizeInto, a
-// threshold into a borrowed buffer); nobody may hand Data to a free list
-// (ffn.ReleaseVolume, tensor.PutFloats) — the cache owns it and the GC
-// reclaims it after eviction.
+// Blob is a resolved dataset: a view of the stored encoding, not a copy of
+// it. Exactly one of Data, Bits and Raw is set, by Kind, and each aliases
+// the bytes the store holds under the dataset's content address (a volume's
+// Data is a private copy only on the big-endian/misaligned fallback). A Blob
+// is shared by every job resolving the same id, concurrently, for as long as
+// anyone holds it, so the rule is: nobody may write. A write through a Blob
+// would change bytes whose SHA-256 is their name. A consumer that needs a
+// transformed volume writes it somewhere else (ffn's NormalizeInto, a
+// threshold into a borrowed buffer), and nobody may hand Data or Floats() to
+// a free list (ffn.ReleaseVolume, tensor.PutFloats): the store owns the
+// memory and the GC reclaims it once the dataset is deleted and dropped.
 type Blob struct {
 	Kind    Kind
 	D, H, W int
-	Data    []float32
+	// Data is a volume's voxels (nil for mask/checkpoint).
+	Data []float32
+	// Bits is a mask's packed payload, 1 bit per voxel, LSB-first (nil for
+	// volume/checkpoint). Bit consumers (connect.FromBits) read it as is.
+	Bits []byte
 	// Raw holds a checkpoint's opaque payload bytes (nil for volume/mask).
 	Raw []byte
+
+	expand sync.Once
+	floats []float32 // a mask's 0/1 expansion, built by the first Floats call
 }
 
 // Voxels returns the element count.
 func (b *Blob) Voxels() int { return b.D * b.H * b.W }
 
-// CloneData returns a private copy of the payload, for a caller that must
-// mutate it in place. The job handlers do not: they borrow Data read-only.
+// Floats returns the payload as the float32 field the kernels consume: a
+// volume's Data, or a mask expanded to 0/1. The expansion is 32x the packed
+// mask, so it happens only when a float consumer asks (a segment or train
+// job on a mask ref), at most once per Blob, and is shared and read-only
+// like Data.
+func (b *Blob) Floats() []float32 {
+	if b.Kind != KindMask {
+		return b.Data
+	}
+	b.expand.Do(func() {
+		// DecodeHeader validated length and padding: this cannot fail.
+		b.floats, _ = UnpackBits(b.Bits, b.Voxels())
+	})
+	return b.floats
+}
+
+// CloneData returns a private copy of the float32 payload, for a caller that
+// must mutate it in place. The job handlers do not: they borrow read-only.
 func (b *Blob) CloneData() []float32 {
-	return append([]float32(nil), b.Data...)
+	return append([]float32(nil), b.Floats()...)
 }
 
 // DecodeHeader reads just the codec prefix, validating magic, kind, dims,
@@ -259,30 +318,29 @@ func DecodeHeader(enc []byte) (kind Kind, d, h, w int, err error) {
 	return kind, d, h, w, nil
 }
 
-// Decode parses a full encoding into a Blob. Masks are expanded to a 0/1
-// float32 field, so every dataset resolves to the same in-memory shape the
-// kernels consume.
+// Decode parses a full encoding into a Blob that views enc (see Blob): the
+// caller must not modify enc afterwards. Only a volume whose payload cannot
+// be reinterpreted in place (floatsView) is converted element by element
+// into memory of its own.
 func Decode(enc []byte) (*Blob, error) {
 	kind, d, h, w, err := DecodeHeader(enc)
 	if err != nil {
 		return nil, err
 	}
-	n := d * h * w
 	b := &Blob{Kind: kind, D: d, H: h, W: w}
+	payload := enc[HeaderSize:]
 	switch kind {
 	case KindVolume:
-		b.Data = make([]float32, n)
-		for i := range b.Data {
-			b.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(enc[HeaderSize+4*i:]))
+		if b.Data = floatsView(payload); b.Data == nil {
+			b.Data = make([]float32, d*h*w)
+			for i := range b.Data {
+				b.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
+			}
 		}
 	case KindMask:
-		b.Data, err = UnpackBits(enc[HeaderSize:], n)
-		if err != nil {
-			return nil, err
-		}
+		b.Bits = payload
 	case KindCheckpoint:
-		// Opaque bytes: no float32 expansion.
-		b.Raw = append([]byte(nil), enc[HeaderSize:]...)
+		b.Raw = payload
 	}
 	return b, nil
 }
@@ -322,7 +380,8 @@ type Info struct {
 
 // Config tunes a Manager.
 type Config struct {
-	// CacheBytes bounds the decoded-blob resolve cache (<= 0 = 128 MB).
+	// CacheBytes bounds the resolve cache (<= 0 = 128 MB). A volume or a
+	// mask is charged its float32 footprint, a checkpoint its bytes.
 	CacheBytes int
 }
 
@@ -603,7 +662,11 @@ func (m *Manager) Resolve(id string) (*Blob, error) {
 // cacheLocked inserts a decoded blob and evicts LRU entries past the byte
 // budget. m.mu held.
 func (m *Manager) cacheLocked(id string, blob *Blob) {
-	cost := 4*len(blob.Data) + len(blob.Raw)
+	// A mask is charged what it grows to if a float consumer expands it.
+	cost := len(blob.Raw)
+	if blob.Kind != KindCheckpoint {
+		cost = 4 * blob.Voxels()
+	}
 	if cost > m.cacheCapacity {
 		return // larger than the whole cache; don't thrash it
 	}

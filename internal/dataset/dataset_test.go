@@ -68,8 +68,8 @@ func TestMaskRoundTripAndCompression(t *testing.T) {
 		t.Fatalf("kind = %v", blob.Kind)
 	}
 	for i := range data {
-		if blob.Data[i] != data[i] {
-			t.Fatalf("voxel %d: got %v want %v", i, blob.Data[i], data[i])
+		if blob.Floats()[i] != data[i] {
+			t.Fatalf("voxel %d: got %v want %v", i, blob.Floats()[i], data[i])
 		}
 	}
 }
@@ -114,8 +114,8 @@ func TestMaskNonBinaryValuesPackToOne(t *testing.T) {
 	}
 	want := []float32{0, 1, 1, 1}
 	for i := range want {
-		if blob.Data[i] != want[i] {
-			t.Fatalf("voxel %d: got %v want %v", i, blob.Data[i], want[i])
+		if blob.Floats()[i] != want[i] {
+			t.Fatalf("voxel %d: got %v want %v", i, blob.Floats()[i], want[i])
 		}
 	}
 }

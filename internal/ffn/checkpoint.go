@@ -1,7 +1,6 @@
 package ffn
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -59,22 +58,22 @@ var ckptStateLen = binary.Size(ckptState{})
 // resumable.
 const maxCheckpointBatch = 4096
 
-// EncodeBytes returns the serialized checkpoint.
+// EncodeBytes returns the serialized checkpoint, built in one slice of
+// exactly its final length.
 func (c *Checkpoint) EncodeBytes() []byte {
-	model := c.Net.SaveBytes()
-	var buf bytes.Buffer
-	// Fixed-size values into a bytes.Buffer: binary.Write cannot fail.
-	put := func(v any) { binary.Write(&buf, binary.LittleEndian, v) }
-	put(ckptMagic)
-	put(uint32(len(model)))
-	buf.Write(model)
-	put(ckptState{
+	modelLen := c.Net.modelLen()
+	b := make([]byte, 0, len(ckptMagic)+4+modelLen+ckptStateLen+8*len(c.Losses)+4*len(c.Net.params))
+	b = append(b, ckptMagic[:]...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(modelLen))
+	b = c.Net.appendModel(b)
+	// Fixed-size values: binary.Append cannot fail.
+	b, _ = binary.Append(b, binary.LittleEndian, ckptState{
 		LR: c.Opt.LR, Momentum: c.Opt.Momentum, SampleSeed: c.SampleSeed,
 		Batch: uint32(c.BatchPerRound), Round: uint32(c.Round), NLosses: uint32(len(c.Losses)),
 	})
-	put(c.Losses)
-	put(c.Opt.Velocity(len(c.Net.params)))
-	return buf.Bytes()
+	b, _ = binary.Append(b, binary.LittleEndian, c.Losses)
+	b, _ = binary.Append(b, binary.LittleEndian, c.Opt.Velocity(len(c.Net.params)))
+	return b
 }
 
 // DecodeCheckpoint reconstructs a checkpoint (network, optimizer with

@@ -289,6 +289,13 @@ func TestModelAndCheckpointBytesAreStable(t *testing.T) {
 	if got := sum(tr.CheckpointBytes()); got != ckptSHA {
 		t.Errorf("checkpoint after 3 rounds hashes %s, want %s", got, ckptSHA)
 	}
+	// Both encoders build their bytes in one slice of the final length.
+	for name, encode := range map[string]func() []byte{"model": n.SaveBytes, "checkpoint": tr.CheckpointBytes} {
+		var enc []byte
+		if allocs := testing.AllocsPerRun(10, func() { enc = encode() }); allocs != 1 || len(enc) != cap(enc) {
+			t.Errorf("%s encode: %.0f allocs, len %d cap %d; want 1 exact slice", name, allocs, len(enc), cap(enc))
+		}
+	}
 
 	// The sequential trainer: 40 losses, then the trained model.
 	n, _ = NewNetwork(smallConfig(), 3)

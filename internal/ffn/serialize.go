@@ -1,7 +1,6 @@
 package ffn
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -35,18 +34,24 @@ func intx3(v [3]int32) [3]int   { return [3]int{int(v[0]), int(v[1]), int(v[2])}
 
 // SaveBytes returns the serialized model (config + every weight).
 func (n *Network) SaveBytes() []byte {
+	return n.appendModel(make([]byte, 0, n.modelLen()))
+}
+
+// modelLen is the exact length of the serialized model.
+func (n *Network) modelLen() int { return modelHeaderLen + 4*len(n.params) }
+
+// appendModel appends the serialized model to b.
+func (n *Network) appendModel(b []byte) []byte {
 	c := n.cfg
-	var buf bytes.Buffer
-	buf.Grow(modelHeaderLen + 4*len(n.params))
-	// Fixed-size values into a bytes.Buffer: binary.Write cannot fail.
-	binary.Write(&buf, binary.LittleEndian, modelHeader{
+	// Fixed-size values: binary.Append cannot fail.
+	b, _ = binary.Append(b, binary.LittleEndian, modelHeader{
 		Magic: modelMagic,
 		FOV:   int32x3(c.FOV), Features: int32(c.Features), Modules: int32(c.Modules),
 		MoveStep: int32x3(c.MoveStep),
 		MoveProb: c.MoveProb, SegmentProb: c.SegmentProb, PadProb: c.PadProb, SeedProb: c.SeedProb,
 	})
-	binary.Write(&buf, binary.LittleEndian, n.params)
-	return buf.Bytes()
+	b, _ = binary.Append(b, binary.LittleEndian, n.params)
+	return b
 }
 
 // LoadBytes reconstructs a network from serialized bytes. The header is

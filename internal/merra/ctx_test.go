@@ -3,6 +3,7 @@ package merra
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -77,6 +78,39 @@ func TestIVTVolumeCtxMatchesIVTVolume(t *testing.T) {
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {
 			t.Fatalf("volume value %d diverges", i)
+		}
+	}
+}
+
+// TestIVTVolumeOverDirtyBuffersMatchesFresh: IVTVolumeCtx's state and output
+// come from the free list with whatever the last borrower left in them. The
+// package runs poisoned, so after a Release every buffer the next call
+// borrows is NaN throughout; the volume must still equal, bit for bit, the
+// per-step fields integrated from freshly allocated states.
+func TestIVTVolumeOverDirtyBuffersMatchesFresh(t *testing.T) {
+	levels := PressureLevels(testGrid.NLev)
+	const start, steps = 3, 5
+	hw := testGrid.HorizontalSize()
+	for _, seed := range []uint64{1, 7, 1977} {
+		gen := NewGenerator(testGrid, seed)
+		var want []float32
+		for s := 0; s < steps; s++ {
+			want = append(want, IVT(gen.State(start+s), levels).Data...)
+		}
+		for round := 0; round < 3; round++ {
+			vol := IVTVolume(gen, levels, start, steps)
+			if vol.Grid != (Grid{NLon: testGrid.NLon, NLat: testGrid.NLat, NLev: steps}) || len(vol.Data) != steps*hw {
+				t.Fatalf("volume grid %v with %d values", vol.Grid, len(vol.Data))
+			}
+			for i, v := range want {
+				if math.Float32bits(vol.Data[i]) != math.Float32bits(v) {
+					t.Fatalf("seed %d round %d: voxel %d = %v over dirty buffers, %v fresh", seed, round, i, vol.Data[i], v)
+				}
+			}
+			vol.Release()
+			if vol.Data != nil {
+				t.Fatal("Release must detach Data")
+			}
 		}
 	}
 }

@@ -10,7 +10,11 @@
 // THREDDS subsetting.
 package merra
 
-import "fmt"
+import (
+	"fmt"
+
+	"chaseci/internal/tensor"
+)
 
 // Grid describes the discretization: NLon x NLat horizontal points and NLev
 // pressure levels. MERRA-2's full grid is 576 x 361 x 42.
@@ -117,6 +121,21 @@ type Field3D struct {
 // NewField3D allocates a zero field on g.
 func NewField3D(g Grid) *Field3D {
 	return &Field3D{Grid: g, Data: make([]float32, g.Size())}
+}
+
+// borrowField3D is NewField3D over a buffer from the tensor free list with
+// unspecified contents, for a producer that overwrites every element.
+func borrowField3D(g Grid) *Field3D {
+	return &Field3D{Grid: g, Data: tensor.GetFloats(g.Size())}
+}
+
+// Release gives the field's backing array to the tensor free list and
+// detaches it, so a use after release fails loudly. It is optional — a field
+// that is never released is ordinary garbage — and only for a caller that
+// owns the field outright and holds no other reference to Data.
+func (f *Field3D) Release() {
+	tensor.PutFloats(f.Data)
+	f.Data = nil
 }
 
 // Index returns the flat offset of (i, j, k).

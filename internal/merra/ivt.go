@@ -197,15 +197,23 @@ func IVTVolume(gen *Generator, levels []float64, startStep, steps int) *Field3D 
 // (nil, ctx.Err()). progress (may be nil) is called with
 // (stepsDone, steps) after each completed time step. Each step integrates
 // directly into the volume's slab — no per-step field or copy — from one
-// atmosphere State that every step re-synthesizes in place.
+// atmosphere State that every step re-synthesizes in place. The state and
+// the volume live in buffers borrowed dirty from the tensor free list
+// (StateInto and the integration overwrite every element): the state goes
+// back on return, and the caller may hand the volume back with Release once
+// it is consumed.
 func IVTVolumeCtx(ctx context.Context, gen *Generator, levels []float64, startStep, steps int, progress func(done, total int)) (*Field3D, error) {
 	g := gen.Grid
-	vol := NewField3D(Grid{NLon: g.NLon, NLat: g.NLat, NLev: steps})
+	vol := borrowField3D(Grid{NLon: g.NLon, NLat: g.NLat, NLev: steps})
 	hw := g.NLon * g.NLat
-	var st State
+	st := State{Q: borrowField3D(g), U: borrowField3D(g), V: borrowField3D(g)}
+	defer st.Q.Release()
+	defer st.U.Release()
+	defer st.V.Release()
 	for t := 0; t < steps; t++ {
 		gen.StateInto(&st, startStep+t)
 		if err := ivtIntoCtx(ctx, vol.Data[t*hw:(t+1)*hw], &st, levels); err != nil {
+			vol.Release()
 			return nil, err
 		}
 		if progress != nil {

@@ -11,6 +11,7 @@ import (
 
 	"chaseci/internal/api"
 	"chaseci/internal/dataset"
+	"chaseci/internal/merra"
 )
 
 // The job path borrows its sources read-only: a ref's decoded blob straight
@@ -47,33 +48,52 @@ func runJob(t *testing.T, r *Runner, req *api.JobRequest) json.RawMessage {
 	return raw
 }
 
-// TestJobsLeaveResolvedBlobsUntouched: a cached blob still hashes to its
-// own content address after segment (with pretraining), label, train and train_dist
-// jobs over it, after a label job over a pipeline's stored mask, and after
-// eight concurrent segment jobs on the one ref — which must also agree with
-// each other bit for bit.
+// TestJobsLeaveResolvedBlobsUntouched: a resolved blob is a view of the bytes
+// the store keeps under its content address, so a write through one would
+// corrupt the address itself. After segment (with pretraining), label, train
+// and train_dist jobs over a volume ref, segment, label and train jobs over a
+// pipeline's stored mask (both the packed scan and the float expansion), a
+// train_dist resumed from a checkpoint ref, and eight concurrent segment
+// jobs on the one ref — which must also agree with each other bit for bit —
+// every blob still encodes to its id and every stored encoding still hashes
+// to it.
 func TestJobsLeaveResolvedBlobsUntouched(t *testing.T) {
 	r, _ := newTestRunner(t, DefaultRegistry(), 4)
+	ds := r.Datasets()
 	d, h, w, data := testIVTField(6)
-	info, err := r.Datasets().PutVolume(d, h, w, data, "")
+	info, err := ds.PutVolume(d, h, w, data, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := r.Datasets().Resolve(info.ID)
+	blob, err := ds.Resolve(info.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
+	refs := []string{info.ID}
 	check := func(after string) {
 		t.Helper()
-		again, err := r.Datasets().Resolve(info.ID)
+		again, err := ds.Resolve(info.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if again != blob {
 			t.Fatalf("after %s: the cache no longer serves the same blob", after)
 		}
-		if contentID(t, blob.Kind, blob.D, blob.H, blob.W, blob.Data) != info.ID {
-			t.Fatalf("after %s: the cached blob's data changed", after)
+		for _, id := range refs {
+			b, err := ds.Resolve(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.Kind != dataset.KindCheckpoint && contentID(t, b.Kind, b.D, b.H, b.W, b.Floats()) != id {
+				t.Fatalf("after %s: the cached %s blob's data changed", after, b.Kind)
+			}
+			enc, err := ds.GetBytes(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dataset.ID(enc) != id {
+				t.Fatalf("after %s: the stored %s no longer hashes to its content address", after, b.Kind)
+			}
 		}
 	}
 
@@ -82,34 +102,54 @@ func TestJobsLeaveResolvedBlobsUntouched(t *testing.T) {
 	segment := &api.JobRequest{Kind: api.KindSegment, ResultMode: api.ResultModeRef, Segment: &api.SegmentSpec{
 		Source: src, Threshold: 120, Net: net, SeedStride: [3]int{1, 4, 4}, TrainSteps: 4, ReturnMask: true,
 	}}
-	jobs := []*api.JobRequest{
+	trainDist := &api.JobRequest{Kind: api.KindTrainDist, TrainDist: &api.TrainDistSpec{
+		Source: src, Threshold: 120, Workers: 2, Rounds: 2, BatchPerRound: 4, Net: net, NetSeed: 7, SampleSeed: 7,
+	}}
+	for _, req := range []*api.JobRequest{
 		segment,
 		{Kind: api.KindLabel, Label: &api.LabelSpec{Source: src, Threshold: 120}},
 		{Kind: api.KindTrain, Train: &api.TrainSpec{Source: src, Threshold: 120, Steps: 6, Net: net, HoldoutSteps: 2}},
-		{Kind: api.KindTrainDist, TrainDist: &api.TrainDistSpec{
-			Source: src, Threshold: 120, Workers: 2, Rounds: 2, BatchPerRound: 4, Net: net, NetSeed: 7, SampleSeed: 7,
-		}},
-	}
-	for _, req := range jobs {
+	} {
 		runJob(t, r, req)
 		check(string(req.Kind))
 	}
+	var tres api.TrainDistResult
+	if err := json.Unmarshal(runJob(t, r, trainDist), &tres); err != nil {
+		t.Fatal(err)
+	}
+	refs = append(refs, tres.CheckpointRef)
+	check("train_dist")
 
-	// A mask blob is borrowed the same way: label a pipeline's stored mask.
+	// A checkpoint blob's Raw is the stored payload itself: resume from it.
+	runJob(t, r, &api.JobRequest{Kind: api.KindTrainDist, TrainDist: &api.TrainDistSpec{
+		Source: src, Threshold: 120, Workers: 2, Rounds: 3, ResumeFrom: tres.CheckpointRef,
+	}})
+	check("train_dist resume")
+
+	// A mask blob is borrowed the same way: a pipeline stores its masks, a
+	// label job scans one where it lies, a label job whose threshold needs
+	// the floats, a segment job and a train job read its one expansion.
 	preq := pipelineRequest(0, false)
 	preq.ResultMode = api.ResultModeRef
 	var pres api.PipelineResult
 	if err := json.Unmarshal(runJob(t, r, preq), &pres); err != nil {
 		t.Fatal(err)
 	}
-	maskRef := pres.PerSlab[0].MaskRef
-	mask, err := r.Datasets().Resolve(maskRef)
-	if err != nil {
-		t.Fatal(err)
+	for _, sl := range pres.PerSlab {
+		refs = append(refs, sl.MaskRef)
 	}
-	runJob(t, r, &api.JobRequest{Kind: api.KindLabel, Label: &api.LabelSpec{Source: api.VolumeSource{Ref: maskRef}, Threshold: 0.5}})
-	if contentID(t, mask.Kind, mask.D, mask.H, mask.W, mask.Data) != maskRef {
-		t.Fatal("label job changed the pipeline mask blob it borrowed")
+	check("pipeline")
+	msrc := api.VolumeSource{Ref: pres.PerSlab[0].MaskRef}
+	for _, req := range []*api.JobRequest{
+		{Kind: api.KindLabel, Label: &api.LabelSpec{Source: msrc, Threshold: 0.5}},
+		{Kind: api.KindLabel, Label: &api.LabelSpec{Source: msrc, Threshold: 2}},
+		{Kind: api.KindSegment, ResultMode: api.ResultModeRef, Segment: &api.SegmentSpec{
+			Source: msrc, Threshold: 0.5, Net: net, SeedStride: [3]int{1, 4, 4}, TrainSteps: 4, ReturnMask: true,
+		}},
+		{Kind: api.KindTrain, Train: &api.TrainSpec{Source: msrc, Threshold: 0.5, Steps: 6, Net: net}},
+	} {
+		runJob(t, r, req)
+		check(string(req.Kind) + " over a mask ref")
 	}
 
 	results := make([]string, 8)
@@ -234,6 +274,7 @@ func TestJobAllocBounds(t *testing.T) {
 		Parallel:      4,
 		Seed:          5,
 	}}
+	chainSynth := api.SynthSpec{NLon: 72, NLat: 48, NLev: 8, Steps: 12, Seed: 3}
 	dist := distRequest(2, 12)
 	dist.TrainDist.BatchPerRound = 16
 	dist.TrainDist.Net.Features = 6
@@ -258,16 +299,43 @@ func TestJobAllocBounds(t *testing.T) {
 		}, 4, 32, 512},
 		// A 12-round, batch-16 job with two periodic checkpoints (the bench/
 		// workload's shape): the synthesized source, one batch x P gradient
-		// matrix, a scratch per worker and the three checkpoints (1.1 MB).
+		// matrix, a scratch per worker and the three checkpoints (850 KB).
 		// When every sample's backward pass built its own activation cache
 		// and gradient tensors, and the all-reduce cloned them, it was 21 MB.
-		{"train_dist", 2, func(*testing.T, *Runner) *api.JobRequest { return dist }, 2, 8, 3072},
-		// The streamed 72x48x12 pipeline in both modes (4.8 MB: the IVT volume
-		// and per-slab masks and label maps), and the 8-candidate sweep fanned
-		// through the fair queue with no early stop (1.9 MB).
-		{"pipeline_overlapped", 4, func(*testing.T, *Runner) *api.JobRequest { return benchPipelineRequest(false) }, 1, 4, 8192},
-		{"pipeline_sequential", 4, func(*testing.T, *Runner) *api.JobRequest { return benchPipelineRequest(true) }, 1, 4, 8192},
-		{"sweep_grid8", 4, func(*testing.T, *Runner) *api.JobRequest { return sweep }, 1, 4, 3584},
+		{"train_dist", 2, func(*testing.T, *Runner) *api.JobRequest { return dist }, 2, 8, 1700},
+		// The streamed 72x48x12 pipeline in both modes (430 KB; 4.8 MB when
+		// each slab's atmosphere state, IVT volume and label maps were fresh
+		// allocations), and the 8-candidate sweep fanned through the fair
+		// queue with no early stop (1.4 MB; 1.9 MB before the synthesized
+		// source was borrowed).
+		{"pipeline_overlapped", 4, func(*testing.T, *Runner) *api.JobRequest { return benchPipelineRequest(false) }, 1, 4, 850},
+		{"pipeline_sequential", 4, func(*testing.T, *Runner) *api.JobRequest { return benchPipelineRequest(true) }, 1, 4, 850},
+		{"sweep_grid8", 4, func(*testing.T, *Runner) *api.JobRequest { return sweep }, 1, 4, 2800},
+		// The ends of the bench/ connect_chain, on its 12x48x72 volume (162 KB
+		// of float32). The ivt job's atmosphere state and output are borrowed,
+		// so what is left is the encoding it stores (175 KB; 680 KB when
+		// every field was allocated). The label job scans the stored mask's
+		// 5 KB of packed bits into a borrowed label array: per-object
+		// bookkeeping only (5 KB; 206 KB when the cached blob held the mask
+		// expanded to float32 and the label array was a fresh allocation).
+		{"chain_ivt_ref", 2, func(*testing.T, *Runner) *api.JobRequest {
+			return &api.JobRequest{Kind: api.KindIVT, ResultMode: api.ResultModeRef, IVT: &api.IVTSpec{Synth: chainSynth, Threshold: 700}}
+		}, 2, 8, 350},
+		{"chain_label_maskref", 2, func(t *testing.T, r *Runner) *api.JobRequest {
+			g := merra.Grid{NLon: chainSynth.NLon, NLat: chainSynth.NLat, NLev: chainSynth.NLev}
+			vol := merra.IVTVolume(merra.NewGenerator(g, chainSynth.Seed), merra.PressureLevels(g.NLev), 0, chainSynth.Steps)
+			for i, v := range vol.Data {
+				vol.Data[i] = 0
+				if v >= 700 {
+					vol.Data[i] = 1
+				}
+			}
+			info, err := r.Datasets().PutMask(chainSynth.Steps, g.NLat, g.NLon, vol.Data, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return &api.JobRequest{Kind: api.KindLabel, Label: &api.LabelSpec{Source: api.VolumeSource{Ref: info.ID}, Threshold: 0.5, MaxObjects: 4}}
+		}, 2, 8, 12},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, _ := newTestRunner(t, DefaultRegistry(), tc.workers)

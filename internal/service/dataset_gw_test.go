@@ -320,8 +320,8 @@ func TestGatewayRefSubmitBitExactVsInline(t *testing.T) {
 		t.Fatalf("mask dataset header: %+v", blob)
 	}
 	for i := range inlineMask {
-		if inlineMask[i] != blob.Data[i] {
-			t.Fatalf("mask voxel %d differs: inline %v, ref %v", i, inlineMask[i], blob.Data[i])
+		if inlineMask[i] != blob.Floats()[i] {
+			t.Fatalf("mask voxel %d differs: inline %v, ref %v", i, inlineMask[i], blob.Floats()[i])
 		}
 	}
 }
@@ -422,7 +422,7 @@ func TestPipelineRefLifecycle(t *testing.T) {
 			t.Fatalf("slab %d mask: %v", sl.Slab, err)
 		}
 		voxels := 0
-		for _, v := range blob.Data {
+		for _, v := range blob.Floats() {
 			if v != 0 {
 				voxels++
 			}

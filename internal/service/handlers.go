@@ -41,32 +41,53 @@ func synthIVTVolume(ctx context.Context, jc *JobContext, sy *api.SynthSpec, stag
 		func(done, total int) { jc.Progress(int64(done), int64(total), stage) })
 }
 
-// sourceVolume materializes a job's input volume: the dataset cache's
-// decoded blob for a ref, the request's own Data inline, or the synthetic
-// IVT volume (time-major, like ffn.Volume). Nothing is copied, and the
-// result is read-only: a ref's blob is shared by every job resolving it,
-// concurrently, and inline data must be pristine for a retried attempt. A
-// handler that needs a transformed volume writes it into a buffer of its
-// own (normalizedVolume, thresholdVolume) and releases that buffer — never
-// the source — when done.
-func sourceVolume(ctx context.Context, jc *JobContext, src *api.VolumeSource) (*ffn.Volume, error) {
+// source is a job's input as sourceVolume materialized it: the store's
+// shared view for a ref (blob), else the request's own inline Data or the
+// synthetic IVT volume (vol; time-major, like ffn.Volume). Nothing is copied,
+// and everything but a synthesized volume is read-only: a ref's blob is
+// shared by every job resolving it, concurrently, and is a view of the bytes
+// its content address names; inline data must be pristine for a retried
+// attempt. A handler that needs a transformed volume writes it into a buffer
+// of its own (normalizedVolume, thresholdVolume) and releases that buffer.
+// owned marks the one source the job may hand back: a synthesized volume
+// sits in a free-list buffer nobody else has seen, and whoever holds the
+// source releases it once the job has consumed it.
+type source struct {
+	blob  *dataset.Blob
+	vol   *ffn.Volume
+	owned bool
+}
+
+// volume returns the input as the float32 field the kernels read. For a
+// mask ref this is where the packed payload is expanded (once per cached
+// blob); a consumer of the bits themselves reads blob.Bits instead.
+func (s *source) volume() *ffn.Volume {
+	if s.vol == nil {
+		b := s.blob
+		s.vol = &ffn.Volume{D: b.D, H: b.H, W: b.W, Data: b.Floats()}
+	}
+	return s.vol
+}
+
+// sourceVolume materializes a job's input (see source).
+func sourceVolume(ctx context.Context, jc *JobContext, src *api.VolumeSource) (source, error) {
 	if src.Ref != "" {
 		jc.Progress(0, 1, "resolve")
 		blob, err := jc.Datasets().Resolve(src.Ref)
 		if err != nil {
-			return nil, err
+			return source{}, err
 		}
 		jc.Progress(1, 1, "resolve")
-		return &ffn.Volume{D: blob.D, H: blob.H, W: blob.W, Data: blob.Data}, nil
+		return source{blob: blob}, nil
 	}
 	if src.Synth != nil {
 		vol, err := synthIVTVolume(ctx, jc, src.Synth, "synthesize")
 		if err != nil {
-			return nil, err
+			return source{}, err
 		}
-		return &ffn.Volume{D: src.Synth.Steps, H: src.Synth.NLat, W: src.Synth.NLon, Data: vol.Data}, nil
+		return source{vol: &ffn.Volume{D: src.Synth.Steps, H: src.Synth.NLat, W: src.Synth.NLon, Data: vol.Data}, owned: true}, nil
 	}
-	return &ffn.Volume{D: src.D, H: src.H, W: src.W, Data: src.Data}, nil
+	return source{vol: &ffn.Volume{D: src.D, H: src.H, W: src.W, Data: src.Data}}, nil
 }
 
 // normalizedVolume conditions raw into a buffer borrowed from the free
@@ -92,30 +113,34 @@ func thresholdVolume(raw *ffn.Volume, threshold float32) *ffn.Volume {
 
 // trainingSet is the conditioning every training path starts from: the raw
 // source, its binary labels (raw >= threshold) and the normalized image.
-// Labels and image live in borrowed buffers that release returns; raw is
-// read-only (see sourceVolume).
+// Labels and image live in borrowed buffers that release returns, along
+// with a synthesized raw (ownsRaw); any other raw is read-only (see source).
 type trainingSet struct {
 	raw, labels, image *ffn.Volume
+	ownsRaw            bool
 }
 
 // openTrainingSet materializes src. labelled is false only for a segment
 // job that skips pretraining and so never reads the labels.
 func openTrainingSet(jc *JobContext, src *api.VolumeSource, threshold float32, labelled bool) (trainingSet, error) {
-	raw, err := sourceVolume(jc.Ctx(), jc, src)
+	in, err := sourceVolume(jc.Ctx(), jc, src)
 	if err != nil {
 		return trainingSet{}, err
 	}
-	set := trainingSet{raw: raw}
+	set := trainingSet{raw: in.volume(), ownsRaw: in.owned}
 	if labelled {
-		set.labels = thresholdVolume(raw, threshold)
+		set.labels = thresholdVolume(set.raw, threshold)
 	}
-	set.image = normalizedVolume(raw)
+	set.image = normalizedVolume(set.raw)
 	return set, nil
 }
 
 func (s *trainingSet) release() {
 	ffn.ReleaseVolume(s.labels)
 	ffn.ReleaseVolume(s.image)
+	if s.ownsRaw {
+		ffn.ReleaseVolume(s.raw)
+	}
 }
 
 // optimizerDefaults resolves a spec's zero learning rate and momentum.
@@ -242,15 +267,25 @@ func SegmentHandler(jc *JobContext) (any, error) {
 // LabelHandler thresholds the source and runs CONNECT labelling.
 func LabelHandler(jc *JobContext) (any, error) {
 	spec := jc.Request().Label
-	raw, err := sourceVolume(jc.Ctx(), jc, &spec.Source)
+	in, err := sourceVolume(jc.Ctx(), jc, &spec.Source)
 	if err != nil {
 		return nil, err
 	}
-	// The labelling reads the thresholded field only until LabelCtx
-	// returns; the Result carries its own label array.
-	bin := thresholdVolume(raw, spec.Threshold)
-	defer ffn.ReleaseVolume(bin)
-	vol := connect.FromMask(bin.D, bin.H, bin.W, bin.Data)
+	var vol *connect.Volume
+	if b := in.blob; b != nil && b.Kind == dataset.KindMask && spec.Threshold > 0 && spec.Threshold <= 1 {
+		// A stored mask's voxels are 0 or 1, so such a threshold keeps
+		// exactly its set bits: scan the packed payload where it lies.
+		vol = connect.FromBits(b.D, b.H, b.W, b.Bits)
+	} else {
+		// The labelling reads the thresholded field only until LabelCtx
+		// returns; the source is dead as soon as it is thresholded.
+		bin := thresholdVolume(in.volume(), spec.Threshold)
+		defer ffn.ReleaseVolume(bin)
+		if in.owned {
+			ffn.ReleaseVolume(in.vol)
+		}
+		vol = connect.FromMask(bin.D, bin.H, bin.W, bin.Data)
+	}
 	conn := connect.Conn26
 	if spec.Connectivity == 6 {
 		conn = connect.Conn6
@@ -261,6 +296,8 @@ func LabelHandler(jc *JobContext) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Only the objects are reported: the label array goes back to the list.
+	result.Release()
 	stats := connect.Summarize(result)
 	res := api.LabelResult{
 		Objects:      stats.Objects,
@@ -294,6 +331,8 @@ func IVTHandler(jc *JobContext) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Summarized and (in ref mode) encoded below, then recycled.
+	defer vol.Release()
 	hw := sy.NLon * sy.NLat
 	res := api.IVTResult{Steps: sy.Steps, PerStep: make([]api.IVTStep, sy.Steps)}
 	above := 0

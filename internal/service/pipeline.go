@@ -189,7 +189,8 @@ func PipelineHandler(jc *JobContext) (any, error) {
 				return nil, err
 			}
 			sl.mask = mask
-			sl.raw = nil // the slab's image is dead weight past this stage
+			ffn.ReleaseVolume(sl.raw) // the slab's image is dead past this stage
+			sl.raw = nil
 			if keepMasks {
 				// Ref mode publishes every slab's mask content-addressed;
 				// the pin lands atomically inside the put, and the results
@@ -217,6 +218,7 @@ func PipelineHandler(jc *JobContext) (any, error) {
 			if err != nil {
 				return nil, err
 			}
+			result.Release() // only the objects are reported
 			stats := connect.Summarize(result)
 			ffn.ReleaseVolume(sl.mask) // packed by the segment stage, labelled here: done
 			sl.mask = nil

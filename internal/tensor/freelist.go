@@ -91,18 +91,25 @@ func PutFloats(b []float32) {
 	freeList.mu.Unlock()
 }
 
-// GetWords borrows n uint32 words with unspecified contents from the float
-// list: float32 and uint32 share size, alignment and pointer-freeness, so
-// one stock serves both.
-func GetWords(n int) []uint32 {
-	f := GetFloats(n)
-	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(f))), n)
+// view reinterprets a slice of one 4-byte, pointer-free element type as
+// another: float32, uint32 and int32 share size and alignment, so one stock
+// of float32 buffers serves all three.
+func view[To, From float32 | uint32 | int32](s []From) []To {
+	return unsafe.Slice((*To)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
 }
 
+// GetWords borrows n uint32 words with unspecified contents from the float
+// list.
+func GetWords(n int) []uint32 { return view[uint32](GetFloats(n)) }
+
 // PutWords returns a GetWords buffer.
-func PutWords(w []uint32) {
-	PutFloats(unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(w))), len(w)))
-}
+func PutWords(w []uint32) { PutFloats(view[float32](w)) }
+
+// GetInt32s and PutInt32s are GetWords and PutWords for []int32.
+func GetInt32s(n int) []int32 { return view[int32](GetFloats(n)) }
+
+// PutInt32s returns a GetInt32s buffer.
+func PutInt32s(w []int32) { PutFloats(view[float32](w)) }
 
 // Release returns the tensors' backing arrays — GetFloats buffers — to the
 // free list and detaches them, so a use after release fails loudly.
