@@ -391,9 +391,11 @@ const (
 	maxFOV      = 65
 	maxFeatures = 256
 	maxModules  = 16
-	// maxScratchElems bounds one batched-scratch activation tensor
-	// (flood batch x Features x FOV voxels): 64M float32 = 256 MB, the
-	// same ceiling maxVoxels puts on request volumes.
+	// maxScratchElems bounds one working array sized by two knobs at once
+	// — a batched-scratch activation tensor (flood batch x Features x FOV
+	// voxels), a train_dist gradient matrix (batch_per_round x parameters):
+	// 64M float32 = 256 MB, the same ceiling maxVoxels puts on request
+	// volumes.
 	maxScratchElems = 64 << 20
 )
 
@@ -453,6 +455,22 @@ func (n *NetConfig) validate(field string) error {
 			field, maxScratchElems)
 	}
 	return nil
+}
+
+// paramCount is the length of the flat parameter vector of the network n
+// describes, nil and zero fields resolved against the kernel defaults (8
+// features, 2 modules): ffn.Config.paramCount restated, because api must
+// not import ffn — the service-level test that pins the defaults pins this
+// formula to the kernel's too. Within the caps it is at most 57M.
+func (n *NetConfig) paramCount() int {
+	f, m := 8, 2 // ffn.DefaultConfig().Features, .Modules
+	if n != nil && n.Features > 0 {
+		f = n.Features
+	}
+	if n != nil && n.Modules > 0 {
+		m = n.Modules
+	}
+	return 2*27*f + f + m*2*(27*f*f+f) + f + 1
 }
 
 // SegmentSpec runs FFN flood-fill segmentation. When TrainSteps > 0 the
@@ -687,6 +705,15 @@ func (s *TrainDistSpec) validate() error {
 		}
 		if s.BatchPerRound < 1 || s.BatchPerRound > maxBatchPerRound {
 			return invalidf("train_dist.batch_per_round must be in [1,%d], got %d", maxBatchPerRound, s.BatchPerRound)
+		}
+		// The round's gradient matrix is batch_per_round x parameters: like
+		// fov x features, two individually-capped knobs that must also be
+		// bounded together (4096 x a 64-feature, 4-module network is
+		// 14.6 GB). Division-based; ffn.maxGradElems is the same limit, so
+		// a checkpoint this job writes can be resumed.
+		if p := s.Net.paramCount(); s.BatchPerRound > maxScratchElems/p {
+			return invalidf("train_dist: batch_per_round %d x %d network parameters implies a gradient matrix over the %d-element limit",
+				s.BatchPerRound, p, maxScratchElems)
 		}
 	}
 	prev := 0

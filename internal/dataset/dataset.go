@@ -210,14 +210,25 @@ func EncodeMask(d, h, w int, data []float32) ([]byte, error) {
 	return b, nil
 }
 
-// EncodeCheckpoint encodes an opaque checkpoint byte string. The byte
-// length rides in the d dimension, so the header path's size validation
-// applies unchanged.
-func EncodeCheckpoint(payload []byte) ([]byte, error) {
-	if _, ok := voxels(len(payload), 1, 1); !ok {
-		return nil, fmt.Errorf("%w: checkpoint of %d bytes", ErrBadEncoding, len(payload))
+// CheckpointFrame starts the encoding of an opaque checkpoint byte string
+// of exactly payloadLen bytes: it returns the CDS1 header with capacity for
+// the payload, which the caller appends — so a checkpoint is serialized
+// once, straight into the allocation the store keeps. The byte length rides
+// in the d dimension, so the header path's size validation applies
+// unchanged.
+func CheckpointFrame(payloadLen int) ([]byte, error) {
+	if _, ok := voxels(payloadLen, 1, 1); !ok {
+		return nil, fmt.Errorf("%w: checkpoint of %d bytes", ErrBadEncoding, payloadLen)
 	}
-	b := encodeHeader(KindCheckpoint, len(payload), 1, 1, len(payload))
+	return encodeHeader(KindCheckpoint, payloadLen, 1, 1, payloadLen), nil
+}
+
+// EncodeCheckpoint frames a checkpoint that is already serialized.
+func EncodeCheckpoint(payload []byte) ([]byte, error) {
+	b, err := CheckpointFrame(len(payload))
+	if err != nil {
+		return nil, err
+	}
 	return append(b, payload...), nil
 }
 

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -99,6 +100,40 @@ func TestEncodeMaskSingleAlloc(t *testing.T) {
 		}
 	}); allocs != 1 {
 		t.Fatalf("EncodeMask allocs/op = %v, want 1", allocs)
+	}
+}
+
+// TestCheckpointFrameIsTheWholeEncoding: the frame is the one allocation a
+// checkpoint's encoding ever needs — header now, exact spare capacity for
+// the payload the caller appends — and EncodeCheckpoint is that frame plus
+// an append, so there is one framing path.
+func TestCheckpointFrameIsTheWholeEncoding(t *testing.T) {
+	payload := []byte("FFNCKPT\x01 and whatever else a trainer serializes")
+	var enc []byte
+	if allocs := testing.AllocsPerRun(100, func() {
+		frame, err := CheckpointFrame(len(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frame) != HeaderSize || cap(frame) != HeaderSize+len(payload) {
+			t.Fatalf("frame len %d cap %d, want %d/%d", len(frame), cap(frame), HeaderSize, HeaderSize+len(payload))
+		}
+		enc = append(frame, payload...)
+	}); allocs != 1 || len(enc) != cap(enc) {
+		t.Fatalf("frame + append: %v allocs, len %d cap %d; want 1 exact slice", allocs, len(enc), cap(enc))
+	}
+	wrapped, err := EncodeCheckpoint(payload)
+	if err != nil || !bytes.Equal(wrapped, enc) {
+		t.Fatalf("EncodeCheckpoint differs from frame + append (err %v)", err)
+	}
+	blob, err := Decode(enc)
+	if err != nil || blob.Kind != KindCheckpoint || !bytes.Equal(blob.Raw, payload) {
+		t.Fatalf("decode of a framed checkpoint: %+v, %v", blob, err)
+	}
+	for _, n := range []int{0, -1, maxVoxels + 1} {
+		if _, err := CheckpointFrame(n); !errors.Is(err, ErrBadEncoding) {
+			t.Fatalf("CheckpointFrame(%d) = %v, want ErrBadEncoding", n, err)
+		}
 	}
 }
 

@@ -66,7 +66,7 @@ func perFOVSegment(n *Network, image *Volume, seeds [][3]int, maxSteps int) (*Vo
 		p := queue[0]
 		extractFOVInto(ts.img, image, fov, p.z, p.y, p.x)
 		packInputInto(ts.in, ts.img, ts.pom)
-		n.forwardInto(ts.cache, ts.in, ts.delta)
+		n.forwardInto(&ts.cache, ts.in, ts.delta)
 		mergeCore(canvas.Data, image.H, image.W, fov, ts.delta.Data, p.z, p.y, p.x)
 		stats.Steps++
 		for _, off := range cfg.moveOffsets() {
@@ -178,7 +178,7 @@ func TestForwardBatchMatchesForwardInto(t *testing.T) {
 		s := seeds[i]
 		extractFOVInto(ref.img, img, fov, s[0], s[1], s[2])
 		packInputInto(ref.in, ref.img, ref.pom)
-		net.forwardInto(ref.cache, ref.in, ref.delta)
+		net.forwardInto(&ref.cache, ref.in, ref.delta)
 		got := bs.out.Data[i*fovN:][:fovN]
 		for j, want := range ref.delta.Data {
 			if got[j] != want {

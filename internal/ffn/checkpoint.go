@@ -53,18 +53,22 @@ type ckptState struct {
 var ckptStateLen = binary.Size(ckptState{})
 
 // maxCheckpointBatch bounds a checkpoint's Batch field, which sizes the
-// batch x P gradient matrix a resumed run allocates. It equals
-// api.maxBatchPerRound, so every checkpoint the service writes stays
-// resumable.
+// batch x P gradient matrix a resumed run borrows; the matrix itself is
+// bounded by checkGradMatrix. Both equal the api package's limits on a
+// train_dist spec, so every checkpoint the service writes stays resumable.
 const maxCheckpointBatch = 4096
 
-// EncodeBytes returns the serialized checkpoint, built in one slice of
-// exactly its final length.
-func (c *Checkpoint) EncodeBytes() []byte {
-	modelLen := c.Net.modelLen()
-	b := make([]byte, 0, len(ckptMagic)+4+modelLen+ckptStateLen+8*len(c.Losses)+4*len(c.Net.params))
+// EncodedLen is the exact length of the serialized checkpoint.
+func (c *Checkpoint) EncodedLen() int {
+	return len(ckptMagic) + 4 + c.Net.modelLen() + ckptStateLen + 8*len(c.Losses) + 4*len(c.Net.params)
+}
+
+// AppendTo appends the serialized checkpoint to b — the one encoder: into a
+// slice with EncodedLen spare capacity (a dataset.CheckpointFrame, or
+// EncodeBytes' own) it allocates nothing.
+func (c *Checkpoint) AppendTo(b []byte) []byte {
 	b = append(b, ckptMagic[:]...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(modelLen))
+	b = binary.LittleEndian.AppendUint32(b, uint32(c.Net.modelLen()))
 	b = c.Net.appendModel(b)
 	// Fixed-size values: binary.Append cannot fail.
 	b, _ = binary.Append(b, binary.LittleEndian, ckptState{
@@ -74,6 +78,12 @@ func (c *Checkpoint) EncodeBytes() []byte {
 	b, _ = binary.Append(b, binary.LittleEndian, c.Losses)
 	b, _ = binary.Append(b, binary.LittleEndian, c.Opt.Velocity(len(c.Net.params)))
 	return b
+}
+
+// EncodeBytes returns the serialized checkpoint, built in one slice of
+// exactly its final length.
+func (c *Checkpoint) EncodeBytes() []byte {
+	return c.AppendTo(make([]byte, 0, c.EncodedLen()))
 }
 
 // DecodeCheckpoint reconstructs a checkpoint (network, optimizer with
@@ -101,6 +111,9 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	rest = rest[ckptStateLen:]
 	if st.Batch < 1 || st.Batch > maxCheckpointBatch {
 		return nil, fmt.Errorf("%w: batch per round %d outside [1,%d]", ErrBadCheckpoint, st.Batch, maxCheckpointBatch)
+	}
+	if err := checkGradMatrix(int(st.Batch), len(net.params)); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
 	}
 	lossBytes := 8 * int(st.NLosses)
 	if len(rest) != lossBytes+4*len(net.params) {

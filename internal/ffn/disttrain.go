@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
+	"chaseci/internal/parallel"
 	"chaseci/internal/sim"
 	"chaseci/internal/tensor"
 )
@@ -24,6 +26,15 @@ import (
 // parameter vector. The resulting loss sequence is therefore bit-identical
 // at any worker count, under elastic worker changes between rounds, and
 // across a checkpoint/restore boundary; at batch 1 a round is TrainStep.
+//
+// Ownership: the gradient matrix, the FOV-center index and each worker's
+// scratch are borrowed from the tensor free list — a job builds a new
+// trainer, and these are the arrays the previous job of the same geometry
+// just dropped. Release hands them back and ends the trainer's life: call
+// it (deferred) once no Round is running and nothing more will be asked of
+// the trainer. It is optional — a trainer that is never released is
+// ordinary garbage — and the Network, optimizer and loss history are not
+// part of it: they stay valid after Release.
 type DistTrainer struct {
 	Net *Network
 	Opt *tensor.SGD
@@ -40,8 +51,8 @@ type DistTrainer struct {
 	losses     []float64
 
 	// Reused across rounds: the round's centers and per-sample losses, the
-	// gradient matrix (row i is sample i's gradient) and one scratch per
-	// worker goroutine.
+	// borrowed gradient matrix (row i is sample i's gradient) and one
+	// borrowed scratch per worker goroutine.
 	batchCenters [][3]int
 	sampleLoss   []float64
 	grads        []float32
@@ -50,6 +61,25 @@ type DistTrainer struct {
 
 // ErrNoWorkers indicates a non-positive worker count.
 var ErrNoWorkers = errors.New("ffn: distributed trainer needs >= 1 worker")
+
+// ErrTooLarge indicates a batch x parameter-count gradient matrix over
+// maxGradElems.
+var ErrTooLarge = errors.New("ffn: batch per round x parameters exceeds the gradient-matrix limit")
+
+// maxGradElems bounds the batch x P gradient matrix: 64M float32 = 256 MB,
+// the ceiling api.maxScratchElems puts on any one working array of a job.
+// The batch and the network geometry are each capped on their own, but at
+// both extremes their product is 14.6 GB.
+const maxGradElems = 64 << 20
+
+// checkGradMatrix refuses a batch x params matrix over maxGradElems,
+// by division so the product cannot overflow.
+func checkGradMatrix(batch, params int) error {
+	if batch > maxGradElems/params {
+		return fmt.Errorf("%w: %d x %d, limit %d elements", ErrTooLarge, batch, params, maxGradElems)
+	}
+	return nil
+}
 
 // NewDistTrainer builds a distributed trainer over a labelled volume.
 func NewDistTrainer(net *Network, lr, momentum float32, img, lbl *Volume, sampleSeed uint64, batchPerRound, workers int) (*DistTrainer, error) {
@@ -71,6 +101,9 @@ func newDistTrainer(net *Network, opt *tensor.SGD, img, lbl *Volume, sampleSeed 
 	if batchPerRound < 1 {
 		return nil, fmt.Errorf("ffn: batch per round %d, want >= 1", batchPerRound)
 	}
+	if err := checkGradMatrix(batchPerRound, len(net.params)); err != nil {
+		return nil, err
+	}
 	centers, err := collectCenters(lbl, net.cfg.FOV)
 	if err != nil {
 		return nil, err
@@ -82,8 +115,22 @@ func newDistTrainer(net *Network, opt *tensor.SGD, img, lbl *Volume, sampleSeed 
 		round: round, losses: losses,
 		batchCenters: make([][3]int, batchPerRound),
 		sampleLoss:   make([]float64, batchPerRound),
-		grads:        make([]float32, batchPerRound*len(net.params)),
+		// Dirty is fine: every round's backward passes overwrite every row.
+		grads: tensor.GetFloats(batchPerRound * len(net.params)),
 	}, nil
+}
+
+// Release returns the trainer's borrowed memory to the free list (see
+// DistTrainer). The trainer must not run another Round afterwards; calling
+// Release again is a no-op.
+func (t *DistTrainer) Release() {
+	tensor.PutFloats(t.grads)
+	t.grads = nil
+	t.centers.release()
+	for _, ts := range t.scratch {
+		ts.release()
+	}
+	t.scratch = nil
 }
 
 // Workers returns the current data-parallel width.
@@ -140,13 +187,21 @@ func (t *DistTrainer) Round(ctx context.Context) (float64, error) {
 	p := len(t.Net.params)
 	fov := t.Net.cfg.FOV
 	var wg sync.WaitGroup
+	var panicked atomic.Pointer[any]
 	for wi := 0; wi < w; wi++ {
 		// Contiguous shard: worker wi takes samples [lo, hi).
-		lo := wi * t.batch / w
-		hi := (wi + 1) * t.batch / w
+		lo, hi := parallel.Chunk(t.batch, w, wi)
 		wg.Add(1)
 		go func(ts *trainScratch, lo, hi int) {
-			defer wg.Done()
+			// A panic on a shard goroutine has no caller to unwind to and
+			// would end the process: park the first for Round to re-raise.
+			defer func() {
+				if p := recover(); p != nil {
+					v := p // the heap copy is made only when there is a panic
+					panicked.CompareAndSwap(nil, &v)
+				}
+				wg.Done()
+			}()
 			for i := lo; i < hi; i++ {
 				ts.extract(t.img, t.lbl, fov, t.batchCenters[i])
 				t.sampleLoss[i] = t.Net.exampleGrad(ts, ts.img, ts.lab, t.grads[i*p:(i+1)*p])
@@ -154,6 +209,9 @@ func (t *DistTrainer) Round(ctx context.Context) (float64, error) {
 		}(t.scratch[wi], lo, hi)
 	}
 	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		panic(*p)
+	}
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -181,15 +239,19 @@ func (t *DistTrainer) Round(ctx context.Context) (float64, error) {
 	return loss, nil
 }
 
-// CheckpointBytes serializes the run's state at the current round boundary.
-// The bytes are a full snapshot — the trainer can keep running afterwards.
-func (t *DistTrainer) CheckpointBytes() []byte {
-	ck := &Checkpoint{
+// Checkpoint is the run's state at the current round boundary: encode it
+// (EncodeBytes, or AppendTo a caller's frame) before the next Round, because
+// it aliases the trainer. The encoded bytes are a full snapshot — the
+// trainer can keep running afterwards.
+func (t *DistTrainer) Checkpoint() *Checkpoint {
+	return &Checkpoint{
 		Net: t.Net, Opt: t.Opt,
 		SampleSeed:    t.sampleSeed,
 		BatchPerRound: t.batch,
 		Round:         t.round,
 		Losses:        t.losses,
 	}
-	return ck.EncodeBytes()
 }
+
+// CheckpointBytes is Checkpoint().EncodeBytes().
+func (t *DistTrainer) CheckpointBytes() []byte { return t.Checkpoint().EncodeBytes() }

@@ -7,7 +7,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
+	"unsafe"
 
 	"chaseci/internal/parallel"
 	"chaseci/internal/tensor"
@@ -297,6 +299,15 @@ func TestModelAndCheckpointBytesAreStable(t *testing.T) {
 		}
 	}
 
+	// And the trainer appends the same bytes into a caller's frame — the
+	// service's CDS1 header with exact spare capacity — without allocating.
+	want := tr.CheckpointBytes()
+	frame := make([]byte, 20, 20+tr.Checkpoint().EncodedLen())
+	if allocs := testing.AllocsPerRun(10, func() { frame = tr.Checkpoint().AppendTo(frame[:20]) }); allocs != 0 || len(frame) != cap(frame) || !bytes.Equal(frame[20:], want) {
+		t.Errorf("Checkpoint().AppendTo a frame: %.0f allocs, len %d cap %d, same bytes %v; want 0 allocs, exact fit, identical",
+			allocs, len(frame), cap(frame), bytes.Equal(frame[20:], want))
+	}
+
 	// The sequential trainer: 40 losses, then the trained model.
 	n, _ = NewNetwork(smallConfig(), 3)
 	losses, err := NewTrainer(n, 0.03, 0.9, 99).TrainOnVolume(img, lbl, 40)
@@ -309,4 +320,231 @@ func TestModelAndCheckpointBytesAreStable(t *testing.T) {
 	if got := sum(buf.Bytes()); got != trainerSHA {
 		t.Errorf("40 Trainer steps hash %s, want %s", got, trainerSHA)
 	}
+}
+
+// borrowed lists the base address of every array the trainer holds from the
+// free list, and their lengths.
+func borrowed(tr *DistTrainer) (ptrs map[*float32]bool, lens []int) {
+	ptrs = make(map[*float32]bool)
+	add := func(b []float32) {
+		if len(b) > 0 {
+			ptrs[&b[0]] = true
+			lens = append(lens, len(b))
+		}
+	}
+	add(tr.grads)
+	if idx := tr.centers.buf; len(idx) > 0 {
+		ptrs[(*float32)(unsafe.Pointer(&idx[0]))] = true
+		lens = append(lens, len(idx))
+	}
+	for _, ts := range tr.scratch {
+		add(ts.slab)
+	}
+	return ptrs, lens
+}
+
+// TestDistTrainerAllocBound: a second trainer of the same geometry, built
+// after the first was released, borrows the very arrays the first gave back
+// — the batch x P gradient matrix, the center index, each worker's slab —
+// and allocates less than any one of the big ones. The second trains on
+// different labels: every borrowed length is geometry, never label content.
+func TestDistTrainerAllocBound(t *testing.T) {
+	img, lbl := buildARScene(t, 6)
+	first := distTrainer(t, img, lbl, 2)
+	runRounds(t, first, 2)
+	had, _ := borrowed(first)
+	if len(had) != 4 {
+		t.Fatalf("first trainer holds %d borrowed arrays, want matrix + center index + 2 slabs", len(had))
+	}
+	matrixBytes, slabBytes := uint64(4*len(first.grads)), uint64(4*len(first.scratch[0].slab))
+	firstPos := len(first.centers.pos)
+	first.Release()
+	if first.grads != nil || first.centers.buf != nil || first.centers.pos != nil || first.scratch != nil {
+		t.Fatal("Release must detach what it returned")
+	}
+	first.Release() // a no-op, not a double put
+
+	other := &Volume{D: lbl.D, H: lbl.H, W: lbl.W, Data: append([]float32(nil), lbl.Data...)}
+	for i := 0; i < len(other.Data); i += 7 {
+		other.Data[i] = 1 - other.Data[i]
+	}
+
+	net, err := NewNetwork(smallConfig(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var second *DistTrainer
+	got := allocatedBy(func() {
+		second, err = NewDistTrainer(net, 0.05, 0.9, img, other, 77, 8, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runRounds(t, second, 2)
+	})
+	defer second.Release()
+	if len(second.centers.pos) == firstPos {
+		t.Fatalf("both label volumes have %d positive centers: the test needs them to differ", firstPos)
+	}
+	has, _ := borrowed(second)
+	for p := range has {
+		if !had[p] {
+			t.Errorf("second trainer holds an array the first never released: it was allocated, not borrowed")
+		}
+	}
+	if len(has) != len(had) {
+		t.Errorf("second trainer holds %d borrowed arrays, first held %d", len(has), len(had))
+	}
+	// What is left is the optimizer's velocity (P floats, 18 KB), the
+	// trainer and scratch structs, tensor headers, and whatever conv
+	// temporaries the first trainer's scheduling left cold: 35 KB measured.
+	// One slab or the matrix on top of that is over the bound.
+	if !raceEnabled && got >= matrixBytes/2 {
+		t.Errorf("second trainer allocated %d B; slab %d B, gradient matrix %d B", got, slabBytes, matrixBytes)
+	}
+	t.Logf("second trainer allocated %d B (slab %d B, gradient matrix %d B)", got, slabBytes, matrixBytes)
+}
+
+// stockFreeList leaves one buffer of each length on top of the free list:
+// zeroed, which is what fresh memory from make looks like, or NaN.
+func stockFreeList(lens []int, zero bool) {
+	tensor.PoisonReleased(!zero)
+	defer tensor.PoisonReleased(true) // the package's TestMain setting
+	for _, n := range lens {
+		tensor.PutFloats(make([]float32, n))
+	}
+}
+
+// TestDistTrainerOverDirtyBuffersMatchesFresh: a run over borrowed arrays
+// full of NaN — the state the free list hands out under this package's
+// TestMain — has the loss sequence and checkpoint bytes of a run over
+// zeroed memory. Every array is written in full before it is read (the
+// backward kernels zero what they accumulate into): drop one of those
+// clears and NaN reaches a loss.
+func TestDistTrainerOverDirtyBuffersMatchesFresh(t *testing.T) {
+	img, lbl := buildARScene(t, 6)
+	probe := distTrainer(t, img, lbl, 2)
+	runRounds(t, probe, 1)
+	_, lens := borrowed(probe)
+
+	run := func(zero bool) ([]float64, []byte) {
+		stockFreeList(lens, zero)
+		tr := distTrainer(t, img, lbl, 2)
+		defer tr.Release()
+		if first := tr.grads[0]; zero != (first == 0) || zero == math.IsNaN(float64(first)) {
+			t.Fatalf("zero=%v run borrowed a gradient matrix starting with %v", zero, first)
+		}
+		runRounds(t, tr, 6)
+		return append([]float64(nil), tr.Losses()...), tr.CheckpointBytes()
+	}
+	freshLosses, freshCkpt := run(true)
+	dirtyLosses, dirtyCkpt := run(false)
+	for r, l := range freshLosses {
+		if dirtyLosses[r] != l {
+			t.Fatalf("round %d: loss over dirty buffers %v, over fresh memory %v", r, dirtyLosses[r], l)
+		}
+	}
+	if !bytes.Equal(freshCkpt, dirtyCkpt) {
+		t.Fatal("checkpoint bytes over dirty buffers differ from those over fresh memory")
+	}
+}
+
+// TestTrainerOverDirtyBuffersMatchesFresh is the sequential twin: Trainer
+// borrows and returns within TrainOnVolume, so the second of two runs in one
+// process always trains over the first one's poisoned leftovers.
+func TestTrainerOverDirtyBuffersMatchesFresh(t *testing.T) {
+	img, lbl := buildARScene(t, 6)
+	cfg := smallConfig()
+	probe, err := collectCenters(lbl, cfg.FOV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, _ := NewNetwork(cfg, 3)
+	ts := net.newTrainScratch()
+	lens := []int{len(probe.buf), len(ts.slab), len(net.params)}
+
+	run := func(zero bool) ([]float64, []byte) {
+		stockFreeList(lens, zero)
+		n, _ := NewNetwork(cfg, 3)
+		losses, err := NewTrainer(n, 0.03, 0.9, 99).TrainOnVolume(img, lbl, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return losses, n.SaveBytes()
+	}
+	freshLosses, freshModel := run(true)
+	dirtyLosses, dirtyModel := run(false)
+	for s, l := range freshLosses {
+		if dirtyLosses[s] != l {
+			t.Fatalf("step %d: loss over dirty buffers %v, over fresh memory %v", s, dirtyLosses[s], l)
+		}
+	}
+	if !bytes.Equal(freshModel, dirtyModel) {
+		t.Fatal("model bytes over dirty buffers differ from those over fresh memory")
+	}
+}
+
+// TestRoundShardPanicReraisedOnCaller: a panic on a shard goroutine has no
+// caller to unwind to and would end the process; Round parks it and raises
+// it on its own caller once every shard has stopped, so a deferred Release
+// is safe — nothing is still writing the arrays it returns.
+func TestRoundShardPanicReraisedOnCaller(t *testing.T) {
+	img, lbl := buildARScene(t, 6)
+	short := &Volume{D: img.D, H: img.H, W: img.W, Data: append([]float32(nil), img.Data[:len(img.Data)/8]...)}
+	tr := distTrainer(t, short, lbl, 4)
+	var raised any
+	func() {
+		defer tr.Release()
+		defer func() { raised = recover() }()
+		tr.Round(context.Background())
+	}()
+	if raised == nil {
+		t.Fatal("an out-of-range FOV extract in a shard did not panic on Round's caller")
+	}
+	if tr.RoundIndex() != 0 || len(tr.Losses()) != 0 {
+		t.Fatalf("panicked round advanced the trainer: round %d, %d losses", tr.RoundIndex(), len(tr.Losses()))
+	}
+	// The released arrays are intact: the next trainer borrows them and
+	// reproduces the reference curve.
+	base := distTrainer(t, img, lbl, 4)
+	defer base.Release()
+	runRounds(t, base, 3)
+	for _, l := range base.Losses() {
+		if math.IsNaN(l) {
+			t.Fatal("trainer over the arrays a panicked round released lost to NaN")
+		}
+	}
+}
+
+// TestGradMatrixBound: batch and network geometry are each capped on their
+// own; together they must fit maxGradElems, checked before anything is
+// borrowed — for a fresh trainer, and for a checkpoint, whose resume would
+// otherwise size the matrix from an upload.
+func TestGradMatrixBound(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Features = 13 // the smallest network whose 4096-batch matrix is over the limit
+	net, err := NewNetwork(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := net.ParamCount(); maxCheckpointBatch*p <= maxGradElems || (maxGradElems/p)*p > maxGradElems {
+		t.Fatalf("test geometry: %d parameters", p)
+	}
+	img, lbl := buildARScene(t, 6)
+	atLimit := maxGradElems / net.ParamCount()
+	var tr *DistTrainer
+	if got := allocatedBy(func() { tr, err = NewDistTrainer(net, 0.05, 0.9, img, lbl, 1, atLimit+1, 1) }); !errors.Is(err, ErrTooLarge) || got > 4096 {
+		t.Fatalf("batch %d x %d params: err = %v after allocating %d B, want ErrTooLarge before any allocation", atLimit+1, net.ParamCount(), err, got)
+	}
+	ck := &Checkpoint{Net: net, Opt: tensor.NewSGD(0.05, 0.9), BatchPerRound: maxCheckpointBatch}
+	if _, err := ResumeDistTrainer(ck, img, lbl, 1); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("resume of a hand-built oversized checkpoint: err = %v, want ErrTooLarge", err)
+	}
+	if _, err := DecodeCheckpoint(ck.EncodeBytes()); !errors.Is(err, ErrBadCheckpoint) || !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("decode of an oversized checkpoint: err = %v, want ErrBadCheckpoint wrapping ErrTooLarge", err)
+	}
+	ck.BatchPerRound = atLimit
+	if _, err := DecodeCheckpoint(ck.EncodeBytes()); err != nil {
+		t.Fatalf("checkpoint at the limit: %v", err)
+	}
+	_ = tr
 }

@@ -202,9 +202,9 @@ func (n *Network) ParamCount() int { return len(n.params) }
 func (n *Network) GradBytes() float64 { return float64(len(n.params)) * 4 }
 
 // fwdCache stores activations needed for backprop. Caches are reusable:
-// every tensor except input is preallocated by newCache and overwritten by
-// each forwardInto call, so steady-state training allocates nothing on the
-// forward path.
+// every tensor except input is carved out of a trainScratch's slab and
+// overwritten by each forwardInto call, so steady-state training allocates
+// nothing on the forward path.
 type fwdCache struct {
 	input   *tensor.Tensor // (2, D, H, W); set by forwardInto, caller-owned
 	preIn   *tensor.Tensor // pre-ReLU of input conv
@@ -213,23 +213,6 @@ type fwdCache struct {
 	modAct1 []*tensor.Tensor
 	modPre2 []*tensor.Tensor // pre-residual-add sums fed to next ReLU
 	modOut  []*tensor.Tensor // post residual + ReLU
-}
-
-// newCache preallocates every activation tensor for this architecture.
-func (n *Network) newCache() *fwdCache {
-	f := n.cfg.Features
-	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
-	c := &fwdCache{
-		preIn: tensor.New(f, d, h, w),
-		actIn: tensor.New(f, d, h, w),
-	}
-	for range n.mods {
-		c.modPre1 = append(c.modPre1, tensor.New(f, d, h, w))
-		c.modAct1 = append(c.modAct1, tensor.New(f, d, h, w))
-		c.modPre2 = append(c.modPre2, tensor.New(f, d, h, w))
-		c.modOut = append(c.modOut, tensor.New(f, d, h, w))
-	}
-	return c
 }
 
 // forwardInto runs the network on a 2-channel FOV (image, POM logits),
@@ -259,8 +242,19 @@ func packInputInto(in, image, pom *tensor.Tensor) {
 // trainScratch holds every buffer one forward+backward pass needs besides
 // the weights, so steady-state training allocates nothing. One scratch
 // serves one goroutine, and the network is only read through it.
+//
+// Every tensor is a view into one slab borrowed from the tensor free list —
+// a job builds its own Network, so memory hanging off the Network is always
+// cold, while the slab of the previous job of this geometry is not. The slab
+// comes back dirty and nothing clears it: each tensor is written in full
+// (forwardInto, LogitBCEInto, the backward kernels' own zeroing) before the
+// pass reads it. release hands the slab back; a scratch that is never
+// released is ordinary garbage.
 type trainScratch struct {
-	cache      *fwdCache
+	slab    []float32
+	tensors []tensor.Tensor // backing array of every view below
+
+	cache      fwdCache
 	pom        *tensor.Tensor // constant seed POM
 	img, lab   *tensor.Tensor // (1,D,H,W) FOV extracts, for callers sampling a volume
 	in         *tensor.Tensor // packed (2,D,H,W) input
@@ -272,23 +266,56 @@ type trainScratch struct {
 	gradInput                            *tensor.Tensor
 }
 
+// newTrainScratch is the one scratch constructor: every trainer's forward
+// and backward buffers come from here.
 func (n *Network) newTrainScratch() *trainScratch {
-	f := n.cfg.Features
+	f, mods := n.cfg.Features, len(n.mods)
 	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
-	return &trainScratch{
-		cache:      n.newCache(),
-		pom:        n.SeedPOM(),
-		img:        tensor.New(1, d, h, w),
-		lab:        tensor.New(1, d, h, w),
-		in:         tensor.New(2, d, h, w),
-		delta:      tensor.New(1, d, h, w),
-		gradLogits: tensor.New(1, d, h, w),
-		g:          newParamViews(n.cfg),
-		gradCur:    tensor.New(f, d, h, w),
-		gradPrev:   tensor.New(f, d, h, w),
-		gradSum:    tensor.New(f, d, h, w),
-		gradAct1:   tensor.New(f, d, h, w),
-		gradInput:  tensor.New(2, d, h, w),
+	v := d * h * w
+	// F-channel tensors: preIn, actIn, four per module, four backward
+	// temporaries; 1-channel: pom, img, lab, delta, gradLogits; 2-channel:
+	// in, gradInput.
+	wide, one, two := 6+4*mods, 5, 2
+	ts := &trainScratch{
+		slab:    tensor.GetFloats((wide*f + one + 2*two) * v),
+		tensors: make([]tensor.Tensor, wide+one+two),
+		g:       newParamViews(n.cfg),
+	}
+	free, next := ts.slab, 0
+	carve := func(shape []int) *tensor.Tensor {
+		size := shape[0] * v
+		t := &ts.tensors[next]
+		t.Shape, t.Data = shape, free[:size:size]
+		free, next = free[size:], next+1
+		return t
+	}
+	// Tensors of one channel count share one shape slice; nothing writes it.
+	shapeF, shape1, shape2 := []int{f, d, h, w}, []int{1, d, h, w}, []int{2, d, h, w}
+
+	c := &ts.cache
+	c.preIn, c.actIn = carve(shapeF), carve(shapeF)
+	for range n.mods {
+		c.modPre1 = append(c.modPre1, carve(shapeF))
+		c.modAct1 = append(c.modAct1, carve(shapeF))
+		c.modPre2 = append(c.modPre2, carve(shapeF))
+		c.modOut = append(c.modOut, carve(shapeF))
+	}
+	ts.gradCur, ts.gradPrev = carve(shapeF), carve(shapeF)
+	ts.gradSum, ts.gradAct1 = carve(shapeF), carve(shapeF)
+	ts.pom, ts.img, ts.lab = carve(shape1), carve(shape1), carve(shape1)
+	ts.delta, ts.gradLogits = carve(shape1), carve(shape1)
+	ts.in, ts.gradInput = carve(shape2), carve(shape2)
+	n.fillSeedPOM(ts.pom.Data)
+	return ts
+}
+
+// release returns the slab to the free list and detaches every view, so a
+// use after release fails loudly. Idempotent.
+func (ts *trainScratch) release() {
+	tensor.PutFloats(ts.slab)
+	ts.slab = nil
+	for i := range ts.tensors {
+		ts.tensors[i].Data = nil
 	}
 }
 
@@ -304,7 +331,7 @@ func (ts *trainScratch) extract(image, labels *Volume, fov [3]int, c [3]int) {
 // scratch temporaries.
 func (n *Network) backwardInto(ts *trainScratch, gradDelta *tensor.Tensor, row []float32) {
 	ts.g.bind(row)
-	cache, g := ts.cache, &ts.g
+	cache, g := &ts.cache, &ts.g
 	last := cache.actIn
 	if len(cache.modOut) > 0 {
 		last = cache.modOut[len(cache.modOut)-1]
@@ -336,7 +363,7 @@ func (n *Network) backwardInto(ts *trainScratch, gradDelta *tensor.Tensor, row [
 // the weights, so workers with their own scratch may call it concurrently.
 func (n *Network) exampleGrad(ts *trainScratch, image, label *tensor.Tensor, row []float32) float64 {
 	packInputInto(ts.in, image, ts.pom)
-	n.forwardInto(ts.cache, ts.in, ts.delta)
+	n.forwardInto(&ts.cache, ts.in, ts.delta)
 	loss := tensor.LogitBCEInto(ts.gradLogits, ts.delta, label, nil)
 	n.backwardInto(ts, ts.gradLogits, row)
 	return loss
@@ -348,21 +375,23 @@ func (n *Network) step(opt *tensor.SGD, grad []float32) {
 	n.qn = nil // weights changed; quantized cache is stale
 }
 
-// TrainStep runs one optimization step on a single FOV example and returns
-// the BCE loss before the update. The scratch and the gradient row live on
-// the Network and are reused across calls, so steady-state steps allocate
-// nothing (and a Network must not be trained concurrently).
-func (n *Network) TrainStep(opt *tensor.SGD, image, label *tensor.Tensor) float64 {
-	loss := n.exampleGrad(n.trainBufs(), image, label, n.grad)
-	n.step(opt, n.grad)
+// trainStep is one optimization step on a single FOV example over the
+// caller's scratch and gradient row: the BCE loss before the update.
+func (n *Network) trainStep(opt *tensor.SGD, ts *trainScratch, image, label *tensor.Tensor, grad []float32) float64 {
+	loss := n.exampleGrad(ts, image, label, grad)
+	n.step(opt, grad)
 	return loss
 }
 
-func (n *Network) trainBufs() *trainScratch {
+// TrainStep runs one optimization step on a single FOV example and returns
+// the BCE loss before the update. The scratch and the gradient row are
+// built on the first call and live as long as the Network, so steady-state
+// steps allocate nothing (and a Network must not be trained concurrently).
+func (n *Network) TrainStep(opt *tensor.SGD, image, label *tensor.Tensor) float64 {
 	if n.ts == nil {
 		n.ts, n.grad = n.newTrainScratch(), make([]float32, len(n.params))
 	}
-	return n.ts
+	return n.trainStep(opt, n.ts, image, label, n.grad)
 }
 
 // SeedPOM builds the initial POM for a FOV: PadProb everywhere, SeedProb at

@@ -54,7 +54,7 @@ func apply(n *Network, image, pom *tensor.Tensor) *tensor.Tensor {
 	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
 	in, out := tensor.New(2, d, h, w), tensor.New(1, d, h, w)
 	packInputInto(in, image, pom)
-	n.forwardInto(n.newCache(), in, out)
+	n.forwardInto(&n.newTrainScratch().cache, in, out)
 	return out
 }
 

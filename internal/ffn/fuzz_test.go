@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"chaseci/internal/tensor"
 )
 
 // Native fuzz targets for the two decoders fed by untrusted bytes (a
@@ -13,8 +15,11 @@ import (
 // The checked-in corpus under testdata/fuzz holds a valid model, a valid
 // checkpoint, the 56-byte header that asks for 2^30 features, a model and a
 // checkpoint whose MoveStep exceeds FOV/2, a checkpoint with a truncated
-// velocity block, and a valid checkpoint whose Batch field is 2^31. A checkpoint that decodes must also resume within the largest
-// batch x P gradient matrix the decoder's bound on Batch admits.
+// velocity block, and a valid checkpoint whose Batch field is 2^31; the
+// checkpoint target also seeds itself with a 13-feature checkpoint at batch
+// 4096 (each within its own cap, 78M matrix elements together — too big for
+// a corpus file). A checkpoint that decodes must also resume within its own
+// batch x P gradient matrix, which the decoder holds to maxGradElems.
 
 // fuzzAllocSlack covers the fixed-size pieces of a decoded network (views,
 // headers, error text) plus whatever the fuzz worker's other goroutines
@@ -47,6 +52,13 @@ func FuzzLoadModel(f *testing.F) {
 }
 
 func FuzzDecodeCheckpoint(f *testing.F) {
+	big := smallConfig()
+	big.Features = 13
+	bigNet, err := NewNetwork(big, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add((&Checkpoint{Net: bigNet, Opt: tensor.NewSGD(0.05, 0.9), BatchPerRound: maxCheckpointBatch}).EncodeBytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ck *Checkpoint
 		var err error
@@ -68,10 +80,15 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			t.Fatal("decode -> encode -> decode is not the identity")
 		}
 		// A resumed run sizes its centre, loss and gradient buffers from the
-		// checkpoint's batch: batch x (P+8) four-byte words. The volume is
-		// big enough for the corpus' FOVs; a larger FOV is ErrNoExamples.
+		// checkpoint's batch: batch x (P+8) four-byte words, the batch x P
+		// part of it bounded whatever the two fields say. The volume is big
+		// enough for the corpus' FOVs; a larger FOV is ErrNoExamples.
+		if ck.BatchPerRound > maxGradElems/len(ck.Net.params) {
+			t.Fatalf("accepted a checkpoint whose %d x %d gradient matrix is over %d elements",
+				ck.BatchPerRound, len(ck.Net.params), maxGradElems)
+		}
 		vol := NewVolume(5, 9, 9)
-		limit := uint64(maxCheckpointBatch*(len(ck.Net.params)+8)*4) + uint64(len(data)) + fuzzAllocSlack
+		limit := uint64(ck.BatchPerRound*(len(ck.Net.params)+8)*4) + uint64(len(data)) + fuzzAllocSlack
 		if got := allocatedBy(func() { _, err = ResumeDistTrainer(ck, vol, vol, 1) }); got > limit {
 			t.Fatalf("ResumeDistTrainer allocated %d bytes for batch %d x %d params", got, ck.BatchPerRound, len(ck.Net.params))
 		}

@@ -125,141 +125,160 @@ func (f *File) EncodeBytes() []byte {
 
 // Decode parses an entire NC4-lite stream.
 func Decode(r io.Reader) (*File, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, err
 	}
-	if magic != ncMagic {
-		return nil, ErrBadMagic
+	return DecodeBytes(data)
+}
+
+// ncReader walks an encoded file held in memory. The header fields are
+// untrusted — a granule is whatever a THREDDS catalog served — so every
+// length is checked against the bytes that remain before anything is sized
+// by it: a file can make the decoders allocate a small multiple of its own
+// length and no more.
+type ncReader struct{ rest []byte }
+
+// take consumes the next n bytes; running off the end is an error.
+func (r *ncReader) take(n int) ([]byte, error) {
+	if n > len(r.rest) {
+		return nil, fmt.Errorf("merra: NC4-lite field of %d bytes with %d left: %w", n, len(r.rest), io.ErrUnexpectedEOF)
 	}
-	f := &File{}
-	if err := binary.Read(r, binary.LittleEndian, &f.Time); err != nil {
-		return nil, err
+	b := r.rest[:n]
+	r.rest = r.rest[n:]
+	return b, nil
+}
+
+func (r *ncReader) u16() (int, error) {
+	b, err := r.take(2)
+	if err != nil {
+		return 0, err
 	}
-	var nvars uint32
-	if err := binary.Read(r, binary.LittleEndian, &nvars); err != nil {
-		return nil, err
+	return int(binary.LittleEndian.Uint16(b)), nil
+}
+
+// openNC checks the magic and reads the file header.
+func openNC(data []byte) (r *ncReader, timestamp int64, nvars uint32, err error) {
+	r = &ncReader{rest: data}
+	magic, err := r.take(len(ncMagic))
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	for i := uint32(0); i < nvars; i++ {
-		v, err := decodeVar(r, false)
-		if err != nil {
-			return nil, err
+	if [8]byte(magic) != ncMagic {
+		return nil, 0, 0, ErrBadMagic
+	}
+	hdr, err := r.take(8 + 4)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return r, int64(binary.LittleEndian.Uint64(hdr)), binary.LittleEndian.Uint32(hdr[8:]), nil
+}
+
+// next reads one variable's header and consumes its payload, returned
+// still encoded: the element count is the product of raw uint32 dims, so it
+// is built up by division against the floats the remaining bytes can hold
+// and can neither overflow nor exceed them.
+func (r *ncReader) next() (v Variable, payload []byte, err error) {
+	nameLen, err := r.u16()
+	if err != nil {
+		return v, nil, err
+	}
+	name, err := r.take(nameLen)
+	if err != nil {
+		return v, nil, err
+	}
+	ndims, err := r.u16()
+	if err != nil {
+		return v, nil, err
+	}
+	dims, err := r.take(4 * ndims)
+	if err != nil {
+		return v, nil, err
+	}
+	v = Variable{Name: string(name), Dims: make([]int, ndims)}
+	n, limit, empty := 1, len(r.rest)/4, false
+	for d := range v.Dims {
+		dim := int(binary.LittleEndian.Uint32(dims[4*d:]))
+		v.Dims[d] = dim
+		switch {
+		case dim == 0:
+			empty = true
+		case n > limit/dim:
+			n = limit + 1 // too many for what is left, whatever follows
+		default:
+			n *= dim
 		}
-		f.Vars = append(f.Vars, *v)
 	}
-	return f, nil
+	if empty {
+		n = 0
+	}
+	if n > limit {
+		return v, nil, fmt.Errorf("merra: variable %q dims %v need more than the %d bytes left: %w",
+			v.Name, v.Dims, len(r.rest), io.ErrUnexpectedEOF)
+	}
+	payload, err = r.take(4 * n)
+	return v, payload, err
+}
+
+// floats decodes a little-endian float32 payload.
+func floats(payload []byte) []float32 {
+	out := make([]float32, len(payload)/4)
+	binary.Decode(payload, binary.LittleEndian, out) // next took 4 bytes per element
+	return out
 }
 
 // DecodeBytes parses a serialized file from memory.
-func DecodeBytes(data []byte) (*File, error) { return Decode(bytes.NewReader(data)) }
-
-func decodeVar(r io.Reader, skipData bool) (*Variable, error) {
-	var nameLen uint16
-	if err := binary.Read(r, binary.LittleEndian, &nameLen); err != nil {
+func DecodeBytes(data []byte) (*File, error) {
+	r, timestamp, nvars, err := openNC(data)
+	if err != nil {
 		return nil, err
 	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(r, name); err != nil {
-		return nil, err
-	}
-	var ndims uint16
-	if err := binary.Read(r, binary.LittleEndian, &ndims); err != nil {
-		return nil, err
-	}
-	v := &Variable{Name: string(name), Dims: make([]int, ndims)}
-	for d := 0; d < int(ndims); d++ {
-		var dim uint32
-		if err := binary.Read(r, binary.LittleEndian, &dim); err != nil {
+	f := &File{Time: timestamp}
+	for i := uint32(0); i < nvars; i++ {
+		v, payload, err := r.next()
+		if err != nil {
 			return nil, err
 		}
-		v.Dims[d] = int(dim)
+		v.Data = floats(payload)
+		f.Vars = append(f.Vars, v)
 	}
-	n := v.Size()
-	if skipData {
-		if s, ok := r.(io.Seeker); ok {
-			if _, err := s.Seek(int64(n)*4, io.SeekCurrent); err != nil {
-				return nil, err
-			}
-			return v, nil
-		}
-		if _, err := io.CopyN(io.Discard, r, int64(n)*4); err != nil {
-			return nil, err
-		}
-		return v, nil
-	}
-	v.Data = make([]float32, n)
-	if err := binary.Read(r, binary.LittleEndian, v.Data); err != nil {
-		return nil, err
-	}
-	return v, nil
+	return f, nil
 }
 
 // ExtractVariable reads a single named variable from encoded bytes, skipping
 // (not allocating) every other variable's payload — the subset operation.
 func ExtractVariable(data []byte, name string) (*Variable, error) {
-	r := bytes.NewReader(data)
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, err
-	}
-	if magic != ncMagic {
-		return nil, ErrBadMagic
-	}
-	var t int64
-	if err := binary.Read(r, binary.LittleEndian, &t); err != nil {
-		return nil, err
-	}
-	var nvars uint32
-	if err := binary.Read(r, binary.LittleEndian, &nvars); err != nil {
+	r, _, nvars, err := openNC(data)
+	if err != nil {
 		return nil, err
 	}
 	for i := uint32(0); i < nvars; i++ {
-		// Peek the header to decide whether to read or skip the payload.
-		v, err := decodeVar(r, true)
+		v, payload, err := r.next()
 		if err != nil {
 			return nil, err
 		}
-		if v.Name != name {
-			continue
+		if v.Name == name {
+			v.Data = floats(payload)
+			return &v, nil
 		}
-		// Rewind over the payload we skipped and read it for real.
-		if _, err := r.Seek(-int64(v.Size())*4, io.SeekCurrent); err != nil {
-			return nil, err
-		}
-		v.Data = make([]float32, v.Size())
-		if err := binary.Read(r, binary.LittleEndian, v.Data); err != nil {
-			return nil, err
-		}
-		return v, nil
 	}
 	return nil, ErrNoVar
 }
 
 // ListVariables returns the variable headers (no payload) in file order.
 func ListVariables(data []byte) ([]Variable, error) {
-	r := bytes.NewReader(data)
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
+	r, _, nvars, err := openNC(data)
+	if err != nil {
 		return nil, err
 	}
-	if magic != ncMagic {
-		return nil, ErrBadMagic
-	}
-	var t int64
-	if err := binary.Read(r, binary.LittleEndian, &t); err != nil {
-		return nil, err
-	}
-	var nvars uint32
-	if err := binary.Read(r, binary.LittleEndian, &nvars); err != nil {
-		return nil, err
-	}
-	out := make([]Variable, 0, nvars)
+	// Not sized by nvars: the list grows with the variables actually there.
+	var out []Variable
 	for i := uint32(0); i < nvars; i++ {
-		v, err := decodeVar(r, true)
+		v, _, err := r.next()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, *v)
+		out = append(out, v)
 	}
 	return out, nil
 }

@@ -138,7 +138,7 @@ func InvokeGrain(n, grain int, t Task) {
 	ls := ensureLanes(w - 1)
 	jn := joinPool.Get().(*join)
 	for c := 1; c < w; c++ {
-		s, e := c*n/w, (c+1)*n/w
+		s, e := Chunk(n, w, c)
 		jn.wg.Add(1)
 		select {
 		case ls[c-1] <- job{t, s, e, jn}:
@@ -178,24 +178,30 @@ func ForGrain(n, grain int, fn func(start, end int)) {
 	InvokeGrain(n, grain, &funcTask{fn})
 }
 
-// Ranges splits [0, n) into the same deterministic chunks Invoke would use
-// (at most Workers(), each non-empty). Kernels that reduce per-chunk
-// partials use it to size their partial buffers and to reduce in a fixed
-// chunk order regardless of scheduling.
-func Ranges(n int) [][2]int {
+// Chunks returns how many chunks Invoke splits [0, n) into: at most
+// Workers(), each non-empty.
+func Chunks(n int) int {
 	if n <= 0 {
+		return 0
+	}
+	return min(Workers(), n)
+}
+
+// Chunk returns chunk c of the w deterministic contiguous chunks of [0, n).
+// Kernels that reduce per-chunk partials in a fixed chunk order compute
+// their bounds with it, so the split is arithmetic, not a table.
+func Chunk(n, w, c int) (start, end int) { return c * n / w, (c + 1) * n / w }
+
+// Ranges lists the Chunks(n) chunks of [0, n) — the same split Invoke
+// would use — for kernels that keep the table.
+func Ranges(n int) [][2]int {
+	w := Chunks(n)
+	if w == 0 {
 		return nil
 	}
-	w := Workers()
-	if w > n {
-		w = n
-	}
-	out := make([][2]int, 0, w)
-	for c := 0; c < w; c++ {
-		s, e := c*n/w, (c+1)*n/w
-		if s < e {
-			out = append(out, [2]int{s, e})
-		}
+	out := make([][2]int, w)
+	for c := range out {
+		out[c][0], out[c][1] = Chunk(n, w, c)
 	}
 	return out
 }

@@ -11,6 +11,7 @@ import (
 
 	"chaseci/internal/api"
 	"chaseci/internal/dataset"
+	"chaseci/internal/ffn"
 	"chaseci/internal/merra"
 )
 
@@ -260,7 +261,11 @@ func TestCancelledSegmentKeepsPackedPartialMask(t *testing.T) {
 
 // TestJobAllocBounds pins the job path's allocation diet in plain `go test`:
 // what one job of each shape allocates in steady state, submit to result
-// (measured figure in each case's comment).
+// (measured figure in each case's comment). The race detector's sync.Pool
+// drops the conv kernels' pooled task structs on most of a training job's
+// ~960 backward calls, so the three training rows carry a second, looser
+// bound for the CI race job (raceKB, 2x what they read there); every other
+// row holds its one bound in both.
 func TestJobAllocBounds(t *testing.T) {
 	sweep := &api.JobRequest{Kind: api.KindSweep, Sweep: &api.SweepSpec{
 		Source:        api.VolumeSource{Synth: &api.SynthSpec{NLon: 36, NLat: 24, NLev: 4, Steps: 6, Seed: 11}},
@@ -284,6 +289,7 @@ func TestJobAllocBounds(t *testing.T) {
 		workers           int
 		request           func(t *testing.T, r *Runner) *api.JobRequest
 		warm, jobs, maxKB int
+		raceKB            int
 	}{
 		// A one-step segment job over a cached 64^3 volume — 1 MB decoded —
 		// allocates well under one volume (75 KB). Before the source was
@@ -296,21 +302,30 @@ func TestJobAllocBounds(t *testing.T) {
 			}
 			return &api.JobRequest{Kind: api.KindSegment, ResultMode: api.ResultModeRef,
 				Segment: benchSegmentSpec(api.VolumeSource{Ref: info.ID})}
-		}, 4, 32, 512},
+		}, 4, 32, 512, 0},
 		// A 12-round, batch-16 job with two periodic checkpoints (the bench/
-		// workload's shape): the synthesized source, one batch x P gradient
-		// matrix, a scratch per worker and the three checkpoints (850 KB).
-		// When every sample's backward pass built its own activation cache
-		// and gradient tensors, and the all-reduce cloned them, it was 21 MB.
-		{"train_dist", 2, func(*testing.T, *Runner) *api.JobRequest { return dist }, 2, 8, 1700},
+		// workload's shape). The batch x P gradient matrix, the center index
+		// and a scratch slab per worker are borrowed, and each checkpoint is
+		// serialized once into the frame the store keeps: what is left is
+		// those three frames, the network and the optimizer's velocity
+		// (174 KB). It was 853 KB when the matrix, index and scratch were
+		// built per job and each checkpoint was encoded and then copied into
+		// its frame; 21 MB when every sample's backward pass built its own
+		// activation cache and the all-reduce cloned the gradients.
+		{"train_dist", 2, func(*testing.T, *Runner) *api.JobRequest { return dist }, 2, 8, 350, 800},
+		// The sequential trainer — what a sweep fans out and segment's
+		// train_steps runs — borrows the same way (46 KB; 213 KB before).
+		{"train", 2, func(*testing.T, *Runner) *api.JobRequest {
+			return sweepChild(sweep.Sweep, "sweep", 0, ffn.Hyperparams{LR: 0.03, Momentum: 0.9, Features: 6, Modules: 2}, 30, 2)
+		}, 2, 8, 95, 170},
 		// The streamed 72x48x12 pipeline in both modes (430 KB; 4.8 MB when
 		// each slab's atmosphere state, IVT volume and label maps were fresh
 		// allocations), and the 8-candidate sweep fanned through the fair
-		// queue with no early stop (1.4 MB; 1.9 MB before the synthesized
-		// source was borrowed).
-		{"pipeline_overlapped", 4, func(*testing.T, *Runner) *api.JobRequest { return benchPipelineRequest(false) }, 1, 4, 850},
-		{"pipeline_sequential", 4, func(*testing.T, *Runner) *api.JobRequest { return benchPipelineRequest(true) }, 1, 4, 850},
-		{"sweep_grid8", 4, func(*testing.T, *Runner) *api.JobRequest { return sweep }, 1, 4, 2800},
+		// queue with no early stop (273 KB; 1.4 MB while each candidate's
+		// trainer built its own center lists and scratch).
+		{"pipeline_overlapped", 4, func(*testing.T, *Runner) *api.JobRequest { return benchPipelineRequest(false) }, 1, 4, 850, 0},
+		{"pipeline_sequential", 4, func(*testing.T, *Runner) *api.JobRequest { return benchPipelineRequest(true) }, 1, 4, 850, 0},
+		{"sweep_grid8", 4, func(*testing.T, *Runner) *api.JobRequest { return sweep }, 1, 4, 550, 1100},
 		// The ends of the bench/ connect_chain, on its 12x48x72 volume (162 KB
 		// of float32). The ivt job's atmosphere state and output are borrowed,
 		// so what is left is the encoding it stores (175 KB; 680 KB when
@@ -320,7 +335,7 @@ func TestJobAllocBounds(t *testing.T) {
 		// expanded to float32 and the label array was a fresh allocation).
 		{"chain_ivt_ref", 2, func(*testing.T, *Runner) *api.JobRequest {
 			return &api.JobRequest{Kind: api.KindIVT, ResultMode: api.ResultModeRef, IVT: &api.IVTSpec{Synth: chainSynth, Threshold: 700}}
-		}, 2, 8, 350},
+		}, 2, 8, 350, 0},
 		{"chain_label_maskref", 2, func(t *testing.T, r *Runner) *api.JobRequest {
 			g := merra.Grid{NLon: chainSynth.NLon, NLat: chainSynth.NLat, NLev: chainSynth.NLev}
 			vol := merra.IVTVolume(merra.NewGenerator(g, chainSynth.Seed), merra.PressureLevels(g.NLev), 0, chainSynth.Steps)
@@ -335,7 +350,7 @@ func TestJobAllocBounds(t *testing.T) {
 				t.Fatal(err)
 			}
 			return &api.JobRequest{Kind: api.KindLabel, Label: &api.LabelSpec{Source: api.VolumeSource{Ref: info.ID}, Threshold: 0.5, MaxObjects: 4}}
-		}, 2, 8, 12},
+		}, 2, 8, 12, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, _ := newTestRunner(t, DefaultRegistry(), tc.workers)
@@ -351,8 +366,12 @@ func TestJobAllocBounds(t *testing.T) {
 			runtime.ReadMemStats(&m1)
 			perJob := int(m1.TotalAlloc-m0.TotalAlloc) / tc.jobs / 1024
 			t.Logf("steady-state %s job: %d KB allocated", tc.name, perJob)
-			if perJob > tc.maxKB {
-				t.Fatalf("%s job allocates %d KB in steady state, want <= %d KB", tc.name, perJob, tc.maxKB)
+			maxKB := tc.maxKB
+			if raceEnabled && tc.raceKB > 0 {
+				maxKB = tc.raceKB
+			}
+			if perJob > maxKB {
+				t.Fatalf("%s job allocates %d KB in steady state, want <= %d KB", tc.name, perJob, maxKB)
 			}
 		})
 	}

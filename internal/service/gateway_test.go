@@ -352,6 +352,16 @@ func TestGatewayValidationAndRouting(t *testing.T) {
 			t.Fatalf("%s with move_step over fov/2: status %d, err %q", req.Kind, resp.StatusCode, apiErr.Error)
 		}
 	}
+	// batch_per_round and the net geometry each within their own cap, a
+	// 14.6 GB gradient matrix together -> 400 at submit, not an allocation
+	// in a worker that no recover survives.
+	huge := distRequest(2, 2)
+	huge.TrainDist.BatchPerRound = 4096
+	huge.TrainDist.Net = &api.NetConfig{FOV: [3]int{3, 3, 3}, MoveStep: [3]int{1, 1, 1}, Features: 64, Modules: 4}
+	resp = f.do("POST", "/v1/jobs", huge, &apiErr)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, "gradient matrix") {
+		t.Fatalf("train_dist with a 4096 x 889k gradient matrix: status %d, err %q", resp.StatusCode, apiErr.Error)
+	}
 	// Unknown JSON field -> 400 (DisallowUnknownFields catches typos).
 	req, _ := http.NewRequest("POST", f.srv.URL+"/v1/jobs", strings.NewReader(`{"kind":"segment","segmnt":{}}`))
 	raw, err := http.DefaultClient.Do(req)

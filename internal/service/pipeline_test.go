@@ -217,9 +217,26 @@ func TestPipelineCancelMidStream(t *testing.T) {
 // api.NetConfig.validate alongside the kernel change.
 func TestAPIScratchAssumptionsMatchKernelDefaults(t *testing.T) {
 	cfg := ffn.DefaultConfig()
-	if cfg.FOV != [3]int{5, 9, 9} || cfg.Features != 8 || cfg.MoveStep != [3]int{1, 3, 3} || ffn.DefaultFloodBatch != 8 {
-		t.Fatalf("ffn defaults (FOV %v, Features %d, MoveStep %v, flood batch %d) drifted from the values api.NetConfig.validate assumes",
-			cfg.FOV, cfg.Features, cfg.MoveStep, ffn.DefaultFloodBatch)
+	if cfg.FOV != [3]int{5, 9, 9} || cfg.Features != 8 || cfg.Modules != 2 || cfg.MoveStep != [3]int{1, 3, 3} || ffn.DefaultFloodBatch != 8 {
+		t.Fatalf("ffn defaults (FOV %v, Features %d, Modules %d, MoveStep %v, flood batch %d) drifted from the values api.NetConfig.validate and paramCount assume",
+			cfg.FOV, cfg.Features, cfg.Modules, cfg.MoveStep, ffn.DefaultFloodBatch)
+	}
+	// api's restated parameter count agrees with the kernel's: the largest
+	// batch whose batch x P gradient matrix fits 64M elements (api's
+	// maxScratchElems, ffn's maxGradElems) passes, one more does not.
+	for _, nc := range []api.NetConfig{{Features: 64, Modules: 4}, {Features: 100}, {Features: 17, Modules: 16}} {
+		net, err := ffn.NewNetwork(netConfig(&nc), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fits := (64 << 20) / net.ParamCount()
+		for batch, ok := range map[int]bool{fits: true, fits + 1: false} {
+			req := distRequest(1, 1)
+			req.TrainDist.Net, req.TrainDist.BatchPerRound = &nc, batch
+			if err := req.Validate(); (err == nil) != ok {
+				t.Fatalf("net %+v (%d parameters), batch_per_round %d: Validate = %v, want accepted=%v", nc, net.ParamCount(), batch, err, ok)
+			}
+		}
 	}
 	// And the budget itself must reject the all-extremes corner.
 	bad := &api.JobRequest{Kind: api.KindSegment, Segment: &api.SegmentSpec{

@@ -1,17 +1,21 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"chaseci/internal/api"
 	"chaseci/internal/parallel"
 	"chaseci/internal/queue"
+	"chaseci/internal/tensor"
 )
 
 // waitState polls until the job reaches a terminal state or pred(st) holds.
@@ -221,7 +225,7 @@ func goroutineID() string {
 }
 
 // TestHandlerPanicBecomesFailure: a panic in a handler — on its own
-// goroutine or on a parallel lane under a kernel it called — fails that job
+// goroutine, or on a parallel lane under a kernel it called — fails that job
 // under the retry budget, and the runner serves the next one.
 func TestHandlerPanicBecomesFailure(t *testing.T) {
 	prev := parallel.SetWorkers(2)
@@ -264,6 +268,85 @@ func TestHandlerPanicBecomesFailure(t *testing.T) {
 				}
 			}
 		})
+	}
+	t.Run("train_dist shard", trainDistShardPanic)
+}
+
+// scribbledAtRound overwrites idx with out-of-volume voxel indexes whenever
+// the context is checked inside the named stage. A train_dist round checks
+// its context on the handler's goroutine before it draws the batch, so the
+// centers it then draws from idx send every shard's FOV extract out of range.
+type scribbledAtRound struct {
+	context.Context
+	job   *job
+	stage string
+	idx   []int32
+}
+
+func (c scribbledAtRound) Err() error {
+	if *c.job.stage.Load() == c.stage {
+		for i := range c.idx {
+			c.idx[i] = math.MaxInt32
+		}
+	}
+	return c.Context.Err()
+}
+
+// trainDistShardPanic drives a panic from a shard goroutine of a real
+// train_dist job's first round through TrainDistHandler: the job fails, the
+// handler's deferred Release has returned the trainer's arrays exactly once,
+// and the runner serves the next train_dist job. The test stays the second
+// owner of the buffer it plants on the free list for the trainer's center
+// index — the one array whose contents are indexes — and corrupts it between
+// the fill and the first draw.
+func trainDistShardPanic(t *testing.T) {
+	req := distRequest(2, 3)
+	synth, fov := req.TrainDist.Source.Synth, req.TrainDist.Net.FOV
+	planted := make([]int32, (synth.Steps-fov[0]+1)*(synth.NLat-fov[1]+1)*(synth.NLon-fov[2]+1))
+
+	var attempts atomic.Int32
+	reg := DefaultRegistry()
+	reg.Register(api.KindTrainDist, func(jc *JobContext) (any, error) {
+		if jc.Request().Name != "boom" {
+			return TrainDistHandler(jc)
+		}
+		attempts.Add(1)
+		inner := *jc
+		inner.ctx = scribbledAtRound{Context: jc.ctx, job: jc.job, stage: "round 0/3 (2w)", idx: planted}
+		return TrainDistHandler(&inner)
+	})
+	r, _ := newTestRunner(t, reg, 1)
+	tightRetries(r, 2)
+	want := runJob(t, r, req)
+
+	tensor.PutInt32s(planted) // on top of the stack for its length: the next borrow
+	doomed := distRequest(2, 3)
+	doomed.Name = "boom"
+	st, err := r.Submit(doomed, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitState(t, r, st.ID, terminal)
+	if final.State != api.StateFailed || !strings.Contains(final.Error, "out of range") {
+		t.Fatalf("status = %+v, want failed on an out-of-range extract", final)
+	}
+	if attempts.Load() != 2 {
+		t.Fatalf("handler ran %d times, want 2 (a panic is retried)", attempts.Load())
+	}
+	// Each attempt borrowed the planted array and its unwinding handler put
+	// it back: it is on the list once — not missing, not there twice.
+	first, second := tensor.GetInt32s(len(planted)), tensor.GetInt32s(len(planted))
+	if &first[0] != &planted[0] {
+		t.Fatal("the panicked job's center index did not come back to the free list")
+	}
+	if &second[0] == &planted[0] {
+		t.Fatal("the panicked job's center index was released twice")
+	}
+	if got := runJob(t, r, req); string(got) != string(want) {
+		t.Fatalf("train_dist after the panicked job diverges:\n%s\nvs\n%s", got, want)
+	}
+	if err := r.LeakCheck(); err != nil {
+		t.Fatal(err)
 	}
 }
 

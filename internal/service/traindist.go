@@ -21,11 +21,13 @@ import (
 // pinned atomically against a concurrent delete; the tracker's release
 // matches the pin and sweeps orphans if the job never completes.
 func putCheckpoint(jc *JobContext, refs *pipeRefs, t *ffn.DistTrainer) (string, error) {
-	enc, err := dataset.EncodeCheckpoint(t.CheckpointBytes())
+	// Serialized once, straight into the CDS1 frame the store keeps.
+	ck := t.Checkpoint()
+	frame, err := dataset.CheckpointFrame(ck.EncodedLen())
 	if err != nil {
 		return "", err
 	}
-	info, created, err := jc.Datasets().PutPinned(enc, jc.Owner())
+	info, created, err := jc.Datasets().PutPinned(ck.AppendTo(frame), jc.Owner())
 	if err != nil {
 		return "", err
 	}
@@ -38,7 +40,9 @@ func putCheckpoint(jc *JobContext, refs *pipeRefs, t *ffn.DistTrainer) (string, 
 // momentum, sampling seed, batch geometry, and loss history — Rounds means
 // total rounds including the resumed history). A cancelled run reports the
 // rounds actually completed; its periodic checkpoints are released, but an
-// identical re-run re-creates the same content-addressed refs.
+// identical re-run re-creates the same content-addressed refs. The trainer's
+// borrowed arrays go back to the free list however the handler returns —
+// success, error, cancel, or a panic unwinding through it.
 func TrainDistHandler(jc *JobContext) (any, error) {
 	spec := jc.Request().TrainDist
 	set, err := openTrainingSet(jc, &spec.Source, spec.Threshold, true)
@@ -80,6 +84,7 @@ func TrainDistHandler(jc *JobContext) (any, error) {
 			return nil, err
 		}
 	}
+	defer t.Release()
 	res.StartRound = t.RoundIndex()
 	res.GradBytes = t.Net.GradBytes()
 

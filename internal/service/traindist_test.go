@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"chaseci/internal/api"
 	"chaseci/internal/dataset"
 	"chaseci/internal/ffn"
+	"chaseci/internal/parallel"
 	"chaseci/internal/queue"
 )
 
@@ -85,6 +87,12 @@ func TestGatewayTrainDistWorkerInvariance(t *testing.T) {
 	}
 	if blob.Kind != dataset.KindCheckpoint {
 		t.Fatalf("checkpoint ref resolves to a %s dataset", blob.Kind)
+	}
+	// The payload is a view of the stored frame, which the trainer
+	// serialized into directly: one allocation of exactly frame size, not a
+	// checkpoint copied into a grown buffer.
+	if len(blob.Raw) == 0 || cap(blob.Raw) != len(blob.Raw) {
+		t.Fatalf("stored checkpoint frame has %d spare bytes after a %d-byte payload", cap(blob.Raw)-len(blob.Raw), len(blob.Raw))
 	}
 	if err := f.runner.LeakCheck(); err != nil {
 		t.Fatal(err)
@@ -399,5 +407,118 @@ func TestTrainHoldoutCancelledFloodFailsCandidate(t *testing.T) {
 	}
 	if res.HoldoutSteps != 0 || res.Precision != 0 || res.Recall != 0 || res.F1 != 0 || res.IoU != 0 {
 		t.Fatalf("aborted flood was scored: %+v", res)
+	}
+}
+
+// cancelledAfterShards reports cancellation from the second check inside
+// the named stage. A train_dist round checks its context twice — before it
+// draws the batch, and after its shards have filled the gradient matrix —
+// so this cancel lands mid-round, with the borrowed arrays freshly written.
+type cancelledAfterShards struct {
+	context.Context
+	job    *job
+	stage  string
+	checks *atomic.Int32
+}
+
+func (c cancelledAfterShards) Err() error {
+	if *c.job.stage.Load() == c.stage && c.checks.Add(1) >= 2 {
+		return context.Canceled
+	}
+	return c.Context.Err()
+}
+
+// TestTrainDistCancelThenResumeAndElasticOnReleasedArrays: a train_dist job
+// cancelled mid-round hands its gradient matrix, center index and scratch
+// back to the free list; a resume job and an elastic-grow job then run at
+// once on the same runner, borrow those arrays, and still produce the
+// undisturbed run's losses and content-addressed checkpoint. An array
+// released twice would be lent to both jobs at once; one used after release
+// is NaN under this package's TestMain. One conv shard, so the final
+// checkpoint id is the one recorded before training borrowed its memory.
+func TestTrainDistCancelThenResumeAndElasticOnReleasedArrays(t *testing.T) {
+	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	const goldenRef = "26674293a387531196b882b7584f923e1348ff105a98c1a46efbe8251d162b1f"
+	reg := DefaultRegistry()
+	reg.Register(api.KindTrainDist, func(jc *JobContext) (any, error) {
+		if jc.Request().Name != "cancel-me" {
+			return TrainDistHandler(jc)
+		}
+		inner := *jc
+		inner.ctx = cancelledAfterShards{Context: jc.ctx, job: jc.job, stage: "round 4/10 (2w)", checks: new(atomic.Int32)}
+		return TrainDistHandler(&inner)
+	})
+	r, _ := newTestRunner(t, reg, 2)
+	result := func(id string) (res api.TrainDistResult) {
+		t.Helper()
+		raw, _, _ := r.Result(id)
+		if err := json.Unmarshal(raw, &res); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	sameCurve := func(name string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d losses, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s round %d: loss %v != undisturbed %v", name, i, got[i], want[i])
+			}
+		}
+	}
+
+	req := distRequest(2, 10)
+	req.TrainDist.CheckpointEvery = 3
+	var full api.TrainDistResult
+	if err := json.Unmarshal(runJob(t, r, req), &full); err != nil {
+		t.Fatal(err)
+	}
+	if full.CheckpointRef != goldenRef {
+		t.Errorf("final checkpoint id %s, want %s: the checkpoint bytes changed", full.CheckpointRef, goldenRef)
+	}
+
+	doomed := distRequest(2, 10)
+	doomed.Name = "cancel-me"
+	st, err := r.Submit(doomed, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitState(t, r, st.ID, terminal); final.State != api.StateCancelled {
+		t.Fatalf("cancelled job: %s (%s)", final.State, final.Error)
+	}
+	sameCurve("cancelled", result(st.ID).Losses, full.Losses[:4])
+
+	resume := distRequest(4, 10)
+	resume.TrainDist = &api.TrainDistSpec{
+		Source: req.TrainDist.Source, Threshold: req.TrainDist.Threshold,
+		Workers: 4, Rounds: 10, ResumeFrom: full.Checkpoints[1].Ref,
+	}
+	grow := distRequest(1, 10)
+	grow.TrainDist.Elastic = []api.ElasticStep{{Round: 2, Workers: 3}, {Round: 5, Workers: 6}}
+	var ids []string
+	for _, next := range []*api.JobRequest{resume, grow} {
+		st, err := r.Submit(next, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	for i, name := range []string{"resumed", "elastic"} {
+		if final := waitState(t, r, ids[i], terminal); final.State != api.StateSucceeded {
+			t.Fatalf("%s job: %s (%s)", name, final.State, final.Error)
+		}
+		res := result(ids[i])
+		sameCurve(name, res.Losses, full.Losses)
+		if res.CheckpointRef != full.CheckpointRef {
+			t.Fatalf("%s final checkpoint %s != undisturbed %s", name, res.CheckpointRef, full.CheckpointRef)
+		}
+	}
+	if got := result(ids[0]).StartRound; got != 6 {
+		t.Fatalf("resume started at round %d, want 6", got)
+	}
+	if err := r.LeakCheck(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -74,8 +74,8 @@ type convBwd struct {
 	gradW          []float32
 	gradB          []float32
 	partials       [][]float32 // per-shard gradIn partials
-	shards         [][2]int    // oc ranges per shard
 	cin, d, h, wd  int
+	cout           int // sharded by parallel.Chunk over len(partials)
 	kd, kh, kw     int
 	pd, ph, pw     int
 }
@@ -84,8 +84,8 @@ var convBwdPool = sync.Pool{New: func() any { return new(convBwd) }}
 
 func (t *convBwd) Run(start, end int) {
 	for k := start; k < end; k++ {
-		rng := t.shards[k]
-		t.runShard(rng[0], rng[1], t.partials[k])
+		oc0, oc1 := parallel.Chunk(t.cout, len(t.partials), k)
+		t.runShard(oc0, oc1, t.partials[k])
 	}
 }
 
@@ -150,7 +150,7 @@ func Conv3DBackwardInto(gradIn, gradW *Tensor, gradB []float32, in, weight, grad
 	t := convBwdPool.Get().(*convBwd)
 	t.in, t.w, t.gradOut = in.Data, weight.Data, gradOut.Data
 	t.gradW, t.gradB = gradW.Data, gradB
-	t.cin, t.d, t.h, t.wd = cin, d, h, w
+	t.cin, t.d, t.h, t.wd, t.cout = cin, d, h, w, cout
 	t.kd, t.kh, t.kw = kd, kh, kw
 	t.pd, t.ph, t.pw = kd/2, kh/2, kw/2
 
@@ -161,17 +161,16 @@ func Conv3DBackwardInto(gradIn, gradW *Tensor, gradB []float32, in, weight, grad
 		// Single shard: accumulate straight into gradIn, bit-exact with the
 		// original serial kernel, and allocation-free.
 		t.runShard(0, cout, gradIn.Data)
-	} else if shards := parallel.Ranges(cout); len(shards) == 1 {
-		t.runShard(0, cout, gradIn.Data)
 	} else {
-		t.shards = shards
+		// One shard per dispatch chunk of the output channels (at least two
+		// here: more than one worker, more than one channel).
 		t.partials = t.partials[:0]
-		for range shards {
+		for range parallel.Chunks(cout) {
 			p := GetFloats(len(gradIn.Data))
 			clear(p)
 			t.partials = append(t.partials, p)
 		}
-		parallel.Invoke(len(shards), t)
+		parallel.Invoke(len(t.partials), t)
 		// Deterministic reduction in shard (ascending oc) order.
 		for _, p := range t.partials {
 			for i, v := range p {
@@ -181,7 +180,6 @@ func Conv3DBackwardInto(gradIn, gradW *Tensor, gradB []float32, in, weight, grad
 		}
 	}
 	t.in, t.w, t.gradOut, t.gradW, t.gradB = nil, nil, nil, nil, nil
-	t.shards = nil
 	for i := range t.partials {
 		t.partials[i] = nil
 	}
