@@ -16,7 +16,9 @@
 package chaseci
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -368,34 +370,109 @@ func BenchmarkConv3DInto(b *testing.B) {
 	}
 }
 
-// BenchmarkSegmentWorkers measures flood-fill inference at several worker
-// counts on one trained network (results are identical; only wall-clock
-// changes).
-func BenchmarkSegmentWorkers(b *testing.B) {
-	g := merra.Grid{NLon: 36, NLat: 24, NLev: 6}
-	gen := merra.NewGenerator(g, 11)
-	levels := merra.PressureLevels(g.NLev)
-	const steps = 6
-	vol := merra.IVTVolume(gen, levels, 20, steps)
-	img := &ffn.Volume{D: steps, H: g.NLat, W: g.NLon, Data: append([]float32(nil), vol.Data...)}
-	img.Normalize()
-	cfg := ffn.DefaultConfig()
-	cfg.FOV = [3]int{3, 7, 7}
-	cfg.Features = 6
-	cfg.MoveStep = [3]int{1, 2, 2}
-	net, err := ffn.NewNetwork(cfg, 3)
+// followImageNet returns a network of cfg's geometry set by hand so that a
+// flood moves exactly where the image says: one input tap copies the image
+// into feature 0, the zero-weight residual modules pass it through, and the
+// output layer maps image 1 to logit +4 and image 0 to logit -4. The
+// arithmetic per application is that of any network of the geometry; only
+// where the flood goes is designed. Built through the serialized-model API:
+// a header followed by the flat parameter vector, wIn first, bOut last.
+func followImageNet(b *testing.B, cfg ffn.Config) *ffn.Network {
+	b.Helper()
+	blank, err := ffn.NewNetwork(cfg, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	seeds := ffn.GridSeeds(img, cfg.FOV, [3]int{1, 4, 4}, 1.0)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			prev := parallel.SetWorkers(workers)
-			defer parallel.SetWorkers(prev)
-			for i := 0; i < b.N; i++ {
-				net.Segment(img, seeds, 0)
+	model := blank.SaveBytes()
+	params := model[len(model)-4*blank.ParamCount():]
+	clear(params)
+	set := func(i int, v float32) { binary.LittleEndian.PutUint32(params[4*i:], math.Float32bits(v)) }
+	set(13, 1)                                // wIn: feature 0, image channel, center tap
+	set(blank.ParamCount()-1-cfg.Features, 8) // wOut: feature 0
+	set(blank.ParamCount()-1, -4)             // bOut
+	net, err := ffn.LoadBytes(model)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return net
+}
+
+// BenchmarkSegmentWorkers measures flood-fill inference at several worker
+// counts (results are identical; only wall-clock changes) on two scenes.
+// "ivt" is a synthetic IVT volume under a random 6-feature (3,7,7) network,
+// grid-seeded. "imbalanced" is the default 8-feature (5,9,9) geometry over a
+// scene built so that a split of the seeds cannot balance it: 24 seeds, 23
+// of them isolated (one application, no move) and one reaching every lattice
+// center of a block that is most of the volume — what a connect_chain flood
+// looks like once its seeds' floods have merged. Each runs both ways of
+// spending the workers: "lanes" (flood lanes sharing one frontier, every conv
+// serial on its lane) and "one_goroutine" (one flood goroutine, every conv
+// forked over the workers). steps/s is network applications per second of
+// wall time.
+func BenchmarkSegmentWorkers(b *testing.B) {
+	g := merra.Grid{NLon: 36, NLat: 24, NLev: 6}
+	const steps = 6
+	vol := merra.IVTVolume(merra.NewGenerator(g, 11), merra.PressureLevels(g.NLev), 20, steps)
+	ivt := &ffn.Volume{D: steps, H: g.NLat, W: g.NLon, Data: append([]float32(nil), vol.Data...)}
+	ivt.Normalize()
+	ivtCfg := ffn.DefaultConfig()
+	ivtCfg.FOV = [3]int{3, 7, 7}
+	ivtCfg.Features = 6
+	ivtCfg.MoveStep = [3]int{1, 2, 2}
+	ivtNet, err := ffn.NewNetwork(ivtCfg, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	// The block is x >= 24 of a 12x48x72 volume (connect_chain's); the
+	// isolated seeds sit in the margin left of it, their move targets
+	// (x +/- 3) short of the block.
+	cfg := ffn.DefaultConfig()
+	block := ffn.NewVolume(12, 48, 72)
+	for z := 0; z < block.D; z++ {
+		for y := 0; y < block.H; y++ {
+			for x := 24; x < block.W; x++ {
+				block.Set(z, y, x, 1)
 			}
-		})
+		}
+	}
+	seeds := [][3]int{{6, 4, 24}}
+	for i := 0; i < 23; i++ {
+		seeds = append(seeds, [3]int{2 + i%8, 4 + 3*(i%13), 4 + 7*(i%3)})
+	}
+
+	for _, sc := range []struct {
+		name  string
+		net   *ffn.Network
+		img   *ffn.Volume
+		seeds [][3]int
+	}{
+		{"ivt_f6_3x7x7", ivtNet, ivt, ffn.GridSeeds(ivt, ivtCfg.FOV, [3]int{1, 4, 4}, 1.0)},
+		{"imbalanced_f8_5x9x9", followImageNet(b, cfg), block, seeds},
+	} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			// A budget no flood reaches keeps the flood on one goroutine and
+			// leaves the workers to each conv's fork-join: the other way to
+			// spend them, same mask and statistics.
+			for _, arm := range []struct {
+				name   string
+				budget int
+			}{{"lanes", 0}, {"one_goroutine", math.MaxInt32}} {
+				b.Run(fmt.Sprintf("%s/workers=%d/%s", sc.name, workers, arm.name), func(b *testing.B) {
+					prev := parallel.SetWorkers(workers)
+					defer parallel.SetWorkers(prev)
+					applications := 0
+					for i := 0; i < b.N; i++ {
+						_, stats := sc.net.Segment(sc.img, sc.seeds, arm.budget)
+						if stats.SeedsUsed != len(sc.seeds) {
+							b.Fatalf("%d of %d seeds accepted", stats.SeedsUsed, len(sc.seeds))
+						}
+						applications += stats.Steps
+					}
+					b.ReportMetric(float64(applications)/b.Elapsed().Seconds(), "steps/s")
+				})
+			}
+		}
 	}
 }
 

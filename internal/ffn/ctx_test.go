@@ -85,8 +85,8 @@ func TestSegmentCtxCancelMidFlood(t *testing.T) {
 	}
 }
 
-// TestSegmentCtxCancelSharded covers the seed-sharded flood: every worker
-// must stop promptly after cancellation.
+// TestSegmentCtxCancelSharded covers the multi-lane flood: every lane must
+// stop promptly after cancellation, the ones waiting on the frontier too.
 func TestSegmentCtxCancelSharded(t *testing.T) {
 	net, img, seeds := segCtxScene(t)
 	prev := parallel.SetWorkers(4)
@@ -105,6 +105,11 @@ func TestSegmentCtxCancelSharded(t *testing.T) {
 	}
 	if stats.Steps == 0 || stats.Steps >= full.Steps {
 		t.Fatalf("cancelled sharded run took %d steps, want in (0, %d)", stats.Steps, full.Steps)
+	}
+	// The cancel lands at application progressEvery; each of the four lanes
+	// may finish the batch it holds and takes no other.
+	if limit := progressEvery + 4*DefaultFloodBatch; stats.Steps > limit {
+		t.Fatalf("cancelled sharded run took %d steps, want at most %d (one batch per lane)", stats.Steps, limit)
 	}
 }
 

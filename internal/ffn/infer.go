@@ -156,16 +156,20 @@ func (cfg *Config) fovInBounds(v *Volume, z, y, x int) bool {
 // network applications (0 means no bound). The result is a binary mask
 // volume and run statistics.
 //
-// Every call runs the one batched flood loop (flood). A budget keeps it on
-// one goroutine, applying the oldest queued centers first, so which
-// applications spend the budget does not depend on the worker count.
-// Without a budget and with more than one worker (parallel.Workers()),
-// seeds are sharded across workers: floods claim FOV centers through a
-// shared atomic visited set (each center is expanded exactly once) and
-// merge into worker-private canvases that are max-reduced afterwards.
-// Because each application's output depends only on the image and the
-// center — never on the canvas — the mask and statistics are identical at
-// every worker count.
+// Every call runs the one batched flood loop (flood) over one frontier of
+// claimed, not yet expanded FOV centers. A budget keeps it on one lane,
+// applying the oldest queued centers first, so which applications spend the
+// budget does not depend on the worker count. Without a budget and with
+// more than one worker (parallel.Workers()) the flood runs on
+// parallel.Chunks(seeds) lanes that all take their batches from the shared
+// frontier and give the centers they claim back to it — so the lanes stay
+// busy together however unevenly the seeds' floods turn out, merging into
+// one another as they do. Lanes claim FOV centers through a shared atomic
+// visited set (each center is expanded exactly once) and merge into
+// lane-private canvases that are max-reduced afterwards. Because each
+// application's output depends only on the image and the center — never on
+// the canvas, the lane or the schedule — the mask and statistics are
+// identical at every worker count.
 func (n *Network) Segment(image *Volume, seeds [][3]int, maxSteps int) (*Volume, InferenceStats) {
 	mask, stats, _ := n.SegmentCtx(context.Background(), image, seeds, maxSteps, nil)
 	return mask, stats
@@ -196,13 +200,26 @@ func (v visitedSet) claim(key int) bool {
 }
 
 // claimAtomic is claim for the flood, which may share the set across
-// goroutines.
+// goroutines. It is a load and a compare-and-swap rather than one
+// atomic.OrUint32: go1.24.0 miscompiled the value-returning Or where this
+// inlined into frontier_test's lane loop (the Or's old word was left in the
+// register holding a live slice pointer, and the next load through it
+// faulted), and an already claimed center — most moves — now costs no
+// locked instruction at all.
 func (v visitedSet) claimAtomic(key int) bool {
-	bit := uint32(1) << (key & 31)
-	return atomic.OrUint32(&v[key>>5], bit)&bit == 0
+	w, bit := &v[key>>5], uint32(1)<<(key&31)
+	for {
+		old := atomic.LoadUint32(w)
+		if old&bit != 0 {
+			return false
+		}
+		if atomic.CompareAndSwapUint32(w, old, old|bit) {
+			return true
+		}
+	}
 }
 
-// floodProgress counts network applications across all flood workers and
+// floodProgress counts network applications across all flood lanes and
 // fires the user callback every progressEvery applications. A nil
 // *floodProgress disables both, costing the flood loop nothing.
 type floodProgress struct {
@@ -223,18 +240,20 @@ func (p *floodProgress) bump() {
 	}
 }
 
-// SegmentCtx is the context-aware Segment: cancellation is checked once per
-// batch on every path, so a cancelled context stops the run within one FOV
-// batch (DefaultFloodBatch applications) per worker.
+// SegmentCtx is the context-aware Segment: cancellation is checked before
+// every batch on every lane, so a cancelled context stops the run within one
+// FOV batch (DefaultFloodBatch applications) per lane.
 // On cancellation the partial canvas is still thresholded and returned with
 // the statistics accumulated so far and ctx.Err(). progress (may be nil) is
 // called with the running application count every progressEvery
-// applications; under the sharded flood it fires concurrently from multiple
-// workers, so the callback must be safe for concurrent use. With a
-// background context the mask and statistics are identical to Segment's.
+// applications; under the multi-lane flood it fires concurrently from
+// several lanes, so the callback must be safe for concurrent use. A panic on
+// a lane (progress is the caller's code) ends the flood and is re-raised
+// here once every lane has stopped. With a background context the mask and
+// statistics are identical to Segment's.
 //
 // image is only read. The whole-volume working arrays (visited bitset,
-// canvas, per-shard canvases) come from the shared free list, and the
+// canvas, per-lane canvases) come from the shared free list, and the
 // returned mask is the canvas thresholded in place: a caller done with it
 // may ReleaseVolume it, one that is not simply keeps it.
 func (n *Network) SegmentCtx(ctx context.Context, image *Volume, seeds [][3]int, maxSteps int, progress func(steps int)) (*Volume, InferenceStats, error) {
@@ -276,23 +295,29 @@ func (n *Network) SegmentCtx(ctx context.Context, image *Volume, seeds [][3]int,
 		canvas.Data[keyOf(s.z, s.y, s.x)] = seedLogit
 	}
 
-	shards := parallel.Ranges(len(accepted))
-	if maxSteps > 0 || len(shards) <= 1 {
-		n.flood(ctx, image, accepted, claimed, canvas.Data, moveLogit, maxSteps, &stats, prog)
+	lanes := parallel.Chunks(len(accepted))
+	if maxSteps > 0 {
+		lanes = 1
+	}
+	fr := newFrontier(accepted, lanes, maxSteps > 0)
+	if lanes <= 1 {
+		n.flood(ctx, image, fr, claimed, canvas.Data, moveLogit, maxSteps, &stats, prog)
 	} else {
-		// Worker-private canvases, max-reduced in shard order afterwards
-		// (order is irrelevant for max, but keep it fixed anyway) and
-		// returned to the free list as soon as they are folded in.
-		canvases := make([][]float32, len(shards))
-		shardStats := make([]InferenceStats, len(shards))
-		parallel.For(len(shards), func(s0, s1 int) {
-			for k := s0; k < s1; k++ {
+		// Lane-private canvases, max-reduced in lane order afterwards (order
+		// is irrelevant for max, but keep it fixed anyway) and returned to
+		// the free list as soon as they are folded in.
+		canvases := make([][]float32, lanes)
+		laneStats := make([]InferenceStats, lanes)
+		parallel.For(lanes, func(k0, k1 int) {
+			defer fr.recoverLane()
+			for k := k0; k < k1; k++ {
 				wc := tensor.GetFloats(image.Size())
 				fill(wc, padLogit)
 				canvases[k] = wc
-				n.flood(ctx, image, accepted[shards[k][0]:shards[k][1]], claimed, wc, moveLogit, 0, &shardStats[k], prog)
+				n.flood(ctx, image, fr, claimed, wc, moveLogit, 0, &laneStats[k], prog)
 			}
 		})
+		fr.reraise()
 		for k, wc := range canvases {
 			for i, v := range wc {
 				if v > canvas.Data[i] {
@@ -300,8 +325,8 @@ func (n *Network) SegmentCtx(ctx context.Context, image *Volume, seeds [][3]int,
 				}
 			}
 			tensor.PutFloats(wc)
-			stats.Steps += shardStats[k].Steps
-			stats.Moves += shardStats[k].Moves
+			stats.Steps += laneStats[k].Steps
+			stats.Moves += laneStats[k].Moves
 		}
 	}
 

@@ -6,19 +6,19 @@ import (
 	"chaseci/internal/tensor"
 )
 
-// Batched flood-fill inference. A flood worker drains up to
-// DefaultFloodBatch ready FOV centers from its queue and pushes them through
-// the batched forward path in one dispatch: the shared weights are streamed
-// from memory once per batch rather than once per application, and the
-// fused conv epilogues (tensor.Conv3DBatchReLUInto / Conv3DBatchResReLUInto)
-// fold each layer's activation and residual into the conv output write.
+// Batched flood-fill inference. A flood lane takes up to DefaultFloodBatch
+// ready FOV centers from the frontier and pushes them through the batched
+// forward path in one dispatch: the shared weights are streamed from memory
+// once per batch rather than once per application, and the fused conv
+// epilogues (tensor.Conv3DBatchReLUInto / Conv3DBatchResReLUInto) fold each
+// layer's activation and residual into the conv output write.
 // Because every application's output depends only on the image and the
 // center — never on the canvas or on other in-flight applications —
-// batching any subset of ready positions produces bit-exact masks and
-// statistics (the claimed set stays the multi-source closure, and the canvas
-// merge is an order-independent element-wise max).
+// batching any subset of ready positions, on any lane, produces bit-exact
+// masks and statistics (the claimed set stays the multi-source closure, and
+// the canvas merge is an order-independent element-wise max).
 
-// DefaultFloodBatch is how many ready FOV positions a flood worker pushes
+// DefaultFloodBatch is how many ready FOV positions a flood lane pushes
 // through the batched forward path per dispatch.
 const DefaultFloodBatch = 8
 
@@ -81,38 +81,40 @@ func (n *Network) forwardBatchInto(s *batchScratch, k int) {
 	tensor.Conv3DBatchInto(s.out, cur, n.wOut, n.bOut, k)
 }
 
-// flood is the flood-fill loop under every Segment call: it floods seeds in
-// batches of up to DefaultFloodBatch FOV positions, claiming centers through
-// the (possibly shared) atomic visited set and max-merging output cores into
-// canvas — worker-private under the sharded flood, the result canvas
-// otherwise. Each application is conditioned on a fresh seed POM (the
-// scratch's constant POM channel), the input distribution the network was
-// trained on; the canvas is only the aggregation buffer across FOVs — the
-// single-step simplification of FFN's recurrent POM.
+// flood is the flood-fill loop under every Segment call, run by each lane
+// of a flood: it takes batches of up to DefaultFloodBatch FOV positions from
+// the frontier, claims the centers they move to through the (possibly
+// shared) atomic visited set, gives those back to the frontier, and
+// max-merges output cores into canvas — lane-private under the multi-lane
+// flood, the result canvas otherwise. Each application is conditioned on a
+// fresh seed POM (the scratch's constant POM channel), the input
+// distribution the network was trained on; the canvas is only the
+// aggregation buffer across FOVs — the single-step simplification of FFN's
+// recurrent POM.
 //
-// With budget > 0 at most budget applications run, and each batch is the
-// oldest queued centers, expanded in queue order: the claim sequence, and so
-// which applications spend the budget, is that of a one-at-a-time FIFO.
-// Without a budget the result is order-independent and the batch comes off
-// the back of the queue, which keeps the queue short. Cancellation is
-// checked before every batch.
-func (n *Network) flood(ctx context.Context, image *Volume, seeds []fovPos, claimed visitedSet, canvas []float32, moveLogit float32, budget int, stats *InferenceStats, prog *floodProgress) {
+// With budget > 0 (one lane, a first-in-first-out frontier) at most budget
+// applications run, and each batch is the oldest queued centers, expanded in
+// queue order: the claim sequence, and so which applications spend the
+// budget, is that of a one-at-a-time FIFO. Without a budget the result is
+// order-independent and batches come off the back of the frontier, which
+// keeps it short. Cancellation is checked before every batch.
+func (n *Network) flood(ctx context.Context, image *Volume, fr *frontier, claimed visitedSet, canvas []float32, moveLogit float32, budget int, stats *InferenceStats, prog *floodProgress) {
 	cfg := n.cfg
 	s := n.getBatchScratch()
 	defer n.putBatchScratch(s)
 	fov := cfg.FOV
 	fovN := fov[0] * fov[1] * fov[2]
 	offsets := cfg.moveOffsets()
-	queue := append([]fovPos(nil), seeds...)
-	for len(queue) > 0 && (budget <= 0 || stats.Steps < budget) && ctx.Err() == nil {
-		k := min(DefaultFloodBatch, len(queue))
+	var claims [6 * DefaultFloodBatch]fovPos // what one batch can claim; give copies it
+	for {
+		limit := DefaultFloodBatch
 		if budget > 0 {
-			k = min(k, budget-stats.Steps)
-			s.pos = append(s.pos[:0], queue[:k]...)
-			queue = queue[k:]
-		} else {
-			s.pos = append(s.pos[:0], queue[len(queue)-k:]...)
-			queue = queue[:len(queue)-k]
+			limit = min(limit, budget-stats.Steps)
+		}
+		s.pos = fr.take(ctx, s.pos, limit)
+		k := len(s.pos)
+		if k == 0 {
+			return
 		}
 		for i, p := range s.pos {
 			extractFOVIntoSlice(s.in.Data[2*i*fovN:][:fovN], image, fov, p.z, p.y, p.x)
@@ -122,6 +124,7 @@ func (n *Network) flood(ctx context.Context, image *Volume, seeds []fovPos, clai
 		} else {
 			n.forwardBatchInto(s, k)
 		}
+		fresh := claims[:0]
 		for i, p := range s.pos {
 			out := s.out.Data[i*fovN:][:fovN]
 			mergeCore(canvas, image.H, image.W, fov, out, p.z, p.y, p.x)
@@ -142,9 +145,10 @@ func (n *Network) flood(ctx context.Context, image *Volume, seeds []fovPos, clai
 				if !claimed.claimAtomic(key) {
 					continue
 				}
-				queue = append(queue, fovPos{nz, ny, nx})
+				fresh = append(fresh, fovPos{nz, ny, nx})
 				stats.Moves++
 			}
 		}
+		fr.give(fresh)
 	}
 }

@@ -15,22 +15,73 @@ import (
 	"chaseci/internal/sched"
 )
 
-// assertNoLeaks polls LeakCheck until it passes: terminal state lands just
-// before ref release in execute, so the last Unpin can trail a Status read
-// by a scheduler tick.
+// assertNoLeaks is LeakCheck once every job reads terminal: execute gives
+// back a job's pins and node claim before it publishes the terminal state,
+// so there is nothing left to wait for.
 func assertNoLeaks(t *testing.T, r *Runner) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		err := r.LeakCheck()
-		if err == nil {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("leak check: %v", err)
-		}
-		time.Sleep(time.Millisecond)
+	if err := r.LeakCheck(); err != nil {
+		t.Fatalf("leak check: %v", err)
 	}
+}
+
+// parkedRelease is a dispatcher whose release reports that it was entered
+// and then parks until told to go on.
+type parkedRelease struct {
+	dispatcher
+	entered, resume chan struct{}
+}
+
+func (d parkedRelease) release(id string) {
+	d.entered <- struct{}{}
+	<-d.resume
+	d.dispatcher.release(id)
+}
+
+// TestTerminalStateFollowsRelease pins the order LeakCheck's quiescence rule
+// rests on: a job must not read terminal while its node claim is still on
+// its way back. With the worker parked inside release, the job's pins are
+// already gone, the claim is still held, the job still reads running, and
+// LeakCheck refuses to judge; once release returns the job goes terminal
+// and the check passes at once. (Publishing the state first let a LeakCheck
+// that saw the last job succeed find its claim still held: the
+// "leaked node claims: node-0:[job-000001]" flake.)
+func TestTerminalStateFollowsRelease(t *testing.T) {
+	r := NewClusterRunnerConfigured(DefaultRegistry(), queue.NewStore(), threeNodeFabric(t), RunnerConfig{Workers: 2})
+	defer r.Close()
+	park := parkedRelease{r.disp, make(chan struct{}), make(chan struct{})}
+	r.disp = park
+
+	d, h, w, data := clusterSegmentVolume()
+	info, err := r.Datasets().PutVolume(d, h, w, data, "anonymous")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := r.Submit(refSegmentRequest(info.ID), "anonymous")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	<-park.entered // the handler has returned; execute is inside release
+	if now, _ := r.Status(st.ID); now.State != api.StateRunning {
+		t.Errorf("job reads %s while its node claim is being released, want running", now.State)
+	}
+	if pinned := r.Datasets().Pinned(); len(pinned) != 0 {
+		t.Errorf("pins outlive the handler into release: %v", pinned)
+	}
+	if claims := r.disp.liveClaims(); len(claims) != 1 {
+		t.Errorf("live claims while release is parked: %v, want the job's one", claims)
+	}
+	if err := r.LeakCheck(); err == nil || !strings.Contains(err.Error(), "before quiescence") {
+		t.Errorf("LeakCheck with the job still releasing = %v, want a before-quiescence refusal", err)
+	}
+
+	close(park.resume)
+	r.Close() // waits for the worker to leave execute
+	if final, _ := r.Status(st.ID); final.State != api.StateSucceeded {
+		t.Fatalf("state = %s (%s), want succeeded", final.State, final.Error)
+	}
+	assertNoLeaks(t, r)
 }
 
 func tightRetries(r *Runner, attempts int) {

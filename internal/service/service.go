@@ -732,14 +732,17 @@ func (r *Runner) execute(id string) {
 		msg := err.Error()
 		j.errMsg.Store(&msg)
 	}
-	j.state.Store(final)
-	j.finished.Store(time.Now().UnixNano())
+	// Give back what the job holds before it reads terminal: LeakCheck (and
+	// anything else that polls for the last job to end) takes "every job
+	// terminal" to mean no pin and no node claim is still on its way out.
 	r.releaseJobRefs(j)
+	r.disp.release(id)
+	j.finished.Store(time.Now().UnixNano())
+	j.state.Store(final)
 	r.gaugeAdd("jobs_running", j.kind, -1)
 	r.count(terminalMetric[final], j.kind)
 	r.observeDuration(j)
 	r.persist(j)
-	r.disp.release(id)
 
 	// The spec (which may hold a large inline volume) is dead weight once
 	// the job is terminal; only the executor touches req, so the plain

@@ -185,18 +185,24 @@ func BenchmarkConv3DBatchInto(b *testing.B) {
 	}
 }
 
-// BenchmarkConv3DBatchReLUInto measures the fused conv+ReLU epilogue.
+// BenchmarkConv3DBatchReLUInto measures the fused conv+ReLU epilogue on a
+// flood batch of eight FOVs, at the test geometry (6 features, 3x7x7) and at
+// the default network's module geometry (8 features, 5x9x9) — the conv a
+// default-config segment job spends its time in.
 func BenchmarkConv3DBatchReLUInto(b *testing.B) {
-	rng := sim.NewRNG(1)
-	const batch = 8
-	in := randTensor(rng, batch, 6, 3, 7, 7)
-	w := randTensor(rng, 6, 6, 3, 3, 3)
-	bias := make([]float32, 6)
-	out := New(batch, 6, 3, 7, 7)
-	Conv3DBatchReLUInto(out, in, w, bias, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Conv3DBatchReLUInto(out, in, w, bias, 0)
+	for _, sh := range []spanShape{{8, 6, 6, 3, 7, 7}, {8, 8, 8, 5, 9, 9}} {
+		b.Run(fmt.Sprintf("f%d_%dx%dx%d", sh.cin, sh.d, sh.h, sh.w), func(b *testing.B) {
+			rng := sim.NewRNG(1)
+			in := randTensor(rng, sh.b, sh.cin, sh.d, sh.h, sh.w)
+			w := randTensor(rng, sh.cout, sh.cin, 3, 3, 3)
+			bias := make([]float32, sh.cout)
+			out := New(sh.b, sh.cout, sh.d, sh.h, sh.w)
+			Conv3DBatchReLUInto(out, in, w, bias, 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Conv3DBatchReLUInto(out, in, w, bias, 0)
+			}
+		})
 	}
 }

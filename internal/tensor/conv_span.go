@@ -1,12 +1,14 @@
 package tensor
 
+import "math"
+
 // SIMD-shaped span path for the dominant 3x3x3 conv geometry.
 //
 // The scalar batched engine (conv_batch.go) is already at the scalar FP
 // throughput floor: each output element needs cin*27 multiply-accumulates and
 // the plane walk issues exactly one MULSS+ADDSS per tap. Going faster
 // requires wider issue, so the span path restructures the kernel around
-// contiguous x-runs that map onto 8-wide vector registers:
+// contiguous runs that map onto 8-wide vector registers:
 //
 //   - The input is copied once per dispatch into a zero-padded
 //     (B*Cin, D+2, H+2, W+2) scratch buffer. Padding removes every border
@@ -16,17 +18,32 @@ package tensor
 //     exact zero, and -0.0 == +0.0), so the padded accumulation is
 //     value-exact with the skip-based scalar walk. The copy is O(input),
 //     ~1/(cin*27) of the kernel's FLOPs.
-//   - conv33Span (conv_span_amd64.s) computes a 4-row x 8-column output
-//     block: four 8-lane accumulators live in registers across the entire
-//     ic -> dz -> dy tap loop, each tap-row hoisting its three coefficients
-//     into broadcast registers and issuing three VMULPS+VADDPS per row. Every
-//     lane accumulates its taps in the scalar kernel's ic -> dz -> dy -> dx
-//     order with separate multiply and add (no FMA contraction), so each
-//     element's float operation sequence — and therefore its rounding — is
-//     identical to the scalar engine's.
-//   - Column tails store through a lane mask (VMASKMOVPS); row tails skip
-//     trailing accumulator stores. Loads may overrun into neighboring padded
-//     rows or the buffer's slack tail; those lanes are never stored.
+//   - At the padded pitch pw = W+2 a whole (b, oc, z) output plane is one
+//     contiguous run: output (y, x) sits at flat index y*pw+x, and tap
+//     (dz, dy, dx) of every element of the run is the same run shifted by
+//     the constant dz*pplane+dy*pw+dx. So the plane is computed as
+//     spanPlaneVectors(h, w) = ceil(((h-1)*pw+w)/8) consecutive vectors — 13
+//     for a 9x9 FOV plane, 8 for 7x7 — rather than tiled into row blocks
+//     whose column tails idle most of their lanes (the 4-row x 8-column
+//     tiling this replaces spent 24 vectors on 9x9). The two pad-column
+//     lanes between rows, and the lanes past the run's end in its last
+//     vector, are computed like any other and dropped.
+//   - conv33Flat (conv_span_amd64.s) computes up to spanGroup = 8 of those
+//     vectors at a time: the accumulators live in registers across the
+//     entire ic -> dz -> dy tap loop, each tap-row hoisting its three
+//     coefficients into broadcast registers and issuing three VMULPS+VADDPS
+//     per vector. Every lane accumulates its taps in the scalar kernel's
+//     ic -> dz -> dy -> dx order with separate multiply and add (no FMA
+//     contraction), so each element's float operation sequence — and
+//     therefore its rounding — is identical to the scalar engine's. A plane
+//     is split into equal groups (13 = 7+6, 21 = 7+7+7) so no group is short
+//     enough to leave the add latency exposed.
+//   - The kernel stores whole vectors into a stack buffer at the padded
+//     pitch; the pass that applies the fused epilogue reads the w real lanes
+//     of each row from there and writes them to the dense output, so
+//     de-padding costs no traversal of its own. Loads overrun into
+//     neighboring padded rows, planes, batch items and the buffer's slack
+//     tail; lanes fed from there are never copied out.
 //
 // The scalar engine remains the fallback: non-amd64 builds, CPUs without
 // AVX2, the `nosimd` build tag, and SetSpanKernels(false) all route through
@@ -56,19 +73,27 @@ func spanActive(kd, kh, kw int) bool {
 	return spanEnabled && hasAVX2 && kd == 3 && kh == 3 && kw == 3
 }
 
-// spanMasks[k] has the first k of 8 store lanes enabled.
-var spanMasks = func() (m [9][8]int32) {
-	for k := 1; k <= 8; k++ {
-		for l := 0; l < k; l++ {
-			m[k][l] = -1
-		}
-	}
-	return
-}()
+// spanGroup is how many 8-lane accumulators one conv33Flat call keeps in
+// registers; spanStage is how many vectors of a plane runSpan stages on its
+// stack between the kernel and the epilogue pass (a 9x9 plane needs 13; a
+// larger plane goes through in several stages).
+const (
+	spanGroup = 8
+	spanStage = 64
+)
+
+// spanPlaneVectors is how many 8-lane vectors the span path computes for
+// one (h, w) output plane: the run from its first element to its last at
+// the padded pitch w+2, rounded up to whole vectors. h*w of those lanes
+// reach the output.
+func spanPlaneVectors(h, w int) int {
+	return ((h-1)*(w+2) + w + 7) / 8
+}
 
 // spanPadLen sizes the padded scratch for nch = B*Cin channels, plus slack
-// covering the widest out-of-block read the 4x8 kernel can issue (three rows
-// beyond the last padded plane, eight lanes plus two taps beyond a row).
+// covering the widest read past the last padded plane: seven lanes for the
+// flat kernel's last vector, and for the int8 4x8 block kernel (quant.go)
+// three rows, eight lanes and two taps.
 func spanPadLen(nch, d, h, w int) int {
 	pw, ph := w+2, h+2
 	return nch*(d+2)*ph*pw + 4*pw + 16
@@ -104,6 +129,9 @@ func (t *convBatch) runSpan(start, end int) {
 	pw, ph := w+2, h+2
 	pplane := ph * pw
 	pch := (d + 2) * pplane
+	run := (h-1)*pw + w // the plane's length at the padded pitch
+	nvec := spanPlaneVectors(h, w)
+	var stage [8 * spanStage]float32
 	for u := start; u < end; u++ {
 		b, rem := u/(t.cout*d), u%(t.cout*d)
 		oc, z := rem/d, rem%d
@@ -113,42 +141,58 @@ func (t *convBatch) runSpan(start, end int) {
 		}
 		sliceBase := (b*t.cout + oc) * chSize
 		outPlane := t.out[sliceBase+z*hw:][:hw]
-		padCh := t.pad[b*cin*pch:]
-		wOC := &t.w[oc*cin*27]
-		for yb := 0; yb < h; yb += 4 {
-			nrows := h - yb
-			if nrows > 4 {
-				nrows = 4
-			}
-			for xb := 0; xb < w; xb += 8 {
-				k := w - xb
-				if k > 8 {
-					k = 8
-				}
-				conv33Span(
-					&outPlane[yb*w+xb],
-					&padCh[z*pplane+yb*pw+xb],
-					wOC,
-					int64(cin), int64(pch), int64(pplane), int64(pw), int64(w),
-					int64(nrows), &spanMasks[k][0], bv)
-			}
+		var resPlane []float32
+		if t.ep == epResReLU {
+			resPlane = t.res[sliceBase+z*hw:][:hw]
 		}
-		switch t.ep {
-		case epReLU:
-			for i, v := range outPlane {
-				if v < 0 {
-					outPlane[i] = 0
-				}
+		padPlane := t.pad[b*cin*pch+z*pplane:]
+		wOC := &t.w[oc*cin*27]
+		for v0 := 0; v0 < nvec; v0 += spanStage {
+			// Vectors [v0, v1) in equal groups of at most spanGroup.
+			v1 := min(v0+spanStage, nvec)
+			groups := (v1 - v0 + spanGroup - 1) / spanGroup
+			for g, v := 0, v0; g < groups; g++ {
+				n := (v1 - v + groups - g - 1) / (groups - g)
+				conv33Flat(&stage[8*(v-v0)], &padPlane[8*v], wOC,
+					int64(cin), int64(pch), int64(pplane), int64(pw), int64(n), bv)
+				v += n
 			}
-		case epResReLU:
-			resPlane := t.res[sliceBase+z*hw:][:hw]
-			for i := range outPlane {
-				v := outPlane[i] + resPlane[i]
-				if v < 0 {
-					v = 0
+			// Epilogue over the staged lanes [lo, hi) of the run: the real
+			// columns of every row they cover, written to the dense plane.
+			lo, hi := 8*v0, min(8*v1, run)
+			for y := lo / pw; y*pw < hi; y++ {
+				x0, x1 := max(lo-y*pw, 0), min(hi-y*pw, w)
+				if x0 >= x1 {
+					continue
 				}
-				outPlane[i] = v
+				src := stage[y*pw+x0-lo:][:x1-x0]
+				dst := outPlane[y*w+x0:][:x1-x0]
+				switch t.ep {
+				case epNone:
+					copy(dst, src)
+				case epReLU:
+					for i, v := range src {
+						dst[i] = relu(v)
+					}
+				case epResReLU:
+					res := resPlane[y*w+x0:][:x1-x0]
+					for i, v := range src {
+						dst[i] = relu(v + res[i])
+					}
+				}
 			}
 		}
 	}
+}
+
+// relu is max(0, v) exactly as the scalar engine's `if v < 0 { v = 0 }`
+// computes it (NaN and -0 pass through), written on the bit pattern so it
+// compiles to a conditional move: activation signs are data, and a branch
+// on them mispredicts about every other element.
+func relu(v float32) float32 {
+	bits := math.Float32bits(v)
+	if v < 0 {
+		bits = 0
+	}
+	return math.Float32frombits(bits)
 }

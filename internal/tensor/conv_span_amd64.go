@@ -2,14 +2,14 @@
 
 package tensor
 
-// conv33Span computes a 4-row x 8-column block of one (b, oc, z) output
-// slice over zero-padded input (conv_span_amd64.s). out points at the
-// block's first output element; pin points at the padded input element that
-// is the block's (ic=0, dz=0, dy=0, dx=0) tap; w points at the oc's cin*27
-// weights. Strides are in elements. nrows in [1,4] limits stored rows; mask
-// points at the 8-lane column store mask. Loads may overrun into adjacent
-// padded rows/planes and the buffer slack; masked/skipped lanes are never
-// stored. Requires AVX2.
+// conv33Flat computes nvec (1..spanGroup) consecutive 8-lane vectors of one
+// (b, oc, z) output plane laid out at the padded pitch (conv_span_amd64.s):
+// lane i of the run is bias plus the cin*27 taps whose (ic=0, dz=0, dy=0,
+// dx=0) input is pin[i]. w points at the oc's cin*27 weights; strides are in
+// elements. All 8*nvec lanes are stored to dst, and the loads run up to
+// 2*pplane+2*pw+2 elements past the run's own end, so lanes at pad-column or
+// past-the-plane positions hold whatever lies there: the caller never copies
+// them out. Requires AVX2.
 //
 //go:noescape
-func conv33Span(out, pin, w *float32, cin, pch, pplane, pw, ow, nrows int64, mask *int32, bias float32)
+func conv33Flat(dst, pin, w *float32, cin, pch, pplane, pw, nvec int64, bias float32)

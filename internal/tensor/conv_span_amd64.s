@@ -2,31 +2,47 @@
 
 #include "textflag.h"
 
-// func conv33Span(out, pin, w *float32, cin, pch, pplane, pw, ow, nrows int64, mask *int32, bias float32)
+// ACC adds one tap-row's three taps (dx = 0, 1, 2; coefficients broadcast
+// in Y8-Y10) into one accumulator vector whose dx=0 input lanes start at
+// off(SI). Multiply and add stay separate instructions (no FMA), and the
+// three adds hit the accumulator in dx order, so every lane's float
+// operation sequence is the scalar kernel's.
+#define ACC(off, acc) \
+	VMULPS off(SI), Y8, Y11      \
+	VADDPS Y11, acc, acc         \
+	VMULPS (off+4)(SI), Y9, Y12  \
+	VADDPS Y12, acc, acc         \
+	VMULPS (off+8)(SI), Y10, Y13 \
+	VADDPS Y13, acc, acc
+
+// func conv33Flat(dst, pin, w *float32, cin, pch, pplane, pw, nvec int64, bias float32)
 //
-// 4-row x 8-lane span block over zero-padded input. Accumulators Y0-Y3 hold
-// four consecutive output rows; the full ic -> dz -> dy tap loop runs with
-// them live, each tap-row broadcasting its three coefficients (Y4-Y6) and
-// issuing separate VMULPS+VADDPS per row so every lane's float operation
-// sequence matches the scalar kernel (ic -> dz -> dy -> dx, no FMA).
-// Stores are column-masked (VMASKMOVPS) and row-limited by nrows.
-TEXT ·conv33Span(SB), NOSPLIT, $0-84
-	MOVQ out+0(FP), DI
+// nvec (1..8) consecutive 8-lane vectors of one (b, oc, z) output plane laid
+// out at the padded pitch. Accumulators Y0-Y7 stay in registers across the
+// whole ic -> dz -> dy tap loop; each tap-row broadcasts its three
+// coefficients and enters the unrolled accumulator chain at the nvec-th
+// vector, falling through to vector 0. All nvec vectors are stored whole.
+TEXT ·conv33Flat(SB), NOSPLIT, $0-68
+	MOVQ dst+0(FP), DI
 	MOVQ pin+8(FP), BX
 	MOVQ w+16(FP), DX
+	MOVQ cin+24(FP), R8
 	MOVQ pch+32(FP), R13
 	SHLQ $2, R13
 	MOVQ pplane+40(FP), R12
 	SHLQ $2, R12
 	MOVQ pw+48(FP), R11
 	SHLQ $2, R11
+	MOVQ nvec+56(FP), R14
 
-	VBROADCASTSS bias+80(FP), Y0
+	VBROADCASTSS bias+64(FP), Y0
 	VMOVAPS      Y0, Y1
 	VMOVAPS      Y0, Y2
 	VMOVAPS      Y0, Y3
-
-	MOVQ cin+24(FP), R8
+	VMOVAPS      Y0, Y4
+	VMOVAPS      Y0, Y5
+	VMOVAPS      Y0, Y6
+	VMOVAPS      Y0, Y7
 
 ic_loop:
 	MOVQ BX, AX
@@ -37,58 +53,49 @@ dz_loop:
 	MOVQ $3, R10
 
 dy_loop:
-	VBROADCASTSS (DX), Y4
-	VBROADCASTSS 4(DX), Y5
-	VBROADCASTSS 8(DX), Y6
+	VBROADCASTSS (DX), Y8
+	VBROADCASTSS 4(DX), Y9
+	VBROADCASTSS 8(DX), Y10
 	ADDQ         $12, DX
-	MOVQ         SI, CX
+	CMPQ         R14, $8
+	JEQ          v8
+	CMPQ         R14, $7
+	JEQ          v7
+	CMPQ         R14, $6
+	JEQ          v6
+	CMPQ         R14, $5
+	JEQ          v5
+	CMPQ         R14, $4
+	JEQ          v4
+	CMPQ         R14, $3
+	JEQ          v3
+	CMPQ         R14, $2
+	JEQ          v2
+	JMP          v1
 
-	// row 0 -> Y0
-	VMOVUPS (CX), Y7
-	VMULPS  Y7, Y4, Y8
-	VADDPS  Y8, Y0, Y0
-	VMOVUPS 4(CX), Y7
-	VMULPS  Y7, Y5, Y8
-	VADDPS  Y8, Y0, Y0
-	VMOVUPS 8(CX), Y7
-	VMULPS  Y7, Y6, Y8
-	VADDPS  Y8, Y0, Y0
-	ADDQ    R11, CX
+v8:
+	ACC(224, Y7)
 
-	// row 1 -> Y1
-	VMOVUPS (CX), Y7
-	VMULPS  Y7, Y4, Y8
-	VADDPS  Y8, Y1, Y1
-	VMOVUPS 4(CX), Y7
-	VMULPS  Y7, Y5, Y8
-	VADDPS  Y8, Y1, Y1
-	VMOVUPS 8(CX), Y7
-	VMULPS  Y7, Y6, Y8
-	VADDPS  Y8, Y1, Y1
-	ADDQ    R11, CX
+v7:
+	ACC(192, Y6)
 
-	// row 2 -> Y2
-	VMOVUPS (CX), Y7
-	VMULPS  Y7, Y4, Y8
-	VADDPS  Y8, Y2, Y2
-	VMOVUPS 4(CX), Y7
-	VMULPS  Y7, Y5, Y8
-	VADDPS  Y8, Y2, Y2
-	VMOVUPS 8(CX), Y7
-	VMULPS  Y7, Y6, Y8
-	VADDPS  Y8, Y2, Y2
-	ADDQ    R11, CX
+v6:
+	ACC(160, Y5)
 
-	// row 3 -> Y3
-	VMOVUPS (CX), Y7
-	VMULPS  Y7, Y4, Y8
-	VADDPS  Y8, Y3, Y3
-	VMOVUPS 4(CX), Y7
-	VMULPS  Y7, Y5, Y8
-	VADDPS  Y8, Y3, Y3
-	VMOVUPS 8(CX), Y7
-	VMULPS  Y7, Y6, Y8
-	VADDPS  Y8, Y3, Y3
+v5:
+	ACC(128, Y4)
+
+v4:
+	ACC(96, Y3)
+
+v3:
+	ACC(64, Y2)
+
+v2:
+	ACC(32, Y1)
+
+v1:
+	ACC(0, Y0)
 
 	ADDQ R11, SI
 	DECQ R10
@@ -102,26 +109,25 @@ dy_loop:
 	DECQ R8
 	JNZ  ic_loop
 
-	// Masked stores for nrows rows.
-	MOVQ    mask+72(FP), CX
-	VMOVDQU (CX), Y9
-	MOVQ    ow+56(FP), R8
-	SHLQ    $2, R8
-	MOVQ    nrows+64(FP), CX
-
-	VMASKMOVPS Y0, Y9, (DI)
-	DECQ       CX
-	JZ         done
-	ADDQ       R8, DI
-	VMASKMOVPS Y1, Y9, (DI)
-	DECQ       CX
-	JZ         done
-	ADDQ       R8, DI
-	VMASKMOVPS Y2, Y9, (DI)
-	DECQ       CX
-	JZ         done
-	ADDQ       R8, DI
-	VMASKMOVPS Y3, Y9, (DI)
+	VMOVUPS Y0, (DI)
+	CMPQ    R14, $2
+	JLT     done
+	VMOVUPS Y1, 32(DI)
+	JEQ     done
+	VMOVUPS Y2, 64(DI)
+	CMPQ    R14, $4
+	JLT     done
+	VMOVUPS Y3, 96(DI)
+	JEQ     done
+	VMOVUPS Y4, 128(DI)
+	CMPQ    R14, $6
+	JLT     done
+	VMOVUPS Y5, 160(DI)
+	JEQ     done
+	VMOVUPS Y6, 192(DI)
+	CMPQ    R14, $8
+	JLT     done
+	VMOVUPS Y7, 224(DI)
 
 done:
 	VZEROUPPER

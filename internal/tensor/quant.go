@@ -307,6 +307,17 @@ type qconvBatch struct {
 
 var qconvPool = sync.Pool{New: func() any { return new(qconvBatch) }}
 
+// spanMasks[k] has the first k of 8 store lanes enabled: the column-tail
+// store mask of the VNNI kernel's 4-row x 8-column blocks.
+var spanMasks = func() (m [9][8]int32) {
+	for k := 1; k <= 8; k++ {
+		for l := 0; l < k; l++ {
+			m[k][l] = -1
+		}
+	}
+	return
+}()
+
 func (t *qconvBatch) Run(start, end int) {
 	cin, d, h, w := t.cin, t.d, t.h, t.wd
 	hw := h * w
