@@ -13,7 +13,8 @@
 //	chased dataset get  -out FILE REF      download a dataset's encoded bytes
 //	chased dataset ls                      list visible datasets
 //	chased submit [-mode ref|inline] FILE  submit a job request (JSON file or
-//	                                       "-" for stdin); -wait polls it
+//	                                       "-" for stdin); -wait follows its
+//	                                       events stream to the result
 //	chased nodes [ls]                      list fabric nodes (cluster mode)
 //	chased nodes drain|restore NODE        kill / restore a fabric node
 //	chased scenario ls                     list the builtin chaos scripts
@@ -236,29 +237,59 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-// doRequest issues an authenticated request and fails the process on
-// transport errors or non-2xx replies (printing the gateway's error body).
-func doRequest(method, url, token string, body io.Reader) *http.Response {
+// request issues an authenticated request; a transport error or a non-2xx
+// reply (with the gateway's error body) comes back as an error.
+func request(method, url, token string, body io.Reader) (*http.Response, error) {
 	req, err := http.NewRequest(method, url, body)
 	if err != nil {
-		fatalf("%v", err)
+		return nil, err
 	}
 	if token != "" {
 		req.Header.Set("Authorization", "Bearer "+token)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		fatalf("%v", err)
+		return nil, err
 	}
 	if resp.StatusCode/100 != 2 {
 		defer resp.Body.Close()
 		var e api.ErrorResponse
 		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-			fatalf("%s %s: %s: %s", method, url, resp.Status, e.Error)
+			return nil, fmt.Errorf("%s %s: %s: %s", method, url, resp.Status, e.Error)
 		}
-		fatalf("%s %s: %s", method, url, resp.Status)
+		return nil, fmt.Errorf("%s %s: %s", method, url, resp.Status)
+	}
+	return resp, nil
+}
+
+// doRequest is request for the subcommands, which fail the process on error.
+func doRequest(method, url, token string, body io.Reader) *http.Response {
+	resp, err := request(method, url, token, body)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	return resp
+}
+
+// awaitJob reads the job's NDJSON events stream to its terminal line and
+// returns that status. The server writes a line when the job changes, so
+// the client holds one request open instead of polling.
+func awaitJob(server, token, id string) (api.JobStatus, error) {
+	resp, err := request("GET", server+"/v1/jobs/"+id+"/events", token, nil)
+	if err != nil {
+		return api.JobStatus{}, err
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var st api.JobStatus
+		if err := dec.Decode(&st); err != nil {
+			return st, fmt.Errorf("events stream of %s ended before a terminal line: %w", id, err)
+		}
+		if st.State.Terminal() {
+			return st, nil
+		}
+	}
 }
 
 func datasetCmd(args []string) {
@@ -434,7 +465,7 @@ func submitCmd(args []string) {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
 	server, token := clientFlags(fs)
 	mode := fs.String("mode", "", "result_mode override: ref or inline (default ref unless the file sets one)")
-	wait := fs.Bool("wait", false, "poll until terminal and print the result envelope")
+	wait := fs.Bool("wait", false, "follow the job's events stream until terminal and print the result envelope")
 	kind := fs.String("kind", "", "generate a default train_dist or sweep request instead of reading FILE")
 	ref := fs.String("ref", "", "with -kind: dataset ref to train on (default: a small synthetic IVT volume)")
 	resume := fs.String("resume", "", "with -kind train_dist: checkpoint ref to resume from")
@@ -488,29 +519,20 @@ func submitCmd(args []string) {
 	if !*wait {
 		return
 	}
-	for {
-		resp := doRequest("GET", *server+"/v1/jobs/"+sub.ID, *token, nil)
-		var st api.JobStatus
-		err := json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			fatalf("decode status: %v", err)
-		}
-		if st.State.Terminal() {
-			resp := doRequest("GET", *server+"/v1/jobs/"+sub.ID+"/result", *token, nil)
-			env, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				fatalf("%v", err)
-			}
-			os.Stdout.Write(env)
-			fmt.Println()
-			if st.State != api.StateSucceeded {
-				os.Exit(1)
-			}
-			return
-		}
-		time.Sleep(100 * time.Millisecond)
+	st, err := awaitJob(*server, *token, sub.ID)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	resp = doRequest("GET", *server+"/v1/jobs/"+sub.ID+"/result", *token, nil)
+	env, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		fatalf("%v", err)
+	}
+	os.Stdout.Write(env)
+	fmt.Println()
+	if st.State != api.StateSucceeded {
+		os.Exit(1)
 	}
 }
 

@@ -44,7 +44,7 @@ const (
 	// KindWorkflow executes a measured virtual-time step DAG (PPoDS).
 	KindWorkflow Kind = "workflow"
 	// KindPipeline streams a multi-timestep volume through the full
-	// IVT -> segment -> label analysis in overlapped time slabs.
+	// IVT -> segment -> label analysis in time slabs.
 	KindPipeline Kind = "pipeline"
 )
 
@@ -899,15 +899,10 @@ func (s *WorkflowSpec) validate() error {
 	return nil
 }
 
-// maxStreamBuffer bounds the pipeline's inter-stage slab buffering.
-const maxStreamBuffer = 64
-
 // PipelineSpec streams the full IVT -> segment -> label analysis over a
-// multi-timestep synthetic volume in time slabs of SlabSteps steps each:
-// while slab t is being segmented, slab t+1's IVT is derived and slab t-1's
-// mask is labelled. Each slab is an independent analysis unit (its own
-// normalization, seeding, flood, and labelling), so the result is identical
-// whether the stages overlap or run sequentially — only wall-clock differs.
+// multi-timestep synthetic volume in time slabs of SlabSteps steps each,
+// one slab at a time. Each slab is an independent analysis unit (its own
+// normalization, seeding, flood, and labelling).
 type PipelineSpec struct {
 	Synth SynthSpec `json:"synth"`
 	// SlabSteps is the number of time steps per slab (0, or more than
@@ -924,12 +919,6 @@ type PipelineSpec struct {
 	// objects in the label stage.
 	Connectivity int `json:"connectivity,omitempty"`
 	MinVoxels    int `json:"min_voxels,omitempty"`
-	// Sequential disables stage overlap — the baseline mode the overlapped
-	// pipeline is benchmarked against. Results are identical.
-	Sequential bool `json:"sequential,omitempty"`
-	// Buffer bounds how many slabs may queue between adjacent stages
-	// (<= 0 defaults to 1).
-	Buffer int `json:"buffer,omitempty"`
 }
 
 func (s *PipelineSpec) validate() error {
@@ -957,9 +946,6 @@ func (s *PipelineSpec) validate() error {
 	}
 	if s.MinVoxels < 0 {
 		return invalidf("pipeline.min_voxels must be non-negative")
-	}
-	if s.Buffer < 0 || s.Buffer > maxStreamBuffer {
-		return invalidf("pipeline.buffer must be in [0,%d]", maxStreamBuffer)
 	}
 	return nil
 }
@@ -1255,10 +1241,9 @@ type PipelineSlabResult struct {
 // PipelineResult reports a streamed pipeline job. On cancellation the
 // aggregates cover the slabs that completed all three stages.
 type PipelineResult struct {
-	Slabs      int  `json:"slabs"`
-	SlabsDone  int  `json:"slabs_done"`
-	Steps      int  `json:"steps"`
-	Sequential bool `json:"sequential,omitempty"`
+	Slabs     int `json:"slabs"`
+	SlabsDone int `json:"slabs_done"`
+	Steps     int `json:"steps"`
 	// Step-weighted IVT field aggregates.
 	IVTMean float64 `json:"ivt_mean"`
 	IVTMax  float64 `json:"ivt_max"`

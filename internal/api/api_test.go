@@ -3,6 +3,7 @@ package api
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -116,7 +117,6 @@ func TestPipelineSpecRejections(t *testing.T) {
 		{"bad connectivity", mk(func(s *PipelineSpec) { s.Connectivity = 18 }), "connectivity"},
 		{"negative min voxels", mk(func(s *PipelineSpec) { s.MinVoxels = -1 }), "min_voxels"},
 		{"partial stride", mk(func(s *PipelineSpec) { s.SeedStride = [3]int{1, 0, 2} }), "seed_stride"},
-		{"oversized buffer", mk(func(s *PipelineSpec) { s.Buffer = maxStreamBuffer + 1 }), "buffer"},
 		{"bad net move step", mk(func(s *PipelineSpec) { s.Net = &NetConfig{MoveStep: [3]int{3, 3, 3}} }), "move_step"},
 	}
 	for _, c := range cases {
@@ -401,4 +401,48 @@ func TestNetConfigPrecisionValidation(t *testing.T) {
 			t.Errorf("precision %q: err = %v, want ErrInvalid mentioning precision", p, err)
 		}
 	}
+}
+
+// FuzzJobRequest feeds arbitrary bytes through the gateway's decode path —
+// json.Unmarshal, then Validate: nothing panics, and whatever Validate
+// accepts survives a marshal round trip as a request Validate accepts again,
+// naming the same dataset refs (the ones Submit pins).
+func FuzzJobRequest(f *testing.F) {
+	ref := strings.Repeat("ab", 32)
+	seeds := []*JobRequest{
+		{Kind: KindSegment, ResultMode: ResultModeRef, Segment: &SegmentSpec{Source: VolumeSource{Ref: ref}}},
+		{Kind: KindTrainDist, TrainDist: &TrainDistSpec{Source: VolumeSource{Ref: ref}, Threshold: 0.5, Rounds: 4, ResumeFrom: ref}},
+		{Kind: KindSegment, Segment: &SegmentSpec{Source: VolumeSource{D: 1 << 30, H: 1 << 30, W: 1 << 30}}},
+		{Kind: KindPipeline, Pipeline: &PipelineSpec{Synth: SynthSpec{NLon: 8, NLat: 6, NLev: 3, Steps: 6}, Net: &NetConfig{MoveStep: [3]int{3, 3, 3}}}},
+	}
+	for _, req := range validRequests() {
+		seeds = append(seeds, req)
+	}
+	for _, req := range seeds {
+		raw, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req JobRequest
+		if json.Unmarshal(data, &req) != nil || req.Validate() != nil {
+			return
+		}
+		raw, err := json.Marshal(&req)
+		if err != nil {
+			t.Fatalf("a valid request does not marshal: %v", err)
+		}
+		var back JobRequest
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatalf("a valid request does not survive a round trip: %v\n%s", err, raw)
+		}
+		if err := back.Validate(); err != nil {
+			t.Fatalf("valid before the round trip, invalid after: %v\n%s", err, raw)
+		}
+		if got, want := back.Refs(), req.Refs(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("refs %v before the round trip, %v after", want, got)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -69,22 +70,18 @@ type DistTrainResult struct {
 // FinalLoss returns the mean of the last fifth of the loss curve.
 func (r *DistTrainResult) FinalLoss() float64 { return ffn.MeanTail(r.Losses, 0.2) }
 
-// awaitJob polls an in-process runner until the job is terminal, returning
-// its result payload. Failure and cancellation surface as errors.
+// awaitJob waits for a job on an in-process runner to end and returns its
+// result payload. Failure and cancellation surface as errors.
 func awaitJob(r *service.Runner, id string) (json.RawMessage, error) {
-	for {
-		raw, st, ok := r.Result(id)
-		if !ok {
-			return nil, fmt.Errorf("core: job %s vanished from the runner", id)
-		}
-		if st.State.Terminal() {
-			if st.State != api.StateSucceeded {
-				return nil, fmt.Errorf("core: job %s %s: %s", id, st.State, st.Error)
-			}
-			return raw, nil
-		}
-		time.Sleep(200 * time.Microsecond)
+	st, err := r.Await(context.TODO(), id, nil)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
+	if st.State != api.StateSucceeded {
+		return nil, fmt.Errorf("core: job %s %s: %s", id, st.State, st.Error)
+	}
+	raw, _, _ := r.Result(id)
+	return raw, nil
 }
 
 // RunDistributedTraining executes the extension: it spawns the ReplicaSet

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -198,7 +199,7 @@ func newWorld(specs []JobSpec, workers int, dataRNG *sim.RNG) (*world, error) {
 		MaxAttempts: 4, BaseDelay: 2 * time.Millisecond, MaxDelay: 50 * time.Millisecond,
 	})
 	gw := service.NewGateway(runner, service.GatewayOptions{
-		AllowAnonymous: true, PollInterval: 2 * time.Millisecond,
+		AllowAnonymous: true,
 	})
 	w := &world{
 		fab:    fab,
@@ -298,34 +299,34 @@ func (w *world) awaitCheckpoint(i int) (string, error) {
 	if i < 0 || w.ids[i] == "" {
 		return "", fmt.Errorf("scenario: resume_prev: job %d not submitted", i)
 	}
-	limit := time.Now().Add(defaultDeadline)
-	for {
-		st, err := w.status(i)
-		if err != nil {
-			return "", err
-		}
-		if st.State.Terminal() {
-			if st.State != api.StateSucceeded {
-				return "", fmt.Errorf("scenario: resume_prev: job %d ended %s: %s", i, st.State, st.Error)
-			}
-			raw, err := w.result(i)
-			if err != nil {
-				return "", err
-			}
-			var tr api.TrainDistResult
-			if err := json.Unmarshal(raw, &tr); err != nil {
-				return "", err
-			}
-			if tr.CheckpointRef == "" {
-				return "", fmt.Errorf("scenario: job %d produced no checkpoint ref", i)
-			}
-			return tr.CheckpointRef, nil
-		}
-		if time.Now().After(limit) {
-			return "", fmt.Errorf("scenario: resume_prev: job %d not terminal within %v", i, defaultDeadline)
-		}
-		time.Sleep(awaitTick)
+	st, err := w.await(i, defaultDeadline, nil)
+	if err != nil {
+		return "", fmt.Errorf("scenario: resume_prev: job %d not terminal within %v", i, defaultDeadline)
 	}
+	if st.State != api.StateSucceeded {
+		return "", fmt.Errorf("scenario: resume_prev: job %d ended %s: %s", i, st.State, st.Error)
+	}
+	raw, err := w.result(i)
+	if err != nil {
+		return "", err
+	}
+	var tr api.TrainDistResult
+	if err := json.Unmarshal(raw, &tr); err != nil {
+		return "", err
+	}
+	if tr.CheckpointRef == "" {
+		return "", fmt.Errorf("scenario: job %d produced no checkpoint ref", i)
+	}
+	return tr.CheckpointRef, nil
+}
+
+// await parks on the runner until until(status) holds for job i, the job is
+// terminal, or the deadline passes (the error). A predicate may read the
+// scheduler: the runner wakes a job's waiters on every bind and unbind.
+func (w *world) await(i int, deadline time.Duration, until func(api.JobStatus) bool) (api.JobStatus, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	return w.runner.Await(ctx, w.ids[i], until)
 }
 
 func (w *world) submit(i int) error {
@@ -387,41 +388,23 @@ func (w *world) result(i int) (json.RawMessage, error) {
 	return env.Result, nil
 }
 
-// awaitDone polls until every submitted job is terminal, or deadline.
+// awaitDone waits until every submitted job is terminal, or deadline.
 func (w *world) awaitDone(deadline time.Duration) error {
-	limit := time.Now().Add(deadline)
-	for {
-		allDone := true
-		for i, id := range w.ids {
-			if id == "" {
-				continue
-			}
-			st, err := w.status(i)
-			if err != nil {
-				return err
-			}
-			if !st.State.Terminal() {
-				allDone = false
-				break
-			}
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	var stuck []string
+	for _, id := range w.ids {
+		if id == "" {
+			continue
 		}
-		if allDone {
-			return nil
+		if st, err := w.runner.Await(ctx, id, nil); err != nil {
+			stuck = append(stuck, fmt.Sprintf("%s=%s", id, st.State))
 		}
-		if time.Now().After(limit) {
-			var stuck []string
-			for i, id := range w.ids {
-				if id == "" {
-					continue
-				}
-				if st, err := w.status(i); err == nil && !st.State.Terminal() {
-					stuck = append(stuck, fmt.Sprintf("%s=%s", id, st.State))
-				}
-			}
-			return fmt.Errorf("no forward progress within %v: %v", deadline, stuck)
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
+	if len(stuck) > 0 {
+		return fmt.Errorf("no forward progress within %v: %v", deadline, stuck)
+	}
+	return nil
 }
 
 func (w *world) outcomes() ([]JobOutcome, error) {
@@ -455,10 +438,7 @@ func (w *world) outcomes() ([]JobOutcome, error) {
 
 // --- engine -----------------------------------------------------------------
 
-const (
-	defaultDeadline = 60 * time.Second
-	awaitTick       = 2 * time.Millisecond
-)
+const defaultDeadline = 60 * time.Second
 
 // Run executes the script in a disturbed world, executes the same workload
 // in an undisturbed baseline world, and reports every invariant violation:
@@ -743,15 +723,12 @@ func (e *engine) apply(i int, ev Action, rng *sim.RNG) error {
 func (e *engine) victim(jobIdx int, rng *sim.RNG) (string, error) {
 	s := e.w.runner.Scheduler()
 	if jobIdx >= 0 && jobIdx < len(e.w.ids) && e.w.ids[jobIdx] != "" {
-		limit := time.Now().Add(e.deadline)
-		for {
-			if node := s.BoundNode(e.w.ids[jobIdx]); node != "" {
-				return node, nil
-			}
-			if time.Now().After(limit) {
-				break
-			}
-			time.Sleep(awaitTick)
+		// The scheduler's binding, not Status.Placement: a placement is the
+		// last decision and outlives the binding it records.
+		bound := func(api.JobStatus) bool { return s.BoundNode(e.w.ids[jobIdx]) != "" }
+		e.w.await(jobIdx, e.deadline, bound)
+		if node := s.BoundNode(e.w.ids[jobIdx]); node != "" {
+			return node, nil
 		}
 	}
 	var ready []string
@@ -771,20 +748,11 @@ func (e *engine) await(jobIdx int, what string, pred func(api.JobStatus) bool) e
 	if jobIdx < 0 || jobIdx >= len(e.w.ids) || e.w.ids[jobIdx] == "" {
 		return fmt.Errorf("scenario: await_%s: job %d not submitted", what, jobIdx)
 	}
-	limit := time.Now().Add(e.deadline)
-	for {
-		st, err := e.w.status(jobIdx)
-		if err != nil {
-			return err
-		}
-		if pred(st) {
-			return nil
-		}
-		if time.Now().After(limit) {
-			return fmt.Errorf("scenario: job %d never became %s (state %s)", jobIdx, what, st.State)
-		}
-		time.Sleep(awaitTick)
+	st, err := e.w.await(jobIdx, e.deadline, pred)
+	if err != nil || !pred(st) {
+		return fmt.Errorf("scenario: job %d never became %s (state %s)", jobIdx, what, st.State)
 	}
+	return nil
 }
 
 // checkEvent runs the per-event invariants: no submitted job may be in an

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"chaseci/internal/api"
 	"chaseci/internal/queue"
@@ -112,29 +111,22 @@ func TestFairDispatchNoStarvation(t *testing.T) {
 	})
 
 	const floods, lights = 20, 5
+	var ids []string
 	submit := func(owner string, n int) {
 		for i := 0; i < n; i++ {
-			if _, err := r.Submit(blockingWorkflowRequest(), owner); err != nil {
+			st, err := r.Submit(blockingWorkflowRequest(), owner)
+			if err != nil {
 				t.Fatalf("submit %s %d: %v", owner, i, err)
 			}
+			ids = append(ids, st.ID)
 		}
 	}
 	submit("flood@ucsd.edu", floods) // entire flood queued first
 	submit("light@sdsc.edu", lights)
 
 	close(release)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		mu.Lock()
-		n := len(order)
-		mu.Unlock()
-		if n == floods+lights {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d jobs executed", n, floods+lights)
-		}
-		time.Sleep(time.Millisecond)
+	for _, id := range ids {
+		waitState(t, r, id, terminal) // a terminal job has already recorded its turn
 	}
 
 	lastLight := -1
@@ -165,31 +157,21 @@ func TestWeightedTenantsShareByWeight(t *testing.T) {
 			mu.Unlock()
 		})
 
-	for i := 0; i < 8; i++ {
-		req := blockingWorkflowRequest()
-		if _, err := r.Submit(req, "heavy@ucsd.edu"); err != nil {
+	var ids []string
+	for i := 0; i < 12; i++ {
+		owner := "heavy@ucsd.edu"
+		if i >= 8 {
+			owner = "slim@sdsc.edu"
+		}
+		st, err := r.Submit(blockingWorkflowRequest(), owner)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := 0; i < 4; i++ {
-		req := blockingWorkflowRequest()
-		if _, err := r.Submit(req, "slim@sdsc.edu"); err != nil {
-			t.Fatal(err)
-		}
+		ids = append(ids, st.ID)
 	}
 	close(release)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		mu.Lock()
-		n := len(order)
-		mu.Unlock()
-		if n == 12 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/12 jobs executed", n)
-		}
-		time.Sleep(time.Millisecond)
+	for _, id := range ids {
+		waitState(t, r, id, terminal)
 	}
 	heavyFirst6 := 0
 	for _, owner := range order[:6] {
@@ -257,11 +239,11 @@ func TestEvictedStoreFallbackWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids = append(ids, st.ID)
-		waitTerminalAnywhere(t, r, st.ID)
+		waitState(t, r, st.ID, terminal) // Await answers for an evicted job from the store
 	}
-	// execute publishes the terminal state before it persists and prunes;
-	// Close returns once the worker has left execute, and leaves Lookup and
-	// the store readable.
+	// execute publishes the terminal state before it prunes; Close returns
+	// once the worker has left execute, and leaves Lookup and the store
+	// readable.
 	r.Close()
 
 	r.evictMu.Lock()
@@ -297,24 +279,6 @@ func TestEvictedStoreFallbackWindow(t *testing.T) {
 			t.Fatalf("expired job %s still has a result record", id)
 		}
 	}
-}
-
-// waitTerminalAnywhere waits on a job that may be evicted from memory
-// between polls (Lookup falls back to the store).
-func waitTerminalAnywhere(t *testing.T, r *Runner, id string) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		st, ok := r.Lookup(id)
-		if !ok {
-			t.Fatalf("job %s disappeared before finishing", id)
-		}
-		if st.State.Terminal() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("timeout waiting on job %s", id)
 }
 
 // BenchmarkRegistrySubmitPoll is the serving fast path under contention:

@@ -130,7 +130,7 @@ func TestJobsLeaveResolvedBlobsUntouched(t *testing.T) {
 	// A mask blob is borrowed the same way: a pipeline stores its masks, a
 	// label job scans one where it lies, a label job whose threshold needs
 	// the floats, a segment job and a train job read its one expansion.
-	preq := pipelineRequest(0, false)
+	preq := pipelineRequest(0)
 	preq.ResultMode = api.ResultModeRef
 	var pres api.PipelineResult
 	if err := json.Unmarshal(runJob(t, r, preq), &pres); err != nil {
@@ -318,13 +318,12 @@ func TestJobAllocBounds(t *testing.T) {
 		{"train", 2, func(*testing.T, *Runner) *api.JobRequest {
 			return sweepChild(sweep.Sweep, "sweep", 0, ffn.Hyperparams{LR: 0.03, Momentum: 0.9, Features: 6, Modules: 2}, 30, 2)
 		}, 2, 8, 95, 170},
-		// The streamed 72x48x12 pipeline in both modes (430 KB; 4.8 MB when
+		// The streamed 72x48x12 pipeline (430 KB; 4.8 MB when
 		// each slab's atmosphere state, IVT volume and label maps were fresh
 		// allocations), and the 8-candidate sweep fanned through the fair
 		// queue with no early stop (273 KB; 1.4 MB while each candidate's
 		// trainer built its own center lists and scratch).
-		{"pipeline_overlapped", 4, func(*testing.T, *Runner) *api.JobRequest { return benchPipelineRequest(false) }, 1, 4, 850, 0},
-		{"pipeline_sequential", 4, func(*testing.T, *Runner) *api.JobRequest { return benchPipelineRequest(true) }, 1, 4, 850, 0},
+		{"pipeline", 4, func(*testing.T, *Runner) *api.JobRequest { return benchPipelineRequest() }, 1, 4, 850, 0},
 		{"sweep_grid8", 4, func(*testing.T, *Runner) *api.JobRequest { return sweep }, 1, 4, 550, 1100},
 		// The ends of the bench/ connect_chain, on its 12x48x72 volume (162 KB
 		// of float32). The ivt job's atmosphere state and output are borrowed,

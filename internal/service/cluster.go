@@ -121,6 +121,7 @@ func (r *Runner) jobVoxels(req *api.JobRequest) float64 {
 func (r *Runner) bindJob(j *job, pl *api.Placement) {
 	j.placement.Store(pl)
 	r.persist(j)
+	j.watchers.notify()
 	r.mu.Lock()
 	pool := r.pools[pl.Node]
 	if pool != nil {
@@ -170,6 +171,7 @@ func (r *Runner) requeueJob(j *job) {
 	r.pendingAdd(j, +1)
 	r.count("jobs_requeued", j.kind)
 	r.persist(j)
+	j.watchers.notify()
 	r.rePlace(j)
 }
 
@@ -227,12 +229,14 @@ func (r *Runner) onDrain(node string, ids []string) {
 	}
 	r.mu.Unlock()
 	// Outside r.mu: the job lookup takes a shard mutex, and the two are
-	// never held together.
+	// never held together. The scheduler has already unbound these jobs, so
+	// whoever waits on one to be parked or re-bound looks again.
 	for _, id := range ids {
 		if j := r.lookupJob(id); j != nil {
 			if cancel := j.cancel.Load(); cancel != nil {
 				(*cancel)()
 			}
+			j.watchers.notify()
 		}
 	}
 	if pool == nil {

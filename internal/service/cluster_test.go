@@ -49,7 +49,7 @@ func newClusterFixture(t *testing.T, reg *Registry, fab *sched.Fabric) *gwFixtur
 	t.Helper()
 	runner := NewClusterRunnerConfigured(reg, queue.NewStore(), fab, RunnerConfig{Workers: 2})
 	t.Cleanup(runner.Close)
-	gw := NewGateway(runner, GatewayOptions{AllowAnonymous: true, PollInterval: 2 * time.Millisecond})
+	gw := NewGateway(runner, GatewayOptions{AllowAnonymous: true})
 	srv := httptest.NewServer(gw)
 	t.Cleanup(srv.Close)
 	return &gwFixture{t: t, runner: runner, srv: srv}
@@ -90,19 +90,8 @@ func baselineSegment(t *testing.T, enc []byte) json.RawMessage {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		cur, _ := r.Status(st.ID)
-		if cur.State.Terminal() {
-			if cur.State != api.StateSucceeded {
-				t.Fatalf("baseline: %s (%s)", cur.State, cur.Error)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("baseline timeout")
-		}
-		time.Sleep(time.Millisecond)
+	if cur := waitState(t, r, st.ID, terminal); cur.State != api.StateSucceeded {
+		t.Fatalf("baseline: %s (%s)", cur.State, cur.Error)
 	}
 	raw, _, _ := r.Result(st.ID)
 	return raw
@@ -194,17 +183,8 @@ func TestClusterDrainRequeuesBitExact(t *testing.T) {
 	if resp := f.do("POST", "/v1/nodes/"+victim+"/drain", nil, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("drain status %d", resp.StatusCode)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		f.do("GET", "/v1/jobs/"+sub.ID, nil, &st)
-		if st.State.Terminal() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timeout after drain (state %s)", st.State)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitState(t, f.runner, sub.ID, terminal)
+	f.do("GET", "/v1/jobs/"+sub.ID, nil, &st)
 	if st.State != api.StateSucceeded {
 		t.Fatalf("state = %s (%s)", st.State, st.Error)
 	}
@@ -377,14 +357,9 @@ func TestQueueDepthGauge(t *testing.T) {
 		t.Fatalf("missing per-kind pending gauge:\n%s", txt)
 	}
 	close(gate)
-	waitFor(t, func() bool {
-		for _, id := range ids {
-			if st, _ := r.Status(id); !st.State.Terminal() {
-				return false
-			}
-		}
-		return true
-	}, "jobs to finish")
+	for _, id := range ids {
+		waitState(t, r, id, terminal)
+	}
 	waitFor(t, func() bool {
 		txt := r.MetricsText()
 		return strings.Contains(txt, "queue_depth{} 0") && strings.Contains(txt, `jobs_pending{kind="label"} 0`)

@@ -2,6 +2,9 @@ package service
 
 import (
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
@@ -55,8 +58,9 @@ func TestTenantSeriesCapFoldsIntoOther(t *testing.T) {
 
 // TestRunnerBookkeepingHeapIsFlat is the long-uptime check: at constant
 // load with a bounded retention window, nothing the Runner keeps per job —
-// registry, eviction tail, store records, metrics — may grow with the
-// number of jobs served.
+// registry, eviction tail, store records, metrics, watches — may grow with
+// the number of jobs served. Every tenth job is followed over its events
+// stream, so a watch that outlived its stream would show here.
 func TestRunnerBookkeepingHeapIsFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("40k-job soak skipped in -short")
@@ -66,20 +70,24 @@ func TestRunnerBookkeepingHeapIsFlat(t *testing.T) {
 	r := NewRunnerConfigured(reg, queue.NewStore(), RunnerConfig{Workers: 2})
 	defer r.Close()
 	r.SetRetention(64)
+	srv := httptest.NewServer(NewGateway(r, GatewayOptions{AllowAnonymous: true}))
+	defer srv.Close()
 
 	run := func(n int) uint64 {
 		for i := 0; i < n; i++ {
-			st, err := r.Submit(blockingWorkflowRequest(), "soak@ucsd.edu")
+			st, err := r.Submit(blockingWorkflowRequest(), "")
 			if err != nil {
 				t.Fatal(err)
 			}
-			for {
-				// Lookup: the job may already be evicted to the store.
-				if cur, ok := r.Lookup(st.ID); !ok || cur.State.Terminal() {
-					break
+			if i%10 == 0 {
+				resp, err := http.Get(srv.URL + "/v1/jobs/" + st.ID + "/events")
+				if err != nil {
+					t.Fatal(err)
 				}
-				runtime.Gosched()
+				io.Copy(io.Discard, resp.Body) // ends with the terminal line
+				resp.Body.Close()
 			}
+			waitState(t, r, st.ID, terminal)
 		}
 		runtime.GC()
 		var ms runtime.MemStats
@@ -94,4 +102,6 @@ func TestRunnerBookkeepingHeapIsFlat(t *testing.T) {
 	if growth > 1<<20 {
 		t.Fatalf("heap grew %d KB over %d jobs at constant load, want < 1024 KB", growth>>10, jobs)
 	}
+	waitFor(t, func() bool { return r.LiveStreams() == 0 }, "the last stream's handler to return")
+	assertNoLeaks(t, r)
 }

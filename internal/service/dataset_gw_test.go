@@ -397,7 +397,7 @@ func TestIVTRefChainsIntoLabel(t *testing.T) {
 func TestPipelineRefLifecycle(t *testing.T) {
 	r := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 2})
 	defer r.Close()
-	req := pipelineRequest(2, true)
+	req := pipelineRequest(2)
 
 	req.ResultMode = api.ResultModeRef
 	st, err := r.Submit(req, "")
@@ -442,7 +442,7 @@ func TestPipelineRefLifecycle(t *testing.T) {
 	}
 
 	// Inline mode releases everything.
-	req2 := pipelineRequest(2, true)
+	req2 := pipelineRequest(2)
 	st, err = r.Submit(req2, "")
 	if err != nil {
 		t.Fatal(err)

@@ -30,8 +30,6 @@ type GatewayOptions struct {
 	// AllowAnonymous accepts requests without an Authorization header,
 	// attributing them to the "anonymous" owner.
 	AllowAnonymous bool
-	// PollInterval is the progress-stream poll cadence (<= 0 = 50ms).
-	PollInterval time.Duration
 	// TokenSeed seeds the token RNG; 0 derives one from the wall clock.
 	TokenSeed uint64
 	// RateLimit is the per-tenant sustained submit rate (requests/second)
@@ -76,7 +74,6 @@ type GatewayOptions struct {
 type Gateway struct {
 	runner  *Runner
 	mux     *http.ServeMux
-	poll    time.Duration
 	anon    bool
 	limiter *rateLimiter // nil when rate limiting is off
 
@@ -123,14 +120,9 @@ func NewGateway(runner *Runner, opts GatewayOptions) *Gateway {
 	for domain, name := range opts.Providers {
 		fed.RegisterProvider(name, domain)
 	}
-	poll := opts.PollInterval
-	if poll <= 0 {
-		poll = 50 * time.Millisecond
-	}
 	g := &Gateway{
 		runner: runner,
 		mux:    http.NewServeMux(),
-		poll:   poll,
 		anon:   opts.AllowAnonymous,
 		aclk:   aclk,
 		fed:    fed,
@@ -346,44 +338,71 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// handleEvents streams NDJSON status snapshots: one line per observed
-// change, ending with the terminal snapshot.
+// eventsCounterFloor is the least time between two lines of one events
+// stream that differ only in their progress counters (a kernel reports far
+// faster than a consumer reads). Nothing else is paced; a variable so that a
+// test can raise it and show exactly that.
+var eventsCounterFloor = 50 * time.Millisecond
+
+// handleEvents streams NDJSON status snapshots: the current one first, then
+// one line per observed change — a state, stage, placement or error change
+// is written as soon as the job's watch wakes the stream, a change of the
+// counters alone at most once per eventsCounterFloor — ending with the
+// terminal snapshot. Between changes the stream is parked on the watch and
+// holds no timer.
 func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 	st, ok := g.jobForCaller(w, r)
 	if !ok {
 		return
 	}
-	id := st.ID
 	// Count the live stream so LeakCheck can assert every one exited; the
 	// decrement is deferred, so a slow or disconnecting consumer can never
 	// leave the count (or the goroutine serving it) behind.
-	g.runner.streamAdd(1)
-	defer g.runner.streamAdd(-1)
+	g.runner.streams.Add(1)
+	defer g.runner.streams.Add(-1)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-cache")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	last := api.JobStatus{}
+	j := g.runner.lookupJob(st.ID)
+	if j == nil {
+		// Evicted from memory: the stored record is all there will ever be.
+		enc.Encode(st)
+		return
+	}
+	wt := g.runner.watch(&j.watchers)
+	defer wt.close()
+	var last api.JobStatus
+	var counted time.Time      // when the last counters-only line was written
+	var floor <-chan time.Time // armed once, while a counters-only change is held back
 	for {
+		st = g.runner.statusOf(j)
 		if st != last {
-			if err := enc.Encode(st); err != nil {
-				return
+			same := last
+			same.Done, same.Total = st.Done, st.Total
+			countersOnly := st == same
+			if hold := eventsCounterFloor - time.Since(counted); countersOnly && hold > 0 {
+				if floor == nil {
+					floor = time.After(hold)
+				}
+			} else {
+				floor = nil
+				if err := enc.Encode(st); err != nil {
+					return
+				}
+				if flusher != nil {
+					flusher.Flush()
+				}
+				if countersOnly {
+					counted = time.Now()
+				}
+				last = st
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			last = st
 		}
 		if st.State.Terminal() {
 			return
 		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-time.After(g.poll):
-		}
-		st, ok = g.runner.Lookup(id)
-		if !ok {
+		if wt.wait(r.Context(), floor) != nil {
 			return
 		}
 	}

@@ -46,9 +46,6 @@ func newOverloadFixture(t *testing.T, cfg RunnerConfig, opts GatewayOptions) (*g
 		runner.Close()
 	})
 	opts.AllowAnonymous = true
-	if opts.PollInterval == 0 {
-		opts.PollInterval = 2 * time.Millisecond
-	}
 	srv := httptest.NewServer(NewGateway(runner, opts))
 	t.Cleanup(srv.Close)
 	f := &gwFixture{t: t, runner: runner, srv: srv}
@@ -206,7 +203,6 @@ func TestGatewayRateLimit429(t *testing.T) {
 	t.Cleanup(runner.Close)
 	srv := httptest.NewServer(NewGateway(runner, GatewayOptions{
 		AllowAnonymous: true,
-		PollInterval:   2 * time.Millisecond,
 		RateLimit:      1, // 1 submit/s steady state
 		RateBurst:      2,
 	}))
@@ -278,13 +274,7 @@ func TestEventsStreamDisconnectReleases(t *testing.T) {
 	}
 	cancel()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for f.runner.LiveStreams() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("LiveStreams = %d long after disconnect, want 0", f.runner.LiveStreams())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitFor(t, func() bool { return f.runner.LiveStreams() == 0 }, "the disconnected stream to release its slot")
 
 	// Let the blocker finish and assert full quiescence, streams included.
 	close(release)

@@ -32,7 +32,6 @@ func newGWFixture(t *testing.T, anon bool) *gwFixture {
 		Providers:      map[string]string{"ucsd.edu": "UCSD", "sdsc.edu": "SDSC"},
 		TokenTTL:       time.Hour,
 		AllowAnonymous: anon,
-		PollInterval:   2 * time.Millisecond,
 		TokenSeed:      1,
 	})
 	srv := httptest.NewServer(gw)
@@ -74,7 +73,8 @@ func (f *gwFixture) do(method, path string, body any, out any) *http.Response {
 	return resp
 }
 
-// submitAndWait submits over HTTP and polls until terminal.
+// submitAndWait submits over HTTP, waits for the terminal state, and reads
+// status and result back over HTTP.
 func (f *gwFixture) submitAndWait(req *api.JobRequest) (api.JobStatus, api.ResultEnvelope) {
 	f.t.Helper()
 	var sub api.SubmitResponse
@@ -82,18 +82,9 @@ func (f *gwFixture) submitAndWait(req *api.JobRequest) (api.JobStatus, api.Resul
 	if resp.StatusCode != http.StatusAccepted {
 		f.t.Fatalf("submit: status %d", resp.StatusCode)
 	}
-	deadline := time.Now().Add(30 * time.Second)
+	waitState(f.t, f.runner, sub.ID, terminal)
 	var st api.JobStatus
-	for {
-		if time.Now().After(deadline) {
-			f.t.Fatalf("timeout waiting on %s (state %s)", sub.ID, st.State)
-		}
-		f.do("GET", "/v1/jobs/"+sub.ID, nil, &st)
-		if st.State.Terminal() {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	f.do("GET", "/v1/jobs/"+sub.ID, nil, &st)
 	var env api.ResultEnvelope
 	f.do("GET", "/v1/jobs/"+sub.ID+"/result", nil, &env)
 	return st, env
@@ -362,15 +353,21 @@ func TestGatewayValidationAndRouting(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, "gradient matrix") {
 		t.Fatalf("train_dist with a 4096 x 889k gradient matrix: status %d, err %q", resp.StatusCode, apiErr.Error)
 	}
-	// Unknown JSON field -> 400 (DisallowUnknownFields catches typos).
-	req, _ := http.NewRequest("POST", f.srv.URL+"/v1/jobs", strings.NewReader(`{"kind":"segment","segmnt":{}}`))
-	raw, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw.Body.Close()
-	if raw.StatusCode != http.StatusBadRequest {
-		t.Fatalf("typo field: status %d, want 400", raw.StatusCode)
+	// Unknown JSON field -> 400 (DisallowUnknownFields catches typos, and
+	// the pipeline knobs that no longer exist).
+	for _, body := range []string{
+		`{"kind":"segment","segmnt":{}}`,
+		`{"kind":"pipeline","pipeline":{"synth":{"nlon":8,"nlat":6,"nlev":3,"steps":6},"threshold":1,"sequential":true}}`,
+		`{"kind":"pipeline","pipeline":{"synth":{"nlon":8,"nlat":6,"nlev":3,"steps":6},"threshold":1,"buffer":2}}`,
+	} {
+		raw, err := http.Post(f.srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw.Body.Close()
+		if raw.StatusCode != http.StatusBadRequest {
+			t.Fatalf("unknown field in %s: status %d, want 400", body, raw.StatusCode)
+		}
 	}
 	// Unknown job -> 404 on status, result, cancel.
 	for _, path := range []string{"/v1/jobs/job-999999", "/v1/jobs/job-999999/result"} {
@@ -406,19 +403,9 @@ func TestGatewayCancelEndpoint(t *testing.T) {
 	var sub api.SubmitResponse
 	f.do("POST", "/v1/jobs", bigSegmentRequest(), &sub)
 
-	// Wait over HTTP until mid-flight in the segment stage.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		var st api.JobStatus
-		f.do("GET", "/v1/jobs/"+sub.ID, nil, &st)
-		if st.Stage == "segment" && st.Done > 0 {
-			break
-		}
-		if st.State.Terminal() || time.Now().After(deadline) {
-			t.Fatalf("never observed mid-flight: %+v", st)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitState(t, f.runner, sub.ID, func(st api.JobStatus) bool {
+		return st.Stage == "segment" && st.Done > 0 // mid-flight
+	})
 	var cres struct {
 		Cancelled bool `json:"cancelled"`
 	}
@@ -426,10 +413,9 @@ func TestGatewayCancelEndpoint(t *testing.T) {
 	if !cres.Cancelled {
 		t.Fatal("cancel endpoint reported cancelled=false")
 	}
+	waitState(t, f.runner, sub.ID, terminal)
 	var st api.JobStatus
-	for !st.State.Terminal() {
-		f.do("GET", "/v1/jobs/"+sub.ID, nil, &st)
-	}
+	f.do("GET", "/v1/jobs/"+sub.ID, nil, &st)
 	if st.State != api.StateCancelled {
 		t.Fatalf("state = %s, want cancelled", st.State)
 	}
@@ -479,7 +465,7 @@ func TestGatewayEventsStream(t *testing.T) {
 func BenchmarkJobSubmit(b *testing.B) {
 	runner := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 2})
 	defer runner.Close()
-	gw := NewGateway(runner, GatewayOptions{AllowAnonymous: true, PollInterval: time.Millisecond, TokenSeed: 1})
+	gw := NewGateway(runner, GatewayOptions{AllowAnonymous: true, TokenSeed: 1})
 	srv := httptest.NewServer(gw)
 	defer srv.Close()
 

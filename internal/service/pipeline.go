@@ -1,27 +1,22 @@
 package service
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"chaseci/internal/api"
 	"chaseci/internal/connect"
 	"chaseci/internal/dataset"
 	"chaseci/internal/ffn"
 	"chaseci/internal/merra"
-	"chaseci/internal/workflow"
 )
 
 // The pipeline job: a multi-timestep synthetic volume is cut into time
 // slabs, and every slab flows through the three analysis stages the case
 // study otherwise runs as separate jobs — IVT derivation, FFN flood-fill
-// segmentation, CONNECT labelling — on a workflow.RunStream. While slab t
-// is being segmented, slab t+1's IVT is derived and slab t-1's mask is
-// labelled, so the two cheaper stages hide behind the expensive one on
-// multi-core. Each slab is an independent analysis unit (its own
-// normalization, seeding, flood, and labelling), so the aggregate result is
-// identical in overlapped and sequential mode at every buffer size.
+// segmentation, CONNECT labelling — one slab at a time on the job's
+// goroutine, so the job holds one slab's intermediates however long the
+// volume is. Each slab is an independent analysis unit (its own
+// normalization, seeding, flood, and labelling).
 //
 // Stage handoff is zero-copy in memory (the hot path PR 3 optimized):
 // each slab's field is dropped as soon as the next stage consumes it. In
@@ -54,9 +49,7 @@ type refEntry struct {
 }
 
 type pipeRefs struct {
-	ds *dataset.Manager
-
-	mu    sync.Mutex
+	ds    *dataset.Manager
 	masks map[string]*refEntry
 }
 
@@ -65,8 +58,6 @@ type pipeRefs struct {
 // for a concurrent job's release to delete a content-colliding id first).
 // Each track is matched by one Unpin in releaseOne / the final sweep.
 func (p *pipeRefs) track(set map[string]*refEntry, id string, created bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	e := set[id]
 	if e == nil {
 		e = &refEntry{}
@@ -82,8 +73,6 @@ func (p *pipeRefs) track(set map[string]*refEntry, id string, created bool) {
 // masks (from cancelled slabs) are deleted — Delete no-ops on kept ids,
 // so promoted results survive.
 func (p *pipeRefs) release() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	for id, e := range p.masks {
 		if e.created {
 			p.ds.Delete(id)
@@ -95,32 +84,11 @@ func (p *pipeRefs) release() {
 	}
 }
 
-// pipeProgress aggregates per-stage completion counts into the single
-// JobStatus progress channel: done is stage-completions across all stages,
-// and the stage string carries the per-stage breakdown the NDJSON stream
-// shows live. The count-increment and Progress store happen under one
-// mutex so concurrent stage goroutines cannot publish a stale (smaller)
-// snapshot after a newer one — the stream stays monotonic and consistent.
-type pipeProgress struct {
-	jc    *JobContext
-	slabs int
-
-	mu   sync.Mutex
-	done [3]int64
-}
-
-func (p *pipeProgress) advance(stage, _ int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.done[stage]++
-	i, s, l := p.done[0], p.done[1], p.done[2]
-	p.jc.Progress(i+s+l, int64(3*p.slabs),
-		fmt.Sprintf("ivt %d/%d · segment %d/%d · label %d/%d", i, p.slabs, s, p.slabs, l, p.slabs))
-}
-
-// PipelineHandler executes a pipeline job. A cancelled run reports the
-// slabs that completed all three stages alongside ctx.Err().
+// PipelineHandler executes a pipeline job. A failed or cancelled run stops
+// before the next stage starts and reports the slabs that completed all
+// three stages alongside the error.
 func PipelineHandler(jc *JobContext) (any, error) {
+	ctx := jc.Ctx()
 	spec := jc.Request().Pipeline
 	sy := spec.Synth
 	slabSteps := spec.SlabSteps
@@ -151,11 +119,24 @@ func PipelineHandler(jc *JobContext) (any, error) {
 	owner := jc.Owner()
 	keepMasks := jc.RefMode()
 	refs := &pipeRefs{ds: ds, masks: make(map[string]*refEntry)}
-	prog := &pipeProgress{jc: jc, slabs: slabs}
-	prog.jc.Progress(0, int64(3*slabs), "pipeline")
+	// Progress is stage-completions across all stages; the stage string
+	// carries the per-stage breakdown the NDJSON stream shows live.
+	var done [3]int64
+	advance := func(stage int) {
+		done[stage]++
+		i, s, l := done[0], done[1], done[2]
+		jc.Progress(i+s+l, int64(3*slabs),
+			fmt.Sprintf("ivt %d/%d · segment %d/%d · label %d/%d", i, slabs, s, slabs, l, slabs))
+	}
+	jc.Progress(0, int64(3*slabs), "pipeline")
 
-	stages := []workflow.StreamStage{
-		{Name: "ivt", Run: func(ctx context.Context, i int, _ any) (any, error) {
+	// Each stage takes the slab the one before it returned (nil for the
+	// first).
+	stages := []struct {
+		name string
+		run  func(i int, sl *pipeSlab) (*pipeSlab, error)
+	}{
+		{"ivt", func(i int, _ *pipeSlab) (*pipeSlab, error) {
 			start := sy.Start + i*slabSteps
 			steps := slabSteps
 			if rem := sy.Steps - i*slabSteps; steps > rem {
@@ -178,8 +159,7 @@ func PipelineHandler(jc *JobContext) (any, error) {
 			sl.raw = &ffn.Volume{D: steps, H: g.NLat, W: g.NLon, Data: vol.Data}
 			return sl, nil
 		}},
-		{Name: "segment", Run: func(ctx context.Context, _ int, item any) (any, error) {
-			sl := item.(*pipeSlab)
+		{"segment", func(_ int, sl *pipeSlab) (*pipeSlab, error) {
 			// Seeds come from the raw field, before normalization — the
 			// same order of operations as SegmentHandler.
 			seeds := ffn.GridSeeds(sl.raw, cfg.FOV, stride, spec.Threshold)
@@ -212,8 +192,7 @@ func PipelineHandler(jc *JobContext) (any, error) {
 			sl.res.MaskVoxels = stats.MaskVoxels
 			return sl, nil
 		}},
-		{Name: "label", Run: func(ctx context.Context, _ int, item any) (any, error) {
-			sl := item.(*pipeSlab)
+		{"label", func(_ int, sl *pipeSlab) (*pipeSlab, error) {
 			result, err := connect.LabelCtx(ctx, connect.FromMask(sl.mask.D, sl.mask.H, sl.mask.W, sl.mask.Data), conn, spec.MinVoxels, nil)
 			if err != nil {
 				return nil, err
@@ -229,18 +208,23 @@ func PipelineHandler(jc *JobContext) (any, error) {
 		}},
 	}
 
-	results, streamErr := workflow.RunStream(jc.Ctx(), stages, slabs, workflow.StreamOptions{
-		Sequential: spec.Sequential,
-		Buffer:     spec.Buffer,
-		OnAdvance:  prog.advance,
-	})
-
-	res := api.PipelineResult{Slabs: slabs, Sequential: spec.Sequential}
-	for _, item := range results {
-		if item == nil {
-			continue
+	res := api.PipelineResult{Slabs: slabs}
+	var runErr error
+	for i := 0; i < slabs && runErr == nil; i++ {
+		var sl *pipeSlab
+		for s, st := range stages {
+			if runErr = ctx.Err(); runErr != nil {
+				break
+			}
+			if sl, runErr = st.run(i, sl); runErr != nil {
+				runErr = fmt.Errorf("service: pipeline stage %q slab %d: %w", st.name, i, runErr)
+				break
+			}
+			advance(s)
 		}
-		sl := item.(*pipeSlab)
+		if runErr != nil {
+			break
+		}
 		if keepMasks {
 			// Promote while still pinned, so no concurrent deleter can
 			// race the mask away between label and here.
@@ -269,5 +253,8 @@ func PipelineHandler(jc *JobContext) (any, error) {
 		res.IVTMean /= float64(res.Steps)
 	}
 	refs.release()
-	return res, streamErr
+	if runErr == nil {
+		runErr = ctx.Err()
+	}
+	return res, runErr
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +15,7 @@ import (
 
 // pipelineRequest builds a pipeline job over a deterministic synthetic
 // scene sized so every slab floods a few hundred FOVs.
-func pipelineRequest(slabSteps int, sequential bool) *api.JobRequest {
+func pipelineRequest(slabSteps int) *api.JobRequest {
 	return &api.JobRequest{
 		Kind: api.KindPipeline,
 		Name: "stream",
@@ -27,7 +26,6 @@ func pipelineRequest(slabSteps int, sequential bool) *api.JobRequest {
 			Net:        &api.NetConfig{FOV: [3]int{3, 9, 9}, Features: 4, MoveProb: 0.6},
 			SeedStride: [3]int{1, 4, 4},
 			MinVoxels:  2,
-			Sequential: sequential,
 		},
 	}
 }
@@ -57,7 +55,7 @@ func runToResult(t *testing.T, r *Runner, req *api.JobRequest) api.PipelineResul
 // the object statistics of a label job over the segment job's mask.
 func TestPipelineMatchesSequentialJobs(t *testing.T) {
 	r, _ := newTestRunner(t, DefaultRegistry(), 2)
-	pres := runToResult(t, r, pipelineRequest(0, false))
+	pres := runToResult(t, r, pipelineRequest(0))
 	if pres.Slabs != 1 || pres.SlabsDone != 1 || pres.Steps != 8 {
 		t.Fatalf("unexpected slab accounting: %+v", pres)
 	}
@@ -134,29 +132,12 @@ func TestPipelineMatchesSequentialJobs(t *testing.T) {
 	}
 }
 
-// TestPipelineOverlappedMatchesSequentialMode requires the overlapped
-// multi-slab pipeline to produce the exact result of the sequential
-// baseline mode, per slab and in aggregate.
-func TestPipelineOverlappedMatchesSequentialMode(t *testing.T) {
-	r, _ := newTestRunner(t, DefaultRegistry(), 2)
-	over := runToResult(t, r, pipelineRequest(3, false))
-	seq := runToResult(t, r, pipelineRequest(3, true))
-	if over.Slabs != 3 || over.SlabsDone != 3 {
-		t.Fatalf("slab accounting: %+v", over)
-	}
-	over.Sequential = false
-	seq.Sequential = false
-	if !reflect.DeepEqual(over, seq) {
-		t.Fatalf("overlapped result diverges from sequential:\n%+v\n%+v", over, seq)
-	}
-}
-
 // TestPipelineProgressReachesTotal checks the per-stage progress plumbing:
 // a finished pipeline reports done == total == 3*slabs and a stage string
 // carrying every stage's count.
 func TestPipelineProgressReachesTotal(t *testing.T) {
 	r, _ := newTestRunner(t, DefaultRegistry(), 1)
-	st, err := r.Submit(pipelineRequest(3, false), "")
+	st, err := r.Submit(pipelineRequest(3), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +231,8 @@ func TestAPIScratchAssumptionsMatchKernelDefaults(t *testing.T) {
 }
 
 // benchPipelineRequest sizes a pipeline so the three stages have comparable
-// non-trivial cost, the regime where overlapping pays.
-func benchPipelineRequest(sequential bool) *api.JobRequest {
+// non-trivial cost.
+func benchPipelineRequest() *api.JobRequest {
 	return &api.JobRequest{
 		Kind: api.KindPipeline,
 		Pipeline: &api.PipelineSpec{
@@ -260,38 +241,28 @@ func benchPipelineRequest(sequential bool) *api.JobRequest {
 			Threshold:  120,
 			Net:        &api.NetConfig{FOV: [3]int{3, 9, 9}, Features: 6, MoveProb: 0.6},
 			SeedStride: [3]int{1, 4, 4},
-			Sequential: sequential,
 		},
 	}
 }
 
-// BenchmarkPipelineOverlap measures the streamed IVT -> segment -> label
-// pipeline against its sequential baseline on the same multi-timestep
-// volume (identical results; the overlapped mode hides the IVT and label
-// stages behind segmentation on multi-core).
-func BenchmarkPipelineOverlap(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		seq  bool
-	}{{"overlapped", false}, {"sequential", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			req := benchPipelineRequest(mode.seq)
-			if err := req.Validate(); err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				jc := &JobContext{ctx: context.Background(), job: &job{req: req}}
-				res, err := PipelineHandler(jc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					pr := res.(api.PipelineResult)
-					b.ReportMetric(float64(pr.SegSteps), "seg-steps")
-					b.ReportMetric(float64(pr.Objects), "objects")
-				}
-			}
-		})
+// BenchmarkPipeline measures the streamed IVT -> segment -> label pipeline
+// on a multi-timestep volume, handler only.
+func BenchmarkPipeline(b *testing.B) {
+	req := benchPipelineRequest()
+	if err := req.Validate(); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		jc := &JobContext{ctx: context.Background(), job: &job{req: req}}
+		res, err := PipelineHandler(jc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			pr := res.(api.PipelineResult)
+			b.ReportMetric(float64(pr.SegSteps), "seg-steps")
+			b.ReportMetric(float64(pr.Objects), "objects")
+		}
 	}
 }
 

@@ -139,9 +139,10 @@ func (r *Runner) runWithRetry(h Handler, jc *JobContext) (any, error) {
 }
 
 // LeakCheck verifies the runner's bookkeeping balanced out: no dataset pin,
-// no scheduler resource claim, and no open event stream survives once every
-// known job is terminal. It errors if a job is still live (the check would
-// be vacuous) or if a pin, claim, or stream leaked. Tests call it after
+// no scheduler resource claim, no open event stream and no registered watch
+// survives once every known job is terminal. It errors if a job is still
+// live (the check would be vacuous) or if a pin, claim, stream or watch
+// leaked. Tests call it after
 // quiescing; scenario invariants call it at the end of every script.
 func (r *Runner) LeakCheck() error {
 	var live []string
@@ -173,6 +174,9 @@ func (r *Runner) LeakCheck() error {
 	}
 	if n := r.streams.Load(); n != 0 {
 		return fmt.Errorf("service: %d event stream(s) still open after quiescence", n)
+	}
+	if n := r.watches.Load(); n != 0 {
+		return fmt.Errorf("service: %d watch(es) still registered after quiescence", n)
 	}
 	return nil
 }

@@ -25,16 +25,19 @@ func assertNoLeaks(t *testing.T, r *Runner) {
 	}
 }
 
-// parkedRelease is a dispatcher whose release reports that it was entered
-// and then parks until told to go on.
+// parkedRelease is a dispatcher whose release (of job only, when that is
+// set) reports that it was entered and then parks until told to go on.
 type parkedRelease struct {
 	dispatcher
 	entered, resume chan struct{}
+	only            string
 }
 
 func (d parkedRelease) release(id string) {
-	d.entered <- struct{}{}
-	<-d.resume
+	if d.only == "" || id == d.only {
+		d.entered <- struct{}{}
+		<-d.resume
+	}
 	d.dispatcher.release(id)
 }
 
@@ -49,7 +52,7 @@ func (d parkedRelease) release(id string) {
 func TestTerminalStateFollowsRelease(t *testing.T) {
 	r := NewClusterRunnerConfigured(DefaultRegistry(), queue.NewStore(), threeNodeFabric(t), RunnerConfig{Workers: 2})
 	defer r.Close()
-	park := parkedRelease{r.disp, make(chan struct{}), make(chan struct{})}
+	park := parkedRelease{r.disp, make(chan struct{}), make(chan struct{}), ""}
 	r.disp = park
 
 	d, h, w, data := clusterSegmentVolume()
@@ -82,6 +85,39 @@ func TestTerminalStateFollowsRelease(t *testing.T) {
 		t.Fatalf("state = %s (%s), want succeeded", final.State, final.Error)
 	}
 	assertNoLeaks(t, r)
+}
+
+// TestEndedQueuedJobReadsTerminalAfterRelease is the same order for a job
+// that never runs: while Cancel is still inside release the job reads queued
+// and LeakCheck refuses to judge; it reads cancelled once everything is back.
+// (With the state flipped first, a waiter woken by the requeue that led to a
+// failed re-placement saw the job failed with its scheduler record still
+// there.)
+func TestEndedQueuedJobReadsTerminalAfterRelease(t *testing.T) {
+	r, _ := blockedRunner(t, RunnerConfig{}, nil)
+	st, err := r.Submit(blockingWorkflowRequest(), "a@ucsd.edu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	park := parkedRelease{r.disp, make(chan struct{}), make(chan struct{}), st.ID}
+	r.disp = park
+
+	cancelled := make(chan bool)
+	go func() { cancelled <- r.Cancel(st.ID) }()
+	<-park.entered
+	if now, _ := r.Status(st.ID); now.State != api.StateQueued {
+		t.Errorf("job reads %s while Cancel is still releasing it, want queued", now.State)
+	}
+	if err := r.LeakCheck(); err == nil || !strings.Contains(err.Error(), "before quiescence") {
+		t.Errorf("LeakCheck with the job still releasing = %v, want a before-quiescence refusal", err)
+	}
+	close(park.resume)
+	if !<-cancelled {
+		t.Fatal("Cancel of a queued job returned false")
+	}
+	if now, _ := r.Status(st.ID); now.State != api.StateCancelled || now.Error != "cancelled before start" {
+		t.Fatalf("after Cancel returned: %s (%s), want cancelled", now.State, now.Error)
+	}
 }
 
 func tightRetries(r *Runner, attempts int) {
@@ -186,19 +222,8 @@ func TestRetryBackoffInterruptedByCancel(t *testing.T) {
 	if !r.Cancel(st.ID) {
 		t.Fatal("cancel refused")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		cur, _ := r.Status(st.ID)
-		if cur.State.Terminal() {
-			if cur.State != api.StateCancelled {
-				t.Fatalf("want cancelled, got %s (%s)", cur.State, cur.Error)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("cancel did not interrupt retry backoff")
-		}
-		time.Sleep(time.Millisecond)
+	if cur := waitState(t, r, st.ID, terminal); cur.State != api.StateCancelled {
+		t.Fatalf("want cancelled, got %s (%s)", cur.State, cur.Error)
 	}
 	assertNoLeaks(t, r)
 }
@@ -265,10 +290,10 @@ func TestPlacementFailsTerminalWhenAllReplicasLost(t *testing.T) {
 	// leaves no up replica anywhere, so re-placement goes terminal.
 	for kills := 0; kills < 2; kills++ {
 		var node string
-		waitFor(t, func() bool {
+		waitState(t, r, st.ID, func(api.JobStatus) bool { // bound to a replica holder
 			node = r.Scheduler().BoundNode(st.ID)
 			return node == "node-0" || node == "node-1"
-		}, "job bound to a replica holder")
+		})
 		if err := r.DrainNode(node); err != nil {
 			t.Fatal(err)
 		}
@@ -308,9 +333,9 @@ func TestPlacementRetryBudgetExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cycle := 1; cycle <= maxPlacementRetries+1; cycle++ {
-		waitFor(t, func() bool {
+		waitState(t, r, st.ID, func(api.JobStatus) bool {
 			return r.Scheduler().BoundNode(st.ID) == "node-0"
-		}, "job bound to node-0")
+		})
 		if err := r.DrainNode("node-0"); err != nil {
 			t.Fatal(err)
 		}
@@ -318,10 +343,9 @@ func TestPlacementRetryBudgetExhausted(t *testing.T) {
 			break // over budget: no restore needed, the job must fail now
 		}
 		// The pinned job parks while its only eligible node is down.
-		waitFor(t, func() bool {
-			cur, _ := r.Status(st.ID)
+		waitState(t, r, st.ID, func(cur api.JobStatus) bool {
 			return cur.State == api.StateQueued && r.Scheduler().BoundNode(st.ID) == ""
-		}, "job parked during outage")
+		})
 		if err := r.RestoreNode("node-0"); err != nil {
 			t.Fatal(err)
 		}

@@ -25,6 +25,15 @@
 // pushes onto that node's pool, and requeues through placement when a node
 // is lost. The constructor called decides which one a Runner has.
 //
+// Waiting: there is one way to learn that a job changed — Runner.Await
+// (watch.go). Every state transition, placement and Progress call wakes the
+// job's watchers, and a woken watcher re-reads the snapshot Status serves;
+// nothing is queued per event, a job carries one pointer for it, and with
+// nobody watching a wake is one atomic load. The gateway's events stream, a
+// sweep parent waiting on its children, internal/core, the scenario engine,
+// `chased submit -wait` (through the events stream) and the tests all park
+// on it; nothing in the server polls a job on a timer.
+//
 // Lock ordering: r.mu (cluster control plane; the local dispatcher never
 // takes it) and shard mutexes are never held together; the fair queues'
 // internal mutexes are leaves.
@@ -136,10 +145,14 @@ const (
 	codeSucceeded
 	codeFailed
 	codeCancelled
+	// codeEnding is a queued job that endUnrun has claimed and is still
+	// giving back what it holds; it reads queued until that is done.
+	codeEnding
 )
 
 var stateNames = [...]api.State{
 	api.StateQueued, api.StateRunning, api.StateSucceeded, api.StateFailed, api.StateCancelled,
+	api.StateQueued,
 }
 
 // job is the Runner's in-memory record. Progress and lifecycle fields are
@@ -174,6 +187,10 @@ type job struct {
 	placement  atomic.Pointer[api.Placement]
 	userCancel atomic.Bool
 
+	// watchers is woken after every change a Status snapshot can show
+	// (watch.go).
+	watchers watchList
+
 	mu     sync.Mutex
 	result json.RawMessage
 }
@@ -206,12 +223,18 @@ func (jc *JobContext) Owner() string { return jc.job.owner }
 func (jc *JobContext) RefMode() bool { return jc.job.req.ResultMode == api.ResultModeRef }
 
 // Progress records kernel progress (total 0 = unknown) and the current
-// stage. It is cheap (three atomic stores) and safe to call from multiple
-// goroutines, so kernel callbacks can invoke it directly.
+// stage. It is cheap — atomic stores, one atomic load to find that nobody is
+// watching, and an allocation only when the stage changes — and safe to call
+// from multiple goroutines, so kernel callbacks can invoke it directly.
 func (jc *JobContext) Progress(done, total int64, stage string) {
-	jc.job.done.Store(done)
-	jc.job.total.Store(total)
-	jc.job.stage.Store(&stage)
+	j := jc.job
+	j.done.Store(done)
+	j.total.Store(total)
+	if p := j.stage.Load(); p == nil || *p != stage {
+		s := stage // the copy escapes, not the parameter
+		j.stage.Store(&s)
+	}
+	j.watchers.notify()
 }
 
 // RunnerConfig tunes a Runner. The zero value of every field means
@@ -275,6 +298,13 @@ type Runner struct {
 	// Admission control; every pool's fair queue takes its weights.
 	adm     *admission
 	streams atomic.Int64 // live NDJSON event streams (gateway-reported)
+
+	// anyJob is woken when some job is queued (a waiting sweep parent has
+	// something to steal), leaves the queue (a shed submit has room) or ends
+	// (a parent's child may be done). watches counts open watches for
+	// LeakCheck.
+	anyJob  watchList
+	watches atomic.Int64
 
 	// mu guards the cluster control plane only; never held together with a
 	// shard mutex. pools holds one worker pool per live node, drains marks
@@ -406,21 +436,36 @@ var terminalMetric = [...]string{
 
 // endUnrun ends a queued job that will never run (Cancel, Close, a failed
 // re-placement), paying what execute's completion would have: the pins, the
-// pending counts, the terminal counter, the stored record, any node claim.
+// pending counts, the terminal counter, any node claim, the stored record.
 // The CAS makes it exactly-once against a worker's queued→running and
-// against the other callers; false means one of them won.
+// against the other callers; false means one of them won. As in execute, the
+// terminal state is published (finish) after everything has been given back:
+// a waiter woken by the requeue that led here reads the job within
+// microseconds, and "terminal" must already mean "nothing left to release".
 func (r *Runner) endUnrun(j *job, final int32, msg string) bool {
-	if !j.state.CompareAndSwap(codeQueued, final) {
+	if !j.state.CompareAndSwap(codeQueued, codeEnding) {
 		return false
 	}
-	j.errMsg.Store(&msg)
-	j.finished.Store(time.Now().UnixNano())
 	r.releaseJobRefs(j)
 	r.pendingAdd(j, -1)
 	r.count(terminalMetric[final], j.kind)
-	r.persist(j)
 	r.disp.release(j.id)
+	j.errMsg.Store(&msg)
+	r.finish(j, final)
 	return true
+}
+
+// finish publishes a job's terminal state, last of all: the stored record is
+// written first, so whoever reads the state as terminal — a poller, or a
+// watcher that an earlier change woke — already finds the record, the
+// counters and everything the job held given back.
+func (r *Runner) finish(j *job, final int32) {
+	j.finished.Store(time.Now().UnixNano())
+	r.observeDuration(j)
+	r.persistStatus(r.statusAs(j, final))
+	j.state.Store(final)
+	j.watchers.notify()
+	r.anyJob.notify()
 }
 
 // releaseJobRefs unpins the job's source datasets. Exactly one terminal
@@ -529,6 +574,7 @@ func (r *Runner) refuse(pinned []string, owner string) {
 		r.datasets.Unpin(ref)
 	}
 	r.adm.add(owner, -1)
+	r.anyJob.notify() // a shed submit waiting for room may now fit
 }
 
 // Status returns a job's poll snapshot. The path is allocation-free: a
@@ -628,38 +674,47 @@ func (r *Runner) Cancel(id string) bool {
 	return false
 }
 
-func (r *Runner) statusOf(j *job) api.JobStatus {
+func (r *Runner) statusOf(j *job) api.JobStatus { return r.statusAs(j, j.state.Load()) }
+
+// statusAs is the job's snapshot with its state read as code. The finish
+// time and the error are stored before the terminal state is published and
+// reported only with it, so no snapshot shows a running job that has ended.
+func (r *Runner) statusAs(j *job, code int32) api.JobStatus {
 	st := api.JobStatus{
 		ID:          j.id,
 		Kind:        j.kind,
 		Name:        j.name,
 		Owner:       j.owner,
-		State:       stateNames[j.state.Load()],
+		State:       stateNames[code],
 		Done:        j.done.Load(),
 		Total:       j.total.Load(),
 		SubmittedAt: j.submitted.Load(),
 		StartedAt:   j.started.Load(),
-		FinishedAt:  j.finished.Load(),
+		Placement:   j.placement.Load(),
 	}
 	if p := j.stage.Load(); p != nil {
 		st.Stage = *p
 	}
-	if p := j.errMsg.Load(); p != nil {
-		st.Error = *p
+	if st.State.Terminal() {
+		st.FinishedAt = j.finished.Load()
+		if p := j.errMsg.Load(); p != nil {
+			st.Error = *p
+		}
 	}
-	st.Placement = j.placement.Load()
 	return st
 }
 
 // persist writes the job's status snapshot into the store. Progress fields
 // are persisted at transition points, not on every kernel callback; live
 // progress is served from memory.
-func (r *Runner) persist(j *job) {
-	raw, err := json.Marshal(r.statusOf(j))
+func (r *Runner) persist(j *job) { r.persistStatus(r.statusOf(j)) }
+
+func (r *Runner) persistStatus(st api.JobStatus) {
+	raw, err := json.Marshal(st)
 	if err != nil {
 		return // JobStatus is a flat struct; cannot happen
 	}
-	r.store.Set(JobKey(j.id), string(raw))
+	r.store.Set(JobKey(st.ID), string(raw))
 }
 
 // dropCancel cancels a job's context and unregisters the cancel func: after
@@ -688,6 +743,7 @@ func (r *Runner) execute(id string) {
 	r.gaugeAdd("jobs_running", j.kind, +1)
 	r.pendingAdd(j, -1)
 	r.persist(j)
+	j.watchers.notify()
 
 	// The node may have died between this job's pop and now (the drain
 	// routine empties the node's pending queue, but a pool worker can beat
@@ -737,12 +793,9 @@ func (r *Runner) execute(id string) {
 	// terminal" to mean no pin and no node claim is still on its way out.
 	r.releaseJobRefs(j)
 	r.disp.release(id)
-	j.finished.Store(time.Now().UnixNano())
-	j.state.Store(final)
 	r.gaugeAdd("jobs_running", j.kind, -1)
 	r.count(terminalMetric[final], j.kind)
-	r.observeDuration(j)
-	r.persist(j)
+	r.finish(j, final)
 
 	// The spec (which may hold a large inline volume) is dead weight once
 	// the job is terminal; only the executor touches req, so the plain
@@ -774,10 +827,6 @@ func (r *Runner) PendingTotal() int { return r.adm.totalPending() }
 
 // TenantPending returns owner's admitted-but-not-running job count.
 func (r *Runner) TenantPending(owner string) int { return r.adm.tenantPending(owner) }
-
-// streamAdd moves the live event-stream count (the gateway calls it around
-// each NDJSON stream; LeakCheck asserts it returns to zero).
-func (r *Runner) streamAdd(d int64) { r.streams.Add(d) }
 
 // LiveStreams returns the number of event streams currently open.
 func (r *Runner) LiveStreams() int64 { return r.streams.Load() }

@@ -18,22 +18,16 @@ import (
 	"chaseci/internal/tensor"
 )
 
-// waitState polls until the job reaches a terminal state or pred(st) holds.
+// waitState awaits pred(st); the test fails if the job ends (or 30 s pass)
+// without it. A job already evicted to the store answers from its record.
 func waitState(t *testing.T, r *Runner, id string, pred func(api.JobStatus) bool) api.JobStatus {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		st, ok := r.Status(id)
-		if !ok {
-			t.Fatalf("job %s disappeared", id)
-		}
-		if pred(st) {
-			return st
-		}
-		time.Sleep(time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	st, err := r.Await(ctx, id, pred)
+	if err != nil || !pred(st) {
+		t.Fatalf("waiting on job %s: %v (state %s, %d/%d %s)", id, err, st.State, st.Done, st.Total, st.Stage)
 	}
-	st, _ := r.Status(id)
-	t.Fatalf("timeout waiting on job %s (state %s, %d/%d %s)", id, st.State, st.Done, st.Total, st.Stage)
 	return st
 }
 
@@ -121,9 +115,8 @@ func TestSubmitRunsSegmentJob(t *testing.T) {
 		t.Fatalf("result = %+v", res)
 	}
 
-	// Job state and result persist in the queue store — once the worker has
-	// left execute, which publishes the terminal state before it persists.
-	r.Close()
+	// Job state and result persist in the queue store, and are there before
+	// the job reads terminal.
 	if rec, ok := store.Get(JobKey(st.ID)); !ok || !strings.Contains(rec, `"succeeded"`) {
 		t.Fatalf("store job record = %q, ok=%v", rec, ok)
 	}
@@ -453,12 +446,9 @@ func TestTerminalJobEviction(t *testing.T) {
 		ids = append(ids, st.ID)
 		waitState(t, r, st.ID, terminal)
 	}
-	// The final execute's prune runs after its own terminal persist, so
-	// give it a beat, then the index must be at the cap.
-	deadline := time.Now().Add(5 * time.Second)
-	for r.Count() > 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	// The final execute's prune runs after it has published the terminal
+	// state, so give it a beat, then the index must be at the cap.
+	waitFor(t, func() bool { return r.Count() <= 2 }, "the last prune")
 	if got := r.Count(); got != 2 {
 		t.Fatalf("retained %d jobs, want 2", got)
 	}

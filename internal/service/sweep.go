@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"chaseci/internal/api"
 	"chaseci/internal/ffn"
@@ -17,28 +16,23 @@ import (
 // fair queue as everything else — a sweep enjoys no back door around tenant
 // bounds. While its children run, the sweep worker "helps": it drains the
 // pending queue like any pool worker, so a single-worker runner cannot
-// deadlock on a job that is waiting for jobs.
+// deadlock on a job that is waiting for jobs. With nothing to help it parks
+// on a watch of the runner's anyJob list — woken when a child ends, and
+// when any job is queued after it began to wait (work conservation).
 
-// errNoRunner marks a JobContext built without a runner (test harnesses);
-// job kinds that submit child jobs cannot run there.
-var errNoRunner = errors.New("service: job context has no runner to submit child jobs")
-
-// submitChild submits a child job under the parent's identity, helping the
-// pool when admission sheds the submit instead of failing the parent.
-func (jc *JobContext) submitChild(req *api.JobRequest) (api.JobStatus, error) {
-	if jc.runner == nil {
-		return api.JobStatus{}, errNoRunner
-	}
+// submitChild submits a child job under the parent's identity. When
+// admission sheds the submit the parent helps the pool instead of failing,
+// and with nothing to help waits on w (the caller's watch of the runner's
+// anyJob list) for a job to leave the queue.
+func (jc *JobContext) submitChild(w *watch, req *api.JobRequest) (api.JobStatus, error) {
 	for {
 		st, err := jc.runner.Submit(req, jc.Owner())
 		if err == nil || !errors.Is(err, ErrOverloaded) {
 			return st, err
 		}
 		if !jc.helpOnce() {
-			select {
-			case <-jc.ctx.Done():
-				return api.JobStatus{}, jc.ctx.Err()
-			case <-time.After(time.Millisecond):
+			if err := w.wait(jc.ctx, nil); err != nil {
+				return api.JobStatus{}, err
 			}
 		}
 	}
@@ -48,9 +42,6 @@ func (jc *JobContext) submitChild(req *api.JobRequest) (api.JobStatus, error) {
 // worker's goroutine. False when the dispatcher has nothing to hand over
 // (an empty queue, or a cluster runner, whose node pools carry their own).
 func (jc *JobContext) helpOnce() bool {
-	if jc.runner == nil {
-		return false
-	}
 	id, ok := jc.runner.disp.steal()
 	if !ok {
 		return false
@@ -107,27 +98,28 @@ func sweepChild(spec *api.SweepSpec, name string, i int, h ffn.Hyperparams, step
 // step count and is scored on the holdout slab. Parallelism is bounded by
 // spec.Parallel (0 defaults to 2, matching the api doc); the sweep worker
 // helps drain the pool while it waits.
-func runCandidates(jc *JobContext, spec *api.SweepSpec, name string, cands []ffn.Hyperparams, steps []int, holdout int, stage string, entries []api.SweepEntry) error {
+func runCandidates(jc *JobContext, spec *api.SweepSpec, name string, cands []ffn.Hyperparams, steps []int, holdout int, stage string, entries []api.SweepEntry) (err error) {
 	limit := spec.Parallel
 	if limit <= 0 {
 		limit = 2
 	}
-	ids := make([]string, len(cands))
+	w := jc.runner.watch(&jc.runner.anyJob)
+	defer w.close()
 	inflight := make(map[string]int)
-	next, done := 0, 0
-	cancelInflight := func() {
-		for id := range inflight {
-			jc.runner.Cancel(id)
+	defer func() {
+		if err != nil {
+			for id := range inflight {
+				jc.runner.Cancel(id)
+			}
 		}
-	}
+	}()
+	next, done := 0, 0
 	for done < len(cands) {
 		for next < len(cands) && len(inflight) < limit {
-			st, err := jc.submitChild(sweepChild(spec, name, next, cands[next], steps[next], holdout))
+			st, err := jc.submitChild(w, sweepChild(spec, name, next, cands[next], steps[next], holdout))
 			if err != nil {
-				cancelInflight()
 				return err
 			}
-			ids[next] = st.ID
 			inflight[st.ID] = next
 			next++
 		}
@@ -135,7 +127,6 @@ func runCandidates(jc *JobContext, spec *api.SweepSpec, name string, cands []ffn
 		for id, idx := range inflight {
 			raw, st, ok := jc.runner.Result(id)
 			if !ok {
-				cancelInflight()
 				return fmt.Errorf("service: sweep candidate %s vanished", id)
 			}
 			if !st.State.Terminal() {
@@ -145,12 +136,10 @@ func runCandidates(jc *JobContext, spec *api.SweepSpec, name string, cands []ffn
 			done++
 			progressed = true
 			if st.State != api.StateSucceeded {
-				cancelInflight()
 				return fmt.Errorf("service: sweep candidate %s (%s): %s", id, st.Name, st.Error)
 			}
 			var tr api.TrainResult
 			if err := json.Unmarshal(raw, &tr); err != nil {
-				cancelInflight()
 				return fmt.Errorf("service: sweep candidate %s result: %w", id, err)
 			}
 			h := cands[idx]
@@ -168,15 +157,9 @@ func runCandidates(jc *JobContext, spec *api.SweepSpec, name string, cands []ffn
 			}
 			jc.Progress(int64(done), int64(len(cands)), fmt.Sprintf("%s %d/%d", stage, done, len(cands)))
 		}
-		if done == len(cands) {
-			break
-		}
 		if !progressed && !jc.helpOnce() {
-			select {
-			case <-jc.Ctx().Done():
-				cancelInflight()
-				return jc.Ctx().Err()
-			case <-time.After(time.Millisecond):
+			if err := w.wait(jc.ctx, nil); err != nil {
+				return err
 			}
 		}
 	}
@@ -190,7 +173,8 @@ func runCandidates(jc *JobContext, spec *api.SweepSpec, name string, cands []ffn
 // successive-halving economics without a scheduler in the client.
 func SweepHandler(jc *JobContext) (any, error) {
 	if jc.runner == nil {
-		return nil, errNoRunner
+		// A JobContext built by a test harness: nothing to submit children to.
+		return nil, errors.New("service: job context has no runner to submit child jobs")
 	}
 	spec := jc.Request().Sweep
 	name := jc.Request().Name

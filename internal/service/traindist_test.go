@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -207,10 +206,7 @@ func TestGatewayTrainDistResumeRejections(t *testing.T) {
 	if resp := f.do("POST", "/v1/jobs", req, &sub); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("wrong-kind resume submit: status %d", resp.StatusCode)
 	}
-	var stat api.JobStatus
-	for !stat.State.Terminal() {
-		f.do("GET", "/v1/jobs/"+sub.ID, nil, &stat)
-	}
+	stat := waitState(t, f.runner, sub.ID, terminal)
 	if stat.State != api.StateFailed || !strings.Contains(stat.Error, "want checkpoint") {
 		t.Fatalf("wrong-kind resume: %s (%s)", stat.State, stat.Error)
 	}
@@ -330,32 +326,16 @@ func TestSweepSingleWorkerNoDeadlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, status, err := awaitTestJob(runner, st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status.State != api.StateSucceeded {
+	if status := waitState(t, runner, st.ID, terminal); status.State != api.StateSucceeded {
 		t.Fatalf("state = %s (%s)", status.State, status.Error)
 	}
+	raw, _, _ := runner.Result(st.ID)
 	var res api.SweepResult
 	if err := json.Unmarshal(raw, &res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Candidates != 2 || len(res.Leaderboard) != 2 {
 		t.Fatalf("result = %+v", res)
-	}
-}
-
-// awaitTestJob polls a runner until the job is terminal.
-func awaitTestJob(r *Runner, id string) (json.RawMessage, api.JobStatus, error) {
-	for {
-		raw, st, ok := r.Result(id)
-		if !ok {
-			return nil, st, fmt.Errorf("job %s vanished", id)
-		}
-		if st.State.Terminal() {
-			return raw, st, nil
-		}
 	}
 }
 
@@ -521,4 +501,80 @@ func TestTrainDistCancelThenResumeAndElasticOnReleasedArrays(t *testing.T) {
 	if err := r.LeakCheck(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// closedSteal is a dispatcher whose steal hands nothing over until opened,
+// and reports (once) that a parent came asking.
+type closedSteal struct {
+	dispatcher
+	open  *atomic.Bool
+	tried chan struct{}
+}
+
+func (d closedSteal) steal() (string, bool) {
+	if !d.open.Load() {
+		select {
+		case d.tried <- struct{}{}:
+		default:
+		}
+		return "", false
+	}
+	return d.dispatcher.steal()
+}
+
+// TestSweepParentStealsWorkQueuedWhileItWaits pins work conservation: a
+// sweep parent that found nothing to steal and settled down to wait on its
+// children still picks up a job queued afterwards. Both pool workers are
+// taken — one by the parent, one by its parked child — so a late job can
+// only run on the parent's goroutine. Twenty in a row, each submitted once
+// the one before is terminal: the parent is back in its wait within a
+// microsecond of that, so a parent woken only by its children strands one
+// of them (and the test) almost surely.
+func TestSweepParentStealsWorkQueuedWhileItWaits(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	reg := NewRegistry()
+	reg.Register(api.KindSweep, SweepHandler)
+	reg.Register(api.KindTrain, func(jc *JobContext) (any, error) {
+		close(started)
+		select {
+		case <-release:
+			return api.TrainResult{}, nil
+		case <-jc.Ctx().Done():
+			return nil, jc.Ctx().Err()
+		}
+	})
+	reg.Register(api.KindWorkflow, func(*JobContext) (any, error) { return nil, nil })
+	r, _ := newTestRunner(t, reg, 2)
+	gate := closedSteal{r.disp, new(atomic.Bool), make(chan struct{}, 1)}
+	r.disp = gate
+
+	parent, err := r.Submit(&api.JobRequest{
+		Kind: api.KindSweep,
+		Sweep: &api.SweepSpec{
+			Source:     api.VolumeSource{Synth: &api.SynthSpec{NLon: 36, NLat: 24, NLev: 4, Steps: 6, Seed: 11}},
+			Threshold:  130,
+			LRs:        []float32{0.01},
+			Momentums:  []float32{0.9},
+			Features:   []int{4},
+			TrainSteps: []int{20},
+		},
+	}, "solo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started    // the child is parked on the second worker
+	<-gate.tried // the parent has looked for work and found none
+	gate.open.Store(true)
+	for i := 0; i < 20; i++ {
+		late, err := r.Submit(blockingWorkflowRequest(), "solo")
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, r, late.ID, terminal)
+	}
+	close(release)
+	if st := waitState(t, r, parent.ID, terminal); st.State != api.StateSucceeded {
+		t.Fatalf("sweep ended %s (%s)", st.State, st.Error)
+	}
+	assertNoLeaks(t, r)
 }
