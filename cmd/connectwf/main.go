@@ -96,14 +96,18 @@ func main() {
 	}
 
 	if rr := run.RealResult; rr != nil {
-		fmt.Println("\nreal-compute results (pure-Go FFN on synthetic MERRA-2 IVT):")
-		fmt.Printf("  training loss %.3f -> %.3f over %d SGD steps\n",
+		fmt.Println("\nreal-compute results (chased/v1 jobs over synthetic MERRA-2 IVT in the cluster's store):")
+		fmt.Printf("  training loss %.3f -> %.3f over %d train_dist rounds\n",
 			rr.TrainLossHead, rr.TrainLossTail, cfg.Real.TrainSteps)
 		fmt.Printf("  segmentation precision %.2f, recall %.2f, IoU %.2f\n",
 			rr.Precision, rr.Recall, rr.IoU)
 		fmt.Printf("  FFN found %d objects; CONNECT baseline found %d\n",
 			rr.FFNObjects, rr.CONNObjects)
-		fmt.Printf("  model artifact: %d bytes in ceph://connect-models/ffn-model.bin\n", rr.ModelBytes)
+		for _, art := range []struct{ what, ref string }{{"checkpoint", rr.CheckpointRef}, {"mask", rr.MaskRef}} {
+			info, _ := eco.Datasets.Stat(art.ref)
+			fmt.Printf("  %-10s %d bytes, %d replicas: ceph://datasets/%s\n",
+				art.what, info.Bytes, len(eco.Datasets.Placement(art.ref)), art.ref)
+		}
 		fmt.Println("\n" + rr.ReportText)
 	}
 }

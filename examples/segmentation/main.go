@@ -1,10 +1,12 @@
 // Segmentation: the real-compute pipeline of the case study, end to end and
 // over real sockets — a THREDDS HTTP server serves synthetic MERRA-2
 // granules, a Redis-protocol queue distributes the URL list, an aria2-style
-// parallel client downloads IVT subsets, a pure-Go Flood-Filling Network
-// trains and segments the volume, and the CONNECT baseline cross-checks the
-// result. Everything here is actual computation and actual network I/O on
-// localhost; no virtual time.
+// parallel client downloads IVT subsets into the content-addressed dataset
+// store, and steps 2-4 run over those bytes as chased/v1 jobs chained by ref
+// (core.RunSegmentation): train_dist trains the Flood-Filling Network,
+// segment floods the volume with the stored checkpoint, label tracks objects
+// and runs the CONNECT baseline. Everything here is actual computation and
+// actual network I/O on localhost; no virtual time.
 package main
 
 import (
@@ -12,8 +14,8 @@ import (
 	"fmt"
 	"log"
 
-	"chaseci/internal/connect"
-	"chaseci/internal/ffn"
+	"chaseci/internal/core"
+	"chaseci/internal/dataset"
 	"chaseci/internal/merra"
 	"chaseci/internal/queue"
 	"chaseci/internal/thredds"
@@ -23,7 +25,6 @@ import (
 func main() {
 	grid := merra.Grid{NLon: 36, NLat: 24, NLev: 6}
 	const granules = 12
-	const timeSteps = 6
 
 	// --- Step 1: THREDDS download through a Redis work queue -------------
 	spec := merra.MERRA2().Slice(granules)
@@ -61,66 +62,31 @@ func main() {
 		}
 		urls = append(urls, u)
 	}
-	dl := &thredds.Downloader{Parallel: 4}
-	subsets := make(map[string][]byte)
-	results, total := dl.Fetch(context.Background(), urls, func(url string, body []byte) { subsets[url] = body })
-	for _, r := range results {
-		if r.Err != nil {
-			log.Fatalf("download %s: %v", r.URL, r.Err)
-		}
-	}
-	fmt.Printf("step 1: downloaded %d IVT subsets (%d bytes) over HTTP via the queue\n",
-		len(subsets), total)
-
-	// --- Step 2: build the training volume and train the FFN -------------
-	gen := merra.NewGenerator(grid, 11)
-	levels := merra.PressureLevels(grid.NLev)
-	vol := merra.IVTVolume(gen, levels, 20, timeSteps)
-	flat := merra.Field2D{NLon: len(vol.Data), NLat: 1, Data: vol.Data}
-	threshold := flat.Quantile(0.90)
-	img := &ffn.Volume{D: timeSteps, H: grid.NLat, W: grid.NLon,
-		Data: append([]float32(nil), vol.Data...)}
-	img.Normalize()
-	labels := ffn.NewVolume(timeSteps, grid.NLat, grid.NLon)
-	for i, v := range vol.Data {
-		if v >= threshold {
-			labels.Data[i] = 1
-		}
-	}
-
-	cfg := ffn.DefaultConfig()
-	cfg.FOV = [3]int{3, 7, 7}
-	cfg.Features = 6
-	cfg.MoveStep = [3]int{1, 2, 2}
-	net, err := ffn.NewNetwork(cfg, 3)
+	ds := dataset.NewLocal()
+	ingest, err := dataset.FromTHREDDS(context.Background(), ds, &thredds.Downloader{Parallel: 4}, urls, "IVT", "")
 	if err != nil {
 		log.Fatal(err)
 	}
-	trainer := ffn.NewTrainer(net, 0.03, 0.9, 99)
-	losses, err := trainer.TrainOnVolume(img, labels, 400)
+	fmt.Printf("step 1: downloaded %d IVT subsets (%d bytes) over HTTP via the queue into dataset %.12s\n",
+		ingest.Granules, ingest.BytesMoved, ingest.ID)
+
+	// --- Steps 2-4: train, flood-fill, validate against CONNECT -----------
+	rc := &core.RealComputeConfig{Seed: 3, TrainSteps: 400, Quantile: 0.90}
+	rr, err := core.RunSegmentation(ds, ingest.ID, rc)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("step 2: trained FFN (%d params), loss %.3f -> %.3f\n",
-		net.ParamCount(), ffn.MeanTail(losses[:50], 1), ffn.MeanTail(losses, 0.2))
-
-	// --- Step 3: flood-fill inference ------------------------------------
-	seeds := ffn.GridSeeds(img, cfg.FOV, [3]int{1, 4, 4}, 1.0)
-	mask, stats := net.Segment(img, seeds, 0)
-	fmt.Printf("step 3: segmented %d voxels in %d network steps from %d seeds\n",
-		stats.MaskVoxels, stats.Steps, stats.SeedsUsed)
-
-	// --- Step 4: validate, compare against CONNECT, visualize ------------
+	fmt.Printf("step 2: trained FFN over %d train_dist rounds, loss %.3f -> %.3f, checkpoint %.12s\n",
+		rc.TrainSteps, rr.TrainLossHead, rr.TrainLossTail, rr.CheckpointRef)
+	fmt.Printf("step 3: segmented the volume with that checkpoint by net_ref, mask %.12s\n", rr.MaskRef)
 	fmt.Println("step 4: validation")
-	fmt.Print(viz.SegmentationReport(mask, labels))
+	fmt.Print(rr.ReportText)
+	fmt.Printf("FFN mask yields %d objects; reference labels yield %d\n", rr.FFNObjects, rr.CONNObjects)
 
-	ffnObjects := connect.Label(connect.FromMask(timeSteps, grid.NLat, grid.NLon, mask.Data), connect.Conn26, 4)
-	refObjects := connect.Label(connect.FromMask(timeSteps, grid.NLat, grid.NLon, labels.Data), connect.Conn26, 4)
-	fmt.Printf("\nCONNECT life-cycle tracking on the reference labels:\n%s",
-		viz.ObjectReport(refObjects))
-	fmt.Printf("FFN mask yields %d objects; reference labels yield %d\n",
-		len(ffnObjects.Objects), len(refObjects.Objects))
-
+	vol, err := ds.Resolve(ingest.ID)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nIVT field at t=0 (ASCII preview):")
-	fmt.Print(viz.ASCIISlice(viz.VolumeSlice(img, 0), grid.NLat, grid.NLon, 72))
+	fmt.Print(viz.ASCIISlice(vol.Data[:vol.H*vol.W], vol.H, vol.W, 72))
 }

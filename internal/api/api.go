@@ -215,33 +215,47 @@ func (r *JobRequest) Validate() error {
 	}
 }
 
-// Refs returns every dataset ref named by the request's specs, in a fixed
-// order — the service existence-checks them at submit time so a job with a
-// dangling ref fails fast at the gateway instead of minutes later on a
-// worker.
+// Refs returns every dataset ref named by the request's specs, the source
+// volume's first and the checkpoint's (CheckpointRef) after it — the service
+// pins, existence-checks and kind-checks them at submit time so a job with a
+// dangling or mistyped ref fails fast at the gateway instead of minutes later
+// on a worker.
 func (r *JobRequest) Refs() []string {
 	var out []string
-	add := func(v *VolumeSource) {
-		if v.Ref != "" {
-			out = append(out, v.Ref)
-		}
-	}
+	var src *VolumeSource
 	switch {
 	case r.Segment != nil:
-		add(&r.Segment.Source)
+		src = &r.Segment.Source
 	case r.Label != nil:
-		add(&r.Label.Source)
+		src = &r.Label.Source
 	case r.Train != nil:
-		add(&r.Train.Source)
+		src = &r.Train.Source
 	case r.TrainDist != nil:
-		add(&r.TrainDist.Source)
-		if r.TrainDist.ResumeFrom != "" {
-			out = append(out, r.TrainDist.ResumeFrom)
-		}
+		src = &r.TrainDist.Source
 	case r.Sweep != nil:
-		add(&r.Sweep.Source)
+		src = &r.Sweep.Source
+	}
+	if src != nil && src.Ref != "" {
+		out = append(out, src.Ref)
+	}
+	if ck := r.CheckpointRef(); ck != "" {
+		out = append(out, ck)
 	}
 	return out
+}
+
+// CheckpointRef returns the one ref of the request that must name a
+// checkpoint dataset — the network a segment job floods with, or the state a
+// train_dist job resumes from — or "". Every other ref is a source, which a
+// volume or a mask dataset can be.
+func (r *JobRequest) CheckpointRef() string {
+	switch {
+	case r.Segment != nil:
+		return r.Segment.NetRef
+	case r.TrainDist != nil:
+		return r.TrainDist.ResumeFrom
+	}
+	return ""
 }
 
 // PlacementSpec constrains scheduling in cluster mode. All fields are
@@ -399,7 +413,10 @@ const (
 	maxScratchElems = 64 << 20
 )
 
-func (n *NetConfig) validate(field string) error {
+// Validate holds n to the geometry caps, naming field in the error. Every
+// spec's validation runs it on its own net; the service runs it again on a
+// network that arrives by ref, whose header is as untrusted as a request body.
+func (n *NetConfig) Validate(field string) error {
 	if n == nil {
 		return nil
 	}
@@ -473,19 +490,23 @@ func (n *NetConfig) paramCount() int {
 	return 2*27*f + f + m*2*(27*f*f+f) + f + 1
 }
 
-// SegmentSpec runs FFN flood-fill segmentation. When TrainSteps > 0 the
-// network is first trained on the source volume thresholded at Threshold
-// (the self-supervised setup of the case study); when Seeds is empty, seeds
-// come from a lattice of points whose raw value exceeds Threshold.
+// SegmentSpec runs FFN flood-fill segmentation with a network that is
+// either spelled out (Net and NetSeed: that geometry, weights drawn from the
+// seed) or trained (NetRef: the network of a checkpoint a train_dist job
+// wrote). When Seeds is empty, seeds come from a lattice of points whose raw
+// value exceeds Threshold.
 type SegmentSpec struct {
 	Source VolumeSource `json:"source"`
 	// Net overrides the default network geometry; NetSeed seeds the weights.
 	Net     *NetConfig `json:"net,omitempty"`
 	NetSeed uint64     `json:"net_seed,omitempty"`
-	// TrainSteps > 0 pretrains on the thresholded source before segmenting.
-	TrainSteps int `json:"train_steps,omitempty"`
-	// Threshold binarizes the raw field for pretraining labels and grid
-	// seeding. Required (> 0) when TrainSteps > 0 or Seeds is empty.
+	// NetRef is a checkpoint dataset ref — a train_dist result's
+	// checkpoint_ref — whose network floods the source: the paper's "save
+	// the model, load it for inference" hand-off. Exclusive with Net and
+	// NetSeed; the checkpoint carries both geometry and weights.
+	NetRef string `json:"net_ref,omitempty"`
+	// Threshold picks the grid seeds from the raw field. Required (> 0)
+	// when Seeds is empty.
 	Threshold float32 `json:"threshold,omitempty"`
 	// Seeds are explicit (z, y, x) flood origins; empty means grid seeding.
 	Seeds [][3]int `json:"seeds,omitempty"`
@@ -503,11 +524,16 @@ func (s *SegmentSpec) validate() error {
 	if err := s.Source.validate("segment.source"); err != nil {
 		return err
 	}
-	if err := s.Net.validate("segment.net"); err != nil {
-		return err
+	if s.NetRef != "" {
+		if !ValidRef(s.NetRef) {
+			return invalidf("segment.net_ref %q is not a 64-hex content address", s.NetRef)
+		}
+		if s.Net != nil || s.NetSeed != 0 {
+			return invalidf("segment.net_ref carries the network's geometry and weights; net and net_seed must be unset")
+		}
 	}
-	if s.TrainSteps < 0 || s.TrainSteps > maxTrainSteps {
-		return invalidf("segment.train_steps must be in [0,%d], got %d", maxTrainSteps, s.TrainSteps)
+	if err := s.Net.Validate("segment.net"); err != nil {
+		return err
 	}
 	if s.MaxSteps < 0 {
 		return invalidf("segment.max_steps must be non-negative, got %d", s.MaxSteps)
@@ -522,8 +548,8 @@ func (s *SegmentSpec) validate() error {
 			}
 		}
 	}
-	if s.Threshold <= 0 && (s.TrainSteps > 0 || len(s.Seeds) == 0) {
-		return invalidf("segment.threshold must be > 0 when pretraining or grid-seeding")
+	if s.Threshold <= 0 && len(s.Seeds) == 0 {
+		return invalidf("segment.threshold must be > 0 when grid-seeding")
 	}
 	return nil
 }
@@ -597,7 +623,7 @@ func (s *TrainSpec) validate() error {
 	if err := s.Source.validate("train.source"); err != nil {
 		return err
 	}
-	if err := s.Net.validate("train.net"); err != nil {
+	if err := s.Net.Validate("train.net"); err != nil {
 		return err
 	}
 	if s.Threshold <= 0 {
@@ -700,7 +726,7 @@ func (s *TrainDistSpec) validate() error {
 			return invalidf("train_dist.resume_from carries the model, optimizer, and sampling state; net/net_seed/sample_seed/lr/momentum/batch_per_round must be zero")
 		}
 	} else {
-		if err := s.Net.validate("train_dist.net"); err != nil {
+		if err := s.Net.Validate("train_dist.net"); err != nil {
 			return err
 		}
 		if s.BatchPerRound < 1 || s.BatchPerRound > maxBatchPerRound {
@@ -925,7 +951,7 @@ func (s *PipelineSpec) validate() error {
 	if err := s.Synth.validate("pipeline.synth"); err != nil {
 		return err
 	}
-	if err := s.Net.validate("pipeline.net"); err != nil {
+	if err := s.Net.Validate("pipeline.net"); err != nil {
 		return err
 	}
 	if s.SlabSteps < 0 {
@@ -1051,10 +1077,6 @@ type SegmentResult struct {
 	SeedsUsed   int `json:"seeds_used"`
 	MaskVoxels  int `json:"mask_voxels"`
 	VoxelsTotal int `json:"voxels_total"`
-	// Pretraining summary, present when train_steps > 0.
-	TrainSteps    int     `json:"train_steps,omitempty"`
-	TrainLossHead float64 `json:"train_loss_head,omitempty"`
-	TrainLossTail float64 `json:"train_loss_tail,omitempty"`
 	// Mask payload, included only when return_mask was set. Inline mode
 	// carries MaskBits, the 1-bit-per-voxel LSB-first packing of the (D, H,
 	// W) row-major binary mask (dataset.PackBits — ~32x smaller than the

@@ -87,7 +87,7 @@ func TestNetConfigMoveStepWithinFOV(t *testing.T) {
 		{NetConfig{FOV: [3]int{3, 7, 7}}, true},
 		{NetConfig{FOV: [3]int{1, 7, 7}, MoveStep: [3]int{0, 3, 3}}, true}, // a flat FOV never moves in depth
 	} {
-		err := c.nc.validate("net")
+		err := c.nc.Validate("net")
 		if c.ok && err != nil {
 			t.Errorf("%+v rejected: %v", c.nc, err)
 		}
@@ -232,8 +232,9 @@ func TestSegmentSpecRejections(t *testing.T) {
 		mut  func(*SegmentSpec)
 	}{
 		{"even fov", func(s *SegmentSpec) { s.Net = &NetConfig{FOV: [3]int{4, 9, 9}} }},
-		{"negative train steps", func(s *SegmentSpec) { s.TrainSteps = -1 }},
-		{"train without threshold", func(s *SegmentSpec) { s.TrainSteps = 5; s.Threshold = 0 }},
+		{"net_ref of the wrong shape", func(s *SegmentSpec) { s.NetRef = "ABCD" }},
+		{"net_ref together with net", func(s *SegmentSpec) { s.NetRef = fakeRef; s.Net = &NetConfig{Features: 4} }},
+		{"net_ref together with net_seed", func(s *SegmentSpec) { s.NetRef = fakeRef; s.NetSeed = 3 }},
 		{"grid seeding without threshold", func(s *SegmentSpec) { s.Seeds = nil; s.Threshold = 0 }},
 		{"negative max steps", func(s *SegmentSpec) { s.MaxSteps = -2 }},
 		{"negative stride", func(s *SegmentSpec) { s.SeedStride = [3]int{-1, 0, 0} }},
@@ -245,6 +246,29 @@ func TestSegmentSpecRejections(t *testing.T) {
 		if err := req.Validate(); !errors.Is(err, ErrInvalid) {
 			t.Errorf("%s: err = %v, want ErrInvalid", c.name, err)
 		}
+	}
+}
+
+// TestSegmentNetRef: a well-formed net_ref validates, and Refs names the
+// source first and the checkpoint after it — the order Submit's kind check
+// reads them in.
+func TestSegmentNetRef(t *testing.T) {
+	src := strings.Repeat("cd", 32)
+	req := &JobRequest{Kind: KindSegment, Segment: &SegmentSpec{
+		Source: VolumeSource{Ref: src}, Threshold: 1, NetRef: fakeRef,
+	}}
+	if err := req.Validate(); err != nil {
+		t.Fatalf("valid net_ref spec rejected: %v", err)
+	}
+	if got, want := req.Refs(), []string{src, fakeRef}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Refs() = %v, want source then checkpoint %v", got, want)
+	}
+	if got := req.CheckpointRef(); got != fakeRef {
+		t.Fatalf("CheckpointRef() = %q, want the net_ref", got)
+	}
+	req.Segment.Source = tinyVolume()
+	if got, want := req.Refs(), []string{fakeRef}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Refs() over an inline source = %v, want %v", got, want)
 	}
 }
 
@@ -412,6 +436,7 @@ func FuzzJobRequest(f *testing.F) {
 	seeds := []*JobRequest{
 		{Kind: KindSegment, ResultMode: ResultModeRef, Segment: &SegmentSpec{Source: VolumeSource{Ref: ref}}},
 		{Kind: KindTrainDist, TrainDist: &TrainDistSpec{Source: VolumeSource{Ref: ref}, Threshold: 0.5, Rounds: 4, ResumeFrom: ref}},
+		{Kind: KindSegment, Segment: &SegmentSpec{Source: VolumeSource{Ref: ref}, Threshold: 1, NetRef: ref}},
 		{Kind: KindSegment, Segment: &SegmentSpec{Source: VolumeSource{D: 1 << 30, H: 1 << 30, W: 1 << 30}}},
 		{Kind: KindPipeline, Pipeline: &PipelineSpec{Synth: SynthSpec{NLon: 8, NLat: 6, NLev: 3, Steps: 6}, Net: &NetConfig{MoveStep: [3]int{3, 3, 3}}}},
 	}

@@ -54,9 +54,9 @@ type ConnectConfig struct {
 // workflow.
 type RealComputeConfig struct {
 	Grid       merra.Grid
-	Seed       uint64
-	TrainSteps int // SGD steps
-	TimeSteps  int // IVT volume depth (the paper's "240 3-hourly images")
+	Seed       uint64 // the scene generator's, and the network's and the sampler's
+	TrainSteps int    // train_dist rounds, 8 examples each
+	TimeSteps  int    // IVT volume depth (the paper's "240 3-hourly images")
 	Quantile   float64
 }
 
@@ -139,17 +139,20 @@ type ConnectRun struct {
 	dlCurrentMsg map[uint64]string // pod UID -> in-flight queue message
 }
 
-// RealResult carries the real-compute outputs of the run.
+// RealResult carries the real-compute outputs of a run (RunSegmentation).
 type RealResult struct {
-	TrainLossHead float64
-	TrainLossTail float64
-	Precision     float64
-	Recall        float64
-	IoU           float64
-	FFNObjects    int
-	CONNObjects   int
-	ModelBytes    int
-	ReportText    string
+	// CheckpointRef and MaskRef name the trained model and the segmentation
+	// mask in the dataset store the jobs ran against.
+	CheckpointRef, MaskRef string
+	TrainLossHead          float64
+	TrainLossTail          float64
+	Precision              float64
+	Recall                 float64
+	IoU                    float64
+	FFNObjects             int
+	CONNObjects            int
+	ReportText             string
+	OverlayPPM             []byte // the mask over the field at t=0
 }
 
 const queueKey = "connect:urls"
@@ -445,17 +448,10 @@ func (run *ConnectRun) stepTrain(ctx *workflow.Ctx) {
 			ctx.Done(fmt.Errorf("training job failed"))
 			return
 		}
-		if cfg.Real != nil {
-			if err := run.realTrain(); err != nil {
-				ctx.Done(err)
-				return
-			}
-		} else {
-			// Store the model artifact (weights + config) in Ceph.
-			if _, err := e.Storage.Put("connect-models", "ffn-model.bin", 10e6, nil); err != nil {
-				ctx.Done(err)
-				return
-			}
+		// Store the model artifact (weights + config) in Ceph.
+		if _, err := e.Storage.Put("connect-models", "ffn-model.bin", 10e6, nil); err != nil {
+			ctx.Done(err)
+			return
 		}
 		ctx.Done(nil)
 	})
@@ -520,12 +516,6 @@ func (run *ConnectRun) stepInference(ctx *workflow.Ctx) {
 			ctx.Done(fmt.Errorf("inference job failed"))
 			return
 		}
-		if cfg.Real != nil {
-			if err := run.realInference(); err != nil {
-				ctx.Done(err)
-				return
-			}
-		}
 		ctx.Done(nil)
 	})
 }
@@ -579,8 +569,9 @@ func (run *ConnectRun) stepVisualize(ctx *workflow.Ctx) {
 			ctx.Done(fmt.Errorf("visualization pod failed"))
 			return
 		}
+		// Real-compute path: steps 2-4 again, for real, as chased/v1 jobs.
 		if cfg.Real != nil {
-			if err := run.realVisualize(); err != nil {
+			if err := run.realCompute(); err != nil {
 				ctx.Done(err)
 				return
 			}

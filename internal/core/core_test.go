@@ -172,6 +172,11 @@ func TestWorkflowSurvivesNodeFailure(t *testing.T) {
 	}
 }
 
+// TestRealComputeWorkflow runs the case study with its real-compute half on:
+// the model a train_dist job leaves in the ecosystem's store segments the
+// scene, and everything steps 2-4 produce is a replicated object of the
+// simulated Ceph. The quality floor holds at five training seeds over that
+// scene (measured: precision 0.92-0.99, recall 0.81-0.87).
 func TestRealComputeWorkflow(t *testing.T) {
 	e := BuildNautilus(DefaultNautilus())
 	cfg := scaledConfig()
@@ -188,17 +193,17 @@ func TestRealComputeWorkflow(t *testing.T) {
 	if rr == nil {
 		t.Fatal("no real-compute result")
 	}
-	if rr.TrainLossTail >= rr.TrainLossHead {
-		t.Fatalf("real training did not converge: %v -> %v", rr.TrainLossHead, rr.TrainLossTail)
-	}
-	if rr.Precision < 0.5 || rr.Recall < 0.3 {
-		t.Fatalf("real segmentation quality: precision=%.2f recall=%.2f", rr.Precision, rr.Recall)
-	}
-	if rr.ModelBytes == 0 {
-		t.Fatal("model not serialized")
-	}
 	if rr.FFNObjects == 0 || rr.CONNObjects == 0 {
 		t.Fatalf("object counts: ffn=%d connect=%d", rr.FFNObjects, rr.CONNObjects)
+	}
+	// The model and the mask are objects of the ecosystem's own store.
+	for what, ref := range map[string]string{"checkpoint": rr.CheckpointRef, "mask": rr.MaskRef} {
+		if info, ok := e.Datasets.Stat(ref); !ok || info.Kind != what {
+			t.Fatalf("%s ref %q is %+v in the dataset store", what, ref, info)
+		}
+		if locs := e.Storage.Locations("datasets", ref); len(locs) != 3 {
+			t.Fatalf("%s replicas = %d, want 3", what, len(locs))
+		}
 	}
 	// Real artifacts present in Ceph.
 	if _, err := e.Storage.Get("connect-results", "real/report.txt"); err != nil {
@@ -207,13 +212,38 @@ func TestRealComputeWorkflow(t *testing.T) {
 	if _, err := e.Storage.Get("connect-results", "real/overlay-t0.ppm"); err != nil {
 		t.Fatal("overlay not stored:", err)
 	}
-	if _, err := e.Storage.Get("connect-models", "ffn-model.bin"); err != nil {
-		t.Fatal("model not stored:", err)
-	}
 	// Real subset granules landed.
 	mount := e.Storage.MountBucket("connect-data")
 	if got := len(mount.Glob("real/")); got != realGranuleCount {
 		t.Fatalf("real granules stored = %d, want %d", got, realGranuleCount)
+	}
+
+	// The other four seeds train on the volume the run stored.
+	scene, _ := sceneSource(cfg.Real)
+	vol, err := e.Datasets.PutVolume(scene.D, scene.H, scene.W, scene.Data, "core")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := []uint64{cfg.Real.Seed, 1, 3, 7, 1977}
+	if raceEnabled {
+		seeds = seeds[:1]
+	}
+	for _, seed := range seeds {
+		if seed != cfg.Real.Seed {
+			rc := *cfg.Real
+			rc.Seed = seed
+			if rr, err = RunSegmentation(e.Datasets, vol.ID, &rc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t.Logf("seed %d: loss %.3f -> %.3f, precision %.2f, recall %.2f, IoU %.2f",
+			seed, rr.TrainLossHead, rr.TrainLossTail, rr.Precision, rr.Recall, rr.IoU)
+		if rr.TrainLossTail >= rr.TrainLossHead {
+			t.Fatalf("seed %d: real training did not converge: %v -> %v", seed, rr.TrainLossHead, rr.TrainLossTail)
+		}
+		if rr.Precision < 0.85 || rr.Recall < 0.6 {
+			t.Fatalf("seed %d: real segmentation quality: precision=%.2f recall=%.2f, want >= 0.85 / 0.6", seed, rr.Precision, rr.Recall)
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -70,20 +68,6 @@ type DistTrainResult struct {
 // FinalLoss returns the mean of the last fifth of the loss curve.
 func (r *DistTrainResult) FinalLoss() float64 { return ffn.MeanTail(r.Losses, 0.2) }
 
-// awaitJob waits for a job on an in-process runner to end and returns its
-// result payload. Failure and cancellation surface as errors.
-func awaitJob(r *service.Runner, id string) (json.RawMessage, error) {
-	st, err := r.Await(context.TODO(), id, nil)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if st.State != api.StateSucceeded {
-		return nil, fmt.Errorf("core: job %s %s: %s", id, st.State, st.Error)
-	}
-	raw, _, _ := r.Result(id)
-	return raw, nil
-}
-
 // RunDistributedTraining executes the extension: it spawns the ReplicaSet
 // and Service on the ecosystem, submits the training itself as one
 // train_dist job (real gradients, worker-count-invariant losses), then
@@ -132,7 +116,8 @@ func (e *Ecosystem) RunDistributedTraining(cfg DistTrainConfig) (*DistTrainResul
 	src, th := sceneSource(cfg.Scene)
 	runner := service.NewRunnerConfigured(service.DefaultRegistry(), queue.NewStore(), service.RunnerConfig{Workers: 1})
 	defer runner.Close()
-	st, err := runner.Submit(&api.JobRequest{
+	var tr api.TrainDistResult
+	err = runJob(runner, &api.JobRequest{
 		Kind: api.KindTrainDist,
 		Name: "tf-train",
 		TrainDist: &api.TrainDistSpec{
@@ -143,26 +128,14 @@ func (e *Ecosystem) RunDistributedTraining(cfg DistTrainConfig) (*DistTrainResul
 			BatchPerRound: cfg.Workers * cfg.BatchPerWorker,
 			LR:            cfg.LR,
 			Momentum:      cfg.Momentum,
-			Net: &api.NetConfig{
-				FOV: [3]int{3, 7, 7}, Features: 6, MoveStep: [3]int{1, 2, 2},
-			},
-			NetSeed:    cfg.Seed,
-			SampleSeed: cfg.Seed,
+			Net:           caseStudyNet(6, 0),
+			NetSeed:       cfg.Seed,
+			SampleSeed:    cfg.Seed,
 		},
-	}, "core")
+	}, &tr)
 	if err != nil {
 		rs.Delete()
 		return nil, err
-	}
-	raw, err := awaitJob(runner, st.ID)
-	if err != nil {
-		rs.Delete()
-		return nil, err
-	}
-	var tr api.TrainDistResult
-	if err := json.Unmarshal(raw, &tr); err != nil {
-		rs.Delete()
-		return nil, fmt.Errorf("core: train_dist result: %w", err)
 	}
 	res.Losses = tr.Losses
 
@@ -207,8 +180,7 @@ func run2ringAllReduce(e *Ecosystem, eps []*cluster.Pod, gradBytes float64) floa
 
 // sceneSource renders a RealComputeConfig as an inline chased/v1 volume
 // source plus the quantile threshold that binarizes it — the raw form the
-// training job kinds consume (they threshold and normalize themselves,
-// exactly as buildScene does).
+// training job kinds consume (they threshold and normalize themselves).
 func sceneSource(rc *RealComputeConfig) (api.VolumeSource, float32) {
 	gen := merra.NewGenerator(rc.Grid, rc.Seed)
 	levels := merra.PressureLevels(rc.Grid.NLev)
@@ -219,19 +191,4 @@ func sceneSource(rc *RealComputeConfig) (api.VolumeSource, float32) {
 		D: rc.TimeSteps, H: rc.Grid.NLat, W: rc.Grid.NLon,
 		Data: append([]float32(nil), vol.Data...),
 	}, th
-}
-
-// buildScene renders the shared training data for a RealComputeConfig: the
-// scene's volume normalized, and its labels thresholded from the raw field.
-func buildScene(rc *RealComputeConfig) (*ffn.Volume, *ffn.Volume) {
-	src, th := sceneSource(rc)
-	img := &ffn.Volume{D: src.D, H: src.H, W: src.W, Data: src.Data}
-	lbl := ffn.NewVolume(src.D, src.H, src.W)
-	for i, v := range img.Data {
-		if v >= th {
-			lbl.Data[i] = 1
-		}
-	}
-	img.Normalize()
-	return img, lbl
 }

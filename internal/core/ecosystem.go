@@ -14,6 +14,7 @@ import (
 
 	"chaseci/internal/auth"
 	"chaseci/internal/cluster"
+	"chaseci/internal/dataset"
 	"chaseci/internal/metrics"
 	"chaseci/internal/netsim"
 	"chaseci/internal/objstore"
@@ -85,8 +86,12 @@ type Ecosystem struct {
 	Net     *netsim.Network
 	Cluster *cluster.Cluster
 	Storage *objstore.Store
-	Queue   *queue.Store
-	Auth    *auth.Federation
+	// Datasets is the content-addressed data plane over Storage: what a
+	// chased/v1 job run against the ecosystem reads and writes by ref is a
+	// replicated object of the simulated Ceph.
+	Datasets *dataset.Manager
+	Queue    *queue.Store
+	Auth     *auth.Federation
 
 	Config NautilusConfig
 }
@@ -132,14 +137,15 @@ func BuildNautilus(cfg NautilusConfig) *Ecosystem {
 	}
 
 	return &Ecosystem{
-		Clock:   clk,
-		Metrics: reg,
-		Net:     net,
-		Cluster: cl,
-		Storage: store,
-		Queue:   queue.NewStore(),
-		Auth:    fed,
-		Config:  cfg,
+		Clock:    clk,
+		Metrics:  reg,
+		Net:      net,
+		Cluster:  cl,
+		Storage:  store,
+		Datasets: dataset.NewManager(store.MountBucket("datasets"), dataset.Config{}),
+		Queue:    queue.NewStore(),
+		Auth:     fed,
+		Config:   cfg,
 	}
 }
 

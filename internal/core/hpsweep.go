@@ -122,7 +122,8 @@ func (e *Ecosystem) RunHyperparameterSweep(cfg SweepConfig) (*SweepResult, error
 	var evalErr error
 
 	evaluate := func(h ffn.Hyperparams) (ffn.ValidationResult, error) {
-		st, err := runner.Submit(&api.JobRequest{
+		var tr api.TrainResult
+		err := runJob(runner, &api.JobRequest{
 			Kind: api.KindTrain,
 			Name: "validate",
 			Train: &api.TrainSpec{
@@ -134,24 +135,11 @@ func (e *Ecosystem) RunHyperparameterSweep(cfg SweepConfig) (*SweepResult, error
 				NetSeed:      cfg.Seed,
 				SampleSeed:   cfg.Seed ^ 0xabcd,
 				HoldoutSteps: holdout,
-				Net: &api.NetConfig{
-					FOV:      [3]int{3, 7, 7},
-					Features: h.Features,
-					Modules:  h.Modules,
-					MoveStep: [3]int{1, 2, 2},
-				},
+				Net:          caseStudyNet(h.Features, h.Modules),
 			},
-		}, "core")
+		}, &tr)
 		if err != nil {
 			return ffn.ValidationResult{}, err
-		}
-		raw, err := awaitJob(runner, st.ID)
-		if err != nil {
-			return ffn.ValidationResult{}, err
-		}
-		var tr api.TrainResult
-		if err := json.Unmarshal(raw, &tr); err != nil {
-			return ffn.ValidationResult{}, fmt.Errorf("core: train result: %w", err)
 		}
 		return ffn.ValidationResult{
 			Params:    h,

@@ -42,8 +42,15 @@ func TestHyperparameterSweepEmptyGrid(t *testing.T) {
 	}
 }
 
+// sweepVolumes is the sweep scene as an image and an (empty) label volume of
+// its shape — what the split tests cut.
+func sweepVolumes() (img, lbl *ffn.Volume) {
+	src, _ := sceneSource(defaultSweepScene())
+	return &ffn.Volume{D: src.D, H: src.H, W: src.W, Data: src.Data}, ffn.NewVolume(src.D, src.H, src.W)
+}
+
 func TestSplitSeparatesTrainAndTest(t *testing.T) {
-	img, lbl := buildScene(defaultSweepScene())
+	img, lbl := sweepVolumes()
 	trImg, trLbl, teImg, teLbl := ffn.Split(img, lbl, 6)
 	if trImg.D != 6 || teImg.D != img.D-6 {
 		t.Fatalf("split depths = %d/%d", trImg.D, teImg.D)
@@ -59,7 +66,7 @@ func TestSplitSeparatesTrainAndTest(t *testing.T) {
 }
 
 func TestSplitPanicsOnDegenerate(t *testing.T) {
-	img, lbl := buildScene(defaultSweepScene())
+	img, lbl := sweepVolumes()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("degenerate split did not panic")

@@ -1,21 +1,25 @@
 package core
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 
-	"chaseci/internal/connect"
+	"chaseci/internal/api"
+	"chaseci/internal/dataset"
 	"chaseci/internal/ffn"
 	"chaseci/internal/merra"
+	"chaseci/internal/queue"
+	"chaseci/internal/service"
 	"chaseci/internal/viz"
 )
 
 // This file is the real-compute spine of the workflow: when
-// ConnectConfig.Real is set, each virtual-time step also performs the actual
-// computation at experiment scale — real NC4-lite subset bytes land in Ceph,
-// a real FFN trains and serializes, real flood-fill inference produces
-// masks, and the CONNECT baseline cross-checks the result. The virtual-time
-// model answers "how long at cluster scale"; this path answers "does the
-// pipeline actually work".
+// ConnectConfig.Real is set, the run also performs the actual computation at
+// experiment scale — real NC4-lite subset bytes land in Ceph, and steps 2-4
+// run as chased/v1 jobs chained by ref over the ecosystem's own object store.
+// The virtual-time model answers "how long at cluster scale"; this path
+// answers "does the pipeline actually work".
 
 // realGranuleCount is how many real granules step 1 materializes in Ceph.
 const realGranuleCount = 4
@@ -47,113 +51,125 @@ func (run *ConnectRun) landRealGranules() {
 	}
 }
 
-// realScene builds the (image, labels) volumes used by training, inference,
-// and validation — the same deterministic scene in each step.
-func (run *ConnectRun) realScene() (*ffn.Volume, *ffn.Volume) {
-	return buildScene(run.Config.Real)
-}
-
-// realTrain trains the FFN on the synthetic IVT scene and saves the model
-// bytes to the object store, as the paper's step 2 does.
-func (run *ConnectRun) realTrain() error {
-	rc := run.Config.Real
-	img, lbl := run.realScene()
-	cfg := ffn.DefaultConfig()
-	cfg.FOV = [3]int{3, 7, 7}
-	cfg.Features = 6
-	cfg.MoveStep = [3]int{1, 2, 2}
-	net, err := ffn.NewNetwork(cfg, rc.Seed)
+// runJob submits req to an in-process runner, waits for the job to end and
+// decodes its result into out. Failure and cancellation surface as errors.
+func runJob(r *service.Runner, req *api.JobRequest, out any) error {
+	st, err := r.Submit(req, "core")
 	if err != nil {
 		return err
 	}
-	tr := ffn.NewTrainer(net, 0.03, 0.9, rc.Seed^0xff)
-	losses, err := tr.TrainOnVolume(img, lbl, rc.TrainSteps)
-	if err != nil {
-		return err
+	if st, err = r.Await(context.TODO(), st.ID, nil); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
-	modelBytes := net.SaveBytes()
-	if _, err := run.Eco.Storage.Put("connect-models", "ffn-model.bin", 0, modelBytes); err != nil {
-		return err
+	if st.State != api.StateSucceeded {
+		return fmt.Errorf("core: %s job %s %s: %s", req.Kind, st.ID, st.State, st.Error)
 	}
-	head := ffn.MeanTail(losses[:min(50, len(losses))], 1)
-	tail := ffn.MeanTail(losses, 0.2)
-	run.RealResult = &RealResult{
-		TrainLossHead: head,
-		TrainLossTail: tail,
-		ModelBytes:    len(modelBytes),
+	raw, _, _ := r.Result(st.ID)
+	if err := json.Unmarshal(raw, out); err != nil {
+		return fmt.Errorf("core: %s result: %w", req.Kind, err)
 	}
 	return nil
 }
 
-// realInference loads the trained model back from Ceph (exactly what the
-// paper's step 3 pods do), splits the volume into per-GPU shards along the
-// time axis, segments each shard, and stores the stitched mask.
-func (run *ConnectRun) realInference() error {
-	if run.RealResult == nil {
-		return fmt.Errorf("core: real inference before real training")
-	}
-	obj, err := run.Eco.Storage.Get("connect-models", "ffn-model.bin")
-	if err != nil {
-		return err
-	}
-	net, err := ffn.LoadBytes(obj.Data)
-	if err != nil {
-		return err
-	}
-	img, _ := run.realScene()
-	seeds := ffn.GridSeeds(img, net.Config().FOV, [3]int{1, 4, 4}, 1.0)
-	mask, _ := net.Segment(img, seeds, 0)
-	// Store the mask as an NC4-lite file.
-	out := &merra.File{}
-	if err := out.AddVariable("MASK", []int{mask.D, mask.H, mask.W}, mask.Data); err != nil {
-		return err
-	}
-	if _, err := run.Eco.Storage.Put("connect-results", "real/mask.nc", 0, out.EncodeBytes()); err != nil {
-		return err
-	}
-	return nil
+// caseStudyNet is the experiment-scale FFN geometry of the case study.
+func caseStudyNet(features, modules int) *api.NetConfig {
+	return &api.NetConfig{FOV: [3]int{3, 7, 7}, Features: features, Modules: modules, MoveStep: [3]int{1, 2, 2}}
 }
 
-// realVisualize is the step-4 notebook: read the mask from Ceph, validate
-// against the labels, run the CONNECT baseline, and store a report plus an
-// overlay render.
-func (run *ConnectRun) realVisualize() error {
-	obj, err := run.Eco.Storage.Get("connect-results", "real/mask.nc")
+// RunSegmentation is steps 2-4 of the case study as a client of chased/v1,
+// over an IVT volume already in ds: a train_dist job trains the FFN and
+// leaves its checkpoint in the store (step 2: "save the model to Ceph"), a
+// segment job floods the volume with that checkpoint's network by net_ref
+// and stores the mask (step 3), and label jobs track objects in the mask and
+// — the CONNECT baseline — in the thresholded field itself (step 4). Labels
+// and seeds are the field at or above its rc.Quantile quantile. Every kernel
+// runs inside a job; what happens here is submitting, waiting, and scoring
+// the stored mask against the labels.
+func RunSegmentation(ds *dataset.Manager, volume string, rc *RealComputeConfig) (*RealResult, error) {
+	field, err := ds.Resolve(volume)
+	if err != nil {
+		return nil, err
+	}
+	flat := merra.Field2D{NLon: len(field.Data), NLat: 1, Data: field.Data}
+	th := flat.Quantile(rc.Quantile)
+
+	runner := service.NewRunnerConfigured(service.DefaultRegistry(), queue.NewStore(),
+		service.RunnerConfig{Workers: 1, Datasets: ds})
+	defer runner.Close()
+	src := api.VolumeSource{Ref: volume}
+	var train api.TrainDistResult
+	if err := runJob(runner, &api.JobRequest{Kind: api.KindTrainDist, Name: "2-train", TrainDist: &api.TrainDistSpec{
+		Source: src, Threshold: th, Workers: 2, Rounds: rc.TrainSteps, BatchPerRound: 8,
+		LR: 0.03, Momentum: 0.9, Net: caseStudyNet(6, 0), NetSeed: rc.Seed, SampleSeed: rc.Seed,
+	}}, &train); err != nil {
+		return nil, err
+	}
+	var seg api.SegmentResult
+	if err := runJob(runner, &api.JobRequest{Kind: api.KindSegment, Name: "3-inference", ResultMode: api.ResultModeRef, Segment: &api.SegmentSpec{
+		Source: src, Threshold: th, NetRef: train.CheckpointRef, SeedStride: [3]int{1, 4, 4}, ReturnMask: true,
+	}}, &seg); err != nil {
+		return nil, err
+	}
+	var ffnObjs, connObjs api.LabelResult
+	if err := runJob(runner, &api.JobRequest{Kind: api.KindLabel, Name: "4-objects", Label: &api.LabelSpec{
+		Source: api.VolumeSource{Ref: seg.MaskRef}, Threshold: 0.5, MinVoxels: 4,
+	}}, &ffnObjs); err != nil {
+		return nil, err
+	}
+	if err := runJob(runner, &api.JobRequest{Kind: api.KindLabel, Name: "4-connect-baseline", Label: &api.LabelSpec{
+		Source: src, Threshold: th, MinVoxels: 4,
+	}}, &connObjs); err != nil {
+		return nil, err
+	}
+
+	stored, err := ds.Resolve(seg.MaskRef)
+	if err != nil {
+		return nil, err
+	}
+	raw := &ffn.Volume{D: field.D, H: field.H, W: field.W, Data: field.Data}
+	mask := &ffn.Volume{D: stored.D, H: stored.H, W: stored.W, Data: stored.Floats()}
+	labels := ffn.NewVolume(field.D, field.H, field.W)
+	for i, v := range field.Data {
+		if v >= th {
+			labels.Data[i] = 1
+		}
+	}
+	res := &RealResult{
+		CheckpointRef: train.CheckpointRef,
+		MaskRef:       seg.MaskRef,
+		TrainLossHead: train.LossHead,
+		TrainLossTail: train.LossTail,
+		IoU:           ffn.IoU(mask, labels),
+		FFNObjects:    ffnObjs.Objects,
+		CONNObjects:   connObjs.Objects,
+		ReportText: viz.SegmentationReport(mask, labels) + "\n" +
+			"CONNECT baseline objects on reference labels:\n" + viz.ObjectReport(&connObjs),
+		OverlayPPM: viz.RenderOverlayPPM(viz.VolumeSlice(raw, 0), viz.VolumeSlice(mask, 0), raw.H, raw.W),
+	}
+	res.Precision, res.Recall = ffn.PrecisionRecall(mask, labels)
+	return res, nil
+}
+
+// realCompute is the run's real-compute half: the scene goes into the
+// ecosystem's dataset store, RunSegmentation chains the jobs over it, and
+// the step-4 notebook's report and overlay land beside the results.
+func (run *ConnectRun) realCompute() error {
+	scene, _ := sceneSource(run.Config.Real)
+	info, err := run.Eco.Datasets.PutVolume(scene.D, scene.H, scene.W, scene.Data, "core")
 	if err != nil {
 		return err
 	}
-	f, err := merra.DecodeBytes(obj.Data)
+	res, err := RunSegmentation(run.Eco.Datasets, info.ID, run.Config.Real)
 	if err != nil {
 		return err
 	}
-	mv := f.Var("MASK")
-	if mv == nil {
-		return fmt.Errorf("core: stored result has no MASK variable")
-	}
-	mask := &ffn.Volume{D: mv.Dims[0], H: mv.Dims[1], W: mv.Dims[2], Data: mv.Data}
-	img, lbl := run.realScene()
-
-	prec, rec := ffn.PrecisionRecall(mask, lbl)
-	iou := ffn.IoU(mask, lbl)
-	ffnObjs := connect.Label(connect.FromMask(mask.D, mask.H, mask.W, mask.Data), connect.Conn26, 4)
-	connObjs := connect.Label(connect.FromMask(lbl.D, lbl.H, lbl.W, lbl.Data), connect.Conn26, 4)
-
-	report := viz.SegmentationReport(mask, lbl) + "\n" +
-		"CONNECT baseline objects on reference labels:\n" + viz.ObjectReport(connObjs)
 	mount := run.Eco.Storage.MountBucket("connect-results")
-	if err := mount.WriteFile("real/report.txt", []byte(report)); err != nil {
+	if err := mount.WriteFile("real/report.txt", []byte(res.ReportText)); err != nil {
 		return err
 	}
-	overlay := viz.RenderOverlayPPM(viz.VolumeSlice(img, 0), viz.VolumeSlice(mask, 0), img.H, img.W)
-	if err := mount.WriteFile("real/overlay-t0.ppm", overlay); err != nil {
+	if err := mount.WriteFile("real/overlay-t0.ppm", res.OverlayPPM); err != nil {
 		return err
 	}
-
-	run.RealResult.Precision = prec
-	run.RealResult.Recall = rec
-	run.RealResult.IoU = iou
-	run.RealResult.FFNObjects = len(ffnObjs.Objects)
-	run.RealResult.CONNObjects = len(connObjs.Objects)
-	run.RealResult.ReportText = report
+	run.RealResult = res
 	return nil
 }

@@ -7,7 +7,7 @@ import (
 	"net/http"
 	"testing"
 
-	"chaseci/internal/ffn"
+	"chaseci/internal/dataset"
 	"chaseci/internal/merra"
 	"chaseci/internal/objstore"
 	"chaseci/internal/queue"
@@ -16,9 +16,10 @@ import (
 
 // TestRealSocketsEndToEnd drives the whole data path over actual TCP/HTTP on
 // localhost, no virtual time: granule URLs flow through the Redis-protocol
-// queue, the aria2-style client subsets them from the THREDDS server, the
-// decoded IVT trains an FFN, and the serialized model round-trips through
-// the S3 gateway of the Ceph-like store.
+// queue, the aria2-style client subsets them from the THREDDS server straight
+// into the ecosystem's dataset store, steps 2-4 run over those bytes by ref
+// (RunSegmentation), and the checkpoint the training job stored round-trips
+// through the S3 gateway of the Ceph-like store.
 func TestRealSocketsEndToEnd(t *testing.T) {
 	grid := merra.Grid{NLon: 36, NLat: 24, NLev: 6}
 	const granules = 6
@@ -72,55 +73,29 @@ func TestRealSocketsEndToEnd(t *testing.T) {
 	if len(urls) != granules {
 		t.Fatalf("queue delivered %d urls, want %d", len(urls), granules)
 	}
-	dl := &thredds.Downloader{Parallel: 3}
-	fields := make([][]float32, 0, granules)
-	results, _ := dl.Fetch(context.Background(), urls, func(url string, body []byte) {
-		f, err := merra.DecodeBytes(body)
-		if err != nil {
-			t.Errorf("decode %s: %v", url, err)
-			return
-		}
-		fields = append(fields, f.Vars[0].Data)
-	})
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-	}
-
-	// Assemble the downloaded IVT into a volume and train briefly.
-	img := ffn.NewVolume(granules, grid.NLat, grid.NLon)
-	for i, f := range fields {
-		copy(img.Data[i*grid.NLat*grid.NLon:], f)
-	}
-	flat := merra.Field2D{NLon: len(img.Data), NLat: 1, Data: append([]float32(nil), img.Data...)}
-	th := flat.Quantile(0.9)
-	lbl := ffn.NewVolume(granules, grid.NLat, grid.NLon)
-	for i, v := range img.Data {
-		if v >= th {
-			lbl.Data[i] = 1
-		}
-	}
-	img.Normalize()
-	cfg := ffn.DefaultConfig()
-	cfg.FOV = [3]int{3, 7, 7}
-	cfg.Features = 4
-	net, err := ffn.NewNetwork(cfg, 1)
+	ingest, err := dataset.FromTHREDDS(context.Background(), eco.Datasets, &thredds.Downloader{Parallel: 3}, urls, "IVT", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := ffn.NewTrainer(net, 0.03, 0.9, 2)
-	losses, err := tr.TrainOnVolume(img, lbl, 80)
+	if info, _ := eco.Datasets.Stat(ingest.ID); ingest.Granules != granules || info.D != granules || info.H != grid.NLat || info.W != grid.NLon {
+		t.Fatalf("ingested %d granules as %+v", ingest.Granules, info)
+	}
+
+	// Train briefly on, segment and label the volume that crossed the socket.
+	rr, err := RunSegmentation(eco.Datasets, ingest.ID, &RealComputeConfig{Seed: 1, TrainSteps: 80, Quantile: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ffn.MeanTail(losses, 0.2) >= ffn.MeanTail(losses[:20], 1) {
-		t.Fatal("training on socket-delivered data did not reduce loss")
+	if rr.TrainLossTail >= rr.TrainLossHead {
+		t.Fatalf("training on socket-delivered data did not reduce loss: %v -> %v", rr.TrainLossHead, rr.TrainLossTail)
 	}
 
-	// Round-trip the model through the S3 gateway.
-	model := net.SaveBytes()
-	url := s3.BaseURL() + "/connect-models/e2e/ffn.bin"
+	// Round-trip the stored checkpoint through the S3 gateway.
+	model, err := eco.Datasets.GetBytes(rr.CheckpointRef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := s3.BaseURL() + "/connect-models/e2e/ffn.ckpt"
 	req, _ := http.NewRequest(http.MethodPut, url, bytes.NewReader(model))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -136,18 +111,13 @@ func TestRealSocketsEndToEnd(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	back, _ := io.ReadAll(resp.Body)
-	if !bytes.Equal(back, model) {
-		t.Fatal("model corrupted through the S3 gateway")
+	if dataset.ID(back) != rr.CheckpointRef {
+		t.Fatal("checkpoint corrupted through the S3 gateway: the bytes no longer hash to its ref")
 	}
-	loaded, err := ffn.LoadBytes(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.ParamCount() != net.ParamCount() {
-		t.Fatal("loaded model has wrong architecture")
-	}
-	// The replicated store holds the object with full redundancy.
-	if locs := eco.Storage.Locations("connect-models", "e2e/ffn.bin"); len(locs) != 3 {
-		t.Fatalf("model replicas = %d, want 3", len(locs))
+	// The replicated store holds both copies with full redundancy.
+	for _, obj := range [][2]string{{"connect-models", "e2e/ffn.ckpt"}, {"datasets", rr.CheckpointRef}} {
+		if locs := eco.Storage.Locations(obj[0], obj[1]); len(locs) != 3 {
+			t.Fatalf("%s/%s replicas = %d, want 3", obj[0], obj[1], len(locs))
+		}
 	}
 }

@@ -51,11 +51,12 @@ func runJob(t *testing.T, r *Runner, req *api.JobRequest) json.RawMessage {
 
 // TestJobsLeaveResolvedBlobsUntouched: a resolved blob is a view of the bytes
 // the store keeps under its content address, so a write through one would
-// corrupt the address itself. After segment (with pretraining), label, train
-// and train_dist jobs over a volume ref, segment, label and train jobs over a
-// pipeline's stored mask (both the packed scan and the float expansion), a
-// train_dist resumed from a checkpoint ref, and eight concurrent segment
-// jobs on the one ref — which must also agree with each other bit for bit —
+// corrupt the address itself. After train_dist, segment (with the network of
+// that job's checkpoint, by net_ref), label and train jobs over a volume ref,
+// segment, label and train jobs over a pipeline's stored mask (both the
+// packed scan and the float expansion), a train_dist resumed from the
+// checkpoint ref, and eight concurrent segment jobs on the one ref and the
+// one checkpoint — which must also agree with each other bit for bit —
 // every blob still encodes to its id and every stored encoding still hashes
 // to it.
 func TestJobsLeaveResolvedBlobsUntouched(t *testing.T) {
@@ -100,11 +101,18 @@ func TestJobsLeaveResolvedBlobsUntouched(t *testing.T) {
 
 	src := api.VolumeSource{Ref: info.ID}
 	net := &api.NetConfig{FOV: [3]int{3, 7, 7}, Features: 4, MoveProb: 0.6}
-	segment := &api.JobRequest{Kind: api.KindSegment, ResultMode: api.ResultModeRef, Segment: &api.SegmentSpec{
-		Source: src, Threshold: 120, Net: net, SeedStride: [3]int{1, 4, 4}, TrainSteps: 4, ReturnMask: true,
-	}}
-	trainDist := &api.JobRequest{Kind: api.KindTrainDist, TrainDist: &api.TrainDistSpec{
+	var tres api.TrainDistResult
+	if err := json.Unmarshal(runJob(t, r, &api.JobRequest{Kind: api.KindTrainDist, TrainDist: &api.TrainDistSpec{
 		Source: src, Threshold: 120, Workers: 2, Rounds: 2, BatchPerRound: 4, Net: net, NetSeed: 7, SampleSeed: 7,
+	}}), &tres); err != nil {
+		t.Fatal(err)
+	}
+	refs = append(refs, tres.CheckpointRef)
+	check("train_dist")
+	// A checkpoint blob's Raw is the stored payload itself: flood with the
+	// network it holds.
+	segment := &api.JobRequest{Kind: api.KindSegment, ResultMode: api.ResultModeRef, Segment: &api.SegmentSpec{
+		Source: src, Threshold: 120, NetRef: tres.CheckpointRef, SeedStride: [3]int{1, 4, 4}, ReturnMask: true,
 	}}
 	for _, req := range []*api.JobRequest{
 		segment,
@@ -114,14 +122,8 @@ func TestJobsLeaveResolvedBlobsUntouched(t *testing.T) {
 		runJob(t, r, req)
 		check(string(req.Kind))
 	}
-	var tres api.TrainDistResult
-	if err := json.Unmarshal(runJob(t, r, trainDist), &tres); err != nil {
-		t.Fatal(err)
-	}
-	refs = append(refs, tres.CheckpointRef)
-	check("train_dist")
 
-	// A checkpoint blob's Raw is the stored payload itself: resume from it.
+	// And resume from it.
 	runJob(t, r, &api.JobRequest{Kind: api.KindTrainDist, TrainDist: &api.TrainDistSpec{
 		Source: src, Threshold: 120, Workers: 2, Rounds: 3, ResumeFrom: tres.CheckpointRef,
 	}})
@@ -145,7 +147,7 @@ func TestJobsLeaveResolvedBlobsUntouched(t *testing.T) {
 		{Kind: api.KindLabel, Label: &api.LabelSpec{Source: msrc, Threshold: 0.5}},
 		{Kind: api.KindLabel, Label: &api.LabelSpec{Source: msrc, Threshold: 2}},
 		{Kind: api.KindSegment, ResultMode: api.ResultModeRef, Segment: &api.SegmentSpec{
-			Source: msrc, Threshold: 0.5, Net: net, SeedStride: [3]int{1, 4, 4}, TrainSteps: 4, ReturnMask: true,
+			Source: msrc, Threshold: 0.5, NetRef: tres.CheckpointRef, SeedStride: [3]int{1, 4, 4}, ReturnMask: true,
 		}},
 		{Kind: api.KindTrain, Train: &api.TrainSpec{Source: msrc, Threshold: 0.5, Steps: 6, Net: net}},
 	} {
@@ -194,7 +196,6 @@ func TestRetriedInlineSegmentSeesPristineData(t *testing.T) {
 			Threshold:  120,
 			Net:        &api.NetConfig{FOV: [3]int{3, 7, 7}, Features: 6, MoveProb: 0.6},
 			SeedStride: [3]int{1, 4, 4},
-			TrainSteps: 3,
 			ReturnMask: true,
 		}}
 	}
@@ -313,8 +314,8 @@ func TestJobAllocBounds(t *testing.T) {
 		// its frame; 21 MB when every sample's backward pass built its own
 		// activation cache and the all-reduce cloned the gradients.
 		{"train_dist", 2, func(*testing.T, *Runner) *api.JobRequest { return dist }, 2, 8, 350, 800},
-		// The sequential trainer — what a sweep fans out and segment's
-		// train_steps runs — borrows the same way (46 KB; 213 KB before).
+		// The sequential trainer — what a sweep fans out — borrows the same
+		// way (46 KB; 213 KB before).
 		{"train", 2, func(*testing.T, *Runner) *api.JobRequest {
 			return sweepChild(sweep.Sweep, "sweep", 0, ffn.Hyperparams{LR: 0.03, Momentum: 0.9, Features: 6, Modules: 2}, 30, 2)
 		}, 2, 8, 95, 170},

@@ -120,19 +120,14 @@ type trainingSet struct {
 	ownsRaw            bool
 }
 
-// openTrainingSet materializes src. labelled is false only for a segment
-// job that skips pretraining and so never reads the labels.
-func openTrainingSet(jc *JobContext, src *api.VolumeSource, threshold float32, labelled bool) (trainingSet, error) {
+// openTrainingSet materializes src.
+func openTrainingSet(jc *JobContext, src *api.VolumeSource, threshold float32) (trainingSet, error) {
 	in, err := sourceVolume(jc.Ctx(), jc, src)
 	if err != nil {
 		return trainingSet{}, err
 	}
-	set := trainingSet{raw: in.volume(), ownsRaw: in.owned}
-	if labelled {
-		set.labels = thresholdVolume(set.raw, threshold)
-	}
-	set.image = normalizedVolume(set.raw)
-	return set, nil
+	raw := in.volume()
+	return trainingSet{raw: raw, ownsRaw: in.owned, labels: thresholdVolume(raw, threshold), image: normalizedVolume(raw)}, nil
 }
 
 func (s *trainingSet) release() {
@@ -158,16 +153,6 @@ func optimizerDefaults(lr, momentum float32) (float32, float32) {
 // last fifth — the head/tail pair every training result reports.
 func lossSummary(losses []float64) (head, tail float64) {
 	return ffn.MeanTail(losses[:(len(losses)+4)/5], 1), ffn.MeanTail(losses, 0.2)
-}
-
-// runTrainer drives the sequential trainer for steps optimizer steps under
-// the job's context, reporting progress as stage "train". A cancelled run
-// returns the losses of the steps taken alongside the error.
-func runTrainer(jc *JobContext, net *ffn.Network, lr, momentum float32, sampleSeed uint64, image, labels *ffn.Volume, steps int) ([]float64, error) {
-	lr, momentum = optimizerDefaults(lr, momentum)
-	jc.Progress(0, int64(steps), "train")
-	return ffn.NewTrainer(net, lr, momentum, sampleSeed).TrainOnVolumeCtx(jc.Ctx(), image, labels, steps,
-		func(step int) { jc.Progress(int64(step), int64(steps), "train") })
 }
 
 // netConfig maps an optional api.NetConfig onto ffn defaults.
@@ -200,45 +185,72 @@ func netConfig(nc *api.NetConfig) ffn.Config {
 	return cfg
 }
 
-// SegmentHandler runs FFN flood-fill segmentation: optional pretraining on
-// the thresholded source, seed selection, then SegmentCtx. A cancelled
-// flood still returns the partial mask statistics alongside ctx.Err().
+// resolveCheckpoint loads the checkpoint a ref names — the network a segment
+// job floods with (net_ref), the state a train_dist job resumes
+// (resume_from). Its header arrived by upload, so the network is held to the
+// caps a network spelled out in a spec's net is held to before anything is
+// sized from its geometry.
+func resolveCheckpoint(jc *JobContext, ref string) (*ffn.Checkpoint, error) {
+	blob, err := jc.Datasets().Resolve(ref)
+	if err != nil {
+		return nil, err
+	}
+	ck, err := ffn.DecodeCheckpoint(blob.Raw)
+	if err != nil {
+		return nil, err
+	}
+	c := ck.Net.Config()
+	nc := api.NetConfig{FOV: c.FOV, Features: c.Features, Modules: c.Modules,
+		MoveStep: c.MoveStep, MoveProb: c.MoveProb, SegmentProb: c.SegmentProb}
+	if err := nc.Validate("checkpoint " + ref); err != nil {
+		return nil, err
+	}
+	return ck, nil
+}
+
+// SegmentHandler runs FFN flood-fill segmentation: the network (drawn from
+// net_seed, or the one a net_ref checkpoint holds), seed selection, then
+// SegmentCtx. A cancelled flood still returns the partial mask statistics
+// alongside ctx.Err().
 func SegmentHandler(jc *JobContext) (any, error) {
 	spec := jc.Request().Segment
-	set, err := openTrainingSet(jc, &spec.Source, spec.Threshold, spec.TrainSteps > 0)
+	var net *ffn.Network
+	if spec.NetRef != "" {
+		ck, err := resolveCheckpoint(jc, spec.NetRef)
+		if err != nil {
+			return nil, err
+		}
+		net = ck.Net
+	} else {
+		var err error
+		if net, err = ffn.NewNetwork(netConfig(spec.Net), spec.NetSeed); err != nil {
+			return nil, err
+		}
+	}
+	cfg := net.Config()
+	in, err := sourceVolume(jc.Ctx(), jc, &spec.Source)
 	if err != nil {
 		return nil, err
 	}
-	defer set.release()
-	cfg := netConfig(spec.Net)
-	net, err := ffn.NewNetwork(cfg, spec.NetSeed)
-	if err != nil {
-		return nil, err
+	raw := in.volume()
+	if in.owned {
+		defer ffn.ReleaseVolume(raw)
 	}
-	// Seeds, like labels, come from the raw field, before normalization.
+	// Seeds come from the raw field, before normalization.
 	seeds := spec.Seeds
 	if len(seeds) == 0 {
 		stride := spec.SeedStride
 		if stride == [3]int{} {
 			stride = cfg.FOV
 		}
-		seeds = ffn.GridSeeds(set.raw, cfg.FOV, stride, spec.Threshold)
+		seeds = ffn.GridSeeds(raw, cfg.FOV, stride, spec.Threshold)
 	}
+	image := normalizedVolume(raw)
+	defer ffn.ReleaseVolume(image)
 
 	res := api.SegmentResult{}
-	if spec.TrainSteps > 0 {
-		losses, err := runTrainer(jc, net, 0, 0, spec.NetSeed+1, set.image, set.labels, spec.TrainSteps)
-		res.TrainSteps = len(losses)
-		res.TrainLossHead, res.TrainLossTail = lossSummary(losses)
-		if err != nil {
-			// Cancelled (or failed) mid-training: keep the partial
-			// training stats in the result, matching the flood phase.
-			return res, err
-		}
-	}
-
 	jc.Progress(0, 0, "segment")
-	mask, stats, segErr := net.SegmentCtx(jc.Ctx(), set.image, seeds, spec.MaxSteps,
+	mask, stats, segErr := net.SegmentCtx(jc.Ctx(), image, seeds, spec.MaxSteps,
 		func(steps int) { jc.Progress(int64(steps), 0, "segment") })
 	// The mask is packed (stored or inlined) below and then recycled.
 	defer ffn.ReleaseVolume(mask)
@@ -378,7 +390,7 @@ func IVTHandler(jc *JobContext) (any, error) {
 // evaluation unit sweep jobs fan out over.
 func TrainHandler(jc *JobContext) (any, error) {
 	spec := jc.Request().Train
-	set, err := openTrainingSet(jc, &spec.Source, spec.Threshold, true)
+	set, err := openTrainingSet(jc, &spec.Source, spec.Threshold)
 	if err != nil {
 		return nil, err
 	}
@@ -405,7 +417,10 @@ func TrainHandler(jc *JobContext) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	losses, trainErr := runTrainer(jc, net, spec.LR, spec.Momentum, spec.SampleSeed, trainImg, trainLbl, spec.Steps)
+	lr, momentum := optimizerDefaults(spec.LR, spec.Momentum)
+	jc.Progress(0, int64(spec.Steps), "train")
+	losses, trainErr := ffn.NewTrainer(net, lr, momentum, spec.SampleSeed).TrainOnVolumeCtx(jc.Ctx(), trainImg, trainLbl, spec.Steps,
+		func(step int) { jc.Progress(int64(step), int64(spec.Steps), "train") })
 	if len(losses) == 0 {
 		return nil, trainErr
 	}

@@ -504,22 +504,21 @@ func (r *Runner) Submit(req *api.JobRequest, owner string) (api.JobStatus, error
 		r.countTenant("jobs_shed", owner)
 		return api.JobStatus{}, err
 	}
-	// Dangling refs fail fast at submit (same ErrInvalid surface as schema
-	// problems) instead of minutes later on a worker. VisibleTo also
-	// enforces the gateway's dataset ownership scope — otherwise a caller
-	// who learned another identity's ref could compute over (and read
-	// derivatives of) data GET /v1/datasets/{id} would refuse them. Missing
-	// and forbidden refs produce the same message, so submit is not an
-	// existence oracle for private refs. Each ref is pinned (before the
-	// check, so a concurrent delete cannot slip between the two) until the
-	// job reaches a terminal state — a ref accepted here is still
-	// resolvable when a worker finally runs the job.
+	// Dangling and mistyped refs fail fast at submit (same ErrInvalid
+	// surface as schema problems) instead of minutes later on a worker.
+	// Each ref is pinned (before the check, so a concurrent delete cannot
+	// slip between the two) until the job reaches a terminal state — a ref
+	// accepted here is still resolvable when a worker finally runs the job.
 	refs := req.Refs()
+	sources := len(refs) // Refs puts the checkpoint ref, if any, last
+	if req.CheckpointRef() != "" {
+		sources--
+	}
 	for i, ref := range refs {
 		r.datasets.Pin(ref)
-		if !r.datasets.VisibleTo(ref, owner) {
+		if err := r.checkRef(ref, owner, i >= sources); err != nil {
 			r.refuse(refs[:i+1], owner)
-			return api.JobStatus{}, fmt.Errorf("%w: source ref %s is not in the dataset store", api.ErrInvalid, ref)
+			return api.JobStatus{}, err
 		}
 	}
 	seq := r.store.Incr(seqKey, 1)
@@ -564,6 +563,30 @@ func (r *Runner) Submit(req *api.JobRequest, owner string) (api.JobStatus, error
 	r.pendingGauges(j, +1)
 	r.disp.kick(j, pl)
 	return r.statusOf(j), nil
+}
+
+// checkRef is Submit's test of one ref: owner may see it, and it names the
+// kind of dataset its place in the request reads — a checkpoint where a
+// network is loaded, a volume or a mask where a field is. VisibleTo also
+// enforces the gateway's dataset ownership scope — otherwise a caller who
+// learned another identity's ref could compute over (and read derivatives
+// of) data GET /v1/datasets/{id} would refuse them. Missing and forbidden
+// refs produce the same message, so submit is not an existence oracle for
+// private refs. The kind is read from the store's metadata: no payload is
+// touched and, on the accepting path, nothing is allocated.
+func (r *Runner) checkRef(ref, owner string, checkpoint bool) error {
+	if !r.datasets.VisibleTo(ref, owner) {
+		return fmt.Errorf("%w: source ref %s is not in the dataset store", api.ErrInvalid, ref)
+	}
+	info, _ := r.datasets.Stat(ref) // pinned and visible: it is there
+	if (info.Kind == dataset.KindCheckpoint.String()) != checkpoint {
+		want := "volume or mask"
+		if checkpoint {
+			want = dataset.KindCheckpoint.String()
+		}
+		return fmt.Errorf("%w: ref %s is a %s dataset, want %s", api.ErrInvalid, ref, info.Kind, want)
+	}
+	return nil
 }
 
 // refuse repays what Submit took before it turned a request away: the pins

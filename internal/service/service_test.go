@@ -474,16 +474,16 @@ func TestTerminalJobEviction(t *testing.T) {
 	}
 }
 
-// TestCancelDuringPretrainKeepsPartialTrainStats: a segment job
-// cancelled in its train stage still records the optimizer steps taken.
-func TestCancelDuringPretrainKeepsPartialTrainStats(t *testing.T) {
+// TestCancelDuringTrainKeepsPartialSteps: a train job cancelled mid-training
+// still records the optimizer steps taken.
+func TestCancelDuringTrainKeepsPartialSteps(t *testing.T) {
 	r, _ := newTestRunner(t, DefaultRegistry(), 1)
 	st, err := r.Submit(&api.JobRequest{
-		Kind: api.KindSegment,
-		Segment: &api.SegmentSpec{
-			Source:     api.VolumeSource{Synth: &api.SynthSpec{NLon: 24, NLat: 16, NLev: 3, Steps: 6, Seed: 2}},
-			Threshold:  120,
-			TrainSteps: 100000, // hours of training; cancelled almost immediately
+		Kind: api.KindTrain,
+		Train: &api.TrainSpec{
+			Source:    api.VolumeSource{Synth: &api.SynthSpec{NLon: 24, NLat: 16, NLev: 3, Steps: 6, Seed: 2}},
+			Threshold: 120,
+			Steps:     100000, // hours of training; cancelled almost immediately
 		},
 	}, "")
 	if err != nil {
@@ -496,12 +496,12 @@ func TestCancelDuringPretrainKeepsPartialTrainStats(t *testing.T) {
 		t.Fatalf("state = %s", final.State)
 	}
 	raw, _, _ := r.Result(st.ID)
-	var res api.SegmentResult
+	var res api.TrainResult
 	if err := json.Unmarshal(raw, &res); err != nil {
 		t.Fatalf("missing partial result: %v (raw %q)", err, raw)
 	}
-	if res.TrainSteps == 0 || res.TrainSteps >= 100000 {
-		t.Fatalf("partial train steps = %d", res.TrainSteps)
+	if res.Steps == 0 || res.Steps >= 100000 {
+		t.Fatalf("partial train steps = %d", res.Steps)
 	}
 }
 

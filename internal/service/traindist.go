@@ -45,7 +45,7 @@ func putCheckpoint(jc *JobContext, refs *pipeRefs, t *ffn.DistTrainer) (string, 
 // success, error, cancel, or a panic unwinding through it.
 func TrainDistHandler(jc *JobContext) (any, error) {
 	spec := jc.Request().TrainDist
-	set, err := openTrainingSet(jc, &spec.Source, spec.Threshold, true)
+	set, err := openTrainingSet(jc, &spec.Source, spec.Threshold)
 	if err != nil {
 		return nil, err
 	}
@@ -55,15 +55,7 @@ func TrainDistHandler(jc *JobContext) (any, error) {
 	res := api.TrainDistResult{}
 	if spec.ResumeFrom != "" {
 		jc.Progress(0, 1, "resume")
-		blob, err := jc.Datasets().Resolve(spec.ResumeFrom)
-		if err != nil {
-			return nil, err
-		}
-		if blob.Kind != dataset.KindCheckpoint {
-			return nil, fmt.Errorf("%w: resume ref %s is a %s dataset, want checkpoint",
-				api.ErrInvalid, spec.ResumeFrom, blob.Kind)
-		}
-		ck, err := ffn.DecodeCheckpoint(blob.Raw)
+		ck, err := resolveCheckpoint(jc, spec.ResumeFrom)
 		if err != nil {
 			return nil, err
 		}

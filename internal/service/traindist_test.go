@@ -166,8 +166,8 @@ func TestGatewayTrainDistCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestGatewayTrainDistResumeRejections: a dangling resume ref dies at
-// submit with a 400, and a ref of the wrong dataset kind fails the job.
+// TestGatewayTrainDistResumeRejections: a dangling resume ref and a ref of
+// the wrong dataset kind both die at submit with a 400.
 func TestGatewayTrainDistResumeRejections(t *testing.T) {
 	f := newGWFixture(t, true)
 	req := &api.JobRequest{
@@ -202,13 +202,12 @@ func TestGatewayTrainDistResumeRejections(t *testing.T) {
 		t.Fatal("segment in ref mode returned no mask ref")
 	}
 	req.TrainDist.ResumeFrom = segRes.MaskRef
-	var sub api.SubmitResponse
-	if resp := f.do("POST", "/v1/jobs", req, &sub); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("wrong-kind resume submit: status %d", resp.StatusCode)
+	resp = f.do("POST", "/v1/jobs", req, &apiErr)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, "want checkpoint") {
+		t.Fatalf("wrong-kind resume ref: status %d, err %q", resp.StatusCode, apiErr.Error)
 	}
-	stat := waitState(t, f.runner, sub.ID, terminal)
-	if stat.State != api.StateFailed || !strings.Contains(stat.Error, "want checkpoint") {
-		t.Fatalf("wrong-kind resume: %s (%s)", stat.State, stat.Error)
+	if err := f.runner.LeakCheck(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 	"sort"
 	"strings"
 
-	"chaseci/internal/connect"
+	"chaseci/internal/api"
 	"chaseci/internal/ffn"
 )
 
@@ -117,25 +117,19 @@ func ASCIISlice(data []float32, h, w, maxCols int) string {
 	return b.String()
 }
 
-// ObjectReport renders CONNECT object statistics as the post-processing
-// table a notebook cell would show: per-object life cycle plus aggregates.
-func ObjectReport(r *connect.Result) string {
+// ObjectReport renders a label job's CONNECT object statistics as the
+// post-processing table a notebook cell would show: per-object life cycle
+// (the objects the result lists, largest first) plus aggregates.
+func ObjectReport(r *api.LabelResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s %8s %8s %8s %10s %24s\n",
-		"id", "voxels", "genesis", "term", "peak-area", "genesis-centroid(y,x)")
-	objs := append([]*connect.Object(nil), r.Objects...)
-	sort.Slice(objs, func(i, j int) bool { return objs[i].Voxels > objs[j].Voxels })
+	fmt.Fprintf(&b, "%-6s %8s %8s %8s %10s\n", "id", "voxels", "genesis", "term", "peak-area")
+	objs := append([]api.ObjectSummary(nil), r.Top...)
+	sort.SliceStable(objs, func(i, j int) bool { return objs[i].Voxels > objs[j].Voxels })
 	for _, o := range objs {
-		cy, cx := 0.0, 0.0
-		if len(o.Pathway) > 0 {
-			cy, cx = o.Pathway[0][0], o.Pathway[0][1]
-		}
-		fmt.Fprintf(&b, "%-6d %8d %8d %8d %10d %12.1f,%9.1f\n",
-			o.ID, o.Voxels, o.Genesis, o.Termination, o.PeakArea, cy, cx)
+		fmt.Fprintf(&b, "%-6d %8d %8d %8d %10d\n", o.ID, o.Voxels, o.Genesis, o.Termination, o.PeakArea)
 	}
-	s := connect.Summarize(r)
 	fmt.Fprintf(&b, "\n%d objects, %d voxels total, mean duration %.1f steps, max %d steps\n",
-		s.Objects, s.TotalVoxels, s.MeanDuration, s.MaxDuration)
+		r.Objects, r.TotalVoxels, r.MeanDuration, r.MaxDuration)
 	return b.String()
 }
 

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"chaseci/internal/connect"
+	"chaseci/internal/api"
 	"chaseci/internal/ffn"
 )
 
@@ -80,17 +80,18 @@ func TestASCIISliceShape(t *testing.T) {
 }
 
 func TestObjectReportListsObjects(t *testing.T) {
-	v := connect.NewVolume(3, 4, 4)
-	v.Set(0, 1, 1)
-	v.Set(1, 1, 1)
-	v.Set(0, 3, 3)
-	r := connect.Label(v, connect.Conn26, 0)
-	out := ObjectReport(r)
+	out := ObjectReport(&api.LabelResult{
+		Objects: 2, TotalVoxels: 3, MeanDuration: 1.5, MaxDuration: 2,
+		Top: []api.ObjectSummary{{ID: 1, Voxels: 1, PeakArea: 1}, {ID: 2, Voxels: 2, Termination: 1, PeakArea: 1}},
+	})
 	if !strings.Contains(out, "2 objects") {
 		t.Fatalf("report:\n%s", out)
 	}
 	if !strings.Contains(out, "genesis") {
 		t.Fatal("missing header")
+	}
+	if strings.Index(out, "\n2 ") > strings.Index(out, "\n1 ") {
+		t.Fatalf("objects not listed largest first:\n%s", out)
 	}
 }
 
