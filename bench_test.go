@@ -16,6 +16,7 @@
 package chaseci
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -316,10 +317,16 @@ func BenchmarkBaselineConnect(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr := ffn.NewTrainer(net, 0.03, 0.9, 99)
-	if _, err := tr.TrainOnVolume(img, lbl, 300); err != nil {
+	tr, err := ffn.NewDistTrainer(net, 0.03, 0.9, img, lbl, 99, 1, 1)
+	if err != nil {
 		b.Fatal(err)
 	}
+	for tr.RoundIndex() < 300 {
+		if _, err := tr.Round(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	tr.Release()
 	seeds := ffn.GridSeeds(img, cfg.FOV, [3]int{1, 4, 4}, 1.0)
 
 	var iou float64
@@ -477,7 +484,8 @@ func BenchmarkSegmentWorkers(b *testing.B) {
 }
 
 // BenchmarkFFNTrainStep measures one real SGD step (forward + backward +
-// update) on the experiment-scale network.
+// update) on the experiment-scale network: a batch-1 round on one worker,
+// what a train job runs per step.
 func BenchmarkFFNTrainStep(b *testing.B) {
 	cfg := ffn.DefaultConfig()
 	cfg.FOV = [3]int{3, 7, 7}
@@ -486,12 +494,19 @@ func BenchmarkFFNTrainStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt := tensor.NewSGD(0.01, 0.9)
-	img := tensor.New(1, 3, 7, 7)
-	lab := tensor.New(1, 3, 7, 7)
+	// A one-FOV volume: every round samples its only center.
+	img, lbl := ffn.NewVolume(3, 7, 7), ffn.NewVolume(3, 7, 7)
+	tr, err := ffn.NewDistTrainer(net, 0.01, 0.9, img, lbl, 1, 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tr.Release()
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.TrainStep(opt, img, lab)
+		if _, err := tr.Round(ctx); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -758,7 +758,7 @@ func (s *TrainDistSpec) validate() error {
 	return nil
 }
 
-// SweepSpec expands the cartesian hyperparameter grid (ffn.Grid) and fans
+// SweepSpec expands the cartesian hyperparameter grid (Candidates) and fans
 // one train job per candidate out through the service's admission-controlled
 // fair queue, each training on the leading split of the source and validated
 // on the trailing holdout. The result is a leaderboard ranked by F1.
@@ -841,6 +841,29 @@ func (s *SweepSpec) validate() error {
 		return invalidf("sweep.parallel must be in [0,%d], got %d", maxDistWorkers, s.Parallel)
 	}
 	return nil
+}
+
+// Candidates expands the cartesian product of the grid axes, learning rate
+// outermost and train steps innermost. An empty modules axis sweeps the
+// historical default depth of 2.
+func (s *SweepSpec) Candidates() []SweepParams {
+	modules := s.Modules
+	if len(modules) == 0 {
+		modules = []int{2}
+	}
+	var out []SweepParams
+	for _, lr := range s.LRs {
+		for _, m := range s.Momentums {
+			for _, f := range s.Features {
+				for _, mod := range modules {
+					for _, st := range s.TrainSteps {
+						out = append(out, SweepParams{LR: lr, Momentum: m, Features: f, Modules: mod, TrainSteps: st})
+					}
+				}
+			}
+		}
+	}
+	return out
 }
 
 // WorkflowStep declares one step of a measured virtual-time DAG.
@@ -1176,8 +1199,8 @@ type TrainDistResult struct {
 	Checkpoints   []CheckpointInfo `json:"checkpoints,omitempty"`
 }
 
-// SweepParams is one grid candidate (mirrors ffn.Hyperparams; the api
-// package stays pure schema).
+// SweepParams is one grid candidate: what a sweep job's leaderboard reports
+// and what core's queue-driven sweep carries as a Redis message.
 type SweepParams struct {
 	LR         float32 `json:"lr"`
 	Momentum   float32 `json:"momentum"`

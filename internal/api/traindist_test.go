@@ -1,6 +1,7 @@
 package api
 
 import (
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -142,5 +143,47 @@ func TestSweepSpecRejections(t *testing.T) {
 	})
 	if err := atCap.Validate(); err != nil {
 		t.Fatalf("64-candidate grid rejected: %v", err)
+	}
+}
+
+// TestHyperparamsRoundTrip: a candidate survives the JSON that core's sweep
+// queue carries, under the field names its messages and stored results have
+// always used.
+func TestHyperparamsRoundTrip(t *testing.T) {
+	h := SweepParams{LR: 0.03, Momentum: 0.9, Features: 6, Modules: 2, TrainSteps: 300}
+	msg, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"lr":0.03,"momentum":0.9,"features":6,"modules":2,"train_steps":300}`; string(msg) != want {
+		t.Fatalf("message = %s, want %s", msg, want)
+	}
+	var back SweepParams
+	if err := json.Unmarshal(msg, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back != h {
+		t.Fatalf("round trip = %+v, want %+v", back, h)
+	}
+}
+
+func TestGridCartesianProduct(t *testing.T) {
+	spec := &SweepSpec{
+		LRs: []float32{0.01, 0.03}, Momentums: []float32{0.8, 0.9}, Features: []int{4},
+		Modules: []int{1, 2}, TrainSteps: []int{100, 200, 300},
+	}
+	g := spec.Candidates()
+	if len(g) != 24 {
+		t.Fatalf("grid size = %d, want 24", len(g))
+	}
+	// Learning rate outermost, train steps innermost.
+	first, last := SweepParams{0.01, 0.8, 4, 1, 100}, SweepParams{0.03, 0.9, 4, 2, 300}
+	if g[0] != first || g[1].TrainSteps != 200 || g[23] != last {
+		t.Fatalf("grid order: first %+v, second %+v, last %+v", g[0], g[1], g[23])
+	}
+	// An empty modules axis sweeps the historical default depth of 2.
+	spec = &SweepSpec{LRs: []float32{0.01}, Momentums: []float32{0.9}, Features: []int{4}, TrainSteps: []int{100}}
+	if g = spec.Candidates(); len(g) != 1 || g[0].Modules != 2 {
+		t.Fatalf("default modules grid = %+v, want one candidate with Modules 2", g)
 	}
 }

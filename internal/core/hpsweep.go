@@ -8,7 +8,6 @@ import (
 
 	"chaseci/internal/api"
 	"chaseci/internal/cluster"
-	"chaseci/internal/ffn"
 	"chaseci/internal/gpusim"
 	"chaseci/internal/queue"
 	"chaseci/internal/service"
@@ -24,7 +23,7 @@ import (
 type SweepConfig struct {
 	Namespace string
 	// Candidates is the parameter grid to evaluate.
-	Candidates []ffn.Hyperparams
+	Candidates []api.SweepParams
 	// Workers is the validation pod count.
 	Workers int
 	// Scene sizes the real data; TrainFraction of its time steps train, the
@@ -41,13 +40,13 @@ type SweepConfig struct {
 func DefaultSweep() SweepConfig {
 	return SweepConfig{
 		Namespace: "hp-sweep",
-		Candidates: ffn.Grid(
-			[]float32{0.01, 0.03},
-			[]float32{0.9},
-			[]int{6},
-			[]int{1, 2},
-			[]int{200},
-		),
+		Candidates: (&api.SweepSpec{
+			LRs:        []float32{0.01, 0.03},
+			Momentums:  []float32{0.9},
+			Features:   []int{6},
+			Modules:    []int{1, 2},
+			TrainSteps: []int{200},
+		}).Candidates(),
 		Workers:       4,
 		Scene:         defaultSweepScene(),
 		TrainFraction: 0.67,
@@ -62,10 +61,11 @@ func defaultSweepScene() *RealComputeConfig {
 	return rc
 }
 
-// SweepResult reports the sweep.
+// SweepResult reports the sweep. An entry's JobID is empty: each candidate
+// is scored by a job on a runner private to the sweep.
 type SweepResult struct {
-	Results     []ffn.ValidationResult
-	Best        ffn.ValidationResult
+	Results     []api.SweepEntry
+	Best        api.SweepEntry
 	VirtualTime time.Duration
 	PodsUsed    int
 }
@@ -109,9 +109,13 @@ func (e *Ecosystem) RunHyperparameterSweep(cfg SweepConfig) (*SweepResult, error
 	holdout := src.D - trainSteps
 	trainVoxels := trainSteps * src.H * src.W
 
-	// Queue the parameter sets.
+	// Queue the parameter sets, one JSON message each.
 	for _, h := range cfg.Candidates {
-		e.Queue.LPush(sweepQueueKey, h.Encode())
+		msg, err := json.Marshal(h)
+		if err != nil {
+			return nil, err
+		}
+		e.Queue.LPush(sweepQueueKey, string(msg))
 	}
 
 	runner := service.NewRunnerConfigured(service.DefaultRegistry(), queue.NewStore(), service.RunnerConfig{Workers: cfg.Workers})
@@ -121,7 +125,7 @@ func (e *Ecosystem) RunHyperparameterSweep(cfg SweepConfig) (*SweepResult, error
 	start := e.Clock.Now()
 	var evalErr error
 
-	evaluate := func(h ffn.Hyperparams) (ffn.ValidationResult, error) {
+	evaluate := func(h api.SweepParams) (api.SweepEntry, error) {
 		var tr api.TrainResult
 		err := runJob(runner, &api.JobRequest{
 			Kind: api.KindTrain,
@@ -139,9 +143,9 @@ func (e *Ecosystem) RunHyperparameterSweep(cfg SweepConfig) (*SweepResult, error
 			},
 		}, &tr)
 		if err != nil {
-			return ffn.ValidationResult{}, err
+			return api.SweepEntry{}, err
 		}
-		return ffn.ValidationResult{
+		return api.SweepEntry{
 			Params:    h,
 			TrainLoss: tr.LossTail,
 			Precision: tr.Precision,
@@ -168,10 +172,10 @@ func (e *Ecosystem) RunHyperparameterSweep(cfg SweepConfig) (*SweepResult, error
 						pc.Succeed()
 						return
 					}
-					h, err := ffn.DecodeHyperparams(msg)
-					if err != nil {
-						evalErr = err
-						pc.Fail(err.Error())
+					var h api.SweepParams
+					if err := json.Unmarshal([]byte(msg), &h); err != nil {
+						evalErr = fmt.Errorf("core: bad hyperparameter message: %w", err)
+						pc.Fail(evalErr.Error())
 						return
 					}
 					// Real evaluation through the job kind; GPU time modeled
@@ -188,7 +192,7 @@ func (e *Ecosystem) RunHyperparameterSweep(cfg SweepConfig) (*SweepResult, error
 						pc.Fail(err.Error())
 						return
 					}
-					key := fmt.Sprintf("results/%s.json", h.Encode())
+					key := fmt.Sprintf("results/%s.json", msg)
 					if err := mount.WriteFile(key, out); err != nil {
 						evalErr = err
 						pc.Fail(err.Error())
@@ -221,7 +225,7 @@ func (e *Ecosystem) RunHyperparameterSweep(cfg SweepConfig) (*SweepResult, error
 		if err != nil {
 			return nil, err
 		}
-		var vr ffn.ValidationResult
+		var vr api.SweepEntry
 		if err := json.Unmarshal(data, &vr); err != nil {
 			return nil, err
 		}

@@ -265,31 +265,3 @@ func TestSegmentReusesBatchScratch(t *testing.T) {
 		t.Fatal("batched scratch was not recycled through the pool")
 	}
 }
-
-// TestTrainStepAllocFree pins the training hot path at zero steady-state
-// heap allocations (tightened from the earlier <= 2 guard: the scratch and
-// optimizer state are fully preallocated after the first step).
-func TestTrainStepAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under the race detector; alloc pins run in the non-race job")
-	}
-	cfg := DefaultConfig()
-	cfg.FOV = [3]int{3, 7, 7}
-	cfg.Features = 4
-	net, err := NewNetwork(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := tensor.NewSGD(0.01, 0.9)
-	img := synthVolume(8, 3, 7, 7)
-	lab := NewVolume(3, 7, 7)
-	it := extractFOV(img, cfg.FOV, 1, 3, 3)
-	lt := extractFOV(lab, cfg.FOV, 1, 3, 3)
-	net.TrainStep(opt, it, lt) // warm scratch + velocity maps
-	allocs := testing.AllocsPerRun(50, func() {
-		net.TrainStep(opt, it, lt)
-	})
-	if allocs != 0 {
-		t.Fatalf("TrainStep steady-state allocs/op = %v, want 0", allocs)
-	}
-}

@@ -112,54 +112,3 @@ func TestSegmentCtxCancelSharded(t *testing.T) {
 		t.Fatalf("cancelled sharded run took %d steps, want at most %d (one batch per lane)", stats.Steps, limit)
 	}
 }
-
-// TestTrainOnVolumeCtxCancel cancels after a fixed number of optimizer
-// steps and expects exactly the losses taken so far.
-func TestTrainOnVolumeCtxCancel(t *testing.T) {
-	img, lbl := buildARScene(t, 4)
-	net, err := NewNetwork(smallConfig(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := NewTrainer(net, 0.03, 0.9, 99)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	const stopAt = 7
-	losses, err := tr.TrainOnVolumeCtx(ctx, img, lbl, 100, func(step int) {
-		if step == stopAt {
-			cancel()
-		}
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(losses) != stopAt {
-		t.Fatalf("got %d losses, want %d", len(losses), stopAt)
-	}
-}
-
-// TestTrainOnVolumeCtxMatchesPlain pins the wrapper equivalence: same
-// seeds, same loss sequence.
-func TestTrainOnVolumeCtxMatchesPlain(t *testing.T) {
-	img, lbl := buildARScene(t, 4)
-	mk := func() *Trainer {
-		net, err := NewNetwork(smallConfig(), 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return NewTrainer(net, 0.03, 0.9, 99)
-	}
-	want, err := mk().TrainOnVolume(img, lbl, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := mk().TrainOnVolumeCtx(context.Background(), img, lbl, 25, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("loss %d diverges: %v vs %v", i, got[i], want[i])
-		}
-	}
-}

@@ -19,13 +19,13 @@ import (
 // invariant sampling scheme. Every round draws one global batch of FOV
 // centers from an RNG derived only from (SampleSeed, round index); the
 // examples are sharded across W worker goroutines, each with its own
-// scratch, that run the same forward+backward pass TrainStep runs against
-// the shared (read-only) network, sample i writing row i of one batch x P
-// gradient matrix. The all-reduce sums the rows in global sample order and
-// scales by 1/batch, and one optimizer step applies the mean to the flat
-// parameter vector. The resulting loss sequence is therefore bit-identical
+// scratch, that run exampleGrad against the shared (read-only) network,
+// sample i writing row i of one batch x P gradient matrix. The all-reduce
+// sums the rows in global sample order and scales by 1/batch, and one
+// optimizer step applies the mean to the flat parameter vector. The resulting loss sequence is therefore bit-identical
 // at any worker count, under elastic worker changes between rounds, and
-// across a checkpoint/restore boundary; at batch 1 a round is TrainStep.
+// across a checkpoint/restore boundary. At batch 1 on one worker a round is
+// one SGD step on one example — the train job kind.
 //
 // Ownership: the gradient matrix, the FOV-center index and each worker's
 // scratch are borrowed from the tensor free list — a job builds a new
@@ -38,8 +38,6 @@ import (
 type DistTrainer struct {
 	Net *Network
 	Opt *tensor.SGD
-	// PositiveBias matches Trainer's balanced sampling (default 0.5).
-	PositiveBias float64
 
 	img, lbl *Volume
 	centers  fovCenters
@@ -109,7 +107,7 @@ func newDistTrainer(net *Network, opt *tensor.SGD, img, lbl *Volume, sampleSeed 
 		return nil, err
 	}
 	return &DistTrainer{
-		Net: net, Opt: opt, PositiveBias: 0.5,
+		Net: net, Opt: opt,
 		img: img, lbl: lbl, centers: centers,
 		sampleSeed: sampleSeed, batch: batchPerRound, workers: workers,
 		round: round, losses: losses,
@@ -177,7 +175,7 @@ func (t *DistTrainer) Round(ctx context.Context) (float64, error) {
 	}
 	rng := t.roundRNG(t.round)
 	for i := range t.batchCenters {
-		t.batchCenters[i] = t.centers.draw(rng, t.PositiveBias)
+		t.batchCenters[i] = t.centers.draw(rng)
 	}
 
 	w := min(t.workers, t.batch)

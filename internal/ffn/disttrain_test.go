@@ -228,8 +228,9 @@ func TestDistTrainerRoundCancelled(t *testing.T) {
 }
 
 // TestBatchOneRoundIsTrainStep: a batch-1 Round on center c leaves the same
-// loss and the same weights, bit for bit, as TrainStep on c — the all-reduce
-// over one row and the shared optimizer step add nothing of their own.
+// loss and the same weights, bit for bit, as one SGD step on c (refStep:
+// exampleGrad, then step) — the all-reduce over one row adds nothing of its
+// own.
 func TestBatchOneRoundIsTrainStep(t *testing.T) {
 	mk := func() *Network {
 		n, err := NewNetwork(smallConfig(), 5)
@@ -247,17 +248,17 @@ func TestBatchOneRoundIsTrainStep(t *testing.T) {
 	opt := tensor.NewSGD(0.03, 0.9)
 	fov := smallConfig().FOV
 	for r := 0; r < 3; r++ {
-		c := tr.centers.draw(tr.roundRNG(r), tr.PositiveBias)
-		lossA := a.TrainStep(opt, extractFOV(img, fov, c[0], c[1], c[2]), extractFOV(lbl, fov, c[0], c[1], c[2]))
+		c := tr.centers.draw(tr.roundRNG(r))
+		lossA := refStep(a, opt, extractFOV(img, fov, c[0], c[1], c[2]), extractFOV(lbl, fov, c[0], c[1], c[2]))
 		lossB, err := tr.Round(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if lossA != lossB {
-			t.Fatalf("round %d: losses differ: TrainStep %v, Round %v", r, lossA, lossB)
+			t.Fatalf("round %d: losses differ: one SGD step %v, Round %v", r, lossA, lossB)
 		}
 		if !bytes.Equal(a.SaveBytes(), b.SaveBytes()) {
-			t.Fatalf("round %d: batch-1 Round diverged from serial TrainStep", r)
+			t.Fatalf("round %d: batch-1 Round diverged from one SGD step", r)
 		}
 	}
 }
@@ -271,9 +272,8 @@ func TestBatchOneRoundIsTrainStep(t *testing.T) {
 func TestModelAndCheckpointBytesAreStable(t *testing.T) {
 	defer parallel.SetWorkers(parallel.SetWorkers(1))
 	const (
-		modelSHA   = "7f02cd67aa4fd6ee7ed3e6b2d92765be0017ac17eb85c2ee54c76cc83dcfe217"
-		ckptSHA    = "a495112d375d80271bddc4176a985e081ea84da88d3be830d2f4213551314b74"
-		trainerSHA = "15399611dcffaf929cda215178860a7a4421b63970d6ccd3161c75e05b18498d"
+		modelSHA = "7f02cd67aa4fd6ee7ed3e6b2d92765be0017ac17eb85c2ee54c76cc83dcfe217"
+		ckptSHA  = "a495112d375d80271bddc4176a985e081ea84da88d3be830d2f4213551314b74"
 	)
 	sum := func(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
 
@@ -306,19 +306,6 @@ func TestModelAndCheckpointBytesAreStable(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, func() { frame = tr.Checkpoint().AppendTo(frame[:20]) }); allocs != 0 || len(frame) != cap(frame) || !bytes.Equal(frame[20:], want) {
 		t.Errorf("Checkpoint().AppendTo a frame: %.0f allocs, len %d cap %d, same bytes %v; want 0 allocs, exact fit, identical",
 			allocs, len(frame), cap(frame), bytes.Equal(frame[20:], want))
-	}
-
-	// The sequential trainer: 40 losses, then the trained model.
-	n, _ = NewNetwork(smallConfig(), 3)
-	losses, err := NewTrainer(n, 0.03, 0.9, 99).TrainOnVolume(img, lbl, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	binary.Write(&buf, binary.LittleEndian, losses)
-	buf.Write(n.SaveBytes())
-	if got := sum(buf.Bytes()); got != trainerSHA {
-		t.Errorf("40 Trainer steps hash %s, want %s", got, trainerSHA)
 	}
 }
 
@@ -445,41 +432,6 @@ func TestDistTrainerOverDirtyBuffersMatchesFresh(t *testing.T) {
 	}
 	if !bytes.Equal(freshCkpt, dirtyCkpt) {
 		t.Fatal("checkpoint bytes over dirty buffers differ from those over fresh memory")
-	}
-}
-
-// TestTrainerOverDirtyBuffersMatchesFresh is the sequential twin: Trainer
-// borrows and returns within TrainOnVolume, so the second of two runs in one
-// process always trains over the first one's poisoned leftovers.
-func TestTrainerOverDirtyBuffersMatchesFresh(t *testing.T) {
-	img, lbl := buildARScene(t, 6)
-	cfg := smallConfig()
-	probe, err := collectCenters(lbl, cfg.FOV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, _ := NewNetwork(cfg, 3)
-	ts := net.newTrainScratch()
-	lens := []int{len(probe.buf), len(ts.slab), len(net.params)}
-
-	run := func(zero bool) ([]float64, []byte) {
-		stockFreeList(lens, zero)
-		n, _ := NewNetwork(cfg, 3)
-		losses, err := NewTrainer(n, 0.03, 0.9, 99).TrainOnVolume(img, lbl, 40)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return losses, n.SaveBytes()
-	}
-	freshLosses, freshModel := run(true)
-	dirtyLosses, dirtyModel := run(false)
-	for s, l := range freshLosses {
-		if dirtyLosses[s] != l {
-			t.Fatalf("step %d: loss over dirty buffers %v, over fresh memory %v", s, dirtyLosses[s], l)
-		}
-	}
-	if !bytes.Equal(freshModel, dirtyModel) {
-		t.Fatal("model bytes over dirty buffers differ from those over fresh memory")
 	}
 }
 

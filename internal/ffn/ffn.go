@@ -13,10 +13,10 @@
 // (paramViews), with the conv weights and biases as views into it; a
 // gradient, the optimizer's momentum and the serialized model are the same
 // vector shape, so saving, checkpointing, the all-reduce and the optimizer
-// step are each one pass over a slice. There is one gradient path: every
-// trainer — TrainStep, Trainer, DistTrainer — runs exampleGrad (forwardInto
-// then backwardInto over a reusable trainScratch, writing one gradient row)
-// and then step.
+// step are each one pass over a slice. There is one trainer, DistTrainer: a
+// round runs exampleGrad (forwardInto then backwardInto over a reusable
+// trainScratch, writing one gradient row) per sample, averages the rows and
+// applies step.
 package ffn
 
 import (
@@ -162,9 +162,7 @@ type Network struct {
 	params []float32
 	paramViews
 
-	ts   *trainScratch // TrainStep's lazily built buffers...
-	grad []float32     // ...and its gradient row
-	qn   *quantNet     // lazily built quantized weights (nil after training)
+	qn *quantNet // lazily built quantized weights (nil after training)
 }
 
 // newNetwork allocates a zero-weight model for a validated cfg.
@@ -373,25 +371,6 @@ func (n *Network) exampleGrad(ts *trainScratch, image, label *tensor.Tensor, row
 func (n *Network) step(opt *tensor.SGD, grad []float32) {
 	opt.Step(n.params, grad)
 	n.qn = nil // weights changed; quantized cache is stale
-}
-
-// trainStep is one optimization step on a single FOV example over the
-// caller's scratch and gradient row: the BCE loss before the update.
-func (n *Network) trainStep(opt *tensor.SGD, ts *trainScratch, image, label *tensor.Tensor, grad []float32) float64 {
-	loss := n.exampleGrad(ts, image, label, grad)
-	n.step(opt, grad)
-	return loss
-}
-
-// TrainStep runs one optimization step on a single FOV example and returns
-// the BCE loss before the update. The scratch and the gradient row are
-// built on the first call and live as long as the Network, so steady-state
-// steps allocate nothing (and a Network must not be trained concurrently).
-func (n *Network) TrainStep(opt *tensor.SGD, image, label *tensor.Tensor) float64 {
-	if n.ts == nil {
-		n.ts, n.grad = n.newTrainScratch(), make([]float32, len(n.params))
-	}
-	return n.trainStep(opt, n.ts, image, label, n.grad)
 }
 
 // SeedPOM builds the initial POM for a FOV: PadProb everywhere, SeedProb at

@@ -182,6 +182,3 @@ func TestNormalizeMatchesReference(t *testing.T) {
 		}
 	}
 }
-
-// The training-path allocation guard lives in batch_test.go
-// (TestTrainStepAllocFree), tightened to exactly zero steady-state allocs.

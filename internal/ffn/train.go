@@ -1,82 +1,19 @@
 package ffn
 
 import (
-	"context"
 	"errors"
 
 	"chaseci/internal/sim"
 	"chaseci/internal/tensor"
 )
 
-// Trainer drives FFN optimization on a labelled volume, sampling FOV
-// examples centered on object voxels (positive-biased sampling, as FFN
-// training does) and applying SGD steps. It is DistTrainer at batch 1 in
-// everything but the sampling stream: Trainer draws every center from one
-// sequential RNG, DistTrainer re-derives its RNG each round.
-//
-// Ownership: a Trainer holds no borrowed memory between calls. Each
-// TrainOnVolume call borrows its center index, scratch and gradient row
-// from the tensor free list and returns them before it returns, on every
-// path — so there is nothing for the caller to release.
-type Trainer struct {
-	Net *Network
-	Opt *tensor.SGD
-	// PositiveBias is the fraction of samples whose center voxel is inside
-	// an object (default 0.5; balanced sampling keeps flood-fill precision
-	// high when the seed assertion is wrong).
-	PositiveBias float64
-
-	rng *sim.RNG
-}
-
-// NewTrainer builds a trainer with the given learning rate and momentum.
-func NewTrainer(net *Network, lr, momentum float32, seed uint64) *Trainer {
-	return &Trainer{
-		Net:          net,
-		Opt:          tensor.NewSGD(lr, momentum),
-		PositiveBias: 0.5,
-		rng:          sim.NewRNG(seed),
-	}
-}
-
 // ErrNoExamples indicates the label volume has no usable training centers.
 var ErrNoExamples = errors.New("ffn: no valid training centers in volume")
 
-// TrainOnVolume runs `steps` optimization steps against (image, labels),
-// returning the per-step losses. Labels are a binary volume.
-func (t *Trainer) TrainOnVolume(image, labels *Volume, steps int) ([]float64, error) {
-	return t.TrainOnVolumeCtx(context.Background(), image, labels, steps, nil)
-}
-
-// TrainOnVolumeCtx is the context-aware TrainOnVolume: cancellation is
-// checked before every optimizer step, and a cancelled context returns the
-// losses of the steps already taken together with ctx.Err(). progress (may
-// be nil) is called with the completed step count after each step.
-func (t *Trainer) TrainOnVolumeCtx(ctx context.Context, image, labels *Volume, steps int, progress func(step int)) ([]float64, error) {
-	fov := t.Net.cfg.FOV
-	centers, err := collectCenters(labels, fov)
-	if err != nil {
-		return nil, err
-	}
-	defer centers.release()
-	ts := t.Net.newTrainScratch()
-	defer ts.release()
-	grad := tensor.GetFloats(len(t.Net.params))
-	defer tensor.PutFloats(grad)
-
-	losses := make([]float64, 0, steps)
-	for s := 0; s < steps; s++ {
-		if err := ctx.Err(); err != nil {
-			return losses, err
-		}
-		ts.extract(image, labels, fov, centers.draw(t.rng, t.PositiveBias))
-		losses = append(losses, t.Net.trainStep(t.Opt, ts, ts.img, ts.lab, grad))
-		if progress != nil {
-			progress(s + 1)
-		}
-	}
-	return losses, nil
-}
+// positiveBias is the fraction of sampled centers inside an object:
+// balanced sampling keeps flood-fill precision high when the seed
+// assertion is wrong.
+const positiveBias = 0.5
 
 // fovCenters indexes the in-bounds FOV centers of a label volume, split by
 // label polarity: each entry is a center's linear voxel index
@@ -145,7 +82,7 @@ func (c *fovCenters) release() {
 
 // draw samples one center: positive with probability positiveBias while
 // both polarities exist.
-func (c *fovCenters) draw(rng *sim.RNG, positiveBias float64) [3]int {
+func (c *fovCenters) draw(rng *sim.RNG) [3]int {
 	var i int
 	if len(c.pos) > 0 && (len(c.neg) == 0 || rng.Float64() < positiveBias) {
 		i = int(c.pos[rng.Intn(len(c.pos))])

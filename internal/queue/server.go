@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -243,17 +245,16 @@ func (c *Client) Do(parts ...string) (any, error) {
 	if _, err := fmt.Fprintf(c.conn, "%s\n", strings.Join(parts, " ")); err != nil {
 		return nil, err
 	}
-	return c.readReply()
+	return readReply(c.r)
 }
 
-func (c *Client) readReply() (any, error) {
-	line, err := c.r.ReadString('\n')
+// readReply decodes one reply. No length in a header sizes an allocation:
+// a bulk payload and an array's elements are stored as they arrive, so what
+// a reply costs is proportional to the bytes the peer actually sent.
+func readReply(r *bufio.Reader) (any, error) {
+	line, err := readLine(r)
 	if err != nil {
 		return nil, err
-	}
-	line = strings.TrimSuffix(line, "\n")
-	if line == "" {
-		return nil, errors.New("queue: empty reply")
 	}
 	switch line[0] {
 	case '+':
@@ -263,32 +264,27 @@ func (c *Client) readReply() (any, error) {
 	case ':':
 		return strconv.ParseInt(line[1:], 10, 64)
 	case '$':
-		n, err := strconv.Atoi(line[1:])
-		if err != nil {
-			return nil, err
-		}
-		if n < 0 {
-			return nil, ErrNil
-		}
-		buf := make([]byte, n+1) // payload + newline
-		if _, err := readFull(c.r, buf); err != nil {
-			return nil, err
-		}
-		return string(buf[:n]), nil
+		return readBulk(r, line)
 	case '*':
 		n, err := strconv.Atoi(line[1:])
 		if err != nil {
 			return nil, err
 		}
-		out := make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			v, err := c.readReply()
+		if n < 0 {
+			return nil, fmt.Errorf("queue: negative array length %d", n)
+		}
+		out := []string{}
+		for ; n > 0; n-- {
+			line, err := readLine(r)
 			if err != nil {
 				return nil, err
 			}
-			s, ok := v.(string)
-			if !ok {
+			if line[0] != '$' {
 				return nil, errors.New("queue: non-string array element")
+			}
+			s, err := readBulk(r, line)
+			if err != nil {
+				return nil, err
 			}
 			out = append(out, s)
 		}
@@ -297,16 +293,50 @@ func (c *Client) readReply() (any, error) {
 	return nil, fmt.Errorf("queue: bad reply %q", line)
 }
 
-func readFull(r *bufio.Reader, buf []byte) (int, error) {
-	total := 0
-	for total < len(buf) {
-		n, err := r.Read(buf[total:])
-		total += n
-		if err != nil {
-			return total, err
-		}
+// readLine reads one non-empty reply line without its newline.
+func readLine(r *bufio.Reader) (string, error) {
+	line, err := r.ReadString('\n')
+	if err != nil {
+		return "", err
 	}
-	return total, nil
+	line = strings.TrimSuffix(line, "\n")
+	if line == "" {
+		return "", errors.New("queue: empty reply")
+	}
+	return line, nil
+}
+
+// bulkChunk is how much of a bulk payload is read at a time: storage grows
+// only as chunks fill, so a length the peer never sends costs one chunk.
+const bulkChunk = 4 << 10
+
+// readBulk reads the payload and newline that follow a "$<len>" header
+// line; a negative length is the nil reply.
+func readBulk(r *bufio.Reader, header string) (string, error) {
+	n, err := strconv.Atoi(header[1:])
+	if err != nil {
+		return "", err
+	}
+	if n < 0 {
+		return "", ErrNil
+	}
+	var buf []byte
+	for len(buf) < n {
+		k := min(n-len(buf), bulkChunk)
+		buf = slices.Grow(buf, k)
+		if _, err := io.ReadFull(r, buf[len(buf):len(buf)+k]); err != nil {
+			return "", err
+		}
+		buf = buf[:len(buf)+k]
+	}
+	end, err := r.ReadByte()
+	if err != nil {
+		return "", err
+	}
+	if end != '\n' {
+		return "", fmt.Errorf("queue: bulk reply of %d bytes not newline-terminated", n)
+	}
+	return string(buf), nil
 }
 
 // Convenience wrappers used by examples.

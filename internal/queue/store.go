@@ -9,6 +9,7 @@ package queue
 
 import (
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -64,7 +65,7 @@ func (s *Store) Incr(key string, delta int64) int64 {
 	defer s.mu.Unlock()
 	cur := parseInt(s.kv[key])
 	cur += delta
-	s.kv[key] = formatInt(cur)
+	s.kv[key] = strconv.FormatInt(cur, 10)
 	return cur
 }
 
@@ -86,28 +87,6 @@ func parseInt(v string) int64 {
 		n = -n
 	}
 	return n
-}
-
-func formatInt(n int64) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 // LPush prepends values to the list at key, returning the new length.

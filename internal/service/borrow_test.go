@@ -11,7 +11,6 @@ import (
 
 	"chaseci/internal/api"
 	"chaseci/internal/dataset"
-	"chaseci/internal/ffn"
 	"chaseci/internal/merra"
 )
 
@@ -314,16 +313,19 @@ func TestJobAllocBounds(t *testing.T) {
 		// its frame; 21 MB when every sample's backward pass built its own
 		// activation cache and the all-reduce cloned the gradients.
 		{"train_dist", 2, func(*testing.T, *Runner) *api.JobRequest { return dist }, 2, 8, 350, 800},
-		// The sequential trainer — what a sweep fans out — borrows the same
-		// way (46 KB; 213 KB before).
+		// A train job — a batch-1 DistTrainer on one worker, what a sweep fans
+		// out — borrows the same way (51 KB; 46 KB on the sequential trainer
+		// it replaced, which spawned no goroutine per step; 213 KB before
+		// borrowing).
 		{"train", 2, func(*testing.T, *Runner) *api.JobRequest {
-			return sweepChild(sweep.Sweep, "sweep", 0, ffn.Hyperparams{LR: 0.03, Momentum: 0.9, Features: 6, Modules: 2}, 30, 2)
+			return sweepChild(sweep.Sweep, "sweep", 0, api.SweepParams{LR: 0.03, Momentum: 0.9, Features: 6, Modules: 2}, 30, 2)
 		}, 2, 8, 95, 170},
 		// The streamed 72x48x12 pipeline (430 KB; 4.8 MB when
 		// each slab's atmosphere state, IVT volume and label maps were fresh
 		// allocations), and the 8-candidate sweep fanned through the fair
-		// queue with no early stop (273 KB; 1.4 MB while each candidate's
-		// trainer built its own center lists and scratch).
+		// queue with no early stop (290-330 KB; 273 KB on the sequential
+		// trainer, 1.4 MB while each candidate's trainer built its own center
+		// lists and scratch).
 		{"pipeline", 4, func(*testing.T, *Runner) *api.JobRequest { return benchPipelineRequest() }, 1, 4, 850, 0},
 		{"sweep_grid8", 4, func(*testing.T, *Runner) *api.JobRequest { return sweep }, 1, 4, 550, 1100},
 		// The ends of the bench/ connect_chain, on its 12x48x72 volume (162 KB

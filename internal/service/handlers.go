@@ -417,10 +417,23 @@ func TrainHandler(jc *JobContext) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A step is one batch-1 round of the data-parallel trainer on one worker:
+	// the one trainer, and the one sampling stream, train_dist runs.
 	lr, momentum := optimizerDefaults(spec.LR, spec.Momentum)
+	t, err := ffn.NewDistTrainer(net, lr, momentum, trainImg, trainLbl, spec.SampleSeed, 1, 1)
+	if err != nil {
+		return nil, err
+	}
+	defer t.Release()
 	jc.Progress(0, int64(spec.Steps), "train")
-	losses, trainErr := ffn.NewTrainer(net, lr, momentum, spec.SampleSeed).TrainOnVolumeCtx(jc.Ctx(), trainImg, trainLbl, spec.Steps,
-		func(step int) { jc.Progress(int64(step), int64(spec.Steps), "train") })
+	var trainErr error
+	for t.RoundIndex() < spec.Steps {
+		if _, trainErr = t.Round(jc.Ctx()); trainErr != nil {
+			break
+		}
+		jc.Progress(int64(t.RoundIndex()), int64(spec.Steps), "train")
+	}
+	losses := t.Losses()
 	if len(losses) == 0 {
 		return nil, trainErr
 	}

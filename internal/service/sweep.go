@@ -7,14 +7,13 @@ import (
 	"sort"
 
 	"chaseci/internal/api"
-	"chaseci/internal/ffn"
 )
 
 // The sweep job: hyperparameter search as a job that submits jobs. Each
-// candidate in the ffn.Grid cartesian product becomes a train job with a
-// held-out validation slab, submitted through the same admission-controlled
-// fair queue as everything else — a sweep enjoys no back door around tenant
-// bounds. While its children run, the sweep worker "helps": it drains the
+// candidate of the spec's grid (api.SweepSpec.Candidates) becomes a train
+// job with a held-out validation slab, submitted through the same
+// admission-controlled fair queue as everything else — a sweep enjoys no
+// back door around tenant bounds. While its children run, the sweep worker "helps": it drains the
 // pending queue like any pool worker, so a single-worker runner cannot
 // deadlock on a job that is waiting for jobs. With nothing to help it parks
 // on a watch of the runner's anyJob list — woken when a child ends, and
@@ -71,7 +70,7 @@ func sweepDepth(jc *JobContext, src *api.VolumeSource) (int, error) {
 // across candidates (so architectures differ only where the grid says they
 // do) and the sampling seed is derived from it the way core's queue-driven
 // sweep derives it (seed ^ 0xabcd).
-func sweepChild(spec *api.SweepSpec, name string, i int, h ffn.Hyperparams, steps, holdout int) *api.JobRequest {
+func sweepChild(spec *api.SweepSpec, name string, i int, h api.SweepParams, steps, holdout int) *api.JobRequest {
 	return &api.JobRequest{
 		Kind: api.KindTrain,
 		Name: fmt.Sprintf("%s/cand-%02d", name, i),
@@ -98,7 +97,7 @@ func sweepChild(spec *api.SweepSpec, name string, i int, h ffn.Hyperparams, step
 // step count and is scored on the holdout slab. Parallelism is bounded by
 // spec.Parallel (0 defaults to 2, matching the api doc); the sweep worker
 // helps drain the pool while it waits.
-func runCandidates(jc *JobContext, spec *api.SweepSpec, name string, cands []ffn.Hyperparams, steps []int, holdout int, stage string, entries []api.SweepEntry) (err error) {
+func runCandidates(jc *JobContext, spec *api.SweepSpec, name string, cands []api.SweepParams, steps []int, holdout int, stage string, entries []api.SweepEntry) (err error) {
 	limit := spec.Parallel
 	if limit <= 0 {
 		limit = 2
@@ -142,12 +141,10 @@ func runCandidates(jc *JobContext, spec *api.SweepSpec, name string, cands []ffn
 			if err := json.Unmarshal(raw, &tr); err != nil {
 				return fmt.Errorf("service: sweep candidate %s result: %w", id, err)
 			}
-			h := cands[idx]
+			params := cands[idx]
+			params.TrainSteps = steps[idx]
 			entries[idx] = api.SweepEntry{
-				Params: api.SweepParams{
-					LR: h.LR, Momentum: h.Momentum,
-					Features: h.Features, Modules: h.Modules, TrainSteps: steps[idx],
-				},
+				Params:    params,
 				JobID:     id,
 				TrainLoss: tr.LossTail,
 				Precision: tr.Precision,
@@ -181,7 +178,7 @@ func SweepHandler(jc *JobContext) (any, error) {
 	if name == "" {
 		name = "sweep"
 	}
-	cands := ffn.Grid(spec.LRs, spec.Momentums, spec.Features, spec.Modules, spec.TrainSteps)
+	cands := spec.Candidates()
 
 	depth, err := sweepDepth(jc, &spec.Source)
 	if err != nil {

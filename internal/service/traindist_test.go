@@ -10,7 +10,6 @@ import (
 
 	"chaseci/internal/api"
 	"chaseci/internal/dataset"
-	"chaseci/internal/ffn"
 	"chaseci/internal/parallel"
 	"chaseci/internal/queue"
 )
@@ -367,7 +366,7 @@ func TestTrainHoldoutCancelledFloodFailsCandidate(t *testing.T) {
 	})
 	r, _ := newTestRunner(t, reg, 1)
 	spec := &api.SweepSpec{Source: distRequest(1, 1).TrainDist.Source, Threshold: 130, Seed: 5}
-	h := ffn.Hyperparams{LR: 0.03, Momentum: 0.9, Features: 4, Modules: 1}
+	h := api.SweepParams{LR: 0.03, Momentum: 0.9, Features: 4, Modules: 1}
 	st, err := r.Submit(sweepChild(spec, "sweep", 0, h, 20, 2), "")
 	if err != nil {
 		t.Fatal(err)
