@@ -170,12 +170,17 @@ func floatsView(payload []byte) []float32 {
 
 func encodeHeader(kind Kind, d, h, w, payload int) []byte {
 	b := make([]byte, HeaderSize, HeaderSize+payload)
+	putHeader(b, kind, d, h, w)
+	return b
+}
+
+// putHeader writes the codec prefix into b[:HeaderSize], which must be zero.
+func putHeader(b []byte, kind Kind, d, h, w int) {
 	copy(b, magic[:])
 	b[4] = byte(kind)
 	binary.LittleEndian.PutUint32(b[8:], uint32(d))
 	binary.LittleEndian.PutUint32(b[12:], uint32(h))
 	binary.LittleEndian.PutUint32(b[16:], uint32(w))
-	return b
 }
 
 // EncodeVolume encodes a dense float32 volume.
@@ -198,16 +203,49 @@ func EncodeVolume(d, h, w int, data []float32) ([]byte, error) {
 // EncodeMask encodes a binary volume 1 bit per voxel; non-zero values are
 // set bits.
 func EncodeMask(d, h, w int, data []float32) ([]byte, error) {
-	n, ok := voxels(d, h, w)
-	if !ok || len(data) != n {
-		return nil, fmt.Errorf("%w: mask %dx%dx%d with %d values", ErrBadEncoding, d, h, w, len(data))
+	if err := checkMask(d, h, w, data); err != nil {
+		return nil, err
 	}
 	// Pack straight into the header allocation's spare capacity (zeroed by
 	// make): one allocation for the whole encoding.
-	b := encodeHeader(KindMask, d, h, w, (n+7)/8)
+	b := encodeHeader(KindMask, d, h, w, (len(data)+7)/8)
 	b = b[:cap(b)]
 	packBitsInto(b[HeaderSize:], data)
 	return b, nil
+}
+
+// checkMask refuses a mask whose dims are out of range or disagree with its
+// value count.
+func checkMask(d, h, w int, data []float32) error {
+	if n, ok := voxels(d, h, w); !ok || len(data) != n {
+		return fmt.Errorf("%w: mask %dx%dx%d with %d values", ErrBadEncoding, d, h, w, len(data))
+	}
+	return nil
+}
+
+// maskChunk is how many bytes of packed bits maskID hashes at a time: 32,768
+// voxels, a whole number of bytes, so every chunk but the last packs full.
+const maskChunk = 4096
+
+// maskID is ID(EncodeMask(d, h, w, data)) in hex, computed without the
+// encoding: the header and the packed bits stream into SHA-256 through a
+// stack buffer. The mask must have passed checkMask.
+func maskID(d, h, w int, data []float32) (id [2 * sha256.Size]byte) {
+	var buf [maskChunk]byte
+	putHeader(buf[:HeaderSize], KindMask, d, h, w)
+	sum := sha256.New()
+	sum.Write(buf[:HeaderSize])
+	for len(data) > 0 {
+		part := data[:min(len(data), 8*maskChunk)]
+		bits := buf[:(len(part)+7)/8]
+		clear(bits)
+		packBitsInto(bits, part)
+		sum.Write(bits)
+		data = data[len(part):]
+	}
+	var raw [sha256.Size]byte
+	hex.Encode(id[:], sum.Sum(raw[:0]))
+	return id
 }
 
 // CheckpointFrame starts the encoding of an opaque checkpoint byte string
@@ -495,36 +533,40 @@ func (m *Manager) put(enc []byte, owner string, keep, pin bool) (Info, bool, err
 	if err != nil {
 		return Info{}, false, err
 	}
-	id := ID(enc)
+	return m.store(enc, Info{ID: ID(enc), Kind: kind.String(), D: d, H: h, W: w, Bytes: len(enc), Owner: owner}, keep, pin)
+}
+
+// store writes a validated encoding under info.ID, its content address, and
+// registers info.Owner — or, when the id is already stored, only registers.
+func (m *Manager) store(enc []byte, info Info, keep, pin bool) (Info, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// Re-putting content revokes any pending deferred delete: the bytes
-	// are wanted again.
-	delete(m.doomed, id)
-	if info, ok := m.meta[id]; ok {
-		m.addOwnerLocked(id, owner)
-		if keep {
-			m.kept[id] = true
+	stored, ok := m.meta[info.ID]
+	if !ok {
+		if err := m.mount.WriteFile(info.ID, enc); err != nil {
+			return Info{}, false, err
 		}
-		if pin {
-			m.pins[id]++
-		}
-		info.Owner = owner
-		return info, false, nil
+		m.meta[info.ID] = info
+		stored = info
 	}
-	if err := m.mount.WriteFile(id, enc); err != nil {
-		return Info{}, false, err
-	}
-	info := Info{ID: id, Kind: kind.String(), D: d, H: h, W: w, Bytes: len(enc), Owner: owner}
-	m.meta[id] = info
-	m.addOwnerLocked(id, owner)
+	return m.registerLocked(stored, info.Owner, keep, pin), !ok, nil
+}
+
+// registerLocked is what every put of stored content does, whether it wrote
+// the bytes or found them there: a pending deferred delete is revoked (the
+// bytes are wanted again), owner joins the owners, and the kept mark and the
+// pin land. It returns info with owner in Owner. m.mu held.
+func (m *Manager) registerLocked(info Info, owner string, keep, pin bool) Info {
+	delete(m.doomed, info.ID)
+	m.addOwnerLocked(info.ID, owner)
 	if keep {
-		m.kept[id] = true
+		m.kept[info.ID] = true
 	}
 	if pin {
-		m.pins[id]++
+		m.pins[info.ID]++
 	}
-	return info, true, nil
+	info.Owner = owner
+	return info
 }
 
 // addOwnerLocked registers an identity on the dataset. m.mu held.
@@ -620,13 +662,25 @@ func (m *Manager) PutVolume(d, h, w int, data []float32, owner string) (Info, er
 	return m.Put(enc, owner)
 }
 
-// PutMask encodes and stores a binary mask (1 bit/voxel).
+// PutMask stores a binary mask (1 bit/voxel) as Put stores its encoding.
+// The content address is hashed from the mask itself first, so re-putting a
+// mask the store holds registers the putter and allocates next to nothing;
+// only a new id pays for EncodeMask.
 func (m *Manager) PutMask(d, h, w int, data []float32, owner string) (Info, error) {
-	enc, err := EncodeMask(d, h, w, data)
-	if err != nil {
+	if err := checkMask(d, h, w, data); err != nil {
 		return Info{}, err
 	}
-	return m.Put(enc, owner)
+	id := maskID(d, h, w, data)
+	m.mu.Lock()
+	if stored, ok := m.meta[string(id[:])]; ok { // the conversion is only a lookup key
+		stored = m.registerLocked(stored, owner, true, false)
+		m.mu.Unlock()
+		return stored, nil
+	}
+	m.mu.Unlock()
+	enc, _ := EncodeMask(d, h, w, data) // checked above
+	info, _, err := m.store(enc, Info{ID: string(id[:]), Kind: KindMask.String(), D: d, H: h, W: w, Bytes: len(enc), Owner: owner}, true, false)
+	return info, err
 }
 
 // GetBytes returns the raw encoding of a dataset — the gateway's GET body.

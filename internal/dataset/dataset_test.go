@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"chaseci/internal/api"
@@ -100,6 +101,114 @@ func TestEncodeMaskSingleAlloc(t *testing.T) {
 		}
 	}); allocs != 1 {
 		t.Fatalf("EncodeMask allocs/op = %v, want 1", allocs)
+	}
+}
+
+// bitsField is a mask of n voxels with an irregular pattern of non-zero
+// values (not only ones), so every packed byte and a partial last byte vary.
+func bitsField(n int) []float32 {
+	data := make([]float32, n)
+	for i := range data {
+		if (i*2654435761)>>7%3 == 0 {
+			data[i] = float32(i%5 + 1)
+		}
+	}
+	return data
+}
+
+// TestMaskIDIsTheEncodingsID: the id PutMask streams from the mask is the
+// content address of its encoding — on both sides of a byte boundary, below,
+// at and past one hashing chunk, and for a 64^3 mask.
+func TestMaskIDIsTheEncodingsID(t *testing.T) {
+	dims := [][3]int{{1, 1, 1}, {1, 1, 7}, {1, 1, 8}, {1, 1, 8*maskChunk - 1}, {1, 1, 8*8*maskChunk + 3}, {64, 64, 64}}
+	for _, dim := range dims {
+		d, h, w := dim[0], dim[1], dim[2]
+		data := bitsField(d * h * w)
+		enc, err := EncodeMask(d, h, w, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := maskID(d, h, w, data), ID(enc); string(got[:]) != want {
+			t.Fatalf("%dx%dx%d mask: streamed id %s, encoding's id %s", d, h, w, got, want)
+		}
+	}
+}
+
+// TestPutMaskRePutAllocatesNothing: re-putting a 64^3 mask the store holds
+// hashes it where it lies instead of building its 32 KB encoding first.
+func TestPutMaskRePutAllocatesNothing(t *testing.T) {
+	m := NewLocal()
+	data := bitsField(64 * 64 * 64)
+	first, err := m.PutMask(64, 64, 64, data, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const puts = 50
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < puts; i++ {
+		info, err := m.PutMask(64, 64, 64, data, "alice")
+		if err != nil || info != first {
+			t.Fatalf("re-put: %+v, %v; want %+v", info, err, first)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	if perPut := (m1.TotalAlloc - m0.TotalAlloc) / puts; perPut >= 1024 {
+		t.Fatalf("re-putting a stored mask allocates %d bytes, want < 1 KB", perPut)
+	}
+}
+
+// TestRePutRegistersLikePut: whichever way stored content is put again —
+// as an encoding (Put) or as a mask hashed before it is encoded (PutMask) —
+// it revokes a deferred delete, adds the putter as an owner and marks the
+// dataset kept, and a first put through either stores the same bytes.
+func TestRePutRegistersLikePut(t *testing.T) {
+	d, h, w := 3, 5, 7
+	data := bitsField(d * h * w)
+	enc, err := EncodeMask(d, h, w, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		put  func(m *Manager, owner string) (Info, error)
+	}{
+		{"Put", func(m *Manager, owner string) (Info, error) { return m.Put(enc, owner) }},
+		{"PutMask", func(m *Manager, owner string) (Info, error) { return m.PutMask(d, h, w, data, owner) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewLocal()
+			if fresh, err := tc.put(NewLocal(), "alice"); err != nil || fresh.ID != ID(enc) || fresh.Kind != "mask" || fresh.Bytes != len(enc) || fresh.Owner != "alice" {
+				t.Fatalf("first put: %+v, %v", fresh, err)
+			}
+			stored, _, err := m.PutNew(enc, "alice") // an unkept intermediate
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Pin(stored.ID)
+			m.Delete(stored.ID) // deferred by the pin
+			info, err := tc.put(m, "bob")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.ID != stored.ID || info.Owner != "bob" {
+				t.Fatalf("re-put reply %+v, want id %s owned by bob", info, stored.ID)
+			}
+			m.Unpin(stored.ID)
+			if _, ok := m.Stat(stored.ID); !ok {
+				t.Fatal("the re-put did not revoke the deferred delete")
+			}
+			if !m.IsOwner(stored.ID, "alice") || !m.IsOwner(stored.ID, "bob") {
+				t.Fatal("the re-put did not add its putter to the owners")
+			}
+			m.Delete(stored.ID)
+			if _, ok := m.Stat(stored.ID); !ok {
+				t.Fatal("the re-put did not mark the dataset kept")
+			}
+			if got, err := m.GetBytes(stored.ID); err != nil || !bytes.Equal(got, enc) {
+				t.Fatalf("stored bytes changed (%v)", err)
+			}
+		})
 	}
 }
 

@@ -17,6 +17,14 @@
 // round runs exampleGrad (forwardInto then backwardInto over a reusable
 // trainScratch, writing one gradient row) per sample, averages the rows and
 // applies step.
+//
+// A network not owned by a trainer is immutable. Only a trainer's step
+// writes weights, and only on the network it was given; everything else —
+// Segment and SegmentCtx, the forward passes, serialization — reads. The
+// one other write follows a step: the first flood after it re-quantizes an
+// int8 network, which the trainer's owner still holds alone. So one network
+// may serve any number of concurrent floods, which is how the service
+// shares one inference network per set of weights across jobs.
 package ffn
 
 import (
@@ -162,7 +170,7 @@ type Network struct {
 	params []float32
 	paramViews
 
-	qn *quantNet // lazily built quantized weights (nil after training)
+	qn *quantNet // an int8 network's quantized weights (nil after a training step)
 }
 
 // newNetwork allocates a zero-weight model for a validated cfg.
@@ -172,7 +180,9 @@ func newNetwork(cfg Config) *Network {
 	return n
 }
 
-// NewNetwork initializes a model with He-initialized weights from seed.
+// NewNetwork initializes a model with He-initialized weights from seed. An
+// int8 network comes with its quantized weights, so it may be shared as
+// made.
 func NewNetwork(cfg Config, seed uint64) (*Network, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -186,6 +196,9 @@ func NewNetwork(cfg Config, seed uint64) (*Network, error) {
 		m.w1.Randomize(rng, f*27)
 		m.w2.Randomize(rng, f*27)
 	}
+	if n.int8Inference() {
+		n.qn = n.quantize()
+	}
 	return n, nil
 }
 
@@ -194,6 +207,16 @@ func (n *Network) Config() Config { return n.cfg }
 
 // ParamCount returns the total number of trainable scalars.
 func (n *Network) ParamCount() int { return len(n.params) }
+
+// WeightBytes returns the memory the network's weights occupy: the float32
+// parameter vector, plus the quantized form an int8 network carries.
+func (n *Network) WeightBytes() int {
+	b := 4 * len(n.params)
+	if n.qn != nil {
+		b += n.qn.bytes()
+	}
+	return b
+}
 
 // GradBytes returns the wire size of one gradient exchange (float32 per
 // parameter), the quantity each all-reduce moves per worker pair.
@@ -242,12 +265,12 @@ func packInputInto(in, image, pom *tensor.Tensor) {
 // serves one goroutine, and the network is only read through it.
 //
 // Every tensor is a view into one slab borrowed from the tensor free list —
-// a job builds its own Network, so memory hanging off the Network is always
-// cold, while the slab of the previous job of this geometry is not. The slab
-// comes back dirty and nothing clears it: each tensor is written in full
-// (forwardInto, LogitBCEInto, the backward kernels' own zeroing) before the
-// pass reads it. release hands the slab back; a scratch that is never
-// released is ordinary garbage.
+// a training job trains a Network of its own, so memory hanging off the
+// Network would always be cold, while the slab of the previous job of this
+// geometry is not. The slab comes back dirty and nothing clears it: each
+// tensor is written in full (forwardInto, LogitBCEInto, the backward
+// kernels' own zeroing) before the pass reads it. release hands the slab
+// back; a scratch that is never released is ordinary garbage.
 type trainScratch struct {
 	slab    []float32
 	tensors []tensor.Tensor // backing array of every view below
@@ -367,10 +390,12 @@ func (n *Network) exampleGrad(ts *trainScratch, image, label *tensor.Tensor, row
 	return loss
 }
 
-// step applies one optimizer update to the whole parameter vector.
+// step applies one optimizer update to the whole parameter vector. It is the
+// one place a network's weights change, and only a trainer, on the network
+// it owns, calls it.
 func (n *Network) step(opt *tensor.SGD, grad []float32) {
 	opt.Step(n.params, grad)
-	n.qn = nil // weights changed; quantized cache is stale
+	n.qn = nil // weights changed; the quantized form is stale
 }
 
 // SeedPOM builds the initial POM for a FOV: PadProb everywhere, SeedProb at

@@ -281,10 +281,11 @@ func (n *Network) SegmentCtx(ctx context.Context, image *Volume, seeds [][3]int,
 	padLogit := logit(cfg.PadProb)
 	seedLogit := logit(cfg.SeedProb)
 
-	// Build the quantized weight cache before any fan-out: flood workers
-	// share it read-only.
-	if n.int8Inference() {
-		n.quantized()
+	// An int8 network is made with its quantized weights; only a training
+	// step drops them, on a network its trainer's owner floods alone.
+	// Rebuild them before any fan-out: flood lanes share them read-only.
+	if n.int8Inference() && n.qn == nil {
+		n.qn = n.quantize()
 	}
 
 	// The canvas is borrowed, and becomes the returned mask: the caller may

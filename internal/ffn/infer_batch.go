@@ -25,8 +25,9 @@ const DefaultFloodBatch = 8
 // batchScratch holds one flood worker's reusable batched buffers: the
 // packed (B,2,D,H,W) input, ping-pong activation tensors, the module hidden
 // buffer, and the output logits. The tensors are borrowed from the shared
-// free list and returned when the flood ends, so a steady stream of jobs —
-// each with its own Network — allocates none of them.
+// free list and returned when the flood ends, never kept on the Network:
+// one Network serves concurrent floods (the service shares one per set of
+// weights), and a steady stream of jobs allocates none of them.
 type batchScratch struct {
 	in     *tensor.Tensor // (B, 2, D, H, W) packed image+POM
 	x0, x1 *tensor.Tensor // (B, F, D, H, W) activations (ping-pong)

@@ -26,8 +26,11 @@ const (
 	PrecisionInt8 Precision = "int8"
 )
 
-// quantNet caches the quantized form of the network's 3x3x3 conv weights.
-// It is rebuilt lazily after every training step (weights changed).
+// quantNet holds the quantized form of the network's 3x3x3 conv weights.
+// An int8 network gets it when it is made (NewNetwork), before anyone can
+// share it, so concurrent floods only read it. A trainer's step drops it
+// (the weights changed) and the next flood of that network, which its owner
+// runs, builds it again.
 type quantNet struct {
 	wIn  *tensor.QuantizedWeights
 	mods []*quantModule
@@ -40,21 +43,28 @@ type quantModule struct {
 // int8Inference reports whether Segment should run the quantized path.
 func (n *Network) int8Inference() bool { return n.cfg.Precision == PrecisionInt8 }
 
-// quantized returns the cached quantized weights, building them on first
-// use. Not safe for concurrent first call — SegmentCtx builds it before
-// fanning out flood workers.
-func (n *Network) quantized() *quantNet {
-	if n.qn == nil {
-		qn := &quantNet{wIn: tensor.QuantizeWeights(n.wIn)}
-		for _, m := range n.mods {
-			qn.mods = append(qn.mods, &quantModule{
-				q1: tensor.QuantizeWeights(m.w1),
-				q2: tensor.QuantizeWeights(m.w2),
-			})
-		}
-		n.qn = qn
+// quantize builds the quantized form of the current weights.
+func (n *Network) quantize() *quantNet {
+	qn := &quantNet{wIn: tensor.QuantizeWeights(n.wIn)}
+	for _, m := range n.mods {
+		qn.mods = append(qn.mods, &quantModule{
+			q1: tensor.QuantizeWeights(m.w1),
+			q2: tensor.QuantizeWeights(m.w2),
+		})
 	}
-	return n.qn
+	return qn
+}
+
+// bytes is the memory the quantized weights occupy.
+func (qn *quantNet) bytes() int {
+	size := func(q *tensor.QuantizedWeights) int {
+		return len(q.W) + 4*(len(q.Packed)+len(q.Scales)+len(q.SumQ))
+	}
+	b := size(qn.wIn)
+	for _, m := range qn.mods {
+		b += size(m.q1) + size(m.q2)
+	}
+	return b
 }
 
 // forwardBatchQInto is the int8 counterpart of forwardBatchInto: quantized
@@ -63,7 +73,7 @@ func (n *Network) quantized() *quantNet {
 // Results land in s.out; per-slot activation quantization makes a slot's
 // result independent of the rest of the batch.
 func (n *Network) forwardBatchQInto(s *batchScratch, k int) {
-	qn := n.quantized()
+	qn := n.qn
 	tensor.Conv3DBatchQReLUInto(s.x0, s.in, qn.wIn, n.bIn, k)
 	cur, nxt := s.x0, s.x1
 	for i, m := range n.mods {

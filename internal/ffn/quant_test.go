@@ -3,6 +3,8 @@ package ffn
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"chaseci/internal/parallel"
@@ -118,13 +120,18 @@ func TestSegmentInt8ErrorBounded(t *testing.T) {
 	}
 }
 
-// TestInt8QuantCacheInvalidation: training must invalidate the quantized
-// weight cache so the next Segment re-quantizes the updated weights.
+// TestInt8QuantCacheInvalidation: an int8 network is made with its quantized
+// weights, which a flood only reads; training must invalidate them so the
+// next Segment re-quantizes the updated weights.
 func TestInt8QuantCacheInvalidation(t *testing.T) {
 	net, img, seeds := batchScene(t, PrecisionInt8)
+	made := net.qn
+	if made == nil {
+		t.Fatal("NewNetwork did not build an int8 network's quantized weights")
+	}
 	before, _ := net.Segment(img, seeds, 0)
-	if net.qn == nil {
-		t.Fatal("segment did not build the quantized cache")
+	if net.qn != made {
+		t.Fatal("a flood rebuilt quantized weights the network was made with")
 	}
 	opt := tensor.NewSGD(0.05, 0.9)
 	fov := net.cfg.FOV
@@ -146,6 +153,42 @@ func TestInt8QuantCacheInvalidation(t *testing.T) {
 	}
 	if same {
 		t.Fatal("mask unchanged after training — quantized weights look stale")
+	}
+}
+
+// TestSharedNetworkConcurrentFloods: a network no trainer owns is only read
+// by a flood, so floods on one network started together — straight from
+// NewNetwork, the int8 one included — each produce the mask a twin network
+// floods to alone, and leave the weights and quantized weights as made.
+func TestSharedNetworkConcurrentFloods(t *testing.T) {
+	for _, p := range []Precision{PrecisionF32, PrecisionInt8} {
+		twin, img, seeds := batchScene(t, p)
+		want, wantStats := twin.Segment(img, seeds, 0)
+		net, _, _ := batchScene(t, p)
+		params, qn := append([]float32(nil), net.params...), net.qn
+
+		masks := make([]*Volume, 4)
+		stats := make([]InferenceStats, len(masks))
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range masks {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				masks[i], stats[i] = net.Segment(img, seeds, 0)
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		for i, mask := range masks {
+			if stats[i] != wantStats || !slices.Equal(mask.Data, want.Data) {
+				t.Fatalf("%s flood %d of 4 concurrent: %+v, want the lone flood's %+v", p, i, stats[i], wantStats)
+			}
+		}
+		if !slices.Equal(net.params, params) || net.qn != qn {
+			t.Fatalf("%s: concurrent floods wrote the network", p)
+		}
 	}
 }
 

@@ -259,6 +259,16 @@ func TestCancelledSegmentKeepsPackedPartialMask(t *testing.T) {
 	}
 }
 
+// put64Volume stores the 64^3 volume the submit-path benchmarks ship.
+func put64Volume(t *testing.T, r *Runner) string {
+	d, h, w, data := bench64Volume()
+	info, err := r.Datasets().PutVolume(d, h, w, data, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.ID
+}
+
 // TestJobAllocBounds pins the job path's allocation diet in plain `go test`:
 // what one job of each shape allocates in steady state, submit to result
 // (measured figure in each case's comment). The race detector's sync.Pool
@@ -292,17 +302,28 @@ func TestJobAllocBounds(t *testing.T) {
 		raceKB            int
 	}{
 		// A one-step segment job over a cached 64^3 volume — 1 MB decoded —
-		// allocates well under one volume (75 KB). Before the source was
-		// borrowed and the flood's arrays pooled it allocated 4.4 MB.
+		// allocates what the job's bookkeeping does (4 KB): its network is
+		// the runner's shared one and its mask is already stored, so the
+		// re-put hashes it where it lies. It was 77 KB while every job drew
+		// its own network and encoded its mask before finding the id
+		// stored, and 4.4 MB before the source was borrowed and the flood's
+		// arrays pooled.
 		{"ref_segment", 2, func(t *testing.T, r *Runner) *api.JobRequest {
-			d, h, w, data := bench64Volume()
-			info, err := r.Datasets().PutVolume(d, h, w, data, "")
-			if err != nil {
+			return &api.JobRequest{Kind: api.KindSegment, ResultMode: api.ResultModeRef,
+				Segment: benchSegmentSpec(api.VolumeSource{Ref: put64Volume(t, r)})}
+		}, 4, 32, 10, 0},
+		// The same job flooding with a train_dist checkpoint's network
+		// (net_ref): a cache hit resolves and decodes nothing, where a
+		// decode costs the weights and the optimizer's velocity (16 KB).
+		{"netref_segment", 2, func(t *testing.T, r *Runner) *api.JobRequest {
+			var tres api.TrainDistResult
+			if err := json.Unmarshal(runJob(t, r, distRequest(1, 2)), &tres); err != nil {
 				t.Fatal(err)
 			}
-			return &api.JobRequest{Kind: api.KindSegment, ResultMode: api.ResultModeRef,
-				Segment: benchSegmentSpec(api.VolumeSource{Ref: info.ID})}
-		}, 4, 32, 512, 0},
+			spec := benchSegmentSpec(api.VolumeSource{Ref: put64Volume(t, r)})
+			spec.NetRef = tres.CheckpointRef
+			return &api.JobRequest{Kind: api.KindSegment, ResultMode: api.ResultModeRef, Segment: spec}
+		}, 4, 32, 10, 0},
 		// A 12-round, batch-16 job with two periodic checkpoints (the bench/
 		// workload's shape). The batch x P gradient matrix, the center index
 		// and a scratch slab per worker are borrowed, and each checkpoint is

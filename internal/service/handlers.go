@@ -179,53 +179,30 @@ func netConfig(nc *api.NetConfig) ffn.Config {
 	if nc.SegmentProb > 0 {
 		cfg.SegmentProb = nc.SegmentProb
 	}
-	if nc.Precision != "" {
-		cfg.Precision = ffn.Precision(nc.Precision)
+	// "f32" spelled out is the default arithmetic: one canonical config, so
+	// the two spellings share one cached network.
+	if p := ffn.Precision(nc.Precision); p != ffn.PrecisionF32 {
+		cfg.Precision = p
 	}
 	return cfg
 }
 
-// resolveCheckpoint loads the checkpoint a ref names — the network a segment
-// job floods with (net_ref), the state a train_dist job resumes
-// (resume_from). Its header arrived by upload, so the network is held to the
-// caps a network spelled out in a spec's net is held to before anything is
-// sized from its geometry.
-func resolveCheckpoint(jc *JobContext, ref string) (*ffn.Checkpoint, error) {
-	blob, err := jc.Datasets().Resolve(ref)
-	if err != nil {
-		return nil, err
-	}
-	ck, err := ffn.DecodeCheckpoint(blob.Raw)
-	if err != nil {
-		return nil, err
-	}
-	c := ck.Net.Config()
-	nc := api.NetConfig{FOV: c.FOV, Features: c.Features, Modules: c.Modules,
-		MoveStep: c.MoveStep, MoveProb: c.MoveProb, SegmentProb: c.SegmentProb}
-	if err := nc.Validate("checkpoint " + ref); err != nil {
-		return nil, err
-	}
-	return ck, nil
-}
-
 // SegmentHandler runs FFN flood-fill segmentation: the network (drawn from
-// net_seed, or the one a net_ref checkpoint holds), seed selection, then
-// SegmentCtx. A cancelled flood still returns the partial mask statistics
-// alongside ctx.Err().
+// net_seed, or the one a net_ref checkpoint holds — shared with every job
+// naming the same weights, through the runner's cache), seed selection,
+// then SegmentCtx. A cancelled flood still returns the partial mask
+// statistics alongside ctx.Err().
 func SegmentHandler(jc *JobContext) (any, error) {
 	spec := jc.Request().Segment
 	var net *ffn.Network
+	var err error
 	if spec.NetRef != "" {
-		ck, err := resolveCheckpoint(jc, spec.NetRef)
-		if err != nil {
-			return nil, err
-		}
-		net = ck.Net
+		net, err = jc.runner.nets.checkpointed(jc, spec.NetRef)
 	} else {
-		var err error
-		if net, err = ffn.NewNetwork(netConfig(spec.Net), spec.NetSeed); err != nil {
-			return nil, err
-		}
+		net, err = jc.runner.nets.seeded(netConfig(spec.Net), spec.NetSeed)
+	}
+	if err != nil {
+		return nil, err
 	}
 	cfg := net.Config()
 	in, err := sourceVolume(jc.Ctx(), jc, &spec.Source)
@@ -380,84 +357,6 @@ func IVTHandler(jc *JobContext) (any, error) {
 		}
 		res.VolumeRef = info.ID
 	}
-	return res, nil
-}
-
-// TrainHandler runs FFN SGD training against the thresholded source. A
-// cancelled run reports the losses of the steps actually taken. With
-// HoldoutSteps > 0 the trailing time slices are withheld from training and
-// the trained model is scored on them (precision/recall/F1/IoU) — the
-// evaluation unit sweep jobs fan out over.
-func TrainHandler(jc *JobContext) (any, error) {
-	spec := jc.Request().Train
-	set, err := openTrainingSet(jc, &spec.Source, spec.Threshold)
-	if err != nil {
-		return nil, err
-	}
-	defer set.release()
-	cfg := netConfig(spec.Net)
-
-	holdout := spec.HoldoutSteps
-	trainImg, trainLbl := set.image, set.labels
-	var testImg, testLbl *ffn.Volume
-	var testSeeds [][3]int
-	if holdout > 0 {
-		if holdout >= set.raw.D {
-			return nil, fmt.Errorf("%w: holdout of %d steps leaves no training data in a %d-step volume",
-				api.ErrInvalid, holdout, set.raw.D)
-		}
-		// Seeds come from the raw held-out slab, before normalization (the
-		// same convention SegmentHandler uses for its seed threshold).
-		_, _, testRaw, _ := ffn.Split(set.raw, set.labels, set.raw.D-holdout)
-		testSeeds = ffn.GridSeeds(testRaw, cfg.FOV, [3]int{1, 4, 4}, spec.Threshold)
-		trainImg, trainLbl, testImg, testLbl = ffn.Split(set.image, set.labels, set.raw.D-holdout)
-	}
-
-	net, err := ffn.NewNetwork(cfg, spec.NetSeed)
-	if err != nil {
-		return nil, err
-	}
-	// A step is one batch-1 round of the data-parallel trainer on one worker:
-	// the one trainer, and the one sampling stream, train_dist runs.
-	lr, momentum := optimizerDefaults(spec.LR, spec.Momentum)
-	t, err := ffn.NewDistTrainer(net, lr, momentum, trainImg, trainLbl, spec.SampleSeed, 1, 1)
-	if err != nil {
-		return nil, err
-	}
-	defer t.Release()
-	jc.Progress(0, int64(spec.Steps), "train")
-	var trainErr error
-	for t.RoundIndex() < spec.Steps {
-		if _, trainErr = t.Round(jc.Ctx()); trainErr != nil {
-			break
-		}
-		jc.Progress(int64(t.RoundIndex()), int64(spec.Steps), "train")
-	}
-	losses := t.Losses()
-	if len(losses) == 0 {
-		return nil, trainErr
-	}
-	res := api.TrainResult{Steps: len(losses)}
-	res.LossHead, res.LossTail = lossSummary(losses)
-	if trainErr != nil || holdout == 0 {
-		return res, trainErr
-	}
-
-	jc.Progress(0, 0, "validate")
-	mask, _, segErr := net.SegmentCtx(jc.Ctx(), testImg, testSeeds, 0, nil)
-	defer ffn.ReleaseVolume(mask)
-	if segErr != nil {
-		// An aborted flood must never score as a legitimate (if terrible)
-		// model — fail the candidate instead of reporting a zero mask.
-		return res, fmt.Errorf("held-out segmentation: %w", segErr)
-	}
-	prec, rec := ffn.PrecisionRecall(mask, testLbl)
-	res.HoldoutSteps = holdout
-	res.Precision, res.Recall = prec, rec
-	if prec+rec > 0 {
-		res.F1 = 2 * prec * rec / (prec + rec)
-	}
-	res.IoU = ffn.IoU(mask, testLbl)
 	return res, nil
 }
 

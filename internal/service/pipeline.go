@@ -98,7 +98,7 @@ func PipelineHandler(jc *JobContext) (any, error) {
 	slabs := (sy.Steps + slabSteps - 1) / slabSteps
 
 	cfg := netConfig(spec.Net)
-	net, err := ffn.NewNetwork(cfg, spec.NetSeed)
+	net, err := jc.runner.nets.seeded(cfg, spec.NetSeed)
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"chaseci/internal/api"
 	"chaseci/internal/dataset"
 	"chaseci/internal/ffn"
+	"chaseci/internal/queue"
 )
 
 // pipelineRequest builds a pipeline job over a deterministic synthetic
@@ -252,8 +253,10 @@ func BenchmarkPipeline(b *testing.B) {
 	if err := req.Validate(); err != nil {
 		b.Fatal(err)
 	}
+	r := NewRunnerConfigured(NewRegistry(), queue.NewStore(), RunnerConfig{Workers: 1})
+	defer r.Close()
 	for i := 0; i < b.N; i++ {
-		jc := &JobContext{ctx: context.Background(), job: &job{req: req}}
+		jc := &JobContext{ctx: context.Background(), job: &job{req: req}, runner: r}
 		res, err := PipelineHandler(jc)
 		if err != nil {
 			b.Fatal(err)

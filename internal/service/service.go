@@ -276,6 +276,7 @@ type Runner struct {
 	store    *queue.Store
 	workers  int // goroutines per pool
 	datasets *dataset.Manager
+	nets     *netCache // inference networks shared across jobs (netcache.go)
 
 	// disp decides where an admitted job is queued (dispatch.go).
 	disp dispatcher
@@ -347,6 +348,7 @@ func newRunner(reg *Registry, store *queue.Store, ds *dataset.Manager, cfg Runne
 		store:    store,
 		workers:  cfg.Workers,
 		datasets: ds,
+		nets:     newNetCache(netCacheBytes),
 		retries:  newRetryState(),
 		adm: newAdmission(
 			cfg.bound(cfg.MaxPendingPerTenant, defaultMaxPendingPerTenant),

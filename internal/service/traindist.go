@@ -8,7 +8,11 @@ import (
 	"chaseci/internal/ffn"
 )
 
-// The train_dist job: synchronous data-parallel FFN training under the
+// The training jobs, train_dist and train. They are the only handlers that
+// build networks of their own rather than take the runner's shared ones
+// (netcache.go): a trainer steps the network it is given.
+//
+// train_dist is synchronous data-parallel FFN training under the
 // service Runner. The kernel (ffn.DistTrainer) is worker-count invariant by
 // construction — every round draws one global batch from a round-derived RNG
 // and averages gradients in global sample order — so the loss sequence is
@@ -136,4 +140,82 @@ func fillLosses(res *api.TrainDistResult, t *ffn.DistTrainer) {
 	res.Rounds = t.RoundIndex()
 	res.Losses = append([]float64(nil), t.Losses()...)
 	res.LossHead, res.LossTail = lossSummary(res.Losses)
+}
+
+// TrainHandler runs FFN SGD training against the thresholded source. A
+// cancelled run reports the losses of the steps actually taken. With
+// HoldoutSteps > 0 the trailing time slices are withheld from training and
+// the trained model is scored on them (precision/recall/F1/IoU) — the
+// evaluation unit sweep jobs fan out over.
+func TrainHandler(jc *JobContext) (any, error) {
+	spec := jc.Request().Train
+	set, err := openTrainingSet(jc, &spec.Source, spec.Threshold)
+	if err != nil {
+		return nil, err
+	}
+	defer set.release()
+	cfg := netConfig(spec.Net)
+
+	holdout := spec.HoldoutSteps
+	trainImg, trainLbl := set.image, set.labels
+	var testImg, testLbl *ffn.Volume
+	var testSeeds [][3]int
+	if holdout > 0 {
+		if holdout >= set.raw.D {
+			return nil, fmt.Errorf("%w: holdout of %d steps leaves no training data in a %d-step volume",
+				api.ErrInvalid, holdout, set.raw.D)
+		}
+		// Seeds come from the raw held-out slab, before normalization (the
+		// same convention SegmentHandler uses for its seed threshold).
+		_, _, testRaw, _ := ffn.Split(set.raw, set.labels, set.raw.D-holdout)
+		testSeeds = ffn.GridSeeds(testRaw, cfg.FOV, [3]int{1, 4, 4}, spec.Threshold)
+		trainImg, trainLbl, testImg, testLbl = ffn.Split(set.image, set.labels, set.raw.D-holdout)
+	}
+
+	net, err := ffn.NewNetwork(cfg, spec.NetSeed)
+	if err != nil {
+		return nil, err
+	}
+	// A step is one batch-1 round of the data-parallel trainer on one worker:
+	// the one trainer, and the one sampling stream, train_dist runs.
+	lr, momentum := optimizerDefaults(spec.LR, spec.Momentum)
+	t, err := ffn.NewDistTrainer(net, lr, momentum, trainImg, trainLbl, spec.SampleSeed, 1, 1)
+	if err != nil {
+		return nil, err
+	}
+	defer t.Release()
+	jc.Progress(0, int64(spec.Steps), "train")
+	var trainErr error
+	for t.RoundIndex() < spec.Steps {
+		if _, trainErr = t.Round(jc.Ctx()); trainErr != nil {
+			break
+		}
+		jc.Progress(int64(t.RoundIndex()), int64(spec.Steps), "train")
+	}
+	losses := t.Losses()
+	if len(losses) == 0 {
+		return nil, trainErr
+	}
+	res := api.TrainResult{Steps: len(losses)}
+	res.LossHead, res.LossTail = lossSummary(losses)
+	if trainErr != nil || holdout == 0 {
+		return res, trainErr
+	}
+
+	jc.Progress(0, 0, "validate")
+	mask, _, segErr := net.SegmentCtx(jc.Ctx(), testImg, testSeeds, 0, nil)
+	defer ffn.ReleaseVolume(mask)
+	if segErr != nil {
+		// An aborted flood must never score as a legitimate (if terrible)
+		// model — fail the candidate instead of reporting a zero mask.
+		return res, fmt.Errorf("held-out segmentation: %w", segErr)
+	}
+	prec, rec := ffn.PrecisionRecall(mask, testLbl)
+	res.HoldoutSteps = holdout
+	res.Precision, res.Recall = prec, rec
+	if prec+rec > 0 {
+		res.F1 = 2 * prec * rec / (prec + rec)
+	}
+	res.IoU = ffn.IoU(mask, testLbl)
+	return res, nil
 }
