@@ -3,6 +3,7 @@ package ffn
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"chaseci/internal/parallel"
@@ -35,9 +36,9 @@ func TestSegmentCtxMatchesSegment(t *testing.T) {
 		prev := parallel.SetWorkers(workers)
 		defer parallel.SetWorkers(prev)
 		wantMask, wantStats := net.Segment(img, seeds, 0)
-		var lastProgress int
+		var lastProgress atomic.Int64 // the multi-lane flood calls it concurrently
 		mask, stats, err := net.SegmentCtx(context.Background(), img, seeds, 0,
-			func(steps int) { lastProgress = steps })
+			func(steps int) { lastProgress.Store(int64(steps)) })
 		if err != nil {
 			t.Fatalf("workers=%d: unexpected error %v", workers, err)
 		}
@@ -49,7 +50,7 @@ func TestSegmentCtxMatchesSegment(t *testing.T) {
 				t.Fatalf("workers=%d: mask voxel %d diverges", workers, i)
 			}
 		}
-		if stats.Steps >= progressEvery && lastProgress == 0 {
+		if stats.Steps >= progressEvery && lastProgress.Load() == 0 {
 			t.Fatalf("workers=%d: progress callback never fired over %d steps", workers, stats.Steps)
 		}
 	}

@@ -267,10 +267,11 @@ func TestBatchOneRoundIsTrainStep(t *testing.T) {
 // arithmetic behind them to hashes recorded before the parameters became
 // one flat vector: a round trip cannot see a format shift when writer and
 // reader move together, and the loss/weight hashes see any reassociation in
-// the backward pass, the all-reduce or the optimizer step. One conv shard,
-// because the backward kernel's shard reduction reassociates by design.
+// the backward pass, the all-reduce or the optimizer step. The checkpoint
+// hash holds at every conv worker count: every gradient element has one
+// writer, which sums in the scalar order.
 func TestModelAndCheckpointBytesAreStable(t *testing.T) {
-	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	defer parallel.SetWorkers(parallel.SetWorkers(0))
 	const (
 		modelSHA = "7f02cd67aa4fd6ee7ed3e6b2d92765be0017ac17eb85c2ee54c76cc83dcfe217"
 		ckptSHA  = "a495112d375d80271bddc4176a985e081ea84da88d3be830d2f4213551314b74"
@@ -286,10 +287,14 @@ func TestModelAndCheckpointBytesAreStable(t *testing.T) {
 	}
 
 	img, lbl := buildARScene(t, 6)
-	tr := distTrainer(t, img, lbl, 2)
-	runRounds(t, tr, 3)
-	if got := sum(tr.CheckpointBytes()); got != ckptSHA {
-		t.Errorf("checkpoint after 3 rounds hashes %s, want %s", got, ckptSHA)
+	var tr *DistTrainer
+	for _, workers := range []int{1, 2, 8} {
+		parallel.SetWorkers(workers)
+		tr = distTrainer(t, img, lbl, 2)
+		runRounds(t, tr, 3)
+		if got := sum(tr.CheckpointBytes()); got != ckptSHA {
+			t.Errorf("%d conv workers: checkpoint after 3 rounds hashes %s, want %s", workers, got, ckptSHA)
+		}
 	}
 	// Both encoders build their bytes in one slice of the final length.
 	for name, encode := range map[string]func() []byte{"model": n.SaveBytes, "checkpoint": tr.CheckpointBytes} {

@@ -282,9 +282,9 @@ type trainScratch struct {
 	delta      *tensor.Tensor // (1,D,H,W) output logits
 	gradLogits *tensor.Tensor
 	g          paramViews // gradient views, bound to the row being written
-	// Backward temporaries, all (F,D,H,W) except gradInput (2,D,H,W).
+	// Backward temporaries, all (F,D,H,W). Nothing reads the gradient with
+	// respect to the packed input, so no buffer holds it.
 	gradCur, gradPrev, gradSum, gradAct1 *tensor.Tensor
-	gradInput                            *tensor.Tensor
 }
 
 // newTrainScratch is the one scratch constructor: every trainer's forward
@@ -295,11 +295,11 @@ func (n *Network) newTrainScratch() *trainScratch {
 	v := d * h * w
 	// F-channel tensors: preIn, actIn, four per module, four backward
 	// temporaries; 1-channel: pom, img, lab, delta, gradLogits; 2-channel:
-	// in, gradInput.
-	wide, one, two := 6+4*mods, 5, 2
+	// in.
+	wide, one := 6+4*mods, 5
 	ts := &trainScratch{
-		slab:    tensor.GetFloats((wide*f + one + 2*two) * v),
-		tensors: make([]tensor.Tensor, wide+one+two),
+		slab:    tensor.GetFloats((wide*f + one + 2) * v),
+		tensors: make([]tensor.Tensor, wide+one+1),
 		g:       newParamViews(n.cfg),
 	}
 	free, next := ts.slab, 0
@@ -325,7 +325,7 @@ func (n *Network) newTrainScratch() *trainScratch {
 	ts.gradSum, ts.gradAct1 = carve(shapeF), carve(shapeF)
 	ts.pom, ts.img, ts.lab = carve(shape1), carve(shape1), carve(shape1)
 	ts.delta, ts.gradLogits = carve(shape1), carve(shape1)
-	ts.in, ts.gradInput = carve(shape2), carve(shape2)
+	ts.in = carve(shape2)
 	n.fillSeedPOM(ts.pom.Data)
 	return ts
 }
@@ -375,7 +375,7 @@ func (n *Network) backwardInto(ts *trainScratch, gradDelta *tensor.Tensor, row [
 		ts.gradCur, ts.gradPrev = ts.gradPrev, ts.gradCur
 	}
 	tensor.ReLUBackwardInto(ts.gradCur, cache.preIn, ts.gradCur)
-	tensor.Conv3DBackwardInto(ts.gradInput, g.wIn, g.bIn, cache.input, n.wIn, ts.gradCur)
+	tensor.Conv3DBackwardInto(nil, g.wIn, g.bIn, cache.input, n.wIn, ts.gradCur)
 }
 
 // exampleGrad runs forward+backward on one FOV example — image and label

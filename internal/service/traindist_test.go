@@ -97,6 +97,46 @@ func TestGatewayTrainDistWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestTrainDistRefsHoldAtEveryConvWidth: the kernels' fan-out width is not an
+// input. The same train_dist request under parallel.SetWorkers 1, 2 and 8
+// returns the same losses, the same periodic checkpoint refs and the same
+// final checkpoint ref. Six features, so the conv backward shards.
+func TestTrainDistRefsHoldAtEveryConvWidth(t *testing.T) {
+	defer parallel.SetWorkers(parallel.SetWorkers(0))
+	r, _ := newTestRunner(t, DefaultRegistry(), 1)
+	var base api.TrainDistResult
+	for _, lanes := range []int{1, 2, 8} {
+		parallel.SetWorkers(lanes)
+		req := distRequest(2, 6)
+		req.TrainDist.Net.Features = 6
+		req.TrainDist.CheckpointEvery = 2
+		var res api.TrainDistResult
+		if err := json.Unmarshal(runJob(t, r, req), &res); err != nil {
+			t.Fatal(err)
+		}
+		if lanes == 1 {
+			base = res
+			if len(base.Checkpoints) != 2 || base.CheckpointRef == "" {
+				t.Fatalf("baseline result = %+v", base)
+			}
+			continue
+		}
+		for i := range base.Losses {
+			if res.Losses[i] != base.Losses[i] {
+				t.Fatalf("%d lanes round %d: loss %v, want %v", lanes, i, res.Losses[i], base.Losses[i])
+			}
+		}
+		for i := range base.Checkpoints {
+			if res.Checkpoints[i] != base.Checkpoints[i] {
+				t.Fatalf("%d lanes: checkpoint %+v, want %+v", lanes, res.Checkpoints[i], base.Checkpoints[i])
+			}
+		}
+		if res.CheckpointRef != base.CheckpointRef {
+			t.Fatalf("%d lanes: checkpoint_ref %s, want %s", lanes, res.CheckpointRef, base.CheckpointRef)
+		}
+	}
+}
+
 // TestGatewayTrainDistElastic: an elastic schedule that grows and shrinks
 // the worker pool mid-run leaves the losses untouched.
 func TestGatewayTrainDistElastic(t *testing.T) {
@@ -412,10 +452,9 @@ func (c cancelledAfterShards) Err() error {
 // once on the same runner, borrow those arrays, and still produce the
 // undisturbed run's losses and content-addressed checkpoint. An array
 // released twice would be lent to both jobs at once; one used after release
-// is NaN under this package's TestMain. One conv shard, so the final
-// checkpoint id is the one recorded before training borrowed its memory.
+// is NaN under this package's TestMain. The final checkpoint id is the one
+// recorded before training borrowed its memory.
 func TestTrainDistCancelThenResumeAndElasticOnReleasedArrays(t *testing.T) {
-	defer parallel.SetWorkers(parallel.SetWorkers(1))
 	const goldenRef = "26674293a387531196b882b7584f923e1348ff105a98c1a46efbe8251d162b1f"
 	reg := DefaultRegistry()
 	reg.Register(api.KindTrainDist, func(jc *JobContext) (any, error) {

@@ -17,6 +17,27 @@ import (
 // register-accumulating 3x3 fast path), so the result is bit-exact with the
 // naive loop at every worker count; parallel fan-out shards whole (oc, z)
 // slices, each written by exactly one worker.
+//
+// The backward kernel is two gathers, each bit-exact with the serial
+// scatter loop (for every output position in (oc, z, y, x) order, for every
+// in-bounds tap: gradW += g*in, gradIn += g*w) at every worker count:
+//
+//   - The input gradient is the forward conv of gradOut with the weights'
+//     channels transposed and taps flipped, w'[ic][oc][k] = w[oc][ic][taps-1-k],
+//     and no bias, run through the forward engine (the span path for 3x3x3).
+//     Each gradIn element receives its products in the scatter's oc -> z ->
+//     y -> x order, because the flipped tap walks the output positions in
+//     raster order. The forward engine's padding taps and the scatter's
+//     skipped g == 0 products both add a signed zero, which leaves every
+//     finite sum unchanged (a sum that starts at +0 never becomes -0).
+//     The flip needs symmetric padding, so the backward refuses even kernels.
+//   - The weight gradient is one dot product per gradW element over the
+//     output positions in (z, y, x) order; the bias gradient is the same
+//     sum of gradOut alone. Units of (output-channel group, ic) shard the
+//     work, so every gradW element has one writer. For 3x3x3 on the span
+//     path, convBwdW33 runs eight output channels in the lanes of one
+//     vector against the zero-padded input, with separate multiply and add;
+//     otherwise a scalar gather walks the in-bounds positions of each tap.
 
 // convGrainFlops is the approximate mul-add count one dispatch chunk should
 // amortize; below it the kernel stays serial.
@@ -61,127 +82,181 @@ func Conv3D(in, weight *Tensor, bias []float32) *Tensor {
 	return out
 }
 
-// convBwd is the pooled backward Task: one Run processes a range of output-
-// channel shards. Gradients w.r.t. weights and bias are owned per output
-// channel and accumulate in scalar order (bit-exact at every worker count);
-// the input gradient scatters across channels, so each shard accumulates
-// into a private partial that is reduced in deterministic shard order
-// afterwards. With more than one shard the reduction reassociates float
-// additions, so gradIn matches the scalar kernel to roundoff (~1e-6
-// relative), not bit-exactly; at one shard it is bit-exact.
+// bwdLanes is how many output channels one weight-gradient unit covers: the
+// AVX2 kernel's eight lanes.
+const bwdLanes = 8
+
+// convBwd is the pooled weight-gradient Task: one Run processes a range of
+// flattened (output-channel group, ic) units, and each unit is the only
+// writer of gradW[oc][ic] for the bwdLanes channels of its group. Its tensor
+// headers carry the input-gradient pass.
 type convBwd struct {
-	in, w, gradOut []float32
-	gradW          []float32
-	gradB          []float32
-	partials       [][]float32 // per-shard gradIn partials
-	cin, d, h, wd  int
-	cout           int // sharded by parallel.Chunk over len(partials)
-	kd, kh, kw     int
-	pd, ph, pw     int
+	in, g, gradW  []float32 // g is gradOut, or its lane transpose on the span path
+	pad           []float32 // zero-padded input (span path only)
+	span          bool
+	cin, cout     int
+	d, h, wd      int
+	kd, kh, kw    int
+	wt, gIn, gOut Tensor // flipped weights, gradIn and gradOut views for the input pass
 }
 
 var convBwdPool = sync.Pool{New: func() any { return new(convBwd) }}
 
 func (t *convBwd) Run(start, end int) {
-	for k := start; k < end; k++ {
-		oc0, oc1 := parallel.Chunk(t.cout, len(t.partials), k)
-		t.runShard(oc0, oc1, t.partials[k])
+	for u := start; u < end; u++ {
+		oc0, ic := u/t.cin*bwdLanes, u%t.cin
+		oc1 := min(oc0+bwdLanes, t.cout)
+		if t.span {
+			t.unitSpan(oc0, oc1, ic)
+			continue
+		}
+		for oc := oc0; oc < oc1; oc++ {
+			t.unitScalar(oc, ic)
+		}
 	}
 }
 
-// runShard accumulates gradients for output channels [oc0, oc1) with the
-// original scalar loop structure and order.
-func (t *convBwd) runShard(oc0, oc1 int, gradIn []float32) {
-	cin, d, h, w := t.cin, t.d, t.h, t.wd
+// unitSpan computes gradW[oc0:oc1][ic] of a 3x3x3 kernel with the AVX2
+// kernel: one call per dz yields the nine (dy, dx) taps of eight output
+// channels, lane l of tap k at acc[k*bwdLanes+l].
+func (t *convBwd) unitSpan(oc0, oc1, ic int) {
+	d, h, w := t.d, t.h, t.wd
+	pw := w + 2
+	pplane := (h + 2) * pw
+	pch := (d + 2) * pplane
+	gT := t.g[oc0*d*h*w:] // the group's slab: bwdLanes floats per position
+	var acc [9 * bwdLanes]float32
+	for dz := 0; dz < 3; dz++ {
+		convBwdW33(&acc[0], &t.pad[ic*pch+dz*pplane], &gT[0],
+			int64(d), int64(h), int64(w), int64(pplane), int64(pw))
+		for oc := oc0; oc < oc1; oc++ {
+			dst := t.gradW[(oc*t.cin+ic)*27+dz*9:][:9]
+			for k := range dst {
+				dst[k] = acc[k*bwdLanes+oc-oc0]
+			}
+		}
+	}
+}
+
+// unitScalar computes gradW[oc][ic] one tap at a time: a register
+// accumulator over the output positions in (z, y, x) order, restricted to
+// those whose tap lands inside the input.
+func (t *convBwd) unitScalar(oc, ic int) {
+	d, h, w := t.d, t.h, t.wd
 	kd, kh, kw := t.kd, t.kh, t.kw
-	pd, ph, pw := t.pd, t.ph, t.pw
-	for oc := oc0; oc < oc1; oc++ {
-		for z := 0; z < d; z++ {
-			for y := 0; y < h; y++ {
-				for x := 0; x < w; x++ {
-					g := t.gradOut[((oc*d+z)*h+y)*w+x]
-					if g == 0 {
-						continue
-					}
-					t.gradB[oc] += g
-					for ic := 0; ic < cin; ic++ {
-						for dz := 0; dz < kd; dz++ {
-							iz := z + dz - pd
-							if iz < 0 || iz >= d {
-								continue
-							}
-							for dy := 0; dy < kh; dy++ {
-								iy := y + dy - ph
-								if iy < 0 || iy >= h {
-									continue
-								}
-								wBase := (((oc*cin+ic)*kd+dz)*kh + dy) * kw
-								iBase := ((ic*d+iz)*h + iy) * w
-								for dx := 0; dx < kw; dx++ {
-									ix := x + dx - pw
-									if ix < 0 || ix >= w {
-										continue
-									}
-									t.gradW[wBase+dx] += g * t.in[iBase+ix]
-									gradIn[iBase+ix] += g * t.w[wBase+dx]
-								}
-							}
+	pd, ph, pw := kd/2, kh/2, kw/2
+	npos := d * h * w
+	g := t.g[oc*npos:][:npos]
+	inCh := t.in[ic*npos:][:npos]
+	dst := t.gradW[(oc*t.cin+ic)*kd*kh*kw:][:kd*kh*kw]
+	for dz := 0; dz < kd; dz++ {
+		z0, z1 := max(pd-dz, 0), min(d+pd-dz, d)
+		for dy := 0; dy < kh; dy++ {
+			y0, y1 := max(ph-dy, 0), min(h+ph-dy, h)
+			for dx := 0; dx < kw; dx++ {
+				x0, x1 := max(pw-dx, 0), min(w+pw-dx, w)
+				off := ((dz-pd)*h+dy-ph)*w + dx - pw
+				var acc float32
+				for z := z0; z < z1 && x0 < x1; z++ {
+					for y := y0; y < y1; y++ {
+						row := (z*h + y) * w
+						gRow := g[row+x0 : row+x1]
+						iRow := inCh[row+x0+off:][:len(gRow)]
+						for i, gv := range gRow {
+							acc += gv * iRow[i]
 						}
 					}
 				}
+				dst[(dz*kh+dy)*kw+dx] = acc
 			}
 		}
 	}
 }
 
-// Conv3DBackwardInto computes the gradients of a Conv3D call into
-// caller-provided tensors: gradIn (Cin, D, H, W), gradW (same shape as
-// weight), and gradB (len Cout). All three are overwritten.
+// Conv3DBackwardInto computes the gradients of a Conv3D call with an odd
+// kernel into caller-provided tensors: gradIn (Cin, D, H, W), gradW (same
+// shape as weight) and gradB (len Cout), all overwritten. A nil gradIn skips
+// the input gradient. It allocates nothing in steady state. Even kernels
+// panic (see the header).
 func Conv3DBackwardInto(gradIn, gradW *Tensor, gradB []float32, in, weight, gradOut *Tensor) {
 	cin, d, h, w, cout, kd, kh, kw := convCheck(in, weight)
-	if !SameShape(gradIn, in) || !SameShape(gradW, weight) || len(gradB) != cout {
+	if kd%2 == 0 || kh%2 == 0 || kw%2 == 0 {
+		panic(fmt.Sprintf("tensor: Conv3DBackwardInto needs an odd kernel, got %dx%dx%d", kd, kh, kw))
+	}
+	if (gradIn != nil && !SameShape(gradIn, in)) || !SameShape(gradW, weight) || len(gradB) != cout ||
+		len(gradOut.Data) != cout*d*h*w {
 		panic("tensor: Conv3DBackwardInto gradient shape mismatch")
 	}
-	gradIn.Zero()
-	gradW.Zero()
-	for i := range gradB {
-		gradB[i] = 0
+	npos := d * h * w
+	for oc := range gradB {
+		var s float32
+		for _, g := range gradOut.Data[oc*npos:][:npos] {
+			s += g
+		}
+		gradB[oc] = s
 	}
-	t := convBwdPool.Get().(*convBwd)
-	t.in, t.w, t.gradOut = in.Data, weight.Data, gradOut.Data
-	t.gradW, t.gradB = gradW.Data, gradB
-	t.cin, t.d, t.h, t.wd, t.cout = cin, d, h, w, cout
-	t.kd, t.kh, t.kw = kd, kh, kw
-	t.pd, t.ph, t.pw = kd/2, kh/2, kw/2
 
-	// Tiny backward passes stay serial: sharding must be worth at least
-	// convGrainFlops of scatter work per output channel.
-	unitWork := d * h * w * cin * kd * kh * kw
-	if unitWork < convGrainFlops || cout == 1 || parallel.Workers() == 1 {
-		// Single shard: accumulate straight into gradIn, bit-exact with the
-		// original serial kernel, and allocation-free.
-		t.runShard(0, cout, gradIn.Data)
-	} else {
-		// One shard per dispatch chunk of the output channels (at least two
-		// here: more than one worker, more than one channel).
-		t.partials = t.partials[:0]
-		for range parallel.Chunks(cout) {
-			p := GetFloats(len(gradIn.Data))
-			clear(p)
-			t.partials = append(t.partials, p)
+	t := convBwdPool.Get().(*convBwd)
+	t.in, t.g, t.gradW = in.Data, gradOut.Data, gradW.Data
+	t.cin, t.cout, t.d, t.h, t.wd = cin, cout, d, h, w
+	t.kd, t.kh, t.kw = kd, kh, kw
+	groups := (cout + bwdLanes - 1) / bwdLanes
+	if t.span = spanActive(kd, kh, kw); t.span {
+		// Border-free taps against the zero-padded input, and gradOut
+		// transposed so that lane l at position p of group k's slab is
+		// output channel k*bwdLanes+l; lanes past cout stay zero.
+		t.pad = GetFloats(spanPadLen(cin, d, h, w))
+		clear(t.pad)
+		fillPadded(t.pad, in.Data, cin, d, h, w)
+		t.g = GetFloats(groups * bwdLanes * npos)
+		if cout%bwdLanes != 0 {
+			clear(t.g)
 		}
-		parallel.Invoke(len(t.partials), t)
-		// Deterministic reduction in shard (ascending oc) order.
-		for _, p := range t.partials {
-			for i, v := range p {
-				gradIn.Data[i] += v
+		for oc := 0; oc < cout; oc++ {
+			dst := t.g[(oc/bwdLanes)*bwdLanes*npos+oc%bwdLanes:]
+			for p, v := range gradOut.Data[oc*npos:][:npos] {
+				dst[p*bwdLanes] = v
 			}
-			PutFloats(p)
 		}
 	}
-	t.in, t.w, t.gradOut, t.gradW, t.gradB = nil, nil, nil, nil, nil
-	for i := range t.partials {
-		t.partials[i] = nil
+	unitWork := npos * kd * kh * kw * min(cout, bwdLanes)
+	grain := 1
+	if unitWork < convGrainFlops {
+		grain = (convGrainFlops + unitWork - 1) / unitWork
+	}
+	parallel.InvokeGrain(groups*cin, grain, t)
+	if t.span {
+		PutFloats(t.pad)
+		PutFloats(t.g)
+		t.pad = nil
+	}
+	t.in, t.g, t.gradW = nil, nil, nil
+
+	if gradIn != nil {
+		t.inputGrad(gradIn, weight, gradOut)
 	}
 	convBwdPool.Put(t)
+}
+
+// inputGrad writes gradIn as the forward conv of gradOut with the weights'
+// channels transposed and taps flipped, w'[ic][oc][k] = w[oc][ic][taps-1-k].
+func (t *convBwd) inputGrad(gradIn, weight, gradOut *Tensor) {
+	cout, cin := weight.Shape[0], weight.Shape[1]
+	taps := len(weight.Data) / (cout * cin)
+	wt := GetFloats(len(weight.Data))
+	for oc := 0; oc < cout; oc++ {
+		for ic := 0; ic < cin; ic++ {
+			src := weight.Data[(oc*cin+ic)*taps:][:taps]
+			dst := wt[(ic*cout+oc)*taps:][:taps]
+			for k, v := range src {
+				dst[taps-1-k] = v
+			}
+		}
+	}
+	t.wt.Shape = append(t.wt.Shape[:0], cin, cout)
+	t.wt.Shape = append(t.wt.Shape, weight.Shape[2:]...)
+	t.wt.Data = wt
+	convBatchDispatch(asBatch1(&t.gIn, gradIn), asBatch1(&t.gOut, gradOut), &t.wt, nil, nil, epNone, 0)
+	PutFloats(wt)
+	t.wt.Data, t.gIn.Data, t.gOut.Data = nil, nil, nil
 }

@@ -13,3 +13,15 @@ package tensor
 //
 //go:noescape
 func conv33Flat(dst, pin, w *float32, cin, pch, pplane, pw, nvec int64, bias float32)
+
+// convBwdW33 computes the weight gradient of one (output-channel group, ic,
+// dz) of a 3x3x3 conv (conv_span_amd64.s): for each in-plane tap
+// k = dy*3+dx, the 8 lanes of dst[8k:8k+8] are the sums over the d*h*w output
+// positions, in (z, y, x) order, of gt[p][l] * pin[z*pplane + (y+dy)*pw + x+dx].
+// gt holds the group's gradOut transposed, eight floats (one per lane, that is
+// per output channel) per position; pin points at the padded input plane dz of
+// channel ic. Every lane accumulates with separate multiply and add, so its
+// sequence is the scalar gather's. Requires AVX2.
+//
+//go:noescape
+func convBwdW33(dst, pin, gt *float32, d, h, w, pplane, pw int64)

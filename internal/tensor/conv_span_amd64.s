@@ -132,3 +132,84 @@ v1:
 done:
 	VZEROUPPER
 	RET
+
+// WTAP adds one in-plane tap's products for the current position: the
+// input at mem, broadcast, times the position's eight gradOut lanes (Y9),
+// into the tap's accumulator. Multiply and add stay separate (no FMA).
+#define WTAP(mem, t, acc) \
+	VBROADCASTSS mem, t \
+	VMULPS       Y9, t, t \
+	VADDPS       t, acc, acc
+
+// func convBwdW33(dst, pin, gt *float32, d, h, w, pplane, pw int64)
+//
+// Accumulators Y0-Y8 (tap k = dy*3+dx) stay in registers across all d*h*w
+// output positions, walked in (z, y, x) order; each position loads its
+// eight gradOut lanes once and issues nine broadcast-multiply-adds. The
+// input reads stay inside the padded channel: rows y..y+2 and columns
+// x..x+2 of plane z of the (d+2, h+2, w+2) block that pin starts.
+TEXT ·convBwdW33(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ pin+8(FP), BX
+	MOVQ gt+16(FP), DX
+	MOVQ d+24(FP), R8
+	MOVQ h+32(FP), R13
+	MOVQ w+40(FP), R14
+	MOVQ pplane+48(FP), R12
+	SHLQ $2, R12
+	MOVQ pw+56(FP), R11
+	SHLQ $2, R11
+
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8
+
+wz_loop:
+	MOVQ BX, AX
+	MOVQ R13, R9
+
+wy_loop:
+	MOVQ AX, SI
+	MOVQ R14, R10
+
+wx_loop:
+	VMOVUPS (DX), Y9
+	WTAP(0(SI), Y10, Y0)
+	WTAP(4(SI), Y11, Y1)
+	WTAP(8(SI), Y12, Y2)
+	WTAP(0(SI)(R11*1), Y13, Y3)
+	WTAP(4(SI)(R11*1), Y14, Y4)
+	WTAP(8(SI)(R11*1), Y15, Y5)
+	WTAP(0(SI)(R11*2), Y10, Y6)
+	WTAP(4(SI)(R11*2), Y11, Y7)
+	WTAP(8(SI)(R11*2), Y12, Y8)
+	ADDQ $4, SI
+	ADDQ $32, DX
+	DECQ R10
+	JNZ  wx_loop
+
+	ADDQ R11, AX
+	DECQ R9
+	JNZ  wy_loop
+
+	ADDQ R12, BX
+	DECQ R8
+	JNZ  wz_loop
+
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	VMOVUPS Y8, 256(DI)
+	VZEROUPPER
+	RET

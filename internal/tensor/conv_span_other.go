@@ -2,8 +2,12 @@
 
 package tensor
 
-// Stub so the span dispatch compiles on non-amd64; spanActive is always
-// false there, so this is unreachable.
+// Stubs so the span dispatches compile on non-amd64; spanActive is always
+// false there, so these are unreachable.
 func conv33Flat(dst, pin, w *float32, cin, pch, pplane, pw, nvec int64, bias float32) {
 	panic("tensor: conv33Flat called without SIMD support")
+}
+
+func convBwdW33(dst, pin, gt *float32, d, h, w, pplane, pw int64) {
+	panic("tensor: convBwdW33 called without SIMD support")
 }

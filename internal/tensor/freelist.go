@@ -11,9 +11,9 @@ import (
 // float32 buffers for everything sized by a volume or by a network geometry
 // — normalised images, flood canvases, the flood's visited bitset, the
 // per-worker inference scratch tensors, and the conv kernels' own
-// temporaries (padded inputs, per-shard gradient partials). A job builds its
-// own Network and its own volumes, so a list hanging off either is always
-// cold; this one survives from job to job.
+// temporaries (padded inputs, the backward's transposed gradOut and flipped
+// weights). A job builds its own Network and its own volumes, so a list
+// hanging off either is always cold; this one survives from job to job.
 //
 // It is a mutex-guarded LIFO rather than a sync.Pool: buffers must survive
 // between jobs deterministically (the runtime may drop pool entries at any
