@@ -461,13 +461,15 @@ func (n *NetConfig) Validate(field string) error {
 			return invalidf("%s: move_step %v must be within [0, fov/2] of fov %v", field, step, fov)
 		}
 	}
-	// Combined batched-scratch budget: the flood scratch holds a few
-	// (batch, Features, D, H, W) activation tensors, so the two
-	// individually-capped knobs must also be bounded together — otherwise
-	// a request at both extremes could demand over 10 GB. Division-based
-	// like volumeVoxels, so the product can never overflow.
+	// Combined batched-scratch budget: the f32 flood scratch holds a few
+	// activation buffers of batch x (D+2)(H+2)(W+2) positions x Features
+	// rounded up to whole 8-lane vectors, so the two individually-capped
+	// knobs must also be bounded together — otherwise a request at both
+	// extremes could demand over 10 GB. Division-based like volumeVoxels,
+	// so the product can never overflow.
 	const batch = 8 // ffn.DefaultFloodBatch
-	if fov[0]*fov[1]*fov[2] > maxScratchElems/(feat*batch) {
+	lanes := (feat + 7) / 8 * 8
+	if (fov[0]+2)*(fov[1]+2)*(fov[2]+2) > maxScratchElems/(lanes*batch) {
 		return invalidf("%s: fov x features implies a batched scratch over the %d-element limit",
 			field, maxScratchElems)
 	}

@@ -123,7 +123,8 @@ func TestSegmentCtxSteadyStateAllocs(t *testing.T) {
 		}
 		parallel.SetWorkers(prev)
 		// Every whole-volume array is 110 KB and the batched scratch is
-		// 56 KB a worker; what remains is seed lists, tensor headers and
+		// 342 KB a worker (eight slots of padded, channel-blocked
+		// buffers); what remains is seed lists, tensor headers and
 		// dispatch, a few KB.
 		if warm >= volBytes/8 {
 			t.Errorf("workers=%d: steady-state flood allocated %d B (first flood %d B); a %d B volume or a scratch tensor is being reallocated",

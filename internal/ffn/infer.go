@@ -116,21 +116,17 @@ type InferenceStats struct {
 	VoxelsTotal int
 }
 
-// mergeCore max-merges the core of an output FOV centered at p into canvas.
-// Only the central core of the FOV is merged: zero-padded convolution
-// borders make edge predictions unreliable, and strong object evidence
-// should accumulate rather than saturate across overlapping applications.
-// Element-wise max is commutative and associative, so the merged canvas is
-// independent of application order — the property the parallel path relies
-// on for determinism.
-func mergeCore(canvas []float32, H, W int, fov [3]int, out []float32, pz, py, px int) {
-	mz, my, mx := fov[0]/4, fov[1]/4, fov[2]/4
+// mergeCore max-merges the core box (Config.floodReads) of an output FOV
+// centered at p into canvas. Element-wise max is commutative and
+// associative, so the merged canvas is independent of application order —
+// the property the parallel path relies on for determinism.
+func mergeCore(canvas []float32, H, W int, fov [3]int, core fovBox, out []float32, pz, py, px int) {
 	z0, y0, x0 := pz-fov[0]/2, py-fov[1]/2, px-fov[2]/2
-	for z := mz; z < fov[0]-mz; z++ {
-		for y := my; y < fov[1]-my; y++ {
+	for z := core.lo[0]; z < core.hi[0]; z++ {
+		for y := core.lo[1]; y < core.hi[1]; y++ {
 			base := ((z0+z)*H + y0 + y) * W
 			row := out[(z*fov[1]+y)*fov[2]:]
-			for x := mx; x < fov[2]-mx; x++ {
+			for x := core.lo[2]; x < core.hi[2]; x++ {
 				if v := row[x]; v > canvas[base+x0+x] {
 					canvas[base+x0+x] = v
 				}
@@ -281,11 +277,19 @@ func (n *Network) SegmentCtx(ctx context.Context, image *Volume, seeds [][3]int,
 	padLogit := logit(cfg.PadProb)
 	seedLogit := logit(cfg.SeedProb)
 
-	// An int8 network is made with its quantized weights; only a training
-	// step drops them, on a network its trainer's owner floods alone.
-	// Rebuild them before any fan-out: flood lanes share them read-only.
-	if n.int8Inference() && n.qn == nil {
-		n.qn = n.quantize()
+	// What the flood lanes share read-only is ready before any fan-out: an
+	// f32 flood's plan (lane weights and read spans), built here and
+	// released when the flood ends, or an int8 network's quantized weights.
+	// Those come with the network; only a training step drops them, on a
+	// network its trainer's owner floods alone, so they are rebuilt here.
+	var plan floodPlan
+	if n.int8Inference() {
+		if n.qn == nil {
+			n.qn = n.quantize()
+		}
+	} else {
+		plan = n.newFloodPlan()
+		defer plan.release()
 	}
 
 	// The canvas is borrowed, and becomes the returned mask: the caller may
@@ -302,7 +306,7 @@ func (n *Network) SegmentCtx(ctx context.Context, image *Volume, seeds [][3]int,
 	}
 	fr := newFrontier(accepted, lanes, maxSteps > 0)
 	if lanes <= 1 {
-		n.flood(ctx, image, fr, claimed, canvas.Data, moveLogit, maxSteps, &stats, prog)
+		n.flood(ctx, image, fr, claimed, canvas.Data, plan, moveLogit, maxSteps, &stats, prog)
 	} else {
 		// Lane-private canvases, max-reduced in lane order afterwards (order
 		// is irrelevant for max, but keep it fixed anyway) and returned to
@@ -315,7 +319,7 @@ func (n *Network) SegmentCtx(ctx context.Context, image *Volume, seeds [][3]int,
 				wc := tensor.GetFloats(image.Size())
 				fill(wc, padLogit)
 				canvases[k] = wc
-				n.flood(ctx, image, fr, claimed, wc, moveLogit, 0, &laneStats[k], prog)
+				n.flood(ctx, image, fr, claimed, wc, plan, moveLogit, 0, &laneStats[k], prog)
 			}
 		})
 		fr.reraise()
@@ -359,15 +363,41 @@ func fill(b []float32, v float32) {
 	}
 }
 
-// moveOffsets returns the six move-target displacements (center +/-
-// MoveStep along each axis); these sit inside the reliable core of the FOV
-// prediction.
+// moveOffsets returns the six move displacements, center +/- MoveStep along
+// each axis: a move goes to center + offset, and the logit at that position
+// of the FOV decides it. Those targets need not lie in the merged core (see
+// floodReads).
 func (cfg *Config) moveOffsets() [6][3]int {
 	return [6][3]int{
 		{-cfg.MoveStep[0], 0, 0}, {cfg.MoveStep[0], 0, 0},
 		{0, -cfg.MoveStep[1], 0}, {0, cfg.MoveStep[1], 0},
 		{0, 0, -cfg.MoveStep[2]}, {0, 0, cfg.MoveStep[2]},
 	}
+}
+
+// fovBox is a box of FOV positions, lo <= p < hi on each axis.
+type fovBox struct{ lo, hi [3]int }
+
+// floodReads is everything a flood reads of one application's logits, and
+// so all the f32 engine computes of them (readSpans): the core box that
+// mergeCore max-merges into the canvas, and the six move targets (FOV
+// coordinates, in moveOffsets order). The core is the FOV less a quarter of
+// each side: zero-padded convolution borders make edge predictions
+// unreliable, and strong object evidence should accumulate rather than
+// saturate across overlapping applications. The targets may sit outside
+// it: at the default FOV (5, 9, 9) and MoveStep (1, 3, 3) the core is
+// z in [1, 4), y and x in [2, 7), and four targets sit on rows or columns 1
+// and 7 — 79 logits in all, of 405.
+func (cfg *Config) floodReads() (core fovBox, moves [6][3]int) {
+	for i, d := range cfg.FOV {
+		core.lo[i], core.hi[i] = d/4, d-d/4
+	}
+	for i, off := range cfg.moveOffsets() {
+		for a := range off {
+			moves[i][a] = cfg.FOV[a]/2 + off[a]
+		}
+	}
+	return core, moves
 }
 
 // GridSeeds produces seed positions on a regular lattice wherever the image

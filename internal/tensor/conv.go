@@ -63,7 +63,7 @@ func Conv3DInto(out, in, weight *Tensor, bias []float32) {
 		panic(fmt.Sprintf("tensor: Conv3DInto out shape %v, want (%d,%d,%d,%d)", out.Shape, cout, d, h, w))
 	}
 	hdr := batch1Pool.Get().(*struct{ o, i Tensor })
-	convBatchDispatch(asBatch1(&hdr.o, out), asBatch1(&hdr.i, in), weight, bias, nil, epNone, 0)
+	convBatchDispatch(asBatch1(&hdr.o, out), asBatch1(&hdr.i, in), weight, bias, epNone, 0)
 	hdr.o.Data, hdr.i.Data = nil, nil
 	batch1Pool.Put(hdr)
 }
@@ -256,7 +256,7 @@ func (t *convBwd) inputGrad(gradIn, weight, gradOut *Tensor) {
 	t.wt.Shape = append(t.wt.Shape[:0], cin, cout)
 	t.wt.Shape = append(t.wt.Shape, weight.Shape[2:]...)
 	t.wt.Data = wt
-	convBatchDispatch(asBatch1(&t.gIn, gradIn), asBatch1(&t.gOut, gradOut), &t.wt, nil, nil, epNone, 0)
+	convBatchDispatch(asBatch1(&t.gIn, gradIn), asBatch1(&t.gOut, gradOut), &t.wt, nil, epNone, 0)
 	PutFloats(wt)
 	t.wt.Data, t.gIn.Data, t.gOut.Data = nil, nil, nil
 }

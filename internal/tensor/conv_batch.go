@@ -11,22 +11,22 @@ import (
 // inputs against one shared weight tensor in a single dispatch: the parallel
 // fan-out shards flattened (b, oc, z) output slices, so the weights stay
 // cache-hot across the whole batch instead of being re-streamed once per
-// input. The fused variants fold an epilogue — ReLU, or residual-add+ReLU —
-// into the output write of each slice, eliminating the separate full-tensor
-// traversals (ReLUInto, AddInPlace) the layer would otherwise pay.
+// input. Conv3DBatchReLUInto folds ReLU into the output write of each
+// slice, eliminating the separate ReLUInto traversal.
 //
 // Bit-exactness contract: every output element receives its tap
 // contributions in the scalar kernel's ic -> dz -> dy -> dx order with the
 // same skip conditions, the epilogue applies after the element's last tap
-// exactly as the unfused sequence (conv write, residual add, ReLU) would,
-// and each (b, oc, z) slice is written by exactly one worker — so results
-// are bit-exact with Conv3DInto-then-ReLUInto(-then-AddInPlace) at every
-// batch size and worker count. Unlike convFwd's one-tap-per-pass rows, the
+// exactly as the unfused sequence (conv write, ReLU) would, and each
+// (b, oc, z) slice is written by exactly one worker — so results are
+// bit-exact with Conv3DInto-then-ReLUInto at every batch size and worker
+// count. Unlike convFwd's one-tap-per-pass rows, the
 // batched kernel walks each (ic, dz, dy) row once and accumulates all kw
 // taps into a register before storing, which is the same per-element
 // operation sequence with ~kw fewer output loads/stores.
 
-// convEpilogue selects what is fused into the output write of a slice.
+// convEpilogue selects what is fused into the output write of a slice. The
+// f32 engines fuse epNone and epReLU; the int8 one (quant.go) all three.
 type convEpilogue int
 
 const (
@@ -39,7 +39,6 @@ const (
 // of flattened (b, oc, z) output slices.
 type convBatch struct {
 	out, in, w, bias []float32
-	res              []float32 // residual input (epResReLU), same shape as out
 	pad              []float32 // zero-padded input (span path only)
 	span             bool      // route Run through the SIMD span kernel
 	ep               convEpilogue
@@ -92,23 +91,13 @@ func (t *convBatch) Run(start, end int) {
 			}
 		}
 		// Fused epilogue: applied once per slice, after the slice's last tap
-		// — the same per-element sequence as the unfused conv-then-add-then-
-		// ReLU traversals.
-		switch t.ep {
-		case epReLU:
+		// — the same per-element sequence as the unfused conv-then-ReLU
+		// traversals.
+		if t.ep == epReLU {
 			for i, v := range outPlane {
 				if v < 0 {
 					outPlane[i] = 0
 				}
-			}
-		case epResReLU:
-			resPlane := t.res[sliceBase+z*hw:][:hw]
-			for i := range outPlane {
-				v := outPlane[i] + resPlane[i]
-				if v < 0 {
-					v = 0
-				}
-				outPlane[i] = v
 			}
 		}
 	}
@@ -279,13 +268,13 @@ func convBatchCheck(out, in, weight *Tensor) (batch, cin, d, h, w, cout, kd, kh,
 // standard grain policy and releases it. maxBatch limits how many leading
 // batch items participate (len(out) may exceed the live batch when a
 // reusable scratch tensor is larger than the final partial batch).
-func convBatchDispatch(out, in, weight *Tensor, bias []float32, res []float32, ep convEpilogue, maxBatch int) {
+func convBatchDispatch(out, in, weight *Tensor, bias []float32, ep convEpilogue, maxBatch int) {
 	batch, cin, d, h, w, cout, kd, kh, kw := convBatchCheck(out, in, weight)
 	if maxBatch > 0 && maxBatch < batch {
 		batch = maxBatch
 	}
 	t := convBatchPool.Get().(*convBatch)
-	t.out, t.in, t.w, t.bias, t.res = out.Data, in.Data, weight.Data, bias, res
+	t.out, t.in, t.w, t.bias = out.Data, in.Data, weight.Data, bias
 	t.ep = ep
 	t.cout = cout
 	t.cin, t.d, t.h, t.wd = cin, d, h, w
@@ -309,7 +298,7 @@ func convBatchDispatch(out, in, weight *Tensor, bias []float32, res []float32, e
 		PutFloats(t.pad)
 		t.pad, t.span = nil, false
 	}
-	t.out, t.in, t.w, t.bias, t.res = nil, nil, nil, nil, nil
+	t.out, t.in, t.w, t.bias = nil, nil, nil, nil
 	convBatchPool.Put(t)
 }
 
@@ -326,24 +315,14 @@ func convBatchDispatch(out, in, weight *Tensor, bias []float32, res []float32, e
 // processing to the first batch items (0 or >= B processes all of them),
 // letting a reusable full-size scratch tensor serve partial final batches.
 func Conv3DBatchInto(out, in, weight *Tensor, bias []float32, batch int) {
-	convBatchDispatch(out, in, weight, bias, nil, epNone, batch)
+	convBatchDispatch(out, in, weight, bias, epNone, batch)
 }
 
 // Conv3DBatchReLUInto is Conv3DBatchInto with ReLU fused into the output
 // write: out = max(0, conv(in)). Bit-exact with Conv3DBatchInto followed by
 // ReLUInto, one full output traversal cheaper.
 func Conv3DBatchReLUInto(out, in, weight *Tensor, bias []float32, batch int) {
-	convBatchDispatch(out, in, weight, bias, nil, epReLU, batch)
-}
-
-// Conv3DBatchResReLUInto fuses the residual-module tail into the conv:
-// out = max(0, conv(in) + res), with res shaped like out. Bit-exact with
-// Conv3DBatchInto, AddInPlace(res), ReLUInto — two full traversals cheaper.
-func Conv3DBatchResReLUInto(out, in, weight *Tensor, bias []float32, res *Tensor, batch int) {
-	if !SameShape(out, res) {
-		panic("tensor: Conv3DBatchResReLUInto residual shape mismatch")
-	}
-	convBatchDispatch(out, in, weight, bias, res.Data, epResReLU, batch)
+	convBatchDispatch(out, in, weight, bias, epReLU, batch)
 }
 
 // asBatch1 views a (C, D, H, W) tensor as (1, C, D, H, W) without copying.

@@ -42,14 +42,12 @@ func TestConv3DBatchIntoMatchesPerItem(t *testing.T) {
 		for _, batch := range []int{1, 2, 3, 8} {
 			in := randTensor(rng, batch, tc.cin, tc.d, tc.h, tc.w)
 			weight := randTensor(rng, tc.cout, tc.cin, tc.kd, tc.kh, tc.kw)
-			res := randTensor(rng, batch, tc.cout, tc.d, tc.h, tc.w)
 			bias := make([]float32, tc.cout)
 			for i := range bias {
 				bias[i] = float32(rng.NormFloat64())
 			}
 			wantPlain := batchRef(in, weight, bias, nil, epNone)
 			wantReLU := batchRef(in, weight, bias, nil, epReLU)
-			wantRes := batchRef(in, weight, bias, res, epResReLU)
 			for _, workers := range []int{1, 2, 8} {
 				t.Run(fmt.Sprintf("%+v/batch=%d/workers=%d", tc, batch, workers), func(t *testing.T) {
 					prev := parallel.SetWorkers(workers)
@@ -59,9 +57,8 @@ func TestConv3DBatchIntoMatchesPerItem(t *testing.T) {
 						run  func()
 						want *Tensor
 					}{
-						"plain":   {func() { Conv3DBatchInto(out, in, weight, bias, 0) }, wantPlain},
-						"relu":    {func() { Conv3DBatchReLUInto(out, in, weight, bias, 0) }, wantReLU},
-						"resrelu": {func() { Conv3DBatchResReLUInto(out, in, weight, bias, res, 0) }, wantRes},
+						"plain": {func() { Conv3DBatchInto(out, in, weight, bias, 0) }, wantPlain},
+						"relu":  {func() { Conv3DBatchReLUInto(out, in, weight, bias, 0) }, wantReLU},
 					} {
 						out.Fill(999) // stale garbage must be overwritten
 						pair.run()
@@ -110,19 +107,17 @@ func TestConv3DBatchIntoPartialBatch(t *testing.T) {
 	}
 }
 
-// TestConv3DReLUIntoMatchesUnfused pins the fused epilogues, one item at a
-// time, against the unfused public sequence Conv3DInto, AddInPlace, ReLUInto.
+// TestConv3DReLUIntoMatchesUnfused pins the fused ReLU, one item at a time,
+// against the unfused public sequence Conv3DInto, ReLUInto.
 func TestConv3DReLUIntoMatchesUnfused(t *testing.T) {
 	rng := sim.NewRNG(29)
 	in := randTensor(rng, 1, 3, 4, 8, 9)
 	weight := randTensor(rng, 5, 3, 3, 3, 3)
-	res := randTensor(rng, 1, 5, 4, 8, 9)
 	bias := make([]float32, 5)
 	for i := range bias {
 		bias[i] = float32(rng.NormFloat64())
 	}
 	in4 := &Tensor{Shape: in.Shape[1:], Data: in.Data}
-	res4 := &Tensor{Shape: res.Shape[1:], Data: res.Data}
 	want := New(5, 4, 8, 9)
 	Conv3DInto(want, in4, weight, bias)
 	ReLUInto(want, want)
@@ -133,20 +128,10 @@ func TestConv3DReLUIntoMatchesUnfused(t *testing.T) {
 			t.Fatalf("fused relu element %d: got %v, want %v", i, got.Data[i], want.Data[i])
 		}
 	}
-
-	Conv3DInto(want, in4, weight, bias)
-	want.AddInPlace(res4)
-	ReLUInto(want, want)
-	Conv3DBatchResReLUInto(got, in, weight, bias, res, 1)
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("fused res-relu element %d: got %v, want %v", i, got.Data[i], want.Data[i])
-		}
-	}
 }
 
-// TestConv3DBatchIntoAllocFree guards the allocation contract of the whole
-// fused family: steady-state batched dispatches must not allocate.
+// TestConv3DBatchIntoAllocFree guards the allocation contract of the
+// batched family: steady-state dispatches must not allocate.
 func TestConv3DBatchIntoAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; alloc pins run in the non-race job")
@@ -154,14 +139,12 @@ func TestConv3DBatchIntoAllocFree(t *testing.T) {
 	rng := sim.NewRNG(31)
 	in := randTensor(rng, 4, 2, 3, 7, 7)
 	weight := randTensor(rng, 4, 2, 3, 3, 3)
-	res := randTensor(rng, 4, 4, 3, 7, 7)
 	bias := make([]float32, 4)
 	out := New(4, 4, 3, 7, 7)
-	Conv3DBatchResReLUInto(out, in, weight, bias, res, 0) // warm pools
+	Conv3DBatchReLUInto(out, in, weight, bias, 0) // warm pools
 	allocs := testing.AllocsPerRun(50, func() {
 		Conv3DBatchInto(out, in, weight, bias, 0)
 		Conv3DBatchReLUInto(out, in, weight, bias, 0)
-		Conv3DBatchResReLUInto(out, in, weight, bias, res, 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("batched conv steady-state allocs/op = %v, want 0", allocs)

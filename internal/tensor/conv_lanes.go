@@ -1,0 +1,201 @@
+package tensor
+
+import "fmt"
+
+// Channel-lane forward engine for 3x3x3 conv + ReLU layers whose activations
+// stay in one layout from layer to layer (the f32 flood's, in internal/ffn).
+//
+// Activations live in a Blocked buffer: (D+2, H+2, W+2, C) floats, C
+// channels per position, with a one-position shell of zeros that nothing
+// but ClearShell writes. A layer reads its input buffer and writes the
+// interior of its output buffer, so the next layer reads it as is: no
+// staging copy, no re-padding. Eight output channels share the lanes of one
+// vector, so a position costs ceil(cout/8)*cin*27 vector multiply-adds and
+// no lane lands on a pad column.
+//
+// A layer is evaluated only at the positions a caller lists, one x interval
+// per (z, y) row. Positions outside the list are neither read from the
+// output buffer nor written; a caller that lists, for each layer, every
+// position a later layer reads leaves the rest of every buffer unused.
+//
+// Bit-exactness: every output lane is the bias, then all cin*27 taps
+// (padding taps included, each adding a signed zero) in the scalar kernel's
+// ic -> dz -> dy -> dx order with separate multiply and add, then the
+// residual, then max(0, .) keeping NaN and -0 — the per-element sequence of
+// Conv3DBatchReLUInto (or Conv3DBatchInto, AddInPlace, ReLUInto). The
+// AVX2 kernel convRow33 and its Go twin convRow33Go compute the same bits;
+// the twin runs wherever the span path is off (SetSpanKernels(false), the
+// nosimd tag, non-amd64, CPUs without AVX2).
+
+// laneWidth is how many output channels one vector holds; laneTile is the
+// most positions one convRow33 call keeps in registers.
+const (
+	laneWidth = 8
+	laneTile  = 12
+)
+
+// LaneChannels rounds a channel count up to whole vectors: the channels per
+// position of a Blocked buffer a conv with c output channels writes.
+func LaneChannels(c int) int { return (c + laneWidth - 1) / laneWidth * laneWidth }
+
+// Blocked describes a zero-padded, channel-blocked activation buffer of
+// interior (D, H, W): a (D+2, H+2, W+2, C) array of floats.
+type Blocked struct{ D, H, W, C int }
+
+// Len is the buffer's length in floats.
+func (b Blocked) Len() int { return (b.D + 2) * (b.H + 2) * (b.W + 2) * b.C }
+
+// Pos is the index of channel 0 of interior position (z, y, x).
+func (b Blocked) Pos(z, y, x int) int {
+	return (((z+1)*(b.H+2)+y+1)*(b.W+2) + x + 1) * b.C
+}
+
+// ClearShell zeroes the padding shell of buf and leaves the interior alone.
+func (b Blocked) ClearShell(buf []float32) {
+	c := b.C
+	row := (b.W + 2) * c
+	plane := (b.H + 2) * row
+	buf = buf[:b.Len()]
+	clear(buf[:plane])
+	clear(buf[(b.D+1)*plane:])
+	for z := 1; z <= b.D; z++ {
+		p := buf[z*plane:][:plane]
+		clear(p[:row])
+		clear(p[(b.H+1)*row:])
+		for y := 1; y <= b.H; y++ {
+			r := p[y*row:][:row]
+			clear(r[:c])
+			clear(r[(b.W+1)*c:])
+		}
+	}
+}
+
+// LaneWeights33Len is the length of the lane form of (cout, cin, 3, 3, 3)
+// weights and their bias (PackLaneWeights33).
+func LaneWeights33Len(cout, cin int) int {
+	return LaneChannels(cout) / laneWidth * (cin*27*laneWidth + laneWidth)
+}
+
+// PackLaneWeights33 writes (cout, cin, 3, 3, 3) weights and their bias (nil
+// means zeros) into dst (len LaneWeights33Len) in lane form: for each group
+// of eight output channels, w[ic][tap][lane] and then bias[lane], with the
+// lanes past cout zero.
+func PackLaneWeights33(dst []float32, weight *Tensor, bias []float32) {
+	cout, cin := weight.Shape[0], weight.Shape[1]
+	if weight.Shape[2] != 3 || weight.Shape[3] != 3 || weight.Shape[4] != 3 {
+		panic(fmt.Sprintf("tensor: PackLaneWeights33 wants 3x3x3 weights, got %v", weight.Shape))
+	}
+	dst = dst[:LaneWeights33Len(cout, cin)]
+	clear(dst)
+	gLen := cin*27*laneWidth + laneWidth
+	for oc := 0; oc < cout; oc++ {
+		g := dst[oc/laneWidth*gLen:][:gLen]
+		l := oc % laneWidth
+		src := weight.Data[oc*cin*27:][:cin*27]
+		for i, v := range src {
+			g[i*laneWidth+l] = v
+		}
+		if bias != nil {
+			g[cin*27*laneWidth+l] = bias[oc]
+		}
+	}
+}
+
+// ConvLanes33ReLU computes one 3x3x3 same-padded conv layer with a fused
+// ReLU, out = max(0, conv(in) + res), at the interior positions spans lists:
+// for each of the D*H rows (z, y) in order, the half-open interval
+// [spans[2r], spans[2r+1]) of x (an empty interval skips the row). in holds
+// cin channels per position in layout li (li.C >= cin); out, and res unless
+// it is nil, have layout lo with the interior of li; lw is the layer's
+// PackLaneWeights33 form for lo.C/8 groups. Lanes past cout come out as
+// max(0, 0 + 0*x + res). The call allocates nothing.
+func ConvLanes33ReLU(out []float32, lo Blocked, in []float32, li Blocked, cin int, lw, res []float32, spans []int32) {
+	groups := lo.C / laneWidth
+	gLen := cin*27*laneWidth + laneWidth
+	if lo.C%laneWidth != 0 || lo.D != li.D || lo.H != li.H || lo.W != li.W || cin < 1 || cin > li.C ||
+		len(out) < lo.Len() || len(in) < li.Len() || (res != nil && len(res) < lo.Len()) ||
+		len(lw) != groups*gLen || len(spans) != 2*lo.D*lo.H {
+		panic(fmt.Sprintf("tensor: ConvLanes33ReLU geometry: out %v (len %d), in %v (len %d), cin %d, weights %d, spans %d",
+			lo, len(out), li, len(in), cin, len(lw), len(spans)))
+	}
+	asm := spanActive(3, 3, 3)
+	istr, ostr := li.C, lo.C
+	prow := (li.W + 2) * istr
+	pplane := (li.H + 2) * prow
+	for r := 0; r < lo.D*lo.H; r++ {
+		z, y := r/lo.H, r%lo.H
+		x0, x1 := int(spans[2*r]), int(spans[2*r+1])
+		if x0 < 0 || x1 > lo.W {
+			panic(fmt.Sprintf("tensor: ConvLanes33ReLU row (%d, %d) span [%d, %d) outside width %d", z, y, x0, x1, lo.W))
+		}
+		// The row in equal tiles of at most laneTile positions.
+		for tiles := (x1 - x0 + laneTile - 1) / laneTile; x0 < x1; tiles-- {
+			n := (x1 - x0 + tiles - 1) / tiles
+			ip := ((z*(li.H+2)+y)*(li.W+2) + x0) * istr // tap (0, 0, 0) of position x0
+			op := lo.Pos(z, y, x0)
+			for g := 0; g < groups; g++ {
+				w := lw[g*gLen:][:gLen]
+				o := op + g*laneWidth
+				if asm {
+					var rp *float32
+					if res != nil {
+						rp = &res[o]
+					}
+					convRow33(&out[o], &in[ip], &w[0], &w[gLen-laneWidth], rp,
+						int64(cin), int64(4*istr), int64(4*prow), int64(4*pplane), int64(4*ostr), int64(n))
+					continue
+				}
+				var rs []float32
+				if res != nil {
+					rs = res[o:]
+				}
+				convRow33Go(out[o:], in[ip:], w, rs, cin, istr, prow, pplane, ostr, n)
+			}
+			x0 += n
+		}
+	}
+}
+
+// convRow33Go is convRow33 in Go, on slices and with strides in floats. The
+// explicit float32 conversions keep every product rounded on its own: no
+// fused multiply-add, as in the kernel.
+func convRow33Go(out, in, w, res []float32, cin, istr, prow, pplane, ostr, n int) {
+	bias := w[cin*27*laneWidth:][:laneWidth]
+	for p := 0; p < n; p++ {
+		// One register accumulator per lane.
+		a0, a1, a2, a3 := bias[0], bias[1], bias[2], bias[3]
+		a4, a5, a6, a7 := bias[4], bias[5], bias[6], bias[7]
+		pin := in[p*istr:]
+		wt := w
+		for ic := 0; ic < cin; ic++ {
+			for dz := 0; dz < 3; dz++ {
+				for dy := 0; dy < 3; dy++ {
+					row := pin[dz*pplane+dy*prow+ic:]
+					for dx := 0; dx < 3; dx++ {
+						v := row[dx*istr]
+						t := wt[:laneWidth:laneWidth]
+						a0 += float32(v * t[0])
+						a1 += float32(v * t[1])
+						a2 += float32(v * t[2])
+						a3 += float32(v * t[3])
+						a4 += float32(v * t[4])
+						a5 += float32(v * t[5])
+						a6 += float32(v * t[6])
+						a7 += float32(v * t[7])
+						wt = wt[laneWidth:]
+					}
+				}
+			}
+		}
+		acc := [laneWidth]float32{a0, a1, a2, a3, a4, a5, a6, a7}
+		if res != nil {
+			for l, r := range res[p*ostr:][:laneWidth] {
+				acc[l] += r
+			}
+		}
+		dst := out[p*ostr:][:laneWidth]
+		for l, v := range acc {
+			dst[l] = relu(v)
+		}
+	}
+}

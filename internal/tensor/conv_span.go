@@ -4,6 +4,19 @@ import "math"
 
 // SIMD-shaped span path for the dominant 3x3x3 conv geometry.
 //
+// There are two AVX2 forward kernels, and SetSpanKernels, the nosimd tag
+// and the CPU check gate both:
+//   - conv33Flat, below, computes planar (B, C, D, H, W) tensors one output
+//     channel at a time, eight positions of a plane in the lanes of a
+//     vector. It serves Conv3DInto and Conv3DBatch*Into: training's
+//     forward, the input gradient of Conv3DBackwardInto, and any caller
+//     with planar tensors.
+//   - convRow33 (conv_lanes.go) computes channel-blocked Blocked buffers
+//     eight output channels at a time, in the lanes of a vector, at the
+//     positions the caller lists. It serves ConvLanes33ReLU: the f32
+//     flood's forward pass, whose activations never leave that layout.
+// The int8 flood has its own kernels (quant.go).
+//
 // The scalar batched engine (conv_batch.go) is already at the scalar FP
 // throughput floor: each output element needs cin*27 multiply-accumulates and
 // the plane walk issues exactly one MULSS+ADDSS per tap. Going faster
@@ -141,10 +154,6 @@ func (t *convBatch) runSpan(start, end int) {
 		}
 		sliceBase := (b*t.cout + oc) * chSize
 		outPlane := t.out[sliceBase+z*hw:][:hw]
-		var resPlane []float32
-		if t.ep == epResReLU {
-			resPlane = t.res[sliceBase+z*hw:][:hw]
-		}
 		padPlane := t.pad[b*cin*pch+z*pplane:]
 		wOC := &t.w[oc*cin*27]
 		for v0 := 0; v0 < nvec; v0 += spanStage {
@@ -167,18 +176,12 @@ func (t *convBatch) runSpan(start, end int) {
 				}
 				src := stage[y*pw+x0-lo:][:x1-x0]
 				dst := outPlane[y*w+x0:][:x1-x0]
-				switch t.ep {
-				case epNone:
-					copy(dst, src)
-				case epReLU:
+				if t.ep == epReLU {
 					for i, v := range src {
 						dst[i] = relu(v)
 					}
-				case epResReLU:
-					res := resPlane[y*w+x0:][:x1-x0]
-					for i, v := range src {
-						dst[i] = relu(v + res[i])
-					}
+				} else {
+					copy(dst, src)
 				}
 			}
 		}

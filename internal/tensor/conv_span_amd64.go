@@ -25,3 +25,14 @@ func conv33Flat(dst, pin, w *float32, cin, pch, pplane, pw, nvec int64, bias flo
 //
 //go:noescape
 func convBwdW33(dst, pin, gt *float32, d, h, w, pplane, pw int64)
+
+// convRow33 computes n (1..laneTile) consecutive output positions of one row
+// of a 3x3x3 conv in channel-blocked layout (conv_span_amd64.s), eight
+// output channels per position in the lanes of one vector: each lane is
+// bias plus the cin*27 taps in ic -> dz -> dy -> dx order, plus the residual
+// at res when res is not nil, then max(0, .), stored at dst + p*ostride.
+// pin is tap (0, 0, 0) of position 0, channel 0; w is the group's
+// [cin][27][8] weights. Strides are in bytes. Requires AVX2.
+//
+//go:noescape
+func convRow33(dst, pin, w, bias, res *float32, cin, istride, prow, pplane, ostride, n int64)

@@ -213,3 +213,247 @@ wx_loop:
 	VMOVUPS Y8, 256(DI)
 	VZEROUPPER
 	RET
+
+// LTAP3 adds one output position's three taps of the current (ic, dz, dy)
+// tap-row: the inputs at a0, a1, a2 (dx = 0, 1, 2), each broadcast, times
+// that tap's eight output-channel weights (Y12-Y14), into the position's
+// accumulator, in dx order. Multiply and add stay separate (no FMA).
+#define LTAP3(a0, a1, a2, acc) \
+	VBROADCASTSS a0, Y15       \
+	VMULPS       Y12, Y15, Y15 \
+	VADDPS       Y15, acc, acc \
+	VBROADCASTSS a1, Y15       \
+	VMULPS       Y13, Y15, Y15 \
+	VADDPS       Y15, acc, acc \
+	VBROADCASTSS a2, Y15       \
+	VMULPS       Y14, Y15, Y15 \
+	VADDPS       Y15, acc, acc
+
+// LRES adds the residual at SI to an accumulator and steps SI one position.
+#define LRES(acc) \
+	VADDPS (SI), acc, acc \
+	ADDQ   R11, SI
+
+// LOUT stores max(0, acc) at DI and steps DI one position. The zero (Y15)
+// is the first source, so a NaN or a zero of either sign in acc is what
+// comes out, as tensor.relu keeps them.
+#define LOUT(acc) \
+	VMAXPS  acc, Y15, acc \
+	VMOVUPS acc, (DI)     \
+	ADDQ    R11, DI
+
+// func convRow33(dst, pin, w, bias, res *float32, cin, istride, prow, pplane, ostride, n int64)
+//
+// n (1..12) consecutive output positions of one row, eight output channels
+// each, in channel-blocked layout; strides are in bytes. Accumulators Y0-Y11
+// start at the bias vector and stay in registers across the whole
+// ic -> dz -> dy tap loop. Each tap-row loads its three weight vectors and
+// enters the unrolled position chain at the n-th position, falling through
+// to position 0; input index i of the row (position p, tap dx: i = p+dx)
+// is addressed from bases SI, R13, R14, DI at i = 0, 4, 8, 12 plus 0, 1, 2
+// or 3 strides (R11, R11*2, R12 = 3*R11).
+TEXT ·convRow33(SB), NOSPLIT, $0-88
+	MOVQ pin+8(FP), BX
+	MOVQ w+16(FP), DX
+	MOVQ bias+24(FP), AX
+	MOVQ cin+40(FP), R8
+	MOVQ istride+48(FP), R11
+	LEAQ (R11)(R11*2), R12
+	MOVQ prow+56(FP), CX
+	MOVQ n+80(FP), R15
+
+	VMOVUPS (AX), Y0
+	VMOVAPS Y0, Y1
+	VMOVAPS Y0, Y2
+	VMOVAPS Y0, Y3
+	VMOVAPS Y0, Y4
+	VMOVAPS Y0, Y5
+	VMOVAPS Y0, Y6
+	VMOVAPS Y0, Y7
+	VMOVAPS Y0, Y8
+	VMOVAPS Y0, Y9
+	VMOVAPS Y0, Y10
+	VMOVAPS Y0, Y11
+
+lic_loop:
+	MOVQ BX, AX
+	MOVQ $3, R9
+
+ldz_loop:
+	MOVQ AX, SI
+	MOVQ $3, R10
+
+ldy_loop:
+	VMOVUPS (DX), Y12
+	VMOVUPS 32(DX), Y13
+	VMOVUPS 64(DX), Y14
+	ADDQ    $96, DX
+	LEAQ    (SI)(R11*4), R13
+	LEAQ    (R13)(R11*4), R14
+	LEAQ    (R14)(R11*4), DI
+	CMPQ    R15, $12
+	JEQ     lp12
+	CMPQ    R15, $11
+	JEQ     lp11
+	CMPQ    R15, $10
+	JEQ     lp10
+	CMPQ    R15, $9
+	JEQ     lp9
+	CMPQ    R15, $8
+	JEQ     lp8
+	CMPQ    R15, $7
+	JEQ     lp7
+	CMPQ    R15, $6
+	JEQ     lp6
+	CMPQ    R15, $5
+	JEQ     lp5
+	CMPQ    R15, $4
+	JEQ     lp4
+	CMPQ    R15, $3
+	JEQ     lp3
+	CMPQ    R15, $2
+	JEQ     lp2
+	JMP     lp1
+
+lp12:
+	LTAP3((R14)(R12*1), (DI), (DI)(R11*1), Y11)
+
+lp11:
+	LTAP3((R14)(R11*2), (R14)(R12*1), (DI), Y10)
+
+lp10:
+	LTAP3((R14)(R11*1), (R14)(R11*2), (R14)(R12*1), Y9)
+
+lp9:
+	LTAP3((R14), (R14)(R11*1), (R14)(R11*2), Y8)
+
+lp8:
+	LTAP3((R13)(R12*1), (R14), (R14)(R11*1), Y7)
+
+lp7:
+	LTAP3((R13)(R11*2), (R13)(R12*1), (R14), Y6)
+
+lp6:
+	LTAP3((R13)(R11*1), (R13)(R11*2), (R13)(R12*1), Y5)
+
+lp5:
+	LTAP3((R13), (R13)(R11*1), (R13)(R11*2), Y4)
+
+lp4:
+	LTAP3((SI)(R12*1), (R13), (R13)(R11*1), Y3)
+
+lp3:
+	LTAP3((SI)(R11*2), (SI)(R12*1), (R13), Y2)
+
+lp2:
+	LTAP3((SI)(R11*1), (SI)(R11*2), (SI)(R12*1), Y1)
+
+lp1:
+	LTAP3((SI), (SI)(R11*1), (SI)(R11*2), Y0)
+
+	ADDQ CX, SI
+	DECQ R10
+	JNZ  ldy_loop
+
+	ADDQ pplane+64(FP), AX
+	DECQ R9
+	JNZ  ldz_loop
+
+	ADDQ $4, BX
+	DECQ R8
+	JNZ  lic_loop
+
+	MOVQ   dst+0(FP), DI
+	MOVQ   res+32(FP), SI
+	MOVQ   ostride+72(FP), R11
+	VXORPS Y15, Y15, Y15
+	TESTQ  SI, SI
+	JZ     lrelu
+
+	LRES(Y0)
+	LOUT(Y0)
+	DECQ R15
+	JZ   ldone
+	LRES(Y1)
+	LOUT(Y1)
+	DECQ R15
+	JZ   ldone
+	LRES(Y2)
+	LOUT(Y2)
+	DECQ R15
+	JZ   ldone
+	LRES(Y3)
+	LOUT(Y3)
+	DECQ R15
+	JZ   ldone
+	LRES(Y4)
+	LOUT(Y4)
+	DECQ R15
+	JZ   ldone
+	LRES(Y5)
+	LOUT(Y5)
+	DECQ R15
+	JZ   ldone
+	LRES(Y6)
+	LOUT(Y6)
+	DECQ R15
+	JZ   ldone
+	LRES(Y7)
+	LOUT(Y7)
+	DECQ R15
+	JZ   ldone
+	LRES(Y8)
+	LOUT(Y8)
+	DECQ R15
+	JZ   ldone
+	LRES(Y9)
+	LOUT(Y9)
+	DECQ R15
+	JZ   ldone
+	LRES(Y10)
+	LOUT(Y10)
+	DECQ R15
+	JZ   ldone
+	LRES(Y11)
+	LOUT(Y11)
+	JMP  ldone
+
+lrelu:
+	LOUT(Y0)
+	DECQ R15
+	JZ   ldone
+	LOUT(Y1)
+	DECQ R15
+	JZ   ldone
+	LOUT(Y2)
+	DECQ R15
+	JZ   ldone
+	LOUT(Y3)
+	DECQ R15
+	JZ   ldone
+	LOUT(Y4)
+	DECQ R15
+	JZ   ldone
+	LOUT(Y5)
+	DECQ R15
+	JZ   ldone
+	LOUT(Y6)
+	DECQ R15
+	JZ   ldone
+	LOUT(Y7)
+	DECQ R15
+	JZ   ldone
+	LOUT(Y8)
+	DECQ R15
+	JZ   ldone
+	LOUT(Y9)
+	DECQ R15
+	JZ   ldone
+	LOUT(Y10)
+	DECQ R15
+	JZ   ldone
+	LOUT(Y11)
+
+ldone:
+	VZEROUPPER
+	RET

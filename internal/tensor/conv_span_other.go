@@ -11,3 +11,7 @@ func conv33Flat(dst, pin, w *float32, cin, pch, pplane, pw, nvec int64, bias flo
 func convBwdW33(dst, pin, gt *float32, d, h, w, pplane, pw int64) {
 	panic("tensor: convBwdW33 called without SIMD support")
 }
+
+func convRow33(dst, pin, w, bias, res *float32, cin, istride, prow, pplane, ostride, n int64) {
+	panic("tensor: convRow33 called without SIMD support")
+}

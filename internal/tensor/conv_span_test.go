@@ -57,12 +57,11 @@ func TestSpanVectorsPerPlane(t *testing.T) {
 	}
 }
 
-// spanOperands builds one shape's random input, weights, residual and bias.
-func spanOperands(sh spanShape) (in, w, res *Tensor, bias []float32) {
+// spanOperands builds one shape's random input, weights and bias.
+func spanOperands(sh spanShape) (in, w *Tensor, bias []float32) {
 	rng := sim.NewRNG(uint64(31*sh.b + 7*sh.cin + sh.d + sh.h + sh.w))
 	in = randTensor(rng, sh.b, sh.cin, sh.d, sh.h, sh.w)
 	w = randTensor(rng, sh.cout, sh.cin, 3, 3, 3)
-	res = randTensor(rng, sh.b, sh.cout, sh.d, sh.h, sh.w)
 	bias = make([]float32, sh.cout)
 	for i := range bias {
 		bias[i] = float32(rng.NormFloat64())
@@ -71,26 +70,23 @@ func spanOperands(sh spanShape) (in, w, res *Tensor, bias []float32) {
 }
 
 // convWithEpilogue dispatches the batched conv that fuses ep.
-func convWithEpilogue(ep convEpilogue, out, in, w *Tensor, bias []float32, res *Tensor, maxBatch int) {
-	switch ep {
-	case epReLU:
+func convWithEpilogue(ep convEpilogue, out, in, w *Tensor, bias []float32, maxBatch int) {
+	if ep == epReLU {
 		Conv3DBatchReLUInto(out, in, w, bias, maxBatch)
-	case epResReLU:
-		Conv3DBatchResReLUInto(out, in, w, bias, res, maxBatch)
-	default:
+	} else {
 		Conv3DBatchInto(out, in, w, bias, maxBatch)
 	}
 }
 
 func runBothConvPaths(t *testing.T, sh spanShape, ep convEpilogue, maxBatch int) (span, scalar *Tensor) {
 	t.Helper()
-	in, w, res, bias := spanOperands(sh)
+	in, w, bias := spanOperands(sh)
 	span = New(sh.b, sh.cout, sh.d, sh.h, sh.w)
 	scalar = New(sh.b, sh.cout, sh.d, sh.h, sh.w)
 	prev := SetSpanKernels(true)
-	convWithEpilogue(ep, span, in, w, bias, res, maxBatch)
+	convWithEpilogue(ep, span, in, w, bias, maxBatch)
 	SetSpanKernels(false)
-	convWithEpilogue(ep, scalar, in, w, bias, res, maxBatch)
+	convWithEpilogue(ep, scalar, in, w, bias, maxBatch)
 	SetSpanKernels(prev)
 	return span, scalar
 }
@@ -103,7 +99,7 @@ func TestSpanMatchesScalarSweep(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		parallel.SetWorkers(workers)
 		for _, sh := range spanShapes {
-			for _, ep := range []convEpilogue{epNone, epReLU, epResReLU} {
+			for _, ep := range []convEpilogue{epNone, epReLU} {
 				name := fmt.Sprintf("w%d/%v/ep%d", workers, sh, ep)
 				span, scalar := runBothConvPaths(t, sh, ep, 0)
 				for i := range span.Data {
@@ -126,7 +122,7 @@ func TestSpanPartialBatch(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		parallel.SetWorkers(workers)
 		for _, sh := range []spanShape{{4, 2, 3, 2, 5, 7}, {8, 8, 8, 5, 9, 9}, {3, 2, 2, 2, 1, 9}} {
-			for _, ep := range []convEpilogue{epNone, epReLU, epResReLU} {
+			for _, ep := range []convEpilogue{epNone, epReLU} {
 				for _, maxBatch := range []int{1, sh.b - 1} {
 					span, scalar := runBothConvPaths(t, sh, ep, maxBatch)
 					live := maxBatch * sh.cout * sh.d * sh.h * sh.w
@@ -162,11 +158,11 @@ func TestSpanOverReadsNeverReachOutput(t *testing.T) {
 	}
 	nan := float32(math.NaN())
 	for _, sh := range []spanShape{{3, 2, 3, 2, 5, 9}, {4, 8, 8, 5, 9, 9}, {3, 6, 6, 3, 7, 7}, {3, 1, 1, 1, 3, 3}, {3, 2, 2, 2, 1, 9}} {
-		for _, ep := range []convEpilogue{epNone, epReLU, epResReLU} {
-			in, w, res, bias := spanOperands(sh)
+		for _, ep := range []convEpilogue{epNone, epReLU} {
+			in, w, bias := spanOperands(sh)
 			want := New(sh.b, sh.cout, sh.d, sh.h, sh.w)
 			prev := SetSpanKernels(false)
-			convWithEpilogue(ep, want, in, w, bias, res, 0)
+			convWithEpilogue(ep, want, in, w, bias, 0)
 			SetSpanKernels(prev)
 
 			// The dispatch's staging, then the poison.
@@ -182,7 +178,7 @@ func TestSpanOverReadsNeverReachOutput(t *testing.T) {
 				pad[i] = nan
 			}
 			got := New(sh.b, sh.cout, sh.d, sh.h, sh.w)
-			task := &convBatch{out: got.Data, w: w.Data, bias: bias, res: res.Data, pad: pad, ep: ep,
+			task := &convBatch{out: got.Data, w: w.Data, bias: bias, pad: pad, ep: ep,
 				cout: sh.cout, cin: sh.cin, d: sh.d, h: sh.h, wd: sh.w}
 			task.runSpan(0, sh.b*sh.cout*sh.d)
 
