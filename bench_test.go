@@ -539,6 +539,30 @@ func BenchmarkIVTComputation(b *testing.B) {
 	}
 }
 
+// BenchmarkIVTVolume measures what an ivt job computes: synthesizing the
+// atmosphere and integrating it, step by step, into an IVT volume — at the
+// connect chain's geometry (72x48x8, 12 steps) and the train_dist job's
+// (36x24x4, 6 steps).
+func BenchmarkIVTVolume(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		g     merra.Grid
+		steps int
+	}{
+		{"chain_72x48x8x12", merra.Grid{NLon: 72, NLat: 48, NLev: 8}, 12},
+		{"train_36x24x4x6", merra.Grid{NLon: 36, NLat: 24, NLev: 4}, 6},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			gen := merra.NewGenerator(c.g, 3)
+			levels := merra.PressureLevels(c.g.NLev)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				merra.IVTVolume(gen, levels, 0, c.steps).Release()
+			}
+		})
+	}
+}
+
 // BenchmarkObjstorePut measures metadata-path object writes with 3x
 // replication over 13 OSDs.
 func BenchmarkObjstorePut(b *testing.B) {

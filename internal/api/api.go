@@ -304,6 +304,9 @@ func (s *SynthSpec) validate(field string) error {
 	if s.NLon <= 0 || s.NLat <= 0 {
 		return invalidf("%s: grid dims must be positive, got %dx%d", field, s.NLon, s.NLat)
 	}
+	if s.NLat < 2 {
+		return invalidf("%s: nlat must be >= 2 for the pole-to-pole profile, got %d", field, s.NLat)
+	}
 	if s.NLev < 2 {
 		return invalidf("%s: nlev must be >= 2 for the vertical integral, got %d", field, s.NLev)
 	}

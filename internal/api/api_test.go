@@ -114,6 +114,7 @@ func TestPipelineSpecRejections(t *testing.T) {
 		{"zero threshold", mk(func(s *PipelineSpec) { s.Threshold = 0 }), "threshold"},
 		{"negative slab", mk(func(s *PipelineSpec) { s.SlabSteps = -1 }), "slab_steps"},
 		{"bad synth", mk(func(s *PipelineSpec) { s.Synth.NLev = 1 }), "nlev"},
+		{"one-row synth", mk(func(s *PipelineSpec) { s.Synth.NLat = 1 }), "nlat"},
 		{"bad connectivity", mk(func(s *PipelineSpec) { s.Connectivity = 18 }), "connectivity"},
 		{"negative min voxels", mk(func(s *PipelineSpec) { s.MinVoxels = -1 }), "min_voxels"},
 		{"partial stride", mk(func(s *PipelineSpec) { s.SeedStride = [3]int{1, 0, 2} }), "seed_stride"},
@@ -177,6 +178,27 @@ func TestEnvelopeRejections(t *testing.T) {
 	}
 }
 
+// TestSynthOneRowRefused: the generator's meridional profile spans rows 0
+// to nlat-1, so a one-row grid would make every IVT value NaN and fail the
+// job only when its result is marshalled. Every kind that synthesizes
+// refuses it at submit, naming the field.
+func TestSynthOneRowRefused(t *testing.T) {
+	synth := SynthSpec{NLon: 8, NLat: 1, NLev: 3, Steps: 6}
+	src := VolumeSource{Synth: &synth}
+	for _, req := range []*JobRequest{
+		{Kind: KindIVT, IVT: &IVTSpec{Synth: synth}},
+		{Kind: KindTrainDist, TrainDist: &TrainDistSpec{Source: src, Threshold: 0.5, Workers: 2, Rounds: 4, BatchPerRound: 4}},
+		{Kind: KindPipeline, Pipeline: &PipelineSpec{Synth: synth, SlabSteps: 3, Threshold: 1}},
+		{Kind: KindSweep, Sweep: &SweepSpec{Source: src, Threshold: 0.5,
+			LRs: []float32{0.03}, Momentums: []float32{0.9}, Features: []int{4}, TrainSteps: []int{10}}},
+	} {
+		err := req.Validate()
+		if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "nlat") {
+			t.Errorf("%s over a one-row grid: err = %v, want ErrInvalid naming nlat", req.Kind, err)
+		}
+	}
+}
+
 func TestVolumeSourceRejections(t *testing.T) {
 	mk := func(src VolumeSource) *JobRequest {
 		return &JobRequest{Kind: KindLabel, Label: &LabelSpec{Source: src, Threshold: 0.5}}
@@ -191,6 +213,7 @@ func TestVolumeSourceRejections(t *testing.T) {
 		{"synth plus inline", VolumeSource{D: 2, H: 2, W: 2, Data: make([]float32, 8),
 			Synth: &SynthSpec{NLon: 4, NLat: 4, NLev: 2, Steps: 1}}},
 		{"synth single level", VolumeSource{Synth: &SynthSpec{NLon: 4, NLat: 4, NLev: 1, Steps: 1}}},
+		{"synth single row", VolumeSource{Synth: &SynthSpec{NLon: 4, NLat: 1, NLev: 2, Steps: 1}}},
 		{"synth zero steps", VolumeSource{Synth: &SynthSpec{NLon: 4, NLat: 4, NLev: 2, Steps: 0}}},
 		{"synth oversized", VolumeSource{Synth: &SynthSpec{NLon: 1 << 12, NLat: 1 << 12, NLev: 2, Steps: 1 << 8}}},
 	}

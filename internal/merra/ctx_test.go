@@ -82,11 +82,11 @@ func TestIVTVolumeCtxMatchesIVTVolume(t *testing.T) {
 	}
 }
 
-// TestIVTVolumeOverDirtyBuffersMatchesFresh: IVTVolumeCtx's state and output
-// come from the free list with whatever the last borrower left in them. The
-// package runs poisoned, so after a Release every buffer the next call
-// borrows is NaN throughout; the volume must still equal, bit for bit, the
-// per-step fields integrated from freshly allocated states.
+// TestIVTVolumeOverDirtyBuffersMatchesFresh: IVTVolumeCtx's row scratch and
+// output come from the free list with whatever the last borrower left in
+// them. The package runs poisoned, so after a Release every buffer the next
+// call borrows is NaN throughout; the volume must still equal, bit for bit,
+// the per-step fields integrated from freshly allocated states.
 func TestIVTVolumeOverDirtyBuffersMatchesFresh(t *testing.T) {
 	levels := PressureLevels(testGrid.NLev)
 	const start, steps = 3, 5

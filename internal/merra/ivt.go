@@ -72,12 +72,11 @@ func getIVTRows(nlon int) *ivtRows {
 // latitude rows with its own pooled row buffers, so dispatch allocates
 // nothing once warm.
 type ivtTask struct {
-	ctx        context.Context
-	out        []float32
-	q, u, v    []float32
-	levels     []float64
-	nlon, nlev int
-	hw         int
+	ctx      context.Context
+	out      []float32
+	q, u, v  []float32
+	levels   []float64
+	nlon, hw int
 }
 
 var ivtTaskPool = sync.Pool{New: func() any { return new(ivtTask) }}
@@ -85,39 +84,46 @@ var ivtTaskPool = sync.Pool{New: func() any { return new(ivtTask) }}
 func (t *ivtTask) Run(j0, j1 int) {
 	nlon := t.nlon
 	r := getIVTRows(nlon)
-	fx, fy := r.fx[:nlon], r.fy[:nlon]
-	quPrev, qvPrev := r.quPrev[:nlon], r.qvPrev[:nlon]
-	q, u, vv := t.q, t.u, t.v
 	for j := j0; j < j1; j++ {
 		if t.ctx.Err() != nil {
 			break
 		}
 		base := j * nlon
-		for i := 0; i < nlon; i++ {
-			fx[i], fy[i] = 0, 0
-			qf := float64(q[base+i])
-			quPrev[i] = qf * float64(u[base+i])
-			qvPrev[i] = qf * float64(vv[base+i])
-		}
-		for k := 1; k < t.nlev; k++ {
-			dp := t.levels[k-1] - t.levels[k] // positive, Pa
-			lbase := k*t.hw + base
-			for i := 0; i < nlon; i++ {
-				qf := float64(q[lbase+i])
-				qu := qf * float64(u[lbase+i])
-				qv := qf * float64(vv[lbase+i])
-				fx[i] += 0.5 * (quPrev[i] + qu) * dp
-				fy[i] += 0.5 * (qvPrev[i] + qv) * dp
-				quPrev[i], qvPrev[i] = qu, qv
-			}
-		}
-		for i := 0; i < nlon; i++ {
-			x := fx[i] / gravity
-			y := fy[i] / gravity
-			t.out[base+i] = float32(math.Sqrt(x*x + y*y))
-		}
+		r.integrate(t.out[base:base+nlon], t.q[base:], t.u[base:], t.v[base:], t.hw, t.levels)
 	}
 	ivtRowsPool.Put(r)
+}
+
+// integrate computes one latitude row of IVT into out from q, u and v, whose
+// level k row starts at k*stride.
+func (r *ivtRows) integrate(out, q, u, v []float32, stride int, levels []float64) {
+	nlon := len(out)
+	fx, fy := r.fx[:nlon], r.fy[:nlon]
+	quPrev, qvPrev := r.quPrev[:nlon], r.qvPrev[:nlon]
+	for i := 0; i < nlon; i++ {
+		fx[i], fy[i] = 0, 0
+		qf := float64(q[i])
+		quPrev[i] = qf * float64(u[i])
+		qvPrev[i] = qf * float64(v[i])
+	}
+	for k := 1; k < len(levels); k++ {
+		dp := levels[k-1] - levels[k] // positive, Pa
+		o := k * stride
+		lq, lu, lv := q[o:o+nlon], u[o:o+nlon], v[o:o+nlon]
+		for i := 0; i < nlon; i++ {
+			qf := float64(lq[i])
+			qu := qf * float64(lu[i])
+			qv := qf * float64(lv[i])
+			fx[i] += 0.5 * (quPrev[i] + qu) * dp
+			fy[i] += 0.5 * (qvPrev[i] + qv) * dp
+			quPrev[i], qvPrev[i] = qu, qv
+		}
+	}
+	for i := 0; i < nlon; i++ {
+		x := fx[i] / gravity
+		y := fy[i] / gravity
+		out[i] = float32(math.Sqrt(x*x + y*y))
+	}
 }
 
 // IVTCtx is the context-aware IVT: cancellation is checked once per
@@ -163,7 +169,7 @@ func ivtIntoCtx(ctx context.Context, out []float32, st *State, levels []float64)
 	t.out = out
 	t.q, t.u, t.v = st.Q.Data, st.U.Data, st.V.Data
 	t.levels = levels
-	t.nlon, t.nlev, t.hw = g.NLon, g.NLev, g.NLon*g.NLat
+	t.nlon, t.hw = g.NLon, g.NLon*g.NLat
 	parallel.InvokeGrain(g.NLat, 8, t)
 	t.ctx, t.out, t.q, t.u, t.v, t.levels = nil, nil, nil, nil, nil, nil
 	ivtTaskPool.Put(t)
@@ -195,29 +201,35 @@ func IVTVolume(gen *Generator, levels []float64, startStep, steps int) *Field3D 
 // IVTVolumeCtx is the context-aware IVTVolume: each time step is
 // synthesized and integrated under ctx, and a cancelled context returns
 // (nil, ctx.Err()). progress (may be nil) is called with
-// (stepsDone, steps) after each completed time step. Each step integrates
-// directly into the volume's slab — no per-step field or copy — from one
-// atmosphere State that every step re-synthesizes in place. The state and
-// the volume live in buffers borrowed dirty from the tensor free list
-// (StateInto and the integration overwrite every element): the state goes
-// back on return, and the caller may hand the volume back with Release once
-// it is consumed.
+// (stepsDone, steps) after each completed time step. No whole-field State
+// exists: each step is one parallel fan-out over latitude rows, in which a
+// lane synthesizes a row of every level into borrowed scratch — with the
+// row synthesizer StateInto shards — and integrates it, while it is still
+// in cache, straight into the volume's slab. Cancellation is checked per
+// row. The result is bit-identical to integrating State(step) with IVT, at
+// every worker count. The volume lives in a buffer borrowed dirty from the
+// tensor free list (the integration overwrites every element); the caller
+// may hand it back with Release once it is consumed.
 func IVTVolumeCtx(ctx context.Context, gen *Generator, levels []float64, startStep, steps int, progress func(done, total int)) (*Field3D, error) {
 	g := gen.Grid
+	if len(levels) != g.NLev {
+		panic("merra: IVT level count mismatch")
+	}
 	vol := borrowField3D(Grid{NLon: g.NLon, NLat: g.NLat, NLev: steps})
 	hw := g.NLon * g.NLat
-	st := State{Q: borrowField3D(g), U: borrowField3D(g), V: borrowField3D(g)}
-	defer st.Q.Release()
-	defer st.U.Release()
-	defer st.V.Release()
-	for t := 0; t < steps; t++ {
-		gen.StateInto(&st, startStep+t)
-		if err := ivtIntoCtx(ctx, vol.Data[t*hw:(t+1)*hw], &st, levels); err != nil {
+	t := synthTaskPool.Get().(*synthTask)
+	defer t.release()
+	t.ctx, t.levels = ctx, levels
+	for s := 0; s < steps; s++ {
+		t.plan.build(gen, startStep+s)
+		t.out = vol.Data[s*hw : (s+1)*hw]
+		parallel.InvokeGrain(g.NLat, synthRowGrain, t)
+		if err := ctx.Err(); err != nil {
 			vol.Release()
 			return nil, err
 		}
 		if progress != nil {
-			progress(t+1, steps)
+			progress(s+1, steps)
 		}
 	}
 	return vol, nil

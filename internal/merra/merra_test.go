@@ -76,8 +76,8 @@ func TestGeneratorDeterministic(t *testing.T) {
 }
 
 // TestStateIntoOverDirtyStateMatchesFresh: StateInto overwrites every
-// element of Q, U and V, so reusing one State across steps (IVTVolumeCtx)
-// yields the bytes a fresh State would.
+// element of Q, U and V, so reusing one State across steps yields the bytes
+// a fresh State would.
 func TestStateIntoOverDirtyStateMatchesFresh(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 1977} {
 		gen := NewGenerator(testGrid, seed)

@@ -1,9 +1,13 @@
 package merra
 
 import (
+	"context"
 	"math"
+	"sync"
 
+	"chaseci/internal/parallel"
 	"chaseci/internal/sim"
+	"chaseci/internal/tensor"
 )
 
 // Generator produces a deterministic synthetic atmosphere: a moist
@@ -13,11 +17,13 @@ import (
 // property the CONNECT case study needs: thresholding the derived IVT field
 // yields spatially coherent objects that persist and move through time, so
 // both the CONNECT baseline and the FFN have meaningful structures to track.
+//
+// A Generator is immutable once NewGenerator returns — everything a step
+// needs beyond it lives in a pooled per-step plan — so any number of
+// goroutines may synthesize from one generator at once.
 type Generator struct {
 	Grid Grid
 	Seed uint64
-	// Filaments is the number of concurrent AR-like structures (default 4).
-	Filaments int
 
 	tracks []arTrack
 }
@@ -33,9 +39,12 @@ type arTrack struct {
 	life     int     // steps alive
 }
 
+// filaments is the number of concurrent AR-like structures.
+const filaments = 4
+
 // NewGenerator builds a generator for the grid with the given seed.
 func NewGenerator(g Grid, seed uint64) *Generator {
-	gen := &Generator{Grid: g, Seed: seed, Filaments: 4}
+	gen := &Generator{Grid: g, Seed: seed}
 	gen.initTracks()
 	return gen
 }
@@ -45,8 +54,7 @@ func (g *Generator) initTracks() {
 	// Enough overlapping tracks for ~200 steps of evolution; tracks recycle
 	// cyclically so any step index is covered.
 	const poolPerFilament = 8
-	n := g.Filaments * poolPerFilament
-	g.tracks = make([]arTrack, n)
+	g.tracks = make([]arTrack, filaments*poolPerFilament)
 	for i := range g.tracks {
 		life := 20 + rng.Intn(30)
 		g.tracks[i] = arTrack{
@@ -58,7 +66,7 @@ func (g *Generator) initTracks() {
 			width:    float64(g.Grid.NLat) * (0.02 + 0.04*rng.Float64()),
 			angle:    (rng.Float64() - 0.5) * math.Pi / 3,
 			strength: 0.012 + 0.01*rng.Float64(),
-			birth:    (i / g.Filaments) * 25,
+			birth:    (i / filaments) * 25,
 			life:     life,
 		}
 	}
@@ -85,83 +93,185 @@ func (g *Generator) State(step int) *State {
 
 // StateInto synthesizes the atmosphere at a time step into st, reusing its
 // fields when they are on the generator's grid (allocating them otherwise).
-// Every element of Q, U and V is overwritten, so the result is byte-identical
-// to a fresh State whatever st held before.
+// Latitude rows are synthesized in parallel, each straight into the fields
+// by the same row synthesizer IVTVolumeCtx uses. Every element of Q, U and V
+// is overwritten, so the result is byte-identical to a fresh State whatever
+// st held before, and — each row having one writer and the noise coming from
+// a counter — identical at every worker count.
 func (g *Generator) StateInto(st *State, step int) {
 	gr := g.Grid
 	if st.Q == nil || st.Q.Grid != gr || st.U == nil || st.U.Grid != gr || st.V == nil || st.V.Grid != gr {
 		st.Q, st.U, st.V = NewField3D(gr), NewField3D(gr), NewField3D(gr)
 	}
 	st.Step = step
-	rng := sim.NewRNG(g.Seed ^ (uint64(step) * 0x9e3779b97f4a7c15))
+	t := synthTaskPool.Get().(*synthTask)
+	t.plan.build(g, step)
+	t.st = st
+	parallel.InvokeGrain(gr.NLat, synthRowGrain, t)
+	t.release()
+}
 
-	cyc := step % trackCycle
+// synthRowGrain is the fewest latitude rows a synthesis chunk takes: a row
+// of the chain's 72×48×8 grid costs ~6 µs, so four amortize a dispatch.
+const synthRowGrain = 4
 
+// stepPlan is what one step's synthesis needs beyond the generator: the
+// grid's tables, the live tracks' geometry and, per live track, every
+// column's wrapped longitude offset from the filament centre. Plans live in
+// pooled synthTasks, so a steady-state step allocates nothing.
+type stepPlan struct {
+	gridTables
+	noiseSeed uint64
+	live      []liveTrack
+	dx        []float64 // len(live) rows of NLon offsets
+}
+
+// gridTables are the synthesis inputs that depend only on the grid: the
+// vertical profiles per level, the meridional profiles per latitude row,
+// and a filament's moisture decay exp(-4·k/NLev) per low level. A plan
+// rebuilds them only when it is handed a generator on another grid.
+type gridTables struct {
+	grid          Grid
+	qProfile, jet []float32
+	qLat, uLat    []float32
+	lowDecay      []float64
+}
+
+func (t *gridTables) build(gr Grid) {
+	if t.grid == gr {
+		return
+	}
+	t.grid = gr
 	// Per-level vertical profiles: humidity concentrated near the surface
 	// (level 0), jet peaking mid-troposphere.
+	t.qProfile, t.jet = t.qProfile[:0], t.jet[:0]
 	for k := 0; k < gr.NLev; k++ {
 		frac := float64(k) / float64(gr.NLev)
-		qProfile := float32(0.01 * math.Exp(-3*frac))
-		jet := float32(10 + 25*math.Exp(-math.Pow((frac-0.35)/0.25, 2)))
-		for j := 0; j < gr.NLat; j++ {
-			// Meridional humidity gradient: moist tropics, dry poles.
-			latFrac := float64(j)/float64(gr.NLat-1)*2 - 1 // -1..1
-			qLat := float32(math.Exp(-math.Pow(latFrac/0.6, 2)))
-			for i := 0; i < gr.NLon; i++ {
-				idx := st.Q.Index(i, j, k)
-				st.Q.Data[idx] = qProfile * qLat
-				st.U.Data[idx] = jet * float32(1-0.5*math.Abs(latFrac))
-				st.V.Data[idx] = 0
-			}
-		}
+		t.qProfile = append(t.qProfile, float32(0.01*math.Exp(-3*frac)))
+		t.jet = append(t.jet, float32(10+25*math.Exp(-math.Pow((frac-0.35)/0.25, 2))))
 	}
+	// Meridional humidity gradient: moist tropics, dry poles; the jet
+	// weakens poleward.
+	t.qLat, t.uLat = t.qLat[:0], t.uLat[:0]
+	for j := 0; j < gr.NLat; j++ {
+		latFrac := float64(j)/float64(gr.NLat-1)*2 - 1 // -1..1
+		t.qLat = append(t.qLat, float32(math.Exp(-math.Pow(latFrac/0.6, 2))))
+		t.uLat = append(t.uLat, float32(1-0.5*math.Abs(latFrac)))
+	}
+	t.lowDecay = t.lowDecay[:0]
+	for k := 0; k < gr.NLev/2; k++ { // moisture lives low
+		t.lowDecay = append(t.lowDecay, math.Exp(-4*(float64(k)/float64(gr.NLev))))
+	}
+}
 
-	// Superpose moving filaments.
+// liveTrack is one filament alive at the plan's step.
+type liveTrack struct {
+	cy, amp    float64 // centre row and intensity at this step
+	sin, cos   float64 // of the filament's orientation
+	reach      float64 // the Gaussian's cut-off distance
+	denA, denB float64 // 2·length² and 2·width², the Gaussian's denominators
+	// bCut bounds the cross-filament offset b: beyond it (b*b)/denB > 7
+	// even as rounded, so the exponent is below -7 whatever a is.
+	bCut float64
+}
+
+func (p *stepPlan) build(g *Generator, step int) {
+	p.gridTables.build(g.Grid)
+	nlon := float64(g.Grid.NLon)
+	p.noiseSeed = g.Seed ^ (uint64(step) * 0x9e3779b97f4a7c15)
+	p.live, p.dx = p.live[:0], p.dx[:0]
+	cyc := step % trackCycle
 	for _, tr := range g.tracks {
 		age := cyc - tr.birth
 		if age < 0 || age >= tr.life {
 			continue
 		}
-		cx := math.Mod(tr.x0+tr.vx*float64(cyc), float64(gr.NLon))
-		cy := tr.y0 + tr.vy*float64(cyc)
+		cx := math.Mod(tr.x0+tr.vx*float64(cyc), nlon)
 		// Intensity ramps up then down over the track's life.
 		lifeFrac := float64(age) / float64(tr.life)
-		amp := tr.strength * math.Sin(lifeFrac*math.Pi)
-		sinA, cosA := math.Sin(tr.angle), math.Cos(tr.angle)
-		// Paint a rotated anisotropic Gaussian, wrapping in longitude.
-		reach := tr.length * 2.5
-		for j := 0; j < gr.NLat; j++ {
-			dy := float64(j) - cy
-			if math.Abs(dy) > reach {
+		denB := 2 * tr.width * tr.width
+		p.live = append(p.live, liveTrack{
+			cy:    tr.y0 + tr.vy*float64(cyc),
+			amp:   tr.strength * math.Sin(lifeFrac*math.Pi),
+			sin:   math.Sin(tr.angle),
+			cos:   math.Cos(tr.angle),
+			reach: tr.length * 2.5,
+			denA:  2 * tr.length * tr.length,
+			denB:  denB,
+			bCut:  math.Sqrt(7*denB) * (1 + 1e-9),
+		})
+		for i := 0; i < g.Grid.NLon; i++ {
+			p.dx = append(p.dx, wrapDelta(float64(i)-cx, nlon))
+		}
+	}
+}
+
+// synthRow writes latitude row j of every level of the step into q, u and
+// v, where level k's row starts at k*stride: the background, then the live
+// filaments in track order, then the noise — per voxel the operations, and
+// their order, of a serial sweep over the whole field.
+func (p *stepPlan) synthRow(j int, q, u, v []float32, stride int) {
+	nlon, nlat, nlev := p.grid.NLon, p.grid.NLat, p.grid.NLev
+	qLat, uLat := p.qLat[j], p.uLat[j]
+	for k := 0; k < nlev; k++ {
+		qb, ub := p.qProfile[k]*qLat, p.jet[k]*uLat
+		o := k * stride
+		qr, ur, vr := q[o:o+nlon], u[o:o+nlon], v[o:o+nlon]
+		for i := range qr {
+			qr[i], ur[i], vr[i] = qb, ub, 0
+		}
+	}
+
+	// Superpose the moving filaments: rotated anisotropic Gaussians,
+	// wrapping in longitude.
+	for ti := range p.live {
+		tr := &p.live[ti]
+		dy := float64(j) - tr.cy
+		if math.Abs(dy) > tr.reach {
+			continue
+		}
+		for i, dx := range p.dx[ti*nlon : (ti+1)*nlon] {
+			if math.Abs(dx) > tr.reach {
 				continue
 			}
-			for i := 0; i < gr.NLon; i++ {
-				dx := wrapDelta(float64(i)-cx, float64(gr.NLon))
-				if math.Abs(dx) > reach {
-					continue
-				}
-				// Rotate into filament frame.
-				a := dx*cosA + dy*sinA
-				b := -dx*sinA + dy*cosA
-				w := amp * math.Exp(-(a*a)/(2*tr.length*tr.length)-(b*b)/(2*tr.width*tr.width))
-				if w < amp*1e-3 {
-					continue
-				}
-				for k := 0; k < gr.NLev/2; k++ { // moisture lives low
-					frac := float64(k) / float64(gr.NLev)
-					idx := st.Q.Index(i, j, k)
-					st.Q.Data[idx] += float32(w * math.Exp(-4*frac))
-					// Winds strengthen along the filament axis.
-					st.U.Data[idx] += float32(w * 2500 * cosA)
-					st.V.Data[idx] += float32(w * 2500 * sinA)
-				}
+			// Rotate into filament frame. A voxel whose exponent is below -7
+			// is skipped unevaluated: exp(-7) < 1e-3, so the amp*1e-3 test
+			// below would drop it (amp is never negative, and at amp = 0 the
+			// voxel would gain only ±0). Most voxels lie too far across the
+			// filament, which b alone shows.
+			b := -dx*tr.sin + dy*tr.cos
+			if math.Abs(b) > tr.bCut {
+				continue
+			}
+			a := dx*tr.cos + dy*tr.sin
+			e := -(a*a)/tr.denA - (b*b)/tr.denB
+			if e < -7 {
+				continue
+			}
+			w := tr.amp * math.Exp(e)
+			if w < tr.amp*1e-3 {
+				continue
+			}
+			// Winds strengthen along the filament axis.
+			du, dv := float32(w*2500*tr.cos), float32(w*2500*tr.sin)
+			for k, decay := range p.lowDecay {
+				o := k*stride + i
+				q[o] += float32(w * decay)
+				u[o] += du
+				v[o] += dv
 			}
 		}
 	}
 
-	// Small-scale noise so fields are not perfectly smooth.
-	for idx := range st.Q.Data {
-		st.Q.Data[idx] *= float32(1 + 0.05*(rng.Float64()-0.5))
+	// Small-scale noise so fields are not perfectly smooth: the draw for
+	// voxel idx is draw idx of the step's stream, wherever the row lands.
+	for k := 0; k < nlev; k++ {
+		rng := sim.NewRNG(p.noiseSeed)
+		rng.Skip(uint64((k*nlat + j) * nlon))
+		qr := q[k*stride : k*stride+nlon]
+		for i, x := range qr {
+			qr[i] = x * float32(1+0.05*(rng.Float64()-0.5))
+		}
 	}
 }
 
@@ -175,4 +285,54 @@ func wrapDelta(dx, period float64) float64 {
 		dx += period
 	}
 	return dx
+}
+
+// synthTask is the pooled row-parallel Task behind StateInto and
+// IVTVolumeCtx: Run synthesizes latitude rows of the plan's step, either
+// straight into st's fields or, when out is set, into scratch holding one
+// row of every level, which it integrates into out while the row is still
+// in cache.
+type synthTask struct {
+	plan stepPlan
+
+	st *State
+
+	ctx    context.Context
+	out    []float32 // NLon*NLat
+	levels []float64
+}
+
+var synthTaskPool = sync.Pool{New: func() any { return new(synthTask) }}
+
+func (t *synthTask) release() {
+	t.st, t.ctx, t.out, t.levels = nil, nil, nil, nil
+	synthTaskPool.Put(t)
+}
+
+func (t *synthTask) Run(j0, j1 int) {
+	gr := t.plan.grid
+	nlon := gr.NLon
+	if t.out == nil {
+		q, u, v := t.st.Q.Data, t.st.U.Data, t.st.V.Data
+		for j := j0; j < j1; j++ {
+			o := j * nlon
+			t.plan.synthRow(j, q[o:], u[o:], v[o:], gr.HorizontalSize())
+		}
+		return
+	}
+	// The scratch comes from the tensor free list, which keeps it from job
+	// to job; a sync.Pool would drop it at every other GC.
+	n := gr.NLev * nlon
+	buf := tensor.GetFloats(3 * n)
+	q, u, v := buf[:n], buf[n:2*n], buf[2*n:]
+	r := getIVTRows(nlon)
+	for j := j0; j < j1; j++ {
+		if t.ctx.Err() != nil {
+			break
+		}
+		t.plan.synthRow(j, q, u, v, nlon)
+		r.integrate(t.out[j*nlon:(j+1)*nlon], q, u, v, nlon, t.levels)
+	}
+	ivtRowsPool.Put(r)
+	tensor.PutFloats(buf)
 }

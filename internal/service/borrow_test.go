@@ -350,9 +350,10 @@ func TestJobAllocBounds(t *testing.T) {
 		{"pipeline", 4, func(*testing.T, *Runner) *api.JobRequest { return benchPipelineRequest() }, 1, 4, 850, 0},
 		{"sweep_grid8", 4, func(*testing.T, *Runner) *api.JobRequest { return sweep }, 1, 4, 550, 1100},
 		// The ends of the bench/ connect_chain, on its 12x48x72 volume (162 KB
-		// of float32). The ivt job's atmosphere state and output are borrowed,
-		// so what is left is the encoding it stores (175 KB; 680 KB when
-		// every field was allocated). The label job scans the stored mask's
+		// of float32). The ivt job builds no whole-field atmosphere state (it
+		// synthesizes row by row into borrowed scratch) and borrows its
+		// output, so what is left is the encoding it stores (175 KB; 680 KB
+		// when every field was allocated). The label job scans the stored mask's
 		// 5 KB of packed bits into a borrowed label array: per-object
 		// bookkeeping only (5 KB; 206 KB when the cached blob held the mask
 		// expanded to float32 and the label array was a fresh allocation).

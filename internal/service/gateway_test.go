@@ -317,6 +317,30 @@ func TestGatewayTokenJobsProtectedInAnonMode(t *testing.T) {
 	}
 }
 
+// TestGatewayRefusesOneRowSynth: a one-row synthetic grid makes every IVT
+// value NaN, which a job would find only after all its compute, when its
+// result failed to marshal. Each kind that synthesizes gets a 400 naming
+// nlat at submit instead.
+func TestGatewayRefusesOneRowSynth(t *testing.T) {
+	f := newGWFixture(t, true)
+	synth := api.SynthSpec{NLon: 8, NLat: 1, NLev: 3, Steps: 6}
+	dist := distRequest(1, 2)
+	dist.TrainDist.Source.Synth = &synth
+	for _, req := range []*api.JobRequest{
+		{Kind: api.KindIVT, IVT: &api.IVTSpec{Synth: synth}},
+		dist,
+		{Kind: api.KindPipeline, Pipeline: &api.PipelineSpec{Synth: synth, SlabSteps: 3, Threshold: 1}},
+		{Kind: api.KindSweep, Sweep: &api.SweepSpec{Source: api.VolumeSource{Synth: &synth}, Threshold: 1,
+			LRs: []float32{0.03}, Momentums: []float32{0.9}, Features: []int{4}, TrainSteps: []int{10}}},
+	} {
+		var apiErr api.ErrorResponse
+		resp := f.do("POST", "/v1/jobs", req, &apiErr)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, "nlat") {
+			t.Errorf("%s over a one-row grid: status %d, err %q; want 400 naming nlat", req.Kind, resp.StatusCode, apiErr.Error)
+		}
+	}
+}
+
 func TestGatewayValidationAndRouting(t *testing.T) {
 	f := newGWFixture(t, true)
 

@@ -17,9 +17,17 @@ func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 // overlap the parent's for any practical sequence length.
 func (r *RNG) Fork() *RNG { return NewRNG(r.Uint64() ^ 0x9e3779b97f4a7c15) }
 
+// golden is SplitMix64's state increment per draw.
+const golden = 0x9e3779b97f4a7c15
+
+// Skip advances r past n draws in constant time: SplitMix64's state is a
+// counter, so draw n of a stream depends only on the seed and n. Workers that
+// each Skip to their own offset draw exactly what one serial pass would.
+func (r *RNG) Skip(n uint64) { r.state += n * golden }
+
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += golden
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
