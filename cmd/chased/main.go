@@ -215,7 +215,7 @@ func serve(args []string) {
 	}()
 
 	fmt.Printf("chased: Job API v1 on http://%s (workers=%d anon=%v)\n", *addr, *workers, *anon)
-	fmt.Printf("chased: kinds: segment label ivt train train_dist sweep workflow pipeline — POST /v1/jobs, PUT/GET /v1/datasets/{id}\n")
+	fmt.Printf("chased: kinds: segment label ivt train_dist sweep workflow pipeline — POST /v1/jobs, PUT/GET /v1/datasets/{id}\n")
 	if *clusterOn {
 		fmt.Printf("chased: cluster mode — %d fabric nodes, jobs place by data gravity (GET /v1/nodes)\n", len(runner.Nodes()))
 	}

@@ -31,15 +31,15 @@ const (
 	// KindIVT derives the Integrated Water Vapor Transport volume from the
 	// synthetic MERRA-2 generator.
 	KindIVT Kind = "ivt"
-	// KindTrain runs FFN SGD training on a labelled volume.
-	KindTrain Kind = "train"
 	// KindTrainDist runs synchronous data-parallel FFN training: N workers
 	// compute gradients on shards of a global per-round batch, ring
 	// all-reduce averages them, and periodic checkpoints land in the dataset
-	// store as content-addressed refs a later job can resume from.
+	// store as content-addressed refs a later job can resume from (or flood
+	// with). With holdout_steps it also scores the model on a held-out slab.
 	KindTrainDist Kind = "train_dist"
-	// KindSweep fans train jobs out over a hyperparameter grid through the
-	// admission-controlled queue and returns a validation leaderboard.
+	// KindSweep fans train_dist jobs out over a hyperparameter grid through
+	// the admission-controlled queue and returns a validation leaderboard
+	// whose winner carries its checkpoint ref.
 	KindSweep Kind = "sweep"
 	// KindWorkflow executes a measured virtual-time step DAG (PPoDS).
 	KindWorkflow Kind = "workflow"
@@ -50,7 +50,7 @@ const (
 
 // Kinds lists the built-in job kinds in a fixed order.
 func Kinds() []Kind {
-	return []Kind{KindSegment, KindLabel, KindIVT, KindTrain, KindTrainDist, KindSweep, KindWorkflow, KindPipeline}
+	return []Kind{KindSegment, KindLabel, KindIVT, KindTrainDist, KindSweep, KindWorkflow, KindPipeline}
 }
 
 // State is a job's lifecycle state.
@@ -136,7 +136,6 @@ type JobRequest struct {
 	Segment   *SegmentSpec   `json:"segment,omitempty"`
 	Label     *LabelSpec     `json:"label,omitempty"`
 	IVT       *IVTSpec       `json:"ivt,omitempty"`
-	Train     *TrainSpec     `json:"train,omitempty"`
 	TrainDist *TrainDistSpec `json:"train_dist,omitempty"`
 	Sweep     *SweepSpec     `json:"sweep,omitempty"`
 	Workflow  *WorkflowSpec  `json:"workflow,omitempty"`
@@ -159,7 +158,7 @@ func (r *JobRequest) Validate() error {
 		return err
 	}
 	specs := 0
-	for _, set := range []bool{r.Segment != nil, r.Label != nil, r.IVT != nil, r.Train != nil, r.TrainDist != nil, r.Sweep != nil, r.Workflow != nil, r.Pipeline != nil} {
+	for _, set := range []bool{r.Segment != nil, r.Label != nil, r.IVT != nil, r.TrainDist != nil, r.Sweep != nil, r.Workflow != nil, r.Pipeline != nil} {
 		if set {
 			specs++
 		}
@@ -183,11 +182,6 @@ func (r *JobRequest) Validate() error {
 			return invalidf("kind %q needs an ivt spec", r.Kind)
 		}
 		return r.IVT.validate()
-	case KindTrain:
-		if r.Train == nil {
-			return invalidf("kind %q needs a train spec", r.Kind)
-		}
-		return r.Train.validate()
 	case KindTrainDist:
 		if r.TrainDist == nil {
 			return invalidf("kind %q needs a train_dist spec", r.Kind)
@@ -211,7 +205,7 @@ func (r *JobRequest) Validate() error {
 	case "":
 		return invalidf("missing kind")
 	default:
-		return invalidf("unknown kind %q", r.Kind)
+		return invalidf("unknown kind %q (want one of %v)", r.Kind, Kinds())
 	}
 }
 
@@ -228,8 +222,6 @@ func (r *JobRequest) Refs() []string {
 		src = &r.Segment.Source
 	case r.Label != nil:
 		src = &r.Label.Source
-	case r.Train != nil:
-		src = &r.Train.Source
 	case r.TrainDist != nil:
 		src = &r.TrainDist.Source
 	case r.Sweep != nil:
@@ -352,6 +344,15 @@ type VolumeSource struct {
 	W     int        `json:"w,omitempty"`
 	Data  []float32  `json:"data,omitempty"`
 	Synth *SynthSpec `json:"synth,omitempty"`
+}
+
+// depth is the source's time depth when the request states it (synth steps,
+// inline d), else 0: a ref's depth is the stored dataset's.
+func (v *VolumeSource) depth() int {
+	if v.Synth != nil {
+		return v.Synth.Steps
+	}
+	return v.D
 }
 
 func (v *VolumeSource) validate(field string) error {
@@ -602,50 +603,6 @@ func (s *IVTSpec) validate() error {
 	return s.Synth.validate("ivt.synth")
 }
 
-// TrainSpec runs FFN SGD training against the source volume, using the
-// field thresholded at Threshold as the binary label mask.
-type TrainSpec struct {
-	Source    VolumeSource `json:"source"`
-	Threshold float32      `json:"threshold"`
-	Steps     int          `json:"steps"`
-	// LR defaults to 0.05 and Momentum to 0.9 when zero.
-	LR       float32 `json:"lr,omitempty"`
-	Momentum float32 `json:"momentum,omitempty"`
-
-	Net        *NetConfig `json:"net,omitempty"`
-	NetSeed    uint64     `json:"net_seed,omitempty"`
-	SampleSeed uint64     `json:"sample_seed,omitempty"`
-
-	// HoldoutSteps reserves the trailing time slices of the source as a
-	// held-out validation split: training sees only the leading D-holdout
-	// slices, and the result carries precision/recall/F1/IoU of the trained
-	// model's segmentation of the holdout — the evaluation unit sweep jobs
-	// fan out. Zero trains on the full volume with no validation pass.
-	HoldoutSteps int `json:"holdout_steps,omitempty"`
-}
-
-func (s *TrainSpec) validate() error {
-	if err := s.Source.validate("train.source"); err != nil {
-		return err
-	}
-	if err := s.Net.Validate("train.net"); err != nil {
-		return err
-	}
-	if s.Threshold <= 0 {
-		return invalidf("train.threshold must be > 0")
-	}
-	if s.Steps <= 0 || s.Steps > maxTrainSteps {
-		return invalidf("train.steps must be in [1,%d], got %d", maxTrainSteps, s.Steps)
-	}
-	if s.LR < 0 || s.Momentum < 0 || s.Momentum >= 1 {
-		return invalidf("train.lr must be >= 0 and train.momentum in [0,1)")
-	}
-	if s.HoldoutSteps < 0 || s.HoldoutSteps > maxVoxels {
-		return invalidf("train.holdout_steps must be non-negative, got %d", s.HoldoutSteps)
-	}
-	return nil
-}
-
 // Distributed-training and sweep caps.
 const (
 	// maxDistWorkers bounds the data-parallel width of one train_dist job.
@@ -671,11 +628,13 @@ type ElasticStep struct {
 // index), shards it across the workers, averages the gradients in global
 // sample order (the deterministic ring all-reduce), and applies one SGD
 // update — so the per-round loss sequence is bit-identical at any worker
-// count. Labels are the source thresholded at Threshold, as in TrainSpec.
+// count. Labels are the source thresholded at Threshold.
 type TrainDistSpec struct {
 	Source    VolumeSource `json:"source"`
 	Threshold float32      `json:"threshold"`
-	// Workers is the data-parallel width (1..64).
+	// Workers is the modelled data-parallel width (1..64): what comm_bytes
+	// prices and elastic resizes. The service computes the batch on its own
+	// compute lanes whatever the width, so it never changes a result.
 	Workers int `json:"workers"`
 	// Rounds is the total number of synchronous update rounds the run should
 	// reach — including rounds already completed by a resumed checkpoint.
@@ -701,6 +660,12 @@ type TrainDistSpec struct {
 	ResumeFrom string `json:"resume_from,omitempty"`
 	// Elastic schedules worker-count changes at round boundaries.
 	Elastic []ElasticStep `json:"elastic,omitempty"`
+	// HoldoutSteps withholds the trailing time slices of the source from
+	// training (a fresh run's and a resumed one's alike) and, after the last
+	// round, scores the model's segmentation of them: the result carries
+	// precision/recall/F1/IoU. It must leave at least one slice to train on.
+	// Zero trains on the whole source and scores nothing.
+	HoldoutSteps int `json:"holdout_steps,omitempty"`
 }
 
 func (s *TrainDistSpec) validate() error {
@@ -721,6 +686,13 @@ func (s *TrainDistSpec) validate() error {
 	}
 	if s.CheckpointEvery < 0 {
 		return invalidf("train_dist.checkpoint_every must be non-negative, got %d", s.CheckpointEvery)
+	}
+	if s.HoldoutSteps < 0 {
+		return invalidf("train_dist.holdout_steps must be non-negative, got %d", s.HoldoutSteps)
+	}
+	// A ref's depth is known only to the store: the service checks it there.
+	if d := s.Source.depth(); s.HoldoutSteps > 0 && d > 0 && s.HoldoutSteps >= d {
+		return invalidf("train_dist.holdout_steps %d leaves nothing to train on in a %d-step source", s.HoldoutSteps, d)
 	}
 	if s.ResumeFrom != "" {
 		if !ValidRef(s.ResumeFrom) {
@@ -764,9 +736,12 @@ func (s *TrainDistSpec) validate() error {
 }
 
 // SweepSpec expands the cartesian hyperparameter grid (Candidates) and fans
-// one train job per candidate out through the service's admission-controlled
-// fair queue, each training on the leading split of the source and validated
-// on the trailing holdout. The result is a leaderboard ranked by F1.
+// one child job per candidate out through the service's admission-controlled
+// fair queue: a train_dist job of one worker and one example per round,
+// training on the leading split of the source and scored on the trailing
+// holdout_steps. The result is a leaderboard ranked by F1 whose winner names
+// its final checkpoint (Best.CheckpointRef), ready for segment.net_ref; the
+// sweep drops every other checkpoint its children wrote.
 type SweepSpec struct {
 	Source    VolumeSource `json:"source"`
 	Threshold float32      `json:"threshold"`
@@ -786,7 +761,8 @@ type SweepSpec struct {
 	Parallel int `json:"parallel,omitempty"`
 	// EarlyStop enables median-based successive halving: every candidate
 	// first runs at half its train steps, candidates whose F1 falls below
-	// the rung median stop there, survivors run the full budget.
+	// the rung median stop there, and survivors resume from their rung
+	// checkpoint to the full budget — bit-identical to a run from scratch.
 	EarlyStop bool `json:"early_stop,omitempty"`
 	// Seed seeds candidate networks and samplers.
 	Seed uint64 `json:"seed,omitempty"`
@@ -869,6 +845,24 @@ func (s *SweepSpec) Candidates() []SweepParams {
 		}
 	}
 	return out
+}
+
+// Child is the train_dist spec a sweep runs for candidate h: one worker, one
+// example per round, the trailing holdout slices scored. A fresh child
+// (resume "") draws its network from the sweep seed, shared across
+// candidates so architectures differ only where the grid says they do, and
+// its sampling seed from seed ^ 0xabcd; a resumed child takes all of that
+// from its checkpoint. core's queue-driven sweep evaluates the same child.
+func (s *SweepSpec) Child(h SweepParams, holdout int, resume string) *TrainDistSpec {
+	td := &TrainDistSpec{Source: s.Source, Threshold: s.Threshold, Workers: 1, Rounds: h.TrainSteps,
+		HoldoutSteps: holdout, ResumeFrom: resume}
+	if resume == "" {
+		td.BatchPerRound = 1
+		td.LR, td.Momentum = h.LR, h.Momentum
+		td.NetSeed, td.SampleSeed = s.Seed, s.Seed^0xabcd
+		td.Net = &NetConfig{FOV: [3]int{3, 7, 7}, Features: h.Features, Modules: h.Modules, MoveStep: [3]int{1, 2, 2}}
+	}
+	return td
 }
 
 // WorkflowStep declares one step of a measured virtual-time DAG.
@@ -1157,20 +1151,6 @@ type IVTResult struct {
 	VolumeRef string `json:"volume_ref,omitempty"`
 }
 
-// TrainResult reports a training job. On cancellation Steps reflects the
-// optimizer steps actually taken.
-type TrainResult struct {
-	Steps    int     `json:"steps"`
-	LossHead float64 `json:"loss_head"`
-	LossTail float64 `json:"loss_tail"`
-	// Held-out validation metrics, present when holdout_steps > 0.
-	HoldoutSteps int     `json:"holdout_steps,omitempty"`
-	Precision    float64 `json:"precision,omitempty"`
-	Recall       float64 `json:"recall,omitempty"`
-	F1           float64 `json:"f1,omitempty"`
-	IoU          float64 `json:"iou,omitempty"`
-}
-
 // CheckpointInfo names one checkpoint a train_dist job wrote.
 type CheckpointInfo struct {
 	// Round is the next round index the checkpoint resumes at.
@@ -1202,6 +1182,13 @@ type TrainDistResult struct {
 	// lists every periodic checkpoint including the final one.
 	CheckpointRef string           `json:"checkpoint_ref,omitempty"`
 	Checkpoints   []CheckpointInfo `json:"checkpoints,omitempty"`
+	// Held-out validation of the final model, present when holdout_steps > 0
+	// and the held-out segmentation completed.
+	HoldoutSteps int     `json:"holdout_steps,omitempty"`
+	Precision    float64 `json:"precision,omitempty"`
+	Recall       float64 `json:"recall,omitempty"`
+	F1           float64 `json:"f1,omitempty"`
+	IoU          float64 `json:"iou,omitempty"`
 }
 
 // SweepParams is one grid candidate: what a sweep job's leaderboard reports
@@ -1217,7 +1204,7 @@ type SweepParams struct {
 // SweepEntry is one leaderboard row of a sweep result.
 type SweepEntry struct {
 	Params SweepParams `json:"params"`
-	// JobID is the child train job that produced the metrics.
+	// JobID is the child train_dist job that produced the metrics.
 	JobID     string  `json:"job_id,omitempty"`
 	TrainLoss float64 `json:"train_loss"`
 	Precision float64 `json:"precision"`
@@ -1226,6 +1213,10 @@ type SweepEntry struct {
 	IoU       float64 `json:"iou"`
 	// EarlyStopped marks candidates halted at the half-budget rung.
 	EarlyStopped bool `json:"early_stopped,omitempty"`
+	// CheckpointRef is the winner's final checkpoint, set on the leaderboard
+	// head and Best only: a segment job's net_ref. The checkpoints of the
+	// other candidates are dropped when the sweep ends.
+	CheckpointRef string `json:"checkpoint_ref,omitempty"`
 }
 
 // Better reports whether e beats o on F1 (ties broken by IoU) — the

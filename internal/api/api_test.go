@@ -25,9 +25,6 @@ func validRequests() map[Kind]*JobRequest {
 		KindIVT: {Kind: KindIVT, IVT: &IVTSpec{
 			Synth: SynthSpec{NLon: 8, NLat: 6, NLev: 3, Steps: 2},
 		}},
-		KindTrain: {Kind: KindTrain, Train: &TrainSpec{
-			Source: tinyVolume(), Threshold: 0.5, Steps: 3,
-		}},
 		KindTrainDist: {Kind: KindTrainDist, TrainDist: &TrainDistSpec{
 			Source: tinyVolume(), Threshold: 0.5, Workers: 2, Rounds: 4, BatchPerRound: 4,
 		}},
@@ -160,6 +157,9 @@ func TestEnvelopeRejections(t *testing.T) {
 	}{
 		{"missing kind", &JobRequest{}, "missing kind"},
 		{"unknown kind", &JobRequest{Kind: "resample"}, "unknown kind"},
+		// train folded into train_dist{holdout_steps}: the old name is just
+		// an unknown kind, whose error lists the kinds there are.
+		{"the retired train kind", &JobRequest{Kind: "train"}, "train_dist"},
 		{"missing spec", &JobRequest{Kind: KindSegment}, "needs a segment spec"},
 		{"mismatched spec", &JobRequest{Kind: KindSegment, Label: &LabelSpec{Source: tinyVolume(), Threshold: 1}}, "needs a segment spec"},
 		{"two specs", &JobRequest{Kind: KindLabel,
@@ -295,7 +295,7 @@ func TestSegmentNetRef(t *testing.T) {
 	}
 }
 
-func TestLabelTrainSpecRejections(t *testing.T) {
+func TestLabelSpecRejections(t *testing.T) {
 	label := validRequests()[KindLabel]
 	label.Label.Connectivity = 18
 	if err := label.Validate(); !errors.Is(err, ErrInvalid) {
@@ -305,17 +305,6 @@ func TestLabelTrainSpecRejections(t *testing.T) {
 	label.Label.Threshold = 0
 	if err := label.Validate(); !errors.Is(err, ErrInvalid) {
 		t.Errorf("label threshold 0: err = %v, want ErrInvalid", err)
-	}
-
-	train := validRequests()[KindTrain]
-	train.Train.Steps = 0
-	if err := train.Validate(); !errors.Is(err, ErrInvalid) {
-		t.Errorf("train steps 0: err = %v, want ErrInvalid", err)
-	}
-	train = validRequests()[KindTrain]
-	train.Train.Momentum = 1
-	if err := train.Validate(); !errors.Is(err, ErrInvalid) {
-		t.Errorf("momentum 1: err = %v, want ErrInvalid", err)
 	}
 }
 

@@ -48,6 +48,15 @@ func TestTrainDistSpecRejections(t *testing.T) {
 			s.Elastic = []ElasticStep{{Round: 3, Workers: 2}, {Round: 3, Workers: 4}}
 		}), "strictly increasing"},
 		{"elastic zero workers", mk(func(s *TrainDistSpec) { s.Elastic = []ElasticStep{{Round: 2, Workers: 0}} }), "elastic"},
+		{"negative holdout", mk(func(s *TrainDistSpec) { s.HoldoutSteps = -1 }), "holdout_steps"},
+		// The inline source is 2 steps deep, the synth one 6: a holdout of
+		// the whole depth leaves nothing to train on.
+		{"holdout of the inline depth", mk(func(s *TrainDistSpec) { s.HoldoutSteps = 2 }), "holdout_steps"},
+		{"holdout past the synth depth", mk(func(s *TrainDistSpec) {
+			s.Source = VolumeSource{Synth: &SynthSpec{NLon: 8, NLat: 6, NLev: 3, Steps: 6}}
+			s.HoldoutSteps = 7
+		}), "holdout_steps"},
+		{"holdout of a resumed run's depth", resume(func(s *TrainDistSpec) { s.HoldoutSteps = 2 }), "holdout_steps"},
 	}
 	for _, c := range cases {
 		err := c.req.Validate()
@@ -62,6 +71,14 @@ func TestTrainDistSpecRejections(t *testing.T) {
 	// A well-formed resume spec passes, and only names the checkpoint.
 	if err := resume(func(s *TrainDistSpec) {}).Validate(); err != nil {
 		t.Fatalf("valid resume spec rejected: %v", err)
+	}
+	// A holdout that leaves a slice to train on passes, and so does any
+	// holdout over a ref, whose depth only the store knows.
+	if err := mk(func(s *TrainDistSpec) { s.HoldoutSteps = 1 }).Validate(); err != nil {
+		t.Fatalf("holdout of 1 of 2 steps rejected: %v", err)
+	}
+	if err := mk(func(s *TrainDistSpec) { s.Source = VolumeSource{Ref: fakeRef}; s.HoldoutSteps = 100 }).Validate(); err != nil {
+		t.Fatalf("holdout over a ref rejected at submit: %v", err)
 	}
 	// Elastic schedules are accepted when strictly increasing.
 	ok := mk(func(s *TrainDistSpec) {

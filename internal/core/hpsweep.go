@@ -15,9 +15,9 @@ import (
 
 // SweepConfig drives the Section III-E3 extension: a Redis queue of
 // hyperparameter sets consumed by a pool of single-GPU validation pods.
-// Since PR 10 each popped candidate is evaluated by the chased/v1 train job
-// kind (train with a held-out slab, score precision/recall/F1/IoU) — the
-// same code path the sweep job kind fans out over — so this entry point
+// Each popped candidate is evaluated by the chased/v1 train_dist job the
+// sweep job kind fans out for it (api.SweepSpec.Child: train on the leading
+// slab, score precision/recall/F1/IoU on the rest), so this entry point
 // keeps only the queue mechanics, pod topology, and virtual GPU time as the
 // surrounding test harness.
 type SweepConfig struct {
@@ -73,9 +73,9 @@ type SweepResult struct {
 const sweepQueueKey = "hp-sweep:params"
 
 // RunHyperparameterSweep executes the sweep on the cluster: candidates are
-// queued, worker pods pop them and submit each as a holdout-scored train
-// job on an in-process runner, and write the JSON results to the object
-// store; the best candidate by F1 wins.
+// queued, worker pods pop them and submit each as a holdout-scored
+// train_dist job on an in-process runner, and write the JSON results to the
+// object store; the best candidate by F1 wins.
 func (e *Ecosystem) RunHyperparameterSweep(cfg SweepConfig) (*SweepResult, error) {
 	if len(cfg.Candidates) == 0 {
 		return nil, errors.New("core: no sweep candidates")
@@ -97,7 +97,7 @@ func (e *Ecosystem) RunHyperparameterSweep(cfg SweepConfig) (*SweepResult, error
 	}
 
 	// Build the scene once; every pod validates on the same held-out steps,
-	// as §III-E3 requires (the train job splits off the trailing slab).
+	// as §III-E3 requires (the train_dist job splits off the trailing slab).
 	src, th := sceneSource(cfg.Scene)
 	trainSteps := int(float64(src.D) * cfg.TrainFraction)
 	if trainSteps < 1 {
@@ -126,25 +126,14 @@ func (e *Ecosystem) RunHyperparameterSweep(cfg SweepConfig) (*SweepResult, error
 	var evalErr error
 
 	evaluate := func(h api.SweepParams) (api.SweepEntry, error) {
-		var tr api.TrainResult
-		err := runJob(runner, &api.JobRequest{
-			Kind: api.KindTrain,
-			Name: "validate",
-			Train: &api.TrainSpec{
-				Source:       src,
-				Threshold:    th,
-				Steps:        h.TrainSteps,
-				LR:           h.LR,
-				Momentum:     h.Momentum,
-				NetSeed:      cfg.Seed,
-				SampleSeed:   cfg.Seed ^ 0xabcd,
-				HoldoutSteps: holdout,
-				Net:          caseStudyNet(h.Features, h.Modules),
-			},
-		}, &tr)
+		var tr api.TrainDistResult
+		err := runJob(runner, &api.JobRequest{Kind: api.KindTrainDist, Name: "validate",
+			TrainDist: (&api.SweepSpec{Source: src, Threshold: th, Seed: cfg.Seed}).Child(h, holdout, "")}, &tr)
 		if err != nil {
 			return api.SweepEntry{}, err
 		}
+		// The checkpoint stays on the private runner: CheckpointRef is left
+		// empty, so the stored results and queue messages keep their shape.
 		return api.SweepEntry{
 			Params:    h,
 			TrainLoss: tr.LossTail,

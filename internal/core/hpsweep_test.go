@@ -3,8 +3,23 @@ package core
 import (
 	"testing"
 
+	"chaseci/internal/api"
 	"chaseci/internal/ffn"
 )
+
+// sweepBoard is DefaultSweep's board in stored-result order, recorded when
+// each candidate was a train job and held bit for bit since candidates are
+// train_dist jobs: the same trainer on the same seeds.
+var sweepBoard = []api.SweepEntry{
+	{Params: api.SweepParams{LR: 0.01, Momentum: 0.9, Features: 6, Modules: 1, TrainSteps: 200},
+		TrainLoss: 0.06503269220487183, Precision: 0.8105263157894737, Recall: 0.8279569892473119, F1: 0.8191489361702128, IoU: 0.6936936936936937},
+	{Params: api.SweepParams{LR: 0.01, Momentum: 0.9, Features: 6, Modules: 2, TrainSteps: 200},
+		TrainLoss: 0.1145586279844532, Precision: 0.8301158301158301, Recall: 0.7706093189964157, F1: 0.7992565055762081, IoU: 0.6656346749226006},
+	{Params: api.SweepParams{LR: 0.03, Momentum: 0.9, Features: 6, Modules: 1, TrainSteps: 200},
+		TrainLoss: 0.05902551655539383, Precision: 0.8321167883211679, Recall: 0.8172043010752689, F1: 0.8245931283905967, IoU: 0.7015384615384616},
+	{Params: api.SweepParams{LR: 0.03, Momentum: 0.9, Features: 6, Modules: 2, TrainSteps: 200},
+		TrainLoss: 0.12939281910739547, Precision: 0.903954802259887, Recall: 0.5734767025089605, F1: 0.7017543859649122, IoU: 0.5405405405405406},
+}
 
 func TestHyperparameterSweepFindsBest(t *testing.T) {
 	eco := BuildNautilus(DefaultNautilus())
@@ -13,8 +28,16 @@ func TestHyperparameterSweepFindsBest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Results) != len(cfg.Candidates) {
-		t.Fatalf("results = %d, want %d", len(res.Results), len(cfg.Candidates))
+	if len(res.Results) != len(sweepBoard) {
+		t.Fatalf("results = %d, want %d", len(res.Results), len(sweepBoard))
+	}
+	for i, want := range sweepBoard {
+		if res.Results[i] != want {
+			t.Errorf("result %d = %+v\nwant %+v", i, res.Results[i], want)
+		}
+	}
+	if res.Best != sweepBoard[2] {
+		t.Errorf("best = %+v, want %+v", res.Best, sweepBoard[2])
 	}
 	for _, r := range res.Results {
 		if !res.Best.Better(r) && res.Best != r {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"chaseci/internal/parallel"
 	"chaseci/internal/sim"
@@ -18,16 +16,19 @@ import (
 // DistTrainer runs synchronous data-parallel SGD with a worker-count-
 // invariant sampling scheme. Every round draws one global batch of FOV
 // centers from an RNG derived only from (SampleSeed, round index); the
-// examples are sharded across W worker goroutines, each with its own
-// scratch, that run exampleGrad against the shared (read-only) network,
-// sample i writing row i of one batch x P gradient matrix. The all-reduce
-// sums the rows in global sample order and scales by 1/batch, and one
-// optimizer step applies the mean to the flat parameter vector. The resulting loss sequence is therefore bit-identical
-// at any worker count, under elastic worker changes between rounds, and
-// across a checkpoint/restore boundary. At batch 1 on one worker a round is
-// one SGD step on one example — the train job kind.
+// examples are sharded over internal/parallel's lanes, each chunk of samples
+// with its own scratch, running exampleGrad against the shared (read-only)
+// network, sample i writing row i of one batch x P gradient matrix. The
+// all-reduce sums the rows in global sample order and scales by 1/batch,
+// and one optimizer step applies the mean to the flat parameter vector. The
+// resulting loss sequence is therefore bit-identical at any lane count,
+// under elastic worker changes between rounds, and across a
+// checkpoint/restore boundary. The worker count is the modelled
+// data-parallel width — what CommBytesPerRound prices — not a goroutine
+// count. At batch 1 a round is one SGD step on one example, run inline with
+// the conv kernels fanned out instead: what a sweep candidate runs.
 //
-// Ownership: the gradient matrix, the FOV-center index and each worker's
+// Ownership: the gradient matrix, the FOV-center index and each chunk's
 // scratch are borrowed from the tensor free list — a job builds a new
 // trainer, and these are the arrays the previous job of the same geometry
 // just dropped. Release hands them back and ends the trainer's life: call
@@ -50,11 +51,12 @@ type DistTrainer struct {
 
 	// Reused across rounds: the round's centers and per-sample losses, the
 	// borrowed gradient matrix (row i is sample i's gradient) and one
-	// borrowed scratch per worker goroutine.
+	// borrowed scratch per chunk of the batch.
 	batchCenters [][3]int
 	sampleLoss   []float64
 	grads        []float32
 	scratch      []*trainScratch
+	shards       shardTask
 }
 
 // ErrNoWorkers indicates a non-positive worker count.
@@ -131,7 +133,7 @@ func (t *DistTrainer) Release() {
 	t.scratch = nil
 }
 
-// Workers returns the current data-parallel width.
+// Workers returns the current modelled data-parallel width (see DistTrainer).
 func (t *DistTrainer) Workers() int { return t.workers }
 
 // SetWorkers changes the data-parallel width before the next round — the
@@ -178,44 +180,22 @@ func (t *DistTrainer) Round(ctx context.Context) (float64, error) {
 		t.batchCenters[i] = t.centers.draw(rng)
 	}
 
-	w := min(t.workers, t.batch)
+	// The batch is sharded over parallel's lanes, not over t.workers: one
+	// chunk of samples per lane, each chunk with a scratch of its own. At
+	// batch 1 the round runs inline and the conv kernels take the lanes.
+	w := parallel.Chunks(t.batch)
 	for len(t.scratch) < w {
 		t.scratch = append(t.scratch, t.Net.newTrainScratch())
 	}
-	p := len(t.Net.params)
-	fov := t.Net.cfg.FOV
-	var wg sync.WaitGroup
-	var panicked atomic.Pointer[any]
-	for wi := 0; wi < w; wi++ {
-		// Contiguous shard: worker wi takes samples [lo, hi).
-		lo, hi := parallel.Chunk(t.batch, w, wi)
-		wg.Add(1)
-		go func(ts *trainScratch, lo, hi int) {
-			// A panic on a shard goroutine has no caller to unwind to and
-			// would end the process: park the first for Round to re-raise.
-			defer func() {
-				if p := recover(); p != nil {
-					v := p // the heap copy is made only when there is a panic
-					panicked.CompareAndSwap(nil, &v)
-				}
-				wg.Done()
-			}()
-			for i := lo; i < hi; i++ {
-				ts.extract(t.img, t.lbl, fov, t.batchCenters[i])
-				t.sampleLoss[i] = t.Net.exampleGrad(ts, ts.img, ts.lab, t.grads[i*p:(i+1)*p])
-			}
-		}(t.scratch[wi], lo, hi)
-	}
-	wg.Wait()
-	if p := panicked.Load(); p != nil {
-		panic(*p)
-	}
+	t.shards = shardTask{t: t, chunks: w}
+	parallel.Invoke(w, &t.shards)
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
 
 	// The all-reduce: sum the rows into row 0 in global sample order, then
-	// scale, so the mean does not depend on which worker wrote which row.
+	// scale, so the mean does not depend on which chunk wrote which row.
+	p := len(t.Net.params)
 	mean := t.grads[:p]
 	for i := 1; i < t.batch; i++ {
 		for j, g := range t.grads[i*p : (i+1)*p] {
@@ -235,6 +215,27 @@ func (t *DistTrainer) Round(ctx context.Context) (float64, error) {
 	t.losses = append(t.losses, loss)
 	t.round++
 	return loss, nil
+}
+
+// shardTask runs chunks [c0, c1) of a round's batch split into chunks
+// pieces, chunk c on scratch c, sample i writing row i of the gradient
+// matrix. It lives in the trainer, so a round's fan-out allocates nothing.
+type shardTask struct {
+	t      *DistTrainer
+	chunks int
+}
+
+func (s *shardTask) Run(c0, c1 int) {
+	t := s.t
+	p := len(t.Net.params)
+	for c := c0; c < c1; c++ {
+		ts := t.scratch[c]
+		lo, hi := parallel.Chunk(t.batch, s.chunks, c)
+		for i := lo; i < hi; i++ {
+			ts.extract(t.img, t.lbl, t.Net.cfg.FOV, t.batchCenters[i])
+			t.sampleLoss[i] = t.Net.exampleGrad(ts, ts.img, ts.lab, t.grads[i*p:(i+1)*p])
+		}
+	}
 }
 
 // Checkpoint is the run's state at the current round boundary: encode it

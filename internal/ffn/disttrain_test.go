@@ -337,10 +337,11 @@ func borrowed(tr *DistTrainer) (ptrs map[*float32]bool, lens []int) {
 
 // TestDistTrainerAllocBound: a second trainer of the same geometry, built
 // after the first was released, borrows the very arrays the first gave back
-// — the batch x P gradient matrix, the center index, each worker's slab —
+// — the batch x P gradient matrix, the center index, each chunk's slab —
 // and allocates less than any one of the big ones. The second trains on
 // different labels: every borrowed length is geometry, never label content.
 func TestDistTrainerAllocBound(t *testing.T) {
+	defer parallel.SetWorkers(parallel.SetWorkers(2)) // two lanes: the batch in two chunks
 	img, lbl := buildARScene(t, 6)
 	first := distTrainer(t, img, lbl, 2)
 	runRounds(t, first, 2)

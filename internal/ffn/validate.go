@@ -5,9 +5,9 @@ import "fmt"
 // Section III-E3 support ("Hyperparameters and Validation Datasets"): the
 // paper separates training from test data ("the training volume is removed
 // from the test data volume for all validation metrics"). This file provides
-// the split; the evaluation itself is a train job with holdout_steps
-// (service.TrainHandler), and the parameter sets a sweep fans out over are
-// api.SweepParams — ffn does not know that sweeps exist.
+// the split; the evaluation itself is a train_dist job with holdout_steps
+// (service.TrainDistHandler), and the parameter sets a sweep fans out over
+// are api.SweepParams — ffn does not know that sweeps exist.
 
 // Split divides a volume along the time axis: the first trainSteps slices
 // train, the rest test. It panics if the split leaves either side empty,

@@ -65,18 +65,6 @@ func (m PoweredModel) InferEnergyJoules(voxels float64, devices int) float64 {
 	return m.EnergyJoules(d, devices)
 }
 
-// TrainEnergyJoules returns the total board energy to train on `voxels`
-// data-parallel over `devices` boards (each board sees voxels/devices but
-// all boards draw power for the slowest shard's duration). Zero for
-// inference-only silicon.
-func (m PoweredModel) TrainEnergyJoules(voxels float64, devices int) float64 {
-	if m.TrainVoxelsPerSec <= 0 || devices <= 0 {
-		return 0
-	}
-	d := m.TrainTime(voxels / float64(devices))
-	return m.EnergyJoules(d, devices)
-}
-
 // KWh converts joules to kilowatt-hours.
 func KWh(joules float64) float64 { return joules / 3.6e6 }
 

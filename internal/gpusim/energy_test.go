@@ -1,7 +1,6 @@
 package gpusim
 
 import (
-	"math"
 	"testing"
 	"time"
 )
@@ -65,25 +64,5 @@ func TestStep3EnergyComparison(t *testing.T) {
 	// fleet for this workload (40x slower at ~1/3 the per-board power).
 	if !(cpu > gpu) {
 		t.Fatalf("CPU total energy %v kWh should exceed GPU fleet %v kWh", KWh(cpu), KWh(gpu))
-	}
-}
-
-func TestTrainEnergyJoules(t *testing.T) {
-	m := Powered1080Ti()
-	voxels := 64.0 * 64 * 64
-	one := m.TrainEnergyJoules(voxels, 1)
-	if want := m.Watts * voxels / m.TrainVoxelsPerSec; math.Abs(one-want) > want*1e-9 {
-		t.Fatalf("1-device train energy = %g J, want %g J", one, want)
-	}
-	// Data-parallel training over n devices draws n boards for 1/n the time:
-	// total joules are invariant in this model.
-	if four := m.TrainEnergyJoules(voxels, 4); math.Abs(four-one) > one*1e-9 {
-		t.Fatalf("4-device train energy = %g J, want %g J", four, one)
-	}
-	if got := NvN().TrainEnergyJoules(voxels, 1); got != 0 {
-		t.Fatalf("inference-only silicon train energy = %g, want 0", got)
-	}
-	if got := m.TrainEnergyJoules(voxels, 0); got != 0 {
-		t.Fatalf("0-device train energy = %g, want 0", got)
 	}
 }

@@ -70,9 +70,11 @@ type job struct {
 	join       *join
 }
 
-// run executes the chunk on a lane. A panic there has no caller to unwind
-// to — it would end the process — so it is parked in the join for Invoke
-// to re-raise on the goroutine that asked for the work.
+// run executes the chunk, on a lane or inline on the caller. A panic on a
+// lane has no caller to unwind to — it would end the process — and one
+// inline must not unwind Invoke while chunks it dispatched still run, so
+// either is parked in the join for Invoke to re-raise once every chunk has
+// ended.
 func (j job) run() {
 	defer func() {
 		if p := recover(); p != nil {
@@ -112,8 +114,9 @@ func ensureLanes(k int) []chan job {
 var joinPool = sync.Pool{New: func() any { return new(join) }}
 
 // Invoke fans t out over [0, n) in at most Workers() contiguous chunks.
-// Chunk 0 always runs on the calling goroutine, and a panic in any other
-// chunk is re-raised there once every chunk has ended.
+// Chunk 0 always runs on the calling goroutine, and a panic in any chunk is
+// re-raised there once every chunk has ended: Invoke neither returns nor
+// unwinds while a chunk of its own still runs.
 func Invoke(n int, t Task) { InvokeGrain(n, 1, t) }
 
 // InvokeGrain is Invoke with a minimum chunk size: no chunk is smaller than
@@ -140,16 +143,17 @@ func InvokeGrain(n, grain int, t Task) {
 	for c := 1; c < w; c++ {
 		s, e := Chunk(n, w, c)
 		jn.wg.Add(1)
+		j := job{t, s, e, jn}
 		select {
-		case ls[c-1] <- job{t, s, e, jn}:
+		case ls[c-1] <- j:
 		default:
 			// Lane busy (concurrent or nested Invoke): run inline rather
 			// than block, which keeps nested fan-out deadlock-free.
-			t.Run(s, e)
-			jn.wg.Done()
+			j.run()
 		}
 	}
-	t.Run(0, n/w)
+	jn.wg.Add(1)
+	job{t, 0, n / w, jn}.run()
 	jn.wg.Wait()
 	p := jn.panicked.Swap(nil)
 	joinPool.Put(jn)

@@ -140,6 +140,113 @@ func TestLanePanicReraisedOnCaller(t *testing.T) {
 	}
 }
 
+// waitingInInvoke reports whether goroutine id is parked in Invoke's wait
+// for its chunks: blocked (not running or runnable), in a WaitGroup wait
+// under InvokeGrain.
+func waitingInInvoke(id string) bool {
+	buf := make([]byte, 1<<20)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if !strings.HasPrefix(g, "goroutine "+id+" [") {
+			continue
+		}
+		header, _, _ := strings.Cut(g, "\n")
+		return !strings.Contains(header, "[running") && !strings.Contains(header, "[runnable") &&
+			strings.Contains(g, "(*WaitGroup).Wait") && strings.Contains(g, "parallel.InvokeGrain")
+	}
+	return false
+}
+
+// outliveProbe is a 3-chunk task. A chunk on a lane holds until its caller
+// is parked in Invoke's wait (then it returns normally) or Invoke has
+// returned or unwound (then it records the violation); chunk panicAt, if it
+// runs on the caller, panics.
+type outliveProbe struct {
+	caller    string
+	panicAt   int
+	ended     [3]chan struct{}
+	onLane    atomic.Int32
+	finished  atomic.Bool // Invoke returned or unwound
+	outlasted atomic.Bool // a lane chunk saw that while still running
+}
+
+func (p *outliveProbe) Run(s, e int) {
+	defer close(p.ended[s])
+	if goroutineID() == p.caller {
+		if s == p.panicAt {
+			panic("inline chunk")
+		}
+		return
+	}
+	p.onLane.Add(1)
+	for !waitingInInvoke(p.caller) {
+		if p.finished.Load() {
+			p.outlasted.Store(true)
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestInvokeOutlivesItsChunks: no Invoke returns or unwinds while one of
+// its chunks still runs on a lane — when nothing panics, when chunk 0 (always
+// on the caller) panics, and when a chunk whose lane is busy runs inline and
+// panics. The lane chunks wait on the caller's state, not on a clock.
+func TestInvokeOutlivesItsChunks(t *testing.T) {
+	defer SetWorkers(SetWorkers(3))
+	for _, tc := range []struct {
+		name     string
+		panicAt  int
+		busyLane bool
+	}{
+		{"no panic", -1, false},
+		{"chunk 0 panics", 0, false},
+		{"inline chunk panics", 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			caller := goroutineID()
+			if tc.busyLane {
+				// Chunk 2's lane (lanes[1]) runs a job of its own until the
+				// probe is done, so chunk 2 runs inline; chunk 1 still
+				// goes to lanes[0].
+				hold := make(chan struct{})
+				busy := new(join)
+				busy.wg.Add(1)
+				ensureLanes(2)[1] <- job{&funcTask{func(int, int) { <-hold }}, 0, 1, busy}
+				defer busy.wg.Wait()
+				defer close(hold)
+			}
+			// A lane still finishing its previous job takes no new one, and
+			// its chunk runs inline: try until one lands on a lane.
+			for {
+				p := &outliveProbe{caller: caller, panicAt: tc.panicAt}
+				for i := range p.ended {
+					p.ended[i] = make(chan struct{})
+				}
+				got := func() (got any) {
+					defer func() {
+						got = recover()
+						p.finished.Store(true)
+					}()
+					Invoke(3, p)
+					return nil
+				}()
+				for _, c := range p.ended[1:] {
+					<-c // chunks 1 and 2 always run, wherever they ran
+				}
+				if want := tc.panicAt >= 0; (got != nil) != want {
+					t.Fatalf("recovered %v, want a panic: %v", got, want)
+				}
+				if p.outlasted.Load() {
+					t.Fatal("Invoke returned or unwound while a chunk still ran on a lane")
+				}
+				if p.onLane.Load() > 0 {
+					return
+				}
+			}
+		})
+	}
+}
+
 func TestSetWorkersRestore(t *testing.T) {
 	prev := SetWorkers(3)
 	if got := Workers(); got != 3 {

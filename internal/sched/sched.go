@@ -40,9 +40,10 @@ type Workload struct {
 	Spec *api.PlacementSpec
 }
 
-// RequestFor derives a default resource request for a job kind: GPU kinds
-// (segment, train, pipeline) take one board; memory scales with the working
-// set (float volume plus overheads), floored at 1 GB.
+// RequestFor derives a default resource request for a job kind: the
+// inference kinds (segment, pipeline) take one board; memory scales with the
+// working set (float volume plus overheads), floored at 1 GB. train_dist
+// asks for no board: its placement is the CPU default.
 func RequestFor(kind api.Kind, voxels float64) cluster.Resources {
 	mem := voxels * 4 * 6
 	if mem < 1e9 {
@@ -50,7 +51,7 @@ func RequestFor(kind api.Kind, voxels float64) cluster.Resources {
 	}
 	r := cluster.Resources{CPU: 2, Memory: mem}
 	switch kind {
-	case api.KindSegment, api.KindTrain, api.KindPipeline:
+	case api.KindSegment, api.KindPipeline:
 		r.GPUs = 1
 	}
 	return r
@@ -525,8 +526,6 @@ func (s *Scheduler) estJoules(w *Workload, spec *NodeSpec) float64 {
 		devices = 1
 	}
 	switch w.Kind {
-	case api.KindTrain:
-		return spec.Model.TrainEnergyJoules(w.Voxels, devices)
 	case api.KindSegment, api.KindPipeline:
 		return spec.Model.InferEnergyJoules(w.Voxels, devices)
 	default:

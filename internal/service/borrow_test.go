@@ -51,10 +51,10 @@ func runJob(t *testing.T, r *Runner, req *api.JobRequest) json.RawMessage {
 // TestJobsLeaveResolvedBlobsUntouched: a resolved blob is a view of the bytes
 // the store keeps under its content address, so a write through one would
 // corrupt the address itself. After train_dist, segment (with the network of
-// that job's checkpoint, by net_ref), label and train jobs over a volume ref,
-// segment, label and train jobs over a pipeline's stored mask (both the
-// packed scan and the float expansion), a train_dist resumed from the
-// checkpoint ref, and eight concurrent segment jobs on the one ref and the
+// that job's checkpoint, by net_ref), label and held-out train_dist jobs over
+// a volume ref, segment, label and train_dist jobs over a pipeline's stored
+// mask (both the packed scan and the float expansion), a train_dist resumed
+// from the checkpoint ref, and eight concurrent segment jobs on the one ref and the
 // one checkpoint — which must also agree with each other bit for bit —
 // every blob still encodes to its id and every stored encoding still hashes
 // to it.
@@ -116,7 +116,8 @@ func TestJobsLeaveResolvedBlobsUntouched(t *testing.T) {
 	for _, req := range []*api.JobRequest{
 		segment,
 		{Kind: api.KindLabel, Label: &api.LabelSpec{Source: src, Threshold: 120}},
-		{Kind: api.KindTrain, Train: &api.TrainSpec{Source: src, Threshold: 120, Steps: 6, Net: net, HoldoutSteps: 2}},
+		{Kind: api.KindTrainDist, TrainDist: &api.TrainDistSpec{
+			Source: src, Threshold: 120, Workers: 1, Rounds: 6, BatchPerRound: 1, Net: net, HoldoutSteps: 2}},
 	} {
 		runJob(t, r, req)
 		check(string(req.Kind))
@@ -130,7 +131,7 @@ func TestJobsLeaveResolvedBlobsUntouched(t *testing.T) {
 
 	// A mask blob is borrowed the same way: a pipeline stores its masks, a
 	// label job scans one where it lies, a label job whose threshold needs
-	// the floats, a segment job and a train job read its one expansion.
+	// the floats, a segment job and a train_dist job read its one expansion.
 	preq := pipelineRequest(0)
 	preq.ResultMode = api.ResultModeRef
 	var pres api.PipelineResult
@@ -148,7 +149,8 @@ func TestJobsLeaveResolvedBlobsUntouched(t *testing.T) {
 		{Kind: api.KindSegment, ResultMode: api.ResultModeRef, Segment: &api.SegmentSpec{
 			Source: msrc, Threshold: 0.5, NetRef: tres.CheckpointRef, SeedStride: [3]int{1, 4, 4}, ReturnMask: true,
 		}},
-		{Kind: api.KindTrain, Train: &api.TrainSpec{Source: msrc, Threshold: 0.5, Steps: 6, Net: net}},
+		{Kind: api.KindTrainDist, TrainDist: &api.TrainDistSpec{
+			Source: msrc, Threshold: 0.5, Workers: 1, Rounds: 6, BatchPerRound: 1, Net: net}},
 	} {
 		runJob(t, r, req)
 		check(string(req.Kind) + " over a mask ref")
@@ -329,26 +331,31 @@ func TestJobAllocBounds(t *testing.T) {
 		// and a scratch slab per worker are borrowed, and each checkpoint is
 		// serialized once into the frame the store keeps: what is left is
 		// those three frames, the network and the optimizer's velocity
-		// (174 KB). It was 853 KB when the matrix, index and scratch were
+		// (172 KB). It was 853 KB when the matrix, index and scratch were
 		// built per job and each checkpoint was encoded and then copied into
 		// its frame; 21 MB when every sample's backward pass built its own
 		// activation cache and the all-reduce cloned the gradients.
 		{"train_dist", 2, func(*testing.T, *Runner) *api.JobRequest { return dist }, 2, 8, 350, 800},
-		// A train job — a batch-1 DistTrainer on one worker, what a sweep fans
-		// out — borrows the same way (51 KB; 46 KB on the sequential trainer
-		// it replaced, which spawned no goroutine per step; 213 KB before
-		// borrowing).
-		{"train", 2, func(*testing.T, *Runner) *api.JobRequest {
-			return sweepChild(sweep.Sweep, "sweep", 0, api.SweepParams{LR: 0.03, Momentum: 0.9, Features: 6, Modules: 2}, 30, 2)
-		}, 2, 8, 95, 170},
+		// A sweep child — train_dist on one worker, one example a round, a
+		// held-out slab scored — borrows the same way, and also writes the
+		// checkpoint a sweep keeps for its winner: about 34 KB of frame at
+		// f6/m2 (91 KB; 49 KB as the train kind, which wrote none; 213 KB
+		// before borrowing).
+		{"sweep_child", 2, func(*testing.T, *Runner) *api.JobRequest {
+			h := api.SweepParams{LR: 0.03, Momentum: 0.9, Features: 6, Modules: 2, TrainSteps: 30}
+			return &api.JobRequest{Kind: api.KindTrainDist, TrainDist: sweep.Sweep.Child(h, 2, "")}
+		}, 2, 8, 185, 310},
 		// The streamed 72x48x12 pipeline (430 KB; 4.8 MB when
 		// each slab's atmosphere state, IVT volume and label maps were fresh
 		// allocations), and the 8-candidate sweep fanned through the fair
-		// queue with no early stop (290-330 KB; 273 KB on the sequential
-		// trainer, 1.4 MB while each candidate's trainer built its own center
-		// lists and scratch).
+		// queue with no early stop (475-505 KB, of which about 170 KB is the
+		// eight checkpoints its children write; 290-330 KB while they wrote
+		// none, 1.4 MB while each candidate's trainer built its own center
+		// lists and scratch). Its concurrent children borrow more at a new
+		// peak of concurrency, which a 4-sweep average swings by 100 KB, so
+		// it is averaged over 12.
 		{"pipeline", 4, func(*testing.T, *Runner) *api.JobRequest { return benchPipelineRequest() }, 1, 4, 850, 0},
-		{"sweep_grid8", 4, func(*testing.T, *Runner) *api.JobRequest { return sweep }, 1, 4, 550, 1100},
+		{"sweep_grid8", 4, func(*testing.T, *Runner) *api.JobRequest { return sweep }, 1, 12, 550, 1100},
 		// The ends of the bench/ connect_chain, on its 12x48x72 volume (162 KB
 		// of float32). The ivt job builds no whole-field atmosphere state (it
 		// synthesizes row by row into borrowed scratch) and borrows its

@@ -102,8 +102,6 @@ func (r *Runner) jobVoxels(req *api.JobRequest) float64 {
 		return src(&req.Segment.Source)
 	case req.Label != nil:
 		return src(&req.Label.Source)
-	case req.Train != nil:
-		return src(&req.Train.Source)
 	case req.IVT != nil:
 		s := req.IVT.Synth
 		return float64(s.NLon) * float64(s.NLat) * float64(s.Steps)

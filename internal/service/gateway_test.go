@@ -149,23 +149,26 @@ func TestGatewayAllKernelsEndToEnd(t *testing.T) {
 		}
 	})
 
-	t.Run("train", func(t *testing.T) {
+	t.Run("train_dist", func(t *testing.T) {
 		st, env := f.submitAndWait(&api.JobRequest{
-			Kind: api.KindTrain,
-			Train: &api.TrainSpec{
-				Source:    api.VolumeSource{Synth: &api.SynthSpec{NLon: 36, NLat: 24, NLev: 4, Steps: 8, Seed: 11}},
-				Threshold: 130,
-				Steps:     12,
+			Kind: api.KindTrainDist,
+			TrainDist: &api.TrainDistSpec{
+				Source:        api.VolumeSource{Synth: &api.SynthSpec{NLon: 36, NLat: 24, NLev: 4, Steps: 8, Seed: 11}},
+				Threshold:     130,
+				Workers:       1,
+				Rounds:        12,
+				BatchPerRound: 1,
+				HoldoutSteps:  2,
 			},
 		})
 		if st.State != api.StateSucceeded {
 			t.Fatalf("state = %s (%s)", st.State, st.Error)
 		}
-		var res api.TrainResult
+		var res api.TrainDistResult
 		if err := json.Unmarshal(env.Result, &res); err != nil {
 			t.Fatal(err)
 		}
-		if res.Steps != 12 || res.LossHead == 0 {
+		if res.Rounds != 12 || res.LossHead == 0 || res.HoldoutSteps != 2 || res.CheckpointRef == "" {
 			t.Fatalf("result = %+v", res)
 		}
 	})
@@ -203,7 +206,7 @@ func TestGatewayAllKernelsEndToEnd(t *testing.T) {
 	defer resp.Body.Close()
 	var buf bytes.Buffer
 	buf.ReadFrom(resp.Body)
-	for _, kind := range []string{"segment", "label", "ivt", "train", "workflow"} {
+	for _, kind := range []string{"segment", "label", "ivt", "train_dist", "workflow"} {
 		if !strings.Contains(buf.String(), fmt.Sprintf(`jobs_succeeded{kind=%q} 1`, kind)) {
 			t.Fatalf("metricz missing %s success:\n%s", kind, buf.String())
 		}
@@ -360,7 +363,8 @@ func TestGatewayValidationAndRouting(t *testing.T) {
 	for _, req := range []*api.JobRequest{
 		seg,
 		{Kind: api.KindPipeline, Pipeline: &api.PipelineSpec{Synth: synth, SlabSteps: 3, Threshold: 1, Net: overstep}},
-		{Kind: api.KindTrain, Train: &api.TrainSpec{Source: api.VolumeSource{Synth: &synth}, Threshold: 1, Steps: 2, HoldoutSteps: 2, Net: overstep}},
+		{Kind: api.KindTrainDist, TrainDist: &api.TrainDistSpec{Source: api.VolumeSource{Synth: &synth}, Threshold: 1,
+			Workers: 1, Rounds: 2, BatchPerRound: 1, HoldoutSteps: 2, Net: overstep}},
 	} {
 		resp := f.do("POST", "/v1/jobs", req, &apiErr)
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, "move_step") {
@@ -392,6 +396,12 @@ func TestGatewayValidationAndRouting(t *testing.T) {
 		if raw.StatusCode != http.StatusBadRequest {
 			t.Fatalf("unknown field in %s: status %d, want 400", body, raw.StatusCode)
 		}
+	}
+	// The train kind folded into train_dist{holdout_steps}: "train" is an
+	// unknown kind like any other, and the error lists the kinds there are.
+	if resp := f.do("POST", "/v1/jobs", &api.JobRequest{Kind: "train"}, &apiErr); resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(apiErr.Error, `unknown kind "train"`) || !strings.Contains(apiErr.Error, "train_dist") {
+		t.Fatalf(`kind "train": status %d, err %q, want a 400 naming train_dist`, resp.StatusCode, apiErr.Error)
 	}
 	// Unknown job -> 404 on status, result, cancel.
 	for _, path := range []string{"/v1/jobs/job-999999", "/v1/jobs/job-999999/result"} {

@@ -22,7 +22,6 @@ func DefaultRegistry() *Registry {
 	r.Register(api.KindSegment, SegmentHandler)
 	r.Register(api.KindLabel, LabelHandler)
 	r.Register(api.KindIVT, IVTHandler)
-	r.Register(api.KindTrain, TrainHandler)
 	r.Register(api.KindTrainDist, TrainDistHandler)
 	r.Register(api.KindSweep, SweepHandler)
 	r.Register(api.KindWorkflow, WorkflowHandler)
@@ -88,6 +87,23 @@ func sourceVolume(ctx context.Context, jc *JobContext, src *api.VolumeSource) (s
 		return source{vol: &ffn.Volume{D: src.Synth.Steps, H: src.Synth.NLat, W: src.Synth.NLon, Data: vol.Data}, owned: true}, nil
 	}
 	return source{vol: &ffn.Volume{D: src.D, H: src.H, W: src.W, Data: src.Data}}, nil
+}
+
+// sourceDepth reports the time depth of a job's source volume without
+// materializing it: a ref's from the store's record.
+func sourceDepth(jc *JobContext, src *api.VolumeSource) (int, error) {
+	switch {
+	case src.Ref != "":
+		info, ok := jc.Datasets().Stat(src.Ref)
+		if !ok {
+			return 0, fmt.Errorf("%w: source ref %s is not in the dataset store", api.ErrInvalid, src.Ref)
+		}
+		return info.D, nil
+	case src.Synth != nil:
+		return src.Synth.Steps, nil
+	default:
+		return src.D, nil
+	}
 }
 
 // normalizedVolume conditions raw into a buffer borrowed from the free

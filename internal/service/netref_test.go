@@ -164,7 +164,7 @@ func TestOverCapCheckpointRefused(t *testing.T) {
 // TestGatewayRefKindChecked: each ref names the kind of dataset its place in
 // the request reads, or the submit is a 400 and its pins are repaid. Before
 // the check a checkpoint passed as a source made label succeed over a buffer
-// nothing had written, and segment and train panic and retry four times.
+// nothing had written, and segment and training panic and retry four times.
 func TestGatewayRefKindChecked(t *testing.T) {
 	f := newGWFixture(t, true)
 	var tres api.TrainDistResult
@@ -185,8 +185,8 @@ func TestGatewayRefKindChecked(t *testing.T) {
 			&api.JobRequest{Kind: api.KindLabel, Label: &api.LabelSpec{Source: ckSrc, Threshold: 0.5}}},
 		{"segment over a checkpoint", "want volume or mask",
 			&api.JobRequest{Kind: api.KindSegment, Segment: &api.SegmentSpec{Source: ckSrc, Threshold: 0.5}}},
-		{"train over a checkpoint", "want volume or mask",
-			&api.JobRequest{Kind: api.KindTrain, Train: &api.TrainSpec{Source: ckSrc, Threshold: 0.5, Steps: 2}}},
+		{"train_dist over a checkpoint", "want volume or mask",
+			&api.JobRequest{Kind: api.KindTrainDist, TrainDist: &api.TrainDistSpec{Source: ckSrc, Threshold: 0.5, Workers: 1, Rounds: 2, BatchPerRound: 1, HoldoutSteps: 1}}},
 		{"net_ref naming a volume", "want checkpoint",
 			&api.JobRequest{Kind: api.KindSegment, Segment: &api.SegmentSpec{Source: volSrc, Threshold: 120, NetRef: vol.ID}}},
 		{"resume_from naming a volume", "want checkpoint",

@@ -354,9 +354,9 @@ func TestAllKindsEndToEndInProcess(t *testing.T) {
 		{Kind: api.KindIVT, IVT: &api.IVTSpec{
 			Synth: api.SynthSpec{NLon: 24, NLat: 16, NLev: 3, Steps: 4, Seed: 2}, Threshold: 120,
 		}},
-		{Kind: api.KindTrain, Train: &api.TrainSpec{
+		{Kind: api.KindTrainDist, TrainDist: &api.TrainDistSpec{
 			Source:    api.VolumeSource{Synth: &api.SynthSpec{NLon: 24, NLat: 16, NLev: 3, Steps: 6, Seed: 2}},
-			Threshold: 120, Steps: 10,
+			Threshold: 120, Workers: 1, Rounds: 10, BatchPerRound: 1,
 		}},
 		{Kind: api.KindWorkflow, Workflow: &api.WorkflowSpec{
 			Name: "ppods",
@@ -474,35 +474,43 @@ func TestTerminalJobEviction(t *testing.T) {
 	}
 }
 
-// TestCancelDuringTrainKeepsPartialSteps: a train job cancelled mid-training
-// still records the optimizer steps taken.
+// TestCancelDuringTrainKeepsPartialSteps: a train_dist job of the sweep
+// child's shape cancelled mid-training still records the rounds taken.
 func TestCancelDuringTrainKeepsPartialSteps(t *testing.T) {
 	r, _ := newTestRunner(t, DefaultRegistry(), 1)
 	st, err := r.Submit(&api.JobRequest{
-		Kind: api.KindTrain,
-		Train: &api.TrainSpec{
-			Source:    api.VolumeSource{Synth: &api.SynthSpec{NLon: 24, NLat: 16, NLev: 3, Steps: 6, Seed: 2}},
-			Threshold: 120,
-			Steps:     100000, // hours of training; cancelled almost immediately
+		Kind: api.KindTrainDist,
+		TrainDist: &api.TrainDistSpec{
+			Source:        api.VolumeSource{Synth: &api.SynthSpec{NLon: 24, NLat: 16, NLev: 3, Steps: 6, Seed: 2}},
+			Threshold:     120,
+			Workers:       1,
+			BatchPerRound: 1,
+			HoldoutSteps:  2,
+			Net:           &api.NetConfig{FOV: [3]int{3, 7, 7}, MoveStep: [3]int{1, 2, 2}},
+			Rounds:        100000, // hours of training; cancelled almost immediately
 		},
 	}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, r, st.ID, func(s api.JobStatus) bool { return s.Stage == "train" && s.Done > 0 })
+	waitState(t, r, st.ID, func(s api.JobStatus) bool { return strings.HasPrefix(s.Stage, "round ") && s.Done > 0 })
 	r.Cancel(st.ID)
 	final := waitState(t, r, st.ID, terminal)
 	if final.State != api.StateCancelled {
 		t.Fatalf("state = %s", final.State)
 	}
 	raw, _, _ := r.Result(st.ID)
-	var res api.TrainResult
+	var res api.TrainDistResult
 	if err := json.Unmarshal(raw, &res); err != nil {
 		t.Fatalf("missing partial result: %v (raw %q)", err, raw)
 	}
-	if res.Steps == 0 || res.Steps >= 100000 {
-		t.Fatalf("partial train steps = %d", res.Steps)
+	if res.Rounds == 0 || res.Rounds >= 100000 || len(res.Losses) != res.Rounds {
+		t.Fatalf("partial train rounds = %d with %d losses", res.Rounds, len(res.Losses))
 	}
+	if res.HoldoutSteps != 0 || res.F1 != 0 || res.CheckpointRef != "" {
+		t.Fatalf("cancelled run was scored or kept a checkpoint: %+v", res)
+	}
+	assertNoLeaks(t, r)
 }
 
 // TestStatusPollAllocFree pins the satellite requirement: the in-process

@@ -1,17 +1,19 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
 
 	"chaseci/internal/api"
+	"chaseci/internal/dataset"
 )
 
 // The sweep job: hyperparameter search as a job that submits jobs. Each
-// candidate of the spec's grid (api.SweepSpec.Candidates) becomes a train
-// job with a held-out validation slab, submitted through the same
+// candidate of the spec's grid (api.SweepSpec.Candidates) becomes a
+// train_dist job with a held-out validation slab, submitted through the same
 // admission-controlled fair queue as everything else — a sweep enjoys no
 // back door around tenant bounds. While its children run, the sweep worker "helps": it drains the
 // pending queue like any pool worker, so a single-worker runner cannot
@@ -49,56 +51,79 @@ func (jc *JobContext) helpOnce() bool {
 	return true
 }
 
-// sweepDepth reports the time depth of the sweep's source volume without
-// materializing it.
-func sweepDepth(jc *JobContext, src *api.VolumeSource) (int, error) {
-	switch {
-	case src.Ref != "":
-		info, ok := jc.Datasets().Stat(src.Ref)
-		if !ok {
-			return 0, fmt.Errorf("%w: source ref %s is not in the dataset store", api.ErrInvalid, src.Ref)
+// sweep is one sweep job's bookkeeping: the holdout every child validates
+// on, and the checkpoints its children left behind, which are the sweep's to
+// drop when it ends — all but the winner's, and any the owner already held
+// before it began (content addressing lets a child reproduce one byte for
+// byte, and the user's copy is not the sweep's to delete).
+type sweep struct {
+	jc      *JobContext
+	spec    *api.SweepSpec
+	holdout int
+	held    map[string]bool
+	ckpts   []string
+}
+
+// candidate is one child to run: its parameters, with TrainSteps the
+// rounds it trains to, and the checkpoint it resumes from ("" = fresh).
+type candidate struct {
+	params api.SweepParams
+	resume string
+}
+
+// ownedCheckpoints lists the checkpoints owner holds a claim on.
+func ownedCheckpoints(ds *dataset.Manager, owner string) map[string]bool {
+	held := make(map[string]bool)
+	for _, info := range ds.List() {
+		if info.Kind == dataset.KindCheckpoint.String() && ds.IsOwner(info.ID, owner) {
+			held[info.ID] = true
 		}
-		return info.D, nil
-	case src.Synth != nil:
-		return src.Synth.Steps, nil
-	default:
-		return src.D, nil
+	}
+	return held
+}
+
+// release drops the owner's claim on every checkpoint the children left
+// except keep (the winner's; "" for a sweep that failed) and the ones held
+// before the sweep began.
+func (s *sweep) release(keep string) {
+	for _, ref := range s.ckpts {
+		if ref != keep && !s.held[ref] {
+			s.jc.Datasets().Drop(ref, s.jc.Owner())
+		}
 	}
 }
 
-// sweepChild builds candidate i's train job. The network seed is shared
-// across candidates (so architectures differ only where the grid says they
-// do) and the sampling seed is derived from it the way core's queue-driven
-// sweep derives it (seed ^ 0xabcd).
-func sweepChild(spec *api.SweepSpec, name string, i int, h api.SweepParams, steps, holdout int) *api.JobRequest {
-	return &api.JobRequest{
-		Kind: api.KindTrain,
-		Name: fmt.Sprintf("%s/cand-%02d", name, i),
-		Train: &api.TrainSpec{
-			Source:       spec.Source,
-			Threshold:    spec.Threshold,
-			Steps:        steps,
-			LR:           h.LR,
-			Momentum:     h.Momentum,
-			NetSeed:      spec.Seed,
-			SampleSeed:   spec.Seed ^ 0xabcd,
-			HoldoutSteps: holdout,
-			Net: &api.NetConfig{
-				FOV:      [3]int{3, 7, 7},
-				Features: h.Features,
-				Modules:  h.Modules,
-				MoveStep: [3]int{1, 2, 2},
-			},
-		},
+// collect reads a succeeded child's result: its leaderboard row, and its
+// checkpoint, which the sweep now owns.
+func (s *sweep) collect(id string, params api.SweepParams) (api.SweepEntry, error) {
+	raw, _, _ := s.jc.runner.Result(id)
+	var tr api.TrainDistResult
+	if err := json.Unmarshal(raw, &tr); err != nil {
+		return api.SweepEntry{}, fmt.Errorf("service: sweep candidate %s result: %w", id, err)
 	}
+	s.ckpts = append(s.ckpts, tr.CheckpointRef)
+	return api.SweepEntry{
+		Params:        params,
+		JobID:         id,
+		TrainLoss:     tr.LossTail,
+		Precision:     tr.Precision,
+		Recall:        tr.Recall,
+		F1:            tr.F1,
+		IoU:           tr.IoU,
+		CheckpointRef: tr.CheckpointRef,
+	}, nil
 }
 
-// runCandidates executes one rung: every candidate trains for its given
-// step count and is scored on the holdout slab. Parallelism is bounded by
-// spec.Parallel (0 defaults to 2, matching the api doc); the sweep worker
-// helps drain the pool while it waits.
-func runCandidates(jc *JobContext, spec *api.SweepSpec, name string, cands []api.SweepParams, steps []int, holdout int, stage string, entries []api.SweepEntry) (err error) {
-	limit := spec.Parallel
+// run executes one rung, its children named after name and its progress
+// reported under stage: every candidate trains to its TrainSteps and is
+// scored on the holdout slab. Parallelism is bounded by spec.Parallel (0
+// defaults to 2, matching the api doc); the sweep worker helps drain the
+// pool while it waits. If the rung fails, the children still in flight are
+// cancelled and waited for, so a checkpoint one of them wrote on its way out
+// is the sweep's to drop too.
+func (s *sweep) run(name, stage string, cands []candidate, entries []api.SweepEntry) (err error) {
+	jc := s.jc
+	limit := s.spec.Parallel
 	if limit <= 0 {
 		limit = 2
 	}
@@ -106,16 +131,29 @@ func runCandidates(jc *JobContext, spec *api.SweepSpec, name string, cands []api
 	defer w.close()
 	inflight := make(map[string]int)
 	defer func() {
-		if err != nil {
-			for id := range inflight {
-				jc.runner.Cancel(id)
+		if err == nil {
+			return
+		}
+		for id := range inflight {
+			jc.runner.Cancel(id)
+		}
+		for id, idx := range inflight {
+			if st, _ := jc.runner.Await(context.Background(), id, nil); st.State == api.StateSucceeded {
+				s.collect(id, cands[idx].params) // for its checkpoint: the row is moot
 			}
 		}
 	}()
 	next, done := 0, 0
 	for done < len(cands) {
+		// Helping can keep the worker busy with children indefinitely: a
+		// cancelled sweep stops at the next one.
+		if err := jc.ctx.Err(); err != nil {
+			return err
+		}
 		for next < len(cands) && len(inflight) < limit {
-			st, err := jc.submitChild(w, sweepChild(spec, name, next, cands[next], steps[next], holdout))
+			c := cands[next]
+			st, err := jc.submitChild(w, &api.JobRequest{Kind: api.KindTrainDist, Name: fmt.Sprintf("%s/cand-%02d", name, next),
+				TrainDist: s.spec.Child(c.params, s.holdout, c.resume)})
 			if err != nil {
 				return err
 			}
@@ -124,7 +162,7 @@ func runCandidates(jc *JobContext, spec *api.SweepSpec, name string, cands []api
 		}
 		progressed := false
 		for id, idx := range inflight {
-			raw, st, ok := jc.runner.Result(id)
+			st, ok := jc.runner.Status(id)
 			if !ok {
 				return fmt.Errorf("service: sweep candidate %s vanished", id)
 			}
@@ -137,20 +175,8 @@ func runCandidates(jc *JobContext, spec *api.SweepSpec, name string, cands []api
 			if st.State != api.StateSucceeded {
 				return fmt.Errorf("service: sweep candidate %s (%s): %s", id, st.Name, st.Error)
 			}
-			var tr api.TrainResult
-			if err := json.Unmarshal(raw, &tr); err != nil {
-				return fmt.Errorf("service: sweep candidate %s result: %w", id, err)
-			}
-			params := cands[idx]
-			params.TrainSteps = steps[idx]
-			entries[idx] = api.SweepEntry{
-				Params:    params,
-				JobID:     id,
-				TrainLoss: tr.LossTail,
-				Precision: tr.Precision,
-				Recall:    tr.Recall,
-				F1:        tr.F1,
-				IoU:       tr.IoU,
+			if entries[idx], err = s.collect(id, cands[idx].params); err != nil {
+				return err
 			}
 			jc.Progress(int64(done), int64(len(cands)), fmt.Sprintf("%s %d/%d", stage, done, len(cands)))
 		}
@@ -163,11 +189,13 @@ func runCandidates(jc *JobContext, spec *api.SweepSpec, name string, cands []api
 	return nil
 }
 
-// SweepHandler fans a hyperparameter grid out over train jobs and returns
-// the leaderboard. With EarlyStop, candidates first train a half-step rung;
+// SweepHandler fans a hyperparameter grid out over train_dist jobs and
+// returns the leaderboard, whose head (and Best) names the winner's
+// checkpoint. With EarlyStop, candidates first train a half-step rung;
 // those at or below the median F1 stop there (their rung-1 scores stand,
-// flagged EarlyStopped) and only the survivors train the full budget — the
-// successive-halving economics without a scheduler in the client.
+// flagged EarlyStopped) and only the survivors resume from their rung
+// checkpoint to the full budget — the successive-halving economics without
+// a scheduler in the client, and no round trained twice.
 func SweepHandler(jc *JobContext) (any, error) {
 	if jc.runner == nil {
 		// A JobContext built by a test harness: nothing to submit children to.
@@ -180,7 +208,7 @@ func SweepHandler(jc *JobContext) (any, error) {
 	}
 	cands := spec.Candidates()
 
-	depth, err := sweepDepth(jc, &spec.Source)
+	depth, err := sourceDepth(jc, &spec.Source)
 	if err != nil {
 		return nil, err
 	}
@@ -198,21 +226,17 @@ func SweepHandler(jc *JobContext) (any, error) {
 			api.ErrInvalid, frac, depth)
 	}
 
+	s := &sweep{jc: jc, spec: spec, holdout: holdout, held: ownedCheckpoints(jc.Datasets(), jc.Owner())}
 	res := api.SweepResult{Candidates: len(cands)}
+	defer func() { s.release(res.Best.CheckpointRef) }()
 	entries := make([]api.SweepEntry, len(cands))
-	full := make([]int, len(cands))
-	for i, h := range cands {
-		full[i] = h.TrainSteps
-	}
-
-	survivors := cands
-	steps := full
 	if spec.EarlyStop && len(cands) > 1 {
-		rung := make([]int, len(cands))
-		for i, s := range full {
-			rung[i] = (s + 1) / 2
+		rung := make([]candidate, len(cands))
+		for i, h := range cands {
+			h.TrainSteps = (h.TrainSteps + 1) / 2
+			rung[i] = candidate{params: h}
 		}
-		if err := runCandidates(jc, spec, name+"/rung1", cands, rung, holdout, "rung1", entries); err != nil {
+		if err := s.run(name+"/rung1", "rung1", rung, entries); err != nil {
 			return nil, err
 		}
 		f1s := make([]float64, len(entries))
@@ -221,42 +245,42 @@ func SweepHandler(jc *JobContext) (any, error) {
 		}
 		sort.Float64s(f1s)
 		median := f1s[(len(f1s)-1)/2]
-		survivors, steps = nil, nil
-		idxs := make([]int, 0, len(cands))
+		// A flat rung (nobody above the median) promotes everyone: stopping
+		// all of them would leave the sweep with no full run.
+		flat := f1s[len(f1s)-1] == median
+		var survivors []candidate
+		var idxs []int
 		for i, e := range entries {
-			if e.F1 > median {
-				survivors = append(survivors, cands[i])
-				steps = append(steps, full[i])
+			if flat || e.F1 > median {
+				survivors = append(survivors, candidate{params: cands[i], resume: e.CheckpointRef})
 				idxs = append(idxs, i)
 			} else {
 				entries[i].EarlyStopped = true
 				res.EarlyStopped++
 			}
 		}
-		if len(survivors) == 0 {
-			// A flat rung (every candidate at the median) promotes everyone:
-			// stopping all of them would leave the sweep with no full run.
-			survivors, steps, idxs = cands, full, idxs[:0]
-			for i := range cands {
-				idxs = append(idxs, i)
-				entries[i].EarlyStopped = false
-			}
-			res.EarlyStopped = 0
-		}
 		sub := make([]api.SweepEntry, len(survivors))
-		if err := runCandidates(jc, spec, name+"/final", survivors, steps, holdout, "final", sub); err != nil {
+		if err := s.run(name+"/final", "final", survivors, sub); err != nil {
 			return nil, err
 		}
 		for k, i := range idxs {
 			entries[i] = sub[k]
 		}
 	} else {
-		if err := runCandidates(jc, spec, name, survivors, steps, holdout, "train", entries); err != nil {
+		fresh := make([]candidate, len(cands))
+		for i, h := range cands {
+			fresh[i] = candidate{params: h}
+		}
+		if err := s.run(name, "train", fresh, entries); err != nil {
 			return nil, err
 		}
 	}
 
 	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Better(entries[j]) })
+	// Only the winner's checkpoint outlives the sweep.
+	for i := range entries[1:] {
+		entries[1+i].CheckpointRef = ""
+	}
 	res.Leaderboard = entries
 	res.Best = entries[0]
 	return res, nil

@@ -8,9 +8,9 @@ import (
 	"chaseci/internal/ffn"
 )
 
-// The training jobs, train_dist and train. They are the only handlers that
-// build networks of their own rather than take the runner's shared ones
-// (netcache.go): a trainer steps the network it is given.
+// The training job, train_dist. It is the only handler that builds networks
+// of its own rather than take the runner's shared ones (netcache.go): a
+// trainer steps the network it is given.
 //
 // train_dist is synchronous data-parallel FFN training under the
 // service Runner. The kernel (ffn.DistTrainer) is worker-count invariant by
@@ -19,7 +19,8 @@ import (
 // bit-identical at any width, under elastic add/remove between rounds, and
 // across a checkpoint/restore boundary. Checkpoints are content-addressed
 // CDS1 datasets: a resumed job names one by ref, and two runs that reach the
-// same round with the same state collide into the same id.
+// same round with the same state collide into the same id. With
+// holdout_steps it is also the evaluation unit a sweep fans out.
 
 // putCheckpoint stores the trainer's current state as a checkpoint dataset,
 // pinned atomically against a concurrent delete; the tracker's release
@@ -42,18 +43,43 @@ func putCheckpoint(jc *JobContext, refs *pipeRefs, t *ffn.DistTrainer) (string, 
 // TrainDistHandler runs a data-parallel training job: fresh from a spec, or
 // resumed from a checkpoint ref (the checkpoint carries model, optimizer
 // momentum, sampling seed, batch geometry, and loss history — Rounds means
-// total rounds including the resumed history). A cancelled run reports the
-// rounds actually completed; its periodic checkpoints are released, but an
-// identical re-run re-creates the same content-addressed refs. The trainer's
-// borrowed arrays go back to the free list however the handler returns —
-// success, error, cancel, or a panic unwinding through it.
+// total rounds including the resumed history). With HoldoutSteps the
+// trailing slices are split off before the trainer is built, fresh or
+// resumed, and the final model is scored on them; a held-out flood that does
+// not complete fails the job rather than score its partial mask. A cancelled
+// run reports the rounds actually completed; its checkpoints are released,
+// and so is the final one of a run whose scoring failed — only a succeeded
+// job keeps any, but an identical re-run re-creates the same content-
+// addressed refs. The trainer's borrowed arrays go back to the free list
+// however the handler returns — success, error, cancel, or a panic unwinding
+// through it.
 func TrainDistHandler(jc *JobContext) (any, error) {
 	spec := jc.Request().TrainDist
+	holdout := spec.HoldoutSteps
+	if holdout > 0 {
+		// api refused a holdout the request's own depth cannot hold; a ref's
+		// depth is the store's, checked before anything is materialized.
+		depth, err := sourceDepth(jc, &spec.Source)
+		if err != nil {
+			return nil, err
+		}
+		if holdout >= depth {
+			return nil, fmt.Errorf("%w: train_dist.holdout_steps %d leaves nothing to train on in a %d-step source",
+				api.ErrInvalid, holdout, depth)
+		}
+	}
 	set, err := openTrainingSet(jc, &spec.Source, spec.Threshold)
 	if err != nil {
 		return nil, err
 	}
 	defer set.release()
+	img, lbl := set.image, set.labels
+	var testRaw, testImg, testLbl *ffn.Volume
+	if holdout > 0 {
+		split := set.raw.D - holdout
+		_, _, testRaw, _ = ffn.Split(set.raw, set.labels, split)
+		img, lbl, testImg, testLbl = ffn.Split(set.image, set.labels, split)
+	}
 
 	var t *ffn.DistTrainer
 	res := api.TrainDistResult{}
@@ -63,7 +89,7 @@ func TrainDistHandler(jc *JobContext) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		t, err = ffn.ResumeDistTrainer(ck, set.image, set.labels, spec.Workers)
+		t, err = ffn.ResumeDistTrainer(ck, img, lbl, spec.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -74,7 +100,7 @@ func TrainDistHandler(jc *JobContext) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		t, err = ffn.NewDistTrainer(net, lr, momentum, set.image, set.labels,
+		t, err = ffn.NewDistTrainer(net, lr, momentum, img, lbl,
 			spec.SampleSeed, spec.BatchPerRound, spec.Workers)
 		if err != nil {
 			return nil, err
@@ -117,12 +143,17 @@ func TrainDistHandler(jc *JobContext) (any, error) {
 	// The final checkpoint is always written: it is what a follow-on job's
 	// resume_from names.
 	ref, err := putCheckpoint(jc, refs, t)
+	fillLosses(&res, t)
 	if err != nil {
-		fillLosses(&res, t)
 		return res, err
 	}
+	if holdout > 0 {
+		if err := scoreHoldout(jc, t.Net, testRaw, testImg, testLbl, spec.Threshold, &res); err != nil {
+			return res, err
+		}
+		res.HoldoutSteps = holdout
+	}
 	res.CheckpointRef = ref
-	fillLosses(&res, t)
 
 	// Success: promote every checkpoint this run reported before release
 	// unpins them — Delete no-ops on kept ids, so they survive the sweep.
@@ -142,80 +173,22 @@ func fillLosses(res *api.TrainDistResult, t *ffn.DistTrainer) {
 	res.LossHead, res.LossTail = lossSummary(res.Losses)
 }
 
-// TrainHandler runs FFN SGD training against the thresholded source. A
-// cancelled run reports the losses of the steps actually taken. With
-// HoldoutSteps > 0 the trailing time slices are withheld from training and
-// the trained model is scored on them (precision/recall/F1/IoU) — the
-// evaluation unit sweep jobs fan out over.
-func TrainHandler(jc *JobContext) (any, error) {
-	spec := jc.Request().Train
-	set, err := openTrainingSet(jc, &spec.Source, spec.Threshold)
-	if err != nil {
-		return nil, err
-	}
-	defer set.release()
-	cfg := netConfig(spec.Net)
-
-	holdout := spec.HoldoutSteps
-	trainImg, trainLbl := set.image, set.labels
-	var testImg, testLbl *ffn.Volume
-	var testSeeds [][3]int
-	if holdout > 0 {
-		if holdout >= set.raw.D {
-			return nil, fmt.Errorf("%w: holdout of %d steps leaves no training data in a %d-step volume",
-				api.ErrInvalid, holdout, set.raw.D)
-		}
-		// Seeds come from the raw held-out slab, before normalization (the
-		// same convention SegmentHandler uses for its seed threshold).
-		_, _, testRaw, _ := ffn.Split(set.raw, set.labels, set.raw.D-holdout)
-		testSeeds = ffn.GridSeeds(testRaw, cfg.FOV, [3]int{1, 4, 4}, spec.Threshold)
-		trainImg, trainLbl, testImg, testLbl = ffn.Split(set.image, set.labels, set.raw.D-holdout)
-	}
-
-	net, err := ffn.NewNetwork(cfg, spec.NetSeed)
-	if err != nil {
-		return nil, err
-	}
-	// A step is one batch-1 round of the data-parallel trainer on one worker:
-	// the one trainer, and the one sampling stream, train_dist runs.
-	lr, momentum := optimizerDefaults(spec.LR, spec.Momentum)
-	t, err := ffn.NewDistTrainer(net, lr, momentum, trainImg, trainLbl, spec.SampleSeed, 1, 1)
-	if err != nil {
-		return nil, err
-	}
-	defer t.Release()
-	jc.Progress(0, int64(spec.Steps), "train")
-	var trainErr error
-	for t.RoundIndex() < spec.Steps {
-		if _, trainErr = t.Round(jc.Ctx()); trainErr != nil {
-			break
-		}
-		jc.Progress(int64(t.RoundIndex()), int64(spec.Steps), "train")
-	}
-	losses := t.Losses()
-	if len(losses) == 0 {
-		return nil, trainErr
-	}
-	res := api.TrainResult{Steps: len(losses)}
-	res.LossHead, res.LossTail = lossSummary(losses)
-	if trainErr != nil || holdout == 0 {
-		return res, trainErr
-	}
-
+// scoreHoldout floods the held-out slab with the trained network, seeded
+// from the raw slab before normalization (the convention SegmentHandler uses
+// for its seed threshold), and scores the mask against its labels. An
+// aborted flood is an error, never a legitimate (if terrible) score.
+func scoreHoldout(jc *JobContext, net *ffn.Network, raw, img, lbl *ffn.Volume, threshold float32, res *api.TrainDistResult) error {
 	jc.Progress(0, 0, "validate")
-	mask, _, segErr := net.SegmentCtx(jc.Ctx(), testImg, testSeeds, 0, nil)
+	seeds := ffn.GridSeeds(raw, net.Config().FOV, [3]int{1, 4, 4}, threshold)
+	mask, _, err := net.SegmentCtx(jc.Ctx(), img, seeds, 0, nil)
 	defer ffn.ReleaseVolume(mask)
-	if segErr != nil {
-		// An aborted flood must never score as a legitimate (if terrible)
-		// model — fail the candidate instead of reporting a zero mask.
-		return res, fmt.Errorf("held-out segmentation: %w", segErr)
+	if err != nil {
+		return fmt.Errorf("held-out segmentation: %w", err)
 	}
-	prec, rec := ffn.PrecisionRecall(mask, testLbl)
-	res.HoldoutSteps = holdout
-	res.Precision, res.Recall = prec, rec
-	if prec+rec > 0 {
-		res.F1 = 2 * prec * rec / (prec + rec)
+	res.Precision, res.Recall = ffn.PrecisionRecall(mask, lbl)
+	if p, r := res.Precision, res.Recall; p+r > 0 {
+		res.F1 = 2 * p * r / (p + r)
 	}
-	res.IoU = ffn.IoU(mask, testLbl)
-	return res, nil
+	res.IoU = ffn.IoU(mask, lbl)
+	return nil
 }

@@ -250,8 +250,38 @@ func TestGatewayTrainDistResumeRejections(t *testing.T) {
 	}
 }
 
+// TestGatewayTrainDistHoldoutDepth: a holdout that leaves nothing to train
+// on is refused before anything is built — at submit, with a 400 naming the
+// field, when the request states its depth; for a ref, by the job from the
+// store's record, before the volume is resolved.
+func TestGatewayTrainDistHoldoutDepth(t *testing.T) {
+	f := newGWFixture(t, true)
+	req := distRequest(1, 2)
+	req.TrainDist.HoldoutSteps = 6 // the whole synthetic source
+	var apiErr api.ErrorResponse
+	if resp := f.do("POST", "/v1/jobs", req, &apiErr); resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, "holdout_steps") {
+		t.Fatalf("holdout of a 6-step synth source: status %d, err %q, want a 400 naming holdout_steps", resp.StatusCode, apiErr.Error)
+	}
+
+	d, h, w, data := testIVTField(4)
+	vol, err := f.runner.Datasets().PutVolume(d, h, w, data, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.TrainDist.Source = api.VolumeSource{Ref: vol.ID}
+	req.TrainDist.HoldoutSteps = 4
+	st, _ := f.submitAndWait(req)
+	if st.State != api.StateFailed || !strings.Contains(st.Error, "holdout_steps") || st.Stage != "" {
+		t.Fatalf("holdout of a 4-step ref: %s at stage %q (%s), want failed before resolving, naming holdout_steps", st.State, st.Stage, st.Error)
+	}
+	if err := f.runner.LeakCheck(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestGatewaySweepLeaderboard runs a 4-candidate sweep through the gateway
-// and checks leaderboard shape, ordering, and early-stop accounting.
+// and checks leaderboard shape, ordering, and early-stop accounting, and the
+// board itself, recorded when the candidates were train jobs.
 func TestGatewaySweepLeaderboard(t *testing.T) {
 	f := newGWFixture(t, true)
 	req := &api.JobRequest{
@@ -293,13 +323,22 @@ func TestGatewaySweepLeaderboard(t *testing.T) {
 	if res.Best != res.Leaderboard[0] {
 		t.Fatalf("best %+v != leaderboard head %+v", res.Best, res.Leaderboard[0])
 	}
+	sameBoard(t, res.Leaderboard, []api.SweepEntry{
+		{Params: api.SweepParams{LR: 0.01, Momentum: 0.9, Features: 4, Modules: 2, TrainSteps: 40}, TrainLoss: 0.6868189801108064},
+		{Params: api.SweepParams{LR: 0.01, Momentum: 0.9, Features: 6, Modules: 2, TrainSteps: 40}, TrainLoss: 0.6239410328611449},
+		{Params: api.SweepParams{LR: 0.03, Momentum: 0.9, Features: 4, Modules: 2, TrainSteps: 40}, TrainLoss: 0.7092790560821829},
+		{Params: api.SweepParams{LR: 0.03, Momentum: 0.9, Features: 6, Modules: 2, TrainSteps: 40}, TrainLoss: 0.6870958795407904},
+	})
 	if err := f.runner.LeakCheck(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestSweepEarlyStopHalvesBudgets: with early_stop, losers keep their
-// half-budget rung metrics and only survivors post full-budget entries.
+// half-budget rung metrics and only survivors post full-budget entries. On
+// this scene every rung-1 F1 ties, so all four are promoted and resume from
+// their rung checkpoints: the board is the one recorded when each survivor
+// retrained from round 0.
 func TestSweepEarlyStopHalvesBudgets(t *testing.T) {
 	f := newGWFixture(t, true)
 	req := &api.JobRequest{
@@ -341,6 +380,12 @@ func TestSweepEarlyStopHalvesBudgets(t *testing.T) {
 	if res.Leaderboard[0].EarlyStopped {
 		t.Fatal("the winner was early-stopped")
 	}
+	sameBoard(t, res.Leaderboard, []api.SweepEntry{
+		{Params: api.SweepParams{LR: 0.001, Momentum: 0.9, Features: 4, Modules: 2, TrainSteps: 40}, TrainLoss: 0.7352380301389903},
+		{Params: api.SweepParams{LR: 0.01, Momentum: 0.9, Features: 4, Modules: 2, TrainSteps: 40}, TrainLoss: 0.6868189801108064},
+		{Params: api.SweepParams{LR: 0.03, Momentum: 0.9, Features: 4, Modules: 2, TrainSteps: 40}, TrainLoss: 0.7092790560821829},
+		{Params: api.SweepParams{LR: 0.05, Momentum: 0.9, Features: 4, Modules: 2, TrainSteps: 40}, TrainLoss: 0.7396075889605375},
+	})
 }
 
 // TestSweepSingleWorkerNoDeadlock: a sweep occupying the only pool worker
@@ -393,21 +438,22 @@ func (c cancelledFrom) Err() error {
 	return c.Context.Err()
 }
 
-// TestTrainHoldoutCancelledFloodFailsCandidate: a train job with
+// TestTrainHoldoutCancelledFloodFailsCandidate: a train_dist job with
 // holdout_steps — the unit a sweep fans out — whose context is cancelled
 // during the held-out flood must not succeed with the aborted flood's
-// partial mask scored as a legitimate (if terrible) model.
+// partial mask scored as a legitimate (if terrible) model, and keeps no
+// checkpoint.
 func TestTrainHoldoutCancelledFloodFailsCandidate(t *testing.T) {
 	reg := DefaultRegistry()
-	reg.Register(api.KindTrain, func(jc *JobContext) (any, error) {
+	reg.Register(api.KindTrainDist, func(jc *JobContext) (any, error) {
 		inner := *jc
 		inner.ctx = cancelledFrom{Context: jc.ctx, job: jc.job, stage: "validate"}
-		return TrainHandler(&inner)
+		return TrainDistHandler(&inner)
 	})
 	r, _ := newTestRunner(t, reg, 1)
 	spec := &api.SweepSpec{Source: distRequest(1, 1).TrainDist.Source, Threshold: 130, Seed: 5}
-	h := api.SweepParams{LR: 0.03, Momentum: 0.9, Features: 4, Modules: 1}
-	st, err := r.Submit(sweepChild(spec, "sweep", 0, h, 20, 2), "")
+	h := api.SweepParams{LR: 0.03, Momentum: 0.9, Features: 4, Modules: 1, TrainSteps: 20}
+	st, err := r.Submit(&api.JobRequest{Kind: api.KindTrainDist, TrainDist: spec.Child(h, 2, "")}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,16 +462,20 @@ func TestTrainHoldoutCancelledFloodFailsCandidate(t *testing.T) {
 		t.Fatalf("state = %s (%q), want cancelled in the held-out segmentation", final.State, final.Error)
 	}
 	raw, _, _ := r.Result(st.ID)
-	var res api.TrainResult
+	var res api.TrainDistResult
 	if err := json.Unmarshal(raw, &res); err != nil {
 		t.Fatal(err)
 	}
-	if res.Steps != 20 || res.LossTail <= 0 {
+	if res.Rounds != 20 || res.LossTail <= 0 {
 		t.Fatalf("training before the flood did not run to completion: %+v", res)
 	}
 	if res.HoldoutSteps != 0 || res.Precision != 0 || res.Recall != 0 || res.F1 != 0 || res.IoU != 0 {
 		t.Fatalf("aborted flood was scored: %+v", res)
 	}
+	if res.CheckpointRef != "" || len(r.Datasets().List()) != 0 {
+		t.Fatalf("a failed candidate kept its checkpoint: ref %q, store %v", res.CheckpointRef, r.Datasets().List())
+	}
+	assertNoLeaks(t, r)
 }
 
 // cancelledAfterShards reports cancellation from the second check inside
@@ -571,11 +621,11 @@ func TestSweepParentStealsWorkQueuedWhileItWaits(t *testing.T) {
 	started, release := make(chan struct{}), make(chan struct{})
 	reg := NewRegistry()
 	reg.Register(api.KindSweep, SweepHandler)
-	reg.Register(api.KindTrain, func(jc *JobContext) (any, error) {
+	reg.Register(api.KindTrainDist, func(jc *JobContext) (any, error) {
 		close(started)
 		select {
 		case <-release:
-			return api.TrainResult{}, nil
+			return api.TrainDistResult{}, nil
 		case <-jc.Ctx().Done():
 			return nil, jc.Ctx().Err()
 		}
