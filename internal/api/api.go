@@ -394,12 +394,6 @@ type NetConfig struct {
 	MoveStep    [3]int  `json:"move_step,omitempty"`
 	MoveProb    float32 `json:"move_prob,omitempty"`
 	SegmentProb float32 `json:"segment_prob,omitempty"`
-	// Precision selects the inference arithmetic: "" or "f32" is the
-	// reference float32 path; "int8" runs quantized inference (int8
-	// weights, uint8 activations, int32 accumulation). int8 masks are
-	// bit-identical at every worker count but differ from f32 within
-	// documented error bounds. Training always runs f32.
-	Precision string `json:"precision,omitempty"`
 }
 
 // Network geometry caps: a request cannot ask for a network whose scratch
@@ -437,13 +431,9 @@ func (n *NetConfig) Validate(field string) error {
 	if n.Modules < 0 || n.Modules > maxModules {
 		return invalidf("%s: modules must be in [0,%d]", field, maxModules)
 	}
-	if n.MoveProb < 0 || n.MoveProb >= 1 || n.SegmentProb < 0 || n.SegmentProb >= 1 {
+	// Written so that NaN fails: a checkpoint header is untrusted bytes.
+	if !(n.MoveProb >= 0 && n.MoveProb < 1 && n.SegmentProb >= 0 && n.SegmentProb < 1) {
 		return invalidf("%s: probabilities must be in [0,1)", field)
-	}
-	switch n.Precision {
-	case "", "f32", "int8":
-	default:
-		return invalidf("%s: precision must be \"f32\" or \"int8\", got %q", field, n.Precision)
 	}
 	// The checks below combine fields; zero-valued ones assume the kernel
 	// defaults, and a service-level test pins these literals against

@@ -3,6 +3,7 @@ package api
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -419,22 +420,28 @@ func TestResultModeValidation(t *testing.T) {
 	}
 }
 
-func TestNetConfigPrecisionValidation(t *testing.T) {
-	mk := func(p string) *JobRequest {
-		return &JobRequest{Kind: KindSegment, Segment: &SegmentSpec{
-			Source: tinyVolume(), Seeds: [][3]int{{1, 1, 1}}, MaxSteps: 1,
-			Net: &NetConfig{Precision: p},
-		}}
-	}
-	for _, p := range []string{"", "f32", "int8"} {
-		if err := mk(p).Validate(); err != nil {
-			t.Errorf("precision %q rejected: %v", p, err)
+// TestNetConfigProbabilities: move_prob and segment_prob are 0 (the kernel
+// default) or inside (0,1). JSON cannot spell NaN, but a checkpoint header
+// re-validated through NetConfig can carry one, and it is refused too.
+func TestNetConfigProbabilities(t *testing.T) {
+	nan := float32(math.NaN())
+	for _, c := range []struct {
+		nc NetConfig
+		ok bool
+	}{
+		{NetConfig{}, true},
+		{NetConfig{MoveProb: 0.55, SegmentProb: 0.6}, true},
+		{NetConfig{MoveProb: 1}, false},
+		{NetConfig{SegmentProb: -0.5}, false},
+		{NetConfig{MoveProb: nan}, false},
+		{NetConfig{SegmentProb: nan}, false},
+	} {
+		err := c.nc.Validate("net")
+		if c.ok && err != nil {
+			t.Errorf("%+v rejected: %v", c.nc, err)
 		}
-	}
-	for _, p := range []string{"fp16", "INT8", "bf16"} {
-		err := mk(p).Validate()
-		if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "precision") {
-			t.Errorf("precision %q: err = %v, want ErrInvalid mentioning precision", p, err)
+		if !c.ok && (!errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "probabilities")) {
+			t.Errorf("%+v: err = %v, want ErrInvalid naming the probabilities", c.nc, err)
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // batchScene builds a flood scene large enough that batches actually fill.
-func batchScene(t testing.TB, precision Precision) (*Network, *Volume, [][3]int) {
+func batchScene(t testing.TB) (*Network, *Volume, [][3]int) {
 	t.Helper()
 	img := synthVolume(42, 6, 20, 22)
 	img.Normalize()
@@ -23,7 +23,6 @@ func batchScene(t testing.TB, precision Precision) (*Network, *Volume, [][3]int)
 	cfg.Features = 4
 	cfg.MoveStep = [3]int{1, 2, 2}
 	cfg.MoveProb = 0.55
-	cfg.Precision = precision
 	net, err := NewNetwork(cfg, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -59,9 +58,9 @@ func ivtImage(steps int) *Volume {
 // BenchmarkSegmentWorkers (6 features, 3x7x7) on a synthetic IVT volume; and
 // connect_chain's net, the default geometry (8 features, 5x9x9, MoveStep
 // 1x3x3) with net seed 3.
-func floodScenes(t testing.TB, precision Precision) []floodScene {
+func floodScenes(t testing.TB) []floodScene {
 	t.Helper()
-	net4, img4, seeds4 := batchScene(t, precision)
+	net4, img4, seeds4 := batchScene(t)
 	scenes := []floodScene{{"f4_3x7x7", net4, img4, seeds4, 75}}
 	ivt := DefaultConfig()
 	ivt.FOV, ivt.Features, ivt.MoveStep = [3]int{3, 7, 7}, 6, [3]int{1, 2, 2}
@@ -76,7 +75,6 @@ func floodScenes(t testing.TB, precision Precision) []floodScene {
 		{"f6_3x7x7", ivt, ivtImage(6), [3]int{1, 4, 4}, 75},
 		{"f8_5x9x9", chain, ivtImage(8), [3]int{2, 4, 4}, 79},
 	} {
-		sc.cfg.Precision = precision
 		net, err := NewNetwork(sc.cfg, 3)
 		if err != nil {
 			t.Fatal(err)
@@ -177,7 +175,7 @@ func perFOVSegment(n *Network, image *Volume, seeds [][3]int, maxSteps int) (*Vo
 // engine's "output depends only on image and center" argument promises, and
 // for budgets the "first k queued centers, expanded in order" one.
 func TestSegmentBatchedMatchesPerFOV(t *testing.T) {
-	net, img, seeds := batchScene(t, PrecisionF32)
+	net, img, seeds := batchScene(t)
 	for _, maxSteps := range []int{0, 1, 7, 50} {
 		refMask, refStats := perFOVSegment(net, img, seeds, maxSteps)
 		if refStats.Steps == 0 || refStats.MaskVoxels == 0 {
@@ -204,10 +202,8 @@ func TestSegmentBatchedMatchesPerFOV(t *testing.T) {
 // floodGolden holds SHA-256(mask float32 bits, little-endian || %+v of the
 // InferenceStats) per flood scene and step budget. The f4_3x7x7 rows were
 // recorded at the last commit that had separate per-FOV FIFO, per-FOV LIFO
-// and batched loops (all three agreed); on that scene the int8 mask and
-// statistics equal the f32 ones, while the logits behind them do not
-// (TestForwardBatchQLogitError). The f6 and f8 rows were recorded on the
-// planar span engine, before the f32 flood moved to channel lanes.
+// and batched loops (all three agreed). The f6 and f8 rows were recorded on
+// the planar span engine, before the flood moved to channel lanes.
 var floodGolden = map[string]map[int]string{
 	"f4_3x7x7": {
 		0: "afb579f3dedda58484d1b0496f71f06fdc679b5cf302e7afaead3dfd80bb0985",
@@ -235,21 +231,16 @@ func floodDigest(mask *Volume, stats InferenceStats) string {
 }
 
 // TestFloodGolden pins absolute flood output — unbudgeted and budgeted,
-// serial and sharded — on every scene at f32, and on f4_3x7x7 at int8 too.
+// serial and sharded — on every scene.
 func TestFloodGolden(t *testing.T) {
-	for _, precision := range []Precision{PrecisionF32, PrecisionInt8} {
-		for _, sc := range floodScenes(t, precision) {
-			if precision == PrecisionInt8 && sc.name != "f4_3x7x7" {
-				continue
-			}
-			for maxSteps, want := range floodGolden[sc.name] {
-				for _, workers := range []int{1, 2, 8} {
-					prev := parallel.SetWorkers(workers)
-					mask, stats := sc.net.Segment(sc.img, sc.seeds, maxSteps)
-					parallel.SetWorkers(prev)
-					if got := floodDigest(mask, stats); got != want {
-						t.Errorf("%s %s maxSteps=%d workers=%d: digest %s (%+v), want %s", sc.name, precision, maxSteps, workers, got, stats, want)
-					}
+	for _, sc := range floodScenes(t) {
+		for maxSteps, want := range floodGolden[sc.name] {
+			for _, workers := range []int{1, 2, 8} {
+				prev := parallel.SetWorkers(workers)
+				mask, stats := sc.net.Segment(sc.img, sc.seeds, maxSteps)
+				parallel.SetWorkers(prev)
+				if got := floodDigest(mask, stats); got != want {
+					t.Errorf("%s maxSteps=%d workers=%d: digest %s (%+v), want %s", sc.name, maxSteps, workers, got, stats, want)
 				}
 			}
 		}
@@ -280,7 +271,7 @@ func forwardRef(net *Network, ts *trainScratch, img *Volume, c [3]int) []float32
 // — 75 of 147 at 3x7x7, 79 of 405 at the default geometry — on every
 // scene, at every batch size.
 func TestForwardBatchMatchesForwardInto(t *testing.T) {
-	for _, sc := range floodScenes(t, PrecisionF32) {
+	for _, sc := range floodScenes(t) {
 		reads := readPositions(sc.net.cfg)
 		if len(reads) != sc.reads {
 			t.Fatalf("%s: the flood reads %d logits, want %d", sc.name, len(reads), sc.reads)
@@ -294,7 +285,7 @@ func TestForwardBatchMatchesForwardInto(t *testing.T) {
 			sc.net.forwardBatchInto(bs, k)
 			for i := 0; i < k; i++ {
 				want := forwardRef(sc.net, ref, sc.img, sc.seeds[i%len(sc.seeds)])
-				got := bs.out.Data[i*fovN:][:fovN]
+				got := bs.out[i*fovN:][:fovN]
 				for _, j := range reads {
 					if got[j] != want[j] {
 						t.Fatalf("%s batch %d slot %d logit %d: got %v, want %v (not bit-exact)", sc.name, k, i, j, got[j], want[j])
@@ -315,7 +306,7 @@ func TestFloodBatchScratchAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; alloc pins run in the non-race job")
 	}
-	net, img, seeds := batchScene(t, PrecisionF32)
+	net, img, seeds := batchScene(t)
 	cfg := net.Config()
 	fov := cfg.FOV
 	fovN := fov[0] * fov[1] * fov[2]
@@ -331,7 +322,7 @@ func TestFloodBatchScratchAllocFree(t *testing.T) {
 		net.forwardBatchInto(bs, k)
 		for i := 0; i < k; i++ {
 			s := seeds[i]
-			mergeCore(canvas, img.H, img.W, fov, core, bs.out.Data[i*fovN:][:fovN], s[0], s[1], s[2])
+			mergeCore(canvas, img.H, img.W, fov, core, bs.out[i*fovN:][:fovN], s[0], s[1], s[2])
 		}
 	}
 	for _, workers := range []int{1, 2} {
@@ -376,17 +367,17 @@ func TestSegmentAllocBound(t *testing.T) {
 // The free list is a mutex-guarded LIFO, not a sync.Pool, so reuse is
 // deterministic and this test holds under the race detector too.
 func TestSegmentReusesBatchScratch(t *testing.T) {
-	net, img, seeds := batchScene(t, PrecisionF32)
+	net, img, seeds := batchScene(t)
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
 	net.Segment(img, seeds, 0)
 	s1 := net.getBatchScratch(floodPlan{})
-	data := &s1.in.Data[0]
+	data := &s1.in[0]
 	net.putBatchScratch(s1)
 	net.Segment(img, seeds, 0)
 	s2 := net.getBatchScratch(floodPlan{})
 	defer net.putBatchScratch(s2)
-	if &s2.in.Data[0] != data {
+	if &s2.in[0] != data {
 		t.Fatal("batched scratch was not recycled through the pool")
 	}
 }
@@ -424,7 +415,7 @@ func TestFloodWorkCount(t *testing.T) {
 	if want := []int{79, 79, 281, 405, 405, 405}; fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("positions per depth, logits first: %v, want %v", got, want)
 	}
-	for _, sc := range floodScenes(t, PrecisionF32) {
+	for _, sc := range floodScenes(t) {
 		macs, vectors := sc.net.cfg.floodWork()
 		t.Logf("%s: %d multiply-adds, %d vectors per application", sc.name, macs, vectors)
 	}
@@ -447,7 +438,7 @@ func inSpans(spans []int32, h, z, y, x int) bool {
 // at workers 1/2/8.
 func TestFloodReadSetPoison(t *testing.T) {
 	nan := float32(math.NaN())
-	for _, sc := range floodScenes(t, PrecisionF32) {
+	for _, sc := range floodScenes(t) {
 		cfg := sc.net.cfg
 		d, h, w := cfg.FOV[0], cfg.FOV[1], cfg.FOV[2]
 		rows := 2 * d * h
@@ -463,7 +454,7 @@ func TestFloodReadSetPoison(t *testing.T) {
 		// The widest layer each buffer holds: the input layer's x0, module
 		// 0's hidden and tail layers; the logits are read at depth 0.
 		bufs := []struct {
-			t     *tensor.Tensor
+			buf   []float32
 			depth int
 		}{{bs.x0, last}, {bs.hid, last - 1}, {bs.x1, last - 2}}
 		// each visits every interior position outside a depth's spans.
@@ -483,14 +474,14 @@ func TestFloodReadSetPoison(t *testing.T) {
 		for batch := 0; batch < 3; batch++ {
 			for i := 0; i < k; i++ {
 				for _, buf := range bufs {
-					sl := slot(buf.t, lx, i)
+					sl := slot(buf.buf, lx, i)
 					each(buf.depth, func(z, y, x int) {
 						for c := range lx.C {
 							sl[lx.Pos(z, y, x)+c] = nan
 						}
 					})
 				}
-				out := bs.out.Data[i*fovN:][:fovN]
+				out := bs.out[i*fovN:][:fovN]
 				each(0, func(z, y, x int) { out[(z*h+y)*w+x] = nan })
 			}
 			seeds := make([][3]int, k)
@@ -501,14 +492,14 @@ func TestFloodReadSetPoison(t *testing.T) {
 			sc.net.forwardBatchInto(bs, k)
 			for i := 0; i < k; i++ {
 				want := forwardRef(sc.net, ref, sc.img, seeds[i])
-				out := bs.out.Data[i*fovN:][:fovN]
+				out := bs.out[i*fovN:][:fovN]
 				for _, j := range readPositions(cfg) {
 					if out[j] != want[j] {
 						t.Fatalf("%s batch %d slot %d logit %d: %v, want %v", sc.name, batch, i, j, out[j], want[j])
 					}
 				}
 				for _, buf := range bufs {
-					sl := slot(buf.t, lx, i)
+					sl := slot(buf.buf, lx, i)
 					each(buf.depth, func(z, y, x int) {
 						if v := sl[lx.Pos(z, y, x)]; v == v {
 							t.Fatalf("%s slot %d: position (%d,%d,%d) outside depth %d was written", sc.name, i, z, y, x, buf.depth)

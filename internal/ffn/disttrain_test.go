@@ -164,6 +164,17 @@ func TestDecodeCheckpointRejectsGarbage(t *testing.T) {
 	if _, err := DecodeCheckpoint(withBatch(raw, maxCheckpointBatch)); err != nil {
 		t.Fatalf("batch per round at the bound: %v", err)
 	}
+	// The embedded model header is held to the probability rule a model file
+	// is: resume_from and net_ref decode through here.
+	for _, c := range badProbabilities {
+		t.Run(c.name, func(t *testing.T) {
+			bad := append([]byte(nil), raw...)
+			binary.LittleEndian.PutUint32(bad[len(ckptMagic)+4+c.off:], math.Float32bits(c.v))
+			if _, err := DecodeCheckpoint(bad); !errors.Is(err, ErrBadCheckpoint) || !errors.Is(err, ErrBadModel) {
+				t.Errorf("err = %v, want ErrBadCheckpoint wrapping ErrBadModel", err)
+			}
+		})
+	}
 }
 
 // withBatch returns a copy of a serialized checkpoint with its Batch field

@@ -20,11 +20,9 @@
 //
 // A network not owned by a trainer is immutable. Only a trainer's step
 // writes weights, and only on the network it was given; everything else —
-// Segment and SegmentCtx, the forward passes, serialization — reads. The
-// one other write follows a step: the first flood after it re-quantizes an
-// int8 network, which the trainer's owner still holds alone. So one network
-// may serve any number of concurrent floods, which is how the service
-// shares one inference network per set of weights across jobs.
+// Segment and SegmentCtx, the forward passes, serialization — reads. So one
+// network may serve any number of concurrent floods, which is how the
+// service shares one inference network per set of weights across jobs.
 package ffn
 
 import (
@@ -55,10 +53,6 @@ type Config struct {
 	// the seed voxel is clamped to SeedProb (paper: 0.05 / 0.95).
 	PadProb  float32
 	SeedProb float32
-	// Precision selects the Segment inference arithmetic: "" or "f32" is
-	// the reference float32 path; "int8" runs quantized inference (see
-	// quant.go). Training always stays f32.
-	Precision Precision
 }
 
 // DefaultConfig returns an experiment-scale configuration.
@@ -84,8 +78,12 @@ func (c *Config) validate() error {
 	if c.Features <= 0 || c.Modules <= 0 {
 		return fmt.Errorf("ffn: Features/Modules must be positive")
 	}
-	if c.MoveProb <= 0 || c.MoveProb >= 1 || c.SegmentProb <= 0 || c.SegmentProb >= 1 {
-		return fmt.Errorf("ffn: probabilities must be in (0,1)")
+	// Written so that NaN fails: a model header is untrusted bytes.
+	for _, p := range [4]float32{c.MoveProb, c.SegmentProb, c.PadProb, c.SeedProb} {
+		if !(p > 0 && p < 1) {
+			return fmt.Errorf("ffn: probabilities must be in (0,1), got move %v segment %v pad %v seed %v",
+				c.MoveProb, c.SegmentProb, c.PadProb, c.SeedProb)
+		}
 	}
 	// A move reads the logit FOV at center +/- step: a step over half the
 	// FOV indexes outside it.
@@ -93,11 +91,6 @@ func (c *Config) validate() error {
 		if s < 0 || s > c.FOV[i]/2 {
 			return fmt.Errorf("ffn: MoveStep %v must be within [0, FOV/2] of FOV %v", c.MoveStep, c.FOV)
 		}
-	}
-	switch c.Precision {
-	case "", PrecisionF32, PrecisionInt8:
-	default:
-		return fmt.Errorf("ffn: Precision must be %q or %q, got %q", PrecisionF32, PrecisionInt8, c.Precision)
 	}
 	return nil
 }
@@ -169,8 +162,6 @@ type Network struct {
 	cfg    Config
 	params []float32
 	paramViews
-
-	qn *quantNet // an int8 network's quantized weights (nil after a training step)
 }
 
 // newNetwork allocates a zero-weight model for a validated cfg.
@@ -180,9 +171,7 @@ func newNetwork(cfg Config) *Network {
 	return n
 }
 
-// NewNetwork initializes a model with He-initialized weights from seed. An
-// int8 network comes with its quantized weights, so it may be shared as
-// made.
+// NewNetwork initializes a model with He-initialized weights from seed.
 func NewNetwork(cfg Config, seed uint64) (*Network, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -196,9 +185,6 @@ func NewNetwork(cfg Config, seed uint64) (*Network, error) {
 		m.w1.Randomize(rng, f*27)
 		m.w2.Randomize(rng, f*27)
 	}
-	if n.int8Inference() {
-		n.qn = n.quantize()
-	}
 	return n, nil
 }
 
@@ -209,14 +195,8 @@ func (n *Network) Config() Config { return n.cfg }
 func (n *Network) ParamCount() int { return len(n.params) }
 
 // WeightBytes returns the memory the network's weights occupy: the float32
-// parameter vector, plus the quantized form an int8 network carries.
-func (n *Network) WeightBytes() int {
-	b := 4 * len(n.params)
-	if n.qn != nil {
-		b += n.qn.bytes()
-	}
-	return b
-}
+// parameter vector.
+func (n *Network) WeightBytes() int { return 4 * len(n.params) }
 
 // GradBytes returns the wire size of one gradient exchange (float32 per
 // parameter), the quantity each all-reduce moves per worker pair.
@@ -395,7 +375,6 @@ func (n *Network) exampleGrad(ts *trainScratch, image, label *tensor.Tensor, row
 // it owns, calls it.
 func (n *Network) step(opt *tensor.SGD, grad []float32) {
 	opt.Step(n.params, grad)
-	n.qn = nil // weights changed; the quantized form is stale
 }
 
 // SeedPOM builds the initial POM for a FOV: PadProb everywhere, SeedProb at

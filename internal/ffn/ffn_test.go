@@ -306,12 +306,39 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if !errors.Is(err, ErrBadModel) {
 		t.Fatalf("hostile header: err = %v, want ErrBadModel", err)
 	}
+	for _, c := range badProbabilities {
+		t.Run(c.name, func(t *testing.T) {
+			bad := append([]byte(nil), data...)
+			binary.LittleEndian.PutUint32(bad[c.off:], math.Float32bits(c.v))
+			if _, err := LoadBytes(bad); !errors.Is(err, ErrBadModel) {
+				t.Errorf("err = %v, want ErrBadModel", err)
+			}
+		})
+	}
 	// A stored MoveStep above FOV/2 would index outside the logit FOV on the
 	// first flood.
 	binary.LittleEndian.PutUint32(data[28+8:], 3+1) // magic(8) + FOV(12) + Features, Modules(8), then MoveStep; [2] = 7/2 + 1
 	if _, err := LoadBytes(data); !errors.Is(err, ErrBadModel) {
 		t.Fatalf("MoveStep over FOV/2: err = %v, want ErrBadModel", err)
 	}
+}
+
+// badProbabilities are single-float edits of a model header that every
+// decoder must refuse. Every stored probability is in (0,1), as every config
+// made inline is: a NaN SegmentProb floods to an empty mask, a PadProb of 1
+// marks every voxel. The four follow magic(8), FOV(12), Features, Modules(8)
+// and MoveStep(12).
+var badProbabilities = []struct {
+	name string
+	off  int
+	v    float32
+}{
+	{"MoveProb NaN", 40, float32(math.NaN())},
+	{"SegmentProb NaN", 44, float32(math.NaN())},
+	{"PadProb 1", 48, 1},
+	{"PadProb NaN", 48, float32(math.NaN())},
+	{"SeedProb 0", 52, 0},
+	{"SeedProb -3", 52, -3},
 }
 
 // hugeModelHeader is a well-formed 56-byte model header, and nothing else,

@@ -219,7 +219,7 @@ func TestFrontierLanePanicReleasesTheOthers(t *testing.T) {
 // panic must surface on the goroutine that called SegmentCtx at every lane
 // count, and the next flood must be undisturbed.
 func TestSegmentLanePanicReraisedOnCaller(t *testing.T) {
-	net, img, seeds := batchScene(t, PrecisionF32)
+	net, img, seeds := batchScene(t)
 	wantMask, wantStats := net.Segment(img, seeds, 0)
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

@@ -14,8 +14,10 @@ import (
 // own length accounts for; and decode -> encode -> decode is the identity.
 // The checked-in corpus under testdata/fuzz holds a valid model, a valid
 // checkpoint, the 56-byte header that asks for 2^30 features, a model and a
-// checkpoint whose MoveStep exceeds FOV/2, a checkpoint with a truncated
-// velocity block, and a valid checkpoint whose Batch field is 2^31; the
+// checkpoint whose MoveStep exceeds FOV/2, models and checkpoints with a
+// NaN or out-of-(0,1) probability (an accepted one must have all four
+// inside), a checkpoint with a truncated velocity block, and a valid
+// checkpoint whose Batch field is 2^31; the
 // checkpoint target also seeds itself with a 13-feature checkpoint at batch
 // 4096 (each within its own cap, 78M matrix elements together — too big for
 // a corpus file). A checkpoint that decodes must also resume within its own
@@ -26,6 +28,17 @@ import (
 // allocate meanwhile; the decoded payloads themselves are bounded by the
 // input length.
 const fuzzAllocSlack = 1 << 20
+
+// probsInRange reports whether all four of cfg's probabilities are inside
+// (0,1), NaN failing.
+func probsInRange(cfg Config) bool {
+	for _, p := range [4]float32{cfg.MoveProb, cfg.SegmentProb, cfg.PadProb, cfg.SeedProb} {
+		if !(p > 0 && p < 1) {
+			return false
+		}
+	}
+	return true
+}
 
 func FuzzLoadModel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -39,6 +52,9 @@ func FuzzLoadModel(f *testing.F) {
 				t.Fatalf("LoadBytes: %v, want ErrBadModel", err)
 			}
 			return
+		}
+		if !probsInRange(n.cfg) {
+			t.Fatalf("accepted a model whose probabilities leave (0,1): %+v", n.cfg)
 		}
 		enc := n.SaveBytes()
 		again, err := LoadBytes(enc)
@@ -70,6 +86,9 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 				t.Fatalf("DecodeCheckpoint: %v, want ErrBadCheckpoint", err)
 			}
 			return
+		}
+		if !probsInRange(ck.Net.cfg) {
+			t.Fatalf("accepted a checkpoint whose probabilities leave (0,1): %+v", ck.Net.cfg)
 		}
 		enc := ck.EncodeBytes()
 		again, err := DecodeCheckpoint(enc)

@@ -88,13 +88,7 @@ func (v *Volume) NormalizeInto(dst *Volume) *Volume {
 // (1,D,H,W) tensor, allocating nothing. The center must be in-bounds for the
 // full FOV.
 func extractFOVInto(out *tensor.Tensor, v *Volume, fov [3]int, cz, cy, cx int) {
-	extractFOVIntoSlice(out.Data, v, fov, cz, cy, cx)
-}
-
-// extractFOVIntoSlice copies the FOV centered at (cz, cy, cx) into dst
-// (row-major (D,H,W) layout) — the shared core of the tensor-target and
-// batched-slot extract paths.
-func extractFOVIntoSlice(dst []float32, v *Volume, fov [3]int, cz, cy, cx int) {
+	dst := out.Data
 	d, h, w := fov[0], fov[1], fov[2]
 	z0, y0, x0 := cz-d/2, cy-h/2, cx-w/2
 	i := 0
@@ -277,20 +271,11 @@ func (n *Network) SegmentCtx(ctx context.Context, image *Volume, seeds [][3]int,
 	padLogit := logit(cfg.PadProb)
 	seedLogit := logit(cfg.SeedProb)
 
-	// What the flood lanes share read-only is ready before any fan-out: an
-	// f32 flood's plan (lane weights and read spans), built here and
-	// released when the flood ends, or an int8 network's quantized weights.
-	// Those come with the network; only a training step drops them, on a
-	// network its trainer's owner floods alone, so they are rebuilt here.
-	var plan floodPlan
-	if n.int8Inference() {
-		if n.qn == nil {
-			n.qn = n.quantize()
-		}
-	} else {
-		plan = n.newFloodPlan()
-		defer plan.release()
-	}
+	// What the flood lanes share read-only is ready before any fan-out: the
+	// plan (lane weights and read spans), built here and released when the
+	// flood ends.
+	plan := n.newFloodPlan()
+	defer plan.release()
 
 	// The canvas is borrowed, and becomes the returned mask: the caller may
 	// hand it back with ReleaseVolume.
@@ -379,7 +364,7 @@ func (cfg *Config) moveOffsets() [6][3]int {
 type fovBox struct{ lo, hi [3]int }
 
 // floodReads is everything a flood reads of one application's logits, and
-// so all the f32 engine computes of them (readSpans): the core box that
+// so all the flood's engine computes of them (readSpans): the core box that
 // mergeCore max-merges into the canvas, and the six move targets (FOV
 // coordinates, in moveOffsets order). The core is the FOV less a quarter of
 // each side: zero-padded convolution borders make edge predictions

@@ -16,7 +16,7 @@ import (
 // multi-source closure, and the canvas merge is an order-independent
 // element-wise max).
 //
-// The f32 forward pass runs on tensor's channel-lane engine
+// The forward pass runs on tensor's channel-lane engine
 // (tensor.ConvLanes33ReLU): each slot's activations stay in zero-padded,
 // channel-blocked buffers that every layer writes straight into, and each
 // layer is evaluated only where a later layer or the flood reads it. The
@@ -24,14 +24,13 @@ import (
 // (Config.floodReads); walking the layers backwards, each 3x3x3 layer
 // computes the dilation of the next one's positions (readSpans). One
 // parallel.Invoke per batch fans the slots out, each slot running every
-// layer. The int8 flood keeps the planar tensors and tensor's quantized
-// conv dispatches (forwardBatchQInto).
+// layer.
 
 // DefaultFloodBatch is how many ready FOV positions a flood lane pushes
 // through the batched forward path per dispatch.
 const DefaultFloodBatch = 8
 
-// floodPlan is what every lane of one f32 flood reads besides the image:
+// floodPlan is what every lane of one flood reads besides the image:
 // the 3x3x3 layers' weights in lane form (tensor.PackLaneWeights33: the
 // input layer's, then each module's two) and the read spans, all borrowed
 // from the free list once per SegmentCtx and never kept on the Network —
@@ -41,7 +40,7 @@ type floodPlan struct {
 	spans []int32 // readSpans
 }
 
-// newFloodPlan builds the plan of an f32 flood.
+// newFloodPlan builds the plan of a flood.
 func (n *Network) newFloodPlan() floodPlan {
 	f := n.cfg.Features
 	wIn, wMod := tensor.LaneWeights33Len(f, 2), tensor.LaneWeights33Len(f, f)
@@ -127,7 +126,7 @@ func (cfg *Config) readSpans(spans []int32) {
 	}
 }
 
-// floodWork counts one f32 application's conv work at cfg's geometry: the
+// floodWork counts one application's conv work at cfg's geometry: the
 // multiply-adds whose products reach a computed output channel (the logit
 // layer's included), and the 8-lane vector multiply-adds the channel-lane
 // engine issues for the 3x3x3 layers, whose lanes past Features idle.
@@ -156,7 +155,7 @@ func (cfg *Config) floodWork() (macs, vectors int) {
 	return macs + positions(0)*f, vectors
 }
 
-// floodLayouts are the f32 flood's Blocked layouts: the input, image and
+// floodLayouts are the flood's Blocked layouts: the input, image and
 // seed POM per position, and the activations, Features rounded up to whole
 // vectors.
 func (cfg *Config) floodLayouts() (in, act tensor.Blocked) {
@@ -164,73 +163,55 @@ func (cfg *Config) floodLayouts() (in, act tensor.Blocked) {
 	return tensor.Blocked{D: d, H: h, W: w, C: 2}, tensor.Blocked{D: d, H: h, W: w, C: tensor.LaneChannels(cfg.Features)}
 }
 
-// batchScratch holds one flood worker's reusable batched buffers: the
-// packed input, ping-pong activations, the module hidden buffer and the
-// output logits, DefaultFloodBatch slots each. An f32 flood's slots are
-// Blocked buffers (floodLayouts) and its logits (B, 1, D, H, W), computed
-// only where the flood reads them; an int8 flood's are the planar
-// (B, C, D, H, W) tensors its quantized convs take. The buffers are
-// borrowed from the shared free list and returned when the flood ends,
-// never kept on the Network: one Network serves concurrent floods (the
-// service shares one per set of weights), and a steady stream of jobs
-// allocates none of them.
+// batchScratch holds one flood worker's reusable batched buffers,
+// DefaultFloodBatch slots each: the packed input, ping-pong activations and
+// the module hidden buffer, one Blocked buffer (floodLayouts) per slot, and
+// the output logits, one dense (D, H, W) FOV per slot, computed only where
+// the flood reads them. The buffers are borrowed from the shared free list
+// and returned when the flood ends, never kept on the Network: one Network
+// serves concurrent floods (the service shares one per set of weights), and
+// a steady stream of jobs allocates none of them.
 type batchScratch struct {
-	in     *tensor.Tensor // packed image + POM
-	x0, x1 *tensor.Tensor // activations (ping-pong)
-	hid    *tensor.Tensor // module hidden
-	out    *tensor.Tensor // (B, 1, D, H, W) output logits
-	pos    []fovPos       // live batch positions
+	in     []float32 // packed image + POM
+	x0, x1 []float32 // activations (ping-pong)
+	hid    []float32 // module hidden
+	out    []float32 // output logits
+	pos    []fovPos  // live batch positions
 
 	net   *Network
-	plan  floodPlan // f32: the flood's lane weights and read spans
-	ready int       // f32: leading slots whose padding shells and seed POM are in place
-
-	// The five tensors' headers and their three shapes live in the scratch
-	// itself, so borrowing one costs a flood worker two small allocations.
-	hdr  [5]tensor.Tensor
-	dims [3][5]int
+	plan  floodPlan // the flood's lane weights and read spans
+	ready int       // leading slots whose padding shells and seed POM are in place
 }
 
 // getBatchScratch borrows a scratch for one flood worker of a flood with
-// plan (the zero plan for int8). The buffers arrive dirty. f32: a slot's
-// padding shells and the seed POM lane of its input are written the first
-// time the flood uses the slot (forwardBatchInto), the flood writes each
-// batch's image lane, and the layers write the rest of what they read.
-// int8: the forward pass overwrites every activation it reads, the flood
-// writes each live slot's image channel, and the POM channel of every slot
-// is filled here.
+// plan. The buffers arrive dirty: a slot's padding shells and the seed POM
+// lane of its input are written the first time the flood uses the slot
+// (forwardBatchInto), the flood writes each batch's image lane, and the
+// layers write the rest of what they read.
 func (n *Network) getBatchScratch(plan floodPlan) *batchScratch {
 	const B = DefaultFloodBatch
-	cfg := n.cfg
-	d, h, w := cfg.FOV[0], cfg.FOV[1], cfg.FOV[2]
-	s := &batchScratch{pos: make([]fovPos, 0, B), net: n, plan: plan}
-	if n.int8Inference() {
-		s.dims = [3][5]int{{B, 2, d, h, w}, {B, cfg.Features, d, h, w}, {B, 1, d, h, w}}
-	} else {
-		li, lx := cfg.floodLayouts()
-		s.dims = [3][5]int{{B, d + 2, h + 2, w + 2, li.C}, {B, d + 2, h + 2, w + 2, lx.C}, {B, 1, d, h, w}}
+	li, lx := n.cfg.floodLayouts()
+	fov := n.cfg.FOV
+	return &batchScratch{
+		in:  tensor.GetFloats(B * li.Len()),
+		x0:  tensor.GetFloats(B * lx.Len()),
+		x1:  tensor.GetFloats(B * lx.Len()),
+		hid: tensor.GetFloats(B * lx.Len()),
+		out: tensor.GetFloats(B * fov[0] * fov[1] * fov[2]),
+		pos: make([]fovPos, 0, B), net: n, plan: plan,
 	}
-	for i, shape := range [5]int{0, 1, 1, 1, 2} {
-		dims := s.dims[shape][:]
-		s.hdr[i] = tensor.Tensor{Shape: dims, Data: tensor.GetFloats(dims[0] * dims[1] * dims[2] * dims[3] * dims[4])}
-	}
-	s.in, s.x0, s.x1, s.hid, s.out = &s.hdr[0], &s.hdr[1], &s.hdr[2], &s.hdr[3], &s.hdr[4]
-	if n.int8Inference() {
-		fovN := d * h * w
-		for b := 0; b < B; b++ {
-			n.fillSeedPOM(s.in.Data[(2*b+1)*fovN : (2*b+2)*fovN])
-		}
-	}
-	return s
 }
 
 func (n *Network) putBatchScratch(s *batchScratch) {
-	tensor.Release(s.in, s.x0, s.x1, s.hid, s.out)
+	for _, b := range [5]*[]float32{&s.in, &s.x0, &s.x1, &s.hid, &s.out} {
+		tensor.PutFloats(*b)
+		*b = nil
+	}
 }
 
 // slot returns slot b's share of one of the scratch's Blocked buffers.
-func slot(t *tensor.Tensor, lay tensor.Blocked, b int) []float32 {
-	return t.Data[b*lay.Len():][:lay.Len()]
+func slot(buf []float32, lay tensor.Blocked, b int) []float32 {
+	return buf[b*lay.Len():][:lay.Len()]
 }
 
 // extractFOVBlocked copies the FOV centered at (cz, cy, cx) into the image
@@ -255,8 +236,8 @@ func (s *batchScratch) prepareSlot(b int) {
 	li, lx := cfg.floodLayouts()
 	in := slot(s.in, li, b)
 	li.ClearShell(in)
-	for _, t := range [3]*tensor.Tensor{s.x0, s.x1, s.hid} {
-		lx.ClearShell(slot(t, lx, b))
+	for _, buf := range [3][]float32{s.x0, s.x1, s.hid} {
+		lx.ClearShell(slot(buf, lx, b))
 	}
 	pad := logit(cfg.PadProb)
 	for z := 0; z < li.D; z++ {
@@ -270,7 +251,7 @@ func (s *batchScratch) prepareSlot(b int) {
 	in[li.Pos(li.D/2, li.H/2, li.W/2)+1] = logit(cfg.SeedProb)
 }
 
-// forwardBatchInto runs the f32 forward pass over the first k batch slots
+// forwardBatchInto runs the forward pass over the first k batch slots
 // (each slot's image lane already extracted): one parallel.Invoke over the
 // slots, each running every layer (Run). The logits land in s.out at the
 // positions floodReads lists, bit-exact with forwardInto per slot there;
@@ -282,7 +263,7 @@ func (n *Network) forwardBatchInto(s *batchScratch, k int) {
 	parallel.Invoke(k, s)
 }
 
-// Run is the f32 forward pass of slots [start, end): conv+ReLU for the
+// Run is the forward pass of slots [start, end): conv+ReLU for the
 // input layer and each module's hidden layer, conv+residual+ReLU for each
 // module's tail, each at its depth's read spans, then the 1x1x1 logit layer
 // at depth 0.
@@ -306,7 +287,7 @@ func (s *batchScratch) Run(start, end int) {
 			w, depth = w[2*wMod:], depth-2
 			cur, nxt = nxt, cur
 		}
-		n.logitsAt(s.out.Data[b*fovN:][:fovN], cur, lx, at(0))
+		n.logitsAt(s.out[b*fovN:][:fovN], cur, lx, at(0))
 	}
 }
 
@@ -334,7 +315,7 @@ func (n *Network) logitsAt(out, act []float32, lay tensor.Blocked, spans []int32
 // shared) atomic visited set, gives those back to the frontier, and
 // max-merges output cores into canvas — lane-private under the multi-lane
 // flood, the result canvas otherwise. Each application is conditioned on a
-// fresh seed POM (the scratch's constant POM channel), the input
+// fresh seed POM (the scratch's constant POM lane), the input
 // distribution the network was trained on; the canvas is only the
 // aggregation buffer across FOVs — the single-step simplification of FFN's
 // recurrent POM.
@@ -365,20 +346,13 @@ func (n *Network) flood(ctx context.Context, image *Volume, fr *frontier, claime
 		if k == 0 {
 			return
 		}
-		if n.int8Inference() {
-			for i, p := range s.pos {
-				extractFOVIntoSlice(s.in.Data[2*i*fovN:][:fovN], image, fov, p.z, p.y, p.x)
-			}
-			n.forwardBatchQInto(s, k)
-		} else {
-			for i, p := range s.pos {
-				extractFOVBlocked(slot(s.in, li, i), li, image, p.z, p.y, p.x)
-			}
-			n.forwardBatchInto(s, k)
+		for i, p := range s.pos {
+			extractFOVBlocked(slot(s.in, li, i), li, image, p.z, p.y, p.x)
 		}
+		n.forwardBatchInto(s, k)
 		fresh := claims[:0]
 		for i, p := range s.pos {
-			out := s.out.Data[i*fovN:][:fovN]
+			out := s.out[i*fovN:][:fovN]
 			mergeCore(canvas, image.H, image.W, fov, core, out, p.z, p.y, p.x)
 			stats.Steps++
 			prog.bump()

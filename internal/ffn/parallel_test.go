@@ -3,6 +3,8 @@ package ffn
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"chaseci/internal/parallel"
@@ -180,5 +182,39 @@ func TestNormalizeMatchesReference(t *testing.T) {
 		if diff := math.Abs(float64(v.Data[i]) - want); diff > 1e-6 {
 			t.Fatalf("voxel %d: got %v, want %v", i, v.Data[i], want)
 		}
+	}
+}
+
+// TestSharedNetworkConcurrentFloods: a network no trainer owns is only read
+// by a flood, so floods on one network started together, straight from
+// NewNetwork, each produce the mask a twin network floods to alone, and
+// leave the weights as made.
+func TestSharedNetworkConcurrentFloods(t *testing.T) {
+	twin, img, seeds := batchScene(t)
+	want, wantStats := twin.Segment(img, seeds, 0)
+	net, _, _ := batchScene(t)
+	params := append([]float32(nil), net.params...)
+
+	masks := make([]*Volume, 4)
+	stats := make([]InferenceStats, len(masks))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range masks {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			masks[i], stats[i] = net.Segment(img, seeds, 0)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, mask := range masks {
+		if stats[i] != wantStats || !slices.Equal(mask.Data, want.Data) {
+			t.Fatalf("flood %d of 4 concurrent: %+v, want the lone flood's %+v", i, stats[i], wantStats)
+		}
+	}
+	if !slices.Equal(net.params, params) {
+		t.Fatal("concurrent floods wrote the network")
 	}
 }

@@ -381,20 +381,24 @@ func TestGatewayValidationAndRouting(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, "gradient matrix") {
 		t.Fatalf("train_dist with a 4096 x 889k gradient matrix: status %d, err %q", resp.StatusCode, apiErr.Error)
 	}
-	// Unknown JSON field -> 400 (DisallowUnknownFields catches typos, and
-	// the pipeline knobs that no longer exist).
-	for _, body := range []string{
-		`{"kind":"segment","segmnt":{}}`,
-		`{"kind":"pipeline","pipeline":{"synth":{"nlon":8,"nlat":6,"nlev":3,"steps":6},"threshold":1,"sequential":true}}`,
-		`{"kind":"pipeline","pipeline":{"synth":{"nlon":8,"nlat":6,"nlev":3,"steps":6},"threshold":1,"buffer":2}}`,
+	// Unknown JSON field -> 400 naming the field (DisallowUnknownFields
+	// catches typos, the pipeline knobs that no longer exist, and the net's
+	// precision: there is one inference arithmetic).
+	for _, c := range []struct{ body, field string }{
+		{`{"kind":"segment","segmnt":{}}`, "segmnt"},
+		{`{"kind":"pipeline","pipeline":{"synth":{"nlon":8,"nlat":6,"nlev":3,"steps":6},"threshold":1,"sequential":true}}`, "sequential"},
+		{`{"kind":"pipeline","pipeline":{"synth":{"nlon":8,"nlat":6,"nlev":3,"steps":6},"threshold":1,"buffer":2}}`, "buffer"},
+		{`{"kind":"segment","segment":{"source":{"synth":{"nlon":8,"nlat":6,"nlev":3,"steps":6}},"net":{"precision":"int8"}}}`, "precision"},
 	} {
-		raw, err := http.Post(f.srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		raw, err := http.Post(f.srv.URL+"/v1/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var body api.ErrorResponse
+		err = json.NewDecoder(raw.Body).Decode(&body)
 		raw.Body.Close()
-		if raw.StatusCode != http.StatusBadRequest {
-			t.Fatalf("unknown field in %s: status %d, want 400", body, raw.StatusCode)
+		if err != nil || raw.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, `"`+c.field+`"`) {
+			t.Fatalf("unknown field in %s: status %d, err %q (%v); want a 400 naming %q", c.body, raw.StatusCode, body.Error, err, c.field)
 		}
 	}
 	// The train kind folded into train_dist{holdout_steps}: "train" is an

@@ -195,11 +195,6 @@ func netConfig(nc *api.NetConfig) ffn.Config {
 	if nc.SegmentProb > 0 {
 		cfg.SegmentProb = nc.SegmentProb
 	}
-	// "f32" spelled out is the default arithmetic: one canonical config, so
-	// the two spellings share one cached network.
-	if p := ffn.Precision(nc.Precision); p != ffn.PrecisionF32 {
-		cfg.Precision = p
-	}
 	return cfg
 }
 

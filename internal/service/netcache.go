@@ -23,10 +23,9 @@ import (
 // job whose submitter could have loaded the checkpoint itself.
 
 // netCacheBytes bounds what the cache holds: each network's weights
-// (ffn.Network.WeightBytes: the parameter vector, plus an int8 network's
-// quantized form) and netEntryBytes for the rest of each entry — about 500
-// networks of the default geometry. A network larger than the bound is used
-// uncached.
+// (ffn.Network.WeightBytes, the parameter vector) and netEntryBytes for the
+// rest of each entry — about 500 networks of the default geometry. A network
+// larger than the bound is used uncached.
 const netCacheBytes = 16 << 20
 
 // netEntryBytes is what one cached network occupies besides its weights: the

@@ -18,24 +18,21 @@ func cacheState(c *netCache) (entries, bytes int) {
 	return len(c.index), c.bytes
 }
 
-// sharedNetJobs are four segment jobs over one volume ref, one for each way
-// a job names its network: drawn from net_seed with precision unset and
-// with "f32" spelled out (one canonical config, so one cached network), at
-// int8, and a trained checkpoint's (net_ref).
+// sharedNetJobs are four segment jobs over one volume ref, naming three
+// networks four ways: drawn from net_seed 3 with features unset and with
+// the default 8 spelled out (one canonical config, so one cached network),
+// drawn from net_seed 4, and a trained checkpoint's (net_ref).
 func sharedNetJobs(volume, checkpoint string) []*api.JobRequest {
-	seg := func(net *api.NetConfig, netRef string) *api.JobRequest {
+	seg := func(net *api.NetConfig, seed uint64, netRef string) *api.JobRequest {
 		spec := &api.SegmentSpec{Source: api.VolumeSource{Ref: volume}, Threshold: 130,
-			SeedStride: [3]int{1, 4, 4}, ReturnMask: true, NetRef: netRef}
-		if netRef == "" {
-			spec.Net, spec.NetSeed = net, 3
-		}
+			SeedStride: [3]int{1, 4, 4}, ReturnMask: true, NetRef: netRef, Net: net, NetSeed: seed}
 		return &api.JobRequest{Kind: api.KindSegment, ResultMode: api.ResultModeRef, Segment: spec}
 	}
 	return []*api.JobRequest{
-		seg(&api.NetConfig{MoveProb: 0.55}, ""),
-		seg(&api.NetConfig{MoveProb: 0.55, Precision: "f32"}, ""),
-		seg(&api.NetConfig{MoveProb: 0.55, Precision: "int8"}, ""),
-		seg(nil, checkpoint),
+		seg(&api.NetConfig{MoveProb: 0.55}, 3, ""),
+		seg(&api.NetConfig{MoveProb: 0.55, Features: 8}, 3, ""),
+		seg(&api.NetConfig{MoveProb: 0.55}, 4, ""),
+		seg(nil, 0, checkpoint),
 	}
 }
 
@@ -82,7 +79,7 @@ func TestSharedNetworksAloneEqualAlongside(t *testing.T) {
 		alone[i] = maskRef(t, runJob(t, r, stock(r)[i]))
 	}
 	if alone[0] != alone[1] || alone[0] == alone[2] || alone[0] == alone[3] {
-		t.Fatalf("lone masks %v: want f32 spelled either way to agree, and int8 and net_ref to differ", alone)
+		t.Fatalf("lone masks %v: want seed 3 spelled either way to agree, and seed 4 and net_ref to differ", alone)
 	}
 
 	r, _ := newTestRunner(t, DefaultRegistry(), 4)
@@ -106,7 +103,7 @@ func TestSharedNetworksAloneEqualAlongside(t *testing.T) {
 	}
 
 	if n, _ := cacheState(r.nets); n != 3 {
-		t.Fatalf("the cache holds %d networks, want 3 (f32 either way, int8, the checkpoint's)", n)
+		t.Fatalf("the cache holds %d networks, want 3 (seed 3 either way, seed 4, the checkpoint's)", n)
 	}
 	blob, err := dataset.Decode(checkpoint)
 	if err != nil {

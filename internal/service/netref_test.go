@@ -1,7 +1,10 @@
 package service
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"math"
 	"net/http"
 	"runtime"
 	"strings"
@@ -157,6 +160,68 @@ func TestOverCapCheckpointRefused(t *testing.T) {
 		if kb := (m1.TotalAlloc - m0.TotalAlloc) / 1024; kb >= 1024 {
 			t.Fatalf("%s with an over-cap checkpoint allocated %d KB, want < 1 MB", req.Kind, kb)
 		}
+	}
+	assertNoLeaks(t, r)
+}
+
+// TestBadProbabilityCheckpointRefused: a checkpoint whose model header stores
+// a probability outside (0,1) — NaN included — fails a segment job flooding
+// with it and a train_dist job resuming from it, once, as a bad model. Inline
+// configs always carry probabilities in range; by ref the bytes are uploaded.
+func TestBadProbabilityCheckpointRefused(t *testing.T) {
+	r, _ := newTestRunner(t, DefaultRegistry(), 1)
+	cfg := ffn.DefaultConfig()
+	cfg.Features, cfg.Modules = 2, 1
+	net, err := ffn.NewNetwork(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := (&ffn.Checkpoint{Net: net, Opt: tensor.NewSGD(0.03, 0.9), BatchPerRound: 4}).EncodeBytes()
+	model := bytes.Index(raw, net.SaveBytes())
+	if model < 0 {
+		t.Fatal("checkpoint does not embed the model bytes")
+	}
+	src := api.VolumeSource{Synth: &api.SynthSpec{NLon: 24, NLat: 16, NLev: 3, Steps: 4, Seed: 1}}
+	// Offsets into the model header: magic(8), FOV(12), Features, Modules(8)
+	// and MoveStep(12), then MoveProb, SegmentProb, PadProb, SeedProb.
+	for _, c := range []struct {
+		name string
+		off  int
+		v    float32
+	}{
+		{"MoveProb NaN", 40, float32(math.NaN())},
+		{"SegmentProb NaN", 44, float32(math.NaN())},
+		{"PadProb 1", 48, 1},
+		{"SeedProb 0", 52, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bad := append([]byte(nil), raw...)
+			binary.LittleEndian.PutUint32(bad[model+c.off:], math.Float32bits(c.v))
+			enc, err := dataset.EncodeCheckpoint(bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			info, err := r.Datasets().Put(enc, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, req := range []*api.JobRequest{
+				{Kind: api.KindSegment, Segment: &api.SegmentSpec{Source: src, Threshold: 100, NetRef: info.ID}},
+				{Kind: api.KindTrainDist, TrainDist: &api.TrainDistSpec{Source: src, Threshold: 100, Workers: 1, Rounds: 2, ResumeFrom: info.ID}},
+			} {
+				st, err := r.Submit(req, "")
+				if err != nil {
+					t.Fatalf("%s: submit: %v", req.Kind, err)
+				}
+				final := waitState(t, r, st.ID, terminal)
+				if final.State != api.StateFailed || !strings.Contains(final.Error, ffn.ErrBadModel.Error()) || !strings.Contains(final.Error, "probabilities") {
+					t.Fatalf("%s: %s (%s), want failed as a bad model naming the probabilities", req.Kind, final.State, final.Error)
+				}
+				if strings.Contains(final.Error, "attempts") {
+					t.Fatalf("%s: retried as transient: %s", req.Kind, final.Error)
+				}
+			}
+		})
 	}
 	assertNoLeaks(t, r)
 }

@@ -25,14 +25,12 @@ import (
 // taps into a register before storing, which is the same per-element
 // operation sequence with ~kw fewer output loads/stores.
 
-// convEpilogue selects what is fused into the output write of a slice. The
-// f32 engines fuse epNone and epReLU; the int8 one (quant.go) all three.
+// convEpilogue selects what is fused into the output write of a slice.
 type convEpilogue int
 
 const (
 	epNone convEpilogue = iota
 	epReLU
-	epResReLU
 )
 
 // convBatch is the pooled batched-forward Task: one Run processes a range

@@ -8,6 +8,10 @@ import (
 	"chaseci/internal/sim"
 )
 
+// epResReLU is the residual-add-then-ReLU epilogue, which ConvLanes33ReLU
+// fuses and no planar dispatch does: only batchRef computes it.
+const epResReLU = epReLU + 1
+
 // batchRef computes the unfused reference for a batch: per-item Conv3DInto
 // (itself pinned bit-exact to the scalar kernel by TestConv3DIntoMatchesScalar),
 // then the requested epilogue as separate full traversals.

@@ -15,7 +15,6 @@ import "math"
 //     eight output channels at a time, in the lanes of a vector, at the
 //     positions the caller lists. It serves ConvLanes33ReLU: the f32
 //     flood's forward pass, whose activations never leave that layout.
-// The int8 flood has its own kernels (quant.go).
 //
 // The scalar batched engine (conv_batch.go) is already at the scalar FP
 // throughput floor: each output element needs cin*27 multiply-accumulates and
@@ -80,6 +79,10 @@ func SetSpanKernels(on bool) bool {
 // take the SIMD span path (enabled and supported by the CPU).
 func SpanKernelsActive() bool { return spanEnabled && hasAVX2 }
 
+// QuantAsmActive reports false: there is no quantized conv dispatch. It is
+// kept only because the benchmark report's header still prints the field.
+func QuantAsmActive() bool { return false }
+
 // spanActive reports whether one dispatch with the given kernel geometry
 // takes the span path.
 func spanActive(kd, kh, kw int) bool {
@@ -103,13 +106,12 @@ func spanPlaneVectors(h, w int) int {
 	return ((h-1)*(w+2) + w + 7) / 8
 }
 
-// spanPadLen sizes the padded scratch for nch = B*Cin channels, plus slack
-// covering the widest read past the last padded plane: seven lanes for the
-// flat kernel's last vector, and for the int8 4x8 block kernel (quant.go)
-// three rows, eight lanes and two taps.
+// spanPadLen sizes the padded scratch for nch = B*Cin channels, plus one
+// vector of slack: the flat kernel's last vector of the last plane reads up
+// to seven lanes past the last padded plane.
 func spanPadLen(nch, d, h, w int) int {
 	pw, ph := w+2, h+2
-	return nch*(d+2)*ph*pw + 4*pw + 16
+	return nch*(d+2)*ph*pw + 8
 }
 
 // fillPadded copies nch (d,h,w) channels into the interior of the zeroed

@@ -2,11 +2,10 @@
 
 package tensor
 
-// Runtime CPU feature detection for the SIMD conv kernels. The span kernels
-// need AVX2 (256-bit float lanes plus VPMASKMOV stores); the int8 kernels
-// additionally need AVX-512 VNNI with the 256-bit VL forms (VPDPBUSD on ymm).
-// Both also require the OS to have enabled the corresponding register state
-// (XCR0), which is what distinguishes "CPU has it" from "safe to execute".
+// Runtime CPU feature detection for the SIMD conv kernels, which need AVX2
+// (256-bit float lanes plus VPMASKMOV stores) and the OS to have enabled the
+// YMM register state (XCR0), which is what distinguishes "CPU has it" from
+// "safe to execute".
 
 //go:noescape
 func cpuidEx(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -14,35 +13,24 @@ func cpuidEx(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 //go:noescape
 func xgetbv0() (eax, edx uint32)
 
-var hasAVX2, hasVNNI = detectCPU()
+var hasAVX2 = detectCPU()
 
-func detectCPU() (avx2, vnni bool) {
+func detectCPU() bool {
 	maxLeaf, _, _, _ := cpuidEx(0, 0)
 	if maxLeaf < 7 {
-		return false, false
+		return false
 	}
 	_, _, ecx1, _ := cpuidEx(1, 0)
 	const osxsave, avx = 1 << 27, 1 << 28
 	if ecx1&osxsave == 0 || ecx1&avx == 0 {
-		return false, false
+		return false
 	}
 	xcr0, _ := xgetbv0()
 	// XMM (bit 1) and YMM (bit 2) state must be OS-managed for AVX.
 	if xcr0&0x6 != 0x6 {
-		return false, false
+		return false
 	}
-	_, ebx7, ecx7, _ := cpuidEx(7, 0)
+	_, ebx7, _, _ := cpuidEx(7, 0)
 	const avx2Bit = 1 << 5
-	if ebx7&avx2Bit == 0 {
-		return false, false
-	}
-	avx2 = true
-	// AVX-512: opmask (5), upper-256 of zmm0-15 (6), zmm16-31 (7) state.
-	if xcr0&0xe0 != 0xe0 {
-		return avx2, false
-	}
-	const avx512f, avx512vl = 1 << 16, 1 << 31
-	const avx512vnni = 1 << 11
-	vnni = ebx7&avx512f != 0 && ebx7&avx512vl != 0 && ecx7&avx512vnni != 0
-	return avx2, vnni
+	return ebx7&avx2Bit != 0
 }

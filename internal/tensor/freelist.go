@@ -10,7 +10,7 @@ import (
 // The shared float free list: one process-wide, length-keyed stock of idle
 // float32 buffers for everything sized by a volume or by a network geometry
 // — normalised images, flood canvases, the flood's visited bitset, the
-// per-worker inference scratch tensors, and the conv kernels' own
+// per-worker inference scratch buffers, and the conv kernels' own
 // temporaries (padded inputs, the backward's transposed gradOut and flipped
 // weights). A job builds its own Network and its own volumes, so a list
 // hanging off either is always cold; this one survives from job to job.
@@ -110,12 +110,3 @@ func GetInt32s(n int) []int32 { return view[int32](GetFloats(n)) }
 
 // PutInt32s returns a GetInt32s buffer.
 func PutInt32s(w []int32) { PutFloats(view[float32](w)) }
-
-// Release returns the tensors' backing arrays — GetFloats buffers — to the
-// free list and detaches them, so a use after release fails loudly.
-func Release(ts ...*Tensor) {
-	for _, t := range ts {
-		PutFloats(t.Data)
-		t.Data = nil
-	}
-}

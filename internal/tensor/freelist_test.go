@@ -103,19 +103,6 @@ func TestFreeListWordsShareTheFloatStock(t *testing.T) {
 	}
 }
 
-func TestBorrowReleaseDetachesTensor(t *testing.T) {
-	resetFreeList(t)
-	x := &Tensor{Shape: []int{2, 3, 4}, Data: GetFloats(24)}
-	p := &x.Data[0]
-	Release(x)
-	if x.Data != nil {
-		t.Fatal("Release must detach the backing array")
-	}
-	if y := GetFloats(24); &y[0] != p {
-		t.Fatal("GetFloats did not reuse the released backing array")
-	}
-}
-
 func TestPoisonReleasedFillsNaN(t *testing.T) {
 	resetFreeList(t)
 	PoisonReleased(true)
