@@ -16,8 +16,9 @@
 //	payload volume: d*h*w float32 LE; mask: ceil(d*h*w/8) bytes, LSB-first
 //
 // A dataset's ID is the lowercase hex SHA-256 of its full encoding, so IDs
-// are self-verifying: the gateway recomputes the hash on upload and a
-// corrupt or mislabeled blob can never resolve.
+// are self-verifying: the store hashes an upload once, and that hash both
+// checks the id it was put at (PutAt) and addresses it, so a corrupt or
+// mislabeled blob can never resolve.
 //
 // Nothing is materialised twice. The store keeps the encoding it was handed,
 // and a resolved Blob is a view of those same bytes: a volume's Data is the
@@ -31,6 +32,7 @@
 package dataset
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
@@ -44,6 +46,7 @@ import (
 
 	"chaseci/internal/objstore"
 	"chaseci/internal/sim"
+	"chaseci/internal/tensor"
 )
 
 // Kind discriminates the payload encodings.
@@ -121,14 +124,31 @@ func PackBits(data []float32) []byte {
 	return out
 }
 
-// packBitsInto sets data's non-zero elements as bits in out, which must be
-// zero and hold (len(data)+7)/8 bytes.
+// packBitsInto writes data as bits into out, which must hold
+// (len(data)+7)/8 bytes; every byte is written, so out need not be zero. It
+// reads non-zero from the bit pattern, sign cleared, and branches on no
+// value: NaN sets a bit, -0 does not, exactly as v != 0.
 func packBitsInto(out []byte, data []float32) {
-	for i, v := range data {
-		if v != 0 {
-			out[i/8] |= 1 << (i % 8)
-		}
+	full := len(data) / 8
+	for i := range full {
+		v := data[8*i : 8*i+8 : 8*i+8]
+		out[i] = nonZero(v[0]) | nonZero(v[1])<<1 | nonZero(v[2])<<2 | nonZero(v[3])<<3 |
+			nonZero(v[4])<<4 | nonZero(v[5])<<5 | nonZero(v[6])<<6 | nonZero(v[7])<<7
 	}
+	if tail := data[8*full:]; len(tail) > 0 {
+		var b byte
+		for j, v := range tail {
+			b |= nonZero(v) << j
+		}
+		out[full] = b
+	}
+}
+
+// nonZero is 1 when v != 0 and 0 otherwise, computed without a branch: the
+// magnitude bits m are non-zero exactly then, and so is the top bit of m|-m.
+func nonZero(v float32) byte {
+	m := math.Float32bits(v) << 1
+	return byte((m | -m) >> 31)
 }
 
 // UnpackBits expands n LSB-first packed bits into a 0/1 float32 field.
@@ -206,12 +226,20 @@ func EncodeMask(d, h, w int, data []float32) ([]byte, error) {
 	if err := checkMask(d, h, w, data); err != nil {
 		return nil, err
 	}
-	// Pack straight into the header allocation's spare capacity (zeroed by
-	// make): one allocation for the whole encoding.
-	b := encodeHeader(KindMask, d, h, w, (len(data)+7)/8)
-	b = b[:cap(b)]
-	packBitsInto(b[HeaderSize:], data)
+	b := make([]byte, maskEncodedLen(len(data)))
+	encodeMaskInto(b, d, h, w, data)
 	return b, nil
+}
+
+// maskEncodedLen is the length of an n-voxel mask's encoding.
+func maskEncodedLen(n int) int { return HeaderSize + (n+7)/8 }
+
+// encodeMaskInto writes EncodeMask(d, h, w, data) into enc, which must hold
+// exactly maskEncodedLen(len(data)) bytes and need not be zero.
+func encodeMaskInto(enc []byte, d, h, w int, data []float32) {
+	clear(enc[:HeaderSize])
+	putHeader(enc, KindMask, d, h, w)
+	packBitsInto(enc[HeaderSize:], data)
 }
 
 // checkMask refuses a mask whose dims are out of range or disagree with its
@@ -221,31 +249,6 @@ func checkMask(d, h, w int, data []float32) error {
 		return fmt.Errorf("%w: mask %dx%dx%d with %d values", ErrBadEncoding, d, h, w, len(data))
 	}
 	return nil
-}
-
-// maskChunk is how many bytes of packed bits maskID hashes at a time: 32,768
-// voxels, a whole number of bytes, so every chunk but the last packs full.
-const maskChunk = 4096
-
-// maskID is ID(EncodeMask(d, h, w, data)) in hex, computed without the
-// encoding: the header and the packed bits stream into SHA-256 through a
-// stack buffer. The mask must have passed checkMask.
-func maskID(d, h, w int, data []float32) (id [2 * sha256.Size]byte) {
-	var buf [maskChunk]byte
-	putHeader(buf[:HeaderSize], KindMask, d, h, w)
-	sum := sha256.New()
-	sum.Write(buf[:HeaderSize])
-	for len(data) > 0 {
-		part := data[:min(len(data), 8*maskChunk)]
-		bits := buf[:(len(part)+7)/8]
-		clear(bits)
-		packBitsInto(bits, part)
-		sum.Write(bits)
-		data = data[len(part):]
-	}
-	var raw [sha256.Size]byte
-	hex.Encode(id[:], sum.Sum(raw[:0]))
-	return id
 }
 
 // CheckpointFrame starts the encoding of an opaque checkpoint byte string
@@ -397,8 +400,26 @@ func Decode(enc []byte) (*Blob, error) {
 // ID returns the dataset's content address: lowercase hex SHA-256 over the
 // full encoding.
 func ID(enc []byte) string {
+	id := contentID(enc)
+	return string(id[:])
+}
+
+// contentID is ID as an array, which a map lookup or a comparison can use
+// as a string without allocating one.
+func contentID(enc []byte) (id [2 * sha256.Size]byte) {
 	sum := sha256.Sum256(enc)
-	return hex.EncodeToString(sum[:])
+	hex.Encode(id[:], sum[:])
+	return id
+}
+
+// IDMismatchError is PutAt's refusal of content that does not hash to the
+// id it was put at. Nothing was stored.
+type IDMismatchError struct {
+	Claimed, Actual string
+}
+
+func (e *IDMismatchError) Error() string {
+	return fmt.Sprintf("dataset: content hashes to %s, not the claimed id %s", e.Actual, e.Claimed)
 }
 
 // ValidID reports whether s has the shape of a content address (64 lowercase
@@ -499,7 +520,17 @@ func NewLocal() *Manager {
 // (durable user data: uploads, result offloads, ingests) — Delete never
 // removes kept ids; producers of transient intermediates use PutNew.
 func (m *Manager) Put(enc []byte, owner string) (Info, error) {
-	info, _, err := m.put(enc, owner, true, false)
+	info, _, err := m.put(enc, "", owner, true, false)
+	return info, err
+}
+
+// PutAt is Put at a claimed id: the gateway's PUT contract, where the id in
+// the request path is a claim the server verifies. The encoding is hashed
+// once, and that one hash both checks the claim and addresses the content.
+// Content that hashes elsewhere is refused with an *IDMismatchError naming
+// its real id, before anything is stored.
+func (m *Manager) PutAt(id string, enc []byte, owner string) (Info, error) {
+	info, _, err := m.put(enc, id, owner, true, false)
 	return info, err
 }
 
@@ -509,7 +540,7 @@ func (m *Manager) Put(enc []byte, owner string) (Info, error) {
 // use it to know which ids are theirs to release — and promote an
 // intermediate to durable data with Keep when it becomes a result.
 func (m *Manager) PutNew(enc []byte, owner string) (Info, bool, error) {
-	return m.put(enc, owner, false, false)
+	return m.put(enc, "", owner, false, false)
 }
 
 // PutPinned is PutNew with a Pin taken under the same lock acquisition,
@@ -517,23 +548,28 @@ func (m *Manager) PutNew(enc []byte, owner string) (Info, bool, error) {
 // content-colliding id between the put and a separate Pin call. The
 // caller owes one Unpin.
 func (m *Manager) PutPinned(enc []byte, owner string) (Info, bool, error) {
-	return m.put(enc, owner, false, true)
+	return m.put(enc, "", owner, false, true)
 }
 
 // put stores (or re-registers) encoded bytes under one lock acquisition,
 // so the kept mark and/or pin land atomically with the write — a
 // concurrent intermediate release can never delete a just-Put dataset.
-// The returned Info carries the caller's own identity in Owner (never
-// another uploader's), so duplicate-upload replies leak nothing.
-func (m *Manager) put(enc []byte, owner string, keep, pin bool) (Info, bool, error) {
+// A non-empty claimed id must be the content's (PutAt). The returned Info
+// carries the caller's own identity in Owner (never another uploader's),
+// so duplicate-upload replies leak nothing.
+func (m *Manager) put(enc []byte, claimed, owner string, keep, pin bool) (Info, bool, error) {
 	if len(enc) > MaxEncodedBytes {
 		return Info{}, false, fmt.Errorf("%w: %d bytes (max %d)", ErrTooLarge, len(enc), MaxEncodedBytes)
+	}
+	id := contentID(enc)
+	if claimed != "" && string(id[:]) != claimed {
+		return Info{}, false, &IDMismatchError{Claimed: claimed, Actual: string(id[:])}
 	}
 	kind, d, h, w, err := DecodeHeader(enc)
 	if err != nil {
 		return Info{}, false, err
 	}
-	return m.store(enc, Info{ID: ID(enc), Kind: kind.String(), D: d, H: h, W: w, Bytes: len(enc), Owner: owner}, keep, pin)
+	return m.store(enc, Info{ID: string(id[:]), Kind: kind.String(), D: d, H: h, W: w, Bytes: len(enc), Owner: owner}, keep, pin)
 }
 
 // store writes a validated encoding under info.ID, its content address, and
@@ -663,14 +699,20 @@ func (m *Manager) PutVolume(d, h, w int, data []float32, owner string) (Info, er
 }
 
 // PutMask stores a binary mask (1 bit/voxel) as Put stores its encoding.
-// The content address is hashed from the mask itself first, so re-putting a
-// mask the store holds registers the putter and allocates next to nothing;
-// only a new id pays for EncodeMask.
+// The mask is packed once, into an encoding borrowed from the tensor free
+// list, and hashed there. Re-putting a mask the store holds registers the
+// putter and hands the buffer back, so it allocates nothing; only a new id
+// copies its encoding into memory the store keeps.
 func (m *Manager) PutMask(d, h, w int, data []float32, owner string) (Info, error) {
 	if err := checkMask(d, h, w, data); err != nil {
 		return Info{}, err
 	}
-	id := maskID(d, h, w, data)
+	n := maskEncodedLen(len(data))
+	words := tensor.GetWords((n + 3) / 4)
+	defer tensor.PutWords(words)
+	enc := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), n)
+	encodeMaskInto(enc, d, h, w, data)
+	id := contentID(enc)
 	m.mu.Lock()
 	if stored, ok := m.meta[string(id[:])]; ok { // the conversion is only a lookup key
 		stored = m.registerLocked(stored, owner, true, false)
@@ -678,8 +720,7 @@ func (m *Manager) PutMask(d, h, w int, data []float32, owner string) (Info, erro
 		return stored, nil
 	}
 	m.mu.Unlock()
-	enc, _ := EncodeMask(d, h, w, data) // checked above
-	info, _, err := m.store(enc, Info{ID: string(id[:]), Kind: KindMask.String(), D: d, H: h, W: w, Bytes: len(enc), Owner: owner}, true, false)
+	info, _, err := m.store(bytes.Clone(enc), Info{ID: string(id[:]), Kind: KindMask.String(), D: d, H: h, W: w, Bytes: n, Owner: owner}, true, false)
 	return info, err
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -723,5 +724,222 @@ func TestSubmitPinsSourceRefs(t *testing.T) {
 	// With the job done, the deferred delete has fired.
 	if _, ok := r.Datasets().Stat(info.ID); ok {
 		t.Fatal("dropped dataset survives after its last pin released")
+	}
+}
+
+// newUploadGateway is an anonymous gateway driven in process, for the
+// upload tests that hand ServeHTTP requests no client would send.
+func newUploadGateway(t testing.TB) (*Gateway, *Runner) {
+	runner := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 1})
+	t.Cleanup(runner.Close)
+	return NewGateway(runner, GatewayOptions{AllowAnonymous: true, TokenSeed: 1}), runner
+}
+
+// countingZeros is a body of n zero bytes that counts what is read from it.
+type countingZeros struct{ n, read int64 }
+
+func (c *countingZeros) Read(p []byte) (int, error) {
+	if c.read >= c.n {
+		return 0, io.EOF
+	}
+	k := min(int64(len(p)), c.n-c.read)
+	clear(p[:k])
+	c.read += k
+	return int(k), nil
+}
+
+// TestGatewayDatasetPutAtWrongIDStoresNothing: a PUT whose path id is not
+// the content's hash stores nothing, and its 400 names the real id.
+func TestGatewayDatasetPutAtWrongIDStoresNothing(t *testing.T) {
+	f := newGWFixture(t, true)
+	d, h, w, data := testIVTField(1)
+	enc, _ := dataset.EncodeVolume(d, h, w, data)
+	id := dataset.ID(enc)
+	req, _ := http.NewRequest("PUT", f.srv.URL+"/v1/datasets/"+strings.Repeat("ab", 32), bytes.NewReader(enc))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reply api.ErrorResponse
+	json.NewDecoder(resp.Body).Decode(&reply)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(reply.Error, id) {
+		t.Fatalf("PUT at a wrong id: status %d %q, want 400 naming %s", resp.StatusCode, reply.Error, id)
+	}
+	if _, ok := f.runner.Datasets().Stat(id); ok {
+		t.Fatal("a PUT at a wrong id stored the content")
+	}
+	var list []dataset.Info
+	if f.do("GET", "/v1/datasets", nil, &list); len(list) != 0 {
+		t.Fatalf("listing after a refused PUT: %+v", list)
+	}
+}
+
+// TestGatewayDatasetDeclaredOversizeIs413: an upload that declares more
+// than the codec's maximum is refused before its body is read.
+func TestGatewayDatasetDeclaredOversizeIs413(t *testing.T) {
+	gw, runner := newUploadGateway(t)
+	for _, up := range []struct{ method, target string }{
+		{"POST", "/v1/datasets"},
+		{"PUT", "/v1/datasets/" + strings.Repeat("ab", 32)},
+	} {
+		body := &countingZeros{n: 64 << 10}
+		req := httptest.NewRequest(up.method, up.target, body)
+		req.ContentLength = 300 << 20
+		rec := httptest.NewRecorder()
+		gw.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge || body.read >= 64<<10 {
+			t.Fatalf("%s declaring 300 MB: status %d after reading %d bytes, want 413 before the body", up.method, rec.Code, body.read)
+		}
+	}
+	if n := len(runner.Datasets().List()); n != 0 {
+		t.Fatalf("an oversize upload stored %d datasets", n)
+	}
+}
+
+// TestGatewayDatasetUploadBodies: a body's length is the client's to
+// declare or not. A chunked upload and one past the preallocation bound
+// round-trip; a short body is the client's 400; a chunked body past the cap
+// is a 413.
+func TestGatewayDatasetUploadBodies(t *testing.T) {
+	f := newGWFixture(t, true)
+	d, h, w, data := testIVTField(2)
+	enc, _ := dataset.EncodeVolume(d, h, w, data)
+
+	// No Content-Length: the client sends the body chunked.
+	req, _ := http.NewRequest("PUT", f.srv.URL+"/v1/datasets/"+dataset.ID(enc), struct{ io.Reader }{bytes.NewReader(enc)})
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("chunked PUT: status %d", resp.StatusCode)
+	}
+	if back := f.getDataset(dataset.ID(enc)); !bytes.Equal(back, enc) {
+		t.Fatal("a chunked upload came back different")
+	}
+
+	gw, runner := newUploadGateway(t)
+	serve := func(method, target string, body io.Reader, length int64) int {
+		req := httptest.NewRequest(method, target, body)
+		req.ContentLength = length
+		rec := httptest.NewRecorder()
+		gw.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	// Past uploadPrealloc the buffer grows as the declared bytes arrive.
+	big := make([]float32, (uploadPrealloc+1<<20)/4)
+	for i := range big {
+		big[i] = float32(i % 977)
+	}
+	bigEnc, _ := dataset.EncodeVolume(1, 1, len(big), big)
+	if code := serve("POST", "/v1/datasets", bytes.NewReader(bigEnc), int64(len(bigEnc))); code != http.StatusCreated {
+		t.Fatalf("%d-byte upload: status %d", len(bigEnc), code)
+	}
+	if back, err := runner.Datasets().GetBytes(dataset.ID(bigEnc)); err != nil || !bytes.Equal(back, bigEnc) {
+		t.Fatalf("%d-byte upload came back different (%v)", len(bigEnc), err)
+	}
+	// Declared longer than sent: a broken body, not a size problem.
+	if code := serve("POST", "/v1/datasets", bytes.NewReader(enc[:10]), int64(len(enc))); code != http.StatusBadRequest {
+		t.Fatalf("short body: status %d, want 400", code)
+	}
+	// Chunked past the cap. The gateway buffers the cap's 256 MB before it
+	// knows, and the race detector would shadow all of it.
+	if raceEnabled {
+		return
+	}
+	if code := serve("POST", "/v1/datasets", &countingZeros{n: dataset.MaxEncodedBytes + 1}, -1); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("chunked body past the cap: status %d, want 413", code)
+	}
+	if n := len(runner.Datasets().List()); n != 1 {
+		t.Fatalf("store holds %d datasets, want the one upload", n)
+	}
+}
+
+// TestReadDatasetBodyPreallocIsBounded: a declared length sizes the buffer
+// only up to uploadPrealloc, so declaring 200 MB and sending ten bytes
+// costs at most that bound.
+func TestReadDatasetBodyPreallocIsBounded(t *testing.T) {
+	req := httptest.NewRequest("POST", "/v1/datasets", strings.NewReader("0123456789"))
+	req.ContentLength = 200 << 20
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err := readDatasetBody(httptest.NewRecorder(), req)
+	runtime.ReadMemStats(&m1)
+	if err == nil {
+		t.Fatal("a body 200 MB short of its declaration read cleanly")
+	}
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > 17<<20 {
+		t.Fatalf("declaring 200 MB and sending 10 bytes allocated %d bytes, want <= 17 MiB", got)
+	}
+}
+
+// putRequests builds n in-process PUTs of enc at its own id.
+func putRequests(enc []byte, n int) []*http.Request {
+	target := "/v1/datasets/" + dataset.ID(enc)
+	reqs := make([]*http.Request, n)
+	for i := range reqs {
+		reqs[i] = httptest.NewRequest("PUT", target, bytes.NewReader(enc))
+	}
+	return reqs
+}
+
+// bench64Encoding is bench64Volume's encoding: a 1 MiB upload.
+func bench64Encoding(t testing.TB) []byte {
+	d, h, w, data := bench64Volume()
+	enc, err := dataset.EncodeVolume(d, h, w, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// TestDatasetPutAllocBound pins an upload's allocation diet the way
+// TestJobAllocBounds pins a job's: an idempotent 1 MiB PUT, in process,
+// allocates the one buffer its body is read into, plus the reply
+// (1.06 MB; 5.2 MB while the body grew by appends and was hashed twice).
+func TestDatasetPutAllocBound(t *testing.T) {
+	t.Run("dataset_put_1mib", func(t *testing.T) {
+		gw, _ := newUploadGateway(t)
+		enc := bench64Encoding(t)
+		const puts = 16
+		reqs := putRequests(enc, puts+1)
+		var m0, m1 runtime.MemStats
+		for i, req := range reqs {
+			if i == 1 {
+				runtime.ReadMemStats(&m0)
+			}
+			rec := httptest.NewRecorder()
+			gw.ServeHTTP(rec, req)
+			if rec.Code != http.StatusCreated {
+				t.Fatalf("PUT %d: status %d: %s", i, rec.Code, rec.Body)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		perPut := int(m1.TotalAlloc-m0.TotalAlloc) / puts
+		t.Logf("idempotent %d-byte PUT: %d bytes allocated", len(enc), perPut)
+		if perPut > 1300<<10 {
+			t.Fatalf("a 1 MiB PUT allocates %d bytes, want <= 1.3 MB", perPut)
+		}
+	})
+}
+
+// BenchmarkDatasetPut times the upload layer outside bench/: an idempotent
+// 1 MiB PUT through the gateway in process — read, hash, register.
+func BenchmarkDatasetPut(b *testing.B) {
+	gw, _ := newUploadGateway(b)
+	enc := bench64Encoding(b)
+	gw.ServeHTTP(httptest.NewRecorder(), putRequests(enc, 1)[0])
+	reqs := putRequests(enc, b.N)
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, req := range reqs {
+		rec := httptest.NewRecorder()
+		gw.ServeHTTP(rec, req)
+		if rec.Code != http.StatusCreated {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -432,19 +433,48 @@ func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"id": st.ID, "cancelled": cancelled})
 }
 
-// readDatasetBody slurps an upload capped at the codec's own maximum, so a
-// client cannot stream unbounded bytes at the gateway.
+// uploadPrealloc is the most a declared Content-Length may allocate before
+// the bytes it declares arrive. A body past it grows as they do, so a
+// client that declares 256 MB and sends nothing costs the gateway 16 MiB.
+const uploadPrealloc = 16 << 20
+
+// readDatasetBody reads an upload capped at the codec's own maximum, so a
+// client cannot stream unbounded bytes at the gateway. A declared length
+// sizes one buffer that the body is read into once (the server ends a
+// body at its Content-Length); a chunked body, which declares none, grows
+// as it arrives.
 func readDatasetBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, dataset.MaxEncodedBytes))
+	body := http.MaxBytesReader(w, r.Body, dataset.MaxEncodedBytes)
+	if r.ContentLength < 0 {
+		return io.ReadAll(body)
+	}
+	size := int(r.ContentLength)
+	buf := make([]byte, 0, min(size, uploadPrealloc))
+	for len(buf) < size {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(len(buf), size-len(buf)))
+		}
+		n, err := io.ReadFull(body, buf[len(buf):min(cap(buf), size)])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			return nil, err // short of what it declared
+		}
+	}
+	return buf, nil
 }
 
 // storeDataset validates + stores an upload and writes the reply. wantID,
-// when non-empty, must match the content's actual hash (the PUT contract:
-// the path id is a claim the server verifies).
+// when non-empty, is the PUT contract's claim: the store verifies it with
+// the one hash that addresses the content.
 func (g *Gateway) storeDataset(w http.ResponseWriter, r *http.Request, wantID string) {
 	owner, err := g.authenticate(r)
 	if err != nil {
 		writeErr(w, http.StatusUnauthorized, "%v", err)
+		return
+	}
+	if r.ContentLength > dataset.MaxEncodedBytes {
+		writeErr(w, http.StatusRequestEntityTooLarge,
+			"dataset body: declares %d bytes (max %d)", r.ContentLength, dataset.MaxEncodedBytes)
 		return
 	}
 	enc, err := readDatasetBody(w, r)
@@ -459,12 +489,12 @@ func (g *Gateway) storeDataset(w http.ResponseWriter, r *http.Request, wantID st
 		writeErr(w, code, "dataset body: %v", err)
 		return
 	}
-	if wantID != "" && dataset.ID(enc) != wantID {
-		writeErr(w, http.StatusBadRequest,
-			"content hashes to %s, not the id in the request path", dataset.ID(enc))
-		return
+	var info dataset.Info
+	if wantID == "" {
+		info, err = g.runner.Datasets().Put(enc, owner)
+	} else {
+		info, err = g.runner.Datasets().PutAt(wantID, enc, owner)
 	}
-	info, err := g.runner.Datasets().Put(enc, owner)
 	if err != nil {
 		code := http.StatusBadRequest
 		if errors.Is(err, dataset.ErrTooLarge) {
