@@ -436,15 +436,10 @@ func (n *NetConfig) Validate(field string) error {
 		return invalidf("%s: probabilities must be in [0,1)", field)
 	}
 	// The checks below combine fields; zero-valued ones assume the kernel
-	// defaults, and a service-level test pins these literals against
-	// ffn.DefaultConfig so they cannot drift.
-	fov, feat, step := n.FOV, n.Features, n.MoveStep
-	if fov == [3]int{} {
-		fov = [3]int{5, 9, 9} // ffn.DefaultConfig().FOV
-	}
-	if feat == 0 {
-		feat = 8 // ffn.DefaultConfig().Features
-	}
+	// defaults (geometry), and a service-level test pins those literals
+	// against ffn.DefaultConfig so they cannot drift.
+	fov, feat, _ := n.geometry()
+	step := n.MoveStep
 	if step == [3]int{} {
 		step = [3]int{1, 3, 3} // ffn.DefaultConfig().MoveStep
 	}
@@ -470,20 +465,70 @@ func (n *NetConfig) Validate(field string) error {
 	return nil
 }
 
+// geometry resolves the network n describes against the kernel defaults:
+// a nil n, or a zero field, takes ffn.DefaultConfig's FOV, Features or
+// Modules.
+func (n *NetConfig) geometry() (fov [3]int, features, modules int) {
+	fov, features, modules = [3]int{5, 9, 9}, 8, 2 // ffn.DefaultConfig()
+	if n == nil {
+		return fov, features, modules
+	}
+	if n.FOV != [3]int{} {
+		fov = n.FOV
+	}
+	if n.Features > 0 {
+		features = n.Features
+	}
+	if n.Modules > 0 {
+		modules = n.Modules
+	}
+	return fov, features, modules
+}
+
 // paramCount is the length of the flat parameter vector of the network n
-// describes, nil and zero fields resolved against the kernel defaults (8
-// features, 2 modules): ffn.Config.paramCount restated, because api must
-// not import ffn — the service-level test that pins the defaults pins this
-// formula to the kernel's too. Within the caps it is at most 57M.
+// describes: ffn.Config.paramCount restated, because api must not import
+// ffn — the service-level test that pins the defaults pins this formula to
+// the kernel's too. Within the caps it is at most 57M.
 func (n *NetConfig) paramCount() int {
-	f, m := 8, 2 // ffn.DefaultConfig().Features, .Modules
-	if n != nil && n.Features > 0 {
-		f = n.Features
-	}
-	if n != nil && n.Modules > 0 {
-		m = n.Modules
-	}
+	_, f, m := n.geometry()
 	return 2*27*f + f + m*2*(27*f*f+f) + f + 1
+}
+
+// trainScratchLen is the length of the slab one lane of a train_dist
+// trainer borrows for the network n describes, ffn.Config.TrainScratchLen
+// restated (a service-level test pins the two together): with P padded and
+// V interior FOV positions and L the features rounded up to whole 8-lane
+// vectors, P*(2 + (2*modules+4)*L) + 4*V — the input, every layer's
+// activations and three gradients of one example, and four FOV tensors.
+// Within the caps it is at most 2.8G, so it is computed in int64.
+func (n *NetConfig) trainScratchLen() int64 {
+	fov, f, m := n.geometry()
+	l := int64((f + 7) / 8 * 8)
+	p := int64(fov[0]+2) * int64(fov[1]+2) * int64(fov[2]+2)
+	v := int64(fov[0]) * int64(fov[1]) * int64(fov[2])
+	return p*(2+int64(2*m+4)*l) + 4*v
+}
+
+// ValidateTraining holds the network n describes, trained on batch examples
+// per round, to the caps on what a trainer sizes from it, naming field in
+// the error: the batch x parameters gradient matrix and one lane's
+// training scratch, each at most maxScratchElems. Like fov x features,
+// these are individually-capped knobs that must also be bounded together
+// (4096 x a 64-feature, 4-module network is a 14.6 GB matrix; a 29^3 FOV x
+// 256 features x 16 modules is a 1.1 GB scratch per lane). ffn.maxGradElems
+// is the same matrix limit, so a checkpoint a job writes can be resumed.
+// Every train_dist job is held to it: a spelled-out net in validate, a
+// resumed checkpoint's net by the service, every sweep candidate's.
+func (n *NetConfig) ValidateTraining(field string, batch int) error {
+	if p := n.paramCount(); batch > maxScratchElems/p {
+		return invalidf("%s: batch_per_round %d x %d network parameters implies a gradient matrix over the %d-element limit",
+			field, batch, p, maxScratchElems)
+	}
+	if s := n.trainScratchLen(); s > maxScratchElems {
+		return invalidf("%s: fov x features x modules implies a training scratch of %d elements per lane, over the %d-element limit",
+			field, s, maxScratchElems)
+	}
+	return nil
 }
 
 // SegmentSpec runs FFN flood-fill segmentation with a network that is
@@ -699,14 +744,8 @@ func (s *TrainDistSpec) validate() error {
 		if s.BatchPerRound < 1 || s.BatchPerRound > maxBatchPerRound {
 			return invalidf("train_dist.batch_per_round must be in [1,%d], got %d", maxBatchPerRound, s.BatchPerRound)
 		}
-		// The round's gradient matrix is batch_per_round x parameters: like
-		// fov x features, two individually-capped knobs that must also be
-		// bounded together (4096 x a 64-feature, 4-module network is
-		// 14.6 GB). Division-based; ffn.maxGradElems is the same limit, so
-		// a checkpoint this job writes can be resumed.
-		if p := s.Net.paramCount(); s.BatchPerRound > maxScratchElems/p {
-			return invalidf("train_dist: batch_per_round %d x %d network parameters implies a gradient matrix over the %d-element limit",
-				s.BatchPerRound, p, maxScratchElems)
+		if err := s.Net.ValidateTraining("train_dist", s.BatchPerRound); err != nil {
+			return err
 		}
 	}
 	prev := 0
@@ -810,6 +849,20 @@ func (s *SweepSpec) validate() error {
 	}
 	if s.Parallel < 0 || s.Parallel > maxDistWorkers {
 		return invalidf("sweep.parallel must be in [0,%d], got %d", maxDistWorkers, s.Parallel)
+	}
+	// Each candidate runs as a fresh train_dist child: its network is held
+	// to the training caps that job's own validation holds it to.
+	modules := s.Modules
+	if len(modules) == 0 {
+		modules = []int{2}
+	}
+	for _, f := range s.Features {
+		for _, m := range modules {
+			child := s.Child(SweepParams{Features: f, Modules: m, TrainSteps: 1}, 0, "")
+			if err := child.Net.ValidateTraining("sweep", child.BatchPerRound); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

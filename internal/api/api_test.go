@@ -458,6 +458,12 @@ func FuzzJobRequest(f *testing.F) {
 		{Kind: KindSegment, Segment: &SegmentSpec{Source: VolumeSource{Ref: ref}, Threshold: 1, NetRef: ref}},
 		{Kind: KindSegment, Segment: &SegmentSpec{Source: VolumeSource{D: 1 << 30, H: 1 << 30, W: 1 << 30}}},
 		{Kind: KindPipeline, Pipeline: &PipelineSpec{Synth: SynthSpec{NLon: 8, NLat: 6, NLev: 3, Steps: 6}, Net: &NetConfig{MoveStep: [3]int{3, 3, 3}}}},
+		// Training scratch at the caps: over a gigabyte per lane, refused;
+		// and a sweep whose every candidate is at the feature and module caps.
+		{Kind: KindTrainDist, TrainDist: &TrainDistSpec{Source: VolumeSource{Ref: ref}, Threshold: 0.5, Workers: 1, Rounds: 1, BatchPerRound: 1,
+			Net: &NetConfig{FOV: [3]int{29, 29, 29}, Features: 256, Modules: 16}}},
+		{Kind: KindSweep, Sweep: &SweepSpec{Source: VolumeSource{Ref: ref}, Threshold: 0.5, LRs: []float32{0.05}, Momentums: []float32{0.9},
+			Features: []int{256}, Modules: []int{16}, TrainSteps: []int{1}}},
 	}
 	for _, req := range validRequests() {
 		seeds = append(seeds, req)

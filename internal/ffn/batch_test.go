@@ -118,7 +118,7 @@ func extractFOV(v *Volume, fov [3]int, cz, cy, cx int) *tensor.Tensor {
 }
 
 // perFOVSegment is the reference the batched flood is held to: a
-// one-application-at-a-time FIFO flood over the training path's forwardInto,
+// one-application-at-a-time FIFO flood over the planar chain's forwardInto,
 // with a map for the visited set and nothing shared with flood but
 // floodReads' core, mergeCore, fovInBounds and the final threshold.
 func perFOVSegment(n *Network, image *Volume, seeds [][3]int, maxSteps int) (*Volume, InferenceStats) {
@@ -139,7 +139,7 @@ func perFOVSegment(n *Network, image *Volume, seeds [][3]int, maxSteps int) (*Vo
 		}
 	}
 	core, _ := cfg.floodReads()
-	ts := n.newTrainScratch()
+	ts := newPlanarScratch(n)
 	for ; len(queue) > 0 && (maxSteps <= 0 || stats.Steps < maxSteps); queue = queue[1:] {
 		p := queue[0]
 		extractFOVInto(ts.img, image, fov, p.z, p.y, p.x)
@@ -257,9 +257,9 @@ func fillSlots(s *batchScratch, img *Volume, seeds [][3]int, k int) {
 	}
 }
 
-// forwardRef is the training path's forwardInto on the FOV at c: the
+// forwardRef is the planar chain's forwardInto on the FOV at c: the
 // logits every position of the FOV has.
-func forwardRef(net *Network, ts *trainScratch, img *Volume, c [3]int) []float32 {
+func forwardRef(net *Network, ts *planarScratch, img *Volume, c [3]int) []float32 {
 	extractFOVInto(ts.img, img, net.cfg.FOV, c[0], c[1], c[2])
 	packInputInto(ts.in, ts.img, ts.pom)
 	net.forwardInto(&ts.cache, ts.in, ts.delta)
@@ -267,7 +267,7 @@ func forwardRef(net *Network, ts *trainScratch, img *Volume, c [3]int) []float32
 }
 
 // TestForwardBatchMatchesForwardInto pins the f32 batched forward against
-// the training-path forwardInto slot by slot, on the logits the flood reads
+// the planar forwardInto slot by slot, on the logits the flood reads
 // — 75 of 147 at 3x7x7, 79 of 405 at the default geometry — on every
 // scene, at every batch size.
 func TestForwardBatchMatchesForwardInto(t *testing.T) {
@@ -278,7 +278,7 @@ func TestForwardBatchMatchesForwardInto(t *testing.T) {
 		}
 		plan := sc.net.newFloodPlan()
 		bs := sc.net.getBatchScratch(plan)
-		ref := sc.net.newTrainScratch()
+		ref := newPlanarScratch(sc.net)
 		fovN := len(ref.delta.Data)
 		for _, k := range []int{1, 3, DefaultFloodBatch} {
 			fillSlots(bs, sc.img, sc.seeds, k)
@@ -449,7 +449,7 @@ func TestFloodReadSetPoison(t *testing.T) {
 		last := 2*cfg.Modules + 1
 		plan := sc.net.newFloodPlan()
 		bs := sc.net.getBatchScratch(plan)
-		ref := sc.net.newTrainScratch()
+		ref := newPlanarScratch(sc.net)
 		fovN := d * h * w
 		// The widest layer each buffer holds: the input layer's x0, module
 		// 0's hidden and tail layers; the logits are read at depth 0.

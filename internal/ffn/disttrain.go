@@ -18,18 +18,21 @@ import (
 // centers from an RNG derived only from (SampleSeed, round index); the
 // examples are sharded over internal/parallel's lanes, each chunk of samples
 // with its own scratch, running exampleGrad against the shared (read-only)
-// network, sample i writing row i of one batch x P gradient matrix. The
+// network and the round's lane weights (trainPlan, packed once before the
+// fan-out), sample i writing row i of one batch x P gradient matrix. The
 // all-reduce sums the rows in global sample order and scales by 1/batch,
 // and one optimizer step applies the mean to the flat parameter vector. The
 // resulting loss sequence is therefore bit-identical at any lane count,
 // under elastic worker changes between rounds, and across a
 // checkpoint/restore boundary. The worker count is the modelled
 // data-parallel width — what CommBytesPerRound prices — not a goroutine
-// count. At batch 1 a round is one SGD step on one example, run inline with
-// the conv kernels fanned out instead: what a sweep candidate runs.
+// count. At batch 1 a round is one SGD step on one example, what a sweep
+// candidate runs: like every example it runs on one lane, the calling
+// goroutine's. Fanning its convs out over the lanes instead measured slower
+// at two lanes than at one (EXPERIMENTS.md).
 //
-// Ownership: the gradient matrix, the FOV-center index and each chunk's
-// scratch are borrowed from the tensor free list — a job builds a new
+// Ownership: the gradient matrix, the FOV-center index, the lane weights and
+// each chunk's scratch are borrowed from the tensor free list — a job builds a new
 // trainer, and these are the arrays the previous job of the same geometry
 // just dropped. Release hands them back and ends the trainer's life: call
 // it (deferred) once no Round is running and nothing more will be asked of
@@ -50,11 +53,13 @@ type DistTrainer struct {
 	losses     []float64
 
 	// Reused across rounds: the round's centers and per-sample losses, the
-	// borrowed gradient matrix (row i is sample i's gradient) and one
-	// borrowed scratch per chunk of the batch.
+	// borrowed gradient matrix (row i is sample i's gradient), the lane
+	// weights every chunk reads and one borrowed scratch per chunk of the
+	// batch.
 	batchCenters [][3]int
 	sampleLoss   []float64
 	grads        []float32
+	plan         *trainPlan
 	scratch      []*trainScratch
 	shards       shardTask
 }
@@ -115,8 +120,10 @@ func newDistTrainer(net *Network, opt *tensor.SGD, img, lbl *Volume, sampleSeed 
 		round: round, losses: losses,
 		batchCenters: make([][3]int, batchPerRound),
 		sampleLoss:   make([]float64, batchPerRound),
-		// Dirty is fine: every round's backward passes overwrite every row.
+		// Dirty is fine: every round's backward passes overwrite every row,
+		// and packs the plan before reading it.
 		grads: tensor.GetFloats(batchPerRound * len(net.params)),
+		plan:  net.newTrainPlan(),
 	}, nil
 }
 
@@ -127,6 +134,7 @@ func (t *DistTrainer) Release() {
 	tensor.PutFloats(t.grads)
 	t.grads = nil
 	t.centers.release()
+	t.plan.release()
 	for _, ts := range t.scratch {
 		ts.release()
 	}
@@ -181,11 +189,12 @@ func (t *DistTrainer) Round(ctx context.Context) (float64, error) {
 	}
 
 	// The batch is sharded over parallel's lanes, not over t.workers: one
-	// chunk of samples per lane, each chunk with a scratch of its own. At
-	// batch 1 the round runs inline and the conv kernels take the lanes.
+	// chunk of samples per lane, each chunk with a scratch of its own, all
+	// reading the weights packed here. At batch 1 the round runs inline.
+	t.plan.pack(t.Net)
 	w := parallel.Chunks(t.batch)
 	for len(t.scratch) < w {
-		t.scratch = append(t.scratch, t.Net.newTrainScratch())
+		t.scratch = append(t.scratch, t.Net.newTrainScratch(t.plan))
 	}
 	t.shards = shardTask{t: t, chunks: w}
 	parallel.Invoke(w, &t.shards)

@@ -336,6 +336,7 @@ func borrowed(tr *DistTrainer) (ptrs map[*float32]bool, lens []int) {
 		}
 	}
 	add(tr.grads)
+	add(tr.plan.w)
 	if idx := tr.centers.buf; len(idx) > 0 {
 		ptrs[(*float32)(unsafe.Pointer(&idx[0]))] = true
 		lens = append(lens, len(idx))
@@ -348,7 +349,8 @@ func borrowed(tr *DistTrainer) (ptrs map[*float32]bool, lens []int) {
 
 // TestDistTrainerAllocBound: a second trainer of the same geometry, built
 // after the first was released, borrows the very arrays the first gave back
-// — the batch x P gradient matrix, the center index, each chunk's slab —
+// — the batch x P gradient matrix, the center index, the lane weights, each
+// chunk's slab —
 // and allocates less than any one of the big ones. The second trains on
 // different labels: every borrowed length is geometry, never label content.
 func TestDistTrainerAllocBound(t *testing.T) {
@@ -357,13 +359,13 @@ func TestDistTrainerAllocBound(t *testing.T) {
 	first := distTrainer(t, img, lbl, 2)
 	runRounds(t, first, 2)
 	had, _ := borrowed(first)
-	if len(had) != 4 {
-		t.Fatalf("first trainer holds %d borrowed arrays, want matrix + center index + 2 slabs", len(had))
+	if len(had) != 5 {
+		t.Fatalf("first trainer holds %d borrowed arrays, want matrix + center index + lane weights + 2 slabs", len(had))
 	}
 	matrixBytes, slabBytes := uint64(4*len(first.grads)), uint64(4*len(first.scratch[0].slab))
 	firstPos := len(first.centers.pos)
 	first.Release()
-	if first.grads != nil || first.centers.buf != nil || first.centers.pos != nil || first.scratch != nil {
+	if first.grads != nil || first.centers.buf != nil || first.centers.pos != nil || first.plan.w != nil || first.scratch != nil {
 		t.Fatal("Release must detach what it returned")
 	}
 	first.Release() // a no-op, not a double put
@@ -399,8 +401,7 @@ func TestDistTrainerAllocBound(t *testing.T) {
 		t.Errorf("second trainer holds %d borrowed arrays, first held %d", len(has), len(had))
 	}
 	// What is left is the optimizer's velocity (P floats, 18 KB), the
-	// trainer and scratch structs, tensor headers, and whatever conv
-	// temporaries the first trainer's scheduling left cold: 35 KB measured.
+	// trainer, plan and scratch structs and their headers: 23 KB measured.
 	// One slab or the matrix on top of that is over the bound.
 	if !raceEnabled && got >= matrixBytes/2 {
 		t.Errorf("second trainer allocated %d B; slab %d B, gradient matrix %d B", got, slabBytes, matrixBytes)

@@ -14,9 +14,9 @@
 // gradient, the optimizer's momentum and the serialized model are the same
 // vector shape, so saving, checkpointing, the all-reduce and the optimizer
 // step are each one pass over a slice. There is one trainer, DistTrainer: a
-// round runs exampleGrad (forwardInto then backwardInto over a reusable
-// trainScratch, writing one gradient row) per sample, averages the rows and
-// applies step.
+// round runs exampleGrad (forward and backward on the flood's channel-lane
+// engine over a reusable trainScratch, writing one gradient row) per
+// sample, averages the rows and applies step.
 //
 // A network not owned by a trainer is immutable. Only a trainer's step
 // writes weights, and only on the network it was given; everything else —
@@ -202,111 +202,151 @@ func (n *Network) WeightBytes() int { return 4 * len(n.params) }
 // parameter), the quantity each all-reduce moves per worker pair.
 func (n *Network) GradBytes() float64 { return float64(len(n.params)) * 4 }
 
-// fwdCache stores activations needed for backprop. Caches are reusable:
-// every tensor except input is carved out of a trainScratch's slab and
-// overwritten by each forwardInto call, so steady-state training allocates
-// nothing on the forward path.
-type fwdCache struct {
-	input   *tensor.Tensor // (2, D, H, W); set by forwardInto, caller-owned
-	preIn   *tensor.Tensor // pre-ReLU of input conv
-	actIn   *tensor.Tensor
-	modPre1 []*tensor.Tensor
-	modAct1 []*tensor.Tensor
-	modPre2 []*tensor.Tensor // pre-residual-add sums fed to next ReLU
-	modOut  []*tensor.Tensor // post residual + ReLU
-}
-
-// forwardInto runs the network on a 2-channel FOV (image, POM logits),
-// writing activations into cache and the logit update into delta.
-func (n *Network) forwardInto(cache *fwdCache, in, delta *tensor.Tensor) {
-	cache.input = in
-	tensor.Conv3DInto(cache.preIn, in, n.wIn, n.bIn)
-	tensor.ReLUInto(cache.actIn, cache.preIn)
-	cur := cache.actIn
-	for i, m := range n.mods {
-		tensor.Conv3DInto(cache.modPre1[i], cur, m.w1, m.b1)
-		tensor.ReLUInto(cache.modAct1[i], cache.modPre1[i])
-		tensor.Conv3DInto(cache.modPre2[i], cache.modAct1[i], m.w2, m.b2)
-		cache.modPre2[i].AddInPlace(cur) // residual connection
-		tensor.ReLUInto(cache.modOut[i], cache.modPre2[i])
-		cur = cache.modOut[i]
+// packLaneWeights writes the 3x3x3 layers' weights and biases into dst in
+// lane form (tensor.PackLaneWeights33): the input layer's, then each
+// module's two, wIn + 2*Modules*wMod floats (laneWeightLens). The flood and
+// training read the same form.
+func (n *Network) packLaneWeights(dst []float32) {
+	wIn, wMod := n.cfg.laneWeightLens()
+	tensor.PackLaneWeights33(dst, n.wIn, n.bIn)
+	rest := dst[wIn:]
+	for _, m := range n.mods {
+		tensor.PackLaneWeights33(rest, m.w1, m.b1)
+		tensor.PackLaneWeights33(rest[wMod:], m.w2, m.b2)
+		rest = rest[2*wMod:]
 	}
-	tensor.Conv3DInto(delta, cur, n.wOut, n.bOut)
 }
 
-// packInputInto stacks image and POM into the caller's (2,D,H,W) tensor.
-func packInputInto(in, image, pom *tensor.Tensor) {
-	copy(in.Data[:image.Size()], image.Data)
-	copy(in.Data[image.Size():], pom.Data)
+// laneWeightLens are the lengths of the input layer's and of one module
+// layer's lane weights.
+func (cfg *Config) laneWeightLens() (wIn, wMod int) {
+	f := cfg.Features
+	return tensor.LaneWeights33Len(f, 2), tensor.LaneWeights33Len(f, f)
 }
 
-// trainScratch holds every buffer one forward+backward pass needs besides
-// the weights, so steady-state training allocates nothing. One scratch
-// serves one goroutine, and the network is only read through it.
+// trainPlan is what every shard of a training round reads besides its
+// scratch: w holds the 3x3x3 layers' lane weights (packLaneWeights), then
+// each module's two input-gradient forms (tensor.PackLaneWeights33Flipped:
+// w1's, then w2's), and spans lists every FOV row in full. A trainer
+// borrows w once and packs it once per round, before the fan-out — weights
+// change only in step — and every shard reads it, as a flood's lanes read
+// its floodPlan.
+type trainPlan struct {
+	w     []float32
+	spans []int32
+}
+
+// newTrainPlan borrows an unpacked plan for n's geometry.
+func (n *Network) newTrainPlan() *trainPlan {
+	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
+	wIn, wMod := n.cfg.laneWeightLens()
+	p := &trainPlan{
+		w:     tensor.GetFloats(wIn + 4*len(n.mods)*wMod),
+		spans: make([]int32, 2*d*h),
+	}
+	for r := 0; r < d*h; r++ {
+		p.spans[2*r+1] = int32(w)
+	}
+	return p
+}
+
+// pack writes n's current weights into the plan.
+func (p *trainPlan) pack(n *Network) {
+	wIn, wMod := n.cfg.laneWeightLens()
+	n.packLaneWeights(p.w)
+	flipped := p.w[wIn+2*len(n.mods)*wMod:]
+	for _, m := range n.mods {
+		tensor.PackLaneWeights33Flipped(flipped, m.w1)
+		tensor.PackLaneWeights33Flipped(flipped[wMod:], m.w2)
+		flipped = flipped[2*wMod:]
+	}
+}
+
+// module returns module i's two forward lane weights and their
+// input-gradient forms.
+func (p *trainPlan) module(cfg *Config, i int) (w1, w2, t1, t2 []float32) {
+	wIn, wMod := cfg.laneWeightLens()
+	fwd := p.w[wIn+2*i*wMod:]
+	bwd := p.w[wIn+2*(cfg.Modules+i)*wMod:]
+	return fwd[:wMod], fwd[wMod : 2*wMod], bwd[:wMod], bwd[wMod : 2*wMod]
+}
+
+// release returns w to the free list and detaches it. Idempotent.
+func (p *trainPlan) release() {
+	tensor.PutFloats(p.w)
+	p.w = nil
+}
+
+// trainScratch holds every buffer one training example needs besides the
+// weights, so steady-state training allocates nothing. One scratch serves
+// one goroutine, and the network is only read through it.
 //
-// Every tensor is a view into one slab borrowed from the tensor free list —
-// a training job trains a Network of its own, so memory hanging off the
-// Network would always be cold, while the slab of the previous job of this
-// geometry is not. The slab comes back dirty and nothing clears it: each
-// tensor is written in full (forwardInto, LogitBCEInto, the backward
-// kernels' own zeroing) before the pass reads it. release hands the slab
-// back; a scratch that is never released is ordinary garbage.
+// The example stays in the flood's zero-padded, channel-blocked layout
+// (floodLayouts) from its input to its weight gradients: the input, whose
+// seed POM lane is written once, every layer's post-activation, and the
+// gradients flowing back. Every buffer is a view into one slab borrowed
+// from the tensor free list — a training job trains a Network of its own,
+// so memory hanging off the Network would always be cold, while the slab
+// of the previous job of this geometry is not. The slab comes back dirty:
+// newTrainScratch writes the padding shells and the POM lane, and each
+// example writes every interior it reads. release hands the slab back; a
+// scratch that is never released is ordinary garbage.
 type trainScratch struct {
-	slab    []float32
-	tensors []tensor.Tensor // backing array of every view below
+	slab []float32
+	plan *trainPlan // the trainer's, packed for the current round
 
-	cache      fwdCache
-	pom        *tensor.Tensor // constant seed POM
-	img, lab   *tensor.Tensor // (1,D,H,W) FOV extracts, for callers sampling a volume
-	in         *tensor.Tensor // packed (2,D,H,W) input
-	delta      *tensor.Tensor // (1,D,H,W) output logits
-	gradLogits *tensor.Tensor
-	g          paramViews // gradient views, bound to the row being written
-	// Backward temporaries, all (F,D,H,W). Nothing reads the gradient with
-	// respect to the packed input, so no buffer holds it.
-	gradCur, gradPrev, gradSum, gradAct1 *tensor.Tensor
+	in   []float32   // Blocked input: image lane per example, seed POM lane
+	acts [][]float32 // Blocked post-activations: the input layer's, then each module's hidden and output
+	// Blocked gradients: the running one, the next, and a module's hidden.
+	gradCur, gradPrev, gradHid []float32
+
+	tensors                     [4]tensor.Tensor // backing array of the four views below
+	img, lab, delta, gradLogits *tensor.Tensor   // (1,D,H,W) FOV extracts, logits and their gradient
+	g                           paramViews       // gradient views, bound to the row being written
+}
+
+// TrainScratchLen is the length of the slab one training scratch of cfg's
+// geometry borrows, per lane of a trainer: with P padded and V interior FOV
+// positions and L = Features rounded up to whole vectors, the 2-channel
+// input (2P), 2*Modules+1 activations and three gradients (L*P each) and
+// four FOV tensors (V each).
+func (cfg *Config) TrainScratchLen() int {
+	li, lx := cfg.floodLayouts()
+	return li.Len() + (2*cfg.Modules+4)*lx.Len() + 4*li.D*li.H*li.W
 }
 
 // newTrainScratch is the one scratch constructor: every trainer's forward
-// and backward buffers come from here.
-func (n *Network) newTrainScratch() *trainScratch {
-	f, mods := n.cfg.Features, len(n.mods)
-	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
-	v := d * h * w
-	// F-channel tensors: preIn, actIn, four per module, four backward
-	// temporaries; 1-channel: pom, img, lab, delta, gradLogits; 2-channel:
-	// in.
-	wide, one := 6+4*mods, 5
-	ts := &trainScratch{
-		slab:    tensor.GetFloats((wide*f + one + 2) * v),
-		tensors: make([]tensor.Tensor, wide+one+1),
-		g:       newParamViews(n.cfg),
+// and backward buffers come from here. plan is the trainer's.
+func (n *Network) newTrainScratch(plan *trainPlan) *trainScratch {
+	cfg := &n.cfg
+	li, lx := cfg.floodLayouts()
+	ts := &trainScratch{slab: tensor.GetFloats(cfg.TrainScratchLen()), plan: plan, g: newParamViews(*cfg)}
+	free := ts.slab
+	next := func(size int) []float32 {
+		s := free[:size:size]
+		free = free[size:]
+		return s
 	}
-	free, next := ts.slab, 0
-	carve := func(shape []int) *tensor.Tensor {
-		size := shape[0] * v
-		t := &ts.tensors[next]
-		t.Shape, t.Data = shape, free[:size:size]
-		free, next = free[size:], next+1
-		return t
+	ts.in = next(li.Len())
+	li.ClearShell(ts.in)
+	cfg.fillSeedPOMLane(ts.in, li)
+	blocked := func() []float32 {
+		b := next(lx.Len())
+		lx.ClearShell(b)
+		return b
 	}
-	// Tensors of one channel count share one shape slice; nothing writes it.
-	shapeF, shape1, shape2 := []int{f, d, h, w}, []int{1, d, h, w}, []int{2, d, h, w}
-
-	c := &ts.cache
-	c.preIn, c.actIn = carve(shapeF), carve(shapeF)
-	for range n.mods {
-		c.modPre1 = append(c.modPre1, carve(shapeF))
-		c.modAct1 = append(c.modAct1, carve(shapeF))
-		c.modPre2 = append(c.modPre2, carve(shapeF))
-		c.modOut = append(c.modOut, carve(shapeF))
+	for i := 0; i < 2*len(n.mods)+1; i++ {
+		ts.acts = append(ts.acts, blocked())
 	}
-	ts.gradCur, ts.gradPrev = carve(shapeF), carve(shapeF)
-	ts.gradSum, ts.gradAct1 = carve(shapeF), carve(shapeF)
-	ts.pom, ts.img, ts.lab = carve(shape1), carve(shape1), carve(shape1)
-	ts.delta, ts.gradLogits = carve(shape1), carve(shape1)
-	ts.in = carve(shape2)
-	n.fillSeedPOM(ts.pom.Data)
+	ts.gradCur, ts.gradPrev, ts.gradHid = blocked(), blocked(), blocked()
+	shape := []int{1, li.D, li.H, li.W} // shared by the four views; nothing writes it
+	for i, t := range [4]**tensor.Tensor{&ts.img, &ts.lab, &ts.delta, &ts.gradLogits} {
+		ts.tensors[i] = tensor.Tensor{Shape: shape, Data: next(li.D * li.H * li.W)}
+		*t = &ts.tensors[i]
+	}
+	if len(free) != 0 {
+		panic(fmt.Sprintf("ffn: %d floats of a training slab left over", len(free)))
+	}
 	return ts
 }
 
@@ -314,7 +354,8 @@ func (n *Network) newTrainScratch() *trainScratch {
 // use after release fails loudly. Idempotent.
 func (ts *trainScratch) release() {
 	tensor.PutFloats(ts.slab)
-	ts.slab = nil
+	ts.slab, ts.in, ts.acts = nil, nil, nil
+	ts.gradCur, ts.gradPrev, ts.gradHid = nil, nil, nil
 	for i := range ts.tensors {
 		ts.tensors[i].Data = nil
 	}
@@ -327,47 +368,113 @@ func (ts *trainScratch) extract(image, labels *Volume, fov [3]int, c [3]int) {
 	extractFOVInto(ts.lab, labels, fov, c[0], c[1], c[2])
 }
 
-// backwardInto computes the parameter gradients of the pass cached in ts
-// into row (len ParamCount, canonical order, overwritten), using only the
-// scratch temporaries.
-func (n *Network) backwardInto(ts *trainScratch, gradDelta *tensor.Tensor, row []float32) {
-	ts.g.bind(row)
-	cache, g := &ts.cache, &ts.g
-	last := cache.actIn
-	if len(cache.modOut) > 0 {
-		last = cache.modOut[len(cache.modOut)-1]
-	}
-	tensor.Conv3DBackwardInto(ts.gradCur, g.wOut, g.bOut, last, n.wOut, gradDelta)
-
-	for i := len(n.mods) - 1; i >= 0; i-- {
-		m := n.mods[i]
-		prev := cache.actIn
-		if i > 0 {
-			prev = cache.modOut[i-1]
-		}
-		// Through the output ReLU of the module.
-		tensor.ReLUBackwardInto(ts.gradSum, cache.modPre2[i], ts.gradCur)
-		// Residual: gradient flows both into conv2 branch and skip path.
-		tensor.Conv3DBackwardInto(ts.gradAct1, g.mods[i].w2, g.mods[i].b2, cache.modAct1[i], m.w2, ts.gradSum)
-		tensor.ReLUBackwardInto(ts.gradAct1, cache.modPre1[i], ts.gradAct1)
-		tensor.Conv3DBackwardInto(ts.gradPrev, g.mods[i].w1, g.mods[i].b1, prev, m.w1, ts.gradAct1)
-		ts.gradPrev.AddInPlace(ts.gradSum) // skip connection
-		ts.gradCur, ts.gradPrev = ts.gradPrev, ts.gradCur
-	}
-	tensor.ReLUBackwardInto(ts.gradCur, cache.preIn, ts.gradCur)
-	tensor.Conv3DBackwardInto(nil, g.wIn, g.bIn, cache.input, n.wIn, ts.gradCur)
-}
-
 // exampleGrad runs forward+backward on one FOV example — image and label
 // are (1,D,H,W) FOV tensors, the POM starts from the seed state — writing
-// the parameter gradient into row and returning the BCE loss. It only reads
-// the weights, so workers with their own scratch may call it concurrently.
+// the parameter gradient into row (len ParamCount, canonical order,
+// overwritten) and returning the BCE loss. It only reads the weights (in
+// ts.plan's lane form, and wOut), so workers with their own scratch may
+// call it concurrently; it runs on the calling goroutine.
+//
+// Every step is the channel-lane engine's, and each value is the one the
+// planar scalar-order chain computes (planar_test.go holds it to that bit
+// for bit): the forward pass is the flood's at full-FOV spans; a ReLU's
+// backward masks by its post-activation (tensor.MaskReLUGrad); each input
+// gradient is a ConvLanes33 with the flipped weights, the skip gradient as
+// its residual; and tensor.ConvLanesGradW33 sums the weight and bias
+// gradients.
 func (n *Network) exampleGrad(ts *trainScratch, image, label *tensor.Tensor, row []float32) float64 {
-	packInputInto(ts.in, image, ts.pom)
-	n.forwardInto(&ts.cache, ts.in, ts.delta)
+	cfg := &n.cfg
+	f := cfg.Features
+	li, lx := cfg.floodLayouts()
+	plan, full, acts := ts.plan, ts.plan.spans, ts.acts
+	wIn, _ := cfg.laneWeightLens()
+
+	for z := 0; z < li.D; z++ {
+		for y := 0; y < li.H; y++ {
+			src := image.Data[(z*li.H+y)*li.W:][:li.W]
+			dst := ts.in[li.Pos(z, y, 0):]
+			for x, v := range src {
+				dst[x*li.C] = v
+			}
+		}
+	}
+	tensor.ConvLanes33ReLU(acts[0], lx, ts.in, li, 2, plan.w[:wIn], nil, full)
+	for i := range n.mods {
+		w1, w2, _, _ := plan.module(cfg, i)
+		in, hid, out := acts[2*i], acts[2*i+1], acts[2*i+2]
+		tensor.ConvLanes33ReLU(hid, lx, in, lx, f, w1, nil, full)
+		tensor.ConvLanes33ReLU(out, lx, hid, lx, f, w2, in, full) // residual connection
+	}
+	last := acts[len(acts)-1]
+	n.logitsAt(ts.delta.Data, last, lx, full)
 	loss := tensor.LogitBCEInto(ts.gradLogits, ts.delta, label, nil)
-	n.backwardInto(ts, ts.gradLogits, row)
+
+	ts.g.bind(row)
+	g := &ts.g
+	n.logitsBackward(ts.gradCur, lx, g.wOut.Data, g.bOut, last, ts.gradLogits.Data)
+	cur, next := ts.gradCur, ts.gradPrev
+	for i := len(n.mods) - 1; i >= 0; i-- {
+		_, _, t1, t2 := plan.module(cfg, i)
+		in, hid, out := acts[2*i], acts[2*i+1], acts[2*i+2]
+		gm := g.mods[i]
+		// Through the module's output ReLU; the gradient flows both into the
+		// conv2 branch and down the skip path.
+		tensor.MaskReLUGrad(cur, out, lx)
+		tensor.ConvLanesGradW33(gm.w2.Data, gm.b2, hid, lx, f, cur, lx, f)
+		tensor.ConvLanes33(ts.gradHid, lx, cur, lx, f, t2, nil, full)
+		tensor.MaskReLUGrad(ts.gradHid, hid, lx)
+		tensor.ConvLanesGradW33(gm.w1.Data, gm.b1, in, lx, f, ts.gradHid, lx, f)
+		tensor.ConvLanes33(next, lx, ts.gradHid, lx, f, t1, cur, full) // plus the skip connection
+		cur, next = next, cur
+	}
+	tensor.MaskReLUGrad(cur, acts[0], lx)
+	// Nothing reads the gradient with respect to the input.
+	tensor.ConvLanesGradW33(g.wIn.Data, g.bIn, ts.in, li, 2, cur, lx, f)
 	return loss
+}
+
+// logitsBackward is the 1x1x1 logit layer's backward, in the scalar conv's
+// order with each product rounded on its own: the bias gradient gb sums gl
+// over the positions, each feature's weight gradient gw[c] is a dot
+// product of gl with that feature, and the gradient with respect to the
+// last activation act, written to the interior of grad (layout lay, the
+// lanes past Features zero), is 0 + w[c]*gl at each position.
+func (n *Network) logitsBackward(grad []float32, lay tensor.Blocked, gw, gb, act, gl []float32) {
+	wOut := n.wOut.Data
+	var sb float32
+	for _, v := range gl {
+		sb += v
+	}
+	gb[0] = sb
+	// rows visits the FOV rows in (z, y) order: the dense offset of the
+	// row's first position and the Blocked one.
+	rows := func(visit func(p, o int)) {
+		for z := 0; z < lay.D; z++ {
+			for y := 0; y < lay.H; y++ {
+				visit((z*lay.H+y)*lay.W, lay.Pos(z, y, 0))
+			}
+		}
+	}
+	for c := range gw {
+		var s float32
+		rows(func(p, o int) {
+			for x, v := range gl[p:][:lay.W] {
+				s += float32(v * act[o+x*lay.C+c])
+			}
+		})
+		gw[c] = s
+	}
+	rows(func(p, o int) {
+		for x, v := range gl[p:][:lay.W] {
+			a := grad[o+x*lay.C:][:lay.C]
+			for c, wv := range wOut {
+				var s float32
+				s += float32(wv * v)
+				a[c] = s
+			}
+			clear(a[len(wOut):])
+		}
+	})
 }
 
 // step applies one optimizer update to the whole parameter vector. It is the

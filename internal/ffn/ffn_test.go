@@ -56,7 +56,9 @@ func apply(n *Network, image, pom *tensor.Tensor) *tensor.Tensor {
 	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
 	in, out := tensor.New(2, d, h, w), tensor.New(1, d, h, w)
 	packInputInto(in, image, pom)
-	n.forwardInto(&n.newTrainScratch().cache, in, out)
+	ts := newPlanarScratch(n)
+	defer ts.release()
+	n.forwardInto(&ts.cache, in, out)
 	return out
 }
 
@@ -95,7 +97,10 @@ func TestApplyShapes(t *testing.T) {
 // Round runs: exampleGrad, then step. It is the reference a batch-1 Round is
 // held to bit for bit (TestBatchOneRoundIsTrainStep).
 func refStep(n *Network, opt *tensor.SGD, image, label *tensor.Tensor) float64 {
-	ts := n.newTrainScratch()
+	plan := n.newTrainPlan()
+	defer plan.release()
+	plan.pack(n)
+	ts := n.newTrainScratch(plan)
 	defer ts.release()
 	grad := make([]float32, n.ParamCount())
 	loss := n.exampleGrad(ts, image, label, grad)

@@ -42,19 +42,12 @@ type floodPlan struct {
 
 // newFloodPlan builds the plan of a flood.
 func (n *Network) newFloodPlan() floodPlan {
-	f := n.cfg.Features
-	wIn, wMod := tensor.LaneWeights33Len(f, 2), tensor.LaneWeights33Len(f, f)
+	wIn, wMod := n.cfg.laneWeightLens()
 	p := floodPlan{
 		w:     tensor.GetFloats(wIn + 2*len(n.mods)*wMod),
 		spans: tensor.GetInt32s(n.cfg.readSpansLen()),
 	}
-	tensor.PackLaneWeights33(p.w, n.wIn, n.bIn)
-	rest := p.w[wIn:]
-	for _, m := range n.mods {
-		tensor.PackLaneWeights33(rest, m.w1, m.b1)
-		tensor.PackLaneWeights33(rest[wMod:], m.w2, m.b2)
-		rest = rest[2*wMod:]
-	}
+	n.packLaneWeights(p.w)
 	n.cfg.readSpans(p.spans)
 	return p
 }
@@ -239,6 +232,12 @@ func (s *batchScratch) prepareSlot(b int) {
 	for _, buf := range [3][]float32{s.x0, s.x1, s.hid} {
 		lx.ClearShell(slot(buf, lx, b))
 	}
+	cfg.fillSeedPOMLane(in, li)
+}
+
+// fillSeedPOMLane writes the seed POM into the POM lane (channel 1) of a
+// Blocked input: PadProb's logit everywhere, SeedProb's at the center.
+func (cfg *Config) fillSeedPOMLane(in []float32, li tensor.Blocked) {
 	pad := logit(cfg.PadProb)
 	for z := 0; z < li.D; z++ {
 		for y := 0; y < li.H; y++ {
@@ -254,7 +253,8 @@ func (s *batchScratch) prepareSlot(b int) {
 // forwardBatchInto runs the forward pass over the first k batch slots
 // (each slot's image lane already extracted): one parallel.Invoke over the
 // slots, each running every layer (Run). The logits land in s.out at the
-// positions floodReads lists, bit-exact with forwardInto per slot there;
+// positions floodReads lists, bit-exact with the planar forward pass per
+// slot there (the tests' forwardInto);
 // the rest of s.out is not written.
 func (n *Network) forwardBatchInto(s *batchScratch, k int) {
 	for ; s.ready < k; s.ready++ {
@@ -272,7 +272,7 @@ func (s *batchScratch) Run(start, end int) {
 	cfg := &n.cfg
 	f := cfg.Features
 	li, lx := cfg.floodLayouts()
-	wIn, wMod := tensor.LaneWeights33Len(f, 2), tensor.LaneWeights33Len(f, f)
+	wIn, wMod := cfg.laneWeightLens()
 	rows := 2 * cfg.FOV[0] * cfg.FOV[1]
 	at := func(depth int) []int32 { return s.plan.spans[depth*rows:][:rows] }
 	fovN := cfg.FOV[0] * cfg.FOV[1] * cfg.FOV[2]

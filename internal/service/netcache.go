@@ -147,11 +147,16 @@ func resolveCheckpoint(jc *JobContext, ref string) (*ffn.Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := ck.Net.Config()
-	nc := api.NetConfig{FOV: c.FOV, Features: c.Features, Modules: c.Modules,
-		MoveStep: c.MoveStep, MoveProb: c.MoveProb, SegmentProb: c.SegmentProb}
+	nc := netConfigOf(ck.Net.Config())
 	if err := nc.Validate("checkpoint " + ref); err != nil {
 		return nil, err
 	}
 	return ck, nil
+}
+
+// netConfigOf is the api form of a network's geometry, for holding a
+// network that arrived by ref to the caps a spelled-out net is held to.
+func netConfigOf(c ffn.Config) api.NetConfig {
+	return api.NetConfig{FOV: c.FOV, Features: c.Features, Modules: c.Modules,
+		MoveStep: c.MoveStep, MoveProb: c.MoveProb, SegmentProb: c.SegmentProb}
 }

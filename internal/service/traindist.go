@@ -89,6 +89,13 @@ func TrainDistHandler(jc *JobContext) (any, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Training sizes more from the network than a flood does: its
+		// gradient matrix and per-lane scratch are held to the caps an
+		// inline net's are, before the trainer borrows either.
+		nc := netConfigOf(ck.Net.Config())
+		if err := nc.ValidateTraining("train_dist.resume_from "+spec.ResumeFrom, ck.BatchPerRound); err != nil {
+			return nil, err
+		}
 		t, err = ffn.ResumeDistTrainer(ck, img, lbl, spec.Workers)
 		if err != nil {
 			return nil, err

@@ -1,0 +1,84 @@
+package service
+
+import (
+	"strings"
+	"testing"
+
+	"chaseci/internal/api"
+	"chaseci/internal/dataset"
+	"chaseci/internal/ffn"
+	"chaseci/internal/tensor"
+)
+
+// TestTrainScratchCapMatchesKernel: a train_dist job's per-lane training
+// scratch is held to api's 64M-element limit, and api's restated length is
+// the one ffn borrows (ffn.Config.TrainScratchLen). Around the limit, at a
+// default-feature net of 16 modules, validation accepts exactly the FOVs
+// whose kernel scratch fits; the 29^3 x 256-feature x 16-module net, whose
+// scratch is over a gigabyte per lane, is refused inline; and a checkpoint
+// of a net the flood's caps accept but training's do not fails its
+// resume_from job as invalid before a trainer is built.
+func TestTrainScratchCapMatchesKernel(t *testing.T) {
+	const limit = 64 << 20
+	refused := 0
+	for _, d := range []int{55, 57, 59, 61} {
+		nc := api.NetConfig{FOV: [3]int{d, d, d}, Modules: 16}
+		cfg := netConfig(&nc)
+		req := distRequest(1, 1)
+		req.TrainDist.Net, req.TrainDist.BatchPerRound = &nc, 1
+		err := req.Validate()
+		if fits := cfg.TrainScratchLen() <= limit; (err == nil) != fits {
+			t.Fatalf("fov %d^3: kernel scratch %d elements, Validate = %v", d, cfg.TrainScratchLen(), err)
+		}
+		if err != nil {
+			refused++
+		}
+	}
+	if refused == 0 || refused == 4 {
+		t.Fatalf("%d of 4 FOVs refused: the sweep must straddle the limit", refused)
+	}
+
+	huge := distRequest(1, 1)
+	huge.TrainDist.Net = &api.NetConfig{FOV: [3]int{29, 29, 29}, Features: 256, Modules: 16}
+	huge.TrainDist.BatchPerRound = 1
+	if err := huge.Validate(); err == nil || !strings.Contains(err.Error(), "training scratch") {
+		t.Fatalf("29^3 x 256 features x 16 modules: Validate = %v, want a training-scratch refusal", err)
+	}
+
+	// Accepted by the flood's caps (NetConfig.Validate), refused by
+	// training's: a small network over a 61^3 FOV.
+	cfg := ffn.DefaultConfig()
+	cfg.FOV, cfg.Modules = [3]int{61, 61, 61}, 16
+	if cfg.TrainScratchLen() <= limit {
+		t.Fatalf("test geometry: %d-element scratch is within the limit", cfg.TrainScratchLen())
+	}
+	if nc := netConfigOf(cfg); nc.Validate("net") != nil {
+		t.Fatal("test geometry: the flood caps refuse the net")
+	}
+	net, err := ffn.NewNetwork(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := dataset.EncodeCheckpoint((&ffn.Checkpoint{Net: net, Opt: tensor.NewSGD(0.03, 0.9), BatchPerRound: 1}).EncodeBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := newTestRunner(t, DefaultRegistry(), 1)
+	info, err := r.Datasets().Put(enc, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resume := &api.JobRequest{Kind: api.KindTrainDist, TrainDist: &api.TrainDistSpec{
+		Source: api.VolumeSource{Synth: &api.SynthSpec{NLon: 36, NLat: 24, NLev: 4, Steps: 6, Seed: 11}}, Threshold: 130,
+		Workers: 1, Rounds: 2, ResumeFrom: info.ID}}
+	st, err := r.Submit(resume, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitState(t, r, st.ID, terminal)
+	if final.State != api.StateFailed || !strings.Contains(final.Error, api.ErrInvalid.Error()) ||
+		!strings.Contains(final.Error, "training scratch") || strings.Contains(final.Error, "attempts") {
+		t.Fatalf("resume from an over-cap checkpoint: %s (%s), want failed once as an invalid training scratch", final.State, final.Error)
+	}
+	assertNoLeaks(t, r)
+}

@@ -117,24 +117,71 @@ func (t *convBwd) Run(start, end int) {
 }
 
 // unitSpan computes gradW[oc0:oc1][ic] of a 3x3x3 kernel with the AVX2
-// kernel: one call per dz yields the nine (dy, dx) taps of eight output
-// channels, lane l of tap k at acc[k*bwdLanes+l].
+// kernel, from the padded planar input and the group's dense lane slab.
 func (t *convBwd) unitSpan(oc0, oc1, ic int) {
 	d, h, w := t.d, t.h, t.wd
-	pw := w + 2
-	pplane := (h + 2) * pw
-	pch := (d + 2) * pplane
-	gT := t.g[oc0*d*h*w:] // the group's slab: bwdLanes floats per position
+	pplane := (h + 2) * (w + 2)
+	geo := gradW33Geom{d: d, h: h, w: w, pplane: pplane, prow: w + 2, istr: 1, gstr: bwdLanes}
+	gradW33Unit(t.gradW, t.pad[ic*(d+2)*pplane:], t.g[oc0*d*h*w:], &geo, oc0, oc1, ic, t.cin, true)
+}
+
+// gradW33Geom is where the weight-gradient kernel finds its operands, in
+// floats: the padded input's plane, row and position strides, and the
+// gradient lane slab's position stride, plus what it skips after each row
+// and each plane.
+type gradW33Geom struct {
+	d, h, w                    int
+	pplane, prow, istr         int
+	gstr, growSkip, gplaneSkip int
+}
+
+// gradW33Unit computes gradW[oc0:oc1][ic] of a 3x3x3 kernel from in, the
+// padded input of channel ic from its first position, and gT, the
+// gradient's lanes from output channel oc0 of the first position: one
+// convBwdW33 call (convBwdW33Go unless asm) per dz yields the nine (dy, dx)
+// taps of eight output channels, lane l of tap k at acc[k*bwdLanes+l].
+func gradW33Unit(gradW, in, gT []float32, geo *gradW33Geom, oc0, oc1, ic, cin int, asm bool) {
 	var acc [9 * bwdLanes]float32
 	for dz := 0; dz < 3; dz++ {
-		convBwdW33(&acc[0], &t.pad[ic*pch+dz*pplane], &gT[0],
-			int64(d), int64(h), int64(w), int64(pplane), int64(pw))
+		pin := in[dz*geo.pplane:]
+		if asm {
+			convBwdW33(&acc[0], &pin[0], &gT[0], int64(geo.d), int64(geo.h), int64(geo.w),
+				int64(4*geo.pplane), int64(4*geo.prow), int64(4*geo.istr),
+				int64(4*geo.gstr), int64(4*geo.growSkip), int64(4*geo.gplaneSkip))
+		} else {
+			convBwdW33Go(&acc, pin, gT, geo)
+		}
 		for oc := oc0; oc < oc1; oc++ {
-			dst := t.gradW[(oc*t.cin+ic)*27+dz*9:][:9]
+			dst := gradW[(oc*cin+ic)*27+dz*9:][:9]
 			for k := range dst {
 				dst[k] = acc[k*bwdLanes+oc-oc0]
 			}
 		}
+	}
+}
+
+// convBwdW33Go is convBwdW33 in Go, with strides in floats: the same sums
+// in the same (z, y, x) order, each product rounded on its own.
+func convBwdW33Go(acc *[9 * bwdLanes]float32, pin, gT []float32, geo *gradW33Geom) {
+	*acc = [9 * bwdLanes]float32{}
+	g := 0
+	for z := 0; z < geo.d; z++ {
+		for y := 0; y < geo.h; y++ {
+			row := pin[z*geo.pplane+y*geo.prow:]
+			for x := 0; x < geo.w; x++ {
+				gl := gT[g:][:bwdLanes:bwdLanes]
+				g += geo.gstr
+				for k := 0; k < 9; k++ {
+					v := row[k/3*geo.prow+(x+k%3)*geo.istr]
+					a := acc[k*bwdLanes:][:bwdLanes]
+					for l, gv := range gl {
+						a[l] += float32(v * gv)
+					}
+				}
+			}
+			g += geo.growSkip
+		}
+		g += geo.gplaneSkip
 	}
 }
 

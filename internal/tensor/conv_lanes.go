@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Channel-lane forward engine for 3x3x3 conv + ReLU layers whose activations
 // stay in one layout from layer to layer (the f32 flood's, in internal/ffn).
@@ -22,10 +25,16 @@ import "fmt"
 // (padding taps included, each adding a signed zero) in the scalar kernel's
 // ic -> dz -> dy -> dx order with separate multiply and add, then the
 // residual, then max(0, .) keeping NaN and -0 — the per-element sequence of
-// Conv3DBatchReLUInto (or Conv3DBatchInto, AddInPlace, ReLUInto). The
-// AVX2 kernel convRow33 and its Go twin convRow33Go compute the same bits;
-// the twin runs wherever the span path is off (SetSpanKernels(false), the
-// nosimd tag, non-amd64, CPUs without AVX2).
+// Conv3DBatchReLUInto (or Conv3DBatchInto, AddInPlace, ReLUInto).
+// ConvLanes33 is the same without the ReLU. The AVX2 kernel convRow33 and
+// its Go twin convRow33Go compute the same bits; the twin runs wherever the
+// span path is off (SetSpanKernels(false), the nosimd tag, non-amd64, CPUs
+// without AVX2).
+//
+// Training runs on the same engine (internal/ffn's exampleGrad): the
+// forward pass as the flood's, every input gradient as a ConvLanes33 with
+// PackLaneWeights33Flipped weights, the ReLU backward as MaskReLUGrad on the
+// post-activation, and the weight gradients as ConvLanesGradW33.
 
 // laneWidth is how many output channels one vector holds; laneTile is the
 // most positions one convRow33 call keeps in registers.
@@ -101,6 +110,33 @@ func PackLaneWeights33(dst []float32, weight *Tensor, bias []float32) {
 	}
 }
 
+// PackLaneWeights33Flipped writes the lane form of the input gradient of a
+// conv with (cout, cin, 3, 3, 3) weights into dst (len
+// LaneWeights33Len(cin, cout)): the conv from cout channels to cin with the
+// channels transposed and the taps flipped, w'[ic][oc][k] = w[oc][ic][26-k],
+// and no bias. ConvLanes33 with it maps a gradient with respect to the
+// conv's output to the gradient with respect to its input.
+func PackLaneWeights33Flipped(dst []float32, weight *Tensor) {
+	cout, cin := weight.Shape[0], weight.Shape[1]
+	if weight.Shape[2] != 3 || weight.Shape[3] != 3 || weight.Shape[4] != 3 {
+		panic(fmt.Sprintf("tensor: PackLaneWeights33Flipped wants 3x3x3 weights, got %v", weight.Shape))
+	}
+	dst = dst[:LaneWeights33Len(cin, cout)]
+	clear(dst)
+	gLen := cout*27*laneWidth + laneWidth
+	for ic := 0; ic < cin; ic++ {
+		g := dst[ic/laneWidth*gLen:][:gLen]
+		l := ic % laneWidth
+		for oc := 0; oc < cout; oc++ {
+			src := weight.Data[(oc*cin+ic)*27:][:27]
+			row := g[oc*27*laneWidth:]
+			for k, v := range src {
+				row[(26-k)*laneWidth+l] = v
+			}
+		}
+	}
+}
+
 // ConvLanes33ReLU computes one 3x3x3 same-padded conv layer with a fused
 // ReLU, out = max(0, conv(in) + res), at the interior positions spans lists:
 // for each of the D*H rows (z, y) in order, the half-open interval
@@ -110,12 +146,23 @@ func PackLaneWeights33(dst []float32, weight *Tensor, bias []float32) {
 // PackLaneWeights33 form for lo.C/8 groups. Lanes past cout come out as
 // max(0, 0 + 0*x + res). The call allocates nothing.
 func ConvLanes33ReLU(out []float32, lo Blocked, in []float32, li Blocked, cin int, lw, res []float32, spans []int32) {
+	convLanes33(out, lo, in, li, cin, lw, res, spans, 0)
+}
+
+// ConvLanes33 is ConvLanes33ReLU without the ReLU: out = conv(in) + res.
+func ConvLanes33(out []float32, lo Blocked, in []float32, li Blocked, cin int, lw, res []float32, spans []int32) {
+	convLanes33(out, lo, in, li, cin, lw, res, spans, float32(math.Inf(-1)))
+}
+
+// convLanes33 is both: the epilogue is max(floor, .), a ReLU at a +0 floor
+// and nothing at -Inf.
+func convLanes33(out []float32, lo Blocked, in []float32, li Blocked, cin int, lw, res []float32, spans []int32, floor float32) {
 	groups := lo.C / laneWidth
 	gLen := cin*27*laneWidth + laneWidth
 	if lo.C%laneWidth != 0 || lo.D != li.D || lo.H != li.H || lo.W != li.W || cin < 1 || cin > li.C ||
 		len(out) < lo.Len() || len(in) < li.Len() || (res != nil && len(res) < lo.Len()) ||
 		len(lw) != groups*gLen || len(spans) != 2*lo.D*lo.H {
-		panic(fmt.Sprintf("tensor: ConvLanes33ReLU geometry: out %v (len %d), in %v (len %d), cin %d, weights %d, spans %d",
+		panic(fmt.Sprintf("tensor: ConvLanes33 geometry: out %v (len %d), in %v (len %d), cin %d, weights %d, spans %d",
 			lo, len(out), li, len(in), cin, len(lw), len(spans)))
 	}
 	asm := spanActive(3, 3, 3)
@@ -126,7 +173,7 @@ func ConvLanes33ReLU(out []float32, lo Blocked, in []float32, li Blocked, cin in
 		z, y := r/lo.H, r%lo.H
 		x0, x1 := int(spans[2*r]), int(spans[2*r+1])
 		if x0 < 0 || x1 > lo.W {
-			panic(fmt.Sprintf("tensor: ConvLanes33ReLU row (%d, %d) span [%d, %d) outside width %d", z, y, x0, x1, lo.W))
+			panic(fmt.Sprintf("tensor: ConvLanes33 row (%d, %d) span [%d, %d) outside width %d", z, y, x0, x1, lo.W))
 		}
 		// The row in equal tiles of at most laneTile positions.
 		for tiles := (x1 - x0 + laneTile - 1) / laneTile; x0 < x1; tiles-- {
@@ -142,14 +189,14 @@ func ConvLanes33ReLU(out []float32, lo Blocked, in []float32, li Blocked, cin in
 						rp = &res[o]
 					}
 					convRow33(&out[o], &in[ip], &w[0], &w[gLen-laneWidth], rp,
-						int64(cin), int64(4*istr), int64(4*prow), int64(4*pplane), int64(4*ostr), int64(n))
+						int64(cin), int64(4*istr), int64(4*prow), int64(4*pplane), int64(4*ostr), int64(n), floor)
 					continue
 				}
 				var rs []float32
 				if res != nil {
 					rs = res[o:]
 				}
-				convRow33Go(out[o:], in[ip:], w, rs, cin, istr, prow, pplane, ostr, n)
+				convRow33Go(out[o:], in[ip:], w, rs, cin, istr, prow, pplane, ostr, n, floor)
 			}
 			x0 += n
 		}
@@ -159,7 +206,7 @@ func ConvLanes33ReLU(out []float32, lo Blocked, in []float32, li Blocked, cin in
 // convRow33Go is convRow33 in Go, on slices and with strides in floats. The
 // explicit float32 conversions keep every product rounded on its own: no
 // fused multiply-add, as in the kernel.
-func convRow33Go(out, in, w, res []float32, cin, istr, prow, pplane, ostr, n int) {
+func convRow33Go(out, in, w, res []float32, cin, istr, prow, pplane, ostr, n int, floor float32) {
 	bias := w[cin*27*laneWidth:][:laneWidth]
 	for p := 0; p < n; p++ {
 		// One register accumulator per lane.
@@ -195,7 +242,77 @@ func convRow33Go(out, in, w, res []float32, cin, istr, prow, pplane, ostr, n int
 		}
 		dst := out[p*ostr:][:laneWidth]
 		for l, v := range acc {
-			dst[l] = relu(v)
+			// The kernel's VMAXPS with the floor first: NaN and a zero of
+			// either sign against a +0 floor pass, as relu keeps them.
+			if floor > v {
+				v = floor
+			}
+			dst[l] = v
+		}
+	}
+}
+
+// MaskReLUGrad is the ReLU backward on the post-activation, over the
+// interior of two buffers of layout b: it zeroes g wherever act <= 0 and
+// leaves it elsewhere, NaN included. Since act = relu(pre) is <= 0 exactly
+// where pre is (-0 stays -0, NaN stays NaN), this is ReLUBackwardInto on
+// the pre-activation, which training then need not keep. Written on the bit
+// pattern, like relu, so that it compiles to a conditional move.
+func MaskReLUGrad(g, act []float32, b Blocked) {
+	n := b.W * b.C
+	for z := 0; z < b.D; z++ {
+		for y := 0; y < b.H; y++ {
+			o := b.Pos(z, y, 0)
+			gr := g[o:][:n]
+			for i, v := range act[o:][:n] {
+				bits := math.Float32bits(gr[i])
+				if v <= 0 {
+					bits = 0
+				}
+				gr[i] = math.Float32frombits(bits)
+			}
+		}
+	}
+}
+
+// ConvLanesGradW33 computes the weight and bias gradients of a 3x3x3 conv
+// whose input, cin channels in layout li, and output gradient, cout
+// channels in layout lg (the interior of li, lg.C a whole number of
+// vectors), are Blocked buffers with zero shells: gradW (cout, cin, 3, 3, 3)
+// and gradB (len cout), both overwritten. Conv3DBackwardInto's
+// weight-gradient kernel reads both buffers in place — eight output
+// channels of a position are one vector of the gradient, and the input's
+// shell is the padding — so each element is the same sum, in the same
+// (z, y, x) order, as the planar backward's: convBwdW33, or its Go twin
+// wherever the span path is off. The bias gradient sums each channel over
+// the positions in the same order. It runs on the calling goroutine and
+// allocates nothing.
+func ConvLanesGradW33(gradW, gradB, in []float32, li Blocked, cin int, g []float32, lg Blocked, cout int) {
+	d, h, w := li.D, li.H, li.W
+	if lg.D != d || lg.H != h || lg.W != w || lg.C%laneWidth != 0 || cout < 1 || cout > lg.C || cin < 1 || cin > li.C ||
+		len(in) < li.Len() || len(g) < lg.Len() || len(gradW) != cout*cin*27 || len(gradB) != cout {
+		panic(fmt.Sprintf("tensor: ConvLanesGradW33 geometry: in %v (len %d), cin %d, grad %v (len %d), cout %d, gradW %d, gradB %d",
+			li, len(in), cin, lg, len(g), cout, len(gradW), len(gradB)))
+	}
+	clear(gradB)
+	for z := 0; z < d; z++ {
+		for y := 0; y < h; y++ {
+			row := g[lg.Pos(z, y, 0):][:w*lg.C]
+			for x := 0; x < w; x++ {
+				for oc, v := range row[x*lg.C:][:cout] {
+					gradB[oc] += v
+				}
+			}
+		}
+	}
+	geo := gradW33Geom{d: d, h: h, w: w,
+		pplane: (h + 2) * (w + 2) * li.C, prow: (w + 2) * li.C, istr: li.C,
+		gstr: lg.C, growSkip: 2 * lg.C, gplaneSkip: 2 * (w + 2) * lg.C}
+	asm := spanActive(3, 3, 3)
+	for oc0 := 0; oc0 < cout; oc0 += laneWidth {
+		gT := g[lg.Pos(0, 0, 0)+oc0:]
+		for ic := 0; ic < cin; ic++ {
+			gradW33Unit(gradW, in[ic:], gT, &geo, oc0, min(oc0+laneWidth, cout), ic, cin, asm)
 		}
 	}
 }

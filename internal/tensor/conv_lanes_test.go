@@ -211,3 +211,85 @@ func BenchmarkConvLanes33ReLU(b *testing.B) {
 		ConvLanes33ReLU(out, li, inBuf, li, 8, lw, nil, spans)
 	}
 }
+
+// TestConvLanesBackwardMatchesConv3DBackward pins training's lane backward
+// to Conv3DBackwardInto, bit for bit, on the AVX2 kernels and on their Go
+// twins: ConvLanes33 with PackLaneWeights33Flipped weights and the skip
+// gradient as its residual is gradIn followed by AddInPlace, and
+// ConvLanesGradW33 is gradW and gradB, for channel counts on both sides of
+// a vector and past two. MaskReLUGrad on the post-activation is
+// ReLUBackwardInto on the pre-activation, -0 and NaN included.
+func TestConvLanesBackwardMatchesConv3DBackward(t *testing.T) {
+	defer SetSpanKernels(SetSpanKernels(true))
+	rng := sim.NewRNG(47)
+	const d, h, w = 3, 4, 5
+	for _, cin := range []int{2, 6, 8, 12} {
+		for _, cout := range []int{6, 8, 12, 17} {
+			in := randTensor(rng, 1, cin, d, h, w)
+			wt := randTensor(rng, cout, cin, 3, 3, 3)
+			gOut := randTensor(rng, 1, cout, d, h, w)
+			skip := randTensor(rng, 1, cin, d, h, w)
+			in3 := &Tensor{Shape: in.Shape[1:], Data: in.Data}
+			gOut3 := &Tensor{Shape: gOut.Shape[1:], Data: gOut.Data}
+			lw := make([]float32, LaneWeights33Len(cin, cout))
+			PackLaneWeights33Flipped(lw, wt)
+			inBuf, li := toBlocked(in, 0, cin)
+			gBuf, lg := toBlocked(gOut, 0, LaneChannels(cout))
+			skipBuf, lo := toBlocked(skip, 0, LaneChannels(cin))
+			for _, span := range []bool{true, false} {
+				SetSpanKernels(span)
+				name := fmt.Sprintf("cin%d/cout%d/span=%v", cin, cout, span)
+				gradIn, gradW, gradB := New(cin, d, h, w), New(cout, cin, 3, 3, 3), make([]float32, cout)
+				Conv3DBackwardInto(gradIn, gradW, gradB, in3, wt, gOut3)
+				gradIn.AddInPlace(&Tensor{Shape: gradIn.Shape, Data: skip.Data})
+
+				out := make([]float32, lo.Len())
+				ConvLanes33(out, lo, gBuf, lg, cout, lw, skipBuf, laneSpans(d, h, w, true))
+				gw, gb := make([]float32, len(gradW.Data)), make([]float32, cout)
+				ConvLanesGradW33(gw, gb, inBuf, li, cin, gBuf, lg, cout)
+				for z := 0; z < d; z++ {
+					for y := 0; y < h; y++ {
+						for x := 0; x < w; x++ {
+							for c := 0; c < cin; c++ {
+								got, want := out[lo.Pos(z, y, x)+c], gradIn.Data[((c*d+z)*h+y)*w+x]
+								if math.Float32bits(got) != math.Float32bits(want) {
+									t.Fatalf("%s: gradIn (%d,%d,%d) c %d = %v, want %v", name, z, y, x, c, got, want)
+								}
+							}
+						}
+					}
+				}
+				for i, want := range gradW.Data {
+					if math.Float32bits(gw[i]) != math.Float32bits(want) {
+						t.Fatalf("%s: gradW[%d] = %v, want %v", name, i, gw[i], want)
+					}
+				}
+				for i, want := range gradB {
+					if math.Float32bits(gb[i]) != math.Float32bits(want) {
+						t.Fatalf("%s: gradB[%d] = %v, want %v", name, i, gb[i], want)
+					}
+				}
+			}
+		}
+	}
+
+	negZero := float32(math.Copysign(0, -1))
+	nan := float32(math.NaN())
+	pre := New(1, 8, 1, 1, 2)
+	copy(pre.Data, []float32{negZero, 0, -1, 2, nan, 1e-40, -1e-40, 3, 5, -5, 0, negZero, nan, 7, -7, 1})
+	act := New(1, 8, 1, 1, 2)
+	ReLUInto(act, pre)
+	g := randTensor(rng, 1, 8, 1, 1, 2)
+	want := New(1, 8, 1, 1, 2)
+	ReLUBackwardInto(want, pre, g)
+	gBuf, lay := toBlocked(g, 0, 8)
+	actBuf, _ := toBlocked(act, 0, 8)
+	MaskReLUGrad(gBuf, actBuf, lay)
+	for x := 0; x < 2; x++ {
+		for c, v := range gBuf[lay.Pos(0, 0, x):][:8] {
+			if ref := want.Data[c*2+x]; math.Float32bits(v) != math.Float32bits(ref) {
+				t.Fatalf("MaskReLUGrad channel %d x %d (pre %v): %v, want %v", c, x, pre.Data[c*2+x], v, ref)
+			}
+		}
+	}
+}

@@ -8,13 +8,15 @@ import "math"
 // and the CPU check gate both:
 //   - conv33Flat, below, computes planar (B, C, D, H, W) tensors one output
 //     channel at a time, eight positions of a plane in the lanes of a
-//     vector. It serves Conv3DInto and Conv3DBatch*Into: training's
-//     forward, the input gradient of Conv3DBackwardInto, and any caller
-//     with planar tensors.
+//     vector. It serves Conv3DInto, Conv3DBatch*Into and the input gradient
+//     of Conv3DBackwardInto: callers with planar tensors, which outside the
+//     tests are only the benchmark's conv probes.
 //   - convRow33 (conv_lanes.go) computes channel-blocked Blocked buffers
 //     eight output channels at a time, in the lanes of a vector, at the
-//     positions the caller lists. It serves ConvLanes33ReLU: the f32
-//     flood's forward pass, whose activations never leave that layout.
+//     positions the caller lists, with a ReLU epilogue or none. It serves
+//     ConvLanes33ReLU and ConvLanes33: the f32 flood's forward pass, and
+//     training's forward pass and input gradients, whose activations and
+//     gradients never leave that layout.
 //
 // The scalar batched engine (conv_batch.go) is already at the scalar FP
 // throughput floor: each output element needs cin*27 multiply-accumulates and

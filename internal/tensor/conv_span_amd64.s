@@ -141,24 +141,24 @@ done:
 	VMULPS       Y9, t, t \
 	VADDPS       t, acc, acc
 
-// func convBwdW33(dst, pin, gt *float32, d, h, w, pplane, pw int64)
+// func convBwdW33(dst, pin, gt *float32, d, h, w, pplane, prow, istride, gstride, growSkip, gplaneSkip int64)
 //
 // Accumulators Y0-Y8 (tap k = dy*3+dx) stay in registers across all d*h*w
 // output positions, walked in (z, y, x) order; each position loads its
 // eight gradOut lanes once and issues nine broadcast-multiply-adds. The
 // input reads stay inside the padded channel: rows y..y+2 and columns
-// x..x+2 of plane z of the (d+2, h+2, w+2) block that pin starts.
-TEXT ·convBwdW33(SB), NOSPLIT, $0-64
-	MOVQ dst+0(FP), DI
+// x..x+2 of plane z of the (d+2, h+2, w+2) block that pin starts, tap dx
+// of position x at (x+dx)*istride (DI), the rows at SI, CX = SI + prow and
+// R15 = SI + 2*prow. Strides are in bytes.
+TEXT ·convBwdW33(SB), NOSPLIT, $0-96
 	MOVQ pin+8(FP), BX
 	MOVQ gt+16(FP), DX
 	MOVQ d+24(FP), R8
 	MOVQ h+32(FP), R13
 	MOVQ w+40(FP), R14
 	MOVQ pplane+48(FP), R12
-	SHLQ $2, R12
-	MOVQ pw+56(FP), R11
-	SHLQ $2, R11
+	MOVQ prow+56(FP), R11
+	MOVQ istride+64(FP), DI
 
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
@@ -180,28 +180,33 @@ wy_loop:
 
 wx_loop:
 	VMOVUPS (DX), Y9
-	WTAP(0(SI), Y10, Y0)
-	WTAP(4(SI), Y11, Y1)
-	WTAP(8(SI), Y12, Y2)
-	WTAP(0(SI)(R11*1), Y13, Y3)
-	WTAP(4(SI)(R11*1), Y14, Y4)
-	WTAP(8(SI)(R11*1), Y15, Y5)
-	WTAP(0(SI)(R11*2), Y10, Y6)
-	WTAP(4(SI)(R11*2), Y11, Y7)
-	WTAP(8(SI)(R11*2), Y12, Y8)
-	ADDQ $4, SI
-	ADDQ $32, DX
-	DECQ R10
-	JNZ  wx_loop
+	LEAQ    (SI)(R11*1), CX
+	LEAQ    (SI)(R11*2), R15
+	WTAP((SI), Y10, Y0)
+	WTAP((SI)(DI*1), Y11, Y1)
+	WTAP((SI)(DI*2), Y12, Y2)
+	WTAP((CX), Y13, Y3)
+	WTAP((CX)(DI*1), Y14, Y4)
+	WTAP((CX)(DI*2), Y15, Y5)
+	WTAP((R15), Y10, Y6)
+	WTAP((R15)(DI*1), Y11, Y7)
+	WTAP((R15)(DI*2), Y12, Y8)
+	ADDQ    DI, SI
+	ADDQ    gstride+72(FP), DX
+	DECQ    R10
+	JNZ     wx_loop
 
+	ADDQ growSkip+80(FP), DX
 	ADDQ R11, AX
 	DECQ R9
 	JNZ  wy_loop
 
+	ADDQ gplaneSkip+88(FP), DX
 	ADDQ R12, BX
 	DECQ R8
 	JNZ  wz_loop
 
+	MOVQ    dst+0(FP), DI
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
 	VMOVUPS Y2, 64(DI)
@@ -234,15 +239,16 @@ wx_loop:
 	VADDPS (SI), acc, acc \
 	ADDQ   R11, SI
 
-// LOUT stores max(0, acc) at DI and steps DI one position. The zero (Y15)
-// is the first source, so a NaN or a zero of either sign in acc is what
-// comes out, as tensor.relu keeps them.
+// LOUT stores max(floor, acc) at DI and steps DI one position. The floor
+// (Y15) is the first source, so a NaN in acc, or a zero of either sign
+// against a +0 floor, is what comes out, as tensor.relu keeps them; a -Inf
+// floor passes every acc through unchanged.
 #define LOUT(acc) \
 	VMAXPS  acc, Y15, acc \
 	VMOVUPS acc, (DI)     \
 	ADDQ    R11, DI
 
-// func convRow33(dst, pin, w, bias, res *float32, cin, istride, prow, pplane, ostride, n int64)
+// func convRow33(dst, pin, w, bias, res *float32, cin, istride, prow, pplane, ostride, n int64, floor float32)
 //
 // n (1..12) consecutive output positions of one row, eight output channels
 // each, in channel-blocked layout; strides are in bytes. Accumulators Y0-Y11
@@ -251,8 +257,9 @@ wx_loop:
 // enters the unrolled position chain at the n-th position, falling through
 // to position 0; input index i of the row (position p, tap dx: i = p+dx)
 // is addressed from bases SI, R13, R14, DI at i = 0, 4, 8, 12 plus 0, 1, 2
-// or 3 strides (R11, R11*2, R12 = 3*R11).
-TEXT ·convRow33(SB), NOSPLIT, $0-88
+// or 3 strides (R11, R11*2, R12 = 3*R11). The epilogue is max(floor, .):
+// ReLU at a +0 floor, none at -Inf.
+TEXT ·convRow33(SB), NOSPLIT, $0-92
 	MOVQ pin+8(FP), BX
 	MOVQ w+16(FP), DX
 	MOVQ bias+24(FP), AX
@@ -363,11 +370,11 @@ lp1:
 	DECQ R8
 	JNZ  lic_loop
 
-	MOVQ   dst+0(FP), DI
-	MOVQ   res+32(FP), SI
-	MOVQ   ostride+72(FP), R11
-	VXORPS Y15, Y15, Y15
-	TESTQ  SI, SI
+	MOVQ         dst+0(FP), DI
+	MOVQ         res+32(FP), SI
+	MOVQ         ostride+72(FP), R11
+	VBROADCASTSS floor+88(FP), Y15
+	TESTQ        SI, SI
 	JZ     lrelu
 
 	LRES(Y0)
