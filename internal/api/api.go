@@ -1144,7 +1144,7 @@ type SegmentResult struct {
 	VoxelsTotal int `json:"voxels_total"`
 	// Mask payload, included only when return_mask was set. Inline mode
 	// carries MaskBits, the 1-bit-per-voxel LSB-first packing of the (D, H,
-	// W) row-major binary mask (dataset.PackBits — ~32x smaller than the
+	// W) row-major binary mask (dataset.WordBits — ~32x smaller than the
 	// float array it replaced); ref mode carries MaskRef, a dataset id
 	// fetchable via GET /v1/datasets/{id}.
 	D        int    `json:"d,omitempty"`

@@ -115,17 +115,8 @@ func voxels(d, h, w int) (int, bool) {
 	return dh * w, true
 }
 
-// PackBits packs a float32 field into 1 bit per element, LSB-first: any
-// non-zero value becomes a set bit. It is the shared mask encoding of the
-// dataset codec and the Job API's inline mask_bits result field.
-func PackBits(data []float32) []byte {
-	out := make([]byte, (len(data)+7)/8)
-	packBitsInto(out, data)
-	return out
-}
-
-// packBitsInto writes data as bits into out, which must hold
-// (len(data)+7)/8 bytes; every byte is written, so out need not be zero. It
+// packBitsInto writes a float mask as the codec's mask payload: data as
+// bits, LSB-first, into out, which must hold (len(data)+7)/8 bytes; every byte is written, so out need not be zero. It
 // reads non-zero from the bit pattern, sign cleared, and branches on no
 // value: NaN sets a bit, -0 does not, exactly as v != 0.
 func packBitsInto(out []byte, data []float32) {
@@ -242,6 +233,65 @@ func encodeMaskInto(enc []byte, d, h, w int, data []float32) {
 	packBitsInto(enc[HeaderSize:], data)
 }
 
+// EncodeMaskWords encodes a mask that is already bits: voxel i is bit i%32
+// of words[i/32], (n+31)/32 words for n voxels, every bit past n zero — an
+// ffn.Mask. Nothing is packed: the payload is the words' little-endian
+// bytes.
+func EncodeMaskWords(d, h, w int, words []uint32) ([]byte, error) {
+	n, err := checkMaskWords(d, h, w, words)
+	if err != nil {
+		return nil, err
+	}
+	b := make([]byte, maskEncodedLen(n))
+	encodeMaskWordsInto(b, d, h, w, words)
+	return b, nil
+}
+
+// encodeMaskWordsInto writes EncodeMaskWords(d, h, w, words) into enc, which
+// must hold exactly its length and need not be zero.
+func encodeMaskWordsInto(enc []byte, d, h, w int, words []uint32) {
+	clear(enc[:HeaderSize])
+	putHeader(enc, KindMask, d, h, w)
+	putWordBits(enc[HeaderSize:], words)
+}
+
+// WordBits returns the packed bytes of the first n bits of words: the mask
+// payload EncodeMaskWords writes, and the Job API's inline mask_bits.
+func WordBits(words []uint32, n int) []byte {
+	out := make([]byte, (n+7)/8)
+	putWordBits(out, words)
+	return out
+}
+
+// putWordBits writes words' bits into dst LSB-first, as many bytes as dst
+// holds: word i is bytes 4i to 4i+3, little-endian. Each word is written
+// through binary.LittleEndian, never reinterpreted, so the bytes are the
+// same on any host.
+func putWordBits(dst []byte, words []uint32) {
+	full := len(dst) / 4
+	for i, w := range words[:full] {
+		binary.LittleEndian.PutUint32(dst[4*i:], w)
+	}
+	for j := range dst[4*full:] {
+		dst[4*full+j] = byte(words[full] >> (8 * j))
+	}
+}
+
+// checkMaskWords refuses words that are not a (d, h, w) mask's bits: dims
+// out of range, the wrong word count, or a bit set past the last voxel,
+// which would give one logical mask a second encoding. It returns the
+// voxel count.
+func checkMaskWords(d, h, w int, words []uint32) (int, error) {
+	n, ok := voxels(d, h, w)
+	if !ok || len(words) != (n+31)/32 {
+		return 0, fmt.Errorf("%w: mask %dx%dx%d in %d words", ErrBadEncoding, d, h, w, len(words))
+	}
+	if rem := n % 32; rem != 0 && words[len(words)-1]>>rem != 0 {
+		return 0, fmt.Errorf("%w: bits set past voxel %d", ErrBadEncoding, n)
+	}
+	return n, nil
+}
+
 // checkMask refuses a mask whose dims are out of range or disagree with its
 // value count.
 func checkMask(d, h, w int, data []float32) error {
@@ -297,6 +347,9 @@ type Blob struct {
 
 	expand sync.Once
 	floats []float32 // a mask's 0/1 expansion, built by the first Floats call
+
+	sums       sync.Once
+	sum, sumsq float64 // tensor.Sums of Floats(), computed by the first Sums call
 }
 
 // Voxels returns the element count.
@@ -316,6 +369,16 @@ func (b *Blob) Floats() []float32 {
 		b.floats, _ = UnpackBits(b.Bits, b.Voxels())
 	})
 	return b.floats
+}
+
+// Sums returns the index-order float64 sum and sum of squares of Floats()
+// (tensor.Sums): what a flood conditions the field with. Like a mask's
+// expansion, they are computed by the first call, once per Blob however
+// many jobs ask at once, and shared: every later job on the same content
+// pays nothing for them.
+func (b *Blob) Sums() (sum, sumsq float64) {
+	b.sums.Do(func() { b.sum, b.sumsq = tensor.Sums(b.Floats()) })
+	return b.sum, b.sumsq
 }
 
 // CloneData returns a private copy of the float32 payload, for a caller that
@@ -700,27 +763,54 @@ func (m *Manager) PutVolume(d, h, w int, data []float32, owner string) (Info, er
 
 // PutMask stores a binary mask (1 bit/voxel) as Put stores its encoding.
 // The mask is packed once, into an encoding borrowed from the tensor free
-// list, and hashed there. Re-putting a mask the store holds registers the
-// putter and hands the buffer back, so it allocates nothing; only a new id
-// copies its encoding into memory the store keeps.
+// list, and hashed there (putBorrowed).
 func (m *Manager) PutMask(d, h, w int, data []float32, owner string) (Info, error) {
 	if err := checkMask(d, h, w, data); err != nil {
 		return Info{}, err
 	}
-	n := maskEncodedLen(len(data))
-	words := tensor.GetWords((n + 3) / 4)
-	defer tensor.PutWords(words)
-	enc := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), n)
+	buf, enc := borrowEncoding(maskEncodedLen(len(data)))
+	defer tensor.PutWords(buf)
 	encodeMaskInto(enc, d, h, w, data)
+	return m.putBorrowed(enc, Info{Kind: KindMask.String(), D: d, H: h, W: w, Owner: owner})
+}
+
+// PutMaskWords is PutMask for a mask that is already bits, as
+// EncodeMaskWords takes them: the header and the words' bytes go into a
+// borrowed encoding, which is hashed there (putBorrowed). Nothing is packed.
+func (m *Manager) PutMaskWords(d, h, w int, words []uint32, owner string) (Info, error) {
+	n, err := checkMaskWords(d, h, w, words)
+	if err != nil {
+		return Info{}, err
+	}
+	buf, enc := borrowEncoding(maskEncodedLen(n))
+	defer tensor.PutWords(buf)
+	encodeMaskWordsInto(enc, d, h, w, words)
+	return m.putBorrowed(enc, Info{Kind: KindMask.String(), D: d, H: h, W: w, Owner: owner})
+}
+
+// borrowEncoding borrows n bytes, contents unspecified, from the tensor
+// free list: enc views the words, which the caller hands back with
+// tensor.PutWords.
+func borrowEncoding(n int) (words []uint32, enc []byte) {
+	words = tensor.GetWords((n + 3) / 4)
+	return words, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), n)
+}
+
+// putBorrowed stores enc, an encoding in a borrowed buffer described by
+// info, and marks it kept, as Put does. Re-putting content the store holds
+// registers the putter and allocates nothing; only a new id copies enc into
+// memory the store keeps.
+func (m *Manager) putBorrowed(enc []byte, info Info) (Info, error) {
 	id := contentID(enc)
 	m.mu.Lock()
 	if stored, ok := m.meta[string(id[:])]; ok { // the conversion is only a lookup key
-		stored = m.registerLocked(stored, owner, true, false)
+		stored = m.registerLocked(stored, info.Owner, true, false)
 		m.mu.Unlock()
 		return stored, nil
 	}
 	m.mu.Unlock()
-	info, _, err := m.store(bytes.Clone(enc), Info{ID: string(id[:]), Kind: KindMask.String(), D: d, H: h, W: w, Bytes: n, Owner: owner}, true, false)
+	info.ID, info.Bytes = string(id[:]), len(enc)
+	info, _, err := m.store(bytes.Clone(enc), info, true, false)
 	return info, err
 }
 

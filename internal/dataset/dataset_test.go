@@ -78,7 +78,7 @@ func TestMaskRoundTripAndCompression(t *testing.T) {
 
 // TestEncodeMaskSingleAlloc: the mask is packed straight into the header
 // allocation — one allocation for the whole encoding, and the same bytes as
-// header + PackBits.
+// header + packBits.
 func TestEncodeMaskSingleAlloc(t *testing.T) {
 	d, h, w := 5, 9, 11 // 495 voxels: a partial last byte
 	data := make([]float32, d*h*w)
@@ -91,9 +91,9 @@ func TestEncodeMaskSingleAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := append(encodeHeader(KindMask, d, h, w, 0), PackBits(data)...)
+	want := append(encodeHeader(KindMask, d, h, w, 0), packBits(data)...)
 	if !bytes.Equal(enc, want) {
-		t.Fatal("EncodeMask bytes differ from header + PackBits")
+		t.Fatal("EncodeMask bytes differ from header + packBits")
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		if _, err := EncodeMask(d, h, w, data); err != nil {
@@ -272,7 +272,7 @@ func TestPackUnpackBitsPartialByte(t *testing.T) {
 				data[i] = 1
 			}
 		}
-		bits := PackBits(data)
+		bits := packBits(data)
 		back, err := UnpackBits(bits, n)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -20,6 +21,13 @@ func maskID(d, h, w int, data []float32) [2 * sha256.Size]byte {
 	enc := bytes.Repeat([]byte{0xA5}, maskEncodedLen(len(data)))
 	encodeMaskInto(enc, d, h, w, data)
 	return contentID(enc)
+}
+
+// packBits is packBitsInto a buffer of its own.
+func packBits(data []float32) []byte {
+	out := make([]byte, (len(data)+7)/8)
+	packBitsInto(out, data)
+	return out
 }
 
 // packBitsReference is the per-bit loop the branch-free packer replaces.
@@ -64,9 +72,6 @@ func TestPackBitsMatchesReference(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%d values: packed %x, reference %x", n, got, want)
 		}
-		if got := PackBits(data); !bytes.Equal(got, want) {
-			t.Fatalf("%d values: PackBits %x, reference %x", n, got, want)
-		}
 	}
 }
 
@@ -100,5 +105,137 @@ func TestPutAtChecksTheClaim(t *testing.T) {
 	junk := []byte("junk")
 	if _, err := m.PutAt(ID(junk), junk, "alice"); !errors.Is(err, ErrBadEncoding) {
 		t.Fatalf("junk at its own id: %v, want ErrBadEncoding", err)
+	}
+}
+
+// wordsOf packs a 0/1 field into words the way ffn.Mask holds it: voxel i
+// is bit i%32 of word i/32, nothing past the last voxel.
+func wordsOf(data []float32) []uint32 {
+	words := make([]uint32, (len(data)+31)/32)
+	for i, v := range data {
+		if v != 0 {
+			words[i/32] |= 1 << (i % 32)
+		}
+	}
+	return words
+}
+
+// TestMaskWordsEncodeAsPackedFloats: a mask given as words encodes, packs
+// and stores exactly as the same mask given as floats — EncodeMaskWords is
+// EncodeMask, WordBits is packBitsInto, PutMaskWords files the id PutMask does
+// and a re-put of it allocates nothing — at lengths across a few words, at
+// dims whose voxel count is not a multiple of 8 or 32, and at 64^3. Words
+// of the wrong count, or with a bit set past the last voxel, are refused.
+func TestMaskWordsEncodeAsPackedFloats(t *testing.T) {
+	dims := [][3]int{{5, 17, 19}, {3, 5, 7}, {64, 64, 64}}
+	for n := 1; n <= 67; n++ {
+		dims = append(dims, [3]int{1, 1, n})
+	}
+	m := NewLocal()
+	for _, dim := range dims {
+		d, h, w := dim[0], dim[1], dim[2]
+		data := bitsField(d * h * w)
+		for i, v := range data {
+			if v != 0 {
+				data[i] = 1
+			}
+		}
+		words := wordsOf(data)
+		want, err := EncodeMask(d, h, w, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := EncodeMaskWords(d, h, w, words)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%v: EncodeMaskWords %x (%v), EncodeMask %x", dim, got, err, want)
+		}
+		if bits := WordBits(words, len(data)); !bytes.Equal(bits, packBits(data)) {
+			t.Fatalf("%v: WordBits %x, packed floats %x", dim, bits, packBits(data))
+		}
+		info, err := m.PutMaskWords(d, h, w, words, "alice")
+		if err != nil || info.ID != ID(want) || info.Bytes != len(want) || info.Kind != "mask" {
+			t.Fatalf("%v: PutMaskWords %+v (%v), want id %s", dim, info, err, ID(want))
+		}
+		if again, err := m.PutMask(d, h, w, data, "alice"); err != nil || again != info {
+			t.Fatalf("%v: PutMask after PutMaskWords %+v (%v), want %+v", dim, again, err, info)
+		}
+		stored, err := m.GetBytes(info.ID)
+		if err != nil || !bytes.Equal(stored, want) {
+			t.Fatalf("%v: stored %x (%v), want %x", dim, stored, err, want)
+		}
+		if rem := len(data) % 32; rem != 0 {
+			words[len(words)-1] |= 1 << rem
+			if _, err := m.PutMaskWords(d, h, w, words, "alice"); !errors.Is(err, ErrBadEncoding) {
+				t.Fatalf("%v: a bit past the last voxel: %v, want ErrBadEncoding", dim, err)
+			}
+			if _, err := EncodeMaskWords(d, h, w, words); !errors.Is(err, ErrBadEncoding) {
+				t.Fatalf("%v: EncodeMaskWords of a bit past the last voxel: %v, want ErrBadEncoding", dim, err)
+			}
+		}
+		if _, err := m.PutMaskWords(d, h, w, append(words, 0), "alice"); !errors.Is(err, ErrBadEncoding) {
+			t.Fatalf("%v: one word too many: %v, want ErrBadEncoding", dim, err)
+		}
+	}
+	words := wordsOf(bitsField(64 * 64 * 64))
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := m.PutMaskWords(64, 64, 64, words, "alice"); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("re-putting stored mask words allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestBlobSumsMemoised: a blob's Sums are tensor.Sums of its Floats(), for
+// a volume and for a mask, computed once however many resolvers ask at
+// the same time: a write to the payload afterwards (a test may; nothing
+// else does) does not move them.
+func TestBlobSumsMemoised(t *testing.T) {
+	m := NewLocal()
+	vol := testVolume(4, 6, 9, 0.5)
+	vol[3] = float32(math.Copysign(0, -1))
+	vol[5] = math.SmallestNonzeroFloat32
+	vinfo, err := m.PutVolume(4, 6, 9, vol, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	minfo, err := m.PutMask(4, 6, 9, bitsField(4*6*9), "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{vinfo.ID, minfo.ID} {
+		blob, err := m.Resolve(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum, sumsq float64
+		for _, x := range blob.Floats() {
+			sum += float64(x)
+			sumsq += float64(x) * float64(x)
+		}
+		got := make([][2]float64, 8)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				again, err := m.Resolve(id)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[i][0], got[i][1] = again.Sums()
+			}()
+		}
+		wg.Wait()
+		for i, g := range got {
+			if g != [2]float64{sum, sumsq} {
+				t.Fatalf("%s resolver %d: Sums %v, want %v", blob.Kind, i, g, [2]float64{sum, sumsq})
+			}
+		}
+		blob.Floats()[0] += 100
+		if s, q := blob.Sums(); s != sum || q != sumsq {
+			t.Fatalf("%s: Sums recomputed after the first call: %v %v, want %v %v", blob.Kind, s, q, sum, sumsq)
+		}
 	}
 }

@@ -118,9 +118,9 @@ func extractFOV(v *Volume, fov [3]int, cz, cy, cx int) *tensor.Tensor {
 }
 
 // perFOVSegment is the reference the batched flood is held to: a
-// one-application-at-a-time FIFO flood over the planar chain's forwardInto,
-// with a map for the visited set and nothing shared with flood but
-// floodReads' core, mergeCore, fovInBounds and the final threshold.
+// one-application-at-a-time FIFO flood over the planar chain's forwardInto
+// into a float canvas, with a map for the visited set and nothing shared
+// with flood but floodReads' core, fovInBounds and the final threshold.
 func perFOVSegment(n *Network, image *Volume, seeds [][3]int, maxSteps int) (*Volume, InferenceStats) {
 	cfg := n.cfg
 	fov := cfg.FOV
@@ -145,7 +145,7 @@ func perFOVSegment(n *Network, image *Volume, seeds [][3]int, maxSteps int) (*Vo
 		extractFOVInto(ts.img, image, fov, p.z, p.y, p.x)
 		packInputInto(ts.in, ts.img, ts.pom)
 		n.forwardInto(&ts.cache, ts.in, ts.delta)
-		mergeCore(canvas.Data, image.H, image.W, fov, core, ts.delta.Data, p.z, p.y, p.x)
+		mergeCoreMax(canvas.Data, image.H, image.W, fov, core, ts.delta.Data, p.z, p.y, p.x)
 		stats.Steps++
 		for _, off := range cfg.moveOffsets() {
 			q := fovPos{p.z + off[0], p.y + off[1], p.x + off[2]}
@@ -253,7 +253,7 @@ func fillSlots(s *batchScratch, img *Volume, seeds [][3]int, k int) {
 	li, _ := s.net.cfg.floodLayouts()
 	for i := 0; i < k; i++ {
 		p := seeds[i%len(seeds)]
-		extractFOVBlocked(slot(s.in, li, i), li, img, p[0], p[1], p[2])
+		extractFOVBlocked(slot(s.in, li, i), li, img, Moments{0, 1}, p[0], p[1], p[2])
 	}
 }
 
@@ -311,7 +311,8 @@ func TestFloodBatchScratchAllocFree(t *testing.T) {
 	fov := cfg.FOV
 	fovN := fov[0] * fov[1] * fov[2]
 	core, _ := cfg.floodReads()
-	canvas := make([]float32, img.Size())
+	segLogit := logit(cfg.SegmentProb)
+	mask := make([]uint32, (img.Size()+31)/32)
 	plan := net.newFloodPlan()
 	defer plan.release()
 	bs := net.getBatchScratch(plan)
@@ -322,7 +323,7 @@ func TestFloodBatchScratchAllocFree(t *testing.T) {
 		net.forwardBatchInto(bs, k)
 		for i := 0; i < k; i++ {
 			s := seeds[i]
-			mergeCore(canvas, img.H, img.W, fov, core, bs.out[i*fovN:][:fovN], s[0], s[1], s[2])
+			mergeCore(mask, img.H, img.W, fov, core, bs.out[i*fovN:][:fovN], segLogit, s[0], s[1], s[2])
 		}
 	}
 	for _, workers := range []int{1, 2} {

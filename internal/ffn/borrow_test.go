@@ -134,8 +134,8 @@ func TestSegmentCtxSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestReleasedMaskIsRecycledAsCanvas: the mask SegmentCtx returns is its
-// canvas, and releasing it feeds the next flood's canvas.
+// TestReleasedMaskIsRecycledAsCanvas: the 0/1 volume SegmentCtx returns is
+// borrowed, and releasing it feeds the next flood's.
 func TestReleasedMaskIsRecycledAsCanvas(t *testing.T) {
 	net, img, seeds := batchScene(t)
 	prev := parallel.SetWorkers(1)
@@ -148,10 +148,10 @@ func TestReleasedMaskIsRecycledAsCanvas(t *testing.T) {
 	}
 	again, got := net.Segment(img, seeds, 0)
 	if &again.Data[0] != p {
-		t.Fatal("released mask was not reused as the next canvas")
+		t.Fatal("released mask was not reused as the next flood's")
 	}
 	if got != want {
-		t.Fatalf("stats over a recycled canvas %+v, want %+v", got, want)
+		t.Fatalf("stats over a recycled mask %+v, want %+v", got, want)
 	}
 	ReleaseVolume(nil) // a no-op, not a panic
 }

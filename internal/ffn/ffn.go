@@ -20,7 +20,7 @@
 //
 // A network not owned by a trainer is immutable. Only a trainer's step
 // writes weights, and only on the network it was given; everything else —
-// Segment and SegmentCtx, the forward passes, serialization — reads. So one
+// Flood, Segment and SegmentCtx, the forward passes, serialization — reads. So one
 // network may serve any number of concurrent floods, which is how the
 // service shares one inference network per set of weights across jobs.
 package ffn

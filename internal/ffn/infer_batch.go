@@ -10,11 +10,11 @@ import (
 // Batched flood-fill inference. A flood lane takes up to DefaultFloodBatch
 // ready FOV centers from the frontier and pushes them through the forward
 // pass together. Because every application's output depends only on the
-// image and the center — never on the canvas or on other in-flight
+// image and the center — never on the mask or on other in-flight
 // applications — batching any subset of ready positions, on any lane,
 // produces bit-exact masks and statistics (the claimed set stays the
-// multi-source closure, and the canvas merge is an order-independent
-// element-wise max).
+// multi-source closure, and the core merge is an order-independent OR of
+// bits).
 //
 // The forward pass runs on tensor's channel-lane engine
 // (tensor.ConvLanes33ReLU): each slot's activations stay in zero-padded,
@@ -33,7 +33,7 @@ const DefaultFloodBatch = 8
 // floodPlan is what every lane of one flood reads besides the image:
 // the 3x3x3 layers' weights in lane form (tensor.PackLaneWeights33: the
 // input layer's, then each module's two) and the read spans, all borrowed
-// from the free list once per SegmentCtx and never kept on the Network —
+// from the free list once per Flood and never kept on the Network —
 // so a trainer's step has nothing to invalidate.
 type floodPlan struct {
 	w     []float32
@@ -208,15 +208,17 @@ func slot(buf []float32, lay tensor.Blocked, b int) []float32 {
 }
 
 // extractFOVBlocked copies the FOV centered at (cz, cy, cx) into the image
-// lane (channel 0) of a Blocked input slot.
-func extractFOVBlocked(dst []float32, lay tensor.Blocked, v *Volume, cz, cy, cx int) {
+// lane (channel 0) of a Blocked input slot, conditioning each voxel with m
+// as it goes: the slot holds what NormalizeInto-then-copy would put there,
+// bit for bit, and no conditioned volume is written.
+func extractFOVBlocked(dst []float32, lay tensor.Blocked, v *Volume, m Moments, cz, cy, cx int) {
 	z0, y0, x0 := cz-lay.D/2, cy-lay.H/2, cx-lay.W/2
 	for z := 0; z < lay.D; z++ {
 		for y := 0; y < lay.H; y++ {
 			src := v.Data[((z0+z)*v.H+y0+y)*v.W+x0:][:lay.W]
 			row := dst[lay.Pos(z, y, 0):]
 			for x, val := range src {
-				row[x*lay.C] = val
+				row[x*lay.C] = m.Apply(val)
 			}
 		}
 	}
@@ -309,16 +311,29 @@ func (n *Network) logitsAt(out, act []float32, lay tensor.Blocked, spans []int32
 	}
 }
 
-// flood is the flood-fill loop under every Segment call, run by each lane
-// of a flood: it takes batches of up to DefaultFloodBatch FOV positions from
+// floodRun is what every lane of one flood shares: the raw image and the
+// moments each FOV is read through, the frontier, the claimed set, the mask
+// the lanes OR their cores into, the plan, the move and segment thresholds
+// as logits, and the progress counter (nil: none).
+type floodRun struct {
+	image               *Volume
+	m                   Moments
+	fr                  *frontier
+	claimed             visitedSet
+	mask                []uint32
+	plan                floodPlan
+	moveLogit, segLogit float32
+	prog                *floodProgress
+}
+
+// flood is the flood-fill loop under every Flood call, run by each lane of
+// a flood: it takes batches of up to DefaultFloodBatch FOV positions from
 // the frontier, claims the centers they move to through the (possibly
-// shared) atomic visited set, gives those back to the frontier, and
-// max-merges output cores into canvas — lane-private under the multi-lane
-// flood, the result canvas otherwise. Each application is conditioned on a
-// fresh seed POM (the scratch's constant POM lane), the input
-// distribution the network was trained on; the canvas is only the
-// aggregation buffer across FOVs — the single-step simplification of FFN's
-// recurrent POM.
+// shared) atomic visited set, gives those back to the frontier, and ORs each
+// output core into the shared mask (mergeCore). Each application is
+// conditioned on a fresh seed POM (the scratch's constant POM lane), the
+// input distribution the network was trained on; the mask only aggregates
+// across FOVs — the single-step simplification of FFN's recurrent POM.
 //
 // With budget > 0 (one lane, a first-in-first-out frontier) at most budget
 // applications run, and each batch is the oldest queued centers, expanded in
@@ -326,10 +341,11 @@ func (n *Network) logitsAt(out, act []float32, lay tensor.Blocked, spans []int32
 // budget, is that of a one-at-a-time FIFO. Without a budget the result is
 // order-independent and batches come off the back of the frontier, which
 // keeps it short. Cancellation is checked before every batch.
-func (n *Network) flood(ctx context.Context, image *Volume, fr *frontier, claimed visitedSet, canvas []float32, plan floodPlan, moveLogit float32, budget int, stats *InferenceStats, prog *floodProgress) {
+func (n *Network) flood(ctx context.Context, run *floodRun, budget int, stats *InferenceStats) {
 	cfg := n.cfg
-	s := n.getBatchScratch(plan)
+	s := n.getBatchScratch(run.plan)
 	defer n.putBatchScratch(s)
+	image, fr := run.image, run.fr
 	fov := cfg.FOV
 	fovN := fov[0] * fov[1] * fov[2]
 	li, _ := cfg.floodLayouts()
@@ -347,17 +363,17 @@ func (n *Network) flood(ctx context.Context, image *Volume, fr *frontier, claime
 			return
 		}
 		for i, p := range s.pos {
-			extractFOVBlocked(slot(s.in, li, i), li, image, p.z, p.y, p.x)
+			extractFOVBlocked(slot(s.in, li, i), li, image, run.m, p.z, p.y, p.x)
 		}
 		n.forwardBatchInto(s, k)
 		fresh := claims[:0]
 		for i, p := range s.pos {
 			out := s.out[i*fovN:][:fovN]
-			mergeCore(canvas, image.H, image.W, fov, core, out, p.z, p.y, p.x)
+			mergeCore(run.mask, image.H, image.W, fov, core, out, run.segLogit, p.z, p.y, p.x)
 			stats.Steps++
-			prog.bump()
+			run.prog.bump()
 			for j, t := range moves {
-				if out[(t[0]*fov[1]+t[1])*fov[2]+t[2]] < moveLogit {
+				if out[(t[0]*fov[1]+t[1])*fov[2]+t[2]] < run.moveLogit {
 					continue
 				}
 				off := offsets[j]
@@ -366,7 +382,7 @@ func (n *Network) flood(ctx context.Context, image *Volume, fr *frontier, claime
 					continue
 				}
 				key := (nz*image.H+ny)*image.W + nx
-				if !claimed.claimAtomic(key) {
+				if !run.claimed.claimAtomic(key) {
 					continue
 				}
 				fresh = append(fresh, fovPos{nz, ny, nx})

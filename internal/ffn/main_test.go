@@ -9,7 +9,7 @@ import (
 
 // TestMain runs every test in the package — the bit-exactness sweeps above
 // all — with released free-list buffers poisoned to NaN: a flood that read
-// a scratch tensor, a worker canvas or a volume after handing it back would
+// a scratch tensor, a mask's words or a volume after handing it back would
 // change a mask or a statistic instead of passing unnoticed.
 func TestMain(m *testing.M) {
 	tensor.PoisonReleased(true)

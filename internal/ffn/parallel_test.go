@@ -67,11 +67,10 @@ func imbalancedScene(t testing.TB, cfg Config, d, h, w int) (net *Network, img *
 // identical mask and identical statistics at worker counts 1 (one lane), 2,
 // and 8 (lanes sharing the frontier): applications depend only on the image
 // and the FOV center, the claimed set is the multi-source reachable set at
-// any schedule, and the canvas merge is an order-independent element-wise
-// max. The third scene is the imbalanced one, where all the work hangs off
+// any schedule, and the core merge is an order-independent OR of bits. The third scene is the imbalanced one, where all the work hangs off
 // one seed and the lanes share it through the frontier or not at all.
-// (TestMain poisons released buffers, so a lane canvas or scratch read after
-// its release would move a mask.)
+// (TestMain poisons released buffers, so a mask or scratch read after its
+// release would move a mask.)
 func TestSegmentParallelDeterministic(t *testing.T) {
 	type scene struct {
 		name  string

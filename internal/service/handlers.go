@@ -47,7 +47,9 @@ func synthIVTVolume(ctx context.Context, jc *JobContext, sy *api.SynthSpec, stag
 // shared by every job resolving it, concurrently, and is a view of the bytes
 // its content address names; inline data must be pristine for a retried
 // attempt. A handler that needs a transformed volume writes it into a buffer
-// of its own (normalizedVolume, thresholdVolume) and releases that buffer.
+// of its own (thresholdVolume, a training set's normalised image) and
+// releases that buffer; a flood needs none, as it conditions each FOV it
+// reads (moments).
 // owned marks the one source the job may hand back: a synthesized volume
 // sits in a free-list buffer nobody else has seen, and whoever holds the
 // source releases it once the job has consumed it.
@@ -66,6 +68,17 @@ func (s *source) volume() *ffn.Volume {
 		s.vol = &ffn.Volume{D: b.D, H: b.H, W: b.W, Data: b.Floats()}
 	}
 	return s.vol
+}
+
+// moments returns what a flood conditions the input with: for a ref, from
+// the sums its shared blob memoises, so only the first job on that content
+// makes a pass over it; else MomentsOf the volume, per job.
+func (s *source) moments() ffn.Moments {
+	if b := s.blob; b != nil {
+		sum, sumsq := b.Sums()
+		return ffn.MomentsFromSums(sum, sumsq, b.Voxels())
+	}
+	return ffn.MomentsOf(s.vol.Data)
 }
 
 // sourceVolume materializes a job's input (see source).
@@ -106,12 +119,6 @@ func sourceDepth(jc *JobContext, src *api.VolumeSource) (int, error) {
 	}
 }
 
-// normalizedVolume conditions raw into a buffer borrowed from the free
-// list; the caller releases it with ffn.ReleaseVolume.
-func normalizedVolume(raw *ffn.Volume) *ffn.Volume {
-	return raw.NormalizeInto(ffn.BorrowVolume(raw.D, raw.H, raw.W))
-}
-
 // thresholdVolume builds the binary mask raw >= threshold in a buffer
 // borrowed from the free list; the caller releases it with
 // ffn.ReleaseVolume.
@@ -128,9 +135,10 @@ func thresholdVolume(raw *ffn.Volume, threshold float32) *ffn.Volume {
 }
 
 // trainingSet is the conditioning every training path starts from: the raw
-// source, its binary labels (raw >= threshold) and the normalized image.
-// Labels and image live in borrowed buffers that release returns, along
-// with a synthesized raw (ownsRaw); any other raw is read-only (see source).
+// source, its binary labels (raw >= threshold) and the normalized image,
+// which training extracts many overlapping examples from. Labels and image
+// live in borrowed buffers that release returns, along with a synthesized
+// raw (ownsRaw); any other raw is read-only (see source).
 type trainingSet struct {
 	raw, labels, image *ffn.Volume
 	ownsRaw            bool
@@ -143,7 +151,8 @@ func openTrainingSet(jc *JobContext, src *api.VolumeSource, threshold float32) (
 		return trainingSet{}, err
 	}
 	raw := in.volume()
-	return trainingSet{raw: raw, ownsRaw: in.owned, labels: thresholdVolume(raw, threshold), image: normalizedVolume(raw)}, nil
+	image := raw.NormalizeInto(ffn.BorrowVolume(raw.D, raw.H, raw.W))
+	return trainingSet{raw: raw, ownsRaw: in.owned, labels: thresholdVolume(raw, threshold), image: image}, nil
 }
 
 func (s *trainingSet) release() {
@@ -201,8 +210,10 @@ func netConfig(nc *api.NetConfig) ffn.Config {
 // SegmentHandler runs FFN flood-fill segmentation: the network (drawn from
 // net_seed, or the one a net_ref checkpoint holds — shared with every job
 // naming the same weights, through the runner's cache), seed selection,
-// then SegmentCtx. A cancelled flood still returns the partial mask
-// statistics alongside ctx.Err().
+// then the flood, which reads the raw source through its moments. The mask
+// stays bits from the flood to the store (or the inline mask_bits). A
+// cancelled flood still returns the partial mask statistics alongside
+// ctx.Err().
 func SegmentHandler(jc *JobContext) (any, error) {
 	spec := jc.Request().Segment
 	var net *ffn.Network
@@ -224,7 +235,8 @@ func SegmentHandler(jc *JobContext) (any, error) {
 	if in.owned {
 		defer ffn.ReleaseVolume(raw)
 	}
-	// Seeds come from the raw field, before normalization.
+	// Seeds come from the raw field, which the flood conditions only as it
+	// reads each FOV.
 	seeds := spec.Seeds
 	if len(seeds) == 0 {
 		stride := spec.SeedStride
@@ -233,15 +245,13 @@ func SegmentHandler(jc *JobContext) (any, error) {
 		}
 		seeds = ffn.GridSeeds(raw, cfg.FOV, stride, spec.Threshold)
 	}
-	image := normalizedVolume(raw)
-	defer ffn.ReleaseVolume(image)
 
 	res := api.SegmentResult{}
 	jc.Progress(0, 0, "segment")
-	mask, stats, segErr := net.SegmentCtx(jc.Ctx(), image, seeds, spec.MaxSteps,
+	mask, stats, segErr := net.Flood(jc.Ctx(), raw, in.moments(), seeds, spec.MaxSteps,
 		func(steps int) { jc.Progress(int64(steps), 0, "segment") })
-	// The mask is packed (stored or inlined) below and then recycled.
-	defer ffn.ReleaseVolume(mask)
+	// The mask is stored or inlined below and then recycled.
+	defer mask.Release()
 	res.Steps = stats.Steps
 	res.Moves = stats.Moves
 	res.SeedsUsed = stats.SeedsUsed
@@ -250,7 +260,7 @@ func SegmentHandler(jc *JobContext) (any, error) {
 	if spec.ReturnMask {
 		res.D, res.H, res.W = mask.D, mask.H, mask.W
 		if jc.RefMode() && segErr == nil {
-			info, err := jc.Datasets().PutMask(mask.D, mask.H, mask.W, mask.Data, jc.Owner())
+			info, err := jc.Datasets().PutMaskWords(mask.D, mask.H, mask.W, mask.Words, jc.Owner())
 			if err != nil {
 				return res, err
 			}
@@ -258,7 +268,7 @@ func SegmentHandler(jc *JobContext) (any, error) {
 		} else {
 			// Inline (and cancelled-partial) masks travel 1-bit packed:
 			// ~32x smaller on the wire than the float array they replace.
-			res.MaskBits = dataset.PackBits(mask.Data)
+			res.MaskBits = dataset.WordBits(mask.Words, stats.VoxelsTotal)
 		}
 	}
 	return res, segErr

@@ -30,7 +30,7 @@ import (
 type pipeSlab struct {
 	start, steps int         // generator step range
 	raw          *ffn.Volume // IVT output; released after segment
-	mask         *ffn.Volume // segment output; released after label
+	mask         []byte      // segment output: the mask's encoding, labelled from its payload
 	maskRef      string      // ref mode: the stored mask's dataset id
 	res          api.PipelineSlabResult
 }
@@ -160,26 +160,27 @@ func PipelineHandler(jc *JobContext) (any, error) {
 			return sl, nil
 		}},
 		{"segment", func(_ int, sl *pipeSlab) (*pipeSlab, error) {
-			// Seeds come from the raw field, before normalization — the
-			// same order of operations as SegmentHandler.
+			// Seeds come from the raw field, which the flood conditions as
+			// it reads each FOV — the same order of operations as
+			// SegmentHandler.
 			seeds := ffn.GridSeeds(sl.raw, cfg.FOV, stride, spec.Threshold)
-			image := sl.raw.Normalize()
-			mask, stats, err := net.SegmentCtx(ctx, image, seeds, 0, nil)
+			mask, stats, err := net.Flood(ctx, sl.raw, ffn.MomentsOf(sl.raw.Data), seeds, 0, nil)
+			defer mask.Release()
 			if err != nil {
 				return nil, err
 			}
-			sl.mask = mask
 			ffn.ReleaseVolume(sl.raw) // the slab's image is dead past this stage
 			sl.raw = nil
+			// The encoding is what the label stage scans and, in ref mode,
+			// what the store keeps.
+			if sl.mask, err = dataset.EncodeMaskWords(mask.D, mask.H, mask.W, mask.Words); err != nil {
+				return nil, err
+			}
 			if keepMasks {
 				// Ref mode publishes every slab's mask content-addressed;
 				// the pin lands atomically inside the put, and the results
 				// loop promotes completed slabs with Keep.
-				enc, err := dataset.EncodeMask(mask.D, mask.H, mask.W, mask.Data)
-				if err != nil {
-					return nil, err
-				}
-				info, created, err := ds.PutPinned(enc, owner)
+				info, created, err := ds.PutPinned(sl.mask, owner)
 				if err != nil {
 					return nil, err
 				}
@@ -193,14 +194,14 @@ func PipelineHandler(jc *JobContext) (any, error) {
 			return sl, nil
 		}},
 		{"label", func(_ int, sl *pipeSlab) (*pipeSlab, error) {
-			result, err := connect.LabelCtx(ctx, connect.FromMask(sl.mask.D, sl.mask.H, sl.mask.W, sl.mask.Data), conn, spec.MinVoxels, nil)
+			bits := connect.FromBits(sl.steps, g.NLat, g.NLon, sl.mask[dataset.HeaderSize:])
+			result, err := connect.LabelCtx(ctx, bits, conn, spec.MinVoxels, nil)
 			if err != nil {
 				return nil, err
 			}
 			result.Release() // only the objects are reported
 			stats := connect.Summarize(result)
-			ffn.ReleaseVolume(sl.mask) // packed by the segment stage, labelled here: done
-			sl.mask = nil
+			sl.mask = nil // stored by the segment stage, labelled here: done
 			sl.res.Objects = stats.Objects
 			sl.res.ObjectVoxels = stats.TotalVoxels
 			sl.res.MaxDuration = stats.MaxDuration

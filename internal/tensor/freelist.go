@@ -9,7 +9,7 @@ import (
 
 // The shared float free list: one process-wide, length-keyed stock of idle
 // float32 buffers for everything sized by a volume or by a network geometry
-// — normalised images, flood canvases, the flood's visited bitset, the
+// — normalised training images, the flood's visited set and mask bits, the
 // per-worker inference scratch buffers, and the conv kernels' own
 // temporaries (padded inputs, the backward's transposed gradOut and flipped
 // weights). A job builds its own Network and its own volumes, so a list

@@ -108,6 +108,18 @@ func (t *Tensor) Scale(s float32) {
 	}
 }
 
+// Sums returns the float64 sum and sum of squares of data, accumulated in
+// index order: the one loop behind a volume's normalisation moments, whether
+// a flood computes them (ffn.MomentsOf) or a stored volume memoises them
+// (dataset.Blob.Sums).
+func Sums(data []float32) (sum, sumsq float64) {
+	for _, x := range data {
+		sum += float64(x)
+		sumsq += float64(x) * float64(x)
+	}
+	return sum, sumsq
+}
+
 // --- Volumetric (C, D, H, W) layout helpers --------------------------------
 
 // vIdx computes the flat index of (c, z, y, x) in a (C,D,H,W) tensor.
