@@ -230,31 +230,53 @@ func floodDigest(mask *Volume, stats InferenceStats) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// eachWidth runs fn as a subtest at flood widths 1 and 2 (forceWidth): on
+// a host without AVX-512F the Go twin serves width 2.
+func eachWidth(t *testing.T, fn func(t *testing.T)) {
+	for _, w := range []int{1, 2} {
+		t.Run(fmt.Sprintf("width=%d", w), func(t *testing.T) {
+			defer func(prev int) { forceWidth = prev }(forceWidth)
+			forceWidth = w
+			fn(t)
+		})
+	}
+}
+
 // TestFloodGolden pins absolute flood output — unbudgeted and budgeted,
-// serial and sharded — on every scene.
+// serial and sharded — on every scene, at both widths.
 func TestFloodGolden(t *testing.T) {
-	for _, sc := range floodScenes(t) {
-		for maxSteps, want := range floodGolden[sc.name] {
-			for _, workers := range []int{1, 2, 8} {
-				prev := parallel.SetWorkers(workers)
-				mask, stats := sc.net.Segment(sc.img, sc.seeds, maxSteps)
-				parallel.SetWorkers(prev)
-				if got := floodDigest(mask, stats); got != want {
-					t.Errorf("%s maxSteps=%d workers=%d: digest %s (%+v), want %s", sc.name, maxSteps, workers, got, stats, want)
+	eachWidth(t, func(t *testing.T) {
+		for _, sc := range floodScenes(t) {
+			for maxSteps, want := range floodGolden[sc.name] {
+				for _, workers := range []int{1, 2, 8} {
+					prev := parallel.SetWorkers(workers)
+					mask, stats := sc.net.Segment(sc.img, sc.seeds, maxSteps)
+					parallel.SetWorkers(prev)
+					if got := floodDigest(mask, stats); got != want {
+						t.Errorf("%s maxSteps=%d workers=%d: digest %s (%+v), want %s", sc.name, maxSteps, workers, got, stats, want)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // fillSlots extracts the FOVs at seeds i mod len(seeds) into an f32
 // scratch's input slots i < k.
 func fillSlots(s *batchScratch, img *Volume, seeds [][3]int, k int) {
-	li, _ := s.net.cfg.floodLayouts()
 	for i := 0; i < k; i++ {
 		p := seeds[i%len(seeds)]
-		extractFOVBlocked(slot(s.in, li, i), li, img, Moments{0, 1}, p[0], p[1], p[2])
+		s.extract(i, img, Moments{0, 1}, fovPos{p[0], p[1], p[2]})
 	}
+}
+
+// slotAt addresses batch slot i of one of a scratch's activation buffers:
+// channel c at FOV position (z, y, x).
+func (s *batchScratch) slotAt(buf []float32, i int) func(z, y, x, c int) *float32 {
+	w := s.plan.width
+	_, lx := s.net.cfg.floodLayouts(w)
+	b := slot(buf, lx, i/w)
+	return func(z, y, x, c int) *float32 { return &b[lx.Pos(z, y, x)+w*c+i%w] }
 }
 
 // forwardRef is the planar chain's forwardInto on the FOV at c: the
@@ -269,33 +291,36 @@ func forwardRef(net *Network, ts *planarScratch, img *Volume, c [3]int) []float3
 // TestForwardBatchMatchesForwardInto pins the f32 batched forward against
 // the planar forwardInto slot by slot, on the logits the flood reads
 // — 75 of 147 at 3x7x7, 79 of 405 at the default geometry — on every
-// scene, at every batch size.
+// scene, at every batch size (odd ones leave a paired buffer half live)
+// and both widths.
 func TestForwardBatchMatchesForwardInto(t *testing.T) {
 	for _, sc := range floodScenes(t) {
 		reads := readPositions(sc.net.cfg)
 		if len(reads) != sc.reads {
 			t.Fatalf("%s: the flood reads %d logits, want %d", sc.name, len(reads), sc.reads)
 		}
-		plan := sc.net.newFloodPlan()
-		bs := sc.net.getBatchScratch(plan)
-		ref := newPlanarScratch(sc.net)
-		fovN := len(ref.delta.Data)
-		for _, k := range []int{1, 3, DefaultFloodBatch} {
-			fillSlots(bs, sc.img, sc.seeds, k)
-			sc.net.forwardBatchInto(bs, k)
-			for i := 0; i < k; i++ {
-				want := forwardRef(sc.net, ref, sc.img, sc.seeds[i%len(sc.seeds)])
-				got := bs.out[i*fovN:][:fovN]
-				for _, j := range reads {
-					if got[j] != want[j] {
-						t.Fatalf("%s batch %d slot %d logit %d: got %v, want %v (not bit-exact)", sc.name, k, i, j, got[j], want[j])
+		for _, width := range []int{1, 2} {
+			plan := sc.net.newFloodPlan(width)
+			bs := sc.net.getBatchScratch(plan)
+			ref := newPlanarScratch(sc.net)
+			fovN := len(ref.delta.Data)
+			for _, k := range []int{1, 3, DefaultFloodBatch} {
+				fillSlots(bs, sc.img, sc.seeds, k)
+				sc.net.forwardBatchInto(bs, k)
+				for i := 0; i < k; i++ {
+					want := forwardRef(sc.net, ref, sc.img, sc.seeds[i%len(sc.seeds)])
+					got := bs.out[i*fovN:][:fovN]
+					for _, j := range reads {
+						if got[j] != want[j] {
+							t.Fatalf("%s width %d batch %d slot %d logit %d: got %v, want %v (not bit-exact)", sc.name, width, k, i, j, got[j], want[j])
+						}
 					}
 				}
 			}
+			ref.release()
+			sc.net.putBatchScratch(bs)
+			plan.release()
 		}
-		ref.release()
-		sc.net.putBatchScratch(bs)
-		plan.release()
 	}
 }
 
@@ -313,27 +338,29 @@ func TestFloodBatchScratchAllocFree(t *testing.T) {
 	core, _ := cfg.floodReads()
 	segLogit := logit(cfg.SegmentProb)
 	mask := make([]uint32, (img.Size()+31)/32)
-	plan := net.newFloodPlan()
-	defer plan.release()
-	bs := net.getBatchScratch(plan)
-	defer net.putBatchScratch(bs)
-	k := cap(bs.pos)
-	run := func() {
-		fillSlots(bs, img, seeds, k)
-		net.forwardBatchInto(bs, k)
-		for i := 0; i < k; i++ {
-			s := seeds[i]
-			mergeCore(mask, img.H, img.W, fov, core, bs.out[i*fovN:][:fovN], segLogit, s[0], s[1], s[2])
+	for _, width := range []int{1, 2} {
+		plan := net.newFloodPlan(width)
+		bs := net.getBatchScratch(plan)
+		k := cap(bs.pos)
+		run := func() {
+			fillSlots(bs, img, seeds, k)
+			net.forwardBatchInto(bs, k)
+			for i := 0; i < k; i++ {
+				s := seeds[i]
+				mergeCore(mask, img.H, img.W, fov, core, bs.out[i*fovN:][:fovN], segLogit, s[0], s[1], s[2])
+			}
 		}
-	}
-	for _, workers := range []int{1, 2} {
-		prev := parallel.SetWorkers(workers)
-		run() // warm dispatch pools
-		allocs := testing.AllocsPerRun(20, run)
-		parallel.SetWorkers(prev)
-		if allocs != 0 {
-			t.Fatalf("workers=%d: batched flood steady-state allocs/op = %v, want 0", workers, allocs)
+		for _, workers := range []int{1, 2} {
+			prev := parallel.SetWorkers(workers)
+			run() // warm dispatch pools
+			allocs := testing.AllocsPerRun(20, run)
+			parallel.SetWorkers(prev)
+			if allocs != 0 {
+				t.Fatalf("width=%d workers=%d: batched flood steady-state allocs/op = %v, want 0", width, workers, allocs)
+			}
 		}
+		net.putBatchScratch(bs)
+		plan.release()
 	}
 }
 
@@ -372,11 +399,11 @@ func TestSegmentReusesBatchScratch(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
 	net.Segment(img, seeds, 0)
-	s1 := net.getBatchScratch(floodPlan{})
+	s1 := net.getBatchScratch(floodPlan{width: 1})
 	data := &s1.in[0]
 	net.putBatchScratch(s1)
 	net.Segment(img, seeds, 0)
-	s2 := net.getBatchScratch(floodPlan{})
+	s2 := net.getBatchScratch(floodPlan{width: 1})
 	defer net.putBatchScratch(s2)
 	if &s2.in[0] != data {
 		t.Fatal("batched scratch was not recycled through the pool")
@@ -389,7 +416,8 @@ func TestSegmentReusesBatchScratch(t *testing.T) {
 // for them (13 per 9x9 output plane, per output channel, input channel and
 // tap). The read set takes the last module's second conv to 79 positions
 // and its first to 281, which leaves 2,197,352 multiply-adds, and output
-// channels in lanes issue 274,590 vectors for them.
+// channels in lanes issue 274,590 8-lane vectors for them at width 1, and
+// 137,295 16-lane vectors per application at width 2.
 func TestFloodWorkCount(t *testing.T) {
 	cfg := DefaultConfig()
 	f, fovN, planes := cfg.Features, 5*9*9, 5*cfg.Features
@@ -398,8 +426,11 @@ func TestFloodWorkCount(t *testing.T) {
 	if dense != 2977560 || planar != 477360 {
 		t.Fatalf("every position: %d multiply-adds, %d planar vectors; want 2977560 and 477360", dense, planar)
 	}
-	if macs, vectors := cfg.floodWork(); macs != 2197352 || vectors != 274590 {
-		t.Fatalf("floodWork = %d multiply-adds, %d vectors; want 2197352 and 274590", macs, vectors)
+	if macs, vectors := cfg.floodWork(1); macs != 2197352 || vectors != 274590 {
+		t.Fatalf("floodWork(1) = %d multiply-adds, %d vectors; want 2197352 and 274590", macs, vectors)
+	}
+	if macs, vectors := cfg.floodWork(2); macs != 2197352 || vectors != 137295 {
+		t.Fatalf("floodWork(2) = %d multiply-adds, %d vectors; want 2197352 and 137295", macs, vectors)
 	}
 
 	spans := make([]int32, cfg.readSpansLen())
@@ -417,8 +448,9 @@ func TestFloodWorkCount(t *testing.T) {
 		t.Fatalf("positions per depth, logits first: %v, want %v", got, want)
 	}
 	for _, sc := range floodScenes(t) {
-		macs, vectors := sc.net.cfg.floodWork()
-		t.Logf("%s: %d multiply-adds, %d vectors per application", sc.name, macs, vectors)
+		macs, v1 := sc.net.cfg.floodWork(1)
+		_, v2 := sc.net.cfg.floodWork(2)
+		t.Logf("%s: %d multiply-adds, %d 8-lane or %d 16-lane vectors per application", sc.name, macs, v1, v2)
 	}
 }
 
@@ -438,102 +470,104 @@ func inSpans(spans []int32, h, z, y, x int) bool {
 // poisons every released buffer) must give the golden masks and statistics
 // at workers 1/2/8.
 func TestFloodReadSetPoison(t *testing.T) {
-	nan := float32(math.NaN())
-	for _, sc := range floodScenes(t) {
-		cfg := sc.net.cfg
-		d, h, w := cfg.FOV[0], cfg.FOV[1], cfg.FOV[2]
-		rows := 2 * d * h
-		spans := make([]int32, cfg.readSpansLen())
-		cfg.readSpans(spans)
-		depthSpans := func(depth int) []int32 { return spans[depth*rows:][:rows] }
-		_, lx := cfg.floodLayouts()
-		last := 2*cfg.Modules + 1
-		plan := sc.net.newFloodPlan()
-		bs := sc.net.getBatchScratch(plan)
-		ref := newPlanarScratch(sc.net)
-		fovN := d * h * w
-		// The widest layer each buffer holds: the input layer's x0, module
-		// 0's hidden and tail layers; the logits are read at depth 0.
-		bufs := []struct {
-			buf   []float32
-			depth int
-		}{{bs.x0, last}, {bs.hid, last - 1}, {bs.x1, last - 2}}
-		// each visits every interior position outside a depth's spans.
-		each := func(depth int, fn func(z, y, x int)) {
-			s := depthSpans(depth)
-			for z := 0; z < d; z++ {
-				for y := 0; y < h; y++ {
-					for x := 0; x < w; x++ {
-						if !inSpans(s, h, z, y, x) {
-							fn(z, y, x)
+	eachWidth(t, func(t *testing.T) {
+		nan := float32(math.NaN())
+		for _, sc := range floodScenes(t) {
+			cfg := sc.net.cfg
+			d, h, w := cfg.FOV[0], cfg.FOV[1], cfg.FOV[2]
+			rows := 2 * d * h
+			spans := make([]int32, cfg.readSpansLen())
+			cfg.readSpans(spans)
+			depthSpans := func(depth int) []int32 { return spans[depth*rows:][:rows] }
+			_, lx := cfg.floodLayouts(1)
+			last := 2*cfg.Modules + 1
+			plan := sc.net.newFloodPlan(floodWidth(0))
+			bs := sc.net.getBatchScratch(plan)
+			ref := newPlanarScratch(sc.net)
+			fovN := d * h * w
+			// The widest layer each buffer holds: the input layer's x0, module
+			// 0's hidden and tail layers; the logits are read at depth 0.
+			bufs := []struct {
+				buf   []float32
+				depth int
+			}{{bs.x0, last}, {bs.hid, last - 1}, {bs.x1, last - 2}}
+			// each visits every interior position outside a depth's spans.
+			each := func(depth int, fn func(z, y, x int)) {
+				s := depthSpans(depth)
+				for z := 0; z < d; z++ {
+					for y := 0; y < h; y++ {
+						for x := 0; x < w; x++ {
+							if !inSpans(s, h, z, y, x) {
+								fn(z, y, x)
+							}
 						}
 					}
 				}
 			}
-		}
-		const k = DefaultFloodBatch
-		for batch := 0; batch < 3; batch++ {
-			for i := 0; i < k; i++ {
-				for _, buf := range bufs {
-					sl := slot(buf.buf, lx, i)
-					each(buf.depth, func(z, y, x int) {
-						for c := range lx.C {
-							sl[lx.Pos(z, y, x)+c] = nan
+			const k = DefaultFloodBatch
+			for batch := 0; batch < 3; batch++ {
+				for i := 0; i < k; i++ {
+					for _, buf := range bufs {
+						at := bs.slotAt(buf.buf, i)
+						each(buf.depth, func(z, y, x int) {
+							for c := range lx.C {
+								*at(z, y, x, c) = nan
+							}
+						})
+					}
+					out := bs.out[i*fovN:][:fovN]
+					each(0, func(z, y, x int) { out[(z*h+y)*w+x] = nan })
+				}
+				seeds := make([][3]int, k)
+				for i := range seeds {
+					seeds[i] = sc.seeds[(batch*k+i)%len(sc.seeds)]
+				}
+				fillSlots(bs, sc.img, seeds, k)
+				sc.net.forwardBatchInto(bs, k)
+				for i := 0; i < k; i++ {
+					want := forwardRef(sc.net, ref, sc.img, seeds[i])
+					out := bs.out[i*fovN:][:fovN]
+					for _, j := range readPositions(cfg) {
+						if out[j] != want[j] {
+							t.Fatalf("%s batch %d slot %d logit %d: %v, want %v", sc.name, batch, i, j, out[j], want[j])
+						}
+					}
+					for _, buf := range bufs {
+						at := bs.slotAt(buf.buf, i)
+						each(buf.depth, func(z, y, x int) {
+							if v := *at(z, y, x, 0); v == v {
+								t.Fatalf("%s slot %d: position (%d,%d,%d) outside depth %d was written", sc.name, i, z, y, x, buf.depth)
+							}
+						})
+					}
+					each(0, func(z, y, x int) {
+						if v := out[(z*h+y)*w+x]; v == v {
+							t.Fatalf("%s slot %d: unread logit (%d,%d,%d) was written", sc.name, i, z, y, x)
 						}
 					})
 				}
-				out := bs.out[i*fovN:][:fovN]
-				each(0, func(z, y, x int) { out[(z*h+y)*w+x] = nan })
 			}
-			seeds := make([][3]int, k)
-			for i := range seeds {
-				seeds[i] = sc.seeds[(batch*k+i)%len(sc.seeds)]
-			}
-			fillSlots(bs, sc.img, seeds, k)
-			sc.net.forwardBatchInto(bs, k)
-			for i := 0; i < k; i++ {
-				want := forwardRef(sc.net, ref, sc.img, seeds[i])
-				out := bs.out[i*fovN:][:fovN]
-				for _, j := range readPositions(cfg) {
-					if out[j] != want[j] {
-						t.Fatalf("%s batch %d slot %d logit %d: %v, want %v", sc.name, batch, i, j, out[j], want[j])
-					}
-				}
-				for _, buf := range bufs {
-					sl := slot(buf.buf, lx, i)
-					each(buf.depth, func(z, y, x int) {
-						if v := sl[lx.Pos(z, y, x)]; v == v {
-							t.Fatalf("%s slot %d: position (%d,%d,%d) outside depth %d was written", sc.name, i, z, y, x, buf.depth)
-						}
-					})
-				}
-				each(0, func(z, y, x int) {
-					if v := out[(z*h+y)*w+x]; v == v {
-						t.Fatalf("%s slot %d: unread logit (%d,%d,%d) was written", sc.name, i, z, y, x)
-					}
-				})
-			}
-		}
-		ref.release()
-		sc.net.putBatchScratch(bs)
-		plan.release()
+			ref.release()
+			sc.net.putBatchScratch(bs)
+			plan.release()
 
-		sc.net.Segment(sc.img, sc.seeds, 0) // hands NaN-filled buffers to the free list
-		for _, workers := range []int{1, 2, 8} {
-			prev := parallel.SetWorkers(workers)
-			mask, stats := sc.net.Segment(sc.img, sc.seeds, 0)
-			parallel.SetWorkers(prev)
-			if got := floodDigest(mask, stats); got != floodGolden[sc.name][0] {
-				t.Errorf("%s workers=%d over poisoned scratch: digest %s (%+v), want %s", sc.name, workers, got, stats, floodGolden[sc.name][0])
+			sc.net.Segment(sc.img, sc.seeds, 0) // hands NaN-filled buffers to the free list
+			for _, workers := range []int{1, 2, 8} {
+				prev := parallel.SetWorkers(workers)
+				mask, stats := sc.net.Segment(sc.img, sc.seeds, 0)
+				parallel.SetWorkers(prev)
+				if got := floodDigest(mask, stats); got != floodGolden[sc.name][0] {
+					t.Errorf("%s workers=%d over poisoned scratch: digest %s (%+v), want %s", sc.name, workers, got, stats, floodGolden[sc.name][0])
+				}
 			}
 		}
-	}
+	})
 }
 
 // BenchmarkFloodForward times the f32 forward pass per application at the
 // default geometry (connect_chain's net) and at the 3x7x7 nets with 6 and 4
-// features, for one slot and a full batch, at one worker and with the
-// slots fanned out over two.
+// features, at both widths, for one slot and a full batch, at one worker
+// and with the buffers fanned out over two.
 func BenchmarkFloodForward(b *testing.B) {
 	for _, geo := range []struct {
 		name string
@@ -553,24 +587,26 @@ func BenchmarkFloodForward(b *testing.B) {
 		}
 		img := synthVolume(1, geo.fov[0]+2, 24, 24).Normalize()
 		seeds := GridSeeds(img, geo.fov, [3]int{1, 3, 3}, -10)
-		for _, k := range []int{1, DefaultFloodBatch} {
-			for _, workers := range []int{1, 2} {
-				b.Run(fmt.Sprintf("%s/batch=%d/workers=%d", geo.name, k, workers), func(b *testing.B) {
-					prev := parallel.SetWorkers(workers)
-					defer parallel.SetWorkers(prev)
-					plan := net.newFloodPlan()
-					defer plan.release()
-					s := net.getBatchScratch(plan)
-					defer net.putBatchScratch(s)
-					fillSlots(s, img, seeds, k)
-					net.forwardBatchInto(s, k)
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
+		for _, width := range []int{1, 2} {
+			for _, k := range []int{1, DefaultFloodBatch} {
+				for _, workers := range []int{1, 2} {
+					b.Run(fmt.Sprintf("%s/width=%d/batch=%d/workers=%d", geo.name, width, k, workers), func(b *testing.B) {
+						prev := parallel.SetWorkers(workers)
+						defer parallel.SetWorkers(prev)
+						plan := net.newFloodPlan(width)
+						defer plan.release()
+						s := net.getBatchScratch(plan)
+						defer net.putBatchScratch(s)
+						fillSlots(s, img, seeds, k)
 						net.forwardBatchInto(s, k)
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/app")
-				})
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							net.forwardBatchInto(s, k)
+						}
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/app")
+					})
+				}
 			}
 		}
 	}

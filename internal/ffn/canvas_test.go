@@ -56,7 +56,7 @@ func canvasSegment(ctx context.Context, n *Network, image *Volume, seeds [][3]in
 			stats.SeedsUsed++
 		}
 	}
-	plan := n.newFloodPlan()
+	plan := n.newFloodPlan(floodWidth(maxSteps))
 	defer plan.release()
 	canvas := NewVolume(image.D, image.H, image.W)
 	fill(canvas.Data, logit(cfg.PadProb))
@@ -112,7 +112,6 @@ func canvasFlood(ctx context.Context, n *Network, image *Volume, fr *frontier, c
 	defer n.putBatchScratch(s)
 	fov := cfg.FOV
 	fovN := fov[0] * fov[1] * fov[2]
-	li, _ := cfg.floodLayouts()
 	offsets := cfg.moveOffsets()
 	core, moves := cfg.floodReads()
 	moveLogit := logit(cfg.MoveProb)
@@ -126,7 +125,7 @@ func canvasFlood(ctx context.Context, n *Network, image *Volume, fr *frontier, c
 			return
 		}
 		for i, p := range s.pos {
-			extractFOVBlocked(slot(s.in, li, i), li, image, Moments{0, 1}, p.z, p.y, p.x)
+			s.extract(i, image, Moments{0, 1}, p)
 		}
 		n.forwardBatchInto(s, len(s.pos))
 		var fresh []fovPos
@@ -194,55 +193,59 @@ func oracleScenes(t *testing.T) []floodScene {
 // free-list words poisoned beforehand (TestMain NaN-fills released
 // buffers, so a word the flood did not write would show).
 func TestFloodMatchesCanvasOracle(t *testing.T) {
-	pre, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, sc := range oracleScenes(t) {
-		words := (sc.img.Size() + 31) / 32
-		for _, maxSteps := range []int{0, 1, 7} {
-			for _, workers := range []int{1, 2, 8} {
-				for _, ctx := range []context.Context{context.Background(), pre} {
-					name := fmt.Sprintf("%s/maxSteps=%d/workers=%d/cancelled=%v", sc.name, maxSteps, workers, ctx.Err() != nil)
-					prev := parallel.SetWorkers(workers)
-					want, wantStats := canvasSegment(ctx, sc.net, sc.img, sc.seeds, maxSteps)
-					for range 3 {
-						tensor.PutWords(make([]uint32, words))
+	eachWidth(t, func(t *testing.T) {
+		pre, cancel := context.WithCancel(context.Background())
+		cancel()
+		for _, sc := range oracleScenes(t) {
+			words := (sc.img.Size() + 31) / 32
+			for _, maxSteps := range []int{0, 1, 7} {
+				for _, workers := range []int{1, 2, 8} {
+					for _, ctx := range []context.Context{context.Background(), pre} {
+						name := fmt.Sprintf("%s/maxSteps=%d/workers=%d/cancelled=%v", sc.name, maxSteps, workers, ctx.Err() != nil)
+						prev := parallel.SetWorkers(workers)
+						want, wantStats := canvasSegment(ctx, sc.net, sc.img, sc.seeds, maxSteps)
+						for range 3 {
+							tensor.PutWords(make([]uint32, words))
+						}
+						mask, stats, err := sc.net.Flood(ctx, sc.img, Moments{0, 1}, sc.seeds, maxSteps, nil)
+						parallel.SetWorkers(prev)
+						if err != ctx.Err() {
+							t.Fatalf("%s: err %v, want %v", name, err, ctx.Err())
+						}
+						if stats != wantStats {
+							t.Fatalf("%s: stats %+v, oracle %+v", name, stats, wantStats)
+						}
+						checkMaskBits(t, mask, want)
+						if ctx.Err() == nil && maxSteps == 0 && sc.name != "segment_below_pad" && (stats.MaskVoxels == 0 || stats.MaskVoxels == stats.VoxelsTotal) {
+							t.Fatalf("%s: degenerate mask %+v", name, stats)
+						}
+						mask.Release()
 					}
-					mask, stats, err := sc.net.Flood(ctx, sc.img, Moments{0, 1}, sc.seeds, maxSteps, nil)
-					parallel.SetWorkers(prev)
-					if err != ctx.Err() {
-						t.Fatalf("%s: err %v, want %v", name, err, ctx.Err())
-					}
-					if stats != wantStats {
-						t.Fatalf("%s: stats %+v, oracle %+v", name, stats, wantStats)
-					}
-					checkMaskBits(t, mask, want)
-					if ctx.Err() == nil && maxSteps == 0 && sc.name != "segment_below_pad" && (stats.MaskVoxels == 0 || stats.MaskVoxels == stats.VoxelsTotal) {
-						t.Fatalf("%s: degenerate mask %+v", name, stats)
-					}
-					mask.Release()
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestFloodConditionsOnRead: a flood over the raw field read through its
 // moments is the flood over the normalised field, bit for bit, at every
 // worker count.
 func TestFloodConditionsOnRead(t *testing.T) {
-	net, img, seeds := batchScene(t)
-	raw := synthVolume(42, img.D, img.H, img.W)
-	for _, workers := range []int{1, 2, 8} {
-		prev := parallel.SetWorkers(workers)
-		want, wantStats := canvasSegment(context.Background(), net, img, seeds, 0)
-		mask, stats, err := net.Flood(context.Background(), raw, MomentsOf(raw.Data), seeds, 0, nil)
-		parallel.SetWorkers(prev)
-		if err != nil || stats != wantStats {
-			t.Fatalf("workers=%d: %+v (%v), oracle %+v", workers, stats, err, wantStats)
+	eachWidth(t, func(t *testing.T) {
+		net, img, seeds := batchScene(t)
+		raw := synthVolume(42, img.D, img.H, img.W)
+		for _, workers := range []int{1, 2, 8} {
+			prev := parallel.SetWorkers(workers)
+			want, wantStats := canvasSegment(context.Background(), net, img, seeds, 0)
+			mask, stats, err := net.Flood(context.Background(), raw, MomentsOf(raw.Data), seeds, 0, nil)
+			parallel.SetWorkers(prev)
+			if err != nil || stats != wantStats {
+				t.Fatalf("workers=%d: %+v (%v), oracle %+v", workers, stats, err, wantStats)
+			}
+			checkMaskBits(t, mask, want)
+			mask.Release()
 		}
-		checkMaskBits(t, mask, want)
-		mask.Release()
-	}
+	})
 }
 
 // TestSeedVoxelIndependentOfWorkers: a seed voxel is clamped to SeedProb
@@ -252,33 +255,35 @@ func TestFloodConditionsOnRead(t *testing.T) {
 // canvas flood max-reduced lane canvases that started at PadProb's logit
 // over the seeds, and so marked them at two workers and not at one.
 func TestSeedVoxelIndependentOfWorkers(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SeedProb, cfg.SegmentProb, cfg.PadProb = 0.3, 0.4, 0.5
-	net, err := NewNetwork(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img := ivtImage(8)
-	seeds := [][3]int{{2, 8, 10}, {5, 14, 24}}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, workers := range []int{1, 2} {
-		prev := parallel.SetWorkers(workers)
-		mask, stats, err := net.SegmentCtx(ctx, img, seeds, 0, nil)
-		parallel.SetWorkers(prev)
-		if err != context.Canceled {
-			t.Fatalf("workers=%d: err %v, want context.Canceled", workers, err)
+	eachWidth(t, func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.SeedProb, cfg.SegmentProb, cfg.PadProb = 0.3, 0.4, 0.5
+		net, err := NewNetwork(cfg, 3)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if want := img.Size() - len(seeds); stats.SeedsUsed != len(seeds) || stats.MaskVoxels != want {
-			t.Fatalf("workers=%d: %+v, want both seeds used and %d mask voxels", workers, stats, want)
-		}
-		for _, s := range seeds {
-			if v := mask.At(s[0], s[1], s[2]); v != 0 {
-				t.Fatalf("workers=%d: seed voxel %v is %v, want 0 (SeedProb %v < SegmentProb %v)", workers, s, v, cfg.SeedProb, cfg.SegmentProb)
+		img := ivtImage(8)
+		seeds := [][3]int{{2, 8, 10}, {5, 14, 24}}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		for _, workers := range []int{1, 2} {
+			prev := parallel.SetWorkers(workers)
+			mask, stats, err := net.SegmentCtx(ctx, img, seeds, 0, nil)
+			parallel.SetWorkers(prev)
+			if err != context.Canceled {
+				t.Fatalf("workers=%d: err %v, want context.Canceled", workers, err)
 			}
+			if want := img.Size() - len(seeds); stats.SeedsUsed != len(seeds) || stats.MaskVoxels != want {
+				t.Fatalf("workers=%d: %+v, want both seeds used and %d mask voxels", workers, stats, want)
+			}
+			for _, s := range seeds {
+				if v := mask.At(s[0], s[1], s[2]); v != 0 {
+					t.Fatalf("workers=%d: seed voxel %v is %v, want 0 (SeedProb %v < SegmentProb %v)", workers, s, v, cfg.SeedProb, cfg.SegmentProb)
+				}
+			}
+			ReleaseVolume(mask)
 		}
-		ReleaseVolume(mask)
-	}
+	})
 }
 
 // conditioningVolumes are fields whose conditioning must survive the move
@@ -316,7 +321,7 @@ func conditioningVolumes() map[string]*Volume {
 func TestConditionOnReadMatchesNormalizeInto(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FOV = [3]int{3, 5, 7}
-	li, _ := cfg.floodLayouts()
+	li, _ := cfg.floodLayouts(1)
 	got, want := make([]float32, li.Len()), make([]float32, li.Len())
 	for name, raw := range conditioningVolumes() {
 		norm := raw.NormalizeInto(NewVolume(raw.D, raw.H, raw.W))

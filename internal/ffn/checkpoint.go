@@ -90,36 +90,11 @@ func (c *Checkpoint) EncodeBytes() []byte {
 // momentum state, loss history) from serialized bytes. Every length is
 // checked against the bytes actually present before anything is allocated.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	if len(data) < len(ckptMagic)+4 || [8]byte(data[:8]) != ckptMagic {
-		return nil, ErrBadCheckpoint
-	}
-	modelLen := binary.LittleEndian.Uint32(data[8:])
-	rest := data[12:]
-	if int(modelLen) > len(rest) {
-		return nil, fmt.Errorf("%w: model length %d exceeds payload", ErrBadCheckpoint, modelLen)
-	}
-	net, err := LoadBytes(rest[:modelLen])
+	net, st, rest, err := decodeCheckpointHead(data)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
-	}
-	rest = rest[modelLen:]
-	if len(rest) < ckptStateLen {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadCheckpoint)
-	}
-	var st ckptState
-	binary.Decode(rest[:ckptStateLen], binary.LittleEndian, &st) // length checked above
-	rest = rest[ckptStateLen:]
-	if st.Batch < 1 || st.Batch > maxCheckpointBatch {
-		return nil, fmt.Errorf("%w: batch per round %d outside [1,%d]", ErrBadCheckpoint, st.Batch, maxCheckpointBatch)
-	}
-	if err := checkGradMatrix(int(st.Batch), len(net.params)); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
+		return nil, err
 	}
 	lossBytes := 8 * int(st.NLosses)
-	if len(rest) != lossBytes+4*len(net.params) {
-		return nil, fmt.Errorf("%w: %d bytes after the header, want %d losses and %d velocities",
-			ErrBadCheckpoint, len(rest), st.NLosses, len(net.params))
-	}
 	losses := make([]float64, st.NLosses)
 	opt := tensor.NewSGD(st.LR, st.Momentum)
 	binary.Decode(rest[:lossBytes], binary.LittleEndian, losses)
@@ -131,4 +106,50 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		Round:         int(st.Round),
 		Losses:        losses,
 	}, nil
+}
+
+// DecodeCheckpointNet is DecodeCheckpoint for a caller that only floods
+// with the network: it makes every check DecodeCheckpoint makes, failing
+// with the same error, and decodes the network alone — neither the loss
+// history nor the optimizer's velocity, one float per parameter.
+func DecodeCheckpointNet(data []byte) (*Network, error) {
+	net, _, _, err := decodeCheckpointHead(data)
+	return net, err
+}
+
+// decodeCheckpointHead decodes and checks everything of a checkpoint but
+// its losses and velocities: it returns the network, the fixed-size state
+// and the rest of the bytes, whose length it has checked to be exactly the
+// losses and velocities the state and the network call for.
+func decodeCheckpointHead(data []byte) (*Network, ckptState, []byte, error) {
+	var st ckptState
+	if len(data) < len(ckptMagic)+4 || [8]byte(data[:8]) != ckptMagic {
+		return nil, st, nil, ErrBadCheckpoint
+	}
+	modelLen := binary.LittleEndian.Uint32(data[8:])
+	rest := data[12:]
+	if int(modelLen) > len(rest) {
+		return nil, st, nil, fmt.Errorf("%w: model length %d exceeds payload", ErrBadCheckpoint, modelLen)
+	}
+	net, err := LoadBytes(rest[:modelLen])
+	if err != nil {
+		return nil, st, nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
+	}
+	rest = rest[modelLen:]
+	if len(rest) < ckptStateLen {
+		return nil, st, nil, fmt.Errorf("%w: truncated header", ErrBadCheckpoint)
+	}
+	binary.Decode(rest[:ckptStateLen], binary.LittleEndian, &st) // length checked above
+	rest = rest[ckptStateLen:]
+	if st.Batch < 1 || st.Batch > maxCheckpointBatch {
+		return nil, st, nil, fmt.Errorf("%w: batch per round %d outside [1,%d]", ErrBadCheckpoint, st.Batch, maxCheckpointBatch)
+	}
+	if err := checkGradMatrix(int(st.Batch), len(net.params)); err != nil {
+		return nil, st, nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
+	}
+	if len(rest) != 8*int(st.NLosses)+4*len(net.params) {
+		return nil, st, nil, fmt.Errorf("%w: %d bytes after the header, want %d losses and %d velocities",
+			ErrBadCheckpoint, len(rest), st.NLosses, len(net.params))
+	}
+	return net, st, rest, nil
 }

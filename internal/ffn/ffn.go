@@ -311,7 +311,7 @@ type trainScratch struct {
 // input (2P), 2*Modules+1 activations and three gradients (L*P each) and
 // four FOV tensors (V each).
 func (cfg *Config) TrainScratchLen() int {
-	li, lx := cfg.floodLayouts()
+	li, lx := cfg.floodLayouts(1)
 	return li.Len() + (2*cfg.Modules+4)*lx.Len() + 4*li.D*li.H*li.W
 }
 
@@ -319,7 +319,7 @@ func (cfg *Config) TrainScratchLen() int {
 // and backward buffers come from here. plan is the trainer's.
 func (n *Network) newTrainScratch(plan *trainPlan) *trainScratch {
 	cfg := &n.cfg
-	li, lx := cfg.floodLayouts()
+	li, lx := cfg.floodLayouts(1)
 	ts := &trainScratch{slab: tensor.GetFloats(cfg.TrainScratchLen()), plan: plan, g: newParamViews(*cfg)}
 	free := ts.slab
 	next := func(size int) []float32 {
@@ -329,7 +329,7 @@ func (n *Network) newTrainScratch(plan *trainPlan) *trainScratch {
 	}
 	ts.in = next(li.Len())
 	li.ClearShell(ts.in)
-	cfg.fillSeedPOMLane(ts.in, li)
+	cfg.fillSeedPOMLane(ts.in, li, 1)
 	blocked := func() []float32 {
 		b := next(lx.Len())
 		lx.ClearShell(b)
@@ -385,7 +385,7 @@ func (ts *trainScratch) extract(image, labels *Volume, fov [3]int, c [3]int) {
 func (n *Network) exampleGrad(ts *trainScratch, image, label *tensor.Tensor, row []float32) float64 {
 	cfg := &n.cfg
 	f := cfg.Features
-	li, lx := cfg.floodLayouts()
+	li, lx := cfg.floodLayouts(1)
 	plan, full, acts := ts.plan, ts.plan.spans, ts.acts
 	wIn, _ := cfg.laneWeightLens()
 
@@ -406,7 +406,7 @@ func (n *Network) exampleGrad(ts *trainScratch, image, label *tensor.Tensor, row
 		tensor.ConvLanes33ReLU(out, lx, hid, lx, f, w2, in, full) // residual connection
 	}
 	last := acts[len(acts)-1]
-	n.logitsAt(ts.delta.Data, last, lx, full)
+	n.logitsAt(ts.delta.Data, last, lx, 1, full)
 	loss := tensor.LogitBCEInto(ts.gradLogits, ts.delta, label, nil)
 
 	ts.g.bind(row)

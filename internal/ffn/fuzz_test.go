@@ -3,6 +3,7 @@ package ffn
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"chaseci/internal/tensor"
@@ -80,6 +81,15 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		var err error
 		if got := allocatedBy(func() { ck, err = DecodeCheckpoint(data) }); got > uint64(len(data))+fuzzAllocSlack {
 			t.Fatalf("DecodeCheckpoint allocated %d bytes for a %d-byte input", got, len(data))
+		}
+		// The network-only decode accepts and refuses exactly what the full
+		// one does, with the same error, and yields the same network bytes.
+		net, netErr := DecodeCheckpointNet(data)
+		if fmt.Sprint(netErr) != fmt.Sprint(err) {
+			t.Fatalf("DecodeCheckpointNet: %v; DecodeCheckpoint: %v", netErr, err)
+		}
+		if err == nil && !bytes.Equal(net.SaveBytes(), ck.Net.SaveBytes()) {
+			t.Fatal("DecodeCheckpointNet's network is not DecodeCheckpoint's")
 		}
 		if err != nil {
 			if !errors.Is(err, ErrBadCheckpoint) {

@@ -401,7 +401,7 @@ func (n *Network) Flood(ctx context.Context, image *Volume, m Moments, seeds [][
 	run := floodRun{
 		image: image, m: m, claimed: claimed, mask: mask.Words,
 		fr:        newFrontier(accepted, lanes, maxSteps > 0),
-		plan:      n.newFloodPlan(),
+		plan:      n.newFloodPlan(floodWidth(maxSteps)),
 		moveLogit: logit(cfg.MoveProb), segLogit: segLogit,
 	}
 	defer run.plan.release()

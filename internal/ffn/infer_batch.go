@@ -22,32 +22,44 @@ import (
 // layer is evaluated only where a later layer or the flood reads it. The
 // flood reads the logits of the merged core and of the six move targets
 // (Config.floodReads); walking the layers backwards, each 3x3x3 layer
-// computes the dilation of the next one's positions (readSpans). One
-// parallel.Invoke per batch fans the slots out, each slot running every
+// computes the dilation of the next one's positions (readSpans).
+//
+// A flood runs the engine at one of two widths (floodWidth): one slot per
+// buffer, or, where the 16-lane AVX-512F kernel runs and a batch can hold
+// more than one FOV, two slots interleaved in each buffer
+// (tensor.ConvLanes33ReLUx2), so one vector instruction serves two FOVs.
+// Either way a slot's logits are the bits it gets alone. One
+// parallel.Invoke per batch fans the buffers out, each running every
 // layer.
 
 // DefaultFloodBatch is how many ready FOV positions a flood lane pushes
 // through the batched forward path per dispatch.
 const DefaultFloodBatch = 8
 
-// floodPlan is what every lane of one flood reads besides the image:
-// the 3x3x3 layers' weights in lane form (tensor.PackLaneWeights33: the
-// input layer's, then each module's two) and the read spans, all borrowed
-// from the free list once per Flood and never kept on the Network —
-// so a trainer's step has nothing to invalidate.
+// floodPlan is what every lane of one flood reads besides the image: the
+// flood's width, the 3x3x3 layers' weights in lane form
+// (tensor.PackLaneWeights33: the input layer's, then each module's two;
+// paired, tensor.PairLaneWeights, at width 2) and the read spans, all
+// borrowed from the free list once per Flood and never kept on the Network
+// — so a trainer's step has nothing to invalidate.
 type floodPlan struct {
 	w     []float32
 	spans []int32 // readSpans
+	width int     // batch slots per buffer, 1 or 2 (floodWidth)
 }
 
-// newFloodPlan builds the plan of a flood.
-func (n *Network) newFloodPlan() floodPlan {
+// newFloodPlan builds the plan of a flood at width.
+func (n *Network) newFloodPlan(width int) floodPlan {
 	wIn, wMod := n.cfg.laneWeightLens()
 	p := floodPlan{
-		w:     tensor.GetFloats(wIn + 2*len(n.mods)*wMod),
+		w:     tensor.GetFloats(width * (wIn + 2*len(n.mods)*wMod)),
 		spans: tensor.GetInt32s(n.cfg.readSpansLen()),
+		width: width,
 	}
 	n.packLaneWeights(p.w)
+	if width == 2 {
+		tensor.PairLaneWeights(p.w)
+	}
 	n.cfg.readSpans(p.spans)
 	return p
 }
@@ -57,6 +69,26 @@ func (p *floodPlan) release() {
 	tensor.PutInt32s(p.spans)
 	p.w, p.spans = nil, nil
 }
+
+// floodWidth is the width of a flood with budget (0: none): two slots per
+// buffer where the paired AVX-512F kernel runs and a batch can hold more
+// than one FOV, else one. A lone FOV runs slower in a 16-lane vector than
+// in an 8-lane one, so a one-step flood keeps width 1, as does every host
+// without AVX-512F.
+func floodWidth(budget int) int {
+	if forceWidth != 0 {
+		return forceWidth
+	}
+	if budget != 1 && tensor.PairedLanesActive() {
+		return 2
+	}
+	return 1
+}
+
+// forceWidth, when nonzero, is every flood's width: the tests run both
+// widths on any host, the Go twin serving width 2 where the AVX-512F kernel
+// does not run.
+var forceWidth int
 
 // readSpansLen is the length of readSpans' output: a [lo, hi) pair per FOV
 // row (z, y) for each depth 0 (the logits) through 2*Modules+1 (the input
@@ -121,9 +153,11 @@ func (cfg *Config) readSpans(spans []int32) {
 
 // floodWork counts one application's conv work at cfg's geometry: the
 // multiply-adds whose products reach a computed output channel (the logit
-// layer's included), and the 8-lane vector multiply-adds the channel-lane
-// engine issues for the 3x3x3 layers, whose lanes past Features idle.
-func (cfg *Config) floodWork() (macs, vectors int) {
+// layer's included), and the vector multiply-adds the channel-lane engine
+// issues for the 3x3x3 layers at width, whose lanes past Features idle:
+// 8-lane vectors at width 1, and half as many 16-lane ones at width 2,
+// each serving two applications.
+func (cfg *Config) floodWork(width int) (macs, vectors int) {
 	spans := make([]int32, cfg.readSpansLen())
 	cfg.readSpans(spans)
 	rows := 2 * cfg.FOV[0] * cfg.FOV[1]
@@ -145,25 +179,30 @@ func (cfg *Config) floodWork() (macs, vectors int) {
 		macs += positions(depth) * f * cin * 27
 		vectors += positions(depth) * groups * cin * 27
 	}
-	return macs + positions(0)*f, vectors
+	return macs + positions(0)*f, vectors / width
 }
 
-// floodLayouts are the flood's Blocked layouts: the input, image and
-// seed POM per position, and the activations, Features rounded up to whole
-// vectors.
-func (cfg *Config) floodLayouts() (in, act tensor.Blocked) {
+// floodLayouts are the flood's Blocked layouts at width (batch slots per
+// buffer): the input, image and seed POM per position and slot, and the
+// activations, Features rounded up to whole vectors per slot. Channel c of
+// slot s is at float width*c+s of a position, so width 1 is one slot's
+// layout and a buffer at width 2 is as long as two at width 1.
+func (cfg *Config) floodLayouts(width int) (in, act tensor.Blocked) {
 	d, h, w := cfg.FOV[0], cfg.FOV[1], cfg.FOV[2]
-	return tensor.Blocked{D: d, H: h, W: w, C: 2}, tensor.Blocked{D: d, H: h, W: w, C: tensor.LaneChannels(cfg.Features)}
+	return tensor.Blocked{D: d, H: h, W: w, C: 2 * width},
+		tensor.Blocked{D: d, H: h, W: w, C: width * tensor.LaneChannels(cfg.Features)}
 }
 
-// batchScratch holds one flood worker's reusable batched buffers,
-// DefaultFloodBatch slots each: the packed input, ping-pong activations and
-// the module hidden buffer, one Blocked buffer (floodLayouts) per slot, and
-// the output logits, one dense (D, H, W) FOV per slot, computed only where
-// the flood reads them. The buffers are borrowed from the shared free list
-// and returned when the flood ends, never kept on the Network: one Network
-// serves concurrent floods (the service shares one per set of weights), and
-// a steady stream of jobs allocates none of them.
+// batchScratch holds one flood worker's reusable batched buffers for
+// DefaultFloodBatch slots: the packed input, ping-pong activations and the
+// module hidden buffer, DefaultFloodBatch/width Blocked buffers each
+// (floodLayouts at the plan's width; slot i is lane i%width of buffer
+// i/width), and the output logits, one dense (D, H, W) FOV per slot,
+// computed only where the flood reads them. The buffers are borrowed from
+// the shared free list and returned when the flood ends, never kept on the
+// Network: one Network serves concurrent floods (the service shares one per
+// set of weights), and a steady stream of jobs allocates none of them.
+// Their lengths do not depend on the width.
 type batchScratch struct {
 	in     []float32 // packed image + POM
 	x0, x1 []float32 // activations (ping-pong)
@@ -172,24 +211,25 @@ type batchScratch struct {
 	pos    []fovPos  // live batch positions
 
 	net   *Network
-	plan  floodPlan // the flood's lane weights and read spans
-	ready int       // leading slots whose padding shells and seed POM are in place
+	plan  floodPlan // the flood's width, lane weights and read spans
+	ready int       // leading buffers whose padding shells and seed POM are in place
 }
 
 // getBatchScratch borrows a scratch for one flood worker of a flood with
-// plan. The buffers arrive dirty: a slot's padding shells and the seed POM
-// lane of its input are written the first time the flood uses the slot
-// (forwardBatchInto), the flood writes each batch's image lane, and the
+// plan. The buffers arrive dirty: a buffer's padding shells and the seed
+// POM lanes of its input are written the first time the flood uses it
+// (forwardBatchInto), the flood writes each batch's image lanes, and the
 // layers write the rest of what they read.
 func (n *Network) getBatchScratch(plan floodPlan) *batchScratch {
 	const B = DefaultFloodBatch
-	li, lx := n.cfg.floodLayouts()
+	bufs := B / plan.width
+	li, lx := n.cfg.floodLayouts(plan.width)
 	fov := n.cfg.FOV
 	return &batchScratch{
-		in:  tensor.GetFloats(B * li.Len()),
-		x0:  tensor.GetFloats(B * lx.Len()),
-		x1:  tensor.GetFloats(B * lx.Len()),
-		hid: tensor.GetFloats(B * lx.Len()),
+		in:  tensor.GetFloats(bufs * li.Len()),
+		x0:  tensor.GetFloats(bufs * lx.Len()),
+		x1:  tensor.GetFloats(bufs * lx.Len()),
+		hid: tensor.GetFloats(bufs * lx.Len()),
 		out: tensor.GetFloats(B * fov[0] * fov[1] * fov[2]),
 		pos: make([]fovPos, 0, B), net: n, plan: plan,
 	}
@@ -202,15 +242,24 @@ func (n *Network) putBatchScratch(s *batchScratch) {
 	}
 }
 
-// slot returns slot b's share of one of the scratch's Blocked buffers.
+// slot returns Blocked buffer b of one of the scratch's batched buffers.
 func slot(buf []float32, lay tensor.Blocked, b int) []float32 {
 	return buf[b*lay.Len():][:lay.Len()]
 }
 
+// extract copies the FOV centered at p, read through m, into the image
+// lane of batch slot i.
+func (s *batchScratch) extract(i int, image *Volume, m Moments, p fovPos) {
+	w := s.plan.width
+	li, _ := s.net.cfg.floodLayouts(w)
+	extractFOVBlocked(slot(s.in, li, i/w)[i%w:], li, image, m, p.z, p.y, p.x)
+}
+
 // extractFOVBlocked copies the FOV centered at (cz, cy, cx) into the image
-// lane (channel 0) of a Blocked input slot, conditioning each voxel with m
-// as it goes: the slot holds what NormalizeInto-then-copy would put there,
-// bit for bit, and no conditioned volume is written.
+// lane (channel 0) of the slot dst starts at, in a Blocked input of layout
+// lay, conditioning each voxel with m as it goes: the slot holds what
+// NormalizeInto-then-copy would put there, bit for bit, and no conditioned
+// volume is written.
 func extractFOVBlocked(dst []float32, lay tensor.Blocked, v *Volume, m Moments, cz, cy, cx int) {
 	z0, y0, x0 := cz-lay.D/2, cy-lay.H/2, cx-lay.W/2
 	for z := 0; z < lay.D; z++ {
@@ -224,87 +273,124 @@ func extractFOVBlocked(dst []float32, lay tensor.Blocked, v *Volume, m Moments, 
 	}
 }
 
-// prepareSlot writes slot b's padding shells and the seed POM lane of its
-// input: what no layer and no extract writes.
+// prepareSlot writes buffer b's padding shells and the seed POM lanes of
+// its input: what no layer and no extract writes.
 func (s *batchScratch) prepareSlot(b int) {
 	cfg := &s.net.cfg
-	li, lx := cfg.floodLayouts()
+	li, lx := cfg.floodLayouts(s.plan.width)
 	in := slot(s.in, li, b)
 	li.ClearShell(in)
 	for _, buf := range [3][]float32{s.x0, s.x1, s.hid} {
 		lx.ClearShell(slot(buf, lx, b))
 	}
-	cfg.fillSeedPOMLane(in, li)
+	cfg.fillSeedPOMLane(in, li, s.plan.width)
 }
 
-// fillSeedPOMLane writes the seed POM into the POM lane (channel 1) of a
-// Blocked input: PadProb's logit everywhere, SeedProb's at the center.
-func (cfg *Config) fillSeedPOMLane(in []float32, li tensor.Blocked) {
+// fillSeedPOMLane writes the seed POM into the POM lane (channel 1) of
+// every slot of a Blocked input at width: PadProb's logit everywhere,
+// SeedProb's at the center.
+func (cfg *Config) fillSeedPOMLane(in []float32, li tensor.Blocked, width int) {
 	pad := logit(cfg.PadProb)
 	for z := 0; z < li.D; z++ {
 		for y := 0; y < li.H; y++ {
 			row := in[li.Pos(z, y, 0):]
 			for x := 0; x < li.W; x++ {
-				row[x*li.C+1] = pad
+				for s := range width {
+					row[x*li.C+width+s] = pad
+				}
 			}
 		}
 	}
-	in[li.Pos(li.D/2, li.H/2, li.W/2)+1] = logit(cfg.SeedProb)
+	for s := range width {
+		in[li.Pos(li.D/2, li.H/2, li.W/2)+width+s] = logit(cfg.SeedProb)
+	}
 }
 
 // forwardBatchInto runs the forward pass over the first k batch slots
 // (each slot's image lane already extracted): one parallel.Invoke over the
-// slots, each running every layer (Run). The logits land in s.out at the
-// positions floodReads lists, bit-exact with the planar forward pass per
-// slot there (the tests' forwardInto);
-// the rest of s.out is not written.
+// ceil(k/width) buffers they occupy, each running every layer (Run). The
+// logits land in s.out at the positions floodReads lists, bit-exact with
+// the planar forward pass per slot there (the tests' forwardInto); the rest
+// of s.out is not written.
+//
+// A slot past k in the last buffer gets the image of that buffer's slot 0
+// again: its lanes then compute on defined data — never on leftover
+// free-list bytes, whose denormals would stall the FPU — that leaks into no
+// other lane, and nothing reads the logits it writes.
 func (n *Network) forwardBatchInto(s *batchScratch, k int) {
-	for ; s.ready < k; s.ready++ {
+	w := s.plan.width
+	bufs := (k + w - 1) / w
+	for ; s.ready < bufs; s.ready++ {
 		s.prepareSlot(s.ready)
 	}
-	parallel.Invoke(k, s)
+	if k%w != 0 {
+		li, _ := n.cfg.floodLayouts(w)
+		in := slot(s.in, li, k/w)
+		for z := 0; z < li.D; z++ {
+			for y := 0; y < li.H; y++ {
+				row := in[li.Pos(z, y, 0):][:li.W*li.C]
+				for p := 0; p < len(row); p += li.C {
+					for l := k % w; l < w; l++ {
+						row[p+l] = row[p]
+					}
+				}
+			}
+		}
+	}
+	parallel.Invoke(bufs, s)
 }
 
-// Run is the forward pass of slots [start, end): conv+ReLU for the
+// Run is the forward pass of buffers [start, end): conv+ReLU for the
 // input layer and each module's hidden layer, conv+residual+ReLU for each
 // module's tail, each at its depth's read spans, then the 1x1x1 logit layer
-// at depth 0.
+// at depth 0 for each slot.
 func (s *batchScratch) Run(start, end int) {
 	n := s.net
 	cfg := &n.cfg
 	f := cfg.Features
-	li, lx := cfg.floodLayouts()
+	width := s.plan.width
+	li, lx := cfg.floodLayouts(width)
 	wIn, wMod := cfg.laneWeightLens()
+	wIn, wMod = width*wIn, width*wMod
+	conv := tensor.ConvLanes33ReLU
+	if width == 2 {
+		conv = tensor.ConvLanes33ReLUx2
+	}
 	rows := 2 * cfg.FOV[0] * cfg.FOV[1]
 	at := func(depth int) []int32 { return s.plan.spans[depth*rows:][:rows] }
 	fovN := cfg.FOV[0] * cfg.FOV[1] * cfg.FOV[2]
 	for b := start; b < end; b++ {
 		cur, nxt, hid := slot(s.x0, lx, b), slot(s.x1, lx, b), slot(s.hid, lx, b)
 		depth := 2*len(n.mods) + 1
-		tensor.ConvLanes33ReLU(cur, lx, slot(s.in, li, b), li, 2, s.plan.w[:wIn], nil, at(depth))
+		conv(cur, lx, slot(s.in, li, b), li, 2, s.plan.w[:wIn], nil, at(depth))
 		w := s.plan.w[wIn:]
 		for range n.mods {
-			tensor.ConvLanes33ReLU(hid, lx, cur, lx, f, w[:wMod], nil, at(depth-1))
-			tensor.ConvLanes33ReLU(nxt, lx, hid, lx, f, w[wMod:2*wMod], cur, at(depth-2))
+			conv(hid, lx, cur, lx, f, w[:wMod], nil, at(depth-1))
+			conv(nxt, lx, hid, lx, f, w[wMod:2*wMod], cur, at(depth-2))
 			w, depth = w[2*wMod:], depth-2
 			cur, nxt = nxt, cur
 		}
-		n.logitsAt(s.out[b*fovN:][:fovN], cur, lx, at(0))
+		for l := range width {
+			i := b*width + l
+			n.logitsAt(s.out[i*fovN:][:fovN], cur[l:], lx, width, at(0))
+		}
 	}
 }
 
 // logitsAt evaluates the 1x1x1 logit layer at the positions spans lists,
 // into a dense (D, H, W) slot: the bias, then each feature's product in
-// feature order, each rounded on its own — the scalar conv's sequence.
-func (n *Network) logitsAt(out, act []float32, lay tensor.Blocked, spans []int32) {
+// feature order, each rounded on its own — the scalar conv's sequence. act
+// starts at the slot's channel 0 in a buffer of layout lay at width, so a
+// feature is width floats from the next.
+func (n *Network) logitsAt(out, act []float32, lay tensor.Blocked, width int, spans []int32) {
 	wOut, bOut := n.wOut.Data, n.bOut[0]
 	for r := 0; r < lay.D*lay.H; r++ {
 		z, y := r/lay.H, r%lay.H
 		for x := int(spans[2*r]); x < int(spans[2*r+1]); x++ {
-			a := act[lay.Pos(z, y, x):][:len(wOut)]
+			a := act[lay.Pos(z, y, x):]
 			v := bOut
 			for c, wv := range wOut {
-				v += float32(wv * a[c])
+				v += float32(wv * a[width*c])
 			}
 			out[r*lay.W+x] = v
 		}
@@ -348,7 +434,6 @@ func (n *Network) flood(ctx context.Context, run *floodRun, budget int, stats *I
 	image, fr := run.image, run.fr
 	fov := cfg.FOV
 	fovN := fov[0] * fov[1] * fov[2]
-	li, _ := cfg.floodLayouts()
 	offsets := cfg.moveOffsets()
 	core, moves := cfg.floodReads()
 	var claims [6 * DefaultFloodBatch]fovPos // what one batch can claim; give copies it
@@ -363,7 +448,7 @@ func (n *Network) flood(ctx context.Context, run *floodRun, budget int, stats *I
 			return
 		}
 		for i, p := range s.pos {
-			extractFOVBlocked(slot(s.in, li, i), li, image, run.m, p.z, p.y, p.x)
+			s.extract(i, image, run.m, p)
 		}
 		n.forwardBatchInto(s, k)
 		fresh := claims[:0]

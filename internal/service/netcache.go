@@ -14,8 +14,8 @@ import (
 // weights are drawn from — and an ffn network no trainer owns is immutable,
 // so one network serves every job naming the same weights, concurrently.
 // The training handlers build their own, because they step them; they and
-// this file are the package's only callers of ffn.NewNetwork and
-// ffn.DecodeCheckpoint (a CI step holds that).
+// this file are the package's only callers of ffn.NewNetwork,
+// ffn.DecodeCheckpoint and ffn.DecodeCheckpointNet (a CI step holds that).
 //
 // The cache widens no access. Every ref a job names is checked for
 // existence, kind and visibility, and pinned, at submit (Runner.checkRef),
@@ -73,14 +73,22 @@ func (c *netCache) seeded(cfg ffn.Config, seed uint64) (*ffn.Network, error) {
 }
 
 // checkpointed returns the network of the checkpoint ref names. A hit
-// resolves and decodes nothing.
+// resolves and decodes nothing; a miss decodes the network alone, none of
+// the training state a flood never reads.
 func (c *netCache) checkpointed(jc *JobContext, ref string) (*ffn.Network, error) {
 	return c.get(netKey{ref: ref}, func() (*ffn.Network, error) {
-		ck, err := resolveCheckpoint(jc, ref)
+		blob, err := jc.Datasets().Resolve(ref)
 		if err != nil {
 			return nil, err
 		}
-		return ck.Net, nil
+		net, err := ffn.DecodeCheckpointNet(blob.Raw)
+		if err != nil {
+			return nil, err
+		}
+		if err := checkCheckpointNet(ref, net); err != nil {
+			return nil, err
+		}
+		return net, nil
 	})
 }
 
@@ -132,12 +140,10 @@ func (c *netCache) insert(key netKey, net *ffn.Network) {
 	}
 }
 
-// resolveCheckpoint loads the checkpoint a ref names — the network a segment
-// job floods with (net_ref, through the cache), the state a train_dist job
-// resumes (resume_from, always a fresh copy: the trainer steps it). Its
-// header arrived by upload, so the network is held to the caps a network
-// spelled out in a spec's net is held to before anything is sized from its
-// geometry.
+// resolveCheckpoint loads the whole checkpoint a ref names: the state a
+// train_dist job resumes (resume_from, always a fresh copy: the trainer
+// steps it). A segment job's network (net_ref) comes through the cache,
+// which decodes the network alone.
 func resolveCheckpoint(jc *JobContext, ref string) (*ffn.Checkpoint, error) {
 	blob, err := jc.Datasets().Resolve(ref)
 	if err != nil {
@@ -147,11 +153,18 @@ func resolveCheckpoint(jc *JobContext, ref string) (*ffn.Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	nc := netConfigOf(ck.Net.Config())
-	if err := nc.Validate("checkpoint " + ref); err != nil {
+	if err := checkCheckpointNet(ref, ck.Net); err != nil {
 		return nil, err
 	}
 	return ck, nil
+}
+
+// checkCheckpointNet holds the network of the checkpoint ref names to the
+// caps a network spelled out in a spec's net is held to: its header arrived
+// by upload, so this runs before anything is sized from its geometry.
+func checkCheckpointNet(ref string, net *ffn.Network) error {
+	nc := netConfigOf(net.Config())
+	return nc.Validate("checkpoint " + ref)
 }
 
 // netConfigOf is the api form of a network's geometry, for holding a

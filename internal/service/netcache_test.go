@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"runtime"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"chaseci/internal/api"
 	"chaseci/internal/dataset"
 	"chaseci/internal/ffn"
+	"chaseci/internal/tensor"
 )
 
 // cacheState reads the cache's entry count and charged bytes.
@@ -251,4 +253,63 @@ func TestNetRefCacheWidensNoAccess(t *testing.T) {
 		t.Fatalf("alice after dropping the checkpoint: %v, want %v", dropped, cold)
 	}
 	assertNoLeaks(t, r)
+}
+
+// TestNetRefMissDecodesOnlyTheNetwork: a net_ref cache miss decodes the
+// checkpoint's network and none of the training state a flood never reads
+// — the loss history and the optimizer's velocity, one float per
+// parameter. A miss on a default-geometry checkpoint with a 1,000-round
+// loss history allocates under its weights plus 16 KB; the full decode
+// resume_from makes allocates the velocity and the losses on top.
+func TestNetRefMissDecodesOnlyTheNetwork(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds are meaningless under -race")
+	}
+	r, _ := newTestRunner(t, DefaultRegistry(), 1)
+	net, err := ffn.NewNetwork(ffn.DefaultConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := &ffn.Checkpoint{Net: net, Opt: tensor.NewSGD(0.03, 0.9), BatchPerRound: 4, Round: 1000, Losses: make([]float64, 1000)}
+	enc, err := dataset.EncodeCheckpoint(ck.EncodeBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := r.Datasets().Put(enc, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jc := &JobContext{ctx: context.Background(), job: &job{req: &api.JobRequest{}}, runner: r, datasets: r.Datasets()}
+	allocated := func(fn func() error) uint64 {
+		t.Helper()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err := fn()
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	var got *ffn.Network
+	miss := func() (err error) {
+		got, err = newNetCache(netCacheBytes).checkpointed(jc, info.ID)
+		return err
+	}
+	full := func() error {
+		_, err := resolveCheckpoint(jc, info.ID)
+		return err
+	}
+	miss() // the blob is resolved and cached once
+	if !bytes.Equal(got.SaveBytes(), net.SaveBytes()) {
+		t.Fatal("the cached network is not the checkpoint's")
+	}
+	missBytes, fullBytes := allocated(miss), allocated(full)
+	t.Logf("a miss allocates %d bytes, the full decode %d; the weights are %d", missBytes, fullBytes, net.WeightBytes())
+	if bound := uint64(net.WeightBytes() + 16<<10); missBytes > bound {
+		t.Fatalf("a net_ref miss allocates %d bytes, want <= %d", missBytes, bound)
+	}
+	if velocity := uint64(net.WeightBytes()); fullBytes < missBytes+velocity {
+		t.Fatalf("the full decode allocates %d bytes, want the miss's %d plus the %d-byte velocity", fullBytes, missBytes, velocity)
+	}
 }

@@ -16,28 +16,38 @@ import (
 // vector, so a position costs ceil(cout/8)*cin*27 vector multiply-adds and
 // no lane lands on a pad column.
 //
+// The engine has two widths. At width 1 a buffer holds one batch slot (one
+// FOV) and a vector is 8 lanes (convRow33, AVX2). At width 2 a buffer holds
+// two slots interleaved, channel c of slot s at float 2c+s of a position,
+// so C is twice the channels of one slot, and a vector is 16 lanes
+// (convRow33x2, AVX-512F): each tap's two inputs arrive in one 64-bit
+// broadcast and one multiply and one add serve both slots. The lanes of the
+// two slots never mix, so a slot's bits do not depend on its partner.
+//
 // A layer is evaluated only at the positions a caller lists, one x interval
 // per (z, y) row. Positions outside the list are neither read from the
 // output buffer nor written; a caller that lists, for each layer, every
 // position a later layer reads leaves the rest of every buffer unused.
 //
-// Bit-exactness: every output lane is the bias, then all cin*27 taps
-// (padding taps included, each adding a signed zero) in the scalar kernel's
-// ic -> dz -> dy -> dx order with separate multiply and add, then the
-// residual, then max(0, .) keeping NaN and -0 — the per-element sequence of
-// Conv3DBatchReLUInto (or Conv3DBatchInto, AddInPlace, ReLUInto).
-// ConvLanes33 is the same without the ReLU. The AVX2 kernel convRow33 and
-// its Go twin convRow33Go compute the same bits; the twin runs wherever the
-// span path is off (SetSpanKernels(false), the nosimd tag, non-amd64, CPUs
-// without AVX2).
+// Bit-exactness: every output lane, at either width, is the bias, then all
+// cin*27 taps (padding taps included, each adding a signed zero) in the
+// scalar kernel's ic -> dz -> dy -> dx order with separate multiply and
+// add, then the residual, then max(0, .) keeping NaN and -0 — the
+// per-element sequence of Conv3DBatchReLUInto (or Conv3DBatchInto,
+// AddInPlace, ReLUInto). ConvLanes33 is the same without the ReLU. The
+// kernels convRow33 and convRow33x2 and their Go twins convRow33Go and
+// convRow33x2Go compute the same bits; a twin runs wherever its kernel's
+// span path is off (SetSpanKernels(false), the nosimd tag, non-amd64, a CPU
+// without AVX2, or without AVX-512F for width 2).
 //
-// Training runs on the same engine (internal/ffn's exampleGrad): the
-// forward pass as the flood's, every input gradient as a ConvLanes33 with
-// PackLaneWeights33Flipped weights, the ReLU backward as MaskReLUGrad on the
-// post-activation, and the weight gradients as ConvLanesGradW33.
+// Training runs on the same engine at width 1 (internal/ffn's
+// exampleGrad): the forward pass as the flood's, every input gradient as a
+// ConvLanes33 with PackLaneWeights33Flipped weights, the ReLU backward as
+// MaskReLUGrad on the post-activation, and the weight gradients as
+// ConvLanesGradW33.
 
 // laneWidth is how many output channels one vector holds; laneTile is the
-// most positions one convRow33 call keeps in registers.
+// most positions one convRow33 or convRow33x2 call keeps in registers.
 const (
 	laneWidth = 8
 	laneTile  = 12
@@ -137,6 +147,21 @@ func PackLaneWeights33Flipped(dst []float32, weight *Tensor) {
 	}
 }
 
+// PairLaneWeights turns lane weights into their paired form, in place: the
+// first half of w holds PackLaneWeights33 (or PackLaneWeights33Flipped)
+// output, and on return w holds each of those values twice, in order, so
+// lane 2c+s of a 16-lane vector carries output channel c's weight for
+// either batch slot s. ConvLanes33ReLUx2 reads that form.
+func PairLaneWeights(w []float32) {
+	if len(w)%2 != 0 {
+		panic(fmt.Sprintf("tensor: PairLaneWeights wants an even length, got %d", len(w)))
+	}
+	// Backwards, so each value is read before anything lands on it.
+	for i := len(w)/2 - 1; i >= 0; i-- {
+		w[2*i], w[2*i+1] = w[i], w[i]
+	}
+}
+
 // ConvLanes33ReLU computes one 3x3x3 same-padded conv layer with a fused
 // ReLU, out = max(0, conv(in) + res), at the interior positions spans lists:
 // for each of the D*H rows (z, y) in order, the half-open interval
@@ -146,26 +171,40 @@ func PackLaneWeights33Flipped(dst []float32, weight *Tensor) {
 // PackLaneWeights33 form for lo.C/8 groups. Lanes past cout come out as
 // max(0, 0 + 0*x + res). The call allocates nothing.
 func ConvLanes33ReLU(out []float32, lo Blocked, in []float32, li Blocked, cin int, lw, res []float32, spans []int32) {
-	convLanes33(out, lo, in, li, cin, lw, res, spans, 0)
+	convLanes33(out, lo, in, li, cin, lw, res, spans, 0, 1)
+}
+
+// ConvLanes33ReLUx2 is ConvLanes33ReLU on two batch slots at once: every
+// buffer holds both slots interleaved, channel c of slot s at float 2c+s of
+// a position (li.C >= 2*cin, lo.C a multiple of 16), and lw is the layer's
+// lane weights in paired form (PairLaneWeights). Each slot's outputs are
+// the bits ConvLanes33ReLU gives it alone.
+func ConvLanes33ReLUx2(out []float32, lo Blocked, in []float32, li Blocked, cin int, lw, res []float32, spans []int32) {
+	convLanes33(out, lo, in, li, cin, lw, res, spans, 0, 2)
 }
 
 // ConvLanes33 is ConvLanes33ReLU without the ReLU: out = conv(in) + res.
 func ConvLanes33(out []float32, lo Blocked, in []float32, li Blocked, cin int, lw, res []float32, spans []int32) {
-	convLanes33(out, lo, in, li, cin, lw, res, spans, float32(math.Inf(-1)))
+	convLanes33(out, lo, in, li, cin, lw, res, spans, float32(math.Inf(-1)), 1)
 }
 
-// convLanes33 is both: the epilogue is max(floor, .), a ReLU at a +0 floor
-// and nothing at -Inf.
-func convLanes33(out []float32, lo Blocked, in []float32, li Blocked, cin int, lw, res []float32, spans []int32, floor float32) {
-	groups := lo.C / laneWidth
-	gLen := cin*27*laneWidth + laneWidth
-	if lo.C%laneWidth != 0 || lo.D != li.D || lo.H != li.H || lo.W != li.W || cin < 1 || cin > li.C ||
-		len(out) < lo.Len() || len(in) < li.Len() || (res != nil && len(res) < lo.Len()) ||
+// convLanes33 is all three: the epilogue is max(floor, .), a ReLU at a +0
+// floor and nothing at -Inf, and width is the batch slots per buffer, 1 or
+// 2.
+func convLanes33(out []float32, lo Blocked, in []float32, li Blocked, cin int, lw, res []float32, spans []int32, floor float32, width int) {
+	vec := width * laneWidth // the floats of one output vector
+	groups := lo.C / vec
+	gLen := width * (cin*27*laneWidth + laneWidth)
+	if (width != 1 && width != 2) || lo.C%vec != 0 || lo.D != li.D || lo.H != li.H || lo.W != li.W ||
+		cin < 1 || width*cin > li.C || len(out) < lo.Len() || len(in) < li.Len() || (res != nil && len(res) < lo.Len()) ||
 		len(lw) != groups*gLen || len(spans) != 2*lo.D*lo.H {
-		panic(fmt.Sprintf("tensor: ConvLanes33 geometry: out %v (len %d), in %v (len %d), cin %d, weights %d, spans %d",
-			lo, len(out), li, len(in), cin, len(lw), len(spans)))
+		panic(fmt.Sprintf("tensor: ConvLanes33 geometry: width %d, out %v (len %d), in %v (len %d), cin %d, weights %d, spans %d",
+			width, lo, len(out), li, len(in), cin, len(lw), len(spans)))
 	}
 	asm := spanActive(3, 3, 3)
+	if width == 2 {
+		asm = PairedLanesActive()
+	}
 	istr, ostr := li.C, lo.C
 	prow := (li.W + 2) * istr
 	pplane := (li.H + 2) * prow
@@ -182,21 +221,30 @@ func convLanes33(out []float32, lo Blocked, in []float32, li Blocked, cin int, l
 			op := lo.Pos(z, y, x0)
 			for g := 0; g < groups; g++ {
 				w := lw[g*gLen:][:gLen]
-				o := op + g*laneWidth
+				o := op + g*vec
 				if asm {
 					var rp *float32
 					if res != nil {
 						rp = &res[o]
 					}
-					convRow33(&out[o], &in[ip], &w[0], &w[gLen-laneWidth], rp,
-						int64(cin), int64(4*istr), int64(4*prow), int64(4*pplane), int64(4*ostr), int64(n), floor)
+					if width == 2 {
+						convRow33x2(&out[o], &in[ip], &w[0], &w[gLen-vec], rp,
+							int64(cin), int64(4*istr), int64(4*prow), int64(4*pplane), int64(4*ostr), int64(n), floor)
+					} else {
+						convRow33(&out[o], &in[ip], &w[0], &w[gLen-vec], rp,
+							int64(cin), int64(4*istr), int64(4*prow), int64(4*pplane), int64(4*ostr), int64(n), floor)
+					}
 					continue
 				}
 				var rs []float32
 				if res != nil {
 					rs = res[o:]
 				}
-				convRow33Go(out[o:], in[ip:], w, rs, cin, istr, prow, pplane, ostr, n, floor)
+				if width == 2 {
+					convRow33x2Go(out[o:], in[ip:], w, rs, cin, istr, prow, pplane, ostr, n, floor)
+				} else {
+					convRow33Go(out[o:], in[ip:], w, rs, cin, istr, prow, pplane, ostr, n, floor)
+				}
 			}
 			x0 += n
 		}
@@ -248,6 +296,58 @@ func convRow33Go(out, in, w, res []float32, cin, istr, prow, pplane, ostr, n int
 				v = floor
 			}
 			dst[l] = v
+		}
+	}
+}
+
+// convRow33x2Go is convRow33x2 in Go: convRow33Go once per batch slot s,
+// reading slot s's inputs (channel ic at float 2ic+s) and the doubled
+// weights' lanes 2c+s, and writing output lanes 2c+s. A lane's sequence
+// does not depend on the other slot's, so slot by slot gives the kernel's
+// bits.
+func convRow33x2Go(out, in, w, res []float32, cin, istr, prow, pplane, ostr, n int, floor float32) {
+	const vec = 2 * laneWidth
+	for s := 0; s < 2; s++ {
+		bias := w[cin*27*vec+s:][:vec-1]
+		for p := 0; p < n; p++ {
+			a0, a1, a2, a3 := bias[0], bias[2], bias[4], bias[6]
+			a4, a5, a6, a7 := bias[8], bias[10], bias[12], bias[14]
+			pin := in[p*istr+s:]
+			wt := w[s:]
+			for ic := 0; ic < cin; ic++ {
+				for dz := 0; dz < 3; dz++ {
+					for dy := 0; dy < 3; dy++ {
+						row := pin[dz*pplane+dy*prow+2*ic:]
+						for dx := 0; dx < 3; dx++ {
+							v := row[dx*istr]
+							t := wt[: vec-1 : vec-1]
+							a0 += float32(v * t[0])
+							a1 += float32(v * t[2])
+							a2 += float32(v * t[4])
+							a3 += float32(v * t[6])
+							a4 += float32(v * t[8])
+							a5 += float32(v * t[10])
+							a6 += float32(v * t[12])
+							a7 += float32(v * t[14])
+							wt = wt[vec:]
+						}
+					}
+				}
+			}
+			acc := [laneWidth]float32{a0, a1, a2, a3, a4, a5, a6, a7}
+			if res != nil {
+				r := res[p*ostr+s:][:vec-1]
+				for l := range acc {
+					acc[l] += r[2*l]
+				}
+			}
+			dst := out[p*ostr+s:][:vec-1]
+			for l, v := range acc {
+				if floor > v {
+					v = floor
+				}
+				dst[2*l] = v
+			}
 		}
 	}
 }

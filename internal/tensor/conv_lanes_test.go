@@ -196,19 +196,213 @@ func TestConvLanesAllocFree(t *testing.T) {
 }
 
 // BenchmarkConvLanes33ReLU times one module conv of the default flood
-// geometry (8 features, 5x9x9, every position) on one slot.
+// geometry (8 features, 5x9x9, every position) on two slots: two width-1
+// calls, or one paired call (ConvLanes33ReLUx2). ns/app is per slot.
 func BenchmarkConvLanes33ReLU(b *testing.B) {
 	rng := sim.NewRNG(1)
-	in := randTensor(rng, 1, 8, 5, 9, 9)
+	in := randTensor(rng, 2, 8, 5, 9, 9)
 	wt := randTensor(rng, 8, 8, 3, 3, 3)
-	inBuf, li := toBlocked(in, 0, 8)
-	out := make([]float32, li.Len())
+	in0, li := toBlocked(in, 0, 8)
+	in1, _ := toBlocked(in, 1, 8)
 	lw := make([]float32, LaneWeights33Len(8, 8))
 	PackLaneWeights33(lw, wt, nil)
 	spans := laneSpans(5, 9, 9, true)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ConvLanes33ReLU(out, li, inBuf, li, 8, lw, nil, spans)
+	for _, width := range []int{1, 2} {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			b.ReportAllocs()
+			if width == 1 {
+				out := make([]float32, li.Len())
+				for i := 0; i < b.N; i++ {
+					ConvLanes33ReLU(out, li, in0, li, 8, lw, nil, spans)
+					ConvLanes33ReLU(out, li, in1, li, 8, lw, nil, spans)
+				}
+			} else {
+				pair, lp := pairBlocked(in0, in1, li)
+				out := make([]float32, lp.Len())
+				lw2 := pairedWeights(lw)
+				for i := 0; i < b.N; i++ {
+					ConvLanes33ReLUx2(out, lp, pair, lp, 8, lw2, nil, spans)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/app")
+		})
+	}
+}
+
+// pairBlocked interleaves two buffers of layout lay into one of twice the
+// channels, channel c of slot s at 2c+s: ConvLanes33ReLUx2's layout.
+func pairBlocked(a, b []float32, lay Blocked) ([]float32, Blocked) {
+	lp := lay
+	lp.C *= 2
+	out := make([]float32, lp.Len())
+	for i := range a[:lay.Len()] {
+		p, c := i/lay.C, i%lay.C
+		out[p*lp.C+2*c], out[p*lp.C+2*c+1] = a[i], b[i]
+	}
+	return out, lp
+}
+
+// pairedWeights is lw in paired form, in a fresh slice.
+func pairedWeights(lw []float32) []float32 {
+	lw2 := make([]float32, 2*len(lw))
+	copy(lw2, lw)
+	PairLaneWeights(lw2)
+	return lw2
+}
+
+// specialInputs plants -0, subnormals, NaN and both infinities among a
+// tensor's values.
+func specialInputs(t *Tensor) {
+	specials := []float32{float32(math.Copysign(0, -1)), math.Float32frombits(1), -math.Float32frombits(0x7fffff),
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	for i := 5; i < len(t.Data); i += 13 {
+		t.Data[i] = specials[i%len(specials)]
+	}
+}
+
+// TestConvLanesPairedMatchesSlots holds the paired engine to two width-1
+// calls, bit for bit and slot by slot, on every body the host runs (the
+// 16-lane AVX-512F kernel against the AVX2 one, and the Go twins against
+// each other): input channels 2/6/8/12 and output channels 6/8/12/17 (one
+// group and several, lanes past cout), every tile width 1..12 and a row of
+// two tiles, full, ragged and empty spans, with and without a residual, at
+// a +0 and a -Inf floor, on inputs holding -0, subnormals, NaN and
+// infinities. A partner slot full of NaN (on every other row width and
+// spans kind) must leave a slot's bits as they are alone, and positions
+// outside the spans must keep their sentinel.
+func TestConvLanesPairedMatchesSlots(t *testing.T) {
+	defer SetSpanKernels(SetSpanKernels(true))
+	rng := sim.NewRNG(53)
+	const d, h = 2, 3
+	nan := float32(math.NaN())
+	sentinel := float32(-7.5)
+	for _, cin := range []int{2, 6, 8, 12} {
+		for _, cout := range []int{6, 8, 12, 17} {
+			for _, w := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13} {
+				in := randTensor(rng, 2, cin, d, h, w)
+				specialInputs(in)
+				res := randTensor(rng, 2, cout, d, h, w)
+				specialInputs(res)
+				wt := randTensor(rng, cout, cin, 3, 3, 3)
+				bias := make([]float32, cout)
+				for i := range bias {
+					bias[i] = float32(rng.NormFloat64())
+				}
+				c8 := LaneChannels(cout)
+				lw := make([]float32, LaneWeights33Len(cout, cin))
+				PackLaneWeights33(lw, wt, bias)
+				lw2 := pairedWeights(lw)
+				pitch := cin + cin%3 // a pitch that is not the channel count
+				in0, li := toBlocked(in, 0, pitch)
+				in1, _ := toBlocked(in, 1, pitch)
+				res0, lo := toBlocked(res, 0, c8)
+				res1, _ := toBlocked(res, 1, c8)
+				dead := make([]float32, li.Len()) // slot 1 all NaN inside the shell
+				for z := 0; z < d; z++ {
+					for y := 0; y < h; y++ {
+						for x := 0; x < w; x++ {
+							for c := 0; c < pitch; c++ {
+								dead[li.Pos(z, y, x)+c] = nan
+							}
+						}
+					}
+				}
+				empty := make([]int32, 2*d*h)
+				for _, span := range []bool{true, false} {
+					SetSpanKernels(span)
+					for si, spans := range [][]int32{laneSpans(d, h, w, true), laneSpans(d, h, w, false), empty} {
+						for _, withRes := range []bool{false, true} {
+							for _, floor := range []float32{0, float32(math.Inf(-1))} {
+								partner := []string{"live", "nan"}[(w+si)%2]
+								name := fmt.Sprintf("cin%d/cout%d/w%d/span=%v/spans%d/res=%v/floor=%v/partner=%s",
+									cin, cout, w, span, si, withRes, floor, partner)
+								other := in1
+								if partner == "nan" {
+									other = dead
+								}
+								var r0, r1, rp []float32
+								if withRes {
+									r0, r1 = res0, res1
+									rp, _ = pairBlocked(res0, res1, lo)
+								}
+								want := [2][]float32{make([]float32, lo.Len()), make([]float32, lo.Len())}
+								for s, src := range [2][]float32{in0, other} {
+									for i := range want[s] {
+										want[s][i] = sentinel
+									}
+									r := r0
+									if s == 1 {
+										r = r1
+									}
+									convLanes33(want[s], lo, src, li, cin, lw, r, spans, floor, 1)
+								}
+								pin, lpi := pairBlocked(in0, other, li)
+								lpo := lo
+								lpo.C *= 2
+								got := make([]float32, lpo.Len())
+								for i := range got {
+									got[i] = sentinel
+								}
+								convLanes33(got, lpo, pin, lpi, cin, lw2, rp, spans, floor, 2)
+								for s := 0; s < 2; s++ {
+									if s == 1 && partner == "nan" {
+										continue // the dead slot's lanes are anything
+									}
+									for p := 0; p < lo.Len()/c8; p++ {
+										for c := 0; c < c8; c++ {
+											a, b := got[p*2*c8+2*c+s], want[s][p*c8+c]
+											if math.Float32bits(a) != math.Float32bits(b) {
+												t.Fatalf("%s: slot %d position %d channel %d = %v (%#x), alone %v (%#x)",
+													name, s, p, c, a, math.Float32bits(a), b, math.Float32bits(b))
+											}
+										}
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKernelBodies logs which conv bodies this host runs — the AVX2
+// convRow33 and the AVX-512F convRow33x2, or only their Go twins — and
+// holds each body that runs to its twin on one module conv, so a green run
+// says what it covered.
+func TestKernelBodies(t *testing.T) {
+	defer SetSpanKernels(SetSpanKernels(true))
+	t.Logf("AVX2 body (convRow33): %v", SpanKernelsActive())
+	t.Logf("AVX-512F body (convRow33x2): %v", PairedLanesActive())
+	rng := sim.NewRNG(59)
+	in := randTensor(rng, 2, 8, 5, 9, 9)
+	wt := randTensor(rng, 8, 8, 3, 3, 3)
+	in0, li := toBlocked(in, 0, 8)
+	in1, _ := toBlocked(in, 1, 8)
+	pair, lp := pairBlocked(in0, in1, li)
+	lw := make([]float32, LaneWeights33Len(8, 8))
+	PackLaneWeights33(lw, wt, nil)
+	lw2 := pairedWeights(lw)
+	spans := laneSpans(5, 9, 9, true)
+	run := func(span bool) (one, two []float32) {
+		SetSpanKernels(span)
+		one, two = make([]float32, li.Len()), make([]float32, lp.Len())
+		ConvLanes33ReLU(one, li, in0, li, 8, lw, in0, spans)
+		ConvLanes33ReLUx2(two, lp, pair, lp, 8, lw2, pair, spans)
+		return one, two
+	}
+	one, two := run(true)
+	oneGo, twoGo := run(false)
+	for i := range one {
+		if math.Float32bits(one[i]) != math.Float32bits(oneGo[i]) {
+			t.Fatalf("width 1, float %d: %v, Go twin %v", i, one[i], oneGo[i])
+		}
+	}
+	for i := range two {
+		if math.Float32bits(two[i]) != math.Float32bits(twoGo[i]) {
+			t.Fatalf("width 2, float %d: %v, Go twin %v", i, two[i], twoGo[i])
+		}
 	}
 }
 

@@ -4,8 +4,8 @@ import "math"
 
 // SIMD-shaped span path for the dominant 3x3x3 conv geometry.
 //
-// There are two AVX2 forward kernels, and SetSpanKernels, the nosimd tag
-// and the CPU check gate both:
+// There are two AVX2 forward kernels and one AVX-512F one, and
+// SetSpanKernels, the nosimd tag and the CPU check gate all three:
 //   - conv33Flat, below, computes planar (B, C, D, H, W) tensors one output
 //     channel at a time, eight positions of a plane in the lanes of a
 //     vector. It serves Conv3DInto, Conv3DBatch*Into and the input gradient
@@ -17,6 +17,10 @@ import "math"
 //     ConvLanes33ReLU and ConvLanes33: the f32 flood's forward pass, and
 //     training's forward pass and input gradients, whose activations and
 //     gradients never leave that layout.
+//   - convRow33x2 is convRow33 on two batch slots interleaved in one
+//     Blocked buffer, the same eight output channels of both in the 16
+//     lanes of a ZMM vector. It serves ConvLanes33ReLUx2, the flood's
+//     forward pass where the CPU has AVX-512F (PairedLanesActive).
 //
 // The scalar batched engine (conv_batch.go) is already at the scalar FP
 // throughput floor: each output element needs cin*27 multiply-accumulates and
@@ -80,6 +84,11 @@ func SetSpanKernels(on bool) bool {
 // SpanKernelsActive reports whether conv dispatches with 3x3x3 weights will
 // take the SIMD span path (enabled and supported by the CPU).
 func SpanKernelsActive() bool { return spanEnabled && hasAVX2 }
+
+// PairedLanesActive reports whether ConvLanes33ReLUx2 runs the 16-lane
+// AVX-512F kernel (convRow33x2) rather than its Go twin: the span path is
+// enabled and the CPU and OS support AVX-512F.
+func PairedLanesActive() bool { return spanEnabled && hasAVX512 }
 
 // QuantAsmActive reports false: there is no quantized conv dispatch. It is
 // kept only because the benchmark report's header still prints the field.

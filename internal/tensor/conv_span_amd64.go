@@ -39,3 +39,14 @@ func convBwdW33(dst, pin, gt *float32, d, h, w, pplane, prow, istride, gstride, 
 //
 //go:noescape
 func convRow33(dst, pin, w, bias, res *float32, cin, istride, prow, pplane, ostride, n int64, floor float32)
+
+// convRow33x2 is convRow33 for two batch slots interleaved in one Blocked
+// buffer, channel c of slot s at float 2c+s of a position
+// (conv_span_amd64.s): each 16-lane vector holds eight output channels of
+// both slots, lane 2c+s, and each lane runs convRow33's sequence. pin is
+// tap (0, 0, 0) of position 0, channel 0 of slot 0; w is the group's
+// [cin][27][16] doubled weights (PairLaneWeights) and bias their 16 lanes.
+// Strides are in bytes. Requires AVX-512F.
+//
+//go:noescape
+func convRow33x2(dst, pin, w, bias, res *float32, cin, istride, prow, pplane, ostride, n int64, floor float32)

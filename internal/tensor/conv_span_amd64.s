@@ -464,3 +464,246 @@ lrelu:
 ldone:
 	VZEROUPPER
 	RET
+
+// PTAP3 is LTAP3 for two batch slots: each input at a0, a1, a2 is the
+// (slot 0, slot 1) pair of one channel, broadcast as one 64-bit value so
+// lane 2c+s holds slot s's input, times the tap's doubled weights
+// (Z12-Z14, lane 2c+s holding output channel c's), into the position's
+// 16-lane accumulator, in dx order. Multiply and add stay separate (no
+// FMA), so every lane runs LTAP3's sequence.
+#define PTAP3(a0, a1, a2, acc) \
+	VBROADCASTSD a0, Z15       \
+	VMULPS       Z12, Z15, Z15 \
+	VADDPS       Z15, acc, acc \
+	VBROADCASTSD a1, Z15       \
+	VMULPS       Z13, Z15, Z15 \
+	VADDPS       Z15, acc, acc \
+	VBROADCASTSD a2, Z15       \
+	VMULPS       Z14, Z15, Z15 \
+	VADDPS       Z15, acc, acc
+
+// PRES is LRES on 16 lanes.
+#define PRES(acc) \
+	VADDPS (SI), acc, acc \
+	ADDQ   R11, SI
+
+// POUT is LOUT on 16 lanes: max(floor, acc) with the floor (Z15) first.
+#define POUT(acc) \
+	VMAXPS  acc, Z15, acc \
+	VMOVUPS acc, (DI)     \
+	ADDQ    R11, DI
+
+// func convRow33x2(dst, pin, w, bias, res *float32, cin, istride, prow, pplane, ostride, n int64, floor float32)
+//
+// convRow33 for two batch slots interleaved in one Blocked buffer, channel
+// c of slot s at float 2c+s of a position: n (1..12) positions, eight
+// output channels of both slots each, in the 16 lanes of one vector.
+// Accumulators Z0-Z11, doubled weights Z12-Z14 and the temporary Z15 are
+// the only vector registers it touches, so the closing VZEROUPPER leaves
+// no dirty upper state. The addressing and the tap order are convRow33's;
+// an input channel is 8 bytes (a slot pair) and a tap's weights 64.
+TEXT ·convRow33x2(SB), NOSPLIT, $0-92
+	MOVQ pin+8(FP), BX
+	MOVQ w+16(FP), DX
+	MOVQ bias+24(FP), AX
+	MOVQ cin+40(FP), R8
+	MOVQ istride+48(FP), R11
+	LEAQ (R11)(R11*2), R12
+	MOVQ prow+56(FP), CX
+	MOVQ n+80(FP), R15
+
+	VMOVUPS (AX), Z0
+	VMOVAPS Z0, Z1
+	VMOVAPS Z0, Z2
+	VMOVAPS Z0, Z3
+	VMOVAPS Z0, Z4
+	VMOVAPS Z0, Z5
+	VMOVAPS Z0, Z6
+	VMOVAPS Z0, Z7
+	VMOVAPS Z0, Z8
+	VMOVAPS Z0, Z9
+	VMOVAPS Z0, Z10
+	VMOVAPS Z0, Z11
+
+pic_loop:
+	MOVQ BX, AX
+	MOVQ $3, R9
+
+pdz_loop:
+	MOVQ AX, SI
+	MOVQ $3, R10
+
+pdy_loop:
+	VMOVUPS (DX), Z12
+	VMOVUPS 64(DX), Z13
+	VMOVUPS 128(DX), Z14
+	ADDQ    $192, DX
+	LEAQ    (SI)(R11*4), R13
+	LEAQ    (R13)(R11*4), R14
+	LEAQ    (R14)(R11*4), DI
+	CMPQ    R15, $12
+	JEQ     pp12
+	CMPQ    R15, $11
+	JEQ     pp11
+	CMPQ    R15, $10
+	JEQ     pp10
+	CMPQ    R15, $9
+	JEQ     pp9
+	CMPQ    R15, $8
+	JEQ     pp8
+	CMPQ    R15, $7
+	JEQ     pp7
+	CMPQ    R15, $6
+	JEQ     pp6
+	CMPQ    R15, $5
+	JEQ     pp5
+	CMPQ    R15, $4
+	JEQ     pp4
+	CMPQ    R15, $3
+	JEQ     pp3
+	CMPQ    R15, $2
+	JEQ     pp2
+	JMP     pp1
+
+pp12:
+	PTAP3((R14)(R12*1), (DI), (DI)(R11*1), Z11)
+
+pp11:
+	PTAP3((R14)(R11*2), (R14)(R12*1), (DI), Z10)
+
+pp10:
+	PTAP3((R14)(R11*1), (R14)(R11*2), (R14)(R12*1), Z9)
+
+pp9:
+	PTAP3((R14), (R14)(R11*1), (R14)(R11*2), Z8)
+
+pp8:
+	PTAP3((R13)(R12*1), (R14), (R14)(R11*1), Z7)
+
+pp7:
+	PTAP3((R13)(R11*2), (R13)(R12*1), (R14), Z6)
+
+pp6:
+	PTAP3((R13)(R11*1), (R13)(R11*2), (R13)(R12*1), Z5)
+
+pp5:
+	PTAP3((R13), (R13)(R11*1), (R13)(R11*2), Z4)
+
+pp4:
+	PTAP3((SI)(R12*1), (R13), (R13)(R11*1), Z3)
+
+pp3:
+	PTAP3((SI)(R11*2), (SI)(R12*1), (R13), Z2)
+
+pp2:
+	PTAP3((SI)(R11*1), (SI)(R11*2), (SI)(R12*1), Z1)
+
+pp1:
+	PTAP3((SI), (SI)(R11*1), (SI)(R11*2), Z0)
+
+	ADDQ CX, SI
+	DECQ R10
+	JNZ  pdy_loop
+
+	ADDQ pplane+64(FP), AX
+	DECQ R9
+	JNZ  pdz_loop
+
+	ADDQ $8, BX
+	DECQ R8
+	JNZ  pic_loop
+
+	MOVQ         dst+0(FP), DI
+	MOVQ         res+32(FP), SI
+	MOVQ         ostride+72(FP), R11
+	VBROADCASTSS floor+88(FP), Z15
+	TESTQ        SI, SI
+	JZ           prelu
+
+	PRES(Z0)
+	POUT(Z0)
+	DECQ R15
+	JZ   pdone
+	PRES(Z1)
+	POUT(Z1)
+	DECQ R15
+	JZ   pdone
+	PRES(Z2)
+	POUT(Z2)
+	DECQ R15
+	JZ   pdone
+	PRES(Z3)
+	POUT(Z3)
+	DECQ R15
+	JZ   pdone
+	PRES(Z4)
+	POUT(Z4)
+	DECQ R15
+	JZ   pdone
+	PRES(Z5)
+	POUT(Z5)
+	DECQ R15
+	JZ   pdone
+	PRES(Z6)
+	POUT(Z6)
+	DECQ R15
+	JZ   pdone
+	PRES(Z7)
+	POUT(Z7)
+	DECQ R15
+	JZ   pdone
+	PRES(Z8)
+	POUT(Z8)
+	DECQ R15
+	JZ   pdone
+	PRES(Z9)
+	POUT(Z9)
+	DECQ R15
+	JZ   pdone
+	PRES(Z10)
+	POUT(Z10)
+	DECQ R15
+	JZ   pdone
+	PRES(Z11)
+	POUT(Z11)
+	JMP  pdone
+
+prelu:
+	POUT(Z0)
+	DECQ R15
+	JZ   pdone
+	POUT(Z1)
+	DECQ R15
+	JZ   pdone
+	POUT(Z2)
+	DECQ R15
+	JZ   pdone
+	POUT(Z3)
+	DECQ R15
+	JZ   pdone
+	POUT(Z4)
+	DECQ R15
+	JZ   pdone
+	POUT(Z5)
+	DECQ R15
+	JZ   pdone
+	POUT(Z6)
+	DECQ R15
+	JZ   pdone
+	POUT(Z7)
+	DECQ R15
+	JZ   pdone
+	POUT(Z8)
+	DECQ R15
+	JZ   pdone
+	POUT(Z9)
+	DECQ R15
+	JZ   pdone
+	POUT(Z10)
+	DECQ R15
+	JZ   pdone
+	POUT(Z11)
+
+pdone:
+	VZEROUPPER
+	RET

@@ -15,3 +15,7 @@ func convBwdW33(dst, pin, gt *float32, d, h, w, pplane, prow, istride, gstride, 
 func convRow33(dst, pin, w, bias, res *float32, cin, istride, prow, pplane, ostride, n int64, floor float32) {
 	panic("tensor: convRow33 called without SIMD support")
 }
+
+func convRow33x2(dst, pin, w, bias, res *float32, cin, istride, prow, pplane, ostride, n int64, floor float32) {
+	panic("tensor: convRow33x2 called without SIMD support")
+}

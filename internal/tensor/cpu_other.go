@@ -4,4 +4,4 @@ package tensor
 
 // Non-amd64 builds have no SIMD kernels; every dispatch takes the portable
 // scalar engine.
-var hasAVX2 = false
+var hasAVX2, hasAVX512 = false, false
