@@ -599,45 +599,6 @@ func BenchmarkQueueThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionHPSweep is extension §III-E3: the Redis-fed
-// hyperparameter sweep with held-out validation (real training per
-// candidate).
-func BenchmarkExtensionHPSweep(b *testing.B) {
-	var best float64
-	var vmin float64
-	for i := 0; i < b.N; i++ {
-		eco := core.BuildNautilus(core.DefaultNautilus())
-		res, err := eco.RunHyperparameterSweep(core.DefaultSweep())
-		if err != nil {
-			b.Fatal(err)
-		}
-		best = res.Best.F1
-		vmin = res.VirtualTime.Minutes()
-	}
-	b.ReportMetric(best, "best-F1")
-	b.ReportMetric(vmin, "sweep-vmin")
-}
-
-// BenchmarkExtensionDistTrainingCluster is extension §III-E2 executed on the
-// cluster (ReplicaSet + Service + real data-parallel SGD + WAN all-reduce),
-// complementing the analytic model in BenchmarkAblationDistTraining.
-func BenchmarkExtensionDistTrainingCluster(b *testing.B) {
-	var finalLoss, commGB float64
-	for i := 0; i < b.N; i++ {
-		eco := core.BuildNautilus(core.DefaultNautilus())
-		cfg := core.DefaultDistTrainConfig()
-		cfg.Rounds = 30
-		res, err := eco.RunDistributedTraining(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		finalLoss = res.FinalLoss()
-		commGB = res.CommBytes / 1e9
-	}
-	b.ReportMetric(finalLoss, "final-loss")
-	b.ReportMetric(commGB, "allreduce-GB")
-}
-
 // BenchmarkExtensionCAVERender is extension §III-E4: the tiled SunCAVE wall
 // render fanned across labeled GPU nodes.
 func BenchmarkExtensionCAVERender(b *testing.B) {

@@ -895,7 +895,7 @@ func (s *SweepSpec) Candidates() []SweepParams {
 // (resume "") draws its network from the sweep seed, shared across
 // candidates so architectures differ only where the grid says they do, and
 // its sampling seed from seed ^ 0xabcd; a resumed child takes all of that
-// from its checkpoint. core's queue-driven sweep evaluates the same child.
+// from its checkpoint.
 func (s *SweepSpec) Child(h SweepParams, holdout int, resume string) *TrainDistSpec {
 	td := &TrainDistSpec{Source: s.Source, Threshold: s.Threshold, Workers: 1, Rounds: h.TrainSteps,
 		HoldoutSteps: holdout, ResumeFrom: resume}
@@ -1234,8 +1234,7 @@ type TrainDistResult struct {
 	IoU          float64 `json:"iou,omitempty"`
 }
 
-// SweepParams is one grid candidate: what a sweep job's leaderboard reports
-// and what core's queue-driven sweep carries as a Redis message.
+// SweepParams is one grid candidate: what a sweep job's leaderboard reports.
 type SweepParams struct {
 	LR         float32 `json:"lr"`
 	Momentum   float32 `json:"momentum"`

@@ -74,8 +74,8 @@ type Event struct {
 }
 
 // Cluster is the simulated control plane: state store, scheduler, and node
-// lifecycle. Controllers (Job, ReplicaSet) are layered on top in
-// controllers.go.
+// lifecycle. Controllers (Job, DaemonSet) are layered on top in
+// controllers.go and daemonset.go.
 type Cluster struct {
 	clock *sim.Clock
 	reg   *metrics.Registry

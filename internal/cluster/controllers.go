@@ -8,10 +8,9 @@ import (
 
 // This file implements the scheduling controllers the paper's workflows use:
 // the Job resource ("for a workflow it is usually the Job resource that is
-// most prevalent because it can execute batch process at scale") and the
-// ReplicaSet (planned for distributed TensorFlow training), plus Services
-// for stable naming. Controllers watch pod terminations and reconcile toward
-// declared state, including respawning pods lost to node failures.
+// most prevalent because it can execute batch process at scale"). Controllers
+// watch pod terminations and reconcile toward declared state, including
+// respawning pods lost to node failures.
 
 // PodTemplate declares the pods a controller stamps out. Run receives the
 // pod context; the worker index is available via ctx.Index().
@@ -184,146 +183,4 @@ func (j *Job) finish() {
 		fn(j.done)
 	}
 	j.onComplete = nil
-}
-
-// ReplicaSetSpec declares a long-running replicated workload (the paper's
-// planned distributed-training topology: "a Kubernetes ReplicaSet ... a
-// single client image that would need to be scaled").
-type ReplicaSetSpec struct {
-	Name      string
-	Namespace string
-	Replicas  int
-	Template  PodTemplate
-}
-
-// ReplicaSet keeps Replicas pods running, replacing any that terminate.
-type ReplicaSet struct {
-	Spec ReplicaSetSpec
-
-	cluster   *Cluster
-	active    map[uint64]*Pod
-	nextIndex int
-	deleted   bool
-}
-
-// CreateReplicaSet submits a replica set.
-func (c *Cluster) CreateReplicaSet(spec ReplicaSetSpec) (*ReplicaSet, error) {
-	if spec.Replicas < 0 {
-		return nil, errors.New("cluster: negative replica count")
-	}
-	if spec.Template.Run == nil {
-		return nil, errors.New("cluster: ReplicaSetSpec.Template.Run is nil")
-	}
-	rs := &ReplicaSet{Spec: spec, cluster: c, active: make(map[uint64]*Pod)}
-	c.logEvent("ReplicaSetCreated", spec.Namespace+"/"+spec.Name, "replicas=%d", spec.Replicas)
-	rs.reconcile()
-	return rs, nil
-}
-
-// Active returns the number of live replicas.
-func (rs *ReplicaSet) Active() int { return len(rs.active) }
-
-// Scale changes the desired replica count up or down.
-func (rs *ReplicaSet) Scale(replicas int) {
-	if replicas < 0 {
-		replicas = 0
-	}
-	rs.Spec.Replicas = replicas
-	rs.cluster.logEvent("ReplicaSetScaled", rs.Spec.Namespace+"/"+rs.Spec.Name,
-		"replicas=%d", replicas)
-	rs.reconcile()
-}
-
-// Delete tears the replica set down.
-func (rs *ReplicaSet) Delete() {
-	rs.deleted = true
-	var pods []*Pod
-	for _, p := range rs.active {
-		pods = append(pods, p)
-	}
-	sort.Slice(pods, func(a, b int) bool { return pods[a].UID < pods[b].UID })
-	for _, p := range pods {
-		rs.cluster.DeletePod(p)
-	}
-	rs.active = make(map[uint64]*Pod)
-}
-
-func (rs *ReplicaSet) reconcile() {
-	if rs.deleted {
-		return
-	}
-	// Scale down: delete newest first, like the Kubernetes controller.
-	if len(rs.active) > rs.Spec.Replicas {
-		var pods []*Pod
-		for _, p := range rs.active {
-			pods = append(pods, p)
-		}
-		sort.Slice(pods, func(a, b int) bool { return pods[a].UID > pods[b].UID })
-		for _, p := range pods[:len(pods)-rs.Spec.Replicas] {
-			rs.cluster.DeletePod(p)
-		}
-		return
-	}
-	for len(rs.active) < rs.Spec.Replicas {
-		idx := rs.nextIndex
-		rs.nextIndex++
-		spec := PodSpec{
-			Name:         fmt.Sprintf("%s-%d", rs.Spec.Name, idx),
-			Namespace:    rs.Spec.Namespace,
-			Requests:     rs.Spec.Template.Requests,
-			NodeSelector: rs.Spec.Template.NodeSelector,
-			Tolerations:  rs.Spec.Template.Tolerations,
-			Labels:       rs.Spec.Template.Labels,
-			Run:          rs.Spec.Template.Run,
-		}
-		p, err := rs.cluster.CreatePod(spec)
-		if err != nil {
-			return
-		}
-		p.Index = idx
-		p.owner = rs
-		rs.active[p.UID] = p
-	}
-}
-
-// podTerminated implements podOwner: any termination is replaced.
-func (rs *ReplicaSet) podTerminated(p *Pod) {
-	delete(rs.active, p.UID)
-	rs.reconcile()
-}
-
-// Service gives a stable name to a labelled set of pods ("hostnames will be
-// used instead of IP addresses by creating a service"). Resolution returns
-// the names of running pods whose labels match the selector.
-type Service struct {
-	Name      string
-	Namespace string
-	Selector  map[string]string
-
-	cluster *Cluster
-}
-
-// CreateService registers a service.
-func (c *Cluster) CreateService(name, namespace string, selector map[string]string) *Service {
-	s := &Service{Name: name, Namespace: namespace, Selector: selector, cluster: c}
-	c.logEvent("ServiceCreated", namespace+"/"+name, "selector=%v", selector)
-	return s
-}
-
-// Endpoints returns the running pods backing the service, sorted by name.
-// Endpoints re-resolve on every call, so pods that moved between nodes keep
-// their service identity — the dynamic-communication property Section III-E2
-// wants for distributed training.
-func (s *Service) Endpoints() []*Pod {
-	var out []*Pod
-	for _, p := range s.cluster.pods {
-		if p.Spec.Namespace != s.Namespace || p.Phase != PodRunning {
-			continue
-		}
-		if matchesSelector(p.Spec.Labels, s.Selector) {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Spec.Name < out[j].Spec.Name })
-	return out
 }

@@ -150,115 +150,6 @@ func TestJobInvalidSpecs(t *testing.T) {
 	}
 }
 
-func TestReplicaSetMaintainsReplicas(t *testing.T) {
-	clk, c := testCluster(3)
-	rs, err := c.CreateReplicaSet(ReplicaSetSpec{
-		Name: "train", Namespace: "connect", Replicas: 4,
-		Template: PodTemplate{
-			Requests: Resources{GPUs: 1},
-			Labels:   map[string]string{"app": "train"},
-			Run:      func(ctx *PodCtx) {}, // long-running service
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clk.RunFor(time.Minute)
-	if rs.Active() != 4 {
-		t.Fatalf("active = %d, want 4", rs.Active())
-	}
-	if got := c.PodsInPhase("connect", PodRunning); got != 4 {
-		t.Fatalf("running pods = %d, want 4", got)
-	}
-}
-
-func TestReplicaSetReplacesLostPods(t *testing.T) {
-	clk, c := testCluster(3)
-	rs, _ := c.CreateReplicaSet(ReplicaSetSpec{
-		Name: "svc", Namespace: "connect", Replicas: 3,
-		Template: PodTemplate{Requests: Resources{CPU: 2}, Run: func(ctx *PodCtx) {}},
-	})
-	clk.RunFor(time.Minute)
-	c.KillNode("fiona8-00")
-	clk.RunFor(time.Minute)
-	if rs.Active() != 3 {
-		t.Fatalf("active after node loss = %d, want 3", rs.Active())
-	}
-	for _, n := range c.Nodes() {
-		if !n.Ready && len(n.pods) != 0 {
-			t.Fatal("dead node still hosts pods")
-		}
-	}
-}
-
-func TestReplicaSetScaleUpDown(t *testing.T) {
-	clk, c := testCluster(4)
-	rs, _ := c.CreateReplicaSet(ReplicaSetSpec{
-		Name: "workers", Namespace: "connect", Replicas: 2,
-		Template: PodTemplate{Run: func(ctx *PodCtx) {}},
-	})
-	clk.RunFor(time.Second)
-	rs.Scale(6)
-	clk.RunFor(time.Second)
-	if rs.Active() != 6 {
-		t.Fatalf("active after scale-up = %d, want 6", rs.Active())
-	}
-	rs.Scale(1)
-	clk.RunFor(time.Second)
-	if rs.Active() != 1 {
-		t.Fatalf("active after scale-down = %d, want 1", rs.Active())
-	}
-	rs.Delete()
-	clk.RunFor(time.Second)
-	if rs.Active() != 0 {
-		t.Fatalf("active after delete = %d, want 0", rs.Active())
-	}
-}
-
-func TestServiceEndpointsTrackPods(t *testing.T) {
-	clk, c := testCluster(3)
-	c.CreateReplicaSet(ReplicaSetSpec{
-		Name: "ps", Namespace: "connect", Replicas: 3,
-		Template: PodTemplate{
-			Labels: map[string]string{"app": "tf-train"},
-			Run:    func(ctx *PodCtx) {},
-		},
-	})
-	svc := c.CreateService("tf-train", "connect", map[string]string{"app": "tf-train"})
-	clk.RunFor(time.Second)
-	eps := svc.Endpoints()
-	if len(eps) != 3 {
-		t.Fatalf("endpoints = %d, want 3", len(eps))
-	}
-	// Kill the node of the first endpoint; service must re-resolve to 3
-	// running pods (replaced elsewhere).
-	c.KillNode(eps[0].Node)
-	clk.RunFor(time.Second)
-	eps = svc.Endpoints()
-	if len(eps) != 3 {
-		t.Fatalf("endpoints after node loss = %d, want 3", len(eps))
-	}
-	for _, p := range eps {
-		if p.Phase != PodRunning {
-			t.Fatalf("endpoint %s phase = %v", p.Spec.Name, p.Phase)
-		}
-	}
-}
-
-func TestServiceSelectorFilters(t *testing.T) {
-	clk, c := testCluster(2)
-	c.CreatePod(PodSpec{Name: "a", Namespace: "connect",
-		Labels: map[string]string{"app": "x"}, Run: func(ctx *PodCtx) {}})
-	c.CreatePod(PodSpec{Name: "b", Namespace: "connect",
-		Labels: map[string]string{"app": "y"}, Run: func(ctx *PodCtx) {}})
-	svc := c.CreateService("x-only", "connect", map[string]string{"app": "x"})
-	clk.RunFor(time.Second)
-	eps := svc.Endpoints()
-	if len(eps) != 1 || eps[0].Spec.Name != "a" {
-		t.Fatalf("endpoints = %v", eps)
-	}
-}
-
 func TestPropertyJobAlwaysCompletesOnHealthyCluster(t *testing.T) {
 	// Any job with parallelism/completions within cluster capacity completes
 	// with exactly `completions` successes and no failures.

@@ -56,13 +56,14 @@ func TestDoubleDrainReleasesOnce(t *testing.T) {
 
 // TestDeletePendingPodNotifiesOwner pins the fix for the controller
 // accounting gap: deleting a Pending pod must flow through the terminal
-// path so its owner drops it from the active set.
+// path so its owner drops it from the active set — a Job charges the
+// failure and stamps out a replacement.
 func TestDeletePendingPodNotifiesOwner(t *testing.T) {
 	clk, c := testCluster(1)
-	// Saturate the node so replica pods beyond the first stay Pending.
+	// Saturate the node so worker pods beyond the first stay Pending.
 	whole := FIONA8Capacity()
-	rs, err := c.CreateReplicaSet(ReplicaSetSpec{
-		Name: "train", Namespace: "connect", Replicas: 3,
+	j, err := c.CreateJob(JobSpec{
+		Name: "train", Namespace: "connect", Parallelism: 3, BackoffLimit: 3,
 		Template: PodTemplate{
 			Requests: Resources{CPU: whole.CPU, Memory: whole.Memory, GPUs: whole.GPUs},
 			Run:      sleepPod(time.Hour),
@@ -75,12 +76,25 @@ func TestDeletePendingPodNotifiesOwner(t *testing.T) {
 	if got := c.PodsInPhase("connect", PodPending); got != 2 {
 		t.Fatalf("pending pods = %d, want 2", got)
 	}
-	rs.Scale(1)
-	if got := rs.Active(); got != 1 {
-		t.Fatalf("active after scale-down of pending pods = %d, want 1", got)
+	var pending *Pod
+	for _, p := range j.Pods() {
+		if p.Phase == PodPending {
+			pending = p
+			break
+		}
 	}
-	if got := c.PodsInPhase("connect", PodPending); got != 0 {
-		t.Fatalf("pending pods after scale-down = %d, want 0", got)
+	c.DeletePod(pending)
+	if got := j.Failures(); got != 1 {
+		t.Fatalf("failures after deleting a pending pod = %d, want 1", got)
+	}
+	if got := len(j.Pods()); got != 4 {
+		t.Fatalf("pods = %d, want 4 (three workers and one replacement)", got)
+	}
+	if got := c.PodsInPhase("connect", PodPending); got != 2 {
+		t.Fatalf("pending pods after the delete = %d, want 2 (one left, one replacement)", got)
+	}
+	if got := j.Active(); got != 3 {
+		t.Fatalf("active = %d, want 3", got)
 	}
 }
 

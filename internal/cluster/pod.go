@@ -66,7 +66,7 @@ type Pod struct {
 	// Reason describes why the pod is in a non-normal state
 	// (e.g. "NodeLost", "QuotaExceeded", "Unschedulable").
 	Reason    string
-	Index     int // worker index assigned by the owning Job/ReplicaSet
+	Index     int // worker index assigned by the owning Job
 	CreatedAt time.Duration
 	StartedAt time.Duration
 	EndedAt   time.Duration

@@ -219,7 +219,7 @@ func TestRealComputeWorkflow(t *testing.T) {
 	}
 
 	// The other four seeds train on the volume the run stored.
-	scene, _ := sceneSource(cfg.Real)
+	scene := sceneSource(cfg.Real)
 	vol, err := e.Datasets.PutVolume(scene.D, scene.H, scene.W, scene.Data, "core")
 	if err != nil {
 		t.Fatal(err)

@@ -150,11 +150,20 @@ func RunSegmentation(ds *dataset.Manager, volume string, rc *RealComputeConfig) 
 	return res, nil
 }
 
+// sceneSource renders a RealComputeConfig's IVT volume as an inline
+// chased/v1 volume source — the raw form the job kinds consume (they
+// threshold and normalize themselves).
+func sceneSource(rc *RealComputeConfig) api.VolumeSource {
+	gen := merra.NewGenerator(rc.Grid, rc.Seed)
+	vol := merra.IVTVolume(gen, merra.PressureLevels(rc.Grid.NLev), 20, rc.TimeSteps)
+	return api.VolumeSource{D: rc.TimeSteps, H: rc.Grid.NLat, W: rc.Grid.NLon, Data: vol.Data}
+}
+
 // realCompute is the run's real-compute half: the scene goes into the
 // ecosystem's dataset store, RunSegmentation chains the jobs over it, and
 // the step-4 notebook's report and overlay land beside the results.
 func (run *ConnectRun) realCompute() error {
-	scene, _ := sceneSource(run.Config.Real)
+	scene := sceneSource(run.Config.Real)
 	info, err := run.Eco.Datasets.PutVolume(scene.D, scene.H, scene.W, scene.Data, "core")
 	if err != nil {
 		return err

@@ -93,7 +93,7 @@ func (e *Ecosystem) RunCAVERender(cfg CAVEConfig) (*CAVEResult, error) {
 					pc.Fail(err.Error())
 					return
 				}
-				if err := mount.WriteFile(fmt.Sprintf("tiles/%d-%d.json", r, c), meta); err != nil {
+				if err := mount.WriteFile(tileKey(r, c), meta); err != nil {
 					pc.Fail(err.Error())
 					return
 				}
@@ -120,18 +120,21 @@ func (e *Ecosystem) RunCAVERender(cfg CAVEConfig) (*CAVEResult, error) {
 		return nil, errors.New("core: tile render job failed")
 	}
 
-	// The display host assembles the wall from the stored tiles.
-	var tiles []viz.Tile
-	for _, key := range mount.Glob("tiles/") {
-		data, err := mount.ReadFile(key)
-		if err != nil {
-			return nil, err
+	// The display host assembles the wall from the tiles this render's pods
+	// stored (an earlier render on another tiling left its own keys).
+	tiles := make([]viz.Tile, 0, cfg.Rows*cfg.Cols)
+	for r := 0; r < cfg.Rows; r++ {
+		for c := 0; c < cfg.Cols; c++ {
+			data, err := mount.ReadFile(tileKey(r, c))
+			if err != nil {
+				return nil, err
+			}
+			var t viz.Tile
+			if err := json.Unmarshal(data, &t); err != nil {
+				return nil, err
+			}
+			tiles = append(tiles, t)
 		}
-		var t viz.Tile
-		if err := json.Unmarshal(data, &t); err != nil {
-			return nil, err
-		}
-		tiles = append(tiles, t)
 	}
 	wall, err := viz.AssembleWall(grid, tiles)
 	if err != nil {
@@ -148,3 +151,6 @@ func (e *Ecosystem) RunCAVERender(cfg CAVEConfig) (*CAVEResult, error) {
 		BytesMoved:  bytesMoved,
 	}, nil
 }
+
+// tileKey is where the render pod of tile (r, c) stores it.
+func tileKey(r, c int) string { return fmt.Sprintf("tiles/%d-%d.json", r, c) }

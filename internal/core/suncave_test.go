@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+
+	"chaseci/internal/merra"
 )
 
 func TestCAVERenderAssemblesWall(t *testing.T) {
@@ -58,5 +61,34 @@ func TestCAVERenderValidation(t *testing.T) {
 	cfg.Rows = 0
 	if _, err := eco.RunCAVERender(cfg); err == nil {
 		t.Fatal("zero-row wall accepted")
+	}
+}
+
+// TestCAVERenderRetiles renders 3x4, then 2x2, then 3x4 again on one
+// ecosystem: each wall is assembled from its own render's tiles alone, and
+// every tiling shows the field pixel for pixel.
+func TestCAVERenderRetiles(t *testing.T) {
+	eco := BuildNautilus(DefaultNautilus())
+	cfg := DefaultCAVE()
+	gen := merra.NewGenerator(cfg.Scene.Grid, cfg.Scene.Seed)
+	field := merra.IVT(gen.State(20), merra.PressureLevels(cfg.Scene.Grid.NLev))
+	want := []byte(fmt.Sprintf("P5\n%d %d\n255\n", field.NLon, field.NLat))
+	for _, v := range field.Data {
+		want = append(want, byte(v/field.Max()*255))
+	}
+	for _, tiling := range [][2]int{{3, 4}, {2, 2}, {3, 4}} {
+		cfg.Rows, cfg.Cols = tiling[0], tiling[1]
+		t.Run(fmt.Sprintf("%dx%d", cfg.Rows, cfg.Cols), func(t *testing.T) {
+			res, err := eco.RunCAVERender(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Tiles != cfg.Rows*cfg.Cols {
+				t.Fatalf("tiles = %d", res.Tiles)
+			}
+			if !bytes.Equal(res.WallPGM, want) {
+				t.Fatal("wall differs from the field")
+			}
+		})
 	}
 }

@@ -64,16 +64,20 @@ func RenderTile(data []float32, g TileGrid, r, c int, lo, hi float32) Tile {
 }
 
 // AssembleWall stitches tiles back into a full-wall PGM image. It errors if
-// any tile is missing or misshapen — a lost render pod must be visible, not
-// silently black.
+// any tile is missing, outside the grid or misshapen — a lost render pod
+// must be visible, not silently black, and a tile read back from storage
+// must not be trusted to fit.
 func AssembleWall(g TileGrid, tiles []Tile) ([]byte, error) {
 	seen := make(map[[2]int]bool)
 	canvas := make([]byte, g.H*g.W)
 	for _, t := range tiles {
+		if t.Row < 0 || t.Row >= g.Rows || t.Col < 0 || t.Col >= g.Cols {
+			return nil, fmt.Errorf("viz: tile (%d,%d) outside %dx%d grid", t.Row, t.Col, g.Rows, g.Cols)
+		}
 		y0, y1, x0, x1 := g.Bounds(t.Row, t.Col)
-		if t.H != y1-y0 || t.W != x1-x0 {
-			return nil, fmt.Errorf("viz: tile (%d,%d) is %dx%d, want %dx%d",
-				t.Row, t.Col, t.H, t.W, y1-y0, x1-x0)
+		if t.H != y1-y0 || t.W != x1-x0 || len(t.Pixels) != t.H*t.W {
+			return nil, fmt.Errorf("viz: tile (%d,%d) is %dx%d with %d pixels, want %dx%d",
+				t.Row, t.Col, t.H, t.W, len(t.Pixels), y1-y0, x1-x0)
 		}
 		if seen[[2]int{t.Row, t.Col}] {
 			return nil, fmt.Errorf("viz: duplicate tile (%d,%d)", t.Row, t.Col)

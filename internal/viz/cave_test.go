@@ -143,3 +143,23 @@ func TestPropertyTilingLossless(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAssembleBadStoredTile: a tile read back from storage that lies outside
+// the grid, or whose pixels do not fill its H x W, is an error, not a panic.
+func TestAssembleBadStoredTile(t *testing.T) {
+	g := TileGrid{Rows: 1, Cols: 2, H: 4, W: 8}
+	data := fieldFor(g)
+	a := RenderTile(data, g, 0, 0, 0, 250)
+	b := RenderTile(data, g, 0, 1, 0, 250)
+	outside := b
+	outside.Col = 2
+	short := b
+	short.Pixels = short.Pixels[:len(short.Pixels)-1]
+	for name, bad := range map[string]Tile{"outside": outside, "short": short} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := AssembleWall(g, []Tile{a, bad}); err == nil {
+				t.Error("bad tile not detected")
+			}
+		})
+	}
+}
