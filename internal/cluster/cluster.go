@@ -74,8 +74,7 @@ type Event struct {
 }
 
 // Cluster is the simulated control plane: state store, scheduler, and node
-// lifecycle. Controllers (Job, DaemonSet) are layered on top in
-// controllers.go and daemonset.go.
+// lifecycle. The Job controller is layered on top in controllers.go.
 type Cluster struct {
 	clock *sim.Clock
 	reg   *metrics.Registry
@@ -92,7 +91,6 @@ type Cluster struct {
 	schedPending  bool
 	phaseWatchers []func(*Pod)
 	nodeWatchers  []func(NodeEvent)
-	daemonSets    []*DaemonSet
 
 	podsRunning *metrics.Gauge
 	cpuInUse    *metrics.Gauge
@@ -121,9 +119,6 @@ func New(clock *sim.Clock, reg *metrics.Registry) *Cluster {
 
 // Clock returns the cluster's virtual clock.
 func (c *Cluster) Clock() *sim.Clock { return c.clock }
-
-// Registry returns the metric registry (may be nil).
-func (c *Cluster) Registry() *metrics.Registry { return c.reg }
 
 // SetSchedulerDelay adjusts the virtual latency between a pod becoming
 // schedulable and its binding (default 200ms).
@@ -195,7 +190,6 @@ func (c *Cluster) AddNode(name, site string, capacity Resources, labels map[stri
 	sort.Strings(c.nodeNames)
 	c.logEvent("NodeReady", name, "site=%s capacity=%v", site, capacity)
 	c.kickScheduler()
-	c.reconcileDaemonSets()
 	c.notifyNode(NodeEvent{Node: name, Site: site, Ready: true})
 	return n, nil
 }
@@ -261,7 +255,6 @@ func (c *Cluster) RestoreNode(name string) error {
 	n.Ready = true
 	c.logEvent("NodeReady", name, "node restored")
 	c.kickScheduler()
-	c.reconcileDaemonSets()
 	c.notifyNode(NodeEvent{Node: name, Site: n.Site, Ready: true})
 	return nil
 }
@@ -415,9 +408,6 @@ func (c *Cluster) pickNode(p *Pod) *Node {
 		if !n.Ready {
 			continue
 		}
-		if p.Spec.pinnedNode != "" && name != p.Spec.pinnedNode {
-			continue
-		}
 		if !matchesSelector(n.Labels, p.Spec.NodeSelector) {
 			continue
 		}
@@ -529,13 +519,6 @@ func (c *Cluster) publishUsage() {
 	c.cpuInUse.Set(used.CPU)
 	c.memInUse.Set(used.Memory)
 	c.gpusInUse.Set(float64(used.GPUs))
-}
-
-// reconcileDaemonSets lets every DaemonSet cover newly eligible nodes.
-func (c *Cluster) reconcileDaemonSets() {
-	for _, ds := range c.daemonSets {
-		ds.reconcile()
-	}
 }
 
 // PodsInPhase counts pods of a namespace in a phase ("" = all namespaces).

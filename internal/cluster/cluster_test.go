@@ -245,15 +245,19 @@ func TestClusterMetricsPublished(t *testing.T) {
 	c.AddNode("n", "a", FIONA8Capacity(), nil)
 	c.CreatePod(PodSpec{Name: "w", Namespace: "ns",
 		Requests: Resources{CPU: 5, GPUs: 3}, Run: sleepPod(time.Minute)})
+	last := func(name string) float64 {
+		s := reg.Select(name, nil)[0].Samples
+		return s[len(s)-1].Value
+	}
 	clk.RunUntil(time.Second)
-	if v := reg.Select("k8s_gpus_in_use", nil)[0].Last().Value; v != 3 {
+	if v := last("k8s_gpus_in_use"); v != 3 {
 		t.Fatalf("gpus_in_use = %v, want 3", v)
 	}
-	if v := reg.Select("k8s_cpu_in_use", nil)[0].Last().Value; v != 5 {
+	if v := last("k8s_cpu_in_use"); v != 5 {
 		t.Fatalf("cpu_in_use = %v, want 5", v)
 	}
 	clk.Run()
-	if v := reg.Select("k8s_pods_running", nil)[0].Last().Value; v != 0 {
+	if v := last("k8s_pods_running"); v != 0 {
 		t.Fatalf("pods_running at end = %v, want 0", v)
 	}
 }

@@ -51,9 +51,6 @@ type PodSpec struct {
 	// eventually call ctx.Succeed or ctx.Fail; pods whose node dies first are
 	// failed by the node controller.
 	Run func(ctx *PodCtx)
-
-	// pinnedNode binds the pod to one node (DaemonSet placement).
-	pinnedNode string
 }
 
 // Pod is a scheduled (or waiting) instance of a PodSpec.

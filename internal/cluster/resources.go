@@ -1,7 +1,7 @@
 // Package cluster is the simulated Kubernetes layer of CHASE-CI: nodes
 // (FIONAs and FIONA8 GPU appliances) register capacity, namespaces partition
-// the cluster into virtual clusters with quotas, and controllers (Job,
-// DaemonSet) reconcile declared state while a scheduler binds pods to nodes.
+// the cluster into virtual clusters with quotas, and a Job controller
+// reconciles declared state while a scheduler binds pods to nodes.
 // Nodes can join and leave at any time; pods on a lost node are failed and
 // their controllers respawn them elsewhere, reproducing the self-healing
 // behaviour Section V of the paper describes. All activity runs in virtual

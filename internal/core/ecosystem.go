@@ -1,7 +1,7 @@
 // Package core is the paper's primary contribution assembled: the CHASE-CI
 // ecosystem (Kubernetes-managed GPU appliances and Ceph storage on the PRP
-// WAN, with Prometheus/Grafana-style monitoring, a Redis work queue, and
-// CILogon-style federated auth) plus the workflow-driven machine-learning
+// WAN, a virtual-time metric registry its figures are drawn from, a Redis
+// work queue, and CILogon-style federated auth) plus the workflow-driven machine-learning
 // case study of Section III — the 4-step CONNECT object-segmentation
 // workflow with per-step measurement. Everything runs in virtual time on a
 // single sim.Clock; the FFN/CONNECT compute paths run for real at

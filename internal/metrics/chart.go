@@ -6,9 +6,8 @@ import (
 	"time"
 )
 
-// This file is the "Grafana" of the simulation: it renders time-series as
-// terminal charts so cmd/benchtab and cmd/nautilus can show the same
-// dashboards the paper screenshots in Figures 3-6.
+// This file renders time-series as terminal charts, so cmd/benchtab and
+// cmd/nautilus can draw the paper's Figures 3-6.
 
 // ChartOptions controls ASCII rendering.
 type ChartOptions struct {
@@ -160,44 +159,4 @@ func formatValue(v float64, unit string) string {
 func fmtDur(d time.Duration) string {
 	d = d.Round(time.Second)
 	return d.String()
-}
-
-// Dashboard is a named collection of chart panels, the simulation's stand-in
-// for a Grafana dashboard page.
-type Dashboard struct {
-	Title  string
-	panels []panel
-}
-
-type panel struct {
-	samples []Sample
-	opts    ChartOptions
-}
-
-// NewDashboard creates an empty dashboard.
-func NewDashboard(title string) *Dashboard { return &Dashboard{Title: title} }
-
-// AddPanel appends a chart panel.
-func (d *Dashboard) AddPanel(samples []Sample, opts ChartOptions) {
-	d.panels = append(d.panels, panel{samples: samples, opts: opts})
-}
-
-// Render produces the full text dashboard.
-func (d *Dashboard) Render() string {
-	var b strings.Builder
-	bar := strings.Repeat("=", 86)
-	fmt.Fprintf(&b, "%s\n%s\n%s\n", bar, center(d.Title, 86), bar)
-	for _, p := range d.panels {
-		b.WriteString(Chart(p.samples, p.opts))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-func center(s string, w int) string {
-	if len(s) >= w {
-		return s
-	}
-	pad := (w - len(s)) / 2
-	return strings.Repeat(" ", pad) + s
 }

@@ -75,13 +75,20 @@ func (h *Histogram) bucketOf(v float64) int {
 	if v <= h.lo {
 		return 0
 	}
-	// Direct log-index instead of a binary search: one FP log per observe.
+	// The log index is the first guess; the stored bounds decide, so a
+	// value equal to a bound lands in the bucket that bound closes.
 	idx := 1 + int(math.Log(v/h.lo)/math.Log(h.ratio))
 	if idx < 1 {
 		idx = 1
 	}
-	if idx > len(h.bounds) {
+	if idx > len(h.bounds)+1 {
 		idx = len(h.bounds) + 1 // overflow
+	}
+	for idx > 1 && v <= h.bounds[idx-2] {
+		idx--
+	}
+	for idx <= len(h.bounds) && v > h.bounds[idx-1] {
+		idx++
 	}
 	return idx
 }
@@ -142,13 +149,6 @@ func (h *Histogram) Count() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.n
-}
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
 }
 
 // Mean returns the observed mean (0 when empty).

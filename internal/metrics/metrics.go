@@ -1,9 +1,11 @@
-// Package metrics is the monitoring substrate of the simulated CHASE-CI
-// ecosystem: a Prometheus-like time-series store plus Grafana-like queries
-// and terminal chart rendering. Every component (cluster, network, storage,
-// workflow steps) records counters and gauges here in virtual time; the
-// benchmark harness replays those series to regenerate the paper's Figures
-// 3-6 and the per-step rows of Table I.
+// Package metrics is the virtual-time store behind the paper's figures: the
+// simulated ecosystem's components (cluster, network, storage, the CONNECT
+// workflow's steps in internal/core) record counters and gauges here on a
+// sim.Clock, and core replays those series as terminal charts to regenerate
+// Figures 3-6. The live server does not use it: /metricz is rendered from
+// the service and scheduler's own state. Histogram, the one wall-clock
+// primitive, is a concurrent latency recorder whose Observe the bench
+// program's probes time.
 package metrics
 
 import (
@@ -73,26 +75,10 @@ type Series struct {
 	Samples []Sample
 }
 
-// Last returns the most recent sample, or a zero Sample if empty.
-func (s *Series) Last() Sample {
-	if len(s.Samples) == 0 {
-		return Sample{}
-	}
-	return s.Samples[len(s.Samples)-1]
-}
-
 // ID returns the canonical identity of the series.
 func (s *Series) ID() string { return s.Name + s.Labels.String() }
 
-// Between returns the samples with At in [from, to].
-func (s *Series) Between(from, to time.Duration) []Sample {
-	lo := sort.Search(len(s.Samples), func(i int) bool { return s.Samples[i].At >= from })
-	hi := sort.Search(len(s.Samples), func(i int) bool { return s.Samples[i].At > to })
-	return s.Samples[lo:hi]
-}
-
-// Registry stores all series and hands out instruments. It is the simulated
-// Prometheus server of the ecosystem.
+// Registry stores all series and hands out instruments.
 type Registry struct {
 	clock  *sim.Clock
 	series map[string]*Series
@@ -103,9 +89,6 @@ type Registry struct {
 func NewRegistry(clock *sim.Clock) *Registry {
 	return &Registry{clock: clock, series: make(map[string]*Series)}
 }
-
-// Clock returns the registry's virtual clock.
-func (r *Registry) Clock() *sim.Clock { return r.clock }
 
 func (r *Registry) getSeries(name string, labels Labels) *Series {
 	key := name + labels.String()
@@ -132,7 +115,6 @@ func (r *Registry) record(s *Series, v float64) {
 type Gauge struct {
 	reg    *Registry
 	series *Series
-	value  float64
 }
 
 // Gauge returns (creating if needed) the gauge for name+labels.
@@ -141,16 +123,7 @@ func (r *Registry) Gauge(name string, labels Labels) *Gauge {
 }
 
 // Set records an absolute value at the current virtual time.
-func (g *Gauge) Set(v float64) {
-	g.value = v
-	g.reg.record(g.series, v)
-}
-
-// Add increments the gauge by d (d may be negative).
-func (g *Gauge) Add(d float64) { g.Set(g.value + d) }
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return g.value }
+func (g *Gauge) Set(v float64) { g.reg.record(g.series, v) }
 
 // Counter is a monotonically non-decreasing instrument (e.g. bytes
 // transferred, files downloaded).
@@ -196,20 +169,6 @@ func (r *Registry) Select(name string, sel Labels) []*Series {
 			continue
 		}
 		out = append(out, s)
-	}
-	return out
-}
-
-// Names returns the distinct metric names in creation order.
-func (r *Registry) Names() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, key := range r.order {
-		n := r.series[key].Name
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
 	}
 	return out
 }

@@ -3,7 +3,6 @@ package metrics
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"chaseci/internal/sim"
@@ -26,16 +25,6 @@ func TestGaugeRecordsAtVirtualTime(t *testing.T) {
 	}
 	if s.Samples[0] != (Sample{0, 4}) || s.Samples[1] != (Sample{10 * time.Second, 8}) {
 		t.Fatalf("samples = %v", s.Samples)
-	}
-}
-
-func TestGaugeAdd(t *testing.T) {
-	_, r := newTestRegistry()
-	g := r.Gauge("pods", nil)
-	g.Add(3)
-	g.Add(-1)
-	if g.Value() != 2 {
-		t.Fatalf("gauge value = %v, want 2", g.Value())
 	}
 }
 
@@ -84,107 +73,11 @@ func TestSelectByLabels(t *testing.T) {
 	}
 }
 
-func TestNames(t *testing.T) {
-	_, r := newTestRegistry()
-	r.Gauge("b_metric", nil).Set(1)
-	r.Gauge("a_metric", nil).Set(1)
-	r.Gauge("b_metric", Labels{"x": "1"}).Set(1)
-	names := r.Names()
-	if len(names) != 2 || names[0] != "b_metric" || names[1] != "a_metric" {
-		t.Fatalf("Names() = %v", names)
-	}
-}
-
 func TestLabelsStringDeterministic(t *testing.T) {
 	l := Labels{"z": "1", "a": "2"}
 	want := `{a="2",z="1"}`
 	if l.String() != want {
 		t.Fatalf("labels string = %s, want %s", l.String(), want)
-	}
-}
-
-func TestValueAt(t *testing.T) {
-	c, r := newTestRegistry()
-	g := r.Gauge("v", nil)
-	g.Set(1)
-	c.RunUntil(10 * time.Second)
-	g.Set(5)
-	s := r.Select("v", nil)[0]
-
-	if v, ok := ValueAt(s, 5*time.Second); !ok || v != 1 {
-		t.Fatalf("ValueAt(5s) = %v,%v want 1,true", v, ok)
-	}
-	if v, ok := ValueAt(s, 10*time.Second); !ok || v != 5 {
-		t.Fatalf("ValueAt(10s) = %v,%v want 5,true", v, ok)
-	}
-	if _, ok := ValueAt(s, -time.Second); ok {
-		t.Fatal("ValueAt before first sample reported ok")
-	}
-}
-
-func TestRateOfCounter(t *testing.T) {
-	c, r := newTestRegistry()
-	cnt := r.Counter("bytes", nil)
-	for i := 0; i < 10; i++ {
-		cnt.Add(1000) // 1000 bytes per second
-		c.RunUntil(time.Duration(i+1) * time.Second)
-	}
-	rate := Rate(r.Select("bytes", nil)[0], 2*time.Second, 9*time.Second, time.Second, 2*time.Second)
-	for _, s := range rate {
-		if s.Value < 900 || s.Value > 1100 {
-			t.Fatalf("rate at %v = %v, want ~1000", s.At, s.Value)
-		}
-	}
-}
-
-func TestSumSeries(t *testing.T) {
-	c, r := newTestRegistry()
-	a := r.Gauge("load", Labels{"w": "a"})
-	b := r.Gauge("load", Labels{"w": "b"})
-	a.Set(1)
-	b.Set(2)
-	c.RunUntil(time.Second)
-	sum := SumSeries(r.Select("load", nil), 0, time.Second, time.Second)
-	if len(sum) != 2 || sum[0].Value != 3 || sum[1].Value != 3 {
-		t.Fatalf("sum = %v", sum)
-	}
-}
-
-func TestIntegralOfStepFunction(t *testing.T) {
-	c, r := newTestRegistry()
-	g := r.Gauge("gpus", nil)
-	g.Set(2) // 2 GPUs for 10s, then 4 GPUs for 10s => 60 gpu-seconds
-	c.RunUntil(10 * time.Second)
-	g.Set(4)
-	c.RunUntil(20 * time.Second)
-	got := Integral(r.Select("gpus", nil)[0], 0, 20*time.Second)
-	if got != 60 {
-		t.Fatalf("Integral = %v, want 60", got)
-	}
-}
-
-func TestIntegralEmptyRange(t *testing.T) {
-	_, r := newTestRegistry()
-	g := r.Gauge("g", nil)
-	g.Set(5)
-	if got := Integral(r.Select("g", nil)[0], time.Second, time.Second); got != 0 {
-		t.Fatalf("Integral over empty range = %v, want 0", got)
-	}
-}
-
-func TestResampleCarriesForward(t *testing.T) {
-	c, r := newTestRegistry()
-	g := r.Gauge("v", nil)
-	g.Set(7)
-	c.RunUntil(100 * time.Second)
-	out := Resample(r.Select("v", nil)[0], 0, 100*time.Second, 10*time.Second)
-	if len(out) != 11 {
-		t.Fatalf("resample returned %d points, want 11", len(out))
-	}
-	for _, s := range out {
-		if s.Value != 7 {
-			t.Fatalf("resampled value at %v = %v, want 7", s.At, s.Value)
-		}
 	}
 }
 
@@ -198,23 +91,6 @@ func TestMaxMeanOf(t *testing.T) {
 	}
 	if MaxOf(nil) != 0 || MeanOf(nil) != 0 {
 		t.Fatal("empty aggregates should be 0")
-	}
-}
-
-func TestBetween(t *testing.T) {
-	c, r := newTestRegistry()
-	g := r.Gauge("v", nil)
-	for i := 0; i <= 10; i++ {
-		g.Set(float64(i))
-		c.RunUntil(time.Duration(i+1) * time.Second)
-	}
-	s := r.Select("v", nil)[0]
-	got := s.Between(3*time.Second, 6*time.Second)
-	if len(got) != 4 {
-		t.Fatalf("Between returned %d samples, want 4", len(got))
-	}
-	if got[0].At != 3*time.Second || got[3].At != 6*time.Second {
-		t.Fatalf("Between bounds wrong: %v", got)
 	}
 }
 
@@ -247,63 +123,91 @@ func TestSparklineWidth(t *testing.T) {
 	}
 }
 
-func TestDashboardRender(t *testing.T) {
-	d := NewDashboard("Nautilus")
-	d.AddPanel([]Sample{{0, 1}, {time.Second, 2}}, ChartOptions{Title: "panel-a", Width: 20, Height: 4})
-	out := d.Render()
-	for _, want := range []string{"Nautilus", "panel-a"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("dashboard missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestPropertyValueAtMatchesLinearScan(t *testing.T) {
-	f := func(raw []uint8, q uint8) bool {
-		c := sim.NewClock()
-		r := NewRegistry(c)
-		g := r.Gauge("p", nil)
-		for i, v := range raw {
-			c.RunUntil(time.Duration(i+1) * time.Second)
-			g.Set(float64(v))
-		}
-		if len(raw) == 0 {
-			return true
-		}
-		s := r.Select("p", nil)[0]
-		tq := time.Duration(q%uint8(len(raw)+2)) * time.Second
-		got, ok := ValueAt(s, tq)
-		// Linear scan reference.
-		var want float64
-		var wantOK bool
-		for _, sm := range s.Samples {
-			if sm.At <= tq {
-				want, wantOK = sm.Value, true
+// TestLabelsMatches: a selector matches when every one of its pairs is in
+// the labels; extra labels on the series do not matter.
+func TestLabelsMatches(t *testing.T) {
+	l := Labels{"pod": "w1", "ns": "connect"}
+	for _, tc := range []struct {
+		name string
+		sel  Labels
+		want bool
+	}{
+		{"nil selector", nil, true},
+		{"empty selector", Labels{}, true},
+		{"subset", Labels{"ns": "connect"}, true},
+		{"every pair", Labels{"pod": "w1", "ns": "connect"}, true},
+		{"wrong value", Labels{"pod": "w2"}, false},
+		{"missing key", Labels{"node": "a0"}, false},
+		{"one pair wrong", Labels{"pod": "w1", "ns": "other"}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := l.matches(tc.sel); got != tc.want {
+				t.Fatalf("%v.matches(%v) = %v, want %v", l, tc.sel, got, tc.want)
 			}
-		}
-		return got == want && ok == wantOK
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+		})
 	}
 }
 
-func TestPropertyIntegralNonNegativeForNonNegativeSeries(t *testing.T) {
-	f := func(raw []uint8) bool {
-		c := sim.NewClock()
-		r := NewRegistry(c)
-		g := r.Gauge("p", nil)
-		for i, v := range raw {
-			g.Set(float64(v))
-			c.RunUntil(time.Duration(i+1) * time.Second)
-		}
-		s := r.Select("p", nil)
-		if len(s) == 0 {
-			return true
-		}
-		return Integral(s[0], 0, c.Now()) >= 0
+// TestRegistryKeepsOneSeriesPerID: instruments made twice for one
+// name+labels write one series, and the stored labels are a copy the
+// caller's map cannot change.
+func TestRegistryKeepsOneSeriesPerID(t *testing.T) {
+	c, r := newTestRegistry()
+	labels := Labels{"node": "a0"}
+	r.Gauge("up", labels).Set(1)
+	c.RunUntil(time.Second)
+	r.Gauge("up", Labels{"node": "a0"}).Set(0)
+	labels["node"] = "b0"
+
+	got := r.Select("up", nil)
+	if len(got) != 1 {
+		t.Fatalf("%d series for one name+labels, want 1", len(got))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	s := got[0]
+	if s.ID() != `up{node="a0"}` {
+		t.Fatalf("series ID = %s after the caller's map changed", s.ID())
+	}
+	if len(s.Samples) != 2 || s.Samples[0].Value != 1 || s.Samples[1].Value != 0 {
+		t.Fatalf("samples = %v, want 1 then 0", s.Samples)
+	}
+}
+
+// TestChartDefaultsAndAxis: zero options give the 72x12 plot, and the
+// axis names the first and last sample times.
+func TestChartDefaultsAndAxis(t *testing.T) {
+	samples := []Sample{{0, 2}, {90 * time.Second, 4}}
+	lines := strings.Split(strings.TrimSuffix(Chart(samples, ChartOptions{}), "\n"), "\n")
+	if len(lines) != 12+2 {
+		t.Fatalf("%d lines, want 12 rows + axis + times:\n%s", len(lines), strings.Join(lines, "\n"))
+	}
+	if axis := lines[12]; !strings.HasSuffix(axis, "+"+strings.Repeat("-", 72)) {
+		t.Fatalf("axis line %q is not 72 columns", axis)
+	}
+	if times := strings.Fields(lines[13]); len(times) != 2 || times[0] != "0s" || times[1] != "1m30s" {
+		t.Fatalf("time labels = %q, want 0s and 1m30s", lines[13])
+	}
+	if !strings.Contains(lines[0], "4.00") {
+		t.Fatalf("top row %q does not carry the peak 4.00", lines[0])
+	}
+}
+
+// TestFormatValueUnits: the y-axis labels switch prefix at each power of
+// 1000.
+func TestFormatValueUnits(t *testing.T) {
+	for _, tc := range []struct {
+		v    float64
+		want string
+	}{
+		{0, "0.00B"},
+		{999, "999.00B"},
+		{1000, "1.00kB"},
+		{2.5e6, "2.50MB"},
+		{3e9, "3.00GB"},
+	} {
+		t.Run(tc.want, func(t *testing.T) {
+			if got := formatValue(tc.v, "B"); got != tc.want {
+				t.Fatalf("formatValue(%v) = %q, want %q", tc.v, got, tc.want)
+			}
+		})
 	}
 }

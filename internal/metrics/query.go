@@ -1,86 +1,9 @@
 package metrics
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
-// This file is the query layer: the simulated PromQL subset that the
-// dashboard renderer and the benchmark harness use to turn raw samples into
-// the aggregate numbers the paper reports (peak throughput, per-step totals,
-// utilization curves).
-
-// ValueAt returns the series value as of time t (last sample at or before t).
-// ok is false if the series has no sample at or before t.
-func ValueAt(s *Series, t time.Duration) (v float64, ok bool) {
-	samples := s.Samples
-	lo, hi := 0, len(samples)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if samples[mid].At <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return 0, false
-	}
-	return samples[lo-1].Value, true
-}
-
-// Resample evaluates the series at fixed steps in [from, to], carrying the
-// last value forward (the Prometheus "instant vector at step" model). Points
-// before the first sample evaluate to 0.
-func Resample(s *Series, from, to, step time.Duration) []Sample {
-	if step <= 0 || to < from {
-		return nil
-	}
-	var out []Sample
-	for t := from; t <= to; t += step {
-		v, _ := ValueAt(s, t)
-		out = append(out, Sample{At: t, Value: v})
-	}
-	return out
-}
-
-// Rate converts a counter series into a per-second rate series evaluated at
-// fixed steps: rate(t) = (value(t) - value(t-window)) / window. This is how
-// the Fig 4 "throughput" curve is derived from the bytes-transferred counter.
-func Rate(s *Series, from, to, step, window time.Duration) []Sample {
-	if step <= 0 || window <= 0 || to < from {
-		return nil
-	}
-	var out []Sample
-	for t := from; t <= to; t += step {
-		cur, ok1 := ValueAt(s, t)
-		prev, _ := ValueAt(s, t-window)
-		if !ok1 {
-			out = append(out, Sample{At: t, Value: 0})
-			continue
-		}
-		out = append(out, Sample{At: t, Value: (cur - prev) / window.Seconds()})
-	}
-	return out
-}
-
-// SumSeries pointwise-sums several series resampled on a common grid; the
-// Grafana "stacked workers" view of Fig 3 is a SumSeries over per-pod gauges.
-func SumSeries(list []*Series, from, to, step time.Duration) []Sample {
-	if len(list) == 0 {
-		return nil
-	}
-	var out []Sample
-	for t := from; t <= to; t += step {
-		sum := 0.0
-		for _, s := range list {
-			v, _ := ValueAt(s, t)
-			sum += v
-		}
-		out = append(out, Sample{At: t, Value: sum})
-	}
-	return out
-}
+// MaxOf and MeanOf are the aggregates the paper's figures report over a
+// series' samples: peak and mean throughput.
 
 // MaxOf returns the maximum sample value in samples, or 0 for none.
 func MaxOf(samples []Sample) float64 {
@@ -106,27 +29,4 @@ func MeanOf(samples []Sample) float64 {
 		sum += s.Value
 	}
 	return sum / float64(len(samples))
-}
-
-// Integral returns the time integral of a (step-function) series over
-// [from, to] in value-seconds: e.g. integrating a GPUs-in-use gauge yields
-// GPU-seconds consumed, the quantity behind Table I's resource rows.
-func Integral(s *Series, from, to time.Duration) float64 {
-	if to <= from {
-		return 0
-	}
-	total := 0.0
-	cur, _ := ValueAt(s, from)
-	prev := from
-	for _, sm := range s.Between(from, to) {
-		if sm.At > prev {
-			total += cur * (sm.At - prev).Seconds()
-			prev = sm.At
-		}
-		cur = sm.Value
-	}
-	if to > prev {
-		total += cur * (to - prev).Seconds()
-	}
-	return total
 }

@@ -213,8 +213,9 @@ func TestLinkUtilizationMetrics(t *testing.T) {
 	if len(ss) != 1 {
 		t.Fatalf("got %d link series, want 1", len(ss))
 	}
-	if ss[0].Last().Value != 100 {
-		t.Fatalf("link utilization = %v, want 100", ss[0].Last().Value)
+	s := ss[0].Samples
+	if v := s[len(s)-1].Value; v != 100 {
+		t.Fatalf("link utilization = %v, want 100", v)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"chaseci/internal/cluster"
 	"chaseci/internal/dataset"
 	"chaseci/internal/gpusim"
-	"chaseci/internal/metrics"
 	"chaseci/internal/netsim"
 	"chaseci/internal/objstore"
 	"chaseci/internal/sim"
@@ -68,10 +67,9 @@ func (c *FabricConfig) defaults() {
 //
 // Two independent virtual clocks keep the lock order acyclic: the data clock
 // drives the objstore and is only touched under the dataset manager's lock;
-// the control clock drives the cluster, network, and metric registry and is
-// only touched under the scheduler's lock. Neither clock advances on its
-// own, so metric series stay single-sample (Registry.record collapses
-// same-timestamp writes).
+// the control clock drives the cluster and network and is only touched under
+// the scheduler's lock. No metric registry rides on either clock: the
+// scheduler renders /metricz from its own state (Scheduler.MetricsText).
 type Fabric struct {
 	cfg FabricConfig
 
@@ -79,7 +77,6 @@ type Fabric struct {
 	Net      *netsim.Network
 	Datasets *dataset.Manager
 
-	reg   *metrics.Registry
 	store *objstore.Store // construction-time only; runtime access via Datasets
 
 	nodes     map[string]*NodeSpec
@@ -91,23 +88,18 @@ type Fabric struct {
 func NewFabric(cfg FabricConfig) *Fabric {
 	cfg.defaults()
 	ctrlClk := sim.NewClock()
-	reg := metrics.NewRegistry(ctrlClk)
 	dataClk := sim.NewClock()
 	store := objstore.NewStore(dataClk, nil, objstore.Config{Replicas: cfg.Replicas})
 	return &Fabric{
 		cfg:      cfg,
-		Cluster:  cluster.New(ctrlClk, reg),
-		Net:      netsim.NewNetwork(ctrlClk, reg),
+		Cluster:  cluster.New(ctrlClk, nil),
+		Net:      netsim.NewNetwork(ctrlClk, nil),
 		Datasets: dataset.NewManager(store.MountBucket("datasets"), dataset.Config{}),
-		reg:      reg,
 		store:    store,
 		nodes:    make(map[string]*NodeSpec),
 		osdNode:  make(map[string]string),
 	}
 }
-
-// Registry exposes the fabric's control-plane metric registry.
-func (f *Fabric) Registry() *metrics.Registry { return f.reg }
 
 // AddSite registers a network site (idempotent).
 func (f *Fabric) AddSite(name string) { f.Net.AddSite(name) }

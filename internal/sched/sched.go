@@ -10,7 +10,6 @@ import (
 
 	"chaseci/internal/api"
 	"chaseci/internal/cluster"
-	"chaseci/internal/metrics"
 	"chaseci/internal/objstore"
 )
 
@@ -88,8 +87,8 @@ type Scheduler struct {
 	drainFn   func(node string, jobIDs []string)
 	restoreFn func(node string)
 
-	counters map[string]*metrics.Counter
-	gauges   map[string]*metrics.Gauge
+	placed   map[string]int // locality class -> placements made
+	requeued int            // jobs drained off a lost node, all time
 }
 
 // New builds a scheduler over the fabric and subscribes to its node events.
@@ -103,8 +102,7 @@ func New(fab *Fabric) *Scheduler {
 		requeues:  make(map[string]int),
 		ownerUsed: make(map[string]cluster.Resources),
 		downOSDs:  make(map[string]bool),
-		counters:  make(map[string]*metrics.Counter),
-		gauges:    make(map[string]*metrics.Gauge),
+		placed:    make(map[string]int),
 	}
 	fab.Cluster.OnNodeEvent(s.onNodeEvent)
 	return s
@@ -147,7 +145,6 @@ func (s *Scheduler) Release(jobID string) {
 		delete(s.bound, jobID)
 		s.fab.Cluster.ReleaseClaim(b.node, jobID)
 		s.ownerSub(b.w.Owner, b.w.Req)
-		s.nodeGaugesLocked(b.node)
 	} else {
 		for i, p := range s.parked {
 			if p.JobID == jobID {
@@ -228,6 +225,7 @@ func (s *Scheduler) BoundNode(jobID string) string {
 func (s *Scheduler) Nodes() []api.NodeStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	bound := s.boundPerNodeLocked()
 	out := make([]api.NodeStatus, 0, len(s.fab.nodeNames))
 	for _, name := range s.fab.nodeNames {
 		spec := s.fab.nodes[name]
@@ -237,32 +235,53 @@ func (s *Scheduler) Nodes() []api.NodeStatus {
 			Name: name, Site: spec.Site, Ready: n.Ready,
 			CPU: int(n.Capacity.CPU), MemoryBytes: int64(n.Capacity.Memory), GPUs: n.Capacity.GPUs,
 			AllocCPU: int(alloc.CPU), AllocMemoryBytes: int64(alloc.Memory), AllocGPUs: alloc.GPUs,
-			OSD: spec.OSD,
+			OSD: spec.OSD, BoundJobs: bound[name],
 		}
 		if spec.OSD != "" {
 			st.OSDUp = !s.downOSDs[spec.OSD]
-		}
-		for _, b := range s.bound {
-			if b.node == name {
-				st.BoundJobs++
-			}
 		}
 		out = append(out, st)
 	}
 	return out
 }
 
-// MetricsText renders the fabric registry (scheduler gauges/counters plus
-// the cluster's k8s_* and netsim's link series) in the same one-line format
-// the service layer uses.
+// localities orders the sched_placements lines.
+var localities = [...]string{api.LocalityReplicaLocal, api.LocalitySameSite, api.LocalityRemote, api.LocalityAny}
+
+// MetricsText renders the scheduler's state in the one-line format the
+// service layer uses: the placement and requeue counters, each once it is
+// non-zero, then every fabric node's allocation and bound-job count — the
+// numbers GET /v1/nodes serves.
 func (s *Scheduler) MetricsText() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var b strings.Builder
-	for _, series := range s.fab.reg.Select("", nil) {
-		fmt.Fprintf(&b, "%s%s %g\n", series.Name, series.Labels, series.Last().Value)
+	for _, loc := range localities {
+		if n := s.placed[loc]; n > 0 {
+			fmt.Fprintf(&b, "sched_placements{locality=%q} %g\n", loc, float64(n))
+		}
+	}
+	if s.requeued > 0 {
+		fmt.Fprintf(&b, "sched_requeues{} %g\n", float64(s.requeued))
+	}
+	bound := s.boundPerNodeLocked()
+	for _, name := range s.fab.nodeNames {
+		alloc := s.fab.Cluster.Node(name).Allocated()
+		fmt.Fprintf(&b, "sched_node_alloc_cpu{node=%q} %g\n", name, alloc.CPU)
+		fmt.Fprintf(&b, "sched_node_alloc_mem_bytes{node=%q} %g\n", name, alloc.Memory)
+		fmt.Fprintf(&b, "sched_node_alloc_gpus{node=%q} %g\n", name, float64(alloc.GPUs))
+		fmt.Fprintf(&b, "sched_jobs_bound{node=%q} %g\n", name, float64(bound[name]))
 	}
 	return b.String()
+}
+
+// boundPerNodeLocked counts bound jobs per node in one pass. s.mu held.
+func (s *Scheduler) boundPerNodeLocked() map[string]int {
+	n := make(map[string]int, len(s.fab.nodeNames))
+	for _, b := range s.bound {
+		n[b.node]++
+	}
+	return n
 }
 
 // --- Internals --------------------------------------------------------------
@@ -426,8 +445,7 @@ func (s *Scheduler) placeLocked(w *Workload, firstTry bool) (*api.Placement, err
 		EstJoules:  s.estJoules(w, spec),
 		Requeues:   s.requeues[w.JobID],
 	}
-	s.countLocked("sched_placements", metrics.Labels{"locality": best.locality})
-	s.nodeGaugesLocked(best.name)
+	s.placed[best.locality]++
 	return pl, nil
 }
 
@@ -557,11 +575,10 @@ func (s *Scheduler) onNodeEvent(ev cluster.NodeEvent) {
 		delete(s.bound, id)
 		s.ownerSub(b.w.Owner, b.w.Req)
 		s.requeues[id]++
-		s.countLocked("sched_requeues", nil)
+		s.requeued++
 		drained = append(drained, id)
 	}
 	sort.Strings(drained)
-	s.nodeGaugesLocked(ev.Node)
 	if s.drainFn != nil {
 		// Fire even with no drained jobs: observers tear down per-node
 		// worker pools on any node loss.
@@ -589,46 +606,4 @@ func (s *Scheduler) tryParkedLocked() {
 		}
 	}
 	s.parked = still
-}
-
-// --- Metrics ----------------------------------------------------------------
-
-func (s *Scheduler) countLocked(name string, labels metrics.Labels) {
-	key := name + "/" + labels["locality"]
-	c := s.counters[key]
-	if c == nil {
-		c = s.fab.reg.Counter(name, labels)
-		s.counters[key] = c
-	}
-	c.Inc()
-}
-
-// nodeGaugesLocked refreshes the per-node allocation gauges after any
-// claim/release on the node. s.mu held.
-func (s *Scheduler) nodeGaugesLocked(node string) {
-	n := s.fab.Cluster.Node(node)
-	if n == nil {
-		return
-	}
-	alloc := n.Allocated()
-	s.gaugeLocked("sched_node_alloc_cpu", node).Set(alloc.CPU)
-	s.gaugeLocked("sched_node_alloc_mem_bytes", node).Set(alloc.Memory)
-	s.gaugeLocked("sched_node_alloc_gpus", node).Set(float64(alloc.GPUs))
-	bound := 0
-	for _, b := range s.bound {
-		if b.node == node {
-			bound++
-		}
-	}
-	s.gaugeLocked("sched_jobs_bound", node).Set(float64(bound))
-}
-
-func (s *Scheduler) gaugeLocked(name, node string) *metrics.Gauge {
-	key := name + "/" + node
-	g := s.gauges[key]
-	if g == nil {
-		g = s.fab.reg.Gauge(name, metrics.Labels{"node": node})
-		s.gauges[key] = g
-	}
-	return g
 }

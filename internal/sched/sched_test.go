@@ -311,9 +311,10 @@ func twoSiteFabric(t *testing.T) (*Fabric, string) {
 
 // TestPlaceAndRequeueAllocBounds pins what one scheduling decision costs:
 // a data-gravity placement of a 64^3 ref-mode segment job (resolve replicas,
-// score both nodes, claim, release) measured 19 allocations, and a full
+// score both nodes, claim, release) measured 10 allocations, and a full
 // node-loss cycle (kill the bound node and its OSD, re-place on the surviving
-// replica holder, restore) measured 1,566. Every decision must stay
+// replica holder, restore) measured 1,556 (1,744 under -race). The
+// Place+Release bound is twice its measurement. Every decision must stay
 // replica-local and a requeue must never land on the dead node.
 func TestPlaceAndRequeueAllocBounds(t *testing.T) {
 	job := func(ref string) *Workload {
@@ -333,7 +334,7 @@ func TestPlaceAndRequeueAllocBounds(t *testing.T) {
 			s.Release(w.JobID)
 		})
 		t.Logf("Place+Release: %.0f allocs", allocs)
-		const bound = 36
+		const bound = 20
 		if allocs > bound {
 			t.Fatalf("Place+Release allocates %.0f objects, want <= %d", allocs, bound)
 		}
@@ -399,6 +400,59 @@ func TestNodesInventoryAndMetrics(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestMetricsTextFollowsState pins MetricsText's layout against the
+// scheduler's state: an idle fabric prints only its nodes' four lines, all
+// zero and in node order; the placement counters appear once non-zero, in
+// locality order whatever order the jobs came in; and a node kill adds the
+// requeue counter and zeroes the dead node's lines.
+func TestMetricsTextFollowsState(t *testing.T) {
+	f := testFabric(t, FabricConfig{})
+	s := New(f)
+	nodeLines := func(name string, cpu, mem, gpus float64, bound int) string {
+		return fmt.Sprintf("sched_node_alloc_cpu{node=%q} %g\n"+
+			"sched_node_alloc_mem_bytes{node=%q} %g\n"+
+			"sched_node_alloc_gpus{node=%q} %g\n"+
+			"sched_jobs_bound{node=%q} %d\n", name, cpu, name, mem, name, gpus, name, bound)
+	}
+	fromNodes := func() string {
+		var b strings.Builder
+		for _, n := range s.Nodes() {
+			b.WriteString(nodeLines(n.Name, float64(n.AllocCPU), float64(n.AllocMemoryBytes), float64(n.AllocGPUs), n.BoundJobs))
+		}
+		return b.String()
+	}
+
+	idle := nodeLines("a0", 0, 0, 0, 0) + nodeLines("a1", 0, 0, 0, 0) + nodeLines("b0", 0, 0, 0, 0) + nodeLines("c0", 0, 0, 0, 0)
+	if got := s.MetricsText(); got != idle {
+		t.Fatalf("idle fabric:\n%s\nwant:\n%s", got, idle)
+	}
+
+	ref := putVolume(t, f, 7)
+	if pl, err := s.Place(segJob("anywhere", "")); err != nil || pl == nil || pl.Locality != api.LocalityAny {
+		t.Fatalf("ref-less job: %+v %v", pl, err)
+	}
+	pl, err := s.Place(segJob("local", ref))
+	if err != nil || pl == nil || pl.Locality != api.LocalityReplicaLocal {
+		t.Fatalf("ref job: %+v %v", pl, err)
+	}
+	placed := `sched_placements{locality="replica-local"} 1` + "\n" + `sched_placements{locality="any"} 1` + "\n"
+	if got, want := s.MetricsText(), placed+fromNodes(); got != want {
+		t.Fatalf("after two placements:\n%s\nwant:\n%s", got, want)
+	}
+
+	victim := pl.Node
+	if err := s.KillNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	got := s.MetricsText()
+	if want := placed + "sched_requeues{} 1\n" + fromNodes(); got != want {
+		t.Fatalf("after killing %s:\n%s\nwant:\n%s", victim, got, want)
+	}
+	if !strings.Contains(got, nodeLines(victim, 0, 0, 0, 0)) {
+		t.Fatalf("killed node %s still has allocation lines:\n%s", victim, got)
 	}
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -226,6 +227,151 @@ func TestClusterDrainRequeuesBitExact(t *testing.T) {
 			t.Fatalf("victim not restored: %+v", n)
 		}
 	}
+}
+
+// TestMetriczAgreesWithNodes drives one job through placement, a node kill
+// that requeues it, the node's restore and the job's release, and at each
+// step holds /metricz to GET /v1/nodes: every fabric node has its four
+// sched_* lines, each equal to the inventory's field, and no virtual-time
+// series (k8s_*, net_link_*) leaks onto the serving path.
+func TestMetriczAgreesWithNodes(t *testing.T) {
+	d, h, w, data := clusterSegmentVolume()
+	enc, err := dataset.EncodeVolume(d, h, w, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first run parks until the drain cancels it; the requeued run
+	// parks until finish closes, so each step is observed at rest.
+	reg := DefaultRegistry()
+	real, _ := reg.Handler(api.KindSegment)
+	var runs atomic.Int32
+	started := make(chan struct{}, 2)
+	finish := make(chan struct{})
+	reg.Register(api.KindSegment, func(jc *JobContext) (any, error) {
+		started <- struct{}{}
+		if runs.Add(1) == 1 {
+			<-jc.Ctx().Done()
+			return nil, jc.Ctx().Err()
+		}
+		select {
+		case <-finish:
+		case <-jc.Ctx().Done():
+			return nil, jc.Ctx().Err()
+		}
+		return real(jc)
+	})
+	f := newClusterFixture(t, reg, twoNodeFabric(t))
+
+	// Each step is a subtest that reads both endpoints itself, so a failing
+	// step is named and stops the walk.
+	check := func(step string, wantBound int) {
+		t.Helper()
+		ok := t.Run(step, func(t *testing.T) {
+			get := func(path string) string {
+				t.Helper()
+				resp, err := http.Get(f.srv.URL + path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				var body strings.Builder
+				if _, err := io.Copy(&body, resp.Body); err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+				}
+				return body.String()
+			}
+			text := get("/metricz")
+			for _, line := range strings.Split(text, "\n") {
+				if strings.HasPrefix(line, "k8s_") || strings.HasPrefix(line, "net_link_") {
+					t.Fatalf("virtual-time series on /metricz: %q", line)
+				}
+			}
+			lines := parseMetricLines(t, text)
+			var nodes []api.NodeStatus
+			if err := json.Unmarshal([]byte(get("/v1/nodes")), &nodes); err != nil {
+				t.Fatal(err)
+			}
+			if len(nodes) != 2 {
+				t.Fatalf("%d nodes, want 2", len(nodes))
+			}
+			bound := 0
+			for _, n := range nodes {
+				bound += n.BoundJobs
+				for name, want := range map[string]float64{
+					"sched_node_alloc_cpu":       float64(n.AllocCPU),
+					"sched_node_alloc_mem_bytes": float64(n.AllocMemoryBytes),
+					"sched_node_alloc_gpus":      float64(n.AllocGPUs),
+					"sched_jobs_bound":           float64(n.BoundJobs),
+				} {
+					key := fmt.Sprintf("%s{node=%q}", name, n.Name)
+					got, ok := lines[key]
+					if !ok {
+						t.Fatalf("/metricz has no %s:\n%s", key, text)
+					}
+					if got != want {
+						t.Fatalf("%s = %g, GET /v1/nodes says %g", key, got, want)
+					}
+				}
+			}
+			if bound != wantBound {
+				t.Fatalf("%d jobs bound, want %d", bound, wantBound)
+			}
+		})
+		if !ok {
+			t.FailNow()
+		}
+	}
+	awaitRun := func(what string) {
+		t.Helper()
+		select {
+		case <-started:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never started", what)
+		}
+	}
+
+	check("idle", 0)
+	info := f.putDataset(enc)
+	var sub api.SubmitResponse
+	if resp := f.do("POST", "/v1/jobs", refSegmentRequest(info.ID), &sub); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status %d", resp.StatusCode)
+	}
+	awaitRun("first run")
+	check("placed", 1)
+
+	var st api.JobStatus
+	f.do("GET", "/v1/jobs/"+sub.ID, nil, &st)
+	victim := st.Placement.Node
+	if resp := f.do("POST", "/v1/nodes/"+victim+"/drain", nil, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("drain status %d", resp.StatusCode)
+	}
+	awaitRun("requeued run")
+	check("requeued", 1)
+	if got := metricLines(t, f.runner)["sched_requeues{}"]; got != 1 {
+		t.Fatalf("sched_requeues = %g, want 1", got)
+	}
+
+	if resp := f.do("POST", "/v1/nodes/"+victim+"/restore", nil, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("restore status %d", resp.StatusCode)
+	}
+	check("restored", 1)
+
+	close(finish)
+	if cur := waitState(t, f.runner, sub.ID, terminal); cur.State != api.StateSucceeded {
+		t.Fatalf("state = %s (%s)", cur.State, cur.Error)
+	}
+	waitFor(t, func() bool {
+		for _, n := range f.runner.sched.Nodes() {
+			if n.BoundJobs != 0 {
+				return false
+			}
+		}
+		return true
+	}, "the job's release")
+	check("released", 0)
 }
 
 // TestClusterPlacementDeterministicAcrossWorkers pins the determinism

@@ -92,8 +92,14 @@ func submitGated(t *testing.T, r *Runner, started chan string, n int) []string {
 // metricLines parses MetricsText into `name{labels}` -> value.
 func metricLines(t *testing.T, r *Runner) map[string]float64 {
 	t.Helper()
+	return parseMetricLines(t, r.MetricsText())
+}
+
+// parseMetricLines parses /metricz text into `name{labels}` -> value.
+func parseMetricLines(t *testing.T, text string) map[string]float64 {
+	t.Helper()
 	out := make(map[string]float64)
-	for _, line := range strings.Split(strings.TrimSpace(r.MetricsText()), "\n") {
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
 		head, val, ok := strings.Cut(line, " ")
 		v, err := strconv.ParseFloat(val, 64)
 		if !ok || err != nil {
