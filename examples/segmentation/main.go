@@ -1,12 +1,12 @@
 // Segmentation: the real-compute pipeline of the case study, end to end and
 // over real sockets — a THREDDS HTTP server serves synthetic MERRA-2
-// granules, a Redis-protocol queue distributes the URL list, an aria2-style
-// parallel client downloads IVT subsets into the content-addressed dataset
-// store, and steps 2-4 run over those bytes as chased/v1 jobs chained by ref
-// (core.RunSegmentation): train_dist trains the Flood-Filling Network,
-// segment floods the volume with the stored checkpoint, label tracks objects
-// and runs the CONNECT baseline. Everything here is actual computation and
-// actual network I/O on localhost; no virtual time.
+// granules, an aria2-style parallel client downloads their IVT subsets, in
+// time order, into the content-addressed dataset store, and steps 2-4 run
+// over those bytes as chased/v1 jobs chained by ref (core.RunSegmentation):
+// train_dist trains the Flood-Filling Network, segment floods the volume
+// with the stored checkpoint, label tracks objects and runs the CONNECT
+// baseline. Everything here is actual computation and actual network I/O
+// on localhost; no virtual time.
 package main
 
 import (
@@ -17,7 +17,6 @@ import (
 	"chaseci/internal/core"
 	"chaseci/internal/dataset"
 	"chaseci/internal/merra"
-	"chaseci/internal/queue"
 	"chaseci/internal/thredds"
 	"chaseci/internal/viz"
 )
@@ -26,7 +25,7 @@ func main() {
 	grid := merra.Grid{NLon: 36, NLat: 24, NLev: 6}
 	const granules = 12
 
-	// --- Step 1: THREDDS download through a Redis work queue -------------
+	// --- Step 1: THREDDS download, one subset URL per granule ------------
 	spec := merra.MERRA2().Slice(granules)
 	catalog := thredds.NewCatalog(spec, merra.NewGenerator(grid, 11))
 	srv, err := thredds.Serve(catalog, "127.0.0.1:0")
@@ -35,39 +34,16 @@ func main() {
 	}
 	defer srv.Close()
 
-	qsrv, err := queue.Serve(queue.NewStore(), "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer qsrv.Close()
-	qc, err := queue.Dial(qsrv.Addr())
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer qc.Close()
-	for i := 0; i < granules; i++ {
-		if _, err := qc.LPush("urls", srv.SubsetURL(spec.FileName(i), "IVT")); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	var urls []string
-	for {
-		u, err := qc.RPop("urls")
-		if err == queue.ErrNil {
-			break
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		urls = append(urls, u)
+	urls := make([]string, granules)
+	for i := range urls {
+		urls[i] = srv.SubsetURL(spec.FileName(i), "IVT")
 	}
 	ds := dataset.NewLocal()
 	ingest, err := dataset.FromTHREDDS(context.Background(), ds, &thredds.Downloader{Parallel: 4}, urls, "IVT", "")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("step 1: downloaded %d IVT subsets (%d bytes) over HTTP via the queue into dataset %.12s\n",
+	fmt.Printf("step 1: downloaded %d IVT subsets (%d bytes) over HTTP into dataset %.12s\n",
 		ingest.Granules, ingest.BytesMoved, ingest.ID)
 
 	// --- Steps 2-4: train, flood-fill, validate against CONNECT -----------

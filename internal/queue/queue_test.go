@@ -29,6 +29,9 @@ func TestStoreFIFOOrder(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.LPush("q", fmt.Sprintf("m%d", i))
 	}
+	if n := s.LLen("q"); n != 5 {
+		t.Fatalf("LLen = %d, want 5", n)
+	}
 	for i := 0; i < 5; i++ {
 		v, ok := s.RPop("q")
 		if !ok || v != fmt.Sprintf("m%d", i) {
@@ -38,16 +41,8 @@ func TestStoreFIFOOrder(t *testing.T) {
 	if _, ok := s.RPop("q"); ok {
 		t.Fatal("pop from empty list succeeded")
 	}
-}
-
-func TestStoreRPushLPop(t *testing.T) {
-	s := NewStore()
-	s.RPush("q", "a", "b", "c")
-	if v, _ := s.LPop("q"); v != "a" {
-		t.Fatalf("LPop = %q, want a", v)
-	}
-	if n := s.LLen("q"); n != 2 {
-		t.Fatalf("LLen = %d, want 2", n)
+	if n := s.LLen("q"); n != 0 {
+		t.Fatalf("LLen of drained list = %d, want 0", n)
 	}
 }
 
@@ -61,20 +56,6 @@ func TestStoreIncr(t *testing.T) {
 	}
 	if v, _ := s.Get("n"); v != "3" {
 		t.Fatalf("Get after Incr = %q, want 3", v)
-	}
-}
-
-func TestStoreLRange(t *testing.T) {
-	s := NewStore()
-	s.RPush("l", "a", "b", "c", "d")
-	if got := s.LRange("l", 1, 2); len(got) != 2 || got[0] != "b" || got[1] != "c" {
-		t.Fatalf("LRange(1,2) = %v", got)
-	}
-	if got := s.LRange("l", 0, -1); len(got) != 4 {
-		t.Fatalf("LRange(0,-1) = %v", got)
-	}
-	if got := s.LRange("l", 5, 9); got != nil {
-		t.Fatalf("out-of-range LRange = %v, want nil", got)
 	}
 }
 
@@ -125,163 +106,20 @@ func TestStoreConcurrentPops(t *testing.T) {
 	}
 }
 
-func newServer(t *testing.T) (*Server, *Client) {
-	t.Helper()
-	srv, err := Serve(NewStore(), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	cl, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	return srv, cl
-}
-
-func TestServerPing(t *testing.T) {
-	_, cl := newServer(t)
-	v, err := cl.Do("PING")
-	if err != nil || v != "PONG" {
-		t.Fatalf("PING = %v, %v", v, err)
-	}
-}
-
-func TestServerSetGet(t *testing.T) {
-	_, cl := newServer(t)
-	if _, err := cl.Do("SET", "k", "hello"); err != nil {
-		t.Fatal(err)
-	}
-	v, err := cl.Do("GET", "k")
-	if err != nil || v != "hello" {
-		t.Fatalf("GET = %v, %v", v, err)
-	}
-	if _, err := cl.Do("GET", "missing"); err != ErrNil {
-		t.Fatalf("GET missing err = %v, want ErrNil", err)
-	}
-}
-
-func TestServerQueueRoundTrip(t *testing.T) {
-	_, cl := newServer(t)
-	for i := 0; i < 3; i++ {
-		if _, err := cl.LPush("urls", fmt.Sprintf("http://thredds/f%d.nc", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n, _ := cl.LLen("urls"); n != 3 {
-		t.Fatalf("LLEN = %d, want 3", n)
-	}
-	for i := 0; i < 3; i++ {
-		v, err := cl.RPop("urls")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := fmt.Sprintf("http://thredds/f%d.nc", i); v != want {
-			t.Fatalf("RPop = %q, want %q", v, want)
-		}
-	}
-	if _, err := cl.RPop("urls"); err != ErrNil {
-		t.Fatalf("RPop empty err = %v, want ErrNil", err)
-	}
-}
-
-func TestServerLRangeArray(t *testing.T) {
-	_, cl := newServer(t)
-	cl.Do("RPUSH", "l", "a", "b", "c")
-	v, err := cl.Do("LRANGE", "l", "0", "-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr := v.([]string)
-	if len(arr) != 3 || arr[0] != "a" || arr[2] != "c" {
-		t.Fatalf("LRANGE = %v", arr)
-	}
-}
-
-func TestServerIncrBy(t *testing.T) {
-	_, cl := newServer(t)
-	v, err := cl.Do("INCRBY", "files_done", "7")
-	if err != nil || v.(int64) != 7 {
-		t.Fatalf("INCRBY = %v, %v", v, err)
-	}
-}
-
-func TestServerErrors(t *testing.T) {
-	_, cl := newServer(t)
-	if _, err := cl.Do("NOSUCH"); err == nil {
-		t.Fatal("unknown command did not error")
-	}
-	if _, err := cl.Do("SET", "only-key"); err == nil {
-		t.Fatal("arity error not reported")
-	}
-}
-
-func TestServerMultipleClients(t *testing.T) {
-	srv, err := Serve(NewStore(), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	const items = 200
-	seed, _ := Dial(srv.Addr())
-	defer seed.Close()
-	for i := 0; i < items; i++ {
-		if _, err := seed.LPush("q", fmt.Sprintf("m%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var mu sync.Mutex
-	seen := make(map[string]bool)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl, err := Dial(srv.Addr())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer cl.Close()
-			for {
-				v, err := cl.RPop("q")
-				if err == ErrNil {
-					return
-				}
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				mu.Lock()
-				if seen[v] {
-					t.Errorf("duplicate delivery %q", v)
-				}
-				seen[v] = true
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if len(seen) != items {
-		t.Fatalf("consumed %d items, want %d", len(seen), items)
-	}
-}
-
 func TestPropertyListOrderPreserved(t *testing.T) {
-	// RPush then LPop replays any sequence in order (per-producer FIFO).
+	// LPush then RPop replays any sequence in order (per-producer FIFO).
 	f := func(vals []uint16) bool {
 		s := NewStore()
 		for _, v := range vals {
-			s.RPush("q", fmt.Sprint(v))
+			s.LPush("q", fmt.Sprint(v))
 		}
 		for _, v := range vals {
-			got, ok := s.LPop("q")
+			got, ok := s.RPop("q")
 			if !ok || got != fmt.Sprint(v) {
 				return false
 			}
 		}
-		_, ok := s.LPop("q")
+		_, ok := s.RPop("q")
 		return !ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

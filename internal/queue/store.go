@@ -1,10 +1,8 @@
 // Package queue is the simulated Redis of CHASE-CI's download step: "the
 // Redis queue holds a list of files that contain urls to download ... each
-// pod pops a message off the queue". The core is Store, a synchronous
-// in-memory list/key-value engine that simulation callbacks use directly;
-// Server exposes the same store over TCP with a RESP-like line protocol so
-// examples and tests can exercise the real network path with the stdlib net
-// package.
+// pod pops a message off the queue". Store is an in-memory list/key-value
+// engine: the virtual-time download workers of core's Figure 3 push and pop
+// its lists, and service.Runner persists its job records into it.
 package queue
 
 import (
@@ -14,8 +12,9 @@ import (
 )
 
 // Store is an in-memory Redis-like data store: string keys and list keys.
-// It is safe for concurrent use (the TCP server serves multiple
-// connections); simulation code calls it synchronously.
+// It is safe for concurrent use (a service.Runner's worker goroutines write
+// job records into one store at once); simulation code calls it
+// synchronously.
 type Store struct {
 	mu    sync.Mutex
 	kv    map[string]string
@@ -101,14 +100,6 @@ func (s *Store) LPush(key string, values ...string) int {
 	return len(l)
 }
 
-// RPush appends values to the list at key, returning the new length.
-func (s *Store) RPush(key string, values ...string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lists[key] = append(s.lists[key], values...)
-	return len(s.lists[key])
-}
-
 // RPop removes and returns the last element; ok is false if empty. LPush +
 // RPop together give the FIFO the download workers consume.
 func (s *Store) RPop(key string) (value string, ok bool) {
@@ -126,54 +117,11 @@ func (s *Store) RPop(key string) (value string, ok bool) {
 	return value, true
 }
 
-// LPop removes and returns the first element; ok is false if empty.
-func (s *Store) LPop(key string) (value string, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l := s.lists[key]
-	if len(l) == 0 {
-		return "", false
-	}
-	value = l[0]
-	s.lists[key] = l[1:]
-	if len(s.lists[key]) == 0 {
-		delete(s.lists, key)
-	}
-	return value, true
-}
-
 // LLen returns the list length at key (0 for missing).
 func (s *Store) LLen(key string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.lists[key])
-}
-
-// LRange returns elements [start, stop] (inclusive, clamped), like Redis.
-// Negative indices count from the end.
-func (s *Store) LRange(key string, start, stop int) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l := s.lists[key]
-	n := len(l)
-	if start < 0 {
-		start += n
-	}
-	if stop < 0 {
-		stop += n
-	}
-	if start < 0 {
-		start = 0
-	}
-	if stop >= n {
-		stop = n - 1
-	}
-	if n == 0 || start > stop {
-		return nil
-	}
-	out := make([]string, stop-start+1)
-	copy(out, l[start:stop+1])
-	return out
 }
 
 // Keys returns every key (string and list) in sorted order.

@@ -13,12 +13,6 @@ import (
 // lands on by data gravity. Node loss drains the node's pool and requeues
 // its jobs through placement against the surviving replicas.
 
-// NodePendingKey is the store list previous runner generations used as a
-// node's dispatch queue; the current generation dispatches from in-memory
-// fair queues but still drains these lists at startup (orphan semantics,
-// see drainOrphanList).
-func NodePendingKey(node string) string { return "jobs:pending:" + node }
-
 // NewClusterRunnerConfigured builds and starts a Runner that places jobs on
 // the fabric's nodes, each with its own pool of cfg.Workers goroutines. The
 // fabric's dataset manager becomes the runner's data plane (cfg.Datasets is
@@ -33,9 +27,7 @@ func NewClusterRunnerConfigured(reg *Registry, store *queue.Store, fab *sched.Fa
 	r.sched.OnBind(r.onBind)
 	r.sched.OnDrain(r.onDrain)
 	r.sched.OnRestore(r.onRestore)
-	r.drainOrphanList(PendingKey)
 	for _, node := range fab.NodeNames() {
-		r.drainOrphanList(NodePendingKey(node))
 		r.pools[node] = r.startPool()
 	}
 	return r

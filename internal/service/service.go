@@ -4,9 +4,8 @@
 // queue, execute each job under a cancellable context.Context with
 // kernel-reported progress, and persist every state transition back into
 // the queue.Store — the same simulated-Redis substrate the paper's
-// download step uses, so job records survive in the store whether the
-// Runner is fronted by the chased HTTP gateway, the line-protocol
-// queue.Server, or both.
+// download step uses, so job records survive in the store the caller
+// passes in (the chased HTTP gateway fronts the Runner).
 //
 // Scale model: the job registry is lock-striped (see shards.go) so status
 // polls, submits, and terminal transitions on different jobs never contend
@@ -53,16 +52,6 @@ import (
 	"chaseci/internal/dataset"
 	"chaseci/internal/queue"
 	"chaseci/internal/sched"
-)
-
-// Store keys used for job persistence.
-const (
-	// PendingKey is the store list previous runner generations used as
-	// their dispatch queue. The current generation dispatches from the
-	// in-memory fair queue, but still drains this list at startup so
-	// records orphaned by an older generation (or a crash) are failed
-	// rather than left "queued" forever.
-	PendingKey = "jobs:pending"
 )
 
 // JobKey returns the store key holding a job's status record (JSON).
@@ -325,15 +314,14 @@ type Runner struct {
 
 // NewRunnerConfigured builds and starts a single-node Runner: one worker
 // pool of cfg.Workers goroutines draining one weighted-fair queue. Jobs
-// persist into store; pass a fresh store or one shared with a queue.Server
-// to expose job records over the line protocol.
+// persist into store; a store shared across runner generations keeps the
+// job records and the id sequence of the ones before.
 func NewRunnerConfigured(reg *Registry, store *queue.Store, cfg RunnerConfig) *Runner {
 	ds := cfg.Datasets
 	if ds == nil {
 		ds = dataset.NewLocal()
 	}
 	r := newRunner(reg, store, ds, cfg, 4)
-	r.drainOrphanList(PendingKey)
 	r.disp = localDispatch{r.startPool()}
 	return r
 }
@@ -367,34 +355,6 @@ func newRunner(reg *Registry, store *queue.Store, ds *dataset.Manager, cfg Runne
 	}
 	r.retain.Store(maxRetainedJobs)
 	return r
-}
-
-// drainOrphanList clears pending ids a previous runner generation sharing
-// this store left on one of its dispatch lists (PendingKey, or a
-// NodePendingKey). Job specs are not persisted — only status records are —
-// so an orphaned job cannot be re-executed; its stored record is flipped to
-// failed rather than staying "queued" forever.
-func (r *Runner) drainOrphanList(key string) {
-	for {
-		id, ok := r.store.RPop(key)
-		if !ok {
-			return
-		}
-		rec, ok := r.store.Get(JobKey(id))
-		if !ok {
-			continue
-		}
-		var st api.JobStatus
-		if json.Unmarshal([]byte(rec), &st) != nil || st.State.Terminal() {
-			continue
-		}
-		st.State = api.StateFailed
-		st.Error = "orphaned: runner restarted before execution"
-		st.FinishedAt = time.Now().UnixNano()
-		if raw, err := json.Marshal(st); err == nil {
-			r.store.Set(JobKey(id), string(raw))
-		}
-	}
 }
 
 // Close stops every worker pool: running jobs are cancelled through their

@@ -396,27 +396,14 @@ func TestAllKindsEndToEndInProcess(t *testing.T) {
 }
 
 // TestRunnerRestartOnSharedStore: a new runner generation over a store
-// left behind by a crashed one (pending id + queued record, no Close)
-// must not resurrect or clobber the old records.
+// left behind by a crashed one (its seq counter, no Close) must not
+// clobber the old records.
 func TestRunnerRestartOnSharedStore(t *testing.T) {
 	store := queue.NewStore()
-	// Manufacture the crash leftovers: the seq counter, a queued status
-	// record, and its pending-list entry.
 	store.Incr(seqKey, 3)
-	ghost := api.JobStatus{ID: "job-000002", Kind: api.KindSegment, State: api.StateQueued}
-	raw, _ := json.Marshal(ghost)
-	store.Set(JobKey(ghost.ID), string(raw))
-	store.LPush(PendingKey, ghost.ID)
 
 	r := NewRunnerConfigured(DefaultRegistry(), store, RunnerConfig{Workers: 1})
 	t.Cleanup(r.Close)
-	rec, ok := store.Get(JobKey(ghost.ID))
-	if !ok || !strings.Contains(rec, `"failed"`) || !strings.Contains(rec, "orphaned") {
-		t.Fatalf("orphaned record = %q, ok=%v", rec, ok)
-	}
-	if store.LLen(PendingKey) != 0 {
-		t.Fatalf("pending list not drained: %d entries", store.LLen(PendingKey))
-	}
 	// New ids continue from the store counter instead of overwriting the
 	// previous generation's records.
 	st, err := r.Submit(tinySegmentRequest(), "")
