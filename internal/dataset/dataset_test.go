@@ -727,3 +727,67 @@ func TestMaskEncodingMustBeCanonical(t *testing.T) {
 		t.Fatal("non-canonical mask accepted by the store")
 	}
 }
+
+func TestFromTHREDDSFollowsURLOrder(t *testing.T) {
+	// The dataset is stacked in URL order whatever the download parallelism,
+	// so the id pins the order of the list the caller built.
+	g := merra.Grid{NLon: 12, NLat: 8, NLev: 4}
+	gen := merra.NewGenerator(g, 7)
+	spec := merra.MERRA2().Slice(4)
+	srv, err := thredds.Serve(thredds.NewCatalog(spec, gen), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	urls := make([]string, 4)
+	for i := range urls {
+		urls[i] = srv.SubsetURL(spec.FileName(i), "IVT")
+	}
+	ingest := func(t *testing.T, urls []string, parallel int) (*Manager, IngestReport) {
+		t.Helper()
+		m := NewLocal()
+		rep, err := FromTHREDDS(context.Background(), m, &thredds.Downloader{Parallel: parallel}, urls, "IVT", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, rep
+	}
+	_, ref := ingest(t, urls, 1)
+	for _, parallel := range []int{2, 4} {
+		t.Run(fmt.Sprintf("parallel %d", parallel), func(t *testing.T) {
+			if _, rep := ingest(t, urls, parallel); rep.ID != ref.ID {
+				t.Fatalf("id = %s, want %s (parallel 1)", rep.ID, ref.ID)
+			}
+		})
+	}
+	t.Run("reversed", func(t *testing.T) {
+		rev := make([]string, len(urls))
+		for i, u := range urls {
+			rev[len(urls)-1-i] = u
+		}
+		m, rep := ingest(t, rev, 4)
+		if rep.ID == ref.ID {
+			t.Fatal("reversed URL list gave the in-order id")
+		}
+		blob, err := m.Resolve(rep.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blob.D != len(urls) || blob.H != g.NLat || blob.W != g.NLon {
+			t.Fatalf("dims %dx%dx%d", blob.D, blob.H, blob.W)
+		}
+		want := merra.IVT(gen.State(len(urls)-1), merra.PressureLevels(g.NLev))
+		for j, v := range want.Data {
+			if blob.Data[j] != v {
+				t.Fatalf("slice 0 voxel %d = %v, want the last granule's %v", j, blob.Data[j], v)
+			}
+		}
+	})
+}
+
+func TestFromTHREDDSNeedsURLs(t *testing.T) {
+	if _, err := FromTHREDDS(context.Background(), NewLocal(), nil, nil, "IVT", ""); err == nil {
+		t.Fatal("ingest of no URLs succeeded")
+	}
+}
