@@ -1,10 +1,10 @@
 // Command chased (CHASE-CI daemon) is the HTTP/JSON job gateway over the
 // repository's compute kernels — FFN segmentation, CONNECT labelling, MERRA
-// IVT derivation, FFN training, measured PPoDS workflows, and streamed
-// IVT->segment->label pipelines — plus the client for its content-addressed
-// dataset plane: volumes upload once into the service's objstore-backed
-// dataset store and jobs submit 64-hex refs instead of megabytes of inline
-// JSON.
+// IVT derivation, FFN training and sweeps, measured PPoDS workflows — plus
+// the client for its content-addressed dataset plane: volumes upload once
+// into the service's objstore-backed dataset store and jobs submit 64-hex
+// refs instead of megabytes of inline JSON, so an ivt -> segment -> label
+// analysis is three jobs, each naming the ref the one before it stored.
 //
 //	chased serve -addr localhost:8434      run the gateway (default command)
 //	chased serve -cluster                  run it over the simulated CHASE-CI
@@ -215,7 +215,7 @@ func serve(args []string) {
 	}()
 
 	fmt.Printf("chased: Job API v1 on http://%s (workers=%d anon=%v)\n", *addr, *workers, *anon)
-	fmt.Printf("chased: kinds: segment label ivt train_dist sweep workflow pipeline — POST /v1/jobs, PUT/GET /v1/datasets/{id}\n")
+	fmt.Printf("chased: kinds: %v — POST /v1/jobs, PUT/GET /v1/datasets/{id}\n", api.Kinds())
 	if *clusterOn {
 		fmt.Printf("chased: cluster mode — %d fabric nodes, jobs place by data gravity (GET /v1/nodes)\n", len(runner.Nodes()))
 	}

@@ -43,14 +43,11 @@ const (
 	KindSweep Kind = "sweep"
 	// KindWorkflow executes a measured virtual-time step DAG (PPoDS).
 	KindWorkflow Kind = "workflow"
-	// KindPipeline streams a multi-timestep volume through the full
-	// IVT -> segment -> label analysis in time slabs.
-	KindPipeline Kind = "pipeline"
 )
 
 // Kinds lists the built-in job kinds in a fixed order.
 func Kinds() []Kind {
-	return []Kind{KindSegment, KindLabel, KindIVT, KindTrainDist, KindSweep, KindWorkflow, KindPipeline}
+	return []Kind{KindSegment, KindLabel, KindIVT, KindTrainDist, KindSweep, KindWorkflow}
 }
 
 // State is a job's lifecycle state.
@@ -125,9 +122,9 @@ type JobRequest struct {
 	// Name is an optional human label echoed in status listings.
 	Name string `json:"name,omitempty"`
 	// ResultMode: "ref" offloads bulk result payloads (segment masks, the
-	// derived IVT volume, per-slab pipeline masks) to the dataset store and
-	// returns content-addressed refs; "" or "inline" embeds them in the
-	// result JSON (masks 1-bit packed).
+	// derived IVT volume) to the dataset store and returns content-addressed
+	// refs; "" or "inline" embeds them in the result JSON (masks 1-bit
+	// packed).
 	ResultMode ResultMode `json:"result_mode,omitempty"`
 	// Placement optionally constrains where a cluster-mode deployment may
 	// run the job. Single-node runners ignore it.
@@ -139,7 +136,6 @@ type JobRequest struct {
 	TrainDist *TrainDistSpec `json:"train_dist,omitempty"`
 	Sweep     *SweepSpec     `json:"sweep,omitempty"`
 	Workflow  *WorkflowSpec  `json:"workflow,omitempty"`
-	Pipeline  *PipelineSpec  `json:"pipeline,omitempty"`
 }
 
 // Validate checks the envelope and the kind's spec. It returns an error
@@ -158,7 +154,7 @@ func (r *JobRequest) Validate() error {
 		return err
 	}
 	specs := 0
-	for _, set := range []bool{r.Segment != nil, r.Label != nil, r.IVT != nil, r.TrainDist != nil, r.Sweep != nil, r.Workflow != nil, r.Pipeline != nil} {
+	for _, set := range []bool{r.Segment != nil, r.Label != nil, r.IVT != nil, r.TrainDist != nil, r.Sweep != nil, r.Workflow != nil} {
 		if set {
 			specs++
 		}
@@ -197,11 +193,6 @@ func (r *JobRequest) Validate() error {
 			return invalidf("kind %q needs a workflow spec", r.Kind)
 		}
 		return r.Workflow.validate()
-	case KindPipeline:
-		if r.Pipeline == nil {
-			return invalidf("kind %q needs a pipeline spec", r.Kind)
-		}
-		return r.Pipeline.validate()
 	case "":
 		return invalidf("missing kind")
 	default:
@@ -990,57 +981,6 @@ func (s *WorkflowSpec) validate() error {
 	return nil
 }
 
-// PipelineSpec streams the full IVT -> segment -> label analysis over a
-// multi-timestep synthetic volume in time slabs of SlabSteps steps each,
-// one slab at a time. Each slab is an independent analysis unit (its own
-// normalization, seeding, flood, and labelling).
-type PipelineSpec struct {
-	Synth SynthSpec `json:"synth"`
-	// SlabSteps is the number of time steps per slab (0, or more than
-	// synth.steps, means one slab spanning the whole volume).
-	SlabSteps int `json:"slab_steps,omitempty"`
-	// Threshold binarizes each slab's raw IVT field for grid seeding.
-	Threshold float32 `json:"threshold"`
-	// Net overrides the segmentation network geometry; NetSeed seeds it.
-	Net     *NetConfig `json:"net,omitempty"`
-	NetSeed uint64     `json:"net_seed,omitempty"`
-	// SeedStride is the grid-seeding lattice stride (defaults to the FOV).
-	SeedStride [3]int `json:"seed_stride,omitempty"`
-	// Connectivity is 6 or 26 (0 defaults to 26); MinVoxels prunes small
-	// objects in the label stage.
-	Connectivity int `json:"connectivity,omitempty"`
-	MinVoxels    int `json:"min_voxels,omitempty"`
-}
-
-func (s *PipelineSpec) validate() error {
-	if err := s.Synth.validate("pipeline.synth"); err != nil {
-		return err
-	}
-	if err := s.Net.Validate("pipeline.net"); err != nil {
-		return err
-	}
-	if s.SlabSteps < 0 {
-		return invalidf("pipeline.slab_steps must be non-negative, got %d", s.SlabSteps)
-	}
-	if s.Threshold <= 0 {
-		return invalidf("pipeline.threshold must be > 0")
-	}
-	if s.SeedStride != [3]int{} {
-		for _, d := range s.SeedStride {
-			if d <= 0 {
-				return invalidf("pipeline.seed_stride components must all be positive (or all zero for the default), got %v", s.SeedStride)
-			}
-		}
-	}
-	if s.Connectivity != 0 && s.Connectivity != 6 && s.Connectivity != 26 {
-		return invalidf("pipeline.connectivity must be 6 or 26, got %d", s.Connectivity)
-	}
-	if s.MinVoxels < 0 {
-		return invalidf("pipeline.min_voxels must be non-negative")
-	}
-	return nil
-}
-
 // --- Status and result payloads --------------------------------------------
 
 // JobStatus is the poll snapshot of a job. It is a flat value type — no
@@ -1295,53 +1235,6 @@ type WorkflowResult struct {
 	TotalMS  int64                `json:"total_ms"`
 	Failed   bool                 `json:"failed"`
 	Table    string               `json:"table,omitempty"`
-}
-
-// PipelineSlabResult summarizes one time slab's trip through the
-// IVT -> segment -> label pipeline.
-type PipelineSlabResult struct {
-	Slab      int `json:"slab"`
-	StartStep int `json:"start_step"`
-	Steps     int `json:"steps"`
-	// IVT stage.
-	IVTMean float64 `json:"ivt_mean"`
-	IVTMax  float64 `json:"ivt_max"`
-	// Segment stage.
-	SegSteps   int `json:"seg_steps"`
-	SegMoves   int `json:"seg_moves"`
-	SeedsUsed  int `json:"seeds_used"`
-	MaskVoxels int `json:"mask_voxels"`
-	// Label stage.
-	Objects      int `json:"objects"`
-	ObjectVoxels int `json:"object_voxels"`
-	MaxDuration  int `json:"max_duration"`
-	// MaskRef is the slab's segmentation mask as a dataset ref, retained
-	// when the job's result_mode is "ref" (the pipeline's stages always
-	// chain by ref internally; inline mode releases the intermediates).
-	MaskRef string `json:"mask_ref,omitempty"`
-}
-
-// PipelineResult reports a streamed pipeline job. On cancellation the
-// aggregates cover the slabs that completed all three stages.
-type PipelineResult struct {
-	Slabs     int `json:"slabs"`
-	SlabsDone int `json:"slabs_done"`
-	Steps     int `json:"steps"`
-	// Step-weighted IVT field aggregates.
-	IVTMean float64 `json:"ivt_mean"`
-	IVTMax  float64 `json:"ivt_max"`
-	// Summed segmentation statistics.
-	SegSteps    int `json:"seg_steps"`
-	SegMoves    int `json:"seg_moves"`
-	SeedsUsed   int `json:"seeds_used"`
-	MaskVoxels  int `json:"mask_voxels"`
-	VoxelsTotal int `json:"voxels_total"`
-	// Summed labelling statistics (objects are per-slab: a structure
-	// spanning a slab boundary counts once per slab it appears in).
-	Objects      int                  `json:"objects"`
-	ObjectVoxels int                  `json:"object_voxels"`
-	MaxDuration  int                  `json:"max_duration"`
-	PerSlab      []PipelineSlabResult `json:"per_slab,omitempty"`
 }
 
 // ResultEnvelope wraps a terminal job's result payload.

@@ -3,6 +3,7 @@ package api
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -35,9 +36,6 @@ func validRequests() map[Kind]*JobRequest {
 		}},
 		KindWorkflow: {Kind: KindWorkflow, Workflow: &WorkflowSpec{
 			Name: "wf", Steps: []WorkflowStep{{Name: "a", DurationMS: 5}},
-		}},
-		KindPipeline: {Kind: KindPipeline, Pipeline: &PipelineSpec{
-			Synth: SynthSpec{NLon: 8, NLat: 6, NLev: 3, Steps: 6}, SlabSteps: 3, Threshold: 1,
 		}},
 	}
 }
@@ -95,41 +93,6 @@ func TestNetConfigMoveStepWithinFOV(t *testing.T) {
 	}
 }
 
-// TestPipelineSpecRejections covers the streaming pipeline's validation.
-func TestPipelineSpecRejections(t *testing.T) {
-	mk := func(mut func(*PipelineSpec)) *JobRequest {
-		spec := &PipelineSpec{
-			Synth: SynthSpec{NLon: 8, NLat: 6, NLev: 3, Steps: 6}, SlabSteps: 2, Threshold: 1,
-		}
-		mut(spec)
-		return &JobRequest{Kind: KindPipeline, Pipeline: spec}
-	}
-	cases := []struct {
-		name string
-		req  *JobRequest
-		want string
-	}{
-		{"zero threshold", mk(func(s *PipelineSpec) { s.Threshold = 0 }), "threshold"},
-		{"negative slab", mk(func(s *PipelineSpec) { s.SlabSteps = -1 }), "slab_steps"},
-		{"bad synth", mk(func(s *PipelineSpec) { s.Synth.NLev = 1 }), "nlev"},
-		{"one-row synth", mk(func(s *PipelineSpec) { s.Synth.NLat = 1 }), "nlat"},
-		{"bad connectivity", mk(func(s *PipelineSpec) { s.Connectivity = 18 }), "connectivity"},
-		{"negative min voxels", mk(func(s *PipelineSpec) { s.MinVoxels = -1 }), "min_voxels"},
-		{"partial stride", mk(func(s *PipelineSpec) { s.SeedStride = [3]int{1, 0, 2} }), "seed_stride"},
-		{"bad net move step", mk(func(s *PipelineSpec) { s.Net = &NetConfig{MoveStep: [3]int{3, 3, 3}} }), "move_step"},
-	}
-	for _, c := range cases {
-		err := c.req.Validate()
-		if !errors.Is(err, ErrInvalid) {
-			t.Errorf("%s: err = %v, want ErrInvalid", c.name, err)
-			continue
-		}
-		if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: err = %q, want substring %q", c.name, err, c.want)
-		}
-	}
-}
-
 func TestValidRequestsPass(t *testing.T) {
 	for kind, req := range validRequests() {
 		if err := req.Validate(); err != nil {
@@ -160,7 +123,9 @@ func TestEnvelopeRejections(t *testing.T) {
 		{"unknown kind", &JobRequest{Kind: "resample"}, "unknown kind"},
 		// train folded into train_dist{holdout_steps}: the old name is just
 		// an unknown kind, whose error lists the kinds there are.
-		{"the retired train kind", &JobRequest{Kind: "train"}, "train_dist"},
+		{"the retired train kind", &JobRequest{Kind: "train"}, fmt.Sprint(Kinds())},
+		// pipeline is one ivt -> segment -> label chain per slab, by ref.
+		{"the retired pipeline kind", &JobRequest{Kind: "pipeline"}, fmt.Sprint(Kinds())},
 		{"missing spec", &JobRequest{Kind: KindSegment}, "needs a segment spec"},
 		{"mismatched spec", &JobRequest{Kind: KindSegment, Label: &LabelSpec{Source: tinyVolume(), Threshold: 1}}, "needs a segment spec"},
 		{"two specs", &JobRequest{Kind: KindLabel,
@@ -189,7 +154,6 @@ func TestSynthOneRowRefused(t *testing.T) {
 	for _, req := range []*JobRequest{
 		{Kind: KindIVT, IVT: &IVTSpec{Synth: synth}},
 		{Kind: KindTrainDist, TrainDist: &TrainDistSpec{Source: src, Threshold: 0.5, Workers: 2, Rounds: 4, BatchPerRound: 4}},
-		{Kind: KindPipeline, Pipeline: &PipelineSpec{Synth: synth, SlabSteps: 3, Threshold: 1}},
 		{Kind: KindSweep, Sweep: &SweepSpec{Source: src, Threshold: 0.5,
 			LRs: []float32{0.03}, Momentums: []float32{0.9}, Features: []int{4}, TrainSteps: []int{10}}},
 	} {
@@ -254,21 +218,25 @@ func TestSegmentSpecRejections(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(*SegmentSpec)
+		want string
 	}{
-		{"even fov", func(s *SegmentSpec) { s.Net = &NetConfig{FOV: [3]int{4, 9, 9}} }},
-		{"net_ref of the wrong shape", func(s *SegmentSpec) { s.NetRef = "ABCD" }},
-		{"net_ref together with net", func(s *SegmentSpec) { s.NetRef = fakeRef; s.Net = &NetConfig{Features: 4} }},
-		{"net_ref together with net_seed", func(s *SegmentSpec) { s.NetRef = fakeRef; s.NetSeed = 3 }},
-		{"grid seeding without threshold", func(s *SegmentSpec) { s.Seeds = nil; s.Threshold = 0 }},
-		{"negative max steps", func(s *SegmentSpec) { s.MaxSteps = -2 }},
-		{"negative stride", func(s *SegmentSpec) { s.SeedStride = [3]int{-1, 0, 0} }},
-		{"move prob out of range", func(s *SegmentSpec) { s.Net = &NetConfig{MoveProb: 1.5} }},
+		{"even fov", func(s *SegmentSpec) { s.Net = &NetConfig{FOV: [3]int{4, 9, 9}} }, "fov"},
+		{"net_ref of the wrong shape", func(s *SegmentSpec) { s.NetRef = "ABCD" }, "net_ref"},
+		{"net_ref together with net", func(s *SegmentSpec) { s.NetRef = fakeRef; s.Net = &NetConfig{Features: 4} }, "net_ref"},
+		{"net_ref together with net_seed", func(s *SegmentSpec) { s.NetRef = fakeRef; s.NetSeed = 3 }, "net_seed"},
+		{"grid seeding without threshold", func(s *SegmentSpec) { s.Seeds = nil; s.Threshold = 0 }, "threshold"},
+		{"negative max steps", func(s *SegmentSpec) { s.MaxSteps = -2 }, "max_steps"},
+		{"negative stride", func(s *SegmentSpec) { s.SeedStride = [3]int{-1, 0, 0} }, "seed_stride"},
+		{"partial stride", func(s *SegmentSpec) { s.SeedStride = [3]int{1, 0, 2} }, "seed_stride"},
+		{"move prob out of range", func(s *SegmentSpec) { s.Net = &NetConfig{MoveProb: 1.5} }, "probabilities"},
+		{"move step past the fov", func(s *SegmentSpec) { s.Net = &NetConfig{MoveStep: [3]int{3, 3, 3}} }, "move_step"},
 	}
 	for _, c := range cases {
 		req := validRequests()[KindSegment]
 		c.mut(req.Segment)
-		if err := req.Validate(); !errors.Is(err, ErrInvalid) {
-			t.Errorf("%s: err = %v, want ErrInvalid", c.name, err)
+		err := req.Validate()
+		if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want ErrInvalid naming %s", c.name, err, c.want)
 		}
 	}
 }
@@ -297,15 +265,42 @@ func TestSegmentNetRef(t *testing.T) {
 }
 
 func TestLabelSpecRejections(t *testing.T) {
-	label := validRequests()[KindLabel]
-	label.Label.Connectivity = 18
-	if err := label.Validate(); !errors.Is(err, ErrInvalid) {
-		t.Errorf("connectivity 18: err = %v, want ErrInvalid", err)
+	cases := []struct {
+		name string
+		mut  func(*LabelSpec)
+		want string
+	}{
+		{"connectivity 18", func(s *LabelSpec) { s.Connectivity = 18 }, "connectivity"},
+		{"zero threshold", func(s *LabelSpec) { s.Threshold = 0 }, "threshold"},
+		{"negative min voxels", func(s *LabelSpec) { s.MinVoxels = -1 }, "min_voxels"},
 	}
-	label = validRequests()[KindLabel]
-	label.Label.Threshold = 0
-	if err := label.Validate(); !errors.Is(err, ErrInvalid) {
-		t.Errorf("label threshold 0: err = %v, want ErrInvalid", err)
+	for _, c := range cases {
+		req := validRequests()[KindLabel]
+		c.mut(req.Label)
+		err := req.Validate()
+		if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want ErrInvalid naming %s", c.name, err, c.want)
+		}
+	}
+}
+
+// TestIVTSpecRejections: the synthetic grid's checks, each naming its field.
+func TestIVTSpecRejections(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*IVTSpec)
+		want string
+	}{
+		{"single level", func(s *IVTSpec) { s.Synth.NLev = 1 }, "nlev"},
+		{"single row", func(s *IVTSpec) { s.Synth.NLat = 1 }, "nlat"},
+	}
+	for _, c := range cases {
+		req := validRequests()[KindIVT]
+		c.mut(req.IVT)
+		err := req.Validate()
+		if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want ErrInvalid naming %s", c.name, err, c.want)
+		}
 	}
 }
 
@@ -457,7 +452,7 @@ func FuzzJobRequest(f *testing.F) {
 		{Kind: KindTrainDist, TrainDist: &TrainDistSpec{Source: VolumeSource{Ref: ref}, Threshold: 0.5, Rounds: 4, ResumeFrom: ref}},
 		{Kind: KindSegment, Segment: &SegmentSpec{Source: VolumeSource{Ref: ref}, Threshold: 1, NetRef: ref}},
 		{Kind: KindSegment, Segment: &SegmentSpec{Source: VolumeSource{D: 1 << 30, H: 1 << 30, W: 1 << 30}}},
-		{Kind: KindPipeline, Pipeline: &PipelineSpec{Synth: SynthSpec{NLon: 8, NLat: 6, NLev: 3, Steps: 6}, Net: &NetConfig{MoveStep: [3]int{3, 3, 3}}}},
+		{Kind: KindSegment, Segment: &SegmentSpec{Source: VolumeSource{Synth: &SynthSpec{NLon: 8, NLat: 6, NLev: 3, Steps: 6}}, Threshold: 1, Net: &NetConfig{MoveStep: [3]int{3, 3, 3}}}},
 		// Training scratch at the caps: over a gigabyte per lane, refused;
 		// and a sweep whose every candidate is at the feature and module caps.
 		{Kind: KindTrainDist, TrainDist: &TrainDistSpec{Source: VolumeSource{Ref: ref}, Threshold: 0.5, Workers: 1, Rounds: 1, BatchPerRound: 1,

@@ -1,7 +1,7 @@
 // Package dataset is the content-addressed data plane of the chased
 // service: volumes and masks live once in the community fabric (the
 // simulated Rook/Ceph objstore) and every layer above — the Job API, the
-// service handlers, the streamed pipeline, the CLI — moves 64-hex SHA-256
+// service handlers, the jobs chained by ref, the CLI — moves 64-hex SHA-256
 // *references* instead of inline float payloads. This is the paper's core
 // bet made concrete: workflows ship refs to data held near the compute
 // ("data is moved to where it is needed"), so a 128^3 segment job submits a
@@ -233,30 +233,8 @@ func encodeMaskInto(enc []byte, d, h, w int, data []float32) {
 	packBitsInto(enc[HeaderSize:], data)
 }
 
-// EncodeMaskWords encodes a mask that is already bits: voxel i is bit i%32
-// of words[i/32], (n+31)/32 words for n voxels, every bit past n zero — an
-// ffn.Mask. Nothing is packed: the payload is the words' little-endian
-// bytes.
-func EncodeMaskWords(d, h, w int, words []uint32) ([]byte, error) {
-	n, err := checkMaskWords(d, h, w, words)
-	if err != nil {
-		return nil, err
-	}
-	b := make([]byte, maskEncodedLen(n))
-	encodeMaskWordsInto(b, d, h, w, words)
-	return b, nil
-}
-
-// encodeMaskWordsInto writes EncodeMaskWords(d, h, w, words) into enc, which
-// must hold exactly its length and need not be zero.
-func encodeMaskWordsInto(enc []byte, d, h, w int, words []uint32) {
-	clear(enc[:HeaderSize])
-	putHeader(enc, KindMask, d, h, w)
-	putWordBits(enc[HeaderSize:], words)
-}
-
 // WordBits returns the packed bytes of the first n bits of words: the mask
-// payload EncodeMaskWords writes, and the Job API's inline mask_bits.
+// payload PutMaskWords stores, and the Job API's inline mask_bits.
 func WordBits(words []uint32, n int) []byte {
 	out := make([]byte, (n+7)/8)
 	putWordBits(out, words)
@@ -774,8 +752,9 @@ func (m *Manager) PutMask(d, h, w int, data []float32, owner string) (Info, erro
 	return m.putBorrowed(enc, Info{Kind: KindMask.String(), D: d, H: h, W: w, Owner: owner})
 }
 
-// PutMaskWords is PutMask for a mask that is already bits, as
-// EncodeMaskWords takes them: the header and the words' bytes go into a
+// PutMaskWords is PutMask for a mask that is already bits: voxel i is bit
+// i%32 of words[i/32], (n+31)/32 words for n voxels, every bit past n zero —
+// an ffn.Mask. The header and the words' little-endian bytes go into a
 // borrowed encoding, which is hashed there (putBorrowed). Nothing is packed.
 func (m *Manager) PutMaskWords(d, h, w int, words []uint32, owner string) (Info, error) {
 	n, err := checkMaskWords(d, h, w, words)
@@ -784,7 +763,9 @@ func (m *Manager) PutMaskWords(d, h, w int, words []uint32, owner string) (Info,
 	}
 	buf, enc := borrowEncoding(maskEncodedLen(n))
 	defer tensor.PutWords(buf)
-	encodeMaskWordsInto(enc, d, h, w, words)
+	clear(enc[:HeaderSize])
+	putHeader(enc, KindMask, d, h, w)
+	putWordBits(enc[HeaderSize:], words)
 	return m.putBorrowed(enc, Info{Kind: KindMask.String(), D: d, H: h, W: w, Owner: owner})
 }
 

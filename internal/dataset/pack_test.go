@@ -121,11 +121,11 @@ func wordsOf(data []float32) []uint32 {
 }
 
 // TestMaskWordsEncodeAsPackedFloats: a mask given as words encodes, packs
-// and stores exactly as the same mask given as floats — EncodeMaskWords is
-// EncodeMask, WordBits is packBitsInto, PutMaskWords files the id PutMask does
-// and a re-put of it allocates nothing — at lengths across a few words, at
-// dims whose voxel count is not a multiple of 8 or 32, and at 64^3. Words
-// of the wrong count, or with a bit set past the last voxel, are refused.
+// and stores exactly as the same mask given as floats — PutMaskWords stores
+// EncodeMask's bytes under the id PutMask files, WordBits is packBitsInto,
+// and a re-put allocates nothing — at lengths across a few words, at dims
+// whose voxel count is not a multiple of 8 or 32, and at 64^3. Words of the
+// wrong count, or with a bit set past the last voxel, are refused.
 func TestMaskWordsEncodeAsPackedFloats(t *testing.T) {
 	dims := [][3]int{{5, 17, 19}, {3, 5, 7}, {64, 64, 64}}
 	for n := 1; n <= 67; n++ {
@@ -145,10 +145,6 @@ func TestMaskWordsEncodeAsPackedFloats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := EncodeMaskWords(d, h, w, words)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("%v: EncodeMaskWords %x (%v), EncodeMask %x", dim, got, err, want)
-		}
 		if bits := WordBits(words, len(data)); !bytes.Equal(bits, packBits(data)) {
 			t.Fatalf("%v: WordBits %x, packed floats %x", dim, bits, packBits(data))
 		}
@@ -156,20 +152,17 @@ func TestMaskWordsEncodeAsPackedFloats(t *testing.T) {
 		if err != nil || info.ID != ID(want) || info.Bytes != len(want) || info.Kind != "mask" {
 			t.Fatalf("%v: PutMaskWords %+v (%v), want id %s", dim, info, err, ID(want))
 		}
-		if again, err := m.PutMask(d, h, w, data, "alice"); err != nil || again != info {
-			t.Fatalf("%v: PutMask after PutMaskWords %+v (%v), want %+v", dim, again, err, info)
-		}
 		stored, err := m.GetBytes(info.ID)
 		if err != nil || !bytes.Equal(stored, want) {
-			t.Fatalf("%v: stored %x (%v), want %x", dim, stored, err, want)
+			t.Fatalf("%v: PutMaskWords stored %x (%v), EncodeMask %x", dim, stored, err, want)
+		}
+		if again, err := m.PutMask(d, h, w, data, "alice"); err != nil || again != info {
+			t.Fatalf("%v: PutMask after PutMaskWords %+v (%v), want %+v", dim, again, err, info)
 		}
 		if rem := len(data) % 32; rem != 0 {
 			words[len(words)-1] |= 1 << rem
 			if _, err := m.PutMaskWords(d, h, w, words, "alice"); !errors.Is(err, ErrBadEncoding) {
 				t.Fatalf("%v: a bit past the last voxel: %v, want ErrBadEncoding", dim, err)
-			}
-			if _, err := EncodeMaskWords(d, h, w, words); !errors.Is(err, ErrBadEncoding) {
-				t.Fatalf("%v: EncodeMaskWords of a bit past the last voxel: %v, want ErrBadEncoding", dim, err)
 			}
 		}
 		if _, err := m.PutMaskWords(d, h, w, append(words, 0), "alice"); !errors.Is(err, ErrBadEncoding) {

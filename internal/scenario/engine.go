@@ -254,17 +254,11 @@ func (w *world) request(spec JobSpec) (*api.JobRequest, error) {
 				Threshold: 0.5,
 			},
 		}
-	case "pipeline":
+	case "ivt":
 		req = &api.JobRequest{
-			Kind: api.KindPipeline,
-			Pipeline: &api.PipelineSpec{
-				Synth:      api.SynthSpec{NLon: 36, NLat: 24, NLev: 4, Steps: 8, Seed: 11},
-				SlabSteps:  4,
-				Threshold:  120,
-				Net:        &api.NetConfig{FOV: [3]int{3, 9, 9}, Features: 4, MoveProb: 0.6},
-				SeedStride: [3]int{1, 4, 4},
-				MinVoxels:  2,
-			},
+			Kind:       api.KindIVT,
+			ResultMode: api.ResultModeRef,
+			IVT:        &api.IVTSpec{Synth: api.SynthSpec{NLon: 36, NLat: 24, NLev: 4, Steps: 8, Seed: 11}},
 		}
 	case "train_dist":
 		td := &api.TrainDistSpec{

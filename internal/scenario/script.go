@@ -1,12 +1,12 @@
 // Package scenario is the deterministic chaos-replay engine: it runs the
 // full gateway → service → sched fabric → objstore/dataset stack inside one
 // seeded world and injects scripted adversity — link loss and bandwidth
-// collapse on the netsim WAN, OSD loss mid-pipeline, node kill under a
-// running job, site partition with heal, worker panics — then checks the
-// invariants the platform promises under all of it: results bit-identical to
-// an undisturbed run, dataset pins and scheduler claims balanced back to
-// zero, exactly-once requeue accounting, and forward progress within a
-// deadline. Every random choice (fault victims, injected volumes) draws from
+// collapse on the netsim WAN, OSD loss under a dataset write, node kill
+// under a running job, site partition with heal, worker panics — then checks
+// the invariants the platform promises under all of it: results
+// bit-identical to an undisturbed run, dataset pins and scheduler claims
+// balanced back to zero, exactly-once requeue accounting, and forward
+// progress within a deadline. Every random choice (fault victims, injected volumes) draws from
 // a forked sim.RNG stream, so a scenario replays exactly from its seed.
 package scenario
 
@@ -21,9 +21,9 @@ import (
 // against the in-world gateway.
 type JobSpec struct {
 	// Kind is "segment" (ref-mode segmentation over a seeded volume the
-	// engine uploads), "pipeline" (synth-driven slab pipeline exercising
-	// intermediate pin/unpin traffic), or "train_dist" (checkpointing
-	// data-parallel training over the same seeded volume).
+	// engine uploads), "ivt" (a ref-mode synthetic IVT derivation, which
+	// writes its volume to the dataset store), or "train_dist"
+	// (checkpointing data-parallel training over the same seeded volume).
 	Kind string `json:"kind"`
 	// Site pins placement to one fabric site ("" = anywhere).
 	Site string `json:"site,omitempty"`
@@ -133,8 +133,8 @@ func Builtin() []Script {
 	return []Script{
 		{
 			Name:        "osd_loss_midpipeline",
-			Description: "an OSD dies while a pipeline job is in flight; reads degrade to the surviving replica",
-			Jobs:        []JobSpec{{Kind: "pipeline", Deferred: true}, {Kind: "segment", Deferred: true}},
+			Description: "an OSD dies while an ivt job is writing its dataset; reads degrade to the surviving replica",
+			Jobs:        []JobSpec{{Kind: "ivt", Deferred: true}, {Kind: "segment", Deferred: true}},
 			Events: []Action{
 				{Kind: ActHoldNext, Count: 1},
 				{Kind: ActSubmit, Job: 0},
@@ -172,7 +172,7 @@ func Builtin() []Script {
 		{
 			Name:        "wan_loss",
 			Description: "50% loss on a WAN link halves its effective capacity; transfers stretch, results stay exact",
-			Jobs:        []JobSpec{{Kind: "segment"}, {Kind: "pipeline"}},
+			Jobs:        []JobSpec{{Kind: "segment"}, {Kind: "ivt"}},
 			Events: []Action{
 				{Kind: ActSetLink, LinkA: "ucsd", LinkB: "uci", Loss: 0.5},
 				// 10 Gbps nominal, 5 Gbps effective: 5e9 bytes take ≥ 8s
@@ -200,7 +200,7 @@ func Builtin() []Script {
 		{
 			Name:        "worker_panic",
 			Description: "a worker panics mid-job twice; the transient-retry loop re-runs it to a bit-exact result",
-			Jobs:        []JobSpec{{Kind: "segment", Deferred: true}, {Kind: "pipeline", Deferred: true}},
+			Jobs:        []JobSpec{{Kind: "segment", Deferred: true}, {Kind: "ivt", Deferred: true}},
 			Events: []Action{
 				{Kind: ActPanicNext, Count: 2},
 				{Kind: ActSubmit, Job: 0},

@@ -40,7 +40,7 @@ type Workload struct {
 }
 
 // RequestFor derives a default resource request for a job kind: the
-// inference kinds (segment, pipeline) take one board; memory scales with the
+// inference kind (segment) takes one board; memory scales with the
 // working set (float volume plus overheads), floored at 1 GB. train_dist
 // asks for no board: its placement is the CPU default.
 func RequestFor(kind api.Kind, voxels float64) cluster.Resources {
@@ -49,8 +49,7 @@ func RequestFor(kind api.Kind, voxels float64) cluster.Resources {
 		mem = 1e9
 	}
 	r := cluster.Resources{CPU: 2, Memory: mem}
-	switch kind {
-	case api.KindSegment, api.KindPipeline:
+	if kind == api.KindSegment {
 		r.GPUs = 1
 	}
 	return r
@@ -543,12 +542,10 @@ func (s *Scheduler) estJoules(w *Workload, spec *NodeSpec) float64 {
 	if devices < 1 {
 		devices = 1
 	}
-	switch w.Kind {
-	case api.KindSegment, api.KindPipeline:
+	if w.Kind == api.KindSegment {
 		return spec.Model.InferEnergyJoules(w.Voxels, devices)
-	default:
-		return spec.Model.EnergyJoules(spec.Model.PrepTime(w.Voxels), 1)
 	}
+	return spec.Model.EnergyJoules(spec.Model.PrepTime(w.Voxels), 1)
 }
 
 // onNodeEvent handles cluster node transitions. It only ever fires from

@@ -52,12 +52,12 @@ func runJob(t *testing.T, r *Runner, req *api.JobRequest) json.RawMessage {
 // the store keeps under its content address, so a write through one would
 // corrupt the address itself. After train_dist, segment (with the network of
 // that job's checkpoint, by net_ref), label and held-out train_dist jobs over
-// a volume ref, segment, label and train_dist jobs over a pipeline's stored
-// mask (both the packed scan and the float expansion), a train_dist resumed
-// from the checkpoint ref, and eight concurrent segment jobs on the one ref and the
-// one checkpoint — which must also agree with each other bit for bit —
-// every blob still encodes to its id and every stored encoding still hashes
-// to it.
+// a volume ref, segment, label and train_dist jobs over the segment job's
+// stored mask (both the packed scan and the float expansion), a train_dist
+// resumed from the checkpoint ref, and eight concurrent segment jobs on the
+// one ref and the one checkpoint — which must also agree with each other bit
+// for bit — every blob still encodes to its id and every stored encoding
+// still hashes to it.
 func TestJobsLeaveResolvedBlobsUntouched(t *testing.T) {
 	r, _ := newTestRunner(t, DefaultRegistry(), 4)
 	ds := r.Datasets()
@@ -113,8 +113,13 @@ func TestJobsLeaveResolvedBlobsUntouched(t *testing.T) {
 	segment := &api.JobRequest{Kind: api.KindSegment, ResultMode: api.ResultModeRef, Segment: &api.SegmentSpec{
 		Source: src, Threshold: 120, NetRef: tres.CheckpointRef, SeedStride: [3]int{1, 4, 4}, ReturnMask: true,
 	}}
+	var sres api.SegmentResult
+	if err := json.Unmarshal(runJob(t, r, segment), &sres); err != nil {
+		t.Fatal(err)
+	}
+	refs = append(refs, sres.MaskRef)
+	check("segment")
 	for _, req := range []*api.JobRequest{
-		segment,
 		{Kind: api.KindLabel, Label: &api.LabelSpec{Source: src, Threshold: 120}},
 		{Kind: api.KindTrainDist, TrainDist: &api.TrainDistSpec{
 			Source: src, Threshold: 120, Workers: 1, Rounds: 6, BatchPerRound: 1, Net: net, HoldoutSteps: 2}},
@@ -129,20 +134,14 @@ func TestJobsLeaveResolvedBlobsUntouched(t *testing.T) {
 	}})
 	check("train_dist resume")
 
-	// A mask blob is borrowed the same way: a pipeline stores its masks, a
-	// label job scans one where it lies, a label job whose threshold needs
-	// the floats, a segment job and a train_dist job read its one expansion.
-	preq := pipelineRequest(0)
-	preq.ResultMode = api.ResultModeRef
-	var pres api.PipelineResult
-	if err := json.Unmarshal(runJob(t, r, preq), &pres); err != nil {
-		t.Fatal(err)
+	// A mask blob is borrowed the same way: the segment job stored its
+	// mask, a label job scans it where it lies, a label job whose threshold
+	// needs the floats, a segment job and a train_dist job read its one
+	// expansion.
+	if sres.MaskVoxels == 0 {
+		t.Fatal("the segment job's mask is empty: nothing for the mask reads to read")
 	}
-	for _, sl := range pres.PerSlab {
-		refs = append(refs, sl.MaskRef)
-	}
-	check("pipeline")
-	msrc := api.VolumeSource{Ref: pres.PerSlab[0].MaskRef}
+	msrc := api.VolumeSource{Ref: sres.MaskRef}
 	for _, req := range []*api.JobRequest{
 		{Kind: api.KindLabel, Label: &api.LabelSpec{Source: msrc, Threshold: 0.5}},
 		{Kind: api.KindLabel, Label: &api.LabelSpec{Source: msrc, Threshold: 2}},
@@ -345,16 +344,13 @@ func TestJobAllocBounds(t *testing.T) {
 			h := api.SweepParams{LR: 0.03, Momentum: 0.9, Features: 6, Modules: 2, TrainSteps: 30}
 			return &api.JobRequest{Kind: api.KindTrainDist, TrainDist: sweep.Sweep.Child(h, 2, "")}
 		}, 2, 8, 185, 310},
-		// The streamed 72x48x12 pipeline (430 KB; 4.8 MB when
-		// each slab's atmosphere state, IVT volume and label maps were fresh
-		// allocations), and the 8-candidate sweep fanned through the fair
+		// The 8-candidate sweep fanned through the fair
 		// queue with no early stop (475-505 KB, of which about 170 KB is the
 		// eight checkpoints its children write; 290-330 KB while they wrote
 		// none, 1.4 MB while each candidate's trainer built its own center
 		// lists and scratch). Its concurrent children borrow more at a new
 		// peak of concurrency, which a 4-sweep average swings by 100 KB, so
 		// it is averaged over 12.
-		{"pipeline", 4, func(*testing.T, *Runner) *api.JobRequest { return benchPipelineRequest() }, 1, 4, 850, 0},
 		{"sweep_grid8", 4, func(*testing.T, *Runner) *api.JobRequest { return sweep }, 1, 12, 550, 1100},
 		// The ends of the bench/ connect_chain, on its 12x48x72 volume (162 KB
 		// of float32). The ivt job builds no whole-field atmosphere state (it

@@ -97,9 +97,6 @@ func (r *Runner) jobVoxels(req *api.JobRequest) float64 {
 	case req.IVT != nil:
 		s := req.IVT.Synth
 		return float64(s.NLon) * float64(s.NLat) * float64(s.Steps)
-	case req.Pipeline != nil:
-		s := req.Pipeline.Synth
-		return float64(s.NLon) * float64(s.NLat) * float64(s.Steps)
 	default:
 		return 0
 	}

@@ -392,81 +392,80 @@ func TestIVTRefChainsIntoLabel(t *testing.T) {
 	}
 }
 
-// TestPipelineRefLifecycle: ref-mode pipeline jobs keep per-slab mask refs
-// (resolvable, voxel counts matching); inline-mode jobs release every
-// intermediate dataset on completion.
-func TestPipelineRefLifecycle(t *testing.T) {
+// TestSlabChainsMatchSequentialJobs: the slab analysis of a multi-step
+// scene is one ivt -> segment -> label chain per time slab, each job
+// consuming the one before it by ref: the ivt job stores the slab's field
+// (synth start/steps), the segment job floods it and stores its mask, the
+// label job scans that mask where it lies. On the 36x24x8 scene cut into
+// slabs of 3 steps, every chain reproduces the mask id, flood steps and
+// object count the retired pipeline kind reported for the same slab, and
+// each slab's stored field is those steps of the field the whole scene's
+// ivt job stores.
+func TestSlabChainsMatchSequentialJobs(t *testing.T) {
 	r := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 2})
 	defer r.Close()
-	req := pipelineRequest(2)
-
-	req.ResultMode = api.ResultModeRef
-	st, err := r.Submit(req, "")
+	scene := api.SynthSpec{NLon: 36, NLat: 24, NLev: 4, Steps: 8, Seed: 11}
+	var whole api.IVTResult
+	if err := json.Unmarshal(runJob(t, r, &api.JobRequest{Kind: api.KindIVT, ResultMode: api.ResultModeRef,
+		IVT: &api.IVTSpec{Synth: scene}}), &whole); err != nil {
+		t.Fatal(err)
+	}
+	field, err := r.Datasets().Resolve(whole.VolumeRef)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, r, st.ID, terminal)
-	raw, _, _ := r.Result(st.ID)
-	var refRes api.PipelineResult
-	if err := json.Unmarshal(raw, &refRes); err != nil {
-		t.Fatal(err)
-	}
-	if refRes.SlabsDone == 0 {
-		t.Fatal("no slabs completed")
-	}
-	for _, sl := range refRes.PerSlab {
-		if sl.MaskRef == "" {
-			t.Fatalf("slab %d has no mask_ref", sl.Slab)
+	hw := scene.NLon * scene.NLat
+	for i, want := range []struct {
+		start, steps      int
+		maskRef           string
+		segSteps, objects int
+	}{
+		{0, 3, "4005dcfbae5bde68fd20ceb2a1f5c3774e30b56ed39c6fab63f4bbc486c4a890", 28, 0},
+		{3, 3, "11d432234805bf8a877003623c8ecb8011e0ea3a461c5614132e62d483e4800a", 28, 1},
+		{6, 2, "84efbae80c0f4b8e5b4795ac295bd5c75c6bcd5b9ddd60673db0fb9edcce1af0", 0, 0},
+	} {
+		slab := scene
+		slab.Start, slab.Steps = want.start, want.steps
+		var ivt api.IVTResult
+		if err := json.Unmarshal(runJob(t, r, &api.JobRequest{Kind: api.KindIVT, ResultMode: api.ResultModeRef,
+			IVT: &api.IVTSpec{Synth: slab}}), &ivt); err != nil {
+			t.Fatal(err)
 		}
-		blob, err := r.Datasets().Resolve(sl.MaskRef)
+		blob, err := r.Datasets().Resolve(ivt.VolumeRef)
 		if err != nil {
-			t.Fatalf("slab %d mask: %v", sl.Slab, err)
+			t.Fatal(err)
 		}
-		voxels := 0
-		for _, v := range blob.Floats() {
-			if v != 0 {
-				voxels++
+		for j, v := range blob.Floats() {
+			if v != field.Floats()[want.start*hw+j] {
+				t.Fatalf("slab %d voxel %d: %v, the whole scene's field has %v", i, j, v, field.Floats()[want.start*hw+j])
 			}
 		}
-		if voxels != sl.MaskVoxels {
-			t.Fatalf("slab %d mask has %d voxels, result says %d", sl.Slab, voxels, sl.MaskVoxels)
-		}
-	}
-	// Only the masks were kept: raw slab fields are gone. Identical masks
-	// dedup to one stored dataset, so count unique refs.
-	uniqueMasks := make(map[string]bool)
-	for _, sl := range refRes.PerSlab {
-		uniqueMasks[sl.MaskRef] = true
-	}
-	if got, want := len(r.Datasets().List()), len(uniqueMasks); got != want {
-		t.Fatalf("store holds %d datasets after ref-mode pipeline, want %d masks", got, want)
-	}
 
-	// Inline mode releases everything.
-	req2 := pipelineRequest(2)
-	st, err = r.Submit(req2, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, r, st.ID, terminal)
-	raw, _, _ = r.Result(st.ID)
-	var inlineRes api.PipelineResult
-	if err := json.Unmarshal(raw, &inlineRes); err != nil {
-		t.Fatal(err)
-	}
-	for i := range inlineRes.PerSlab {
-		if inlineRes.PerSlab[i].MaskRef != "" {
-			t.Fatal("inline-mode pipeline leaked a mask_ref into the result")
+		var seg api.SegmentResult
+		if err := json.Unmarshal(runJob(t, r, &api.JobRequest{Kind: api.KindSegment, ResultMode: api.ResultModeRef,
+			Segment: &api.SegmentSpec{
+				Source:     api.VolumeSource{Ref: ivt.VolumeRef},
+				Threshold:  120,
+				Net:        &api.NetConfig{FOV: [3]int{3, 9, 9}, Features: 4, MoveProb: 0.6},
+				SeedStride: [3]int{1, 4, 4},
+				ReturnMask: true,
+			}}), &seg); err != nil {
+			t.Fatal(err)
 		}
-		// Identical analysis modulo the ref bookkeeping.
-		a, b := inlineRes.PerSlab[i], refRes.PerSlab[i]
-		a.MaskRef, b.MaskRef = "", ""
-		if a != b {
-			t.Fatalf("slab %d diverges between modes: %+v vs %+v", i, a, b)
+		if seg.MaskRef != want.maskRef || seg.Steps != want.segSteps || seg.VoxelsTotal != want.steps*hw {
+			t.Fatalf("slab %d segment: mask %s, %d steps over %d voxels; want mask %s, %d steps",
+				i, seg.MaskRef, seg.Steps, seg.VoxelsTotal, want.maskRef, want.segSteps)
 		}
-	}
-	if got, want := len(r.Datasets().List()), len(uniqueMasks); got != want {
-		t.Fatalf("store holds %d datasets after inline pipeline, want the %d kept masks only", got, want)
+
+		var lab api.LabelResult
+		if err := json.Unmarshal(runJob(t, r, &api.JobRequest{Kind: api.KindLabel, Label: &api.LabelSpec{
+			Source: api.VolumeSource{Ref: seg.MaskRef}, Threshold: 0.5, MinVoxels: 2,
+		}}), &lab); err != nil {
+			t.Fatal(err)
+		}
+		if lab.Objects != want.objects {
+			t.Fatalf("slab %d label: %d objects, want %d", i, lab.Objects, want.objects)
+		}
 	}
 }
 

@@ -332,7 +332,6 @@ func TestGatewayRefusesOneRowSynth(t *testing.T) {
 	for _, req := range []*api.JobRequest{
 		{Kind: api.KindIVT, IVT: &api.IVTSpec{Synth: synth}},
 		dist,
-		{Kind: api.KindPipeline, Pipeline: &api.PipelineSpec{Synth: synth, SlabSteps: 3, Threshold: 1}},
 		{Kind: api.KindSweep, Sweep: &api.SweepSpec{Source: api.VolumeSource{Synth: &synth}, Threshold: 1,
 			LRs: []float32{0.03}, Momentums: []float32{0.9}, Features: []int{4}, TrainSteps: []int{10}}},
 	} {
@@ -362,7 +361,6 @@ func TestGatewayValidationAndRouting(t *testing.T) {
 	synth := api.SynthSpec{NLon: 8, NLat: 6, NLev: 3, Steps: 6}
 	for _, req := range []*api.JobRequest{
 		seg,
-		{Kind: api.KindPipeline, Pipeline: &api.PipelineSpec{Synth: synth, SlabSteps: 3, Threshold: 1, Net: overstep}},
 		{Kind: api.KindTrainDist, TrainDist: &api.TrainDistSpec{Source: api.VolumeSource{Synth: &synth}, Threshold: 1,
 			Workers: 1, Rounds: 2, BatchPerRound: 1, HoldoutSteps: 2, Net: overstep}},
 	} {
@@ -382,12 +380,11 @@ func TestGatewayValidationAndRouting(t *testing.T) {
 		t.Fatalf("train_dist with a 4096 x 889k gradient matrix: status %d, err %q", resp.StatusCode, apiErr.Error)
 	}
 	// Unknown JSON field -> 400 naming the field (DisallowUnknownFields
-	// catches typos, the pipeline knobs that no longer exist, and the net's
+	// catches typos, the retired pipeline kind's spec, and the net's
 	// precision: there is one inference arithmetic).
 	for _, c := range []struct{ body, field string }{
 		{`{"kind":"segment","segmnt":{}}`, "segmnt"},
-		{`{"kind":"pipeline","pipeline":{"synth":{"nlon":8,"nlat":6,"nlev":3,"steps":6},"threshold":1,"sequential":true}}`, "sequential"},
-		{`{"kind":"pipeline","pipeline":{"synth":{"nlon":8,"nlat":6,"nlev":3,"steps":6},"threshold":1,"buffer":2}}`, "buffer"},
+		{`{"kind":"pipeline","pipeline":{"synth":{"nlon":8,"nlat":6,"nlev":3,"steps":6},"threshold":1}}`, "pipeline"},
 		{`{"kind":"segment","segment":{"source":{"synth":{"nlon":8,"nlat":6,"nlev":3,"steps":6}},"net":{"precision":"int8"}}}`, "precision"},
 	} {
 		raw, err := http.Post(f.srv.URL+"/v1/jobs", "application/json", strings.NewReader(c.body))
@@ -401,11 +398,14 @@ func TestGatewayValidationAndRouting(t *testing.T) {
 			t.Fatalf("unknown field in %s: status %d, err %q (%v); want a 400 naming %q", c.body, raw.StatusCode, body.Error, err, c.field)
 		}
 	}
-	// The train kind folded into train_dist{holdout_steps}: "train" is an
-	// unknown kind like any other, and the error lists the kinds there are.
-	if resp := f.do("POST", "/v1/jobs", &api.JobRequest{Kind: "train"}, &apiErr); resp.StatusCode != http.StatusBadRequest ||
-		!strings.Contains(apiErr.Error, `unknown kind "train"`) || !strings.Contains(apiErr.Error, "train_dist") {
-		t.Fatalf(`kind "train": status %d, err %q, want a 400 naming train_dist`, resp.StatusCode, apiErr.Error)
+	// The train kind folded into train_dist{holdout_steps}, and pipeline is
+	// one ivt -> segment -> label chain per slab: each is an unknown kind
+	// like any other, and the error lists the kinds there are.
+	for _, kind := range []api.Kind{"train", "pipeline"} {
+		if resp := f.do("POST", "/v1/jobs", &api.JobRequest{Kind: kind}, &apiErr); resp.StatusCode != http.StatusBadRequest ||
+			!strings.Contains(apiErr.Error, fmt.Sprintf("unknown kind %q", kind)) || !strings.Contains(apiErr.Error, fmt.Sprint(api.Kinds())) {
+			t.Fatalf("kind %q: status %d, err %q, want a 400 listing %v", kind, resp.StatusCode, apiErr.Error, api.Kinds())
+		}
 	}
 	// Unknown job -> 404 on status, result, cancel.
 	for _, path := range []string{"/v1/jobs/job-999999", "/v1/jobs/job-999999/result"} {

@@ -25,7 +25,6 @@ func DefaultRegistry() *Registry {
 	r.Register(api.KindTrainDist, TrainDistHandler)
 	r.Register(api.KindSweep, SweepHandler)
 	r.Register(api.KindWorkflow, WorkflowHandler)
-	r.Register(api.KindPipeline, PipelineHandler)
 	return r
 }
 

@@ -8,11 +8,11 @@ import (
 	"chaseci/internal/ffn"
 )
 
-// The runner's inference networks. The network a segment or pipeline job
-// floods with is a pure function of content the server already holds — a
-// checkpoint's content address, or a canonical config and the seed its
-// weights are drawn from — and an ffn network no trainer owns is immutable,
-// so one network serves every job naming the same weights, concurrently.
+// The runner's inference networks. The network a segment job floods with is
+// a pure function of content the server already holds — a checkpoint's
+// content address, or a canonical config and the seed its weights are drawn
+// from — and an ffn network no trainer owns is immutable, so one network
+// serves every job naming the same weights, concurrently.
 // The training handlers build their own, because they step them; they and
 // this file are the package's only callers of ffn.NewNetwork,
 // ffn.DecodeCheckpoint and ffn.DecodeCheckpointNet (a CI step holds that).

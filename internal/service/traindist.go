@@ -22,10 +22,57 @@ import (
 // same round with the same state collide into the same id. With
 // holdout_steps it is also the evaluation unit a sweep fans out.
 
+// checkpointRefs tracks the checkpoint datasets one train_dist run stores.
+// Each track matches one pin taken atomically inside PutPinned (two rounds
+// that reach the same state content-collide into one id with a count). Only
+// ids this run created are ever deleted, and the Manager's Keep/pin
+// deferral ensures a content collision with a user upload, a kept result,
+// or a concurrent identical job never destroys data someone else wants.
+type checkpointRefs struct {
+	ds  *dataset.Manager
+	ids map[string]*checkpointRef
+}
+
+type checkpointRef struct {
+	count   int
+	created bool
+}
+
+// track records a checkpoint id whose pin PutPinned already took (a
+// separate Pin here would leave a window for a concurrent job's release to
+// delete a content-colliding id first). Each track is matched by one Unpin
+// in release.
+func (c *checkpointRefs) track(id string, created bool) {
+	e := c.ids[id]
+	if e == nil {
+		e = &checkpointRef{}
+		c.ids[id] = e
+	}
+	e.count++
+	// created sticks: a later idempotent re-put must not demote it.
+	e.created = e.created || created
+}
+
+// release runs as the handler returns, after a succeeded run has
+// Keep-promoted the checkpoints it reports: every claim is unpinned and
+// checkpoints this run created are deleted — Delete no-ops on kept ids, so
+// only a cancelled or failed run's checkpoints go.
+func (c *checkpointRefs) release() {
+	for id, e := range c.ids {
+		if e.created {
+			c.ds.Delete(id)
+		}
+		for ; e.count > 0; e.count-- {
+			c.ds.Unpin(id)
+		}
+		delete(c.ids, id)
+	}
+}
+
 // putCheckpoint stores the trainer's current state as a checkpoint dataset,
 // pinned atomically against a concurrent delete; the tracker's release
 // matches the pin and sweeps orphans if the job never completes.
-func putCheckpoint(jc *JobContext, refs *pipeRefs, t *ffn.DistTrainer) (string, error) {
+func putCheckpoint(jc *JobContext, refs *checkpointRefs, t *ffn.DistTrainer) (string, error) {
 	// Serialized once, straight into the CDS1 frame the store keeps.
 	ck := t.Checkpoint()
 	frame, err := dataset.CheckpointFrame(ck.EncodedLen())
@@ -36,7 +83,7 @@ func putCheckpoint(jc *JobContext, refs *pipeRefs, t *ffn.DistTrainer) (string, 
 	if err != nil {
 		return "", err
 	}
-	refs.track(refs.masks, info.ID, created)
+	refs.track(info.ID, created)
 	return info.ID, nil
 }
 
@@ -117,7 +164,7 @@ func TrainDistHandler(jc *JobContext) (any, error) {
 	res.StartRound = t.RoundIndex()
 	res.GradBytes = t.Net.GradBytes()
 
-	refs := &pipeRefs{ds: jc.Datasets(), masks: make(map[string]*refEntry)}
+	refs := &checkpointRefs{ds: jc.Datasets(), ids: make(map[string]*checkpointRef)}
 	defer refs.release()
 
 	elastic := spec.Elastic

@@ -82,3 +82,42 @@ func TestTrainScratchCapMatchesKernel(t *testing.T) {
 	}
 	assertNoLeaks(t, r)
 }
+
+// TestAPIScratchAssumptionsMatchKernelDefaults pins the kernel defaults the
+// pure-schema api package assumes in NetConfig.validate's batched-scratch
+// budget and move_step bound (api must not import ffn, so the agreement is enforced here, where
+// both packages are visible). If this fails, update the literals in
+// api.NetConfig.validate alongside the kernel change.
+func TestAPIScratchAssumptionsMatchKernelDefaults(t *testing.T) {
+	cfg := ffn.DefaultConfig()
+	if cfg.FOV != [3]int{5, 9, 9} || cfg.Features != 8 || cfg.Modules != 2 || cfg.MoveStep != [3]int{1, 3, 3} || ffn.DefaultFloodBatch != 8 {
+		t.Fatalf("ffn defaults (FOV %v, Features %d, Modules %d, MoveStep %v, flood batch %d) drifted from the values api.NetConfig.validate and paramCount assume",
+			cfg.FOV, cfg.Features, cfg.Modules, cfg.MoveStep, ffn.DefaultFloodBatch)
+	}
+	// api's restated parameter count agrees with the kernel's: the largest
+	// batch whose batch x P gradient matrix fits 64M elements (api's
+	// maxScratchElems, ffn's maxGradElems) passes, one more does not.
+	for _, nc := range []api.NetConfig{{Features: 64, Modules: 4}, {Features: 100}, {Features: 17, Modules: 16}} {
+		net, err := ffn.NewNetwork(netConfig(&nc), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fits := (64 << 20) / net.ParamCount()
+		for batch, ok := range map[int]bool{fits: true, fits + 1: false} {
+			req := distRequest(1, 1)
+			req.TrainDist.Net, req.TrainDist.BatchPerRound = &nc, batch
+			if err := req.Validate(); (err == nil) != ok {
+				t.Fatalf("net %+v (%d parameters), batch_per_round %d: Validate = %v, want accepted=%v", nc, net.ParamCount(), batch, err, ok)
+			}
+		}
+	}
+	// And the budget itself must reject the all-extremes corner.
+	bad := &api.JobRequest{Kind: api.KindSegment, Segment: &api.SegmentSpec{
+		Source: api.VolumeSource{D: 2, H: 2, W: 2, Data: make([]float32, 8)},
+		Seeds:  [][3]int{{1, 1, 1}}, MaxSteps: 1,
+		Net: &api.NetConfig{FOV: [3]int{65, 65, 65}, Features: 256},
+	}}
+	if err := bad.Validate(); err == nil {
+		t.Fatal("all-extremes net config passed validation")
+	}
+}
