@@ -453,6 +453,10 @@ func FuzzJobRequest(f *testing.F) {
 		{Kind: KindSegment, Segment: &SegmentSpec{Source: VolumeSource{Ref: ref}, Threshold: 1, NetRef: ref}},
 		{Kind: KindSegment, Segment: &SegmentSpec{Source: VolumeSource{D: 1 << 30, H: 1 << 30, W: 1 << 30}}},
 		{Kind: KindSegment, Segment: &SegmentSpec{Source: VolumeSource{Synth: &SynthSpec{NLon: 8, NLat: 6, NLev: 3, Steps: 6}}, Threshold: 1, Net: &NetConfig{MoveStep: [3]int{3, 3, 3}}}},
+		// The ends of a slab chain: a ref-mode ivt job over steps [3,6) of
+		// a scene, and a label job over the mask ref its segment job stores.
+		{Kind: KindIVT, ResultMode: ResultModeRef, IVT: &IVTSpec{Synth: SynthSpec{NLon: 8, NLat: 6, NLev: 3, Start: 3, Steps: 3}}},
+		{Kind: KindLabel, Label: &LabelSpec{Source: VolumeSource{Ref: ref}, Threshold: 0.5, MinVoxels: 2}},
 		// Training scratch at the caps: over a gigabyte per lane, refused;
 		// and a sweep whose every candidate is at the feature and module caps.
 		{Kind: KindTrainDist, TrainDist: &TrainDistSpec{Source: VolumeSource{Ref: ref}, Threshold: 0.5, Workers: 1, Rounds: 1, BatchPerRound: 1,

@@ -363,6 +363,22 @@ func TestJobAllocBounds(t *testing.T) {
 		{"chain_ivt_ref", 2, func(*testing.T, *Runner) *api.JobRequest {
 			return &api.JobRequest{Kind: api.KindIVT, ResultMode: api.ResultModeRef, IVT: &api.IVTSpec{Synth: chainSynth, Threshold: 700}}
 		}, 2, 8, 350, 0},
+		// The middle of the chain: a ref-mode segment job flooding the stored
+		// field with the bench's net seed and threshold (181 network
+		// applications). The network is the runner's shared one, the flood's
+		// arrays are pooled and its bits go to the store as they are, so
+		// what is left is bookkeeping (7 KB).
+		{"chain_segment_ref", 2, func(t *testing.T, r *Runner) *api.JobRequest {
+			g := merra.Grid{NLon: chainSynth.NLon, NLat: chainSynth.NLat, NLev: chainSynth.NLev}
+			vol := merra.IVTVolume(merra.NewGenerator(g, chainSynth.Seed), merra.PressureLevels(g.NLev), 0, chainSynth.Steps)
+			info, err := r.Datasets().PutVolume(chainSynth.Steps, g.NLat, g.NLon, vol.Data, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return &api.JobRequest{Kind: api.KindSegment, ResultMode: api.ResultModeRef, Segment: &api.SegmentSpec{
+				Source: api.VolumeSource{Ref: info.ID}, NetSeed: 3, Threshold: 700, ReturnMask: true,
+			}}
+		}, 2, 8, 16, 0},
 		{"chain_label_maskref", 2, func(t *testing.T, r *Runner) *api.JobRequest {
 			g := merra.Grid{NLon: chainSynth.NLon, NLat: chainSynth.NLat, NLev: chainSynth.NLev}
 			vol := merra.IVTVolume(merra.NewGenerator(g, chainSynth.Seed), merra.PressureLevels(g.NLev), 0, chainSynth.Steps)

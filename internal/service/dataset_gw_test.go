@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -443,13 +444,7 @@ func TestSlabChainsMatchSequentialJobs(t *testing.T) {
 
 		var seg api.SegmentResult
 		if err := json.Unmarshal(runJob(t, r, &api.JobRequest{Kind: api.KindSegment, ResultMode: api.ResultModeRef,
-			Segment: &api.SegmentSpec{
-				Source:     api.VolumeSource{Ref: ivt.VolumeRef},
-				Threshold:  120,
-				Net:        &api.NetConfig{FOV: [3]int{3, 9, 9}, Features: 4, MoveProb: 0.6},
-				SeedStride: [3]int{1, 4, 4},
-				ReturnMask: true,
-			}}), &seg); err != nil {
+			Segment: slabSegmentSpec(api.VolumeSource{Ref: ivt.VolumeRef})}), &seg); err != nil {
 			t.Fatal(err)
 		}
 		if seg.MaskRef != want.maskRef || seg.Steps != want.segSteps || seg.VoxelsTotal != want.steps*hw {
@@ -466,6 +461,250 @@ func TestSlabChainsMatchSequentialJobs(t *testing.T) {
 		if lab.Objects != want.objects {
 			t.Fatalf("slab %d label: %d objects, want %d", i, lab.Objects, want.objects)
 		}
+	}
+}
+
+// slabSegmentSpec is the segment leg of a slab chain: the net and seeding
+// whose masks TestSlabChainsMatchSequentialJobs pins.
+func slabSegmentSpec(src api.VolumeSource) *api.SegmentSpec {
+	return &api.SegmentSpec{
+		Source:     src,
+		Threshold:  120,
+		Net:        &api.NetConfig{FOV: [3]int{3, 9, 9}, Features: 4, MoveProb: 0.6},
+		SeedStride: [3]int{1, 4, 4},
+		ReturnMask: true,
+	}
+}
+
+// TestSlabChainRefLifecycle: a ref-mode chain leaves each slab's mask in
+// the store, resolvable, with one set bit per voxel its segment job
+// counted; once the caller drops the slab fields, the masks are all the
+// analysis keeps. The same chains run inline (the segment job synthesizes
+// its slab, the label job reads the returned bits) store nothing and
+// reproduce every mask bit and count.
+func TestSlabChainRefLifecycle(t *testing.T) {
+	r := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 2})
+	defer r.Close()
+	scene := api.SynthSpec{NLon: 36, NLat: 24, NLev: 4, Steps: 8, Seed: 11}
+	const slabSteps = 2
+	label := func(src api.VolumeSource) api.LabelResult {
+		t.Helper()
+		var lab api.LabelResult
+		if err := json.Unmarshal(runJob(t, r, &api.JobRequest{Kind: api.KindLabel, Label: &api.LabelSpec{
+			Source: src, Threshold: 0.5, MinVoxels: 2,
+		}}), &lab); err != nil {
+			t.Fatal(err)
+		}
+		return lab
+	}
+	type chain struct {
+		seg  api.SegmentResult
+		mask []float32
+		lab  api.LabelResult
+	}
+	var byRef []chain
+	masks := make(map[string]bool)
+	for start := 0; start < scene.Steps; start += slabSteps {
+		slab := scene
+		slab.Start, slab.Steps = start, slabSteps
+		var ivt api.IVTResult
+		if err := json.Unmarshal(runJob(t, r, &api.JobRequest{Kind: api.KindIVT, ResultMode: api.ResultModeRef,
+			IVT: &api.IVTSpec{Synth: slab}}), &ivt); err != nil {
+			t.Fatal(err)
+		}
+		var c chain
+		if err := json.Unmarshal(runJob(t, r, &api.JobRequest{Kind: api.KindSegment, ResultMode: api.ResultModeRef,
+			Segment: slabSegmentSpec(api.VolumeSource{Ref: ivt.VolumeRef})}), &c.seg); err != nil {
+			t.Fatal(err)
+		}
+		if c.seg.MaskRef == "" || c.seg.MaskBits != nil {
+			t.Fatalf("slab at step %d: ref-mode segment result has mask_ref %q and %d inline bytes", start, c.seg.MaskRef, len(c.seg.MaskBits))
+		}
+		blob, err := r.Datasets().Resolve(c.seg.MaskRef)
+		if err != nil {
+			t.Fatalf("slab at step %d: mask: %v", start, err)
+		}
+		if blob.Kind != dataset.KindMask || blob.D != slabSteps || blob.H != scene.NLat || blob.W != scene.NLon {
+			t.Fatalf("slab at step %d: stored mask is a %v of %dx%dx%d", start, blob.Kind, blob.D, blob.H, blob.W)
+		}
+		c.mask = blob.CloneData()
+		set := 0
+		for _, v := range c.mask {
+			if v != 0 {
+				set++
+			}
+		}
+		if set != c.seg.MaskVoxels {
+			t.Fatalf("slab at step %d: stored mask has %d voxels, the segment job counted %d", start, set, c.seg.MaskVoxels)
+		}
+		c.lab = label(api.VolumeSource{Ref: c.seg.MaskRef})
+		if !r.Datasets().Drop(ivt.VolumeRef, "") {
+			t.Fatalf("slab at step %d: the caller holds no claim on the field its ivt job stored", start)
+		}
+		masks[c.seg.MaskRef] = true
+		byRef = append(byRef, c)
+	}
+	// Identical masks dedup to one stored dataset, so count unique refs.
+	if got := len(r.Datasets().List()); got != len(masks) {
+		t.Fatalf("store holds %d datasets once the fields are dropped, want the %d masks", got, len(masks))
+	}
+
+	for i, want := range byRef {
+		slab := scene
+		slab.Start, slab.Steps = i*slabSteps, slabSteps
+		var seg api.SegmentResult
+		if err := json.Unmarshal(runJob(t, r, &api.JobRequest{Kind: api.KindSegment,
+			Segment: slabSegmentSpec(api.VolumeSource{Synth: &slab})}), &seg); err != nil {
+			t.Fatal(err)
+		}
+		if seg.MaskRef != "" {
+			t.Fatalf("slab %d: inline-mode segment job stored mask %s", i, seg.MaskRef)
+		}
+		if seg.Steps != want.seg.Steps || seg.Moves != want.seg.Moves || seg.SeedsUsed != want.seg.SeedsUsed ||
+			seg.MaskVoxels != want.seg.MaskVoxels || seg.VoxelsTotal != want.seg.VoxelsTotal ||
+			seg.D != want.seg.D || seg.H != want.seg.H || seg.W != want.seg.W {
+			t.Fatalf("slab %d: inline segment %+v diverges from the chain's %+v", i, seg, want.seg)
+		}
+		mask, err := dataset.UnpackBits(seg.MaskBits, seg.VoxelsTotal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, v := range mask {
+			if v != want.mask[j] {
+				t.Fatalf("slab %d voxel %d: inline mask %v, stored mask %v", i, j, v, want.mask[j])
+			}
+		}
+		lab := label(api.VolumeSource{D: seg.D, H: seg.H, W: seg.W, Data: mask})
+		if !reflect.DeepEqual(lab, want.lab) {
+			t.Fatalf("slab %d: label of the inline mask %+v diverges from label by ref %+v", i, lab, want.lab)
+		}
+	}
+	if got := len(r.Datasets().List()); got != len(masks) {
+		t.Fatalf("store holds %d datasets after the inline chains, want the %d masks only", got, len(masks))
+	}
+}
+
+// TestSlabChainProgressReachesTotal: each leg of a finished chain reports
+// its own kernel's progress to the end: the ivt job one count per time
+// step synthesized, the segment job its flood's network applications
+// (total unknown), the label job one count per time step labelled.
+func TestSlabChainProgressReachesTotal(t *testing.T) {
+	r, _ := newTestRunner(t, DefaultRegistry(), 1)
+	slab := api.SynthSpec{NLon: 36, NLat: 24, NLev: 4, Start: 3, Steps: 3, Seed: 11}
+	run := func(req *api.JobRequest, res any) api.JobStatus {
+		t.Helper()
+		st, err := r.Submit(req, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := waitState(t, r, st.ID, terminal)
+		if final.State != api.StateSucceeded {
+			t.Fatalf("%s job: %s (%s)", req.Kind, final.State, final.Error)
+		}
+		raw, _, _ := r.Result(st.ID)
+		if err := json.Unmarshal(raw, res); err != nil {
+			t.Fatal(err)
+		}
+		return final
+	}
+	var ivt api.IVTResult
+	st := run(&api.JobRequest{Kind: api.KindIVT, ResultMode: api.ResultModeRef, IVT: &api.IVTSpec{Synth: slab}}, &ivt)
+	if st.Stage != "ivt" || st.Done != 3 || st.Total != 3 {
+		t.Fatalf("ivt job ended at %s %d/%d, want ivt 3/3", st.Stage, st.Done, st.Total)
+	}
+	var seg api.SegmentResult
+	st = run(&api.JobRequest{Kind: api.KindSegment, ResultMode: api.ResultModeRef,
+		Segment: slabSegmentSpec(api.VolumeSource{Ref: ivt.VolumeRef})}, &seg)
+	if seg.Steps == 0 || st.Stage != "segment" || st.Done != int64(seg.Steps) || st.Total != 0 {
+		t.Fatalf("segment job ended at %s %d/%d after %d flood steps, want segment %d/0", st.Stage, st.Done, st.Total, seg.Steps, seg.Steps)
+	}
+	var lab api.LabelResult
+	st = run(&api.JobRequest{Kind: api.KindLabel, Label: &api.LabelSpec{
+		Source: api.VolumeSource{Ref: seg.MaskRef}, Threshold: 0.5, MinVoxels: 2,
+	}}, &lab)
+	if st.Stage != "label" || st.Done != 3 || st.Total != 3 {
+		t.Fatalf("label job ended at %s %d/%d, want label 3/3", st.Stage, st.Done, st.Total)
+	}
+}
+
+// TestSlabChainCancelledLegStoresNothing: cancelling a chain's segment job
+// mid-flood stores no mask (the partial mask rides the result as bits)
+// and leaves the field it read stored and intact. Re-running the ivt job
+// lands on the same ref, and the chain goes on from it: a segment job on
+// the ref stores a mask whose every voxel a label job finds.
+func TestSlabChainCancelledLegStoresNothing(t *testing.T) {
+	r, _ := newTestRunner(t, DefaultRegistry(), 2)
+	ivtReq := &api.JobRequest{Kind: api.KindIVT, ResultMode: api.ResultModeRef,
+		IVT: &api.IVTSpec{Synth: api.SynthSpec{NLon: 48, NLat: 32, NLev: 4, Steps: 30, Seed: 7}}}
+	var ivt api.IVTResult
+	if err := json.Unmarshal(runJob(t, r, ivtReq), &ivt); err != nil {
+		t.Fatal(err)
+	}
+	net := &api.NetConfig{FOV: [3]int{3, 9, 9}, Features: 4, MoveProb: 0.55}
+	st, err := r.Submit(&api.JobRequest{Kind: api.KindSegment, ResultMode: api.ResultModeRef, Segment: &api.SegmentSpec{
+		Source:     api.VolumeSource{Ref: ivt.VolumeRef},
+		Threshold:  1, // nearly every voxel seeds: plenty of work
+		Net:        net,
+		SeedStride: [3]int{1, 3, 3},
+		ReturnMask: true,
+	}}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, r, st.ID, func(s api.JobStatus) bool { return s.Stage == "segment" && s.Done > 0 })
+	if !r.Cancel(st.ID) {
+		t.Fatal("cancel refused")
+	}
+	if final := waitState(t, r, st.ID, terminal); final.State != api.StateCancelled {
+		t.Fatalf("state = %s, want cancelled", final.State)
+	}
+	raw, _, _ := r.Result(st.ID)
+	var cut api.SegmentResult
+	if err := json.Unmarshal(raw, &cut); err != nil {
+		t.Fatal(err)
+	}
+	if cut.MaskRef != "" || cut.Steps == 0 {
+		t.Fatalf("cancelled leg: mask_ref %q after %d steps, want no stored mask and partial steps", cut.MaskRef, cut.Steps)
+	}
+	if got := r.Datasets().List(); len(got) != 1 || got[0].ID != ivt.VolumeRef {
+		t.Fatalf("store after the cancelled leg holds %+v, want the field %s alone", got, ivt.VolumeRef)
+	}
+	enc, err := r.Datasets().GetBytes(ivt.VolumeRef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dataset.ID(enc); got != ivt.VolumeRef {
+		t.Fatalf("field %s now hashes to %s", ivt.VolumeRef, got)
+	}
+	var again api.IVTResult
+	if err := json.Unmarshal(runJob(t, r, ivtReq), &again); err != nil {
+		t.Fatal(err)
+	}
+	if again.VolumeRef != ivt.VolumeRef || len(r.Datasets().List()) != 1 {
+		t.Fatalf("re-run ivt job stored %s (%d datasets), want the field %s again", again.VolumeRef, len(r.Datasets().List()), ivt.VolumeRef)
+	}
+
+	var seg api.SegmentResult
+	if err := json.Unmarshal(runJob(t, r, &api.JobRequest{Kind: api.KindSegment, ResultMode: api.ResultModeRef, Segment: &api.SegmentSpec{
+		Source:     api.VolumeSource{Ref: ivt.VolumeRef},
+		Net:        net,
+		Seeds:      [][3]int{{15, 16, 24}},
+		MaxSteps:   8,
+		ReturnMask: true,
+	}}), &seg); err != nil {
+		t.Fatal(err)
+	}
+	if seg.MaskRef == "" || seg.Steps == 0 {
+		t.Fatalf("segment leg after the cancel: mask_ref %q after %d steps", seg.MaskRef, seg.Steps)
+	}
+	var lab api.LabelResult
+	if err := json.Unmarshal(runJob(t, r, &api.JobRequest{Kind: api.KindLabel, Label: &api.LabelSpec{
+		Source: api.VolumeSource{Ref: seg.MaskRef}, Threshold: 0.5,
+	}}), &lab); err != nil {
+		t.Fatal(err)
+	}
+	if lab.TotalVoxels != seg.MaskVoxels {
+		t.Fatalf("label leg found %d voxels in objects, the mask has %d", lab.TotalVoxels, seg.MaskVoxels)
 	}
 }
 

@@ -305,6 +305,9 @@ func LabelHandler(jc *JobContext) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Workers tick concurrently, so their last stores may land out of
+	// order: the terminal progress is the whole volume.
+	jc.Progress(int64(vol.T), int64(vol.T), "label")
 	// Only the objects are reported: the label array goes back to the list.
 	result.Release()
 	stats := connect.Summarize(result)
