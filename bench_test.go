@@ -42,7 +42,7 @@ func runPaperWorkflow(b *testing.B, granules int, subset bool) *core.ConnectRun 
 	if granules > 0 {
 		cfg.Archive = merra.MERRA2().Slice(granules)
 	}
-	eco := core.BuildNautilus(core.DefaultNautilus())
+	eco := core.Nautilus()
 	run, err := eco.NewConnectWorkflow(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -72,7 +72,7 @@ func BenchmarkTable1Workflow(b *testing.B) {
 func BenchmarkFig1StoragePlacement(b *testing.B) {
 	var healVSec float64
 	for i := 0; i < b.N; i++ {
-		eco := core.BuildNautilus(core.DefaultNautilus())
+		eco := core.Nautilus()
 		for j := 0; j < 500; j++ {
 			eco.Storage.Put("bench", fmt.Sprintf("obj-%04d", j), 4e9, nil)
 		}
@@ -261,7 +261,7 @@ func BenchmarkAblationNodeFailure(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := core.PaperConnectConfig()
 		cfg.Archive = merra.MERRA2().Slice(8000)
-		eco := core.BuildNautilus(core.DefaultNautilus())
+		eco := core.Nautilus()
 		run, err := eco.NewConnectWorkflow(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -566,7 +566,7 @@ func BenchmarkIVTVolume(b *testing.B) {
 // BenchmarkObjstorePut measures metadata-path object writes with 3x
 // replication over 13 OSDs.
 func BenchmarkObjstorePut(b *testing.B) {
-	eco := core.BuildNautilus(core.DefaultNautilus())
+	eco := core.Nautilus()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eco.Storage.Put("bench", fmt.Sprintf("k-%d", i), 1e6, nil); err != nil {
@@ -580,7 +580,7 @@ func BenchmarkObjstorePut(b *testing.B) {
 func BenchmarkNetsimFairShare(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		clk := sim.NewClock()
-		eco := core.BuildNautilus(core.DefaultNautilus())
+		eco := core.Nautilus()
 		_ = clk
 		for f := 0; f < 200; f++ {
 			eco.Net.Transfer("thredds-dtn", "ucsd", 1e9, nil)
@@ -591,7 +591,7 @@ func BenchmarkNetsimFairShare(b *testing.B) {
 
 // BenchmarkQueueThroughput measures in-process queue push/pop pairs.
 func BenchmarkQueueThroughput(b *testing.B) {
-	s := core.BuildNautilus(core.DefaultNautilus()).Queue
+	s := core.Nautilus().Queue
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.LPush("q", "msg")
@@ -605,7 +605,7 @@ func BenchmarkExtensionCAVERender(b *testing.B) {
 	var tiles, nodes float64
 	var vsec float64
 	for i := 0; i < b.N; i++ {
-		eco := core.BuildNautilus(core.DefaultNautilus())
+		eco := core.Nautilus()
 		res, err := eco.RunCAVERender(core.DefaultCAVE())
 		if err != nil {
 			b.Fatal(err)
@@ -623,7 +623,7 @@ func BenchmarkExtensionCAVERender(b *testing.B) {
 // background tenant traffic: the Science DMZ overprovisioning claim.
 func BenchmarkAblationScienceDMZ(b *testing.B) {
 	run := func(load bool) time.Duration {
-		eco := core.BuildNautilus(core.DefaultNautilus())
+		eco := core.Nautilus()
 		if load {
 			eco.Net.StartLoad("ucsd", "calit2", 20, 1e12)
 			eco.Net.StartLoad("sdsc", "ucmerced", 20, 1e12)

@@ -7,7 +7,6 @@
 //	benchtab -fig5        Figure 5 (training phases)
 //	benchtab -fig6        Figure 6 (inference utilization)
 //	benchtab -fig1        Figure 1 (distributed storage placement + healing)
-//	benchtab -sweep       extension: inference GPU-count scaling sweep
 //	benchtab -all         everything above
 //
 // Add -scale N to slice the archive to N granules (default: full 112,249).
@@ -20,7 +19,6 @@ import (
 	"time"
 
 	"chaseci/internal/core"
-	"chaseci/internal/gpusim"
 	"chaseci/internal/merra"
 )
 
@@ -32,15 +30,14 @@ func main() {
 		fig4   = flag.Bool("fig4", false, "regenerate Figure 4")
 		fig5   = flag.Bool("fig5", false, "regenerate Figure 5")
 		fig6   = flag.Bool("fig6", false, "regenerate Figure 6")
-		sweep  = flag.Bool("sweep", false, "inference GPU scaling sweep")
 		all    = flag.Bool("all", false, "everything")
 		scale  = flag.Int("scale", 0, "slice the archive to N granules (0 = full)")
 	)
 	flag.Parse()
 	if *all {
-		*table1, *fig1, *fig3, *fig4, *fig5, *fig6, *sweep = true, true, true, true, true, true, true
+		*table1, *fig1, *fig3, *fig4, *fig5, *fig6 = true, true, true, true, true, true
 	}
-	if !*table1 && !*fig1 && !*fig3 && !*fig4 && !*fig5 && !*fig6 && !*sweep {
+	if !*table1 && !*fig1 && !*fig3 && !*fig4 && !*fig5 && !*fig6 {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -55,7 +52,7 @@ func main() {
 		if *scale > 0 {
 			cfg.Archive = merra.MERRA2().Slice(*scale)
 		}
-		eco := core.BuildNautilus(core.DefaultNautilus())
+		eco := core.Nautilus()
 		run, err := eco.NewConnectWorkflow(cfg)
 		if err != nil {
 			fatal(err)
@@ -84,17 +81,13 @@ func main() {
 			fmt.Println(run.Fig6(72, 8))
 		}
 	}
-
-	if *sweep {
-		runSweep(*scale)
-	}
 }
 
 func runFig1() {
 	fmt.Println("Fig 1 — Kubernetes/Rook/Ceph on PRP: distributed PB+ storage")
-	eco := core.BuildNautilus(core.DefaultNautilus())
+	eco := core.Nautilus()
 	fmt.Printf("  %d OSDs across %d sites, %.1f PB raw, %dx replication\n",
-		len(eco.Storage.OSDs()), len(eco.Config.Sites),
+		len(eco.Storage.OSDs()), eco.Sites(),
 		eco.StorageBytes()/1e15, eco.Storage.Replicas())
 	// Place a science dataset and show distribution.
 	for i := 0; i < 200; i++ {
@@ -110,25 +103,6 @@ func runFig1() {
 	h := eco.Storage.HealthReport()
 	fmt.Printf("  after recovery: %d/%d PGs active, health OK=%v\n\n",
 		h.PGsActive, h.PGsTotal, h.OK())
-}
-
-func runSweep(scale int) {
-	fmt.Println("Extension — inference time vs GPU count (paper §III-C: \"can scale to any number\")")
-	gpu := gpusim.GTX1080Ti()
-	cpu := gpusim.SingleCPU()
-	w := gpusim.Paper()
-	voxels := w.InferVoxels
-	if scale > 0 {
-		voxels *= float64(scale) / float64(merra.MERRA2().NumFiles())
-	}
-	fmt.Printf("  %-8s %14s %10s\n", "GPUs", "time", "speedup")
-	t1 := gpu.ShardedInferTime(voxels, 1)
-	for _, g := range []int{1, 2, 5, 10, 25, 50, 100, 200} {
-		tg := gpu.ShardedInferTime(voxels, g)
-		fmt.Printf("  %-8d %14v %9.1fx\n", g, tg.Round(time.Minute), gpusim.Speedup(t1, tg))
-	}
-	fmt.Printf("  %-8s %14v (MATLAB-era single-CPU baseline)\n", "CPU",
-		cpu.InferTime(voxels).Round(time.Hour))
 }
 
 func fatal(err error) {

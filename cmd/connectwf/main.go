@@ -40,7 +40,7 @@ func main() {
 		cfg.Real = core.DefaultRealCompute()
 	}
 
-	eco := core.BuildNautilus(core.DefaultNautilus())
+	eco := core.Nautilus()
 	run, err := eco.NewConnectWorkflow(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "connectwf:", err)

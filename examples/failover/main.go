@@ -16,7 +16,7 @@ import (
 )
 
 func main() {
-	eco := core.BuildNautilus(core.DefaultNautilus())
+	eco := core.Nautilus()
 	cfg := core.PaperConnectConfig()
 	cfg.Archive = merra.MERRA2().Slice(6000)
 	run, err := eco.NewConnectWorkflow(cfg)

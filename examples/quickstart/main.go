@@ -15,9 +15,9 @@ import (
 
 func main() {
 	// 1. Build the ecosystem: nodes, storage, WAN, monitoring, auth.
-	eco := core.BuildNautilus(core.DefaultNautilus())
+	eco := core.Nautilus()
 	fmt.Printf("cluster up: %d GPUs across %d sites, %.1f PB storage\n",
-		eco.TotalGPUs(), len(eco.Config.Sites), eco.StorageBytes()/1e15)
+		eco.TotalGPUs(), eco.Sites(), eco.StorageBytes()/1e15)
 
 	// 2. Authenticate via the identity federation and claim a namespace.
 	token, err := eco.Auth.Login("researcher@ucsd.edu")

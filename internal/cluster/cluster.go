@@ -87,7 +87,6 @@ type Cluster struct {
 	events     []Event
 	nextUID    uint64
 
-	schedDelay    time.Duration
 	schedPending  bool
 	phaseWatchers []func(*Pod)
 	nodeWatchers  []func(NodeEvent)
@@ -106,7 +105,6 @@ func New(clock *sim.Clock, reg *metrics.Registry) *Cluster {
 		nodes:      make(map[string]*Node),
 		namespaces: make(map[string]*Namespace),
 		pods:       make(map[uint64]*Pod),
-		schedDelay: 200 * time.Millisecond,
 	}
 	if reg != nil {
 		c.podsRunning = reg.Gauge("k8s_pods_running", nil)
@@ -119,10 +117,6 @@ func New(clock *sim.Clock, reg *metrics.Registry) *Cluster {
 
 // Clock returns the cluster's virtual clock.
 func (c *Cluster) Clock() *sim.Clock { return c.clock }
-
-// SetSchedulerDelay adjusts the virtual latency between a pod becoming
-// schedulable and its binding (default 200ms).
-func (c *Cluster) SetSchedulerDelay(d time.Duration) { c.schedDelay = d }
 
 // logEvent appends to the cluster event log.
 func (c *Cluster) logEvent(kind, object, format string, args ...any) {
@@ -353,14 +347,18 @@ func (c *Cluster) CreatePod(spec PodSpec) (*Pod, error) {
 	return p, nil
 }
 
-// kickScheduler schedules a scheduling pass after the configured delay.
-// Multiple kicks coalesce into one pass.
+// schedDelay is the virtual latency between a pod becoming schedulable and
+// its binding.
+const schedDelay = 200 * time.Millisecond
+
+// kickScheduler schedules a scheduling pass after schedDelay. Multiple kicks
+// coalesce into one pass.
 func (c *Cluster) kickScheduler() {
 	if c.schedPending || len(c.pending) == 0 {
 		return
 	}
 	c.schedPending = true
-	c.clock.After(c.schedDelay, func() {
+	c.clock.After(schedDelay, func() {
 		c.schedPending = false
 		c.schedulePass()
 	})

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -125,46 +124,5 @@ func TestRunningPodsSurviveNewTaint(t *testing.T) {
 	clk.Run()
 	if p.Phase != PodSucceeded {
 		t.Fatalf("running pod was disturbed by taint: %v/%s", p.Phase, p.Reason)
-	}
-}
-
-func TestFormatNodes(t *testing.T) {
-	clk, c := testCluster(2)
-	_ = clk
-	out := c.FormatNodes()
-	for _, want := range []string{"NAME", "fiona8-00", "Ready", "gpu=1080ti"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("FormatNodes missing %q:\n%s", want, out)
-		}
-	}
-	c.KillNode("fiona8-00")
-	if !strings.Contains(c.FormatNodes(), "NotReady") {
-		t.Fatal("killed node not shown NotReady")
-	}
-}
-
-func TestFormatPods(t *testing.T) {
-	clk, c := testCluster(1)
-	c.CreatePod(PodSpec{Name: "w1", Namespace: "connect", Run: sleepPod(time.Minute)})
-	clk.RunFor(time.Second)
-	out := c.FormatPods("connect")
-	for _, want := range []string{"connect/w1", "Running", "fiona8-00"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("FormatPods missing %q:\n%s", want, out)
-		}
-	}
-	if got := c.FormatPods("other"); strings.Contains(got, "w1") {
-		t.Fatal("namespace filter leaked")
-	}
-}
-
-func TestFormatEventsTail(t *testing.T) {
-	clk, c := testCluster(1)
-	c.CreatePod(PodSpec{Name: "w", Namespace: "connect", Run: sleepPod(time.Second)})
-	clk.Run()
-	out := c.FormatEvents(2)
-	lines := strings.Count(out, "\n")
-	if lines != 3 { // header + 2 events
-		t.Fatalf("FormatEvents(2) rendered %d lines:\n%s", lines, out)
 	}
 }

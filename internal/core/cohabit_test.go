@@ -14,7 +14,7 @@ import (
 // on the same hardware which is being used locally for visualization."
 
 func TestCohabitationInferencePlusCAVE(t *testing.T) {
-	eco := BuildNautilus(DefaultNautilus())
+	eco := Nautilus()
 
 	// Foreground science: the inference-heavy workflow at reduced scale.
 	cfg := PaperConnectConfig()
@@ -53,7 +53,7 @@ func TestCohabitationBackgroundWANTraffic(t *testing.T) {
 	// materially slow the download (the THREDDS uplink is the bottleneck,
 	// and the backbone is overprovisioned).
 	baseline := func(load bool) time.Duration {
-		eco := BuildNautilus(DefaultNautilus())
+		eco := Nautilus()
 		if load {
 			// 40 tenant flows hammering the calit2 and sdsc uplinks.
 			eco.Net.StartLoad("ucsd", "calit2", 20, 1e12)
@@ -83,7 +83,7 @@ func TestCohabitationBackgroundWANTraffic(t *testing.T) {
 
 func TestNamespaceQuotaIsolatesTenants(t *testing.T) {
 	// A greedy tenant with a quota cannot starve the workflow namespace.
-	eco := BuildNautilus(DefaultNautilus())
+	eco := Nautilus()
 	greedyQuota := cluster.Resources{CPU: 40, Memory: 200e9, GPUs: 20}
 	eco.Cluster.CreateNamespace("greedy", &greedyQuota)
 	// Greedy tenant asks for far more than its quota.

@@ -255,8 +255,8 @@ func (run *ConnectRun) stepDownload(ctx *workflow.Ctx) {
 	rateGauge := e.Metrics.Gauge("connect_download_rate_bytes", nil)
 	tick := e.Clock.Every(cfg.SampleEvery, func() {
 		sum := 0.0
-		for _, site := range e.Config.Sites {
-			sum += e.Net.AggregateRate(site.Name)
+		for _, s := range sites {
+			sum += e.Net.AggregateRate(s.name)
 		}
 		rateGauge.Set(sum)
 	})
@@ -384,7 +384,7 @@ func (run *ConnectRun) downloadWorker(pc *cluster.PodCtx) {
 				cnt++
 			}
 			bytes := perFile * float64(cnt)
-			flows = append(flows, e.Net.Transfer(e.Config.ThreddsSite, site, bytes, onStreamDone(bytes)))
+			flows = append(flows, e.Net.Transfer(threddsSite, site, bytes, onStreamDone(bytes)))
 		}
 	}
 	processMsg()

@@ -10,7 +10,7 @@ import (
 )
 
 func TestBuildNautilusShape(t *testing.T) {
-	e := BuildNautilus(DefaultNautilus())
+	e := Nautilus()
 	if got := e.TotalGPUs(); got != 192 {
 		t.Fatalf("GPUs = %d, want 192 (24 FIONA8s)", got)
 	}
@@ -23,10 +23,28 @@ func TestBuildNautilusShape(t *testing.T) {
 	if e.Net.Path("thredds-dtn", "ucsd") == nil {
 		t.Fatal("no path from the THREDDS DTN")
 	}
+	nodes, osds := len(e.Cluster.Nodes()), len(e.Storage.OSDs())
+	if nodes != 24 || osds != 13 || e.Sites() != 6 {
+		t.Fatalf("build-out = %d nodes, %d OSDs, %d sites; want 24, 13, 6", nodes, osds, e.Sites())
+	}
+	if h := e.Storage.HealthReport(); h.PGsTotal != 512 || h.PGsActive != 512 || e.Storage.Replicas() != 3 {
+		t.Fatalf("ceph = %d/%d PGs active, %dx replication; want 512/512, 3x",
+			h.PGsActive, h.PGsTotal, e.Storage.Replicas())
+	}
+	// Every cluster node is registered with the fabric, at its labelled site.
+	if got, want := len(e.NodeNames()), len(e.Cluster.Nodes()); got != want {
+		t.Fatalf("fabric has %d nodes, cluster %d", got, want)
+	}
+	for _, n := range e.Cluster.Nodes() {
+		spec := e.Node(n.Name)
+		if spec == nil || spec.Site != n.Labels["site"] {
+			t.Fatalf("node %s: fabric spec %+v, site label %q", n.Name, spec, n.Labels["site"])
+		}
+	}
 }
 
 func TestNautilusAuthProviders(t *testing.T) {
-	e := BuildNautilus(DefaultNautilus())
+	e := Nautilus()
 	tok, err := e.Auth.Login("sellars@ucsd.edu")
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +62,7 @@ func scaledConfig() ConnectConfig {
 }
 
 func TestWorkflowCompletesAtReducedScale(t *testing.T) {
-	e := BuildNautilus(DefaultNautilus())
+	e := Nautilus()
 	run, err := e.NewConnectWorkflow(scaledConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +96,7 @@ func TestWorkflowCompletesAtReducedScale(t *testing.T) {
 }
 
 func TestWorkflowStepDurationsScaleSensibly(t *testing.T) {
-	e := BuildNautilus(DefaultNautilus())
+	e := Nautilus()
 	run, _ := e.NewConnectWorkflow(scaledConfig())
 	report, err := run.Execute()
 	if err != nil {
@@ -105,7 +123,7 @@ func TestPaperScaleTable1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-archive simulation")
 	}
-	e := BuildNautilus(DefaultNautilus())
+	e := Nautilus()
 	run, err := e.NewConnectWorkflow(PaperConnectConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +157,7 @@ func TestPaperScaleTable1(t *testing.T) {
 }
 
 func TestWorkflowSurvivesNodeFailure(t *testing.T) {
-	e := BuildNautilus(DefaultNautilus())
+	e := Nautilus()
 	run, _ := e.NewConnectWorkflow(scaledConfig())
 	if err := run.Workflow.Run(nil); err != nil {
 		t.Fatal(err)
@@ -178,7 +196,7 @@ func TestWorkflowSurvivesNodeFailure(t *testing.T) {
 // simulated Ceph. The quality floor holds at five training seeds over that
 // scene (measured: precision 0.92-0.99, recall 0.81-0.87).
 func TestRealComputeWorkflow(t *testing.T) {
-	e := BuildNautilus(DefaultNautilus())
+	e := Nautilus()
 	cfg := scaledConfig()
 	cfg.Archive = merra.MERRA2().Slice(500)
 	cfg.Real = DefaultRealCompute()
@@ -250,7 +268,7 @@ func TestRealComputeWorkflow(t *testing.T) {
 func TestSubsettingAblationDirection(t *testing.T) {
 	// Full-file download must move ~1.85x the bytes and take ~1.85x longer.
 	mk := func(subset bool) time.Duration {
-		e := BuildNautilus(DefaultNautilus())
+		e := Nautilus()
 		cfg := scaledConfig()
 		cfg.Subset = subset
 		run, _ := e.NewConnectWorkflow(cfg)
@@ -268,7 +286,7 @@ func TestSubsettingAblationDirection(t *testing.T) {
 }
 
 func TestWorkflowPlanRendering(t *testing.T) {
-	e := BuildNautilus(DefaultNautilus())
+	e := Nautilus()
 	run, _ := e.NewConnectWorkflow(scaledConfig())
 	plan := run.Workflow.RenderPlan()
 	for _, want := range []string{"1-download", "2-train <- 1-download", "3-inference <- 2-train", "4-visualize <- 3-inference"} {
@@ -279,7 +297,7 @@ func TestWorkflowPlanRendering(t *testing.T) {
 }
 
 func TestFigureSeriesRecorded(t *testing.T) {
-	e := BuildNautilus(DefaultNautilus())
+	e := Nautilus()
 	run, _ := e.NewConnectWorkflow(scaledConfig())
 	if _, err := run.Execute(); err != nil {
 		t.Fatal(err)

@@ -8,7 +8,7 @@ import (
 // completedRun caches one reduced-scale run for the figure-rendering tests.
 func completedRun(t *testing.T) *ConnectRun {
 	t.Helper()
-	eco := BuildNautilus(DefaultNautilus())
+	eco := Nautilus()
 	run, err := eco.NewConnectWorkflow(scaledConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -28,7 +28,7 @@ func TestRealSocketsEndToEnd(t *testing.T) {
 	defer tsrv.Close()
 
 	// Download the subsets in parallel into the ecosystem's dataset store.
-	eco := BuildNautilus(DefaultNautilus())
+	eco := Nautilus()
 	urls := make([]string, granules)
 	for i := range urls {
 		urls[i] = tsrv.SubsetURL(spec.FileName(i), "IVT")

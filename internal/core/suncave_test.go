@@ -9,7 +9,7 @@ import (
 )
 
 func TestCAVERenderAssemblesWall(t *testing.T) {
-	eco := BuildNautilus(DefaultNautilus())
+	eco := Nautilus()
 	cfg := DefaultCAVE()
 	res, err := eco.RunCAVERender(cfg)
 	if err != nil {
@@ -34,7 +34,7 @@ func TestCAVERenderAssemblesWall(t *testing.T) {
 }
 
 func TestCAVERenderHonorsNodeSelector(t *testing.T) {
-	eco := BuildNautilus(DefaultNautilus())
+	eco := Nautilus()
 	cfg := DefaultCAVE()
 	cfg.NodeSelector = map[string]string{"site": "ucsd"}
 	res, err := eco.RunCAVERender(cfg)
@@ -56,7 +56,7 @@ func TestCAVERenderHonorsNodeSelector(t *testing.T) {
 }
 
 func TestCAVERenderValidation(t *testing.T) {
-	eco := BuildNautilus(DefaultNautilus())
+	eco := Nautilus()
 	cfg := DefaultCAVE()
 	cfg.Rows = 0
 	if _, err := eco.RunCAVERender(cfg); err == nil {
@@ -68,7 +68,7 @@ func TestCAVERenderValidation(t *testing.T) {
 // ecosystem: each wall is assembled from its own render's tiles alone, and
 // every tiling shows the field pixel for pixel.
 func TestCAVERenderRetiles(t *testing.T) {
-	eco := BuildNautilus(DefaultNautilus())
+	eco := Nautilus()
 	cfg := DefaultCAVE()
 	gen := merra.NewGenerator(cfg.Scene.Grid, cfg.Scene.Seed)
 	field := merra.IVT(gen.State(20), merra.PressureLevels(cfg.Scene.Grid.NLev))

@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// This file renders time-series as terminal charts, so cmd/benchtab and
-// cmd/nautilus can draw the paper's Figures 3-6.
+// This file renders time-series as terminal charts, so cmd/benchtab can
+// draw the paper's Figures 3-6.
 
 // ChartOptions controls ASCII rendering.
 type ChartOptions struct {

@@ -37,14 +37,12 @@ type NodeSpec struct {
 
 // FabricConfig tunes fabric construction.
 type FabricConfig struct {
-	// Replicas is the objstore replication factor (default 2).
+	// Replicas is the objstore replication factor NewFabric builds its
+	// store with (default 2).
 	Replicas int
 	// OwnerQuota, when non-nil, caps the summed resource requests any one
 	// owner may hold placed at once.
 	OwnerQuota *cluster.Resources
-	// LANBytesPerSec is the intra-site staging rate used for same-site
-	// replicas (default 10e9, netsim's local rate).
-	LANBytesPerSec float64
 	// OSDCapacity is the per-OSD capacity in bytes (default 1e12).
 	OSDCapacity float64
 }
@@ -53,23 +51,20 @@ func (c *FabricConfig) defaults() {
 	if c.Replicas <= 0 {
 		c.Replicas = 2
 	}
-	if c.LANBytesPerSec <= 0 {
-		c.LANBytesPerSec = 10e9
-	}
 	if c.OSDCapacity <= 0 {
 		c.OSDCapacity = 1e12
 	}
 }
 
+// lanBytesPerSec is the intra-site staging rate used for same-site replicas
+// (netsim's local rate).
+const lanBytesPerSec = 10e9
+
 // Fabric wires the simulated substrate the scheduler places onto: a cluster
 // of nodes, a netsim WAN between their sites, and a dataset manager whose
-// objstore replicas define data gravity.
-//
-// Two independent virtual clocks keep the lock order acyclic: the data clock
-// drives the objstore and is only touched under the dataset manager's lock;
-// the control clock drives the cluster and network and is only touched under
-// the scheduler's lock. No metric registry rides on either clock: the
-// scheduler renders /metricz from its own state (Scheduler.MetricsText).
+// objstore replicas define data gravity. It is the one place a topology is
+// built: the serving fabric (NewFabric) and core's Nautilus ecosystem both
+// register their nodes and OSDs through it.
 type Fabric struct {
 	cfg FabricConfig
 
@@ -84,21 +79,36 @@ type Fabric struct {
 	osdNode   map[string]string // OSD id -> node name
 }
 
-// NewFabric builds an empty fabric; populate with AddSite/AddLink/AddNode.
-func NewFabric(cfg FabricConfig) *Fabric {
+// Compose builds an empty fabric over substrates the caller built on clocks
+// and a registry of its choosing, with the store's "datasets" bucket as its
+// data plane; populate with AddSite/AddLink/AddNode/AddOSD. The store keeps
+// its own replication factor: cfg.Replicas is not consulted.
+func Compose(cl *cluster.Cluster, net *netsim.Network, store *objstore.Store, cfg FabricConfig) *Fabric {
 	cfg.defaults()
-	ctrlClk := sim.NewClock()
-	dataClk := sim.NewClock()
-	store := objstore.NewStore(dataClk, nil, objstore.Config{Replicas: cfg.Replicas})
 	return &Fabric{
 		cfg:      cfg,
-		Cluster:  cluster.New(ctrlClk, nil),
-		Net:      netsim.NewNetwork(ctrlClk, nil),
+		Cluster:  cl,
+		Net:      net,
 		Datasets: dataset.NewManager(store.MountBucket("datasets"), dataset.Config{}),
 		store:    store,
 		nodes:    make(map[string]*NodeSpec),
 		osdNode:  make(map[string]string),
 	}
+}
+
+// NewFabric builds an empty serving fabric; populate with AddSite/AddLink/
+// AddNode.
+//
+// Two independent virtual clocks keep the lock order acyclic: the data clock
+// drives the objstore and is only touched under the dataset manager's lock;
+// the control clock drives the cluster and network and is only touched under
+// the scheduler's lock. No metric registry rides on either clock: the
+// scheduler renders /metricz from its own state (Scheduler.MetricsText).
+func NewFabric(cfg FabricConfig) *Fabric {
+	cfg.defaults()
+	ctrlClk := sim.NewClock()
+	store := objstore.NewStore(sim.NewClock(), nil, objstore.Config{Replicas: cfg.Replicas})
+	return Compose(cluster.New(ctrlClk, nil), netsim.NewNetwork(ctrlClk, nil), store, cfg)
 }
 
 // AddSite registers a network site (idempotent).

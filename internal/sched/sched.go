@@ -525,7 +525,7 @@ func (s *Scheduler) refGravityLocked(ri refInfo, node, site string) (costMS floa
 		}
 	}
 	if sameSite {
-		return ri.bytes / s.fab.cfg.LANBytesPerSec * 1000, api.LocalitySameSite, true
+		return ri.bytes / lanBytesPerSec * 1000, api.LocalitySameSite, true
 	}
 	if bestRemote >= 0 {
 		return bestRemote, api.LocalityRemote, true
