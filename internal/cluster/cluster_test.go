@@ -322,3 +322,36 @@ func TestTotalCapacityTracksReadyNodes(t *testing.T) {
 		t.Fatalf("GPUs after kill = %d, want 16", got)
 	}
 }
+
+// A scheduling pass runs schedDelay after the first pod becomes pending,
+// and pods created while it is pending join that one pass.
+func TestSchedulingPassFollowsDelay(t *testing.T) {
+	clk, c := testCluster(2)
+	clk.RunFor(time.Second)
+	create := func(name string) *Pod {
+		t.Helper()
+		p, err := c.CreatePod(PodSpec{
+			Name: name, Namespace: "connect",
+			Requests: Resources{CPU: 1, Memory: GB(1)},
+			Run:      sleepPod(time.Minute),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	first := create("first")
+	clk.RunFor(50 * time.Millisecond)
+	second := create("second")
+	clk.RunFor(149 * time.Millisecond)
+	if first.Phase != PodPending || second.Phase != PodPending {
+		t.Fatalf("phases before the pass = %v, %v; want Pending", first.Phase, second.Phase)
+	}
+	clk.RunFor(time.Millisecond)
+	want := time.Second + schedDelay
+	for _, p := range []*Pod{first, second} {
+		if p.Phase != PodRunning || p.StartedAt != want {
+			t.Fatalf("pod %s: %v at %v, want Running at %v", p.Spec.Name, p.Phase, p.StartedAt, want)
+		}
+	}
+}

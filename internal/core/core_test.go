@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"chaseci/internal/merra"
+	"chaseci/internal/netsim"
 )
 
 func TestBuildNautilusShape(t *testing.T) {
@@ -340,5 +341,63 @@ func TestFigureSeriesRecorded(t *testing.T) {
 	}
 	if maxGPU < 50 {
 		t.Fatalf("peak GPUs in use = %v, want >= 50", maxGPU)
+	}
+}
+
+// Every campus in the build-out table lands as its FIONA8s, its OSDs and
+// its backbone uplink; the THREDDS DTN hangs off the backbone at 0.94 Gbps.
+func TestNautilusSiteTable(t *testing.T) {
+	e := Nautilus()
+	nodes := map[string]int{}
+	for _, n := range e.Cluster.Nodes() {
+		nodes[n.Site]++
+	}
+	osds := map[string]int{}
+	for _, o := range e.Storage.OSDs() {
+		if o.Capacity != osdCapacity {
+			t.Fatalf("OSD %s capacity %g, want %g", o.ID, o.Capacity, float64(osdCapacity))
+		}
+		osds[o.Site]++
+	}
+	for _, s := range sites {
+		if nodes[s.name] != s.fiona8s || osds[s.name] != s.osds {
+			t.Fatalf("%s: %d nodes, %d OSDs; want %d, %d",
+				s.name, nodes[s.name], osds[s.name], s.fiona8s, s.osds)
+		}
+		l := e.Net.Link(s.name, backbone)
+		if l == nil || l.Capacity != netsim.Gbps(s.uplinkGbps) || l.Latency != s.latency {
+			t.Fatalf("%s uplink = %+v, want %g Gbps at %v", s.name, l, s.uplinkGbps, s.latency)
+		}
+	}
+	if l := e.Net.Link(threddsSite, backbone); l == nil || l.Capacity != netsim.Gbps(0.94) {
+		t.Fatalf("THREDDS uplink = %+v, want 0.94 Gbps", l)
+	}
+	if got := len(e.Net.Links()); got != len(sites)+1 {
+		t.Fatalf("%d links, want %d (one uplink per campus and the DTN's)", got, len(sites)+1)
+	}
+}
+
+// The cluster, the network and the store run on the ecosystem's one clock
+// and report to its one registry.
+func TestNautilusOneClockOneRegistry(t *testing.T) {
+	e := Nautilus()
+	if e.Cluster.Clock() != e.Clock {
+		t.Fatal("cluster runs on another clock")
+	}
+	for _, name := range []string{"k8s_pods_running", "net_link_bytes_per_sec", "ceph_pgs_degraded"} {
+		if len(e.Metrics.Select(name, nil)) == 0 {
+			t.Fatalf("no %s series in the ecosystem's registry", name)
+		}
+	}
+	// A 1 GB pull from the DTN is bounded by its uplink, in the clock's time.
+	const size = 1e9
+	f := e.Net.Transfer(threddsSite, "ucsd", size, nil)
+	e.Clock.Run()
+	if !f.Done() {
+		t.Fatal("transfer never finished")
+	}
+	min := time.Duration(size / netsim.Gbps(threddsUplinkGbps) * float64(time.Second))
+	if f.Elapsed() < min || e.Clock.Now() < min {
+		t.Fatalf("transfer took %v (clock at %v), want at least %v", f.Elapsed(), e.Clock.Now(), min)
 	}
 }

@@ -125,14 +125,14 @@ func (f *Fabric) AddNode(spec NodeSpec) error {
 	if _, dup := f.nodes[spec.Name]; dup {
 		return cluster.ErrDuplicate
 	}
+	if _, dup := f.osdNode[spec.OSD]; spec.OSD != "" && dup {
+		return fmt.Errorf("sched: OSD %q already placed: %w", spec.OSD, cluster.ErrDuplicate)
+	}
 	f.Net.AddSite(spec.Site)
 	if _, err := f.Cluster.AddNode(spec.Name, spec.Site, spec.Capacity, spec.Labels); err != nil {
 		return err
 	}
 	if spec.OSD != "" {
-		if _, dup := f.osdNode[spec.OSD]; dup {
-			return fmt.Errorf("sched: OSD %q already placed: %w", spec.OSD, cluster.ErrDuplicate)
-		}
 		f.store.AddOSD(spec.OSD, spec.Site, f.cfg.OSDCapacity, 1)
 		f.osdNode[spec.OSD] = spec.Name
 	}
