@@ -2,7 +2,8 @@
 // CONNECT object-segmentation workflow (THREDDS download -> FFN training ->
 // distributed multi-GPU inference -> visualization) on a simulated Nautilus
 // cluster, with the real FFN/CONNECT computation embedded at experiment
-// scale.
+// scale. The deployment is the paper's (10 download workers, 50 inference
+// GPUs); a failed step exits 1 naming the step, the job and the cause.
 //
 //	connectwf -plan            print the workflow step graph (Fig 2) and exit
 //	connectwf -scale N         slice the archive to N granules (default 2000)
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"chaseci/internal/core"
+	"chaseci/internal/gpusim"
 	"chaseci/internal/merra"
 	"chaseci/internal/workflow"
 )
@@ -54,7 +56,7 @@ func main() {
 
 	fmt.Printf("CONNECT workflow: %d granules (%.1f GB subset), %d download workers, %d inference GPUs\n\n",
 		cfg.Archive.NumFiles(), cfg.Archive.TotalBytes(true)/1e9,
-		cfg.DownloadWorkers, cfg.InferenceGPUs)
+		core.DownloadWorkers, gpusim.Paper().InferGPUs)
 
 	var status *workflow.StatusServer
 	if *ui {
@@ -82,11 +84,11 @@ func main() {
 	if status != nil {
 		status.Update(run.Workflow)
 	}
-	report := run.Workflow.Report()
-	if run.Workflow.Failed() {
-		fmt.Fprintln(os.Stderr, "connectwf: workflow failed")
+	if err := run.Err(); err != nil {
+		fmt.Fprintln(os.Stderr, "connectwf:", err)
 		os.Exit(1)
 	}
+	report := run.Workflow.Report()
 	fmt.Printf("completed %v of cluster time in %v wall time\n\n",
 		eco.Clock.Now().Round(time.Second), time.Since(start).Round(time.Millisecond))
 

@@ -572,20 +572,6 @@ func lessBBox(a, b [6]int) bool {
 	return false
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // FromMask adapts any float32 time-major mask (e.g. an ffn.Volume or a
 // thresholded merra volume) into a connect.Volume without copying; voxels
 // > 0.5 are set.

@@ -8,6 +8,8 @@ import (
 
 	"chaseci/internal/merra"
 	"chaseci/internal/netsim"
+	"chaseci/internal/objstore"
+	"chaseci/internal/workflow"
 )
 
 func TestBuildNautilusShape(t *testing.T) {
@@ -75,9 +77,20 @@ func TestWorkflowCompletesAtReducedScale(t *testing.T) {
 	if len(report.Steps) != 4 {
 		t.Fatalf("report has %d steps", len(report.Steps))
 	}
+	// Table I's resource rows, summed from each step's job requests.
+	table1 := map[string][4]float64{ // pods, cpus, gpus, memory_bytes
+		"1-download":  {14, 42, 0, 225e9},
+		"2-train":     {1, 1, 1, 14.8e9},
+		"3-inference": {50, 50, 50, 600e9},
+		"4-visualize": {1, 1, 1, 12e9},
+	}
 	for _, s := range report.Steps {
 		if s.Duration <= 0 {
 			t.Fatalf("step %s has zero duration", s.Name)
+		}
+		m := s.Measurements
+		if got := [4]float64{m["pods"], m["cpus"], m["gpus"], m["memory_bytes"]}; got != table1[s.Name] {
+			t.Errorf("%s: pods/cpus/gpus/memory_bytes = %v, Table I %v", s.Name, got, table1[s.Name])
 		}
 	}
 	// All queue messages consumed.
@@ -93,6 +106,35 @@ func TestWorkflowCompletesAtReducedScale(t *testing.T) {
 	// Merged data in Ceph matches too.
 	if stored := e.Storage.BucketSize("connect-data"); math.Abs(stored-want)/want > 0.01 {
 		t.Fatalf("stored %v bytes, want %v", stored, want)
+	}
+}
+
+// A failed step ends the run with an error that names the step, the job
+// and why its pod failed: here every OSD is down before the first merge's
+// Put, so the download workers cannot store what they fetched.
+func TestFailedStepNamesStepAndJob(t *testing.T) {
+	e := Nautilus()
+	run, err := e.NewConnectWorkflow(scaledConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range e.Storage.OSDs() {
+		if _, err := e.Storage.FailOSD(o.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = run.Execute()
+	if err == nil {
+		t.Fatal("workflow succeeded with every OSD down")
+	}
+	t.Log(err)
+	for _, want := range []string{"step 1-download", "job download-worker failed", objstore.ErrNoOSDs.Error()} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
+	}
+	if got := run.Workflow.Status("2-train"); got != workflow.StatusSkipped {
+		t.Errorf("2-train is %v after the download failed, want Skipped", got)
 	}
 }
 

@@ -6,9 +6,11 @@
 // NASA archive. Its cluster, network and store run on one sim.Clock with the
 // virtual-time metric registry its figures are drawn from, beside a Redis
 // work queue and CILogon-style federated auth. The case study is the 4-step
-// CONNECT object-segmentation workflow with per-step measurement, in virtual
-// time; its compute steps also run for real at experiment scale, as
-// chased/v1 jobs against the ecosystem's dataset plane.
+// CONNECT object-segmentation workflow in virtual time: each step is its
+// Kubernetes jobs over the paper's fixed deployment, and its Table I row is
+// summed from their requests; a run varies only the archive slice,
+// subsetting and the real compute. Its compute steps also run for real at
+// experiment scale, as chased/v1 jobs against the ecosystem's dataset plane.
 package core
 
 import (

@@ -24,7 +24,7 @@ func (run *ConnectRun) Fig3(width int) string {
 	reg := run.Eco.Metrics
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 3 — Kubernetes data download job orchestration (%d workers, Redis queue)\n",
-		run.Config.DownloadWorkers)
+		DownloadWorkers)
 	series := reg.Select("connect_worker_cpu", nil)
 	for _, s := range series {
 		fmt.Fprintf(&b, "  %-14s %s\n", s.Labels["pod"], metrics.Sparkline(s.Samples, width))

@@ -27,28 +27,25 @@ const realGranuleCount = 4
 // landRealGranules renders the first few archive granules on the real-scale
 // grid, extracts the IVT subset exactly as the THREDDS NCSS endpoint does,
 // and stores the bytes in the cluster object store.
-func (run *ConnectRun) landRealGranules() {
+func (run *ConnectRun) landRealGranules() error {
 	rc := run.Config.Real
 	gen := merra.NewGenerator(rc.Grid, rc.Seed)
 	levels := merra.PressureLevels(rc.Grid.NLev)
 	mount := run.Eco.Storage.MountBucket("connect-data")
-	n := realGranuleCount
-	if files := run.Config.Archive.NumFiles(); n > files {
-		n = files
-	}
-	for i := 0; i < n; i++ {
+	for i := range min(realGranuleCount, run.Config.Archive.NumFiles()) {
 		full := merra.StateFile(gen.State(i), levels, run.Config.Archive.FileTime(i).Unix())
 		fullBytes := full.EncodeBytes()
 		v, err := merra.ExtractVariable(fullBytes, "IVT")
 		if err != nil {
-			panic(fmt.Sprintf("core: IVT extraction from generated granule: %v", err))
+			return fmt.Errorf("core: IVT extraction from generated granule: %w", err)
 		}
 		subset := &merra.File{Time: full.Time}
 		subset.AddVariable(v.Name, v.Dims, v.Data)
 		if err := mount.WriteFile(fmt.Sprintf("real/%s", run.Config.Archive.FileName(i)), subset.EncodeBytes()); err != nil {
-			panic(fmt.Sprintf("core: storing real granule: %v", err))
+			return fmt.Errorf("core: storing real granule: %w", err)
 		}
 	}
+	return nil
 }
 
 // runJob submits req to an in-process runner, waits for the job to end and

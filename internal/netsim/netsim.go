@@ -30,6 +30,7 @@ type Network struct {
 	links []*Link
 
 	flows      map[*Flow]struct{}
+	flowSeq    uint64 // creation count; orders flows that tie on everything else
 	lastUpdate time.Duration
 	completion *sim.Timer
 
@@ -85,6 +86,7 @@ type Flow struct {
 	onComplete func()
 	cancelled  bool
 	started    time.Duration
+	seq        uint64
 	finished   time.Duration
 	done       bool
 }
@@ -255,7 +257,9 @@ func (n *Network) Transfer(src, dst string, size float64, onComplete func()) *Fl
 		remaining: size, total: size,
 		onComplete: onComplete,
 		started:    n.clock.Now(),
+		seq:        n.flowSeq,
 	}
+	n.flowSeq++
 	if src == dst {
 		// Local copy: model as a fixed-rate local disk/loopback move.
 		const localRate = 10e9
@@ -385,12 +389,17 @@ func (n *Network) reallocate() {
 			finished = append(finished, f)
 		}
 	}
-	// Deterministic completion order.
+	// Deterministic completion order: flows that tie on start and route
+	// complete in the order they were created, not the map's.
 	sort.Slice(finished, func(i, j int) bool {
-		if finished[i].started != finished[j].started {
-			return finished[i].started < finished[j].started
+		a, b := finished[i], finished[j]
+		if a.started != b.started {
+			return a.started < b.started
 		}
-		return finished[i].Src+finished[i].Dst < finished[j].Src+finished[j].Dst
+		if a.Src+a.Dst != b.Src+b.Dst {
+			return a.Src+a.Dst < b.Src+b.Dst
+		}
+		return a.seq < b.seq
 	})
 	for _, f := range finished {
 		delete(n.flows, f)

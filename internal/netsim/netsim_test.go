@@ -49,6 +49,28 @@ func TestTwoFlowsShareLinkEqually(t *testing.T) {
 	}
 }
 
+// Flows that start together on one route and drain at the same instant
+// complete in the order they were started, every time: the engine's flow
+// set is a map, so the order must come from the flows themselves.
+func TestEqualFlowsCompleteInStartOrder(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		c, n := twoSiteNet(100)
+		var order []int
+		for i := 0; i < 8; i++ {
+			n.Transfer("ucsd", "sdsc", 1000, func() { order = append(order, i) })
+		}
+		c.Run()
+		for i, got := range order {
+			if got != i {
+				t.Fatalf("trial %d: completion order %v, want start order", trial, order)
+			}
+		}
+		if len(order) != 8 {
+			t.Fatalf("trial %d: %d of 8 flows completed", trial, len(order))
+		}
+	}
+}
+
 func TestShortFlowFinishesThenLongSpeedsUp(t *testing.T) {
 	c, n := twoSiteNet(100)
 	var shortAt, longAt time.Duration
