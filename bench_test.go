@@ -485,7 +485,8 @@ func BenchmarkSegmentWorkers(b *testing.B) {
 
 // BenchmarkFFNTrainStep measures one real SGD step (forward + backward +
 // update) on the experiment-scale network: a batch-1 round on one worker,
-// what a train job runs per step.
+// what a sweep candidate runs per step. A batch-1 round never pairs
+// examples; a train_dist round's time is ffn's BenchmarkDistTrainRound.
 func BenchmarkFFNTrainStep(b *testing.B) {
 	cfg := ffn.DefaultConfig()
 	cfg.FOV = [3]int{3, 7, 7}

@@ -491,7 +491,9 @@ func (n *NetConfig) paramCount() int {
 // V interior FOV positions and L the features rounded up to whole 8-lane
 // vectors, P*(2 + (2*modules+4)*L) + 4*V — the input, every layer's
 // activations and three gradients of one example, and four FOV tensors.
-// Within the caps it is at most 2.8G, so it is computed in int64.
+// A lane that trains two examples per buffer borrows twice it, which ffn
+// allows only where that too is within maxScratchElems. Within the caps it
+// is at most 2.8G, so it is computed in int64.
 func (n *NetConfig) trainScratchLen() int64 {
 	fov, f, m := n.geometry()
 	l := int64((f + 7) / 8 * 8)

@@ -454,6 +454,30 @@ func TestFloodWorkCount(t *testing.T) {
 	}
 }
 
+// TestTrainWorkCount pins one training example's conv work, every layer at
+// every position (V positions, one lane group at 6 or 8 features, 27 taps):
+// the forward pass 2+2*Modules*F input channels' worth, the input
+// gradients 2*Modules*F (the input layer's is not computed), the weight
+// gradients as many as the forward pass. The bench's net (3x7x7, 6
+// features, 2 modules): 147*27*(26+24+26) = 301,644 8-lane vectors at width
+// 1, and 150,822 16-lane vectors per example at width 2. DefaultConfig
+// (5x9x9, 8 features): 405*27*(34+32+34) = 1,093,500 and 546,750.
+func TestTrainWorkCount(t *testing.T) {
+	bench := DefaultConfig()
+	bench.FOV, bench.Features = [3]int{3, 7, 7}, 6
+	for _, c := range []struct {
+		name        string
+		cfg         Config
+		one, paired int
+	}{{"bench net", bench, 301644, 150822}, {"DefaultConfig", DefaultConfig(), 1093500, 546750}} {
+		one, paired := c.cfg.trainWork(1), c.cfg.trainWork(2)
+		if one != c.one || paired != c.paired || 2*paired != one {
+			t.Errorf("%s: trainWork(1) = %d, trainWork(2) = %d; want %d and %d", c.name, one, paired, c.one, c.paired)
+		}
+		t.Logf("%s: %d 8-lane vectors per example at width 1, %d 16-lane at width 2", c.name, one, paired)
+	}
+}
+
 // inSpans reports whether interior position (z, y, x) is in one depth's
 // read spans.
 func inSpans(spans []int32, h, z, y, x int) bool {

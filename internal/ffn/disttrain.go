@@ -17,9 +17,13 @@ import (
 // invariant sampling scheme. Every round draws one global batch of FOV
 // centers from an RNG derived only from (SampleSeed, round index); the
 // examples are sharded over internal/parallel's lanes, each chunk of samples
-// with its own scratch, running exampleGrad against the shared (read-only)
+// with its own scratch, running exampleGrads against the shared (read-only)
 // network and the round's lane weights (trainPlan, packed once before the
-// fan-out), sample i writing row i of one batch x P gradient matrix. The
+// fan-out), sample i writing row i of one batch x P gradient matrix. Where
+// the paired kernels run (trainWidth) a chunk trains its samples two at a
+// time, two examples per Blocked buffer and each in its own lanes, and an
+// odd chunk's last sample alone; every sample's row holds the bits it gets
+// alone, so the pairing, like the chunking, moves no result. The
 // all-reduce sums the rows in global sample order and scales by 1/batch,
 // and one optimizer step applies the mean to the flat parameter vector. The
 // resulting loss sequence is therefore bit-identical at any lane count,
@@ -32,7 +36,7 @@ import (
 // at two lanes than at one (EXPERIMENTS.md).
 //
 // Ownership: the gradient matrix, the FOV-center index, the lane weights and
-// each chunk's scratch are borrowed from the tensor free list — a job builds a new
+// each chunk's scratches are borrowed from the tensor free list — a job builds a new
 // trainer, and these are the arrays the previous job of the same geometry
 // just dropped. Release hands them back and ends the trainer's life: call
 // it (deferred) once no Round is running and nothing more will be asked of
@@ -48,19 +52,20 @@ type DistTrainer struct {
 
 	sampleSeed uint64
 	batch      int
+	width      int // examples per step while a chunk has that many left (trainWidth)
 	workers    int
 	round      int
 	losses     []float64
 
 	// Reused across rounds: the round's centers and per-sample losses, the
 	// borrowed gradient matrix (row i is sample i's gradient), the lane
-	// weights every chunk reads and one borrowed scratch per chunk of the
-	// batch.
+	// weights every chunk reads and each chunk's borrowed scratches, at
+	// width 1 and 2, each borrowed when the chunk first needs it.
 	batchCenters [][3]int
 	sampleLoss   []float64
 	grads        []float32
 	plan         *trainPlan
-	scratch      []*trainScratch
+	scratch      [][2]*trainScratch
 	shards       shardTask
 }
 
@@ -113,17 +118,18 @@ func newDistTrainer(net *Network, opt *tensor.SGD, img, lbl *Volume, sampleSeed 
 	if err != nil {
 		return nil, err
 	}
+	width := net.cfg.trainWidth(batchPerRound)
 	return &DistTrainer{
 		Net: net, Opt: opt,
 		img: img, lbl: lbl, centers: centers,
-		sampleSeed: sampleSeed, batch: batchPerRound, workers: workers,
+		sampleSeed: sampleSeed, batch: batchPerRound, width: width, workers: workers,
 		round: round, losses: losses,
 		batchCenters: make([][3]int, batchPerRound),
 		sampleLoss:   make([]float64, batchPerRound),
 		// Dirty is fine: every round's backward passes overwrite every row,
 		// and packs the plan before reading it.
 		grads: tensor.GetFloats(batchPerRound * len(net.params)),
-		plan:  net.newTrainPlan(),
+		plan:  net.borrowTrainPlan(width),
 	}, nil
 }
 
@@ -135,8 +141,12 @@ func (t *DistTrainer) Release() {
 	t.grads = nil
 	t.centers.release()
 	t.plan.release()
-	for _, ts := range t.scratch {
-		ts.release()
+	for _, chunk := range t.scratch {
+		for _, ts := range chunk {
+			if ts != nil {
+				ts.release()
+			}
+		}
 	}
 	t.scratch = nil
 }
@@ -189,12 +199,23 @@ func (t *DistTrainer) Round(ctx context.Context) (float64, error) {
 	}
 
 	// The batch is sharded over parallel's lanes, not over t.workers: one
-	// chunk of samples per lane, each chunk with a scratch of its own, all
-	// reading the weights packed here. At batch 1 the round runs inline.
+	// chunk of samples per lane, each chunk with scratches of its own for
+	// the widths its steps run at, all reading the weights packed here. At
+	// batch 1 the round runs inline.
 	t.plan.pack(t.Net)
 	w := parallel.Chunks(t.batch)
 	for len(t.scratch) < w {
-		t.scratch = append(t.scratch, t.Net.newTrainScratch(t.plan))
+		t.scratch = append(t.scratch, [2]*trainScratch{})
+	}
+	for c := range w {
+		lo, hi := parallel.Chunk(t.batch, w, c)
+		for i := lo; i < hi; {
+			k := min(t.width, hi-i) // a pair while two are left, at width 2
+			if t.scratch[c][k-1] == nil {
+				t.scratch[c][k-1] = t.Net.borrowTrainScratch(t.plan, k)
+			}
+			i += k
+		}
 	}
 	t.shards = shardTask{t: t, chunks: w}
 	parallel.Invoke(w, &t.shards)
@@ -227,7 +248,7 @@ func (t *DistTrainer) Round(ctx context.Context) (float64, error) {
 }
 
 // shardTask runs chunks [c0, c1) of a round's batch split into chunks
-// pieces, chunk c on scratch c, sample i writing row i of the gradient
+// pieces, chunk c on its scratches, sample i writing row i of the gradient
 // matrix. It lives in the trainer, so a round's fan-out allocates nothing.
 type shardTask struct {
 	t      *DistTrainer
@@ -238,11 +259,15 @@ func (s *shardTask) Run(c0, c1 int) {
 	t := s.t
 	p := len(t.Net.params)
 	for c := c0; c < c1; c++ {
-		ts := t.scratch[c]
 		lo, hi := parallel.Chunk(t.batch, s.chunks, c)
-		for i := lo; i < hi; i++ {
-			ts.extract(t.img, t.lbl, t.Net.cfg.FOV, t.batchCenters[i])
-			t.sampleLoss[i] = t.Net.exampleGrad(ts, ts.img, ts.lab, t.grads[i*p:(i+1)*p])
+		for i := lo; i < hi; {
+			k := min(t.width, hi-i)
+			ts := t.scratch[c][k-1]
+			for slot := range k {
+				ts.extract(slot, t.img, t.lbl, t.Net.cfg.FOV, t.batchCenters[i+slot])
+			}
+			t.Net.exampleGrads(ts, t.grads[i*p:(i+k)*p], t.sampleLoss[i:i+k])
+			i += k
 		}
 	}
 }

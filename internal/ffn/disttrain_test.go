@@ -341,8 +341,12 @@ func borrowed(tr *DistTrainer) (ptrs map[*float32]bool, lens []int) {
 		ptrs[(*float32)(unsafe.Pointer(&idx[0]))] = true
 		lens = append(lens, len(idx))
 	}
-	for _, ts := range tr.scratch {
-		add(ts.slab)
+	for _, chunk := range tr.scratch {
+		for _, ts := range chunk {
+			if ts != nil {
+				add(ts.slab)
+			}
+		}
 	}
 	return ptrs, lens
 }
@@ -350,7 +354,8 @@ func borrowed(tr *DistTrainer) (ptrs map[*float32]bool, lens []int) {
 // TestDistTrainerAllocBound: a second trainer of the same geometry, built
 // after the first was released, borrows the very arrays the first gave back
 // — the batch x P gradient matrix, the center index, the lane weights, each
-// chunk's slab —
+// chunk's slab (paired where the host pairs: two chunks of four samples
+// train two pairs each) —
 // and allocates less than any one of the big ones. The second trains on
 // different labels: every borrowed length is geometry, never label content.
 func TestDistTrainerAllocBound(t *testing.T) {
@@ -362,7 +367,7 @@ func TestDistTrainerAllocBound(t *testing.T) {
 	if len(had) != 5 {
 		t.Fatalf("first trainer holds %d borrowed arrays, want matrix + center index + lane weights + 2 slabs", len(had))
 	}
-	matrixBytes, slabBytes := uint64(4*len(first.grads)), uint64(4*len(first.scratch[0].slab))
+	matrixBytes, slabBytes := uint64(4*len(first.grads)), uint64(4*len(first.scratch[0][first.width-1].slab))
 	firstPos := len(first.centers.pos)
 	first.Release()
 	if first.grads != nil || first.centers.buf != nil || first.centers.pos != nil || first.plan.w != nil || first.scratch != nil {
@@ -517,4 +522,139 @@ func TestGradMatrixBound(t *testing.T) {
 		t.Fatalf("checkpoint at the limit: %v", err)
 	}
 	_ = tr
+}
+
+// TestPairedTrainingMatchesWidthOne: training two examples per buffer moves
+// no bit. At forced widths 1 and 2 (the Go twins serve width 2 where the
+// AVX-512F kernels do not run), at 1, 2 and 8 lanes and batches 1, 2, 3,
+// 16 and 17 — chunks of one, even chunks and odd ones, whose last sample
+// trains alone — every run has the losses, the gradient matrix and the
+// checkpoint bytes of the width-1 run on one lane, over zeroed memory and
+// over borrowed arrays full of NaN alike.
+func TestPairedTrainingMatchesWidthOne(t *testing.T) {
+	defer parallel.SetWorkers(parallel.SetWorkers(0))
+	defer func(prev int) { forceWidth = prev }(forceWidth)
+	img, lbl := buildARScene(t, 6)
+	newTrainer := func(batch int) *DistTrainer {
+		net, err := NewNetwork(smallConfig(), 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := NewDistTrainer(net, 0.05, 0.9, img, lbl, 77, batch, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	for _, batch := range []int{1, 2, 3, 16, 17} {
+		var wantLosses []float64
+		var wantGrads []float32
+		var wantCkpt []byte
+		for _, width := range []int{1, 2} {
+			forceWidth = width
+			for _, lanes := range []int{1, 2, 8} {
+				parallel.SetWorkers(lanes)
+				probe := newTrainer(batch)
+				runRounds(t, probe, 1)
+				_, lens := borrowed(probe)
+				probe.Release()
+				for _, dirty := range []bool{false, true} {
+					name := fmt.Sprintf("batch %d, width %d, %d lanes, dirty=%v", batch, width, lanes, dirty)
+					stockFreeList(lens, !dirty)
+					tr := newTrainer(batch)
+					if want := min(width, batch); tr.width != want {
+						t.Fatalf("%s: trainer width %d, want %d", name, tr.width, want)
+					}
+					if math.IsNaN(float64(tr.grads[0])) != dirty {
+						t.Fatalf("%s: borrowed a gradient matrix starting with %v", name, tr.grads[0])
+					}
+					runRounds(t, tr, 3)
+					losses, grads, ckpt := tr.Losses(), tr.grads, tr.CheckpointBytes()
+					if wantLosses == nil {
+						wantLosses = append([]float64(nil), losses...)
+						wantGrads = append([]float32(nil), grads...)
+						wantCkpt = ckpt
+						tr.Release()
+						continue
+					}
+					for r, l := range losses {
+						if math.Float64bits(l) != math.Float64bits(wantLosses[r]) {
+							t.Fatalf("%s: round %d loss %v, width 1 on one lane %v", name, r, l, wantLosses[r])
+						}
+					}
+					for i, g := range grads {
+						if math.Float32bits(g) != math.Float32bits(wantGrads[i]) {
+							t.Fatalf("%s: gradient matrix float %d (row %d) = %v, width 1 on one lane %v",
+								name, i, i/tr.Net.ParamCount(), g, wantGrads[i])
+						}
+					}
+					if !bytes.Equal(ckpt, wantCkpt) {
+						t.Fatalf("%s: checkpoint bytes differ from width 1 on one lane", name)
+					}
+					tr.Release()
+				}
+			}
+		}
+	}
+}
+
+// TestPairedSlabHeldToTheScratchCap: a trainer pairs only where its paired
+// slab, twice TrainScratchLen, fits maxGradElems, the same 64M-element
+// ceiling api holds TrainScratchLen to, so pairing refuses no request and
+// borrows no array past it. Batch 1 never pairs.
+func TestPairedSlabHeldToTheScratchCap(t *testing.T) {
+	defer func(prev int) { forceWidth = prev }(forceWidth)
+	forceWidth = 2
+	small := smallConfig()
+	big := DefaultConfig()
+	big.FOV, big.Modules = [3]int{57, 57, 57}, 16 // a scratch between 32M and 64M elements
+	if n := big.TrainScratchLen(); n <= maxGradElems/2 || n > maxGradElems {
+		t.Fatalf("test geometry: %d-element scratch", n)
+	}
+	for _, c := range []struct {
+		cfg   Config
+		batch int
+		want  int
+	}{{small, 16, 2}, {small, 2, 2}, {small, 1, 1}, {big, 16, 1}} {
+		if got := c.cfg.trainWidth(c.batch); got != c.want {
+			t.Errorf("FOV %v, %d modules, batch %d: width %d, want %d", c.cfg.FOV, c.cfg.Modules, c.batch, got, c.want)
+		}
+		if got := c.cfg.TrainSlabLen(c.batch); got != c.want*c.cfg.TrainScratchLen() || got > maxGradElems {
+			t.Errorf("FOV %v, batch %d: slab %d elements", c.cfg.FOV, c.batch, got)
+		}
+	}
+}
+
+// BenchmarkDistTrainRound times one round of the bench's train_dist job
+// shape: the 3x7x7, 6-feature, 2-module net, 16 samples per round from
+// the AR scene, over the lanes -cpu gives (run it with -cpu 1,2), at
+// widths 1 and 2 (forceWidth; width 2 is the Go twins' where the AVX-512F
+// kernels do not run). ns/example is per sample.
+func BenchmarkDistTrainRound(b *testing.B) {
+	defer func(prev int) { forceWidth = prev }(forceWidth)
+	img, lbl := buildARScene(b, 6)
+	const batch = 16
+	for _, width := range []int{1, 2} {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			forceWidth = width
+			net, err := NewNetwork(smallConfig(), 7)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tr, err := NewDistTrainer(net, 0.05, 0.9, img, lbl, 1, batch, 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer tr.Release()
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := tr.Round(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(batch*b.N), "ns/example")
+		})
+	}
 }

@@ -14,9 +14,10 @@
 // gradient, the optimizer's momentum and the serialized model are the same
 // vector shape, so saving, checkpointing, the all-reduce and the optimizer
 // step are each one pass over a slice. There is one trainer, DistTrainer: a
-// round runs exampleGrad (forward and backward on the flood's channel-lane
-// engine over a reusable trainScratch, writing one gradient row) per
-// sample, averages the rows and applies step.
+// round runs exampleGrads (forward and backward on the flood's channel-lane
+// engine over a reusable trainScratch, one example or a pair per call,
+// writing one gradient row each) over its samples, averages the rows and
+// applies step.
 //
 // A network not owned by a trainer is immutable. Only a trainer's step
 // writes weights, and only on the network it was given; everything else —
@@ -227,21 +228,26 @@ func (cfg *Config) laneWeightLens() (wIn, wMod int) {
 // trainPlan is what every shard of a training round reads besides its
 // scratch: w holds the 3x3x3 layers' lane weights (packLaneWeights), then
 // each module's two input-gradient forms (tensor.PackLaneWeights33Flipped:
-// w1's, then w2's), and spans lists every FOV row in full. A trainer
-// borrows w once and packs it once per round, before the fan-out — weights
-// change only in step — and every shard reads it, as a flood's lanes read
-// its floodPlan.
+// w1's, then w2's), and, in a plan for paired training, all of that again
+// in paired form (tensor.PairLaneWeights); spans lists every FOV row in
+// full. A trainer borrows w once and packs it once per round, before the
+// fan-out — weights change only in step — and every shard reads it, as a
+// flood's lanes read its floodPlan.
 type trainPlan struct {
 	w     []float32
+	n     int // the length of the width-1 form at the front of w
 	spans []int32
 }
 
-// newTrainPlan borrows an unpacked plan for n's geometry.
-func (n *Network) newTrainPlan() *trainPlan {
+// borrowTrainPlan borrows an unpacked plan for n's geometry that serves
+// training at widths up to width (1 or 2).
+func (n *Network) borrowTrainPlan(width int) *trainPlan {
 	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
 	wIn, wMod := n.cfg.laneWeightLens()
+	one := wIn + 4*len(n.mods)*wMod
 	p := &trainPlan{
-		w:     tensor.GetFloats(wIn + 4*len(n.mods)*wMod),
+		w:     tensor.GetFloats((2*width - 1) * one),
+		n:     one,
 		spans: make([]int32, 2*d*h),
 	}
 	for r := 0; r < d*h; r++ {
@@ -253,21 +259,36 @@ func (n *Network) newTrainPlan() *trainPlan {
 // pack writes n's current weights into the plan.
 func (p *trainPlan) pack(n *Network) {
 	wIn, wMod := n.cfg.laneWeightLens()
-	n.packLaneWeights(p.w)
-	flipped := p.w[wIn+2*len(n.mods)*wMod:]
+	one := p.w[:p.n]
+	n.packLaneWeights(one)
+	flipped := one[wIn+2*len(n.mods)*wMod:]
 	for _, m := range n.mods {
 		tensor.PackLaneWeights33Flipped(flipped, m.w1)
 		tensor.PackLaneWeights33Flipped(flipped[wMod:], m.w2)
 		flipped = flipped[2*wMod:]
 	}
+	if paired := p.w[p.n:]; len(paired) > 0 {
+		copy(paired, one)
+		tensor.PairLaneWeights(paired)
+	}
+}
+
+// weights returns the plan's lane weights at width, in pack's order.
+func (p *trainPlan) weights(width int) []float32 {
+	if width == 2 {
+		return p.w[p.n:]
+	}
+	return p.w[:p.n]
 }
 
 // module returns module i's two forward lane weights and their
-// input-gradient forms.
-func (p *trainPlan) module(cfg *Config, i int) (w1, w2, t1, t2 []float32) {
+// input-gradient forms at width.
+func (p *trainPlan) module(cfg *Config, i, width int) (w1, w2, t1, t2 []float32) {
 	wIn, wMod := cfg.laneWeightLens()
-	fwd := p.w[wIn+2*i*wMod:]
-	bwd := p.w[wIn+2*(cfg.Modules+i)*wMod:]
+	wIn, wMod = width*wIn, width*wMod
+	all := p.weights(width)
+	fwd := all[wIn+2*i*wMod:]
+	bwd := all[wIn+2*(cfg.Modules+i)*wMod:]
 	return fwd[:wMod], fwd[wMod : 2*wMod], bwd[:wMod], bwd[wMod : 2*wMod]
 }
 
@@ -277,50 +298,97 @@ func (p *trainPlan) release() {
 	p.w = nil
 }
 
-// trainScratch holds every buffer one training example needs besides the
+// trainScratch holds every buffer one training step needs besides the
 // weights, so steady-state training allocates nothing. One scratch serves
 // one goroutine, and the network is only read through it.
 //
-// The example stays in the flood's zero-padded, channel-blocked layout
-// (floodLayouts) from its input to its weight gradients: the input, whose
-// seed POM lane is written once, every layer's post-activation, and the
-// gradients flowing back. Every buffer is a view into one slab borrowed
-// from the tensor free list — a training job trains a Network of its own,
-// so memory hanging off the Network would always be cold, while the slab
-// of the previous job of this geometry is not. The slab comes back dirty:
-// newTrainScratch writes the padding shells and the POM lane, and each
-// example writes every interior it reads. release hands the slab back; a
-// scratch that is never released is ordinary garbage.
+// A step trains width examples (1 or 2), each in a slot of the flood's
+// zero-padded, channel-blocked layout at that width (floodLayouts) from its
+// input to its weight gradients: the input, whose seed POM lanes are
+// written once, every layer's post-activation, and the gradients flowing
+// back. Every buffer is a view into one slab borrowed from the tensor free
+// list — a training job trains a Network of its own, so memory hanging off
+// the Network would always be cold, while the slab of the previous job of
+// this geometry is not. The slab comes back dirty: borrowTrainScratch
+// writes the padding shells and the POM lanes, and each step writes every
+// interior it reads. release hands the slab back; a scratch that is never
+// released is ordinary garbage.
 type trainScratch struct {
-	slab []float32
-	plan *trainPlan // the trainer's, packed for the current round
+	slab  []float32
+	plan  *trainPlan // the trainer's, packed for the current round
+	width int        // examples per step and slots per Blocked buffer
 
-	in   []float32   // Blocked input: image lane per example, seed POM lane
+	in   []float32   // Blocked input: an image lane per example, a seed POM lane
 	acts [][]float32 // Blocked post-activations: the input layer's, then each module's hidden and output
 	// Blocked gradients: the running one, the next, and a module's hidden.
 	gradCur, gradPrev, gradHid []float32
 
-	tensors                     [4]tensor.Tensor // backing array of the four views below
-	img, lab, delta, gradLogits *tensor.Tensor   // (1,D,H,W) FOV extracts, logits and their gradient
-	g                           paramViews       // gradient views, bound to the row being written
+	slots [2]trainSlot // the first width are in use
+}
+
+// trainSlot is one example's share of a trainScratch: its (1,D,H,W) FOV
+// extracts, its logits and their gradient, and the gradient views, bound
+// to the row the example writes.
+type trainSlot struct {
+	img, lab, delta, gradLogits tensor.Tensor
+	g                           paramViews
 }
 
 // TrainScratchLen is the length of the slab one training scratch of cfg's
-// geometry borrows, per lane of a trainer: with P padded and V interior FOV
-// positions and L = Features rounded up to whole vectors, the 2-channel
-// input (2P), 2*Modules+1 activations and three gradients (L*P each) and
-// four FOV tensors (V each).
+// geometry borrows at width 1: with P padded and V interior FOV positions
+// and L = Features rounded up to whole vectors, the 2-channel input (2P),
+// 2*Modules+1 activations and three gradients (L*P each) and four FOV
+// tensors (V each). A paired scratch borrows twice as much (TrainSlabLen).
 func (cfg *Config) TrainScratchLen() int {
 	li, lx := cfg.floodLayouts(1)
 	return li.Len() + (2*cfg.Modules+4)*lx.Len() + 4*li.D*li.H*li.W
 }
 
-// newTrainScratch is the one scratch constructor: every trainer's forward
-// and backward buffers come from here. plan is the trainer's.
-func (n *Network) newTrainScratch(plan *trainPlan) *trainScratch {
+// TrainSlabLen is the length of the longest slab one lane of a trainer of
+// cfg's geometry at batch examples per round borrows: TrainScratchLen, or
+// twice it where the lane trains two examples per buffer, which trainWidth
+// allows only while that stays within maxGradElems.
+func (cfg *Config) TrainSlabLen(batch int) int {
+	return cfg.trainWidth(batch) * cfg.TrainScratchLen()
+}
+
+// trainWidth is the width a trainer of cfg's geometry at batch examples
+// per round trains the pairs of a chunk at: two examples per buffer where
+// floodWidth would pair (the AVX-512F kernels run, or forceWidth says so),
+// the batch can fill a pair, and a paired slab, twice TrainScratchLen,
+// stays within maxGradElems, api's ceiling on any one working array of a
+// job; else one. A chunk's odd example out trains alone at width 1.
+func (cfg *Config) trainWidth(batch int) int {
+	if batch < 2 || cfg.TrainScratchLen() > maxGradElems/2 {
+		return 1
+	}
+	return floodWidth(0)
+}
+
+// trainWork counts one training example's conv work at cfg's geometry,
+// every layer at every FOV position: the vector multiply-adds the
+// channel-lane engine issues for the forward pass (the 3x3x3 layers), the
+// input gradients (each module's two convs; nothing reads the input
+// layer's) and the weight gradients (every 3x3x3 layer: per output group,
+// input channel and tap, one vector per position), whose lanes past
+// Features idle. 8-lane vectors at width 1; at width 2, half as many
+// 16-lane ones per example, each serving two.
+func (cfg *Config) trainWork(width int) (vectors int) {
+	f, m := cfg.Features, cfg.Modules
+	perTap := cfg.FOV[0] * cfg.FOV[1] * cfg.FOV[2] * tensor.LaneChannels(f) / 8 * 27
+	forward := perTap * (2 + 2*m*f)
+	inputGrads := perTap * 2 * m * f
+	weightGrads := perTap * (2 + 2*m*f)
+	return (forward + inputGrads + weightGrads) / width
+}
+
+// borrowTrainScratch is the one scratch constructor: every trainer's
+// forward and backward buffers at width come from here. plan is the
+// trainer's and must serve width.
+func (n *Network) borrowTrainScratch(plan *trainPlan, width int) *trainScratch {
 	cfg := &n.cfg
-	li, lx := cfg.floodLayouts(1)
-	ts := &trainScratch{slab: tensor.GetFloats(cfg.TrainScratchLen()), plan: plan, g: newParamViews(*cfg)}
+	li, lx := cfg.floodLayouts(width)
+	ts := &trainScratch{slab: tensor.GetFloats(width * cfg.TrainScratchLen()), plan: plan, width: width}
 	free := ts.slab
 	next := func(size int) []float32 {
 		s := free[:size:size]
@@ -329,7 +397,7 @@ func (n *Network) newTrainScratch(plan *trainPlan) *trainScratch {
 	}
 	ts.in = next(li.Len())
 	li.ClearShell(ts.in)
-	cfg.fillSeedPOMLane(ts.in, li, 1)
+	cfg.fillSeedPOMLane(ts.in, li, width)
 	blocked := func() []float32 {
 		b := next(lx.Len())
 		lx.ClearShell(b)
@@ -339,10 +407,13 @@ func (n *Network) newTrainScratch(plan *trainPlan) *trainScratch {
 		ts.acts = append(ts.acts, blocked())
 	}
 	ts.gradCur, ts.gradPrev, ts.gradHid = blocked(), blocked(), blocked()
-	shape := []int{1, li.D, li.H, li.W} // shared by the four views; nothing writes it
-	for i, t := range [4]**tensor.Tensor{&ts.img, &ts.lab, &ts.delta, &ts.gradLogits} {
-		ts.tensors[i] = tensor.Tensor{Shape: shape, Data: next(li.D * li.H * li.W)}
-		*t = &ts.tensors[i]
+	shape := []int{1, li.D, li.H, li.W} // shared by every slot's views; nothing writes it
+	for s := range width {
+		sl := &ts.slots[s]
+		for _, t := range [4]*tensor.Tensor{&sl.img, &sl.lab, &sl.delta, &sl.gradLogits} {
+			*t = tensor.Tensor{Shape: shape, Data: next(li.D * li.H * li.W)}
+		}
+		sl.g = newParamViews(*cfg)
 	}
 	if len(free) != 0 {
 		panic(fmt.Sprintf("ffn: %d floats of a training slab left over", len(free)))
@@ -356,90 +427,133 @@ func (ts *trainScratch) release() {
 	tensor.PutFloats(ts.slab)
 	ts.slab, ts.in, ts.acts = nil, nil, nil
 	ts.gradCur, ts.gradPrev, ts.gradHid = nil, nil, nil
-	for i := range ts.tensors {
-		ts.tensors[i].Data = nil
+	for s := range ts.slots {
+		sl := &ts.slots[s]
+		sl.img.Data, sl.lab.Data, sl.delta.Data, sl.gradLogits.Data = nil, nil, nil, nil
 	}
 }
 
 // extract copies the example centered at c out of a labelled volume into
-// the scratch's FOV tensors.
-func (ts *trainScratch) extract(image, labels *Volume, fov [3]int, c [3]int) {
-	extractFOVInto(ts.img, image, fov, c[0], c[1], c[2])
-	extractFOVInto(ts.lab, labels, fov, c[0], c[1], c[2])
+// slot s's FOV tensors.
+func (ts *trainScratch) extract(s int, image, labels *Volume, fov [3]int, c [3]int) {
+	sl := &ts.slots[s]
+	extractFOVInto(&sl.img, image, fov, c[0], c[1], c[2])
+	extractFOVInto(&sl.lab, labels, fov, c[0], c[1], c[2])
 }
 
-// exampleGrad runs forward+backward on one FOV example — image and label
-// are (1,D,H,W) FOV tensors, the POM starts from the seed state — writing
-// the parameter gradient into row (len ParamCount, canonical order,
-// overwritten) and returning the BCE loss. It only reads the weights (in
-// ts.plan's lane form, and wOut), so workers with their own scratch may
-// call it concurrently; it runs on the calling goroutine.
+// conv returns the weights and bias of 3x3x3 layer k in canonical order:
+// the input layer, then each module's two.
+func (v *paramViews) conv(k int) (w, b []float32) {
+	if k == 0 {
+		return v.wIn.Data, v.bIn
+	}
+	m := v.mods[(k-1)/2]
+	if k%2 == 1 {
+		return m.w1.Data, m.b1
+	}
+	return m.w2.Data, m.b2
+}
+
+// exampleGrads runs forward+backward on ts.width FOV examples at once —
+// slot s's image and label extracted into ts.slots[s], the POM starting
+// from the seed state — writing slot s's parameter gradient into row s of
+// rows (ts.width rows of ParamCount, canonical order, overwritten) and its
+// BCE loss into losses[s]. It only reads the weights (in ts.plan's lane
+// form, and wOut), so workers with their own scratch may call it
+// concurrently; it runs on the calling goroutine.
 //
 // Every step is the channel-lane engine's, and each value is the one the
-// planar scalar-order chain computes (planar_test.go holds it to that bit
-// for bit): the forward pass is the flood's at full-FOV spans; a ReLU's
-// backward masks by its post-activation (tensor.MaskReLUGrad); each input
-// gradient is a ConvLanes33 with the flipped weights, the skip gradient as
-// its residual; and tensor.ConvLanesGradW33 sums the weight and bias
-// gradients.
-func (n *Network) exampleGrad(ts *trainScratch, image, label *tensor.Tensor, row []float32) float64 {
+// planar scalar-order chain computes for that example alone (planar_test.go
+// holds width 1 to it bit for bit, and the paired tests hold width 2 to
+// width 1): the forward pass is the flood's at full-FOV spans; a ReLU's
+// backward masks by its post-activation (tensor.MaskReLUGrad, lane by
+// lane); each input gradient is a ConvLanes33 with the flipped weights, the
+// skip gradient as its residual; and tensor.ConvLanesGradW33 sums the
+// weight and bias gradients. At width 2 the convs are the paired calls,
+// each slot in its own lanes, and the logit layer, the loss and the logit
+// layer's backward run one slot at a time.
+func (n *Network) exampleGrads(ts *trainScratch, rows []float32, losses []float64) {
 	cfg := &n.cfg
 	f := cfg.Features
-	li, lx := cfg.floodLayouts(1)
+	width := ts.width
+	li, lx := cfg.floodLayouts(width)
 	plan, full, acts := ts.plan, ts.plan.spans, ts.acts
 	wIn, _ := cfg.laneWeightLens()
+	conv, convIn := tensor.ConvLanes33ReLU, tensor.ConvLanes33
+	if width == 2 {
+		conv, convIn = tensor.ConvLanes33ReLUx2, tensor.ConvLanes33x2
+	}
+	// gradW writes 3x3x3 layer k's weight and bias gradients into every
+	// slot's row.
+	gradW := func(k int, in []float32, li tensor.Blocked, cin int, g []float32) {
+		var gw, gb [2][]float32
+		for s := range width {
+			gw[s], gb[s] = ts.slots[s].g.conv(k)
+		}
+		if width == 2 {
+			tensor.ConvLanesGradW33x2(gw, gb, in, li, cin, g, lx, f)
+		} else {
+			tensor.ConvLanesGradW33(gw[0], gb[0], in, li, cin, g, lx, f)
+		}
+	}
 
-	for z := 0; z < li.D; z++ {
-		for y := 0; y < li.H; y++ {
-			src := image.Data[(z*li.H+y)*li.W:][:li.W]
-			dst := ts.in[li.Pos(z, y, 0):]
-			for x, v := range src {
-				dst[x*li.C] = v
+	for s := range width {
+		image := ts.slots[s].img.Data
+		for z := 0; z < li.D; z++ {
+			for y := 0; y < li.H; y++ {
+				src := image[(z*li.H+y)*li.W:][:li.W]
+				dst := ts.in[li.Pos(z, y, 0)+s:]
+				for x, v := range src {
+					dst[x*li.C] = v
+				}
 			}
 		}
 	}
-	tensor.ConvLanes33ReLU(acts[0], lx, ts.in, li, 2, plan.w[:wIn], nil, full)
+	conv(acts[0], lx, ts.in, li, 2, plan.weights(width)[:width*wIn], nil, full)
 	for i := range n.mods {
-		w1, w2, _, _ := plan.module(cfg, i)
+		w1, w2, _, _ := plan.module(cfg, i, width)
 		in, hid, out := acts[2*i], acts[2*i+1], acts[2*i+2]
-		tensor.ConvLanes33ReLU(hid, lx, in, lx, f, w1, nil, full)
-		tensor.ConvLanes33ReLU(out, lx, hid, lx, f, w2, in, full) // residual connection
+		conv(hid, lx, in, lx, f, w1, nil, full)
+		conv(out, lx, hid, lx, f, w2, in, full) // residual connection
 	}
 	last := acts[len(acts)-1]
-	n.logitsAt(ts.delta.Data, last, lx, 1, full)
-	loss := tensor.LogitBCEInto(ts.gradLogits, ts.delta, label, nil)
+	p := len(n.params)
+	for s := range width {
+		sl := &ts.slots[s]
+		n.logitsAt(sl.delta.Data, last[s:], lx, width, full)
+		losses[s] = tensor.LogitBCEInto(&sl.gradLogits, &sl.delta, &sl.lab, nil)
+		sl.g.bind(rows[s*p:][:p])
+		n.logitsBackward(ts.gradCur[s:], lx, width, sl.g.wOut.Data, sl.g.bOut, last[s:], sl.gradLogits.Data)
+	}
 
-	ts.g.bind(row)
-	g := &ts.g
-	n.logitsBackward(ts.gradCur, lx, g.wOut.Data, g.bOut, last, ts.gradLogits.Data)
 	cur, next := ts.gradCur, ts.gradPrev
 	for i := len(n.mods) - 1; i >= 0; i-- {
-		_, _, t1, t2 := plan.module(cfg, i)
+		_, _, t1, t2 := plan.module(cfg, i, width)
 		in, hid, out := acts[2*i], acts[2*i+1], acts[2*i+2]
-		gm := g.mods[i]
 		// Through the module's output ReLU; the gradient flows both into the
 		// conv2 branch and down the skip path.
 		tensor.MaskReLUGrad(cur, out, lx)
-		tensor.ConvLanesGradW33(gm.w2.Data, gm.b2, hid, lx, f, cur, lx, f)
-		tensor.ConvLanes33(ts.gradHid, lx, cur, lx, f, t2, nil, full)
+		gradW(2*i+2, hid, lx, f, cur)
+		convIn(ts.gradHid, lx, cur, lx, f, t2, nil, full)
 		tensor.MaskReLUGrad(ts.gradHid, hid, lx)
-		tensor.ConvLanesGradW33(gm.w1.Data, gm.b1, in, lx, f, ts.gradHid, lx, f)
-		tensor.ConvLanes33(next, lx, ts.gradHid, lx, f, t1, cur, full) // plus the skip connection
+		gradW(2*i+1, in, lx, f, ts.gradHid)
+		convIn(next, lx, ts.gradHid, lx, f, t1, cur, full) // plus the skip connection
 		cur, next = next, cur
 	}
 	tensor.MaskReLUGrad(cur, acts[0], lx)
 	// Nothing reads the gradient with respect to the input.
-	tensor.ConvLanesGradW33(g.wIn.Data, g.bIn, ts.in, li, 2, cur, lx, f)
-	return loss
+	gradW(0, ts.in, li, 2, cur)
 }
 
-// logitsBackward is the 1x1x1 logit layer's backward, in the scalar conv's
-// order with each product rounded on its own: the bias gradient gb sums gl
-// over the positions, each feature's weight gradient gw[c] is a dot
-// product of gl with that feature, and the gradient with respect to the
-// last activation act, written to the interior of grad (layout lay, the
-// lanes past Features zero), is 0 + w[c]*gl at each position.
-func (n *Network) logitsBackward(grad []float32, lay tensor.Blocked, gw, gb, act, gl []float32) {
+// logitsBackward is the 1x1x1 logit layer's backward for one slot, in the
+// scalar conv's order with each product rounded on its own: the bias
+// gradient gb sums gl over the positions, each feature's weight gradient
+// gw[c] is a dot product of gl with that feature, and the gradient with
+// respect to the last activation act, written to the slot's lanes of the
+// interior of grad (layout lay at width, grad and act starting at the
+// slot's channel 0; the lanes past Features zero), is 0 + w[c]*gl at each
+// position.
+func (n *Network) logitsBackward(grad []float32, lay tensor.Blocked, width int, gw, gb, act, gl []float32) {
 	wOut := n.wOut.Data
 	var sb float32
 	for _, v := range gl {
@@ -459,20 +573,22 @@ func (n *Network) logitsBackward(grad []float32, lay tensor.Blocked, gw, gb, act
 		var s float32
 		rows(func(p, o int) {
 			for x, v := range gl[p:][:lay.W] {
-				s += float32(v * act[o+x*lay.C+c])
+				s += float32(v * act[o+x*lay.C+width*c])
 			}
 		})
 		gw[c] = s
 	}
 	rows(func(p, o int) {
 		for x, v := range gl[p:][:lay.W] {
-			a := grad[o+x*lay.C:][:lay.C]
+			a := grad[o+x*lay.C:]
 			for c, wv := range wOut {
 				var s float32
 				s += float32(wv * v)
-				a[c] = s
+				a[width*c] = s
 			}
-			clear(a[len(wOut):])
+			for c := len(wOut); c < lay.C/width; c++ {
+				a[width*c] = 0
+			}
 		}
 	})
 }

@@ -93,8 +93,29 @@ func TestApplyShapes(t *testing.T) {
 	}
 }
 
+// newTrainPlan borrows a width-1 training plan: the tests' one-example
+// reference chain.
+func (n *Network) newTrainPlan() *trainPlan { return n.borrowTrainPlan(1) }
+
+// newTrainScratch borrows a width-1 training scratch on plan.
+func (n *Network) newTrainScratch(plan *trainPlan) *trainScratch {
+	return n.borrowTrainScratch(plan, 1)
+}
+
+// exampleGrad is exampleGrads on one example of a width-1 scratch, its
+// image and label given as (1,D,H,W) FOV tensors: the row it writes and the
+// loss it returns are those a Round's step gives that example.
+func (n *Network) exampleGrad(ts *trainScratch, image, label *tensor.Tensor, row []float32) float64 {
+	sl := &ts.slots[0]
+	copy(sl.img.Data, image.Data)
+	copy(sl.lab.Data, label.Data)
+	var loss [1]float64
+	n.exampleGrads(ts, row, loss[:])
+	return loss[0]
+}
+
 // refStep is one SGD step on one FOV example, built from the two pieces every
-// Round runs: exampleGrad, then step. It is the reference a batch-1 Round is
+// Round runs: exampleGrads, then step. It is the reference a batch-1 Round is
 // held to bit for bit (TestBatchOneRoundIsTrainStep).
 func refStep(n *Network, opt *tensor.SGD, image, label *tensor.Tensor) float64 {
 	plan := n.newTrainPlan()
@@ -135,7 +156,7 @@ func TestTrainStepReducesLossOnFixedExample(t *testing.T) {
 
 // buildARScene produces a small synthetic IVT scene with labels: image and
 // binary labels from the merra generator at test scale.
-func buildARScene(t *testing.T, steps int) (*Volume, *Volume) {
+func buildARScene(t testing.TB, steps int) (*Volume, *Volume) {
 	t.Helper()
 	g := merra.Grid{NLon: 36, NLat: 24, NLev: 6}
 	gen := merra.NewGenerator(g, 11)

@@ -85,9 +85,9 @@ func floodWidth(budget int) int {
 	return 1
 }
 
-// forceWidth, when nonzero, is every flood's width: the tests run both
-// widths on any host, the Go twin serving width 2 where the AVX-512F kernel
-// does not run.
+// forceWidth, when nonzero, is every flood's width and the width of every
+// trainer that may pair (trainWidth): the tests run both widths on any
+// host, the Go twins serving width 2 where the AVX-512F kernels do not run.
 var forceWidth int
 
 // readSpansLen is the length of readSpans' output: a [lo, hi) pair per FOV

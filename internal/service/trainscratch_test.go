@@ -14,28 +14,45 @@ import (
 // scratch is held to api's 64M-element limit, and api's restated length is
 // the one ffn borrows (ffn.Config.TrainScratchLen). Around the limit, at a
 // default-feature net of 16 modules, validation accepts exactly the FOVs
-// whose kernel scratch fits; the 29^3 x 256-feature x 16-module net, whose
-// scratch is over a gigabyte per lane, is refused inline; and a checkpoint
-// of a net the flood's caps accept but training's do not fails its
-// resume_from job as invalid before a trainer is built.
+// whose kernel scratch fits, at batch 1 and at a batch that pairs, and no
+// accepted job's lane borrows a slab past the limit: where a lane trains
+// two examples per buffer its slab is twice the scratch
+// (ffn.Config.TrainSlabLen), so those nets train unpaired. The 29^3 x
+// 256-feature x 16-module net, whose scratch is over a gigabyte per lane,
+// is refused inline; and a checkpoint of a net the flood's caps accept but
+// training's do not fails its resume_from job as invalid before a trainer
+// is built.
 func TestTrainScratchCapMatchesKernel(t *testing.T) {
 	const limit = 64 << 20
 	refused := 0
 	for _, d := range []int{55, 57, 59, 61} {
-		nc := api.NetConfig{FOV: [3]int{d, d, d}, Modules: 16}
-		cfg := netConfig(&nc)
-		req := distRequest(1, 1)
-		req.TrainDist.Net, req.TrainDist.BatchPerRound = &nc, 1
-		err := req.Validate()
-		if fits := cfg.TrainScratchLen() <= limit; (err == nil) != fits {
-			t.Fatalf("fov %d^3: kernel scratch %d elements, Validate = %v", d, cfg.TrainScratchLen(), err)
-		}
-		if err != nil {
-			refused++
+		for _, batch := range []int{1, 16} {
+			nc := api.NetConfig{FOV: [3]int{d, d, d}, Modules: 16}
+			cfg := netConfig(&nc)
+			req := distRequest(1, 1)
+			req.TrainDist.Net, req.TrainDist.BatchPerRound = &nc, batch
+			err := req.Validate()
+			if fits := cfg.TrainScratchLen() <= limit; (err == nil) != fits {
+				t.Fatalf("fov %d^3, batch %d: kernel scratch %d elements, Validate = %v", d, batch, cfg.TrainScratchLen(), err)
+			}
+			if err != nil {
+				refused++
+			} else if slab := cfg.TrainSlabLen(batch); slab > limit {
+				t.Fatalf("fov %d^3, batch %d: accepted, and a lane borrows a %d-element slab", d, batch, slab)
+			}
 		}
 	}
-	if refused == 0 || refused == 4 {
-		t.Fatalf("%d of 4 FOVs refused: the sweep must straddle the limit", refused)
+	if refused == 0 || refused == 8 {
+		t.Fatalf("%d of 8 requests refused: the sweep must straddle the limit", refused)
+	}
+	// Where the paired slab fits, a batch that can pair does so on a host
+	// with the paired kernels.
+	small := ffn.DefaultConfig()
+	if tensor.PairedLanesActive() && small.TrainSlabLen(16) != 2*small.TrainScratchLen() {
+		t.Fatalf("default net, batch 16: slab %d elements, want the paired %d", small.TrainSlabLen(16), 2*small.TrainScratchLen())
+	}
+	if small.TrainSlabLen(1) != small.TrainScratchLen() {
+		t.Fatalf("default net, batch 1: slab %d elements, want the unpaired %d", small.TrainSlabLen(1), small.TrainScratchLen())
 	}
 
 	huge := distRequest(1, 1)

@@ -122,7 +122,7 @@ func (t *convBwd) unitSpan(oc0, oc1, ic int) {
 	d, h, w := t.d, t.h, t.wd
 	pplane := (h + 2) * (w + 2)
 	geo := gradW33Geom{d: d, h: h, w: w, pplane: pplane, prow: w + 2, istr: 1, gstr: bwdLanes}
-	gradW33Unit(t.gradW, t.pad[ic*(d+2)*pplane:], t.g[oc0*d*h*w:], &geo, oc0, oc1, ic, t.cin, true)
+	gradW33Unit([2][]float32{t.gradW}, [2][]float32{}, t.pad[ic*(d+2)*pplane:], t.g[oc0*d*h*w:], &geo, oc0, oc1, ic, t.cin, 1, true)
 }
 
 // gradW33Geom is where the weight-gradient kernel finds its operands, in
@@ -135,35 +135,64 @@ type gradW33Geom struct {
 	gstr, growSkip, gplaneSkip int
 }
 
-// gradW33Unit computes gradW[oc0:oc1][ic] of a 3x3x3 kernel from in, the
-// padded input of channel ic from its first position, and gT, the
-// gradient's lanes from output channel oc0 of the first position: one
-// convBwdW33 call (convBwdW33Go unless asm) per dz yields the nine (dy, dx)
-// taps of eight output channels, lane l of tap k at acc[k*bwdLanes+l].
-func gradW33Unit(gradW, in, gT []float32, geo *gradW33Geom, oc0, oc1, ic, cin int, asm bool) {
-	var acc [9 * bwdLanes]float32
+// gradW33Unit computes gradW[s][oc0:oc1][ic] of a 3x3x3 kernel for each of
+// width (1 or 2) batch slots s, and gradB[s][oc0:oc1] too unless gradB[0]
+// is nil, from in, the padded input of channel ic from its first position
+// (at width 2 the slot pair of the channel), and gT, the gradient's lanes
+// from output channel oc0 of the first position: one convBwdW33 or
+// convBwdW33x2 call (its Go twin unless asm) per dz yields the nine
+// (dy, dx) taps of eight output channels per slot, lane width*l+s of tap k
+// at acc[k*width*bwdLanes+width*l+s], and the first call the bias lanes.
+func gradW33Unit(gradW, gradB [2][]float32, in, gT []float32, geo *gradW33Geom, oc0, oc1, ic, cin, width int, asm bool) {
+	var acc [9 * 2 * bwdLanes]float32
+	var bacc [2 * bwdLanes]float32
+	vec := width * bwdLanes
 	for dz := 0; dz < 3; dz++ {
 		pin := in[dz*geo.pplane:]
-		if asm {
-			convBwdW33(&acc[0], &pin[0], &gT[0], int64(geo.d), int64(geo.h), int64(geo.w),
+		var bias []float32 // the bias lanes, summed on the first call only
+		var bp *float32
+		if dz == 0 && gradB[0] != nil {
+			bias, bp = bacc[:vec], &bacc[0]
+		}
+		switch {
+		case asm && width == 2:
+			convBwdW33x2(&acc[0], bp, &pin[0], &gT[0], int64(geo.d), int64(geo.h), int64(geo.w),
 				int64(4*geo.pplane), int64(4*geo.prow), int64(4*geo.istr),
 				int64(4*geo.gstr), int64(4*geo.growSkip), int64(4*geo.gplaneSkip))
-		} else {
-			convBwdW33Go(&acc, pin, gT, geo)
+		case asm:
+			convBwdW33(&acc[0], bp, &pin[0], &gT[0], int64(geo.d), int64(geo.h), int64(geo.w),
+				int64(4*geo.pplane), int64(4*geo.prow), int64(4*geo.istr),
+				int64(4*geo.gstr), int64(4*geo.growSkip), int64(4*geo.gplaneSkip))
+		case width == 2:
+			convBwdW33x2Go(&acc, bias, pin, gT, geo)
+		default:
+			convBwdW33Go((*[9 * bwdLanes]float32)(acc[:]), bias, pin, gT, geo)
 		}
-		for oc := oc0; oc < oc1; oc++ {
-			dst := gradW[(oc*cin+ic)*27+dz*9:][:9]
-			for k := range dst {
-				dst[k] = acc[k*bwdLanes+oc-oc0]
+		for s := range width {
+			for oc := oc0; oc < oc1; oc++ {
+				dst := gradW[s][(oc*cin+ic)*27+dz*9:][:9:9]
+				src := acc[width*(oc-oc0)+s:][:8*vec+1]
+				dst[0], dst[1], dst[2] = src[0], src[vec], src[2*vec]
+				dst[3], dst[4], dst[5] = src[3*vec], src[4*vec], src[5*vec]
+				dst[6], dst[7], dst[8] = src[6*vec], src[7*vec], src[8*vec]
+			}
+		}
+	}
+	if gradB[0] != nil {
+		for s := range width {
+			for oc := oc0; oc < oc1; oc++ {
+				gradB[s][oc] = bacc[width*(oc-oc0)+s]
 			}
 		}
 	}
 }
 
 // convBwdW33Go is convBwdW33 in Go, with strides in floats: the same sums
-// in the same (z, y, x) order, each product rounded on its own.
-func convBwdW33Go(acc *[9 * bwdLanes]float32, pin, gT []float32, geo *gradW33Geom) {
+// in the same (z, y, x) order, each product rounded on its own, and the
+// bias lanes' into bias unless it is nil.
+func convBwdW33Go(acc *[9 * bwdLanes]float32, bias, pin, gT []float32, geo *gradW33Geom) {
 	*acc = [9 * bwdLanes]float32{}
+	clear(bias)
 	g := 0
 	for z := 0; z < geo.d; z++ {
 		for y := 0; y < geo.h; y++ {
@@ -176,6 +205,49 @@ func convBwdW33Go(acc *[9 * bwdLanes]float32, pin, gT []float32, geo *gradW33Geo
 					a := acc[k*bwdLanes:][:bwdLanes]
 					for l, gv := range gl {
 						a[l] += float32(v * gv)
+					}
+				}
+				if bias != nil {
+					for l, gv := range gl {
+						bias[l] += gv
+					}
+				}
+			}
+			g += geo.growSkip
+		}
+		g += geo.gplaneSkip
+	}
+}
+
+// convBwdW33x2Go is convBwdW33x2 in Go: convBwdW33Go's sums for two slots,
+// lane 2c+s multiplying slot s's input (pin[s], pin at the pair of channel
+// ic) by gradOut lane 2c+s. A lane's sequence does not depend on any other
+// lane's, so this gives the kernel's bits. Each slot's input is hoisted
+// and multiplied as convBwdW33Go multiplies its own, so the two twins also
+// agree on which NaN a product of two NaNs keeps.
+func convBwdW33x2Go(acc *[9 * 2 * bwdLanes]float32, bias, pin, gT []float32, geo *gradW33Geom) {
+	const vec = 2 * bwdLanes
+	*acc = [9 * vec]float32{}
+	clear(bias)
+	g := 0
+	for z := 0; z < geo.d; z++ {
+		for y := 0; y < geo.h; y++ {
+			row := pin[z*geo.pplane+y*geo.prow:]
+			for x := 0; x < geo.w; x++ {
+				gl := gT[g:][:vec:vec]
+				g += geo.gstr
+				for k := 0; k < 9; k++ {
+					a := acc[k*vec:][:vec]
+					for s := 0; s < 2; s++ {
+						v := row[k/3*geo.prow+(x+k%3)*geo.istr+s]
+						for l := s; l < vec; l += 2 {
+							a[l] += float32(v * gl[l])
+						}
+					}
+				}
+				if bias != nil {
+					for l, gv := range gl {
+						bias[l] += gv
 					}
 				}
 			}

@@ -40,11 +40,13 @@ import (
 // span path is off (SetSpanKernels(false), the nosimd tag, non-amd64, a CPU
 // without AVX2, or without AVX-512F for width 2).
 //
-// Training runs on the same engine at width 1 (internal/ffn's
-// exampleGrad): the forward pass as the flood's, every input gradient as a
-// ConvLanes33 with PackLaneWeights33Flipped weights, the ReLU backward as
-// MaskReLUGrad on the post-activation, and the weight gradients as
-// ConvLanesGradW33.
+// Training runs on the same engine at both widths (internal/ffn's
+// exampleGrads): the forward pass as the flood's, every input gradient as a
+// ConvLanes33 (ConvLanes33x2) with PackLaneWeights33Flipped weights, the
+// ReLU backward as MaskReLUGrad on the post-activation, and the weight
+// gradients as ConvLanesGradW33 (ConvLanesGradW33x2, whose kernel
+// convBwdW33x2 keeps one 16-lane accumulator per tap, lane 2c+s slot s's
+// sum for output channel c).
 
 // laneWidth is how many output channels one vector holds; laneTile is the
 // most positions one convRow33 or convRow33x2 call keeps in registers.
@@ -186,6 +188,12 @@ func ConvLanes33ReLUx2(out []float32, lo Blocked, in []float32, li Blocked, cin 
 // ConvLanes33 is ConvLanes33ReLU without the ReLU: out = conv(in) + res.
 func ConvLanes33(out []float32, lo Blocked, in []float32, li Blocked, cin int, lw, res []float32, spans []int32) {
 	convLanes33(out, lo, in, li, cin, lw, res, spans, float32(math.Inf(-1)), 1)
+}
+
+// ConvLanes33x2 is ConvLanes33 on two batch slots at once, in
+// ConvLanes33ReLUx2's layout and with its paired weights.
+func ConvLanes33x2(out []float32, lo Blocked, in []float32, li Blocked, cin int, lw, res []float32, spans []int32) {
+	convLanes33(out, lo, in, li, cin, lw, res, spans, float32(math.Inf(-1)), 2)
 }
 
 // convLanes33 is all three: the epilogue is max(floor, .), a ReLU at a +0
@@ -356,15 +364,22 @@ func convRow33x2Go(out, in, w, res []float32, cin, istr, prow, pplane, ostr, n i
 // interior of two buffers of layout b: it zeroes g wherever act <= 0 and
 // leaves it elsewhere, NaN included. Since act = relu(pre) is <= 0 exactly
 // where pre is (-0 stays -0, NaN stays NaN), this is ReLUBackwardInto on
-// the pre-activation, which training then need not keep. Written on the bit
-// pattern, like relu, so that it compiles to a conditional move.
+// the pre-activation, which training then need not keep. A row runs
+// maskReLUGrad8 where the span path is on (a lane buffer's rows are whole
+// vectors), else the loop below, written on the bit pattern, like relu, so
+// that it compiles to a conditional move.
 func MaskReLUGrad(g, act []float32, b Blocked) {
 	n := b.W * b.C
+	asm := SpanKernelsActive() && n > 0 && n%laneWidth == 0
 	for z := 0; z < b.D; z++ {
 		for y := 0; y < b.H; y++ {
 			o := b.Pos(z, y, 0)
-			gr := g[o:][:n]
-			for i, v := range act[o:][:n] {
+			gr, ar := g[o:][:n], act[o:][:n]
+			if asm {
+				maskReLUGrad8(&gr[0], &ar[0], int64(n))
+				continue
+			}
+			for i, v := range ar {
 				bits := math.Float32bits(gr[i])
 				if v <= 0 {
 					bits = 0
@@ -385,34 +400,52 @@ func MaskReLUGrad(g, act []float32, b Blocked) {
 // shell is the padding — so each element is the same sum, in the same
 // (z, y, x) order, as the planar backward's: convBwdW33, or its Go twin
 // wherever the span path is off. The bias gradient sums each channel over
-// the positions in the same order. It runs on the calling goroutine and
+// the positions in the same order, in the kernel that loads the gradient
+// for input channel 0's weights. It runs on the calling goroutine and
 // allocates nothing.
 func ConvLanesGradW33(gradW, gradB, in []float32, li Blocked, cin int, g []float32, lg Blocked, cout int) {
+	convLanesGradW33([2][]float32{gradW}, [2][]float32{gradB}, in, li, cin, g, lg, cout, 1)
+}
+
+// ConvLanesGradW33x2 is ConvLanesGradW33 on two batch slots at once, in
+// ConvLanes33ReLUx2's layout: in holds cin channels of both slots
+// (li.C >= 2*cin), g cout of both (lg.C a multiple of 16), and slot s's
+// gradients are written to gradW[s] and gradB[s]. One 16-lane vector holds
+// eight output channels of both slots (convBwdW33x2, or its Go twin
+// wherever PairedLanesActive is false), and each slot's gradients are the
+// bits ConvLanesGradW33 gives it alone.
+func ConvLanesGradW33x2(gradW, gradB [2][]float32, in []float32, li Blocked, cin int, g []float32, lg Blocked, cout int) {
+	convLanesGradW33(gradW, gradB, in, li, cin, g, lg, cout, 2)
+}
+
+// convLanesGradW33 is both: width is the batch slots per buffer, 1 or 2,
+// and slot s's gradients go to gradW[s] and gradB[s].
+func convLanesGradW33(gradW, gradB [2][]float32, in []float32, li Blocked, cin int, g []float32, lg Blocked, cout, width int) {
 	d, h, w := li.D, li.H, li.W
-	if lg.D != d || lg.H != h || lg.W != w || lg.C%laneWidth != 0 || cout < 1 || cout > lg.C || cin < 1 || cin > li.C ||
-		len(in) < li.Len() || len(g) < lg.Len() || len(gradW) != cout*cin*27 || len(gradB) != cout {
-		panic(fmt.Sprintf("tensor: ConvLanesGradW33 geometry: in %v (len %d), cin %d, grad %v (len %d), cout %d, gradW %d, gradB %d",
-			li, len(in), cin, lg, len(g), cout, len(gradW), len(gradB)))
+	bad := (width != 1 && width != 2) || lg.D != d || lg.H != h || lg.W != w || lg.C%(width*laneWidth) != 0 ||
+		cout < 1 || width*cout > lg.C || cin < 1 || width*cin > li.C || len(in) < li.Len() || len(g) < lg.Len()
+	for s := 0; s < width && !bad; s++ {
+		bad = len(gradW[s]) != cout*cin*27 || len(gradB[s]) != cout
 	}
-	clear(gradB)
-	for z := 0; z < d; z++ {
-		for y := 0; y < h; y++ {
-			row := g[lg.Pos(z, y, 0):][:w*lg.C]
-			for x := 0; x < w; x++ {
-				for oc, v := range row[x*lg.C:][:cout] {
-					gradB[oc] += v
-				}
-			}
-		}
+	if bad {
+		panic(fmt.Sprintf("tensor: ConvLanesGradW33 geometry: width %d, in %v (len %d), cin %d, grad %v (len %d), cout %d, gradW %d, gradB %d",
+			width, li, len(in), cin, lg, len(g), cout, len(gradW[0]), len(gradB[0])))
 	}
 	geo := gradW33Geom{d: d, h: h, w: w,
 		pplane: (h + 2) * (w + 2) * li.C, prow: (w + 2) * li.C, istr: li.C,
 		gstr: lg.C, growSkip: 2 * lg.C, gplaneSkip: 2 * (w + 2) * lg.C}
 	asm := spanActive(3, 3, 3)
+	if width == 2 {
+		asm = PairedLanesActive()
+	}
 	for oc0 := 0; oc0 < cout; oc0 += laneWidth {
-		gT := g[lg.Pos(0, 0, 0)+oc0:]
+		gT := g[lg.Pos(0, 0, 0)+width*oc0:]
 		for ic := 0; ic < cin; ic++ {
-			gradW33Unit(gradW, in[ic:], gT, &geo, oc0, min(oc0+laneWidth, cout), ic, cin, asm)
+			gb := gradB // the bias gradients once per group, with input channel 0's
+			if ic > 0 {
+				gb = [2][]float32{}
+			}
+			gradW33Unit(gradW, gb, in[width*ic:], gT, &geo, oc0, min(oc0+laneWidth, cout), ic, cin, width, asm)
 		}
 	}
 }

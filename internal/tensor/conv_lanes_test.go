@@ -368,13 +368,14 @@ func TestConvLanesPairedMatchesSlots(t *testing.T) {
 }
 
 // TestKernelBodies logs which conv bodies this host runs — the AVX2
-// convRow33 and the AVX-512F convRow33x2, or only their Go twins — and
-// holds each body that runs to its twin on one module conv, so a green run
-// says what it covered.
+// convRow33, convBwdW33 and maskReLUGrad8 and the AVX-512F convRow33x2 and
+// convBwdW33x2, or only their Go twins — and holds each body that runs to
+// its twin on one module conv, its weight gradient and a ReLU backward over
+// -0, subnormals, NaN and infinities, so a green run says what it covered.
 func TestKernelBodies(t *testing.T) {
 	defer SetSpanKernels(SetSpanKernels(true))
-	t.Logf("AVX2 body (convRow33): %v", SpanKernelsActive())
-	t.Logf("AVX-512F body (convRow33x2): %v", PairedLanesActive())
+	t.Logf("AVX2 bodies (convRow33, convBwdW33, maskReLUGrad8): %v", SpanKernelsActive())
+	t.Logf("AVX-512F bodies (convRow33x2, convBwdW33x2): %v", PairedLanesActive())
 	rng := sim.NewRNG(59)
 	in := randTensor(rng, 2, 8, 5, 9, 9)
 	wt := randTensor(rng, 8, 8, 3, 3, 3)
@@ -385,23 +386,133 @@ func TestKernelBodies(t *testing.T) {
 	PackLaneWeights33(lw, wt, nil)
 	lw2 := pairedWeights(lw)
 	spans := laneSpans(5, 9, 9, true)
+	// A gradient and a post-activation with -0, +0, subnormals, NaN and
+	// infinities in both.
+	g, act := randTensor(rng, 1, 16, 5, 9, 9), randTensor(rng, 1, 16, 5, 9, 9)
+	specialInputs(g)
+	specialInputs(act)
+	for i := 3; i < len(act.Data); i += 17 {
+		act.Data[i] = 0
+	}
+	gBuf, lg := toBlocked(g, 0, 16)
+	actBuf, _ := toBlocked(act, 0, 16)
 	run := func(span bool) (one, two []float32) {
 		SetSpanKernels(span)
 		one, two = make([]float32, li.Len()), make([]float32, lp.Len())
 		ConvLanes33ReLU(one, li, in0, li, 8, lw, in0, spans)
 		ConvLanes33ReLUx2(two, lp, pair, lp, 8, lw2, pair, spans)
+		// The weight gradients with the conv's outputs as the gradient,
+		// after the outputs: width 1's in one, width 2's two slots in two.
+		gw, gb := make([]float32, 8*8*27), make([]float32, 8)
+		ConvLanesGradW33(gw, gb, in0, li, 8, one, li, 8)
+		one = append(append(one, gw...), gb...)
+		gw2 := [2][]float32{make([]float32, 8*8*27), make([]float32, 8*8*27)}
+		gb2 := [2][]float32{make([]float32, 8), make([]float32, 8)}
+		ConvLanesGradW33x2(gw2, gb2, pair, lp, 8, two, lp, 8)
+		for s := range 2 {
+			two = append(append(two, gw2[s]...), gb2[s]...)
+		}
+		// Then a ReLU backward, after width 2's.
+		masked := append([]float32(nil), gBuf...)
+		MaskReLUGrad(masked, actBuf, lg)
+		two = append(two, masked...)
 		return one, two
 	}
 	one, two := run(true)
 	oneGo, twoGo := run(false)
 	for i := range one {
 		if math.Float32bits(one[i]) != math.Float32bits(oneGo[i]) {
-			t.Fatalf("width 1, float %d: %v, Go twin %v", i, one[i], oneGo[i])
+			t.Fatalf("width 1, float %d of conv then gradients: %v, Go twin %v", i, one[i], oneGo[i])
 		}
 	}
 	for i := range two {
 		if math.Float32bits(two[i]) != math.Float32bits(twoGo[i]) {
-			t.Fatalf("width 2, float %d: %v, Go twin %v", i, two[i], twoGo[i])
+			t.Fatalf("width 2, float %d of conv then gradients: %v, Go twin %v", i, two[i], twoGo[i])
+		}
+	}
+}
+
+// TestConvLanesGradW33PairedMatchesSlots holds the paired weight gradient
+// to two width-1 calls, bit for bit and slot by slot, on every body the
+// host runs (convBwdW33x2 against convBwdW33, and the Go twins against each
+// other): input channels 2/6/8/12 at a pitch that is not the channel count,
+// output channels 6/8/12 (lanes past cout, one group and two), on inputs
+// and gradients holding -0, subnormals, NaN and infinities. A partner slot
+// full of NaN must leave a slot's gradients as they are alone, and every
+// element of both slots' gradients is overwritten.
+func TestConvLanesGradW33PairedMatchesSlots(t *testing.T) {
+	defer SetSpanKernels(SetSpanKernels(true))
+	rng := sim.NewRNG(61)
+	nan := float32(math.NaN())
+	const sentinel = float32(-7.5)
+	filled := func(n int) []float32 {
+		b := make([]float32, n)
+		for i := range b {
+			b[i] = sentinel
+		}
+		return b
+	}
+	for _, geo := range [][3]int{{1, 1, 1}, {2, 3, 5}, {3, 7, 7}} {
+		d, h, w := geo[0], geo[1], geo[2]
+		for _, cin := range []int{2, 6, 8, 12} {
+			for _, cout := range []int{6, 8, 12} {
+				in := randTensor(rng, 2, cin, d, h, w)
+				specialInputs(in)
+				g := randTensor(rng, 2, cout, d, h, w)
+				specialInputs(g)
+				pitch := cin + cin%3
+				in0, li := toBlocked(in, 0, pitch)
+				in1, _ := toBlocked(in, 1, pitch)
+				g0, lg := toBlocked(g, 0, LaneChannels(cout))
+				g1, _ := toBlocked(g, 1, LaneChannels(cout))
+				deadIn, deadG := make([]float32, li.Len()), make([]float32, lg.Len())
+				for _, dead := range [2][]float32{deadIn, deadG} {
+					for i := range dead {
+						dead[i] = nan
+					}
+				}
+				for _, span := range []bool{true, false} {
+					SetSpanKernels(span)
+					for _, partner := range []string{"live", "nan"} {
+						name := fmt.Sprintf("%dx%dx%d/cin%d/cout%d/span=%v/partner=%s", d, h, w, cin, cout, span, partner)
+						otherIn, otherG := in1, g1
+						if partner == "nan" {
+							otherIn, otherG = deadIn, deadG
+						}
+						var want, got [2][]float32
+						var wantB, gotB [2][]float32
+						for s, src := range [2][2][]float32{{in0, g0}, {otherIn, otherG}} {
+							want[s], wantB[s] = filled(cout*cin*27), filled(cout)
+							got[s], gotB[s] = filled(cout*cin*27), filled(cout)
+							ConvLanesGradW33(want[s], wantB[s], src[0], li, cin, src[1], lg, cout)
+						}
+						pin, lpi := pairBlocked(in0, otherIn, li)
+						pg, lpg := pairBlocked(g0, otherG, lg)
+						ConvLanesGradW33x2(got, gotB, pin, lpi, cin, pg, lpg, cout)
+						for s := range 2 {
+							if s == 1 && partner == "nan" {
+								for i, v := range got[s] {
+									if v == sentinel {
+										t.Fatalf("%s: dead slot's gradW[%d] not written", name, i)
+									}
+								}
+								continue
+							}
+							for i := range want[s] {
+								if math.Float32bits(got[s][i]) != math.Float32bits(want[s][i]) {
+									t.Fatalf("%s: slot %d gradW[%d] = %v (%#x), alone %v (%#x)",
+										name, s, i, got[s][i], math.Float32bits(got[s][i]), want[s][i], math.Float32bits(want[s][i]))
+								}
+							}
+							for i := range wantB[s] {
+								if math.Float32bits(gotB[s][i]) != math.Float32bits(wantB[s][i]) {
+									t.Fatalf("%s: slot %d gradB[%d] = %v, alone %v", name, s, i, gotB[s][i], wantB[s][i])
+								}
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -485,5 +596,40 @@ func TestConvLanesBackwardMatchesConv3DBackward(t *testing.T) {
 				t.Fatalf("MaskReLUGrad channel %d x %d (pre %v): %v, want %v", c, x, pre.Data[c*2+x], v, ref)
 			}
 		}
+	}
+}
+
+// BenchmarkConvLanesGradW33 times the weight gradient of one module conv of
+// the bench's training geometry (6 features in 8 lanes, 3x7x7) on two
+// slots: two width-1 calls, or one paired call (ConvLanesGradW33x2).
+// ns/app is per slot.
+func BenchmarkConvLanesGradW33(b *testing.B) {
+	rng := sim.NewRNG(3)
+	const c, d, h, w = 6, 3, 7, 7
+	in := randTensor(rng, 2, c, d, h, w)
+	g := randTensor(rng, 2, c, d, h, w)
+	in0, li := toBlocked(in, 0, LaneChannels(c))
+	in1, _ := toBlocked(in, 1, LaneChannels(c))
+	g0, _ := toBlocked(g, 0, LaneChannels(c))
+	g1, _ := toBlocked(g, 1, LaneChannels(c))
+	gw := [2][]float32{make([]float32, c*c*27), make([]float32, c*c*27)}
+	gb := [2][]float32{make([]float32, c), make([]float32, c)}
+	for _, width := range []int{1, 2} {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			b.ReportAllocs()
+			if width == 1 {
+				for i := 0; i < b.N; i++ {
+					ConvLanesGradW33(gw[0], gb[0], in0, li, c, g0, li, c)
+					ConvLanesGradW33(gw[1], gb[1], in1, li, c, g1, li, c)
+				}
+			} else {
+				pin, lp := pairBlocked(in0, in1, li)
+				pg, _ := pairBlocked(g0, g1, li)
+				for i := 0; i < b.N; i++ {
+					ConvLanesGradW33x2(gw, gb, pin, lp, c, pg, lp, c)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/app")
+		})
 	}
 }

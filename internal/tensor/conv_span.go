@@ -19,8 +19,16 @@ import "math"
 //     gradients never leave that layout.
 //   - convRow33x2 is convRow33 on two batch slots interleaved in one
 //     Blocked buffer, the same eight output channels of both in the 16
-//     lanes of a ZMM vector. It serves ConvLanes33ReLUx2, the flood's
-//     forward pass where the CPU has AVX-512F (PairedLanesActive).
+//     lanes of a ZMM vector. It serves ConvLanes33ReLUx2 and
+//     ConvLanes33x2 where the CPU has AVX-512F (PairedLanesActive): the
+//     flood's forward pass, and a paired training chunk's forward pass and
+//     input gradients.
+//
+// The weight gradients have one kernel per width behind the same gates:
+// convBwdW33 (AVX2, ConvLanesGradW33 and Conv3DBackwardInto) and
+// convBwdW33x2 (AVX-512F, ConvLanesGradW33x2), the latter the former on
+// two interleaved slots, one 16-lane accumulator per tap. maskReLUGrad8
+// (AVX2) is training's ReLU backward, MaskReLUGrad, a row at a time.
 //
 // The scalar batched engine (conv_batch.go) is already at the scalar FP
 // throughput floor: each output element needs cin*27 multiply-accumulates and
@@ -85,8 +93,9 @@ func SetSpanKernels(on bool) bool {
 // take the SIMD span path (enabled and supported by the CPU).
 func SpanKernelsActive() bool { return spanEnabled && hasAVX2 }
 
-// PairedLanesActive reports whether ConvLanes33ReLUx2 runs the 16-lane
-// AVX-512F kernel (convRow33x2) rather than its Go twin: the span path is
+// PairedLanesActive reports whether the paired calls (ConvLanes33ReLUx2,
+// ConvLanes33x2, ConvLanesGradW33x2) run the 16-lane AVX-512F kernels
+// (convRow33x2, convBwdW33x2) rather than their Go twins: the span path is
 // enabled and the CPU and OS support AVX-512F.
 func PairedLanesActive() bool { return spanEnabled && hasAVX512 }
 

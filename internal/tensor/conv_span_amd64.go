@@ -22,11 +22,25 @@ func conv33Flat(dst, pin, w *float32, cin, pch, pplane, pw, nvec int64, bias flo
 // with the eight output channels of a position contiguous (one per lane),
 // gstride apart along x, with growSkip more after each row and gplaneSkip
 // after each plane; pin points at the padded input plane dz of channel ic.
-// Strides are in bytes. Every lane accumulates with separate multiply and
-// add, so its sequence is the scalar gather's. Requires AVX2.
+// When bias is not nil, its 8 lanes get the sums of gt[p][l] over the same
+// positions in the same order: the group's bias gradient. Strides are in
+// bytes. Every lane accumulates with separate multiply and add, so its
+// sequence is the scalar gather's. Requires AVX2.
 //
 //go:noescape
-func convBwdW33(dst, pin, gt *float32, d, h, w, pplane, prow, istride, gstride, growSkip, gplaneSkip int64)
+func convBwdW33(dst, bias, pin, gt *float32, d, h, w, pplane, prow, istride, gstride, growSkip, gplaneSkip int64)
+
+// convBwdW33x2 is convBwdW33 for two batch slots interleaved in one Blocked
+// buffer, channel c of slot s at float 2c+s of a position
+// (conv_span_amd64.s): the 16 lanes of dst[16k:16k+16] are tap k's sums,
+// and of bias (when not nil) the bias gradient's, lane 2c+s slot s's for
+// output channel c, each in convBwdW33's order. pin points at the
+// (slot 0, slot 1) pair of input channel ic in padded plane dz; gt holds
+// the group's gradOut for both slots, 16 floats per position. Strides are
+// in bytes. Requires AVX-512F.
+//
+//go:noescape
+func convBwdW33x2(dst, bias, pin, gt *float32, d, h, w, pplane, prow, istride, gstride, growSkip, gplaneSkip int64)
 
 // convRow33 computes n (1..laneTile) consecutive output positions of one row
 // of a 3x3x3 conv in channel-blocked layout (conv_span_amd64.s), eight
@@ -50,3 +64,10 @@ func convRow33(dst, pin, w, bias, res *float32, cin, istride, prow, pplane, ostr
 //
 //go:noescape
 func convRow33x2(dst, pin, w, bias, res *float32, cin, istride, prow, pplane, ostride, n int64, floor float32)
+
+// maskReLUGrad8 is one row of MaskReLUGrad (conv_span_amd64.s): n floats,
+// a multiple of 8, of grad set to +0 where act <= 0 and kept elsewhere, NaN
+// included. Requires AVX2.
+//
+//go:noescape
+func maskReLUGrad8(grad, act *float32, n int64)

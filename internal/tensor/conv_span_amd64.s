@@ -141,24 +141,25 @@ done:
 	VMULPS       Y9, t, t \
 	VADDPS       t, acc, acc
 
-// func convBwdW33(dst, pin, gt *float32, d, h, w, pplane, prow, istride, gstride, growSkip, gplaneSkip int64)
+// func convBwdW33(dst, bias, pin, gt *float32, d, h, w, pplane, prow, istride, gstride, growSkip, gplaneSkip int64)
 //
 // Accumulators Y0-Y8 (tap k = dy*3+dx) stay in registers across all d*h*w
 // output positions, walked in (z, y, x) order; each position loads its
-// eight gradOut lanes once and issues nine broadcast-multiply-adds. The
-// input reads stay inside the padded channel: rows y..y+2 and columns
-// x..x+2 of plane z of the (d+2, h+2, w+2) block that pin starts, tap dx
-// of position x at (x+dx)*istride (DI), the rows at SI, CX = SI + prow and
-// R15 = SI + 2*prow. Strides are in bytes.
-TEXT ·convBwdW33(SB), NOSPLIT, $0-96
-	MOVQ pin+8(FP), BX
-	MOVQ gt+16(FP), DX
-	MOVQ d+24(FP), R8
-	MOVQ h+32(FP), R13
-	MOVQ w+40(FP), R14
-	MOVQ pplane+48(FP), R12
-	MOVQ prow+56(FP), R11
-	MOVQ istride+64(FP), DI
+// eight gradOut lanes once and issues nine broadcast-multiply-adds, and,
+// when bias is not nil, adds the lanes themselves into Y15, the bias
+// gradient's accumulator. The input reads stay inside the padded channel:
+// rows y..y+2 and columns x..x+2 of plane z of the (d+2, h+2, w+2) block
+// that pin starts, tap dx of position x at (x+dx)*istride (DI), the rows
+// at SI, CX = SI + prow and R15 = SI + 2*prow. Strides are in bytes.
+TEXT ·convBwdW33(SB), NOSPLIT, $0-104
+	MOVQ pin+16(FP), BX
+	MOVQ gt+24(FP), DX
+	MOVQ d+32(FP), R8
+	MOVQ h+40(FP), R13
+	MOVQ w+48(FP), R14
+	MOVQ pplane+56(FP), R12
+	MOVQ prow+64(FP), R11
+	MOVQ istride+72(FP), DI
 
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
@@ -169,6 +170,7 @@ TEXT ·convBwdW33(SB), NOSPLIT, $0-96
 	VXORPS Y6, Y6, Y6
 	VXORPS Y7, Y7, Y7
 	VXORPS Y8, Y8, Y8
+	VXORPS Y15, Y15, Y15
 
 wz_loop:
 	MOVQ BX, AX
@@ -187,21 +189,26 @@ wx_loop:
 	WTAP((SI)(DI*2), Y12, Y2)
 	WTAP((CX), Y13, Y3)
 	WTAP((CX)(DI*1), Y14, Y4)
-	WTAP((CX)(DI*2), Y15, Y5)
-	WTAP((R15), Y10, Y6)
-	WTAP((R15)(DI*1), Y11, Y7)
-	WTAP((R15)(DI*2), Y12, Y8)
-	ADDQ    DI, SI
-	ADDQ    gstride+72(FP), DX
-	DECQ    R10
-	JNZ     wx_loop
+	WTAP((CX)(DI*2), Y10, Y5)
+	WTAP((R15), Y11, Y6)
+	WTAP((R15)(DI*1), Y12, Y7)
+	WTAP((R15)(DI*2), Y13, Y8)
+	CMPQ    bias+8(FP), $0
+	JEQ     wnobias
+	VADDPS  Y9, Y15, Y15
 
-	ADDQ growSkip+80(FP), DX
+wnobias:
+	ADDQ DI, SI
+	ADDQ gstride+80(FP), DX
+	DECQ R10
+	JNZ  wx_loop
+
+	ADDQ growSkip+88(FP), DX
 	ADDQ R11, AX
 	DECQ R9
 	JNZ  wy_loop
 
-	ADDQ gplaneSkip+88(FP), DX
+	ADDQ gplaneSkip+96(FP), DX
 	ADDQ R12, BX
 	DECQ R8
 	JNZ  wz_loop
@@ -216,6 +223,12 @@ wx_loop:
 	VMOVUPS Y6, 192(DI)
 	VMOVUPS Y7, 224(DI)
 	VMOVUPS Y8, 256(DI)
+	MOVQ    bias+8(FP), AX
+	TESTQ   AX, AX
+	JZ      wdone
+	VMOVUPS Y15, (AX)
+
+wdone:
 	VZEROUPPER
 	RET
 
@@ -705,5 +718,134 @@ prelu:
 	POUT(Z11)
 
 pdone:
+	VZEROUPPER
+	RET
+
+// PWTAP is WTAP for two batch slots: the input pair at mem (channel ic of
+// slot 0, then of slot 1), broadcast as one 64-bit value so lane 2c+s
+// holds slot s's input, times the position's 16 gradOut lanes (Z9, lane
+// 2c+s holding slot s's output channel c), into the tap's accumulator.
+// Multiply and add stay separate (no FMA), so every lane runs WTAP's
+// sequence.
+#define PWTAP(mem, t, acc) \
+	VBROADCASTSD mem, t    \
+	VMULPS       Z9, t, t  \
+	VADDPS       t, acc, acc
+
+// func convBwdW33x2(dst, bias, pin, gt *float32, d, h, w, pplane, prow, istride, gstride, growSkip, gplaneSkip int64)
+//
+// convBwdW33 for two batch slots interleaved in one Blocked buffer,
+// channel c of slot s at float 2c+s of a position: accumulators Z0-Z8
+// (tap k = dy*3+dx), lane 2c+s slot s's sum for output channel c, stay in
+// registers across all d*h*w output positions, walked in (z, y, x) order.
+// Each position loads its 16 gradOut lanes once (Z9), issues nine
+// broadcast-multiply-adds, and, when bias is not nil, adds the lanes
+// themselves into Z15, the bias gradient's accumulator; an input channel
+// is 8 bytes (a slot pair). The addressing is convBwdW33's. Z0-Z15 are the
+// only vector registers it touches, so the closing VZEROUPPER leaves no
+// dirty upper state. Strides are in bytes.
+TEXT ·convBwdW33x2(SB), NOSPLIT, $0-104
+	MOVQ pin+16(FP), BX
+	MOVQ gt+24(FP), DX
+	MOVQ d+32(FP), R8
+	MOVQ h+40(FP), R13
+	MOVQ w+48(FP), R14
+	MOVQ pplane+56(FP), R12
+	MOVQ prow+64(FP), R11
+	MOVQ istride+72(FP), DI
+
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z8, Z8, Z8
+	VPXORD Z15, Z15, Z15
+
+pwz_loop:
+	MOVQ BX, AX
+	MOVQ R13, R9
+
+pwy_loop:
+	MOVQ AX, SI
+	MOVQ R14, R10
+
+pwx_loop:
+	VMOVUPS (DX), Z9
+	LEAQ    (SI)(R11*1), CX
+	LEAQ    (SI)(R11*2), R15
+	PWTAP((SI), Z10, Z0)
+	PWTAP((SI)(DI*1), Z11, Z1)
+	PWTAP((SI)(DI*2), Z12, Z2)
+	PWTAP((CX), Z13, Z3)
+	PWTAP((CX)(DI*1), Z14, Z4)
+	PWTAP((CX)(DI*2), Z10, Z5)
+	PWTAP((R15), Z11, Z6)
+	PWTAP((R15)(DI*1), Z12, Z7)
+	PWTAP((R15)(DI*2), Z13, Z8)
+	CMPQ    bias+8(FP), $0
+	JEQ     pwnobias
+	VADDPS  Z9, Z15, Z15
+
+pwnobias:
+	ADDQ DI, SI
+	ADDQ gstride+80(FP), DX
+	DECQ R10
+	JNZ  pwx_loop
+
+	ADDQ growSkip+88(FP), DX
+	ADDQ R11, AX
+	DECQ R9
+	JNZ  pwy_loop
+
+	ADDQ gplaneSkip+96(FP), DX
+	ADDQ R12, BX
+	DECQ R8
+	JNZ  pwz_loop
+
+	MOVQ    dst+0(FP), DI
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, 192(DI)
+	VMOVUPS Z4, 256(DI)
+	VMOVUPS Z5, 320(DI)
+	VMOVUPS Z6, 384(DI)
+	VMOVUPS Z7, 448(DI)
+	VMOVUPS Z8, 512(DI)
+	MOVQ    bias+8(FP), AX
+	TESTQ   AX, AX
+	JZ      pwdone
+	VMOVUPS Z15, (AX)
+
+pwdone:
+	VZEROUPPER
+	RET
+
+// func maskReLUGrad8(grad, act *float32, n int64)
+//
+// The ReLU backward on n floats (a multiple of 8): each lane of grad is kept,
+// bits and all, where !(act <= 0) — NLE_UQ, so a NaN act keeps it — and
+// becomes +0 elsewhere, by an AND with the compare's all-ones or all-zeros
+// lane.
+TEXT ·maskReLUGrad8(SB), NOSPLIT, $0-24
+	MOVQ   grad+0(FP), DI
+	MOVQ   act+8(FP), SI
+	MOVQ   n+16(FP), CX
+	VXORPS Y1, Y1, Y1
+
+mloop:
+	VMOVUPS (SI), Y0
+	VCMPPS  $0x16, Y1, Y0, Y2
+	VANDPS  (DI), Y2, Y2
+	VMOVUPS Y2, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JNZ     mloop
+
 	VZEROUPPER
 	RET

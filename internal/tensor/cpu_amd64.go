@@ -4,9 +4,9 @@ package tensor
 
 // Runtime CPU feature detection for the SIMD conv kernels. The 8-lane
 // kernels need AVX2 (256-bit float lanes plus VPMASKMOV stores) and the
-// paired 16-lane kernel convRow33x2 needs AVX-512F; each needs the OS to
-// have enabled the register state it uses (XCR0), which is what
-// distinguishes "CPU has it" from "safe to execute".
+// paired 16-lane kernels convRow33x2 and convBwdW33x2 need AVX-512F; each
+// needs the OS to have enabled the register state it uses (XCR0), which is
+// what distinguishes "CPU has it" from "safe to execute".
 
 //go:noescape
 func cpuidEx(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
