@@ -12,6 +12,11 @@
 //	BenchmarkAblation*          extensions from Section III-E
 //	BenchmarkBaselineConnect    CONNECT-vs-FFN real-compute comparison
 //
+// The rest time the kernels and substrates those experiments run on
+// (convolution, FFN training, CONNECT labelling, IVT, object store,
+// network, queue). Step times are read from the workflow's report, the
+// same figures connectwf and benchtab print.
+//
 // EXPERIMENTS.md records paper-vs-measured for each.
 package chaseci
 
@@ -32,7 +37,18 @@ import (
 	"chaseci/internal/parallel"
 	"chaseci/internal/sim"
 	"chaseci/internal/tensor"
+	"chaseci/internal/workflow"
 )
+
+// stepReport returns a named step's report from the run.
+func stepReport(run *core.ConnectRun, name string) workflow.StepReport {
+	for _, s := range run.Workflow.Report().Steps {
+		if s.Name == name {
+			return s
+		}
+	}
+	return workflow.StepReport{}
+}
 
 // runPaperWorkflow executes the case study and returns the run.
 func runPaperWorkflow(b *testing.B, granules int, subset bool) *core.ConnectRun {
@@ -60,9 +76,9 @@ func BenchmarkTable1Workflow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		run = runPaperWorkflow(b, 0, true)
 	}
-	b.ReportMetric(run.StepDuration("1-download").Minutes(), "step1-vmin")
-	b.ReportMetric(run.StepDuration("2-train").Minutes(), "step2-vmin")
-	b.ReportMetric(run.StepDuration("3-inference").Minutes(), "step3-vmin")
+	b.ReportMetric(stepReport(run, "1-download").Duration.Minutes(), "step1-vmin")
+	b.ReportMetric(stepReport(run, "2-train").Duration.Minutes(), "step2-vmin")
+	b.ReportMetric(stepReport(run, "3-inference").Duration.Minutes(), "step3-vmin")
 	b.ReportMetric(run.BytesDownloaded.Value()/1e9, "downloaded-GB")
 }
 
@@ -96,7 +112,7 @@ func BenchmarkFig3Download(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		run = runPaperWorkflow(b, 0, true)
 	}
-	b.ReportMetric(run.StepDuration("1-download").Minutes(), "download-vmin")
+	b.ReportMetric(stepReport(run, "1-download").Duration.Minutes(), "download-vmin")
 	b.ReportMetric(run.BytesDownloaded.Value()/1e9, "GB")
 	b.ReportMetric(float64(run.Config.Archive.NumFiles()), "files")
 }
@@ -138,7 +154,7 @@ func BenchmarkFig5Training(b *testing.B) {
 	var d time.Duration
 	for i := 0; i < b.N; i++ {
 		run := runPaperWorkflow(b, 200, true) // small archive; train is fixed-size
-		d = run.StepDuration("2-train")
+		d = stepReport(run, "2-train").Duration
 	}
 	b.ReportMetric(d.Minutes(), "train-vmin")
 }
@@ -150,7 +166,7 @@ func BenchmarkFig6Inference(b *testing.B) {
 	var maxGPU float64
 	for i := 0; i < b.N; i++ {
 		run := runPaperWorkflow(b, 0, true)
-		d = run.StepDuration("3-inference")
+		d = stepReport(run, "3-inference").Duration
 		for _, s := range run.Eco.Metrics.Select("k8s_gpus_in_use", nil)[0].Samples {
 			if s.Value > maxGPU {
 				maxGPU = s.Value
@@ -166,8 +182,8 @@ func BenchmarkFig6Inference(b *testing.B) {
 func BenchmarkAblationSubsetting(b *testing.B) {
 	var sub, full time.Duration
 	for i := 0; i < b.N; i++ {
-		sub = runPaperWorkflow(b, 4000, true).StepDuration("1-download")
-		full = runPaperWorkflow(b, 4000, false).StepDuration("1-download")
+		sub = stepReport(runPaperWorkflow(b, 4000, true), "1-download").Duration
+		full = stepReport(runPaperWorkflow(b, 4000, false), "1-download").Duration
 	}
 	b.ReportMetric(sub.Seconds(), "subset-vsec")
 	b.ReportMetric(full.Seconds(), "full-vsec")
@@ -284,7 +300,7 @@ func BenchmarkAblationNodeFailure(b *testing.B) {
 		if run.Workflow.Failed() {
 			b.Fatal("workflow failed under node loss")
 		}
-		d = run.StepDuration("1-download")
+		d = stepReport(run, "1-download").Duration
 	}
 	b.ReportMetric(d.Seconds(), "download-vsec")
 }
@@ -331,11 +347,18 @@ func BenchmarkBaselineConnect(b *testing.B) {
 
 	var iou float64
 	var connObjects, ffnObjects int
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mask, _ := net.Segment(img, seeds, 0)
-		res := connect.Label(connect.FromMask(steps, g.NLat, g.NLon, lbl.Data), connect.Conn26, 4)
-		ffnRes := connect.Label(connect.FromMask(steps, g.NLat, g.NLon, mask.Data), connect.Conn26, 4)
+		res, err := connect.LabelCtx(ctx, connect.FromMask(steps, g.NLat, g.NLon, lbl.Data), connect.Conn26, 4, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ffnRes, err := connect.LabelCtx(ctx, connect.FromMask(steps, g.NLat, g.NLon, mask.Data), connect.Conn26, 4, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		iou = ffn.IoU(mask, lbl)
 		connObjects, ffnObjects = len(res.Objects), len(ffnRes.Objects)
 	}
@@ -515,15 +538,19 @@ func BenchmarkFFNTrainStep(b *testing.B) {
 // 16x64x64 volume with ~20% foreground.
 func BenchmarkConnectLabel(b *testing.B) {
 	rng := sim.NewRNG(2)
-	v := connect.NewVolume(16, 64, 64)
-	for i := range v.Data {
+	data := make([]float32, 16*64*64)
+	for i := range data {
 		if rng.Float64() < 0.2 {
-			v.Data[i] = 1
+			data[i] = 1
 		}
 	}
+	v := connect.FromMask(16, 64, 64, data)
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		connect.Label(v, connect.Conn26, 0)
+		if _, err := connect.LabelCtx(ctx, v, connect.Conn26, 0, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -600,26 +627,6 @@ func BenchmarkQueueThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionCAVERender is extension §III-E4: the tiled SunCAVE wall
-// render fanned across labeled GPU nodes.
-func BenchmarkExtensionCAVERender(b *testing.B) {
-	var tiles, nodes float64
-	var vsec float64
-	for i := 0; i < b.N; i++ {
-		eco := core.Nautilus()
-		res, err := eco.RunCAVERender(core.DefaultCAVE())
-		if err != nil {
-			b.Fatal(err)
-		}
-		tiles = float64(res.Tiles)
-		nodes = float64(res.NodesUsed)
-		vsec = res.VirtualTime.Seconds()
-	}
-	b.ReportMetric(tiles, "tiles")
-	b.ReportMetric(nodes, "nodes")
-	b.ReportMetric(vsec, "render-vsec")
-}
-
 // BenchmarkAblationScienceDMZ measures download slowdown under heavy
 // background tenant traffic: the Science DMZ overprovisioning claim.
 func BenchmarkAblationScienceDMZ(b *testing.B) {
@@ -639,9 +646,9 @@ func BenchmarkAblationScienceDMZ(b *testing.B) {
 			b.Fatal(err)
 		}
 		eco.Clock.RunWhile(func() bool {
-			return r.Workflow.Status("1-download").String() != "Succeeded"
+			return stepReport(r, "1-download").Status != workflow.StatusSucceeded
 		})
-		return r.StepDuration("1-download")
+		return stepReport(r, "1-download").Duration
 	}
 	var quiet, busy time.Duration
 	for i := 0; i < b.N; i++ {
@@ -651,20 +658,4 @@ func BenchmarkAblationScienceDMZ(b *testing.B) {
 	b.ReportMetric(quiet.Seconds(), "quiet-vsec")
 	b.ReportMetric(busy.Seconds(), "busy-vsec")
 	b.ReportMetric(float64(busy)/float64(quiet), "slowdown")
-}
-
-// BenchmarkAblationEnergy quantifies the paper's opening energy-efficiency
-// motivation: total board energy to run the step-3 inference workload on
-// the 1080ti fleet, the single-CPU baseline, and an NvN accelerator fleet.
-func BenchmarkAblationEnergy(b *testing.B) {
-	w := gpusim.Paper()
-	var gpuKWh, cpuKWh, nvnKWh float64
-	for i := 0; i < b.N; i++ {
-		gpuKWh = gpusim.KWh(gpusim.Powered1080Ti().InferEnergyJoules(w.InferVoxels, 50))
-		cpuKWh = gpusim.KWh(gpusim.PoweredCPU().InferEnergyJoules(w.InferVoxels, 1))
-		nvnKWh = gpusim.KWh(gpusim.NvN().InferEnergyJoules(w.InferVoxels, 50))
-	}
-	b.ReportMetric(gpuKWh, "gpu50-kWh")
-	b.ReportMetric(cpuKWh, "cpu1-kWh")
-	b.ReportMetric(nvnKWh, "nvn50-kWh")
 }

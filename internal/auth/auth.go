@@ -9,7 +9,6 @@ package auth
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -75,16 +74,6 @@ func (f *Federation) RegisterProvider(name, domain string) Provider {
 	return p
 }
 
-// Providers lists registered providers sorted by domain.
-func (f *Federation) Providers() []Provider {
-	out := make([]Provider, 0, len(f.providers))
-	for _, p := range f.providers {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Domain < out[j].Domain })
-	return out
-}
-
 // Login authenticates user (an email-style identity) against its domain's
 // provider and returns a bearer token. Users claim existing identities; no
 // account creation happens here, mirroring CILogon's model.
@@ -115,10 +104,4 @@ func (f *Federation) Validate(tok Token) (Identity, error) {
 		return Identity{}, ErrExpiredToken
 	}
 	return id, nil
-}
-
-// Revoke invalidates a token immediately.
-func (f *Federation) Revoke(tok Token) {
-	delete(f.tokens, tok)
-	delete(f.expiry, tok)
 }

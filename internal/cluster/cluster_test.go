@@ -9,6 +9,10 @@ import (
 	"chaseci/internal/sim"
 )
 
+// FIONACapacity is the basic Calit2 FIONA build from Section II: dual
+// 12-core CPUs, 96 GB RAM, no GPUs.
+func FIONACapacity() Resources { return Resources{CPU: 24, Memory: GB(96), GPUs: 0} }
+
 // testCluster builds a cluster with n FIONA8 nodes and a "connect" namespace.
 func testCluster(n int) (*sim.Clock, *Cluster) {
 	clk := sim.NewClock()

@@ -44,9 +44,5 @@ func (r Resources) String() string {
 // GB is a convenience for expressing memory sizes.
 func GB(n float64) float64 { return n * 1e9 }
 
-// FIONACapacity is the basic Calit2 FIONA build from Section II: dual
-// 12-core CPUs, 96 GB RAM, no GPUs.
-func FIONACapacity() Resources { return Resources{CPU: 24, Memory: GB(96), GPUs: 0} }
-
 // FIONA8Capacity is the multi-tenant "FIONA8" appliance: eight game GPUs.
 func FIONA8Capacity() Resources { return Resources{CPU: 24, Memory: GB(96), GPUs: 8} }

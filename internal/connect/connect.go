@@ -11,8 +11,8 @@
 // The scan is bit-native: a binary volume is one bit per voxel, LSB-first —
 // the dataset codec's mask payload — and the one raster loop (labelSlab)
 // tests bits. A stored mask is labelled straight from its packed bytes
-// (FromBits); a float32 mask (FromMask, NewVolume) is packed at the start of
-// the Label call, 1/32 of its size, and never read again. The label array
+// (FromBits); a float32 mask (FromMask) is packed at the start of the
+// LabelCtx call, 1/32 of its size, and never read again. The label array
 // and the union-find tables, the only buffers sized by the volume, are
 // borrowed from the tensor free list.
 package connect
@@ -36,24 +36,6 @@ type Volume struct {
 
 	bits []byte // FromBits only: 1 bit per voxel, LSB-first, read-only
 }
-
-// NewVolume allocates a zero volume.
-func NewVolume(t, h, w int) *Volume {
-	return &Volume{T: t, H: h, W: w, Data: make([]float32, t*h*w)}
-}
-
-// At reports whether voxel (t, y, x) is set.
-func (v *Volume) At(t, y, x int) bool {
-	i := (t*v.H+y)*v.W + x
-	if v.bits != nil {
-		return bitSet(v.bits, i)
-	}
-	return v.Data[i] > 0.5
-}
-
-// Set marks voxel (t, y, x) of a float volume (a FromBits volume is a
-// read-only view and has no Data to mark).
-func (v *Volume) Set(t, y, x int) { v.Data[(t*v.H+y)*v.W+x] = 1 }
 
 func bitSet(bits []byte, i int) bool { return bits[i>>3]&(1<<(i&7)) != 0 }
 
@@ -103,11 +85,6 @@ type Object struct {
 // Duration returns the object's lifetime in steps (inclusive).
 func (o *Object) Duration() int { return o.Termination - o.Genesis + 1 }
 
-func (o *Object) String() string {
-	return fmt.Sprintf("object %d: %d voxels, t=[%d,%d], peak area %d",
-		o.ID, o.Voxels, o.Genesis, o.Termination, o.PeakArea)
-}
-
 // Result is a labelled volume plus per-object statistics.
 type Result struct {
 	Labels  []int32 // same layout as the input volume; 0 = background
@@ -124,22 +101,10 @@ func (r *Result) Release() {
 	r.Labels = nil
 }
 
-// LabelAt returns the object ID at (t, y, x), 0 for background.
-func (r *Result) LabelAt(t, y, x int) int32 { return r.Labels[(t*r.H+y)*r.W+x] }
-
 // unionFind is a weighted quick-union with path compression.
 type unionFind struct {
 	parent []int32
 	size   []int32
-}
-
-func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int32, n), size: make([]int32, n)}
-	for i := range uf.parent {
-		uf.parent[i] = int32(i)
-		uf.size[i] = 1
-	}
-	return uf
 }
 
 func (uf *unionFind) find(x int32) int32 {
@@ -306,7 +271,7 @@ func labelSlab(ctx context.Context, bits []byte, H, W int, uf *unionFind, labels
 
 // labelAcc accumulates one object's statistics; per-step data is indexed by
 // t - genesis (flat slices instead of the maps the original used, which
-// dominated Label's runtime).
+// dominated the labelling's runtime).
 type labelAcc struct {
 	voxels               int
 	genesis, termination int
@@ -315,7 +280,7 @@ type labelAcc struct {
 	stepSumY, stepSumX   []float64
 }
 
-// Label performs connected-object labelling on a binary volume. minVoxels
+// LabelCtx performs connected-object labelling on a binary volume. minVoxels
 // discards objects smaller than the threshold (CONNECT prunes noise
 // objects); 0 keeps everything.
 //
@@ -324,20 +289,15 @@ type labelAcc struct {
 // offsets keep each slab's parent entries disjoint), then the slab
 // boundaries are stitched serially. Components — and therefore labels,
 // objects, and statistics — are identical at every worker count.
-func Label(v *Volume, conn Connectivity, minVoxels int) *Result {
-	res, _ := LabelCtx(context.Background(), v, conn, minVoxels, nil)
-	return res
-}
-
-// LabelCtx is the context-aware Label: cancellation is checked once per
-// time step inside the parallel slab scan, between passes, and per time
-// step of the statistics pass, so a cancelled context stops the labelling
-// within one time slice of work per worker. On cancellation it returns
-// (nil, ctx.Err()) — provisional labels are meaningless half-done, so
-// partial progress is reported only through the callback. progress (may be
-// nil) is called with (timeStepsLabelled, v.T) as pass-1 slabs complete
-// time steps; it may fire concurrently from multiple workers. With a
-// background context the result is identical to Label's.
+//
+// Cancellation is checked once per time step inside the parallel slab
+// scan, between passes, and per time step of the statistics pass, so a
+// cancelled context stops the labelling within one time slice of work per
+// worker. On cancellation it returns (nil, ctx.Err()) — provisional labels
+// are meaningless half-done, so partial progress is reported only through
+// the callback. progress (may be nil) is called with (timeStepsLabelled,
+// v.T) as pass-1 slabs complete time steps; it may fire concurrently from
+// multiple workers.
 func LabelCtx(ctx context.Context, v *Volume, conn Connectivity, minVoxels int, progress func(done, total int)) (*Result, error) {
 	n := v.T * v.H * v.W
 	neighborOffsets(conn) // validates conn

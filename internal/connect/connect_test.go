@@ -1,12 +1,39 @@
 package connect
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
 	"chaseci/internal/merra"
 	"chaseci/internal/sim"
 )
+
+// Label is LabelCtx with a background context and no progress callback.
+func Label(v *Volume, conn Connectivity, minVoxels int) *Result {
+	res, _ := LabelCtx(context.Background(), v, conn, minVoxels, nil)
+	return res
+}
+
+// NewVolume allocates a zero float volume.
+func NewVolume(t, h, w int) *Volume {
+	return &Volume{T: t, H: h, W: w, Data: make([]float32, t*h*w)}
+}
+
+// At reports whether voxel (t, y, x) is set.
+func (v *Volume) At(t, y, x int) bool {
+	i := (t*v.H+y)*v.W + x
+	if v.bits != nil {
+		return bitSet(v.bits, i)
+	}
+	return v.Data[i] > 0.5
+}
+
+// Set marks voxel (t, y, x) of a float volume.
+func (v *Volume) Set(t, y, x int) { v.Data[(t*v.H+y)*v.W+x] = 1 }
+
+// LabelAt returns the object ID at (t, y, x), 0 for background.
+func (r *Result) LabelAt(t, y, x int) int32 { return r.Labels[(t*r.H+y)*r.W+x] }
 
 func TestEmptyVolume(t *testing.T) {
 	r := Label(NewVolume(4, 4, 4), Conn26, 0)
@@ -216,8 +243,13 @@ func TestOnSyntheticIVTScene(t *testing.T) {
 	vol := merra.IVTVolume(gen, levels, 10, steps)
 	f2 := merra.Field2D{NLon: len(vol.Data), NLat: 1, Data: vol.Data}
 	th := f2.Quantile(0.92)
-	mask := merra.MaskVolume(vol, th)
-	r := Label(FromMask(steps, g.NLat, g.NLon, mask.Data), Conn26, 4)
+	mask := make([]float32, len(vol.Data))
+	for i, v := range vol.Data {
+		if v >= th {
+			mask[i] = 1
+		}
+	}
+	r := Label(FromMask(steps, g.NLat, g.NLon, mask), Conn26, 4)
 	if len(r.Objects) == 0 {
 		t.Fatal("no objects found in synthetic scene")
 	}

@@ -9,6 +9,16 @@ import (
 	"chaseci/internal/sim"
 )
 
+// newUnionFind is a fresh union-find over n singleton ids.
+func newUnionFind(n int) *unionFind {
+	uf := &unionFind{parent: make([]int32, n), size: make([]int32, n)}
+	for i := range uf.parent {
+		uf.parent[i] = int32(i)
+		uf.size[i] = 1
+	}
+	return uf
+}
+
 // labelSerialReference is the seed repository's original single-goroutine
 // implementation (voxel-level union-find plus map-based statistics), kept
 // verbatim as the ground truth for the block-parallel rewrite.

@@ -7,6 +7,7 @@ import (
 
 	"chaseci/internal/cluster"
 	"chaseci/internal/merra"
+	"chaseci/internal/workflow"
 )
 
 // The related-work claim: "graphics and machine learning processes can
@@ -28,17 +29,32 @@ func TestCohabitationInferencePlusCAVE(t *testing.T) {
 	}
 
 	// Drive the workflow until inference is in flight (GPUs busy), then run
-	// the visualization wall on the same cluster.
+	// a display wall's GPU job, one pod per tile, on the same cluster.
 	eco.Clock.RunWhile(func() bool {
-		return run.Workflow.Status("3-inference").String() != "Running"
+		return stepByName(run.Workflow.Report(), "3-inference").Status != workflow.StatusRunning
 	})
 	eco.Clock.RunFor(time.Minute)
-	cave, err := eco.RunCAVERender(DefaultCAVE())
-	if err != nil {
-		t.Fatalf("CAVE render failed while inference held 50 GPUs: %v", err)
+	if _, err := eco.Cluster.CreateNamespace("suncave", nil); err != nil {
+		t.Fatal(err)
 	}
-	if cave.Tiles != 12 {
-		t.Fatalf("tiles = %d", cave.Tiles)
+	const tiles = 12
+	wall, err := eco.Cluster.CreateJob(cluster.JobSpec{
+		Name: "tile-render", Namespace: "suncave", Parallelism: tiles,
+		Template: cluster.PodTemplate{
+			Requests:     cluster.Resources{CPU: 1, Memory: 4e9, GPUs: 1},
+			NodeSelector: map[string]string{"gpu": "1080ti"},
+			Run:          func(pc *cluster.PodCtx) { pc.After(time.Second, pc.Succeed) },
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eco.Clock.RunWhile(func() bool { return !wall.Done() })
+	if wall.Failed() || wall.Succeeded() != tiles {
+		t.Fatalf("display job while inference held 50 GPUs: %d of %d tiles, failed=%v", wall.Succeeded(), tiles, wall.Failed())
+	}
+	if stepByName(run.Workflow.Report(), "3-inference").Status != workflow.StatusRunning {
+		t.Fatal("inference finished before the display job did; the GPUs were not shared")
 	}
 
 	// The workflow must still complete.
@@ -69,9 +85,9 @@ func TestCohabitationBackgroundWANTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 		eco.Clock.RunWhile(func() bool {
-			return run.Workflow.Status("1-download").String() != "Succeeded"
+			return stepByName(run.Workflow.Report(), "1-download").Status != workflow.StatusSucceeded
 		})
-		return run.StepDuration("1-download")
+		return stepByName(run.Workflow.Report(), "1-download").Duration
 	}
 	quiet := baseline(false)
 	busy := baseline(true)

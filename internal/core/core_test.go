@@ -133,7 +133,7 @@ func TestFailedStepNamesStepAndJob(t *testing.T) {
 			t.Errorf("error %q does not say %q", err, want)
 		}
 	}
-	if got := run.Workflow.Status("2-train"); got != workflow.StatusSkipped {
+	if got := stepByName(run.Workflow.Report(), "2-train").Status; got != workflow.StatusSkipped {
 		t.Errorf("2-train is %v after the download failed, want Skipped", got)
 	}
 }

@@ -136,8 +136,3 @@ func stepByName(r workflow.Report, name string) workflow.StepReport {
 	}
 	return workflow.StepReport{}
 }
-
-// StepDuration returns a named step's measured duration from the run.
-func (run *ConnectRun) StepDuration(name string) time.Duration {
-	return stepByName(run.Workflow.Report(), name).Duration
-}

@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"chaseci/internal/workflow"
 )
 
 // completedRun caches one reduced-scale run for the figure-rendering tests.
@@ -74,9 +76,9 @@ func TestTable1Rendering(t *testing.T) {
 	}
 }
 
-func TestStepDurationUnknownStep(t *testing.T) {
+func TestStepByNameUnknownStep(t *testing.T) {
 	run := completedRun(t)
-	if d := run.StepDuration("no-such-step"); d != 0 {
-		t.Fatalf("unknown step duration = %v, want 0", d)
+	if s := stepByName(run.Workflow.Report(), "no-such-step"); s.Duration != 0 || s.Status != workflow.StatusPending {
+		t.Fatalf("unknown step = %+v, want a zero report", s)
 	}
 }

@@ -537,7 +537,7 @@ func TestFromTHREDDSBadVariable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	urls := []string{srv.FileURL(spec.FileName(0))}
+	urls := []string{srv.SubsetURL(spec.FileName(0), "IVT")}
 	if _, err := FromTHREDDS(context.Background(), NewLocal(), nil, urls, "NOPE", ""); err == nil {
 		t.Fatal("missing variable accepted")
 	}

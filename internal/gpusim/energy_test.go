@@ -9,8 +9,11 @@ func TestEnergyBasicAccounting(t *testing.T) {
 	m := Powered1080Ti()
 	// 50 boards for one hour at 250 W = 12.5 kWh.
 	j := m.EnergyJoules(time.Hour, 50)
-	if got := KWh(j); got < 12.49 || got > 12.51 {
-		t.Fatalf("energy = %v kWh, want 12.5", got)
+	if kWh := j / 3.6e6; kWh < 12.49 || kWh > 12.51 {
+		t.Fatalf("energy = %v kWh, want 12.5", kWh)
+	}
+	if got, want := m.JoulesPerVoxel(), Watts1080Ti/m.InferVoxelsPerSec; got != want {
+		t.Fatalf("JoulesPerVoxel = %v, want %v", got, want)
 	}
 }
 
@@ -26,43 +29,41 @@ func TestInferEnergyIndependentOfDeviceCount(t *testing.T) {
 	}
 }
 
-func TestNvNMoreEfficientThanGPU(t *testing.T) {
-	gpu, nvn := Powered1080Ti(), NvN()
-	if nvn.JoulesPerVoxel() >= gpu.JoulesPerVoxel() {
-		t.Fatalf("NvN %v J/voxel not better than GPU %v", nvn.JoulesPerVoxel(), gpu.JoulesPerVoxel())
-	}
-	// But slower wall-clock at equal device count.
-	w := Paper()
-	if nvn.ShardedInferTime(w.InferVoxels, 50) <= gpu.ShardedInferTime(w.InferVoxels, 50) {
-		t.Fatal("NvN should trade speed for efficiency")
-	}
-}
-
-func TestNvNCannotTrain(t *testing.T) {
-	if NvN().TrainVoxelsPerSec != 0 {
-		t.Fatal("NvN modeled as training-capable")
-	}
-	if NvN().InferEnergyJoules(1e9, 10) <= 0 {
-		t.Fatal("NvN inference energy should be positive")
-	}
+func TestZeroModelReportsZeroEnergy(t *testing.T) {
 	zero := PoweredModel{}
-	if zero.InferEnergyJoules(1e9, 10) != 0 {
+	if zero.InferEnergyJoules(1e9, 10) != 0 || zero.JoulesPerVoxel() != 0 {
 		t.Fatal("zero model should report zero energy")
 	}
 }
 
-func TestStep3EnergyComparison(t *testing.T) {
-	// The headline comparison: full step-3 workload on three platforms.
-	w := Paper()
-	gpu := Powered1080Ti().InferEnergyJoules(w.InferVoxels, 50)
-	cpu := PoweredCPU().InferEnergyJoules(w.InferVoxels, 1)
-	nvn := NvN().InferEnergyJoules(w.InferVoxels, 50)
-	if !(nvn < gpu) {
-		t.Fatalf("energy ordering wrong: nvn=%v gpu=%v", KWh(nvn), KWh(gpu))
+func TestEnergyJoulesIsBoardsTimesWattsTimesSeconds(t *testing.T) {
+	m := Powered1080Ti()
+	for _, c := range []struct {
+		name    string
+		d       time.Duration
+		devices int
+		want    float64
+	}{
+		{"one board one second", time.Second, 1, 250},
+		{"four boards one minute", time.Minute, 4, 4 * 250 * 60},
+		{"no boards", time.Hour, 0, 0},
+		{"no time", 0, 50, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if got := m.EnergyJoules(c.d, c.devices); got != c.want {
+				t.Fatalf("EnergyJoules(%v, %d) = %v, want %v", c.d, c.devices, got, c.want)
+			}
+		})
 	}
-	// The single CPU is slower AND burns more total energy than the GPU
-	// fleet for this workload (40x slower at ~1/3 the per-board power).
-	if !(cpu > gpu) {
-		t.Fatalf("CPU total energy %v kWh should exceed GPU fleet %v kWh", KWh(cpu), KWh(gpu))
+}
+
+func TestInferEnergyPricesShardedTime(t *testing.T) {
+	m := Powered1080Ti()
+	w := Paper()
+	for _, n := range []int{1, 7, 50} {
+		want := m.EnergyJoules(m.ShardedInferTime(w.InferVoxels, n), n)
+		if got := m.InferEnergyJoules(w.InferVoxels, n); got != want {
+			t.Fatalf("InferEnergyJoules on %d boards = %v, want %v", n, got, want)
+		}
 	}
 }

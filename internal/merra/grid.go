@@ -22,10 +22,6 @@ type Grid struct {
 	NLon, NLat, NLev int
 }
 
-// FullGrid returns the paper's MERRA-2 resolution (0.625 x 0.5 degrees,
-// 42 levels).
-func FullGrid() Grid { return Grid{NLon: 576, NLat: 361, NLev: 42} }
-
 // HorizontalSize returns NLon*NLat.
 func (g Grid) HorizontalSize() int { return g.NLon * g.NLat }
 
@@ -46,35 +42,6 @@ type Field2D struct {
 // NewField2D allocates a zero field.
 func NewField2D(nlon, nlat int) *Field2D {
 	return &Field2D{NLon: nlon, NLat: nlat, Data: make([]float32, nlon*nlat)}
-}
-
-// At returns the value at (lon i, lat j).
-func (f *Field2D) At(i, j int) float32 { return f.Data[j*f.NLon+i] }
-
-// Set stores the value at (lon i, lat j).
-func (f *Field2D) Set(i, j int, v float32) { f.Data[j*f.NLon+i] = v }
-
-// Max returns the maximum value, or 0 for an empty field.
-func (f *Field2D) Max() float32 {
-	var m float32
-	for idx, v := range f.Data {
-		if idx == 0 || v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Mean returns the arithmetic mean.
-func (f *Field2D) Mean() float64 {
-	if len(f.Data) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range f.Data {
-		sum += float64(v)
-	}
-	return sum / float64(len(f.Data))
 }
 
 // Quantile returns the q-th (0..1) quantile by sampling sort.

@@ -132,8 +132,7 @@ func (r *ivtRows) integrate(out, q, u, v []float32, stride int, levels []float64
 // bit-exactly IVT's. It panics on a level-count mismatch, like IVT.
 // Beyond the output field itself (one Field2D: two allocations), the
 // integration allocates nothing in steady state — the dispatch task and
-// per-shard row buffers recycle through pools; see IVTInto for the
-// fully allocation-free variant.
+// per-shard row buffers recycle through pools.
 func IVTCtx(ctx context.Context, st *State, levels []float64) (*Field2D, error) {
 	g := st.Q.Grid
 	out := NewField2D(g.NLon, g.NLat)
@@ -141,19 +140,6 @@ func IVTCtx(ctx context.Context, st *State, levels []float64) (*Field2D, error) 
 		return nil, err
 	}
 	return out, nil
-}
-
-// IVTInto computes the transport magnitude field into dst, which must match
-// the state's horizontal grid (a mismatch panics — a wiring bug, like a bad
-// level count). Steady-state derivation through IVTInto allocates nothing:
-// the dispatch task and per-shard row buffers recycle through pools and the
-// output lives in the caller's buffer.
-func IVTInto(dst *Field2D, st *State, levels []float64) {
-	g := st.Q.Grid
-	if dst.NLon != g.NLon || dst.NLat != g.NLat {
-		panic("merra: IVTInto destination grid mismatch")
-	}
-	_ = ivtIntoCtx(context.Background(), dst.Data, st, levels)
 }
 
 // ivtIntoCtx is the shared integration core: it shards the trapezoidal
@@ -174,20 +160,6 @@ func ivtIntoCtx(ctx context.Context, out []float32, st *State, levels []float64)
 	t.ctx, t.out, t.q, t.u, t.v, t.levels = nil, nil, nil, nil, nil, nil
 	ivtTaskPool.Put(t)
 	return ctx.Err()
-}
-
-// LabelMask thresholds an IVT field into the binary representation used for
-// FFN training ("a binary representation of locations on earth where intense
-// large-scale moisture transport (IVT) processes exist"). Values >= threshold
-// become 1.
-func LabelMask(ivt *Field2D, threshold float32) *Field2D {
-	out := NewField2D(ivt.NLon, ivt.NLat)
-	for idx, v := range ivt.Data {
-		if v >= threshold {
-			out.Data[idx] = 1
-		}
-	}
-	return out
 }
 
 // IVTVolume stacks per-step IVT fields into a (time, lat, lon) volume — the
@@ -233,16 +205,4 @@ func IVTVolumeCtx(ctx context.Context, gen *Generator, levels []float64, startSt
 		}
 	}
 	return vol, nil
-}
-
-// MaskVolume thresholds an IVT volume into a binary volume, the label data
-// for FFN training and the input to the CONNECT baseline.
-func MaskVolume(vol *Field3D, threshold float32) *Field3D {
-	out := NewField3D(vol.Grid)
-	for idx, v := range vol.Data {
-		if v >= threshold {
-			out.Data[idx] = 1
-		}
-	}
-	return out
 }

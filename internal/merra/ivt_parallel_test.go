@@ -1,12 +1,26 @@
 package merra
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
 
 	"chaseci/internal/parallel"
 )
+
+// IVTInto computes the transport magnitude field into dst, which must match
+// the state's horizontal grid (a mismatch panics — a wiring bug, like a bad
+// level count). Steady-state derivation through IVTInto allocates nothing:
+// the dispatch task and per-shard row buffers recycle through pools and the
+// output lives in the caller's buffer.
+func IVTInto(dst *Field2D, st *State, levels []float64) {
+	g := st.Q.Grid
+	if dst.NLon != g.NLon || dst.NLat != g.NLat {
+		panic("merra: IVTInto destination grid mismatch")
+	}
+	_ = ivtIntoCtx(context.Background(), dst.Data, st, levels)
+}
 
 // ivtScalarReference is the original per-point trapezoidal integration,
 // kept as the ground truth for the latitude-sharded kernel.

@@ -8,6 +8,53 @@ import (
 	"time"
 )
 
+// FullGrid returns the paper's MERRA-2 resolution (0.625 x 0.5 degrees,
+// 42 levels).
+func FullGrid() Grid { return Grid{NLon: 576, NLat: 361, NLev: 42} }
+
+// At returns the value at (lon i, lat j).
+func (f *Field2D) At(i, j int) float32 { return f.Data[j*f.NLon+i] }
+
+// Set stores the value at (lon i, lat j).
+func (f *Field2D) Set(i, j int, v float32) { f.Data[j*f.NLon+i] = v }
+
+// Max returns the maximum value, or 0 for an empty field.
+func (f *Field2D) Max() float32 {
+	var m float32
+	for idx, v := range f.Data {
+		if idx == 0 || v > m {
+			m = v
+		}
+	}
+	return m
+}
+
+// Mean returns the arithmetic mean.
+func (f *Field2D) Mean() float64 {
+	if len(f.Data) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, v := range f.Data {
+		sum += float64(v)
+	}
+	return sum / float64(len(f.Data))
+}
+
+// LabelMask thresholds an IVT field into the binary representation used for
+// FFN training ("a binary representation of locations on earth where intense
+// large-scale moisture transport (IVT) processes exist"). Values >= threshold
+// become 1.
+func LabelMask(ivt *Field2D, threshold float32) *Field2D {
+	out := NewField2D(ivt.NLon, ivt.NLat)
+	for idx, v := range ivt.Data {
+		if v >= threshold {
+			out.Data[idx] = 1
+		}
+	}
+	return out
+}
+
 var testGrid = Grid{NLon: 48, NLat: 32, NLev: 8}
 
 func TestFullGridMatchesPaper(t *testing.T) {

@@ -67,16 +67,6 @@ func (f *File) AddVariable(name string, dims []int, data []float32) error {
 	return nil
 }
 
-// Var returns the named variable, or nil.
-func (f *File) Var(name string) *Variable {
-	for i := range f.Vars {
-		if f.Vars[i].Name == name {
-			return &f.Vars[i]
-		}
-	}
-	return nil
-}
-
 // Encode serializes the file.
 func (f *File) Encode(w io.Writer) error {
 	if _, err := w.Write(ncMagic[:]); err != nil {
@@ -121,15 +111,6 @@ func (f *File) EncodeBytes() []byte {
 		panic(err)
 	}
 	return buf.Bytes()
-}
-
-// Decode parses an entire NC4-lite stream.
-func Decode(r io.Reader) (*File, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeBytes(data)
 }
 
 // ncReader walks an encoded file held in memory. The header fields are
@@ -227,24 +208,6 @@ func floats(payload []byte) []float32 {
 	return out
 }
 
-// DecodeBytes parses a serialized file from memory.
-func DecodeBytes(data []byte) (*File, error) {
-	r, timestamp, nvars, err := openNC(data)
-	if err != nil {
-		return nil, err
-	}
-	f := &File{Time: timestamp}
-	for i := uint32(0); i < nvars; i++ {
-		v, payload, err := r.next()
-		if err != nil {
-			return nil, err
-		}
-		v.Data = floats(payload)
-		f.Vars = append(f.Vars, v)
-	}
-	return f, nil
-}
-
 // ExtractVariable reads a single named variable from encoded bytes, skipping
 // (not allocating) every other variable's payload — the subset operation.
 func ExtractVariable(data []byte, name string) (*Variable, error) {
@@ -263,24 +226,6 @@ func ExtractVariable(data []byte, name string) (*Variable, error) {
 		}
 	}
 	return nil, ErrNoVar
-}
-
-// ListVariables returns the variable headers (no payload) in file order.
-func ListVariables(data []byte) ([]Variable, error) {
-	r, _, nvars, err := openNC(data)
-	if err != nil {
-		return nil, err
-	}
-	// Not sized by nvars: the list grows with the variables actually there.
-	var out []Variable
-	for i := uint32(0); i < nvars; i++ {
-		v, _, err := r.next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 // StateFile packages a synthetic state (plus its derived IVT) as an NC4-lite

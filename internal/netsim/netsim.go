@@ -176,14 +176,6 @@ type LinkChange struct {
 	Down     *bool
 }
 
-// Change builders for declarative scripts.
-
-// CapacityBps returns a LinkChange setting only the capacity.
-func CapacityBps(bps float64) LinkChange { return LinkChange{Capacity: &bps} }
-
-// LossFrac returns a LinkChange setting only the loss fraction.
-func LossFrac(f float64) LinkChange { return LinkChange{Loss: &f} }
-
 // LinkDown returns a LinkChange taking the link down or up.
 func LinkDown(down bool) LinkChange { return LinkChange{Down: &down} }
 

@@ -10,6 +10,12 @@ import (
 	"chaseci/internal/sim"
 )
 
+// CapacityBps returns a LinkChange setting only the capacity.
+func CapacityBps(bps float64) LinkChange { return LinkChange{Capacity: &bps} }
+
+// LossFrac returns a LinkChange setting only the loss fraction.
+func LossFrac(f float64) LinkChange { return LinkChange{Loss: &f} }
+
 func twoSiteNet(capacity float64) (*sim.Clock, *Network) {
 	c := sim.NewClock()
 	n := NewNetwork(c, nil)

@@ -177,11 +177,6 @@ func For(n int, fn func(start, end int)) {
 	Invoke(n, &funcTask{fn})
 }
 
-// ForGrain is For with a minimum chunk size.
-func ForGrain(n, grain int, fn func(start, end int)) {
-	InvokeGrain(n, grain, &funcTask{fn})
-}
-
 // Chunks returns how many chunks Invoke splits [0, n) into: at most
 // Workers(), each non-empty.
 func Chunks(n int) int {

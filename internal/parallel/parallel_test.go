@@ -47,16 +47,17 @@ func TestRangesMatchInvokeChunking(t *testing.T) {
 	}
 }
 
-func TestForGrainKeepsSmallWorkSerial(t *testing.T) {
+func TestInvokeGrainKeepsSmallWorkSerial(t *testing.T) {
 	prev := SetWorkers(8)
 	defer SetWorkers(prev)
 	var chunks atomic.Int32
-	ForGrain(10, 10, func(s, e int) { chunks.Add(1) })
+	count := &funcTask{func(s, e int) { chunks.Add(1) }}
+	InvokeGrain(10, 10, count)
 	if chunks.Load() != 1 {
 		t.Fatalf("grain 10 over n=10 should run as 1 chunk, got %d", chunks.Load())
 	}
 	chunks.Store(0)
-	ForGrain(40, 10, func(s, e int) { chunks.Add(1) })
+	InvokeGrain(40, 10, count)
 	if c := chunks.Load(); c < 1 || c > 4 {
 		t.Fatalf("grain 10 over n=40 should use at most 4 chunks, got %d", c)
 	}

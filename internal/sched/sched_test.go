@@ -526,10 +526,10 @@ func TestRunTransferTraceAndStall(t *testing.T) {
 	s := New(f)
 
 	// 40 Gbps a<->b link collapses to 1/100th for 2s mid-transfer.
-	cap := netsim.Gbps(40)
+	cap, collapsed := netsim.Gbps(40), netsim.Gbps(40)/100
 	err := s.ApplyLinkTrace("site-a", "site-b", []netsim.TracePoint{
-		{At: 1 * time.Second, Change: netsim.CapacityBps(cap / 100)},
-		{At: 3 * time.Second, Change: netsim.CapacityBps(cap)},
+		{At: 1 * time.Second, Change: netsim.LinkChange{Capacity: &collapsed}},
+		{At: 3 * time.Second, Change: netsim.LinkChange{Capacity: &cap}},
 	})
 	if err != nil {
 		t.Fatal(err)

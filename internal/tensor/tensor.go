@@ -120,13 +120,6 @@ func Sums(data []float32) (sum, sumsq float64) {
 	return sum, sumsq
 }
 
-// --- Volumetric (C, D, H, W) layout helpers --------------------------------
-
-// vIdx computes the flat index of (c, z, y, x) in a (C,D,H,W) tensor.
-func vIdx(shape []int, c, z, y, x int) int {
-	return ((c*shape[1]+z)*shape[2]+y)*shape[3] + x
-}
-
 // ReLUInto writes max(0, x) of in into dst (dst may alias in).
 func ReLUInto(dst, in *Tensor) {
 	for i, v := range in.Data {

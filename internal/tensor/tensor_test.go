@@ -60,6 +60,11 @@ func TestConv3DIdentityKernel(t *testing.T) {
 	}
 }
 
+// vIdx computes the flat index of (c, z, y, x) in a (C,D,H,W) tensor.
+func vIdx(shape []int, c, z, y, x int) int {
+	return ((c*shape[1]+z)*shape[2]+y)*shape[3] + x
+}
+
 func vIdx5(shape []int, a, b, c, d, e int) int {
 	return (((a*shape[1]+b)*shape[2]+c)*shape[3]+d)*shape[4] + e
 }

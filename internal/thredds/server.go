@@ -177,11 +177,6 @@ func (s *Server) handleSubset(w http.ResponseWriter, r *http.Request) {
 	w.Write(b)
 }
 
-// FileURL returns the full-granule URL for a dataset name.
-func (s *Server) FileURL(name string) string {
-	return s.BaseURL() + "/thredds/fileServer/" + name
-}
-
 // SubsetURL returns the NCSS subset URL for a dataset and variable.
 func (s *Server) SubsetURL(name, variable string) string {
 	return s.BaseURL() + "/thredds/ncss/" + name + "?var=" + variable

@@ -2,6 +2,7 @@ package thredds
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -15,6 +16,11 @@ import (
 )
 
 var testGrid = merra.Grid{NLon: 24, NLat: 16, NLev: 6}
+
+// FileURL returns the full-granule URL for a dataset name.
+func (s *Server) FileURL(name string) string {
+	return s.BaseURL() + "/thredds/fileServer/" + name
+}
 
 func newTestServer(t *testing.T, granules int) *Server {
 	t.Helper()
@@ -60,14 +66,17 @@ func TestFullGranuleDownloadDecodes(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("status = %s", resp.Status)
 	}
-	f, err := merra.Decode(resp.Body)
+	data, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Vars) != 4 {
-		t.Fatalf("granule has %d vars, want 4", len(f.Vars))
+	for _, name := range []string{"QV", "U", "V", "IVT"} {
+		if _, err := merra.ExtractVariable(data, name); err != nil {
+			t.Fatalf("granule variable %s: %v", name, err)
+		}
 	}
-	if f.Time != srv.Catalog.Spec.FileTime(1).Unix() {
+	// The file time follows the 8-byte magic.
+	if ts := int64(binary.LittleEndian.Uint64(data[8:16])); ts != srv.Catalog.Spec.FileTime(1).Unix() {
 		t.Fatal("granule timestamp mismatch")
 	}
 }
@@ -87,12 +96,14 @@ func TestSubsetSmallerThanFull(t *testing.T) {
 	if len(subset) >= len(full) {
 		t.Fatalf("subset (%d B) not smaller than full granule (%d B)", len(subset), len(full))
 	}
-	f, err := merra.DecodeBytes(subset)
+	for _, other := range []string{"QV", "U", "V"} {
+		if _, err := merra.ExtractVariable(subset, other); err != merra.ErrNoVar {
+			t.Fatalf("subset holds %s (err %v); want IVT alone", other, err)
+		}
+	}
+	got, err := merra.ExtractVariable(subset, "IVT")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(f.Vars) != 1 || f.Vars[0].Name != "IVT" {
-		t.Fatalf("subset vars = %v", f.Vars)
 	}
 	// Subset payload must equal the IVT extracted from the full granule.
 	want, err := merra.ExtractVariable(full, "IVT")
@@ -100,7 +111,7 @@ func TestSubsetSmallerThanFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range want.Data {
-		if f.Vars[0].Data[i] != want.Data[i] {
+		if got.Data[i] != want.Data[i] {
 			t.Fatal("subset IVT differs from full-granule IVT")
 		}
 	}

@@ -1,8 +1,7 @@
 // Package viz is the workflow's step 4: result inspection. In the paper this
-// is a JupyterLab notebook (and, in related work, the SunCAVE wall) reading
-// results straight from the Ceph Object Store; here it renders segmentation
-// masks and IVT fields as PGM/PPM images, ASCII previews, and object
-// statistics reports, all pure stdlib.
+// is a JupyterLab notebook reading results straight from the Ceph Object
+// Store; here it renders segmentation masks over IVT fields as PPM images,
+// ASCII previews, and object statistics reports, all pure stdlib.
 package viz
 
 import (
@@ -14,25 +13,6 @@ import (
 	"chaseci/internal/api"
 	"chaseci/internal/ffn"
 )
-
-// RenderPGM encodes a single (H x W) float32 slice as a binary PGM (P5)
-// grayscale image, auto-scaled to the slice's value range.
-func RenderPGM(data []float32, h, w int) []byte {
-	if len(data) != h*w {
-		panic(fmt.Sprintf("viz: RenderPGM got %d values for %dx%d", len(data), h, w))
-	}
-	lo, hi := minMax(data)
-	span := hi - lo
-	if span <= 0 {
-		span = 1
-	}
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "P5\n%d %d\n255\n", w, h)
-	for _, v := range data {
-		buf.WriteByte(byte((v - lo) / span * 255))
-	}
-	return buf.Bytes()
-}
 
 // RenderOverlayPPM encodes an image slice with a mask overlay as a binary
 // PPM (P6): grayscale background, masked voxels in red.

@@ -2,46 +2,13 @@ package viz
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"chaseci/internal/api"
 	"chaseci/internal/ffn"
 )
-
-func TestRenderPGMHeaderAndSize(t *testing.T) {
-	data := make([]float32, 6)
-	for i := range data {
-		data[i] = float32(i)
-	}
-	img := RenderPGM(data, 2, 3)
-	if !bytes.HasPrefix(img, []byte("P5\n3 2\n255\n")) {
-		t.Fatalf("header = %q", img[:12])
-	}
-	payload := img[len("P5\n3 2\n255\n"):]
-	if len(payload) != 6 {
-		t.Fatalf("payload = %d bytes, want 6", len(payload))
-	}
-	if payload[0] != 0 || payload[5] != 255 {
-		t.Fatalf("scaling wrong: first=%d last=%d", payload[0], payload[5])
-	}
-}
-
-func TestRenderPGMConstantField(t *testing.T) {
-	img := RenderPGM(make([]float32, 4), 2, 2)
-	if len(img) == 0 {
-		t.Fatal("constant field render failed")
-	}
-}
-
-func TestRenderPGMSizeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("size mismatch did not panic")
-		}
-	}()
-	RenderPGM(make([]float32, 5), 2, 3)
-}
 
 func TestRenderOverlayPPMMarksMask(t *testing.T) {
 	image := []float32{0, 0, 0, 0}
@@ -120,4 +87,111 @@ func TestVolumeSlice(t *testing.T) {
 		}
 	}()
 	VolumeSlice(v, 5)
+}
+
+func TestRenderOverlayPPMRefusesMisshapenInput(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		image, mask int
+		h, w        int
+	}{
+		{"short image", 3, 4, 2, 2},
+		{"short mask", 4, 3, 2, 2},
+		{"wrong shape", 4, 4, 2, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("misshapen input did not panic")
+				}
+			}()
+			RenderOverlayPPM(make([]float32, c.image), make([]float32, c.mask), c.h, c.w)
+		})
+	}
+}
+
+func TestRenderOverlayPPMSpansFullGrayRange(t *testing.T) {
+	image := []float32{-2, 0, 2, 6}
+	mask := []float32{0, 0, 0, 1}
+	img := RenderOverlayPPM(image, mask, 1, 4)
+	header := "P6\n4 1\n255\n"
+	if string(img[:len(header)]) != header || len(img) != len(header)+4*3 {
+		t.Fatalf("image = %q", img)
+	}
+	px := img[len(header):]
+	want := []byte{0, 0, 0, 63, 63, 63, 127, 127, 127, 255, 127, 127}
+	if !bytes.Equal(px, want) {
+		t.Fatalf("pixels = %v, want %v", px, want)
+	}
+}
+
+func TestASCIISliceWidth(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		h, w, maxCols  int
+		wantW, wantRow int
+	}{
+		{"fits", 4, 10, 72, 10, 2},
+		{"halved", 8, 64, 32, 32, 2},
+		{"default 72 columns", 8, 100, 0, 50, 2},
+		{"ragged last cell", 12, 64, 30, 22, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			data := make([]float32, c.h*c.w)
+			for i := range data {
+				data[i] = float32(i % c.w)
+			}
+			lines := strings.Split(strings.TrimRight(ASCIISlice(data, c.h, c.w, c.maxCols), "\n"), "\n")
+			if len(lines) != c.wantRow {
+				t.Fatalf("%d rows, want %d", len(lines), c.wantRow)
+			}
+			for _, l := range lines {
+				if len(l) != c.wantW {
+					t.Fatalf("row %q is %d wide, want %d", l, len(l), c.wantW)
+				}
+			}
+		})
+	}
+}
+
+func TestASCIISliceRampEnds(t *testing.T) {
+	out := ASCIISlice([]float32{0, 5, 10}, 1, 3, 72)
+	if out != " =@\n" {
+		t.Fatalf("ramp = %q, want %q", out, " =@\n")
+	}
+}
+
+func TestVolumeSliceOutOfRangePanics(t *testing.T) {
+	v := ffn.NewVolume(3, 2, 2)
+	for _, z := range []int{-1, 3} {
+		t.Run(fmt.Sprint(z), func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("VolumeSlice(v, %d) did not panic", z)
+				}
+			}()
+			VolumeSlice(v, z)
+		})
+	}
+}
+
+func TestObjectReportNoObjects(t *testing.T) {
+	out := ObjectReport(&api.LabelResult{})
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	if len(lines) != 3 || !strings.HasPrefix(lines[0], "id") {
+		t.Fatalf("report:\n%s", out)
+	}
+	if lines[2] != "0 objects, 0 voxels total, mean duration 0.0 steps, max 0 steps" {
+		t.Fatalf("summary = %q", lines[2])
+	}
+}
+
+func TestSegmentationReportDisjointMasks(t *testing.T) {
+	pred, truth := ffn.NewVolume(1, 1, 4), ffn.NewVolume(1, 1, 4)
+	pred.Data = []float32{1, 1, 0, 0}
+	truth.Data = []float32{0, 0, 1, 1}
+	out := SegmentationReport(pred, truth)
+	if !strings.Contains(out, "F1:        0.000") || !strings.Contains(out, "IoU:       0.000") {
+		t.Fatalf("report:\n%s", out)
+	}
 }

@@ -64,10 +64,7 @@ type Ctx struct {
 	done bool
 }
 
-// Clock returns the workflow's virtual clock.
-func (c *Ctx) Clock() *sim.Clock { return c.wf.clock }
-
-// After schedules fn in virtual time (sugar over Clock().After).
+// After schedules fn in virtual time.
 func (c *Ctx) After(d time.Duration, fn func()) { c.wf.clock.After(d, fn) }
 
 // Record stores a named measurement on the step (e.g. "pods", "gpus",
@@ -288,14 +285,6 @@ func (w *Workflow) Done() bool { return w.finished }
 
 // Failed reports whether any step failed.
 func (w *Workflow) Failed() bool { return w.failed }
-
-// Status returns a step's state; unknown steps report Pending.
-func (w *Workflow) Status(name string) Status {
-	if s, ok := w.steps[name]; ok {
-		return s.status
-	}
-	return StatusPending
-}
 
 // StepError returns the failure of a step, or nil.
 func (w *Workflow) StepError(name string) error {

@@ -79,8 +79,8 @@ func TestDiamondDependency(t *testing.T) {
 	if clk.Now() != 5*time.Minute {
 		t.Fatalf("diamond took %v, want 5m", clk.Now())
 	}
-	if w.Status("join") != StatusSucceeded {
-		t.Fatalf("join = %v", w.Status("join"))
+	if w.steps["join"].status != StatusSucceeded {
+		t.Fatalf("join = %v", w.steps["join"].status)
 	}
 }
 
@@ -100,11 +100,11 @@ func TestFailureSkipsDependents(t *testing.T) {
 	if !w.Failed() || ok == nil || *ok {
 		t.Fatalf("failed=%v ok=%v", w.Failed(), ok)
 	}
-	if w.Status("train") != StatusSkipped || w.Status("infer") != StatusSkipped {
-		t.Fatalf("dependents = %v/%v, want Skipped", w.Status("train"), w.Status("infer"))
+	if w.steps["train"].status != StatusSkipped || w.steps["infer"].status != StatusSkipped {
+		t.Fatalf("dependents = %v/%v, want Skipped", w.steps["train"].status, w.steps["infer"].status)
 	}
-	if w.Status("independent") != StatusSucceeded {
-		t.Fatalf("independent step = %v, want Succeeded", w.Status("independent"))
+	if w.steps["independent"].status != StatusSucceeded {
+		t.Fatalf("independent step = %v, want Succeeded", w.steps["independent"].status)
 	}
 	if !errors.Is(w.StepError("download"), boom) {
 		t.Fatalf("StepError = %v", w.StepError("download"))
