@@ -10,6 +10,13 @@
 // and the allowlist does not name fails the gate, and so does an
 // allowlist line whose function is reached or no longer declared.
 //
+// A program whose dump has a <ReflectMethod> edge fails the gate too. A
+// call to reflect's Method or MethodByName with a name it cannot resolve
+// at link time (text/template and html/template make one) makes the
+// linker keep every exported method of every type converted to an
+// interface, whether or not anything calls it, so the census cannot see
+// which of them are run.
+//
 // Run it from the repository root:
 //
 //	go run ./.github/reach        # the gate
@@ -70,10 +77,14 @@ func run(verbose bool) error {
 	}
 	progs := strings.Fields(mains)
 	reached := map[string]map[string]bool{} // symbol -> programs reaching it
+	var failures []string
 	for _, p := range progs {
-		syms, err := dumpdep(module, p)
+		syms, reflectEdge, err := dumpdep(module, p)
 		if err != nil {
 			return err
+		}
+		if reflectEdge != "" {
+			failures = append(failures, fmt.Sprintf("%s: links %q: a reflective method lookup keeps every exported method of every type in an interface, so the census cannot see through it; drop the reflection (text/template, html/template, reflect's Method/MethodByName)", p, reflectEdge))
 		}
 		for s := range syms {
 			if reached[s] == nil {
@@ -93,7 +104,6 @@ func run(verbose bool) error {
 
 	bench := module + "/bench"
 	var total, benchOnly, dead, deadLines int
-	var failures []string
 	seen := map[string]bool{}
 	for _, f := range fns {
 		total += f.lines
@@ -151,7 +161,8 @@ func goOut(args ...string) (string, error) {
 }
 
 // dumpdep links one program and returns the module functions it
-// reaches, named relative to the module. A generic function is named
+// reaches, named relative to the module, and its first <ReflectMethod>
+// edge ("" if it has none). A generic function is named
 // once per instantiation ("F[go.shape.int]"), a func value "F·f", a
 // method value "M-fm", and a closure after the function it is declared
 // in ("F.func1", "F.func1.2", "F.deferwrap1", "F.gowrap1"; an init
@@ -159,17 +170,18 @@ func goOut(args ...string) (string, error) {
 // compiler's per-function data ("F.stkobj", "F.arginfo1", ...) does not:
 // the linker shares identical data between functions under one of their
 // names.
-func dumpdep(module, prog string) (map[string]bool, error) {
+func dumpdep(module, prog string) (map[string]bool, string, error) {
 	cmd := exec.Command("go", "build", "-o", os.DevNull,
 		"-gcflags="+module+"/...=-l", "-ldflags=-dumpdep", prog)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	if err := cmd.Start(); err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	syms := map[string]bool{}
+	reflectEdge := ""
 	prefix := module + "/"
 	sc := bufio.NewScanner(stderr)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -183,6 +195,9 @@ func dumpdep(module, prog string) (map[string]bool, error) {
 			}
 			continue
 		}
+		if reflectEdge == "" && strings.Contains(line, " <ReflectMethod>") {
+			reflectEdge = line
+		}
 		for _, s := range [2]string{from, to} {
 			if s, ok = strings.CutPrefix(s, prefix); ok {
 				syms[funcOf(s)] = true
@@ -190,12 +205,12 @@ func dumpdep(module, prog string) (map[string]bool, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	if err := cmd.Wait(); err != nil {
-		return nil, fmt.Errorf("build %s: %v\n%s", prog, err, strings.Join(other, "\n"))
+		return nil, "", fmt.Errorf("build %s: %v\n%s", prog, err, strings.Join(other, "\n"))
 	}
-	return syms, nil
+	return syms, reflectEdge, nil
 }
 
 var (

@@ -350,7 +350,7 @@ func BenchmarkBaselineConnect(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mask, _ := net.Segment(img, seeds, 0)
+		mask, _, _ := net.SegmentCtx(context.Background(), img, seeds, 0, nil)
 		res, err := connect.LabelCtx(ctx, connect.FromMask(steps, g.NLat, g.NLon, lbl.Data), connect.Conn26, 4, nil)
 		if err != nil {
 			b.Fatal(err)
@@ -405,22 +405,25 @@ func BenchmarkConv3DInto(b *testing.B) {
 // into feature 0, the zero-weight residual modules pass it through, and the
 // output layer maps image 1 to logit +4 and image 0 to logit -4. The
 // arithmetic per application is that of any network of the geometry; only
-// where the flood goes is designed. Built through the serialized-model API:
-// a header followed by the flat parameter vector, wIn first, bOut last.
+// where the flood goes is designed. Built through the checkpoint API: the
+// serialized model (a header followed by the flat parameter vector, wIn
+// first, bOut last) follows the checkpoint's magic and its length.
 func followImageNet(b *testing.B, cfg ffn.Config) *ffn.Network {
 	b.Helper()
 	blank, err := ffn.NewNetwork(cfg, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	model := blank.SaveBytes()
-	params := model[len(model)-4*blank.ParamCount():]
+	ck := (&ffn.Checkpoint{Net: blank, Opt: tensor.NewSGD(0, 0), BatchPerRound: 1}).EncodeBytes()
+	end := 12 + int(binary.LittleEndian.Uint32(ck[8:]))
+	params := ck[end-blank.WeightBytes() : end]
 	clear(params)
+	n := len(params) / 4
 	set := func(i int, v float32) { binary.LittleEndian.PutUint32(params[4*i:], math.Float32bits(v)) }
-	set(13, 1)                                // wIn: feature 0, image channel, center tap
-	set(blank.ParamCount()-1-cfg.Features, 8) // wOut: feature 0
-	set(blank.ParamCount()-1, -4)             // bOut
-	net, err := ffn.LoadBytes(model)
+	set(13, 1)               // wIn: feature 0, image channel, center tap
+	set(n-1-cfg.Features, 8) // wOut: feature 0
+	set(n-1, -4)             // bOut
+	net, err := ffn.DecodeCheckpointNet(ck)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -462,7 +465,7 @@ func BenchmarkSegmentWorkers(b *testing.B) {
 	for z := 0; z < block.D; z++ {
 		for y := 0; y < block.H; y++ {
 			for x := 24; x < block.W; x++ {
-				block.Set(z, y, x, 1)
+				block.Data[(z*block.H+y)*block.W+x] = 1
 			}
 		}
 	}
@@ -493,7 +496,7 @@ func BenchmarkSegmentWorkers(b *testing.B) {
 					defer parallel.SetWorkers(prev)
 					applications := 0
 					for i := 0; i < b.N; i++ {
-						_, stats := sc.net.Segment(sc.img, sc.seeds, arm.budget)
+						_, stats, _ := sc.net.SegmentCtx(context.Background(), sc.img, sc.seeds, arm.budget, nil)
 						if stats.SeedsUsed != len(sc.seeds) {
 							b.Fatalf("%d of %d seeds accepted", stats.SeedsUsed, len(sc.seeds))
 						}
@@ -633,8 +636,12 @@ func BenchmarkAblationScienceDMZ(b *testing.B) {
 	run := func(load bool) time.Duration {
 		eco := core.Nautilus()
 		if load {
-			eco.Net.StartLoad("ucsd", "calit2", 20, 1e12)
-			eco.Net.StartLoad("sdsc", "ucmerced", 20, 1e12)
+			for i := 0; i < 20; i++ {
+				eco.Net.Transfer("ucsd", "calit2", 1e12, nil)
+			}
+			for i := 0; i < 20; i++ {
+				eco.Net.Transfer("sdsc", "ucmerced", 1e12, nil)
+			}
 		}
 		cfg := core.PaperConnectConfig()
 		cfg.Archive = merra.MERRA2().Slice(4000)

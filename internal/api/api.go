@@ -248,9 +248,6 @@ type PlacementSpec struct {
 	Node string `json:"node,omitempty"`
 	// Site restricts the job to nodes at one PRP site.
 	Site string `json:"site,omitempty"`
-	// Tolerations allow placement onto tainted nodes: key -> value
-	// ("" tolerates any value of the key).
-	Tolerations map[string]string `json:"tolerations,omitempty"`
 }
 
 func (p *PlacementSpec) validate() error {
@@ -259,14 +256,6 @@ func (p *PlacementSpec) validate() error {
 	}
 	if len(p.Node) > 256 || len(p.Site) > 256 {
 		return invalidf("placement: node/site names capped at 256 bytes")
-	}
-	if len(p.Tolerations) > 64 {
-		return invalidf("placement: at most 64 tolerations, got %d", len(p.Tolerations))
-	}
-	for k, v := range p.Tolerations {
-		if len(k) > 256 || len(v) > 256 {
-			return invalidf("placement: toleration keys/values capped at 256 bytes")
-		}
 	}
 	return nil
 }

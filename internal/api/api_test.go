@@ -241,6 +241,32 @@ func TestSegmentSpecRejections(t *testing.T) {
 	}
 }
 
+// TestPlacementSpecValidation: a placement names a node, a site, both or
+// neither, each at most 256 bytes.
+func TestPlacementSpecValidation(t *testing.T) {
+	long := strings.Repeat("n", 257)
+	for _, c := range []struct {
+		name string
+		spec *PlacementSpec
+		ok   bool
+	}{
+		{"none", nil, true},
+		{"node and site", &PlacementSpec{Node: "fiona-ucsd-0", Site: "ucsd"}, true},
+		{"256-byte node", &PlacementSpec{Node: long[:256]}, true},
+		{"257-byte node", &PlacementSpec{Node: long}, false},
+		{"257-byte site", &PlacementSpec{Site: long}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			req := validRequests()[KindSegment]
+			req.Placement = c.spec
+			err := req.Validate()
+			if c.ok != (err == nil) || err != nil && (!errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "placement")) {
+				t.Fatalf("Validate = %v, want ok=%v", err, c.ok)
+			}
+		})
+	}
+}
+
 // TestSegmentNetRef: a well-formed net_ref validates, and Refs names the
 // source first and the checkpoint after it — the order Submit's kind check
 // reads them in.

@@ -29,7 +29,6 @@ type Node struct {
 
 	allocated Resources
 	pods      map[uint64]*Pod
-	taints    []Taint
 	claims    map[string]Resources
 }
 
@@ -49,9 +48,6 @@ type Namespace struct {
 	used   Resources
 	admins map[string]bool
 }
-
-// Used returns requests consumed by non-terminal pods in the namespace.
-func (ns *Namespace) Used() Resources { return ns.used }
 
 // NodeEvent describes a node lifecycle transition for external observers
 // (e.g. the placement scheduler in internal/sched).
@@ -154,15 +150,9 @@ func (c *Cluster) CreateNamespace(name string, quota *Resources) (*Namespace, er
 	return ns, nil
 }
 
-// Namespace returns the namespace, or nil.
-func (c *Cluster) Namespace(name string) *Namespace { return c.namespaces[name] }
-
 // GrantAdmin makes user an administrator of the namespace (the paper's "PI
 // of a given research group is granted the role namespace administrator").
 func (ns *Namespace) GrantAdmin(user string) { ns.admins[user] = true }
-
-// IsAdmin reports whether user administers the namespace.
-func (ns *Namespace) IsAdmin(user string) bool { return ns.admins[user] }
 
 // --- Nodes ----------------------------------------------------------------
 
@@ -409,9 +399,6 @@ func (c *Cluster) pickNode(p *Pod) *Node {
 		if !matchesSelector(n.Labels, p.Spec.NodeSelector) {
 			continue
 		}
-		if !tolerates(p.Spec.Tolerations, n.taints) {
-			continue
-		}
 		if !p.Spec.Requests.Fits(n.Available()) {
 			continue
 		}
@@ -517,18 +504,4 @@ func (c *Cluster) publishUsage() {
 	c.cpuInUse.Set(used.CPU)
 	c.memInUse.Set(used.Memory)
 	c.gpusInUse.Set(float64(used.GPUs))
-}
-
-// PodsInPhase counts pods of a namespace in a phase ("" = all namespaces).
-func (c *Cluster) PodsInPhase(namespace string, phase PodPhase) int {
-	n := 0
-	for _, p := range c.pods {
-		if namespace != "" && p.Spec.Namespace != namespace {
-			continue
-		}
-		if p.Phase == phase {
-			n++
-		}
-	}
-	return n
 }

@@ -101,7 +101,7 @@ func TestNodeNeverOversubscribed(t *testing.T) {
 	if over {
 		t.Fatal("node was oversubscribed")
 	}
-	if got := c.PodsInPhase("connect", PodSucceeded); got != 10 {
+	if got := podsInPhase(c, PodSucceeded); got != 10 {
 		t.Fatalf("succeeded = %d, want 10 (queued pods must run as space frees)", got)
 	}
 }
@@ -283,12 +283,12 @@ func TestEventsLogged(t *testing.T) {
 
 func TestNamespaceAdmin(t *testing.T) {
 	_, c := testCluster(1)
-	ns := c.Namespace("connect")
+	ns := c.namespaces["connect"]
 	ns.GrantAdmin("ialtintas@ucsd.edu")
-	if !ns.IsAdmin("ialtintas@ucsd.edu") {
+	if !ns.admins["ialtintas@ucsd.edu"] {
 		t.Fatal("granted admin not recognized")
 	}
-	if ns.IsAdmin("someone@else.edu") {
+	if ns.admins["someone@else.edu"] {
 		t.Fatal("ungranted user recognized as admin")
 	}
 }
@@ -358,4 +358,15 @@ func TestSchedulingPassFollowsDelay(t *testing.T) {
 			t.Fatalf("pod %s: %v at %v, want Running at %v", p.Spec.Name, p.Phase, p.StartedAt, want)
 		}
 	}
+}
+
+// podsInPhase counts the pods of namespace "connect" in a phase.
+func podsInPhase(c *Cluster, phase PodPhase) int {
+	n := 0
+	for _, p := range c.pods {
+		if p.Spec.Namespace == "connect" && p.Phase == phase {
+			n++
+		}
+	}
+	return n
 }

@@ -17,7 +17,6 @@ import (
 type PodTemplate struct {
 	Requests     Resources
 	NodeSelector map[string]string
-	Tolerations  map[string]string
 	Labels       map[string]string
 	Run          func(ctx *PodCtx)
 }
@@ -73,20 +72,8 @@ func (c *Cluster) CreateJob(spec JobSpec) (*Job, error) {
 	return j, nil
 }
 
-// Succeeded returns the count of successfully completed pods.
-func (j *Job) Succeeded() int { return j.succeeded }
-
-// Active returns the number of live pods.
-func (j *Job) Active() int { return len(j.active) }
-
-// Failures returns pod failures charged against the backoff limit.
-func (j *Job) Failures() int { return j.failures }
-
 // Done reports whether the job reached Completions successes.
 func (j *Job) Done() bool { return j.done }
-
-// Failed reports whether the job exceeded its backoff limit.
-func (j *Job) Failed() bool { return j.failed }
 
 // Pods returns every pod the job has created, in creation order.
 func (j *Job) Pods() []*Pod { return j.pods }
@@ -118,7 +105,6 @@ func (j *Job) reconcile() {
 			Namespace:    j.Spec.Namespace,
 			Requests:     j.Spec.Template.Requests,
 			NodeSelector: j.Spec.Template.NodeSelector,
-			Tolerations:  j.Spec.Template.Tolerations,
 			Labels:       j.Spec.Template.Labels,
 			Run:          j.Spec.Template.Run,
 		}

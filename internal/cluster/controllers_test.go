@@ -28,8 +28,8 @@ func TestJobRunsToCompletion(t *testing.T) {
 	if !j.Done() {
 		t.Fatal("job not done")
 	}
-	if j.Succeeded() != 10 {
-		t.Fatalf("succeeded = %d, want 10", j.Succeeded())
+	if j.succeeded != 10 {
+		t.Fatalf("succeeded = %d, want 10", j.succeeded)
 	}
 	if completedOK == nil || !*completedOK {
 		t.Fatal("OnComplete not fired with ok=true")
@@ -45,16 +45,16 @@ func TestJobParallelismRespected(t *testing.T) {
 	})
 	maxActive := 0
 	c.OnPodPhase(func(p *Pod) {
-		if j.Active() > maxActive {
-			maxActive = j.Active()
+		if len(j.active) > maxActive {
+			maxActive = len(j.active)
 		}
 	})
 	clk.Run()
 	if maxActive > 4 {
 		t.Fatalf("active pods peaked at %d, want <= 4", maxActive)
 	}
-	if !j.Done() || j.Succeeded() != 12 {
-		t.Fatalf("done=%v succeeded=%d, want true/12", j.Done(), j.Succeeded())
+	if !j.Done() || j.succeeded != 12 {
+		t.Fatalf("done=%v succeeded=%d, want true/12", j.Done(), j.succeeded)
 	}
 }
 
@@ -95,10 +95,10 @@ func TestJobRespawnsAfterNodeLoss(t *testing.T) {
 	c.KillNode(victim)
 	clk.Run()
 	if !j.Done() {
-		t.Fatalf("job did not complete after node loss (failures=%d)", j.Failures())
+		t.Fatalf("job did not complete after node loss (failures=%d)", j.failures)
 	}
-	if j.Failures() != 0 {
-		t.Fatalf("node loss charged %d failures against backoff, want 0", j.Failures())
+	if j.failures != 0 {
+		t.Fatalf("node loss charged %d failures against backoff, want 0", j.failures)
 	}
 	if len(j.Pods()) <= 3 {
 		t.Fatalf("expected respawned pods, total created = %d", len(j.Pods()))
@@ -117,8 +117,8 @@ func TestJobBackoffLimit(t *testing.T) {
 	})
 	j.OnComplete(func(ok bool) { failed = !ok })
 	clk.Run()
-	if !j.Failed() || !failed {
-		t.Fatalf("job failed=%v callback-failed=%v, want true/true", j.Failed(), failed)
+	if !j.failed || !failed {
+		t.Fatalf("job failed=%v callback-failed=%v, want true/true", j.failed, failed)
 	}
 	// BackoffLimit=2 tolerates 2 failures; the 3rd kills it => 3 pods total.
 	if got := len(j.Pods()); got != 3 {
@@ -133,8 +133,8 @@ func TestJobCompletionsDefaultToParallelism(t *testing.T) {
 		Template: PodTemplate{Run: sleepPod(time.Second)},
 	})
 	clk.Run()
-	if j.Succeeded() != 7 {
-		t.Fatalf("succeeded = %d, want 7", j.Succeeded())
+	if j.succeeded != 7 {
+		t.Fatalf("succeeded = %d, want 7", j.succeeded)
 	}
 }
 
@@ -173,7 +173,7 @@ func TestPropertyJobAlwaysCompletesOnHealthyCluster(t *testing.T) {
 			return false
 		}
 		clk.Run()
-		return j.Done() && j.Succeeded() == comp && j.Failures() == 0
+		return j.Done() && j.succeeded == comp && j.failures == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestPropertyNamespaceQuotaNeverExceeded(t *testing.T) {
 		rng := sim.NewRNG(seed)
 		violated := false
 		c.OnPodPhase(func(*Pod) {
-			if !c.Namespace("q").Used().Fits(quota) {
+			if !c.namespaces["q"].used.Fits(quota) {
 				violated = true
 			}
 		})

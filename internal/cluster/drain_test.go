@@ -39,7 +39,7 @@ func TestDoubleDrainReleasesOnce(t *testing.T) {
 	if got := n.Allocated(); !zero(got) {
 		t.Fatalf("allocated after double drain = %v, want zero", got)
 	}
-	if got := c.Namespace("connect").Used(); !zero(got) {
+	if got := c.namespaces["connect"].used; !zero(got) {
 		t.Fatalf("namespace used after double drain = %v, want zero", got)
 	}
 	// Kill → restore → kill must not go negative either.
@@ -73,7 +73,7 @@ func TestDeletePendingPodNotifiesOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.RunUntil(time.Second)
-	if got := c.PodsInPhase("connect", PodPending); got != 2 {
+	if got := podsInPhase(c, PodPending); got != 2 {
 		t.Fatalf("pending pods = %d, want 2", got)
 	}
 	var pending *Pod
@@ -84,16 +84,16 @@ func TestDeletePendingPodNotifiesOwner(t *testing.T) {
 		}
 	}
 	c.DeletePod(pending)
-	if got := j.Failures(); got != 1 {
+	if got := j.failures; got != 1 {
 		t.Fatalf("failures after deleting a pending pod = %d, want 1", got)
 	}
 	if got := len(j.Pods()); got != 4 {
 		t.Fatalf("pods = %d, want 4 (three workers and one replacement)", got)
 	}
-	if got := c.PodsInPhase("connect", PodPending); got != 2 {
+	if got := podsInPhase(c, PodPending); got != 2 {
 		t.Fatalf("pending pods after the delete = %d, want 2 (one left, one replacement)", got)
 	}
-	if got := j.Active(); got != 3 {
+	if got := len(j.active); got != 3 {
 		t.Fatalf("active = %d, want 3", got)
 	}
 }

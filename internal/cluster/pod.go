@@ -42,10 +42,7 @@ type PodSpec struct {
 	// listed pair ("Kubernetes object labeling conventions enabled
 	// straightforward targeting of specific nodes").
 	NodeSelector map[string]string
-	// Tolerations allow scheduling onto tainted nodes: key -> value ("" =
-	// tolerate any value of the key).
-	Tolerations map[string]string
-	Labels      map[string]string
+	Labels       map[string]string
 	// Run is the container entrypoint, invoked in virtual time when the pod
 	// starts on a node. The workload drives itself with ctx's clock and must
 	// eventually call ctx.Succeed or ctx.Fail; pods whose node dies first are

@@ -559,7 +559,7 @@ func NewLocal() *Manager {
 // proved possession of the content, so a duplicate upload grants them the
 // same read/submit scope as the first. Put marks the dataset kept
 // (durable user data: uploads, result offloads, ingests) — Delete never
-// removes kept ids; producers of transient intermediates use PutNew.
+// removes kept ids; producers of transient intermediates use PutPinned.
 func (m *Manager) Put(enc []byte, owner string) (Info, error) {
 	info, _, err := m.put(enc, "", owner, true, false)
 	return info, err
@@ -575,19 +575,14 @@ func (m *Manager) PutAt(id string, enc []byte, owner string) (Info, error) {
 	return info, err
 }
 
-// PutNew is Put without the kept mark, additionally reporting whether the
-// bytes were newly stored (false means the content was already present,
-// possibly owned by someone else). Producers of deletable intermediates
-// use it to know which ids are theirs to release — and promote an
-// intermediate to durable data with Keep when it becomes a result.
-func (m *Manager) PutNew(enc []byte, owner string) (Info, bool, error) {
-	return m.put(enc, "", owner, false, false)
-}
-
-// PutPinned is PutNew with a Pin taken under the same lock acquisition,
-// closing the window where a concurrent releaser could delete a
-// content-colliding id between the put and a separate Pin call. The
-// caller owes one Unpin.
+// PutPinned is Put without the kept mark, additionally reporting whether
+// the bytes were newly stored (false means the content was already
+// present, possibly owned by someone else). Producers of deletable
+// intermediates use it to know which ids are theirs to release, and
+// promote an intermediate to durable data with Keep when it becomes a
+// result. The Pin is taken under the same lock acquisition, closing the
+// window where a concurrent releaser could delete a content-colliding id
+// between the put and a separate Pin call. The caller owes one Unpin.
 func (m *Manager) PutPinned(enc []byte, owner string) (Info, bool, error) {
 	return m.put(enc, "", owner, false, true)
 }
@@ -923,15 +918,6 @@ func (m *Manager) Pin(id string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.pins[id]++
-}
-
-// PinCount returns the dataset's live pin count. Lifecycle tests use it to
-// assert pins balance (every submit-time Pin matched by exactly one Unpin,
-// including across cluster-mode drain/requeue cycles).
-func (m *Manager) PinCount(id string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.pins[id]
 }
 
 // Pinned snapshots every live pin count, keyed by dataset id. Leak checks

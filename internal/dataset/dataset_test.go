@@ -791,3 +791,10 @@ func TestFromTHREDDSNeedsURLs(t *testing.T) {
 		t.Fatal("ingest of no URLs succeeded")
 	}
 }
+
+// PutNew is Put without the kept mark, additionally reporting whether the
+// bytes were newly stored: an unkept intermediate, as PutPinned stores
+// one, without the pin.
+func (m *Manager) PutNew(enc []byte, owner string) (Info, bool, error) {
+	return m.put(enc, "", owner, false, false)
+}

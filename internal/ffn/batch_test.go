@@ -134,7 +134,7 @@ func perFOVSegment(n *Network, image *Volume, seeds [][3]int, maxSteps int) (*Vo
 		if cfg.fovInBounds(image, p.z, p.y, p.x) && !visited[p] {
 			visited[p] = true
 			queue = append(queue, p)
-			canvas.Set(p.z, p.y, p.x, logit(cfg.SeedProb))
+			canvas.Data[(p.z*canvas.H+p.y)*canvas.W+p.x] = logit(cfg.SeedProb)
 			stats.SeedsUsed++
 		}
 	}

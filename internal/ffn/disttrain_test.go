@@ -501,14 +501,14 @@ func TestGradMatrixBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := net.ParamCount(); maxCheckpointBatch*p <= maxGradElems || (maxGradElems/p)*p > maxGradElems {
+	if p := len(net.params); maxCheckpointBatch*p <= maxGradElems || (maxGradElems/p)*p > maxGradElems {
 		t.Fatalf("test geometry: %d parameters", p)
 	}
 	img, lbl := buildARScene(t, 6)
-	atLimit := maxGradElems / net.ParamCount()
+	atLimit := maxGradElems / len(net.params)
 	var tr *DistTrainer
 	if got := allocatedBy(func() { tr, err = NewDistTrainer(net, 0.05, 0.9, img, lbl, 1, atLimit+1, 1) }); !errors.Is(err, ErrTooLarge) || got > 4096 {
-		t.Fatalf("batch %d x %d params: err = %v after allocating %d B, want ErrTooLarge before any allocation", atLimit+1, net.ParamCount(), err, got)
+		t.Fatalf("batch %d x %d params: err = %v after allocating %d B, want ErrTooLarge before any allocation", atLimit+1, len(net.params), err, got)
 	}
 	ck := &Checkpoint{Net: net, Opt: tensor.NewSGD(0.05, 0.9), BatchPerRound: maxCheckpointBatch}
 	if _, err := ResumeDistTrainer(ck, img, lbl, 1); !errors.Is(err, ErrTooLarge) {
@@ -585,7 +585,7 @@ func TestPairedTrainingMatchesWidthOne(t *testing.T) {
 					for i, g := range grads {
 						if math.Float32bits(g) != math.Float32bits(wantGrads[i]) {
 							t.Fatalf("%s: gradient matrix float %d (row %d) = %v, width 1 on one lane %v",
-								name, i, i/tr.Net.ParamCount(), g, wantGrads[i])
+								name, i, i/len(tr.Net.params), g, wantGrads[i])
 						}
 					}
 					if !bytes.Equal(ckpt, wantCkpt) {

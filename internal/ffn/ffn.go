@@ -21,7 +21,7 @@
 //
 // A network not owned by a trainer is immutable. Only a trainer's step
 // writes weights, and only on the network it was given; everything else —
-// Flood, Segment and SegmentCtx, the forward passes, serialization — reads. So one
+// Flood and SegmentCtx, the forward passes, serialization — reads. So one
 // network may serve any number of concurrent floods, which is how the
 // service shares one inference network per set of weights across jobs.
 package ffn
@@ -191,9 +191,6 @@ func NewNetwork(cfg Config, seed uint64) (*Network, error) {
 
 // Config returns the network configuration.
 func (n *Network) Config() Config { return n.cfg }
-
-// ParamCount returns the total number of trainable scalars.
-func (n *Network) ParamCount() int { return len(n.params) }
 
 // WeightBytes returns the memory the network's weights occupy: the float32
 // parameter vector.
@@ -457,7 +454,7 @@ func (v *paramViews) conv(k int) (w, b []float32) {
 // exampleGrads runs forward+backward on ts.width FOV examples at once —
 // slot s's image and label extracted into ts.slots[s], the POM starting
 // from the seed state — writing slot s's parameter gradient into row s of
-// rows (ts.width rows of ParamCount, canonical order, overwritten) and its
+// rows (ts.width rows of len(params), canonical order, overwritten) and its
 // BCE loss into losses[s]. It only reads the weights (in ts.plan's lane
 // form, and wOut), so workers with their own scratch may call it
 // concurrently; it runs on the calling goroutine.
@@ -598,21 +595,4 @@ func (n *Network) logitsBackward(grad []float32, lay tensor.Blocked, width int, 
 // it owns, calls it.
 func (n *Network) step(opt *tensor.SGD, grad []float32) {
 	opt.Step(n.params, grad)
-}
-
-// SeedPOM builds the initial POM for a FOV: PadProb everywhere, SeedProb at
-// the center — the input state both training and each flood-fill
-// application condition on.
-func (n *Network) SeedPOM() *tensor.Tensor {
-	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
-	pom := tensor.New(1, d, h, w)
-	n.fillSeedPOM(pom.Data)
-	return pom
-}
-
-// fillSeedPOM overwrites one FOV-sized slice with the seed POM.
-func (n *Network) fillSeedPOM(pom []float32) {
-	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
-	fill(pom, logit(n.cfg.PadProb))
-	pom[(d/2*h+h/2)*w+w/2] = logit(n.cfg.SeedProb)
 }

@@ -78,7 +78,7 @@ func TestParamCount(t *testing.T) {
 	want := f*2*27 + f                    // input conv
 	want += 2 * (f*f*27 + f + f*f*27 + f) // two modules
 	want += f + 1                         // output conv 1x1x1 + bias
-	if got := n.ParamCount(); got != want {
+	if got := len(n.params); got != want {
 		t.Fatalf("ParamCount = %d, want %d", got, want)
 	}
 }
@@ -123,7 +123,7 @@ func refStep(n *Network, opt *tensor.SGD, image, label *tensor.Tensor) float64 {
 	plan.pack(n)
 	ts := n.newTrainScratch(plan)
 	defer ts.release()
-	grad := make([]float32, n.ParamCount())
+	grad := make([]float32, len(n.params))
 	loss := n.exampleGrad(ts, image, label, grad)
 	n.step(opt, grad)
 	return loss
@@ -391,5 +391,41 @@ func TestNewDistTrainerNoExamples(t *testing.T) {
 	tiny := NewVolume(1, 1, 1) // smaller than FOV: no centers
 	if _, err := NewDistTrainer(n, 0.01, 0.9, tiny, tiny, 1, 1, 1); err != ErrNoExamples {
 		t.Fatalf("err = %v, want ErrNoExamples", err)
+	}
+}
+
+// Segment runs flood-filling inference over an image volume that is already
+// conditioned, and returns the mask as a 0/1 volume and the run statistics:
+// SegmentCtx with a background context and no progress.
+func (n *Network) Segment(image *Volume, seeds [][3]int, maxSteps int) (*Volume, InferenceStats) {
+	mask, stats, _ := n.SegmentCtx(context.Background(), image, seeds, maxSteps, nil)
+	return mask, stats
+}
+
+// SaveBytes returns the serialized model (config + every weight).
+func (n *Network) SaveBytes() []byte {
+	return n.appendModel(make([]byte, 0, n.modelLen()))
+}
+
+// SeedPOM builds the initial POM for a FOV: PadProb everywhere, SeedProb at
+// the center — the input state both training and each flood-fill
+// application condition on.
+func (n *Network) SeedPOM() *tensor.Tensor {
+	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
+	pom := tensor.New(1, d, h, w)
+	n.fillSeedPOM(pom.Data)
+	return pom
+}
+
+// fillSeedPOM overwrites one FOV-sized slice with the seed POM.
+func (n *Network) fillSeedPOM(pom []float32) {
+	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
+	fill(pom, logit(n.cfg.PadProb))
+	pom[(d/2*h+h/2)*w+w/2] = logit(n.cfg.SeedProb)
+}
+
+func fill(b []float32, v float32) {
+	for i := range b {
+		b[i] = v
 	}
 }

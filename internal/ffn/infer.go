@@ -25,9 +25,6 @@ func NewVolume(d, h, w int) *Volume {
 // At returns the voxel at (z, y, x).
 func (v *Volume) At(z, y, x int) float32 { return v.Data[(z*v.H+y)*v.W+x] }
 
-// Set writes the voxel at (z, y, x).
-func (v *Volume) Set(z, y, x int, val float32) { v.Data[(z*v.H+y)*v.W+x] = val }
-
 // Size returns the voxel count.
 func (v *Volume) Size() int { return v.D * v.H * v.W }
 
@@ -244,14 +241,6 @@ func (cfg *Config) fovInBounds(v *Volume, z, y, x int) bool {
 		x-cfg.FOV[2]/2 >= 0 && x+cfg.FOV[2]/2 < v.W
 }
 
-// Segment runs flood-filling inference over an image volume that is already
-// conditioned, and returns the mask as a 0/1 volume and the run statistics:
-// SegmentCtx with a background context and no progress.
-func (n *Network) Segment(image *Volume, seeds [][3]int, maxSteps int) (*Volume, InferenceStats) {
-	mask, stats, _ := n.SegmentCtx(context.Background(), image, seeds, maxSteps, nil)
-	return mask, stats
-}
-
 // visitedSet is the flood's claimed-center set, one bit per voxel. The
 // flood claims through the atomic or; seed acceptance, alone on the set
 // before any fan-out, uses the plain one.
@@ -436,12 +425,6 @@ func (n *Network) Flood(ctx context.Context, image *Volume, m Moments, seeds [][
 	}
 	stats.MaskVoxels = mask.count()
 	return mask, stats, ctx.Err()
-}
-
-func fill(b []float32, v float32) {
-	for i := range b {
-		b[i] = v
-	}
 }
 
 // moveOffsets returns the six move displacements, center +/- MoveStep along

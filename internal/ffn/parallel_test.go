@@ -45,7 +45,7 @@ func imbalancedScene(t testing.TB, cfg Config, d, h, w int) (net *Network, img *
 	for z := 0; z < d; z++ {
 		for y := 0; y < h; y++ {
 			for x := riverX0; x < w; x++ {
-				img.Set(z, y, x, 1)
+				img.Data[(z*img.H+y)*img.W+x] = 1
 			}
 		}
 	}

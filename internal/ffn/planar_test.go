@@ -40,7 +40,7 @@ func (n *Network) forwardInto(cache *fwdCache, in, delta *tensor.Tensor) {
 		tensor.Conv3DInto(cache.modPre1[i], cur, m.w1, m.b1)
 		tensor.ReLUInto(cache.modAct1[i], cache.modPre1[i])
 		tensor.Conv3DInto(cache.modPre2[i], cache.modAct1[i], m.w2, m.b2)
-		cache.modPre2[i].AddInPlace(cur) // residual connection
+		addInto(cache.modPre2[i], cur) // residual connection
 		tensor.ReLUInto(cache.modOut[i], cache.modPre2[i])
 		cur = cache.modOut[i]
 	}
@@ -150,7 +150,7 @@ func (n *Network) backwardInto(ts *planarScratch, gradDelta *tensor.Tensor, row 
 		tensor.Conv3DBackwardInto(ts.gradAct1, g.mods[i].w2, g.mods[i].b2, cache.modAct1[i], m.w2, ts.gradSum)
 		tensor.ReLUBackwardInto(ts.gradAct1, cache.modPre1[i], ts.gradAct1)
 		tensor.Conv3DBackwardInto(ts.gradPrev, g.mods[i].w1, g.mods[i].b1, prev, m.w1, ts.gradAct1)
-		ts.gradPrev.AddInPlace(ts.gradSum) // skip connection
+		addInto(ts.gradPrev, ts.gradSum) // skip connection
 		ts.gradCur, ts.gradPrev = ts.gradPrev, ts.gradCur
 	}
 	tensor.ReLUBackwardInto(ts.gradCur, cache.preIn, ts.gradCur)
@@ -224,7 +224,7 @@ func TestExampleGradMatchesPlanarReference(t *testing.T) {
 			plan := net.newTrainPlan()
 			plan.pack(net)
 			ts, ref := net.newTrainScratch(plan), newPlanarScratch(net)
-			got, want := make([]float32, net.ParamCount()), make([]float32, net.ParamCount())
+			got, want := make([]float32, len(net.params)), make([]float32, len(net.params))
 			for imgName, edit := range images {
 				img := tensor.New(1, d, h, w)
 				copy(img.Data, base.Data)
@@ -261,5 +261,12 @@ func zeroChannel(n *Network, c int, z float32) {
 	for _, m := range n.mods {
 		fill(m.w1.Data[c*f*27:][:f*27], z)
 		m.b1[c] = z
+	}
+}
+
+// addInto accumulates src into dst elementwise.
+func addInto(dst, src *tensor.Tensor) {
+	for i := range dst.Data {
+		dst.Data[i] += src.Data[i]
 	}
 }

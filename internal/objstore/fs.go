@@ -1,9 +1,6 @@
 package objstore
 
-import (
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Mount is the CephFS facade: a POSIX-ish path view over one bucket, shared
 // by every pod in a namespace ("the attached CephFS directory that all nodes
@@ -19,20 +16,11 @@ func (s *Store) MountBucket(bucket string) *Mount {
 	return &Mount{store: s, bucket: bucket}
 }
 
-// Bucket returns the bucket name backing the mount.
-func (m *Mount) Bucket() string { return m.bucket }
-
 func cleanPath(p string) string { return strings.TrimPrefix(p, "/") }
 
 // WriteFile stores real bytes at path.
 func (m *Mount) WriteFile(path string, data []byte) error {
 	_, err := m.store.Put(m.bucket, cleanPath(path), float64(len(data)), data)
-	return err
-}
-
-// WriteSized records a size-only (simulated bulk) file at path.
-func (m *Mount) WriteSized(path string, size float64) error {
-	_, err := m.store.Put(m.bucket, cleanPath(path), size, nil)
 	return err
 }
 
@@ -44,11 +32,6 @@ func (m *Mount) ReadFile(path string) ([]byte, error) {
 		return nil, err
 	}
 	return obj.Data, nil
-}
-
-// Stat returns the file's size and whether it exists.
-func (m *Mount) Stat(path string) (float64, bool) {
-	return m.store.Stat(m.bucket, cleanPath(path))
 }
 
 // ReplicaPlacement resolves the replica set currently holding the file at
@@ -68,58 +51,4 @@ func (m *Mount) RecoverOSD(id string) error { return m.store.RecoverOSD(id) }
 // Remove deletes the file at path.
 func (m *Mount) Remove(path string) error {
 	return m.store.Delete(m.bucket, cleanPath(path))
-}
-
-// ReadDir lists the immediate children of dir. Child directories are
-// returned with a trailing slash, once each, in sorted order.
-func (m *Mount) ReadDir(dir string) []string {
-	prefix := cleanPath(dir)
-	if prefix != "" && !strings.HasSuffix(prefix, "/") {
-		prefix += "/"
-	}
-	seen := make(map[string]bool)
-	var out []string
-	for _, key := range m.store.List(m.bucket) {
-		if !strings.HasPrefix(key, prefix) {
-			continue
-		}
-		rest := key[len(prefix):]
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			d := rest[:i+1]
-			if !seen[d] {
-				seen[d] = true
-				out = append(out, d)
-			}
-		} else if rest != "" {
-			out = append(out, rest)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Glob returns all keys under prefix (recursive), sorted.
-func (m *Mount) Glob(prefix string) []string {
-	p := cleanPath(prefix)
-	var out []string
-	for _, key := range m.store.List(m.bucket) {
-		if strings.HasPrefix(key, p) {
-			out = append(out, key)
-		}
-	}
-	return out
-}
-
-// DirSize sums the sizes of all files under prefix.
-func (m *Mount) DirSize(prefix string) float64 {
-	p := cleanPath(prefix)
-	sum := 0.0
-	for _, key := range m.store.List(m.bucket) {
-		if strings.HasPrefix(key, p) {
-			if sz, ok := m.store.Stat(m.bucket, key); ok {
-				sum += sz
-			}
-		}
-	}
-	return sum
 }

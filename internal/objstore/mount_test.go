@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 )
 
@@ -65,11 +64,11 @@ func TestMountOverwriteReplacesContentAndAccounting(t *testing.T) {
 	if after := s.TotalUsed(); after >= before {
 		t.Fatalf("usage %v not reduced from %v by shrinking overwrite", after, before)
 	}
-	if ls := m.ReadDir(""); len(ls) != 1 || ls[0] != "v" {
-		t.Fatalf("ReadDir after overwrite = %v", ls)
+	if ls := s.List("data"); len(ls) != 1 || ls[0] != "v" {
+		t.Fatalf("List after overwrite = %v", ls)
 	}
 	// Overwriting a real file with a size-only record drops the bytes.
-	if err := m.WriteSized("v", 5e6); err != nil {
+	if _, err := s.Put("data", "v", 5e6, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got, err = m.ReadFile("v"); err != nil || got != nil {
@@ -77,42 +76,6 @@ func TestMountOverwriteReplacesContentAndAccounting(t *testing.T) {
 	}
 	if sz, ok := m.Stat("v"); !ok || sz != 5e6 {
 		t.Fatalf("Stat after size-only overwrite = %v, %v", sz, ok)
-	}
-}
-
-func TestMountImplicitDirectoryListing(t *testing.T) {
-	_, s := newTestStore(4, Config{Replicas: 2})
-	m := s.MountBucket("data")
-	for _, p := range []string{"top.bin", "a/x.bin", "a/y.bin", "a/deep/z.bin", "b/w.bin"} {
-		if err := m.WriteFile(p, []byte(p)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Root: files first-level only, child dirs once each with a trailing
-	// slash, sorted.
-	if got, want := m.ReadDir(""), []string{"a/", "b/", "top.bin"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("ReadDir(\"\") = %v, want %v", got, want)
-	}
-	// Subdir with and without trailing slash, and with a leading slash.
-	want := []string{"deep/", "x.bin", "y.bin"}
-	for _, dir := range []string{"a", "a/", "/a"} {
-		if got := m.ReadDir(dir); !reflect.DeepEqual(got, want) {
-			t.Fatalf("ReadDir(%q) = %v, want %v", dir, got, want)
-		}
-	}
-	// A directory exists only through its files: empty prefix after removal.
-	if err := m.Remove("b/w.bin"); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.ReadDir("b"); len(got) != 0 {
-		t.Fatalf("ReadDir(b) after removing its only file = %v", got)
-	}
-	if got, want := m.ReadDir(""), []string{"a/", "top.bin"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("ReadDir(\"\") after removal = %v, want %v", got, want)
-	}
-	// Listing a non-directory name yields nothing (no such prefix).
-	if got := m.ReadDir("top.bin"); len(got) != 0 {
-		t.Fatalf("ReadDir(top.bin) = %v", got)
 	}
 }
 
@@ -163,7 +126,7 @@ func TestMountReadAfterOSDLossHeals(t *testing.T) {
 			t.Fatalf("%s has %d replicas after heal, want 3", p, len(locs))
 		}
 		for _, id := range locs {
-			if id == "osd-01" || !s.OSD(id).Up {
+			if id == "osd-01" || !s.osds[id].Up {
 				t.Fatalf("%s replica on down OSD %s after heal", p, id)
 			}
 		}

@@ -112,13 +112,6 @@ func TestKeysWithSlashes(t *testing.T) {
 	if got := s.List("b"); len(got) != 1 || got[0] != key {
 		t.Fatalf("List = %v", got)
 	}
-	m := s.MountBucket("b")
-	if got := m.ReadDir("a"); len(got) != 1 || got[0] != "b/" {
-		t.Fatalf("ReadDir(a) = %v, want [b/]", got)
-	}
-	if got := m.ReadDir("/a/b/c/"); len(got) != 1 || got[0] != "d.nc" {
-		t.Fatalf("ReadDir(/a/b/c/) = %v, want [d.nc]", got)
-	}
 }
 
 func TestBucketsAreIsolated(t *testing.T) {
@@ -336,7 +329,7 @@ func TestOSDsInIDOrder(t *testing.T) {
 			t.Fatalf("%s: weight %v up %v; want weight 1 (non-positive weights default), up", want, osds[i].Weight, osds[i].Up)
 		}
 	}
-	if s.OSD("osd-z") != nil {
+	if s.osds["osd-z"] != nil {
 		t.Fatal("OSD of an unknown id is not nil")
 	}
 }
@@ -365,10 +358,7 @@ func TestMountRemove(t *testing.T) {
 func TestMountForwardsFaults(t *testing.T) {
 	c, s := newTestStore(4, Config{Replicas: 2})
 	m := s.MountBucket("b")
-	if m.Bucket() != "b" {
-		t.Fatalf("Bucket = %q", m.Bucket())
-	}
-	m.WriteSized("f", 100)
+	s.Put("b", "f", 100, nil)
 	if _, err := m.FailOSD("nope"); err != ErrOSDUnknown {
 		t.Fatalf("FailOSD unknown err = %v", err)
 	}
@@ -376,11 +366,11 @@ func TestMountForwardsFaults(t *testing.T) {
 	if n, err := m.FailOSD(victim); err != nil || n != 100 {
 		t.Fatalf("FailOSD(%s) = %v,%v; want 100 bytes to recover", victim, n, err)
 	}
-	if s.OSD(victim).Up {
+	if s.osds[victim].Up {
 		t.Fatal("mount's FailOSD did not reach the store")
 	}
-	if err := m.RecoverOSD(victim); err != nil || !s.OSD(victim).Up {
-		t.Fatalf("RecoverOSD = %v, up %v", err, s.OSD(victim).Up)
+	if err := m.RecoverOSD(victim); err != nil || !s.osds[victim].Up {
+		t.Fatalf("RecoverOSD = %v, up %v", err, s.osds[victim].Up)
 	}
 	c.Run()
 }

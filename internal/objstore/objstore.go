@@ -153,9 +153,6 @@ func (s *Store) OSDs() []*OSD {
 	return out
 }
 
-// OSD returns the daemon with the given ID, or nil.
-func (s *Store) OSD(id string) *OSD { return s.osds[id] }
-
 // straw2 returns the weighted rendezvous score of (input, osd): each OSD
 // draws an exponential "straw" scaled by its weight; the highest straws win.
 // The key property is stability: changing the OSD set only remaps items whose
@@ -296,15 +293,6 @@ func (s *Store) Get(bucket, key string) (*Object, error) {
 		}
 	}
 	return nil, fmt.Errorf("%w: %s/%s", ErrAllReplicasDown, bucket, key)
-}
-
-// Stat reports whether the object exists and its size.
-func (s *Store) Stat(bucket, key string) (float64, bool) {
-	obj, ok := s.objects[objKey(bucket, key)]
-	if !ok {
-		return 0, false
-	}
-	return obj.Size, true
 }
 
 // Delete removes an object; deleting a missing object returns ErrNotFound.
@@ -479,17 +467,6 @@ func (s *Store) TotalCapacity() float64 {
 	for _, o := range s.osds {
 		if o.Up {
 			sum += o.Capacity
-		}
-	}
-	return sum
-}
-
-// TotalUsed returns raw bytes consumed across up OSDs.
-func (s *Store) TotalUsed() float64 {
-	sum := 0.0
-	for _, o := range s.osds {
-		if o.Up {
-			sum += o.used
 		}
 	}
 	return sum

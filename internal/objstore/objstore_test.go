@@ -150,7 +150,7 @@ func TestWeightedPlacement(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		s.Put("b", fmt.Sprintf("f-%d", i), 1, nil)
 	}
-	small, big := s.OSD("small").Used(), s.OSD("big").Used()
+	small, big := s.osds["small"].Used(), s.osds["big"].Used()
 	ratio := big / small
 	if ratio < 2 || ratio > 4.5 {
 		t.Fatalf("weight-3 OSD holds %vx the data of weight-1, want ~3x", ratio)
@@ -195,7 +195,7 @@ func TestFailOSDRestoresReplicaCount(t *testing.T) {
 			if id == "osd-03" {
 				t.Fatal("replica still mapped to failed OSD")
 			}
-			if !s.OSD(id).Up {
+			if !s.osds[id].Up {
 				t.Fatal("replica mapped to down OSD")
 			}
 		}
@@ -294,38 +294,6 @@ func TestMountReadWrite(t *testing.T) {
 	}
 }
 
-func TestMountReadDir(t *testing.T) {
-	_, s := newTestStore(4, Config{Replicas: 2})
-	m := s.MountBucket("b")
-	m.WriteSized("data/raw/f1.nc", 10)
-	m.WriteSized("data/raw/f2.nc", 10)
-	m.WriteSized("data/merged/h1.h5", 10)
-	m.WriteSized("top.txt", 1)
-
-	root := m.ReadDir("")
-	if len(root) != 2 || root[0] != "data/" || root[1] != "top.txt" {
-		t.Fatalf("root = %v", root)
-	}
-	sub := m.ReadDir("data/raw")
-	if len(sub) != 2 || sub[0] != "f1.nc" || sub[1] != "f2.nc" {
-		t.Fatalf("data/raw = %v", sub)
-	}
-}
-
-func TestMountDirSizeAndGlob(t *testing.T) {
-	_, s := newTestStore(4, Config{Replicas: 2})
-	m := s.MountBucket("b")
-	m.WriteSized("x/a", 5)
-	m.WriteSized("x/b", 7)
-	m.WriteSized("y/c", 100)
-	if got := m.DirSize("x/"); got != 12 {
-		t.Fatalf("DirSize(x/) = %v, want 12", got)
-	}
-	if got := m.Glob("x/"); len(got) != 2 {
-		t.Fatalf("Glob(x/) = %v", got)
-	}
-}
-
 func TestPropertyReplicaCountInvariant(t *testing.T) {
 	// For any OSD count >= replicas and any key set, every object gets
 	// exactly `replicas` distinct up replicas.
@@ -400,7 +368,7 @@ func TestReplicaPlacement(t *testing.T) {
 		if !r.Up {
 			t.Fatalf("replica %d on %s reported down on a healthy store", i, r.OSD)
 		}
-		if want := s.OSD(r.OSD).Site; r.Site != want {
+		if want := s.osds[r.OSD].Site; r.Site != want {
 			t.Fatalf("replica %d site = %s, want %s", i, r.Site, want)
 		}
 	}
@@ -418,4 +386,29 @@ func TestReplicaPlacement(t *testing.T) {
 		}
 	}
 	clk.Run()
+}
+
+// Stat reports whether the object exists and its size.
+func (s *Store) Stat(bucket, key string) (float64, bool) {
+	obj, ok := s.objects[objKey(bucket, key)]
+	if !ok {
+		return 0, false
+	}
+	return obj.Size, true
+}
+
+// TotalUsed returns raw bytes consumed across up OSDs.
+func (s *Store) TotalUsed() float64 {
+	sum := 0.0
+	for _, o := range s.osds {
+		if o.Up {
+			sum += o.used
+		}
+	}
+	return sum
+}
+
+// Stat returns the file's size and whether it exists.
+func (m *Mount) Stat(path string) (float64, bool) {
+	return m.store.Stat(m.bucket, cleanPath(path))
 }

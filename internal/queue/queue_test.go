@@ -29,7 +29,7 @@ func TestStoreFIFOOrder(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.LPush("q", fmt.Sprintf("m%d", i))
 	}
-	if n := s.LLen("q"); n != 5 {
+	if n := len(s.lists["q"]); n != 5 {
 		t.Fatalf("LLen = %d, want 5", n)
 	}
 	for i := 0; i < 5; i++ {
@@ -41,7 +41,7 @@ func TestStoreFIFOOrder(t *testing.T) {
 	if _, ok := s.RPop("q"); ok {
 		t.Fatal("pop from empty list succeeded")
 	}
-	if n := s.LLen("q"); n != 0 {
+	if n := len(s.lists["q"]); n != 0 {
 		t.Fatalf("LLen of drained list = %d, want 0", n)
 	}
 }
@@ -227,7 +227,7 @@ func TestStoreListsAreIndependent(t *testing.T) {
 	if v, _ := s.RPop("b"); v != "b1" {
 		t.Fatalf("RPop(b) = %q", v)
 	}
-	if n := s.LLen("a"); n != 2 {
+	if n := len(s.lists["a"]); n != 2 {
 		t.Fatalf("LLen(a) = %d after popping b, want 2", n)
 	}
 	if _, ok := s.RPop("b"); ok {
@@ -245,7 +245,7 @@ func TestStoreDelRemovesBothKinds(t *testing.T) {
 	if _, ok := s.Get("k"); ok {
 		t.Fatal("string survives Del")
 	}
-	if n := s.LLen("k"); n != 0 {
+	if n := len(s.lists["k"]); n != 0 {
 		t.Fatalf("LLen after Del = %d", n)
 	}
 	if keys := s.Keys(); len(keys) != 0 {

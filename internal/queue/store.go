@@ -117,13 +117,6 @@ func (s *Store) RPop(key string) (value string, ok bool) {
 	return value, true
 }
 
-// LLen returns the list length at key (0 for missing).
-func (s *Store) LLen(key string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.lists[key])
-}
-
 // Keys returns every key (string and list) in sorted order.
 func (s *Store) Keys() []string {
 	s.mu.Lock()

@@ -1,7 +1,7 @@
 // Package sched is the data-gravity placement layer of the simulated
 // CHASE-CI fabric: it decides which cluster node a ref-mode service job runs
 // on by weighing where the job's dataset replicas physically live (Ceph OSD
-// placement) against node capacity, taints, and per-owner quotas. The paper's
+// placement) against node capacity and per-owner quotas. The paper's
 // thesis — "move the computation to the data" across the PRP's FIONA sites —
 // becomes a concrete scoring rule here: a node co-located with an up replica
 // of every input costs nothing, a same-site node pays the LAN, and anything
@@ -149,9 +149,6 @@ func (f *Fabric) AddOSD(id, site string) {
 	f.Net.AddSite(site)
 	f.store.AddOSD(id, site, f.cfg.OSDCapacity, 1)
 }
-
-// Node returns the spec for a fabric node, or nil.
-func (f *Fabric) Node(name string) *NodeSpec { return f.nodes[name] }
 
 // NodeNames returns all fabric node names, sorted.
 func (f *Fabric) NodeNames() []string { return append([]string(nil), f.nodeNames...) }

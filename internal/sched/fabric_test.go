@@ -37,7 +37,7 @@ func TestComposeRegistersOnCallersSubstrates(t *testing.T) {
 		t.Fatalf("cluster node x0 = %+v, want one at site-x", n)
 	}
 	for id, site := range map[string]string{"osd-x": "site-x", "osd-y": "site-y"} {
-		o := store.OSD(id)
+		o := osdByID(store, id)
 		if o == nil || o.Site != site || o.Capacity != 5e9 {
 			t.Fatalf("OSD %s = %+v, want site %s capacity 5e9", id, o, site)
 		}
@@ -80,15 +80,15 @@ func TestNewFabricDefaults(t *testing.T) {
 	if got := f.store.Replicas(); got != 2 {
 		t.Fatalf("replicas = %d, want 2", got)
 	}
-	if got := f.store.OSD("osd-a").Capacity; got != 1e12 {
+	if got := osdByID(f.store, "osd-a").Capacity; got != 1e12 {
 		t.Fatalf("OSD capacity = %g, want 1e12", got)
 	}
 
 	f = NewFabric(FabricConfig{Replicas: 3, OSDCapacity: 7e9})
 	f.AddOSD("osd-b", "site-b")
-	if f.store.Replicas() != 3 || f.store.OSD("osd-b").Capacity != 7e9 {
+	if f.store.Replicas() != 3 || osdByID(f.store, "osd-b").Capacity != 7e9 {
 		t.Fatalf("replicas %d, OSD capacity %g; want 3, 7e9",
-			f.store.Replicas(), f.store.OSD("osd-b").Capacity)
+			f.store.Replicas(), osdByID(f.store, "osd-b").Capacity)
 	}
 }
 
@@ -102,13 +102,13 @@ func TestAddNodeRefusesDuplicates(t *testing.T) {
 	if err := f.AddNode(fionaSpec("a0", "site-b", "osd-b")); !errors.Is(err, cluster.ErrDuplicate) {
 		t.Fatalf("duplicate node: err = %v, want ErrDuplicate", err)
 	}
-	if f.store.OSD("osd-b") != nil || f.Node("a0").Site != "site-a" {
+	if osdByID(f.store, "osd-b") != nil || f.nodes["a0"].Site != "site-a" {
 		t.Fatal("duplicate node changed the fabric")
 	}
 	if err := f.AddNode(fionaSpec("a1", "site-a", "osd-a")); !errors.Is(err, cluster.ErrDuplicate) {
 		t.Fatalf("duplicate OSD: err = %v, want ErrDuplicate", err)
 	}
-	if f.Cluster.Node("a1") != nil || f.Node("a1") != nil {
+	if f.Cluster.Node("a1") != nil || f.nodes["a1"] != nil {
 		t.Fatal("a node refused for its OSD was still registered")
 	}
 	if got := len(f.store.OSDs()); got != 1 {
@@ -134,10 +134,20 @@ func TestAddOSDIsStorageOnly(t *testing.T) {
 	if f.NodeNames()[0] != "a0" {
 		t.Fatal("NodeNames returned the fabric's own slice")
 	}
-	if o := f.store.OSD("osd-s"); o == nil || o.Site != "site-s" {
+	if o := osdByID(f.store, "osd-s"); o == nil || o.Site != "site-s" {
 		t.Fatalf("OSD osd-s = %+v, want one at site-s", o)
 	}
 	if node, ok := f.osdNode["osd-s"]; ok {
 		t.Fatalf("storage-only OSD is co-located with %s", node)
 	}
+}
+
+// osdByID returns the store's daemon with the given ID, or nil.
+func osdByID(s *objstore.Store, id string) *objstore.OSD {
+	for _, o := range s.OSDs() {
+		if o.ID == id {
+			return o
+		}
+	}
+	return nil
 }

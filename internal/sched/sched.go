@@ -16,7 +16,7 @@ import (
 // Errors returned by Place.
 var (
 	// ErrUnschedulable means no fabric node can ever satisfy the workload
-	// (pin/site/taint/capacity/static constraints), so parking is pointless.
+	// (pin/site/capacity constraints), so parking is pointless.
 	ErrUnschedulable = errors.New("sched: no node can satisfy the placement constraints")
 	// ErrQuotaExceeded means the owner's quota cannot admit the request.
 	ErrQuotaExceeded = errors.New("sched: owner quota exceeded")
@@ -345,13 +345,6 @@ func (s *Scheduler) placeLocked(w *Workload, firstTry bool) (*api.Placement, err
 			if w.Spec.Site != "" && w.Spec.Site != n.Site {
 				continue
 			}
-		}
-		var tol map[string]string
-		if w.Spec != nil {
-			tol = w.Spec.Tolerations
-		}
-		if !cluster.Tolerates(tol, n.Taints()) {
-			continue
 		}
 		if !w.Req.Fits(n.Capacity) {
 			continue

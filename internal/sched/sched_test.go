@@ -158,27 +158,30 @@ func TestLocalityDegradesUnderLoad(t *testing.T) {
 	}
 }
 
-func TestTaintsRejectAndTolerate(t *testing.T) {
-	f := testFabric(t, FabricConfig{})
-	s := New(f)
-	for _, n := range f.NodeNames() {
-		if err := f.Cluster.TaintNode(n, cluster.Taint{Key: "reserved", Value: "viz"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.Place(segJob("j1", "")); !errors.Is(err, ErrUnschedulable) {
-		t.Fatalf("tainted fleet should be unschedulable, got %v", err)
-	}
-	w := segJob("j2", "")
-	w.Spec = &api.PlacementSpec{Tolerations: map[string]string{"reserved": "viz"}}
-	if pl, err := s.Place(w); err != nil || pl == nil {
-		t.Fatalf("tolerating job should place: %v %v", pl, err)
-	}
+func TestPinToUnknownNodeUnschedulable(t *testing.T) {
+	s := New(testFabric(t, FabricConfig{}))
 	// A pin to a node that doesn't exist is statically impossible.
 	w3 := segJob("j3", "")
 	w3.Spec = &api.PlacementSpec{Node: "nope"}
 	if _, err := s.Place(w3); !errors.Is(err, ErrUnschedulable) {
 		t.Fatalf("bad pin should be unschedulable, got %v", err)
+	}
+}
+
+// A site restriction wins over data gravity, and a site with no node is
+// statically impossible.
+func TestSitePinPlacesWithinTheSite(t *testing.T) {
+	f := testFabric(t, FabricConfig{})
+	s := New(f)
+	w := segJob("j1", putVolume(t, f, 1))
+	w.Spec = &api.PlacementSpec{Site: "site-c"}
+	if pl, err := s.Place(w); err != nil || pl == nil || pl.Node != "c0" || pl.Site != "site-c" {
+		t.Fatalf("site-c job: placement %+v, err %v; want c0 at site-c", pl, err)
+	}
+	w2 := segJob("j2", "")
+	w2.Spec = &api.PlacementSpec{Site: "site-z"}
+	if _, err := s.Place(w2); !errors.Is(err, ErrUnschedulable) {
+		t.Fatalf("a site with no node should be unschedulable, got %v", err)
 	}
 }
 

@@ -123,24 +123,3 @@ func (a *admission) add(tenant string, d int) {
 		a.total = 0
 	}
 }
-
-// tenantPending returns tenant's current pending count.
-func (a *admission) tenantPending(tenant string) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.pending[tenant]
-}
-
-// totalPending returns the global pending count.
-func (a *admission) totalPending() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.total
-}
-
-// shedCount returns how many submits admission has refused.
-func (a *admission) shedCount() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.shed
-}

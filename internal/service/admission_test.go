@@ -82,13 +82,13 @@ func TestSubmitShedsWhenQueuesFull(t *testing.T) {
 		t.Fatalf("global overload: err = %v, detail %+v", err, ov)
 	}
 
-	if got := r.PendingTotal(); got != 5 {
+	if got := r.adm.totalPending(); got != 5 {
 		t.Fatalf("PendingTotal = %d, want 5 (bounded)", got)
 	}
-	if got := r.TenantPending("a@ucsd.edu"); got != 3 {
+	if got := r.adm.tenantPending("a@ucsd.edu"); got != 3 {
 		t.Fatalf("TenantPending(a) = %d, want 3", got)
 	}
-	if got := r.ShedCount(); got != 2 {
+	if got := r.adm.shedCount(); got != 2 {
 		t.Fatalf("ShedCount = %d, want 2", got)
 	}
 	text := r.MetricsText()
@@ -229,7 +229,7 @@ func TestFairQueueWeightedPopOrder(t *testing.T) {
 // store grows without bound.
 func TestEvictedStoreFallbackWindow(t *testing.T) {
 	r, store := newTestRunner(t, DefaultRegistry(), 1)
-	r.SetRetention(2)
+	r.retain.Store(2)
 
 	const total = 30
 	ids := make([]string, 0, total)
@@ -314,4 +314,25 @@ func BenchmarkRegistrySubmitPoll(b *testing.B) {
 			}
 		}
 	})
+}
+
+// tenantPending returns tenant's current pending count.
+func (a *admission) tenantPending(tenant string) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.pending[tenant]
+}
+
+// totalPending returns the global pending count.
+func (a *admission) totalPending() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.total
+}
+
+// shedCount returns how many submits admission has refused.
+func (a *admission) shedCount() int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.shed
 }

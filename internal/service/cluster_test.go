@@ -131,7 +131,7 @@ func TestClusterReplicaLocalPlacementE2E(t *testing.T) {
 	if string(env.Result) != string(want) {
 		t.Fatalf("cluster result differs from single-node baseline:\n%s\nvs\n%s", env.Result, want)
 	}
-	if n := f.runner.Datasets().PinCount(info.ID); n != 0 {
+	if n := f.runner.Datasets().Pinned()[info.ID]; n != 0 {
 		t.Fatalf("source ref still pinned %d times after terminal job", n)
 	}
 	assertNoLeaks(t, f.runner)
@@ -205,7 +205,7 @@ func TestClusterDrainRequeuesBitExact(t *testing.T) {
 	if string(env.Result) != string(want) {
 		t.Fatalf("post-requeue result differs from baseline:\n%s\nvs\n%s", env.Result, want)
 	}
-	if n := f.runner.Datasets().PinCount(info.ID); n != 0 {
+	if n := f.runner.Datasets().Pinned()[info.ID]; n != 0 {
 		t.Fatalf("source ref still pinned %d times after drain/requeue", n)
 	}
 	assertNoLeaks(t, f.runner)

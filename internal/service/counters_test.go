@@ -69,7 +69,7 @@ func TestRunnerBookkeepingHeapIsFlat(t *testing.T) {
 	reg.Register(api.KindWorkflow, func(*JobContext) (any, error) { return nil, nil })
 	r := NewRunnerConfigured(reg, queue.NewStore(), RunnerConfig{Workers: 2})
 	defer r.Close()
-	r.SetRetention(64)
+	r.retain.Store(64)
 	srv := httptest.NewServer(NewGateway(r, GatewayOptions{AllowAnonymous: true}))
 	defer srv.Close()
 
@@ -102,6 +102,6 @@ func TestRunnerBookkeepingHeapIsFlat(t *testing.T) {
 	if growth > 1<<20 {
 		t.Fatalf("heap grew %d KB over %d jobs at constant load, want < 1024 KB", growth>>10, jobs)
 	}
-	waitFor(t, func() bool { return r.LiveStreams() == 0 }, "the last stream's handler to return")
+	waitFor(t, func() bool { return r.streams.Load() == 0 }, "the last stream's handler to return")
 	assertNoLeaks(t, r)
 }

@@ -89,10 +89,10 @@ func TestGatewayShedsWith429(t *testing.T) {
 		shed++
 	}
 
-	if got := f.runner.ShedCount(); got < int64(shed) {
+	if got := f.runner.adm.shedCount(); got < int64(shed) {
 		t.Fatalf("ShedCount = %d, want >= %d", got, shed)
 	}
-	if got := f.runner.PendingTotal(); got > 4 {
+	if got := f.runner.adm.totalPending(); got > 4 {
 		t.Fatalf("PendingTotal = %d after overload, want <= 4 (bounded)", got)
 	}
 	if text := f.runner.MetricsText(); !strings.Contains(text, "jobs_shed") {
@@ -163,7 +163,7 @@ func TestConcurrentOverloadConserves(t *testing.T) {
 				default:
 					t.Errorf("submit: status %d, Retry-After %q, decode error %v", resp.StatusCode, resp.Header.Get("Retry-After"), err)
 				}
-				if got := f.runner.PendingTotal(); got > maxPending {
+				if got := f.runner.adm.totalPending(); got > maxPending {
 					t.Errorf("PendingTotal = %d mid-flood, want <= %d", got, maxPending)
 				}
 			}
@@ -175,7 +175,7 @@ func TestConcurrentOverloadConserves(t *testing.T) {
 		t.Fatalf("accepted %d + shed %d of %d sent", len(accepted), shed, sent)
 	}
 	// The fixture sets no rate limit, so admission is the only source of 429s.
-	if got := f.runner.ShedCount(); got != shed {
+	if got := f.runner.adm.shedCount(); got != shed {
 		t.Fatalf("ShedCount = %d, clients saw %d sheds", got, shed)
 	}
 
@@ -269,12 +269,12 @@ func TestEventsStreamDisconnectReleases(t *testing.T) {
 	if _, err := bufio.NewReader(resp.Body).ReadString('\n'); err != nil {
 		t.Fatalf("first event line: %v", err)
 	}
-	if got := f.runner.LiveStreams(); got != 1 {
+	if got := f.runner.streams.Load(); got != 1 {
 		t.Fatalf("LiveStreams = %d with one open stream, want 1", got)
 	}
 	cancel()
 
-	waitFor(t, func() bool { return f.runner.LiveStreams() == 0 }, "the disconnected stream to release its slot")
+	waitFor(t, func() bool { return f.runner.streams.Load() == 0 }, "the disconnected stream to release its slot")
 
 	// Let the blocker finish and assert full quiescence, streams included.
 	close(release)

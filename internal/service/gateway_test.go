@@ -424,6 +424,34 @@ func TestGatewayValidationAndRouting(t *testing.T) {
 	}
 }
 
+// No program taints a node, so a placement names only a node or a site;
+// tolerations are an unknown field like any other.
+func TestGatewayRefusesPlacementTolerations(t *testing.T) {
+	f := newGWFixture(t, true)
+	const ivt = `{"kind":"ivt","ivt":{"synth":{"nlon":8,"nlat":6,"nlev":3,"steps":2}},"placement":{"site":"ucsd"%s}}`
+	for _, c := range []struct {
+		extra string
+		code  int
+	}{
+		{``, http.StatusAccepted},
+		{`,"tolerations":{"reserved":"viz"}`, http.StatusBadRequest},
+	} {
+		raw, err := http.Post(f.srv.URL+"/v1/jobs", "application/json", strings.NewReader(fmt.Sprintf(ivt, c.extra)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body api.ErrorResponse
+		json.NewDecoder(raw.Body).Decode(&body)
+		raw.Body.Close()
+		if raw.StatusCode != c.code {
+			t.Fatalf("placement {site%s}: status %d (%q), want %d", c.extra, raw.StatusCode, body.Error, c.code)
+		}
+		if c.code == http.StatusBadRequest && !strings.Contains(body.Error, `"tolerations"`) {
+			t.Fatalf("placement.tolerations: err %q, want it to name the field", body.Error)
+		}
+	}
+}
+
 func TestGatewayResultNotReady(t *testing.T) {
 	f := newGWFixture(t, true)
 	var sub api.SubmitResponse

@@ -218,7 +218,7 @@ func TestCloseEndsEveryQueuedJob(t *testing.T) {
 					t.Fatalf("store record of %s = %q, ok=%v", id, rec, ok)
 				}
 			}
-			if got := r.PendingTotal(); got != 0 {
+			if got := r.adm.totalPending(); got != 0 {
 				t.Fatalf("PendingTotal after Close = %d", got)
 			}
 			assertNoLeaks(t, r)

@@ -123,7 +123,7 @@ func TestSharedNetworksAloneEqualAlongside(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if !bytes.Equal(ent.net.SaveBytes(), want.SaveBytes()) {
+		if !bytes.Equal(weights(ent.net), weights(want)) {
 			t.Fatalf("the shared network %+v was written by the jobs that flooded it", ent.key)
 		}
 	}
@@ -178,7 +178,7 @@ func TestNetCacheEvictsLeastRecentlyUsed(t *testing.T) {
 // honest upper bound, and the heap stays inside the cache's bound.
 func TestNetCacheIsBounded(t *testing.T) {
 	r, _ := newTestRunner(t, DefaultRegistry(), 2)
-	r.SetRetention(64)
+	r.retain.Store(64)
 	job := func(seed uint64) *api.JobRequest {
 		req := tinySegmentRequest()
 		req.Segment.Net, req.Segment.NetSeed = &api.NetConfig{Features: 1, Modules: 1}, seed
@@ -301,7 +301,7 @@ func TestNetRefMissDecodesOnlyTheNetwork(t *testing.T) {
 		return err
 	}
 	miss() // the blob is resolved and cached once
-	if !bytes.Equal(got.SaveBytes(), net.SaveBytes()) {
+	if !bytes.Equal(weights(got), weights(net)) {
 		t.Fatal("the cached network is not the checkpoint's")
 	}
 	missBytes, fullBytes := allocated(miss), allocated(full)
@@ -312,4 +312,10 @@ func TestNetRefMissDecodesOnlyTheNetwork(t *testing.T) {
 	if velocity := uint64(net.WeightBytes()); fullBytes < missBytes+velocity {
 		t.Fatalf("the full decode allocates %d bytes, want the miss's %d plus the %d-byte velocity", fullBytes, missBytes, velocity)
 	}
+}
+
+// weights serializes a network's configuration and weights, as a
+// checkpoint holding it with a blank optimizer.
+func weights(n *ffn.Network) []byte {
+	return (&ffn.Checkpoint{Net: n, Opt: tensor.NewSGD(0, 0)}).EncodeBytes()
 }

@@ -801,17 +801,3 @@ func runHandler(h Handler, jc *JobContext) (res any, err error) {
 	}()
 	return h(jc)
 }
-
-// --- Admission / stream accessors -------------------------------------------
-
-// ShedCount returns how many submits admission control has refused.
-func (r *Runner) ShedCount() int64 { return r.adm.shedCount() }
-
-// PendingTotal returns the global admitted-but-not-running job count.
-func (r *Runner) PendingTotal() int { return r.adm.totalPending() }
-
-// TenantPending returns owner's admitted-but-not-running job count.
-func (r *Runner) TenantPending(owner string) int { return r.adm.tenantPending(owner) }
-
-// LiveStreams returns the number of event streams currently open.
-func (r *Runner) LiveStreams() int64 { return r.streams.Load() }

@@ -421,7 +421,7 @@ func TestRunnerRestartOnSharedStore(t *testing.T) {
 // records survive.
 func TestTerminalJobEviction(t *testing.T) {
 	r, store := newTestRunner(t, DefaultRegistry(), 1)
-	r.SetRetention(2)
+	r.retain.Store(2)
 	// With retain=2 the sweep fires when the index exceeds 3 (10% slack
 	// rounds to +1), so six jobs guarantee two prunes back down to 2.
 	var ids []string

@@ -82,14 +82,6 @@ func (f *evictFIFO) pop() (string, bool) {
 
 func (f *evictFIFO) len() int { return len(f.buf) - f.head }
 
-// SetRetention replaces the in-memory job retention cap (tests use small
-// values to exercise eviction; the default is maxRetainedJobs).
-func (r *Runner) SetRetention(n int) {
-	if n > 0 {
-		r.retain.Store(int64(n))
-	}
-}
-
 // pruneIfNeeded evicts the oldest terminal jobs once the in-memory index
 // exceeds the retention cap (with 10% amortization slack), and deletes the
 // store records of jobs that age past the store's larger tail. Global

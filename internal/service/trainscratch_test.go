@@ -119,12 +119,12 @@ func TestAPIScratchAssumptionsMatchKernelDefaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fits := (64 << 20) / net.ParamCount()
+		fits := (64 << 20) / (net.WeightBytes() / 4)
 		for batch, ok := range map[int]bool{fits: true, fits + 1: false} {
 			req := distRequest(1, 1)
 			req.TrainDist.Net, req.TrainDist.BatchPerRound = &nc, batch
 			if err := req.Validate(); (err == nil) != ok {
-				t.Fatalf("net %+v (%d parameters), batch_per_round %d: Validate = %v, want accepted=%v", nc, net.ParamCount(), batch, err, ok)
+				t.Fatalf("net %+v (%d parameters), batch_per_round %d: Validate = %v, want accepted=%v", nc, (net.WeightBytes() / 4), batch, err, ok)
 			}
 		}
 	}

@@ -180,7 +180,7 @@ func TestAwaitAnswersAtOnce(t *testing.T) {
 
 	// Push the blocker out of memory: retention 1, and enough later jobs
 	// for a prune to run.
-	r.SetRetention(1)
+	r.retain.Store(1)
 	for i := 0; i < 3; i++ {
 		st, err := r.Submit(blockingWorkflowRequest(), "a@ucsd.edu")
 		if err != nil {
@@ -317,7 +317,7 @@ func TestEventsPaceNothingButCounters(t *testing.T) {
 	if sc.Scan() {
 		t.Fatalf("line after the terminal one: %s", sc.Text())
 	}
-	waitFor(t, func() bool { return r.LiveStreams() == 0 && r.watches.Load() == 0 }, "the stream to let go")
+	waitFor(t, func() bool { return r.streams.Load() == 0 && r.watches.Load() == 0 }, "the stream to let go")
 	assertNoWatches(t, r, st.ID)
 	assertNoLeaks(t, r)
 }

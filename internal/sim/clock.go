@@ -20,7 +20,6 @@ type Clock struct {
 	now    time.Duration
 	events eventHeap
 	seq    uint64
-	nsteps uint64
 }
 
 // NewClock returns a clock at virtual time zero with no pending events.
@@ -30,22 +29,6 @@ func NewClock() *Clock {
 
 // Now returns the current virtual time, measured from the simulation epoch.
 func (c *Clock) Now() time.Duration { return c.now }
-
-// Steps returns the number of events executed so far. Useful for detecting
-// runaway simulations in tests.
-func (c *Clock) Steps() uint64 { return c.nsteps }
-
-// Pending returns the number of scheduled events that have not yet fired or
-// been stopped.
-func (c *Clock) Pending() int {
-	n := 0
-	for _, ev := range c.events {
-		if !ev.stopped {
-			n++
-		}
-	}
-	return n
-}
 
 // Timer is a handle to a scheduled event. Stop cancels it if it has not fired.
 type Timer struct {
@@ -97,7 +80,6 @@ func (c *Clock) Step() bool {
 			c.now = ev.at
 		}
 		ev.fired = true
-		c.nsteps++
 		ev.fn()
 		return true
 	}

@@ -11,8 +11,8 @@ func TestClockStartsAtZero(t *testing.T) {
 	if c.Now() != 0 {
 		t.Fatalf("new clock Now() = %v, want 0", c.Now())
 	}
-	if c.Pending() != 0 {
-		t.Fatalf("new clock Pending() = %d, want 0", c.Pending())
+	if c.Step() {
+		t.Fatal("new clock has an event to run")
 	}
 }
 
@@ -195,17 +195,6 @@ func TestRunWhileDrainedQueue(t *testing.T) {
 	}
 }
 
-func TestStepsCounter(t *testing.T) {
-	c := NewClock()
-	for i := 0; i < 7; i++ {
-		c.After(time.Duration(i)*time.Second, func() {})
-	}
-	c.Run()
-	if c.Steps() != 7 {
-		t.Fatalf("Steps() = %d, want 7", c.Steps())
-	}
-}
-
 func TestAtClampsPast(t *testing.T) {
 	c := NewClock()
 	c.RunUntil(time.Hour)
@@ -312,24 +301,6 @@ func TestRNGNormalMoments(t *testing.T) {
 	}
 	if variance < 0.9 || variance > 1.1 {
 		t.Fatalf("normal variance = %v, want ~1", variance)
-	}
-}
-
-func TestRNGPermIsPermutation(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := NewRNG(seed).Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -49,24 +49,10 @@ func (t *Tensor) Size() int {
 	return n
 }
 
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	out := &Tensor{Shape: append([]int(nil), t.Shape...), Data: make([]float32, len(t.Data))}
-	copy(out.Data, t.Data)
-	return out
-}
-
 // Zero clears all elements in place.
 func (t *Tensor) Zero() {
 	for i := range t.Data {
 		t.Data[i] = 0
-	}
-}
-
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.Data {
-		t.Data[i] = v
 	}
 }
 
@@ -89,16 +75,6 @@ func SameShape(a, b *Tensor) bool {
 		}
 	}
 	return true
-}
-
-// AddInPlace accumulates o into t elementwise.
-func (t *Tensor) AddInPlace(o *Tensor) {
-	if !SameShape(t, o) {
-		panic("tensor: AddInPlace shape mismatch")
-	}
-	for i := range t.Data {
-		t.Data[i] += o.Data[i]
-	}
 }
 
 // Scale multiplies every element by s in place.

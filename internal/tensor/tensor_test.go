@@ -309,3 +309,27 @@ func TestPropertyReLUIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Clone returns a deep copy.
+func (t *Tensor) Clone() *Tensor {
+	out := &Tensor{Shape: append([]int(nil), t.Shape...), Data: make([]float32, len(t.Data))}
+	copy(out.Data, t.Data)
+	return out
+}
+
+// Fill sets every element to v.
+func (t *Tensor) Fill(v float32) {
+	for i := range t.Data {
+		t.Data[i] = v
+	}
+}
+
+// AddInPlace accumulates o into t elementwise.
+func (t *Tensor) AddInPlace(o *Tensor) {
+	if !SameShape(t, o) {
+		panic("tensor: AddInPlace shape mismatch")
+	}
+	for i := range t.Data {
+		t.Data[i] += o.Data[i]
+	}
+}

@@ -61,7 +61,7 @@ func ASCIISlice(data []float32, h, w, maxCols int) string {
 		maxCols = 72
 	}
 	scale := 1
-	for w/scale > maxCols {
+	for (w+scale-1)/scale > maxCols { // columns printed: ceil(w/scale)
 		scale++
 	}
 	ramp := []byte(" .:-=+*#%@")

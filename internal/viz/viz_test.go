@@ -135,6 +135,7 @@ func TestASCIISliceWidth(t *testing.T) {
 		{"halved", 8, 64, 32, 32, 2},
 		{"default 72 columns", 8, 100, 0, 50, 2},
 		{"ragged last cell", 12, 64, 30, 22, 2},
+		{"odd width over the cap", 4, 65, 32, 22, 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			data := make([]float32, c.h*c.w)

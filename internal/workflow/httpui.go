@@ -3,9 +3,11 @@ package workflow
 import (
 	"encoding/json"
 	"fmt"
-	"html/template"
+	"maps"
 	"net"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -130,23 +132,11 @@ func (s *StatusServer) handleJSON(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(snap)
 }
 
-var statusTmpl = template.Must(template.New("status").Parse(`<!DOCTYPE html>
-<html><head><title>{{.Workflow}} — CHASE-CI workflow</title></head>
-<body>
-<h1>workflow: {{.Workflow}}</h1>
-<p>virtual time {{.Now}} — done={{.Done}} failed={{.Failed}}</p>
-<table border="1" cellpadding="4">
-<tr><th>#</th><th>step</th><th>depends on</th><th>status</th><th>duration</th><th>measurements</th></tr>
-{{range $i, $s := .Steps}}
-<tr>
-<td>{{$i}}</td><td>{{$s.Name}}</td>
-<td>{{range $s.DependsOn}}{{.}} {{end}}</td>
-<td>{{$s.Status}}</td><td>{{$s.Duration}}</td>
-<td>{{range $k, $v := $s.Measurements}}{{$k}}={{printf "%.4g" $v}} {{end}}</td>
-</tr>
-{{end}}
-</table>
-</body></html>`))
+// pageEscaper escapes text for the page as html/template escapes it in
+// element content: the HTML specials and '+' as entities, NUL as U+FFFD.
+var pageEscaper = strings.NewReplacer(
+	"\x00", "\uFFFD", `"`, "&#34;", "&", "&amp;", "'", "&#39;",
+	"+", "&#43;", "<", "&lt;", ">", "&gt;")
 
 func (s *StatusServer) handleHTML(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" {
@@ -157,7 +147,26 @@ func (s *StatusServer) handleHTML(w http.ResponseWriter, r *http.Request) {
 	snap := s.snap
 	s.mu.RUnlock()
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if err := statusTmpl.Execute(w, snap); err != nil {
-		fmt.Fprintf(w, "<!-- render error: %v -->", err)
+	esc := pageEscaper.Replace
+	name := esc(snap.Workflow)
+	fmt.Fprintf(w, `<!DOCTYPE html>
+<html><head><title>%s — CHASE-CI workflow</title></head>
+<body>
+<h1>workflow: %s</h1>
+<p>virtual time %s — done=%t failed=%t</p>
+<table border="1" cellpadding="4">
+<tr><th>#</th><th>step</th><th>depends on</th><th>status</th><th>duration</th><th>measurements</th></tr>
+`, name, name, snap.Now, snap.Done, snap.Failed)
+	for i, st := range snap.Steps {
+		fmt.Fprintf(w, "\n<tr>\n<td>%d</td><td>%s</td>\n<td>", i, esc(st.Name))
+		for _, d := range st.DependsOn {
+			fmt.Fprintf(w, "%s ", esc(d))
+		}
+		fmt.Fprintf(w, "</td>\n<td>%s</td><td>%s</td>\n<td>", esc(st.Status), esc(st.Duration))
+		for _, k := range slices.Sorted(maps.Keys(st.Measurements)) {
+			fmt.Fprintf(w, "%s=%s ", esc(k), esc(fmt.Sprintf("%.4g", st.Measurements[k])))
+		}
+		fmt.Fprint(w, "</td>\n</tr>\n")
 	}
+	fmt.Fprint(w, "\n</table>\n</body></html>")
 }
