@@ -34,8 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ns.GrantAdmin(id.User)
-	fmt.Printf("namespace %q created, admin %s\n", ns.Name, id.User)
+	fmt.Printf("namespace %q created for %s, quota %d GPUs\n", ns.Name, id.User, ns.Quota.GPUs)
 
 	// 3. Submit a batch Job: 4 pods, 2 GPUs each, ~30 virtual minutes.
 	job, err := eco.Cluster.CreateJob(cluster.JobSpec{

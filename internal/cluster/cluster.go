@@ -45,8 +45,7 @@ type Namespace struct {
 	// unlimited.
 	Quota *Resources
 
-	used   Resources
-	admins map[string]bool
+	used Resources
 }
 
 // NodeEvent describes a node lifecycle transition for external observers
@@ -144,15 +143,11 @@ func (c *Cluster) CreateNamespace(name string, quota *Resources) (*Namespace, er
 	if _, dup := c.namespaces[name]; dup {
 		return nil, ErrDuplicate
 	}
-	ns := &Namespace{Name: name, Quota: quota, admins: make(map[string]bool)}
+	ns := &Namespace{Name: name, Quota: quota}
 	c.namespaces[name] = ns
 	c.logEvent("NamespaceCreated", name, "quota=%v", quota)
 	return ns, nil
 }
-
-// GrantAdmin makes user an administrator of the namespace (the paper's "PI
-// of a given research group is granted the role namespace administrator").
-func (ns *Namespace) GrantAdmin(user string) { ns.admins[user] = true }
 
 // --- Nodes ----------------------------------------------------------------
 

@@ -281,18 +281,6 @@ func TestEventsLogged(t *testing.T) {
 	}
 }
 
-func TestNamespaceAdmin(t *testing.T) {
-	_, c := testCluster(1)
-	ns := c.namespaces["connect"]
-	ns.GrantAdmin("ialtintas@ucsd.edu")
-	if !ns.admins["ialtintas@ucsd.edu"] {
-		t.Fatal("granted admin not recognized")
-	}
-	if ns.admins["someone@else.edu"] {
-		t.Fatal("ungranted user recognized as admin")
-	}
-}
-
 func TestDuplicateNodeAndNamespace(t *testing.T) {
 	_, c := testCluster(1)
 	if _, err := c.AddNode("fiona8-00", "x", FIONACapacity(), nil); err != ErrDuplicate {

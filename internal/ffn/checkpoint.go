@@ -89,11 +89,15 @@ func (c *Checkpoint) EncodeBytes() []byte {
 // DecodeCheckpoint reconstructs a checkpoint (network, optimizer with
 // momentum state, loss history) from serialized bytes. Every length is
 // checked against the bytes actually present before anything is allocated.
+// The network's parameter vector and the optimizer's velocity are decoded
+// into arrays borrowed from the tensor free list: ResumeDistTrainer takes
+// them over, and its Release gives them back.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	net, st, rest, err := decodeCheckpointHead(data)
+	cfg, model, st, rest, err := decodeCheckpointHead(data)
 	if err != nil {
 		return nil, err
 	}
+	net := decodeNetwork(cfg, model, tensor.GetFloats(cfg.paramCount()))
 	lossBytes := 8 * int(st.NLosses)
 	losses := make([]float64, st.NLosses)
 	opt := tensor.NewSGD(st.LR, st.Momentum)
@@ -111,45 +115,51 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 // DecodeCheckpointNet is DecodeCheckpoint for a caller that only floods
 // with the network: it makes every check DecodeCheckpoint makes, failing
 // with the same error, and decodes the network alone — neither the loss
-// history nor the optimizer's velocity, one float per parameter.
+// history nor the optimizer's velocity, one float per parameter — into
+// memory of its own, not the free list's.
 func DecodeCheckpointNet(data []byte) (*Network, error) {
-	net, _, _, err := decodeCheckpointHead(data)
-	return net, err
+	cfg, model, _, _, err := decodeCheckpointHead(data)
+	if err != nil {
+		return nil, err
+	}
+	return decodeNetwork(cfg, model, make([]float32, cfg.paramCount())), nil
 }
 
-// decodeCheckpointHead decodes and checks everything of a checkpoint but
-// its losses and velocities: it returns the network, the fixed-size state
-// and the rest of the bytes, whose length it has checked to be exactly the
-// losses and velocities the state and the network call for.
-func decodeCheckpointHead(data []byte) (*Network, ckptState, []byte, error) {
+// decodeCheckpointHead checks everything of a checkpoint without
+// allocating: it returns the network's geometry and serialized parameters,
+// the fixed-size state, and the rest of the bytes, whose length it has
+// checked to be exactly the losses and velocities the state and the
+// network call for.
+func decodeCheckpointHead(data []byte) (Config, []byte, ckptState, []byte, error) {
 	var st ckptState
 	if len(data) < len(ckptMagic)+4 || [8]byte(data[:8]) != ckptMagic {
-		return nil, st, nil, ErrBadCheckpoint
+		return Config{}, nil, st, nil, ErrBadCheckpoint
 	}
 	modelLen := binary.LittleEndian.Uint32(data[8:])
 	rest := data[12:]
 	if int(modelLen) > len(rest) {
-		return nil, st, nil, fmt.Errorf("%w: model length %d exceeds payload", ErrBadCheckpoint, modelLen)
+		return Config{}, nil, st, nil, fmt.Errorf("%w: model length %d exceeds payload", ErrBadCheckpoint, modelLen)
 	}
-	net, err := LoadBytes(rest[:modelLen])
+	cfg, model, err := parseModel(rest[:modelLen])
 	if err != nil {
-		return nil, st, nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
+		return cfg, nil, st, nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
 	}
+	params := cfg.paramCount()
 	rest = rest[modelLen:]
 	if len(rest) < ckptStateLen {
-		return nil, st, nil, fmt.Errorf("%w: truncated header", ErrBadCheckpoint)
+		return cfg, nil, st, nil, fmt.Errorf("%w: truncated header", ErrBadCheckpoint)
 	}
 	binary.Decode(rest[:ckptStateLen], binary.LittleEndian, &st) // length checked above
 	rest = rest[ckptStateLen:]
 	if st.Batch < 1 || st.Batch > maxCheckpointBatch {
-		return nil, st, nil, fmt.Errorf("%w: batch per round %d outside [1,%d]", ErrBadCheckpoint, st.Batch, maxCheckpointBatch)
+		return cfg, nil, st, nil, fmt.Errorf("%w: batch per round %d outside [1,%d]", ErrBadCheckpoint, st.Batch, maxCheckpointBatch)
 	}
-	if err := checkGradMatrix(int(st.Batch), len(net.params)); err != nil {
-		return nil, st, nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
+	if err := checkGradMatrix(int(st.Batch), params); err != nil {
+		return cfg, nil, st, nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
 	}
-	if len(rest) != 8*int(st.NLosses)+4*len(net.params) {
-		return nil, st, nil, fmt.Errorf("%w: %d bytes after the header, want %d losses and %d velocities",
-			ErrBadCheckpoint, len(rest), st.NLosses, len(net.params))
+	if len(rest) != 8*int(st.NLosses)+4*params {
+		return cfg, nil, st, nil, fmt.Errorf("%w: %d bytes after the header, want %d losses and %d velocities",
+			ErrBadCheckpoint, len(rest), st.NLosses, params)
 	}
-	return net, st, rest, nil
+	return cfg, model, st, rest, nil
 }

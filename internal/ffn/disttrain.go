@@ -35,14 +35,17 @@ import (
 // goroutine's. Fanning its convs out over the lanes instead measured slower
 // at two lanes than at one (EXPERIMENTS.md).
 //
-// Ownership: the gradient matrix, the FOV-center index, the lane weights and
-// each chunk's scratches are borrowed from the tensor free list — a job builds a new
-// trainer, and these are the arrays the previous job of the same geometry
-// just dropped. Release hands them back and ends the trainer's life: call
-// it (deferred) once no Round is running and nothing more will be asked of
-// the trainer. It is optional — a trainer that is never released is
-// ordinary garbage — and the Network, optimizer and loss history are not
-// part of it: they stay valid after Release.
+// Ownership: a trainer owns the network it trains and its optimizer.
+// FreshDistTrainer builds the network, and a resumed trainer's comes from
+// DecodeCheckpoint; either way its parameter vector, like the optimizer's
+// velocity, the gradient matrix, the FOV-center index, the lane weights and
+// each chunk's scratches, is borrowed from the tensor free list — a job
+// builds a new trainer, and these are the arrays the previous job of the
+// same geometry just dropped. Release hands them all back and ends the
+// life of the trainer, its Net and its Opt: call it (deferred) once no
+// Round is running and nothing more will be asked of any of them. It is
+// optional — a trainer that is never released is ordinary garbage. Only
+// the loss history stays valid after Release.
 type DistTrainer struct {
 	Net *Network
 	Opt *tensor.SGD
@@ -91,14 +94,33 @@ func checkGradMatrix(batch, params int) error {
 	return nil
 }
 
-// NewDistTrainer builds a distributed trainer over a labelled volume.
+// FreshDistTrainer builds a distributed trainer over a labelled volume that
+// trains a new network of cfg's geometry, He-initialized from netSeed —
+// NewNetwork(cfg, netSeed)'s weights, bit for bit — on a borrowed parameter
+// vector.
+func FreshDistTrainer(cfg Config, netSeed uint64, lr, momentum float32, img, lbl *Volume, sampleSeed uint64, batchPerRound, workers int) (*DistTrainer, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	net := newNetwork(cfg, tensor.GetFloats(cfg.paramCount()))
+	net.initWeights(netSeed)
+	t, err := NewDistTrainer(net, lr, momentum, img, lbl, sampleSeed, batchPerRound, workers)
+	if err != nil {
+		tensor.PutFloats(net.params)
+	}
+	return t, err
+}
+
+// NewDistTrainer builds a distributed trainer over a labelled volume that
+// trains net, which it takes over (see DistTrainer).
 func NewDistTrainer(net *Network, lr, momentum float32, img, lbl *Volume, sampleSeed uint64, batchPerRound, workers int) (*DistTrainer, error) {
 	return newDistTrainer(net, tensor.NewSGD(lr, momentum), img, lbl, sampleSeed, batchPerRound, workers, 0, nil)
 }
 
 // ResumeDistTrainer continues a checkpointed run on a (bit-identical)
 // labelled volume: the next Round executes exactly the round the
-// interrupted run would have executed.
+// interrupted run would have executed. The trainer takes ck's network and
+// optimizer over.
 func ResumeDistTrainer(ck *Checkpoint, img, lbl *Volume, workers int) (*DistTrainer, error) {
 	return newDistTrainer(ck.Net, ck.Opt, img, lbl, ck.SampleSeed, ck.BatchPerRound, workers,
 		ck.Round, append([]float64(nil), ck.Losses...))
@@ -134,9 +156,14 @@ func newDistTrainer(net *Network, opt *tensor.SGD, img, lbl *Volume, sampleSeed 
 }
 
 // Release returns the trainer's borrowed memory to the free list (see
-// DistTrainer). The trainer must not run another Round afterwards; calling
-// Release again is a no-op.
+// DistTrainer) and detaches Net and Opt. The trainer must not run another
+// Round afterwards; calling Release again is a no-op.
 func (t *DistTrainer) Release() {
+	if t.Net != nil {
+		tensor.PutFloats(t.Net.params)
+		t.Opt.Release()
+		t.Net, t.Opt = nil, nil
+	}
 	tensor.PutFloats(t.grads)
 	t.grads = nil
 	t.centers.release()

@@ -20,11 +20,7 @@ import (
 // bit for bit.
 func distTrainer(t *testing.T, img, lbl *Volume, workers int) *DistTrainer {
 	t.Helper()
-	net, err := NewNetwork(smallConfig(), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := NewDistTrainer(net, 0.05, 0.9, img, lbl, 77, 8, workers)
+	tr, err := FreshDistTrainer(smallConfig(), 42, 0.05, 0.9, img, lbl, 77, 8, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,6 +331,7 @@ func borrowed(tr *DistTrainer) (ptrs map[*float32]bool, lens []int) {
 			lens = append(lens, len(b))
 		}
 	}
+	add(tr.Net.params)
 	add(tr.grads)
 	add(tr.plan.w)
 	if idx := tr.centers.buf; len(idx) > 0 {
@@ -348,29 +345,31 @@ func borrowed(tr *DistTrainer) (ptrs map[*float32]bool, lens []int) {
 			}
 		}
 	}
+	add(tr.Opt.Velocity(len(tr.Net.params)))
 	return ptrs, lens
 }
 
 // TestDistTrainerAllocBound: a second trainer of the same geometry, built
 // after the first was released, borrows the very arrays the first gave back
-// — the batch x P gradient matrix, the center index, the lane weights, each
-// chunk's slab (paired where the host pairs: two chunks of four samples
-// train two pairs each) —
-// and allocates less than any one of the big ones. The second trains on
-// different labels: every borrowed length is geometry, never label content.
+// — the parameter vector, the batch x P gradient matrix, the center index,
+// the lane weights, each chunk's slab (paired where the host pairs: two
+// chunks of four samples train two pairs each) and the optimizer's
+// velocity — and allocates less than any one of the big ones. The second
+// trains on different labels: every borrowed length is geometry, never
+// label content.
 func TestDistTrainerAllocBound(t *testing.T) {
 	defer parallel.SetWorkers(parallel.SetWorkers(2)) // two lanes: the batch in two chunks
 	img, lbl := buildARScene(t, 6)
 	first := distTrainer(t, img, lbl, 2)
 	runRounds(t, first, 2)
 	had, _ := borrowed(first)
-	if len(had) != 5 {
-		t.Fatalf("first trainer holds %d borrowed arrays, want matrix + center index + lane weights + 2 slabs", len(had))
+	if len(had) != 7 {
+		t.Fatalf("first trainer holds %d borrowed arrays, want parameters + matrix + center index + lane weights + 2 slabs + velocity", len(had))
 	}
 	matrixBytes, slabBytes := uint64(4*len(first.grads)), uint64(4*len(first.scratch[0][first.width-1].slab))
 	firstPos := len(first.centers.pos)
 	first.Release()
-	if first.grads != nil || first.centers.buf != nil || first.centers.pos != nil || first.plan.w != nil || first.scratch != nil {
+	if first.Net != nil || first.Opt != nil || first.grads != nil || first.centers.buf != nil || first.centers.pos != nil || first.plan.w != nil || first.scratch != nil {
 		t.Fatal("Release must detach what it returned")
 	}
 	first.Release() // a no-op, not a double put
@@ -380,13 +379,10 @@ func TestDistTrainerAllocBound(t *testing.T) {
 		other.Data[i] = 1 - other.Data[i]
 	}
 
-	net, err := NewNetwork(smallConfig(), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var second *DistTrainer
+	var err error
 	got := allocatedBy(func() {
-		second, err = NewDistTrainer(net, 0.05, 0.9, img, other, 77, 8, 2)
+		second, err = FreshDistTrainer(smallConfig(), 42, 0.05, 0.9, img, other, 77, 8, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,13 +401,15 @@ func TestDistTrainerAllocBound(t *testing.T) {
 	if len(has) != len(had) {
 		t.Errorf("second trainer holds %d borrowed arrays, first held %d", len(has), len(had))
 	}
-	// What is left is the optimizer's velocity (P floats, 18 KB), the
-	// trainer, plan and scratch structs and their headers: 23 KB measured.
-	// One slab or the matrix on top of that is over the bound.
-	if !raceEnabled && got >= matrixBytes/2 {
-		t.Errorf("second trainer allocated %d B; slab %d B, gradient matrix %d B", got, slabBytes, matrixBytes)
+	// What is left is the trainer, network, plan and scratch structs, their
+	// headers and the per-round slices: 3.8 KB measured. The parameter
+	// vector or the velocity (P floats each, 17 KB) on top of that is over
+	// the bound.
+	modelBytes := uint64(4 * len(second.Net.params))
+	if !raceEnabled && got >= modelBytes/2 {
+		t.Errorf("second trainer allocated %d B; parameter vector %d B, slab %d B, gradient matrix %d B", got, modelBytes, slabBytes, matrixBytes)
 	}
-	t.Logf("second trainer allocated %d B (slab %d B, gradient matrix %d B)", got, slabBytes, matrixBytes)
+	t.Logf("second trainer allocated %d B (parameter vector %d B, slab %d B, gradient matrix %d B)", got, modelBytes, slabBytes, matrixBytes)
 }
 
 // stockFreeList leaves one buffer of each length on top of the free list:
@@ -536,11 +534,7 @@ func TestPairedTrainingMatchesWidthOne(t *testing.T) {
 	defer func(prev int) { forceWidth = prev }(forceWidth)
 	img, lbl := buildARScene(t, 6)
 	newTrainer := func(batch int) *DistTrainer {
-		net, err := NewNetwork(smallConfig(), 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := NewDistTrainer(net, 0.05, 0.9, img, lbl, 77, batch, 2)
+		tr, err := FreshDistTrainer(smallConfig(), 42, 0.05, 0.9, img, lbl, 77, batch, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

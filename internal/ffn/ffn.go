@@ -10,7 +10,7 @@
 // projected via internal/gpusim.
 //
 // A network's parameters are one flat []float32 in a canonical order
-// (paramViews), with the conv weights and biases as views into it; a
+// (layer), with the conv weights and biases as views into it; a
 // gradient, the optimizer's momentum and the serialized model are the same
 // vector shape, so saving, checkpointing, the all-reduce and the optimizer
 // step are each one pass over a slice. There is one trainer, DistTrainer: a
@@ -20,7 +20,7 @@
 // applies step.
 //
 // A network not owned by a trainer is immutable. Only a trainer's step
-// writes weights, and only on the network it was given; everything else —
+// writes weights, and only on the network it owns; everything else —
 // Flood and SegmentCtx, the forward passes, serialization — reads. So one
 // network may serve any number of concurrent floods, which is how the
 // service shares one inference network per set of weights across jobs.
@@ -107,11 +107,8 @@ type module struct {
 	b1, b2 []float32
 }
 
-// paramViews are the conv weights and biases of one architecture as views
-// into a flat vector. The canonical order — wIn, bIn, then w1, b1, w2, b2
-// per module, then wOut, bOut — is the order of the serialized model, of the
-// optimizer's momentum buffer and of every gradient row; bind is the only
-// place it is written down.
+// paramViews are the conv weights and biases of one architecture as
+// tensors viewing a flat vector in canonical order (layer).
 type paramViews struct {
 	wIn  *tensor.Tensor // (F, 2, 3, 3, 3): image + POM channels in
 	bIn  []float32
@@ -137,24 +134,38 @@ func newParamViews(cfg Config) paramViews {
 	return v
 }
 
+// layer returns layer k's weights and bias as views into flat, the
+// parameter vector of an f-feature, modules-module network. Its canonical
+// order — wIn, bIn, then w1, b1, w2, b2 per module, then wOut, bOut — is the
+// order of the serialized model, of the optimizer's momentum buffer and of
+// every gradient row, and this is the only place it is written down: k = 0
+// is the input layer, 1 to 2*modules each module's two 3x3x3 convs, and
+// 2*modules+1 the logit layer.
+func layer(flat []float32, f, modules, k int) (w, b []float32) {
+	in, mod := 2*27*f+f, 27*f*f+f
+	o, nw, nb := 0, 2*27*f, f
+	switch {
+	case k > 2*modules:
+		o, nw, nb = in+2*modules*mod, f, 1
+	case k > 0:
+		o, nw = in+(k-1)*mod, 27*f*f
+	}
+	return flat[o : o+nw : o+nw], flat[o+nw : o+nw+nb : o+nw+nb]
+}
+
 // bind points every view at its span of flat (len paramCount), without
 // allocating.
 func (v *paramViews) bind(flat []float32) {
-	f := v.wIn.Shape[0]
-	next := func(n int) []float32 {
-		span := flat[:n:n]
-		flat = flat[n:]
-		return span
+	f, m := v.wIn.Shape[0], len(v.mods)
+	if p := (&Config{Features: f, Modules: m}).paramCount(); len(flat) != p {
+		panic(fmt.Sprintf("ffn: binding a %d-scalar vector to %d parameters", len(flat), p))
 	}
-	v.wIn.Data, v.bIn = next(v.wIn.Size()), next(f)
-	for _, m := range v.mods {
-		m.w1.Data, m.b1 = next(m.w1.Size()), next(f)
-		m.w2.Data, m.b2 = next(m.w2.Size()), next(f)
+	v.wIn.Data, v.bIn = layer(flat, f, m, 0)
+	for i, mod := range v.mods {
+		mod.w1.Data, mod.b1 = layer(flat, f, m, 2*i+1)
+		mod.w2.Data, mod.b2 = layer(flat, f, m, 2*i+2)
 	}
-	v.wOut.Data, v.bOut = next(v.wOut.Size()), next(1)
-	if len(flat) != 0 {
-		panic(fmt.Sprintf("ffn: %d scalars left over binding a parameter vector", len(flat)))
-	}
+	v.wOut.Data, v.bOut = layer(flat, f, m, 2*m+1)
 }
 
 // Network is the FFN model. Its parameters are one flat vector in canonical
@@ -165,9 +176,10 @@ type Network struct {
 	paramViews
 }
 
-// newNetwork allocates a zero-weight model for a validated cfg.
-func newNetwork(cfg Config) *Network {
-	n := &Network{cfg: cfg, params: make([]float32, cfg.paramCount()), paramViews: newParamViews(cfg)}
+// newNetwork builds a model for a validated cfg over params, a vector of
+// cfg.paramCount() floats it keeps as they are.
+func newNetwork(cfg Config, params []float32) *Network {
+	n := &Network{cfg: cfg, params: params, paramViews: newParamViews(cfg)}
 	n.bind(n.params)
 	return n
 }
@@ -177,16 +189,23 @@ func NewNetwork(cfg Config, seed uint64) (*Network, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	n := newNetwork(cfg, make([]float32, cfg.paramCount()))
+	n.initWeights(seed)
+	return n, nil
+}
+
+// initWeights draws n's weights from seed (He initialization, in a fixed
+// order) and zeroes its biases, whatever the parameter vector held before.
+func (n *Network) initWeights(seed uint64) {
+	clear(n.params)
 	rng := sim.NewRNG(seed)
-	f := cfg.Features
-	n := newNetwork(cfg)
+	f := n.cfg.Features
 	n.wIn.Randomize(rng, 2*27)
 	n.wOut.Randomize(rng, f)
 	for _, m := range n.mods {
 		m.w1.Randomize(rng, f*27)
 		m.w2.Randomize(rng, f*27)
 	}
-	return n, nil
 }
 
 // Config returns the network configuration.
@@ -324,11 +343,9 @@ type trainScratch struct {
 }
 
 // trainSlot is one example's share of a trainScratch: its (1,D,H,W) FOV
-// extracts, its logits and their gradient, and the gradient views, bound
-// to the row the example writes.
+// extracts, and its logits and their gradient.
 type trainSlot struct {
 	img, lab, delta, gradLogits tensor.Tensor
-	g                           paramViews
 }
 
 // TrainScratchLen is the length of the slab one training scratch of cfg's
@@ -410,7 +427,6 @@ func (n *Network) borrowTrainScratch(plan *trainPlan, width int) *trainScratch {
 		for _, t := range [4]*tensor.Tensor{&sl.img, &sl.lab, &sl.delta, &sl.gradLogits} {
 			*t = tensor.Tensor{Shape: shape, Data: next(li.D * li.H * li.W)}
 		}
-		sl.g = newParamViews(*cfg)
 	}
 	if len(free) != 0 {
 		panic(fmt.Sprintf("ffn: %d floats of a training slab left over", len(free)))
@@ -436,19 +452,6 @@ func (ts *trainScratch) extract(s int, image, labels *Volume, fov [3]int, c [3]i
 	sl := &ts.slots[s]
 	extractFOVInto(&sl.img, image, fov, c[0], c[1], c[2])
 	extractFOVInto(&sl.lab, labels, fov, c[0], c[1], c[2])
-}
-
-// conv returns the weights and bias of 3x3x3 layer k in canonical order:
-// the input layer, then each module's two.
-func (v *paramViews) conv(k int) (w, b []float32) {
-	if k == 0 {
-		return v.wIn.Data, v.bIn
-	}
-	m := v.mods[(k-1)/2]
-	if k%2 == 1 {
-		return m.w1.Data, m.b1
-	}
-	return m.w2.Data, m.b2
 }
 
 // exampleGrads runs forward+backward on ts.width FOV examples at once —
@@ -480,12 +483,13 @@ func (n *Network) exampleGrads(ts *trainScratch, rows []float32, losses []float6
 	if width == 2 {
 		conv, convIn = tensor.ConvLanes33ReLUx2, tensor.ConvLanes33x2
 	}
+	p, m := len(n.params), len(n.mods)
 	// gradW writes 3x3x3 layer k's weight and bias gradients into every
 	// slot's row.
 	gradW := func(k int, in []float32, li tensor.Blocked, cin int, g []float32) {
 		var gw, gb [2][]float32
 		for s := range width {
-			gw[s], gb[s] = ts.slots[s].g.conv(k)
+			gw[s], gb[s] = layer(rows[s*p:][:p], f, m, k)
 		}
 		if width == 2 {
 			tensor.ConvLanesGradW33x2(gw, gb, in, li, cin, g, lx, f)
@@ -514,13 +518,12 @@ func (n *Network) exampleGrads(ts *trainScratch, rows []float32, losses []float6
 		conv(out, lx, hid, lx, f, w2, in, full) // residual connection
 	}
 	last := acts[len(acts)-1]
-	p := len(n.params)
 	for s := range width {
 		sl := &ts.slots[s]
 		n.logitsAt(sl.delta.Data, last[s:], lx, width, full)
 		losses[s] = tensor.LogitBCEInto(&sl.gradLogits, &sl.delta, &sl.lab, nil)
-		sl.g.bind(rows[s*p:][:p])
-		n.logitsBackward(ts.gradCur[s:], lx, width, sl.g.wOut.Data, sl.g.bOut, last[s:], sl.gradLogits.Data)
+		gw, gb := layer(rows[s*p:][:p], f, m, 2*m+1)
+		n.logitsBackward(ts.gradCur[s:], lx, width, gw, gb, last[s:], sl.gradLogits.Data)
 	}
 
 	cur, next := ts.gradCur, ts.gradPrev

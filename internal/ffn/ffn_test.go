@@ -407,6 +407,16 @@ func (n *Network) SaveBytes() []byte {
 	return n.appendModel(make([]byte, 0, n.modelLen()))
 }
 
+// LoadBytes reconstructs a network from SaveBytes' bytes: parseModel's
+// checks, then the payload decoded into a parameter vector of its own.
+func LoadBytes(data []byte) (*Network, error) {
+	cfg, payload, err := parseModel(data)
+	if err != nil {
+		return nil, err
+	}
+	return decodeNetwork(cfg, payload, make([]float32, cfg.paramCount())), nil
+}
+
 // SeedPOM builds the initial POM for a FOV: PadProb everywhere, SeedProb at
 // the center — the input state both training and each flood-fill
 // application condition on.

@@ -34,7 +34,7 @@ func imbalancedScene(t testing.TB, cfg Config, d, h, w int) (net *Network, img *
 	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
 	}
-	net = newNetwork(cfg)
+	net = newNetwork(cfg, make([]float32, cfg.paramCount()))
 	net.wIn.Data[13] = 1 // feature 0, image channel, center tap
 	net.wOut.Data[0], net.bOut[0] = 8, -4
 

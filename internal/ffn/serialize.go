@@ -49,35 +49,42 @@ func (n *Network) appendModel(b []byte) []byte {
 	return b
 }
 
-// LoadBytes reconstructs a network from serialized bytes. The header is
-// untrusted: nothing is allocated until the payload is known to be exactly
-// the parameter vector the header's geometry implies.
-func LoadBytes(data []byte) (*Network, error) {
+// parseModel checks a serialized model without allocating: it returns the
+// geometry its header declares and its payload, known to be exactly that
+// geometry's parameter vector. The header is untrusted: nothing is sized
+// from it before the payload is known to match it.
+func parseModel(data []byte) (Config, []byte, error) {
+	var cfg Config
 	if len(data) < modelHeaderLen {
-		return nil, ErrBadModel
+		return cfg, nil, ErrBadModel
 	}
 	var h modelHeader
 	binary.Decode(data[:modelHeaderLen], binary.LittleEndian, &h) // length checked above
 	if h.Magic != modelMagic {
-		return nil, ErrBadModel
+		return cfg, nil, ErrBadModel
 	}
-	cfg := Config{
+	cfg = Config{
 		FOV: intx3(h.FOV), Features: int(h.Features), Modules: int(h.Modules),
 		MoveStep: intx3(h.MoveStep),
 		MoveProb: h.MoveProb, SegmentProb: h.SegmentProb, PadProb: h.PadProb, SeedProb: h.SeedProb,
 	}
 	if err := cfg.validate(); err != nil {
-		return nil, fmt.Errorf("%w: bad config: %v", ErrBadModel, err)
+		return cfg, nil, fmt.Errorf("%w: bad config: %v", ErrBadModel, err)
 	}
 	payload := data[modelHeaderLen:]
 	// A model has more than 27·F²·Modules scalars; checking that bound by
 	// division first keeps paramCount from overflowing on a hostile header.
 	f, limit := cfg.Features, len(payload)/4
 	if f > limit/f || cfg.Modules > limit/(27*f*f) || len(payload) != 4*cfg.paramCount() {
-		return nil, fmt.Errorf("%w: %d payload bytes do not match a %d-feature, %d-module network",
+		return cfg, nil, fmt.Errorf("%w: %d payload bytes do not match a %d-feature, %d-module network",
 			ErrBadModel, len(payload), cfg.Features, cfg.Modules)
 	}
-	n := newNetwork(cfg)
-	binary.Decode(payload, binary.LittleEndian, n.params) // length checked above
-	return n, nil
+	return cfg, payload, nil
+}
+
+// decodeNetwork builds the network parseModel checked over params, a
+// vector of cfg.paramCount() floats, filled from payload.
+func decodeNetwork(cfg Config, payload []byte, params []float32) *Network {
+	binary.Decode(payload, binary.LittleEndian, params) // length checked by parseModel
+	return newNetwork(cfg, params)
 }

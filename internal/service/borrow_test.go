@@ -326,32 +326,38 @@ func TestJobAllocBounds(t *testing.T) {
 			return &api.JobRequest{Kind: api.KindSegment, ResultMode: api.ResultModeRef, Segment: spec}
 		}, 4, 32, 10, 0},
 		// A 12-round, batch-16 job with two periodic checkpoints (the bench/
-		// workload's shape). The batch x P gradient matrix, the center index
-		// and a scratch slab per worker are borrowed, and each checkpoint is
+		// workload's shape). The network's parameter vector, the optimizer's
+		// velocity, the batch x P gradient matrix, the center index and a
+		// scratch slab per worker are borrowed, and each checkpoint is
 		// serialized once into the frame the store keeps: what is left is
-		// those three frames, the network and the optimizer's velocity
-		// (172 KB). It was 853 KB when the matrix, index and scratch were
-		// built per job and each checkpoint was encoded and then copied into
-		// its frame; 21 MB when every sample's backward pass built its own
-		// activation cache and the all-reduce cloned the gradients.
-		{"train_dist", 2, func(*testing.T, *Runner) *api.JobRequest { return dist }, 2, 8, 350, 800},
+		// those three frames, about 120 KB, and bookkeeping (131-133 KB;
+		// 137-141 KB under the race detector). It was 172 KB while the network
+		// and the velocity were allocated per job; 853 KB when the matrix,
+		// index and scratch were built per job too and each checkpoint was
+		// encoded and then copied into its frame; 21 MB when every sample's
+		// backward pass built its own activation cache and the all-reduce
+		// cloned the gradients.
+		{"train_dist", 2, func(*testing.T, *Runner) *api.JobRequest { return dist }, 2, 8, 270, 280},
 		// A sweep child — train_dist on one worker, one example a round, a
 		// held-out slab scored — borrows the same way, and also writes the
 		// checkpoint a sweep keeps for its winner: about 34 KB of frame at
-		// f6/m2 (91 KB; 49 KB as the train kind, which wrote none; 213 KB
-		// before borrowing).
+		// f6/m2 (52-53 KB, 58-62 KB under the race detector; 91 KB while the
+		// network and velocity were allocated per job, 49 KB as the train
+		// kind, which wrote no checkpoint; 213 KB before borrowing).
 		{"sweep_child", 2, func(*testing.T, *Runner) *api.JobRequest {
 			h := api.SweepParams{LR: 0.03, Momentum: 0.9, Features: 6, Modules: 2, TrainSteps: 30}
 			return &api.JobRequest{Kind: api.KindTrainDist, TrainDist: sweep.Sweep.Child(h, 2, "")}
-		}, 2, 8, 185, 310},
+		}, 2, 8, 110, 120},
 		// The 8-candidate sweep fanned through the fair
-		// queue with no early stop (475-505 KB, of which about 170 KB is the
-		// eight checkpoints its children write; 290-330 KB while they wrote
-		// none, 1.4 MB while each candidate's trainer built its own center
-		// lists and scratch). Its concurrent children borrow more at a new
-		// peak of concurrency, which a 4-sweep average swings by 100 KB, so
-		// it is averaged over 12.
-		{"sweep_grid8", 4, func(*testing.T, *Runner) *api.JobRequest { return sweep }, 1, 12, 550, 1100},
+		// queue with no early stop (285-332 KB, 364-421 KB under the race
+		// detector, of which about 170 KB is the eight checkpoints its
+		// children write; 475-505 KB while each child allocated its network
+		// and velocity, 290-330 KB while they wrote no checkpoint, 1.4 MB
+		// while each candidate's trainer built its own center lists and
+		// scratch). Its concurrent children borrow more at a new peak of
+		// concurrency, which a 4-sweep average swings by 100 KB, so it is
+		// averaged over 12.
+		{"sweep_grid8", 4, func(*testing.T, *Runner) *api.JobRequest { return sweep }, 1, 12, 550, 820},
 		// The ends of the bench/ connect_chain, on its 12x48x72 volume (162 KB
 		// of float32). The ivt job builds no whole-field atmosphere state (it
 		// synthesizes row by row into borrowed scratch) and borrows its

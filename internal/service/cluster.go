@@ -107,7 +107,6 @@ func (r *Runner) jobVoxels(req *api.JobRequest) float64 {
 // job is sent back through placement instead of stranding on a dead queue.
 func (r *Runner) bindJob(j *job, pl *api.Placement) {
 	j.placement.Store(pl)
-	r.persist(j)
 	j.watchers.notify()
 	r.mu.Lock()
 	pool := r.pools[pl.Node]
@@ -157,7 +156,6 @@ func (r *Runner) requeueJob(j *job) {
 	r.gaugeAdd("jobs_running", j.kind, -1)
 	r.pendingAdd(j, +1)
 	r.count("jobs_requeued", j.kind)
-	r.persist(j)
 	j.watchers.notify()
 	r.rePlace(j)
 }

@@ -13,8 +13,9 @@ import (
 // content address, or a canonical config and the seed its weights are drawn
 // from — and an ffn network no trainer owns is immutable, so one network
 // serves every job naming the same weights, concurrently.
-// The training handlers build their own, because they step them; they and
-// this file are the package's only callers of ffn.NewNetwork,
+// A train_dist job's trainer builds its own network, because it steps it
+// (ffn.FreshDistTrainer, or resolveCheckpoint's decode for resume_from):
+// this file is the package's only caller of ffn.NewNetwork,
 // ffn.DecodeCheckpoint and ffn.DecodeCheckpointNet (a CI step holds that).
 //
 // The cache widens no access. Every ref a job names is checked for
@@ -141,9 +142,10 @@ func (c *netCache) insert(key netKey, net *ffn.Network) {
 }
 
 // resolveCheckpoint loads the whole checkpoint a ref names: the state a
-// train_dist job resumes (resume_from, always a fresh copy: the trainer
-// steps it). A segment job's network (net_ref) comes through the cache,
-// which decodes the network alone.
+// train_dist job resumes (resume_from, always a copy of its own, decoded
+// into borrowed arrays the trainer takes over and steps). A segment job's
+// network (net_ref) comes through the cache, which decodes the network
+// alone.
 func resolveCheckpoint(jc *JobContext, ref string) (*ffn.Checkpoint, error) {
 	blob, err := jc.Datasets().Resolve(ref)
 	if err != nil {

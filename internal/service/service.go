@@ -2,10 +2,11 @@
 // real compute kernels. A Registry maps job kinds to handlers; a Runner
 // owns a pool of worker goroutines that drain a weighted-fair pending
 // queue, execute each job under a cancellable context.Context with
-// kernel-reported progress, and persist every state transition back into
-// the queue.Store — the same simulated-Redis substrate the paper's
-// download step uses, so job records survive in the store the caller
-// passes in (the chased HTTP gateway fronts the Runner).
+// kernel-reported progress, and persist each job's terminal state into the
+// queue.Store — the same simulated-Redis substrate the paper's download
+// step uses, so the records of finished jobs survive in the store the
+// caller passes in after the in-memory index evicts them (the chased HTTP
+// gateway fronts the Runner).
 //
 // Scale model: the job registry is lock-striped (see shards.go) so status
 // polls, submits, and terminal transitions on different jobs never contend
@@ -278,12 +279,13 @@ type Runner struct {
 
 	// Sharded job registry (shards.go): jobs are striped by job-id hash;
 	// njobs tracks the in-memory total, retain the cap.
-	shards  [regShards]regShard
-	njobs   atomic.Int64
-	retain  atomic.Int64
-	pruneMu sync.Mutex
-	evictMu sync.Mutex
-	evicted evictFIFO // ids evicted from memory whose store records remain
+	shards     [regShards]regShard
+	njobs      atomic.Int64
+	retain     atomic.Int64
+	pruneMu    sync.Mutex
+	pruneCands []pruneCand // pruneIfNeeded's candidate buffer, under pruneMu
+	evictMu    sync.Mutex
+	evicted    evictFIFO // ids evicted from memory whose store records remain
 
 	// Admission control; every pool's fair queue takes its weights.
 	adm     *admission
@@ -313,9 +315,9 @@ type Runner struct {
 }
 
 // NewRunnerConfigured builds and starts a single-node Runner: one worker
-// pool of cfg.Workers goroutines draining one weighted-fair queue. Jobs
-// persist into store; a store shared across runner generations keeps the
-// job records and the id sequence of the ones before.
+// pool of cfg.Workers goroutines draining one weighted-fair queue.
+// Finished jobs persist into store; a store shared across runner
+// generations keeps the job records and the id sequence of the ones before.
 func NewRunnerConfigured(reg *Registry, store *queue.Store, cfg RunnerConfig) *Runner {
 	ds := cfg.Datasets
 	if ds == nil {
@@ -440,7 +442,7 @@ func (r *Runner) releaseJobRefs(j *job) {
 	j.refs = nil
 }
 
-// Submit validates req, reserves admission for its tenant, persists it as
+// Submit validates req, reserves admission for its tenant, registers it as
 // a queued job, and wakes the worker pool. owner is the authenticated
 // identity recorded on the job; when its pending bound (or the global one)
 // is full the submit sheds with an error unwrapping to ErrOverloaded.
@@ -518,7 +520,6 @@ func (r *Runner) Submit(req *api.JobRequest, owner string) (api.JobStatus, error
 	}
 	sh.jobs[j.id] = j
 	r.njobs.Add(1)
-	r.persist(j)
 	sh.mu.Unlock()
 
 	r.count("jobs_submitted", j.kind)
@@ -689,11 +690,10 @@ func (r *Runner) statusAs(j *job, code int32) api.JobStatus {
 	return st
 }
 
-// persist writes the job's status snapshot into the store. Progress fields
-// are persisted at transition points, not on every kernel callback; live
-// progress is served from memory.
-func (r *Runner) persist(j *job) { r.persistStatus(r.statusOf(j)) }
-
+// persistStatus writes a job's terminal status snapshot into the store,
+// once, in finish. Only that record is ever read: the store is the read
+// path's fallback for jobs evicted from memory, and only terminal jobs are
+// evicted. Live state and progress are served from memory.
 func (r *Runner) persistStatus(st api.JobStatus) {
 	raw, err := json.Marshal(st)
 	if err != nil {
@@ -727,7 +727,6 @@ func (r *Runner) execute(id string) {
 	j.started.Store(time.Now().UnixNano())
 	r.gaugeAdd("jobs_running", j.kind, +1)
 	r.pendingAdd(j, -1)
-	r.persist(j)
 	j.watchers.notify()
 
 	// The node may have died between this job's pop and now (the drain

@@ -1,7 +1,8 @@
 package service
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 )
 
@@ -55,6 +56,13 @@ func (r *Runner) eachJob(fn func(*job)) {
 	}
 }
 
+// pruneCand is a terminal job pruneIfNeeded may evict, with its submit
+// sequence number, which orders eviction oldest first.
+type pruneCand struct {
+	id  string
+	seq int64
+}
+
 // evictFIFO is the bounded queue of job ids evicted from memory whose
 // store records remain readable. Pop-front uses a head index with periodic
 // compaction, so the backing array stays proportional to the live tail
@@ -101,23 +109,26 @@ func (r *Runner) pruneIfNeeded() {
 	}
 	defer r.pruneMu.Unlock()
 
-	type cand struct {
-		id  string
-		seq int64
-	}
-	var cands []cand
+	// The candidate buffer is the runner's, reused from sweep to sweep
+	// under pruneMu; it is cleared on the way out so it keeps no evicted
+	// id alive.
+	cands := r.pruneCands[:0]
+	defer func() {
+		clear(cands)
+		r.pruneCands = cands[:0]
+	}()
 	total := 0
 	r.eachJob(func(j *job) {
 		total++
 		if stateNames[j.state.Load()].Terminal() {
-			cands = append(cands, cand{j.id, j.seq})
+			cands = append(cands, pruneCand{j.id, j.seq})
 		}
 	})
 	excess := total - retain
 	if excess <= 0 {
 		return
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].seq < cands[j].seq })
+	slices.SortFunc(cands, func(a, b pruneCand) int { return cmp.Compare(a.seq, b.seq) })
 	if excess > len(cands) {
 		excess = len(cands)
 	}

@@ -8,9 +8,10 @@ import (
 	"chaseci/internal/ffn"
 )
 
-// The training job, train_dist. It is the only handler that builds networks
-// of its own rather than take the runner's shared ones (netcache.go): a
-// trainer steps the network it is given.
+// The training job, train_dist. It is the only handler that does not flood
+// with the runner's shared networks (netcache.go): its trainer builds the
+// network it steps, or decodes it from the checkpoint it resumes, on
+// borrowed memory that goes back to the free list with the trainer.
 //
 // train_dist is synchronous data-parallel FFN training under the
 // service Runner. The kernel (ffn.DistTrainer) is worker-count invariant by
@@ -97,9 +98,9 @@ func putCheckpoint(jc *JobContext, refs *checkpointRefs, t *ffn.DistTrainer) (st
 // run reports the rounds actually completed; its checkpoints are released,
 // and so is the final one of a run whose scoring failed — only a succeeded
 // job keeps any, but an identical re-run re-creates the same content-
-// addressed refs. The trainer's borrowed arrays go back to the free list
-// however the handler returns — success, error, cancel, or a panic unwinding
-// through it.
+// addressed refs. The trainer's borrowed arrays, its network and momentum
+// among them, go back to the free list however the handler returns —
+// success, error, cancel, or a panic unwinding through it.
 func TrainDistHandler(jc *JobContext) (any, error) {
 	spec := jc.Request().TrainDist
 	holdout := spec.HoldoutSteps
@@ -150,11 +151,7 @@ func TrainDistHandler(jc *JobContext) (any, error) {
 		res.ResumedFrom = spec.ResumeFrom
 	} else {
 		lr, momentum := optimizerDefaults(spec.LR, spec.Momentum)
-		net, err := ffn.NewNetwork(netConfig(spec.Net), spec.NetSeed)
-		if err != nil {
-			return nil, err
-		}
-		t, err = ffn.NewDistTrainer(net, lr, momentum, img, lbl,
+		t, err = ffn.FreshDistTrainer(netConfig(spec.Net), spec.NetSeed, lr, momentum, img, lbl,
 			spec.SampleSeed, spec.BatchPerRound, spec.Workers)
 		if err != nil {
 			return nil, err

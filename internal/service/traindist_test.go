@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"chaseci/internal/dataset"
 	"chaseci/internal/parallel"
 	"chaseci/internal/queue"
+	"chaseci/internal/tensor"
 )
 
 // distRequest builds a small but real train_dist job over a seeded synthetic
@@ -587,6 +589,51 @@ func TestTrainDistCancelThenResumeAndElasticOnReleasedArrays(t *testing.T) {
 	}
 	if err := r.LeakCheck(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTrainDistModelOnReleasedMemory: a train_dist job's network and
+// momentum live on arrays borrowed from the free list, the ones the last
+// job of the same geometry released. Two identical jobs and a resume from
+// the first's round-6 checkpoint return the same losses and checkpoint refs
+// with released arrays poisoned to NaN as with them left holding the last
+// job's model: every borrowed model array is written before it is read.
+func TestTrainDistModelOnReleasedMemory(t *testing.T) {
+	defer tensor.PoisonReleased(true) // the package's TestMain setting
+	run := func(poison bool) []api.TrainDistResult {
+		tensor.PoisonReleased(poison)
+		r, _ := newTestRunner(t, DefaultRegistry(), 1)
+		req := distRequest(2, 10)
+		req.TrainDist.CheckpointEvery = 3
+		var out []api.TrainDistResult
+		for i := 0; i < 3; i++ {
+			if i == 2 {
+				req = &api.JobRequest{Kind: api.KindTrainDist, TrainDist: &api.TrainDistSpec{
+					Source: req.TrainDist.Source, Threshold: req.TrainDist.Threshold,
+					Workers: 4, Rounds: 10, ResumeFrom: out[0].Checkpoints[1].Ref,
+				}}
+			}
+			var res api.TrainDistResult
+			if err := json.Unmarshal(runJob(t, r, req), &res); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, res)
+		}
+		return out
+	}
+	plain, poisoned := run(false), run(true)
+	for i, name := range []string{"first", "second", "resumed"} {
+		got, want := poisoned[i], plain[i]
+		if got.CheckpointRef != want.CheckpointRef || fmt.Sprint(got.Checkpoints) != fmt.Sprint(want.Checkpoints) {
+			t.Fatalf("%s job: checkpoints %v then %s poisoned, %v then %s not", name,
+				got.Checkpoints, got.CheckpointRef, want.Checkpoints, want.CheckpointRef)
+		}
+		if fmt.Sprint(got.Losses) != fmt.Sprint(want.Losses) {
+			t.Fatalf("%s job: losses %v poisoned, %v not", name, got.Losses, want.Losses)
+		}
+		if got.CheckpointRef != plain[0].CheckpointRef || fmt.Sprint(got.Losses) != fmt.Sprint(plain[0].Losses) {
+			t.Fatalf("%s job: final checkpoint %s, want the first job's %s", name, got.CheckpointRef, plain[0].CheckpointRef)
+		}
 	}
 }
 

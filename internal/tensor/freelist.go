@@ -10,10 +10,12 @@ import (
 // The shared float free list: one process-wide, length-keyed stock of idle
 // float32 buffers for everything sized by a volume or by a network geometry
 // — normalised training images, the flood's visited set and mask bits, the
-// per-worker inference scratch buffers, and the conv kernels' own
-// temporaries (padded inputs, the backward's transposed gradOut and flipped
-// weights). A job builds its own Network and its own volumes, so a list
-// hanging off either is always cold; this one survives from job to job.
+// per-worker inference scratch buffers, a training job's whole model (its
+// parameter vector and the optimizer's momentum) and working arrays, and
+// the conv kernels' own temporaries (padded inputs, the backward's
+// transposed gradOut and flipped weights). A job builds its own volumes,
+// and a training job its own network, so a list hanging off either is
+// always cold; this one survives from job to job.
 //
 // It is a mutex-guarded LIFO rather than a sync.Pool: buffers must survive
 // between jobs deterministically (the runtime may drop pool entries at any

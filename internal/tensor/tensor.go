@@ -156,7 +156,7 @@ func LogitBCEInto(grad, logits, labels, mask *Tensor) (loss float64) {
 
 // SGD is stochastic gradient descent with classical momentum over one flat
 // parameter vector: the momentum buffer is a single slice the same length,
-// in the same order.
+// in the same order, borrowed from the float free list.
 type SGD struct {
 	LR       float32
 	Momentum float32
@@ -178,14 +178,24 @@ func (o *SGD) Step(params, grads []float32) {
 	}
 }
 
-// Velocity returns the momentum buffer for an n-parameter model, creating a
-// zero one on first use — what a checkpoint saves and restores.
+// Velocity returns the momentum buffer for an n-parameter model — what a
+// checkpoint saves and restores — borrowing it from the free list and
+// clearing it on first use.
 func (o *SGD) Velocity(n int) []float32 {
 	if o.velocity == nil {
-		o.velocity = make([]float32, n)
+		o.velocity = GetFloats(n)
+		clear(o.velocity)
 	}
 	if len(o.velocity) != n {
 		panic(fmt.Sprintf("tensor: SGD holds momentum for %d parameters, asked for %d", len(o.velocity), n))
 	}
 	return o.velocity
+}
+
+// Release returns the momentum buffer to the free list; a later Step starts
+// again from zero momentum. It is optional: an optimizer never released is
+// ordinary garbage.
+func (o *SGD) Release() {
+	PutFloats(o.velocity)
+	o.velocity = nil
 }
