@@ -47,7 +47,6 @@ import (
 
 	"chaseci/internal/api"
 	"chaseci/internal/dataset"
-	"chaseci/internal/queue"
 	"chaseci/internal/scenario"
 	"chaseci/internal/sched"
 	"chaseci/internal/service"
@@ -187,13 +186,12 @@ func serve(args []string) {
 		MaxPendingPerTenant: *maxPendingTenant,
 		TenantWeights:       weights,
 	}
-	store := queue.NewStore()
 	var runner *service.Runner
 	if *clusterOn {
 		fab := sched.DefaultFabric()
-		runner = service.NewClusterRunnerConfigured(service.DefaultRegistry(), store, fab, cfg)
+		runner = service.NewClusterRunnerConfigured(service.DefaultRegistry(), nil, fab, cfg)
 	} else {
-		runner = service.NewRunnerConfigured(service.DefaultRegistry(), store, cfg)
+		runner = service.NewRunnerConfigured(service.DefaultRegistry(), nil, cfg)
 	}
 	defer runner.Close()
 	gw := service.NewGateway(runner, service.GatewayOptions{

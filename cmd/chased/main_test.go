@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"chaseci/internal/api"
-	"chaseci/internal/queue"
 	"chaseci/internal/service"
 )
 
@@ -30,7 +29,7 @@ func TestAwaitJobFollowsEventsToTerminal(t *testing.T) {
 		}
 		return map[string]bool{"ok": true}, nil
 	})
-	runner := service.NewRunnerConfigured(reg, queue.NewStore(), service.RunnerConfig{Workers: 1})
+	runner := service.NewRunnerConfigured(reg, nil, service.RunnerConfig{Workers: 1})
 	defer runner.Close()
 	srv := httptest.NewServer(service.NewGateway(runner, service.GatewayOptions{
 		Providers: map[string]string{"ucsd.edu": "UCSD"},

@@ -7,7 +7,6 @@ import (
 	"chaseci/internal/api"
 	"chaseci/internal/ffn"
 	"chaseci/internal/merra"
-	"chaseci/internal/queue"
 	"chaseci/internal/service"
 )
 
@@ -61,7 +60,7 @@ func TestHyperparameterSweepFindsBest(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, parallel := range []int{1, 4} {
 			t.Run(fmt.Sprintf("workers=%d/parallel=%d", workers, parallel), func(t *testing.T) {
-				runner := service.NewRunnerConfigured(service.DefaultRegistry(), queue.NewStore(), service.RunnerConfig{Workers: workers})
+				runner := service.NewRunnerConfigured(service.DefaultRegistry(), nil, service.RunnerConfig{Workers: workers})
 				defer runner.Close()
 				var res api.SweepResult
 				if err := runJob(runner, sweepJob(parallel), &res); err != nil {

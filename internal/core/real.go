@@ -9,7 +9,6 @@ import (
 	"chaseci/internal/dataset"
 	"chaseci/internal/ffn"
 	"chaseci/internal/merra"
-	"chaseci/internal/queue"
 	"chaseci/internal/service"
 	"chaseci/internal/viz"
 )
@@ -90,7 +89,7 @@ func RunSegmentation(ds *dataset.Manager, volume string, rc *RealComputeConfig) 
 	flat := merra.Field2D{NLon: len(field.Data), NLat: 1, Data: field.Data}
 	th := flat.Quantile(rc.Quantile)
 
-	runner := service.NewRunnerConfigured(service.DefaultRegistry(), queue.NewStore(),
+	runner := service.NewRunnerConfigured(service.DefaultRegistry(), nil,
 		service.RunnerConfig{Workers: 1, Datasets: ds})
 	defer runner.Close()
 	src := api.VolumeSource{Ref: volume}

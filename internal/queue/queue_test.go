@@ -7,20 +7,11 @@ import (
 	"testing/quick"
 )
 
-func TestStoreSetGetDel(t *testing.T) {
+func TestStoreSetGet(t *testing.T) {
 	s := NewStore()
 	s.Set("k", "v")
 	if v, ok := s.Get("k"); !ok || v != "v" {
 		t.Fatalf("Get = %q,%v", v, ok)
-	}
-	if n := s.Del("k"); n != 1 {
-		t.Fatalf("Del = %d, want 1", n)
-	}
-	if _, ok := s.Get("k"); ok {
-		t.Fatal("key survives Del")
-	}
-	if n := s.Del("k"); n != 0 {
-		t.Fatalf("Del missing = %d, want 0", n)
 	}
 }
 
@@ -43,19 +34,6 @@ func TestStoreFIFOOrder(t *testing.T) {
 	}
 	if n := len(s.lists["q"]); n != 0 {
 		t.Fatalf("LLen of drained list = %d, want 0", n)
-	}
-}
-
-func TestStoreIncr(t *testing.T) {
-	s := NewStore()
-	if got := s.Incr("n", 5); got != 5 {
-		t.Fatalf("Incr = %d, want 5", got)
-	}
-	if got := s.Incr("n", -2); got != 3 {
-		t.Fatalf("Incr = %d, want 3", got)
-	}
-	if v, _ := s.Get("n"); v != "3" {
-		t.Fatalf("Get after Incr = %q, want 3", v)
 	}
 }
 
@@ -127,84 +105,6 @@ func TestPropertyListOrderPreserved(t *testing.T) {
 	}
 }
 
-func TestPropertyIncrMatchesSum(t *testing.T) {
-	f := func(deltas []int16) bool {
-		s := NewStore()
-		var want int64
-		var got int64
-		for _, d := range deltas {
-			got = s.Incr("n", int64(d))
-			want += int64(d)
-		}
-		return got == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStoreIncrReadsStoredValue(t *testing.T) {
-	// Incr counts on from a stored decimal; anything else counts from zero.
-	cases := []struct {
-		name, stored string
-		set          bool
-		want         int64
-	}{
-		{"missing key", "", false, 1},
-		{"decimal", "41", true, 42},
-		{"negative", "-7", true, -6},
-		{"empty value", "", true, 1},
-		{"lone minus", "-", true, 1},
-		{"not a number", "abc", true, 1},
-		{"trailing junk", "12x", true, 1},
-		{"inner minus", "1-2", true, 1},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			s := NewStore()
-			if c.set {
-				s.Set("n", c.stored)
-			}
-			if got := s.Incr("n", 1); got != c.want {
-				t.Fatalf("Incr after %q = %d, want %d", c.stored, got, c.want)
-			}
-			if v, _ := s.Get("n"); v != fmt.Sprint(c.want) {
-				t.Fatalf("stored value = %q, want %d", v, c.want)
-			}
-		})
-	}
-}
-
-func TestStoreConcurrentIncrIssuesDistinctValues(t *testing.T) {
-	// The Runner's job-id counter: concurrent workers never draw one value twice.
-	s := NewStore()
-	const workers, each = 8, 100
-	got := make([][]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				got[w] = append(got[w], s.Incr("seq", 1))
-			}
-		}(w)
-	}
-	wg.Wait()
-	seen := make(map[int64]bool)
-	for _, vs := range got {
-		for _, v := range vs {
-			if v < 1 || v > workers*each || seen[v] {
-				t.Fatalf("value %d drawn twice or out of range", v)
-			}
-			seen[v] = true
-		}
-	}
-	if v, _ := s.Get("seq"); v != fmt.Sprint(workers*each) {
-		t.Fatalf("final counter = %q, want %d", v, workers*each)
-	}
-}
-
 func TestStoreLPushManyValues(t *testing.T) {
 	s := NewStore()
 	if n := s.LPush("q", "a", "b", "c"); n != 3 {
@@ -232,24 +132,6 @@ func TestStoreListsAreIndependent(t *testing.T) {
 	}
 	if _, ok := s.RPop("b"); ok {
 		t.Fatal("b still has an element")
-	}
-}
-
-func TestStoreDelRemovesBothKinds(t *testing.T) {
-	s := NewStore()
-	s.Set("k", "v")
-	s.LPush("k", "x")
-	if n := s.Del("k"); n != 2 {
-		t.Fatalf("Del = %d, want 2 (string and list)", n)
-	}
-	if _, ok := s.Get("k"); ok {
-		t.Fatal("string survives Del")
-	}
-	if n := len(s.lists["k"]); n != 0 {
-		t.Fatalf("LLen after Del = %d", n)
-	}
-	if keys := s.Keys(); len(keys) != 0 {
-		t.Fatalf("Keys after Del = %v", keys)
 	}
 }
 

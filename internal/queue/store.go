@@ -2,19 +2,16 @@
 // Redis queue holds a list of files that contain urls to download ... each
 // pod pops a message off the queue". Store is an in-memory list/key-value
 // engine: the virtual-time download workers of core's Figure 3 push and pop
-// its lists, and service.Runner persists its job records into it.
+// its lists.
 package queue
 
 import (
 	"sort"
-	"strconv"
 	"sync"
 )
 
 // Store is an in-memory Redis-like data store: string keys and list keys.
-// It is safe for concurrent use (a service.Runner's worker goroutines write
-// job records into one store at once); simulation code calls it
-// synchronously.
+// It is safe for concurrent use; simulation code calls it synchronously.
 type Store struct {
 	mu    sync.Mutex
 	kv    map[string]string
@@ -39,53 +36,6 @@ func (s *Store) Get(key string) (value string, ok bool) {
 	defer s.mu.Unlock()
 	value, ok = s.kv[key]
 	return value, ok
-}
-
-// Del removes string and list entries for key, reporting how many existed.
-func (s *Store) Del(key string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	if _, ok := s.kv[key]; ok {
-		delete(s.kv, key)
-		n++
-	}
-	if _, ok := s.lists[key]; ok {
-		delete(s.lists, key)
-		n++
-	}
-	return n
-}
-
-// Incr atomically adds delta to an integer-valued key, returning the result.
-// A missing key counts from zero.
-func (s *Store) Incr(key string, delta int64) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := parseInt(s.kv[key])
-	cur += delta
-	s.kv[key] = strconv.FormatInt(cur, 10)
-	return cur
-}
-
-func parseInt(v string) int64 {
-	var n int64
-	neg := false
-	for i := 0; i < len(v); i++ {
-		c := v[i]
-		if i == 0 && c == '-' {
-			neg = true
-			continue
-		}
-		if c < '0' || c > '9' {
-			return 0
-		}
-		n = n*10 + int64(c-'0')
-	}
-	if neg {
-		n = -n
-	}
-	return n
 }
 
 // LPush prepends values to the list at key, returning the new length.

@@ -20,7 +20,6 @@ import (
 	"chaseci/internal/dataset"
 	"chaseci/internal/gpusim"
 	"chaseci/internal/netsim"
-	"chaseci/internal/queue"
 	"chaseci/internal/sched"
 	"chaseci/internal/service"
 	"chaseci/internal/sim"
@@ -193,7 +192,7 @@ func newWorld(specs []JobSpec, workers int, dataRNG *sim.RNG) (*world, error) {
 		reg.Register(k, g.wrap(h))
 	}
 	fab := defaultTopology()
-	runner := service.NewClusterRunnerConfigured(reg, queue.NewStore(), fab, service.RunnerConfig{Workers: workers})
+	runner := service.NewClusterRunnerConfigured(reg, nil, fab, service.RunnerConfig{Workers: workers})
 	// Faults land and clear in milliseconds here; keep backoff in scale.
 	runner.SetRetryPolicy(service.RetryPolicy{
 		MaxAttempts: 4, BaseDelay: 2 * time.Millisecond, MaxDelay: 50 * time.Millisecond,

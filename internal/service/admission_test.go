@@ -1,13 +1,16 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
 	"chaseci/internal/api"
-	"chaseci/internal/queue"
 )
 
 // blockedRunner builds a 1-worker runner whose only worker is stuck inside
@@ -35,7 +38,7 @@ func blockedRunner(t *testing.T, cfg RunnerConfig, onRun func(owner string)) (*R
 		return nil, nil
 	})
 	cfg.Workers = 1
-	r := NewRunnerConfigured(reg, queue.NewStore(), cfg)
+	r := NewRunnerConfigured(reg, nil, cfg)
 	t.Cleanup(func() {
 		select {
 		case <-release:
@@ -222,61 +225,97 @@ func TestFairQueueWeightedPopOrder(t *testing.T) {
 	}
 }
 
-// TestEvictedStoreFallbackWindow exercises the bounded eviction pipeline:
-// memory keeps `retain` jobs, the store keeps a storeRetainFactor*retain
-// tail of evicted records reachable through Lookup, and everything older
-// is deleted from the store too — so neither the evicted FIFO nor the
-// store grows without bound.
-func TestEvictedStoreFallbackWindow(t *testing.T) {
-	r, store := newTestRunner(t, DefaultRegistry(), 1)
-	r.retain.Store(2)
+// TestRetentionWindow: with retention R, the R most recently finished jobs
+// resolve through Status, Result, GET /v1/jobs/{id} and its /result, and
+// every older one is 404 on both — nothing else keeps a copy — while the
+// eviction queue holds no more ids than the index retains.
+func TestRetentionWindow(t *testing.T) {
+	const retain, total = 4, 30
+	r := newTestRunner(t, DefaultRegistry(), 1)
+	r.retain.Store(retain)
+	srv := httptest.NewServer(NewGateway(r, GatewayOptions{AllowAnonymous: true}))
+	t.Cleanup(srv.Close)
 
-	const total = 30
 	ids := make([]string, 0, total)
 	for i := 0; i < total; i++ {
-		st, err := r.Submit(tinySegmentRequest(), "tester@ucsd.edu")
+		st, err := r.Submit(tinySegmentRequest(), anonOwner)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, st.ID)
-		waitState(t, r, st.ID, terminal) // Await answers for an evicted job from the store
+		waitState(t, r, st.ID, terminal)
 	}
 	// execute publishes the terminal state before it prunes; Close returns
-	// once the worker has left execute, and leaves Lookup and the store
-	// readable.
+	// once the worker has left execute, and leaves the index readable.
 	r.Close()
 
 	r.evictMu.Lock()
-	evictLen := r.evicted.len()
+	queued := len(r.evictOrder.buf) - r.evictOrder.head
 	r.evictMu.Unlock()
-	if limit := storeRetainFactor * 2; evictLen > limit {
-		t.Fatalf("evicted FIFO holds %d ids, want <= %d", evictLen, limit)
+	if queued != retain || r.Count() != retain {
+		t.Fatalf("index holds %d jobs and queues %d terminal ids, want %d and %d", r.Count(), queued, retain, retain)
 	}
-	if got := r.Count(); got > 3 {
-		t.Fatalf("in-memory registry holds %d jobs, want <= 3 (retain 2)", got)
+	get := func(path string) int {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
 	}
+	for i, id := range ids {
+		kept := i >= total-retain
+		st, ok := r.Status(id)
+		raw, rst, rok := r.Result(id)
+		if ok != kept || rok != kept {
+			t.Fatalf("job %d of %d: Status ok=%v, Result ok=%v; want %v", i, total, ok, rok, kept)
+		}
+		want := http.StatusNotFound
+		if kept {
+			want = http.StatusOK
+			if st.State != api.StateSucceeded || rst.State != api.StateSucceeded || len(raw) == 0 {
+				t.Fatalf("retained job %s: status %+v, result %q", id, st, raw)
+			}
+		}
+		for _, path := range []string{"/v1/jobs/" + id, "/v1/jobs/" + id + "/result"} {
+			if code := get(path); code != want {
+				t.Fatalf("GET %s = %d, want %d", path, code, want)
+			}
+		}
+	}
+}
 
-	// The newest jobs resolve from memory or the store tail.
-	for _, id := range ids[total-4:] {
-		st, ok := r.Lookup(id)
-		if !ok {
-			t.Fatalf("recent job %s not resolvable", id)
+// TestListReturnsTheNewestJobs: List, and with it GET /v1/jobs, returns
+// the maxListedJobs newest jobs in submit order, however many the index
+// holds.
+func TestListReturnsTheNewestJobs(t *testing.T) {
+	r, _ := blockedRunner(t, RunnerConfig{MaxPending: -1, MaxPendingPerTenant: -1}, nil)
+	ids := []string{r.List()[0].ID} // the blocker
+	for len(ids) < maxListedJobs+5 {
+		st, err := r.Submit(blockingWorkflowRequest(), anonOwner)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if st.State != api.StateSucceeded {
-			t.Fatalf("recent job %s state = %s", id, st.State)
-		}
+		ids = append(ids, st.ID)
 	}
-	// Jobs far beyond the store tail are fully expired: no Lookup hit, no
-	// store record, no result blob.
-	for _, id := range ids[:total/2] {
-		if _, ok := r.Lookup(id); ok {
-			t.Fatalf("expired job %s still resolvable", id)
-		}
-		if _, ok := store.Get(JobKey(id)); ok {
-			t.Fatalf("expired job %s still has a store record", id)
-		}
-		if _, ok := store.Get(ResultKey(id)); ok {
-			t.Fatalf("expired job %s still has a result record", id)
+	want := ids[len(ids)-maxListedJobs:]
+	srv := httptest.NewServer(NewGateway(r, GatewayOptions{AllowAnonymous: true}))
+	t.Cleanup(srv.Close)
+	resp, err := http.Get(srv.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var listed []api.JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&listed); err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]api.JobStatus{"List": r.List(), "GET /v1/jobs": listed} {
+		if len(got) != maxListedJobs || got[0].ID != want[0] || got[len(got)-1].ID != want[len(want)-1] {
+			t.Fatalf("%s returned %d jobs, %s..%s; want %d, %s..%s", name, len(got),
+				got[0].ID, got[len(got)-1].ID, maxListedJobs, want[0], want[len(want)-1])
 		}
 	}
 }
@@ -287,7 +326,7 @@ func TestEvictedStoreFallbackWindow(t *testing.T) {
 func BenchmarkRegistrySubmitPoll(b *testing.B) {
 	reg := NewRegistry()
 	reg.Register(api.KindWorkflow, func(jc *JobContext) (any, error) { return nil, nil })
-	r := NewRunnerConfigured(reg, queue.NewStore(), RunnerConfig{
+	r := NewRunnerConfigured(reg, nil, RunnerConfig{
 		Workers:    2,
 		MaxPending: -1, MaxPendingPerTenant: -1,
 	})

@@ -59,7 +59,7 @@ func runJob(t *testing.T, r *Runner, req *api.JobRequest) json.RawMessage {
 // for bit — every blob still encodes to its id and every stored encoding
 // still hashes to it.
 func TestJobsLeaveResolvedBlobsUntouched(t *testing.T) {
-	r, _ := newTestRunner(t, DefaultRegistry(), 4)
+	r := newTestRunner(t, DefaultRegistry(), 4)
 	ds := r.Datasets()
 	d, h, w, data := testIVTField(6)
 	info, err := ds.PutVolume(d, h, w, data, "")
@@ -199,7 +199,7 @@ func TestRetriedInlineSegmentSeesPristineData(t *testing.T) {
 			ReturnMask: true,
 		}}
 	}
-	plain, _ := newTestRunner(t, DefaultRegistry(), 1)
+	plain := newTestRunner(t, DefaultRegistry(), 1)
 	want := runJob(t, plain, request())
 
 	var attempts atomic.Int32
@@ -211,7 +211,7 @@ func TestRetriedInlineSegmentSeesPristineData(t *testing.T) {
 		}
 		return res, err
 	})
-	r, _ := newTestRunner(t, reg, 1)
+	r := newTestRunner(t, reg, 1)
 	tightRetries(r, 3)
 	before := contentID(t, dataset.KindVolume, d, h, w, data)
 	got := runJob(t, r, request())
@@ -230,7 +230,7 @@ func TestRetriedInlineSegmentSeesPristineData(t *testing.T) {
 // packed into the result before the mask buffer is recycled — one set bit
 // per counted voxel, never the NaN a released buffer holds.
 func TestCancelledSegmentKeepsPackedPartialMask(t *testing.T) {
-	r, _ := newTestRunner(t, DefaultRegistry(), 1)
+	r := newTestRunner(t, DefaultRegistry(), 1)
 	req := bigSegmentRequest()
 	req.ResultMode = api.ResultModeRef
 	req.Segment.ReturnMask = true
@@ -402,7 +402,7 @@ func TestJobAllocBounds(t *testing.T) {
 		}, 2, 8, 12, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r, _ := newTestRunner(t, DefaultRegistry(), tc.workers)
+			r := newTestRunner(t, DefaultRegistry(), tc.workers)
 			req := tc.request(t, r)
 			for i := 0; i < tc.warm; i++ {
 				runJob(t, r, req)

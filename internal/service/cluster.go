@@ -17,9 +17,10 @@ import (
 // the fabric's nodes, each with its own pool of cfg.Workers goroutines. The
 // fabric's dataset manager becomes the runner's data plane (cfg.Datasets is
 // ignored), so submitted refs and OSD replica placement live in the same
-// store the scheduler scores against.
-func NewClusterRunnerConfigured(reg *Registry, store *queue.Store, fab *sched.Fabric, cfg RunnerConfig) *Runner {
-	r := newRunner(reg, store, fab.Datasets, cfg, 2)
+// store the scheduler scores against. As in NewRunnerConfigured, the
+// *queue.Store argument is unused (pass nil).
+func NewClusterRunnerConfigured(reg *Registry, _ *queue.Store, fab *sched.Fabric, cfg RunnerConfig) *Runner {
+	r := newRunner(reg, fab.Datasets, cfg, 2)
 	r.sched = sched.New(fab)
 	r.disp = clusterDispatch{r}
 	r.pools = make(map[string]*nodePool)

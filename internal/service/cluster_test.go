@@ -17,7 +17,6 @@ import (
 	"chaseci/internal/gpusim"
 	"chaseci/internal/netsim"
 	"chaseci/internal/parallel"
-	"chaseci/internal/queue"
 	"chaseci/internal/sched"
 )
 
@@ -48,7 +47,7 @@ func twoNodeFabric(t *testing.T) *sched.Fabric {
 // newClusterFixture is newGWFixture over a cluster runner.
 func newClusterFixture(t *testing.T, reg *Registry, fab *sched.Fabric) *gwFixture {
 	t.Helper()
-	runner := NewClusterRunnerConfigured(reg, queue.NewStore(), fab, RunnerConfig{Workers: 2})
+	runner := NewClusterRunnerConfigured(reg, nil, fab, RunnerConfig{Workers: 2})
 	t.Cleanup(runner.Close)
 	gw := NewGateway(runner, GatewayOptions{AllowAnonymous: true})
 	srv := httptest.NewServer(gw)
@@ -81,7 +80,7 @@ func refSegmentRequest(ref string) *api.JobRequest {
 // returns its result JSON — the bit-exactness reference.
 func baselineSegment(t *testing.T, enc []byte) json.RawMessage {
 	t.Helper()
-	r := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 2})
+	r := NewRunnerConfigured(DefaultRegistry(), nil, RunnerConfig{Workers: 2})
 	defer r.Close()
 	info, err := r.Datasets().Put(enc, "anonymous")
 	if err != nil {
@@ -482,7 +481,7 @@ func TestQueueDepthGauge(t *testing.T) {
 			return nil, jc.Ctx().Err()
 		}
 	})
-	r := NewRunnerConfigured(reg, queue.NewStore(), RunnerConfig{Workers: 1})
+	r := NewRunnerConfigured(reg, nil, RunnerConfig{Workers: 1})
 	defer r.Close()
 	req := &api.JobRequest{Kind: api.KindLabel, Label: &api.LabelSpec{
 		Source: api.VolumeSource{D: 2, H: 2, W: 2, Data: make([]float32, 8)}, Threshold: 0.5,

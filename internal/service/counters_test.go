@@ -10,13 +10,12 @@ import (
 	"testing"
 
 	"chaseci/internal/api"
-	"chaseci/internal/queue"
 )
 
 // TestMetricTouchIsAllocFree: once a series exists, touching it allocates
 // nothing — the whole point of the counter table on the job path.
 func TestMetricTouchIsAllocFree(t *testing.T) {
-	r, _ := newTestRunner(t, NewRegistry(), 1)
+	r := newTestRunner(t, NewRegistry(), 1)
 	j := &job{kind: api.KindSegment, owner: "tester@ucsd.edu"}
 	j.started.Store(1)
 	j.finished.Store(2)
@@ -37,7 +36,7 @@ func TestMetricTouchIsAllocFree(t *testing.T) {
 // tenant="other", while a tenant seen before the cap keeps its own label on
 // every per-tenant series, including ones first touched after the cap.
 func TestTenantSeriesCapFoldsIntoOther(t *testing.T) {
-	r, _ := newTestRunner(t, NewRegistry(), 1)
+	r := newTestRunner(t, NewRegistry(), 1)
 	for i := 0; i < maxTenantSeries; i++ {
 		r.countTenant("jobs_shed", fmt.Sprintf("t%02d@ucsd.edu", i))
 	}
@@ -58,8 +57,8 @@ func TestTenantSeriesCapFoldsIntoOther(t *testing.T) {
 
 // TestRunnerBookkeepingHeapIsFlat is the long-uptime check: at constant
 // load with a bounded retention window, nothing the Runner keeps per job —
-// registry, eviction tail, store records, metrics, watches — may grow with
-// the number of jobs served. Every tenth job is followed over its events
+// registry, eviction queue, metrics, watches — may grow with the number of
+// jobs served. Every tenth job is followed over its events
 // stream, so a watch that outlived its stream would show here.
 func TestRunnerBookkeepingHeapIsFlat(t *testing.T) {
 	if testing.Short() {
@@ -67,7 +66,7 @@ func TestRunnerBookkeepingHeapIsFlat(t *testing.T) {
 	}
 	reg := NewRegistry()
 	reg.Register(api.KindWorkflow, func(*JobContext) (any, error) { return nil, nil })
-	r := NewRunnerConfigured(reg, queue.NewStore(), RunnerConfig{Workers: 2})
+	r := NewRunnerConfigured(reg, nil, RunnerConfig{Workers: 2})
 	defer r.Close()
 	r.retain.Store(64)
 	srv := httptest.NewServer(NewGateway(r, GatewayOptions{AllowAnonymous: true}))
@@ -104,4 +103,43 @@ func TestRunnerBookkeepingHeapIsFlat(t *testing.T) {
 	}
 	waitFor(t, func() bool { return r.streams.Load() == 0 }, "the last stream's handler to return")
 	assertNoLeaks(t, r)
+}
+
+// TestRetainedJobHeap pins what the index costs per retained job: a
+// finished one-step workflow job — the record, its result and its index
+// entries — measured 524 B of heap (amd64, Go 1.24), so a full index of
+// maxRetainedJobs is about 26 MB. The bound is about twice that; a second
+// copy of each job (the store mirror took 1,059 B per job for both)
+// breaks it.
+func TestRetainedJobHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("20k-job heap measurement skipped in -short")
+	}
+	r := NewRunnerConfigured(DefaultRegistry(), nil, RunnerConfig{Workers: 2})
+	defer r.Close()
+	const jobs = 10000
+	run := func() int64 {
+		for i := 0; i < jobs; i++ {
+			st, err := r.Submit(blockingWorkflowRequest(), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, r, st.ID, terminal)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	// Warm up at a small window, so every one-time allocation is made, then
+	// widen the window and retain every job of a second run.
+	r.retain.Store(64)
+	before := run()
+	r.retain.Store(maxRetainedJobs)
+	after := run()
+	perJob := (after - before) / jobs
+	t.Logf("heap per retained job: %d B", perJob)
+	if perJob > 1024 {
+		t.Fatalf("a retained job costs %d B of heap, want <= 1024", perJob)
+	}
 }

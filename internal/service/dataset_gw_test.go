@@ -14,7 +14,6 @@ import (
 	"chaseci/internal/api"
 	"chaseci/internal/dataset"
 	"chaseci/internal/merra"
-	"chaseci/internal/queue"
 )
 
 // testIVTField materializes the deterministic synthetic IVT volume the
@@ -332,7 +331,7 @@ func TestGatewayRefSubmitBitExactVsInline(t *testing.T) {
 // label job can consume directly — the derived field never crosses the
 // gateway.
 func TestIVTRefChainsIntoLabel(t *testing.T) {
-	r := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 2})
+	r := NewRunnerConfigured(DefaultRegistry(), nil, RunnerConfig{Workers: 2})
 	defer r.Close()
 	synth := api.SynthSpec{NLon: 36, NLat: 24, NLev: 6, Steps: 3, Seed: 11}
 
@@ -403,7 +402,7 @@ func TestIVTRefChainsIntoLabel(t *testing.T) {
 // each slab's stored field is those steps of the field the whole scene's
 // ivt job stores.
 func TestSlabChainsMatchSequentialJobs(t *testing.T) {
-	r := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 2})
+	r := NewRunnerConfigured(DefaultRegistry(), nil, RunnerConfig{Workers: 2})
 	defer r.Close()
 	scene := api.SynthSpec{NLon: 36, NLat: 24, NLev: 4, Steps: 8, Seed: 11}
 	var whole api.IVTResult
@@ -483,7 +482,7 @@ func slabSegmentSpec(src api.VolumeSource) *api.SegmentSpec {
 // its slab, the label job reads the returned bits) store nothing and
 // reproduce every mask bit and count.
 func TestSlabChainRefLifecycle(t *testing.T) {
-	r := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 2})
+	r := NewRunnerConfigured(DefaultRegistry(), nil, RunnerConfig{Workers: 2})
 	defer r.Close()
 	scene := api.SynthSpec{NLon: 36, NLat: 24, NLev: 4, Steps: 8, Seed: 11}
 	const slabSteps = 2
@@ -589,7 +588,7 @@ func TestSlabChainRefLifecycle(t *testing.T) {
 // step synthesized, the segment job its flood's network applications
 // (total unknown), the label job one count per time step labelled.
 func TestSlabChainProgressReachesTotal(t *testing.T) {
-	r, _ := newTestRunner(t, DefaultRegistry(), 1)
+	r := newTestRunner(t, DefaultRegistry(), 1)
 	slab := api.SynthSpec{NLon: 36, NLat: 24, NLev: 4, Start: 3, Steps: 3, Seed: 11}
 	run := func(req *api.JobRequest, res any) api.JobStatus {
 		t.Helper()
@@ -633,7 +632,7 @@ func TestSlabChainProgressReachesTotal(t *testing.T) {
 // lands on the same ref, and the chain goes on from it: a segment job on
 // the ref stores a mask whose every voxel a label job finds.
 func TestSlabChainCancelledLegStoresNothing(t *testing.T) {
-	r, _ := newTestRunner(t, DefaultRegistry(), 2)
+	r := newTestRunner(t, DefaultRegistry(), 2)
 	ivtReq := &api.JobRequest{Kind: api.KindIVT, ResultMode: api.ResultModeRef,
 		IVT: &api.IVTSpec{Synth: api.SynthSpec{NLon: 48, NLat: 32, NLev: 4, Steps: 30, Seed: 7}}}
 	var ivt api.IVTResult
@@ -789,7 +788,7 @@ func submitAndMeasure(b testing.TB, srv string, runner *Runner, req *api.JobRequ
 // submit as JSON text and the mask rides the result. The wire-bytes metric
 // is the quantity BenchmarkJobSubmitRef divides.
 func BenchmarkJobSubmitInline(b *testing.B) {
-	runner := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 2})
+	runner := NewRunnerConfigured(DefaultRegistry(), nil, RunnerConfig{Workers: 2})
 	defer runner.Close()
 	srv := httptest.NewServer(NewGateway(runner, GatewayOptions{AllowAnonymous: true, TokenSeed: 1}))
 	defer srv.Close()
@@ -808,7 +807,7 @@ func BenchmarkJobSubmitInline(b *testing.B) {
 // mask ref out. The acceptance bar is >= 5x fewer gateway bytes than
 // inline for the same 64^3 job; in practice it is orders of magnitude.
 func BenchmarkJobSubmitRef(b *testing.B) {
-	runner := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 2})
+	runner := NewRunnerConfigured(DefaultRegistry(), nil, RunnerConfig{Workers: 2})
 	defer runner.Close()
 	srv := httptest.NewServer(NewGateway(runner, GatewayOptions{AllowAnonymous: true, TokenSeed: 1}))
 	defer srv.Close()
@@ -838,7 +837,7 @@ func BenchmarkJobSubmitRef(b *testing.B) {
 // test`: for a 64^3 volume, submitting by ref moves >= 5x fewer bytes
 // through the HTTP gateway than submitting inline, with identical results.
 func TestRefSubmitWireBytesRatio(t *testing.T) {
-	runner := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 2})
+	runner := NewRunnerConfigured(DefaultRegistry(), nil, RunnerConfig{Workers: 2})
 	defer runner.Close()
 	srv := httptest.NewServer(NewGateway(runner, GatewayOptions{AllowAnonymous: true, TokenSeed: 1}))
 	defer srv.Close()
@@ -934,7 +933,7 @@ func TestSubmitPinsSourceRefs(t *testing.T) {
 		<-release
 		return LabelHandler(jc)
 	})
-	r := NewRunnerConfigured(reg, queue.NewStore(), RunnerConfig{Workers: 1})
+	r := NewRunnerConfigured(reg, nil, RunnerConfig{Workers: 1})
 	defer r.Close()
 
 	d, h, w, data := testIVTField(1)
@@ -968,7 +967,7 @@ func TestSubmitPinsSourceRefs(t *testing.T) {
 // newUploadGateway is an anonymous gateway driven in process, for the
 // upload tests that hand ServeHTTP requests no client would send.
 func newUploadGateway(t testing.TB) (*Gateway, *Runner) {
-	runner := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 1})
+	runner := NewRunnerConfigured(DefaultRegistry(), nil, RunnerConfig{Workers: 1})
 	t.Cleanup(runner.Close)
 	return NewGateway(runner, GatewayOptions{AllowAnonymous: true, TokenSeed: 1}), runner
 }

@@ -308,10 +308,10 @@ func visibleTo(st api.JobStatus, caller string) bool {
 	return st.Owner == "" || st.Owner == anonOwner || st.Owner == caller
 }
 
-// jobForCaller authenticates the request and resolves the {id} job
-// (falling back to the persisted store record for jobs evicted from the
-// in-memory index), enforcing ownership. It writes the error reply
-// itself and reports ok=false on any failure.
+// jobForCaller authenticates the request and resolves the {id} job — any
+// job still queued or running, or one of the 50,000 most recently
+// finished — enforcing ownership. It writes the error reply itself and
+// reports ok=false on any failure.
 func (g *Gateway) jobForCaller(w http.ResponseWriter, r *http.Request) (api.JobStatus, bool) {
 	caller, err := g.authenticate(r)
 	if err != nil {
@@ -319,7 +319,7 @@ func (g *Gateway) jobForCaller(w http.ResponseWriter, r *http.Request) (api.JobS
 		return api.JobStatus{}, false
 	}
 	id := r.PathValue("id")
-	st, ok := g.runner.Lookup(id)
+	st, ok := g.runner.Status(id)
 	if !ok {
 		writeErr(w, http.StatusNotFound, "unknown job %q", id)
 		return api.JobStatus{}, false
@@ -367,7 +367,8 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	j := g.runner.lookupJob(st.ID)
 	if j == nil {
-		// Evicted from memory: the stored record is all there will ever be.
+		// Terminal and evicted since jobForCaller read it: that snapshot
+		// is the last there will be.
 		enc.Encode(st)
 		return
 	}

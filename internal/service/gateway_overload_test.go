@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"chaseci/internal/api"
-	"chaseci/internal/queue"
 )
 
 // newOverloadFixture wires a gateway over a runner whose single worker is
@@ -36,7 +35,7 @@ func newOverloadFixture(t *testing.T, cfg RunnerConfig, opts GatewayOptions) (*g
 		return nil, nil
 	})
 	cfg.Workers = 1
-	runner := NewRunnerConfigured(reg, queue.NewStore(), cfg)
+	runner := NewRunnerConfigured(reg, nil, cfg)
 	t.Cleanup(func() {
 		select {
 		case <-release:
@@ -199,7 +198,7 @@ func TestConcurrentOverloadConserves(t *testing.T) {
 // limit: after the burst is spent the gateway answers 429 with Retry-After
 // before even reading the body, and counts the refusal per tenant.
 func TestGatewayRateLimit429(t *testing.T) {
-	runner := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 2})
+	runner := NewRunnerConfigured(DefaultRegistry(), nil, RunnerConfig{Workers: 2})
 	t.Cleanup(runner.Close)
 	srv := httptest.NewServer(NewGateway(runner, GatewayOptions{
 		AllowAnonymous: true,

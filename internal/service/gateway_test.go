@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"chaseci/internal/api"
-	"chaseci/internal/queue"
 )
 
 // gwFixture is an HTTP-level test harness around a full gateway stack.
@@ -26,7 +25,7 @@ type gwFixture struct {
 
 func newGWFixture(t *testing.T, anon bool) *gwFixture {
 	t.Helper()
-	runner := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 2})
+	runner := NewRunnerConfigured(DefaultRegistry(), nil, RunnerConfig{Workers: 2})
 	t.Cleanup(runner.Close)
 	gw := NewGateway(runner, GatewayOptions{
 		Providers:      map[string]string{"ucsd.edu": "UCSD", "sdsc.edu": "SDSC"},
@@ -529,7 +528,7 @@ func TestGatewayEventsStream(t *testing.T) {
 // tiny segment job over real HTTP (satellite requirement: the measured
 // end-to-end path should be dominated by the kernel, not the gateway).
 func BenchmarkJobSubmit(b *testing.B) {
-	runner := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 2})
+	runner := NewRunnerConfigured(DefaultRegistry(), nil, RunnerConfig{Workers: 2})
 	defer runner.Close()
 	gw := NewGateway(runner, GatewayOptions{AllowAnonymous: true, TokenSeed: 1})
 	srv := httptest.NewServer(gw)
@@ -567,12 +566,12 @@ func BenchmarkJobSubmit(b *testing.B) {
 }
 
 // BenchmarkSubmitOverheadInProcess isolates the job-lifecycle overhead —
-// validation, persistence, queue hop, worker scheduling, metrics — with a
+// validation, indexing, queue hop, worker scheduling, metrics — with a
 // no-op handler, so it can be compared against kernel time directly.
 func BenchmarkSubmitOverheadInProcess(b *testing.B) {
 	reg := NewRegistry()
 	reg.Register(api.KindWorkflow, func(jc *JobContext) (any, error) { return struct{}{}, nil })
-	runner := NewRunnerConfigured(reg, queue.NewStore(), RunnerConfig{Workers: 1})
+	runner := NewRunnerConfigured(reg, nil, RunnerConfig{Workers: 1})
 	defer runner.Close()
 	req := blockingWorkflowRequest()
 	b.ReportAllocs()
@@ -595,7 +594,7 @@ func BenchmarkSubmitOverheadInProcess(b *testing.B) {
 // BenchmarkStatusPoll pins the satellite's alloc target: 0 allocs/op on
 // the in-process status-poll path.
 func BenchmarkStatusPoll(b *testing.B) {
-	runner := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 1})
+	runner := NewRunnerConfigured(DefaultRegistry(), nil, RunnerConfig{Workers: 1})
 	defer runner.Close()
 	st, err := runner.Submit(tinySegmentRequest(), "bench")
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"chaseci/internal/api"
 	"chaseci/internal/cluster"
 	"chaseci/internal/gpusim"
-	"chaseci/internal/queue"
 	"chaseci/internal/sched"
 )
 
@@ -24,17 +23,16 @@ var runnerModes = []struct {
 	cluster bool
 }{{"local", false}, {"cluster", true}}
 
-func newModeRunner(t *testing.T, cluster bool, reg *Registry) (*Runner, *queue.Store) {
+func newModeRunner(t *testing.T, cluster bool, reg *Registry) *Runner {
 	t.Helper()
-	store := queue.NewStore()
 	var r *Runner
 	if cluster {
-		r = NewClusterRunnerConfigured(reg, store, twoSlotFabric(t), RunnerConfig{Workers: 1})
+		r = NewClusterRunnerConfigured(reg, nil, twoSlotFabric(t), RunnerConfig{Workers: 1})
 	} else {
-		r = NewRunnerConfigured(reg, store, RunnerConfig{Workers: 1})
+		r = NewRunnerConfigured(reg, nil, RunnerConfig{Workers: 1})
 	}
 	t.Cleanup(r.Close)
-	return r, store
+	return r
 }
 
 func twoSlotFabric(t *testing.T) *sched.Fabric {
@@ -115,7 +113,7 @@ func TestCancelQueuedJobNeverRuns(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			reg := NewRegistry()
 			started := gatedSegment(reg)
-			r, _ := newModeRunner(t, mode.cluster, reg)
+			r := newModeRunner(t, mode.cluster, reg)
 			ids := submitGated(t, r, started, 3)
 
 			// ids[1] sits on a pool queue; ids[2] too (local) or is parked.
@@ -154,7 +152,7 @@ func TestRunnerCloseCancelsRunning(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			reg := NewRegistry()
 			started := gatedSegment(reg)
-			r, _ := newModeRunner(t, mode.cluster, reg)
+			r := newModeRunner(t, mode.cluster, reg)
 			ids := submitGated(t, r, started, 1)
 			r.Close()
 			if got, _ := r.Status(ids[0]); got.State != api.StateCancelled {
@@ -171,13 +169,13 @@ func TestRunnerCloseCancelsRunning(t *testing.T) {
 // TestCloseEndsEveryQueuedJob: Close must leave no job queued, wherever it
 // was waiting — on a pool's queue, parked unplaced, or landed by a Submit
 // racing the shutdown — and every one of them is accounted for: cancelled
-// in the store and in /metricz, pins and admission counts back at zero.
+// in Status, Result and /metricz, pins and admission counts back at zero.
 func TestCloseEndsEveryQueuedJob(t *testing.T) {
 	for _, mode := range runnerModes {
 		t.Run(mode.name, func(t *testing.T) {
 			reg := NewRegistry()
 			started := gatedSegment(reg)
-			r, store := newModeRunner(t, mode.cluster, reg)
+			r := newModeRunner(t, mode.cluster, reg)
 			ids := submitGated(t, r, started, 4)
 			if mode.cluster {
 				if node := r.Scheduler().BoundNode(ids[3]); node != "" {
@@ -214,8 +212,8 @@ func TestCloseEndsEveryQueuedJob(t *testing.T) {
 				if st.State != api.StateCancelled {
 					t.Fatalf("job %s state after Close = %s (%s), want cancelled", id, st.State, st.Error)
 				}
-				if rec, ok := store.Get(JobKey(id)); !ok || !strings.Contains(rec, `"cancelled"`) {
-					t.Fatalf("store record of %s = %q, ok=%v", id, rec, ok)
+				if _, st, ok := r.Result(id); !ok || st.State != api.StateCancelled || st.FinishedAt == 0 {
+					t.Fatalf("Result of %s after Close = %+v, ok=%v", id, st, ok)
 				}
 			}
 			if got := r.adm.totalPending(); got != 0 {
@@ -250,7 +248,7 @@ func TestStatusPlacementOnlyOnClusterRunner(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			reg := NewRegistry()
 			started := gatedSegment(reg)
-			r, _ := newModeRunner(t, mode.cluster, reg)
+			r := newModeRunner(t, mode.cluster, reg)
 			ids := submitGated(t, r, started, 1)
 			st, _ := r.Status(ids[0])
 			raw, err := json.Marshal(st)

@@ -55,7 +55,7 @@ func maskRef(t *testing.T, raw json.RawMessage) string {
 // its content names.
 func TestSharedNetworksAloneEqualAlongside(t *testing.T) {
 	d, h, w, field := testIVTField(6)
-	trainer, _ := newTestRunner(t, DefaultRegistry(), 1)
+	trainer := newTestRunner(t, DefaultRegistry(), 1)
 	var tres api.TrainDistResult
 	if err := json.Unmarshal(runJob(t, trainer, distRequest(1, 4)), &tres); err != nil {
 		t.Fatal(err)
@@ -77,14 +77,14 @@ func TestSharedNetworksAloneEqualAlongside(t *testing.T) {
 
 	alone := make([]string, 4)
 	for i := range alone {
-		r, _ := newTestRunner(t, DefaultRegistry(), 1)
+		r := newTestRunner(t, DefaultRegistry(), 1)
 		alone[i] = maskRef(t, runJob(t, r, stock(r)[i]))
 	}
 	if alone[0] != alone[1] || alone[0] == alone[2] || alone[0] == alone[3] {
 		t.Fatalf("lone masks %v: want seed 3 spelled either way to agree, and seed 4 and net_ref to differ", alone)
 	}
 
-	r, _ := newTestRunner(t, DefaultRegistry(), 4)
+	r := newTestRunner(t, DefaultRegistry(), 4)
 	reqs := stock(r)
 	ids := make([]string, 16)
 	for i := range ids {
@@ -177,7 +177,7 @@ func TestNetCacheEvictsLeastRecentlyUsed(t *testing.T) {
 // live heap inside what the cache charged plus slack — so the charge is an
 // honest upper bound, and the heap stays inside the cache's bound.
 func TestNetCacheIsBounded(t *testing.T) {
-	r, _ := newTestRunner(t, DefaultRegistry(), 2)
+	r := newTestRunner(t, DefaultRegistry(), 2)
 	r.retain.Store(64)
 	job := func(seed uint64) *api.JobRequest {
 		req := tinySegmentRequest()
@@ -214,7 +214,7 @@ func TestNetCacheIsBounded(t *testing.T) {
 // network, and once alice drops the checkpoint her own submit is refused
 // the same way too.
 func TestNetRefCacheWidensNoAccess(t *testing.T) {
-	r, _ := newTestRunner(t, DefaultRegistry(), 2)
+	r := newTestRunner(t, DefaultRegistry(), 2)
 	const alice, bob = "alice@ucsd.edu", "bob@sdsc.edu"
 	run := func(req *api.JobRequest) json.RawMessage {
 		t.Helper()
@@ -265,7 +265,7 @@ func TestNetRefMissDecodesOnlyTheNetwork(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation bounds are meaningless under -race")
 	}
-	r, _ := newTestRunner(t, DefaultRegistry(), 1)
+	r := newTestRunner(t, DefaultRegistry(), 1)
 	net, err := ffn.NewNetwork(ffn.DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)

@@ -35,7 +35,7 @@ func netRefSegment(checkpoint string) *api.JobRequest {
 // job's worker count and the flood's lane count.
 func TestSegmentNetRefFloodsWithTrainedNetwork(t *testing.T) {
 	defer parallel.SetWorkers(parallel.SetWorkers(0))
-	r, _ := newTestRunner(t, DefaultRegistry(), 2)
+	r := newTestRunner(t, DefaultRegistry(), 2)
 	var checkpoint, mask string
 	for _, workers := range []int{1, 2, 8} {
 		var tres api.TrainDistResult
@@ -132,7 +132,7 @@ func overCapCheckpoint(t *testing.T, ds *dataset.Manager) string {
 // flooding with it both fail on the first attempt as invalid requests, having
 // sized nothing from the header.
 func TestOverCapCheckpointRefused(t *testing.T) {
-	r, _ := newTestRunner(t, DefaultRegistry(), 1)
+	r := newTestRunner(t, DefaultRegistry(), 1)
 	ref := overCapCheckpoint(t, r.Datasets())
 	src := api.VolumeSource{Synth: &api.SynthSpec{NLon: 128, NLat: 128, NLev: 2, Steps: 2, Seed: 1}}
 	for _, req := range []*api.JobRequest{
@@ -170,7 +170,7 @@ func TestOverCapCheckpointRefused(t *testing.T) {
 // with it and a train_dist job resuming from it, once, as a bad model. Inline
 // configs always carry probabilities in range; by ref the bytes are uploaded.
 func TestBadProbabilityCheckpointRefused(t *testing.T) {
-	r, _ := newTestRunner(t, DefaultRegistry(), 1)
+	r := newTestRunner(t, DefaultRegistry(), 1)
 	cfg := ffn.DefaultConfig()
 	cfg.Features, cfg.Modules = 2, 1
 	net, err := ffn.NewNetwork(cfg, 1)

@@ -11,7 +11,6 @@ import (
 	"chaseci/internal/cluster"
 	"chaseci/internal/gpusim"
 	"chaseci/internal/netsim"
-	"chaseci/internal/queue"
 	"chaseci/internal/sched"
 )
 
@@ -50,7 +49,7 @@ func (d parkedRelease) release(id string) {
 // that saw the last job succeed find its claim still held: the
 // "leaked node claims: node-0:[job-000001]" flake.)
 func TestTerminalStateFollowsRelease(t *testing.T) {
-	r := NewClusterRunnerConfigured(DefaultRegistry(), queue.NewStore(), threeNodeFabric(t), RunnerConfig{Workers: 2})
+	r := NewClusterRunnerConfigured(DefaultRegistry(), nil, threeNodeFabric(t), RunnerConfig{Workers: 2})
 	defer r.Close()
 	park := parkedRelease{r.disp, make(chan struct{}), make(chan struct{}), ""}
 	r.disp = park
@@ -135,7 +134,7 @@ func TestTransientErrorRetriesToSuccess(t *testing.T) {
 		}
 		return map[string]int{"ok": 1}, nil
 	})
-	r, _ := newTestRunner(t, reg, 1)
+	r := newTestRunner(t, reg, 1)
 	tightRetries(r, 4)
 	st, err := r.Submit(blockingWorkflowRequest(), "")
 	if err != nil {
@@ -161,7 +160,7 @@ func TestTransientErrorExhaustsAttempts(t *testing.T) {
 		calls.Add(1)
 		return nil, fmt.Errorf("always flaky: %w", ErrTransient)
 	})
-	r, _ := newTestRunner(t, reg, 1)
+	r := newTestRunner(t, reg, 1)
 	tightRetries(r, 3)
 	st, err := r.Submit(blockingWorkflowRequest(), "")
 	if err != nil {
@@ -187,7 +186,7 @@ func TestNonTransientErrorFailsFirstAttempt(t *testing.T) {
 		calls.Add(1)
 		return nil, fmt.Errorf("bad input, retrying cannot help")
 	})
-	r, _ := newTestRunner(t, reg, 1)
+	r := newTestRunner(t, reg, 1)
 	tightRetries(r, 5)
 	st, err := r.Submit(blockingWorkflowRequest(), "")
 	if err != nil {
@@ -210,7 +209,7 @@ func TestRetryBackoffInterruptedByCancel(t *testing.T) {
 		}
 		return nil, fmt.Errorf("flaky: %w", ErrTransient)
 	})
-	r, _ := newTestRunner(t, reg, 1)
+	r := newTestRunner(t, reg, 1)
 	// Long delays: without the context-aware sleep the cancel below would
 	// stall behind a multi-second backoff.
 	r.SetRetryPolicy(RetryPolicy{MaxAttempts: 50, BaseDelay: 10 * time.Second, MaxDelay: 30 * time.Second})
@@ -272,7 +271,7 @@ func TestPlacementFailsTerminalWhenAllReplicasLost(t *testing.T) {
 		return nil, jc.Ctx().Err()
 	})
 	fab := threeNodeFabric(t)
-	r := NewClusterRunnerConfigured(reg, queue.NewStore(), fab, RunnerConfig{Workers: 2})
+	r := NewClusterRunnerConfigured(reg, nil, fab, RunnerConfig{Workers: 2})
 	defer r.Close()
 	tightRetries(r, 2)
 
@@ -318,7 +317,7 @@ func TestPlacementRetryBudgetExhausted(t *testing.T) {
 		return nil, jc.Ctx().Err()
 	})
 	fab := twoNodeFabric(t)
-	r := NewClusterRunnerConfigured(reg, queue.NewStore(), fab, RunnerConfig{Workers: 2})
+	r := NewClusterRunnerConfigured(reg, nil, fab, RunnerConfig{Workers: 2})
 	defer r.Close()
 
 	d, h, w, data := clusterSegmentVolume()

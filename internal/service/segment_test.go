@@ -6,7 +6,6 @@ import (
 
 	"chaseci/internal/api"
 	"chaseci/internal/ffn"
-	"chaseci/internal/queue"
 )
 
 // normalizedVolume conditions raw into a buffer borrowed from the free
@@ -22,7 +21,7 @@ func normalizedVolume(raw *ffn.Volume) *ffn.Volume {
 // seg_ref64_burst's bursts are made of. The first job on the blob computes
 // its moments; every timed one finds them.
 func BenchmarkSegmentRefOneStep(b *testing.B) {
-	r := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 1})
+	r := NewRunnerConfigured(DefaultRegistry(), nil, RunnerConfig{Workers: 1})
 	defer r.Close()
 	d, h, w, data := bench64Volume()
 	info, err := r.Datasets().PutVolume(d, h, w, data, "")

@@ -1,12 +1,11 @@
 // Package service executes Job API requests (internal/api) against the
 // real compute kernels. A Registry maps job kinds to handlers; a Runner
 // owns a pool of worker goroutines that drain a weighted-fair pending
-// queue, execute each job under a cancellable context.Context with
-// kernel-reported progress, and persist each job's terminal state into the
-// queue.Store — the same simulated-Redis substrate the paper's download
-// step uses, so the records of finished jobs survive in the store the
-// caller passes in after the in-memory index evicts them (the chased HTTP
-// gateway fronts the Runner).
+// queue and execute each job under a cancellable context.Context with
+// kernel-reported progress (the chased HTTP gateway fronts the Runner).
+// The Runner's job index is the one record of a job: the 50,000 most
+// recently finished jobs resolve by id, with their status and result, and
+// older ones are gone.
 //
 // Scale model: the job registry is lock-striped (see shards.go) so status
 // polls, submits, and terminal transitions on different jobs never contend
@@ -35,8 +34,9 @@
 // on it; nothing in the server polls a job on a timer.
 //
 // Lock ordering: r.mu (cluster control plane; the local dispatcher never
-// takes it) and shard mutexes are never held together; the fair queues'
-// internal mutexes are leaves.
+// takes it) and shard mutexes are never held together; r.evictMu is taken
+// before a shard mutex, never under one; the fair queues' internal mutexes
+// are leaves.
 package service
 
 import (
@@ -55,31 +55,19 @@ import (
 	"chaseci/internal/sched"
 )
 
-// JobKey returns the store key holding a job's status record (JSON).
-func JobKey(id string) string { return "job:" + id }
-
-// ResultKey returns the store key holding a job's result payload (JSON).
-func ResultKey(id string) string { return "job:" + id + ":result" }
-
-// seqKey is the store counter that allocates job ids; because it lives in
-// the store, ids stay collision-free across runner generations sharing
-// one store.
-const seqKey = "jobs:seq"
-
 // ErrClosed is returned by Submit after the Runner has been closed.
 var ErrClosed = errors.New("service: runner closed")
 
-// maxRetainedJobs bounds the Runner's in-memory job index: once
-// exceeded, the oldest terminal jobs (with their result payloads) are
-// evicted. Their status and result records remain readable through the
-// store fallback (Lookup/Result) until they age past the store cap.
-const maxRetainedJobs = 10000
+// maxRetainedJobs bounds the Runner's job index: once exceeded, the
+// earliest-finished terminal jobs (with their result payloads) are evicted,
+// so the 50,000 most recently finished jobs resolve by id. A retained
+// terminal job costs about 0.5 KB of heap (TestRetainedJobHeap), so a full
+// index is about 26 MB.
+const maxRetainedJobs = 50000
 
-// storeRetainFactor sizes the store's post-eviction tail: up to
-// storeRetainFactor*retain evicted jobs keep their store records before
-// those too are deleted, so total footprint stays bounded even though
-// the store lives in this process.
-const storeRetainFactor = 4
+// maxListedJobs bounds List: GET /v1/jobs returns the newest jobs only, so
+// its reply stays a few MB however many jobs the index holds.
+const maxListedJobs = 10000
 
 // Handler executes one job kind. It must honor jc.Ctx() cancellation
 // promptly and may report progress through jc.Progress. The returned value
@@ -150,7 +138,7 @@ var stateNames = [...]api.State{
 // handler.
 type job struct {
 	id    string
-	seq   int64 // submit order, from the store's id counter
+	seq   int64 // submit order, from the runner's id counter
 	kind  api.Kind
 	name  string
 	owner string
@@ -263,7 +251,6 @@ func (cfg RunnerConfig) bound(v, def int) int {
 // runner, one per live fabric node on a cluster runner.
 type Runner struct {
 	reg      *Registry
-	store    *queue.Store
 	workers  int // goroutines per pool
 	datasets *dataset.Manager
 	nets     *netCache // inference networks shared across jobs (netcache.go)
@@ -278,14 +265,15 @@ type Runner struct {
 	retries *retryState
 
 	// Sharded job registry (shards.go): jobs are striped by job-id hash;
-	// njobs tracks the in-memory total, retain the cap.
+	// seq numbers them, njobs tracks the total, retain the cap, and
+	// evictOrder queues the terminal ones in finish order, the order they
+	// are evicted in.
 	shards     [regShards]regShard
+	seq        atomic.Int64
 	njobs      atomic.Int64
 	retain     atomic.Int64
-	pruneMu    sync.Mutex
-	pruneCands []pruneCand // pruneIfNeeded's candidate buffer, under pruneMu
 	evictMu    sync.Mutex
-	evicted    evictFIFO // ids evicted from memory whose store records remain
+	evictOrder evictFIFO // under evictMu
 
 	// Admission control; every pool's fair queue takes its weights.
 	adm     *admission
@@ -315,15 +303,16 @@ type Runner struct {
 }
 
 // NewRunnerConfigured builds and starts a single-node Runner: one worker
-// pool of cfg.Workers goroutines draining one weighted-fair queue.
-// Finished jobs persist into store; a store shared across runner
-// generations keeps the job records and the id sequence of the ones before.
-func NewRunnerConfigured(reg *Registry, store *queue.Store, cfg RunnerConfig) *Runner {
+// pool of cfg.Workers goroutines draining one weighted-fair queue. The
+// store argument is unused (pass nil): the job index is the one record of
+// a job. The parameter stays until the benchmark program, which passes a
+// store, stops doing so.
+func NewRunnerConfigured(reg *Registry, _ *queue.Store, cfg RunnerConfig) *Runner {
 	ds := cfg.Datasets
 	if ds == nil {
 		ds = dataset.NewLocal()
 	}
-	r := newRunner(reg, store, ds, cfg, 4)
+	r := newRunner(reg, ds, cfg, 4)
 	r.disp = localDispatch{r.startPool()}
 	return r
 }
@@ -331,11 +320,10 @@ func NewRunnerConfigured(reg *Registry, store *queue.Store, cfg RunnerConfig) *R
 // newRunner builds everything single-node and cluster runners share: the
 // sharded registry, admission control, the counter table, and the lifecycle
 // context. The caller installs the dispatcher and starts its pools.
-func newRunner(reg *Registry, store *queue.Store, ds *dataset.Manager, cfg RunnerConfig, defaultWorkers int) *Runner {
+func newRunner(reg *Registry, ds *dataset.Manager, cfg RunnerConfig, defaultWorkers int) *Runner {
 	baseCtx, stop := context.WithCancel(context.Background())
 	r := &Runner{
 		reg:      reg,
-		store:    store,
 		workers:  cfg.Workers,
 		datasets: ds,
 		nets:     newNetCache(netCacheBytes),
@@ -362,8 +350,7 @@ func newRunner(reg *Registry, store *queue.Store, ds *dataset.Manager, cfg Runne
 // Close stops every worker pool: running jobs are cancelled through their
 // contexts, and jobs still queued — on a pool's queue, parked unplaced, or
 // landed by a racing Submit after the closed check — are marked cancelled
-// rather than stranded "queued" forever (specs are not persisted, so no
-// later generation could execute them). Close blocks until every worker has
+// rather than stranded "queued" forever. Close blocks until every worker has
 // exited.
 func (r *Runner) Close() {
 	// Flip the control-plane flag first so node pools cannot be recreated
@@ -400,7 +387,7 @@ var terminalMetric = [...]string{
 
 // endUnrun ends a queued job that will never run (Cancel, Close, a failed
 // re-placement), paying what execute's completion would have: the pins, the
-// pending counts, the terminal counter, any node claim, the stored record.
+// pending counts, the terminal counter, any node claim.
 // The CAS makes it exactly-once against a worker's queued→running and
 // against the other callers; false means one of them won. As in execute, the
 // terminal state is published (finish) after everything has been given back:
@@ -419,14 +406,17 @@ func (r *Runner) endUnrun(j *job, final int32, msg string) bool {
 	return true
 }
 
-// finish publishes a job's terminal state, last of all: the stored record is
-// written first, so whoever reads the state as terminal — a poller, or a
-// watcher that an earlier change woke — already finds the record, the
-// counters and everything the job held given back.
+// finish publishes a job's terminal state, last of all, so whoever reads
+// the state as terminal — a poller, or a watcher that an earlier change
+// woke — already finds the counters and everything the job held given
+// back. The job joins the eviction queue just before, so the queue's order
+// is the order in which jobs are seen to end.
 func (r *Runner) finish(j *job, final int32) {
 	j.finished.Store(time.Now().UnixNano())
 	r.observeDuration(j)
-	r.persistStatus(r.statusAs(j, final))
+	r.evictMu.Lock()
+	r.evictOrder.push(j.id)
+	r.evictMu.Unlock()
 	j.state.Store(final)
 	j.watchers.notify()
 	r.anyJob.notify()
@@ -485,7 +475,7 @@ func (r *Runner) Submit(req *api.JobRequest, owner string) (api.JobStatus, error
 			return api.JobStatus{}, err
 		}
 	}
-	seq := r.store.Incr(seqKey, 1)
+	seq := r.seq.Add(1)
 	j := &job{
 		id:    fmt.Sprintf("job-%06d", seq),
 		seq:   seq,
@@ -574,38 +564,20 @@ func (r *Runner) Status(id string) (api.JobStatus, bool) {
 	return r.statusOf(j), true
 }
 
-// Lookup returns a job's status like Status, but falls back to the
-// persisted store record for jobs evicted from the in-memory index — the
-// gateway's read path, so completed-job ids stay resolvable for as long
-// as the store holds them. (Status stays memory-only and allocation-free
-// for hot polling.)
-func (r *Runner) Lookup(id string) (api.JobStatus, bool) {
-	if st, ok := r.Status(id); ok {
-		return st, true
-	}
-	rec, ok := r.store.Get(JobKey(id))
-	if !ok {
-		return api.JobStatus{}, false
-	}
-	var st api.JobStatus
-	if json.Unmarshal([]byte(rec), &st) != nil {
-		return api.JobStatus{}, false
-	}
-	return st, true
-}
-
 // Datasets returns the runner's content-addressed dataset manager — the
 // gateway serves PUT/GET /v1/datasets against it.
 func (r *Runner) Datasets() *dataset.Manager { return r.datasets }
 
-// Count returns the number of jobs this runner holds in memory.
+// Count returns the number of jobs this runner holds.
 func (r *Runner) Count() int { return int(r.njobs.Load()) }
 
-// List returns every in-memory job's status in submit order.
+// List returns the statuses of the maxListedJobs newest jobs in submit
+// order.
 func (r *Runner) List() []api.JobStatus {
 	jobs := make([]*job, 0, r.njobs.Load())
 	r.eachJob(func(j *job) { jobs = append(jobs, j) })
 	sort.Slice(jobs, func(a, b int) bool { return jobs[a].seq < jobs[b].seq })
+	jobs = jobs[max(0, len(jobs)-maxListedJobs):]
 	out := make([]api.JobStatus, len(jobs))
 	for i, j := range jobs {
 		out[i] = r.statusOf(j)
@@ -614,24 +586,19 @@ func (r *Runner) List() []api.JobStatus {
 }
 
 // Result returns a job's result payload (nil until one is recorded) and
-// its current status, falling back to the store for evicted jobs. The
-// status is read first: a worker records the result before it publishes the
-// terminal state, so a terminal status never comes with a missing result.
+// its current status. The status is read first: a worker records the
+// result before it publishes the terminal state, so a terminal status
+// never comes with a missing result.
 func (r *Runner) Result(id string) (json.RawMessage, api.JobStatus, bool) {
 	j := r.lookupJob(id)
-	if j != nil {
-		st := r.statusOf(j)
-		j.mu.Lock()
-		raw := j.result
-		j.mu.Unlock()
-		return raw, st, true
-	}
-	st, ok := r.Lookup(id)
-	if !ok {
+	if j == nil {
 		return nil, api.JobStatus{}, false
 	}
-	rec, _ := r.store.Get(ResultKey(id))
-	return json.RawMessage(rec), st, true
+	st := r.statusOf(j)
+	j.mu.Lock()
+	raw := j.result
+	j.mu.Unlock()
+	return raw, st, true
 }
 
 // Cancel stops a job: a queued job is marked cancelled before it ever
@@ -660,18 +627,16 @@ func (r *Runner) Cancel(id string) bool {
 	return false
 }
 
-func (r *Runner) statusOf(j *job) api.JobStatus { return r.statusAs(j, j.state.Load()) }
-
-// statusAs is the job's snapshot with its state read as code. The finish
-// time and the error are stored before the terminal state is published and
-// reported only with it, so no snapshot shows a running job that has ended.
-func (r *Runner) statusAs(j *job, code int32) api.JobStatus {
+// statusOf is the job's snapshot. The finish time and the error are stored
+// before the terminal state is published and reported only with it, so no
+// snapshot shows a running job that has ended.
+func (r *Runner) statusOf(j *job) api.JobStatus {
 	st := api.JobStatus{
 		ID:          j.id,
 		Kind:        j.kind,
 		Name:        j.name,
 		Owner:       j.owner,
-		State:       stateNames[code],
+		State:       stateNames[j.state.Load()],
 		Done:        j.done.Load(),
 		Total:       j.total.Load(),
 		SubmittedAt: j.submitted.Load(),
@@ -688,18 +653,6 @@ func (r *Runner) statusAs(j *job, code int32) api.JobStatus {
 		}
 	}
 	return st
-}
-
-// persistStatus writes a job's terminal status snapshot into the store,
-// once, in finish. Only that record is ever read: the store is the read
-// path's fallback for jobs evicted from memory, and only terminal jobs are
-// evicted. Live state and progress are served from memory.
-func (r *Runner) persistStatus(st api.JobStatus) {
-	raw, err := json.Marshal(st)
-	if err != nil {
-		return // JobStatus is a flat struct; cannot happen
-	}
-	r.store.Set(JobKey(st.ID), string(raw))
 }
 
 // dropCancel cancels a job's context and unregisters the cancel func: after
@@ -757,7 +710,6 @@ func (r *Runner) execute(id string) {
 			j.mu.Lock()
 			j.result = raw
 			j.mu.Unlock()
-			r.store.Set(ResultKey(id), string(raw))
 		} else if err == nil {
 			err = fmt.Errorf("service: result marshal: %w", mErr)
 		}

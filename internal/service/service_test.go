@@ -14,12 +14,11 @@ import (
 
 	"chaseci/internal/api"
 	"chaseci/internal/parallel"
-	"chaseci/internal/queue"
 	"chaseci/internal/tensor"
 )
 
 // waitState awaits pred(st); the test fails if the job ends (or 30 s pass)
-// without it. A job already evicted to the store answers from its record.
+// without it.
 func waitState(t *testing.T, r *Runner, id string, pred func(api.JobStatus) bool) api.JobStatus {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -67,12 +66,11 @@ func bigSegmentRequest() *api.JobRequest {
 	}
 }
 
-func newTestRunner(t *testing.T, reg *Registry, workers int) (*Runner, *queue.Store) {
+func newTestRunner(t *testing.T, reg *Registry, workers int) *Runner {
 	t.Helper()
-	store := queue.NewStore()
-	r := NewRunnerConfigured(reg, store, RunnerConfig{Workers: workers})
+	r := NewRunnerConfigured(reg, nil, RunnerConfig{Workers: workers})
 	t.Cleanup(r.Close)
-	return r, store
+	return r
 }
 
 func TestSubmitRunsSegmentJob(t *testing.T) {
@@ -86,7 +84,7 @@ func TestSubmitRunsSegmentJob(t *testing.T) {
 		<-gate
 		return SegmentHandler(jc)
 	})
-	r, store := newTestRunner(t, reg, 2)
+	r := newTestRunner(t, reg, 2)
 	t.Cleanup(open) // runs before the runner's Close, which waits for the handler
 	st, err := r.Submit(tinySegmentRequest(), "tester@ucsd.edu")
 	if err != nil {
@@ -101,9 +99,10 @@ func TestSubmitRunsSegmentJob(t *testing.T) {
 		t.Fatalf("state = %s (%s)", final.State, final.Error)
 	}
 
-	raw, _, ok := r.Result(st.ID)
-	if !ok || raw == nil {
-		t.Fatal("missing result payload")
+	// The result is recorded before the job reads terminal.
+	raw, rst, ok := r.Result(st.ID)
+	if !ok || raw == nil || rst.State != api.StateSucceeded {
+		t.Fatalf("Result = %q, %+v, ok=%v", raw, rst, ok)
 	}
 	var res api.SegmentResult
 	if err := json.Unmarshal(raw, &res); err != nil {
@@ -115,14 +114,6 @@ func TestSubmitRunsSegmentJob(t *testing.T) {
 		t.Fatalf("result = %+v", res)
 	}
 
-	// Job state and result persist in the queue store, and are there before
-	// the job reads terminal.
-	if rec, ok := store.Get(JobKey(st.ID)); !ok || !strings.Contains(rec, `"succeeded"`) {
-		t.Fatalf("store job record = %q, ok=%v", rec, ok)
-	}
-	if _, ok := store.Get(ResultKey(st.ID)); !ok {
-		t.Fatal("store missing result record")
-	}
 	if got := r.MetricsText(); !strings.Contains(got, `jobs_succeeded{kind="segment"} 1`) {
 		t.Fatalf("metrics missing success counter:\n%s", got)
 	}
@@ -130,7 +121,7 @@ func TestSubmitRunsSegmentJob(t *testing.T) {
 }
 
 func TestSubmitValidatesRequest(t *testing.T) {
-	r, _ := newTestRunner(t, DefaultRegistry(), 1)
+	r := newTestRunner(t, DefaultRegistry(), 1)
 	_, err := r.Submit(&api.JobRequest{Kind: "nonsense"}, "")
 	if !errors.Is(err, api.ErrInvalid) {
 		t.Fatalf("err = %v, want ErrInvalid", err)
@@ -138,7 +129,7 @@ func TestSubmitValidatesRequest(t *testing.T) {
 }
 
 func TestCancelRunningJobReportsPartialStats(t *testing.T) {
-	r, _ := newTestRunner(t, DefaultRegistry(), 1)
+	r := newTestRunner(t, DefaultRegistry(), 1)
 	st, err := r.Submit(bigSegmentRequest(), "")
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +169,7 @@ func TestCancelRunningJobReportsPartialStats(t *testing.T) {
 }
 
 func TestCancelMidFlightLabelJob(t *testing.T) {
-	r, _ := newTestRunner(t, DefaultRegistry(), 1)
+	r := newTestRunner(t, DefaultRegistry(), 1)
 	req := &api.JobRequest{
 		Kind: api.KindLabel,
 		Label: &api.LabelSpec{
@@ -245,7 +236,7 @@ func TestHandlerPanicBecomesFailure(t *testing.T) {
 				}
 				return "fine", nil
 			})
-			r, _ := newTestRunner(t, reg, 1)
+			r := newTestRunner(t, reg, 1)
 			for _, want := range []api.State{api.StateFailed, api.StateSucceeded} {
 				req := blockingWorkflowRequest()
 				if want == api.StateFailed {
@@ -308,7 +299,7 @@ func trainDistShardPanic(t *testing.T) {
 		inner.ctx = scribbledAtRound{Context: jc.ctx, job: jc.job, stage: "round 0/3 (2w)", idx: planted}
 		return TrainDistHandler(&inner)
 	})
-	r, _ := newTestRunner(t, reg, 1)
+	r := newTestRunner(t, reg, 1)
 	tightRetries(r, 2)
 	want := runJob(t, r, req)
 
@@ -344,7 +335,7 @@ func trainDistShardPanic(t *testing.T) {
 }
 
 func TestAllKindsEndToEndInProcess(t *testing.T) {
-	r, _ := newTestRunner(t, DefaultRegistry(), 4)
+	r := newTestRunner(t, DefaultRegistry(), 4)
 	reqs := []*api.JobRequest{
 		tinySegmentRequest(),
 		{Kind: api.KindLabel, Label: &api.LabelSpec{
@@ -395,35 +386,12 @@ func TestAllKindsEndToEndInProcess(t *testing.T) {
 	assertNoLeaks(t, r)
 }
 
-// TestRunnerRestartOnSharedStore: a new runner generation over a store
-// left behind by a crashed one (its seq counter, no Close) must not
-// clobber the old records.
-func TestRunnerRestartOnSharedStore(t *testing.T) {
-	store := queue.NewStore()
-	store.Incr(seqKey, 3)
-
-	r := NewRunnerConfigured(DefaultRegistry(), store, RunnerConfig{Workers: 1})
-	t.Cleanup(r.Close)
-	// New ids continue from the store counter instead of overwriting the
-	// previous generation's records.
-	st, err := r.Submit(tinySegmentRequest(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.ID != "job-000004" {
-		t.Fatalf("id = %s, want job-000004 (sequence continues)", st.ID)
-	}
-	waitState(t, r, st.ID, terminal)
-}
-
 // TestTerminalJobEviction: once the retention cap is exceeded, the
-// oldest terminal jobs leave the in-memory index while their store
-// records survive.
+// earliest-finished terminal jobs leave the index, status and result
+// together, and the newest ones keep both.
 func TestTerminalJobEviction(t *testing.T) {
-	r, store := newTestRunner(t, DefaultRegistry(), 1)
+	r := newTestRunner(t, DefaultRegistry(), 1)
 	r.retain.Store(2)
-	// With retain=2 the sweep fires when the index exceeds 3 (10% slack
-	// rounds to +1), so six jobs guarantee two prunes back down to 2.
 	var ids []string
 	for i := 0; i < 6; i++ {
 		st, err := r.Submit(tinySegmentRequest(), "")
@@ -439,32 +407,100 @@ func TestTerminalJobEviction(t *testing.T) {
 	if got := r.Count(); got != 2 {
 		t.Fatalf("retained %d jobs, want 2", got)
 	}
-	if _, ok := r.Status(ids[0]); ok {
-		t.Fatal("oldest job still in memory after eviction")
+	for _, id := range ids[:4] {
+		if _, ok := r.Status(id); ok {
+			t.Fatalf("evicted job %s still has a status", id)
+		}
+		if _, _, ok := r.Result(id); ok {
+			t.Fatalf("evicted job %s still has a result", id)
+		}
 	}
-	if rec, ok := store.Get(JobKey(ids[0])); !ok || !strings.Contains(rec, `"succeeded"`) {
-		t.Fatalf("evicted job lost its store record: %q ok=%v", rec, ok)
+	for _, id := range ids[4:] {
+		raw, st, ok := r.Result(id)
+		if !ok || st.State != api.StateSucceeded || st.ID != id {
+			t.Fatalf("Result of retained %s = %+v, ok=%v", id, st, ok)
+		}
+		var res api.SegmentResult
+		if err := json.Unmarshal(raw, &res); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The read path falls back to the store, so the evicted job's id
-	// stays resolvable with its full status and result.
-	st, ok := r.Lookup(ids[0])
-	if !ok || st.State != api.StateSucceeded || st.ID != ids[0] {
-		t.Fatalf("Lookup after eviction = %+v, ok=%v", st, ok)
+}
+
+// TestEvictionFollowsFinishOrder: a job that runs long enough for later
+// submits to finish before it is, once it ends, among the most recently
+// finished, and outlives the short jobs that finished first — eviction goes
+// by finish order, not by submit order.
+func TestEvictionFollowsFinishOrder(t *testing.T) {
+	const retain = 3
+	release := make(chan struct{})
+	started := make(chan struct{})
+	reg := NewRegistry()
+	reg.Register(api.KindWorkflow, func(jc *JobContext) (any, error) {
+		if jc.Request().Name == "held" {
+			close(started)
+			<-release
+		}
+		return jc.Request().Name, nil
+	})
+	r := NewRunnerConfigured(reg, nil, RunnerConfig{Workers: 2})
+	t.Cleanup(r.Close)
+	r.retain.Store(retain)
+	submit := func(name string) string {
+		t.Helper()
+		req := blockingWorkflowRequest()
+		req.Name = name
+		st, err := r.Submit(req, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.ID
 	}
-	raw, st2, ok := r.Result(ids[0])
-	if !ok || st2.State != api.StateSucceeded || len(raw) == 0 {
-		t.Fatalf("Result after eviction: ok=%v st=%+v raw=%q", ok, st2, raw)
+	finishShort := func(n int) []string {
+		t.Helper()
+		ids := make([]string, n)
+		for i := range ids {
+			ids[i] = submit("short")
+			waitState(t, r, ids[i], terminal)
+		}
+		return ids
 	}
-	var res api.SegmentResult
-	if err := json.Unmarshal(raw, &res); err != nil {
-		t.Fatal(err)
+
+	held := submit("held")
+	<-started
+	early := finishShort(retain + 2) // held runs on while these finish
+	close(release)
+	waitState(t, r, held, terminal)
+	late := finishShort(2)
+	r.Close() // every execute, and so every prune, has returned
+
+	// Finish order: early..., held, late... — the newest three are the
+	// held job and the two late ones.
+	if _, ok := r.Status(held); !ok {
+		t.Fatal("the held job was evicted before jobs that finished ahead of it")
+	}
+	if raw, st, ok := r.Result(held); !ok || st.State != api.StateSucceeded || string(raw) != `"held"` {
+		t.Fatalf("held job's result = %q, %+v, ok=%v", raw, st, ok)
+	}
+	for _, id := range late {
+		if _, ok := r.Status(id); !ok {
+			t.Fatalf("late job %s was evicted", id)
+		}
+	}
+	for _, id := range early {
+		if _, ok := r.Status(id); ok {
+			t.Fatalf("early job %s is still retained", id)
+		}
+	}
+	if got := r.Count(); got != retain {
+		t.Fatalf("retained %d jobs, want %d", got, retain)
 	}
 }
 
 // TestCancelDuringTrainKeepsPartialSteps: a train_dist job of the sweep
 // child's shape cancelled mid-training still records the rounds taken.
 func TestCancelDuringTrainKeepsPartialSteps(t *testing.T) {
-	r, _ := newTestRunner(t, DefaultRegistry(), 1)
+	r := newTestRunner(t, DefaultRegistry(), 1)
 	st, err := r.Submit(&api.JobRequest{
 		Kind: api.KindTrainDist,
 		TrainDist: &api.TrainDistSpec{
@@ -503,7 +539,7 @@ func TestCancelDuringTrainKeepsPartialSteps(t *testing.T) {
 // TestStatusPollAllocFree pins the satellite requirement: the in-process
 // status-poll path performs zero allocations.
 func TestStatusPollAllocFree(t *testing.T) {
-	r, _ := newTestRunner(t, DefaultRegistry(), 1)
+	r := newTestRunner(t, DefaultRegistry(), 1)
 	st, err := r.Submit(tinySegmentRequest(), "")
 	if err != nil {
 		t.Fatal(err)
@@ -520,7 +556,7 @@ func TestStatusPollAllocFree(t *testing.T) {
 }
 
 func TestWorkflowJobFailurePropagates(t *testing.T) {
-	r, _ := newTestRunner(t, DefaultRegistry(), 1)
+	r := newTestRunner(t, DefaultRegistry(), 1)
 	st, err := r.Submit(&api.JobRequest{
 		Kind: api.KindWorkflow,
 		Workflow: &api.WorkflowSpec{
@@ -552,7 +588,7 @@ func TestWorkflowJobFailurePropagates(t *testing.T) {
 // flood must terminate orders of magnitude faster than letting it finish,
 // proving the handler really threads the job context into the kernel.
 func TestCancelledSegmentStopsPromptly(t *testing.T) {
-	r, _ := newTestRunner(t, DefaultRegistry(), 1)
+	r := newTestRunner(t, DefaultRegistry(), 1)
 	st, err := r.Submit(bigSegmentRequest(), "")
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,6 @@
 package service
 
-import (
-	"cmp"
-	"slices"
-	"sync"
-)
+import "sync"
 
 // The job registry is lock-striped: jobs live in regShards shards keyed by an
 // FNV-1a hash of the job id, so status polls, submits, and terminal
@@ -56,17 +52,10 @@ func (r *Runner) eachJob(fn func(*job)) {
 	}
 }
 
-// pruneCand is a terminal job pruneIfNeeded may evict, with its submit
-// sequence number, which orders eviction oldest first.
-type pruneCand struct {
-	id  string
-	seq int64
-}
-
-// evictFIFO is the bounded queue of job ids evicted from memory whose
-// store records remain readable. Pop-front uses a head index with periodic
-// compaction, so the backing array stays proportional to the live tail
-// instead of growing for the life of the process.
+// evictFIFO is the queue of terminal job ids in the index, in finish
+// order. Pop-front uses a head index with periodic compaction, so the
+// backing array stays proportional to the queue instead of growing for the
+// life of the process.
 type evictFIFO struct {
 	buf  []string
 	head int
@@ -88,83 +77,26 @@ func (f *evictFIFO) pop() (string, bool) {
 	return id, true
 }
 
-func (f *evictFIFO) len() int { return len(f.buf) - f.head }
-
-// pruneIfNeeded evicts the oldest terminal jobs once the in-memory index
-// exceeds the retention cap (with 10% amortization slack), and deletes the
-// store records of jobs that age past the store's larger tail. Global
-// across shards: candidates are ordered by submit sequence so eviction
-// age-order matches the old single-map design. Callers must hold no shard
-// lock.
+// pruneIfNeeded evicts the earliest-finished terminal jobs while the index
+// holds more than the retention cap, so the retain most recently finished
+// jobs stay resolvable. A job joins the eviction queue in finish, once it
+// has given back everything it held, so an index full of queued and
+// running jobs is left as it is. Callers must hold no shard lock.
 func (r *Runner) pruneIfNeeded() {
-	retain := int(r.retain.Load())
-	if int(r.njobs.Load()) <= retain+retain/10+1 {
+	if r.njobs.Load() <= r.retain.Load() {
 		return
 	}
-	// Single-flight: concurrent terminal transitions all spotting the
-	// overshoot elect one sweeper; the rest skip (the next transition
-	// re-checks).
-	if !r.pruneMu.TryLock() {
-		return
-	}
-	defer r.pruneMu.Unlock()
-
-	// The candidate buffer is the runner's, reused from sweep to sweep
-	// under pruneMu; it is cleared on the way out so it keeps no evicted
-	// id alive.
-	cands := r.pruneCands[:0]
-	defer func() {
-		clear(cands)
-		r.pruneCands = cands[:0]
-	}()
-	total := 0
-	r.eachJob(func(j *job) {
-		total++
-		if stateNames[j.state.Load()].Terminal() {
-			cands = append(cands, pruneCand{j.id, j.seq})
-		}
-	})
-	excess := total - retain
-	if excess <= 0 {
-		return
-	}
-	slices.SortFunc(cands, func(a, b pruneCand) int { return cmp.Compare(a.seq, b.seq) })
-	if excess > len(cands) {
-		excess = len(cands)
-	}
-	for _, c := range cands[:excess] {
-		sh := r.shardFor(c.id)
-		sh.mu.Lock()
-		j := sh.jobs[c.id]
-		// Re-verify under the lock: a Lookup cannot race a half-removed
-		// record, and a job resurrected by id reuse (impossible today, ids
-		// are store-sequenced) would be left alone.
-		if j != nil && stateNames[j.state.Load()].Terminal() {
-			delete(sh.jobs, c.id)
-			r.njobs.Add(-1)
-			sh.mu.Unlock()
-			r.evictMu.Lock()
-			r.evicted.push(c.id)
-			r.evictMu.Unlock()
-		} else {
-			sh.mu.Unlock()
-		}
-	}
-	// Age the eviction tail: ids beyond the store retention window lose
-	// their store records too, bounding total footprint.
-	storeCap := storeRetainFactor * retain
 	r.evictMu.Lock()
-	var expired []string
-	for r.evicted.len() > storeCap {
-		id, ok := r.evicted.pop()
+	defer r.evictMu.Unlock()
+	for r.njobs.Load() > r.retain.Load() {
+		id, ok := r.evictOrder.pop()
 		if !ok {
-			break
+			return
 		}
-		expired = append(expired, id)
-	}
-	r.evictMu.Unlock()
-	for _, id := range expired {
-		r.store.Del(JobKey(id))
-		r.store.Del(ResultKey(id))
+		sh := r.shardFor(id)
+		sh.mu.Lock()
+		delete(sh.jobs, id)
+		sh.mu.Unlock()
+		r.njobs.Add(-1)
 	}
 }

@@ -79,7 +79,7 @@ func TestSweepSurvivorsResumeTheirRung(t *testing.T) {
 		}
 		return out, err
 	})
-	r, _ := newTestRunner(t, reg, 4)
+	r := newTestRunner(t, reg, 4)
 
 	stopped := sweepResult(t, runJob(t, r, learningSweep(true)))
 	if got := rounds.Load(); got != 6*S {
@@ -185,7 +185,7 @@ func TestSweepKeepsOneCheckpoint(t *testing.T) {
 		}
 		return out, err
 	})
-	r, _ := newTestRunner(t, reg, 2)
+	r := newTestRunner(t, reg, 2)
 	ds := r.Datasets()
 	run := func(req *api.JobRequest) (string, api.JobStatus) {
 		t.Helper()

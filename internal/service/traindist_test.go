@@ -12,7 +12,6 @@ import (
 	"chaseci/internal/api"
 	"chaseci/internal/dataset"
 	"chaseci/internal/parallel"
-	"chaseci/internal/queue"
 	"chaseci/internal/tensor"
 )
 
@@ -105,7 +104,7 @@ func TestGatewayTrainDistWorkerInvariance(t *testing.T) {
 // final checkpoint ref. Six features, so the conv backward shards.
 func TestTrainDistRefsHoldAtEveryConvWidth(t *testing.T) {
 	defer parallel.SetWorkers(parallel.SetWorkers(0))
-	r, _ := newTestRunner(t, DefaultRegistry(), 1)
+	r := newTestRunner(t, DefaultRegistry(), 1)
 	var base api.TrainDistResult
 	for _, lanes := range []int{1, 2, 8} {
 		parallel.SetWorkers(lanes)
@@ -393,7 +392,7 @@ func TestSweepEarlyStopHalvesBudgets(t *testing.T) {
 // TestSweepSingleWorkerNoDeadlock: a sweep occupying the only pool worker
 // must help-drain its own children instead of deadlocking on them.
 func TestSweepSingleWorkerNoDeadlock(t *testing.T) {
-	runner := NewRunnerConfigured(DefaultRegistry(), queue.NewStore(), RunnerConfig{Workers: 1})
+	runner := NewRunnerConfigured(DefaultRegistry(), nil, RunnerConfig{Workers: 1})
 	defer runner.Close()
 	st, err := runner.Submit(&api.JobRequest{
 		Kind: api.KindSweep,
@@ -452,7 +451,7 @@ func TestTrainHoldoutCancelledFloodFailsCandidate(t *testing.T) {
 		inner.ctx = cancelledFrom{Context: jc.ctx, job: jc.job, stage: "validate"}
 		return TrainDistHandler(&inner)
 	})
-	r, _ := newTestRunner(t, reg, 1)
+	r := newTestRunner(t, reg, 1)
 	spec := &api.SweepSpec{Source: distRequest(1, 1).TrainDist.Source, Threshold: 130, Seed: 5}
 	h := api.SweepParams{LR: 0.03, Momentum: 0.9, Features: 4, Modules: 1, TrainSteps: 20}
 	st, err := r.Submit(&api.JobRequest{Kind: api.KindTrainDist, TrainDist: spec.Child(h, 2, "")}, "")
@@ -517,7 +516,7 @@ func TestTrainDistCancelThenResumeAndElasticOnReleasedArrays(t *testing.T) {
 		inner.ctx = cancelledAfterShards{Context: jc.ctx, job: jc.job, stage: "round 4/10 (2w)", checks: new(atomic.Int32)}
 		return TrainDistHandler(&inner)
 	})
-	r, _ := newTestRunner(t, reg, 2)
+	r := newTestRunner(t, reg, 2)
 	result := func(id string) (res api.TrainDistResult) {
 		t.Helper()
 		raw, _, _ := r.Result(id)
@@ -602,7 +601,7 @@ func TestTrainDistModelOnReleasedMemory(t *testing.T) {
 	defer tensor.PoisonReleased(true) // the package's TestMain setting
 	run := func(poison bool) []api.TrainDistResult {
 		tensor.PoisonReleased(poison)
-		r, _ := newTestRunner(t, DefaultRegistry(), 1)
+		r := newTestRunner(t, DefaultRegistry(), 1)
 		req := distRequest(2, 10)
 		req.TrainDist.CheckpointEvery = 3
 		var out []api.TrainDistResult
@@ -678,7 +677,7 @@ func TestSweepParentStealsWorkQueuedWhileItWaits(t *testing.T) {
 		}
 	})
 	reg.Register(api.KindWorkflow, func(*JobContext) (any, error) { return nil, nil })
-	r, _ := newTestRunner(t, reg, 2)
+	r := newTestRunner(t, reg, 2)
 	gate := closedSteal{r.disp, new(atomic.Bool), make(chan struct{}, 1)}
 	r.disp = gate
 

@@ -80,7 +80,7 @@ func TestTrainScratchCapMatchesKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _ := newTestRunner(t, DefaultRegistry(), 1)
+	r := newTestRunner(t, DefaultRegistry(), 1)
 	info, err := r.Datasets().Put(enc, "")
 	if err != nil {
 		t.Fatal(err)

@@ -101,16 +101,13 @@ func (w *watch) wait(ctx context.Context, timer <-chan time.Time) error {
 // until waits for the terminal state. It is the one way to wait for a job:
 // every transition, placement and JobContext.Progress call wakes it, and it
 // re-reads the snapshot Status serves — nothing is queued per event, so a
-// waiter sees the latest state, not each intermediate one. A job evicted
-// from memory answers at once from its stored record. Close ends every job,
-// so it wakes every waiter with a terminal status; a done ctx returns the
-// last status read together with ctx.Err().
+// waiter sees the latest state, not each intermediate one. An id the index
+// does not hold — never submitted, or finished and evicted — is an error.
+// Close ends every job, so it wakes every waiter with a terminal status; a
+// done ctx returns the last status read together with ctx.Err().
 func (r *Runner) Await(ctx context.Context, id string, until func(api.JobStatus) bool) (api.JobStatus, error) {
 	j := r.lookupJob(id)
 	if j == nil {
-		if st, ok := r.Lookup(id); ok {
-			return st, nil
-		}
 		return api.JobStatus{}, fmt.Errorf("service: unknown job %q", id)
 	}
 	w := r.watch(&j.watchers)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -125,7 +126,7 @@ func TestAwaitObservesClusterRequeue(t *testing.T) {
 			return nil, jc.Ctx().Err()
 		}
 	})
-	r, _ := newModeRunner(t, true, reg)
+	r := newModeRunner(t, true, reg)
 	st, err := r.Submit(tinyLabelRequest(), "anonymous")
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +150,7 @@ func TestAwaitObservesClusterRequeue(t *testing.T) {
 }
 
 // TestAwaitAnswersAtOnce covers the ids nothing will ever change for — a
-// terminal job, one evicted to the store, one never seen — and a waiter
+// terminal job, one evicted from the index, one never seen — and a waiter
 // that gives up.
 func TestAwaitAnswersAtOnce(t *testing.T) {
 	r, release := blockedRunner(t, RunnerConfig{}, nil)
@@ -192,8 +193,8 @@ func TestAwaitAnswersAtOnce(t *testing.T) {
 	if _, inMemory := r.Status(blocker); inMemory {
 		t.Fatal("the blocker was not evicted")
 	}
-	if st, err := r.Await(ctx, blocker, never); err != nil || st.State != api.StateSucceeded {
-		t.Errorf("Await on an evicted job = %s, %v; want its stored record", st.State, err)
+	if st, err := r.Await(ctx, blocker, never); err == nil || !strings.Contains(err.Error(), "unknown job") {
+		t.Errorf("Await on an evicted job = %+v, %v; want an unknown-job error", st, err)
 	}
 	assertNoWatches(t, r)
 }
@@ -230,7 +231,7 @@ func TestAwaitWakesOnClose(t *testing.T) {
 // TestProgressDoesNotAllocate: the kernel-side cost of being watchable is
 // nil with nobody watching and with a stream attached.
 func TestProgressDoesNotAllocate(t *testing.T) {
-	r, _ := newTestRunner(t, NewRegistry(), 1)
+	r := newTestRunner(t, NewRegistry(), 1)
 	j := &job{id: "job-000001"}
 	jc := &JobContext{job: j, runner: r}
 	report := func() { jc.Progress(3, 10, "flood") }
@@ -265,7 +266,7 @@ func TestEventsPaceNothingButCounters(t *testing.T) {
 		}
 		return nil, nil
 	})
-	r, _ := newTestRunner(t, reg, 1)
+	r := newTestRunner(t, reg, 1)
 	srv := httptest.NewServer(NewGateway(r, GatewayOptions{AllowAnonymous: true}))
 	defer srv.Close()
 	st, err := r.Submit(blockingWorkflowRequest(), "")
