@@ -226,9 +226,9 @@ func TestFairQueueWeightedPopOrder(t *testing.T) {
 }
 
 // TestRetentionWindow: with retention R, the R most recently finished jobs
-// resolve through Status, Result, GET /v1/jobs/{id} and its /result, and
-// every older one is 404 on both — nothing else keeps a copy — while the
-// eviction queue holds no more ids than the index retains.
+// resolve through Status, Result, GET /v1/jobs/{id}, its /result and its
+// /events, and every older one is 404 on all three — nothing else keeps a
+// copy — while the eviction queue holds no more ids than the index retains.
 func TestRetentionWindow(t *testing.T) {
 	const retain, total = 4, 30
 	r := newTestRunner(t, DefaultRegistry(), 1)
@@ -279,7 +279,7 @@ func TestRetentionWindow(t *testing.T) {
 				t.Fatalf("retained job %s: status %+v, result %q", id, st, raw)
 			}
 		}
-		for _, path := range []string{"/v1/jobs/" + id, "/v1/jobs/" + id + "/result"} {
+		for _, path := range []string{"/v1/jobs/" + id, "/v1/jobs/" + id + "/result", "/v1/jobs/" + id + "/events"} {
 			if code := get(path); code != want {
 				t.Fatalf("GET %s = %d, want %d", path, code, want)
 			}

@@ -497,6 +497,138 @@ func TestEvictionFollowsFinishOrder(t *testing.T) {
 	}
 }
 
+// TestEvictionTakesEveryTerminalState: however a job ends — a result, an
+// error, a cancel while it runs, or a cancel before it ever runs (which
+// ends it outside execute) — it joins the eviction queue when it ends, and
+// a job that finishes after it outlives it.
+func TestEvictionTakesEveryTerminalState(t *testing.T) {
+	reg := NewRegistry()
+	reg.Register(api.KindWorkflow, func(jc *JobContext) (any, error) {
+		switch jc.Request().Name {
+		case "fail":
+			return nil, errors.New("handler error")
+		case "hold":
+			<-jc.Ctx().Done()
+			return nil, jc.Ctx().Err()
+		}
+		return jc.Request().Name, nil
+	})
+	running := func(st api.JobStatus) bool { return st.State == api.StateRunning }
+	cases := []struct {
+		name string
+		want api.State
+		// end brings a job to the wanted state, and every job it started
+		// to an end, and returns the first job's id.
+		end func(t *testing.T, r *Runner, submit func(string) string) string
+	}{
+		{"succeeded", api.StateSucceeded, func(t *testing.T, r *Runner, submit func(string) string) string {
+			return submit("ok")
+		}},
+		{"failed", api.StateFailed, func(t *testing.T, r *Runner, submit func(string) string) string {
+			return submit("fail")
+		}},
+		{"cancelled running", api.StateCancelled, func(t *testing.T, r *Runner, submit func(string) string) string {
+			id := submit("hold")
+			waitState(t, r, id, running)
+			r.Cancel(id)
+			return id
+		}},
+		{"cancelled queued", api.StateCancelled, func(t *testing.T, r *Runner, submit func(string) string) string {
+			hold := submit("hold") // takes the only worker
+			waitState(t, r, hold, running)
+			id := submit("ok")
+			r.Cancel(id)
+			r.Cancel(hold)
+			waitState(t, r, hold, terminal)
+			return id
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := newTestRunner(t, reg, 1)
+			submit := func(name string) string {
+				t.Helper()
+				req := blockingWorkflowRequest()
+				req.Name = name
+				st, err := r.Submit(req, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st.ID
+			}
+			first := c.end(t, r, submit)
+			if st := waitState(t, r, first, terminal); st.State != c.want {
+				t.Fatalf("first job ended %s (%s), want %s", st.State, st.Error, c.want)
+			}
+			r.retain.Store(1) // from here on the index keeps only the newest
+			last := submit("last")
+			waitState(t, r, last, terminal)
+			r.Close() // every execute, and so every prune, has returned
+
+			if _, ok := r.Status(first); ok {
+				t.Fatalf("the %s job outlived a job that finished after it", c.want)
+			}
+			if raw, st, ok := r.Result(last); !ok || st.State != api.StateSucceeded || string(raw) != `"last"` {
+				t.Fatalf("last job's result = %q, %+v, ok=%v", raw, st, ok)
+			}
+			if got := r.Count(); got != 1 {
+				t.Fatalf("retained %d jobs, want 1", got)
+			}
+		})
+	}
+}
+
+// TestConcurrentFinishesKeepIndexAndQueueInStep: jobs that finish on four
+// workers at once, each pushing onto the eviction queue and pruning, leave
+// the index and the queue holding the same retain jobs, each once.
+func TestConcurrentFinishesKeepIndexAndQueueInStep(t *testing.T) {
+	const retain, total = 8, 400
+	var ran sync.WaitGroup
+	ran.Add(total)
+	reg := NewRegistry()
+	reg.Register(api.KindWorkflow, func(jc *JobContext) (any, error) {
+		defer ran.Done()
+		return nil, nil
+	})
+	r := NewRunnerConfigured(reg, nil, RunnerConfig{
+		Workers: 4, MaxPending: -1, MaxPendingPerTenant: -1,
+	})
+	t.Cleanup(r.Close)
+	r.retain.Store(retain)
+	var submitters sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		submitters.Add(1)
+		go func() {
+			defer submitters.Done()
+			for i := 0; i < total/4; i++ {
+				if _, err := r.Submit(blockingWorkflowRequest(), anonOwner); err != nil {
+					t.Error(err)
+					ran.Done()
+				}
+			}
+		}()
+	}
+	submitters.Wait()
+	ran.Wait() // every handler has returned, so no job is left queued
+	r.Close()  // and every execute, with its prune, has returned
+
+	r.evictMu.Lock()
+	queued := append([]string(nil), r.evictOrder.buf[r.evictOrder.head:]...)
+	r.evictMu.Unlock()
+	if len(queued) != retain || r.Count() != retain {
+		t.Fatalf("index holds %d jobs and queues %d terminal ids, want %d and %d",
+			r.Count(), len(queued), retain, retain)
+	}
+	seen := make(map[string]bool, retain)
+	for _, id := range queued {
+		st, ok := r.Status(id)
+		if seen[id] || !ok || st.State != api.StateSucceeded {
+			t.Fatalf("queued id %s: repeated=%v, in index=%v, state %s", id, seen[id], ok, st.State)
+		}
+		seen[id] = true
+	}
+}
+
 // TestCancelDuringTrainKeepsPartialSteps: a train_dist job of the sweep
 // child's shape cancelled mid-training still records the rounds taken.
 func TestCancelDuringTrainKeepsPartialSteps(t *testing.T) {
