@@ -2,17 +2,20 @@
 // gateway (cmd/chased). Every analysis the paper's ecosystem runs — FFN
 // segmentation, CONNECT labelling, MERRA IVT derivation, FFN training, and
 // measured PPoDS workflows — is expressed as a JobRequest: a JSON envelope
-// carrying exactly one kind-specific spec. The package is pure schema: it
-// imports no compute kernels, so clients (and the gateway's HTTP layer) can
-// depend on it without pulling in the simulation stack. Validation is
-// strict and happens at submit time; anything that passes Validate is safe
-// to hand to internal/service for execution.
+// carrying exactly one kind-specific spec. Validation is strict and happens
+// at submit time; anything that passes Validate is safe to hand to
+// internal/service for execution. Each limit has one owner the schema asks:
+// internal/ffn for a network's geometry and what training sizes from it,
+// internal/dataset for a volume's size and a ref's shape.
 package api
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+
+	"chaseci/internal/dataset"
+	"chaseci/internal/ffn"
 )
 
 // Version is the API version accepted by this gateway generation. An empty
@@ -75,33 +78,12 @@ func invalidf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrInvalid, fmt.Sprintf(format, args...))
 }
 
-// maxVoxels bounds inline and synthetic volumes so a single request cannot
-// ask the gateway to allocate arbitrary memory (64M voxels = 256 MB f32).
-const maxVoxels = 64 << 20
-
 // maxTrainSteps bounds optimizer step counts per job.
 const maxTrainSteps = 1 << 20
 
 // maxStepMS bounds one workflow step's virtual duration (~35 virtual
 // years) so the millisecond-to-Duration conversion can never overflow.
 const maxStepMS = 1 << 40
-
-// volumeVoxels returns a*b*c when all three factors are positive and the
-// product stays within maxVoxels, checking via division so the
-// multiplication itself can never overflow past the cap.
-func volumeVoxels(a, b, c int) (int, bool) {
-	if a <= 0 || b <= 0 || c <= 0 {
-		return 0, false
-	}
-	if a > maxVoxels/b {
-		return 0, false
-	}
-	ab := a * b
-	if ab > maxVoxels/c {
-		return 0, false
-	}
-	return ab * c, true
-}
 
 // ResultMode selects how a job returns its bulk payloads (masks, derived
 // volumes): inline in the result JSON, or offloaded to the content-addressed
@@ -288,28 +270,16 @@ func (s *SynthSpec) validate(field string) error {
 	if s.Start < 0 {
 		return invalidf("%s: start must be non-negative, got %d", field, s.Start)
 	}
-	if _, ok := volumeVoxels(s.NLon, s.NLat, s.Steps); !ok {
-		return invalidf("%s: volume %dx%dx%d exceeds the %d-voxel limit", field, s.NLon, s.NLat, s.Steps, maxVoxels)
+	if _, ok := dataset.Voxels(s.NLon, s.NLat, s.Steps); !ok {
+		return invalidf("%s: volume %dx%dx%d exceeds the %d-voxel limit", field, s.NLon, s.NLat, s.Steps, dataset.MaxVoxels)
 	}
 	return nil
 }
 
 // ValidRef reports whether s has the shape of a dataset content address
-// (64 lowercase hex chars — a SHA-256). The api package stays pure schema,
-// so this mirrors dataset.ValidID rather than importing the store; a
-// cross-package test pins the two against each other.
-func ValidRef(s string) bool {
-	if len(s) != 64 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
+// (64 lowercase hex chars — a SHA-256): dataset.ValidID, for clients of the
+// job API such as the benchmark's result checks.
+func ValidRef(s string) bool { return dataset.ValidID(s) }
 
 // VolumeSource names the input volume of a job, in exactly one of three
 // forms: a content-addressed dataset ref (the data plane's preferred form —
@@ -340,7 +310,7 @@ func (v *VolumeSource) validate(field string) error {
 		if v.Synth != nil || v.D != 0 || v.H != 0 || v.W != 0 || len(v.Data) != 0 {
 			return invalidf("%s: ref is mutually exclusive with inline data and synth", field)
 		}
-		if !ValidRef(v.Ref) {
+		if !dataset.ValidID(v.Ref) {
 			return invalidf("%s: ref %q is not a 64-hex content address", field, v.Ref)
 		}
 		return nil
@@ -354,9 +324,9 @@ func (v *VolumeSource) validate(field string) error {
 	if v.D <= 0 || v.H <= 0 || v.W <= 0 {
 		return invalidf("%s: dims must be positive, got %dx%dx%d", field, v.D, v.H, v.W)
 	}
-	voxels, ok := volumeVoxels(v.D, v.H, v.W)
+	voxels, ok := dataset.Voxels(v.D, v.H, v.W)
 	if !ok {
-		return invalidf("%s: volume %dx%dx%d exceeds the %d-voxel limit", field, v.D, v.H, v.W, maxVoxels)
+		return invalidf("%s: volume %dx%dx%d exceeds the %d-voxel limit", field, v.D, v.H, v.W, dataset.MaxVoxels)
 	}
 	if len(v.Data) != voxels {
 		return invalidf("%s: data length %d does not match dims %dx%dx%d=%d",
@@ -376,139 +346,49 @@ type NetConfig struct {
 	SegmentProb float32 `json:"segment_prob,omitempty"`
 }
 
-// Network geometry caps: a request cannot ask for a network whose scratch
-// buffers dwarf the volume cap (maxFOV^3 voxels x maxFeatures channels is
-// ~70 MB f32 per activation tensor at the extremes).
-const (
-	maxFOV      = 65
-	maxFeatures = 256
-	maxModules  = 16
-	// maxScratchElems bounds one working array sized by two knobs at once
-	// — a batched-scratch activation tensor (flood batch x Features x FOV
-	// voxels), a train_dist gradient matrix (batch_per_round x parameters):
-	// 64M float32 = 256 MB, the same ceiling maxVoxels puts on request
-	// volumes.
-	maxScratchElems = 64 << 20
-)
+// Config is the network n describes: ffn.DefaultConfig with each non-zero
+// field of n in place of the default. A nil n is the default network.
+func (n *NetConfig) Config() ffn.Config {
+	cfg := ffn.DefaultConfig()
+	if n == nil {
+		return cfg
+	}
+	if n.FOV != [3]int{} {
+		cfg.FOV = n.FOV
+	}
+	if n.Features > 0 {
+		cfg.Features = n.Features
+	}
+	if n.Modules > 0 {
+		cfg.Modules = n.Modules
+	}
+	if n.MoveStep != [3]int{} {
+		cfg.MoveStep = n.MoveStep
+	}
+	if n.MoveProb > 0 {
+		cfg.MoveProb = n.MoveProb
+	}
+	if n.SegmentProb > 0 {
+		cfg.SegmentProb = n.SegmentProb
+	}
+	return cfg
+}
 
-// Validate holds n to the geometry caps, naming field in the error. Every
-// spec's validation runs it on its own net; the service runs it again on a
-// network that arrives by ref, whose header is as untrusted as a request body.
+// Validate holds the network n describes to ffn's caps (ffn.Config.Validate),
+// naming field in the error. It first refuses what Config would read as a
+// default: a negative count, or a probability outside [0,1), NaN included.
 func (n *NetConfig) Validate(field string) error {
 	if n == nil {
 		return nil
 	}
-	if n.FOV != [3]int{} {
-		for _, d := range n.FOV {
-			if d <= 0 || d%2 == 0 || d > maxFOV {
-				return invalidf("%s: fov dims must be positive odd <= %d, got %v", field, maxFOV, n.FOV)
-			}
-		}
+	if n.Features < 0 || n.Modules < 0 {
+		return invalidf("%s: features and modules must be non-negative", field)
 	}
-	if n.Features < 0 || n.Features > maxFeatures {
-		return invalidf("%s: features must be in [0,%d]", field, maxFeatures)
-	}
-	if n.Modules < 0 || n.Modules > maxModules {
-		return invalidf("%s: modules must be in [0,%d]", field, maxModules)
-	}
-	// Written so that NaN fails: a checkpoint header is untrusted bytes.
 	if !(n.MoveProb >= 0 && n.MoveProb < 1 && n.SegmentProb >= 0 && n.SegmentProb < 1) {
 		return invalidf("%s: probabilities must be in [0,1)", field)
 	}
-	// The checks below combine fields; zero-valued ones assume the kernel
-	// defaults (geometry), and a service-level test pins those literals
-	// against ffn.DefaultConfig so they cannot drift.
-	fov, feat, _ := n.geometry()
-	step := n.MoveStep
-	if step == [3]int{} {
-		step = [3]int{1, 3, 3} // ffn.DefaultConfig().MoveStep
-	}
-	// A flood move reads the logit FOV at center +/- step, so a step over
-	// half the FOV indexes outside it.
-	for i, d := range step {
-		if d < 0 || d > fov[i]/2 {
-			return invalidf("%s: move_step %v must be within [0, fov/2] of fov %v", field, step, fov)
-		}
-	}
-	// Combined batched-scratch budget: the f32 flood scratch holds a few
-	// activation buffers of batch x (D+2)(H+2)(W+2) positions x Features
-	// rounded up to whole 8-lane vectors, so the two individually-capped
-	// knobs must also be bounded together — otherwise a request at both
-	// extremes could demand over 10 GB. Division-based like volumeVoxels,
-	// so the product can never overflow.
-	const batch = 8 // ffn.DefaultFloodBatch
-	lanes := (feat + 7) / 8 * 8
-	if (fov[0]+2)*(fov[1]+2)*(fov[2]+2) > maxScratchElems/(lanes*batch) {
-		return invalidf("%s: fov x features implies a batched scratch over the %d-element limit",
-			field, maxScratchElems)
-	}
-	return nil
-}
-
-// geometry resolves the network n describes against the kernel defaults:
-// a nil n, or a zero field, takes ffn.DefaultConfig's FOV, Features or
-// Modules.
-func (n *NetConfig) geometry() (fov [3]int, features, modules int) {
-	fov, features, modules = [3]int{5, 9, 9}, 8, 2 // ffn.DefaultConfig()
-	if n == nil {
-		return fov, features, modules
-	}
-	if n.FOV != [3]int{} {
-		fov = n.FOV
-	}
-	if n.Features > 0 {
-		features = n.Features
-	}
-	if n.Modules > 0 {
-		modules = n.Modules
-	}
-	return fov, features, modules
-}
-
-// paramCount is the length of the flat parameter vector of the network n
-// describes: ffn.Config.paramCount restated, because api must not import
-// ffn — the service-level test that pins the defaults pins this formula to
-// the kernel's too. Within the caps it is at most 57M.
-func (n *NetConfig) paramCount() int {
-	_, f, m := n.geometry()
-	return 2*27*f + f + m*2*(27*f*f+f) + f + 1
-}
-
-// trainScratchLen is the length of the slab one lane of a train_dist
-// trainer borrows for the network n describes, ffn.Config.TrainScratchLen
-// restated (a service-level test pins the two together): with P padded and
-// V interior FOV positions and L the features rounded up to whole 8-lane
-// vectors, P*(2 + (2*modules+4)*L) + 4*V — the input, every layer's
-// activations and three gradients of one example, and four FOV tensors.
-// A lane that trains two examples per buffer borrows twice it, which ffn
-// allows only where that too is within maxScratchElems. Within the caps it
-// is at most 2.8G, so it is computed in int64.
-func (n *NetConfig) trainScratchLen() int64 {
-	fov, f, m := n.geometry()
-	l := int64((f + 7) / 8 * 8)
-	p := int64(fov[0]+2) * int64(fov[1]+2) * int64(fov[2]+2)
-	v := int64(fov[0]) * int64(fov[1]) * int64(fov[2])
-	return p*(2+int64(2*m+4)*l) + 4*v
-}
-
-// ValidateTraining holds the network n describes, trained on batch examples
-// per round, to the caps on what a trainer sizes from it, naming field in
-// the error: the batch x parameters gradient matrix and one lane's
-// training scratch, each at most maxScratchElems. Like fov x features,
-// these are individually-capped knobs that must also be bounded together
-// (4096 x a 64-feature, 4-module network is a 14.6 GB matrix; a 29^3 FOV x
-// 256 features x 16 modules is a 1.1 GB scratch per lane). ffn.maxGradElems
-// is the same matrix limit, so a checkpoint a job writes can be resumed.
-// Every train_dist job is held to it: a spelled-out net in validate, a
-// resumed checkpoint's net by the service, every sweep candidate's.
-func (n *NetConfig) ValidateTraining(field string, batch int) error {
-	if p := n.paramCount(); batch > maxScratchElems/p {
-		return invalidf("%s: batch_per_round %d x %d network parameters implies a gradient matrix over the %d-element limit",
-			field, batch, p, maxScratchElems)
-	}
-	if s := n.trainScratchLen(); s > maxScratchElems {
-		return invalidf("%s: fov x features x modules implies a training scratch of %d elements per lane, over the %d-element limit",
-			field, s, maxScratchElems)
+	if err := n.Config().Validate(); err != nil {
+		return invalidf("%s: %v", field, err)
 	}
 	return nil
 }
@@ -548,7 +428,7 @@ func (s *SegmentSpec) validate() error {
 		return err
 	}
 	if s.NetRef != "" {
-		if !ValidRef(s.NetRef) {
+		if !dataset.ValidID(s.NetRef) {
 			return invalidf("segment.net_ref %q is not a 64-hex content address", s.NetRef)
 		}
 		if s.Net != nil || s.NetSeed != 0 {
@@ -620,13 +500,11 @@ func (s *IVTSpec) validate() error {
 	return s.Synth.validate("ivt.synth")
 }
 
-// Distributed-training and sweep caps.
+// Distributed-training and sweep caps. The global per-round example count
+// is held to ffn.MaxBatch, the bound a resumed run's checkpoint is held to.
 const (
 	// maxDistWorkers bounds the data-parallel width of one train_dist job.
 	maxDistWorkers = 64
-	// maxBatchPerRound bounds the global per-round example count. It equals
-	// ffn.maxCheckpointBatch, the bound a resumed run's checkpoint is held to.
-	maxBatchPerRound = 4096
 	// maxSweepCandidates bounds the hyperparameter grid one sweep expands.
 	maxSweepCandidates = 64
 )
@@ -712,7 +590,7 @@ func (s *TrainDistSpec) validate() error {
 		return invalidf("train_dist.holdout_steps %d leaves nothing to train on in a %d-step source", s.HoldoutSteps, d)
 	}
 	if s.ResumeFrom != "" {
-		if !ValidRef(s.ResumeFrom) {
+		if !dataset.ValidID(s.ResumeFrom) {
 			return invalidf("train_dist.resume_from %q is not a 64-hex content address", s.ResumeFrom)
 		}
 		if s.Net != nil || s.NetSeed != 0 || s.SampleSeed != 0 ||
@@ -723,11 +601,11 @@ func (s *TrainDistSpec) validate() error {
 		if err := s.Net.Validate("train_dist.net"); err != nil {
 			return err
 		}
-		if s.BatchPerRound < 1 || s.BatchPerRound > maxBatchPerRound {
-			return invalidf("train_dist.batch_per_round must be in [1,%d], got %d", maxBatchPerRound, s.BatchPerRound)
+		if s.BatchPerRound < 1 || s.BatchPerRound > ffn.MaxBatch {
+			return invalidf("train_dist.batch_per_round must be in [1,%d], got %d", ffn.MaxBatch, s.BatchPerRound)
 		}
-		if err := s.Net.ValidateTraining("train_dist", s.BatchPerRound); err != nil {
-			return err
+		if err := s.Net.Config().CheckTraining(s.BatchPerRound); err != nil {
+			return invalidf("train_dist: %v", err)
 		}
 	}
 	prev := 0
@@ -803,13 +681,13 @@ func (s *SweepSpec) validate() error {
 		}
 	}
 	for _, f := range s.Features {
-		if f < 1 || f > maxFeatures {
-			return invalidf("sweep.features must be in [1,%d]", maxFeatures)
+		if f < 1 {
+			return invalidf("sweep.features must be positive")
 		}
 	}
 	for _, m := range s.Modules {
-		if m < 1 || m > maxModules {
-			return invalidf("sweep.modules must be in [1,%d]", maxModules)
+		if m < 1 {
+			return invalidf("sweep.modules must be positive")
 		}
 	}
 	for _, st := range s.TrainSteps {
@@ -833,7 +711,7 @@ func (s *SweepSpec) validate() error {
 		return invalidf("sweep.parallel must be in [0,%d], got %d", maxDistWorkers, s.Parallel)
 	}
 	// Each candidate runs as a fresh train_dist child: its network is held
-	// to the training caps that job's own validation holds it to.
+	// to the caps that job's own validation holds it to.
 	modules := s.Modules
 	if len(modules) == 0 {
 		modules = []int{2}
@@ -841,8 +719,11 @@ func (s *SweepSpec) validate() error {
 	for _, f := range s.Features {
 		for _, m := range modules {
 			child := s.Child(SweepParams{Features: f, Modules: m, TrainSteps: 1}, 0, "")
-			if err := child.Net.ValidateTraining("sweep", child.BatchPerRound); err != nil {
+			if err := child.Net.Validate("sweep"); err != nil {
 				return err
+			}
+			if err := child.Net.Config().CheckTraining(child.BatchPerRound); err != nil {
+				return invalidf("sweep: %v", err)
 			}
 		}
 	}

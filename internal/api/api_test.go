@@ -442,8 +442,8 @@ func TestResultModeValidation(t *testing.T) {
 }
 
 // TestNetConfigProbabilities: move_prob and segment_prob are 0 (the kernel
-// default) or inside (0,1). JSON cannot spell NaN, but a checkpoint header
-// re-validated through NetConfig can carry one, and it is refused too.
+// default) or inside (0,1). JSON cannot spell NaN, but a NetConfig built in
+// Go can carry one, and it is refused too.
 func TestNetConfigProbabilities(t *testing.T) {
 	nan := float32(math.NaN())
 	for _, c := range []struct {

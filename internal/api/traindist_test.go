@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"chaseci/internal/ffn"
 )
 
 // fakeRef is a syntactically valid 64-hex content address.
@@ -86,6 +88,29 @@ func TestTrainDistSpecRejections(t *testing.T) {
 	})
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid elastic spec rejected: %v", err)
+	}
+}
+
+// TestTrainDistGradMatrixBoundary: a train_dist spec's batch_per_round x
+// network parameters gradient matrix is held to 64M elements at submit: the
+// largest batch that fits passes and one more is refused, whatever mix of
+// features and modules makes up the parameter count.
+func TestTrainDistGradMatrixBoundary(t *testing.T) {
+	for _, nc := range []NetConfig{{Features: 64, Modules: 4}, {Features: 100}, {Features: 17, Modules: 16}} {
+		net, err := ffn.NewNetwork(nc.Config(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		params := net.WeightBytes() / 4
+		fits := (64 << 20) / params
+		for batch, ok := range map[int]bool{fits: true, fits + 1: false} {
+			req := &JobRequest{Kind: KindTrainDist, TrainDist: &TrainDistSpec{
+				Source: tinyVolume(), Threshold: 0.5, Workers: 1, Rounds: 1, BatchPerRound: batch, Net: &nc,
+			}}
+			if err := req.Validate(); (err == nil) != ok || err != nil && !errors.Is(err, ErrInvalid) {
+				t.Fatalf("net %+v (%d parameters), batch_per_round %d: Validate = %v, want accepted=%v", nc, params, batch, err, ok)
+			}
+		}
 	}
 }
 

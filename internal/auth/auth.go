@@ -48,7 +48,6 @@ type Federation struct {
 
 	providers map[string]Provider // by domain
 	tokens    map[Token]Identity
-	expiry    map[Token]time.Duration
 }
 
 // NewFederation creates a federation whose tokens live for ttl.
@@ -62,7 +61,6 @@ func NewFederation(clock *sim.Clock, ttl time.Duration, seed uint64) *Federation
 		ttl:       ttl,
 		providers: make(map[string]Provider),
 		tokens:    make(map[Token]Identity),
-		expiry:    make(map[Token]time.Duration),
 	}
 }
 
@@ -89,18 +87,17 @@ func (f *Federation) Login(user string) (Token, error) {
 	}
 	tok := Token(fmt.Sprintf("tok-%016x%016x", f.rng.Uint64(), f.rng.Uint64()))
 	f.tokens[tok] = Identity{User: user, Provider: p.Name, IssuedAt: f.clock.Now()}
-	f.expiry[tok] = f.clock.Now() + f.ttl
 	return tok, nil
 }
 
-// Validate resolves a token to its identity, rejecting unknown and expired
-// tokens.
+// Validate resolves a token to its identity, rejecting unknown tokens and
+// those ttl or more past their IssuedAt.
 func (f *Federation) Validate(tok Token) (Identity, error) {
 	id, ok := f.tokens[tok]
 	if !ok {
 		return Identity{}, ErrBadToken
 	}
-	if f.clock.Now() >= f.expiry[tok] {
+	if f.clock.Now() >= id.IssuedAt+f.ttl {
 		return Identity{}, ErrExpiredToken
 	}
 	return id, nil

@@ -91,25 +91,26 @@ var magic = [4]byte{'C', 'D', 'S', '1'}
 // HeaderSize is the fixed codec prefix before the payload.
 const HeaderSize = 20
 
-// maxVoxels mirrors the api package's inline-volume cap (64M voxels =
-// 256 MB f32), so a ref can never resolve to a volume the service would
-// have refused inline.
-const maxVoxels = 64 << 20
+// MaxVoxels bounds every volume, stored or spelled out in a job request
+// (64M voxels = 256 MB f32): the job schema holds inline and synthetic
+// volumes to it through Voxels, so a ref can never resolve to a volume the
+// service would have refused inline.
+const MaxVoxels = 64 << 20
 
 // MaxEncodedBytes is the largest valid dataset encoding.
-const MaxEncodedBytes = HeaderSize + maxVoxels*4
+const MaxEncodedBytes = HeaderSize + MaxVoxels*4
 
-// voxels returns d*h*w when positive and within maxVoxels, division-checked
+// Voxels returns d*h*w when positive and within MaxVoxels, division-checked
 // so the product cannot overflow.
-func voxels(d, h, w int) (int, bool) {
+func Voxels(d, h, w int) (int, bool) {
 	if d <= 0 || h <= 0 || w <= 0 {
 		return 0, false
 	}
-	if d > maxVoxels/h {
+	if d > MaxVoxels/h {
 		return 0, false
 	}
 	dh := d * h
-	if dh > maxVoxels/w {
+	if dh > MaxVoxels/w {
 		return 0, false
 	}
 	return dh * w, true
@@ -196,7 +197,7 @@ func putHeader(b []byte, kind Kind, d, h, w int) {
 
 // EncodeVolume encodes a dense float32 volume.
 func EncodeVolume(d, h, w int, data []float32) ([]byte, error) {
-	n, ok := voxels(d, h, w)
+	n, ok := Voxels(d, h, w)
 	if !ok || len(data) != n {
 		return nil, fmt.Errorf("%w: volume %dx%dx%d with %d values", ErrBadEncoding, d, h, w, len(data))
 	}
@@ -260,7 +261,7 @@ func putWordBits(dst []byte, words []uint32) {
 // which would give one logical mask a second encoding. It returns the
 // voxel count.
 func checkMaskWords(d, h, w int, words []uint32) (int, error) {
-	n, ok := voxels(d, h, w)
+	n, ok := Voxels(d, h, w)
 	if !ok || len(words) != (n+31)/32 {
 		return 0, fmt.Errorf("%w: mask %dx%dx%d in %d words", ErrBadEncoding, d, h, w, len(words))
 	}
@@ -273,7 +274,7 @@ func checkMaskWords(d, h, w int, words []uint32) (int, error) {
 // checkMask refuses a mask whose dims are out of range or disagree with its
 // value count.
 func checkMask(d, h, w int, data []float32) error {
-	if n, ok := voxels(d, h, w); !ok || len(data) != n {
+	if n, ok := Voxels(d, h, w); !ok || len(data) != n {
 		return fmt.Errorf("%w: mask %dx%dx%d with %d values", ErrBadEncoding, d, h, w, len(data))
 	}
 	return nil
@@ -286,7 +287,7 @@ func checkMask(d, h, w int, data []float32) error {
 // in the d dimension, so the header path's size validation applies
 // unchanged.
 func CheckpointFrame(payloadLen int) ([]byte, error) {
-	if _, ok := voxels(payloadLen, 1, 1); !ok {
+	if _, ok := Voxels(payloadLen, 1, 1); !ok {
 		return nil, fmt.Errorf("%w: checkpoint of %d bytes", ErrBadEncoding, payloadLen)
 	}
 	return encodeHeader(KindCheckpoint, payloadLen, 1, 1, payloadLen), nil
@@ -378,7 +379,7 @@ func DecodeHeader(enc []byte) (kind Kind, d, h, w int, err error) {
 	d = int(binary.LittleEndian.Uint32(enc[8:]))
 	h = int(binary.LittleEndian.Uint32(enc[12:]))
 	w = int(binary.LittleEndian.Uint32(enc[16:]))
-	n, ok := voxels(d, h, w)
+	n, ok := Voxels(d, h, w)
 	if !ok {
 		return 0, 0, 0, 0, fmt.Errorf("%w: dims %dx%dx%d out of range", ErrBadEncoding, d, h, w)
 	}

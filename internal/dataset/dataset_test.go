@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"testing"
 
-	"chaseci/internal/api"
 	"chaseci/internal/merra"
 	"chaseci/internal/thredds"
 )
@@ -239,7 +238,7 @@ func TestCheckpointFrameIsTheWholeEncoding(t *testing.T) {
 	if err != nil || blob.Kind != KindCheckpoint || !bytes.Equal(blob.Raw, payload) {
 		t.Fatalf("decode of a framed checkpoint: %+v, %v", blob, err)
 	}
-	for _, n := range []int{0, -1, maxVoxels + 1} {
+	for _, n := range []int{0, -1, MaxVoxels + 1} {
 		if _, err := CheckpointFrame(n); !errors.Is(err, ErrBadEncoding) {
 			t.Fatalf("CheckpointFrame(%d) = %v, want ErrBadEncoding", n, err)
 		}
@@ -565,19 +564,6 @@ func ExampleID() {
 	enc, _ := EncodeVolume(1, 1, 2, []float32{1, 2})
 	fmt.Println(len(ID(enc)))
 	// Output: 64
-}
-
-// TestValidRefMatchesValidID pins api.ValidRef (the schema layer's local
-// copy, kept dependency-free) to dataset.ValidID so the two cannot drift.
-func TestValidRefMatchesValidID(t *testing.T) {
-	enc, _ := EncodeVolume(1, 1, 2, []float32{1, 2})
-	id := ID(enc)
-	cases := []string{id, "", "abc", id[:63], id + "0", "G" + id[1:], "ABCDEF" + id[6:]}
-	for _, s := range cases {
-		if api.ValidRef(s) != ValidID(s) {
-			t.Errorf("api.ValidRef(%q) = %v but dataset.ValidID = %v", s, api.ValidRef(s), ValidID(s))
-		}
-	}
 }
 
 func TestPutKeepsDataset(t *testing.T) {

@@ -52,11 +52,12 @@ type ckptState struct {
 
 var ckptStateLen = binary.Size(ckptState{})
 
-// maxCheckpointBatch bounds a checkpoint's Batch field, which sizes the
-// batch x P gradient matrix a resumed run borrows; the matrix itself is
-// bounded by checkGradMatrix. Both equal the api package's limits on a
-// train_dist spec, so every checkpoint the service writes stays resumable.
-const maxCheckpointBatch = 4096
+// MaxBatch bounds a training run's examples per round: a train_dist
+// spec's batch_per_round, and a checkpoint's Batch field, which sizes the
+// batch x P gradient matrix a resumed run borrows (the matrix itself is
+// bounded by checkGradMatrix). A spec and a checkpoint are held to the same
+// two bounds, so every checkpoint a job writes stays resumable.
+const MaxBatch = 4096
 
 // EncodedLen is the exact length of the serialized checkpoint.
 func (c *Checkpoint) EncodedLen() int {
@@ -151,8 +152,8 @@ func decodeCheckpointHead(data []byte) (Config, []byte, ckptState, []byte, error
 	}
 	binary.Decode(rest[:ckptStateLen], binary.LittleEndian, &st) // length checked above
 	rest = rest[ckptStateLen:]
-	if st.Batch < 1 || st.Batch > maxCheckpointBatch {
-		return cfg, nil, st, nil, fmt.Errorf("%w: batch per round %d outside [1,%d]", ErrBadCheckpoint, st.Batch, maxCheckpointBatch)
+	if st.Batch < 1 || st.Batch > MaxBatch {
+		return cfg, nil, st, nil, fmt.Errorf("%w: batch per round %d outside [1,%d]", ErrBadCheckpoint, st.Batch, MaxBatch)
 	}
 	if err := checkGradMatrix(int(st.Batch), params); err != nil {
 		return cfg, nil, st, nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)

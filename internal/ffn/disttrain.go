@@ -75,21 +75,34 @@ type DistTrainer struct {
 // ErrNoWorkers indicates a non-positive worker count.
 var ErrNoWorkers = errors.New("ffn: distributed trainer needs >= 1 worker")
 
-// ErrTooLarge indicates a batch x parameter-count gradient matrix over
-// maxGradElems.
-var ErrTooLarge = errors.New("ffn: batch per round x parameters exceeds the gradient-matrix limit")
+// ErrTooLarge indicates a trainer whose gradient matrix or per-lane
+// training scratch would be over maxScratchElems.
+var ErrTooLarge = errors.New("ffn: training buffer exceeds the 64M-element limit")
 
-// maxGradElems bounds the batch x P gradient matrix: 64M float32 = 256 MB,
-// the ceiling api.maxScratchElems puts on any one working array of a job.
-// The batch and the network geometry are each capped on their own, but at
-// both extremes their product is 14.6 GB.
-const maxGradElems = 64 << 20
-
-// checkGradMatrix refuses a batch x params matrix over maxGradElems,
-// by division so the product cannot overflow.
+// checkGradMatrix refuses a batch x params gradient matrix over
+// maxScratchElems, by division so the product cannot overflow.
 func checkGradMatrix(batch, params int) error {
-	if batch > maxGradElems/params {
-		return fmt.Errorf("%w: %d x %d, limit %d elements", ErrTooLarge, batch, params, maxGradElems)
+	if batch > maxScratchElems/params {
+		return fmt.Errorf("%w: batch per round %d x %d network parameters implies a gradient matrix over the %d-element limit",
+			ErrTooLarge, batch, params, maxScratchElems)
+	}
+	return nil
+}
+
+// CheckTraining holds a trainer of c's geometry at batch examples per
+// round to the caps on what it sizes from the two: the batch x parameters
+// gradient matrix and one lane's training scratch (TrainScratchLen), each
+// within maxScratchElems. Like fov x features, these knobs are capped on
+// their own and bounded together: 4096 x a 64-feature, 4-module network is
+// a 14.6 GB matrix, and a 29^3 FOV x 256 features x 16 modules a 1.1 GB
+// scratch per lane. c must be valid (Validate).
+func (c Config) CheckTraining(batch int) error {
+	if err := checkGradMatrix(batch, c.paramCount()); err != nil {
+		return err
+	}
+	if s := c.TrainScratchLen(); s > maxScratchElems {
+		return fmt.Errorf("%w: fov x features x modules implies a training scratch of %d elements per lane, over the %d-element limit",
+			ErrTooLarge, s, maxScratchElems)
 	}
 	return nil
 }
@@ -99,7 +112,10 @@ func checkGradMatrix(batch, params int) error {
 // NewNetwork(cfg, netSeed)'s weights, bit for bit — on a borrowed parameter
 // vector.
 func FreshDistTrainer(cfg Config, netSeed uint64, lr, momentum float32, img, lbl *Volume, sampleSeed uint64, batchPerRound, workers int) (*DistTrainer, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := cfg.CheckTraining(batchPerRound); err != nil {
 		return nil, err
 	}
 	net := newNetwork(cfg, tensor.GetFloats(cfg.paramCount()))
@@ -133,7 +149,7 @@ func newDistTrainer(net *Network, opt *tensor.SGD, img, lbl *Volume, sampleSeed 
 	if batchPerRound < 1 {
 		return nil, fmt.Errorf("ffn: batch per round %d, want >= 1", batchPerRound)
 	}
-	if err := checkGradMatrix(batchPerRound, len(net.params)); err != nil {
+	if err := net.cfg.CheckTraining(batchPerRound); err != nil {
 		return nil, err
 	}
 	centers, err := collectCenters(lbl, net.cfg.FOV)

@@ -157,7 +157,7 @@ func TestDecodeCheckpointRejectsGarbage(t *testing.T) {
 	if _, err := DecodeCheckpoint(withBatch(raw, 1<<31)); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("2^31 batch per round: err = %v, want ErrBadCheckpoint", err)
 	}
-	if _, err := DecodeCheckpoint(withBatch(raw, maxCheckpointBatch)); err != nil {
+	if _, err := DecodeCheckpoint(withBatch(raw, MaxBatch)); err != nil {
 		t.Fatalf("batch per round at the bound: %v", err)
 	}
 	// The embedded model header is held to the probability rule a model file
@@ -489,9 +489,10 @@ func TestRoundShardPanicReraisedOnCaller(t *testing.T) {
 }
 
 // TestGradMatrixBound: batch and network geometry are each capped on their
-// own; together they must fit maxGradElems, checked before anything is
+// own; together they must fit maxScratchElems, checked before anything is
 // borrowed — for a fresh trainer, and for a checkpoint, whose resume would
-// otherwise size the matrix from an upload.
+// otherwise size the matrix from an upload. One lane's training scratch is
+// held to the same limit.
 func TestGradMatrixBound(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Features = 13 // the smallest network whose 4096-batch matrix is over the limit
@@ -499,16 +500,16 @@ func TestGradMatrixBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := len(net.params); maxCheckpointBatch*p <= maxGradElems || (maxGradElems/p)*p > maxGradElems {
+	if p := len(net.params); MaxBatch*p <= maxScratchElems || (maxScratchElems/p)*p > maxScratchElems {
 		t.Fatalf("test geometry: %d parameters", p)
 	}
 	img, lbl := buildARScene(t, 6)
-	atLimit := maxGradElems / len(net.params)
+	atLimit := maxScratchElems / len(net.params)
 	var tr *DistTrainer
 	if got := allocatedBy(func() { tr, err = NewDistTrainer(net, 0.05, 0.9, img, lbl, 1, atLimit+1, 1) }); !errors.Is(err, ErrTooLarge) || got > 4096 {
 		t.Fatalf("batch %d x %d params: err = %v after allocating %d B, want ErrTooLarge before any allocation", atLimit+1, len(net.params), err, got)
 	}
-	ck := &Checkpoint{Net: net, Opt: tensor.NewSGD(0.05, 0.9), BatchPerRound: maxCheckpointBatch}
+	ck := &Checkpoint{Net: net, Opt: tensor.NewSGD(0.05, 0.9), BatchPerRound: MaxBatch}
 	if _, err := ResumeDistTrainer(ck, img, lbl, 1); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("resume of a hand-built oversized checkpoint: err = %v, want ErrTooLarge", err)
 	}
@@ -518,6 +519,17 @@ func TestGradMatrixBound(t *testing.T) {
 	ck.BatchPerRound = atLimit
 	if _, err := DecodeCheckpoint(ck.EncodeBytes()); err != nil {
 		t.Fatalf("checkpoint at the limit: %v", err)
+	}
+	// One lane's training scratch is held to the same limit: a 61^3 FOV
+	// at 16 modules is a valid network, and a fresh trainer of it is
+	// refused before its parameter vector is borrowed.
+	big := DefaultConfig()
+	big.FOV, big.Modules = [3]int{61, 61, 61}, 16
+	if err := big.Validate(); err != nil || big.TrainScratchLen() <= maxScratchElems {
+		t.Fatalf("test geometry: Validate = %v, training scratch %d elements", err, big.TrainScratchLen())
+	}
+	if got := allocatedBy(func() { tr, err = FreshDistTrainer(big, 1, 0.05, 0.9, img, lbl, 1, 1, 1) }); !errors.Is(err, ErrTooLarge) || got > 4096 {
+		t.Fatalf("61^3 FOV, 16 modules: err = %v after allocating %d B, want ErrTooLarge before any allocation", err, got)
 	}
 	_ = tr
 }
@@ -593,7 +605,7 @@ func TestPairedTrainingMatchesWidthOne(t *testing.T) {
 }
 
 // TestPairedSlabHeldToTheScratchCap: a trainer pairs only where its paired
-// slab, twice TrainScratchLen, fits maxGradElems, the same 64M-element
+// slab, twice TrainScratchLen, fits maxScratchElems, the same 64M-element
 // ceiling api holds TrainScratchLen to, so pairing refuses no request and
 // borrows no array past it. Batch 1 never pairs.
 func TestPairedSlabHeldToTheScratchCap(t *testing.T) {
@@ -602,7 +614,7 @@ func TestPairedSlabHeldToTheScratchCap(t *testing.T) {
 	small := smallConfig()
 	big := DefaultConfig()
 	big.FOV, big.Modules = [3]int{57, 57, 57}, 16 // a scratch between 32M and 64M elements
-	if n := big.TrainScratchLen(); n <= maxGradElems/2 || n > maxGradElems {
+	if n := big.TrainScratchLen(); n <= maxScratchElems/2 || n > maxScratchElems {
 		t.Fatalf("test geometry: %d-element scratch", n)
 	}
 	for _, c := range []struct {
@@ -613,7 +625,7 @@ func TestPairedSlabHeldToTheScratchCap(t *testing.T) {
 		if got := c.cfg.trainWidth(c.batch); got != c.want {
 			t.Errorf("FOV %v, %d modules, batch %d: width %d, want %d", c.cfg.FOV, c.cfg.Modules, c.batch, got, c.want)
 		}
-		if got := c.cfg.TrainSlabLen(c.batch); got != c.want*c.cfg.TrainScratchLen() || got > maxGradElems {
+		if got := c.cfg.TrainSlabLen(c.batch); got != c.want*c.cfg.TrainScratchLen() || got > maxScratchElems {
 			t.Errorf("FOV %v, batch %d: slab %d elements", c.cfg.FOV, c.batch, got)
 		}
 	}

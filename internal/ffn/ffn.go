@@ -70,14 +70,39 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c *Config) validate() error {
+// Network geometry caps: no config, whether a job request spells it out or
+// a model or checkpoint header carries it, asks for a network whose
+// buffers dwarf a volume (maxFOV^3 voxels x maxFeatures channels is ~70 MB
+// f32 per activation tensor at the extremes).
+const (
+	maxFOV      = 65
+	maxFeatures = 256
+	maxModules  = 16
+)
+
+// maxScratchElems bounds one working array sized by two knobs at once: the
+// batched flood scratch (fov x features), a trainer's gradient matrix
+// (batch x parameters) and one lane's training scratch (fov x features x
+// modules). 64M float32 = 256 MB, the ceiling dataset.MaxVoxels puts on a
+// volume.
+const maxScratchElems = 64 << 20
+
+// Validate holds c to the caps every network is built within: the geometry
+// caps, probabilities inside (0,1), a move step within half the FOV, and
+// the batched flood scratch within maxScratchElems. NewNetwork and every
+// decoder run it, so a header is held to the caps a job request is, before
+// anything is sized from it.
+func (c Config) Validate() error {
 	for _, d := range c.FOV {
-		if d <= 0 || d%2 == 0 {
-			return fmt.Errorf("ffn: FOV dims must be positive odd, got %v", c.FOV)
+		if d <= 0 || d%2 == 0 || d > maxFOV {
+			return fmt.Errorf("ffn: fov dims must be positive odd <= %d, got %v", maxFOV, c.FOV)
 		}
 	}
-	if c.Features <= 0 || c.Modules <= 0 {
-		return fmt.Errorf("ffn: Features/Modules must be positive")
+	if c.Features < 1 || c.Features > maxFeatures {
+		return fmt.Errorf("ffn: features must be in [1,%d], got %d", maxFeatures, c.Features)
+	}
+	if c.Modules < 1 || c.Modules > maxModules {
+		return fmt.Errorf("ffn: modules must be in [1,%d], got %d", maxModules, c.Modules)
 	}
 	// Written so that NaN fails: a model header is untrusted bytes.
 	for _, p := range [4]float32{c.MoveProb, c.SegmentProb, c.PadProb, c.SeedProb} {
@@ -90,8 +115,16 @@ func (c *Config) validate() error {
 	// FOV indexes outside it.
 	for i, s := range c.MoveStep {
 		if s < 0 || s > c.FOV[i]/2 {
-			return fmt.Errorf("ffn: MoveStep %v must be within [0, FOV/2] of FOV %v", c.MoveStep, c.FOV)
+			return fmt.Errorf("ffn: move_step %v must be within [0, fov/2] of fov %v", c.MoveStep, c.FOV)
 		}
+	}
+	// The flood's activation buffers each hold DefaultFloodBatch padded
+	// FOVs of Features rounded up to whole vectors: fov and features,
+	// each capped on its own, are bounded together too, or at both
+	// extremes one flood would borrow over 10 GB.
+	if _, act := c.floodLayouts(1); act.Len() > maxScratchElems/DefaultFloodBatch {
+		return fmt.Errorf("ffn: fov %v x %d features implies a batched scratch over the %d-element limit",
+			c.FOV, c.Features, maxScratchElems)
 	}
 	return nil
 }
@@ -186,7 +219,7 @@ func newNetwork(cfg Config, params []float32) *Network {
 
 // NewNetwork initializes a model with He-initialized weights from seed.
 func NewNetwork(cfg Config, seed uint64) (*Network, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	n := newNetwork(cfg, make([]float32, cfg.paramCount()))
@@ -361,7 +394,7 @@ func (cfg *Config) TrainScratchLen() int {
 // TrainSlabLen is the length of the longest slab one lane of a trainer of
 // cfg's geometry at batch examples per round borrows: TrainScratchLen, or
 // twice it where the lane trains two examples per buffer, which trainWidth
-// allows only while that stays within maxGradElems.
+// allows only while that stays within maxScratchElems.
 func (cfg *Config) TrainSlabLen(batch int) int {
 	return cfg.trainWidth(batch) * cfg.TrainScratchLen()
 }
@@ -370,10 +403,10 @@ func (cfg *Config) TrainSlabLen(batch int) int {
 // per round trains the pairs of a chunk at: two examples per buffer where
 // floodWidth would pair (the AVX-512F kernels run, or forceWidth says so),
 // the batch can fill a pair, and a paired slab, twice TrainScratchLen,
-// stays within maxGradElems, api's ceiling on any one working array of a
+// stays within maxScratchElems, the ceiling on any one working array of a
 // job; else one. A chunk's odd example out trains alone at width 1.
 func (cfg *Config) trainWidth(batch int) int {
-	if batch < 2 || cfg.TrainScratchLen() > maxGradElems/2 {
+	if batch < 2 || cfg.TrainScratchLen() > maxScratchElems/2 {
 		return 1
 	}
 	return floodWidth(0)

@@ -45,6 +45,37 @@ func TestNewNetworkValidation(t *testing.T) {
 			t.Fatalf("MoveStep %v accepted for FOV %v", step, bad.FOV)
 		}
 	}
+	// The geometry caps, each alone, and fov x features together: each of
+	// 65^3 and 256 features fits, both at once is a flood scratch over
+	// 64M elements.
+	for _, c := range []struct {
+		name              string
+		fov               [3]int
+		features, modules int
+	}{
+		{"fov 67", [3]int{3, 7, 67}, 6, 2},
+		{"257 features", [3]int{3, 7, 7}, 257, 2},
+		{"17 modules", [3]int{3, 7, 7}, 6, 17},
+		{"65^3 fov x 256 features", [3]int{65, 65, 65}, 256, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bad := smallConfig()
+			bad.FOV, bad.Features, bad.Modules = c.fov, c.features, c.modules
+			if _, err := NewNetwork(bad, 1); err == nil {
+				t.Error("accepted")
+			}
+		})
+	}
+	for _, c := range []struct {
+		fov      [3]int
+		features int
+	}{{[3]int{65, 65, 65}, 1}, {[3]int{3, 7, 7}, 256}} {
+		ok := smallConfig()
+		ok.FOV, ok.Features, ok.Modules = c.fov, c.features, 1
+		if err := ok.Validate(); err != nil {
+			t.Errorf("fov %v x %d features refused: %v", c.fov, c.features, err)
+		}
+	}
 	if _, err := NewNetwork(smallConfig(), 1); err != nil {
 		t.Fatal(err)
 	}

@@ -15,14 +15,16 @@ import (
 // own length accounts for; and decode -> encode -> decode is the identity.
 // The checked-in corpus under testdata/fuzz holds a valid model, a valid
 // checkpoint, the 56-byte header that asks for 2^30 features, a model and a
-// checkpoint whose MoveStep exceeds FOV/2, models and checkpoints with a
+// checkpoint whose MoveStep exceeds FOV/2, a model and a checkpoint of a
+// 1-feature, 1-module network whose header claims a 1x101x101 FOV (over
+// the 65-per-side cap; the payload matches), models and checkpoints with a
 // NaN or out-of-(0,1) probability (an accepted one must have all four
 // inside), a checkpoint with a truncated velocity block, and a valid
 // checkpoint whose Batch field is 2^31; the
 // checkpoint target also seeds itself with a 13-feature checkpoint at batch
 // 4096 (each within its own cap, 78M matrix elements together — too big for
 // a corpus file). A checkpoint that decodes must also resume within its own
-// batch x P gradient matrix, which the decoder holds to maxGradElems.
+// batch x P gradient matrix, which the decoder holds to maxScratchElems.
 
 // fuzzAllocSlack covers the fixed-size pieces of a decoded network (views,
 // headers, error text) plus whatever the fuzz worker's other goroutines
@@ -75,7 +77,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add((&Checkpoint{Net: bigNet, Opt: tensor.NewSGD(0.05, 0.9), BatchPerRound: maxCheckpointBatch}).EncodeBytes())
+	f.Add((&Checkpoint{Net: bigNet, Opt: tensor.NewSGD(0.05, 0.9), BatchPerRound: MaxBatch}).EncodeBytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ck *Checkpoint
 		var err error
@@ -112,9 +114,9 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		// checkpoint's batch: batch x (P+8) four-byte words, the batch x P
 		// part of it bounded whatever the two fields say. The volume is big
 		// enough for the corpus' FOVs; a larger FOV is ErrNoExamples.
-		if ck.BatchPerRound > maxGradElems/len(ck.Net.params) {
+		if ck.BatchPerRound > maxScratchElems/len(ck.Net.params) {
 			t.Fatalf("accepted a checkpoint whose %d x %d gradient matrix is over %d elements",
-				ck.BatchPerRound, len(ck.Net.params), maxGradElems)
+				ck.BatchPerRound, len(ck.Net.params), maxScratchElems)
 		}
 		vol := NewVolume(5, 9, 9)
 		limit := uint64(ck.BatchPerRound*(len(ck.Net.params)+8)*4) + uint64(len(data)) + fuzzAllocSlack

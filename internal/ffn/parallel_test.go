@@ -31,7 +31,7 @@ func synthVolume(seed uint64, d, h, w int) *Volume {
 // seeds sit in. It returns the application count the scene must take.
 func imbalancedScene(t testing.TB, cfg Config, d, h, w int) (net *Network, img *Volume, seeds [][3]int, steps int) {
 	t.Helper()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	net = newNetwork(cfg, make([]float32, cfg.paramCount()))

@@ -68,14 +68,11 @@ func parseModel(data []byte) (Config, []byte, error) {
 		MoveStep: intx3(h.MoveStep),
 		MoveProb: h.MoveProb, SegmentProb: h.SegmentProb, PadProb: h.PadProb, SeedProb: h.SeedProb,
 	}
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return cfg, nil, fmt.Errorf("%w: bad config: %v", ErrBadModel, err)
 	}
 	payload := data[modelHeaderLen:]
-	// A model has more than 27·F²·Modules scalars; checking that bound by
-	// division first keeps paramCount from overflowing on a hostile header.
-	f, limit := cfg.Features, len(payload)/4
-	if f > limit/f || cfg.Modules > limit/(27*f*f) || len(payload) != 4*cfg.paramCount() {
+	if len(payload) != 4*cfg.paramCount() {
 		return cfg, nil, fmt.Errorf("%w: %d payload bytes do not match a %d-feature, %d-module network",
 			ErrBadModel, len(payload), cfg.Features, cfg.Modules)
 	}

@@ -290,7 +290,7 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 	all := g.runner.List()
 	mine := make([]api.JobStatus, 0, len(all))
 	for _, st := range all {
-		if visibleTo(st, caller) {
+		if visibleTo(st.Owner, caller) {
 			mine = append(mine, st)
 		}
 	}
@@ -304,39 +304,38 @@ const anonOwner = "anonymous"
 // jobs submitted by a federated identity are visible only to that
 // identity, even when the gateway also accepts anonymous traffic;
 // anonymous-owned jobs are open.
-func visibleTo(st api.JobStatus, caller string) bool {
-	return st.Owner == "" || st.Owner == anonOwner || st.Owner == caller
+func visibleTo(owner, caller string) bool {
+	return owner == "" || owner == anonOwner || owner == caller
 }
 
 // jobForCaller authenticates the request and resolves the {id} job — any
 // job still queued or running, or one of the 50,000 most recently
-// finished — enforcing ownership. It writes the error reply itself and
-// reports ok=false on any failure.
-func (g *Gateway) jobForCaller(w http.ResponseWriter, r *http.Request) (api.JobStatus, bool) {
+// finished — enforcing ownership, and returns the job it authorized, which
+// stays valid to read after the index evicts it. It writes the error reply
+// itself and returns nil on any failure.
+func (g *Gateway) jobForCaller(w http.ResponseWriter, r *http.Request) *job {
 	caller, err := g.authenticate(r)
 	if err != nil {
 		writeErr(w, http.StatusUnauthorized, "%v", err)
-		return api.JobStatus{}, false
+		return nil
 	}
 	id := r.PathValue("id")
-	st, ok := g.runner.Status(id)
-	if !ok {
+	j := g.runner.lookupJob(id)
+	if j == nil {
 		writeErr(w, http.StatusNotFound, "unknown job %q", id)
-		return api.JobStatus{}, false
+		return nil
 	}
-	if !visibleTo(st, caller) {
+	if !visibleTo(j.owner, caller) {
 		writeErr(w, http.StatusForbidden, "job %s belongs to another identity", id)
-		return api.JobStatus{}, false
+		return nil
 	}
-	return st, true
+	return j
 }
 
 func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, ok := g.jobForCaller(w, r)
-	if !ok {
-		return
+	if j := g.jobForCaller(w, r); j != nil {
+		writeJSON(w, http.StatusOK, g.runner.statusOf(j))
 	}
-	writeJSON(w, http.StatusOK, st)
 }
 
 // eventsCounterFloor is the least time between two lines of one events
@@ -352,8 +351,8 @@ var eventsCounterFloor = 50 * time.Millisecond
 // terminal snapshot. Between changes the stream is parked on the watch and
 // holds no timer.
 func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
-	st, ok := g.jobForCaller(w, r)
-	if !ok {
+	j := g.jobForCaller(w, r)
+	if j == nil {
 		return
 	}
 	// Count the live stream so LeakCheck can assert every one exited; the
@@ -365,20 +364,13 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	j := g.runner.lookupJob(st.ID)
-	if j == nil {
-		// Terminal and evicted since jobForCaller read it: that snapshot
-		// is the last there will be.
-		enc.Encode(st)
-		return
-	}
 	wt := g.runner.watch(&j.watchers)
 	defer wt.close()
 	var last api.JobStatus
 	var counted time.Time      // when the last counters-only line was written
 	var floor <-chan time.Time // armed once, while a counters-only change is held back
 	for {
-		st = g.runner.statusOf(j)
+		st := g.runner.statusOf(j)
 		if st != last {
 			same := last
 			same.Done, same.Total = st.Done, st.Total
@@ -411,27 +403,27 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleResult(w http.ResponseWriter, r *http.Request) {
-	st, ok := g.jobForCaller(w, r)
-	if !ok {
+	j := g.jobForCaller(w, r)
+	if j == nil {
 		return
 	}
+	raw, st := g.runner.resultOf(j)
 	if !st.State.Terminal() {
 		writeErr(w, http.StatusConflict, "job %s is %s; result not ready", st.ID, st.State)
 		return
 	}
-	raw, _, _ := g.runner.Result(st.ID)
 	writeJSON(w, http.StatusOK, api.ResultEnvelope{
 		ID: st.ID, Kind: st.Kind, State: st.State, Error: st.Error, Result: raw,
 	})
 }
 
 func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
-	st, ok := g.jobForCaller(w, r)
-	if !ok {
+	j := g.jobForCaller(w, r)
+	if j == nil {
 		return
 	}
-	cancelled := g.runner.Cancel(st.ID)
-	writeJSON(w, http.StatusOK, map[string]any{"id": st.ID, "cancelled": cancelled})
+	cancelled := g.runner.cancelJob(j)
+	writeJSON(w, http.StatusOK, map[string]any{"id": j.id, "cancelled": cancelled})
 }
 
 // uploadPrealloc is the most a declared Content-Length may allocate before

@@ -179,33 +179,6 @@ func lossSummary(losses []float64) (head, tail float64) {
 	return ffn.MeanTail(losses[:(len(losses)+4)/5], 1), ffn.MeanTail(losses, 0.2)
 }
 
-// netConfig maps an optional api.NetConfig onto ffn defaults.
-func netConfig(nc *api.NetConfig) ffn.Config {
-	cfg := ffn.DefaultConfig()
-	if nc == nil {
-		return cfg
-	}
-	if nc.FOV != [3]int{} {
-		cfg.FOV = nc.FOV
-	}
-	if nc.Features > 0 {
-		cfg.Features = nc.Features
-	}
-	if nc.Modules > 0 {
-		cfg.Modules = nc.Modules
-	}
-	if nc.MoveStep != [3]int{} {
-		cfg.MoveStep = nc.MoveStep
-	}
-	if nc.MoveProb > 0 {
-		cfg.MoveProb = nc.MoveProb
-	}
-	if nc.SegmentProb > 0 {
-		cfg.SegmentProb = nc.SegmentProb
-	}
-	return cfg
-}
-
 // SegmentHandler runs FFN flood-fill segmentation: the network (drawn from
 // net_seed, or the one a net_ref checkpoint holds — shared with every job
 // naming the same weights, through the runner's cache), seed selection,
@@ -220,7 +193,7 @@ func SegmentHandler(jc *JobContext) (any, error) {
 	if spec.NetRef != "" {
 		net, err = jc.runner.nets.checkpointed(jc, spec.NetRef)
 	} else {
-		net, err = jc.runner.nets.seeded(netConfig(spec.Net), spec.NetSeed)
+		net, err = jc.runner.nets.seeded(spec.Net.Config(), spec.NetSeed)
 	}
 	if err != nil {
 		return nil, err

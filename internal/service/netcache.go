@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"sync"
 
-	"chaseci/internal/api"
 	"chaseci/internal/ffn"
 )
 
@@ -38,7 +37,7 @@ const netEntryBytes = 4 << 10
 
 // netKey names one set of inference weights by content: a checkpoint's
 // content address (ref, with cfg and seed zero), or a canonical config
-// (netConfig) and the seed its weights are drawn from.
+// (api.NetConfig.Config) and the seed its weights are drawn from.
 type netKey struct {
 	ref  string
 	cfg  ffn.Config
@@ -66,7 +65,8 @@ func newNetCache(capacity int) *netCache {
 }
 
 // seeded returns the network whose weights are drawn from seed in cfg's
-// geometry; cfg comes from netConfig, so equal specs share one key.
+// geometry; cfg comes from api.NetConfig.Config, so equal specs share one
+// key.
 func (c *netCache) seeded(cfg ffn.Config, seed uint64) (*ffn.Network, error) {
 	return c.get(netKey{cfg: cfg, seed: seed}, func() (*ffn.Network, error) {
 		return ffn.NewNetwork(cfg, seed)
@@ -82,14 +82,7 @@ func (c *netCache) checkpointed(jc *JobContext, ref string) (*ffn.Network, error
 		if err != nil {
 			return nil, err
 		}
-		net, err := ffn.DecodeCheckpointNet(blob.Raw)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkCheckpointNet(ref, net); err != nil {
-			return nil, err
-		}
-		return net, nil
+		return ffn.DecodeCheckpointNet(blob.Raw)
 	})
 }
 
@@ -151,27 +144,5 @@ func resolveCheckpoint(jc *JobContext, ref string) (*ffn.Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	ck, err := ffn.DecodeCheckpoint(blob.Raw)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkCheckpointNet(ref, ck.Net); err != nil {
-		return nil, err
-	}
-	return ck, nil
-}
-
-// checkCheckpointNet holds the network of the checkpoint ref names to the
-// caps a network spelled out in a spec's net is held to: its header arrived
-// by upload, so this runs before anything is sized from its geometry.
-func checkCheckpointNet(ref string, net *ffn.Network) error {
-	nc := netConfigOf(net.Config())
-	return nc.Validate("checkpoint " + ref)
-}
-
-// netConfigOf is the api form of a network's geometry, for holding a
-// network that arrived by ref to the caps a spelled-out net is held to.
-func netConfigOf(c ffn.Config) api.NetConfig {
-	return api.NetConfig{FOV: c.FOV, Features: c.Features, Modules: c.Modules,
-		MoveStep: c.MoveStep, MoveProb: c.MoveProb, SegmentProb: c.SegmentProb}
+	return ffn.DecodeCheckpoint(blob.Raw)
 }

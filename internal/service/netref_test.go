@@ -101,20 +101,30 @@ func TestSegmentNetRefFloodsWithTrainedNetwork(t *testing.T) {
 	assertNoLeaks(t, r)
 }
 
-// overCapCheckpoint is a well-formed checkpoint of a tiny network — one
-// feature, one module, 1 KB — whose header claims a 1x101x101 field of view:
-// ffn's decoder takes it (positive, odd), api's caps (65 per side) never saw
-// it, and every buffer sized from the FOV is ~10,000 voxels per channel.
+// overCapCheckpoint is a checkpoint of a tiny network — one feature, one
+// module, 1 KB — whose header claims a 1x101x101 field of view, over the
+// 65-per-side cap; its payload is the right length for the network, whose
+// parameter count does not depend on the FOV. Every buffer sized from that
+// FOV would be ~10,000 voxels per channel.
 func overCapCheckpoint(t *testing.T, ds *dataset.Manager) string {
 	t.Helper()
 	cfg := ffn.DefaultConfig()
-	cfg.FOV, cfg.MoveStep, cfg.Features, cfg.Modules = [3]int{1, 101, 101}, [3]int{0, 3, 3}, 1, 1
+	cfg.FOV, cfg.MoveStep, cfg.Features, cfg.Modules = [3]int{1, 7, 7}, [3]int{0, 3, 3}, 1, 1
 	net, err := ffn.NewNetwork(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck := &ffn.Checkpoint{Net: net, Opt: tensor.NewSGD(0.03, 0.9), BatchPerRound: 4}
-	enc, err := dataset.EncodeCheckpoint(ck.EncodeBytes())
+	raw := (&ffn.Checkpoint{Net: net, Opt: tensor.NewSGD(0.03, 0.9), BatchPerRound: 4}).EncodeBytes()
+	// The model follows the checkpoint's magic and its length (12 bytes);
+	// its FOV follows the model's 8-byte magic.
+	const fov = 12 + 8
+	if !bytes.HasPrefix(raw[12:], []byte("FFNMODL")) {
+		t.Fatal("checkpoint does not embed the model bytes")
+	}
+	for i, d := range []uint32{1, 101, 101} {
+		binary.LittleEndian.PutUint32(raw[fov+4*i:], d)
+	}
+	enc, err := dataset.EncodeCheckpoint(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +136,11 @@ func overCapCheckpoint(t *testing.T, ds *dataset.Manager) string {
 }
 
 // TestOverCapCheckpointRefused: a network that arrives by ref is held to the
-// caps a network spelled out in net is. A train_dist job resuming from the
-// crafted checkpoint (at 4 workers it borrowed 3 MB of FOV-sized scratch
-// before the fix, and 80 GB is expressible the same way) and a segment job
-// flooding with it both fail on the first attempt as invalid requests, having
-// sized nothing from the header.
+// caps a network spelled out in net is, by the decoder. A train_dist job
+// resuming from the crafted checkpoint (at 4 workers it once borrowed 3 MB
+// of FOV-sized scratch, and 80 GB is expressible the same way) and a
+// segment job flooding with it both fail on the first attempt as a bad
+// model naming the fov, having sized nothing from the header.
 func TestOverCapCheckpointRefused(t *testing.T) {
 	r := newTestRunner(t, DefaultRegistry(), 1)
 	ref := overCapCheckpoint(t, r.Datasets())
@@ -152,8 +162,8 @@ func TestOverCapCheckpointRefused(t *testing.T) {
 		runtime.ReadMemStats(&m0)
 		run()
 		runtime.ReadMemStats(&m1)
-		if final.State != api.StateFailed || !strings.Contains(final.Error, api.ErrInvalid.Error()) || !strings.Contains(final.Error, "fov") {
-			t.Fatalf("%s with an over-cap checkpoint: %s (%s), want failed as an invalid fov", req.Kind, final.State, final.Error)
+		if final.State != api.StateFailed || !strings.Contains(final.Error, ffn.ErrBadModel.Error()) || !strings.Contains(final.Error, "fov") {
+			t.Fatalf("%s with an over-cap checkpoint: %s (%s), want failed as a bad model naming the fov", req.Kind, final.State, final.Error)
 		}
 		if strings.Contains(final.Error, "attempts") {
 			t.Fatalf("%s: retried as transient: %s", req.Kind, final.Error)

@@ -594,11 +594,17 @@ func (r *Runner) Result(id string) (json.RawMessage, api.JobStatus, bool) {
 	if j == nil {
 		return nil, api.JobStatus{}, false
 	}
+	raw, st := r.resultOf(j)
+	return raw, st, true
+}
+
+// resultOf is Result for a job already looked up.
+func (r *Runner) resultOf(j *job) (json.RawMessage, api.JobStatus) {
 	st := r.statusOf(j)
 	j.mu.Lock()
 	raw := j.result
 	j.mu.Unlock()
-	return raw, st, true
+	return raw, st
 }
 
 // Cancel stops a job: a queued job is marked cancelled before it ever
@@ -607,9 +613,11 @@ func (r *Runner) Result(id string) (json.RawMessage, api.JobStatus, bool) {
 // already-terminal jobs.
 func (r *Runner) Cancel(id string) bool {
 	j := r.lookupJob(id)
-	if j == nil {
-		return false
-	}
+	return j != nil && r.cancelJob(j)
+}
+
+// cancelJob is Cancel for a job already looked up.
+func (r *Runner) cancelJob(j *job) bool {
 	// Mark the caller's intent before touching state: the cluster-mode
 	// requeue path must not resurrect a job whose context died because the
 	// user cancelled it (vs. because its node drained).

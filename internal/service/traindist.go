@@ -140,9 +140,8 @@ func TrainDistHandler(jc *JobContext) (any, error) {
 		// Training sizes more from the network than a flood does: its
 		// gradient matrix and per-lane scratch are held to the caps an
 		// inline net's are, before the trainer borrows either.
-		nc := netConfigOf(ck.Net.Config())
-		if err := nc.ValidateTraining("train_dist.resume_from "+spec.ResumeFrom, ck.BatchPerRound); err != nil {
-			return nil, err
+		if err := ck.Net.Config().CheckTraining(ck.BatchPerRound); err != nil {
+			return nil, fmt.Errorf("%w: train_dist.resume_from %s: %w", api.ErrInvalid, spec.ResumeFrom, err)
 		}
 		t, err = ffn.ResumeDistTrainer(ck, img, lbl, spec.Workers)
 		if err != nil {
@@ -151,7 +150,7 @@ func TrainDistHandler(jc *JobContext) (any, error) {
 		res.ResumedFrom = spec.ResumeFrom
 	} else {
 		lr, momentum := optimizerDefaults(spec.LR, spec.Momentum)
-		t, err = ffn.FreshDistTrainer(netConfig(spec.Net), spec.NetSeed, lr, momentum, img, lbl,
+		t, err = ffn.FreshDistTrainer(spec.Net.Config(), spec.NetSeed, lr, momentum, img, lbl,
 			spec.SampleSeed, spec.BatchPerRound, spec.Workers)
 		if err != nil {
 			return nil, err

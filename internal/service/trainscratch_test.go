@@ -11,8 +11,8 @@ import (
 )
 
 // TestTrainScratchCapMatchesKernel: a train_dist job's per-lane training
-// scratch is held to api's 64M-element limit, and api's restated length is
-// the one ffn borrows (ffn.Config.TrainScratchLen). Around the limit, at a
+// scratch, the length ffn borrows (ffn.Config.TrainScratchLen), is held to
+// the 64M-element limit at submit. Around the limit, at a
 // default-feature net of 16 modules, validation accepts exactly the FOVs
 // whose kernel scratch fits, at batch 1 and at a batch that pairs, and no
 // accepted job's lane borrows a slab past the limit: where a lane trains
@@ -28,7 +28,7 @@ func TestTrainScratchCapMatchesKernel(t *testing.T) {
 	for _, d := range []int{55, 57, 59, 61} {
 		for _, batch := range []int{1, 16} {
 			nc := api.NetConfig{FOV: [3]int{d, d, d}, Modules: 16}
-			cfg := netConfig(&nc)
+			cfg := nc.Config()
 			req := distRequest(1, 1)
 			req.TrainDist.Net, req.TrainDist.BatchPerRound = &nc, batch
 			err := req.Validate()
@@ -62,14 +62,14 @@ func TestTrainScratchCapMatchesKernel(t *testing.T) {
 		t.Fatalf("29^3 x 256 features x 16 modules: Validate = %v, want a training-scratch refusal", err)
 	}
 
-	// Accepted by the flood's caps (NetConfig.Validate), refused by
+	// Accepted by the flood's caps (ffn.Config.Validate), refused by
 	// training's: a small network over a 61^3 FOV.
 	cfg := ffn.DefaultConfig()
 	cfg.FOV, cfg.Modules = [3]int{61, 61, 61}, 16
 	if cfg.TrainScratchLen() <= limit {
 		t.Fatalf("test geometry: %d-element scratch is within the limit", cfg.TrainScratchLen())
 	}
-	if nc := netConfigOf(cfg); nc.Validate("net") != nil {
+	if cfg.Validate() != nil {
 		t.Fatal("test geometry: the flood caps refuse the net")
 	}
 	net, err := ffn.NewNetwork(cfg, 1)
@@ -98,43 +98,4 @@ func TestTrainScratchCapMatchesKernel(t *testing.T) {
 		t.Fatalf("resume from an over-cap checkpoint: %s (%s), want failed once as an invalid training scratch", final.State, final.Error)
 	}
 	assertNoLeaks(t, r)
-}
-
-// TestAPIScratchAssumptionsMatchKernelDefaults pins the kernel defaults the
-// pure-schema api package assumes in NetConfig.validate's batched-scratch
-// budget and move_step bound (api must not import ffn, so the agreement is enforced here, where
-// both packages are visible). If this fails, update the literals in
-// api.NetConfig.validate alongside the kernel change.
-func TestAPIScratchAssumptionsMatchKernelDefaults(t *testing.T) {
-	cfg := ffn.DefaultConfig()
-	if cfg.FOV != [3]int{5, 9, 9} || cfg.Features != 8 || cfg.Modules != 2 || cfg.MoveStep != [3]int{1, 3, 3} || ffn.DefaultFloodBatch != 8 {
-		t.Fatalf("ffn defaults (FOV %v, Features %d, Modules %d, MoveStep %v, flood batch %d) drifted from the values api.NetConfig.validate and paramCount assume",
-			cfg.FOV, cfg.Features, cfg.Modules, cfg.MoveStep, ffn.DefaultFloodBatch)
-	}
-	// api's restated parameter count agrees with the kernel's: the largest
-	// batch whose batch x P gradient matrix fits 64M elements (api's
-	// maxScratchElems, ffn's maxGradElems) passes, one more does not.
-	for _, nc := range []api.NetConfig{{Features: 64, Modules: 4}, {Features: 100}, {Features: 17, Modules: 16}} {
-		net, err := ffn.NewNetwork(netConfig(&nc), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fits := (64 << 20) / (net.WeightBytes() / 4)
-		for batch, ok := range map[int]bool{fits: true, fits + 1: false} {
-			req := distRequest(1, 1)
-			req.TrainDist.Net, req.TrainDist.BatchPerRound = &nc, batch
-			if err := req.Validate(); (err == nil) != ok {
-				t.Fatalf("net %+v (%d parameters), batch_per_round %d: Validate = %v, want accepted=%v", nc, (net.WeightBytes() / 4), batch, err, ok)
-			}
-		}
-	}
-	// And the budget itself must reject the all-extremes corner.
-	bad := &api.JobRequest{Kind: api.KindSegment, Segment: &api.SegmentSpec{
-		Source: api.VolumeSource{D: 2, H: 2, W: 2, Data: make([]float32, 8)},
-		Seeds:  [][3]int{{1, 1, 1}}, MaxSteps: 1,
-		Net: &api.NetConfig{FOV: [3]int{65, 65, 65}, Features: 256},
-	}}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("all-extremes net config passed validation")
-	}
 }
