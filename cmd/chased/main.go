@@ -202,7 +202,7 @@ func serve(args []string) {
 		RateBurst:      *rateBurst,
 	})
 
-	srv := &http.Server{Addr: *addr, Handler: gw}
+	srv := newServer(*addr, gw)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	go func() {
@@ -221,6 +221,21 @@ func serve(args []string) {
 		fmt.Fprintln(os.Stderr, "chased:", err)
 		os.Exit(1)
 	}
+}
+
+// The serving connection timeouts. A client has readHeaderTimeout to send a
+// request's headers, so one that trickles them holds a connection only that
+// long, and a keep-alive connection is closed after idleTimeout without a
+// request. Neither bounds a request whose headers are in: an upload's body
+// and an events stream take as long as they take.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer is the HTTP server `chased serve` runs the gateway on.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // clientFlags adds the flags every client subcommand shares.

@@ -113,6 +113,19 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	}, nil
 }
 
+// Release gives a decoded checkpoint's parameter vector and velocity, both
+// borrowed from the free list, back to it: for a caller that does not hand
+// them to a trainer (ResumeDistTrainer takes them over). Only a checkpoint
+// DecodeCheckpoint returned is released, and it is not used afterwards;
+// calling Release again is a no-op.
+func (ck *Checkpoint) Release() {
+	if ck.Net != nil {
+		tensor.PutFloats(ck.Net.params)
+		ck.Opt.Release()
+		ck.Net, ck.Opt = nil, nil
+	}
+}
+
 // DecodeCheckpointNet is DecodeCheckpoint for a caller that only floods
 // with the network: it makes every check DecodeCheckpoint makes, failing
 // with the same error, and decodes the network alone — neither the loss

@@ -18,22 +18,35 @@ import (
 // any time, in any order, or one after another on a single goroutine (a
 // nested parallel.For runs its chunks inline): the first to run drains the
 // flood and the rest find it over.
+//
+// A frontier outlives its flood: release puts it in a pool with its queue's
+// array, so a steady stream of floods allocates neither.
 type frontier struct {
 	mu      sync.Mutex
 	more    sync.Cond // a give, or a stop: waiting lanes look again
-	queue   []fovPos
-	lanes   int  // lanes sharing the list: a short queue is split between them
-	holding int  // lanes expanding a batch, which may still give centers back
-	fifo    bool // take the oldest centers, not the newest (budgeted flood)
-	cause   any  // the first lane panic: the flood ends at the next take
+	queue   []fovPos  // queue[head:] is the list
+	head    int       // centers a first-in-first-out take has taken
+	lanes   int       // lanes sharing the list: a short queue is split between them
+	holding int       // lanes expanding a batch, which may still give centers back
+	fifo    bool      // take the oldest centers, not the newest (budgeted flood)
+	cause   any       // the first lane panic: the flood ends at the next take
 }
 
-// newFrontier starts a frontier at the accepted seeds; it takes the slice
-// over.
-func newFrontier(seeds []fovPos, lanes int, fifo bool) *frontier {
-	f := &frontier{queue: seeds, lanes: max(lanes, 1), fifo: fifo}
+var frontiers = sync.Pool{New: func() any {
+	f := new(frontier)
 	f.more.L = &f.mu
 	return f
+}}
+
+// borrowFrontier returns an empty frontier. The flood appends its accepted
+// seeds to the queue and sets lanes and fifo before any lane takes.
+func borrowFrontier() *frontier { return frontiers.Get().(*frontier) }
+
+// release empties the frontier, keeping its queue's array, and returns it
+// to the pool. No lane may hold it.
+func (f *frontier) release() {
+	f.queue, f.head, f.holding, f.cause = f.queue[:0], 0, 0, nil
+	frontiers.Put(f)
 }
 
 // take fills batch with up to limit centers — fewer when the list is short,
@@ -49,14 +62,14 @@ func (f *frontier) take(ctx context.Context, batch []fovPos, limit int) []fovPos
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for ctx.Err() == nil && f.cause == nil {
-		if n := len(f.queue); n > 0 {
+		if n := len(f.queue) - f.head; n > 0 {
 			k := min(limit, (n+f.lanes-1)/f.lanes)
 			if f.fifo {
-				batch = append(batch, f.queue[:k]...)
-				f.queue = f.queue[k:]
+				batch = append(batch, f.queue[f.head:f.head+k]...)
+				f.head += k
 			} else {
-				batch = append(batch, f.queue[n-k:]...)
-				f.queue = f.queue[:n-k]
+				batch = append(batch, f.queue[len(f.queue)-k:]...)
+				f.queue = f.queue[:len(f.queue)-k]
 			}
 			f.holding++
 			return batch
@@ -69,9 +82,15 @@ func (f *frontier) take(ctx context.Context, batch []fovPos, limit int) []fovPos
 	return batch
 }
 
-// give ends the hold take began, adding the centers the batch claimed.
+// give ends the hold take began, adding the centers the batch claimed. A
+// full queue first moves its list down over the centers taken from its
+// front, so the array grows only with the list.
 func (f *frontier) give(fresh []fovPos) {
 	f.mu.Lock()
+	if f.head > 0 && len(f.queue)+len(fresh) > cap(f.queue) {
+		n := copy(f.queue, f.queue[f.head:])
+		f.queue, f.head = f.queue[:n], 0
+	}
 	f.queue = append(f.queue, fresh...)
 	f.holding--
 	f.mu.Unlock()

@@ -249,3 +249,12 @@ func TestSegmentLanePanicReraisedOnCaller(t *testing.T) {
 		})
 	}
 }
+
+// newFrontier starts a borrowed frontier at seeds, as Flood starts one at
+// its accepted seeds.
+func newFrontier(seeds []fovPos, lanes int, fifo bool) *frontier {
+	f := borrowFrontier()
+	f.queue = append(f.queue, seeds...)
+	f.lanes, f.fifo = max(lanes, 1), fifo
+	return f
+}

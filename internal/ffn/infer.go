@@ -366,13 +366,15 @@ func (n *Network) Flood(ctx context.Context, image *Volume, m Moments, seeds [][
 	// set for the flood (set = already claimed by some flood).
 	claimed := borrowVisited(image.Size())
 	defer claimed.release()
-	var accepted []fovPos
+	fr := borrowFrontier()
+	defer fr.release()
 	for _, s := range seeds {
 		if cfg.fovInBounds(image, s[0], s[1], s[2]) && claimed.claim(keyOf(s[0], s[1], s[2])) {
-			accepted = append(accepted, fovPos{s[0], s[1], s[2]})
+			fr.queue = append(fr.queue, fovPos{s[0], s[1], s[2]})
 			stats.SeedsUsed++
 		}
 	}
+	accepted := fr.queue
 
 	segLogit := logit(cfg.SegmentProb)
 	mask := borrowMask(image, logit(cfg.PadProb) >= segLogit)
@@ -385,11 +387,12 @@ func (n *Network) Flood(ctx context.Context, image *Volume, m Moments, seeds [][
 	if maxSteps > 0 {
 		lanes = 1
 	}
+	fr.lanes, fr.fifo = max(lanes, 1), maxSteps > 0
 	// What the flood lanes share is ready before any fan-out: the plan (lane
 	// weights and read spans), built here and released when the flood ends.
 	run := floodRun{
 		image: image, m: m, claimed: claimed, mask: mask.Words,
-		fr:        newFrontier(accepted, lanes, maxSteps > 0),
+		fr:        fr,
 		plan:      n.newFloodPlan(floodWidth(maxSteps)),
 		moveLogit: logit(cfg.MoveProb), segLogit: segLogit,
 	}

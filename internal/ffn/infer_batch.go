@@ -2,6 +2,7 @@ package ffn
 
 import (
 	"context"
+	"sync"
 
 	"chaseci/internal/parallel"
 	"chaseci/internal/tensor"
@@ -215,6 +216,14 @@ type batchScratch struct {
 	ready int       // leading buffers whose padding shells and seed POM are in place
 }
 
+// batchScratches holds scratch headers, each with its batch-position
+// slice, between floods: like the buffers a header points at while it is
+// borrowed, they come back at every flood's end, so a steady stream of
+// floods allocates no header either.
+var batchScratches = sync.Pool{New: func() any {
+	return &batchScratch{pos: make([]fovPos, 0, DefaultFloodBatch)}
+}}
+
 // getBatchScratch borrows a scratch for one flood worker of a flood with
 // plan. The buffers arrive dirty: a buffer's padding shells and the seed
 // POM lanes of its input are written the first time the flood uses it
@@ -225,21 +234,27 @@ func (n *Network) getBatchScratch(plan floodPlan) *batchScratch {
 	bufs := B / plan.width
 	li, lx := n.cfg.floodLayouts(plan.width)
 	fov := n.cfg.FOV
-	return &batchScratch{
+	s := batchScratches.Get().(*batchScratch)
+	*s = batchScratch{
 		in:  tensor.GetFloats(bufs * li.Len()),
 		x0:  tensor.GetFloats(bufs * lx.Len()),
 		x1:  tensor.GetFloats(bufs * lx.Len()),
 		hid: tensor.GetFloats(bufs * lx.Len()),
 		out: tensor.GetFloats(B * fov[0] * fov[1] * fov[2]),
-		pos: make([]fovPos, 0, B), net: n, plan: plan,
+		pos: s.pos[:0], net: n, plan: plan,
 	}
+	return s
 }
 
+// putBatchScratch returns the buffers to the free list and the header to
+// its pool.
 func (n *Network) putBatchScratch(s *batchScratch) {
 	for _, b := range [5]*[]float32{&s.in, &s.x0, &s.x1, &s.hid, &s.out} {
 		tensor.PutFloats(*b)
 		*b = nil
 	}
+	s.net, s.plan = nil, floodPlan{}
+	batchScratches.Put(s)
 }
 
 // slot returns Blocked buffer b of one of the scratch's batched buffers.

@@ -173,6 +173,32 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// replyPool holds reply values of one type for reuse. writeJSON takes an
+// any, so a reply passed by value is copied to the heap to be boxed; one
+// encoded through a pooled pointer costs nothing per request.
+type replyPool[T any] struct{ p sync.Pool }
+
+// write encodes v as the reply through a pooled copy of it, which is
+// cleared before it goes back so the pool holds no job's strings.
+func (rp *replyPool[T]) write(w http.ResponseWriter, code int, v T) {
+	p, _ := rp.p.Get().(*T)
+	if p == nil {
+		p = new(T)
+	}
+	*p = v
+	writeJSON(w, code, p)
+	var zero T
+	*p = zero
+	rp.p.Put(p)
+}
+
+// The pooled replies of the per-job endpoints a polling client calls.
+var (
+	submitReplies replyPool[api.SubmitResponse]
+	statusReplies replyPool[api.JobStatus]
+	resultReplies replyPool[api.ResultEnvelope]
+)
+
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, api.ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
@@ -276,7 +302,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, code, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, api.SubmitResponse{ID: st.ID, State: st.State})
+	submitReplies.write(w, http.StatusAccepted, api.SubmitResponse{ID: st.ID, State: st.State})
 }
 
 func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
@@ -334,7 +360,7 @@ func (g *Gateway) jobForCaller(w http.ResponseWriter, r *http.Request) *job {
 
 func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if j := g.jobForCaller(w, r); j != nil {
-		writeJSON(w, http.StatusOK, g.runner.statusOf(j))
+		statusReplies.write(w, http.StatusOK, g.runner.statusOf(j))
 	}
 }
 
@@ -412,7 +438,7 @@ func (g *Gateway) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, "job %s is %s; result not ready", st.ID, st.State)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.ResultEnvelope{
+	resultReplies.write(w, http.StatusOK, api.ResultEnvelope{
 		ID: st.ID, Kind: st.Kind, State: st.State, Error: st.Error, Result: raw,
 	})
 }

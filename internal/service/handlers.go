@@ -358,13 +358,13 @@ func IVTHandler(jc *JobContext) (any, error) {
 
 // WorkflowHandler executes a measured virtual-time DAG on a private clock.
 // Virtual durations cost no wall time, so even multi-hour plans finish in
-// microseconds; cancellation is checked between events.
+// microseconds; cancellation is checked between events. The result is
+// returned by pointer: a value would be copied again to be boxed.
 func WorkflowHandler(jc *JobContext) (any, error) {
 	spec := jc.Request().Workflow
-	clk := sim.NewClock()
-	wf := workflow.New(spec.Name, clk)
-	for _, st := range spec.Steps {
-		st := st
+	wf := workflow.New(spec.Name, sim.NewClock())
+	for i := range spec.Steps {
+		st := &spec.Steps[i]
 		err := wf.AddStep(workflow.StepSpec{
 			Name:      st.Name,
 			DependsOn: st.DependsOn,
@@ -388,21 +388,25 @@ func WorkflowHandler(jc *JobContext) (any, error) {
 	jc.Progress(0, int64(len(spec.Steps)), "workflow")
 	report, execErr := wf.ExecuteCtx(jc.Ctx())
 
-	res := api.WorkflowResult{Workflow: report.Workflow, Failed: wf.Failed()}
+	res := &api.WorkflowResult{
+		Workflow: report.Workflow,
+		Steps:    make([]api.WorkflowStepResult, len(report.Steps)),
+		TotalMS:  report.Total.Milliseconds(),
+		Failed:   wf.Failed(),
+		Table:    report.RenderTable(),
+	}
 	completed := int64(0)
-	for _, s := range report.Steps {
-		res.Steps = append(res.Steps, api.WorkflowStepResult{
+	for i, s := range report.Steps {
+		res.Steps[i] = api.WorkflowStepResult{
 			Name:         s.Name,
 			Status:       s.Status.String(),
 			DurationMS:   s.Duration.Milliseconds(),
 			Measurements: s.Measurements,
-		})
+		}
 		if s.Status == workflow.StatusSucceeded || s.Status == workflow.StatusFailed {
 			completed++
 		}
 	}
-	res.TotalMS = report.Total.Milliseconds()
-	res.Table = report.RenderTable()
 	jc.Progress(completed, int64(len(spec.Steps)), "workflow")
 	if execErr != nil {
 		return res, execErr

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 
 	"chaseci/internal/api"
@@ -137,14 +138,16 @@ func TrainDistHandler(jc *JobContext) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Training sizes more from the network than a flood does: its
-		// gradient matrix and per-lane scratch are held to the caps an
-		// inline net's are, before the trainer borrows either.
-		if err := ck.Net.Config().CheckTraining(ck.BatchPerRound); err != nil {
-			return nil, fmt.Errorf("%w: train_dist.resume_from %s: %w", api.ErrInvalid, spec.ResumeFrom, err)
-		}
 		t, err = ffn.ResumeDistTrainer(ck, img, lbl, spec.Workers)
 		if err != nil {
+			// The trainer did not take the decoded model over.
+			ck.Release()
+			// Training sizes more from the network than a flood does: its
+			// gradient matrix and per-lane scratch are held to the caps an
+			// inline net's are, before the trainer borrows either.
+			if errors.Is(err, ffn.ErrTooLarge) {
+				err = fmt.Errorf("%w: train_dist.resume_from %s: %w", api.ErrInvalid, spec.ResumeFrom, err)
+			}
 			return nil, err
 		}
 		res.ResumedFrom = spec.ResumeFrom

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -98,4 +99,68 @@ func TestTrainScratchCapMatchesKernel(t *testing.T) {
 		t.Fatalf("resume from an over-cap checkpoint: %s (%s), want failed once as an invalid training scratch", final.State, final.Error)
 	}
 	assertNoLeaks(t, r)
+}
+
+// TestRefusedResumeReturnsCheckpoint: a resume_from job refused after its
+// checkpoint is decoded gives the decoded parameter vector and velocity,
+// both borrowed, back to the free list — whether training's caps refuse the
+// network (an invalid request) or the source is too shallow for its FOV.
+// The free list is stocked with two vectors of the network's length for
+// the decode to borrow, and poisoned, so a vector that went back reads NaN
+// and one the job dropped still holds the decoded weights.
+func TestRefusedResumeReturnsCheckpoint(t *testing.T) {
+	overCap := ffn.DefaultConfig()
+	overCap.FOV, overCap.Modules = [3]int{61, 61, 61}, 16
+	for _, tc := range []struct {
+		name    string
+		cfg     ffn.Config
+		steps   int
+		invalid bool
+		want    string
+	}{
+		{"training caps", overCap, 6, true, "training scratch"},
+		{"source shallower than the fov", ffn.DefaultConfig(), 3, false, ffn.ErrNoExamples.Error()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, err := ffn.NewNetwork(tc.cfg, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc, err := dataset.EncodeCheckpoint((&ffn.Checkpoint{Net: net, Opt: tensor.NewSGD(0.03, 0.9), BatchPerRound: 1}).EncodeBytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := newTestRunner(t, DefaultRegistry(), 1)
+			info, err := r.Datasets().Put(enc, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tensor.PoisonReleased(true)
+			defer tensor.PoisonReleased(false)
+			p := net.WeightBytes() / 4
+			stock := [2][]float32{make([]float32, p), make([]float32, p)}
+			for _, b := range stock {
+				tensor.PutFloats(b)
+			}
+			st, err := r.Submit(&api.JobRequest{Kind: api.KindTrainDist, TrainDist: &api.TrainDistSpec{
+				Source:  api.VolumeSource{Synth: &api.SynthSpec{NLon: 36, NLat: 24, NLev: 4, Steps: tc.steps, Seed: 11}},
+				Workers: 1, Rounds: 2, Threshold: 130, ResumeFrom: info.ID}}, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := waitState(t, r, st.ID, terminal)
+			if final.State != api.StateFailed || !strings.Contains(final.Error, tc.want) ||
+				strings.Contains(final.Error, api.ErrInvalid.Error()) != tc.invalid {
+				t.Fatalf("refused resume: %s (%s), want failed with %q, invalid=%v", final.State, final.Error, tc.want, tc.invalid)
+			}
+			for i, b := range stock {
+				for _, v := range b {
+					if !math.IsNaN(float64(v)) {
+						t.Fatalf("decoded vector %d was not given back: it still holds %v", i, v)
+					}
+				}
+			}
+			assertNoLeaks(t, r)
+		})
+	}
 }

@@ -95,8 +95,8 @@ func (s *StatusServer) Update(w *Workflow) {
 		Done:     w.finished,
 		Failed:   w.failed,
 	}
-	for _, name := range w.order {
-		st := w.steps[name]
+	for i := range w.steps {
+		st := &w.steps[i]
 		view := statusStepView{
 			Name:         st.name,
 			DependsOn:    append([]string(nil), st.deps...),

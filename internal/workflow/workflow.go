@@ -5,15 +5,29 @@
 // (pods, CPUs, GPUs, bytes moved), and the engine captures per-step wall
 // time. The final Report reproduces the structure of the paper's Table I;
 // the Plan rendering reproduces Figure 2's step diagram.
+//
+// What one run allocates: the Workflow; its step records, one slice in
+// declaration order, grown by AddStep's appends; the dependency indices,
+// one slice resolved at Run and only when some step has a dependency; a
+// step's measurement map, at its first Record; and each Report's slice of
+// step reports, which shares the finished steps' maps. Names resolve by
+// binary search over an order kept in the step records, so validation and
+// execution make no map, queue or handle per step. What the steps schedule
+// on the clock is the clock's, and RenderTable's one builder is the
+// table's.
 package workflow
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"chaseci/internal/sim"
 )
@@ -68,8 +82,16 @@ type Ctx struct {
 func (c *Ctx) After(d time.Duration, fn func()) { c.wf.clock.After(d, fn) }
 
 // Record stores a named measurement on the step (e.g. "pods", "gpus",
-// "bytes"). Repeated records of the same key overwrite.
+// "bytes"). Repeated records of the same key overwrite. A step records
+// while it runs: a Record after Done is a bug in the step implementation
+// and panics, since the finished step's measurements belong to its reports.
 func (c *Ctx) Record(key string, value float64) {
+	if c.done {
+		panic(fmt.Sprintf("workflow: step %q recorded %q after Done", c.step.name, key))
+	}
+	if c.step.measurements == nil {
+		c.step.measurements = make(map[string]float64)
+	}
 	c.step.measurements[key] = value
 }
 
@@ -94,13 +116,24 @@ type StepSpec struct {
 
 type step struct {
 	name         string
-	deps         []string
+	deps         []string // as declared
 	run          func(*Ctx)
 	status       Status
 	started      time.Duration
 	ended        time.Duration
 	err          error
-	measurements map[string]float64
+	measurements map[string]float64 // made by the first Record
+	ctx          Ctx                // the handle run receives
+
+	// byName orders the steps by name: steps[k].byName is the index of the
+	// k-th name in sorted order, so a name resolves by binary search.
+	byName int32
+	// dep holds the indices of deps, resolved once by validate.
+	dep []int32
+	// The cycle check's depth-first walk: the step's state, the step it
+	// was reached from, and the next dependency to visit.
+	mark         uint8
+	parent, next int32
 }
 
 // Workflow is a measured DAG of steps bound to a virtual clock.
@@ -108,8 +141,8 @@ type Workflow struct {
 	Name string
 
 	clock      *sim.Clock
-	steps      map[string]*step
-	order      []string
+	steps      []step // in declaration order
+	remaining  int    // steps not yet in a terminal state, once started
 	started    bool
 	finished   bool
 	failed     bool
@@ -118,61 +151,95 @@ type Workflow struct {
 
 // New creates an empty workflow.
 func New(name string, clock *sim.Clock) *Workflow {
-	return &Workflow{Name: name, clock: clock, steps: make(map[string]*step)}
+	return &Workflow{Name: name, clock: clock}
+}
+
+// find returns the index of the step named name, or -1.
+func (w *Workflow) find(name string) int {
+	k := w.rank(name)
+	if k < len(w.steps) {
+		if i := w.steps[k].byName; w.steps[i].name == name {
+			return int(i)
+		}
+	}
+	return -1
+}
+
+// rank is the number of step names that sort before name.
+func (w *Workflow) rank(name string) int {
+	return sort.Search(len(w.steps), func(k int) bool { return w.steps[w.steps[k].byName].name >= name })
 }
 
 // AddStep registers a step; dependencies may be declared before the steps
-// they name, and are validated at Run.
+// they name, and are validated at Run. Steps are added before Run.
 func (w *Workflow) AddStep(spec StepSpec) error {
 	if spec.Name == "" || spec.Run == nil {
 		return errors.New("workflow: step needs a name and a Run func")
 	}
-	if _, dup := w.steps[spec.Name]; dup {
+	if w.started {
+		return ErrAlreadyRun
+	}
+	k, n := w.rank(spec.Name), len(w.steps)
+	if k < n && w.steps[w.steps[k].byName].name == spec.Name {
 		return fmt.Errorf("%w: %s", ErrDuplicateStep, spec.Name)
 	}
-	w.steps[spec.Name] = &step{
-		name: spec.Name, deps: spec.DependsOn, run: spec.Run,
-		measurements: make(map[string]float64),
+	w.steps = append(w.steps, step{name: spec.Name, deps: spec.DependsOn, run: spec.Run})
+	for i := n; i > k; i-- {
+		w.steps[i].byName = w.steps[i-1].byName
 	}
-	w.order = append(w.order, spec.Name)
+	w.steps[k].byName = int32(n)
 	return nil
 }
 
-// validate checks dependency references and acyclicity (Kahn's algorithm).
+// Marks of the cycle check's walk.
+const (
+	unvisited uint8 = iota
+	onPath
+	visited
+)
+
+// validate resolves every dependency to its step's index and checks that
+// the steps form no cycle, with a depth-first walk over the dependency
+// edges that keeps its stack in the steps themselves.
 func (w *Workflow) validate() error {
-	indeg := make(map[string]int)
-	for _, s := range w.steps {
+	edges := 0
+	for i := range w.steps {
+		edges += len(w.steps[i].deps)
+	}
+	idx := make([]int32, 0, edges)
+	for i := range w.steps {
+		s := &w.steps[i]
+		s.mark, s.next = unvisited, 0
 		for _, d := range s.deps {
-			if _, ok := w.steps[d]; !ok {
+			j := w.find(d)
+			if j < 0 {
 				return fmt.Errorf("%w: %s -> %s", ErrUnknownDep, s.name, d)
 			}
+			idx = append(idx, int32(j))
 		}
-		indeg[s.name] = len(s.deps)
+		s.dep, idx = idx[:len(s.deps):len(s.deps)], idx[len(s.deps):]
 	}
-	var queue []string
-	for n, d := range indeg {
-		if d == 0 {
-			queue = append(queue, n)
+	for root := range w.steps {
+		if w.steps[root].mark != unvisited {
+			continue
 		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		seen++
-		for _, s := range w.steps {
-			for _, d := range s.deps {
-				if d == cur {
-					indeg[s.name]--
-					if indeg[s.name] == 0 {
-						queue = append(queue, s.name)
-					}
-				}
+		w.steps[root].mark, w.steps[root].parent = onPath, -1
+		for cur := int32(root); cur >= 0; {
+			s := &w.steps[cur]
+			if int(s.next) == len(s.dep) {
+				s.mark, cur = visited, s.parent
+				continue
+			}
+			d := s.dep[s.next]
+			s.next++
+			switch w.steps[d].mark {
+			case onPath:
+				return ErrCycle
+			case unvisited:
+				w.steps[d].mark, w.steps[d].parent = onPath, cur
+				cur = d
 			}
 		}
-	}
-	if seen != len(w.steps) {
-		return ErrCycle
 	}
 	return nil
 }
@@ -188,41 +255,50 @@ func (w *Workflow) Run(onComplete func(ok bool)) error {
 		return err
 	}
 	w.started = true
+	w.remaining = len(w.steps)
 	w.onComplete = onComplete
 	w.startReady()
 	w.maybeFinish()
 	return nil
 }
 
-// startReady launches every pending step whose dependencies all succeeded.
+// startReady launches every pending step whose dependencies all succeeded
+// and skips every pending step a failed or skipped dependency blocks. A
+// skip can block a step declared before it, so a pass that skips is
+// followed by another.
 func (w *Workflow) startReady() {
-	for _, name := range w.order {
-		s := w.steps[name]
-		if s.status != StatusPending {
-			continue
-		}
-		ready := true
-		skip := false
-		for _, d := range s.deps {
-			switch w.steps[d].status {
-			case StatusSucceeded:
-			case StatusFailed, StatusSkipped:
-				skip = true
-			default:
-				ready = false
+	for skipped := true; skipped; {
+		skipped = false
+		for i := range w.steps {
+			s := &w.steps[i]
+			if s.status != StatusPending {
+				continue
 			}
+			ready := true
+			skip := false
+			for _, d := range s.dep {
+				switch w.steps[d].status {
+				case StatusSucceeded:
+				case StatusFailed, StatusSkipped:
+					skip = true
+				default:
+					ready = false
+				}
+			}
+			if skip {
+				s.status = StatusSkipped
+				w.remaining--
+				skipped = true
+				continue
+			}
+			if !ready {
+				continue
+			}
+			s.status = StatusRunning
+			s.started = w.clock.Now()
+			s.ctx = Ctx{wf: w, step: s}
+			s.run(&s.ctx)
 		}
-		if skip {
-			s.status = StatusSkipped
-			continue
-		}
-		if !ready {
-			continue
-		}
-		s.status = StatusRunning
-		s.started = w.clock.Now()
-		ctx := &Ctx{wf: w, step: s}
-		s.run(ctx)
 	}
 }
 
@@ -235,18 +311,14 @@ func (w *Workflow) finishStep(s *step, err error) {
 	} else {
 		s.status = StatusSucceeded
 	}
+	w.remaining--
 	w.startReady()
 	w.maybeFinish()
 }
 
 func (w *Workflow) maybeFinish() {
-	if w.finished {
+	if w.finished || w.remaining > 0 {
 		return
-	}
-	for _, s := range w.steps {
-		if s.status == StatusPending || s.status == StatusRunning {
-			return
-		}
 	}
 	w.finished = true
 	if w.onComplete != nil {
@@ -288,8 +360,8 @@ func (w *Workflow) Failed() bool { return w.failed }
 
 // StepError returns the failure of a step, or nil.
 func (w *Workflow) StepError(name string) error {
-	if s, ok := w.steps[name]; ok {
-		return s.err
+	if i := w.find(name); i >= 0 {
+		return w.steps[i].err
 	}
 	return nil
 }
@@ -311,90 +383,112 @@ type Report struct {
 	Total    time.Duration
 }
 
-// Report collects per-step durations and measurements in declaration order.
+// Report collects per-step durations and measurements in declaration
+// order. A finished step's measurements are handed over, not copied: they
+// are the step's own map, shared by every report, and read-only. A step
+// still running gets a copy, since it may record more.
 func (w *Workflow) Report() Report {
-	r := Report{Workflow: w.Name}
-	for _, name := range w.order {
-		s := w.steps[name]
-		sr := StepReport{
-			Name:         s.name,
-			Status:       s.status,
-			Measurements: make(map[string]float64, len(s.measurements)),
-		}
-		if s.status == StatusSucceeded || s.status == StatusFailed {
+	r := Report{Workflow: w.Name, Steps: make([]StepReport, len(w.steps))}
+	for i := range w.steps {
+		s, sr := &w.steps[i], &r.Steps[i]
+		sr.Name, sr.Status, sr.Measurements = s.name, s.status, s.measurements
+		switch s.status {
+		case StatusSucceeded, StatusFailed:
 			sr.Duration = s.ended - s.started
+		case StatusRunning:
+			sr.Measurements = maps.Clone(s.measurements)
 		}
-		for k, v := range s.measurements {
-			sr.Measurements[k] = v
-		}
-		r.Steps = append(r.Steps, sr)
 		r.Total += sr.Duration
 	}
 	return r
 }
 
+// cellWidth is the width of a table cell: a longer value widens its cell.
+const cellWidth = 16
+
 // RenderTable renders the report as a resource-summary table with one column
 // per step and one row per measurement key — the layout of the paper's
 // Table I. Keys are the union across steps, sorted.
 func (r Report) RenderTable() string {
-	keySet := make(map[string]bool)
+	n := 0
+	for _, s := range r.Steps {
+		n += len(s.Measurements)
+	}
+	keys := make([]string, 0, n)
 	for _, s := range r.Steps {
 		for k := range s.Measurements {
-			keySet[k] = true
+			keys = append(keys, k)
 		}
 	}
-	keys := make([]string, 0, len(keySet))
-	for k := range keySet {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s", "")
+	b.Grow((len(keys) + 2) * (cellWidth*(len(r.Steps)+1) + 1))
+	writeCell(&b, "", true)
 	for _, s := range r.Steps {
-		fmt.Fprintf(&b, "%16s", s.Name)
+		writeCell(&b, s.Name, false)
 	}
 	b.WriteByte('\n')
+	var num [32]byte
 	for _, k := range keys {
-		fmt.Fprintf(&b, "%-16s", k)
+		writeCell(&b, k, true)
 		for _, s := range r.Steps {
 			if v, ok := s.Measurements[k]; ok {
-				fmt.Fprintf(&b, "%16s", formatMeasure(k, v))
+				writeCell(&b, string(appendMeasure(num[:0], k, v)), false)
 			} else {
-				fmt.Fprintf(&b, "%16s", "-")
+				writeCell(&b, "-", false)
 			}
 		}
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "%-16s", "Total Time")
+	writeCell(&b, "Total Time", true)
 	for _, s := range r.Steps {
 		if s.Duration > 0 {
-			fmt.Fprintf(&b, "%16s", s.Duration.Round(time.Minute))
+			writeCell(&b, s.Duration.Round(time.Minute).String(), false)
 		} else {
-			fmt.Fprintf(&b, "%16s", "NA")
+			writeCell(&b, "NA", false)
 		}
 	}
 	b.WriteByte('\n')
 	return b.String()
 }
 
-func formatMeasure(key string, v float64) string {
+// writeCell writes s into a cell, right-aligned (fmt's %16s) or
+// left-aligned (%-16s): padded to cellWidth runes, never cut.
+func writeCell(b *strings.Builder, s string, left bool) {
+	if left {
+		b.WriteString(s)
+	}
+	for pad := cellWidth - utf8.RuneCountInString(s); pad > 0; pad-- {
+		b.WriteByte(' ')
+	}
+	if !left {
+		b.WriteString(s)
+	}
+}
+
+// byteUnits scale a measurement whose key names a size.
+var byteUnits = [...]struct {
+	scale float64
+	unit  string
+}{{1e12, "TB"}, {1e9, "GB"}, {1e6, "MB"}, {1e3, "KB"}}
+
+// appendMeasure appends a measurement as the table shows it: a size with
+// one decimal and its unit, a whole number as an integer, anything else
+// with two decimals.
+func appendMeasure(dst []byte, key string, v float64) []byte {
 	if strings.Contains(key, "bytes") || strings.Contains(key, "Data") || strings.Contains(key, "Memory") {
-		switch {
-		case v >= 1e12:
-			return fmt.Sprintf("%.1fTB", v/1e12)
-		case v >= 1e9:
-			return fmt.Sprintf("%.1fGB", v/1e9)
-		case v >= 1e6:
-			return fmt.Sprintf("%.1fMB", v/1e6)
-		case v >= 1e3:
-			return fmt.Sprintf("%.1fKB", v/1e3)
+		for _, u := range byteUnits {
+			if v >= u.scale {
+				return append(strconv.AppendFloat(dst, v/u.scale, 'f', 1, 64), u.unit...)
+			}
 		}
 	}
 	if v == float64(int64(v)) {
-		return fmt.Sprintf("%d", int64(v))
+		return strconv.AppendInt(dst, int64(v), 10)
 	}
-	return fmt.Sprintf("%.2f", v)
+	return strconv.AppendFloat(dst, v, 'f', 2, 64)
 }
 
 // RenderPlan renders the step DAG as an indented list with dependency
@@ -402,13 +496,13 @@ func formatMeasure(key string, v float64) string {
 func (w *Workflow) RenderPlan() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "workflow %q\n", w.Name)
-	for i, name := range w.order {
-		s := w.steps[name]
+	for i := range w.steps {
+		s := &w.steps[i]
 		arrow := ""
 		if len(s.deps) > 0 {
 			arrow = " <- " + strings.Join(s.deps, ", ")
 		}
-		fmt.Fprintf(&b, "  %d. %s%s\n", i+1, name, arrow)
+		fmt.Fprintf(&b, "  %d. %s%s\n", i+1, s.name, arrow)
 	}
 	return b.String()
 }

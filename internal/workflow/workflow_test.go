@@ -79,8 +79,8 @@ func TestDiamondDependency(t *testing.T) {
 	if clk.Now() != 5*time.Minute {
 		t.Fatalf("diamond took %v, want 5m", clk.Now())
 	}
-	if w.steps["join"].status != StatusSucceeded {
-		t.Fatalf("join = %v", w.steps["join"].status)
+	if w.stepNamed("join").status != StatusSucceeded {
+		t.Fatalf("join = %v", w.stepNamed("join").status)
 	}
 }
 
@@ -100,11 +100,11 @@ func TestFailureSkipsDependents(t *testing.T) {
 	if !w.Failed() || ok == nil || *ok {
 		t.Fatalf("failed=%v ok=%v", w.Failed(), ok)
 	}
-	if w.steps["train"].status != StatusSkipped || w.steps["infer"].status != StatusSkipped {
-		t.Fatalf("dependents = %v/%v, want Skipped", w.steps["train"].status, w.steps["infer"].status)
+	if w.stepNamed("train").status != StatusSkipped || w.stepNamed("infer").status != StatusSkipped {
+		t.Fatalf("dependents = %v/%v, want Skipped", w.stepNamed("train").status, w.stepNamed("infer").status)
 	}
-	if w.steps["independent"].status != StatusSucceeded {
-		t.Fatalf("independent step = %v, want Succeeded", w.steps["independent"].status)
+	if w.stepNamed("independent").status != StatusSucceeded {
+		t.Fatalf("independent step = %v, want Succeeded", w.stepNamed("independent").status)
 	}
 	if !errors.Is(w.StepError("download"), boom) {
 		t.Fatalf("StepError = %v", w.StepError("download"))
@@ -245,3 +245,6 @@ func TestImmediateStepCompletion(t *testing.T) {
 		t.Fatal("workflow not done")
 	}
 }
+
+// stepNamed returns the step record of a declared step.
+func (w *Workflow) stepNamed(name string) *step { return &w.steps[w.find(name)] }
