@@ -16,6 +16,7 @@ import (
 
 	"chaseci/internal/dataset"
 	"chaseci/internal/ffn"
+	"chaseci/internal/workflow"
 )
 
 // Version is the API version accepted by this gateway generation. An empty
@@ -779,12 +780,17 @@ type WorkflowStep struct {
 	DurationMS int64 `json:"duration_ms"`
 	// Measurements are recorded on the step (Table I rows).
 	Measurements map[string]float64 `json:"measurements,omitempty"`
-	// Fail, when non-empty, fails the step with this message (dependents
-	// are skipped) — used to exercise failure propagation.
+	// Fail, when non-empty, fails the step with this message (the steps
+	// that depend on it are skipped) — used to exercise failure
+	// propagation.
 	Fail string `json:"fail,omitempty"`
 }
 
-// WorkflowSpec executes a PPoDS-style measured DAG in virtual time.
+// WorkflowSpec executes a PPoDS-style measured DAG in virtual time. Its
+// steps' names and dependencies are held to the workflow engine's one DAG
+// rule (workflow.Check): names non-empty and unique, every dependency a
+// declared step, no cycle. The schema adds the step count and duration
+// caps.
 type WorkflowSpec struct {
 	Name  string         `json:"name"`
 	Steps []WorkflowStep `json:"steps"`
@@ -797,16 +803,8 @@ func (s *WorkflowSpec) validate() error {
 	if len(s.Steps) > 10000 {
 		return invalidf("workflow exceeds the 10000-step limit")
 	}
-	names := make(map[string]bool, len(s.Steps))
 	var totalMS int64
-	for i, st := range s.Steps {
-		if st.Name == "" {
-			return invalidf("workflow.steps[%d] has no name", i)
-		}
-		if names[st.Name] {
-			return invalidf("workflow has duplicate step %q", st.Name)
-		}
-		names[st.Name] = true
+	for _, st := range s.Steps {
 		if st.DurationMS < 0 || st.DurationMS > maxStepMS {
 			return invalidf("workflow step %q duration must be in [0,%d] ms", st.Name, int64(maxStepMS))
 		}
@@ -817,38 +815,9 @@ func (s *WorkflowSpec) validate() error {
 			return invalidf("workflow durations sum past the %d ms limit", int64(maxStepMS))
 		}
 	}
-	indeg := make(map[string]int, len(s.Steps))
-	dependents := make(map[string][]string, len(s.Steps))
-	for _, st := range s.Steps {
-		for _, d := range st.DependsOn {
-			if !names[d] {
-				return invalidf("workflow step %q depends on unknown step %q", st.Name, d)
-			}
-			dependents[d] = append(dependents[d], st.Name)
-			indeg[st.Name]++
-		}
-	}
-	// Cycle check (Kahn's algorithm): anything that passes Validate must
-	// be executable, and a cyclic DAG never can be.
-	queue := make([]string, 0, len(s.Steps))
-	for _, st := range s.Steps {
-		if indeg[st.Name] == 0 {
-			queue = append(queue, st.Name)
-		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		seen++
-		for _, next := range dependents[cur] {
-			if indeg[next]--; indeg[next] == 0 {
-				queue = append(queue, next)
-			}
-		}
-	}
-	if seen != len(s.Steps) {
-		return invalidf("workflow has a dependency cycle")
+	if err := workflow.Check(len(s.Steps), func(i int) string { return s.Steps[i].Name },
+		func(i int) []string { return s.Steps[i].DependsOn }); err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalid, err)
 	}
 	return nil
 }

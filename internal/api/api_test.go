@@ -489,6 +489,12 @@ func FuzzJobRequest(f *testing.F) {
 			Net: &NetConfig{FOV: [3]int{29, 29, 29}, Features: 256, Modules: 16}}},
 		{Kind: KindSweep, Sweep: &SweepSpec{Source: VolumeSource{Ref: ref}, Threshold: 0.5, LRs: []float32{0.05}, Momentums: []float32{0.9},
 			Features: []int{256}, Modules: []int{16}, TrainSteps: []int{1}}},
+		// Workflows the DAG rule refuses: a three-step cycle behind a root,
+		// a name declared twice, and a dependency on no declared step.
+		{Kind: KindWorkflow, Workflow: &WorkflowSpec{Name: "cycle", Steps: []WorkflowStep{{Name: "root"},
+			{Name: "a", DependsOn: []string{"root", "c"}}, {Name: "b", DependsOn: []string{"a"}}, {Name: "c", DependsOn: []string{"b"}}}}},
+		{Kind: KindWorkflow, Workflow: &WorkflowSpec{Name: "dup", Steps: []WorkflowStep{{Name: "a"}, {Name: "b", DependsOn: []string{"a"}}, {Name: "a"}}}},
+		{Kind: KindWorkflow, Workflow: &WorkflowSpec{Name: "ghost", Steps: []WorkflowStep{{Name: "a", DependsOn: []string{"ghost"}}}}},
 	}
 	for _, req := range validRequests() {
 		seeds = append(seeds, req)

@@ -151,7 +151,7 @@ func (run *ConnectRun) Execute() (workflow.Report, error) {
 func (run *ConnectRun) Err() error {
 	for _, s := range run.Workflow.Report().Steps {
 		if s.Status == workflow.StatusFailed {
-			return fmt.Errorf("core: workflow failed: step %s: %w", s.Name, run.Workflow.StepError(s.Name))
+			return fmt.Errorf("core: workflow failed: step %s: %w", s.Name, s.Err)
 		}
 	}
 	return nil

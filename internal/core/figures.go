@@ -121,11 +121,7 @@ func (run *ConnectRun) Fig6(width, height int) string {
 
 // Table1 renders the resource summary table in the paper's Table I layout.
 func (run *ConnectRun) Table1() string {
-	report := run.Workflow.Report()
-	var b strings.Builder
-	b.WriteString("Table I — Nautilus resource summary for all steps in the workflow\n")
-	b.WriteString(report.RenderTable())
-	return b.String()
+	return "Table I — Nautilus resource summary for all steps in the workflow\n" + run.Workflow.Report().RenderTable()
 }
 
 func stepByName(r workflow.Report, name string) workflow.StepReport {

@@ -407,7 +407,10 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 				}
 			} else {
 				floor = nil
-				if err := enc.Encode(st); err != nil {
+				// Encoding &last boxes one pointer for the stream, not a
+				// JobStatus per line.
+				last = st
+				if err := enc.Encode(&last); err != nil {
 					return
 				}
 				if flusher != nil {
@@ -416,7 +419,6 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 				if countersOnly {
 					counted = time.Now()
 				}
-				last = st
 			}
 		}
 		if st.State.Terminal() {

@@ -395,7 +395,7 @@ func WorkflowHandler(jc *JobContext) (any, error) {
 		Failed:   wf.Failed(),
 		Table:    report.RenderTable(),
 	}
-	completed := int64(0)
+	completed, failed := int64(0), error(nil)
 	for i, s := range report.Steps {
 		res.Steps[i] = api.WorkflowStepResult{
 			Name:         s.Name,
@@ -406,18 +406,13 @@ func WorkflowHandler(jc *JobContext) (any, error) {
 		if s.Status == workflow.StatusSucceeded || s.Status == workflow.StatusFailed {
 			completed++
 		}
+		if s.Err != nil && failed == nil {
+			failed = fmt.Errorf("workflow step %q failed: %v", s.Name, s.Err)
+		}
 	}
 	jc.Progress(completed, int64(len(spec.Steps)), "workflow")
 	if execErr != nil {
 		return res, execErr
 	}
-	if wf.Failed() {
-		for _, s := range report.Steps {
-			if s.Status == workflow.StatusFailed {
-				return res, fmt.Errorf("workflow step %q failed: %v", s.Name, wf.StepError(s.Name))
-			}
-		}
-		return res, errors.New("workflow failed")
-	}
-	return res, nil
+	return res, failed
 }

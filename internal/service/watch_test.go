@@ -322,3 +322,68 @@ func TestEventsPaceNothingButCounters(t *testing.T) {
 	assertNoWatches(t, r, st.ID)
 	assertNoLeaks(t, r)
 }
+
+// lineSink is an events stream's response writer that signals each line.
+type lineSink struct {
+	header http.Header
+	lines  chan struct{}
+}
+
+func (s *lineSink) Header() http.Header { return s.header }
+func (s *lineSink) WriteHeader(int)     {}
+func (s *lineSink) Write(p []byte) (int, error) {
+	s.lines <- struct{}{}
+	return len(p), nil
+}
+
+// TestEventsLineAllocatesNothing: with no counter floor, so that no line is
+// held back and no timer runs, each progress report and the events line it
+// wakes allocate nothing. The stream encodes its one kept status, not a
+// boxed copy per line. The race detector's sync.Pool drops json's pooled
+// encoders on purpose, so the pin holds only without it.
+func TestEventsLineAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops entries: a race build allocates what the pools save")
+	}
+	defer func(d time.Duration) { eventsCounterFloor = d }(eventsCounterFloor)
+	eventsCounterFloor = 0
+
+	started, step := make(chan struct{}), make(chan int64)
+	reg := NewRegistry()
+	reg.Register(api.KindWorkflow, func(jc *JobContext) (any, error) {
+		jc.Progress(0, 1<<40, "work")
+		close(started)
+		for done := range step {
+			jc.Progress(done, 1<<40, "work")
+		}
+		return nil, nil
+	})
+	r := newTestRunner(t, reg, 1)
+	g := NewGateway(r, GatewayOptions{AllowAnonymous: true})
+	st, err := r.Submit(blockingWorkflowRequest(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	// Room for what the stream writes once the test stops reading: the
+	// terminal line, and a counters line ahead of it if one is pending.
+	w := &lineSink{header: http.Header{}, lines: make(chan struct{}, 4)}
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		g.ServeHTTP(w, httptest.NewRequest("GET", "/v1/jobs/"+st.ID+"/events", nil))
+	}()
+	<-w.lines // the running snapshot
+	done := int64(0)
+	if n := testing.AllocsPerRun(200, func() {
+		done++
+		step <- done
+		<-w.lines
+	}); n != 0 {
+		t.Errorf("an events line allocates %v times, want 0", n)
+	}
+	close(step) // the job ends; its terminal line fits the sink's buffer
+	<-ended
+	waitFor(t, func() bool { return r.streams.Load() == 0 && r.watches.Load() == 0 }, "the stream to let go")
+	assertNoLeaks(t, r)
+}

@@ -241,31 +241,33 @@ func TestStepsAreFixedOnceRun(t *testing.T) {
 }
 
 // TestLookupOverManySteps resolves names among many steps declared out of
-// order: StepError finds each, and a chain declared in reverse runs in
-// dependency order.
+// order: a chain declared in reverse runs in dependency order, its report
+// carries the failing step's error, and the same steps with one name
+// declared twice are refused by Run.
 func TestLookupOverManySteps(t *testing.T) {
 	const n = 300
-	w := New("many", sim.NewClock())
 	name := func(i int) string { return fmt.Sprintf("s%03d", (i*7)%n) }
-	for i := n - 1; i >= 0; i-- {
-		var deps []string
-		if i > 0 {
-			deps = []string{name(i - 1)}
-		}
-		fail := i == n-1
-		if err := w.AddStep(StepSpec{Name: name(i), DependsOn: deps, Run: func(ctx *Ctx) {
-			var err error
-			if fail {
-				err = errors.New(name(n - 1))
+	build := func() *Workflow {
+		w := New("many", sim.NewClock())
+		for i := n - 1; i >= 0; i-- {
+			var deps []string
+			if i > 0 {
+				deps = []string{name(i - 1)}
 			}
-			ctx.After(time.Second, func() { ctx.Done(err) })
-		}}); err != nil {
-			t.Fatal(err)
+			fail := i == n-1
+			if err := w.AddStep(StepSpec{Name: name(i), DependsOn: deps, Run: func(ctx *Ctx) {
+				var err error
+				if fail {
+					err = errors.New(name(n - 1))
+				}
+				ctx.After(time.Second, func() { ctx.Done(err) })
+			}}); err != nil {
+				t.Fatal(err)
+			}
 		}
+		return w
 	}
-	if err := w.AddStep(timedStep(name(5), time.Second)); !errors.Is(err, ErrDuplicateStep) {
-		t.Fatalf("duplicate %s: %v", name(5), err)
-	}
+	w := build()
 	report, err := w.ExecuteCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -281,4 +283,49 @@ func TestLookupOverManySteps(t *testing.T) {
 	if w.StepError("ghost") != nil {
 		t.Fatal("StepError of an unknown step")
 	}
+	dup := build()
+	dup.AddStep(timedStep(name(5), time.Second))
+	if err := dup.Run(nil); !errors.Is(err, ErrDuplicateStep) {
+		t.Fatalf("duplicate %s: %v", name(5), err)
+	}
+}
+
+// BenchmarkChain builds and runs a 10,000-step chain, the schema's step
+// limit, declared in reverse with names that do not sort in chain order:
+// each step ends a virtual second after it starts. The add sub-benchmark
+// is the AddStep calls alone.
+func BenchmarkChain(b *testing.B) {
+	const n = 10000
+	name := func(p int) string { return fmt.Sprintf("s%05d", p*7%n) }
+	specs := make([]StepSpec, n)
+	for i := range specs {
+		p := n - 1 - i // the step's place in the chain
+		specs[i] = timedStep(name(p), time.Second)
+		if p > 0 {
+			specs[i].DependsOn = []string{name(p - 1)}
+		}
+	}
+	build := func(b *testing.B) *Workflow {
+		w := New("chain", sim.NewClock())
+		for _, s := range specs {
+			if err := w.AddStep(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return w
+	}
+	b.Run("add", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			build(b)
+		}
+	})
+	b.Run("run", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if report, err := build(b).ExecuteCtx(context.Background()); err != nil || report.Total != n*time.Second {
+				b.Fatalf("err %v, total %v", err, report.Total)
+			}
+		}
+	})
 }

@@ -6,15 +6,19 @@
 // time. The final Report reproduces the structure of the paper's Table I;
 // the Plan rendering reproduces Figure 2's step diagram.
 //
+// The package owns the rule that a DAG can run: step names non-empty and
+// unique, every dependency a declared step, no cycle. Run checks it with
+// Kahn's algorithm over edges resolved by one sort of the names, and Check
+// does for the job schema; execution runs on the same edges, so a finish
+// visits only its own dependents.
+//
 // What one run allocates: the Workflow; its step records, one slice in
-// declaration order, grown by AddStep's appends; the dependency indices,
-// one slice resolved at Run and only when some step has a dependency; a
-// step's measurement map, at its first Record; and each Report's slice of
-// step reports, which shares the finished steps' maps. Names resolve by
-// binary search over an order kept in the step records, so validation and
-// execution make no map, queue or handle per step. What the steps schedule
-// on the clock is the clock's, and RenderTable's one builder is the
-// table's.
+// declaration order, grown by AddStep's appends; the edges, one slice made
+// at Run and only when some step has a dependency; the sort of the names,
+// past 32 steps; a step's measurement map, at its first Record; and each
+// Report's slice of step reports, which shares the finished steps' maps.
+// The ready heap lives in the step records. What the steps schedule on the
+// clock is the clock's, and RenderTable's one builder is the table's.
 package workflow
 
 import (
@@ -23,7 +27,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -44,23 +47,16 @@ const (
 	StatusSkipped // a dependency failed
 )
 
+var statusNames = [...]string{"Pending", "Running", "Succeeded", "Failed", "Skipped"}
+
 func (s Status) String() string {
-	switch s {
-	case StatusPending:
-		return "Pending"
-	case StatusRunning:
-		return "Running"
-	case StatusSucceeded:
-		return "Succeeded"
-	case StatusFailed:
-		return "Failed"
-	case StatusSkipped:
-		return "Skipped"
+	if s >= 0 && int(s) < len(statusNames) {
+		return statusNames[s]
 	}
 	return fmt.Sprintf("Status(%d)", int(s))
 }
 
-// Errors returned by workflow construction and execution.
+// Errors returned by workflow construction, Check and execution.
 var (
 	ErrDuplicateStep = errors.New("workflow: duplicate step name")
 	ErrUnknownDep    = errors.New("workflow: dependency on unknown step")
@@ -125,15 +121,9 @@ type step struct {
 	measurements map[string]float64 // made by the first Record
 	ctx          Ctx                // the handle run receives
 
-	// byName orders the steps by name: steps[k].byName is the index of the
-	// k-th name in sorted order, so a name resolves by binary search.
-	byName int32
-	// dep holds the indices of deps, resolved once by validate.
-	dep []int32
-	// The cycle check's depth-first walk: the step's state, the step it
-	// was reached from, and the next dependency to visit.
-	mark         uint8
-	parent, next int32
+	out   []int32 // the steps that depend on this one, in declaration order
+	unmet int32   // dependency edges not yet succeeded; ready at zero
+	heap  int32   // the ready heap's k-th entry, when this is steps[k]
 }
 
 // Workflow is a measured DAG of steps bound to a virtual clock.
@@ -142,6 +132,7 @@ type Workflow struct {
 
 	clock      *sim.Clock
 	steps      []step // in declaration order
+	ready      int    // steps on the ready heap
 	remaining  int    // steps not yet in a terminal state, once started
 	started    bool
 	finished   bool
@@ -154,166 +145,215 @@ func New(name string, clock *sim.Clock) *Workflow {
 	return &Workflow{Name: name, clock: clock}
 }
 
-// find returns the index of the step named name, or -1.
-func (w *Workflow) find(name string) int {
-	k := w.rank(name)
-	if k < len(w.steps) {
-		if i := w.steps[k].byName; w.steps[i].name == name {
-			return int(i)
-		}
-	}
-	return -1
-}
-
-// rank is the number of step names that sort before name.
-func (w *Workflow) rank(name string) int {
-	return sort.Search(len(w.steps), func(k int) bool { return w.steps[w.steps[k].byName].name >= name })
-}
-
-// AddStep registers a step; dependencies may be declared before the steps
-// they name, and are validated at Run. Steps are added before Run.
+// AddStep registers a step; names and dependencies, which may name steps
+// declared later, are checked at Run. Steps are added before Run.
 func (w *Workflow) AddStep(spec StepSpec) error {
-	if spec.Name == "" || spec.Run == nil {
-		return errors.New("workflow: step needs a name and a Run func")
+	if spec.Run == nil {
+		return errors.New("workflow: step needs a Run func")
 	}
 	if w.started {
 		return ErrAlreadyRun
 	}
-	k, n := w.rank(spec.Name), len(w.steps)
-	if k < n && w.steps[w.steps[k].byName].name == spec.Name {
-		return fmt.Errorf("%w: %s", ErrDuplicateStep, spec.Name)
-	}
 	w.steps = append(w.steps, step{name: spec.Name, deps: spec.DependsOn, run: spec.Run})
-	for i := n; i > k; i-- {
-		w.steps[i].byName = w.steps[i-1].byName
-	}
-	w.steps[k].byName = int32(n)
 	return nil
 }
 
-// Marks of the cycle check's walk.
-const (
-	unvisited uint8 = iota
-	onPath
-	visited
-)
-
-// validate resolves every dependency to its step's index and checks that
-// the steps form no cycle, with a depth-first walk over the dependency
-// edges that keeps its stack in the steps themselves.
-func (w *Workflow) validate() error {
-	edges := 0
-	for i := range w.steps {
-		edges += len(w.steps[i].deps)
-	}
-	idx := make([]int32, 0, edges)
-	for i := range w.steps {
-		s := &w.steps[i]
-		s.mark, s.next = unvisited, 0
-		for _, d := range s.deps {
-			j := w.find(d)
-			if j < 0 {
-				return fmt.Errorf("%w: %s -> %s", ErrUnknownDep, s.name, d)
-			}
-			idx = append(idx, int32(j))
-		}
-		s.dep, idx = idx[:len(s.deps):len(s.deps)], idx[len(s.deps):]
-	}
-	for root := range w.steps {
-		if w.steps[root].mark != unvisited {
-			continue
-		}
-		w.steps[root].mark, w.steps[root].parent = onPath, -1
-		for cur := int32(root); cur >= 0; {
-			s := &w.steps[cur]
-			if int(s.next) == len(s.dep) {
-				s.mark, cur = visited, s.parent
-				continue
-			}
-			d := s.dep[s.next]
-			s.next++
-			switch w.steps[d].mark {
-			case onPath:
-				return ErrCycle
-			case unvisited:
-				w.steps[d].mark, w.steps[d].parent = onPath, cur
-				cur = d
-			}
-		}
-	}
-	return nil
+// Check reports whether n steps, the i-th named name(i) and depending on
+// the steps named by deps(i), form a DAG that can run: every name is
+// non-empty and unique, every dependency names a declared step, and no
+// chain of dependencies returns to its start. It is the rule Run checks,
+// for a caller that holds its steps in a form of its own.
+func Check(n int, name func(int) string, deps func(int) []string) error {
+	_, _, err := resolve(n, name, deps)
+	return err
 }
 
-// Run validates the DAG and starts all dependency-free steps. onComplete
+// named is a step's name and declaration index: what a name resolves to.
+type named struct {
+	name string
+	i    int32
+}
+
+// resolve checks the DAG rule with Kahn's algorithm and returns each
+// step's dependents in declaration order: step i's are out[off[i]:off[i+1]].
+// Names resolve by binary search over one sort of the steps by name, which
+// is on the stack for up to 32 steps; the edges and the algorithm's counts
+// share one slice, made only when some step has a dependency.
+func resolve(n int, name func(int) string, deps func(int) []string) (off, out []int32, err error) {
+	var small [32]named
+	byName, edges := small[:0], 0
+	if n > len(small) {
+		byName = make([]named, 0, n)
+	}
+	for i := range n {
+		if byName = append(byName, named{name(i), int32(i)}); byName[i].name == "" {
+			return nil, nil, fmt.Errorf("workflow: step %d has no name", i)
+		}
+		edges += len(deps(i))
+	}
+	slices.SortFunc(byName, func(a, b named) int { return strings.Compare(a.name, b.name) })
+	for k := 1; k < n; k++ {
+		if byName[k].name == byName[k-1].name {
+			return nil, nil, fmt.Errorf("%w: %s", ErrDuplicateStep, byName[k].name)
+		}
+	}
+	if edges == 0 {
+		return nil, nil, nil
+	}
+	buf := make([]int32, 3*n+1+2*edges)
+	off, buf = buf[:n+1], buf[n+1:]
+	out, buf = buf[:edges], buf[edges:]
+	dep, buf := buf[:edges], buf[edges:]
+	unmet, queue := buf[:n], buf[n:n]
+	// Resolve each edge once into dep, counting j's dependents in off[j];
+	// sum the counts so off[j] ends j's run of out, then fill the runs
+	// backwards, in declaration order, leaving off[j] at the run's start.
+	e := 0
+	for i := range n {
+		for _, d := range deps(i) {
+			k, ok := slices.BinarySearchFunc(byName, d, func(s named, d string) int { return strings.Compare(s.name, d) })
+			if !ok {
+				return nil, nil, fmt.Errorf("%w: %s -> %s", ErrUnknownDep, name(i), d)
+			}
+			j := byName[k].i
+			dep[e] = j
+			e++
+			off[j]++
+		}
+		unmet[i] = int32(len(deps(i)))
+	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	for i := n - 1; i >= 0; i-- {
+		for range deps(i) {
+			e--
+			off[dep[e]]--
+			out[off[dep[e]]] = int32(i)
+		}
+	}
+	// Kahn's algorithm: a step is taken once every edge into it has been,
+	// and a step never taken is on a cycle or behind one.
+	for i := range n {
+		if unmet[i] == 0 {
+			queue = append(queue, int32(i))
+		}
+	}
+	for k := 0; k < len(queue); k++ {
+		i := queue[k]
+		for _, d := range out[off[i]:off[i+1]] {
+			if unmet[d]--; unmet[d] == 0 {
+				queue = append(queue, d)
+			}
+		}
+	}
+	if len(queue) < n {
+		return nil, nil, ErrCycle
+	}
+	return off, out, nil
+}
+
+// Run checks the DAG and starts all dependency-free steps. onComplete
 // (may be nil) fires when every step reaches a terminal state; ok is true
 // when all succeeded. Drive the clock to make progress.
 func (w *Workflow) Run(onComplete func(ok bool)) error {
 	if w.started {
 		return ErrAlreadyRun
 	}
-	if err := w.validate(); err != nil {
+	off, out, err := resolve(len(w.steps), func(i int) string { return w.steps[i].name },
+		func(i int) []string { return w.steps[i].deps })
+	if err != nil {
 		return err
 	}
 	w.started = true
 	w.remaining = len(w.steps)
 	w.onComplete = onComplete
+	for i := range w.steps {
+		s := &w.steps[i]
+		if out != nil {
+			s.out = out[off[i]:off[i+1]]
+		}
+		if s.unmet = int32(len(s.deps)); s.unmet == 0 {
+			w.push(int32(i))
+		}
+	}
 	w.startReady()
 	w.maybeFinish()
 	return nil
 }
 
-// startReady launches every pending step whose dependencies all succeeded
-// and skips every pending step a failed or skipped dependency blocks. A
-// skip can block a step declared before it, so a pass that skips is
-// followed by another.
+// startReady starts the ready steps, lowest declaration index first. A
+// finish inside a step's Run starts what it releases, and any ready step
+// declared before, before this one goes on: the order a rescan of every
+// step after each finish starts them in.
 func (w *Workflow) startReady() {
-	for skipped := true; skipped; {
-		skipped = false
-		for i := range w.steps {
-			s := &w.steps[i]
-			if s.status != StatusPending {
-				continue
-			}
-			ready := true
-			skip := false
-			for _, d := range s.dep {
-				switch w.steps[d].status {
-				case StatusSucceeded:
-				case StatusFailed, StatusSkipped:
-					skip = true
-				default:
-					ready = false
-				}
-			}
-			if skip {
-				s.status = StatusSkipped
-				w.remaining--
-				skipped = true
-				continue
-			}
-			if !ready {
-				continue
-			}
-			s.status = StatusRunning
-			s.started = w.clock.Now()
-			s.ctx = Ctx{wf: w, step: s}
-			s.run(&s.ctx)
-		}
+	for w.ready > 0 {
+		s := &w.steps[w.pop()]
+		s.status = StatusRunning
+		s.started = w.clock.Now()
+		s.ctx = Ctx{wf: w, step: s}
+		s.run(&s.ctx)
 	}
 }
 
+// push puts step i on the ready heap, a binary min-heap of declaration
+// indices kept in the steps' heap fields.
+func (w *Workflow) push(i int32) {
+	k := w.ready
+	for w.ready++; k > 0 && w.steps[(k-1)/2].heap > i; k = (k - 1) / 2 {
+		w.steps[k].heap = w.steps[(k-1)/2].heap
+	}
+	w.steps[k].heap = i
+}
+
+// pop takes the lowest declaration index off the ready heap.
+func (w *Workflow) pop() int32 {
+	top, k := w.steps[0].heap, 0
+	w.ready--
+	last := w.steps[w.ready].heap
+	for c := 1; c < w.ready; k, c = c, 2*c+1 {
+		if c+1 < w.ready && w.steps[c+1].heap < w.steps[c].heap {
+			c++
+		}
+		if last < w.steps[c].heap {
+			break
+		}
+		w.steps[k].heap = w.steps[c].heap
+	}
+	w.steps[k].heap = last
+	return top
+}
+
+// finishStep ends s. A success releases each dependent whose last unmet
+// dependency it was; a failure skips every pending step that depends on
+// it, directly or through other steps.
 func (w *Workflow) finishStep(s *step, err error) {
 	s.ended = w.clock.Now()
+	w.remaining--
 	if err != nil {
-		s.status = StatusFailed
-		s.err = err
-		w.failed = true
+		s.status, s.err, w.failed = StatusFailed, err, true
+		w.skip(s)
 	} else {
 		s.status = StatusSucceeded
+		for _, d := range s.out {
+			if w.steps[d].unmet--; w.steps[d].unmet == 0 {
+				w.push(d)
+			}
+		}
 	}
-	w.remaining--
 	w.startReady()
 	w.maybeFinish()
+}
+
+// skip marks the pending steps that depend on s skipped, and theirs.
+func (w *Workflow) skip(s *step) {
+	for _, d := range s.out {
+		if t := &w.steps[d]; t.status == StatusPending {
+			t.status = StatusSkipped
+			w.remaining--
+			w.skip(t)
+		}
+	}
 }
 
 func (w *Workflow) maybeFinish() {
@@ -358,14 +398,6 @@ func (w *Workflow) Done() bool { return w.finished }
 // Failed reports whether any step failed.
 func (w *Workflow) Failed() bool { return w.failed }
 
-// StepError returns the failure of a step, or nil.
-func (w *Workflow) StepError(name string) error {
-	if i := w.find(name); i >= 0 {
-		return w.steps[i].err
-	}
-	return nil
-}
-
 // --- Reporting (Table I / Fig 2 shapes) ------------------------------------
 
 // StepReport is the measured record of one step.
@@ -374,6 +406,7 @@ type StepReport struct {
 	Status       Status
 	Duration     time.Duration
 	Measurements map[string]float64
+	Err          error // why the step failed, or nil
 }
 
 // Report summarizes a workflow run.
@@ -391,7 +424,7 @@ func (w *Workflow) Report() Report {
 	r := Report{Workflow: w.Name, Steps: make([]StepReport, len(w.steps))}
 	for i := range w.steps {
 		s, sr := &w.steps[i], &r.Steps[i]
-		sr.Name, sr.Status, sr.Measurements = s.name, s.status, s.measurements
+		sr.Name, sr.Status, sr.Measurements, sr.Err = s.name, s.status, s.measurements, s.err
 		switch s.status {
 		case StatusSucceeded, StatusFailed:
 			sr.Duration = s.ended - s.started

@@ -130,12 +130,20 @@ func TestUnknownDependency(t *testing.T) {
 	}
 }
 
+// TestDuplicateStepRejected: a name declared twice is refused by Run,
+// which checks the DAG in one place, and the workflow stays unstarted.
 func TestDuplicateStepRejected(t *testing.T) {
 	clk := sim.NewClock()
 	w := New("dup", clk)
 	w.AddStep(timedStep("a", time.Second))
-	if err := w.AddStep(timedStep("a", time.Second)); !errors.Is(err, ErrDuplicateStep) {
+	if err := w.AddStep(timedStep("a", time.Second)); err != nil {
+		t.Fatalf("AddStep = %v; the duplicate is Run's to refuse", err)
+	}
+	if err := w.Run(nil); !errors.Is(err, ErrDuplicateStep) {
 		t.Fatalf("err = %v, want ErrDuplicateStep", err)
+	}
+	if err := w.AddStep(timedStep("b", time.Second)); err != nil {
+		t.Fatalf("AddStep after a refused Run = %v", err)
 	}
 }
 
@@ -247,4 +255,22 @@ func TestImmediateStepCompletion(t *testing.T) {
 }
 
 // stepNamed returns the step record of a declared step.
-func (w *Workflow) stepNamed(name string) *step { return &w.steps[w.find(name)] }
+func (w *Workflow) stepNamed(name string) *step {
+	for i := range w.steps {
+		if w.steps[i].name == name {
+			return &w.steps[i]
+		}
+	}
+	return nil
+}
+
+// StepError returns the failure the report carries for the named step,
+// or nil.
+func (w *Workflow) StepError(name string) error {
+	for _, s := range w.Report().Steps {
+		if s.Name == name {
+			return s.Err
+		}
+	}
+	return nil
+}
