@@ -10,10 +10,14 @@
 package objstore
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"chaseci/internal/metrics"
@@ -153,26 +157,34 @@ func (s *Store) OSDs() []*OSD {
 	return out
 }
 
-// straw2 returns the weighted rendezvous score of (input, osd): each OSD
-// draws an exponential "straw" scaled by its weight; the highest straws win.
-// The key property is stability: changing the OSD set only remaps items whose
-// winning straw belonged to a removed OSD.
-func straw2(input string, osdID string, weight float64) float64 {
-	h := fnv64(input + "|" + osdID)
+// straw2 returns the weighted rendezvous score of the draw h, the hash of
+// (input, osd): each OSD draws an exponential "straw" scaled by its weight;
+// the highest straws win. The key property is stability: changing the OSD
+// set only remaps items whose winning straw belonged to a removed OSD.
+func straw2(h uint64, weight float64) float64 {
 	// Map hash to (0,1], then to an exponential variate scaled by weight.
 	u := (float64(h>>11) + 1) / (1 << 53)
 	return math.Log(u) / weight // negative; closer to 0 is better
 }
 
-func fnv64(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
+// fnvOffset is the FNV-1a state of the empty input.
+const fnvOffset uint64 = 14695981039346656037
+
+// fnv1a continues the FNV-1a state h over b.
+func fnv1a[T string | []byte](h uint64, b T) uint64 {
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
 		h *= 1099511628211
 	}
-	// FNV-1a alone avalanches the final bytes poorly into the high bits,
-	// which skews straw2 draws for IDs differing only in a trailing digit;
-	// finish with a SplitMix64-style mixer.
+	return h
+}
+
+func fnv64(s string) uint64 { return mix(fnv1a(fnvOffset, s)) }
+
+// mix finishes an FNV-1a state. FNV-1a alone avalanches the final bytes
+// poorly into the high bits, which skews straw2 draws for IDs differing only
+// in a trailing digit; a SplitMix64-style mixer spreads them.
+func mix(h uint64) uint64 {
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 27
@@ -181,43 +193,49 @@ func fnv64(s string) uint64 {
 	return h
 }
 
-// placePG computes the replica set for a placement group over up OSDs.
-func (s *Store) placePG(pg int) []string {
-	type cand struct {
-		id    string
-		score float64
-	}
-	var cands []cand
+// straw is one up OSD's draw for a placement group.
+type straw struct {
+	id    string
+	score float64
+}
+
+// placePG appends to dst the replica set of a placement group over the up
+// OSDs. Each draw hashes "pg-<pg>|<osd id>": the prefix is hashed once and
+// its FNV-1a state continued with each id. cands is the draws' scratch,
+// handed back for the next PG.
+func (s *Store) placePG(dst []string, pg int, cands []straw) ([]string, []straw) {
+	var buf [24]byte
+	prefix := fnv1a(fnvOffset, append(strconv.AppendInt(append(buf[:0], "pg-"...), int64(pg), 10), '|'))
+	cands = cands[:0]
 	for _, id := range s.osdIDs {
 		o := s.osds[id]
 		if !o.Up {
 			continue
 		}
-		cands = append(cands, cand{id, straw2(fmt.Sprintf("pg-%d", pg), id, o.Weight)})
+		cands = append(cands, straw{id, straw2(mix(fnv1a(prefix, id)), o.Weight)})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
+	slices.SortFunc(cands, func(a, b straw) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
 		}
-		return cands[i].id < cands[j].id
+		return strings.Compare(a.id, b.id)
 	})
-	n := s.cfg.Replicas
-	if n > len(cands) {
-		n = len(cands)
+	for _, c := range cands[:min(s.cfg.Replicas, len(cands))] {
+		dst = append(dst, c.id)
 	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = cands[i].id
-	}
-	return out
+	return dst, cands
 }
 
-// remap recomputes every PG's replica set and adjusts per-OSD usage.
+// remap recomputes every PG's replica set and adjusts per-OSD usage. The
+// sets share one array, each capped at its own length.
 func (s *Store) remap() {
-	old := s.pgMap
 	s.pgMap = make([][]string, s.cfg.PGs)
+	ids := make([]string, 0, s.cfg.PGs*min(s.cfg.Replicas, len(s.osdIDs)))
+	var cands []straw
 	for pg := range s.pgMap {
-		s.pgMap[pg] = s.placePG(pg)
+		start := len(ids)
+		ids, cands = s.placePG(ids, pg, cands)
+		s.pgMap[pg] = ids[start:len(ids):len(ids)]
 	}
 	// Recompute usage from scratch: deterministic and simple.
 	for _, o := range s.osds {
@@ -228,7 +246,6 @@ func (s *Store) remap() {
 			s.osds[id].used += obj.Size
 		}
 	}
-	_ = old
 	s.publishHealth()
 }
 

@@ -3,6 +3,8 @@ package objstore
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -411,4 +413,93 @@ func (s *Store) TotalUsed() float64 {
 // Stat returns the file's size and whether it exists.
 func (m *Mount) Stat(path string) (float64, bool) {
 	return m.store.Stat(m.bucket, cleanPath(path))
+}
+
+// formattedPlacement is the oracle for placePG: the placement as first
+// written, which formatted and hashed each (PG, OSD) pair's whole
+// "pg-<pg>|<osd>" key, with that hash copied here as it was.
+func formattedPlacement(s *Store) [][]string {
+	hash := func(s string) uint64 {
+		var h uint64 = 14695981039346656037
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
+			h *= 1099511628211
+		}
+		h ^= h >> 30
+		h *= 0xbf58476d1ce4e5b9
+		h ^= h >> 27
+		h *= 0x94d049bb133111eb
+		h ^= h >> 31
+		return h
+	}
+	out := make([][]string, s.cfg.PGs)
+	for pg := range out {
+		type cand struct {
+			id    string
+			score float64
+		}
+		var cands []cand
+		for _, id := range s.osdIDs {
+			o := s.osds[id]
+			if !o.Up {
+				continue
+			}
+			h := hash(fmt.Sprintf("pg-%d", pg) + "|" + id)
+			u := (float64(h>>11) + 1) / (1 << 53)
+			cands = append(cands, cand{id, math.Log(u) / o.Weight})
+		}
+		sort.Slice(cands, func(i, j int) bool {
+			if cands[i].score != cands[j].score {
+				return cands[i].score > cands[j].score
+			}
+			return cands[i].id < cands[j].id
+		})
+		for i := 0; i < s.cfg.Replicas && i < len(cands); i++ {
+			out[pg] = append(out[pg], cands[i].id)
+		}
+	}
+	return out
+}
+
+// TestPlacementMatchesFormattedKeys: hashing each PG's prefix once and
+// continuing its state with each OSD id draws the bits the formatted keys
+// drew, so every PG keeps its replica list, in order, on a built store, a
+// weighted one, and after a fail and a recover.
+func TestPlacementMatchesFormattedKeys(t *testing.T) {
+	for _, osds := range []int{3, 13} {
+		_, s := newTestStore(osds, Config{Replicas: 3})
+		check := func(when string) {
+			t.Helper()
+			want := formattedPlacement(s)
+			for pg := range want {
+				if !slices.Equal(s.pgMap[pg], want[pg]) {
+					t.Fatalf("%d OSDs, %s: pg %d on %v, want %v", osds, when, pg, s.pgMap[pg], want[pg])
+				}
+			}
+		}
+		check("built")
+		s.AddOSD("osd-heavy", "site-0", 1e12, 2.5)
+		check("with a weighted OSD")
+		if _, err := s.FailOSD("osd-01"); err != nil {
+			t.Fatal(err)
+		}
+		check("after a fail")
+		if err := s.RecoverOSD("osd-01"); err != nil {
+			t.Fatal(err)
+		}
+		check("after a recover")
+	}
+}
+
+// BenchmarkStoreBuild builds a store OSD by OSD, each AddOSD placing all 128
+// PGs again: three OSDs is dataset.NewLocal's store, thirteen a larger pool.
+func BenchmarkStoreBuild(b *testing.B) {
+	for _, osds := range []int{3, 13} {
+		b.Run(fmt.Sprintf("osds=%d", osds), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				newTestStore(osds, Config{Replicas: 3})
+			}
+		})
+	}
 }

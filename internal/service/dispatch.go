@@ -84,9 +84,10 @@ type dispatcher interface {
 	// drained consumes the mark on a job whose node was lost: one caller
 	// per loss sees true, and that caller owns the requeue.
 	drained(id string) bool
-	// steal pops a queued job for a worker that would otherwise sit waiting
-	// on jobs it submitted itself (sweep.go's helpOnce).
-	steal() (id string, ok bool)
+	// steal pops a queued job for the worker running caller, which would
+	// otherwise sit waiting on jobs it submitted itself (sweep.go's
+	// helpOnce).
+	steal(caller *job) (id string, ok bool)
 	// liveClaims lists node resource claims still held, for LeakCheck.
 	liveClaims() map[string][]string
 	// metricsText is appended to the runner's /metricz lines.
@@ -105,6 +106,6 @@ func (d localDispatch) admit(j *job) (*api.Placement, error) {
 func (d localDispatch) kick(*job, *api.Placement)       { d.pool.wakeOne() }
 func (d localDispatch) release(string)                  {}
 func (d localDispatch) drained(string) bool             { return false }
-func (d localDispatch) steal() (string, bool)           { return d.pool.fq.Pop() }
+func (d localDispatch) steal(*job) (string, bool)       { return d.pool.fq.Pop() }
 func (d localDispatch) liveClaims() map[string][]string { return nil }
 func (d localDispatch) metricsText() string             { return "" }

@@ -199,6 +199,56 @@ var (
 	resultReplies replyPool[api.ResultEnvelope]
 )
 
+// submitDecoder is a strict JSON decoder kept for reuse across submits:
+// what NewDecoder allocates, its read buffer and its scanner's parse stack
+// are made once, not per request. It reads through src, whose body is
+// swapped in for one Decode.
+type submitDecoder struct {
+	dec *json.Decoder
+	src bodySource
+}
+
+// bodySource forwards reads to the body being decoded and counts, over the
+// decoder's life, the bytes it delivered.
+type bodySource struct {
+	r io.Reader
+	n int64
+}
+
+func (s *bodySource) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	s.n += int64(n)
+	return n, err
+}
+
+var submitDecoders sync.Pool
+
+// maxPooledBody bounds the bodies whose decoder is reused: a decoder keeps
+// the buffer it grew, which a large inline volume would leave in the pool.
+const maxPooledBody = 64 << 10
+
+// decodeSubmit decodes one job request from body, unknown fields refused.
+// The decoder goes back to the pool only after a clean decode of a body of
+// at most maxPooledBody that left no byte unread in its buffer: bytes past
+// the first value are accepted, as they always were, but never reach the
+// next request's decode.
+func decodeSubmit(body io.Reader, req *api.JobRequest) error {
+	sd, _ := submitDecoders.Get().(*submitDecoder)
+	if sd == nil {
+		sd = new(submitDecoder)
+		sd.dec = json.NewDecoder(&sd.src)
+		sd.dec.DisallowUnknownFields()
+	}
+	start := sd.src.n
+	sd.src.r = body
+	err := sd.dec.Decode(req)
+	sd.src.r = nil
+	if err == nil && sd.dec.InputOffset() == sd.src.n && sd.src.n-start <= maxPooledBody {
+		submitDecoders.Put(sd)
+	}
+	return err
+}
+
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, api.ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
@@ -272,9 +322,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var req api.JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeSubmit(http.MaxBytesReader(w, r.Body, maxSubmitBytes), &req); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

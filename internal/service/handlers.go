@@ -363,6 +363,7 @@ func IVTHandler(jc *JobContext) (any, error) {
 func WorkflowHandler(jc *JobContext) (any, error) {
 	spec := jc.Request().Workflow
 	wf := workflow.New(spec.Name, sim.NewClock())
+	wf.Grow(len(spec.Steps))
 	for i := range spec.Steps {
 		st := &spec.Steps[i]
 		err := wf.AddStep(workflow.StepSpec{

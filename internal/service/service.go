@@ -279,10 +279,10 @@ type Runner struct {
 	adm     *admission
 	streams atomic.Int64 // live NDJSON event streams (gateway-reported)
 
-	// anyJob is woken when some job is queued (a waiting sweep parent has
-	// something to steal), leaves the queue (a shed submit has room) or ends
-	// (a parent's child may be done). watches counts open watches for
-	// LeakCheck.
+	// anyJob is woken when some job is queued or bound to a node (a waiting
+	// sweep parent has something to steal), leaves the queue (a shed submit
+	// has room) or ends (a parent's child may be done). watches counts open
+	// watches for LeakCheck.
 	anyJob  watchList
 	watches atomic.Int64
 

@@ -15,11 +15,14 @@ import (
 // candidate of the spec's grid (api.SweepSpec.Candidates) becomes a
 // train_dist job with a held-out validation slab, submitted through the same
 // admission-controlled fair queue as everything else — a sweep enjoys no
-// back door around tenant bounds. While its children run, the sweep worker "helps": it drains the
-// pending queue like any pool worker, so a single-worker runner cannot
-// deadlock on a job that is waiting for jobs. With nothing to help it parks
-// on a watch of the runner's anyJob list — woken when a child ends, and
-// when any job is queued after it began to wait (work conservation).
+// back door around tenant bounds. While its children run, the sweep worker
+// "helps": it drains its pool's pending queue like any pool worker — on a
+// cluster runner, the queue of the node it runs on — so a pool whose workers
+// all wait on jobs they submitted still runs what is queued on it. (A child
+// no node has room for is parked, not queued: the waiting sweeps keep their
+// claims.) With nothing to help it parks on a watch of the runner's anyJob
+// list — woken when a child ends, and when any job is queued or bound after
+// it began to wait (work conservation).
 
 // submitChild submits a child job under the parent's identity. When
 // admission sheds the submit the parent helps the pool instead of failing,
@@ -40,10 +43,10 @@ func (jc *JobContext) submitChild(w *watch, req *api.JobRequest) (api.JobStatus,
 }
 
 // helpOnce pops one pending job and executes it inline on the calling
-// worker's goroutine. False when the dispatcher has nothing to hand over
-// (an empty queue, or a cluster runner, whose node pools carry their own).
+// worker's goroutine. False when the dispatcher has nothing to hand over:
+// the worker's queue is empty.
 func (jc *JobContext) helpOnce() bool {
-	id, ok := jc.runner.disp.steal()
+	id, ok := jc.runner.disp.steal(jc.job)
 	if !ok {
 		return false
 	}

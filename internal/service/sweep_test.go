@@ -1,14 +1,18 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"chaseci/internal/api"
 	"chaseci/internal/dataset"
 	"chaseci/internal/merra"
+	"chaseci/internal/sched"
 )
 
 // sameBoard compares a leaderboard row by row on what a board pins: params,
@@ -258,4 +262,55 @@ func TestSweepKeepsOneCheckpoint(t *testing.T) {
 		t.Fatalf("a cancelled sweep left checkpoints behind: %v", got)
 	}
 	assertNoLeaks(t, r)
+}
+
+// TestClusterSweepsFinish: a sweep waits on the train_dist children it
+// submits, and on a cluster runner those children queue on node pools whose
+// workers may all be sweeps waiting too. One sweep on a one-worker node, and
+// twice as many sweeps as a six-node fabric has workers, each from its own
+// tenant, all finish within the bound with the board the single-node runner
+// computes, and leave nothing held.
+func TestClusterSweepsFinish(t *testing.T) {
+	const bound = 60 * time.Second
+	req := learningSweep(false)
+	req.Sweep.TrainSteps = []int{4}
+	want := sweepResult(t, runJob(t, newTestRunner(t, DefaultRegistry(), 1), req)).Leaderboard
+	for i := range want {
+		want[i].JobID, want[i].CheckpointRef = "", ""
+	}
+	for _, tc := range []struct {
+		name   string
+		fabric func(*testing.T) *sched.Fabric
+		sweeps int
+	}{
+		{"one_sweep_one_worker", twoSlotFabric, 1},
+		{"twelve_sweeps_six_workers", func(*testing.T) *sched.Fabric { return sched.DefaultFabric() }, 12},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewClusterRunnerConfigured(DefaultRegistry(), nil, tc.fabric(t), RunnerConfig{Workers: 1})
+			t.Cleanup(r.Close)
+			ids := make([]string, tc.sweeps)
+			for i := range ids {
+				st, err := r.Submit(req, fmt.Sprintf("tenant-%02d@ucsd.edu", i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids[i] = st.ID
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), bound)
+			defer cancel()
+			for _, id := range ids {
+				st, err := r.Await(ctx, id, nil)
+				if err != nil {
+					t.Fatalf("sweep %s still %s after %v", id, st.State, bound)
+				}
+				if st.State != api.StateSucceeded {
+					t.Fatalf("sweep %s: %s (%s)", id, st.State, st.Error)
+				}
+				raw, _, _ := r.Result(id)
+				sameBoard(t, sweepResult(t, raw).Leaderboard, want)
+			}
+			assertNoLeaks(t, r)
+		})
+	}
 }

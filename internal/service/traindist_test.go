@@ -644,7 +644,7 @@ type closedSteal struct {
 	tried chan struct{}
 }
 
-func (d closedSteal) steal() (string, bool) {
+func (d closedSteal) steal(caller *job) (string, bool) {
 	if !d.open.Load() {
 		select {
 		case d.tried <- struct{}{}:
@@ -652,7 +652,7 @@ func (d closedSteal) steal() (string, bool) {
 		}
 		return "", false
 	}
-	return d.dispatcher.steal()
+	return d.dispatcher.steal(caller)
 }
 
 // TestSweepParentStealsWorkQueuedWhileItWaits pins work conservation: a

@@ -111,31 +111,39 @@ func TestRenderTableMatchesFmt(t *testing.T) {
 }
 
 // TestRunAllocatesStepsAndReport: a run allocates the Workflow, the step
-// records (one slice, grown by append), the dependency indices when some
-// step has any, each recording step's measurement map, and the Report —
-// nothing per lookup, per dependency or per finished step. The table costs
-// its one builder.
+// records (one slice, made once by Grow or grown by append), the dependency
+// indices when some step has any, each recording step's measurement map,
+// and the Report — nothing per lookup, per dependency or per finished step.
+// The table costs its one builder.
 func TestRunAllocatesStepsAndReport(t *testing.T) {
 	instant := func(ctx *Ctx) { ctx.Done(nil) }
+	diamond := []StepSpec{
+		{Name: "root", Run: instant},
+		{Name: "left", DependsOn: []string{"root"}, Run: instant},
+		{Name: "right", DependsOn: []string{"root"}, Run: instant},
+		{Name: "join", DependsOn: []string{"left", "right"}, Run: instant},
+	}
 	for _, tc := range []struct {
 		name   string
 		steps  []StepSpec
+		grow   bool // the caller sizes the steps once
 		allocs float64
 	}{
 		// Workflow, steps, report.
-		{"one", []StepSpec{{Name: "only", Run: instant}}, 3},
+		{"one", []StepSpec{{Name: "only", Run: instant}}, false, 3},
+		{"one_sized", []StepSpec{{Name: "only", Run: instant}}, true, 3},
 		// Workflow, steps grown 1 -> 2 -> 4, indices, report.
-		{"diamond", []StepSpec{
-			{Name: "root", Run: instant},
-			{Name: "left", DependsOn: []string{"root"}, Run: instant},
-			{Name: "right", DependsOn: []string{"root"}, Run: instant},
-			{Name: "join", DependsOn: []string{"left", "right"}, Run: instant},
-		}, 6},
+		{"diamond", diamond, false, 6},
+		// Workflow, steps made once, indices, report.
+		{"diamond_sized", diamond, true, 4},
 	} {
 		clk := sim.NewClock()
 		var report Report
 		got := testing.AllocsPerRun(100, func() {
 			w := New(tc.name, clk)
+			if tc.grow {
+				w.Grow(len(tc.steps))
+			}
 			for _, s := range tc.steps {
 				if err := w.AddStep(s); err != nil {
 					t.Fatal(err)
@@ -307,6 +315,7 @@ func BenchmarkChain(b *testing.B) {
 	}
 	build := func(b *testing.B) *Workflow {
 		w := New("chain", sim.NewClock())
+		w.Grow(len(specs))
 		for _, s := range specs {
 			if err := w.AddStep(s); err != nil {
 				b.Fatal(err)

@@ -13,9 +13,9 @@
 // visits only its own dependents.
 //
 // What one run allocates: the Workflow; its step records, one slice in
-// declaration order, grown by AddStep's appends; the edges, one slice made
-// at Run and only when some step has a dependency; the sort of the names,
-// past 32 steps; a step's measurement map, at its first Record; and each
+// declaration order, made once by Grow or grown by AddStep's appends; the
+// edges, one slice made at Run and only when some step has a dependency;
+// the sort of the names, past 32 steps; a step's measurement map, at its first Record; and each
 // Report's slice of step reports, which shares the finished steps' maps.
 // The ready heap lives in the step records. What the steps schedule on the
 // clock is the clock's, and RenderTable's one builder is the table's.
@@ -143,6 +143,14 @@ type Workflow struct {
 // New creates an empty workflow.
 func New(name string, clock *sim.Clock) *Workflow {
 	return &Workflow{Name: name, clock: clock}
+}
+
+// Grow makes room for n more steps, so a caller that knows how many it will
+// add makes the step records once instead of growing them by appends.
+func (w *Workflow) Grow(n int) {
+	if cap(w.steps)-len(w.steps) < n {
+		w.steps = append(make([]step, 0, len(w.steps)+n), w.steps...)
+	}
 }
 
 // AddStep registers a step; names and dependencies, which may name steps
