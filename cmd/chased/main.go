@@ -153,8 +153,8 @@ func serve(args []string) {
 		maxPending       = fs.Int("max-pending", 0, "global pending-job bound; submits past it shed with 429 (0 = default, -1 = unlimited)")
 		maxPendingTenant = fs.Int("max-pending-tenant", 0, "per-tenant pending-job bound (0 = default, -1 = unlimited)")
 		tenantWeights    = fs.String("tenant-weights", "", "comma-separated tenant=weight fair-dispatch shares (unlisted tenants weigh 1)")
-		rateLimit        = fs.Float64("rate-limit", 0, "per-tenant submit rate limit in requests/second (0 = off)")
-		rateBurst        = fs.Int("rate-burst", 0, "per-tenant submit burst on top of -rate-limit (0 = 2x the rate)")
+		rateLimit        = fs.Float64("rate-limit", 0, "per-tenant rate limit of submits and dataset uploads together, in requests/second (0 = off)")
+		rateBurst        = fs.Int("rate-burst", 0, "per-tenant burst of submits and uploads on top of -rate-limit (0 = 2x the rate)")
 	)
 	fs.Parse(args)
 

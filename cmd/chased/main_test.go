@@ -71,7 +71,9 @@ func TestAwaitJobFollowsEventsToTerminal(t *testing.T) {
 		if tc.name == "parks" {
 			go func() {
 				<-started
-				runner.Cancel(id)
+				if resp, err := request("POST", srv.URL+"/v1/jobs/"+id+"/cancel", login.Token, nil); err == nil {
+					resp.Body.Close()
+				}
 			}()
 		}
 		st, err := awaitJob(srv.URL, login.Token, id)

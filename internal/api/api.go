@@ -41,9 +41,9 @@ const (
 	// store as content-addressed refs a later job can resume from (or flood
 	// with). With holdout_steps it also scores the model on a held-out slab.
 	KindTrainDist Kind = "train_dist"
-	// KindSweep fans train_dist jobs out over a hyperparameter grid through
-	// the admission-controlled queue and returns a validation leaderboard
-	// whose winner carries its checkpoint ref.
+	// KindSweep fans train_dist jobs out over a hyperparameter grid, run in
+	// the sweep's own lanes, and returns a validation leaderboard whose
+	// winner carries its checkpoint ref.
 	KindSweep Kind = "sweep"
 	// KindWorkflow executes a measured virtual-time step DAG (PPoDS).
 	KindWorkflow Kind = "workflow"
@@ -626,10 +626,11 @@ func (s *TrainDistSpec) validate() error {
 }
 
 // SweepSpec expands the cartesian hyperparameter grid (Candidates) and fans
-// one child job per candidate out through the service's admission-controlled
-// fair queue: a train_dist job of one worker and one example per round,
-// training on the leading split of the source and scored on the trailing
-// holdout_steps. The result is a leaderboard ranked by F1 whose winner names
+// one child job per candidate out into the sweep's own lanes: a train_dist
+// job of one worker and one example per round, training on the leading
+// split of the source and scored on the trailing holdout_steps. A child has
+// its own id, status and result, but is never queued or placed: it runs on
+// the sweep's worker, under the sweep's node claim on a cluster runner. The result is a leaderboard ranked by F1 whose winner names
 // its final checkpoint (Best.CheckpointRef), ready for segment.net_ref; the
 // sweep drops every other checkpoint its children wrote.
 type SweepSpec struct {
@@ -646,8 +647,8 @@ type SweepSpec struct {
 	Modules    []int     `json:"modules,omitempty"`
 	TrainSteps []int     `json:"train_steps"`
 
-	// Parallel bounds how many child jobs the sweep keeps in flight
-	// (0 defaults to 2).
+	// Parallel is how many lanes the sweep runs its children in, so how
+	// many run at once (0 defaults to 2).
 	Parallel int `json:"parallel,omitempty"`
 	// EarlyStop enables median-based successive halving: every candidate
 	// first runs at half its train steps, candidates whose F1 falls below

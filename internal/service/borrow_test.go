@@ -361,8 +361,8 @@ func TestJobAllocBounds(t *testing.T) {
 			h := api.SweepParams{LR: 0.03, Momentum: 0.9, Features: 6, Modules: 2, TrainSteps: 30}
 			return &api.JobRequest{Kind: api.KindTrainDist, TrainDist: sweep.Sweep.Child(h, 2, "")}
 		}, 2, 8, 110, 120},
-		// The 8-candidate sweep fanned through the fair
-		// queue with no early stop (285-332 KB, 364-421 KB under the race
+		// The 8-candidate sweep, its children run in its own
+		// lanes, with no early stop (285-332 KB, 364-421 KB under the race
 		// detector, of which about 170 KB is the eight checkpoints its
 		// children write; 475-505 KB while each child allocated its network
 		// and velocity, 290-330 KB while they wrote no checkpoint, 1.4 MB

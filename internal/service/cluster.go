@@ -60,24 +60,6 @@ func (d clusterDispatch) drained(id string) bool          { return d.r.takeDrain
 func (d clusterDispatch) liveClaims() map[string][]string { return d.r.sched.LiveClaims() }
 func (d clusterDispatch) metricsText() string             { return d.r.sched.MetricsText() }
 
-// steal pops from the queue of the node the caller runs on, so a job it
-// takes was placed, and is claimed, on that node. A sweep waiting there runs
-// the children placed there: when every worker of a node is such a sweep,
-// nobody else would.
-func (d clusterDispatch) steal(caller *job) (string, bool) {
-	pl := caller.placement.Load()
-	if pl == nil {
-		return "", false
-	}
-	d.r.mu.Lock()
-	pool := d.r.pools[pl.Node]
-	d.r.mu.Unlock()
-	if pool == nil {
-		return "", false
-	}
-	return pool.fq.Pop()
-}
-
 // workloadFor builds the scheduler's view of a job: its pinned refs, an
 // input-size estimate for the energy model, and the caller's constraints.
 func (r *Runner) workloadFor(j *job) *sched.Workload {
@@ -145,9 +127,6 @@ func (r *Runner) bindJob(j *job, pl *api.Placement) {
 		return
 	}
 	pool.wakeOne()
-	// A sweep waiting on that node steals rather than sleeps on the pool's
-	// wake channel, and Submit's wake-up came before this push.
-	r.anyJob.notify()
 }
 
 // takeDrain consumes the job's drain marker (set when its node was lost).

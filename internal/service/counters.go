@@ -120,14 +120,11 @@ func (r *Runner) observeDuration(j *job) {
 // pendingGauges moves the per-kind pending gauge, the aggregate
 // queue_depth gauge, and the per-tenant pending gauge together: +1 on
 // admission, -1 when a job starts running or reaches a terminal state
-// without running. Every move of the pending set passes through here, so
-// this is also where whoever waits on it (sweep.go, through anyJob) is
-// woken.
+// without running.
 func (r *Runner) pendingGauges(j *job, d int64) {
 	r.gaugeAdd("jobs_pending", j.kind, d)
 	r.met.get("queue_depth", "", "").v.Add(d)
 	r.met.tenant("tenant_pending", j.owner).v.Add(d)
-	r.anyJob.notify()
 }
 
 // pendingAdd moves the admission counts and the pending gauges together

@@ -47,7 +47,7 @@ func (r *Runner) poolLoop(p *nodePool) {
 			if !ok {
 				break
 			}
-			r.execute(id)
+			r.execute(r.baseCtx, id)
 			if p.ctx.Err() != nil {
 				return
 			}
@@ -70,7 +70,7 @@ func (p *nodePool) wakeOne() {
 
 // dispatcher is the one place a single-node and a cluster runner differ:
 // where an admitted job is queued and what it holds until it ends. Submit,
-// execute, Cancel, Close, MetricsText and LeakCheck call it and never ask
+// execute, cancelJob, Close, MetricsText and LeakCheck call it and never ask
 // which kind of runner they are in.
 type dispatcher interface {
 	// admit queues or places a new job under its shard mutex (which orders
@@ -84,10 +84,6 @@ type dispatcher interface {
 	// drained consumes the mark on a job whose node was lost: one caller
 	// per loss sees true, and that caller owns the requeue.
 	drained(id string) bool
-	// steal pops a queued job for the worker running caller, which would
-	// otherwise sit waiting on jobs it submitted itself (sweep.go's
-	// helpOnce).
-	steal(caller *job) (id string, ok bool)
 	// liveClaims lists node resource claims still held, for LeakCheck.
 	liveClaims() map[string][]string
 	// metricsText is appended to the runner's /metricz lines.
@@ -106,6 +102,5 @@ func (d localDispatch) admit(j *job) (*api.Placement, error) {
 func (d localDispatch) kick(*job, *api.Placement)       { d.pool.wakeOne() }
 func (d localDispatch) release(string)                  {}
 func (d localDispatch) drained(string) bool             { return false }
-func (d localDispatch) steal(*job) (string, bool)       { return d.pool.fq.Pop() }
 func (d localDispatch) liveClaims() map[string][]string { return nil }
 func (d localDispatch) metricsText() string             { return "" }

@@ -33,10 +33,11 @@ type GatewayOptions struct {
 	AllowAnonymous bool
 	// TokenSeed seeds the token RNG; 0 derives one from the wall clock.
 	TokenSeed uint64
-	// RateLimit is the per-tenant sustained submit rate (requests/second)
-	// enforced with a token bucket; <= 0 disables gateway rate limiting.
-	// Over-rate submits get 429 with a Retry-After header before the body
-	// is even read.
+	// RateLimit is the per-tenant sustained rate (requests/second) of
+	// submits and dataset uploads together, enforced with one token bucket
+	// per tenant; <= 0 disables gateway rate limiting. An over-rate submit
+	// or upload gets 429 with a Retry-After header before its body is even
+	// read.
 	RateLimit float64
 	// RateBurst is the token-bucket depth (<= 0 defaults to ~2s of
 	// RateLimit, minimum 1).
@@ -263,6 +264,45 @@ func retryAfterSecs(d time.Duration) string {
 	return strconv.FormatInt(secs, 10)
 }
 
+// overRate spends one of owner's rate-limit tokens for a submit or an
+// upload (what names it), or writes the 429, with its Retry-After, and
+// counts the refusal under metric. It runs before the body is read: an
+// over-rate tenant costs the gateway a map lookup, not a decode.
+func (g *Gateway) overRate(w http.ResponseWriter, owner, what, metric string) bool {
+	if g.limiter == nil {
+		return false
+	}
+	ok, wait := g.limiter.allow(owner, time.Now())
+	if ok {
+		return false
+	}
+	g.runner.countTenant(metric, owner)
+	w.Header().Set("Retry-After", retryAfterSecs(wait))
+	writeErr(w, http.StatusTooManyRequests, "%s rate limit exceeded for %s; retry after %v", what, owner, wait)
+	return true
+}
+
+// declaresTooMuch writes a 413 for a body whose Content-Length is past limit,
+// before a byte of it is read.
+func declaresTooMuch(w http.ResponseWriter, r *http.Request, limit int64, what string) bool {
+	if r.ContentLength <= limit {
+		return false
+	}
+	writeErr(w, http.StatusRequestEntityTooLarge, "%s: declares %d bytes (max %d)", what, r.ContentLength, limit)
+	return true
+}
+
+// bodyErrCode is the status of a body that failed to read or decode: 413
+// when it ran past its cap (http.MaxBytesReader's error), 400 for a short,
+// broken or malformed one, which is no size problem.
+func bodyErrCode(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // authenticate resolves the request's identity: a Bearer token validated
 // against the federation, or "anonymous" when allowed.
 func (g *Gateway) authenticate(r *http.Request) (string, error) {
@@ -310,20 +350,12 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusUnauthorized, "%v", err)
 		return
 	}
-	// Rate limit before reading the body: an over-rate tenant costs the
-	// gateway a map lookup, not a JSON decode.
-	if g.limiter != nil {
-		if ok, wait := g.limiter.allow(owner, time.Now()); !ok {
-			g.runner.countTenant("submits_rate_limited", owner)
-			w.Header().Set("Retry-After", retryAfterSecs(wait))
-			writeErr(w, http.StatusTooManyRequests,
-				"submit rate limit exceeded for %s; retry after %v", owner, wait)
-			return
-		}
+	if g.overRate(w, owner, "submit", "submits_rate_limited") || declaresTooMuch(w, r, maxSubmitBytes, "request body") {
+		return
 	}
 	var req api.JobRequest
 	if err := decodeSubmit(http.MaxBytesReader(w, r.Body, maxSubmitBytes), &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+		writeErr(w, bodyErrCode(err), "bad request body: %v", err)
 		return
 	}
 	st, err := g.runner.Submit(&req, owner)
@@ -541,21 +573,12 @@ func (g *Gateway) storeDataset(w http.ResponseWriter, r *http.Request, wantID st
 		writeErr(w, http.StatusUnauthorized, "%v", err)
 		return
 	}
-	if r.ContentLength > dataset.MaxEncodedBytes {
-		writeErr(w, http.StatusRequestEntityTooLarge,
-			"dataset body: declares %d bytes (max %d)", r.ContentLength, dataset.MaxEncodedBytes)
+	if g.overRate(w, owner, "upload", "uploads_rate_limited") || declaresTooMuch(w, r, dataset.MaxEncodedBytes, "dataset body") {
 		return
 	}
 	enc, err := readDatasetBody(w, r)
 	if err != nil {
-		// Only an actual cap overflow is 413; a short or broken body is
-		// the client's 400, not a size problem.
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeErr(w, code, "dataset body: %v", err)
+		writeErr(w, bodyErrCode(err), "dataset body: %v", err)
 		return
 	}
 	var info dataset.Info

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"chaseci/internal/api"
+	"chaseci/internal/dataset"
 )
 
 // newOverloadFixture wires a gateway over a runner whose single worker is
@@ -232,6 +234,44 @@ func TestGatewayRateLimit429(t *testing.T) {
 	}
 	if text := runner.MetricsText(); !strings.Contains(text, "submits_rate_limited") {
 		t.Fatalf("metrics missing submits_rate_limited:\n%s", text)
+	}
+}
+
+// TestGatewayUploadRateLimit429: dataset uploads spend the same per-tenant
+// tokens as submits. Once the burst is spent, an upload is a 429 with
+// Retry-After before its body is read, counted per tenant, and stores
+// nothing; the tenant's next submit is refused from the same bucket.
+func TestGatewayUploadRateLimit429(t *testing.T) {
+	runner := NewRunnerConfigured(DefaultRegistry(), nil, RunnerConfig{Workers: 1})
+	t.Cleanup(runner.Close)
+	gw := NewGateway(runner, GatewayOptions{AllowAnonymous: true, RateLimit: 0.001, RateBurst: 1})
+	d, h, w, data := testIVTField(1)
+	enc, _ := dataset.EncodeVolume(d, h, w, data)
+	upload := func(body io.Reader) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		gw.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/datasets", body))
+		return rec
+	}
+	if rec := upload(bytes.NewReader(enc)); rec.Code != http.StatusCreated {
+		t.Fatalf("first upload: %d %s", rec.Code, rec.Body)
+	}
+	rec := upload(unreadBody{t})
+	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") == "" ||
+		!strings.Contains(rec.Body.String(), "upload rate limit exceeded for anonymous") {
+		t.Fatalf("over-rate upload: %d %q (Retry-After %q), want a 429 naming the upload limit",
+			rec.Code, rec.Body, rec.Header().Get("Retry-After"))
+	}
+	if n := len(runner.Datasets().List()); n != 1 {
+		t.Fatalf("store holds %d datasets, want the first upload only", n)
+	}
+	if code, _ := postJob(gw, workflowBody("after")); code != http.StatusTooManyRequests {
+		t.Fatalf("submit after the upload spent the bucket: %d, want 429", code)
+	}
+	text := runner.MetricsText()
+	for _, line := range []string{`uploads_rate_limited{tenant="anonymous"} 1`, `submits_rate_limited{tenant="anonymous"} 1`} {
+		if !strings.Contains(text, line+"\n") {
+			t.Fatalf("metrics missing %s:\n%s", line, text)
+		}
 	}
 }
 

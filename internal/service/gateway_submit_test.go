@@ -140,3 +140,49 @@ func TestConcurrentSubmitsDecodeTheirOwnBodies(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// unreadBody is a request body that fails the test if anything reads it.
+type unreadBody struct{ t *testing.T }
+
+func (b unreadBody) Read([]byte) (int, error) {
+	b.t.Error("the gateway read a body it should have refused unread")
+	return 0, io.EOF
+}
+
+// TestSubmitDeclaredOversizeIs413: a submit whose Content-Length declares
+// more than the gateway's cap is a 413 before a byte of its body is read,
+// and registers nothing.
+func TestSubmitDeclaredOversizeIs413(t *testing.T) {
+	r := newTestRunner(t, DefaultRegistry(), 1)
+	gw := NewGateway(r, GatewayOptions{AllowAnonymous: true, TokenSeed: 1})
+	req := httptest.NewRequest(http.MethodPost, "/v1/jobs", unreadBody{t})
+	req.ContentLength = maxSubmitBytes + 1
+	rec := httptest.NewRecorder()
+	gw.ServeHTTP(rec, req)
+	want := fmt.Sprintf(`{"error":"request body: declares %d bytes (max %d)"}`+"\n", maxSubmitBytes+1, maxSubmitBytes)
+	if rec.Code != http.StatusRequestEntityTooLarge || rec.Body.String() != want {
+		t.Fatalf("declared oversize submit: %d %q, want 413 %q", rec.Code, rec.Body.String(), want)
+	}
+	if n := r.Count(); n != 0 {
+		t.Fatalf("a refused submit registered %d jobs", n)
+	}
+}
+
+// TestBodyErrCode: a body cut off by http.MaxBytesReader, however wrapped,
+// is a 413; a short or malformed one is a 400.
+func TestBodyErrCode(t *testing.T) {
+	tooBig := &http.MaxBytesError{Limit: 16}
+	for _, tc := range []struct {
+		err  error
+		code int
+	}{
+		{tooBig, http.StatusRequestEntityTooLarge},
+		{fmt.Errorf("decode: %w", tooBig), http.StatusRequestEntityTooLarge},
+		{io.ErrUnexpectedEOF, http.StatusBadRequest},
+		{errors.New("invalid character"), http.StatusBadRequest},
+	} {
+		if got := bodyErrCode(tc.err); got != tc.code {
+			t.Errorf("bodyErrCode(%v) = %d, want %d", tc.err, got, tc.code)
+		}
+	}
+}

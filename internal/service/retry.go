@@ -138,12 +138,12 @@ func (r *Runner) runWithRetry(h Handler, jc *JobContext) (any, error) {
 	return res, err
 }
 
-// LeakCheck verifies the runner's bookkeeping balanced out: no dataset pin,
-// no scheduler resource claim, no open event stream and no registered watch
-// survives once every known job is terminal. It errors if a job is still
-// live (the check would be vacuous) or if a pin, claim, stream or watch
-// leaked. Tests call it after
-// quiescing; scenario invariants call it at the end of every script.
+// LeakCheck verifies the runner's bookkeeping balanced out: no pending
+// count, dataset pin, scheduler resource claim, open event stream or
+// registered watch survives once every known job is terminal. It errors if
+// a job is still live (the check would be vacuous) or if any of those
+// leaked. Tests call it after quiescing; scenario invariants call it at the
+// end of every script.
 func (r *Runner) LeakCheck() error {
 	var live []string
 	r.eachJob(func(j *job) {
@@ -155,6 +155,19 @@ func (r *Runner) LeakCheck() error {
 		sort.Strings(live)
 		return fmt.Errorf("service: leak check before quiescence: %d non-terminal jobs: %s",
 			len(live), strings.Join(live, ", "))
+	}
+	// The gauge catches a decrement too many, which admission hides: it
+	// clamps its total at 0 and forgets a tenant whose count reaches 0.
+	var depth int64
+	if s := (*r.met.byKey.Load())[seriesKey{"queue_depth", ""}]; s != nil {
+		depth = s.v.Load()
+	}
+	r.adm.mu.Lock()
+	total, tenants := r.adm.total, len(r.adm.pending)
+	r.adm.mu.Unlock()
+	if depth != 0 || total != 0 || tenants != 0 {
+		return fmt.Errorf("service: pending ledger unbalanced: queue_depth %d, admission total %d over %d tenant(s)",
+			depth, total, tenants)
 	}
 	if pinned := r.datasets.Pinned(); len(pinned) > 0 {
 		ids := make([]string, 0, len(pinned))

@@ -40,6 +40,31 @@ func (d parkedRelease) release(id string) {
 	d.dispatcher.release(id)
 }
 
+// TestLeakCheckBalancesPendingLedger: after quiescence LeakCheck reads the
+// pending ledger: a job counted pending twice shows in admission, and one
+// taken off it twice shows in the queue_depth gauge, which admission hides
+// by clamping its total at 0.
+func TestLeakCheckBalancesPendingLedger(t *testing.T) {
+	r := newTestRunner(t, DefaultRegistry(), 1)
+	runJob(t, r, blockingWorkflowRequest())
+	assertNoLeaks(t, r)
+	j := r.lookupJob("job-000001")
+	for _, tc := range []struct {
+		name string
+		d    int
+	}{{"counted twice", +1}, {"taken off twice", -1}} {
+		r.pendingAdd(j, tc.d)
+		if err := r.LeakCheck(); err == nil || !strings.Contains(err.Error(), "pending ledger") {
+			t.Fatalf("a job %s: LeakCheck = %v, want the pending ledger named", tc.name, err)
+		}
+		r.pendingAdd(j, -tc.d)
+		if tc.d < 0 {
+			r.adm.add(j.owner, -1) // admission clamped the decrement away
+		}
+		assertNoLeaks(t, r)
+	}
+}
+
 // TestTerminalStateFollowsRelease pins the order LeakCheck's quiescence rule
 // rests on: a job must not read terminal while its node claim is still on
 // its way back. With the worker parked inside release, the job's pins are

@@ -16,20 +16,22 @@
 // are a fixed table of atomic integers (counters.go), touched without a
 // lock, a clock or an allocation.
 //
-// Execution model: one core — Submit, the worker loop, execute, Cancel,
+// Execution model: one core — Submit, the worker loop, execute, cancelJob,
 // Close — runs over worker pools (dispatch.go). A single-node and a cluster
 // runner differ only in where a job is queued, which sits behind the
 // dispatcher seam: the local dispatcher pushes every job onto its one pool;
 // the cluster dispatcher (cluster.go) asks sched.Scheduler for a node,
 // pushes onto that node's pool, and requeues through placement when a node
-// is lost. The constructor called decides which one a Runner has.
+// is lost. The constructor called decides which one a Runner has. A sweep's
+// children pass Submit's checks (register) but no dispatcher: they run in
+// the sweep's own lanes (sweep.go).
 //
 // Waiting: there is one way to learn that a job changed — Runner.Await
 // (watch.go). Every state transition, placement and Progress call wakes the
 // job's watchers, and a woken watcher re-reads the snapshot Status serves;
 // nothing is queued per event, a job carries one pointer for it, and with
-// nobody watching a wake is one atomic load. The gateway's events stream, a
-// sweep parent waiting on its children, internal/core, the scenario engine,
+// nobody watching a wake is one atomic load. The gateway's events stream,
+// internal/core, the scenario engine,
 // `chased submit -wait` (through the events stream) and the tests all park
 // on it; nothing in the server polls a job on a timer.
 //
@@ -220,7 +222,10 @@ func (jc *JobContext) Progress(done, total int64, stage string) {
 type RunnerConfig struct {
 	// Workers is the size of each worker pool: the one pool of a
 	// single-node runner (<= 0 defaults to 4), or every node's pool on a
-	// cluster runner (<= 0 defaults to 2).
+	// cluster runner (<= 0 defaults to 2). A pool worker runs one job at a
+	// time, but a sweep it runs runs its children in lanes of its own, so
+	// a runner may have more handlers running than this, by up to the
+	// sweep's Parallel per running sweep.
 	Workers int
 	// Datasets is the content-addressed data plane every ref in requests
 	// and results resolves against (nil = a private local store; cluster
@@ -279,11 +284,7 @@ type Runner struct {
 	adm     *admission
 	streams atomic.Int64 // live NDJSON event streams (gateway-reported)
 
-	// anyJob is woken when some job is queued or bound to a node (a waiting
-	// sweep parent has something to steal), leaves the queue (a shed submit
-	// has room) or ends (a parent's child may be done). watches counts open
-	// watches for LeakCheck.
-	anyJob  watchList
+	// watches counts open watches for LeakCheck.
 	watches atomic.Int64
 
 	// mu guards the cluster control plane only; never held together with a
@@ -385,7 +386,7 @@ var terminalMetric = [...]string{
 	codeSucceeded: "jobs_succeeded", codeFailed: "jobs_failed", codeCancelled: "jobs_cancelled",
 }
 
-// endUnrun ends a queued job that will never run (Cancel, Close, a failed
+// endUnrun ends a queued job that will never run (cancelJob, Close, a failed
 // re-placement), paying what execute's completion would have: the pins, the
 // pending counts, the terminal counter, any node claim.
 // The CAS makes it exactly-once against a worker's queued→running and
@@ -419,7 +420,6 @@ func (r *Runner) finish(j *job, final int32) {
 	r.evictMu.Unlock()
 	j.state.Store(final)
 	j.watchers.notify()
-	r.anyJob.notify()
 }
 
 // releaseJobRefs unpins the job's source datasets. Exactly one terminal
@@ -442,21 +442,38 @@ func (r *Runner) releaseJobRefs(j *job) {
 // queued or running (or, for a job that short, terminal). Callers that need
 // "accepted" check the error and the id, not State == queued.
 func (r *Runner) Submit(req *api.JobRequest, owner string) (api.JobStatus, error) {
-	if r.baseCtx.Err() != nil {
-		return api.JobStatus{}, ErrClosed
-	}
-	if err := req.Validate(); err != nil {
+	j, pl, err := r.register(req, owner, nil)
+	if err != nil {
 		return api.JobStatus{}, err
 	}
+	r.disp.kick(j, pl)
+	return r.statusOf(j), nil
+}
+
+// register is what every job passes to be one: validation, its ref pins and
+// checks, an id, the index entry, jobs_submitted and the pending count. A
+// submitted job (parent nil) reserves admission, which can shed, and is
+// handed to the dispatcher. A child (sweep.go) runs in a lane of its running
+// parent the moment it is registered, so it counts as pending without a
+// bound and is never dispatched; it reports its parent's placement.
+func (r *Runner) register(req *api.JobRequest, owner string, parent *job) (*job, *api.Placement, error) {
+	if r.baseCtx.Err() != nil {
+		return nil, nil, ErrClosed
+	}
+	if err := req.Validate(); err != nil {
+		return nil, nil, err
+	}
 	if _, ok := r.reg.Handler(req.Kind); !ok {
-		return api.JobStatus{}, fmt.Errorf("service: no handler registered for kind %q", req.Kind)
+		return nil, nil, fmt.Errorf("service: no handler registered for kind %q", req.Kind)
 	}
 	// Admission first: the bound check-and-reserve is atomic, so the
 	// pending count can never overshoot the cap no matter how many submits
 	// race. Every refusal below this point must repay the reservation.
-	if err := r.adm.tryReserve(owner); err != nil {
+	if parent != nil {
+		r.adm.add(owner, +1) // counted, never shed: its lane is waiting
+	} else if err := r.adm.tryReserve(owner); err != nil {
 		r.countTenant("jobs_shed", owner)
-		return api.JobStatus{}, err
+		return nil, nil, err
 	}
 	// Dangling and mistyped refs fail fast at submit (same ErrInvalid
 	// surface as schema problems) instead of minutes later on a worker.
@@ -472,7 +489,7 @@ func (r *Runner) Submit(req *api.JobRequest, owner string) (api.JobStatus, error
 		r.datasets.Pin(ref)
 		if err := r.checkRef(ref, owner, i >= sources); err != nil {
 			r.refuse(refs[:i+1], owner)
-			return api.JobStatus{}, err
+			return nil, nil, err
 		}
 	}
 	seq := r.seq.Add(1)
@@ -497,16 +514,22 @@ func (r *Runner) Submit(req *api.JobRequest, owner string) (api.JobStatus, error
 	if sh.closed {
 		sh.mu.Unlock()
 		r.refuse(refs, owner)
-		return api.JobStatus{}, ErrClosed
+		return nil, nil, ErrClosed
 	}
 	// Admit before the insert: a refusal (unschedulable / over quota) then
 	// leaves nothing to undo, and a worker or bind callback that gets the id
 	// first waits on this shard mutex in lookupJob until the job is there.
-	pl, err := r.disp.admit(j)
+	var pl *api.Placement
+	var err error
+	if parent == nil {
+		pl, err = r.disp.admit(j)
+	} else {
+		j.placement.Store(parent.placement.Load())
+	}
 	if err != nil {
 		sh.mu.Unlock()
 		r.refuse(refs, owner)
-		return api.JobStatus{}, err
+		return nil, nil, err
 	}
 	sh.jobs[j.id] = j
 	r.njobs.Add(1)
@@ -514,8 +537,7 @@ func (r *Runner) Submit(req *api.JobRequest, owner string) (api.JobStatus, error
 
 	r.count("jobs_submitted", j.kind)
 	r.pendingGauges(j, +1)
-	r.disp.kick(j, pl)
-	return r.statusOf(j), nil
+	return j, pl, nil
 }
 
 // checkRef is Submit's test of one ref: owner may see it, and it names the
@@ -542,7 +564,7 @@ func (r *Runner) checkRef(ref, owner string, checkpoint bool) error {
 	return nil
 }
 
-// refuse repays what Submit took before it turned a request away: the pins
+// refuse repays what register took before it turned a request away: the pins
 // (without this they would outlive any job and make the refs permanently
 // undeletable) and the admission reservation.
 func (r *Runner) refuse(pinned []string, owner string) {
@@ -550,7 +572,6 @@ func (r *Runner) refuse(pinned []string, owner string) {
 		r.datasets.Unpin(ref)
 	}
 	r.adm.add(owner, -1)
-	r.anyJob.notify() // a shed submit waiting for room may now fit
 }
 
 // Status returns a job's poll snapshot. The path is allocation-free: a
@@ -607,16 +628,10 @@ func (r *Runner) resultOf(j *job) (json.RawMessage, api.JobStatus) {
 	return raw, st
 }
 
-// Cancel stops a job: a queued job is marked cancelled before it ever
-// runs, and a running job has its context cancelled (the terminal state
-// lands when the handler returns). It reports false for unknown or
-// already-terminal jobs.
-func (r *Runner) Cancel(id string) bool {
-	j := r.lookupJob(id)
-	return j != nil && r.cancelJob(j)
-}
-
-// cancelJob is Cancel for a job already looked up.
+// cancelJob stops a job (POST /v1/jobs/{id}/cancel): a queued job is
+// marked cancelled before it ever runs, and a running job has its context
+// cancelled (the terminal state lands when the handler returns). It
+// reports false for a job already terminal.
 func (r *Runner) cancelJob(j *job) bool {
 	// Mark the caller's intent before touching state: the cluster-mode
 	// requeue path must not resurrect a job whose context died because the
@@ -664,20 +679,23 @@ func (r *Runner) statusOf(j *job) api.JobStatus {
 }
 
 // dropCancel cancels a job's context and unregisters the cancel func: after
-// it, Cancel and a node drain can no longer reach the handler.
+// it, cancelJob and a node drain can no longer reach the handler.
 func dropCancel(j *job, cancel context.CancelFunc) {
 	cancel()
 	j.cancel.Store(nil)
 }
 
-func (r *Runner) execute(id string) {
+// execute runs a queued job's handler under a context derived from parent:
+// the runner's for a job a pool worker popped, the sweep's for a child its
+// lane runs.
+func (r *Runner) execute(parent context.Context, id string) {
 	j := r.lookupJob(id)
 	if j == nil {
 		return // foreign id enqueued out of band
 	}
-	// Register the cancel func before flipping to running so Cancel always
+	// Register the cancel func before flipping to running so cancelJob always
 	// finds it for a non-queued, non-terminal job.
-	ctx, cancel := context.WithCancel(r.baseCtx)
+	ctx, cancel := context.WithCancel(parent)
 	j.cancel.Store(&cancel)
 	// Cancelled-while-queued jobs are already terminal; skip them.
 	if !j.state.CompareAndSwap(codeQueued, codeRunning) {

@@ -32,6 +32,13 @@ func waitState(t *testing.T, r *Runner, id string, pred func(api.JobStatus) bool
 
 func terminal(st api.JobStatus) bool { return st.State.Terminal() }
 
+// Cancel is cancelJob by id, as the gateway's cancel endpoint does it: false
+// for an unknown or already-terminal job.
+func (r *Runner) Cancel(id string) bool {
+	j := r.lookupJob(id)
+	return j != nil && r.cancelJob(j)
+}
+
 // tinySegmentRequest is a segment job sized to finish in a few
 // milliseconds: a FOV-sized volume with one explicit center seed.
 func tinySegmentRequest() *api.JobRequest {

@@ -6,53 +6,21 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"chaseci/internal/api"
 	"chaseci/internal/dataset"
 )
 
-// The sweep job: hyperparameter search as a job that submits jobs. Each
+// The sweep job: hyperparameter search as a job that runs jobs. Each
 // candidate of the spec's grid (api.SweepSpec.Candidates) becomes a
-// train_dist job with a held-out validation slab, submitted through the same
-// admission-controlled fair queue as everything else — a sweep enjoys no
-// back door around tenant bounds. While its children run, the sweep worker
-// "helps": it drains its pool's pending queue like any pool worker — on a
-// cluster runner, the queue of the node it runs on — so a pool whose workers
-// all wait on jobs they submitted still runs what is queued on it. (A child
-// no node has room for is parked, not queued: the waiting sweeps keep their
-// claims.) With nothing to help it parks on a watch of the runner's anyJob
-// list — woken when a child ends, and when any job is queued or bound after
-// it began to wait (work conservation).
-
-// submitChild submits a child job under the parent's identity. When
-// admission sheds the submit the parent helps the pool instead of failing,
-// and with nothing to help waits on w (the caller's watch of the runner's
-// anyJob list) for a job to leave the queue.
-func (jc *JobContext) submitChild(w *watch, req *api.JobRequest) (api.JobStatus, error) {
-	for {
-		st, err := jc.runner.Submit(req, jc.Owner())
-		if err == nil || !errors.Is(err, ErrOverloaded) {
-			return st, err
-		}
-		if !jc.helpOnce() {
-			if err := w.wait(jc.ctx, nil); err != nil {
-				return api.JobStatus{}, err
-			}
-		}
-	}
-}
-
-// helpOnce pops one pending job and executes it inline on the calling
-// worker's goroutine. False when the dispatcher has nothing to hand over:
-// the worker's queue is empty.
-func (jc *JobContext) helpOnce() bool {
-	id, ok := jc.runner.disp.steal(jc.job)
-	if !ok {
-		return false
-	}
-	jc.runner.execute(id)
-	return true
-}
+// train_dist job with a held-out validation slab. A child is a job like any
+// other — an id, a status, a result and a leaderboard row, registered
+// through Submit's own checks — but it is not dispatched: the sweep runs it
+// in one of its own lanes, up to Parallel at once, under the sweep's own
+// pool worker and, on a cluster runner, the sweep's node claim. So a sweep
+// never waits on a queue or a placement its own claim may be blocking, and
+// it holds one pool worker however many children it runs.
 
 // sweep is one sweep job's bookkeeping: the holdout every child validates
 // on, and the checkpoints its children left behind, which are the sweep's to
@@ -97,17 +65,18 @@ func (s *sweep) release(keep string) {
 }
 
 // collect reads a succeeded child's result: its leaderboard row, and its
-// checkpoint, which the sweep now owns.
-func (s *sweep) collect(id string, params api.SweepParams) (api.SweepEntry, error) {
-	raw, _, _ := s.jc.runner.Result(id)
+// checkpoint, which the sweep now owns. Lanes call it concurrently, under
+// the caller's lock.
+func (s *sweep) collect(j *job, params api.SweepParams) (api.SweepEntry, error) {
+	raw, _ := s.jc.runner.resultOf(j)
 	var tr api.TrainDistResult
 	if err := json.Unmarshal(raw, &tr); err != nil {
-		return api.SweepEntry{}, fmt.Errorf("service: sweep candidate %s result: %w", id, err)
+		return api.SweepEntry{}, fmt.Errorf("service: sweep candidate %s result: %w", j.id, err)
 	}
 	s.ckpts = append(s.ckpts, tr.CheckpointRef)
 	return api.SweepEntry{
 		Params:        params,
-		JobID:         id,
+		JobID:         j.id,
 		TrainLoss:     tr.LossTail,
 		Precision:     tr.Precision,
 		Recall:        tr.Recall,
@@ -119,77 +88,76 @@ func (s *sweep) collect(id string, params api.SweepParams) (api.SweepEntry, erro
 
 // run executes one rung, its children named after name and its progress
 // reported under stage: every candidate trains to its TrainSteps and is
-// scored on the holdout slab. Parallelism is bounded by spec.Parallel (0
-// defaults to 2, matching the api doc); the sweep worker helps drain the
-// pool while it waits. If the rung fails, the children still in flight are
-// cancelled and waited for, so a checkpoint one of them wrote on its way out
-// is the sweep's to drop too.
-func (s *sweep) run(name, stage string, cands []candidate, entries []api.SweepEntry) (err error) {
+// scored on the holdout slab. Children are registered in candidate order and
+// each runs in a lane of its own goroutine, at most spec.Parallel at once (0
+// defaults to 2, matching the api doc). The first child that does not
+// succeed — or the sweep's own cancellation, or its node's drain — cancels
+// the other lanes, and run returns only once every lane has, so a checkpoint
+// a child wrote on its way out is the sweep's to drop too.
+func (s *sweep) run(name, stage string, cands []candidate, entries []api.SweepEntry) error {
 	jc := s.jc
 	limit := s.spec.Parallel
 	if limit <= 0 {
 		limit = 2
 	}
-	w := jc.runner.watch(&jc.runner.anyJob)
-	defer w.close()
-	inflight := make(map[string]int)
-	defer func() {
-		if err == nil {
-			return
-		}
-		for id := range inflight {
-			jc.runner.Cancel(id)
-		}
-		for id, idx := range inflight {
-			if st, _ := jc.runner.Await(context.Background(), id, nil); st.State == api.StateSucceeded {
-				s.collect(id, cands[idx].params) // for its checkpoint: the row is moot
-			}
-		}
-	}()
-	next, done := 0, 0
-	for done < len(cands) {
-		// Helping can keep the worker busy with children indefinitely: a
-		// cancelled sweep stops at the next one.
-		if err := jc.ctx.Err(); err != nil {
-			return err
-		}
-		for next < len(cands) && len(inflight) < limit {
-			c := cands[next]
-			st, err := jc.submitChild(w, &api.JobRequest{Kind: api.KindTrainDist, Name: fmt.Sprintf("%s/cand-%02d", name, next),
-				TrainDist: s.spec.Child(c.params, s.holdout, c.resume)})
-			if err != nil {
-				return err
-			}
-			inflight[st.ID] = next
-			next++
-		}
-		progressed := false
-		for id, idx := range inflight {
-			st, ok := jc.runner.Status(id)
-			if !ok {
-				return fmt.Errorf("service: sweep candidate %s vanished", id)
-			}
-			if !st.State.Terminal() {
-				continue
-			}
-			delete(inflight, id)
-			done++
-			progressed = true
-			if st.State != api.StateSucceeded {
-				return fmt.Errorf("service: sweep candidate %s (%s): %s", id, st.Name, st.Error)
-			}
-			if entries[idx], err = s.collect(id, cands[idx].params); err != nil {
-				return err
-			}
-			jc.Progress(int64(done), int64(len(cands)), fmt.Sprintf("%s %d/%d", stage, done, len(cands)))
-		}
-		if !progressed && !jc.helpOnce() {
-			if err := w.wait(jc.ctx, nil); err != nil {
-				return err
-			}
+	ctx, cancel := context.WithCancel(jc.ctx)
+	defer cancel()
+	lanes := make(chan struct{}, limit)
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex // guards failed, done, entries and s.ckpts
+		failed error
+		done   int
+	)
+	fail := func(err error) {
+		if failed == nil {
+			failed = err
+			cancel()
 		}
 	}
-	return nil
+	for i, c := range cands {
+		select {
+		case lanes <- struct{}{}:
+		case <-ctx.Done():
+		}
+		if ctx.Err() != nil {
+			break
+		}
+		child, _, err := jc.runner.register(&api.JobRequest{Kind: api.KindTrainDist, Name: fmt.Sprintf("%s/cand-%02d", name, i),
+			TrainDist: s.spec.Child(c.params, s.holdout, c.resume)}, jc.Owner(), jc.job)
+		if err != nil {
+			mu.Lock()
+			fail(err)
+			mu.Unlock()
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-lanes }()
+			jc.runner.execute(ctx, child.id)
+			st := jc.runner.statusOf(child)
+			mu.Lock()
+			defer mu.Unlock()
+			if st.State != api.StateSucceeded {
+				fail(fmt.Errorf("service: sweep candidate %s (%s): %s", child.id, st.Name, st.Error))
+				return
+			}
+			entry, err := s.collect(child, c.params) // for its checkpoint, even when the row is moot
+			if err != nil {
+				fail(err)
+				return
+			}
+			entries[i] = entry
+			done++
+			jc.Progress(int64(done), int64(len(cands)), fmt.Sprintf("%s %d/%d", stage, done, len(cands)))
+		}()
+	}
+	wg.Wait()
+	if err := jc.ctx.Err(); err != nil {
+		return err
+	}
+	return failed
 }
 
 // SweepHandler fans a hyperparameter grid out over train_dist jobs and

@@ -265,11 +265,12 @@ func TestSweepKeepsOneCheckpoint(t *testing.T) {
 }
 
 // TestClusterSweepsFinish: a sweep waits on the train_dist children it
-// submits, and on a cluster runner those children queue on node pools whose
-// workers may all be sweeps waiting too. One sweep on a one-worker node, and
-// twice as many sweeps as a six-node fabric has workers, each from its own
-// tenant, all finish within the bound with the board the single-node runner
-// computes, and leave nothing held.
+// runs, on a cluster runner whose node pools may all be busy with sweeps and
+// whose nodes' capacity the sweeps' own claims may fill. One sweep on a
+// one-worker node; twice as many sweeps as a six-node fabric has workers;
+// and two sweeps on a node with room for just those two: each sweep from its
+// own tenant, all finish within the bound with the board the single-node
+// runner computes, and leave nothing held.
 func TestClusterSweepsFinish(t *testing.T) {
 	const bound = 60 * time.Second
 	req := learningSweep(false)
@@ -279,15 +280,17 @@ func TestClusterSweepsFinish(t *testing.T) {
 		want[i].JobID, want[i].CheckpointRef = "", ""
 	}
 	for _, tc := range []struct {
-		name   string
-		fabric func(*testing.T) *sched.Fabric
-		sweeps int
+		name    string
+		fabric  func(*testing.T) *sched.Fabric
+		sweeps  int
+		workers int
 	}{
-		{"one_sweep_one_worker", twoSlotFabric, 1},
-		{"twelve_sweeps_six_workers", func(*testing.T) *sched.Fabric { return sched.DefaultFabric() }, 12},
+		{"one_sweep_one_worker", twoSlotFabric, 1, 1},
+		{"twelve_sweeps_six_workers", func(*testing.T) *sched.Fabric { return sched.DefaultFabric() }, 12, 1},
+		{"two_sweeps_two_slots", twoSlotFabric, 2, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := NewClusterRunnerConfigured(DefaultRegistry(), nil, tc.fabric(t), RunnerConfig{Workers: 1})
+			r := NewClusterRunnerConfigured(DefaultRegistry(), nil, tc.fabric(t), RunnerConfig{Workers: tc.workers})
 			t.Cleanup(r.Close)
 			ids := make([]string, tc.sweeps)
 			for i := range ids {
@@ -313,4 +316,44 @@ func TestClusterSweepsFinish(t *testing.T) {
 			assertNoLeaks(t, r)
 		})
 	}
+}
+
+// TestSweepDrainRequeues: a sweep whose node is drained cancels and awaits
+// its lanes, which ran on that node, and requeues as any drained job does:
+// it runs again, with new children, on the surviving node, and succeeds.
+func TestSweepDrainRequeues(t *testing.T) {
+	started, release := make(chan string, 8), make(chan struct{})
+	r := NewClusterRunnerConfigured(blockingChildren(started, release), nil, twoNodeFabric(t), RunnerConfig{Workers: 1})
+	t.Cleanup(r.Close)
+	parent, err := r.Submit(blockingSweep(2), "solo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitStarts(t, started, 2)
+	st, _ := r.Status(parent.ID)
+	victim := st.Placement.Node
+	for _, c := range r.List() {
+		if c.Kind == api.KindTrainDist && (c.Placement == nil || c.Placement.Node != victim) {
+			t.Fatalf("child %s placed %+v, want its sweep's node %s", c.ID, c.Placement, victim)
+		}
+	}
+	if err := r.DrainNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	awaitStarts(t, started, 2) // the requeued sweep's first two children
+	close(release)
+	st = waitState(t, r, parent.ID, terminal)
+	if st.State != api.StateSucceeded || st.Placement.Node == victim || st.Placement.Requeues != 1 {
+		t.Fatalf("drained sweep: %s (%s) on %+v, want succeeded on the other node after one requeue", st.State, st.Error, st.Placement)
+	}
+	states := make(map[api.State]int)
+	for _, c := range r.List() {
+		if c.Kind == api.KindTrainDist {
+			states[c.State]++
+		}
+	}
+	if states[api.StateCancelled] != 2 || states[api.StateSucceeded] != 4 || len(states) != 2 {
+		t.Fatalf("children ended %v, want the drained run's 2 cancelled and the rerun's 4 succeeded", states)
+	}
+	assertNoLeaks(t, r)
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"chaseci/internal/api"
 	"chaseci/internal/dataset"
@@ -390,7 +391,7 @@ func TestSweepEarlyStopHalvesBudgets(t *testing.T) {
 }
 
 // TestSweepSingleWorkerNoDeadlock: a sweep occupying the only pool worker
-// must help-drain its own children instead of deadlocking on them.
+// runs its children in its own lanes instead of deadlocking on them.
 func TestSweepSingleWorkerNoDeadlock(t *testing.T) {
 	runner := NewRunnerConfigured(DefaultRegistry(), nil, RunnerConfig{Workers: 1})
 	defer runner.Close()
@@ -636,39 +637,14 @@ func TestTrainDistModelOnReleasedMemory(t *testing.T) {
 	}
 }
 
-// closedSteal is a dispatcher whose steal hands nothing over until opened,
-// and reports (once) that a parent came asking.
-type closedSteal struct {
-	dispatcher
-	open  *atomic.Bool
-	tried chan struct{}
-}
-
-func (d closedSteal) steal(caller *job) (string, bool) {
-	if !d.open.Load() {
-		select {
-		case d.tried <- struct{}{}:
-		default:
-		}
-		return "", false
-	}
-	return d.dispatcher.steal(caller)
-}
-
-// TestSweepParentStealsWorkQueuedWhileItWaits pins work conservation: a
-// sweep parent that found nothing to steal and settled down to wait on its
-// children still picks up a job queued afterwards. Both pool workers are
-// taken — one by the parent, one by its parked child — so a late job can
-// only run on the parent's goroutine. Twenty in a row, each submitted once
-// the one before is terminal: the parent is back in its wait within a
-// microsecond of that, so a parent woken only by its children strands one
-// of them (and the test) almost surely.
-func TestSweepParentStealsWorkQueuedWhileItWaits(t *testing.T) {
-	started, release := make(chan struct{}), make(chan struct{})
+// blockingChildren registers a sweep handler and a train_dist handler that
+// reports each child's start on started and then holds until release is
+// closed (or its context dies).
+func blockingChildren(started chan<- string, release <-chan struct{}) *Registry {
 	reg := NewRegistry()
 	reg.Register(api.KindSweep, SweepHandler)
 	reg.Register(api.KindTrainDist, func(jc *JobContext) (any, error) {
-		close(started)
+		started <- jc.Request().Name
 		select {
 		case <-release:
 			return api.TrainDistResult{}, nil
@@ -677,33 +653,84 @@ func TestSweepParentStealsWorkQueuedWhileItWaits(t *testing.T) {
 		}
 	})
 	reg.Register(api.KindWorkflow, func(*JobContext) (any, error) { return nil, nil })
-	r := newTestRunner(t, reg, 2)
-	gate := closedSteal{r.disp, new(atomic.Bool), make(chan struct{}, 1)}
-	r.disp = gate
+	return reg
+}
 
-	parent, err := r.Submit(&api.JobRequest{
-		Kind: api.KindSweep,
-		Sweep: &api.SweepSpec{
-			Source:     api.VolumeSource{Synth: &api.SynthSpec{NLon: 36, NLat: 24, NLev: 4, Steps: 6, Seed: 11}},
-			Threshold:  130,
-			LRs:        []float32{0.01},
-			Momentums:  []float32{0.9},
-			Features:   []int{4},
-			TrainSteps: []int{20},
-		},
-	}, "solo")
+// awaitStarts receives n children's starts, or fails the test when they do
+// not all start within 10 s: a child that can never start is a failure, not
+// a hang.
+func awaitStarts(t *testing.T, started <-chan string, n int) {
+	t.Helper()
+	deadline := time.After(10 * time.Second)
+	for i := range n {
+		select {
+		case <-started:
+		case <-deadline:
+			t.Fatalf("%d of %d children started within 10 s", i, n)
+		}
+	}
+}
+
+// blockingSweep is a four-candidate sweep spec run parallel wide.
+func blockingSweep(parallel int) *api.JobRequest {
+	return &api.JobRequest{Kind: api.KindSweep, Sweep: &api.SweepSpec{
+		Source:     api.VolumeSource{Synth: &api.SynthSpec{NLon: 36, NLat: 24, NLev: 4, Steps: 6, Seed: 11}},
+		Threshold:  130,
+		LRs:        []float32{0.01, 0.03},
+		Momentums:  []float32{0.9},
+		Features:   []int{4, 6},
+		TrainSteps: []int{20},
+		Parallel:   parallel,
+	}}
+}
+
+// TestSweepHoldsOneWorker pins work conservation: a sweep holds one pool
+// worker however many children it runs. Its four children all run at once
+// and block, yet the runner's second worker runs each of twenty jobs queued
+// after them, one after another, to its end.
+func TestSweepHoldsOneWorker(t *testing.T) {
+	started, release := make(chan string, 4), make(chan struct{})
+	r := newTestRunner(t, blockingChildren(started, release), 2)
+	parent, err := r.Submit(blockingSweep(4), "solo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-started    // the child is parked on the second worker
-	<-gate.tried // the parent has looked for work and found none
-	gate.open.Store(true)
+	awaitStarts(t, started, 4)
 	for i := 0; i < 20; i++ {
 		late, err := r.Submit(blockingWorkflowRequest(), "solo")
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitState(t, r, late.ID, terminal)
+		if st := waitState(t, r, late.ID, terminal); st.State != api.StateSucceeded {
+			t.Fatalf("late job %d: %s (%s)", i, st.State, st.Error)
+		}
+	}
+	close(release)
+	if st := waitState(t, r, parent.ID, terminal); st.State != api.StateSucceeded {
+		t.Fatalf("sweep ended %s (%s)", st.State, st.Error)
+	}
+	assertNoLeaks(t, r)
+}
+
+// TestSweepChildrenRunInLanes: on a runner of one worker, which the sweep
+// itself holds, a sweep of parallel 2 has two children running at once, and
+// neither passed through the fair queue.
+func TestSweepChildrenRunInLanes(t *testing.T) {
+	started, release := make(chan string, 4), make(chan struct{})
+	r := newTestRunner(t, blockingChildren(started, release), 1)
+	parent, err := r.Submit(blockingSweep(2), "solo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitStarts(t, started, 2)
+	running := 0
+	for _, st := range r.List() {
+		if st.Kind == api.KindTrainDist && st.State == api.StateRunning {
+			running++
+		}
+	}
+	if q := r.disp.(localDispatch).pool.fq.Len(); running != 2 || q != 0 {
+		t.Fatalf("%d children running and %d jobs queued, want 2 and 0", running, q)
 	}
 	close(release)
 	if st := waitState(t, r, parent.ID, terminal); st.State != api.StateSucceeded {

@@ -21,8 +21,7 @@ type watch struct {
 }
 
 // watchList is the set of watches to wake when one thing changes: a job has
-// one, and the runner has one for "some job was queued, left the queue or
-// ended". The set is an immutable snapshot behind an atomic pointer, so
+// one. The set is an immutable snapshot behind an atomic pointer, so
 // notify — which runs inside JobContext.Progress, on kernel goroutines —
 // takes no lock, allocates nothing, and costs one atomic load when nobody
 // watches.
