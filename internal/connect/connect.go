@@ -14,13 +14,17 @@
 // (FromBits); a float32 mask (FromMask) is packed at the start of the
 // LabelCtx call, 1/32 of its size, and never read again. The label array
 // and the union-find tables, the only buffers sized by the volume, are
-// borrowed from the tensor free list.
+// borrowed from the tensor free list; everything else a labelling works in
+// or returns — the packed bits, the statistics, the objects and their
+// pathways — lives in a pooled labelScratch that Result.Release hands back.
 package connect
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"chaseci/internal/parallel"
@@ -39,14 +43,12 @@ type Volume struct {
 
 func bitSet(bits []byte, i int) bool { return bits[i>>3]&(1<<(i&7)) != 0 }
 
-// packed returns the volume as the bitset the scan reads: FromBits' own
-// bytes, or Data's > 0.5 voxels packed into a fresh one.
-func (v *Volume) packed() []byte {
-	if v.bits != nil {
-		return v.bits
-	}
-	bits := make([]byte, (len(v.Data)+7)/8)
-	for i, x := range v.Data {
+// packMask packs a float mask's > 0.5 voxels into a bitset, reusing buf's
+// array when it is large enough.
+func packMask(buf []byte, data []float32) []byte {
+	bits := slices.Grow(buf[:0], (len(data)+7)/8)[:(len(data)+7)/8]
+	clear(bits)
+	for i, x := range data {
 		if x > 0.5 {
 			bits[i>>3] |= 1 << (i & 7)
 		}
@@ -90,15 +92,24 @@ type Result struct {
 	Labels  []int32 // same layout as the input volume; 0 = background
 	Objects []*Object
 	T, H, W int
+
+	scratch *labelScratch // where the objects and their pathways live
 }
 
 // Release gives Labels — the one buffer of a Result sized by the volume — to
-// the tensor free list and detaches it, so a use after release fails loudly.
-// Objects stay valid. It is optional: a Result that is never released is
-// ordinary garbage.
+// the tensor free list and the objects' storage back to the next labelling.
+// Labels is detached and every Objects entry set to nil (the slice keeps its
+// length), so a use after release fails loudly: read what the objects say
+// first. It is optional: a Result that is never released is ordinary
+// garbage.
 func (r *Result) Release() {
 	tensor.PutInt32s(r.Labels)
 	r.Labels = nil
+	clear(r.Objects)
+	if r.scratch != nil {
+		r.scratch.release()
+		r.scratch = nil
+	}
 }
 
 // unionFind is a weighted quick-union with path compression.
@@ -125,30 +136,6 @@ func (uf *unionFind) union(a, b int32) {
 	}
 	uf.parent[rb] = ra
 	uf.size[ra] += uf.size[rb]
-}
-
-// neighborOffsets returns the offsets with strictly negative lexicographic
-// order (already-visited voxels only), so each pair is united exactly once.
-func neighborOffsets(conn Connectivity) [][3]int {
-	var offs [][3]int
-	switch conn {
-	case Conn6:
-		offs = [][3]int{{-1, 0, 0}, {0, -1, 0}, {0, 0, -1}}
-	case Conn26:
-		for dt := -1; dt <= 0; dt++ {
-			for dy := -1; dy <= 1; dy++ {
-				for dx := -1; dx <= 1; dx++ {
-					if dt == 0 && (dy > 0 || (dy == 0 && dx >= 0)) {
-						continue
-					}
-					offs = append(offs, [3]int{dt, dy, dx})
-				}
-			}
-		}
-	default:
-		panic(fmt.Sprintf("connect: unsupported connectivity %d", conn))
-	}
-	return offs
 }
 
 // labelSlab assigns provisional labels to time slab [t0, t1) with a
@@ -269,16 +256,86 @@ func labelSlab(ctx context.Context, bits []byte, H, W int, uf *unionFind, labels
 	return nextLabel
 }
 
-// labelAcc accumulates one object's statistics; per-step data is indexed by
-// t - genesis (flat slices instead of the maps the original used, which
-// dominated the labelling's runtime).
+// labelAcc accumulates one object's statistics. The per-step centroid sums
+// run for the object's latest step (termination) only: when the scan
+// reaches a later step of the object, the finished one is closed into a
+// stepSum record, and the object's records chain in step order from first.
 type labelAcc struct {
 	voxels               int
 	genesis, termination int
 	bbox                 [6]int
-	stepCount            []int32
-	stepSumY, stepSumX   []float64
+	count                int32 // voxels at termination so far
+	sumY, sumX           float64
+	first, last          int32 // the object's stepSum records, -1 for none
 }
+
+// stepSum is one closed step of one object: its voxel count and centroid
+// sums, and the index of the object's next record (-1 at its last).
+type stepSum struct {
+	t, count, next int32
+	sumY, sumX     float64
+}
+
+// closeStep records the running step and clears the sums for the next one.
+func (a *labelAcc) closeStep(steps []stepSum) []stepSum {
+	i := int32(len(steps))
+	if a.last >= 0 {
+		steps[a.last].next = i
+	} else {
+		a.first = i
+	}
+	a.last = i
+	steps = append(steps, stepSum{t: int32(a.termination), count: a.count, next: -1, sumY: a.sumY, sumX: a.sumX})
+	a.count, a.sumY, a.sumX = 0, 0, 0
+	return steps
+}
+
+// labelScratch is what one labelling works in beyond the label array and
+// the union-find tables: the pass-1 task's parameters, the slab label
+// ranges, a float volume's packed bits, the statistics, and the storage the
+// result's objects and pathways live in. LabelCtx takes one from
+// labelScratches and the Result's Release gives it back, arrays kept.
+type labelScratch struct {
+	ctx      context.Context
+	bits     []byte
+	labels   []int32
+	uf       unionFind
+	conn     Connectivity
+	t, h, w  int
+	slabs    int     // slab k is parallel.Chunk(t, slabs, k)
+	starts   []int32 // slab k draws label ids from [starts[k], starts[k+1])
+	progress func(done, total int)
+	done     atomic.Int64
+
+	packed []byte
+	accs   []labelAcc
+	steps  []stepSum
+	objs   []Object
+	path   [][2]float64
+}
+
+var labelScratches = sync.Pool{New: func() any { return new(labelScratch) }}
+
+// release drops the references into the caller's volume and context and
+// pools the scratch.
+func (sc *labelScratch) release() {
+	sc.ctx, sc.bits, sc.labels, sc.uf, sc.progress = nil, nil, nil, unionFind{}, nil
+	labelScratches.Put(sc)
+}
+
+// Run is pass 1 over slabs [s0, s1): the parallel.Task LabelCtx invokes.
+func (sc *labelScratch) Run(s0, s1 int) {
+	var tick func()
+	if sc.progress != nil {
+		tick = sc.tick
+	}
+	for k := s0; k < s1; k++ {
+		t0, t1 := parallel.Chunk(sc.t, sc.slabs, k)
+		labelSlab(sc.ctx, sc.bits, sc.h, sc.w, &sc.uf, sc.labels, sc.conn, t0, t1, sc.starts[k], tick)
+	}
+}
+
+func (sc *labelScratch) tick() { sc.progress(int(sc.done.Add(1)), sc.t) }
 
 // LabelCtx performs connected-object labelling on a binary volume. minVoxels
 // discards objects smaller than the threshold (CONNECT prunes noise
@@ -298,49 +355,52 @@ type labelAcc struct {
 // the callback. progress (may be nil) is called with (timeStepsLabelled,
 // v.T) as pass-1 slabs complete time steps; it may fire concurrently from
 // multiple workers.
+//
+// Beyond the Result and its Objects slice, a labelling whose last result
+// was released allocates nothing: see labelScratch.
 func LabelCtx(ctx context.Context, v *Volume, conn Connectivity, minVoxels int, progress func(done, total int)) (*Result, error) {
+	if conn != Conn6 && conn != Conn26 {
+		panic(fmt.Sprintf("connect: unsupported connectivity %d", conn))
+	}
 	n := v.T * v.H * v.W
-	neighborOffsets(conn) // validates conn
-	bits := v.packed()
+	sc := labelScratches.Get().(*labelScratch)
+	bits := v.bits
+	if bits == nil {
+		sc.packed = packMask(sc.packed, v.Data)
+		bits = sc.packed
+	}
 	// Borrowed dirty: pass 1 writes every voxel's label, set or not.
 	labels := tensor.GetInt32s(n) // provisional label ids until the final remap
-	res := &Result{Labels: labels, T: v.T, H: v.H, W: v.W}
-	// cancelled gives the half-assigned labels back.
+	res := &Result{Labels: labels, T: v.T, H: v.H, W: v.W, scratch: sc}
+	// cancelled gives the half-assigned labels and the scratch back.
 	cancelled := func(err error) (*Result, error) { res.Release(); return nil, err }
-
-	var tick func()
-	if progress != nil {
-		var done atomic.Int64
-		total := v.T
-		tick = func() { progress(int(done.Add(1)), total) }
-	}
 
 	// Pass 1: parallel per-slab provisional labelling. Each slab draws
 	// label ids from its own range [starts[k], starts[k+1]): a fresh label
 	// is only needed where the left neighbor is unset, so a row uses at
 	// most ceil(W/2) labels.
-	slabs := parallel.Ranges(v.T)
+	slabs := parallel.Chunks(v.T)
 	perRow := int32((v.W + 1) / 2)
-	starts := make([]int32, len(slabs)+1)
-	starts[0] = 1 // 0 is background
-	for k, s := range slabs {
-		starts[k+1] = starts[k] + int32(s[1]-s[0])*int32(v.H)*perRow
+	starts := append(sc.starts[:0], 1) // 0 is background
+	for k := 0; k < slabs; k++ {
+		t0, t1 := parallel.Chunk(v.T, slabs, k)
+		starts = append(starts, starts[k]+int32(t1-t0)*int32(v.H)*perRow)
 	}
 	// Union-find state and the root compaction table, one entry per label
 	// id. parent/size are initialized lazily as labels are allocated, so
 	// only the compaction table needs clearing.
-	ids := int(starts[len(slabs)])
-	uf := &unionFind{parent: tensor.GetInt32s(ids), size: tensor.GetInt32s(ids)}
+	ids := int(starts[slabs])
+	uf := unionFind{parent: tensor.GetInt32s(ids), size: tensor.GetInt32s(ids)}
 	rootSlot := tensor.GetInt32s(ids) // 0 = unseen, else slot+1
 	clear(rootSlot)
 	defer tensor.PutInt32s(uf.parent)
 	defer tensor.PutInt32s(uf.size)
 	defer tensor.PutInt32s(rootSlot)
-	parallel.For(len(slabs), func(s0, s1 int) {
-		for k := s0; k < s1; k++ {
-			labelSlab(ctx, bits, v.H, v.W, uf, labels, conn, slabs[k][0], slabs[k][1], starts[k], tick)
-		}
-	})
+	sc.ctx, sc.bits, sc.labels, sc.uf, sc.conn = ctx, bits, labels, uf, conn
+	sc.t, sc.h, sc.w, sc.slabs, sc.starts = v.T, v.H, v.W, slabs, starts
+	sc.progress = progress
+	sc.done.Store(0)
+	parallel.Invoke(slabs, sc)
 	if err := ctx.Err(); err != nil {
 		return cancelled(err)
 	}
@@ -349,11 +409,11 @@ func LabelCtx(ctx context.Context, v *Volume, conn Connectivity, minVoxels int, 
 	// first time step and the step before it. A voxel is set iff its
 	// provisional label is nonzero, so the stitch reads only labels.
 	H, W := v.H, v.W
-	for _, slab := range slabs[1:] {
+	for k := 1; k < slabs; k++ {
 		if err := ctx.Err(); err != nil {
 			return cancelled(err)
 		}
-		t := slab[0]
+		t, _ := parallel.Chunk(v.T, slabs, k)
 		for y := 0; y < H; y++ {
 			rowBase := (t*H + y) * W
 			cur := labels[rowBase:][:W]
@@ -408,7 +468,7 @@ func LabelCtx(ctx context.Context, v *Volume, conn Connectivity, minVoxels int, 
 	// voxel encountered — deterministic regardless of union order and
 	// worker count) and accumulate per-object statistics. Labels
 	// temporarily hold slot ids.
-	var accs []labelAcc
+	accs, steps := sc.accs[:0], sc.steps[:0]
 	for t := 0; t < v.T; t++ {
 		if err := ctx.Err(); err != nil {
 			return cancelled(err)
@@ -430,7 +490,8 @@ func LabelCtx(ctx context.Context, v *Volume, conn Connectivity, minVoxels int, 
 					if slot == 0 {
 						accs = append(accs, labelAcc{
 							genesis: t, termination: t,
-							bbox: [6]int{t, t, y, y, x, x},
+							bbox:  [6]int{t, t, y, y, x, x},
+							first: -1, last: -1,
 						})
 						slot = int32(len(accs))
 						rootSlot[root] = slot
@@ -440,6 +501,7 @@ func LabelCtx(ctx context.Context, v *Volume, conn Connectivity, minVoxels int, 
 				a := &accs[slot-1]
 				a.voxels++
 				if t > a.termination {
+					steps = a.closeStep(steps)
 					a.termination = t
 				}
 				a.bbox[0] = min(a.bbox[0], t)
@@ -448,18 +510,17 @@ func LabelCtx(ctx context.Context, v *Volume, conn Connectivity, minVoxels int, 
 				a.bbox[3] = max(a.bbox[3], y)
 				a.bbox[4] = min(a.bbox[4], x)
 				a.bbox[5] = max(a.bbox[5], x)
-				for len(a.stepCount) <= t-a.genesis {
-					a.stepCount = append(a.stepCount, 0)
-					a.stepSumY = append(a.stepSumY, 0)
-					a.stepSumX = append(a.stepSumX, 0)
-				}
-				a.stepCount[t-a.genesis]++
-				a.stepSumY[t-a.genesis] += float64(y)
-				a.stepSumX[t-a.genesis] += float64(x)
+				a.count++
+				a.sumY += float64(y)
+				a.sumX += float64(x)
 				res.Labels[i] = slot
 			}
 		}
 	}
+	for i := range accs {
+		steps = accs[i].closeStep(steps)
+	}
+	sc.accs, sc.steps = accs, steps
 
 	// Deterministic ordering: by genesis, then size desc, then bbox. Every
 	// component took at least one label id, so the union-find tables — dead
@@ -468,50 +529,68 @@ func LabelCtx(ctx context.Context, v *Volume, conn Connectivity, minVoxels int, 
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		a, b := &accs[order[i]], &accs[order[j]]
-		if a.genesis != b.genesis {
-			return a.genesis < b.genesis
+	slices.SortStableFunc(order, func(i, j int32) int {
+		a, b := &accs[i], &accs[j]
+		switch {
+		case a.genesis != b.genesis:
+			return cmp.Compare(a.genesis, b.genesis)
+		case a.voxels != b.voxels:
+			return cmp.Compare(b.voxels, a.voxels)
+		case lessBBox(a.bbox, b.bbox):
+			return -1
+		case a.bbox != b.bbox:
+			return 1
 		}
-		if a.voxels != b.voxels {
-			return a.voxels > b.voxels
-		}
-		return a.bbox != b.bbox && lessBBox(a.bbox, b.bbox)
+		return 0
 	})
 
-	// Assign final IDs (0 drops the object) and build Object records.
+	// Assign final IDs (0 drops the object), then build the Object records
+	// and their pathways in storage sized for the kept objects.
 	slotID := rootSlot[:len(accs)+1]
 	clear(slotID)
-	nextID := int32(1)
+	kept, pathLen := 0, 0
+	for _, slot := range order {
+		if a := &accs[slot]; a.voxels >= minVoxels {
+			kept++
+			slotID[slot+1] = int32(kept)
+			pathLen += a.termination - a.genesis + 1
+		}
+	}
+	if kept > 0 {
+		sc.objs = slices.Grow(sc.objs[:0], kept)[:kept]
+		sc.path = slices.Grow(sc.path[:0], pathLen)[:pathLen]
+		res.Objects = make([]*Object, 0, kept)
+	}
+	path := sc.path
 	for _, slot := range order {
 		a := &accs[slot]
-		if a.voxels < minVoxels {
+		id := slotID[slot+1]
+		if id == 0 {
 			continue
 		}
-		slotID[slot+1] = nextID
-		obj := &Object{
-			ID:      int(nextID),
+		n := a.termination - a.genesis + 1
+		obj := &sc.objs[id-1]
+		*obj = Object{
+			ID:      int(id),
 			Voxels:  a.voxels,
 			Genesis: a.genesis, Termination: a.termination,
-			BBox: a.bbox,
+			Pathway: path[:n:n],
+			BBox:    a.bbox,
 		}
+		path = path[n:]
 		var lastY, lastX float64
+		s := a.first
 		for t := a.genesis; t <= a.termination; t++ {
-			var c int32
-			if t-a.genesis < len(a.stepCount) {
-				c = a.stepCount[t-a.genesis]
+			if s >= 0 && int(steps[s].t) == t {
+				st := &steps[s]
+				lastY = st.sumY / float64(st.count)
+				lastX = st.sumX / float64(st.count)
+				obj.PeakArea = max(obj.PeakArea, int(st.count))
+				s = st.next
 			}
-			if c > 0 {
-				lastY = a.stepSumY[t-a.genesis] / float64(c)
-				lastX = a.stepSumX[t-a.genesis] / float64(c)
-				if int(c) > obj.PeakArea {
-					obj.PeakArea = int(c)
-				}
-			}
-			obj.Pathway = append(obj.Pathway, [2]float64{lastY, lastX})
+			obj.Pathway[t-a.genesis] = [2]float64{lastY, lastX}
 		}
 		res.Objects = append(res.Objects, obj)
-		nextID++
 	}
 
 	// Remap temporary slots to final IDs.

@@ -471,15 +471,20 @@ func (cfg *Config) floodReads() (core fovBox, moves [6][3]int) {
 // exceeds threshold — the seed policy used when no object detector is
 // available.
 func GridSeeds(image *Volume, fov [3]int, stride [3]int, threshold float32) [][3]int {
-	var out [][3]int
+	return AppendGridSeeds(nil, image, fov, stride, threshold)
+}
+
+// AppendGridSeeds appends GridSeeds' positions to dst, so a caller can keep
+// one list's array from call to call.
+func AppendGridSeeds(dst [][3]int, image *Volume, fov [3]int, stride [3]int, threshold float32) [][3]int {
 	for z := fov[0] / 2; z+fov[0]/2 < image.D; z += stride[0] {
 		for y := fov[1] / 2; y+fov[1]/2 < image.H; y += stride[1] {
 			for x := fov[2] / 2; x+fov[2]/2 < image.W; x += stride[2] {
 				if image.At(z, y, x) >= threshold {
-					out = append(out, [3]int{z, y, x})
+					dst = append(dst, [3]int{z, y, x})
 				}
 			}
 		}
 	}
-	return out
+	return dst
 }

@@ -3,6 +3,7 @@ package merra
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 
 	"chaseci/internal/parallel"
@@ -18,14 +19,14 @@ import (
 // yields spatially coherent objects that persist and move through time, so
 // both the CONNECT baseline and the FFN have meaningful structures to track.
 //
-// A Generator is immutable once NewGenerator returns — everything a step
-// needs beyond it lives in a pooled per-step plan — so any number of
-// goroutines may synthesize from one generator at once.
+// A Generator is only its grid and seed: the filament tracks they determine
+// are built into the pooled per-step plan that synthesizes from it, and kept
+// there for the next step of the same generator, so building one allocates
+// nothing beyond the Generator itself and any number of goroutines may
+// synthesize from one generator at once.
 type Generator struct {
 	Grid Grid
 	Seed uint64
-
-	tracks []arTrack
 }
 
 type arTrack struct {
@@ -44,32 +45,32 @@ const filaments = 4
 
 // NewGenerator builds a generator for the grid with the given seed.
 func NewGenerator(g Grid, seed uint64) *Generator {
-	gen := &Generator{Grid: g, Seed: seed}
-	gen.initTracks()
-	return gen
+	return &Generator{Grid: g, Seed: seed}
 }
 
-func (g *Generator) initTracks() {
-	rng := sim.NewRNG(g.Seed)
-	// Enough overlapping tracks for ~200 steps of evolution; tracks recycle
-	// cyclically so any step index is covered.
+// buildTracks writes the filament tracks of grid g and seed into tracks'
+// array (grown as needed): enough overlapping tracks for ~200 steps of
+// evolution, recycled cyclically so any step index is covered.
+func buildTracks(tracks []arTrack, g Grid, seed uint64) []arTrack {
+	rng := sim.NewRNG(seed)
 	const poolPerFilament = 8
-	g.tracks = make([]arTrack, filaments*poolPerFilament)
-	for i := range g.tracks {
+	tracks = slices.Grow(tracks[:0], filaments*poolPerFilament)[:filaments*poolPerFilament]
+	for i := range tracks {
 		life := 20 + rng.Intn(30)
-		g.tracks[i] = arTrack{
-			x0:       rng.Float64() * float64(g.Grid.NLon),
-			y0:       (0.2 + 0.6*rng.Float64()) * float64(g.Grid.NLat),
+		tracks[i] = arTrack{
+			x0:       rng.Float64() * float64(g.NLon),
+			y0:       (0.2 + 0.6*rng.Float64()) * float64(g.NLat),
 			vx:       0.5 + rng.Float64()*1.5, // eastward drift dominates
 			vy:       (rng.Float64() - 0.5) * 0.8,
-			length:   float64(g.Grid.NLon) * (0.10 + 0.15*rng.Float64()),
-			width:    float64(g.Grid.NLat) * (0.02 + 0.04*rng.Float64()),
+			length:   float64(g.NLon) * (0.10 + 0.15*rng.Float64()),
+			width:    float64(g.NLat) * (0.02 + 0.04*rng.Float64()),
 			angle:    (rng.Float64() - 0.5) * math.Pi / 3,
 			strength: 0.012 + 0.01*rng.Float64(),
 			birth:    (i / filaments) * 25,
 			life:     life,
 		}
 	}
+	return tracks
 }
 
 // trackCycle is the step period after which the track pool repeats.
@@ -116,11 +117,17 @@ func (g *Generator) StateInto(st *State, step int) {
 const synthRowGrain = 4
 
 // stepPlan is what one step's synthesis needs beyond the generator: the
-// grid's tables, the live tracks' geometry and, per live track, every
-// column's wrapped longitude offset from the filament centre. Plans live in
-// pooled synthTasks, so a steady-state step allocates nothing.
+// grid's tables, the generator's tracks, the live tracks' geometry and, per
+// live track, every column's wrapped longitude offset from the filament
+// centre. Plans live in pooled synthTasks, so a steady-state step allocates
+// nothing.
 type stepPlan struct {
 	gridTables
+	// tracks are those of the generator (trackGrid, trackSeed) the plan was
+	// last built for; a plan rebuilds them, in place, only for another one.
+	tracks    []arTrack
+	trackGrid Grid
+	trackSeed uint64
 	noiseSeed uint64
 	live      []liveTrack
 	dx        []float64 // len(live) rows of NLon offsets
@@ -177,11 +184,15 @@ type liveTrack struct {
 
 func (p *stepPlan) build(g *Generator, step int) {
 	p.gridTables.build(g.Grid)
+	if len(p.tracks) == 0 || p.trackGrid != g.Grid || p.trackSeed != g.Seed {
+		p.tracks = buildTracks(p.tracks, g.Grid, g.Seed)
+		p.trackGrid, p.trackSeed = g.Grid, g.Seed
+	}
 	nlon := float64(g.Grid.NLon)
 	p.noiseSeed = g.Seed ^ (uint64(step) * 0x9e3779b97f4a7c15)
 	p.live, p.dx = p.live[:0], p.dx[:0]
 	cyc := step % trackCycle
-	for _, tr := range g.tracks {
+	for _, tr := range p.tracks {
 		age := cyc - tr.birth
 		if age < 0 || age >= tr.life {
 			continue

@@ -34,6 +34,19 @@ func TestSynthesisAllocsFlat(t *testing.T) {
 					t.Errorf("IVTVolume over %d steps: %v allocs/op, want <= 1 (the volume's header)", steps, allocs)
 				}
 			}
+			// What an ivt job does: build a generator on a seed of its own
+			// and synthesize the chain's 12 steps from it. The plan rebuilds
+			// its track table in place for the new seed, so the build adds
+			// nothing to the volume's header (the Generator stays on the
+			// stack); it was 2 while every generator built its own table.
+			seed := uint64(100)
+			allocs := testing.AllocsPerRun(20, func() {
+				seed++
+				IVTVolume(NewGenerator(g, seed), levels, 0, 12).Release()
+			})
+			if allocs > 1 {
+				t.Errorf("NewGenerator + IVTVolume: %v allocs/op, want <= 1 (the volume's header)", allocs)
+			}
 			gen.StateInto(st, 1)
 			if allocs := testing.AllocsPerRun(20, func() { gen.StateInto(st, 1) }); allocs != 0 {
 				t.Errorf("StateInto: %v allocs/op, want 0", allocs)

@@ -190,17 +190,3 @@ func Chunks(n int) int {
 // Kernels that reduce per-chunk partials in a fixed chunk order compute
 // their bounds with it, so the split is arithmetic, not a table.
 func Chunk(n, w, c int) (start, end int) { return c * n / w, (c + 1) * n / w }
-
-// Ranges lists the Chunks(n) chunks of [0, n) — the same split Invoke
-// would use — for kernels that keep the table.
-func Ranges(n int) [][2]int {
-	w := Chunks(n)
-	if w == 0 {
-		return nil
-	}
-	out := make([][2]int, w)
-	for c := range out {
-		out[c][0], out[c][1] = Chunk(n, w, c)
-	}
-	return out
-}

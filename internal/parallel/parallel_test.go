@@ -28,21 +28,34 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestRangesMatchInvokeChunking(t *testing.T) {
+// TestChunkMatchesInvokeChunking: Chunks(n) and Chunk are the split Invoke
+// runs, so a kernel that keeps per-chunk state (connect's label slabs) can
+// compute chunk c's bounds instead of keeping a table of them.
+func TestChunkMatchesInvokeChunking(t *testing.T) {
 	prev := SetWorkers(4)
 	defer SetWorkers(prev)
 	for _, n := range []int{1, 3, 4, 5, 17, 100} {
-		rs := Ranges(n)
-		if len(rs) == 0 || rs[0][0] != 0 || rs[len(rs)-1][1] != n {
-			t.Fatalf("n=%d: bad range cover %v", n, rs)
+		w := Chunks(n)
+		var mu sync.Mutex
+		got := map[[2]int]bool{}
+		For(n, func(s, e int) {
+			mu.Lock()
+			got[[2]int{s, e}] = true
+			mu.Unlock()
+		})
+		if len(got) != w || w > 4 {
+			t.Fatalf("n=%d: Invoke ran %d chunks, Chunks says %d (at most 4)", n, len(got), w)
 		}
-		for i := 1; i < len(rs); i++ {
-			if rs[i][0] != rs[i-1][1] {
-				t.Fatalf("n=%d: ranges not contiguous: %v", n, rs)
+		end := 0
+		for c := 0; c < w; c++ {
+			s, e := Chunk(n, w, c)
+			if s != end || e <= s || !got[[2]int{s, e}] {
+				t.Fatalf("n=%d: chunk %d is [%d, %d), after %d; Invoke ran %v", n, c, s, e, end, got)
 			}
+			end = e
 		}
-		if len(rs) > 4 {
-			t.Fatalf("n=%d: %d ranges exceeds worker count", n, len(rs))
+		if end != n {
+			t.Fatalf("n=%d: chunks cover [0, %d)", n, end)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -88,6 +89,11 @@ type Scheduler struct {
 
 	placed   map[string]int // locality class -> placements made
 	requeued int            // jobs drained off a lost node, all time
+
+	// A placement pass's scratch, reused from pass to pass: the nodes the
+	// static filter keeps and the refs' resolved replica sets.
+	static []string
+	refs   []refInfo
 }
 
 // New builds a scheduler over the fabric and subscribes to its node events.
@@ -136,23 +142,23 @@ func (s *Scheduler) Place(w *Workload) (*api.Placement, error) {
 }
 
 // Release frees a job's binding (or parked slot) and retries parked work.
-// Safe to call for unknown ids. Must not be called with service locks that
-// the bind callback also takes... it dispatches callbacks after unlock.
+// Safe to call for unknown ids: one the scheduler neither binds nor parks (a
+// sweep's lane child, say) only drops its requeue count, since nothing was
+// freed for a retry to use. Must not be called with service locks that the
+// bind callback also takes... it dispatches callbacks after unlock.
 func (s *Scheduler) Release(jobID string) {
 	s.mu.Lock()
+	delete(s.requeues, jobID)
 	if b, ok := s.bound[jobID]; ok {
 		delete(s.bound, jobID)
 		s.fab.Cluster.ReleaseClaim(b.node, jobID)
 		s.ownerSub(b.w.Owner, b.w.Req)
+	} else if i := slices.IndexFunc(s.parked, func(p *Workload) bool { return p.JobID == jobID }); i >= 0 {
+		s.parked = slices.Delete(s.parked, i, i+1)
 	} else {
-		for i, p := range s.parked {
-			if p.JobID == jobID {
-				s.parked = append(s.parked[:i], s.parked[i+1:]...)
-				break
-			}
-		}
+		s.mu.Unlock()
+		return
 	}
-	delete(s.requeues, jobID)
 	s.tryParkedLocked()
 	cbs := s.takeCallbacks()
 	s.mu.Unlock()
@@ -335,7 +341,7 @@ func (s *Scheduler) placeLocked(w *Workload, firstTry bool) (*api.Placement, err
 	}
 
 	// Static filter: constraints no amount of waiting will fix.
-	var static []string
+	static := s.static[:0]
 	for _, name := range s.fab.nodeNames {
 		n := s.fab.Cluster.Node(name)
 		if w.Spec != nil {
@@ -351,6 +357,7 @@ func (s *Scheduler) placeLocked(w *Workload, firstTry bool) (*api.Placement, err
 		}
 		static = append(static, name)
 	}
+	s.static = static
 	if len(static) == 0 {
 		if firstTry {
 			return nil, ErrUnschedulable
@@ -361,7 +368,7 @@ func (s *Scheduler) placeLocked(w *Workload, firstTry bool) (*api.Placement, err
 	// Resolve each ref's size and replica set once per pass. A ref with no
 	// up replica anywhere is data loss, not congestion: fail fast so the
 	// service layer can go terminal instead of parking the job forever.
-	refs := make([]refInfo, 0, len(w.Refs))
+	refs := s.refs[:0]
 	for _, id := range w.Refs {
 		ri := refInfo{id: id}
 		if info, ok := s.fab.Datasets.Stat(id); ok {
@@ -383,6 +390,7 @@ func (s *Scheduler) placeLocked(w *Workload, firstTry bool) (*api.Placement, err
 		}
 		refs = append(refs, ri)
 	}
+	s.refs = refs
 
 	// Dynamic filter + gravity scoring.
 	type cand struct {
@@ -391,7 +399,8 @@ func (s *Scheduler) placeLocked(w *Workload, firstTry bool) (*api.Placement, err
 		locality string
 		loadFrac float64
 	}
-	var best *cand
+	var best cand
+	found := false
 	for _, name := range static {
 		n := s.fab.Cluster.Node(name)
 		if !n.Ready || !w.Req.Fits(n.Available()) {
@@ -403,14 +412,14 @@ func (s *Scheduler) placeLocked(w *Workload, firstTry bool) (*api.Placement, err
 		}
 		c := cand{name: name, costMS: costMS, locality: locality,
 			loadFrac: n.Allocated().CPU / n.Capacity.CPU}
-		if best == nil ||
+		if !found ||
 			c.costMS < best.costMS-1e-12 ||
 			(c.costMS < best.costMS+1e-12 && (c.loadFrac < best.loadFrac-1e-12 ||
 				(c.loadFrac < best.loadFrac+1e-12 && c.name < best.name))) {
-			best = &c
+			best, found = c, true
 		}
 	}
-	if best == nil {
+	if !found {
 		if firstTry {
 			s.parked = append(s.parked, w)
 		}

@@ -240,6 +240,47 @@ func TestParkAndBindOnRelease(t *testing.T) {
 	}
 }
 
+// TestReleaseOfUnseenIDRunsNoPlacement: releasing an id the scheduler never
+// bound or parked (a sweep's lane child ends so) frees nothing, so it only
+// drops the id's requeue count. The test frees the node behind the
+// scheduler's back, so a placement pass would bind the parked job: it must
+// stay parked until a release that frees something.
+func TestReleaseOfUnseenIDRunsNoPlacement(t *testing.T) {
+	f := NewFabric(FabricConfig{Replicas: 1})
+	f.AddSite("s")
+	if err := f.AddNode(NodeSpec{
+		Name: "only", Site: "s", Capacity: cluster.FIONA8Capacity(),
+		Model: gpusim.Powered1080Ti(), OSD: "osd-0",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s := New(f)
+	binds := 0
+	s.OnBind(func(string, *api.Placement) { binds++ })
+	whole := segJob("big", "")
+	whole.Req = cluster.FIONA8Capacity()
+	if pl, err := s.Place(whole); err != nil || pl == nil {
+		t.Fatalf("big job should place: %v %v", pl, err)
+	}
+	if pl, err := s.Place(segJob("waiter", "")); err != nil || pl != nil {
+		t.Fatalf("full node: want parked (nil, nil), got %v %v", pl, err)
+	}
+	f.Cluster.ReleaseClaim("only", "big")
+	s.requeues["child"] = 2
+
+	s.Release("child")
+	if binds != 0 || len(s.parked) != 1 || s.BoundNode("waiter") != "" {
+		t.Fatalf("release of an unseen id ran a placement pass: %d binds, %d parked", binds, len(s.parked))
+	}
+	if n := s.Requeues("child"); n != 0 {
+		t.Fatalf("requeue count after release = %d, want 0", n)
+	}
+	s.Release("big")
+	if binds != 1 || s.BoundNode("waiter") != "only" {
+		t.Fatalf("a release that frees the node should bind the parked job: %d binds, bound to %q", binds, s.BoundNode("waiter"))
+	}
+}
+
 func TestKillNodeDrainsAndRequeuesReplicaLocal(t *testing.T) {
 	f := testFabric(t, FabricConfig{})
 	s := New(f)
@@ -314,11 +355,13 @@ func twoSiteFabric(t *testing.T) (*Fabric, string) {
 
 // TestPlaceAndRequeueAllocBounds pins what one scheduling decision costs:
 // a data-gravity placement of a 64^3 ref-mode segment job (resolve replicas,
-// score both nodes, claim, release) measured 10 allocations, and a full
+// score both nodes, claim, release) measured 5 allocations, and a full
 // node-loss cycle (kill the bound node and its OSD, re-place on the surviving
-// replica holder, restore) measured 1,556 (1,744 under -race). The
-// Place+Release bound is twice its measurement. Every decision must stay
-// replica-local and a requeue must never land on the dead node.
+// replica holder, restore) measured 21 (22 under -race). They were 10 and 25
+// (26) while each pass allocated its filter and ref lists and each better
+// candidate, and the cycle was 1,556 (1,744) before that. Each bound is
+// about twice its measurement. Every decision must stay replica-local and a
+// requeue must never land on the dead node.
 func TestPlaceAndRequeueAllocBounds(t *testing.T) {
 	job := func(ref string) *Workload {
 		return &Workload{JobID: "pin", Kind: api.KindSegment, Owner: "pin", Refs: []string{ref}, Voxels: 64 * 64 * 64}
@@ -337,7 +380,7 @@ func TestPlaceAndRequeueAllocBounds(t *testing.T) {
 			s.Release(w.JobID)
 		})
 		t.Logf("Place+Release: %.0f allocs", allocs)
-		const bound = 20
+		const bound = 10
 		if allocs > bound {
 			t.Fatalf("Place+Release allocates %.0f objects, want <= %d", allocs, bound)
 		}
@@ -367,7 +410,7 @@ func TestPlaceAndRequeueAllocBounds(t *testing.T) {
 			}
 		})
 		t.Logf("kill + re-place + restore: %.0f allocs", allocs)
-		const bound = 3000
+		const bound = 45
 		if allocs > bound {
 			t.Fatalf("kill + re-place + restore allocates %.0f objects, want <= %d", allocs, bound)
 		}

@@ -12,6 +12,7 @@ import (
 	"chaseci/internal/api"
 	"chaseci/internal/dataset"
 	"chaseci/internal/merra"
+	"chaseci/internal/sched"
 )
 
 // The job path borrows its sources read-only: a ref's decoded blob straight
@@ -273,10 +274,12 @@ func put64Volume(t *testing.T, r *Runner) string {
 // TestJobAllocBounds pins the job path's allocation diet in plain `go test`:
 // what one job of each shape allocates in steady state, submit to result
 // (measured figure in each case's comment). The race detector's sync.Pool
-// drops the conv kernels' pooled task structs on most of a training job's
-// ~960 backward calls, so the three training rows carry a second, looser
-// bound for the CI race job (raceKB, 2x what they read there); every other
-// row holds its one bound in both.
+// drops pooled scratch — the conv kernels' task structs on most of a
+// training job's ~960 backward calls, the flood's, the labelling's and the
+// seed lists' often enough to show on a 2 KB job — so a row that borrows
+// through one carries a second, looser bound for the CI race job (raceKB,
+// set from what it reads there); a row with none holds its one bound in
+// both.
 func TestJobAllocBounds(t *testing.T) {
 	sweep := &api.JobRequest{Kind: api.KindSweep, Sweep: &api.SweepSpec{
 		Source:        api.VolumeSource{Synth: &api.SynthSpec{NLon: 36, NLat: 24, NLev: 4, Steps: 6, Seed: 11}},
@@ -291,6 +294,23 @@ func TestJobAllocBounds(t *testing.T) {
 		Seed:          5,
 	}}
 	chainSynth := api.SynthSpec{NLon: 72, NLat: 48, NLev: 8, Steps: 12, Seed: 3}
+	// The chain's label job: its stored mask, from the chain's field
+	// thresholded at 700, labelled by ref.
+	chainLabel := func(t *testing.T, r *Runner) *api.JobRequest {
+		g := merra.Grid{NLon: chainSynth.NLon, NLat: chainSynth.NLat, NLev: chainSynth.NLev}
+		vol := merra.IVTVolume(merra.NewGenerator(g, chainSynth.Seed), merra.PressureLevels(g.NLev), 0, chainSynth.Steps)
+		for i, v := range vol.Data {
+			vol.Data[i] = 0
+			if v >= 700 {
+				vol.Data[i] = 1
+			}
+		}
+		info, err := r.Datasets().PutMask(chainSynth.Steps, g.NLat, g.NLon, vol.Data, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &api.JobRequest{Kind: api.KindLabel, Label: &api.LabelSpec{Source: api.VolumeSource{Ref: info.ID}, Threshold: 0.5, MaxObjects: 4}}
+	}
 	dist := distRequest(2, 12)
 	dist.TrainDist.BatchPerRound = 16
 	dist.TrainDist.Net.Features = 6
@@ -301,6 +321,7 @@ func TestJobAllocBounds(t *testing.T) {
 		request       func(t *testing.T, r *Runner) *api.JobRequest
 		warm, jobs    int
 		maxKB, raceKB float64
+		cluster       bool // on sched.DefaultFabric, the bench's cluster runner
 	}{
 		// The bench's ctl_tiny job in process: a one-step virtual-time
 		// workflow. The engine allocates its step records and its report,
@@ -311,7 +332,7 @@ func TestJobAllocBounds(t *testing.T) {
 		{"workflow_tiny", 2, func(*testing.T, *Runner) *api.JobRequest {
 			return &api.JobRequest{Kind: api.KindWorkflow, Workflow: &api.WorkflowSpec{
 				Name: "tiny", Steps: []api.WorkflowStep{{Name: "only", DurationMS: 1}}}}
-		}, 64, 256, 2.9, 3.5},
+		}, 64, 256, 2.9, 3.5, false},
 		// A one-step segment job over a cached 64^3 volume — 1 MB decoded —
 		// allocates what the job's bookkeeping does (1.56-1.61 KB; 1.9-2.2
 		// KB under the race detector): its network is the runner's shared
@@ -324,7 +345,7 @@ func TestJobAllocBounds(t *testing.T) {
 		{"ref_segment", 2, func(t *testing.T, r *Runner) *api.JobRequest {
 			return &api.JobRequest{Kind: api.KindSegment, ResultMode: api.ResultModeRef,
 				Segment: benchSegmentSpec(api.VolumeSource{Ref: put64Volume(t, r)})}
-		}, 4, 32, 2.4, 3.3},
+		}, 4, 32, 2.4, 3.3, false},
 		// The same job flooding with a train_dist checkpoint's network
 		// (net_ref): a cache hit resolves and decodes nothing, where a
 		// decode costs the weights and the optimizer's velocity (16 KB).
@@ -337,7 +358,7 @@ func TestJobAllocBounds(t *testing.T) {
 			spec := benchSegmentSpec(api.VolumeSource{Ref: put64Volume(t, r)})
 			spec.NetRef = tres.CheckpointRef
 			return &api.JobRequest{Kind: api.KindSegment, ResultMode: api.ResultModeRef, Segment: spec}
-		}, 4, 32, 2.4, 3.3},
+		}, 4, 32, 2.4, 3.3, false},
 		// A 12-round, batch-16 job with two periodic checkpoints (the bench/
 		// workload's shape). The network's parameter vector, the optimizer's
 		// velocity, the batch x P gradient matrix, the center index and a
@@ -350,7 +371,7 @@ func TestJobAllocBounds(t *testing.T) {
 		// encoded and then copied into its frame; 21 MB when every sample's
 		// backward pass built its own activation cache and the all-reduce
 		// cloned the gradients.
-		{"train_dist", 2, func(*testing.T, *Runner) *api.JobRequest { return dist }, 2, 8, 270, 280},
+		{"train_dist", 2, func(*testing.T, *Runner) *api.JobRequest { return dist }, 2, 8, 270, 280, false},
 		// A sweep child — train_dist on one worker, one example a round, a
 		// held-out slab scored — borrows the same way, and also writes the
 		// checkpoint a sweep keeps for its winner: about 34 KB of frame at
@@ -360,7 +381,7 @@ func TestJobAllocBounds(t *testing.T) {
 		{"sweep_child", 2, func(*testing.T, *Runner) *api.JobRequest {
 			h := api.SweepParams{LR: 0.03, Momentum: 0.9, Features: 6, Modules: 2, TrainSteps: 30}
 			return &api.JobRequest{Kind: api.KindTrainDist, TrainDist: sweep.Sweep.Child(h, 2, "")}
-		}, 2, 8, 110, 120},
+		}, 2, 8, 110, 120, false},
 		// The 8-candidate sweep, its children run in its own
 		// lanes, with no early stop (285-332 KB, 364-421 KB under the race
 		// detector, of which about 170 KB is the eight checkpoints its
@@ -370,23 +391,25 @@ func TestJobAllocBounds(t *testing.T) {
 		// scratch). Its concurrent children borrow more at a new peak of
 		// concurrency, which a 4-sweep average swings by 100 KB, so it is
 		// averaged over 12.
-		{"sweep_grid8", 4, func(*testing.T, *Runner) *api.JobRequest { return sweep }, 1, 12, 550, 820},
+		{"sweep_grid8", 4, func(*testing.T, *Runner) *api.JobRequest { return sweep }, 1, 12, 550, 820, false},
 		// The ends of the bench/ connect_chain, on its 12x48x72 volume (162 KB
 		// of float32). The ivt job builds no whole-field atmosphere state (it
-		// synthesizes row by row into borrowed scratch) and borrows its
-		// output, so what is left is the encoding it stores (175 KB; 680 KB
-		// when every field was allocated). The label job scans the stored mask's
-		// 5 KB of packed bits into a borrowed label array: per-object
-		// bookkeeping only (5 KB; 206 KB when the cached blob held the mask
-		// expanded to float32 and the label array was a fresh allocation).
+		// synthesizes row by row into borrowed scratch), its generator builds
+		// its filament tracks into the pooled plan, and it borrows its
+		// output, so what is left is the encoding it stores (171-177 KB,
+		// 178-217 KB under the race detector; 173-177 KB while each
+		// generator built its own track table, 680 KB when every field was
+		// allocated).
 		{"chain_ivt_ref", 2, func(*testing.T, *Runner) *api.JobRequest {
 			return &api.JobRequest{Kind: api.KindIVT, ResultMode: api.ResultModeRef, IVT: &api.IVTSpec{Synth: chainSynth, Threshold: 700}}
-		}, 2, 8, 350, 0},
+		}, 2, 8, 260, 325, false},
 		// The middle of the chain: a ref-mode segment job flooding the stored
 		// field with the bench's net seed and threshold (181 network
 		// applications). The network is the runner's shared one, the flood's
-		// arrays are pooled and its bits go to the store as they are, so
-		// what is left is bookkeeping (7 KB).
+		// arrays are pooled, its grid seeds go into a pooled list and its
+		// bits go to the store as they are, so what is left is bookkeeping
+		// (1.6-2.7 KB, 2.9-5.0 KB under the race detector, whose sync.Pool
+		// drops entries; 3.1-3.8 KB while the seed list grew per job).
 		{"chain_segment_ref", 2, func(t *testing.T, r *Runner) *api.JobRequest {
 			g := merra.Grid{NLon: chainSynth.NLon, NLat: chainSynth.NLat, NLev: chainSynth.NLev}
 			vol := merra.IVTVolume(merra.NewGenerator(g, chainSynth.Seed), merra.PressureLevels(g.NLev), 0, chainSynth.Steps)
@@ -397,25 +420,32 @@ func TestJobAllocBounds(t *testing.T) {
 			return &api.JobRequest{Kind: api.KindSegment, ResultMode: api.ResultModeRef, Segment: &api.SegmentSpec{
 				Source: api.VolumeSource{Ref: info.ID}, NetSeed: 3, Threshold: 700, ReturnMask: true,
 			}}
-		}, 2, 8, 16, 0},
-		{"chain_label_maskref", 2, func(t *testing.T, r *Runner) *api.JobRequest {
-			g := merra.Grid{NLon: chainSynth.NLon, NLat: chainSynth.NLat, NLev: chainSynth.NLev}
-			vol := merra.IVTVolume(merra.NewGenerator(g, chainSynth.Seed), merra.PressureLevels(g.NLev), 0, chainSynth.Steps)
-			for i, v := range vol.Data {
-				vol.Data[i] = 0
-				if v >= 700 {
-					vol.Data[i] = 1
-				}
-			}
-			info, err := r.Datasets().PutMask(chainSynth.Steps, g.NLat, g.NLon, vol.Data, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return &api.JobRequest{Kind: api.KindLabel, Label: &api.LabelSpec{Source: api.VolumeSource{Ref: info.ID}, Threshold: 0.5, MaxObjects: 4}}
-		}, 2, 8, 12, 0},
+		}, 2, 8, 4, 7, false},
+		// The label job scans the stored mask's 5 KB of packed bits into a
+		// borrowed label array, and its statistics, objects and pathways
+		// live in the pooled scratch its result hands back: what is left is
+		// the job's bookkeeping (1.65 KB, 2.0-3.0 KB under the race
+		// detector; 4.1 KB while the labelling built its statistics and
+		// objects per job, 206 KB when the cached blob held the mask
+		// expanded to float32 and the label array was a fresh allocation).
+		{"chain_label_maskref", 2, chainLabel, 2, 8, 2.5, 4.5, false},
+		// The same label job on the bench's cluster runner, where the
+		// scheduler places it by the mask ref's replicas: placement filters
+		// and scores into scratch the scheduler keeps, and holds its best
+		// candidate by value, so the placement adds about 0.4 KB to the
+		// single-node job (2.06-2.28 KB, 2.2-3.5 KB under the race detector;
+		// 5.1-5.2 KB, 1 KB over the single-node job, while each pass
+		// allocated its lists and candidates).
+		{"chain_label_cluster", 2, chainLabel, 2, 8, 3.3, 5.3, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := newTestRunner(t, DefaultRegistry(), tc.workers)
+			var r *Runner
+			if tc.cluster {
+				r = NewClusterRunnerConfigured(DefaultRegistry(), nil, sched.DefaultFabric(), RunnerConfig{Workers: tc.workers})
+				t.Cleanup(r.Close)
+			} else {
+				r = newTestRunner(t, DefaultRegistry(), tc.workers)
+			}
 			req := tc.request(t, r)
 			for i := 0; i < tc.warm; i++ {
 				runJob(t, r, req)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"chaseci/internal/api"
@@ -179,6 +180,10 @@ func lossSummary(losses []float64) (head, tail float64) {
 	return ffn.MeanTail(losses[:(len(losses)+4)/5], 1), ffn.MeanTail(losses, 0.2)
 }
 
+// gridSeedBufs recycles the seed lists SegmentHandler derives: a flood reads
+// its seeds only before it starts.
+var gridSeedBufs = sync.Pool{New: func() any { return new([][3]int) }}
+
 // SegmentHandler runs FFN flood-fill segmentation: the network (drawn from
 // net_seed, or the one a net_ref checkpoint holds — shared with every job
 // naming the same weights, through the runner's cache), seed selection,
@@ -215,7 +220,9 @@ func SegmentHandler(jc *JobContext) (any, error) {
 		if stride == [3]int{} {
 			stride = cfg.FOV
 		}
-		seeds = ffn.GridSeeds(raw, cfg.FOV, stride, spec.Threshold)
+		buf := gridSeedBufs.Get().(*[][3]int)
+		seeds = ffn.AppendGridSeeds((*buf)[:0], raw, cfg.FOV, stride, spec.Threshold)
+		defer func() { *buf = seeds; gridSeedBufs.Put(buf) }()
 	}
 
 	res := api.SegmentResult{}
@@ -281,8 +288,9 @@ func LabelHandler(jc *JobContext) (any, error) {
 	// Workers tick concurrently, so their last stores may land out of
 	// order: the terminal progress is the whole volume.
 	jc.Progress(int64(vol.T), int64(vol.T), "label")
-	// Only the objects are reported: the label array goes back to the list.
-	result.Release()
+	// Only the objects are reported: once they are read, the label array
+	// and the objects' storage go back.
+	defer result.Release()
 	stats := connect.Summarize(result)
 	res := api.LabelResult{
 		Objects:      stats.Objects,
@@ -295,15 +303,15 @@ func LabelHandler(jc *JobContext) (any, error) {
 	if maxObjects == 0 {
 		maxObjects = 20
 	}
-	for _, o := range result.Objects {
-		if len(res.Top) >= maxObjects {
-			break
+	if top := result.Objects[:min(maxObjects, len(result.Objects))]; len(top) > 0 {
+		res.Top = make([]api.ObjectSummary, len(top))
+		for i, o := range top {
+			res.Top[i] = api.ObjectSummary{
+				ID: o.ID, Voxels: o.Voxels,
+				Genesis: o.Genesis, Termination: o.Termination,
+				PeakArea: o.PeakArea,
+			}
 		}
-		res.Top = append(res.Top, api.ObjectSummary{
-			ID: o.ID, Voxels: o.Voxels,
-			Genesis: o.Genesis, Termination: o.Termination,
-			PeakArea: o.PeakArea,
-		})
 	}
 	return res, nil
 }

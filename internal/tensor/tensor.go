@@ -143,8 +143,16 @@ func LogitBCEInto(grad, logits, labels, mask *Tensor) (loss float64) {
 		y := float64(labels.Data[i])
 		zf := float64(z)
 		// log(1+exp(-|z|)) + max(z,0) - z*y
-		loss += float64(wgt) * (math.Log(1+math.Exp(-math.Abs(zf))) + math.Max(zf, 0) - zf*y)
-		grad.Data[i] = wgt * (SigmoidValue(z) - float32(y))
+		e := math.Exp(-math.Abs(zf))
+		loss += float64(wgt) * (math.Log(1+e) + math.Max(zf, 0) - zf*y)
+		// For z >= 0 (-0 included) e is SigmoidValue's exp(-z), bit for bit.
+		var sig float32
+		if zf >= 0 {
+			sig = float32(1 / (1 + e))
+		} else {
+			sig = SigmoidValue(z)
+		}
+		grad.Data[i] = wgt * (sig - float32(y))
 		count += float64(wgt)
 	}
 	if count > 0 {

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -252,6 +253,77 @@ func TestLogitBCEMaskExcludes(t *testing.T) {
 	}
 	if grad.Data[0] != 0 {
 		t.Fatal("masked element got gradient")
+	}
+}
+
+// logitBCEOracle is LogitBCEInto as it was before it shared the loss's
+// exponential with the sigmoid: the ground truth for the fused one.
+func logitBCEOracle(grad, logits, labels, mask *Tensor) (loss float64) {
+	grad.Zero()
+	count := 0.0
+	for i, z := range logits.Data {
+		wgt := float32(1)
+		if mask != nil {
+			wgt = mask.Data[i]
+			if wgt == 0 {
+				continue
+			}
+		}
+		y := float64(labels.Data[i])
+		zf := float64(z)
+		loss += float64(wgt) * (math.Log(1+math.Exp(-math.Abs(zf))) + math.Max(zf, 0) - zf*y)
+		grad.Data[i] = wgt * (SigmoidValue(z) - float32(y))
+		count += float64(wgt)
+	}
+	if count > 0 {
+		loss /= count
+		grad.Scale(float32(1 / count))
+	}
+	return loss
+}
+
+// TestLogitBCEMatchesOracle: the fused loss gives the oracle's loss and
+// gradient bit for bit, one logit at a time over the edge cases (signed
+// zeros, infinities, NaN, subnormals, the ±88 where exp(-|z|) nears
+// float32's smallest normal) against both labels, and over random logits
+// with and without a mask.
+func TestLogitBCEMatchesOracle(t *testing.T) {
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	sub := math.Float32frombits(1) // the smallest subnormal
+	edges := []float32{0, float32(math.Copysign(0, -1)), inf, -inf, nan,
+		sub, -sub, math.Float32frombits(0x007fffff), -math.Float32frombits(0x007fffff),
+		88, -88, 88.7, -88.7, 1e-30, -1e-30, 0.5, -0.5, 20, -20, 1e30, -1e30}
+	same := func(name string, got, want *Tensor, gotLoss, wantLoss float64) {
+		t.Helper()
+		if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
+			t.Fatalf("%s: loss %v (%#x), oracle %v (%#x)", name, gotLoss, math.Float64bits(gotLoss), wantLoss, math.Float64bits(wantLoss))
+		}
+		for i := range got.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("%s: grad[%d] = %v, oracle %v", name, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+	for _, z := range edges {
+		for _, y := range []float32{0, 1} {
+			logits, labels := FromData([]float32{z}, 1), FromData([]float32{y}, 1)
+			got, want := New(1), New(1)
+			same(fmt.Sprintf("z=%v y=%v", z, y), got, want,
+				LogitBCEInto(got, logits, labels, nil), logitBCEOracle(want, logits, labels, nil))
+		}
+	}
+	rng := sim.NewRNG(58)
+	const n = 4096
+	logits, labels, mask := New(n), New(n), New(n)
+	for i := range logits.Data {
+		logits.Data[i] = float32(rng.NormFloat64() * 8)
+		labels.Data[i] = float32(rng.Intn(2))
+		mask.Data[i] = float32(rng.Intn(3)) / 2 // 0, 0.5 or 1
+	}
+	for _, m := range []*Tensor{nil, mask} {
+		got, want := New(n), New(n)
+		same(fmt.Sprintf("random, mask %v", m != nil), got, want,
+			LogitBCEInto(got, logits, labels, m), logitBCEOracle(want, logits, labels, m))
 	}
 }
 
